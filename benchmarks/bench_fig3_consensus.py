@@ -15,14 +15,15 @@ from repro.metrics.fitting import scaling_exponent
 def run_with_tag_census(c: int):
     ctx = build_sandbox(committee_size=c, lam=2)
     census: dict[str, int] = {}
-    original_send = ctx.net.send
 
-    def counting_send(sender, recipient, tag, payload, size=None):
-        base = tag.split(":", 1)[0]
+    def count_and_keep(message) -> bool:
+        # The drop filter sees every envelope, unicast or fan-out, before
+        # it is queued; returning False drops nothing.
+        base = message.tag.split(":", 1)[0]
         census[base] = census.get(base, 0) + 1
-        original_send(sender, recipient, tag, payload, size=size)
+        return False
 
-    ctx.net.send = counting_send
+    ctx.net.drop_filter = count_and_keep
     outcome = InsideConsensus(
         ctx, ctx.committees[0].members, leader=0, sn=1,
         payload=("M", list(range(8))), session="fig3",

@@ -744,13 +744,12 @@ class CommitteeSimBackend:
                 outputs = self._output_shards(tagged)
                 needed[(index, tagged.tx.txid)] = len(outputs)
                 started += 1
-                for out_shard in outputs:
-                    home_leader.send(
-                        leaders[out_shard],
-                        request_tag,
-                        (index, tagged.tx.txid),
-                        size=TX_WIRE_BYTES,
-                    )
+                home_leader.multicast(
+                    [leaders[out_shard] for out_shard in outputs],
+                    request_tag,
+                    (index, tagged.tx.txid),
+                    size=TX_WIRE_BYTES,
+                )
         ctx.net.run()
 
         final: dict[int, list[TaggedTx]] = {}

@@ -144,10 +144,12 @@ class OmniLedgerBackend(CommitteeSimBackend):
         # RandHound's output reaches each shard leader from the epoch group
         # leader (best-effort channel; the seed itself stays deterministic).
         beacon = ctx.nodes[ctx.referee[0]]
-        for spec in ctx.committees:
-            beacon.send(
-                spec.leader, "ol/rand", ctx.round_number, size=CONTROL_WIRE_BYTES
-            )
+        beacon.multicast(
+            [spec.leader for spec in ctx.committees],
+            "ol/rand",
+            ctx.round_number,
+            size=CONTROL_WIRE_BYTES,
+        )
         ctx.net.run()
         return self._build_block(ctx, final)
 

@@ -140,8 +140,7 @@ class RapidChainBackend(CommitteeSimBackend):
             leader = ctx.nodes[spec.leader]
             payload = (spec.index, txlist)
             size = max(1, len(txlist)) * TX_WIRE_BYTES
-            for rid in ctx.referee:
-                leader.send(rid, "rc/final", payload, size=size)
+            leader.multicast(ctx.referee, "rc/final", payload, size=size)
         ctx.net.run()
 
         pack = self._build_block(ctx, landed)

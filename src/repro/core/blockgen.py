@@ -175,10 +175,9 @@ def run_block_generation(
         def handler(message) -> None:
             committee = ctx.committees[k]
             delivered.add(committee.leader)
-            leader_node = ctx.node(committee.leader)
-            for mid in committee.members:
-                if mid != committee.leader:
-                    leader_node.send(mid, Tags.BLOCK, message.payload, size=block_size)
+            ctx.node(committee.leader).multicast(
+                committee.members, Tags.BLOCK, message.payload, size=block_size
+            )
 
         return handler
 
@@ -187,11 +186,12 @@ def run_block_generation(
         for mid in committee.members:
             if mid != committee.leader:
                 ctx.node(mid).on(Tags.BLOCK, make_on_block_member(mid))
-    lead_referee_node = ctx.node(ctx.referee[0])
-    for committee in ctx.committees:
-        lead_referee_node.send(
-            committee.leader, Tags.BLOCK, block.hash, size=block_size
-        )
+    ctx.node(ctx.referee[0]).multicast(
+        [committee.leader for committee in ctx.committees],
+        Tags.BLOCK,
+        block.hash,
+        size=block_size,
+    )
     ctx.net.run()
 
     # -- shard state updates + final UTXO / Remaining-TX consensus -------------

@@ -79,10 +79,9 @@ class _ConfigSession:
                 continue
             node = ctx.node(mid)
             ticket = getattr(node, "ticket", None)
-            for kid in key_members:
-                node.send(
-                    kid, self._tag(Tags.CONFIG), (node.identity(), ticket)
-                )
+            node.multicast(
+                key_members, self._tag(Tags.CONFIG), (node.identity(), ticket)
+            )
 
     def _verify(self, identity: tuple[str, str], ticket) -> bool:
         if not isinstance(ticket, SortitionTicket):
@@ -137,12 +136,12 @@ class _ConfigSession:
                 and identity != node.identity()
                 and identity[0] not in key_pks
             }
-            for pk, _address in new_ids:
-                target = self._node_id_by_pk(pk)
-                if target is not None:
-                    node.send(
-                        target, self._tag(Tags.MEMBER), (node.identity(), ticket)
-                    )
+            targets = [self._node_id_by_pk(pk) for pk, _address in new_ids]
+            node.multicast(
+                [target for target in targets if target is not None],
+                self._tag(Tags.MEMBER),
+                (node.identity(), ticket),
+            )
 
         return handler
 

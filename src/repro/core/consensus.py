@@ -170,6 +170,8 @@ class InsideConsensus:
         # reference keeps ids stable.  Honest sessions have exactly one
         # entry; an equivocating leader adds one per variant, capped below.
         self._digest_memo: list[tuple[Any, bytes]] = []
+        # ECHO verdicts by packet identity (see :meth:`_echo_verdict`).
+        self._echo_memo: dict[int, tuple[tuple, tuple[bool, bool]]] = {}
         # Encoded-statement memos: within one session every member signs or
         # verifies the same PROPOSE header, ECHO statement and CONFIRM
         # statement per digest — O(C²) scalar sign/verify calls would
@@ -192,6 +194,41 @@ class InsideConsensus:
         if len(self._digest_memo) < self._DIGEST_MEMO_MAX:
             self._digest_memo.append((payload, digest))
         return digest
+
+    def _echo_verdict(self, packet: tuple) -> tuple[bool, bool]:
+        """``(echo_ok, header_ok)`` for one ECHO packet: the ECHO signature
+        verifies under the key of the member the packet names, and the
+        relayed PROPOSE header is signed by the leader.
+
+        Both are pure in the packet, and an ECHO fan-out delivers one packet
+        object to all C−1 handlers, so the verdict is memoised by packet
+        *identity* — every check still runs, once per distinct object.  The
+        memo holds the packet, so its ``id`` cannot be recycled for another
+        tuple while the entry lives; an equal-but-distinct packet (a sender
+        crafting one per recipient) is verified on its own.  Past the cap
+        packets are verified on every delivery.
+        """
+        entry = self._echo_memo.get(id(packet))
+        if entry is not None and entry[0] is packet:
+            return entry[1]
+        echo_sig, digest, sender_id, relayed_propose_sig = packet
+        pki = self.ctx.pki
+        echo_ok = echo_sig.pk == self.ctx.pk_of(sender_id) and verify_encoded(
+            pki, echo_sig, self._echo_enc(digest, sender_id)
+        )
+        verdict = (
+            echo_ok,
+            echo_ok
+            and signed_by_encoded(
+                pki,
+                relayed_propose_sig,
+                self._header_enc(digest),
+                self.ctx.pk_of(self.leader),
+            ),
+        )
+        if len(self._echo_memo) < 2 * self.C:
+            self._echo_memo[id(packet)] = (packet, verdict)
+        return verdict
 
     # -- encoded-statement memos ------------------------------------------
     def _header_enc(self, digest: bytes) -> bytes:
@@ -244,8 +281,12 @@ class InsideConsensus:
         # payload to the whole set (a single sign + size), an equivocating
         # leader pays once per variant.  Recipients sharing a digest share
         # byte-equal payloads, so reusing the first packet is stream-exact.
+        # Consecutive recipients of one packet form one fan-out (an honest
+        # leader: a single multicast), which keeps the send order — and so
+        # every seq and jitter draw — that of a per-recipient loop.
         sig_by_digest: dict[bytes, Signature] = {}
         packet_by_digest: dict[bytes, tuple[tuple, int]] = {}
+        fanouts: list[tuple[tuple[tuple, int], list[int]]] = []
         for rid in recipients:
             m = variants.get(rid, self.payload)
             if m is ...:
@@ -258,8 +299,11 @@ class InsideConsensus:
                 packet = (sig, digest, m)
                 entry = (packet, payload_size(packet))
                 packet_by_digest[digest] = entry
-            packet, size = entry
-            leader_node.send(rid, self._tag("PROPOSE"), packet, size=size)
+            if not fanouts or fanouts[-1][0] is not entry:
+                fanouts.append((entry, []))
+            fanouts[-1][1].append(rid)
+        for (packet, size), run in fanouts:
+            leader_node.multicast(run, self._tag("PROPOSE"), packet, size=size)
         # The leader is also a member (Alg. 3 line 11: "any member i,
         # including leader l"): it accepts its own proposal and broadcasts
         # its ECHO like everyone else.
@@ -276,10 +320,9 @@ class InsideConsensus:
         )
         echo_packet = (echo_sig, own_digest, self.leader, own_sig)
         echo_size = payload_size(echo_packet)
-        for other in recipients:
-            leader_node.send(
-                other, self._tag("ECHO"), echo_packet, size=echo_size
-            )
+        leader_node.multicast(
+            recipients, self._tag("ECHO"), echo_packet, size=echo_size
+        )
         self._record_echo(self.leader, own_digest, self.leader, echo_sig)
 
     # -- member handlers ---------------------------------------------------
@@ -307,11 +350,9 @@ class InsideConsensus:
             # "the digest helps to mitigate the burden on the channel").
             echo_packet = (echo_sig, digest, mid, sig)
             echo_size = payload_size(echo_packet)
-            for other in self.members:
-                if other != mid:
-                    node.send(
-                        other, self._tag("ECHO"), echo_packet, size=echo_size
-                    )
+            node.multicast(
+                self.members, self._tag("ECHO"), echo_packet, size=echo_size
+            )
             self._record_echo(mid, digest, mid, echo_sig)
             self._maybe_confirm(mid)
 
@@ -322,18 +363,13 @@ class InsideConsensus:
             if mid in self._stopped:
                 return
             node = self.ctx.node(mid)
-            echo_sig, digest, sender_id, relayed_propose_sig = message.payload
-            if echo_sig.pk != self.ctx.pk_of(sender_id):
+            packet = message.payload
+            echo_ok, header_ok = self._echo_verdict(packet)
+            if not echo_ok:
                 return
-            if not verify_encoded(
-                self.ctx.pki, echo_sig, self._echo_enc(digest, sender_id)
-            ):
-                return
+            echo_sig, digest, sender_id, relayed_propose_sig = packet
             # The relayed PROPOSE header lets every member audit the leader.
-            leader_pk = self.ctx.pk_of(self.leader)
-            if signed_by_encoded(
-                self.ctx.pki, relayed_propose_sig, self._header_enc(digest), leader_pk
-            ):
+            if header_ok:
                 self._note_header(mid, digest, relayed_propose_sig)
             if not node.behavior.echoes(node):
                 return
@@ -363,9 +399,7 @@ class InsideConsensus:
             if node.behavior.echoes(node):
                 # "he/she informs all members of the committee immediately
                 # to stop the consensus process."
-                for other in self.members:
-                    if other != mid:
-                        node.send(other, self._tag("STOP"), witness)
+                node.multicast(self.members, self._tag("STOP"), witness)
                 self._stopped.add(mid)
 
     def _make_on_stop(self, mid: int):

@@ -191,9 +191,9 @@ def run_inter_consensus(ctx: RoundContext) -> InterReport:
             round_result.session,
         )
         size = payload_size(payload)
-        sender.send(receiver_committee.leader, Tags.INTER_SEND, payload, size=size)
-        for pid in receiver_committee.partial:
-            sender.send(pid, Tags.INTER_SEND, payload, size=size)
+        sender.multicast(
+            receiver_committee.key_members, Tags.INTER_SEND, payload, size=size
+        )
     ctx.net.run()
 
     # -- Lemma 7: partial members saw the package, the leader "didn't" -------

@@ -209,10 +209,9 @@ class _ImpeachmentSession:
             self.escalated = True
             accuser_node = self.ctx.node(self.accuser)
             cert = tuple(self.approvals.values())
-            for rid in self.ctx.referee:
-                accuser_node.send(
-                    rid, self._tag(Tags.ACCUSE), (self.witness, cert)
-                )
+            accuser_node.multicast(
+                self.ctx.referee, self._tag(Tags.ACCUSE), (self.witness, cert)
+            )
 
     def _make_on_accuse(self, rid: int):
         def handler(message: "Message") -> None:
@@ -261,8 +260,9 @@ class _ImpeachmentSession:
             return
         referee_node = self.ctx.node(rid)
         payload = (self.accuser, consensus.outcome.cert)
-        for mid in self.committee.members:
-            referee_node.send(mid, self._tag(Tags.NEW), payload)
+        referee_node.multicast(
+            self.committee.members, self._tag(Tags.NEW), payload
+        )
 
     def _make_on_new(self, mid: int):
         def handler(message: "Message") -> None:

@@ -244,8 +244,7 @@ def run_reputation_updating(ctx: RoundContext) -> ReputationReport:
             tuple(consensus.outcome.cert),
         )
         size = payload_size(payload)
-        for rid in ctx.referee:
-            leader_node.send(rid, Tags.SCORES_TO_CR, payload, size=size)
+        leader_node.multicast(ctx.referee, Tags.SCORES_TO_CR, payload, size=size)
     ctx.net.run()
 
     store = ctx.reputation

@@ -97,10 +97,9 @@ class _SemiCommitSession:
             sig = sign(leader.keypair, statement)
         payload = (k, commitment, claimed_list, sig)
         size = payload_size(payload)
-        for rid in ctx.referee:
-            leader.send(rid, Tags.SEMI_COM, payload, size=size)
-        for pid in committee.partial:
-            leader.send(pid, Tags.SEMI_COM, payload, size=size)
+        leader.multicast(
+            [*ctx.referee, *committee.partial], Tags.SEMI_COM, payload, size=size
+        )
         # Leaders also note down all other committees' commitments once C_R
         # redistributes them — O(m) storage (Table II).
 
@@ -175,16 +174,18 @@ class _SemiCommitSession:
             # traffic Table II attributes to C_R members.
             announcement = dict(valid)
             announcement_size = payload_size(announcement)
+            key_members = [
+                kid
+                for committee in ctx.committees
+                for kid in committee.key_members
+            ]
             for rid in ctx.referee:
-                announcer = ctx.node(rid)
-                for committee in ctx.committees:
-                    for kid in committee.key_members:
-                        announcer.send(
-                            kid,
-                            Tags.SEMI_COM_SET,
-                            announcement,
-                            size=announcement_size,
-                        )
+                ctx.node(rid).multicast(
+                    key_members,
+                    Tags.SEMI_COM_SET,
+                    announcement,
+                    size=announcement_size,
+                )
             ctx.net.run()
 
     # -- partial-set cross-check (step 3) -----------------------------------

@@ -85,7 +85,9 @@ class VoteRound:
     @property
     def vlist_tuple(self) -> tuple:
         assert self.matrix is not None
-        return tuple(tuple(int(v) for v in row) for row in self.matrix)
+        # ``tolist`` yields plain ints row by row: the same tuples as an
+        # ``int(v)`` per element, without a generator frame per vote.
+        return tuple(map(tuple, self.matrix.tolist()))
 
 
 class VoteRoundSession:
@@ -153,14 +155,12 @@ class VoteRoundSession:
             # size, so per-member sizing was an O(c·D) hidden quadratic).
             txlist_payload = (self.txs, sig)
             txlist_size = payload_size(txlist_payload)
-            for mid in committee.members:
-                if mid != committee.leader:
-                    leader_node.send(
-                        mid,
-                        self._tag("TX_LIST"),
-                        txlist_payload,
-                        size=txlist_size,
-                    )
+            leader_node.multicast(
+                committee.members,
+                self._tag("TX_LIST"),
+                txlist_payload,
+                size=txlist_size,
+            )
             # The leader votes too (it is a member, Alg. 5 line 21).
             self._votes[committee.leader] = self.vote_fn(
                 ctx, committee.leader, self.txs
@@ -280,8 +280,7 @@ class VoteRoundSession:
             self.result.vlist_tuple,
             self.result.sig_votes,
         )
-        for pid in committee.partial:
-            leader_node.send(pid, self._tag("ARTIFACT"), artifact)
+        leader_node.multicast(committee.partial, self._tag("ARTIFACT"), artifact)
 
     # -- silence handling ---------------------------------------------------
     def _silence_deadline(self) -> None:
@@ -299,13 +298,13 @@ class VoteRoundSession:
             if node.behavior.is_malicious:
                 continue  # colluders will not help impeach their leader
             statement_sig = sign(node.keypair, stmt)
-            for pid in committee.partial:
-                if pid != mid:
-                    node.send(pid, self._tag("NO_PROPOSAL"), statement_sig)
-                else:
-                    self.result.no_proposal_sigs.setdefault(mid, []).append(
-                        statement_sig
-                    )
+            node.multicast(
+                committee.partial, self._tag("NO_PROPOSAL"), statement_sig
+            )
+            if mid in committee.partial:
+                self.result.no_proposal_sigs.setdefault(mid, []).append(
+                    statement_sig
+                )
 
     def _make_on_no_proposal(self, pid: int):
         def handler(message: "Message") -> None:

@@ -58,13 +58,20 @@ class MetricsCollector:
 
     # -- recording -----------------------------------------------------------
     def record_send(self, sender: int, nbytes: int) -> None:
-        role = self.role_of(sender)
-        cell = self.cells[(self.phase, role)]
-        cell.messages += 1
-        cell.bytes += nbytes
-        self.per_node_messages[sender] += 1
-        self.per_node_bytes[sender] += nbytes
-        self.events += 1
+        self.record_sends(sender, 1, nbytes)
+
+    def record_sends(self, sender: int, count: int, nbytes: int) -> None:
+        """Record ``count`` messages of ``nbytes`` each from ``sender``: one
+        fan-out's traffic in one call (``Network.multicast``).  ``count``
+        must be positive — a zero-message fan-out records nothing, so it
+        never materialises an empty cell or per-node row."""
+        total = count * nbytes
+        cell = self.cells[(self.phase, self.node_roles.get(sender, Roles.COMMON))]
+        cell.messages += count
+        cell.bytes += total
+        self.per_node_messages[sender] += count
+        self.per_node_bytes[sender] += total
+        self.events += count
 
     def record_storage(self, node_id: int, items: int) -> None:
         """Report a storage high-water mark (items retained) for a node in

@@ -4,17 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Callable
 
 _SIG_SIZE = 64  # public key reference + MAC tag, like an Ed25519 signature
 _HASH_SIZE = 32
 _INT_SIZE = 8
-
-#: dataclass type -> field-name tuple, resolved once per type instead of
-#: re-running ``dataclasses.fields`` introspection on every sized payload
-#: (the profile showed that introspection dominating ``payload_size`` for
-#: transaction-heavy payloads).
-_FIELDS_BY_TYPE: dict[type, tuple[str, ...]] = {}
 
 _NP_SCALAR_TYPES: tuple[type, ...] | None = None
 
@@ -29,52 +24,84 @@ def _np_scalar_types() -> tuple[type, ...]:
 
 
 def _size_container(obj: Any) -> int:
-    return 2 + sum(payload_size(x) for x in obj)
+    # Dispatch inline (no generator, no ``payload_size`` frame per
+    # element): echo lists and member lists are sized element by element.
+    sizers = _SIZERS
+    total = 2
+    for x in obj:
+        sizer = sizers.get(type(x))
+        total += sizer(x) if sizer is not None else _size_slow(x)
+    return total
 
 
 def _size_dict(obj: dict) -> int:
-    return 2 + sum(payload_size(k) + payload_size(v) for k, v in obj.items())
+    return _size_container(chain.from_iterable(obj.items()))
 
 
-def _size_slow(obj: Any) -> int:
-    """Uncommon payload types: named crypto objects, dataclasses, numpy
-    scalars, and subclasses of the fast-dispatched builtins."""
-    if isinstance(obj, bool):
-        return 1
-    if isinstance(obj, (int, float)):
-        return _INT_SIZE
-    if isinstance(obj, (bytes, str)):
-        return len(obj)
-    if isinstance(obj, (tuple, list, set, frozenset)):
-        return _size_container(obj)
-    if isinstance(obj, dict):
-        return _size_dict(obj)
-    # Signatures and VRF outputs get their conventional fixed sizes.
-    cls = type(obj)
+def _size_one_byte(obj: Any) -> int:
+    return 1
+
+
+def _size_int(obj: Any) -> int:
+    return _INT_SIZE
+
+
+def _size_signature(obj: Any) -> int:
+    return _SIG_SIZE
+
+
+def _size_vrf_output(obj: Any) -> int:
+    return _SIG_SIZE + _HASH_SIZE
+
+
+def _sizer_for(cls: type) -> Callable[[Any], int]:
+    """The sizer of a type outside the builtin table: subclasses of the
+    builtins size like their base, signatures and VRF outputs get their
+    conventional fixed sizes, dataclasses are the sum of their fields plus
+    framing, numpy scalars are fixed-width ints."""
+    if issubclass(cls, bool):
+        return _size_one_byte
+    if issubclass(cls, (int, float)):
+        return _size_int
+    if issubclass(cls, (bytes, str)):
+        return len
+    if issubclass(cls, (tuple, list, set, frozenset)):
+        return _size_container
+    if issubclass(cls, dict):
+        return _size_dict
     type_name = cls.__name__
     if type_name == "Signature":
-        return _SIG_SIZE
+        return _size_signature
     if type_name == "VRFOutput":
-        return _SIG_SIZE + _HASH_SIZE
-    if dataclasses.is_dataclass(obj):
-        names = _FIELDS_BY_TYPE.get(cls)
-        if names is None:
-            names = tuple(f.name for f in dataclasses.fields(obj))
-            _FIELDS_BY_TYPE[cls] = names
-        return 2 + sum(payload_size(getattr(obj, name)) for name in names)
-    if isinstance(obj, _np_scalar_types()):
-        return _INT_SIZE
+        return _size_vrf_output
+    if dataclasses.is_dataclass(cls):
+        names = tuple(f.name for f in dataclasses.fields(cls))
+        return lambda obj: _size_container([getattr(obj, n) for n in names])
+    if issubclass(cls, _np_scalar_types()):
+        return _size_int
     raise TypeError(f"payload_size cannot size {type_name}")
 
 
-#: Exact-type fast dispatch for the builtins that dominate real payloads.
-#: ``bool``/``int`` must be distinct entries (bool is an int subclass, but
-#: ``type(obj)`` lookups never confuse them), and subclasses fall through
-#: to :func:`_size_slow`, preserving the old isinstance semantics.
+def _size_slow(obj: Any) -> int:
+    """First sight of a type: resolve its sizer once and register it under
+    the exact type, so every later object of that type — the signatures in
+    every echo list, the identities in every member list — is one dict
+    probe like the builtins."""
+    cls = type(obj)
+    sizer = _SIZERS[cls] = _sizer_for(cls)
+    return sizer(obj)
+
+
+#: Exact-type dispatch.  Seeded with the builtins that dominate real
+#: payloads (``bool``/``int`` must be distinct entries: bool is an int
+#: subclass, but ``type(obj)`` lookups never confuse them); every other
+#: type registers itself on first sight (:func:`_size_slow`).  A type's
+#: size rule is fixed by the type alone, so the table only ever grows by
+#: the number of payload types in the program.
 _SIZERS: dict[type, Callable[[Any], int]] = {
-    bool: lambda obj: 1,
-    int: lambda obj: _INT_SIZE,
-    float: lambda obj: _INT_SIZE,
+    bool: _size_one_byte,
+    int: _size_int,
+    float: _size_int,
     bytes: len,
     str: len,
     tuple: _size_container,
@@ -82,7 +109,7 @@ _SIZERS: dict[type, Callable[[Any], int]] = {
     set: _size_container,
     frozenset: _size_container,
     dict: _size_dict,
-    type(None): lambda obj: 1,
+    type(None): _size_one_byte,
 }
 
 
@@ -95,11 +122,10 @@ def payload_size(obj: Any) -> int:
     actual codec.  Consistency across protocols is what matters for the
     complexity comparison.
 
-    The implementation dispatches on exact type first (one dict probe for
-    the builtins that make up virtually every real payload) and falls back
-    to the isinstance chain for subclasses, dataclasses and numpy scalars —
-    ``payload_size`` runs once per simulated send, so it is one of the
-    hottest functions in the repository (perf case ``micro:message_pump``).
+    The implementation dispatches on exact type (one dict probe);
+    ``payload_size`` runs once per simulated send or fan-out and once per
+    element of every container payload, so it is one of the hottest
+    functions in the repository (perf case ``micro:message_pump``).
     """
     sizer = _SIZERS.get(type(obj))
     if sizer is not None:

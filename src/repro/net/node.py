@@ -58,10 +58,13 @@ class ProtocolNode:
     def multicast(
         self, recipients: Any, tag: str, payload: Any, size: int | None = None
     ) -> None:
-        """Paper's BROADCAST: multicast to all known members of a group."""
-        for recipient in recipients:
-            if recipient != self.node_id:
-                self.send(recipient, tag, payload, size=size)
+        """Paper's BROADCAST: one payload to all known members of a group
+        (the sender itself is skipped); see ``Network.multicast``."""
+        if self.network is None:
+            raise RuntimeError(f"node {self.node_id} is not attached to a network")
+        if not self.online:
+            return  # offline nodes transmit nothing
+        self.network.multicast(self.node_id, recipients, tag, payload, size=size)
 
     def receive(self, message: "Message") -> None:
         if not self.online:

@@ -67,12 +67,7 @@ class Network:
         self.epoch: float = 0.0
         self._queue: list[tuple[float, int, Message | None, Callable | None]] = []
         self._seq = itertools.count()
-        # Jitter draws are served from a pre-drawn block: one vectorized
-        # ``rng.random(n)`` call replaces n scalar Generator calls on the
-        # per-message hot path.  numpy guarantees a batched draw consumes
-        # the bit stream exactly like sequential scalar draws, so the
-        # served sequence — and therefore every artifact — is unchanged
-        # (asserted by tests/test_perf_harness.py).
+        # Pre-drawn jitter block and its cursor (see :meth:`_fan_out`).
         self._jitter_block: np.ndarray | None = None
         self._jitter_idx = 0
         # Recycled Message envelopes (opt-in): the protocol allocates one
@@ -201,11 +196,6 @@ class Network:
     def partitioned(self) -> bool:
         return self._partition is not None
 
-    def _crosses_partition(self, src: int, dst: int) -> bool:
-        if self._partition is None:
-            return False
-        return self._partition.get(src, -1) != self._partition.get(dst, -1)
-
     def add_link_degradation(
         self,
         factor: float,
@@ -265,47 +255,10 @@ class Network:
             self._deg_active = [w for w in active if now < w[1]]
         return factor
 
-    # -- latency model ----------------------------------------------------
+    # -- sending ---------------------------------------------------------------
     _JITTER_BLOCK = 1024
     _POOL_MAX = 1024
 
-    def _next_jitter(self) -> float:
-        """The next uniform jitter draw, served from the pre-drawn block.
-
-        Byte-for-byte identical to ``float(self.rng.random())`` per call —
-        a batched ``Generator.random(n)`` consumes the underlying bit
-        stream exactly like n scalar calls — but the Generator dispatch
-        overhead is paid once per block instead of once per message.
-        """
-        block = self._jitter_block
-        idx = self._jitter_idx
-        if block is None or idx >= len(block):
-            self._jitter_block = block = self.rng.random(self._JITTER_BLOCK)
-            idx = 0
-        self._jitter_idx = idx + 1
-        return float(block[idx])
-
-    def _sample_delay(self, channel_class: str, message: Message | None = None) -> float:
-        base = self._base_delays.get(channel_class)
-        if base is None:
-            base = self.params.base_delay(channel_class)  # raises for unknown
-        if base == 0.0:
-            return 0.0
-        jitter = self.params.jitter
-        delay = base * (1.0 - jitter * self._next_jitter())
-        if self._degradations:
-            delay *= self._degradation_factor(channel_class)
-        if (
-            channel_class == ChannelClass.PARTIAL
-            and self.adversarial_scheduler is not None
-            and message is not None
-        ):
-            stretch = self.adversarial_scheduler(message)
-            stretch = min(max(stretch, 1.0), self.params.partial_max_stretch)
-            delay *= stretch
-        return delay
-
-    # -- sending ---------------------------------------------------------------
     def send(
         self,
         sender: int,
@@ -314,52 +267,146 @@ class Network:
         payload: Any,
         size: int | None = None,
     ) -> None:
-        if recipient not in self.nodes:
-            raise SimulationError(f"unknown recipient {recipient}")
-        channel = self.channel_classifier(sender, recipient)
-        if channel is None:
-            if self.strict_channels:
-                raise SimulationError(
-                    f"no channel from {sender} to {recipient}: the topology "
-                    "does not provide this link (see §III-B)"
-                )
-            channel = ChannelClass.PARTIAL
-        if self._crosses_partition(sender, recipient):
-            self.dropped_messages += 1
-            self.partition_dropped += 1
-            return
-        nbytes = size if size is not None else payload_size(payload)
-        if self._pool:
-            # Reuse a retired envelope instead of allocating a fresh one.
-            message = self._pool.pop()
-            message.sender = sender
-            message.recipient = recipient
-            message.tag = tag
-            message.payload = payload
-            message.size = nbytes
-            message.channel = channel
-            message.send_time = self.now
-            message.deliver_time = 0.0
-        else:
-            message = Message(
-                sender=sender,
-                recipient=recipient,
-                tag=tag,
-                payload=payload,
-                size=nbytes,
-                channel=channel,
-                send_time=self.now,
-                deliver_time=0.0,
-            )
-        if self.drop_filter is not None and self.drop_filter(message):
-            self.dropped_messages += 1
-            self._release(message)
-            return
-        message.deliver_time = self.now + self._sample_delay(channel, message)
-        self.metrics.record_send(sender, nbytes)
-        heapq.heappush(
-            self._queue, (message.deliver_time, next(self._seq), message, None)
+        """Unicast: a one-recipient fan-out.  A node may address itself (the
+        topology classifies that pair as the zero-delay LOCAL channel)."""
+        self._fan_out(sender, (recipient,), tag, payload, size)
+
+    def multicast(
+        self,
+        sender: int,
+        recipients: Iterable[int],
+        tag: str,
+        payload: Any,
+        size: int | None = None,
+    ) -> None:
+        """The paper's BROADCAST: one payload from ``sender`` to every id in
+        ``recipients`` except the sender itself, in iteration order.
+
+        Exactly the sequence of :meth:`send` calls it replaces — one
+        ``seq`` and, on a delayed channel, one jitter draw per recipient
+        that is not dropped, in recipient order; partition, ``drop_filter``,
+        degradation and the adversarial scheduler are applied per recipient
+        — but every recipient carries the *same* payload object, which is
+        sized once, and the traffic is recorded once for the whole fan-out.
+        If a recipient raises (unknown id, no channel) the recipients before
+        it stay enqueued and counted, as with the loop of sends.
+        """
+        self._fan_out(
+            sender, [r for r in recipients if r != sender], tag, payload, size
         )
+
+    def _fan_out(
+        self,
+        sender: int,
+        recipients: Iterable[int],
+        tag: str,
+        payload: Any,
+        size: int | None,
+    ) -> None:
+        """The one latency/drop model: every message enters the queue here.
+
+        Per recipient, in order: the recipient must exist and the topology
+        must provide a channel; a partition cut drops silently; the payload
+        is sized (once per fan-out); ``drop_filter`` may drop; otherwise the
+        delay is ``base * (1 - jitter * u)`` with ``u`` the next draw of the
+        jitter block (none on a zero-delay channel), times the active
+        degradation factor, times the adversary's clamped stretch on PARTIAL
+        links.  Everything that cannot change between two recipients is read
+        once, and the jitter cursor is written back when the loop ends, so
+        ``drop_filter`` / ``adversarial_scheduler`` hooks must not send.
+
+        Jitter is served from a pre-drawn block: a batched
+        ``Generator.random(n)`` consumes the bit stream exactly like n
+        scalar draws, so the served sequence equals ``float(rng.random())``
+        per message (asserted by tests/test_perf_harness.py).
+        """
+        nodes = self.nodes
+        classify = self.channel_classifier
+        partition = self._partition
+        sender_group = partition.get(sender, -1) if partition is not None else -1
+        drop_filter = self.drop_filter
+        scheduler = self.adversarial_scheduler
+        degradations = self._degradations
+        base_delays = self._base_delays
+        jitter = self.params.jitter
+        now = self.now
+        queue = self._queue
+        pool = self._pool
+        seq = self._seq
+        push = heapq.heappush
+        block = self._jitter_block
+        block_len = 0 if block is None else len(block)
+        idx = self._jitter_idx
+        nbytes = size
+        sent = 0
+        try:
+            for recipient in recipients:
+                if recipient not in nodes:
+                    raise SimulationError(f"unknown recipient {recipient}")
+                channel = classify(sender, recipient)
+                if channel is None:
+                    if self.strict_channels:
+                        raise SimulationError(
+                            f"no channel from {sender} to {recipient}: the "
+                            "topology does not provide this link (see §III-B)"
+                        )
+                    channel = ChannelClass.PARTIAL
+                if (
+                    partition is not None
+                    and partition.get(recipient, -1) != sender_group
+                ):
+                    self.dropped_messages += 1
+                    self.partition_dropped += 1
+                    continue
+                if nbytes is None:
+                    nbytes = payload_size(payload)
+                if pool:
+                    # Reuse a retired envelope instead of allocating one.
+                    message = pool.pop()
+                    message.sender = sender
+                    message.recipient = recipient
+                    message.tag = tag
+                    message.payload = payload
+                    message.size = nbytes
+                    message.channel = channel
+                    message.send_time = now
+                    message.deliver_time = 0.0
+                else:
+                    message = Message(
+                        sender, recipient, tag, payload, nbytes, channel, now, 0.0
+                    )
+                if drop_filter is not None and drop_filter(message):
+                    self.dropped_messages += 1
+                    self._release(message)
+                    continue
+                base = base_delays.get(channel)
+                if base is None:
+                    base = self.params.base_delay(channel)  # raises: unknown
+                deliver_time = now
+                if base != 0.0:
+                    if idx >= block_len:
+                        self._jitter_block = block = self.rng.random(
+                            self._JITTER_BLOCK
+                        )
+                        block_len = len(block)
+                        idx = 0
+                    delay = base * (1.0 - jitter * block.item(idx))
+                    idx += 1
+                    if degradations:
+                        delay *= self._degradation_factor(channel)
+                    if scheduler is not None and channel == ChannelClass.PARTIAL:
+                        stretch = scheduler(message)
+                        delay *= min(
+                            max(stretch, 1.0), self.params.partial_max_stretch
+                        )
+                    deliver_time = now + delay
+                message.deliver_time = deliver_time
+                sent += 1
+                push(queue, (deliver_time, next(seq), message, None))
+        finally:
+            self._jitter_idx = idx
+            if sent:
+                self.metrics.record_sends(sender, sent, nbytes)
 
     def _release(self, message: Message) -> None:
         """Retire an envelope back to the pool.
@@ -390,26 +437,31 @@ class Network:
 
         Returns the simulation time after the last processed event.
         """
+        queue = self._queue
+        nodes = self.nodes
+        pop = heapq.heappop
+        release = self._release
+        max_events = self.params.max_events
         processed = 0
-        while self._queue:
-            deliver_time, _, message, callback = self._queue[0]
+        while queue:
+            deliver_time, _, message, callback = queue[0]
             if until is not None and deliver_time > until:
                 self.now = until
-                return self.now
-            heapq.heappop(self._queue)
+                return until
+            pop(queue)
             self.now = deliver_time
             if message is not None:
-                node = self.nodes.get(message.recipient)
+                node = nodes.get(message.recipient)
                 if node is not None:
                     node.receive(message)
                     self.delivered_messages += 1
-                self._release(message)
+                release(message)
             elif callback is not None:
                 callback()
             processed += 1
-            if processed > self.params.max_events:
+            if processed > max_events:
                 raise SimulationError(
-                    f"event budget exceeded ({self.params.max_events}); "
+                    f"event budget exceeded ({max_events}); "
                     "likely a message loop"
                 )
         return self.now

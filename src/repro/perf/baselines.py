@@ -131,6 +131,33 @@ class NaiveNetwork(Network):
     def _next_jitter(self) -> float:
         return float(self.rng.random())
 
+    def _crosses_partition(self, src: int, dst: int) -> bool:
+        if self._partition is None:
+            return False
+        return self._partition.get(src, -1) != self._partition.get(dst, -1)
+
+    def _sample_delay(
+        self, channel_class: str, message: "Message | None" = None
+    ) -> float:
+        base = self._base_delays.get(channel_class)
+        if base is None:
+            base = self.params.base_delay(channel_class)  # raises for unknown
+        if base == 0.0:
+            return 0.0
+        jitter = self.params.jitter
+        delay = base * (1.0 - jitter * self._next_jitter())
+        if self._degradations:
+            delay *= self._degradation_factor(channel_class)
+        if (
+            channel_class == ChannelClass.PARTIAL
+            and self.adversarial_scheduler is not None
+            and message is not None
+        ):
+            stretch = self.adversarial_scheduler(message)
+            stretch = min(max(stretch, 1.0), self.params.partial_max_stretch)
+            delay *= stretch
+        return delay
+
     def send(
         self,
         sender: int,

@@ -255,7 +255,9 @@ def _pump_payload() -> tuple:
     return ("TX_LIST", txs, sig, 42)
 
 
-def _pump_state(settings: PerfSettings, naive: bool) -> _PumpState:
+def _pump_state(
+    settings: PerfSettings, naive: bool, node_count: int = 8
+) -> _PumpState:
     from repro.crypto.pki import PKI
     from repro.net.node import ProtocolNode
     from repro.net.params import NetworkParams
@@ -267,7 +269,9 @@ def _pump_state(settings: PerfSettings, naive: bool) -> _PumpState:
         NetworkParams(), np.random.default_rng(settings.seed), **kwargs
     )
     pki = PKI()
-    nodes = [ProtocolNode(i, pki.generate(("pump", i))) for i in range(8)]
+    nodes = [
+        ProtocolNode(i, pki.generate(("pump", i))) for i in range(node_count)
+    ]
     counter = {"received": 0}
 
     def on_msg(message: Any) -> None:
@@ -338,6 +342,84 @@ register_perf_case(
         baseline_setup=_pump_setup_naive,
         check=_pump_check,
         ops=lambda s: s.messages,
+    )
+)
+
+
+#: Fan-out width of ``micro:multicast_pump``: a committee of 25.
+_FANOUT_RECIPIENTS = 24
+
+
+def _fanout_setup(settings: PerfSettings) -> _PumpState:
+    return _pump_state(settings, naive=False, node_count=_FANOUT_RECIPIENTS + 1)
+
+
+def _fanout_pump(state: _PumpState, multicast: bool) -> None:
+    """Every node in turn sends the shared payload to all the others, as one
+    ``multicast`` or as the loop of ``send`` calls it stands for."""
+    from repro.net.message import payload_size
+
+    net = state.net
+    nodes = state.nodes
+    members = range(len(nodes))
+    payload = state.payload
+    # Pre-sized in both arms, like the protocol's ECHO loops were: the case
+    # times the fabric, not one recursive sizing against twenty-four.
+    size = payload_size(payload)
+    for i in range(max(1, state.messages // _FANOUT_RECIPIENTS)):
+        sender = nodes[i % len(nodes)]
+        if multicast:
+            sender.multicast(members, "PUMP", payload, size=size)
+        else:
+            for recipient in members:
+                if recipient != sender.node_id:
+                    sender.send(recipient, "PUMP", payload, size=size)
+        net.run()
+
+
+def _fanout_run(state: _PumpState) -> None:
+    _fanout_pump(state, multicast=True)
+
+
+def _fanout_run_send_loop(state: _PumpState) -> None:
+    _fanout_pump(state, multicast=False)
+
+
+def _fanout_check(settings: PerfSettings) -> None:
+    fan = _fanout_setup(settings)
+    loop = _fanout_setup(settings)
+    _fanout_run(fan)
+    _fanout_run_send_loop(loop)
+    same = (
+        fan.counter == loop.counter
+        and fan.net.now == loop.net.now
+        and fan.net.metrics.summary_rows() == loop.net.metrics.summary_rows()
+        and fan.net.rng.bit_generator.state == loop.net.rng.bit_generator.state
+    )
+    if not same:
+        raise AssertionError(
+            "multicast diverged from the loop of sends: "
+            f"count {fan.counter} vs {loop.counter}, "
+            f"clock {fan.net.now} vs {loop.net.now}"
+        )
+
+
+register_perf_case(
+    PerfCase(
+        name="micro:multicast_pump",
+        description=(
+            "fan-out throughput: one Network.multicast of a shared payload "
+            f"to {_FANOUT_RECIPIENTS} recipients (sized and recorded once, "
+            "loop invariants hoisted) vs the loop of per-recipient sends on "
+            "the same fabric"
+        ),
+        category="micro",
+        setup=_fanout_setup,
+        run=_fanout_run,
+        baseline=_fanout_run_send_loop,
+        check=_fanout_check,
+        ops=lambda s: max(1, s.messages // _FANOUT_RECIPIENTS)
+        * _FANOUT_RECIPIENTS,
     )
 )
 

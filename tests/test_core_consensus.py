@@ -146,3 +146,162 @@ def test_message_complexity_order_c_squared():
     ratio2 = counts[2] / counts[1]
     assert 3.0 < ratio1 < 5.0  # doubling c ~ 4x messages
     assert 3.0 < ratio2 < 5.0
+
+
+# -- verify-once ECHO: a shared packet is checked once, never trusted --------
+def _started_session(monkeypatch=None, behaviors=None, size=7):
+    """A session whose leader has proposed; returns (ctx, session, digest,
+    leader-signed header signature) plus — with ``monkeypatch`` — a list
+    that collects the signature of every verification the session runs."""
+    import repro.core.consensus as consensus_module
+
+    ctx = build_sandbox(committee_size=size, lam=2, behaviors=behaviors)
+    committee = ctx.committees[0]
+    session = InsideConsensus(
+        ctx, committee.members, leader=committee.leader, sn=1, payload="M",
+        session="t",
+    )
+    calls = []
+    if monkeypatch is not None:
+        for name in ("verify_encoded", "signed_by_encoded"):
+            def counting(pki, signature, *rest, real=getattr(consensus_module, name)):
+                calls.append(signature)
+                return real(pki, signature, *rest)
+
+            monkeypatch.setattr(consensus_module, name, counting)
+    session.start()
+    digest, header_sig = session._proposed[committee.leader]
+    return ctx, session, digest, header_sig, calls
+
+
+def _echo_sig(ctx, signer, digest, claimed_sender, sn=1):
+    statement = ("ECHO", ctx.round_number, sn, digest, claimed_sender)
+    return sign(ctx.node(signer).keypair, statement)
+
+
+def _recorded_echo_sigs(session, holder):
+    return [
+        sig
+        for by_pk in session._echoes[holder].values()
+        for sig in by_pk.values()
+    ]
+
+
+def test_forged_echo_signature_rejected_at_every_recipient():
+    from repro.crypto.signatures import Signature
+
+    ctx, session, digest, header_sig, _ = _started_session()
+    forged = Signature(pk=ctx.pk_of(3), tag=b"\x00" * 32)
+    packet = (forged, digest, 3, header_sig)
+    ctx.node(3).multicast(session.members, "ECHO:t", packet)
+    ctx.net.run()
+    for mid in session.members:
+        assert forged not in _recorded_echo_sigs(session, mid)
+    assert session._echo_verdict(packet) == (False, False)
+    assert session.outcome.success  # the honest echoes still carry the run
+
+
+def test_echo_naming_a_sender_who_does_not_own_the_key_rejected_everywhere():
+    ctx, session, digest, header_sig, _ = _started_session()
+    # Node 3 signs (validly, with its own key) an ECHO that claims to come
+    # from node 4: the signature verifies, the identity pin must not.
+    impersonating = _echo_sig(ctx, signer=3, digest=digest, claimed_sender=4)
+    packet = (impersonating, digest, 4, header_sig)
+    ctx.node(3).multicast(session.members, "ECHO:t", packet)
+    ctx.net.run()
+    for mid in session.members:
+        assert impersonating not in _recorded_echo_sigs(session, mid)
+    assert session._echo_verdict(packet) == (False, False)
+
+
+def test_relayed_header_not_signed_by_leader_is_noted_nowhere():
+    ctx, session, _digest, _header_sig, _ = _started_session()
+    other = consensus_digest("not what the leader proposed")
+    # A valid ECHO by node 3 over another digest, relaying a "PROPOSE
+    # header" that node 3 signed itself: were it noted, every member would
+    # hold two headers and raise a false equivocation alarm.
+    fake_header = sign(ctx.node(3).keypair, ("PROPOSE", ctx.round_number, 1, other))
+    echo = _echo_sig(ctx, signer=3, digest=other, claimed_sender=3)
+    packet = (echo, other, 3, fake_header)
+    ctx.node(3).multicast(session.members, "ECHO:t", packet)
+    ctx.net.run()
+    assert session._echo_verdict(packet) == (True, False)
+    for mid in session.members:
+        assert other not in session._seen_headers[mid]
+        if mid != 3:  # the ECHO itself is authentic and is recorded
+            assert echo in _recorded_echo_sigs(session, mid)
+    assert session.outcome.equivocation is None
+    assert not session._stopped
+    assert session.outcome.success
+
+
+def test_shared_echo_packet_verified_once_distinct_equal_packet_again(monkeypatch):
+    ctx, session, digest, header_sig, calls = _started_session(monkeypatch)
+    ctx.net.run()
+    calls.clear()
+    echo = _echo_sig(ctx, signer=3, digest=digest, claimed_sender=3)
+    first = (echo, digest, 3, header_sig)
+    twin = (echo, digest, 3, header_sig)
+    assert first == twin and first is not twin
+    ctx.node(3).multicast(session.members, "ECHO:t", first)
+    ctx.net.run()
+    # C-1 deliveries of one object: the ECHO signature and the relayed
+    # header were each verified exactly once.
+    assert calls == [echo, header_sig]
+    ctx.node(3).multicast(session.members, "ECHO:t", twin)
+    ctx.net.run()
+    assert calls == [echo, header_sig, echo, header_sig]
+
+
+def test_echo_verdict_memo_holds_the_packet_so_ids_cannot_be_recycled():
+    from repro.crypto.signatures import Signature
+
+    ctx, session, digest, header_sig, _ = _started_session()
+    good_sig = _echo_sig(ctx, signer=3, digest=digest, claimed_sender=3)
+    forged = Signature(pk=ctx.pk_of(3), tag=b"\x00" * 32)
+    seen_ids = set()
+    for _ in range(5):
+        # A transient accepted packet, dropped by its sender right away:
+        # without a held reference CPython hands its address — its id() —
+        # to the next 4-tuple, which here is a forgery.
+        good = (good_sig, digest, 3, header_sig)
+        assert session._echo_verdict(good) == (True, True)
+        seen_ids.add(id(good))
+        del good
+        bad = (forged, digest, 3, header_sig)
+        assert id(bad) not in seen_ids
+        assert session._echo_verdict(bad) == (False, False)
+        seen_ids.add(id(bad))
+        del bad
+    for key, (packet, _verdict) in session._echo_memo.items():
+        assert id(packet) == key
+    # Past the cap packets are simply verified on every delivery.
+    for _ in range(4 * session.C):
+        assert session._echo_verdict((forged, digest, 3, header_sig)) == (False, False)
+        assert session._echo_verdict((good_sig, digest, 3, header_sig)) == (True, True)
+    assert len(session._echo_memo) <= 2 * session.C
+
+
+def test_equivocation_still_yields_witness_and_stop():
+    _ctx, session, _digest, _sig, _ = _started_session(
+        behaviors={0: EquivocatingLeader()}, size=9
+    )
+    ctx = session.ctx
+    stops = []
+    for mid in session.members:
+        node = ctx.node(mid)
+        inner = node.handlers["STOP:t"]
+
+        def counting(msg, inner=inner):
+            stops.append(msg.recipient)
+            inner(msg)
+
+        node.on("STOP:t", counting)
+    ctx.net.run()
+    out = session.outcome
+    assert not out.success
+    assert out.equivocation is not None and out.equivocation.is_valid(ctx.pki)
+    assert out.equivocation.leader_pk == ctx.pk_of(0)
+    # One member raised the alarm and multicast STOP to all the others.
+    assert len(stops) == session.C - 1 and len(set(stops)) == session.C - 1
+    assert session._stopped == set(session.members)

@@ -303,3 +303,259 @@ def test_degradation_factor_below_one_rejected(net_and_nodes):
     net, _ = net_and_nodes
     with pytest.raises(ValueError):
         net.add_link_degradation(0.5)
+
+
+# -- multicast == the loop of sends it replaces ------------------------------
+_FANOUT_NODES = 8
+_FANOUT_CLASSES = (
+    ChannelClass.INTRA,
+    ChannelClass.KEY,
+    ChannelClass.PARTIAL,
+    ChannelClass.LOCAL,
+)
+
+
+def _fanout_fabric(factory, conditions):
+    """One network built from ``conditions`` (a plain dict, so two calls
+    give two identically-seeded, identically-configured fabrics)."""
+    import numpy as np
+
+    net = factory(
+        NetworkParams(),
+        np.random.default_rng(conditions.get("seed", 7)),
+        strict_channels=conditions.get("strict", True),
+    )
+    pki = PKI()
+    for i in range(_FANOUT_NODES):
+        net.add_node(ProtocolNode(i, pki.generate(("fanout", i))))
+    # Advance the clock (degradation windows are relative to ``now``) and
+    # the jitter cursor (so a fan-out can straddle a block refill).
+    net.call_at(conditions.get("now", 0.0), lambda: None)
+    net.run()
+    net.set_channel_classifier(lambda s, d: ChannelClass.INTRA)
+    for _ in range(conditions.get("warmup_sends", 0)):
+        net.send(1, 2, "WARM", b"w", size=1)
+    classes = conditions.get("classes", (ChannelClass.INTRA,))
+    no_channel_to = conditions.get("no_channel_to")
+    net.set_channel_classifier(
+        lambda s, d: None if d == no_channel_to else classes[(s + d) % len(classes)]
+    )
+    if conditions.get("partition"):
+        net.set_partitions(conditions["partition"])
+    if conditions.get("drop_to") is not None:
+        dropped = set(conditions["drop_to"])
+        net.drop_filter = lambda msg: msg.recipient in dropped
+    for window in conditions.get("degradations", ()):
+        net.add_link_degradation(*window)
+    if conditions.get("stretch") is not None:
+        stretch = conditions["stretch"]
+        net.adversarial_scheduler = lambda msg: stretch + msg.recipient
+    net.nodes[0].online = not conditions.get("offline_sender", False)
+    return net
+
+
+def _fanout_state(net, payload):
+    heap = sorted(
+        (
+            deliver_time,
+            seq,
+            msg.sender,
+            msg.recipient,
+            msg.tag,
+            msg.size,
+            msg.channel,
+            msg.send_time,
+            msg.deliver_time,
+            msg.payload is payload or msg.tag == "WARM",
+        )
+        for deliver_time, seq, msg, _callback in net._queue
+    )
+    metrics = net.metrics
+    return {
+        "heap": heap,
+        "dropped": (net.dropped_messages, net.partition_dropped),
+        "rows": metrics.summary_rows(),
+        "per_node": (
+            dict(metrics.per_node_messages),
+            dict(metrics.per_node_bytes),
+            metrics.events,
+        ),
+    }
+
+
+def _rng_state(net):
+    block = net._jitter_block
+    return (
+        net.rng.bit_generator.state,
+        net._jitter_idx,
+        None if block is None else block.tolist(),
+    )
+
+
+def _assert_multicast_is_send_loop(conditions, recipients, size):
+    from repro.perf.baselines import NaiveNetwork
+
+    payload = ("ECHO", b"\x01" * 32, 7, [1, 2, 3])
+    fan = _fanout_fabric(Network, conditions)
+    loop = _fanout_fabric(Network, conditions)
+    naive = _fanout_fabric(NaiveNetwork, conditions)
+    errors = []
+    for net, use_multicast in ((fan, True), (loop, False), (naive, False)):
+        sender = net.nodes[0]
+        try:
+            if use_multicast:
+                sender.multicast(recipients, "FAN", payload, size=size)
+            else:
+                for recipient in recipients:
+                    if recipient != sender.node_id:
+                        sender.send(recipient, "FAN", payload, size=size)
+            errors.append(None)
+        except SimulationError as exc:
+            errors.append(str(exc))
+    assert errors[0] == errors[1] == errors[2]
+    fan_state = _fanout_state(fan, payload)
+    assert fan_state == _fanout_state(loop, payload)
+    assert _rng_state(fan) == _rng_state(loop)
+    # The frozen pre-multicast send path draws jitter scalar by scalar, so
+    # its generator state differs by the unserved rest of the block; every
+    # queued message, counter and metric row must still agree.
+    assert fan_state == _fanout_state(naive, payload)
+    order = []
+    for net in (fan, loop, naive):
+        seen = []
+        for node in net.nodes.values():
+            node.on("FAN", lambda msg, seen=seen: seen.append(
+                (msg.recipient, msg.deliver_time)
+            ))
+        net.run()
+        order.append((seen, net.now, net.delivered_messages))
+    assert order[0] == order[1] == order[2]
+    return fan_state
+
+
+_EVERYONE = list(range(_FANOUT_NODES))
+
+
+@pytest.mark.parametrize(
+    "conditions, recipients, size",
+    [
+        pytest.param({}, _EVERYONE, 96, id="plain"),
+        pytest.param({}, _EVERYONE, None, id="size-none"),
+        pytest.param({}, [], None, id="empty-recipients"),
+        pytest.param({}, [0], 8, id="only-the-sender"),
+        pytest.param({}, [3, 0, 3, 5, 0], 8, id="sender-and-duplicates-in-recipients"),
+        pytest.param(
+            {"partition": [[0, 1, 2], [3, 4]]}, _EVERYONE, 96, id="partition"
+        ),
+        pytest.param({"drop_to": [2, 5]}, _EVERYONE, None, id="drop-filter"),
+        pytest.param(
+            {"drop_to": _EVERYONE}, _EVERYONE, 96, id="drop-filter-drops-all"
+        ),
+        pytest.param(
+            {
+                "now": 2.0,
+                "classes": _FANOUT_CLASSES,
+                "degradations": [
+                    (3.0, 1.0, 2.5, None),
+                    (1.5, 0.0, 2.0, [ChannelClass.KEY]),
+                    (4.0, 2.5, 9.0, None),
+                ],
+            },
+            _EVERYONE,
+            96,
+            id="overlapping-degradation-windows",
+        ),
+        pytest.param(
+            {"classes": _FANOUT_CLASSES, "stretch": 0.5},
+            _EVERYONE,
+            96,
+            id="adversarial-scheduler-on-partial-links",
+        ),
+        pytest.param(
+            {"classes": (ChannelClass.LOCAL,)}, _EVERYONE, 96, id="local-no-draws"
+        ),
+        pytest.param({"offline_sender": True}, _EVERYONE, 96, id="offline-sender"),
+        pytest.param(
+            {"warmup_sends": Network._JITTER_BLOCK - 3},
+            _EVERYONE,
+            96,
+            id="straddles-jitter-block-refill",
+        ),
+        pytest.param({}, [1, 2, 99, 3], 96, id="unknown-recipient-mid-list"),
+        pytest.param(
+            {"no_channel_to": 4}, _EVERYONE, None, id="no-channel-mid-list-strict"
+        ),
+        pytest.param(
+            {"no_channel_to": 4, "strict": False, "stretch": 2.0},
+            _EVERYONE,
+            96,
+            id="no-channel-falls-back-to-partial",
+        ),
+    ],
+)
+def test_multicast_equals_loop_of_sends(conditions, recipients, size):
+    _assert_multicast_is_send_loop(conditions, recipients, size)
+
+
+def test_multicast_equivalence_cases_do_what_they_say():
+    """Guard the table above against vacuous cases."""
+    state = _assert_multicast_is_send_loop(
+        {"partition": [[0, 1, 2], [3, 4]]}, _EVERYONE, 96
+    )
+    assert state["dropped"] == (5, 5) and len(state["heap"]) == 2
+    state = _assert_multicast_is_send_loop({}, [1, 2, 99, 3], 96)
+    assert sorted(row[3] for row in state["heap"]) == [1, 2]
+    assert state["rows"] == [("setup", "common", 2, 192, 0)]
+    state = _assert_multicast_is_send_loop({"drop_to": _EVERYONE}, _EVERYONE, 96)
+    assert state["rows"] == [] and state["per_node"] == ({}, {}, 0)
+    refill = Network._JITTER_BLOCK - 3
+    fabric = _fanout_fabric(Network, {"warmup_sends": refill})
+    assert fabric._jitter_idx == refill
+    fabric.multicast(0, _EVERYONE, "FAN", b"x")
+    assert fabric._jitter_idx == _FANOUT_NODES - 1 - 3
+
+
+def test_multicast_equals_loop_of_sends_property():
+    from hypothesis import given
+    from hypothesis import strategies as st
+
+    node_ids = st.integers(0, _FANOUT_NODES - 1)
+    conditions = st.fixed_dictionaries(
+        {"seed": st.integers(0, 3)},
+        optional={
+            "now": st.floats(0.0, 6.0),
+            "classes": st.lists(
+                st.sampled_from(_FANOUT_CLASSES), min_size=1, max_size=4
+            ).map(tuple),
+            "warmup_sends": st.sampled_from([1, 1019, 1023, 1024, 1030]),
+            "partition": st.lists(node_ids, unique=True, max_size=6).map(
+                lambda ids: [ids[: len(ids) // 2], ids[len(ids) // 2 :]]
+            ),
+            "drop_to": st.lists(node_ids, max_size=4),
+            "degradations": st.lists(
+                st.tuples(
+                    st.floats(1.0, 4.0),
+                    st.floats(0.0, 4.0),
+                    st.floats(0.5, 8.0),
+                    st.none() | st.lists(
+                        st.sampled_from(_FANOUT_CLASSES), min_size=1, max_size=2
+                    ),
+                ),
+                max_size=3,
+            ),
+            "stretch": st.floats(0.0, 30.0),
+            "offline_sender": st.booleans(),
+            "no_channel_to": node_ids,
+            "strict": st.booleans(),
+        },
+    )
+
+    @given(
+        conditions,
+        st.lists(st.integers(0, _FANOUT_NODES + 1), max_size=12),
+        st.none() | st.integers(1, 500),
+    )
+    def check(conds, recipients, size):
+        _assert_multicast_is_send_loop(conds, recipients, size)
+
+    check()

@@ -51,11 +51,21 @@ def test_network_jitter_block_matches_naive_scalar_network():
     from repro.net.params import NetworkParams
     from repro.net.simulator import Network
 
+    from repro.crypto.pki import PKI
+    from repro.net.node import ProtocolNode
+
     fast = Network(NetworkParams(), np.random.default_rng(3), pool_envelopes=True)
     naive = baselines.NaiveNetwork(NetworkParams(), np.random.default_rng(3))
-    fast_delays = [fast._sample_delay("intra") for _ in range(100)]
-    naive_delays = [naive._sample_delay("intra") for _ in range(100)]
-    assert fast_delays == naive_delays
+    pki = PKI()
+    schedules = []
+    for net in (fast, naive):
+        net.set_channel_classifier(lambda src, dst: "intra")
+        for i in range(2):
+            net.add_node(ProtocolNode(i, pki.generate(i)))
+        for _ in range(100):
+            net.send(0, 1, "T", b"x")
+        schedules.append(sorted(entry[:2] for entry in net._queue))
+    assert schedules[0] == schedules[1]
 
 
 def test_payload_size_matches_naive_on_protocol_shapes():
@@ -180,6 +190,7 @@ def test_registry_contains_micro_and_round_cases():
     assert "micro:mac_verify" in names
     assert "micro:workload_gen" in names
     assert "micro:message_pump" in names
+    assert "micro:multicast_pump" in names
     for backend in ("cycledger", "rapidchain", "omniledger_sim"):
         assert f"round:{backend}" in names
     assert perf_case_names("round") == [
