@@ -181,12 +181,11 @@ def run_inter_consensus(ctx: RoundContext) -> InterReport:
         if not sender.behavior.forwards_inter(sender):
             continue
         receiver_committee = committees_by_index[j]
-        alg3_payload = (round_result.reported_txids, round_result.vlist_tuple)
         payload = (
             i,
             j,
             round_result.reported_txs,
-            alg3_payload,
+            round_result.alg3_payload,
             tuple(round_result.cert),
             round_result.session,
         )
@@ -320,7 +319,6 @@ def run_inter_consensus(ctx: RoundContext) -> InterReport:
         if not round_result.consensus_success:
             continue
         receiver_leader = ctx.node(committees_by_index[j].leader)
-        alg3_payload = (round_result.reported_txids, round_result.vlist_tuple)
         receiver_leader.send(
             committees_by_index[i].leader,
             Tags.INTER_RESULT,
@@ -328,7 +326,7 @@ def run_inter_consensus(ctx: RoundContext) -> InterReport:
                 i,
                 j,
                 round_result.reported_txids,
-                alg3_payload,
+                round_result.alg3_payload,
                 tuple(round_result.cert),
                 round_result.session,
             ),

@@ -97,7 +97,7 @@ def audit_vote_round(
                 round_result.reported_txids,
                 round_result.sig_votes,
                 round_result.txids,
-                round_result.vlist_tuple,
+                round_result.vlist,
             ),
         )
     return None
@@ -219,19 +219,16 @@ def _send_to_referee(ctx: RoundContext, report: IntraReport) -> None:
         round_result = report.rounds.get(committee.index)
         if round_result is None or not round_result.consensus_success:
             continue
-        leader_node = ctx.node(committee.leader)
-        alg3_payload = (round_result.reported_txids, round_result.vlist_tuple)
-        for rid in ctx.referee:
-            leader_node.send(
-                rid,
-                Tags.INTRA,
-                (
-                    committee.index,
-                    round_result.reported_txs,
-                    alg3_payload,
-                    tuple(round_result.cert),
-                ),
-            )
+        ctx.node(committee.leader).multicast(
+            ctx.referee,
+            Tags.INTRA,
+            (
+                committee.index,
+                round_result.reported_txs,
+                round_result.alg3_payload,
+                tuple(round_result.cert),
+            ),
+        )
     ctx.net.run()
     lead = ctx.referee[0]
     for k, (txs, payload, cert) in received.get(lead, {}).items():

@@ -33,7 +33,12 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.core.consensus import EquivocationWitness, InsideConsensus
-from repro.core.structures import CommitteeSpec, RecoveryEvent, RoundContext
+from repro.core.structures import (
+    CommitteeSpec,
+    RecoveryEvent,
+    RoundContext,
+    VoteMatrix,
+)
 from repro.core.tags import Tags
 from repro.crypto.commitment import semi_commitment
 from repro.crypto.signatures import (
@@ -66,7 +71,17 @@ def no_proposal_statement(round_number: int, committee: int, phase: str) -> tupl
 
 def validate_witness(pki, witness: Witness, committee_size: int) -> bool:
     """Objective witness validity — what every honest member checks before
-    voting on an impeachment."""
+    voting on an impeachment.  Never raises: evidence comes off the network,
+    and malformed evidence (wrong arity, a ragged or non-integer vote list,
+    parts no statement can carry) is a bad accusation like any other, to be
+    ignored (Claim 4)."""
+    try:
+        return _witness_holds(pki, witness, committee_size)
+    except (TypeError, ValueError):
+        return False
+
+
+def _witness_holds(pki, witness: Witness, committee_size: int) -> bool:
     if witness.kind == "equivocation":
         ev = witness.evidence
         return (
@@ -89,8 +104,10 @@ def validate_witness(pki, witness: Witness, committee_size: int) -> bool:
             return False
         if not signed_by(pki, sig_votes, votes_statement, witness.leader_pk):
             return False
-        matrix = np.asarray(votes, dtype=np.int64)
-        if matrix.ndim != 2 or matrix.shape[1] != len(txids_all):
+        if not isinstance(votes, VoteMatrix):
+            votes = VoteMatrix(votes)  # ValueError unless 2-D integers
+        matrix = votes.array
+        if matrix.shape[1] != len(txids_all):
             return False
         yes_counts = (matrix == 1).sum(axis=0)
         decided = set(txids_dec)

@@ -3,21 +3,58 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.crypto.hashing import int8_matrix_bytes
 from repro.crypto.pki import PKI
 from repro.ledger.chain import Chain
 from repro.ledger.state import ShardState
 from repro.ledger.utxo import UTXOSet
 from repro.ledger.workload import TaggedTx
 from repro.metrics.counters import MetricsCollector
+from repro.net.message import int_matrix_size
 from repro.net.simulator import Network
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.config import ProtocolParams
     from repro.core.node import CycNode
+
+
+class VoteMatrix:
+    """One vote round's C x D votes (rows follow the member order) as an
+    immutable value.
+
+    It hashes and sizes exactly like the tuple of row tuples it stands for
+    (``canonical_bytes`` / ``payload_size`` treat it as a leaf), but its
+    bytes are built once and its size is a closed form, however many
+    statements, payloads and digests carry it.
+    """
+
+    def __init__(self, rows: Any) -> None:
+        given = np.array(rows)
+        if given.ndim != 2 or (given.size and given.dtype.kind not in "iub"):
+            raise ValueError("a vote matrix is members x transactions integers")
+        array = given.astype(np.int8)  # a private copy
+        if not (array == given).all():
+            raise ValueError("votes do not fit int8")
+        array.flags.writeable = False
+        self.array = array
+
+    @cached_property
+    def canonical(self) -> bytes:
+        return int8_matrix_bytes(self.array)
+
+    @cached_property
+    def wire_size(self) -> int:
+        return int_matrix_size(*self.array.shape)
+
+    def __reduce__(self) -> tuple:
+        # Rebuild rather than copy ``__dict__``: an unpickled array would be
+        # writable, and the cached bytes are derived state.
+        return (VoteMatrix, (self.array,))
 
 
 @dataclass(slots=True)

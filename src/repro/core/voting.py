@@ -27,13 +27,15 @@ import numpy as np
 
 from repro.core.consensus import InsideConsensus
 from repro.core.recovery import no_proposal_statement
-from repro.core.structures import CommitteeSpec, RoundContext
+from repro.core.structures import CommitteeSpec, RoundContext, VoteMatrix
 from repro.crypto.signatures import (
     Signature,
     encode_statement,
     sign,
+    sign_encoded,
     signed_by_encoded,
     verify,
+    verify_encoded,
 )
 from repro.ledger.transaction import Transaction
 from repro.net.message import payload_size
@@ -68,7 +70,7 @@ class VoteRound:
     session: str
     txs: list[Transaction] = field(default_factory=list)
     txids: tuple[bytes, ...] = ()
-    matrix: np.ndarray | None = None  # rows follow committee.members order
+    vlist: VoteMatrix | None = None  # rows follow committee.members order
     decision: np.ndarray | None = None
     majority_txs: list[Transaction] = field(default_factory=list)
     reported_txs: list[Transaction] = field(default_factory=list)
@@ -77,17 +79,18 @@ class VoteRound:
     sig_dec: Signature | None = None
     sig_votes: Signature | None = None
     reported_txids: tuple[bytes, ...] = ()
+    #: ``(reported_txids, vlist)``: what Algorithm 3 certified, and the one
+    #: object every later sender of the certified result forwards.
+    alg3_payload: tuple | None = None
     timed_out: bool = False
     no_proposal_sigs: dict[int, list[Signature]] = field(default_factory=dict)
     replies: int = 0
     equivocation: object | None = None  # EquivocationWitness from Alg. 3
 
     @property
-    def vlist_tuple(self) -> tuple:
-        assert self.matrix is not None
-        # ``tolist`` yields plain ints row by row: the same tuples as an
-        # ``int(v)`` per element, without a generator frame per vote.
-        return tuple(map(tuple, self.matrix.tolist()))
+    def matrix(self) -> np.ndarray | None:
+        """The votes as a read-only int8 array."""
+        return None if self.vlist is None else self.vlist.array
 
 
 class VoteRoundSession:
@@ -123,6 +126,8 @@ class VoteRoundSession:
         # TX_LIST statement; encode each distinct statement once per
         # session instead of once per member.
         self._enc_txlist: dict[tuple, bytes] = {}
+        # VOTE statements by vote-tuple identity (see :meth:`_vote_enc`).
+        self._enc_vote: dict[int, tuple[tuple, bytes]] = {}
         self._tallied = False
         self._proposal_seen: set[int] = set()
         self._alg3: InsideConsensus | None = None
@@ -189,38 +194,40 @@ class VoteRoundSession:
                 return
             self._proposal_seen.add(mid)
             node = self.ctx.node(mid)
-            votes = self.vote_fn(self.ctx, mid, txs)
-            vote_statement = (
-                "VOTE",
-                self.ctx.round_number,
-                self.committee.index,
-                self.session,
-                tuple(int(v) for v in votes),
-            )
-            vote_sig = sign(node.keypair, vote_statement)
+            votes = tuple(self.vote_fn(self.ctx, mid, txs).tolist())
+            vote_sig = sign_encoded(node.keypair, self._vote_enc(votes))
             node.send(
-                self.committee.leader,
-                self._tag("VOTE"),
-                (mid, tuple(int(v) for v in votes), vote_sig),
+                self.committee.leader, self._tag("VOTE"), (mid, votes, vote_sig)
             )
 
         return handler
+
+    def _vote_enc(self, votes: Sequence[int]) -> bytes:
+        """Signing bytes of the VOTE statement over ``votes``, memoised by
+        the *identity* of the vote tuple: the member that signs and the
+        leader that verifies hold the same object, so the O(D) encoding runs
+        once per vote, not twice.  The memo holds the tuple, so its ``id``
+        cannot be recycled; an equal-but-distinct tuple (or a ``True``-for-
+        ``1`` alias, which encodes differently) is encoded on its own, as is
+        anything but an exact tuple, and past the cap every call encodes.
+        """
+        entry = self._enc_vote.get(id(votes))
+        if entry is not None and entry[0] is votes:
+            return entry[1]
+        r, k = self.ctx.round_number, self.committee.index
+        enc = encode_statement(("VOTE", r, k, self.session, tuple(votes)))
+        if type(votes) is tuple and len(self._enc_vote) < 2 * self.committee.size:
+            self._enc_vote[id(votes)] = (votes, enc)
+        return enc
 
     # -- leader side --------------------------------------------------------
     def _on_vote(self, message: "Message") -> None:
         if self._tallied:
             return  # replies after the 6Δ window count as Unknown
         mid, votes, vote_sig = message.payload
-        if mid not in self._member_set:
-            return
-        vote_statement = (
-            "VOTE",
-            self.ctx.round_number,
-            self.committee.index,
-            self.session,
-            tuple(votes),
-        )
-        if not verify(self.ctx.pki, vote_sig, vote_statement):
+        if mid not in self._member_set or mid in self._votes:
+            return  # a member's first valid vote stands (replies = members)
+        if not verify_encoded(self.ctx.pki, vote_sig, self._vote_enc(votes)):
             return
         if vote_sig.pk != self.ctx.pk_of(mid):
             return
@@ -246,12 +253,16 @@ class VoteRoundSession:
         decision = np.where(yes_counts > C / 2, 1, -1).astype(np.int8)
         majority = [tx for tx, d in zip(self.txs, decision) if d == 1]
         leader_node = ctx.node(committee.leader)
+        vlist = VoteMatrix(matrix)
+        matrix = vlist.array  # read-only from here on
         reported = leader_node.behavior.assemble_txdec(leader_node, majority, matrix)
-        self.result.matrix = matrix
+        reported_txids = tuple(tx.txid for tx in reported)
+        self.result.vlist = vlist
         self.result.decision = decision
         self.result.majority_txs = majority
         self.result.reported_txs = list(reported)
-        self.result.reported_txids = tuple(tx.txid for tx in reported)
+        self.result.reported_txids = reported_txids
+        self.result.alg3_payload = (reported_txids, vlist)
         ctx.metrics.record_storage(committee.leader, int(matrix.size) + D)
         # Algorithm 3 on (TXdecSET, VList).
         self._alg3 = InsideConsensus(
@@ -259,25 +270,25 @@ class VoteRoundSession:
             committee.members,
             leader=committee.leader,
             sn=("VOTEROUND", self.session),
-            payload=(self.result.reported_txids, self.result.vlist_tuple),
+            payload=self.result.alg3_payload,
             session=f"{self.session}:alg3",
         )
         self._alg3.start()
         # Sign the auditable artifacts (used by censorship witnesses).
         r, k = ctx.round_number, committee.index
         self.result.sig_dec = sign(
-            leader_node.keypair, ("INTRA_DEC", r, k, self.result.reported_txids)
+            leader_node.keypair, ("INTRA_DEC", r, k, reported_txids)
         )
         self.result.sig_votes = sign(
             leader_node.keypair,
-            ("VLIST", r, k, self.txids, self.result.vlist_tuple),
+            ("VLIST", r, k, self.txids, vlist),
         )
         # Broadcast the artifacts so partial members can audit.
         artifact = (
-            self.result.reported_txids,
+            reported_txids,
             self.result.sig_dec,
             self.txids,
-            self.result.vlist_tuple,
+            vlist,
             self.result.sig_votes,
         )
         leader_node.multicast(committee.partial, self._tag("ARTIFACT"), artifact)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
+from operator import attrgetter
 from typing import Any
 
 _SEP = b"\x1f"
@@ -34,7 +35,8 @@ def _enc_bool(obj: bool) -> bytes:
 
 
 def _enc_int(obj: int) -> bytes:
-    return _frame(b"i", str(obj).encode("ascii"))
+    digits = b"%d" % obj
+    return b"i%d:%b" % (len(digits), digits)
 
 
 def _enc_float(obj: float) -> bytes:
@@ -42,7 +44,14 @@ def _enc_float(obj: float) -> bytes:
 
 
 def _enc_seq(obj: "tuple | list") -> bytes:
-    return _frame(b"t", _SEP.join([canonical_bytes(x) for x in obj]))
+    # Dispatch inline (no ``canonical_bytes`` frame per element): vote
+    # vectors and txid lists are encoded element by element.
+    encoders = _ENCODERS
+    parts = []
+    for x in obj:
+        enc = encoders.get(type(x))
+        parts.append(enc(x) if enc is not None else _canonical_slow(x))
+    return _frame(b"t", _SEP.join(parts))
 
 
 def _enc_set(obj: "set | frozenset") -> bytes:
@@ -76,8 +85,28 @@ _ENCODERS = {
 }
 
 
+def int8_matrix_bytes(array: Any) -> bytes:
+    """Canonical bytes of a 2-D int8 array: byte-identical to
+    ``canonical_bytes(tuple(map(tuple, array.tolist())))`` (a tuple of rows
+    of ints), built from one table lookup per element and one ``join`` per
+    row instead of a Python-level encode per vote."""
+    table = _INT8_ENC.__getitem__
+    rows = [_frame(b"t", _SEP.join(map(table, row.tobytes()))) for row in array]
+    return _frame(b"t", _SEP.join(rows))
+
+
+#: ``_enc_int`` of every int8 value, indexed by the value's unsigned byte.
+_INT8_ENC = [_enc_int(v) for v in (*range(128), *range(-128, 0))]
+
+
 def _canonical_slow(obj: Any) -> bytes:
-    """Subclasses of the fast-dispatched builtins plus numpy scalars."""
+    """Encode-once leaves, subclasses of the fast-dispatched builtins and
+    numpy scalars."""
+    if hasattr(type(obj), "canonical"):
+        # An immutable value that caches its own bytes (docs/architecture.md,
+        # "per-transaction data path"); one dict probe from now on.
+        _ENCODERS[type(obj)] = attrgetter("canonical")
+        return obj.canonical
     if isinstance(obj, bytes):
         return _enc_bytes(obj)
     if isinstance(obj, str):

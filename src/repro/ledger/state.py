@@ -27,6 +27,10 @@ class ShardState:
         self.shard = shard
         self.m = m
         self.utxos = UTXOSet()
+        # V verdicts at ``_verdicts_version`` of the UTXO set, by transaction
+        # identity; entries hold the transaction (see :meth:`validate`).
+        self._verdicts: dict[int, tuple[Transaction, ValidationResult]] = {}
+        self._verdicts_version = 0
 
     def owns_address(self, address: str) -> bool:
         return shard_of_address(address, self.m) == self.shard
@@ -43,8 +47,21 @@ class ShardState:
         Only meaningful for transactions whose *inputs* live in this shard;
         inputs from other shards look like MISSING_INPUT here, which is
         exactly why cross-shard transactions need the inter-committee phase.
+
+        V is pure in ``(tx, UTXO contents)`` and a committee's members all
+        judge one TXList against this one view, so the verdict is kept per
+        transaction *object* until the set next changes (an
+        equal-but-distinct transaction is validated on its own).
         """
-        return validate_transaction(tx, self.utxos)
+        if self._verdicts_version != self.utxos.version:
+            self._verdicts.clear()
+            self._verdicts_version = self.utxos.version
+        entry = self._verdicts.get(id(tx))
+        if entry is not None and entry[0] is tx:
+            return entry[1]
+        result = validate_transaction(tx, self.utxos)
+        self._verdicts[id(tx)] = (tx, result)
+        return result
 
     def inputs_are_local(self, tx: Transaction) -> bool:
         """True if every input this shard can see belongs to it.

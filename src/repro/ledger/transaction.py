@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from repro.crypto.hashing import H, H_int
+from repro.net.message import fields_size
 
 
 def shard_of_address(address: str, m: int) -> int:
@@ -53,6 +54,12 @@ class Transaction:
             tuple((o.address, o.amount) for o in self.outputs),
             self.nonce,
         )
+
+    @cached_property
+    def wire_size(self) -> int:
+        """Modelled wire size (what ``payload_size`` reports for this
+        transaction): the value is immutable, so it is sized once."""
+        return fields_size(self)
 
     @property
     def is_coinbase(self) -> bool:

@@ -40,6 +40,9 @@ class UTXOSet:
 
     def __init__(self) -> None:
         self._utxos: dict[tuple[bytes, int], TxOutput] = {}
+        #: Bumped by every content change (``add``/``spend``/``restore``):
+        #: anything derived from the contents is stale once it moves.
+        self.version = 0
 
     # -- queries -----------------------------------------------------------
     def __contains__(self, outpoint: tuple[bytes, int]) -> bool:
@@ -69,8 +72,10 @@ class UTXOSet:
         if outpoint in self._utxos:
             raise ValueError(f"outpoint {outpoint[0].hex()[:8]}:{outpoint[1]} exists")
         self._utxos[outpoint] = output
+        self.version += 1
 
     def spend(self, outpoint: tuple[bytes, int]) -> TxOutput:
+        self.version += 1
         try:
             return self._utxos.pop(outpoint)
         except KeyError:
@@ -90,6 +95,7 @@ class UTXOSet:
 
     def restore(self, snapshot: dict[tuple[bytes, int], TxOutput]) -> None:
         self._utxos = dict(snapshot)
+        self.version += 1
 
     def compact(self) -> None:
         """Rebuild the backing dict at its live size.

@@ -292,36 +292,34 @@ class WorkloadGenerator:
         self._spent_this_batch.clear()
         return batch
 
-    def _rollback_one(self, txid: bytes) -> bool:
-        """Undo one pending transaction's generator-side effects.
-
-        Its created outputs are withdrawn from the spendable pool and the
-        consumed input is returned; returns False if ``txid`` has no
-        pending effects (injected-invalid transactions never do).
-        """
-        effects = self._effects.pop(txid, None)
-        if effects is None:
-            return False
-        home, consumed, created = effects
-        if not self.defer_created:
-            # Deferred mode never published these outputs, so there is
-            # nothing to withdraw (and no chained descendant can exist).
-            for shard, entry in created:
-                try:
-                    self._spendable[shard].remove(entry)
-                except ValueError:
-                    pass  # already consumed — cannot happen before next batch
-        self._spendable[home].append(consumed)
-        try:
-            self._spent.remove(consumed)
-        except ValueError:
-            pass
-        return True
-
     def rollback_txids(self, txids: Iterable[bytes]) -> int:
-        """Undo the listed transactions (mempool eviction / TTL expiry);
-        returns how many actually had pending effects."""
-        return sum(1 for txid in txids if self._rollback_one(txid))
+        """Undo the listed transactions' generator-side effects (unpacked
+        batch, mempool eviction, TTL expiry) in one pass: created outputs
+        are withdrawn from the spendable pool, consumed inputs returned to
+        it (in ``txids`` order) and struck from the confirmed-spent history.
+        Returns how many had pending effects (injected-invalid transactions
+        never do).  O(batch), not O(batch x history), and both pools keep
+        the order a one-at-a-time ``list.remove`` undo leaves, so later
+        index draws are unmoved.
+        """
+        undone = [
+            effects
+            for txid in txids
+            if (effects := self._effects.pop(txid, None)) is not None
+        ]
+        withdrawn: dict[int, set] = {}
+        if not self.defer_created:
+            # Deferred mode never published created outputs or spent
+            # records, so there is nothing to withdraw or strike there.
+            for _home, _consumed, created in undone:
+                for shard, entry in created:
+                    withdrawn.setdefault(shard, set()).add(entry)
+            _strike(self._spent, {consumed for _home, consumed, _ in undone})
+        for shard, gone in withdrawn.items():
+            _strike(self._spendable[shard], gone)
+        for home, consumed, _created in undone:
+            self._spendable[home].append(consumed)
+        return len(undone)
 
     def forget_txids(self, txids: Iterable[bytes]) -> None:
         """Drop pending effects without undoing them — the transactions
@@ -356,12 +354,9 @@ class WorkloadGenerator:
         happened on-chain: every pending effect outside ``packed_txids``
         is rolled back.  Returns the number of transactions rolled back.
         """
-        rolled_back = 0
-        for txid in list(self._effects):
-            if txid in packed_txids:
-                continue
-            if self._rollback_one(txid):
-                rolled_back += 1
+        rolled_back = self.rollback_txids(
+            [txid for txid in self._effects if txid not in packed_txids]
+        )
         self._effects = {}
         return rolled_back
 
@@ -371,6 +366,20 @@ class WorkloadGenerator:
         for tagged in batch:
             routed[tagged.home_shard].append(tagged)
         return routed
+
+
+def _strike(entries: list, gone: set) -> None:
+    """Remove every member of ``gone`` from ``entries`` in place.
+
+    What a batch publishes sits at the tail of its pool until the next
+    batch, so only the tail that holds ``gone`` is rebuilt (the whole list
+    only when some member is absent, e.g. dropped by the retention trim).
+    """
+    cut, missing = len(entries), len(gone)
+    while cut and missing:
+        cut -= 1
+        missing -= entries[cut] in gone
+    entries[cut:] = [entry for entry in entries[cut:] if entry not in gone]
 
 
 # -- the persistent mempool ---------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 from typing import Any, Callable
 
 _SIG_SIZE = 64  # public key reference + MAC tag, like an Ed25519 signature
@@ -54,11 +55,26 @@ def _size_vrf_output(obj: Any) -> int:
     return _SIG_SIZE + _HASH_SIZE
 
 
+def fields_size(obj: Any) -> int:
+    """Size of a dataclass instance as ``payload_size`` models one: the sum
+    of its fields plus framing.  For value types that cache their own
+    ``wire_size`` (which must not recurse into it)."""
+    return _size_container([getattr(obj, f.name) for f in dataclasses.fields(obj)])
+
+
+def int_matrix_size(rows: int, cols: int) -> int:
+    """Closed-form size of a ``rows`` x ``cols`` tuple-of-tuples of ints."""
+    return 2 + rows * (2 + _INT_SIZE * cols)
+
+
 def _sizer_for(cls: type) -> Callable[[Any], int]:
-    """The sizer of a type outside the builtin table: subclasses of the
+    """The sizer of a type outside the builtin table: immutable values that
+    know their own ``wire_size`` report it, subclasses of the
     builtins size like their base, signatures and VRF outputs get their
     conventional fixed sizes, dataclasses are the sum of their fields plus
     framing, numpy scalars are fixed-width ints."""
+    if hasattr(cls, "wire_size"):
+        return attrgetter("wire_size")
     if issubclass(cls, bool):
         return _size_one_byte
     if issubclass(cls, (int, float)):

@@ -149,6 +149,80 @@ def test_censor_witness():
     assert not validate_witness(ctx.pki, complete, 5)
 
 
+def test_censor_witness_reads_the_matrix_value():
+    """The evidence an honest auditor files carries the VoteMatrix itself;
+    it validates exactly like the tuple-of-rows form the leader's signature
+    also covers."""
+    from repro.core.structures import VoteMatrix
+
+    ctx = build_sandbox(committee_size=5, lam=2)
+    leader = ctx.nodes[0]
+    txids_all = (b"t1", b"t2", b"t3")
+    rows = tuple(tuple(row) for row in np.ones((5, 3), dtype=int))
+    sig_dec = sign(leader.keypair, ("INTRA_DEC", 1, 0, (b"t1",)))
+    sig_votes = sign(leader.keypair, ("VLIST", 1, 0, txids_all, rows))
+    for votes in (rows, VoteMatrix(rows)):
+        witness = Witness(
+            kind="censor", committee=0, leader_pk=leader.pk, round_number=1,
+            evidence=(sig_dec, (b"t1",), sig_votes, txids_all, votes),
+        )
+        assert validate_witness(ctx.pki, witness, 5)
+
+
+@pytest.mark.parametrize(
+    "kind, evidence",
+    [
+        ("censor", (1, 2)),  # wrong arity
+        ("censor", ()),
+        ("censor", None),
+        ("bad_semicommit", (1,)),
+        ("bad_semicommit", 7),
+        ("silence", ("intra",)),
+        ("silence", ("intra", 5)),  # statements not iterable
+        ("equivocation", (1, 2)),
+    ],
+)
+def test_malformed_witness_is_invalid_not_fatal(kind, evidence):
+    """Claim 4: a bad accusation is ignored; it never raises inside an
+    honest validator."""
+    ctx = build_sandbox(committee_size=5, lam=2)
+    witness = Witness(
+        kind=kind, committee=0, leader_pk=ctx.pk_of(0), round_number=1,
+        evidence=evidence,
+    )
+    assert validate_witness(ctx.pki, witness, 5) is False
+
+
+@pytest.mark.parametrize(
+    "votes",
+    [
+        ((1, 1, 1), (1, 1)),  # ragged
+        ((1, 1, 1), (1, "x", 1)),  # non-integer
+        ((1.0, 1.0, 1.0),) * 5,  # floats
+        ((1, 1, 1), (1, None, 1)),
+        (1, 1, 1),  # one row, not a matrix
+        ((1, 1, 300),) * 5,  # not a vote
+        ((1, 1),) * 5,  # width != len(txids_all)
+        object(),  # nothing a statement can carry
+    ],
+)
+def test_censor_witness_with_bad_vote_list_is_invalid_not_fatal(votes):
+    """Even when the leader really signed the malformed vote list."""
+    ctx = build_sandbox(committee_size=5, lam=2)
+    leader = ctx.nodes[0]
+    txids_all = (b"t1", b"t2", b"t3")
+    sig_dec = sign(leader.keypair, ("INTRA_DEC", 1, 0, (b"t1",)))
+    try:
+        sig_votes = sign(leader.keypair, ("VLIST", 1, 0, txids_all, votes))
+    except TypeError:
+        sig_votes = sig_dec  # un-encodable: no signature can cover it
+    witness = Witness(
+        kind="censor", committee=0, leader_pk=leader.pk, round_number=1,
+        evidence=(sig_dec, (b"t1",), sig_votes, txids_all, votes),
+    )
+    assert validate_witness(ctx.pki, witness, 5) is False
+
+
 def test_silence_witness_needs_quorum():
     ctx = build_sandbox(committee_size=9, lam=2)
     stmt = no_proposal_statement(1, 0, "intra")

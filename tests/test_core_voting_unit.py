@@ -64,7 +64,13 @@ def test_artifacts_signed_by_leader(ctx_with_coins):
     )
     assert signed_by(
         ctx.pki, result.sig_votes,
-        ("VLIST", 1, 0, result.txids, result.vlist_tuple), leader_pk,
+        ("VLIST", 1, 0, result.txids, result.vlist), leader_pk,
+    )
+    # ... and a verifier holding the plain tuple-of-rows form checks the
+    # same bytes.
+    rows = tuple(map(tuple, result.matrix.tolist()))
+    assert signed_by(
+        ctx.pki, result.sig_votes, ("VLIST", 1, 0, result.txids, rows), leader_pk
     )
 
 
@@ -90,14 +96,37 @@ def test_timeout_without_proposal_collects_no_proposal_sigs(ctx_with_coins):
 
 
 def test_duplicate_vote_ignored(ctx_with_coins):
-    """A member's second VOTE for the same session cannot overwrite."""
+    """A member's first valid VOTE stands: neither a replay of it nor a
+    second, different, correctly signed VOTE overwrites the matrix row or
+    counts as another reply."""
+    from repro.crypto.signatures import sign
+
     ctx, txs = ctx_with_coins
     committee = ctx.committees[0]
     session = VoteRoundSession(ctx, committee, txs, "dup", input_side_votes, "intra")
+    seen = {}
+    on_vote = session._on_vote
+
+    def recording(message):
+        seen.setdefault(message.payload[0], message.payload)
+        on_vote(message)
+
+    session._on_vote = recording
     session.start()
+    # Every genuine vote is in by 3 delta; the window closes at 6 delta.
+    ctx.net.run(until=ctx.net.now + 3 * ctx.params.net.delta)
+    assert session.result.replies == 8
+    genuine = seen[3]
+    assert genuine[1] == (1,) * 5
+    node = ctx.nodes[3]
+    contrary = (-1,) * 5
+    statement = ("VOTE", 1, 0, "dup", contrary)
+    node.send(0, "VOTE:dup", genuine)  # replay
+    node.send(0, "VOTE:dup", (3, contrary, sign(node.keypair, statement)))
     ctx.net.run()
     result = session.finish()
-    assert result.replies == 8  # one per member, duplicates impossible
+    assert result.replies == 8  # replies count members, not messages
+    assert np.all(result.matrix[committee.members.index(3)] == 1)
 
 
 def test_vote_with_wrong_length_rejected(ctx_with_coins):

@@ -1,0 +1,467 @@
+"""The per-transaction data path derives each fact once — and only ever the
+same fact the one-at-a-time code derived.
+
+Each section pins one cache to its uncached reference: the vote-matrix
+value to the tuple-of-rows encoding, batch settlement to the sequential
+``list.remove`` undo, the V-verdict memo to plain ``validate_transaction``,
+the VOTE identity memo to a fresh encoding, and ``Transaction.wire_size``
+to the recursive dataclass sizer.
+"""
+
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import CycLedger, ProtocolParams, load_checkpoint, save_checkpoint
+from repro.core.committee import run_committee_configuration
+from repro.core.sandbox import build_sandbox
+from repro.core.semicommit import run_semi_commitment_exchange
+from repro.core.structures import VoteMatrix
+from repro.core.voting import VoteRoundSession, input_side_votes
+from repro.crypto.hashing import H, canonical_bytes
+from repro.crypto.signatures import encode_statement, sign
+from repro.ledger.state import ShardState
+from repro.ledger.transaction import (
+    Transaction,
+    TxInput,
+    TxOutput,
+    make_coinbase,
+    make_transfer,
+)
+from repro.ledger.utxo import ValidationResult
+from repro.ledger.workload import WorkloadGenerator
+from repro.net.message import fields_size, payload_size
+
+
+def as_rows(array):
+    return tuple(map(tuple, np.asarray(array).tolist()))
+
+
+# -- (i) the vote-matrix value ------------------------------------------------
+matrices = st.tuples(st.integers(0, 6), st.integers(0, 9)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.integers(-1, 1), min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0],
+        max_size=shape[0],
+    ).map(lambda rows: np.array(rows, dtype=np.int8).reshape(shape))
+)
+
+
+def assert_matrix_is_its_rows(array):
+    value, rows = VoteMatrix(array), as_rows(array)
+    txids = (b"\x01" * 32, b"\x02" * 32)
+    assert canonical_bytes(value) == canonical_bytes(rows)
+    assert payload_size(value) == payload_size(rows)
+    for build in (
+        lambda v: ("ALG3", (txids, v)),
+        lambda v: ("VLIST", 3, 1, txids, v),
+        lambda v: ("VOTE", 3, 1, "intra:1", v),
+        lambda v: [v, (v, None)],
+    ):
+        assert canonical_bytes(build(value)) == canonical_bytes(build(rows))
+        assert encode_statement(build(value)) == encode_statement(build(rows))
+        assert payload_size(build(value)) == payload_size(build(rows))
+    assert H("ALG3", (txids, value)) == H("ALG3", (txids, rows))
+
+
+@given(matrices)
+def test_vote_matrix_encodes_and_sizes_like_its_rows(array):
+    assert_matrix_is_its_rows(array)
+
+
+@pytest.mark.parametrize("shape", [(1, 0), (5, 0), (5, 1), (0, 0), (0, 3), (1, 1)])
+@pytest.mark.parametrize("fill", [-1, 0, 1])
+def test_vote_matrix_edge_shapes(shape, fill):
+    assert_matrix_is_its_rows(np.full(shape, fill, dtype=np.int8))
+
+
+def test_vote_matrix_covers_every_int8_value():
+    assert_matrix_is_its_rows(np.arange(-128, 128, dtype=np.int8).reshape(4, 64))
+
+
+def test_vote_matrix_is_immutable_and_private():
+    source = np.ones((3, 2), dtype=np.int8)
+    value = VoteMatrix(source)
+    before = value.canonical
+    source[0, 0] = -1  # the caller's array is not the value's
+    assert value.array[0, 0] == 1
+    with pytest.raises(ValueError):
+        value.array[0, 0] = -1
+    assert value.canonical is before  # built once
+    restored = pickle.loads(pickle.dumps(value))
+    assert not restored.array.flags.writeable
+    assert restored.canonical == before
+    assert "canonical" not in pickle.dumps(value).decode("latin1")
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((1, 0), (1,)),  # ragged
+        (1, 0, 1),  # flat
+        ((0.5, 1.0),),  # not integers
+        (("1", "0"),),
+        ((1, 200),),  # not int8
+        ((None, 1),),
+        5,
+    ],
+)
+def test_vote_matrix_rejects_what_is_not_a_vote_matrix(rows):
+    with pytest.raises(ValueError):
+        VoteMatrix(rows)
+
+
+# -- (ii) batch settlement == the sequential undo --------------------------------
+def rollback_one_at_a_time(generator, txids):
+    """The pre-batch ``_rollback_one`` loop, verbatim: the reference."""
+    rolled = 0
+    for txid in txids:
+        effects = generator._effects.pop(txid, None)
+        if effects is None:
+            continue
+        home, consumed, created = effects
+        if not generator.defer_created:
+            for shard, entry in created:
+                try:
+                    generator._spendable[shard].remove(entry)
+                except ValueError:
+                    pass
+        generator._spendable[home].append(consumed)
+        try:
+            generator._spent.remove(consumed)
+        except ValueError:
+            pass
+        rolled += 1
+    return rolled
+
+
+def confirm_round_one_at_a_time(generator, packed):
+    rolled = rollback_one_at_a_time(
+        generator, [t for t in list(generator._effects) if t not in packed]
+    )
+    generator._effects = {}
+    return rolled
+
+
+def generator_state(generator):
+    return (
+        [list(bucket) for bucket in generator._spendable],
+        list(generator._spent),
+        dict(generator._effects),
+        generator.rng.bit_generator.state,
+    )
+
+
+def twin_generators(seed, retention, deferred):
+    twins = [
+        WorkloadGenerator(
+            m=3,
+            users_per_shard=6,
+            rng=np.random.default_rng(seed),
+            spent_retention=retention,
+        )
+        for _ in range(2)
+    ]
+    for twin in twins:
+        twin.defer_created = deferred
+    return twins
+
+
+histories = st.lists(
+    st.tuples(
+        st.integers(0, 24),  # batch size
+        st.floats(0.0, 1.0),  # share packed
+        st.floats(0.0, 1.0),  # share of the rest undone early / evicted
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**16), histories, st.sampled_from([0, 7, 40]))
+def test_batch_confirm_round_matches_sequential_undo(seed, history, retention):
+    batch_gen, ref_gen = twin_generators(seed, retention, deferred=False)
+    picker = np.random.default_rng(seed + 1)
+    for count, packed_share, early_share in history:
+        batch = batch_gen.generate_batch(count, 0.4, 0.25)
+        assert [t.tx.txid for t in ref_gen.generate_batch(count, 0.4, 0.25)] == [
+            t.tx.txid for t in batch
+        ]
+        txids = [t.tx.txid for t in batch]
+        packed = {t for t in txids if picker.random() < packed_share}
+        # A direct caller may undo some transactions before settlement, in
+        # any order (and name unknown or repeated txids).
+        early = [t for t in txids if t not in packed and picker.random() < early_share]
+        picker.shuffle(early)
+        early += early[:2] + [b"\x00" * 32]
+        assert batch_gen.rollback_txids(early) == rollback_one_at_a_time(ref_gen, early)
+        assert generator_state(batch_gen) == generator_state(ref_gen)
+        assert batch_gen.confirm_round(packed) == confirm_round_one_at_a_time(
+            ref_gen, packed
+        )
+        assert generator_state(batch_gen) == generator_state(ref_gen)
+    assert [t.tx for t in batch_gen.generate_batch(12, 0.4, 0.25)] == [
+        t.tx for t in ref_gen.generate_batch(12, 0.4, 0.25)
+    ]
+    assert generator_state(batch_gen) == generator_state(ref_gen)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**16), histories, st.sampled_from([0, 7, 40]))
+def test_batch_eviction_matches_sequential_undo_in_deferred_mode(
+    seed, history, retention
+):
+    batch_gen, ref_gen = twin_generators(seed, retention, deferred=True)
+    picker = np.random.default_rng(seed + 1)
+    queued: list[bytes] = []
+    for count, packed_share, evicted_share in history:
+        queued += [t.tx.txid for t in batch_gen.generate_batch(count, 0.4, 0.25)]
+        ref_gen.generate_batch(count, 0.4, 0.25)
+        packed = [t for t in queued if picker.random() < packed_share]
+        queued = [t for t in queued if t not in set(packed)]
+        evicted = [t for t in queued if picker.random() < evicted_share]
+        queued = [t for t in queued if t not in set(evicted)]
+        for generator in (batch_gen, ref_gen):
+            generator.forget_txids(packed)
+        assert batch_gen.rollback_txids(evicted) == rollback_one_at_a_time(
+            ref_gen, evicted
+        )
+        assert generator_state(batch_gen) == generator_state(ref_gen)
+    assert [t.tx for t in batch_gen.generate_batch(12, 0.4, 0.25)] == [
+        t.tx for t in ref_gen.generate_batch(12, 0.4, 0.25)
+    ]
+    assert generator_state(batch_gen) == generator_state(ref_gen)
+
+
+def test_settlement_cost_does_not_grow_with_history():
+    """The undo reads the tail the batch published, not the whole pool."""
+    generator = WorkloadGenerator(m=2, users_per_shard=64, rng=np.random.default_rng(1))
+
+    class Counting(list):
+        reads = 0
+
+        def __getitem__(self, index):
+            Counting.reads += 1
+            return super().__getitem__(index)
+
+    for _ in range(12):
+        packed = {t.tx.txid for t in generator.generate_batch(8, 0.3, 0.0)}
+        generator.confirm_round(packed)  # history grows by 8 a round
+    batch = generator.generate_batch(8, 0.3, 0.0)
+    assert len(generator._spent) > 90
+    generator._spent = Counting(generator._spent)
+    assert generator.confirm_round(set()) == len(batch)
+    assert Counting.reads <= 3 * len(batch)
+
+
+# -- (iii) the V-verdict memo ---------------------------------------------------
+@pytest.fixture
+def shard():
+    state = ShardState(0, 1)
+    genesis = make_coinbase([TxOutput(f"user-{i}", 100) for i in range(4)])
+    state.add_genesis(genesis)
+    spend = make_transfer((genesis.txid, 0), 100, "user-1", 10, "user-0", nonce=1)
+    return state, genesis, spend
+
+
+@pytest.fixture
+def v_calls(monkeypatch):
+    import repro.ledger.state as state_module
+
+    calls = []
+    real = state_module.validate_transaction
+
+    def counting(tx, utxos):
+        calls.append(tx)
+        return real(tx, utxos)
+
+    monkeypatch.setattr(state_module, "validate_transaction", counting)
+    return calls
+
+
+def test_verdict_is_computed_once_per_transaction_object(shard, v_calls):
+    state, _genesis, spend = shard
+    assert [state.validate(spend) for _ in range(24)] == [ValidationResult.VALID] * 24
+    assert len(v_calls) == 1
+    # An equal-but-distinct object is validated on its own.
+    twin = Transaction(inputs=spend.inputs, outputs=spend.outputs, nonce=spend.nonce)
+    assert twin == spend and twin is not spend
+    assert state.validate(twin) is ValidationResult.VALID
+    assert len(v_calls) == 2 and v_calls[1] is twin
+
+
+def test_verdict_never_survives_a_mutation(shard, v_calls):
+    state, genesis, spend = shard
+    snapshot = state.utxos.snapshot()
+    assert state.validate(spend) is ValidationResult.VALID
+    state.apply_block([spend])
+    assert state.validate(spend) is ValidationResult.MISSING_INPUT
+    state.utxos.restore(snapshot)  # what a checkpoint restore does
+    assert state.validate(spend) is ValidationResult.VALID
+    assert len(v_calls) == 3
+    # Every mutator invalidates, whatever it touched.
+    for mutate in (
+        lambda: state.utxos.add((b"\x07" * 32, 0), TxOutput("user-2", 5)),
+        lambda: state.utxos.spend((b"\x07" * 32, 0)),
+        lambda: state.utxos.restore(state.utxos.snapshot()),
+        lambda: state.utxos.apply_transaction(
+            make_transfer((genesis.txid, 3), 100, "user-1", 1, "user-3", nonce=9)
+        ),
+    ):
+        before = len(v_calls)
+        mutate()
+        assert state.validate(spend) is ValidationResult.VALID
+        assert len(v_calls) == before + 1
+    overspend = Transaction(
+        inputs=(TxInput(genesis.txid, 1),), outputs=(TxOutput("user-0", 500),)
+    )
+    assert state.validate(overspend) is ValidationResult.OVERSPEND
+    assert state.validate(overspend) is ValidationResult.OVERSPEND
+
+
+def test_verdict_flips_across_a_checkpoint_restore(tmp_path):
+    params = ProtocolParams(n=24, m=2, lam=2, referee_size=6, seed=4)
+    ledger = CycLedger(params)
+    ledger.run_round()
+    path = str(tmp_path / "ledger.ckpt")
+    save_checkpoint(ledger, path)
+    packed = next(tx for tx in ledger.chain.blocks[-1].transactions if tx.inputs)
+    genesis = CycLedger(params)
+    home = next(s.shard for s in genesis.shard_states if s.validate(packed))
+    state = ledger.shard_states[home]
+    assert state.validate(packed) is ValidationResult.MISSING_INPUT  # spent
+    # Rewind the shard to genesis and the same object is spendable again ...
+    state.utxos.restore(genesis.shard_states[home].utxos.snapshot())
+    assert state.validate(packed) is ValidationResult.VALID
+    # ... and a ledger rebuilt from the checkpoint (genesis state, then
+    # ``restore``) sees it spent.
+    restored = load_checkpoint(path)
+    assert (
+        restored.shard_states[home].validate(packed)
+        is ValidationResult.MISSING_INPUT
+    )
+
+
+# -- (iv) the VOTE identity memo -------------------------------------------------
+@pytest.fixture
+def vote_ctx():
+    ctx = build_sandbox(committee_size=8, lam=2)
+    state = ctx.shard_states[0]
+    genesis = make_coinbase([TxOutput(f"user-{i}", 100) for i in range(8)])
+    state.add_genesis(genesis)
+    txs = [
+        make_transfer((genesis.txid, i), 100, "payee", 10, f"user-{i}", nonce=i)
+        for i in range(3)
+    ]
+    run_committee_configuration(ctx)
+    run_semi_commitment_exchange(ctx)
+    return ctx, txs
+
+
+def test_vote_statement_is_encoded_once_per_tuple_object(vote_ctx, monkeypatch):
+    import repro.core.voting as voting
+
+    ctx, txs = vote_ctx
+    session = VoteRoundSession(ctx, ctx.committees[0], txs, "memo", input_side_votes, "intra")
+    encoded = []
+    real = voting.encode_statement
+    monkeypatch.setattr(
+        voting, "encode_statement", lambda s: encoded.append(s) or real(s)
+    )
+
+    def fresh(votes):
+        return real(("VOTE", 1, 0, "memo", tuple(votes)))
+
+    votes = (1, -1, 0)
+    assert session._vote_enc(votes) == session._vote_enc(votes) == fresh(votes)
+    assert len(encoded) == 1
+    twin = tuple([1, -1, 0])  # equal, distinct
+    assert twin is not votes
+    assert session._vote_enc(twin) == fresh(votes)
+    assert len(encoded) == 2
+    # True == 1 and hashes alike, but encodes differently: no aliasing.
+    alias = (True, -1, 0)
+    assert alias == votes
+    assert session._vote_enc(alias) == fresh(alias) != fresh(votes)
+    # Mutable carriers are never memoised.
+    as_list = [1, -1, 0]
+    assert session._vote_enc(as_list) == fresh(votes)
+    as_list[0] = -1
+    assert session._vote_enc(as_list) == fresh((-1, -1, 0))
+    # The memo is bounded: past the cap every call encodes.
+    keep = [tuple([k, 0, 0]) for k in range(40)]
+    for vote in keep:
+        session._vote_enc(vote)
+    assert len(session._enc_vote) <= 2 * 8
+    count = len(encoded)
+    assert session._vote_enc(keep[-1]) == fresh(keep[-1])
+    assert len(encoded) == count + 1
+
+
+def test_memoised_vote_check_still_rejects_forgeries(vote_ctx):
+    ctx, txs = vote_ctx
+    committee = ctx.committees[0]
+    ctx.nodes[3].online = False  # member 3 itself stays silent
+    session = VoteRoundSession(ctx, committee, txs, "forge", input_side_votes, "intra")
+    session.start()
+    courier, victim = ctx.nodes[4], ctx.nodes[3]
+    row = committee.members.index(3)
+    yes, no = (1, 1, 1), (-1, -1, -1)
+
+    def statement(votes):
+        return ("VOTE", 1, 0, "forge", votes)
+
+    # wrong key: member 4 signs in member 3's name
+    courier.send(0, "VOTE:forge", (3, no, sign(courier.keypair, statement(no))))
+    # right key, signature over a different vector (both already memoised)
+    sig_yes = sign(victim.keypair, statement(yes))
+    session._vote_enc(yes), session._vote_enc(no)
+    courier.send(0, "VOTE:forge", (3, no, sig_yes))
+    ctx.net.run(until=ctx.net.now + 3 * ctx.params.net.delta)
+    assert 3 not in session._votes and session.result.replies == 7
+    # the genuine article is accepted through the same path
+    courier.send(0, "VOTE:forge", (3, yes, sig_yes))
+    ctx.net.run()
+    result = session.finish()
+    assert result.replies == 8
+    assert np.all(result.matrix[row] == 1)
+
+
+# -- (v) Transaction.wire_size ----------------------------------------------------
+@given(
+    st.lists(st.tuples(st.binary(min_size=0, max_size=40), st.integers(0, 9)), max_size=4),
+    st.lists(st.tuples(st.text(max_size=12), st.integers(-5, 10**9)), max_size=4),
+    st.integers(0, 2**40),
+)
+def test_transaction_wire_size_is_the_recursive_dataclass_size(inputs, outputs, nonce):
+    tx = Transaction(
+        inputs=tuple(TxInput(*i) for i in inputs),
+        outputs=tuple(TxOutput(*o) for o in outputs),
+        nonce=nonce,
+    )
+    expected = payload_size([tx.inputs, tx.outputs, tx.nonce])
+    assert fields_size(tx) == expected
+    assert payload_size(tx) == tx.wire_size == expected
+    assert payload_size([tx, (tx, 1)]) == 2 + expected + (2 + expected + 8)
+    tx.txid  # the txid cache is not a field: the size does not move
+    assert payload_size(tx) == expected
+
+
+def test_cached_sizes_are_derived_state_across_a_checkpoint(tmp_path):
+    params = ProtocolParams(n=24, m=2, lam=2, referee_size=6, seed=4)
+    ledger = CycLedger(params)
+    ledger.run(2)
+    path = str(tmp_path / "ledger.ckpt")
+    save_checkpoint(ledger, path)
+    restored = load_checkpoint(path)
+    for block, twin in zip(ledger.chain.blocks, restored.chain.blocks):
+        for tx, tx_twin in zip(block.transactions, twin.transactions):
+            assert tx_twin == tx and tx_twin.txid == tx.txid
+            assert payload_size(tx_twin) == payload_size(tx) == fields_size(tx)
+    restored.run(2)
+    ledger.run(2)
+    assert restored.chain.head.hash == ledger.chain.head.hash
