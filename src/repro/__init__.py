@@ -62,7 +62,7 @@ from repro.ledger.workload import TxMempool
 from repro.nodes.adversary import AdversaryConfig, AdversaryController
 from repro.scenarios import POLICY_PRESETS, SCENARIO_PRESETS, Scenario
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "BACKEND_REGISTRY",

@@ -224,10 +224,10 @@ class InvariantChecker:
         adversary = ledger.adversary
         if adversary.count or adversary.offline or adversary.forced_offline:
             return False
-        scenario = getattr(ledger, "scenario", None)
+        scenario = ledger.scenario
         if scenario is not None and round_number <= scenario.last_event_round:
             return False
-        policy = getattr(ledger, "policy", None)
+        policy = ledger.policy
         if policy is not None and round_number <= policy.last_active_round:
             return False
         return True
@@ -328,8 +328,8 @@ class InvariantChecker:
 
     def _check_mempool(self, ledger: Any, report: Any) -> None:
         self._snap.packed_cumulative += report.packed
-        mempool = getattr(ledger, "mempool", None)
-        if mempool is None or not mempool.persistent:
+        mempool = ledger.mempool
+        if not mempool.persistent:
             # Legacy settlement clears the queue every round and reports
             # no evictions, so the identity is undefined there.
             return
@@ -399,7 +399,7 @@ class InvariantChecker:
         if not ledger.chain.verify():
             violation = InvariantViolation(
                 "chain-linkage",
-                getattr(ledger, "round_number", 0),
+                ledger.round_number,
                 "Chain.verify() failed on the final chain",
             )
             self.violations.append(violation)

@@ -3,7 +3,7 @@
 Table I compares CycLedger against Elastico, OmniLedger and RapidChain;
 :mod:`repro.baselines` evaluates those rivals analytically.  This package
 makes the comparison *executable*: every protocol that can run a round is a
-:class:`~repro.backends.base.LedgerBackend` registered here by name, so the
+:class:`~repro.core.backend.LedgerBackend` registered here by name, so the
 experiment engine, scenarios, CLI and benchmarks drive any of them through
 one interface — the same fault timelines, sweeps and determinism gates
 apply to all.
@@ -22,14 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.backends.base import (
+from repro.backends.omniledger import OmniLedgerBackend
+from repro.backends.rapidchain import RapidChainBackend
+from repro.core.backend import (
     CommitteeSimBackend,
     LedgerBackend,
     PackReport,
     SimRoundReport,
 )
-from repro.backends.omniledger import OmniLedgerBackend
-from repro.backends.rapidchain import RapidChainBackend
 from repro.core.protocol import CycLedger
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -56,7 +56,7 @@ def register_backend(
 
     ``factory(params, adversary=..., capacity_fn=..., scenario=...,
     policy=...)`` must return a
-    :class:`~repro.backends.base.LedgerBackend`.
+    :class:`~repro.core.backend.LedgerBackend`.
     """
     if name in BACKEND_REGISTRY:
         raise ValueError(f"backend {name!r} is already registered")

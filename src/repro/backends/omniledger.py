@@ -22,13 +22,8 @@ Table I dishonest-leader column, produced by mechanics.  See
 
 from __future__ import annotations
 
-from repro.backends.base import (
-    CONTROL_WIRE_BYTES,
-    TX_WIRE_BYTES,
-    CommitteeSimBackend,
-    PackReport,
-    SimRoundReport,
-)
+from repro.backends.base import CONTROL_WIRE_BYTES, TX_WIRE_BYTES, RivalBackend
+from repro.core.backend import PackReport, SimRoundReport
 from repro.core.pipeline import Phase, PhasePipeline
 from repro.core.structures import RoundContext
 from repro.ledger.workload import TaggedTx
@@ -38,7 +33,7 @@ PHASE_ATOMIX = "atomix"
 PHASE_BLOCK = "block"
 
 
-class OmniLedgerBackend(CommitteeSimBackend):
+class OmniLedgerBackend(RivalBackend):
     """Simplified executable OmniLedger (backend name ``omniledger_sim``)."""
 
     backend_name = "omniledger_sim"

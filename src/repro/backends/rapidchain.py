@@ -20,13 +20,8 @@ describes.  See ``docs/backends.md`` for the fidelity caveats.
 
 from __future__ import annotations
 
-from repro.backends.base import (
-    CONTROL_WIRE_BYTES,
-    TX_WIRE_BYTES,
-    CommitteeSimBackend,
-    PackReport,
-    SimRoundReport,
-)
+from repro.backends.base import CONTROL_WIRE_BYTES, TX_WIRE_BYTES, RivalBackend
+from repro.core.backend import PackReport, SimRoundReport
 from repro.core.pipeline import Phase, PhasePipeline
 from repro.core.structures import RoundContext
 from repro.ledger.workload import TaggedTx
@@ -37,7 +32,7 @@ PHASE_ROUTING = "routing"
 PHASE_BLOCK = "block"
 
 
-class RapidChainBackend(CommitteeSimBackend):
+class RapidChainBackend(RivalBackend):
     """Simplified executable RapidChain (backend name ``rapidchain``)."""
 
     backend_name = "rapidchain"

@@ -50,7 +50,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 arrival_rate=args.arrival_rate or 0.0,
                 mempool_capacity=args.mempool_cap,
                 mempool_max_age=args.mempool_age,
-                shard_workers=args.shard_workers,
                 chain_retention=args.chain_retention,
             )
         except ValueError as error:
@@ -316,8 +315,6 @@ def _build_sweep_spec(args: argparse.Namespace):
             base["mempool_max_age"] = args.mempool_age
         if args.mempool_cap:
             base["mempool_capacity"] = args.mempool_cap
-        if args.shard_workers:
-            base["shard_workers"] = args.shard_workers
         base = {k: v for k, v in base.items() if k not in grid}
         scenario_grid: tuple = ()
         if args.scenarios:
@@ -571,10 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--mempool-cap", type=int, default=0,
                      help="max queued txs before capacity backpressure "
                           "evicts the oldest (0 = unbounded)")
-    run.add_argument("--shard-workers", type=int, default=0,
-                     help="shard-parallel committee execution: 0 = legacy "
-                          "interleaved path, 1 = sharded-serial, >= 2 = "
-                          "process pool (byte-identical to 1)")
     run.add_argument("--chain-retention", type=int, default=0,
                      help="retain only the last N block bodies, pruning "
                           "older ones behind the hash-linked frontier "
@@ -676,10 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated backend axis for head-to-head "
                             "protocol comparison (e.g. "
                             "cycledger,rapidchain,omniledger_sim)")
-    sweep.add_argument("--shard-workers", type=int, default=0,
-                       help="per-point shard-parallel committee execution "
-                            "(applies to every point's base params; 0 = "
-                            "legacy interleaved path)")
     sweep.add_argument("--workers", type=int, default=None,
                        help="worker processes (default: cpu count)")
     sweep.add_argument("--serial", action="store_true",

@@ -13,7 +13,9 @@ here and orchestrated by :class:`~repro.core.protocol.CycLedger`:
 
 Shared machinery: :mod:`repro.core.consensus` (Alg. 3, the inside-committee
 broadcast consensus), :mod:`repro.core.recovery` (witnesses, impeachment and
-leader re-selection, Alg. 6), :mod:`repro.core.sortition` (Alg. 1).
+leader re-selection, Alg. 6), :mod:`repro.core.sortition` (Alg. 1),
+:mod:`repro.core.backend` (the round driver CycLedger and the rival
+backends all subclass).
 """
 
 from repro.core.config import ProtocolParams

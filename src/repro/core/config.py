@@ -60,13 +60,6 @@ class ProtocolParams:
     mempool_capacity: int = 0  # max queued txs, 0 = unbounded
     mempool_max_age: int = 0  # rounds a tx may wait, 0 = never expire
 
-    # Shard-parallel execution of the per-committee phase work
-    # (repro.core.shards): 0 = historical interleaved path (byte-frozen),
-    # 1 = sharded-serial reference semantics, >= 2 = process pool.  Paths
-    # 1 and >= 2 are byte-identical by construction; 0 consumes the shared
-    # RNG streams differently and stays the default.
-    shard_workers: int = 0
-
     # Epoch-scale memory bounds (ISSUE 10).  ``chain_retention`` keeps only
     # the last N block bodies in RAM (0 = keep everything); hash linkage
     # survives pruning via the chain's stored predecessor hash, so head /
@@ -120,8 +113,6 @@ class ProtocolParams:
                 "n - referee_size must be divisible by m so committees have "
                 "a well-defined exact size"
             )
-        if self.shard_workers < 0:
-            raise ValueError("shard_workers must be >= 0")
         if self.chain_retention < 0 or self.spent_retention < 0:
             raise ValueError(
                 "chain_retention and spent_retention must be >= 0 "

@@ -21,8 +21,8 @@ Hooks come in two granularities:
   windows) happens, since those must land before committees are drawn.
 
 Timings use the network's simulated clock, never the wall clock, so a
-:class:`~repro.core.protocol.RoundReport` stays byte-identical across runs
-of the same seed.
+:class:`~repro.core.backend.SimRoundReport` stays byte-identical across
+runs of the same seed.
 
 Phases additionally carry **data-dependency annotations** (``needs`` for
 same-round inputs, ``needs_prev`` for previous-round inputs).  The
@@ -51,13 +51,13 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.protocol import CycLedger, RoundReport
+    from repro.core.backend import CommitteeSimBackend, SimRoundReport
     from repro.core.structures import RoundContext
 
 PhaseFn = Callable[["RoundContext"], Any]
 PhaseHook = Callable[["RoundContext", str], None]
-RoundStartHook = Callable[["CycLedger"], None]
-RoundEndHook = Callable[["CycLedger", "RoundReport"], None]
+RoundStartHook = Callable[["CommitteeSimBackend"], None]
+RoundEndHook = Callable[["CommitteeSimBackend", "SimRoundReport"], None]
 
 PRE = "pre"
 POST = "post"
@@ -169,11 +169,13 @@ class PhasePipeline:
         self._round_hooks[when].append(hook)
 
     # -- execution ---------------------------------------------------------
-    def begin_round(self, ledger: "CycLedger") -> None:
+    def begin_round(self, ledger: "CommitteeSimBackend") -> None:
         for hook in self._round_hooks[PRE]:
             hook(ledger)
 
-    def end_round(self, ledger: "CycLedger", report: "RoundReport") -> None:
+    def end_round(
+        self, ledger: "CommitteeSimBackend", report: "SimRoundReport"
+    ) -> None:
         for hook in self._round_hooks[POST]:
             hook(ledger, report)
 

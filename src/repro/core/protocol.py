@@ -20,37 +20,21 @@ overlapped end-to-end timeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass
+from typing import Any
 
-import numpy as np
-
+from repro.core.backend import CommitteeSimBackend, SimRoundReport
 from repro.core.blockgen import BlockReport, run_block_generation
 from repro.core.committee import ConfigReport, run_committee_configuration
-from repro.core.config import ProtocolParams
 from repro.core.inter import InterReport, run_inter_consensus
 from repro.core.intra import IntraReport, run_intra_consensus
 from repro.core.pipeline import Phase, PhasePipeline
-from repro.core.reporting import emit_round_report, rss_kb
 from repro.core.reputation import ReputationReport, run_reputation_updating
 from repro.core.selection import SelectionReport, run_selection
 from repro.core.semicommit import SemiCommitReport, run_semi_commitment_exchange
-from repro.core.sortition import (
-    REFEREE_ROLE,
-    assign_partial_sets,
-    crypto_sort,
-    rank_select,
-)
-from repro.core.structures import CommitteeSpec, RoundContext
+from repro.core.sortition import assign_partial_sets
+from repro.core.structures import RoundContext
 from repro.crypto.hashing import H
-from repro.ledger.chain import Block
-from repro.metrics.counters import MetricsCollector
-from repro.net.topology import Channels, build_cycledger_topology
-from repro.nodes.adversary import AdversaryConfig
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.scenarios.policies import AdversaryPolicy
-    from repro.scenarios.scenario import Scenario
 
 
 #: Canonical phase names (§III-E order).  They match the phase labels the
@@ -105,13 +89,10 @@ def build_default_pipeline() -> PhasePipeline:
     )
 
 
-@dataclass
-class RoundReport:
-    """Everything one round produced (per-phase reports plus headline
-    numbers for benches)."""
+@dataclass(kw_only=True)
+class RoundReport(SimRoundReport):
+    """The flat round report plus everything the seven phases produced."""
 
-    round_number: int
-    block: Block | None
     config: ConfigReport
     semicommit: SemiCommitReport
     intra: IntraReport
@@ -119,77 +100,9 @@ class RoundReport:
     reputation: ReputationReport
     selection: SelectionReport
     blockgen: BlockReport
-    submitted: int = 0
-    packed: int = 0
-    cross_packed: int = 0
-    recoveries: int = 0
-    messages: int = 0
-    bytes_sent: int = 0
-    sim_time: float = 0.0
-    reliable_channels: int = 0
-    dropped: int = 0  # messages the fabric dropped (partitions, filters)
-    # Sim-time span of each pipeline phase and completion times of leader
-    # re-selections — both on the simulated clock, so reports stay
-    # deterministic per seed.
-    phase_sim_times: dict[str, float] = field(default_factory=dict)
-    recovery_times: tuple[float, ...] = ()
-    # Continuous-timeline window of this round under the active overlap
-    # mode (timeline_end - timeline_start == sim_time when overlap=none),
-    # plus the persistent-mempool queue health at settlement.
-    timeline_start: float = 0.0
-    timeline_end: float = 0.0
-    queue_depth: int = 0
-    tx_evicted: int = 0
-    tx_age_mean: float = 0.0
-    tx_age_max: float = 0.0
-    # Epoch-scale observability (ISSUE 10): RSS sample (0 unless
-    # ProtocolParams.sample_rss) and this report's 1-based emission
-    # sequence number (stamped by repro.core.reporting.emit_round_report).
-    rss_peak_kb: int = 0
-    reports_streamed: int = 0
-
-    # -- flat report contract (repro.backends.base.SimRoundReport) -----------
-    # Every executable backend's reports expose these attributes, so the
-    # serialization layer (repro.exp.results.round_row) never dispatches on
-    # the backend type; here they derive from the per-phase reports.
-    @property
-    def intra_accepted(self) -> int:
-        return sum(len(txs) for txs in self.intra.accepted_by_cr.values())
-
-    @property
-    def inter_accepted(self) -> int:
-        return sum(len(txs) for txs in self.inter.accepted.values())
-
-    @property
-    def inter_voted(self) -> int:
-        return sum(len(r.txs) for r in self.inter.send_rounds.values())
-
-    @property
-    def prefilter_savings(self) -> int:
-        return self.inter.prefilter_savings
-
-    @property
-    def intra_elapsed(self) -> float:
-        return self.intra.elapsed
-
-    @property
-    def inter_elapsed(self) -> float:
-        return self.inter.elapsed
-
-    @property
-    def blockgen_elapsed(self) -> float:
-        return self.blockgen.elapsed
-
-    @property
-    def blockgen_subblocks(self) -> int:
-        return self.blockgen.parallel_subblocks
-
-    @property
-    def blockgen_width(self) -> int:
-        return self.blockgen.parallel_width
 
 
-class CycLedger:
+class CycLedger(CommitteeSimBackend):
     """A running CycLedger deployment.
 
     >>> ledger = CycLedger(ProtocolParams(n=64, m=4, lam=3, referee_size=8))
@@ -200,262 +113,61 @@ class CycLedger:
 
     #: registry name in :mod:`repro.backends` (the first LedgerBackend)
     backend_name = "cycledger"
+    pack_phase = PHASE_BLOCK
 
-    def __init__(
-        self,
-        params: ProtocolParams,
-        adversary: AdversaryConfig | None = None,
-        capacity_fn: Callable[[int, np.random.Generator], int] | None = None,
-        scenario: "Scenario | None" = None,
-        pipeline: PhasePipeline | None = None,
-        policy: "AdversaryPolicy | None" = None,
-    ) -> None:
-        # Local import: repro.backends.base builds on core modules and must
-        # stay importable before this one finishes loading.
-        from repro.backends.base import attach_pipeline, init_shared_state
-        from repro.core.shards import make_shard_executor
+    def build_pipeline(self) -> PhasePipeline:
+        return build_default_pipeline()
 
-        self.params = params
-        if params.shard_workers > 0 and scenario is not None:
-            # Scenario fault injection (partitions, link degradations)
-            # acts on the main network fabric; committee mini-networks
-            # would silently bypass it.  Reject rather than mislead.
-            raise ValueError(
-                "shard_workers is incompatible with fault-injection "
-                "scenarios (faults act on the shared network fabric)"
-            )
-        if params.shard_workers > 0 and policy is not None:
-            # Same fabric argument: policy behaviour overrides and eclipse
-            # partitions act on the shared network/node state.
-            raise ValueError(
-                "shard_workers is incompatible with adversary policies "
-                "(policies act on the shared network fabric and node "
-                "behaviours)"
-            )
-        self._shard_executor = make_shard_executor(
-            params.shard_workers, self.backend_name
-        )
-        # All common state — node population, RNG sub-stream fan-out
-        # (protocol / workload / adversary / jitter / scenario), network,
-        # genesis staging — comes from the one shared constructor every
-        # executable backend uses, so backend arms of a sweep point share
-        # streams by construction (the seed-pairing contract).
-        scenario_ss, policy_ss = init_shared_state(
-            self, params, adversary, capacity_fn
-        )
+    # -- role staging ---------------------------------------------------------
+    def _stage_genesis(self) -> None:
+        """Round 1 key roles: uniform lotteries over all nodes (no
+        reputation yet), then partial sets from whoever is left."""
+        params = self.params
         self.randomness = H("GENESIS_RANDOMNESS", params.seed)
-        # Round 1 key roles: uniform lotteries over all nodes (no reputation
-        # yet, so the leader rule degenerates to the hash rank too).
-        all_pks = [node.pk for node in self.nodes.values()]
-        self._next_referee = rank_select(
-            all_pks, 1, self.randomness, REFEREE_ROLE, params.referee_size
-        )
-        referee_set = set(self._next_referee)
-        rest = [pk for pk in all_pks if pk not in referee_set]
-        self._next_leaders = rank_select(rest, 1, self.randomness, "LEADER", params.m)
-        leader_set = set(self._next_leaders)
-        pool = [pk for pk in rest if pk not in leader_set]
+        self._stage_roles(1)
+        taken = {*self._next_referee, *self._next_leaders}
+        pool = [node.pk for node in self.nodes.values() if node.pk not in taken]
         self._next_partials = assign_partial_sets(
             pool, 1, self.randomness, params.m, params.lam
         )
-        self.reports: list[RoundReport] = []
-        attach_pipeline(
-            self,
-            pipeline,
-            scenario,
-            scenario_ss,
-            build_default_pipeline,
-            policy=policy,
-            policy_ss=policy_ss,
-        )
 
-    # -- helpers ------------------------------------------------------------
-    def _node_id(self, pk: str) -> int:
-        return self._pk_to_id[pk]
+    def _stage_next_round(self, phase_reports: dict[str, Any]) -> None:
+        """Next round's roles and randomness are the selection phase's
+        outcome.  Expelled leaders already had the cube-root punishment
+        applied by the recovery module; nothing further here (§VII-B)."""
+        selection: SelectionReport = phase_reports[PHASE_SELECTION]
+        self._next_referee = selection.next_referee
+        self._next_leaders = selection.next_leaders
+        self._next_partials = selection.next_partials
+        self.randomness = selection.randomness
 
-    # -- round assembly -----------------------------------------------------
-    def _assign_round(self) -> tuple[list[CommitteeSpec], list[int], Channels]:
-        """Committee configuration inputs: who plays which role this round."""
-        params = self.params
-        referee_ids = [self._node_id(pk) for pk in self._next_referee]
-        leader_ids = [self._node_id(pk) for pk in self._next_leaders]
-        partial_ids = [
-            [self._node_id(pk) for pk in pks] for pks in self._next_partials
-        ]
-        key_and_referee = set(referee_ids) | set(leader_ids)
-        for pks in partial_ids:
-            key_and_referee |= set(pks)
-
-        for node in self.nodes.values():
-            node.reset_round_state()
-            node.online = not self.adversary.is_offline(node.node_id)
-
-        # Common members find their committee via Algorithm 1.
-        committee_commons: list[list[int]] = [[] for _ in range(params.m)]
-        for node in self.nodes.values():
-            if node.node_id in key_and_referee:
-                continue
-            ticket = crypto_sort(
-                node.keypair, self.round_number, self.randomness, params.m
-            )
-            node.ticket = ticket
-            committee_commons[ticket.committee_id].append(node.node_id)
-
-        committees: list[CommitteeSpec] = []
-        for k in range(params.m):
-            members = [leader_ids[k], *partial_ids[k], *committee_commons[k]]
-            spec = CommitteeSpec(
-                index=k,
-                leader=leader_ids[k],
-                partial=tuple(partial_ids[k]),
-                members=members,
-            )
-            committees.append(spec)
-            leader_node = self.nodes[leader_ids[k]]
-            leader_node.is_leader = True
-            leader_node.behavior = self.adversary.leader_behavior(leader_ids[k])
-            for pid in partial_ids[k]:
-                partial_node = self.nodes[pid]
-                partial_node.is_partial = True
-                partial_node.behavior = self.adversary.voter_behavior(pid)
-            for mid in members:
-                node = self.nodes[mid]
-                node.committee_id = k
-                node.shard_state = self.shard_states[k]
-                if not node.is_leader and not node.is_partial:
-                    node.behavior = self.adversary.voter_behavior(mid)
-        for rid in referee_ids:
-            node = self.nodes[rid]
-            node.is_referee = True
-            node.behavior = self.adversary.voter_behavior(rid)
-
-        self._channels = build_cycledger_topology(
-            [(spec.members, spec.key_members) for spec in committees],
-            referee_ids,
-            into=self._channels,
-        )
-        return committees, referee_ids, self._channels
-
-    # -- the main loop -----------------------------------------------------
-    def run_round(self) -> RoundReport:
-        params = self.params
-        self.pipeline.begin_round(self)
-        committees, referee_ids, channels = self._assign_round()
-        round_metrics = MetricsCollector()
-        for node in self.nodes.values():
-            round_metrics.set_role(node.node_id, node.role)
-        for cls, count in channels.counts.items():
-            round_metrics.record_channels(cls, count)
-        net = self.net
-        net.reset(metrics=round_metrics)
-        net.set_channel_classifier(channels.classify)
-
-        arrivals = self.mempool.admit(
-            self.round_number,
-            net.global_now,
-            legacy_count=2 * params.m * params.tx_per_committee,
-            cross_shard_ratio=params.cross_shard_ratio,
-            invalid_ratio=params.invalid_ratio,
-        )
-        mempools = self.mempool.offered()
-
-        ctx = RoundContext(
-            params=params,
-            pki=self.pki,
-            net=net,
-            metrics=round_metrics,
-            rng=self.rng,
-            round_number=self.round_number,
-            randomness=self.randomness,
-            nodes=self.nodes,
-            committees=committees,
-            referee=referee_ids,
-            reputation=self.reputation,
-            mempools=mempools,
-            shard_states=self.shard_states,
-            chain=self.chain,
-            global_utxos=self.global_utxos,
-            rewards=self.rewards,
-            shard_executor=self._shard_executor,
-        )
-
-        phase_reports = self.pipeline.execute(ctx)
-        selection_report: SelectionReport = phase_reports[PHASE_SELECTION]
-        block_report: BlockReport = phase_reports[PHASE_BLOCK]
-
-        # Expelled leaders already had the cube-root punishment applied by
-        # the recovery module; nothing further here (§VII-B).
-        packed_ids = (
-            {tx.txid for tx in block_report.block.transactions}
-            if block_report.block
-            else set()
-        )
-        queue_stats = self.mempool.settle(
-            packed_ids, self.round_number, net.global_now
-        )
-        window = self.overlap_scheduler.observe_round(
-            self.round_number,
-            tuple(self.pipeline),
-            self.pipeline.last_timings,
-            net.now,
-        )
-
-        cross_ids = {
-            t.tx.txid for pool in mempools for t in pool if t.cross_shard
-        }
-        report = RoundReport(
-            round_number=self.round_number,
-            block=block_report.block,
+    # -- reporting ------------------------------------------------------------
+    def _new_report(
+        self, phase_reports: dict[str, Any], **headline: Any
+    ) -> RoundReport:
+        return RoundReport(
             config=phase_reports[PHASE_CONFIG],
             semicommit=phase_reports[PHASE_SEMICOMMIT],
             intra=phase_reports[PHASE_INTRA],
             inter=phase_reports[PHASE_INTER],
             reputation=phase_reports[PHASE_REPUTATION],
-            selection=selection_report,
-            blockgen=block_report,
-            submitted=arrivals,
-            packed=block_report.packed,
-            cross_packed=len(packed_ids & cross_ids),
-            recoveries=len(ctx.recoveries),
-            messages=round_metrics.total_messages(),
-            bytes_sent=round_metrics.total_bytes(),
-            sim_time=net.now,
-            reliable_channels=channels.total_reliable(),
-            dropped=net.dropped_messages,
-            phase_sim_times=dict(self.pipeline.last_timings),
-            recovery_times=tuple(e.sim_time for e in ctx.recoveries),
-            timeline_start=window.start,
-            timeline_end=window.end,
-            queue_depth=queue_stats.depth,
-            tx_evicted=queue_stats.evicted,
-            tx_age_mean=queue_stats.age_mean,
-            tx_age_max=queue_stats.age_max,
-            rss_peak_kb=rss_kb() if self.params.sample_rss else 0,
+            selection=phase_reports[PHASE_SELECTION],
+            blockgen=phase_reports[PHASE_BLOCK],
+            **headline,
         )
-        self.metrics.merge(round_metrics)
-        emit_round_report(self, report)
 
-        # Stage the next round.
-        self._next_referee = selection_report.next_referee
-        self._next_leaders = selection_report.next_leaders
-        self._next_partials = selection_report.next_partials
-        self.randomness = selection_report.randomness
-        self.round_number += 1
-        self.adversary.advance_round()
-        self.pipeline.end_round(self, report)
-        return report
-
-    def run(self, rounds: int) -> list[RoundReport]:
-        return [self.run_round() for _ in range(rounds)]
-
-    # -- convenience accessors ------------------------------------------------
-    def total_packed(self) -> int:
-        return self.chain.total_transactions()
-
-    def reputation_by_behavior(self) -> dict[str, list[float]]:
-        grouped: dict[str, list[float]] = {}
-        for node in self.nodes.values():
-            grouped.setdefault(node.behavior.name, []).append(
-                self.reputation.get(node.pk, 0.0)
-            )
-        return grouped
+    def _decorate_report(
+        self, report: RoundReport, ctx: RoundContext, phase_reports: dict[str, Any]
+    ) -> None:
+        intra, inter, blockgen = report.intra, report.inter, report.blockgen
+        report.intra_accepted = sum(
+            len(txs) for txs in intra.accepted_by_cr.values()
+        )
+        report.inter_accepted = sum(len(txs) for txs in inter.accepted.values())
+        report.inter_voted = sum(len(r.txs) for r in inter.send_rounds.values())
+        report.prefilter_savings = inter.prefilter_savings
+        report.intra_elapsed = intra.elapsed
+        report.inter_elapsed = inter.elapsed
+        report.blockgen_elapsed = blockgen.elapsed
+        report.blockgen_subblocks = blockgen.parallel_subblocks
+        report.blockgen_width = blockgen.parallel_width

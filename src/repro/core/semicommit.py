@@ -58,11 +58,6 @@ class _SemiCommitSession:
         # statement content, so a Byzantine leader varying the list under
         # one commitment can never alias a cache slot.
         self._enc_claims: dict[tuple, bytes] = {}
-        # Shard-parallel path: claims prepared off the main network by
-        # repro.core.shards, popped by _leader_send.  Pop semantics keeps
-        # recovery correct — a post-impeachment resend finds the slot
-        # empty and recomputes inline for the *new* leader.
-        self._precomputed: dict[int, tuple] = {}
 
     def start(self) -> None:
         ctx = self.ctx
@@ -84,17 +79,13 @@ class _SemiCommitSession:
         ctx = self.ctx
         committee = ctx.committees[k]
         leader = ctx.node(committee.leader)
-        prepared = self._precomputed.pop(k, None)
-        if prepared is not None:
-            commitment, claimed_list, sig = prepared
-        else:
-            true_list = canonical_member_list(leader.member_list)
-            true_commitment = semi_commitment(true_list)
-            commitment, claimed_list = leader.behavior.semi_commitment_claim(
-                leader, true_commitment, true_list
-            )
-            statement = ("SEMI_COM", ctx.round_number, commitment, claimed_list)
-            sig = sign(leader.keypair, statement)
+        true_list = canonical_member_list(leader.member_list)
+        true_commitment = semi_commitment(true_list)
+        commitment, claimed_list = leader.behavior.semi_commitment_claim(
+            leader, true_commitment, true_list
+        )
+        statement = ("SEMI_COM", ctx.round_number, commitment, claimed_list)
+        sig = sign(leader.keypair, statement)
         payload = (k, commitment, claimed_list, sig)
         size = payload_size(payload)
         leader.multicast(
@@ -235,10 +226,6 @@ def run_semi_commitment_exchange(ctx: RoundContext) -> SemiCommitReport:
     started = ctx.net.now
     report = SemiCommitReport()
     session = _SemiCommitSession(ctx)
-    if ctx.shard_executor is not None:
-        from repro.core.shards import prepare_semicommit_claims
-
-        session._precomputed = prepare_semicommit_claims(ctx)
     session.start()
     ctx.net.run()
     session.referee_validate_and_announce(report)

@@ -134,10 +134,6 @@ class RoundContext:
     vote_records: dict[int, Any] = field(default_factory=dict)
     score_lists: dict[int, Any] = field(default_factory=dict)
     expelled_leaders: set[int] = field(default_factory=set)
-    # Shard-parallel execution (ProtocolParams.shard_workers >= 1): the
-    # executor the vote-round/semicommit fan-out dispatches through, or
-    # None for the historical interleaved path.
-    shard_executor: Any = None
     # Lazy pk -> node index backing :meth:`node_by_pk` (populations are
     # fixed for a context's lifetime, so one build serves every lookup).
     _pk_index: "dict[str, CycNode] | None" = field(

@@ -345,19 +345,8 @@ def run_vote_rounds(
     ctx: RoundContext,
     work: Sequence[tuple[CommitteeSpec, Sequence[Transaction], str, VoteFn, str]],
 ) -> list[VoteRound]:
-    """Run several vote rounds concurrently on the shared network.
-
-    With a shard executor on the context (``ProtocolParams.shard_workers``
-    >= 1) and recognised vote functions, the independent per-committee
-    work is fanned out to :mod:`repro.core.shards` instead and merged at
-    the caller's barrier; the interleaved path below is the byte-frozen
-    historical semantics (``shard_workers=0``).
-    """
-    if getattr(ctx, "shard_executor", None) is not None and work:
-        from repro.core.shards import run_vote_rounds_sharded, shardable
-
-        if shardable(work):
-            return run_vote_rounds_sharded(ctx, work)
+    """Run several vote rounds concurrently on the shared network: all
+    committees' sessions share one simulated clock and interleave."""
     sessions = [
         VoteRoundSession(ctx, committee, txs, session, vote_fn, phase)
         for committee, txs, session, vote_fn, phase in work

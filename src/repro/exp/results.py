@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping
 from repro.exp.spec import canonical_json
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.protocol import CycLedger, RoundReport
+    from repro.core.backend import CommitteeSimBackend, SimRoundReport
 
 
 @dataclass(frozen=True)
@@ -86,14 +86,13 @@ _SUMMED_ROUND_FIELDS = (
 )
 
 
-def round_row(report: "RoundReport") -> dict[str, Any]:
+def round_row(report: "SimRoundReport") -> dict[str, Any]:
     """Flatten one round report into a JSON-ready row.
 
-    Reads only the *flat* report contract (see
-    :class:`repro.backends.base.SimRoundReport`), which every executable
-    backend's reports satisfy — CycLedger's :class:`RoundReport` derives
-    the detail counters from its per-phase reports, the rival backends
-    fill them directly — so serialization never dispatches on the backend.
+    Reads only the *flat* report contract
+    (:class:`repro.core.backend.SimRoundReport`), which every executable
+    backend's reports are instances of, so serialization never dispatches
+    on the backend.
     """
     return {
         "round": report.round_number,
@@ -152,7 +151,7 @@ class RoundAggregator:
         self._rss_peak = 0
         self.rows: list[dict[str, Any]] | None = [] if keep_rows else None
 
-    def add(self, report: "RoundReport") -> dict[str, Any]:
+    def add(self, report: "SimRoundReport") -> dict[str, Any]:
         """Fold one report; returns its flattened row."""
         row = round_row(report)
         self.add_row(row)
@@ -204,7 +203,7 @@ class JsonlReportWriter:
         self.rows_written = 0
         self._fh = open(path, "w", encoding="utf-8")
 
-    def __call__(self, report: "RoundReport") -> None:
+    def __call__(self, report: "SimRoundReport") -> None:
         self._fh.write(canonical_json(round_row(report)) + "\n")
         self.rows_written += 1
 
@@ -220,8 +219,8 @@ class JsonlReportWriter:
 
 
 def collect_result(
-    ledger: "CycLedger",
-    reports: Iterable["RoundReport"],
+    ledger: "CommitteeSimBackend",
+    reports: Iterable["SimRoundReport"],
     point_descriptor: Mapping[str, Any],
     key: str,
 ) -> SweepResult:

@@ -92,19 +92,8 @@ class SweepPoint:
     def descriptor(self) -> dict[str, Any]:
         """The point's canonical identity (excludes nothing that affects
         the run; used both as cache key material and in result records)."""
-        params = _jsonable(dict(self.params))
-        if "shard_workers" in params:
-            # Sharded-serial (1) and pool (>= 2) execution are
-            # byte-identical by construction, so they share one identity:
-            # result records, cache keys and artifacts must compare equal
-            # (the shard-smoke ``cmp`` gate), and a shard pool nested
-            # inside a sweep-pool worker — which rebuilds its point from
-            # this descriptor — collapses to the serial executor.  The
-            # legacy interleaved path (0) is a genuinely different stream
-            # and keeps its own identity.
-            params["shard_workers"] = min(1, params["shard_workers"])
         return {
-            "params": params,
+            "params": _jsonable(dict(self.params)),
             "adversary": None
             if self.adversary is None
             else _jsonable(dict(self.adversary)),
@@ -151,19 +140,12 @@ def derive_point_seed(
     never touches execution, so both arms of an overlap sweep must run the
     identical protocol stream — that is what makes the sequential-vs-
     pipelined latency comparison paired (and lets CI assert byte-identical
-    final ledger state across arms).  ``shard_workers`` is excluded for
-    the same pairing reason: worker count is an execution-engine knob
-    whose >= 1 settings produce byte-identical runs, so it must never
-    perturb the protocol seed.
+    final ledger state across arms).
     """
     material = canonical_json(
         {
             "adversary": adversary,
-            "params": {
-                k: v
-                for k, v in params.items()
-                if k not in ("overlap", "shard_workers")
-            },
+            "params": {k: v for k, v in params.items() if k != "overlap"},
             "rounds": rounds,
             "seed": seed,
         }
@@ -236,12 +218,6 @@ class ExperimentSpec:
                 raise ValueError(f"unknown ProtocolParams field {key!r}")
         if "seed" in self.base or "seed" in self.grid:
             raise ValueError("sweep seeds via the 'seeds' axis, not the grid")
-        if "shard_workers" in self.grid:
-            raise ValueError(
-                "shard_workers is an execution-engine knob, not a sweep "
-                "axis: every setting >= 1 produces byte-identical results "
-                "(set it in 'base')"
-            )
         for key in (*self.adversary, *self.adversary_grid):
             if key not in ADVERSARY_FIELDS:
                 raise ValueError(f"unknown AdversaryConfig field {key!r}")
@@ -253,11 +229,6 @@ class ExperimentSpec:
                     )
                 if key not in PARAM_FIELDS:
                     raise ValueError(f"unknown ProtocolParams field {key!r}")
-                if key == "shard_workers":
-                    raise ValueError(
-                        "shard_workers is an execution-engine knob, not a "
-                        "sweep axis: set it in 'base'"
-                    )
         if self.capacity_preset is not None:
             from repro.exp.presets import CAPACITY_PRESETS
 
@@ -301,19 +272,11 @@ class ExperimentSpec:
     # -- identity ----------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
         """Canonical plain-JSON form (the input to :meth:`spec_hash`)."""
-        base = _jsonable(dict(self.base))
-        if "shard_workers" in base:
-            # Same normalization as SweepPoint.descriptor: worker count
-            # >= 1 never changes a byte of output, and the spec dict is
-            # embedded in sweep artifacts (and hashed into the cache
-            # namespace), so 1 and 2 workers must hash and serialize
-            # identically.
-            base["shard_workers"] = min(1, base["shard_workers"])
         return {
             "name": self.name,
             "rounds": self.rounds,
             "seeds": _jsonable(list(self.seeds)),
-            "base": base,
+            "base": _jsonable(dict(self.base)),
             "grid": _jsonable({k: list(v) for k, v in self.grid.items()}),
             "adversary": _jsonable(dict(self.adversary)),
             "adversary_grid": _jsonable(

@@ -9,7 +9,7 @@ corruption state, scenario/policy driver state, the overlap scheduler's
 timeline frontier, cumulative metrics, the staged next-round roles, and
 every RNG child generator's exact position via ``bit_generator.state``
 (protocol, workload, adversary, network, scenario, policy — the six-way
-fan-out of :func:`repro.backends.base.init_shared_state`).
+fan-out of the :class:`repro.core.backend.CommitteeSimBackend` constructor).
 
 Round-local state is deliberately *not* captured: node role flags, the
 network's event queue and per-round classifiers/partitions, and per-node
@@ -40,8 +40,9 @@ from typing import Any, Callable
 
 import numpy as np
 
-#: Bump when the capture layout changes incompatibly.
-CHECKPOINT_VERSION = 1
+#: Bump when the capture layout changes incompatibly (2: the pickled
+#: ``ProtocolParams`` lost a field).
+CHECKPOINT_VERSION = 2
 
 #: Pinned pickle protocol so checkpoint files are stable across the
 #: Python versions the CI matrix spans (3.10–3.13).
@@ -106,16 +107,16 @@ def capture_checkpoint(ledger: Any) -> dict[str, Any]:
         "adversary": adversary.rng.bit_generator.state,
         "net": net.rng.bit_generator.state,
     }
-    scenario_driver = getattr(ledger, "scenario_driver", None)
-    policy_driver = getattr(ledger, "policy_driver", None)
+    scenario_driver = ledger.scenario_driver
+    policy_driver = ledger.policy_driver
 
     return {
         "version": CHECKPOINT_VERSION,
         "backend": ledger.backend_name,
         "params": ledger.params,
         "adversary_config": adversary.config,
-        "scenario": getattr(ledger, "scenario", None),
-        "policy": getattr(ledger, "policy", None),
+        "scenario": ledger.scenario,
+        "policy": ledger.policy,
         "round_number": ledger.round_number,
         "randomness": ledger.randomness,
         # Staged roles are reassigned wholesale each round (never mutated
@@ -123,8 +124,7 @@ def capture_checkpoint(ledger: Any) -> dict[str, Any]:
         # their exact container types are preserved through the pickle.
         "next_referee": ledger._next_referee,
         "next_leaders": ledger._next_leaders,
-        # Rival backends have no partial sets; CycLedger stages them.
-        "next_partials": getattr(ledger, "_next_partials", None),
+        "next_partials": ledger._next_partials,
         "rng": rng_states,
         "net": {
             "epoch": net.epoch,
@@ -247,8 +247,7 @@ def restore_checkpoint(
     ledger.randomness = state["randomness"]
     ledger._next_referee = state["next_referee"]
     ledger._next_leaders = state["next_leaders"]
-    if state["next_partials"] is not None:
-        ledger._next_partials = state["next_partials"]
+    ledger._next_partials = state["next_partials"]
 
     ledger.rng.bit_generator.state = state["rng"]["proto"]
     ledger.workload.rng.bit_generator.state = state["rng"]["workload"]

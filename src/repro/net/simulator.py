@@ -73,7 +73,7 @@ class Network:
         # Recycled Message envelopes (opt-in): the protocol allocates one
         # envelope per send and drops it right after the delivery callback;
         # pooling removes that allocate/GC churn.  Pooling is only enabled
-        # on the orchestrated protocol path (init_shared_state), whose
+        # on the orchestrated protocol path (CommitteeSimBackend), whose
         # handlers are audited to retain payloads, never envelopes; ad-hoc
         # Network users (tests, notebooks) keep allocation semantics and
         # may hold on to delivered messages freely.

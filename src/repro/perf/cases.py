@@ -700,88 +700,3 @@ register_perf_case(
         extras=soak_extras,
     )
 )
-
-
-# -- round: shard-parallel committee execution --------------------------------
-def _shards_params_for(settings: PerfSettings, workers: int):
-    from repro.core.config import ProtocolParams
-
-    return ProtocolParams(
-        n=settings.n,
-        m=settings.m,
-        lam=settings.lam,
-        referee_size=settings.referee_size,
-        seed=settings.seed,
-        users_per_shard=settings.users_per_shard,
-        tx_per_committee=settings.tx_per_committee,
-        cross_shard_ratio=settings.cross_shard_ratio,
-        invalid_ratio=settings.invalid_ratio,
-        shard_workers=workers,
-    )
-
-
-def _shards_setup(settings: PerfSettings) -> Any:
-    """CycLedger with per-committee work fanned across a 2-worker shard
-    pool (repro.core.shards); the A arm of the speedup ratio."""
-    from repro.backends import create_backend
-
-    return create_backend("cycledger", _shards_params_for(settings, 2))
-
-
-def _shards_setup_legacy(settings: PerfSettings) -> Any:
-    """The historical interleaved path (``shard_workers=0``): all
-    committees' sessions multiplexed on the one global network — the
-    execution model every prior PR measured, and the baseline the shard
-    fan-out is meant to beat."""
-    from repro.backends import create_backend
-
-    return create_backend("cycledger", _shards_params_for(settings, 0))
-
-
-def _shards_check(settings: PerfSettings) -> None:
-    """The shard path's core invariant, asserted before any timing: the
-    pool arm must finish a round in byte-identical ledger state to the
-    sharded-serial reference (``shard_workers=1``).  The legacy baseline
-    arm consumes the shared RNG streams differently, so it is compared
-    for liveness only, not byte equality."""
-    pool = _shards_setup(settings)
-    serial = create_backend_serial(settings)
-    legacy = _shards_setup_legacy(settings)
-    pool_report = pool.run_round()
-    serial_report = serial.run_round()
-    legacy_report = legacy.run_round()
-    assert pool.chain.head.hash == serial.chain.head.hash
-    assert pool.reputation == serial.reputation
-    assert pool_report.sim_time == serial_report.sim_time
-    assert pool_report.messages == serial_report.messages
-    assert legacy.chain.head.hash
-    assert legacy_report.packed >= 0
-
-
-def create_backend_serial(settings: PerfSettings) -> Any:
-    """Sharded-serial reference arm used only by the equivalence check."""
-    from repro.backends import create_backend
-
-    return create_backend("cycledger", _shards_params_for(settings, 1))
-
-
-register_perf_case(
-    PerfCase(
-        name="round:cycledger_shards",
-        description=(
-            "one CycLedger round with per-committee semicommit/vote work "
-            "fanned across a 2-worker shard pool vs the historical "
-            "interleaved execution (speedup = shard fan-out over the "
-            "serial path; pool==sharded-serial byte-identity is asserted "
-            "separately by the check)"
-        ),
-        category="round",
-        setup=_shards_setup,
-        run=_round_run,
-        baseline=_round_run,
-        baseline_setup=_shards_setup_legacy,
-        check=_shards_check,
-        ops=lambda s: 2 * s.m * s.tx_per_committee,
-        backend="cycledger",
-    )
-)

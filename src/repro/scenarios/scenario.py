@@ -37,7 +37,7 @@ from repro.scenarios.events import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.protocol import CycLedger, RoundReport
+    from repro.core.backend import CommitteeSimBackend, SimRoundReport
     from repro.core.structures import RoundContext
 
 
@@ -80,7 +80,7 @@ class Scenario:
 
 
 class ScenarioDriver:
-    """Applies one :class:`Scenario` to one :class:`CycLedger` via hooks."""
+    """Applies one :class:`Scenario` to one backend via pipeline hooks."""
 
     def __init__(self, scenario: Scenario, rng: np.random.Generator) -> None:
         self.scenario = scenario
@@ -100,7 +100,7 @@ class ScenarioDriver:
         return f"t={self._net.global_now:.1f} {line}"
 
     # -- wiring ------------------------------------------------------------
-    def install(self, ledger: "CycLedger") -> None:
+    def install(self, ledger: "CommitteeSimBackend") -> None:
         """Attach this driver's fault hooks to ``ledger``'s pipeline (a
         pipeline accepts exactly one driver)."""
         pipeline = ledger.pipeline
@@ -154,7 +154,7 @@ class ScenarioDriver:
                 )
 
     # -- round boundary: adversary & offline reconfiguration ----------------
-    def _on_round_start(self, ledger: "CycLedger") -> None:
+    def _on_round_start(self, ledger: "CommitteeSimBackend") -> None:
         round_number = ledger.round_number
         for event in self.scenario.events:
             if isinstance(event, AdversaryRamp) and event.active(round_number):
@@ -171,7 +171,7 @@ class ScenarioDriver:
             )
 
     def _offline_this_round(
-        self, ledger: "CycLedger", round_number: int
+        self, ledger: "CommitteeSimBackend", round_number: int
     ) -> set[int]:
         offline: set[int] = set()
         for event in self.scenario.events:
@@ -248,7 +248,9 @@ class ScenarioDriver:
         return [g for g in groups if g]
 
     # -- round end ----------------------------------------------------------
-    def _on_round_end(self, ledger: "CycLedger", report: "RoundReport") -> None:
+    def _on_round_end(
+        self, ledger: "CommitteeSimBackend", report: "SimRoundReport"
+    ) -> None:
         # Crash windows that ended are forgotten so the log stays readable
         # and membership checks stay O(active crashes).
         expired = [

@@ -13,6 +13,7 @@ from repro.backends import (
     create_backend,
 )
 from repro.cli import main as cli_main
+from repro.core.backend import CommitteeSimBackend, SimRoundReport
 from repro.core.config import ProtocolParams
 from repro.exp import (
     ExperimentSpec,
@@ -22,6 +23,7 @@ from repro.exp import (
     run_point,
     run_sweep,
 )
+from repro.exp.results import round_row
 from repro.nodes.adversary import AdversaryConfig
 from repro.scenarios import SCENARIO_PRESETS
 
@@ -57,10 +59,16 @@ def test_create_backend_unknown_name_fails_fast():
 def test_backend_satisfies_contract(name):
     ledger = create_backend(name, ProtocolParams(seed=1, **SMALL))
     assert isinstance(ledger, LedgerBackend)
+    # One driver: every backend runs the same round loop, not a copy.
+    assert isinstance(ledger, CommitteeSimBackend)
+    assert type(ledger).run_round is CommitteeSimBackend.run_round
+    assert type(ledger)._assign_round is CommitteeSimBackend._assign_round
     reports = ledger.run(2)
     assert len(ledger.chain) >= 1 and ledger.chain.verify()
     assert ledger.total_packed() > 0
     for report in reports:
+        assert isinstance(report, SimRoundReport)
+        assert round_row(report)["packed"] == report.packed
         # The flat report contract round_row() serializes.
         for attr in (
             "round_number", "packed", "cross_packed", "recoveries",
@@ -70,6 +78,17 @@ def test_backend_satisfies_contract(name):
             "blockgen_elapsed", "blockgen_subblocks", "blockgen_width",
         ):
             assert hasattr(report, attr), attr
+
+
+def test_cycledger_report_keeps_its_phase_reports():
+    """The examples and the adversarial integration tests read these."""
+    report = create_backend("cycledger", ProtocolParams(seed=1, **SMALL)).run(1)[0]
+    assert report.intra_accepted == sum(
+        len(txs) for txs in report.intra.accepted_by_cr.values()
+    )
+    assert report.inter_elapsed == report.inter.elapsed
+    assert report.semicommit.accepted and report.selection.next_leaders
+    assert report.blockgen.block is report.block
 
 
 @pytest.mark.parametrize("name", ("rapidchain", "omniledger_sim"))

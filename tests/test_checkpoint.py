@@ -176,9 +176,12 @@ def test_version_mismatch_rejected():
     half = create_backend("cycledger", _params())
     half.run(1)
     state = capture_checkpoint(half)
-    state["version"] = CHECKPOINT_VERSION + 1
-    with pytest.raises(ValueError, match="version"):
-        restore_checkpoint(state)
+    # A newer layout, and version 1 (its pickled ProtocolParams still
+    # carried shard_workers).
+    for stale in (CHECKPOINT_VERSION + 1, 1):
+        state["version"] = stale
+        with pytest.raises(ValueError, match="version"):
+            restore_checkpoint(state)
 
 
 def test_roster_mismatch_rejected():

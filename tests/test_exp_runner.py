@@ -8,6 +8,7 @@ import os
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core.config import ProtocolParams
 from repro.exp import (
     ExperimentSpec,
     Runner,
@@ -78,6 +79,18 @@ def test_spec_rejects_unknown_fields():
         ExperimentSpec(name="bad", points=({"seed": 5},))
     with pytest.raises(ValueError, match="capacity preset"):
         ExperimentSpec(name="bad", capacity_preset="no-such-preset")
+
+
+def test_removed_shard_workers_input_is_rejected_by_name(capsys):
+    """The shard-parallel mode is gone; every door it came in through
+    refuses the stale input and names it."""
+    with pytest.raises(TypeError, match="shard_workers"):
+        ProtocolParams(shard_workers=1)
+    with pytest.raises(ValueError, match="shard_workers"):
+        ExperimentSpec(name="stale", base={"shard_workers": 2})
+    with pytest.raises(SystemExit):
+        cli_main(["run", "--shard-workers", "2"])
+    assert "--shard-workers" in capsys.readouterr().err
 
 
 # -- seed derivation --------------------------------------------------------

@@ -6,7 +6,7 @@ Three contracts, checked *before* any timing claims:
 1. **Run byte-identity** — every RoundReport row, phase sim-time map and
    final chain/reputation state must match the seed fixtures generated at
    v1.6.0 (the last pre-vectorization HEAD), for every execution path:
-   default, sharded, overlapped, and both rival backends
+   default, overlapped, and both rival backends
    (``tests/fixtures/pre_largen_rounds.json``).
 2. **Artifact byte-identity** — the sweep JSON (minus the version-bearing
    ``spec_hash`` field) and CSV artifacts hash to the pinned SHA-256
@@ -62,7 +62,6 @@ def fixtures():
     "name",
     [
         "cycledger_n96",
-        "cycledger_n96_sharded",
         "cycledger_n64_overlap_poisson",
         "rapidchain_n96",
         "omniledger_n96",

@@ -146,14 +146,6 @@ def test_adaptive_corruption_hurts_rivals_more_than_cycledger():
 # -- wiring errors -----------------------------------------------------------
 
 
-def test_policy_rejects_shard_workers():
-    params = ProtocolParams(seed=1, shard_workers=2, **SMALL)
-    with pytest.raises(ValueError, match="shard_workers"):
-        create_backend(
-            "cycledger", params, policy=POLICY_PRESETS["censorship"]
-        )
-
-
 def test_policy_needs_dedicated_pipeline():
     from repro.core.protocol import CycLedger
 

@@ -10,8 +10,8 @@ The fixture has two sections:
 
 * ``runs`` — per-backend round rows + final chain/reputation state for
   n up to 96 (the overlapping scales named in the acceptance criteria),
-  including a sharded and an overlapped CycLedger variant so every
-  execution path is pinned, not just the default one.
+  including an overlapped CycLedger variant so every execution path is
+  pinned, not just the default one.
 * ``sweep`` — SHA-256 digests of a three-backend sweep's JSON artifact
   (with the version-bearing ``spec_hash`` field stripped) and of its
   CSV artifact (version-independent by construction), so the *artifact
@@ -45,16 +45,6 @@ RUNS = {
         ),
         adversary=dict(fraction=0.2),
         rounds=3,
-    ),
-    "cycledger_n96_sharded": dict(
-        backend="cycledger",
-        params=dict(
-            n=96, m=4, lam=2, referee_size=8, seed=1, users_per_shard=24,
-            tx_per_committee=6, cross_shard_ratio=0.3, invalid_ratio=0.1,
-            shard_workers=1,
-        ),
-        adversary=None,
-        rounds=2,
     ),
     "cycledger_n64_overlap_poisson": dict(
         backend="cycledger",
