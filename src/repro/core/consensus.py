@@ -40,7 +40,7 @@ from repro.crypto.signatures import (
     signers_of,
     verify_encoded,
 )
-from repro.net.message import payload_size
+from repro.net.message import payload_size, sig_list_size
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.structures import RoundContext
@@ -147,6 +147,12 @@ class InsideConsensus:
         self.sn = sn
         self.payload = payload
         self.session = session
+        # One string per message kind, shared by every member's handler
+        # registration and every send of the session.
+        self._tag_propose = f"PROPOSE:{session}"
+        self._tag_echo = f"ECHO:{session}"
+        self._tag_stop = f"STOP:{session}"
+        self._tag_confirm = f"CONFIRM:{session}"
         self.r = ctx.round_number
         self.C = len(self.members)
         self.outcome = ConsensusOutcome()
@@ -253,19 +259,15 @@ class InsideConsensus:
             self._enc_confirm[digest] = enc
         return enc
 
-    # -- tags ------------------------------------------------------------
-    def _tag(self, base: str) -> str:
-        return f"{base}:{self.session}"
-
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:
         self.outcome.started_at = self.ctx.net.now
         for mid in self.members:
             node = self.ctx.node(mid)
-            node.on(self._tag("PROPOSE"), self._make_on_propose(mid))
-            node.on(self._tag("ECHO"), self._make_on_echo(mid))
-            node.on(self._tag("STOP"), self._make_on_stop(mid))
-        self.ctx.node(self.leader).on(self._tag("CONFIRM"), self._on_confirm)
+            node.on(self._tag_propose, self._make_on_propose(mid))
+            node.on(self._tag_echo, self._make_on_echo(mid))
+            node.on(self._tag_stop, self._make_on_stop(mid))
+        self.ctx.node(self.leader).on(self._tag_confirm, self._on_confirm)
         self._leader_propose()
 
     def _leader_propose(self) -> None:
@@ -303,7 +305,7 @@ class InsideConsensus:
                 fanouts.append((entry, []))
             fanouts[-1][1].append(rid)
         for (packet, size), run in fanouts:
-            leader_node.multicast(run, self._tag("PROPOSE"), packet, size=size)
+            leader_node.multicast(run, self._tag_propose, packet, size=size)
         # The leader is also a member (Alg. 3 line 11: "any member i,
         # including leader l"): it accepts its own proposal and broadcasts
         # its ECHO like everyone else.
@@ -321,7 +323,7 @@ class InsideConsensus:
         echo_packet = (echo_sig, own_digest, self.leader, own_sig)
         echo_size = payload_size(echo_packet)
         leader_node.multicast(
-            recipients, self._tag("ECHO"), echo_packet, size=echo_size
+            recipients, self._tag_echo, echo_packet, size=echo_size
         )
         self._record_echo(self.leader, own_digest, self.leader, echo_sig)
 
@@ -351,7 +353,7 @@ class InsideConsensus:
             echo_packet = (echo_sig, digest, mid, sig)
             echo_size = payload_size(echo_packet)
             node.multicast(
-                self.members, self._tag("ECHO"), echo_packet, size=echo_size
+                self.members, self._tag_echo, echo_packet, size=echo_size
             )
             self._record_echo(mid, digest, mid, echo_sig)
             self._maybe_confirm(mid)
@@ -359,22 +361,55 @@ class InsideConsensus:
         return handler
 
     def _make_on_echo(self, mid: int):
+        """The ECHO handler of member ``mid``: Algorithm 3's O(C²) step, so
+        one closure over the member's own state, with the steps that cannot
+        change anything skipped rather than called and returned from.
+
+        Every delivery is judged by the identity memo or, on a miss, the
+        full :meth:`_echo_verdict`.  The relayed leader header is audited on
+        every valid ECHO — before anything that may return — but only when
+        it can matter: a digest this member already holds as its only header
+        changes nothing in :meth:`_note_header`.  A member that has
+        confirmed has nothing left to count, so it stops after the audit (a
+        late second header still makes it raise STOP).  And the member's
+        count can only cross C/2 on an ECHO for its own proposed digest, so
+        :meth:`_maybe_confirm` runs for those alone; ECHOes that reach
+        quorum before the PROPOSE are confirmed by the PROPOSE handler.
+        """
+        node = self.ctx.node(mid)
+        stopped = self._stopped
+        confirmed = self._confirmed
+        memo = self._echo_memo
+        seen = self._seen_headers[mid]
+        echoes = self._echoes[mid]
+        proposed = self._proposed
+        half = self.C / 2
+
         def handler(message: "Message") -> None:
-            if mid in self._stopped:
+            if mid in stopped:
                 return
-            node = self.ctx.node(mid)
             packet = message.payload
-            echo_ok, header_ok = self._echo_verdict(packet)
+            entry = memo.get(id(packet))
+            if entry is not None and entry[0] is packet:
+                echo_ok, header_ok = entry[1]
+            else:
+                echo_ok, header_ok = self._echo_verdict(packet)
             if not echo_ok:
                 return
-            echo_sig, digest, sender_id, relayed_propose_sig = packet
+            echo_sig, digest, _sender_id, relayed_propose_sig = packet
             # The relayed PROPOSE header lets every member audit the leader.
-            if header_ok:
+            if header_ok and (digest not in seen or len(seen) > 1):
                 self._note_header(mid, digest, relayed_propose_sig)
+            if mid in confirmed:
+                return
             if not node.behavior.echoes(node):
                 return
-            self._record_echo(mid, digest, sender_id, echo_sig)
-            self._maybe_confirm(mid)
+            by_digest = echoes.setdefault(digest, {})
+            by_digest[echo_sig.pk] = echo_sig
+            if len(by_digest) > half:
+                own = proposed.get(mid)
+                if own is not None and own[0] == digest:
+                    self._maybe_confirm(mid)
 
         return handler
 
@@ -399,7 +434,7 @@ class InsideConsensus:
             if node.behavior.echoes(node):
                 # "he/she informs all members of the committee immediately
                 # to stop the consensus process."
-                node.multicast(self.members, self._tag("STOP"), witness)
+                node.multicast(self.members, self._tag_stop, witness)
                 self._stopped.add(mid)
 
     def _make_on_stop(self, mid: int):
@@ -438,8 +473,14 @@ class InsideConsensus:
         if mid == self.leader:
             self._accept_confirm(confirm_sig, digest)
         else:
+            # The echo list is ⌊C/2⌋+1 signatures: sized in closed form
+            # instead of walked once per member.
             node.send(
-                self.leader, self._tag("CONFIRM"), (confirm_sig, digest, echo_list)
+                self.leader,
+                self._tag_confirm,
+                (confirm_sig, digest, echo_list),
+                size=payload_size((confirm_sig, digest))
+                + sig_list_size(len(echo_list)),
             )
 
     # -- leader handler ----------------------------------------------------

@@ -101,7 +101,7 @@ class PKI:
         if cached is not None:
             return cached
         sk = self._secrets[pk]
-        tag = hmac.new(sk, message, hashlib.sha256).digest()
+        tag = hmac.digest(sk, message, "sha256")
         if len(self._mac_cache) >= self._MAC_CACHE_MAX:
             self._mac_cache.pop(next(iter(self._mac_cache)))
         self._mac_cache[key] = tag
@@ -124,7 +124,7 @@ class PKI:
             key = (pk, message)
             tag = cache.get(key)
             if tag is None:
-                tag = hmac.new(secrets[pk], message, hashlib.sha256).digest()
+                tag = hmac.digest(secrets[pk], message, "sha256")
                 if len(cache) >= self._MAC_CACHE_MAX:
                     cache.pop(next(iter(cache)))
                 cache[key] = tag

@@ -11,9 +11,10 @@ a parameter so tests run at a few bits while benchmarks can sweep it.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
-from repro.crypto.hashing import H_int
+from repro.crypto.hashing import H_int, canonical_bytes
 
 HASH_BITS = 256
 
@@ -44,10 +45,21 @@ def solve_pow(puzzle: PowPuzzle, pk: str, max_iters: int = 10_000_000) -> PowSol
 
     The paper only uses PoW as a Sybil-resistant admission ticket, so the
     scan order is irrelevant to protocol behaviour.
+
+    ``H`` hashes its parts back to back, so the four parts that are the same
+    for every attempt are absorbed once and each attempt extends a copy of
+    that state with the nonce: the digest :func:`verify_pow` recomputes with
+    ``H_int``, without re-encoding the prefix per attempt and without
+    pushing thousands of never-reused keys through ``H``'s LRU cache.
     """
     target = puzzle.target
+    prefix = hashlib.sha256()
+    for part in ("POW", pk, puzzle.round_number, puzzle.randomness):
+        prefix.update(canonical_bytes(part))
     for nonce in range(max_iters):
-        if H_int("POW", pk, puzzle.round_number, puzzle.randomness, nonce) < target:
+        attempt = prefix.copy()
+        attempt.update(canonical_bytes(nonce))
+        if int.from_bytes(attempt.digest(), "big") < target:
             return PowSolution(pk=pk, nonce=nonce)
     raise RuntimeError(
         f"no PoW solution within {max_iters} iterations at "

@@ -12,7 +12,6 @@ registry (held only by verification code).
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
@@ -42,7 +41,7 @@ def _encode(message: Any) -> bytes:
 
 def sign(keypair: KeyPair, message: Any) -> Signature:
     """Sign ``message`` (any canonically-encodable structure)."""
-    tag = hmac.new(keypair.sk, _encode(message), hashlib.sha256).digest()
+    tag = hmac.digest(keypair.sk, _encode(message), "sha256")
     return Signature(pk=keypair.pk, tag=tag)
 
 
@@ -92,7 +91,7 @@ def encode_statement(message: Any) -> bytes:
 def sign_encoded(keypair: KeyPair, encoded: bytes) -> Signature:
     """:func:`sign` over a pre-encoded statement (see
     :func:`encode_statement`)."""
-    tag = hmac.new(keypair.sk, encoded, hashlib.sha256).digest()
+    tag = hmac.digest(keypair.sk, encoded, "sha256")
     return Signature(pk=keypair.pk, tag=tag)
 
 
@@ -116,9 +115,7 @@ def sign_many(keypairs: Iterable[KeyPair], message: Any) -> list[Signature]:
     recipient set instead of one per signer."""
     encoded = _encode(message)
     return [
-        Signature(
-            pk=kp.pk, tag=hmac.new(kp.sk, encoded, hashlib.sha256).digest()
-        )
+        Signature(pk=kp.pk, tag=hmac.digest(kp.sk, encoded, "sha256"))
         for kp in keypairs
     ]
 

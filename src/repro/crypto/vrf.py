@@ -56,7 +56,7 @@ def vrf_eval(keypair: KeyPair, alpha: Any) -> VRFOutput:
     value is a deterministic public function of the proof (verifiers check
     both links).
     """
-    proof = hmac.new(keypair.sk, _encode(alpha), hashlib.sha256).digest()
+    proof = hmac.digest(keypair.sk, _encode(alpha), "sha256")
     value = int.from_bytes(hashlib.sha256(b"vrfout" + proof).digest(), "big")
     return VRFOutput(pk=keypair.pk, value=value, proof=proof)
 

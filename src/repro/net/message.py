@@ -67,6 +67,11 @@ def int_matrix_size(rows: int, cols: int) -> int:
     return 2 + rows * (2 + _INT_SIZE * cols)
 
 
+def sig_list_size(n: int) -> int:
+    """Closed-form size of a list of ``n`` signatures."""
+    return 2 + _SIG_SIZE * n
+
+
 def _sizer_for(cls: type) -> Callable[[Any], int]:
     """The sizer of a type outside the builtin table: immutable values that
     know their own ``wire_size`` report it, subclasses of the

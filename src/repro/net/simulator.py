@@ -82,6 +82,9 @@ class Network:
         self.channel_classifier: Callable[[int, int], str | None] = (
             lambda src, dst: ChannelClass.PARTIAL
         )
+        # sender -> {recipient -> channel class}: the classifier's verdicts
+        # for the pairs used since it was installed (see :meth:`_fan_out`).
+        self._channel_rows: dict[int, dict[int, str]] = {}
         self.adversarial_scheduler: Callable[[Message], float] | None = None
         self.delivered_messages = 0
         self.dropped_messages = 0
@@ -137,6 +140,7 @@ class Network:
         self._queue.clear()
         self._seq = itertools.count()
         self.channel_classifier = lambda src, dst: ChannelClass.PARTIAL
+        self._channel_rows.clear()
         self.adversarial_scheduler = None
         self.delivered_messages = 0
         self.dropped_messages = 0
@@ -168,7 +172,12 @@ class Network:
     def set_channel_classifier(
         self, classifier: Callable[[int, int], str | None]
     ) -> None:
+        """Install the topology.  The classifier is read as a pure function
+        of the pair until the next call (or :meth:`reset`): verdicts are
+        remembered per pair, so a topology that changes must be installed
+        again."""
         self.channel_classifier = classifier
+        self._channel_rows.clear()
 
     # -- fault injection ---------------------------------------------------
     def set_partitions(self, groups: "Iterable[Iterable[int]]") -> None:
@@ -306,13 +315,16 @@ class Network:
         """The one latency/drop model: every message enters the queue here.
 
         Per recipient, in order: the recipient must exist and the topology
-        must provide a channel; a partition cut drops silently; the payload
-        is sized (once per fan-out); ``drop_filter`` may drop; otherwise the
-        delay is ``base * (1 - jitter * u)`` with ``u`` the next draw of the
-        jitter block (none on a zero-delay channel), times the active
-        degradation factor, times the adversary's clamped stretch on PARTIAL
-        links.  Everything that cannot change between two recipients is read
-        once, and the jitter cursor is written back when the loop ends, so
+        must provide a channel (asked of ``channel_classifier`` the first
+        time a pair is used and read from the sender's row after that; a
+        refusal is never remembered, so it raises on every attempt); a
+        partition cut drops silently; the payload is sized (once per
+        fan-out); ``drop_filter`` may drop; otherwise the delay is
+        ``base * (1 - jitter * u)`` with ``u`` the next draw of the jitter
+        block (none on a zero-delay channel), times the active degradation
+        factor, times the adversary's clamped stretch on PARTIAL links.
+        Everything that cannot change between two recipients is read once,
+        and the jitter cursor is written back when the loop ends, so
         ``drop_filter`` / ``adversarial_scheduler`` hooks must not send.
 
         Jitter is served from a pre-drawn block: a batched
@@ -320,8 +332,7 @@ class Network:
         scalar draws, so the served sequence equals ``float(rng.random())``
         per message (asserted by tests/test_perf_harness.py).
         """
-        nodes = self.nodes
-        classify = self.channel_classifier
+        row = self._channel_rows.setdefault(sender, {})
         partition = self._partition
         sender_group = partition.get(sender, -1) if partition is not None else -1
         drop_filter = self.drop_filter
@@ -334,6 +345,7 @@ class Network:
         pool = self._pool
         seq = self._seq
         push = heapq.heappush
+        new_envelope = object.__new__
         block = self._jitter_block
         block_len = 0 if block is None else len(block)
         idx = self._jitter_idx
@@ -341,16 +353,19 @@ class Network:
         sent = 0
         try:
             for recipient in recipients:
-                if recipient not in nodes:
-                    raise SimulationError(f"unknown recipient {recipient}")
-                channel = classify(sender, recipient)
+                channel = row.get(recipient)
                 if channel is None:
-                    if self.strict_channels:
-                        raise SimulationError(
-                            f"no channel from {sender} to {recipient}: the "
-                            "topology does not provide this link (see §III-B)"
-                        )
-                    channel = ChannelClass.PARTIAL
+                    if recipient not in self.nodes:
+                        raise SimulationError(f"unknown recipient {recipient}")
+                    channel = self.channel_classifier(sender, recipient)
+                    if channel is None:
+                        if self.strict_channels:
+                            raise SimulationError(
+                                f"no channel from {sender} to {recipient}: the "
+                                "topology does not provide this link (see §III-B)"
+                            )
+                        channel = ChannelClass.PARTIAL
+                    row[recipient] = channel
                 if (
                     partition is not None
                     and partition.get(recipient, -1) != sender_group
@@ -360,21 +375,18 @@ class Network:
                     continue
                 if nbytes is None:
                     nbytes = payload_size(payload)
-                if pool:
-                    # Reuse a retired envelope instead of allocating one.
-                    message = pool.pop()
-                    message.sender = sender
-                    message.recipient = recipient
-                    message.tag = tag
-                    message.payload = payload
-                    message.size = nbytes
-                    message.channel = channel
-                    message.send_time = now
-                    message.deliver_time = 0.0
-                else:
-                    message = Message(
-                        sender, recipient, tag, payload, nbytes, channel, now, 0.0
-                    )
+                # A retired envelope if there is one, else a bare one: all
+                # eight fields are written here either way, so a fresh
+                # envelope does not pay the ``__init__`` frame on top.
+                message = pool.pop() if pool else new_envelope(Message)
+                message.sender = sender
+                message.recipient = recipient
+                message.tag = tag
+                message.payload = payload
+                message.size = nbytes
+                message.channel = channel
+                message.send_time = now
+                message.deliver_time = 0.0
                 if drop_filter is not None and drop_filter(message):
                     self.dropped_messages += 1
                     self._release(message)
@@ -436,34 +448,62 @@ class Network:
         """Process events until the queue drains (or ``until`` is reached).
 
         Returns the simulation time after the last processed event.
+
+        A delivery is dispatched here, not through
+        :meth:`ProtocolNode.receive` and :meth:`_release`: the loop does
+        what those two do (offline recipients hear nothing, the tag selects
+        the handler at delivery time, unknown tags go to ``on_default``, the
+        envelope is recycled after the callback) without two calls per
+        message.  ``delivered_messages`` is brought up to date when the
+        loop exits, however it exits.
         """
         queue = self._queue
         nodes = self.nodes
         pop = heapq.heappop
-        release = self._release
+        pool = self._pool if self.pool_envelopes else None
+        pool_max = self._POOL_MAX
         max_events = self.params.max_events
         processed = 0
-        while queue:
-            deliver_time, _, message, callback = queue[0]
-            if until is not None and deliver_time > until:
-                self.now = until
-                return until
-            pop(queue)
-            self.now = deliver_time
-            if message is not None:
-                node = nodes.get(message.recipient)
-                if node is not None:
-                    node.receive(message)
-                    self.delivered_messages += 1
-                release(message)
-            elif callback is not None:
-                callback()
-            processed += 1
-            if processed > max_events:
-                raise SimulationError(
-                    f"event budget exceeded ({max_events}); "
-                    "likely a message loop"
-                )
+        delivered = 0
+        try:
+            while queue:
+                deliver_time, _, message, callback = queue[0]
+                if until is not None and deliver_time > until:
+                    self.now = until
+                    return until
+                pop(queue)
+                self.now = deliver_time
+                if message is not None:
+                    node = nodes.get(message.recipient)
+                    if node is not None:
+                        # ``ProtocolNode.receive``, inlined.
+                        if node.online:
+                            handlers = node.handlers
+                            handler = (
+                                handlers.get(message.tag)
+                                if handlers is not None
+                                else None
+                            )
+                            if handler is not None:
+                                handler(message)
+                            else:
+                                node.on_default(message)
+                        delivered += 1
+                    # ``_release``, inlined.
+                    if pool is not None and len(pool) < pool_max:
+                        message.payload = None
+                        message.tag = "<pooled>"
+                        pool.append(message)
+                elif callback is not None:
+                    callback()
+                processed += 1
+                if processed > max_events:
+                    raise SimulationError(
+                        f"event budget exceeded ({max_events}); "
+                        "likely a message loop"
+                    )
+        finally:
+            self.delivered_messages += delivered
         return self.now
 
     @property

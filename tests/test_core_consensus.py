@@ -305,3 +305,139 @@ def test_equivocation_still_yields_witness_and_stop():
     # One member raised the alarm and multicast STOP to all the others.
     assert len(stops) == session.C - 1 and len(set(stops)) == session.C - 1
     assert session._stopped == set(session.members)
+
+
+# -- the ECHO handler: one closure, every check where it was -----------------
+def _second_header_echo(ctx, session, relayer):
+    """A valid ECHO by ``relayer`` over a digest the leader also signed a
+    PROPOSE header for — the other half of an equivocation witness."""
+    other = consensus_digest("what the leader told someone else")
+    second_header = sign(
+        ctx.node(session.leader).keypair, ("PROPOSE", ctx.round_number, 1, other)
+    )
+    echo = _echo_sig(ctx, signer=relayer, digest=other, claimed_sender=relayer)
+    return other, (echo, other, relayer, second_header)
+
+
+def test_confirmed_member_still_audits_a_late_second_header():
+    ctx, session, digest, _header_sig, _ = _started_session()
+    ctx.net.run()
+    assert session.outcome.success and 5 in session._confirmed
+    assert session.outcome.equivocation is None
+    stops = []
+    for mid in session.members:
+        node = ctx.node(mid)
+        node.on("STOP:t", lambda msg, inner=node.handlers["STOP:t"]: (
+            stops.append((msg.sender, msg.recipient)), inner(msg)
+        ))
+    other, packet = _second_header_echo(ctx, session, relayer=3)
+    ctx.node(3).send(5, "ECHO:t", packet)
+    ctx.net.run()
+    witness = session.outcome.equivocation
+    assert witness is not None and witness.is_valid(ctx.pki)
+    assert {witness.digest_a, witness.digest_b} == {digest, other}
+    assert set(session._seen_headers[5]) == {digest, other}
+    assert sorted(stops) == [(5, mid) for mid in session.members if mid != 5]
+    assert session._stopped == set(session.members)
+
+
+def test_withholding_member_records_nothing_and_never_confirms():
+    ctx, session, digest, _header_sig, _ = _started_session(
+        behaviors={5: OfflineNode()}
+    )
+    confirms = []
+    ctx.net.drop_filter = lambda msg: (
+        confirms.append(msg.sender) if msg.tag == "CONFIRM:t" else None
+    )
+    ctx.net.run()
+    assert session.outcome.success
+    assert session._echoes[5] == {}
+    assert 5 not in session._confirmed and 5 not in confirms
+    assert len(confirms) == session.C - 2  # everyone but the leader and 5
+    # It withholds, but it still hears: the leader's header was audited.
+    assert set(session._seen_headers[5]) == {digest}
+    # ... and a second header finds it holding the witness, silently.
+    _other, packet = _second_header_echo(ctx, session, relayer=3)
+    ctx.node(3).send(5, "ECHO:t", packet)
+    ctx.net.run()
+    assert session.outcome.equivocation is not None
+    assert not session._stopped and session._echoes[5] == {}
+
+
+def test_quorum_before_propose_confirms_at_the_propose_delivery():
+    ctx = build_sandbox(committee_size=7, lam=2)
+    committee = ctx.committees[0]
+    session = InsideConsensus(
+        ctx, committee.members, leader=committee.leader, sn=1, payload="M",
+        session="t",
+    )
+    held = []
+
+    def hold_the_propose_to_5(msg):
+        if msg.tag == "PROPOSE:t" and msg.recipient == 5:
+            held.append(msg.payload)
+            return True
+        return False
+
+    ctx.net.drop_filter = hold_the_propose_to_5
+    session.start()
+    ctx.net.run()
+    digest, _ = session._proposed[committee.leader]
+    # Every other member echoed: node 5 holds a quorum of ECHOes for a
+    # digest nobody proposed to it, and must not have confirmed on them.
+    assert len(session._echoes[5][digest]) == session.C - 1 > session.C / 2
+    assert 5 not in session._proposed and 5 not in session._confirmed
+    assert session.outcome.confirms == session.C - 1
+    ctx.net.drop_filter = None
+    ctx.node(committee.leader).send(5, "PROPOSE:t", held[0])
+    ctx.net.run(until=ctx.net.now + ctx.net.params.delta)
+    # The PROPOSE delivery itself confirms (the CONFIRM is already in
+    # flight to the leader one intra-committee hop later).
+    assert 5 in session._confirmed
+    ctx.net.run()
+    assert session.outcome.confirms == session.C
+
+
+def test_echo_memo_entry_holding_another_packet_is_a_miss():
+    from repro.crypto.signatures import Signature
+
+    ctx, session, digest, header_sig, _ = _started_session()
+    good = (
+        _echo_sig(ctx, signer=3, digest=digest, claimed_sender=3),
+        digest, 3, header_sig,
+    )
+    forged_sig = Signature(pk=ctx.pk_of(4), tag=b"\x00" * 32)
+    forged = (forged_sig, digest, 4, header_sig)
+    # The worst a recycled id could do: the forged packet's id maps to an
+    # accepted verdict that belongs to another object.
+    session._echo_memo[id(forged)] = (good, (True, True))
+    ctx.node(4).multicast(session.members, "ECHO:t", forged)
+    ctx.net.run()
+    for mid in session.members:
+        assert forged_sig not in _recorded_echo_sigs(session, mid)
+
+
+@pytest.mark.parametrize("size", [4, 9, 22, 32])
+def test_confirm_closed_form_size_is_the_payload_size(size):
+    from repro.net.message import payload_size
+
+    ctx = build_sandbox(committee_size=size, lam=2)
+    sizes = []
+    ctx.net.drop_filter = lambda msg: (
+        sizes.append((msg.size, payload_size(msg.payload), len(msg.payload[2])))
+        if msg.tag == "CONFIRM:t"
+        else None
+    )
+    assert run_consensus(ctx).success
+    assert len(sizes) == size - 1
+    for sent, actual, echo_count in sizes:
+        assert sent == actual
+        assert echo_count > size / 2
+
+
+@pytest.mark.parametrize("n", [0, 1, 17])
+def test_sig_list_size_is_the_size_of_a_signature_list(pki, n):
+    from repro.net.message import payload_size, sig_list_size
+
+    sig = sign(pki.generate("signer"), "statement")
+    assert sig_list_size(n) == payload_size([sig] * n)

@@ -62,6 +62,34 @@ def test_puzzle_binds_round_and_randomness():
     )
 
 
+@pytest.mark.parametrize(
+    "puzzle, pk",
+    [
+        (PowPuzzle(1, b"R", 0), "x"),
+        (PowPuzzle(1, b"R", 6), "node-pk"),
+        (PowPuzzle(7, b"\x00" * 32, 9), "a" * 40),
+        (PowPuzzle(2**40, b"", 8), ""),
+    ],
+)
+def test_solution_is_the_first_nonce_of_the_reference_scan(puzzle, pk):
+    from repro.crypto.hashing import H_int, _H_flat
+
+    def reference_scan():
+        nonce = 0
+        while H_int("POW", pk, puzzle.round_number, puzzle.randomness, nonce) >= puzzle.target:
+            nonce += 1
+        return nonce
+
+    before = _H_flat.cache_info()
+    solution = solve_pow(puzzle, pk)
+    # The scan hashes outside ``H``: it must not push its attempts through
+    # (and so flush) the digest cache the protocol's real inputs live in.
+    after = _H_flat.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses)
+    assert solution == PowSolution(pk=pk, nonce=reference_scan())
+    assert verify_pow(puzzle, solution)
+
+
 # -- semi-commitment -----------------------------------------------------------
 
 

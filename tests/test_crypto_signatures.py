@@ -77,3 +77,32 @@ def test_fingerprint_changes_with_registry(pki):
     f0 = pki.fingerprint()
     pki.generate("new")
     assert pki.fingerprint() != f0
+
+
+@pytest.mark.parametrize("seed", [1, ("node", 7)])
+@pytest.mark.parametrize("message", [b"", b"sig", b"\x00" * 200])
+def test_every_tag_is_plain_hmac_sha256(pki, seed, message):
+    """``sign``/``sign_encoded``/``sign_many``/``PKI.mac``/``mac_many`` and
+    the VRF proof are HMAC-SHA256 of the encoded message, byte for byte
+    (including the empty message), whichever hmac entry point makes them."""
+    import hashlib
+    import hmac
+
+    from repro.crypto.hashing import canonical_bytes
+    from repro.crypto.signatures import encode_statement, sign_encoded, sign_many
+    from repro.crypto.vrf import vrf_eval
+
+    kp = pki.generate(seed)
+
+    def reference(data):
+        return hmac.new(kp.sk, data, hashlib.sha256).digest()
+
+    assert sign_encoded(kp, message).tag == reference(message)
+    assert pki.mac(kp.pk, message) == reference(message)
+    fresh = PKI()
+    fresh.register(kp)
+    assert fresh.mac_many([kp.pk], message) == [reference(message)]
+    assert encode_statement(message) == b"sig" + canonical_bytes(message)
+    assert sign(kp, message).tag == reference(encode_statement(message))
+    assert sign_many([kp], message)[0].tag == reference(encode_statement(message))
+    assert vrf_eval(kp, message).proof == reference(b"vrf" + canonical_bytes(message))

@@ -1,5 +1,8 @@
 """Network simulator: delivery, latency classes, timers, strict channels."""
 
+import heapq
+
+import numpy as np
 import pytest
 
 from repro.crypto.pki import PKI
@@ -80,8 +83,9 @@ def test_non_strict_falls_back_to_partial(rng):
         net.add_node(node)
     net.set_channel_classifier(lambda s, d: None)
     nodes[0].send(1, "MSG", "x")
+    nodes[0].send(1, "MSG", "the pair's second send reads the remembered class")
     net.run()
-    assert nodes[1].received[0].channel == ChannelClass.PARTIAL
+    assert [m.channel for m in nodes[1].received] == [ChannelClass.PARTIAL] * 2
 
 
 def test_unknown_recipient_raises(net_and_nodes):
@@ -559,3 +563,227 @@ def test_multicast_equals_loop_of_sends_property():
         _assert_multicast_is_send_loop(conds, recipients, size)
 
     check()
+
+
+# -- the dispatch fast path: Network.run does what receive/_release do -------
+class _ReceiveLoopNetwork(Network):
+    """``Network.run`` with every delivery going through the public
+    :meth:`ProtocolNode.receive` and :meth:`Network._release` — the
+    reference that the loop's inlined dispatch is pinned to."""
+
+    def run(self, until=None):
+        processed = 0
+        while self._queue:
+            deliver_time, _, message, callback = self._queue[0]
+            if until is not None and deliver_time > until:
+                self.now = until
+                return until
+            heapq.heappop(self._queue)
+            self.now = deliver_time
+            if message is not None:
+                node = self.nodes.get(message.recipient)
+                if node is not None:
+                    node.receive(message)
+                    self.delivered_messages += 1
+                self._release(message)
+            elif callback is not None:
+                callback()
+            processed += 1
+            if processed > self.params.max_events:
+                raise SimulationError("event budget exceeded")
+        return self.now
+
+
+class _Tap(ProtocolNode):
+    """Logs what its handlers and its ``on_default`` were handed, and keeps
+    the envelopes (against the pooling contract, to look at them after)."""
+
+    def __init__(self, nid, kp, log, kept):
+        super().__init__(nid, kp)
+        self.log = log
+        self.kept = kept
+
+    def hear(self, kind, message):
+        self.log.append(
+            (self.node_id, kind, message.tag, message.payload, self.network.now)
+        )
+        self.kept.append(message)
+
+    def on_default(self, message):
+        self.hear("default", message)
+
+
+def _dispatch_story(factory, pooled, max_events=200_000, until=None):
+    """One run through every branch of the delivery path; returns all a
+    caller could observe of it."""
+    pki = PKI()
+    net = factory(
+        NetworkParams(max_events=max_events),
+        np.random.default_rng(11),
+        pool_envelopes=pooled,
+    )
+    log, kept = [], []
+    nodes = [_Tap(i, pki.generate(("tap", i)), log, kept) for i in range(5)]
+    for node in nodes:
+        net.add_node(node)
+        node.on("MSG", lambda msg, node=node: node.hear("handler", msg))
+    net.set_channel_classifier(lambda s, d: ChannelClass.INTRA)
+    nodes[1].online = False
+    nodes[0].send(1, "MSG", "to-offline")
+    nodes[0].send(2, "NOPE", "unknown-tag")
+    nodes[0].send(3, "LATE", "handler-registered-in-flight")
+    nodes[0].send(2, "MSG", "plain")
+    # Fires before any delivery: the tag is looked up when the message
+    # arrives, not when it was sent.
+    net.call_at(0.0, lambda: nodes[3].on(
+        "LATE", lambda msg: nodes[3].hear("late-handler", msg)
+    ))
+    # A reply from inside a handler reuses the envelope just retired.
+    nodes[4].on("PING", lambda msg: nodes[4].send(0, "MSG", "pong"))
+    net.call_at(3.0, lambda: nodes[0].send(4, "PING", "ping"))
+    # Nobody is there: a message to an id that left the registry.
+    net.call_at(4.0, lambda: (nodes[0].send(2, "MSG", "orphan"),
+                              net.nodes.pop(2)))
+    error = None
+    try:
+        end = net.run(until)
+    except SimulationError as exc:
+        end, error = None, type(exc).__name__
+    return {
+        "log": log,
+        "end": end,
+        "now": net.now,
+        "error": error,
+        "delivered": net.delivered_messages,
+        "dropped": net.dropped_messages,
+        "pending": net.pending,
+        "pool": len(net._pool),
+        "envelopes": [(m.tag, m.payload) for m in kept],
+        "sent": net.metrics.total_messages(),
+    }
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["allocating", "pooled"])
+def test_run_dispatches_like_receive_and_release(pooled):
+    story = _dispatch_story(Network, pooled)
+    assert story == _dispatch_story(_ReceiveLoopNetwork, pooled)
+    heard = [(nid, kind, payload) for nid, kind, _tag, payload, _now in story["log"]]
+    assert sorted(heard) == [
+        (0, "handler", "pong"),
+        (2, "default", "unknown-tag"),
+        (2, "handler", "plain"),
+        (3, "late-handler", "handler-registered-in-flight"),
+    ]
+    # The offline recipient ran nothing and is still a delivery; the
+    # orphan is neither.
+    assert story["delivered"] == 6 and story["sent"] == 7
+    if pooled:
+        assert set(story["envelopes"]) == {("<pooled>", None)}
+        assert story["pool"] >= 1
+    else:
+        assert [payload for _tag, payload in story["envelopes"]] == [
+            payload for *_ignored, payload, _now in story["log"]
+        ]
+        assert story["pool"] == 0
+
+
+@pytest.mark.parametrize(
+    "limits, delivered, error",
+    [
+        pytest.param({"until": 2.0}, 4, None, id="until"),
+        pytest.param({"until": 3.0}, 4, None, id="until-on-a-timer"),
+        pytest.param({"max_events": 3}, 3, "SimulationError", id="event-budget"),
+        pytest.param({}, 6, None, id="drained"),
+    ],
+)
+def test_delivered_messages_right_however_run_exits(limits, delivered, error):
+    story = _dispatch_story(Network, True, **limits)
+    assert story == _dispatch_story(_ReceiveLoopNetwork, True, **limits)
+    assert (story["delivered"], story["error"]) == (delivered, error)
+
+
+def test_delivered_messages_accumulates_over_resumed_runs(net_and_nodes):
+    net, nodes = net_and_nodes
+    nodes[0].send(1, "MSG", "early")
+    net.call_after(10.0, lambda: nodes[0].send(1, "MSG", "late"))
+    net.run(until=5.0)
+    assert net.delivered_messages == 1
+    net.run()
+    assert net.delivered_messages == 2
+
+
+# -- per-round channel rows --------------------------------------------------
+def _counting_classifier(verdict, asked):
+    def classify(src, dst):
+        asked.append((src, dst))
+        return verdict
+
+    return classify
+
+
+def test_channel_class_asked_once_per_pair_until_the_topology_changes(
+    net_and_nodes,
+):
+    net, nodes = net_and_nodes
+    asked = []
+    net.set_channel_classifier(_counting_classifier(ChannelClass.INTRA, asked))
+    for _ in range(3):
+        nodes[0].send(1, "MSG", "x")
+        nodes[0].multicast([1, 2], "MSG", "y")
+    nodes[1].send(0, "MSG", "the reverse pair is its own entry")
+    assert asked == [(0, 1), (0, 2), (1, 0)]
+
+    # Replaced mid-run, from a handler: the next send on a used pair is
+    # classified by the new topology.
+    def rewire(msg):
+        net.set_channel_classifier(_counting_classifier(ChannelClass.KEY, asked))
+        nodes[0].send(1, "AFTER", "z")
+
+    nodes[3].on("REWIRE", rewire)
+    nodes[1].on("AFTER", lambda msg: nodes[1].received.append(msg))
+    nodes[0].send(3, "REWIRE", None)
+    net.run()
+    assert [m.channel for m in nodes[1].received] == [ChannelClass.INTRA] * 6 + [
+        ChannelClass.KEY
+    ]
+    assert asked[3:] == [(0, 3), (0, 1)]
+
+
+def test_reset_drops_the_channel_rows(net_and_nodes):
+    net, nodes = net_and_nodes
+    nodes[0].send(1, "MSG", "intra")
+    net.run()
+    net.reset()
+    nodes[0].send(1, "MSG", "default-topology")
+    net.run()
+    assert [m.channel for m in nodes[1].received] == [
+        ChannelClass.INTRA,
+        ChannelClass.PARTIAL,
+    ]
+
+
+@pytest.mark.parametrize("via", ["send", "multicast"])
+def test_missing_channel_and_unknown_recipient_raise_on_every_attempt(
+    net_and_nodes, via
+):
+    net, nodes = net_and_nodes
+    asked = []
+    net.set_channel_classifier(
+        lambda s, d: asked.append((s, d)) or (None if d == 2 else ChannelClass.INTRA)
+    )
+
+    def attempt(recipient):
+        if via == "send":
+            nodes[0].send(recipient, "MSG", "x")
+        else:
+            nodes[0].multicast([1, recipient, 3], "MSG", "x")
+
+    for _ in range(3):
+        with pytest.raises(SimulationError, match="no channel from 0 to 2"):
+            attempt(2)
+        with pytest.raises(SimulationError, match="unknown recipient 99"):
+            attempt(99)
+    # The refusal was asked for each time, never remembered.
+    assert asked.count((0, 2)) == 3
+    assert net.pending == (0 if via == "send" else 6)
+
