@@ -32,11 +32,7 @@ IPDPS 2020, arXiv:2001.06778), including every substrate the paper assumes:
 * :mod:`repro.scenarios` — declarative, seed-deterministic fault
   injection (partitions, latency spikes, leader crashes, adversary
   ramps, churn) attached to the round's phase pipeline, plus adaptive
-  adversary policies that retarget corruption from observed round state;
-* :mod:`repro.perf` — the perf-regression harness: named timing cases
-  (micro A/B optimizations vs frozen baselines, end-to-end backend
-  rounds), warmup/repeat protocol, cProfile hotspots, host calibration,
-  and the canonical ``BENCH_perf.json`` artifact.
+  adversary policies that retarget corruption from observed round state.
 
 ``docs/architecture.md`` maps the packages and the data flow of one
 round through the phase pipeline.

@@ -6,7 +6,6 @@ run        simulate CycLedger rounds and print per-round results
 scenario   run a fault-injection scenario preset (or list presets)
 sweep      run a parameter sweep on the parallel experiment engine
 backends   list the executable protocol backends (or run one directly)
-bench      run perf cases and write the BENCH_perf.json artifact
 failure    print the Fig. 5 failure-probability table/plot
 table1     print the Table I protocol comparison
 gx         print the Fig. 4 g(x) curve
@@ -389,104 +388,6 @@ def _cmd_backends(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf import PERF_REGISTRY, PerfSettings, run_cases, write_bench
-
-    if args.list:
-        for name in sorted(PERF_REGISTRY):
-            case = PERF_REGISTRY[name]
-            ab = " [A/B]" if case.baseline is not None else ""
-            print(f"{name:<22}{ab:<7} {case.description}")
-        return 0
-
-    if args.cases and args.backends:
-        # Mirrors sweep's backend/backend_grid exclusivity: --cases pins an
-        # explicit roster, so a --backends filter alongside it would be
-        # silently dead — reject the combination instead.
-        raise SystemExit("error: give --cases or --backends, not both")
-    if args.cases:
-        names = args.cases.split(",")
-    else:
-        backends = (
-            set(args.backends.split(",")) if args.backends else None
-        )
-        if backends is not None:
-            # Fail fast on typos, matching the sweep path's spec-time
-            # backend validation — a silently missing round:* row is worse
-            # than an error.
-            known = {
-                case.backend
-                for case in PERF_REGISTRY.values()
-                if case.backend is not None
-            }
-            unknown = backends - known
-            if unknown:
-                raise SystemExit(
-                    f"error: unknown backend(s) {sorted(unknown)} "
-                    f"(known: {sorted(known)})"
-                )
-        # Soak cases are thousands of rounds each; they never run by
-        # default — name them via --cases (the baseline-refresh tool and
-        # the soak-smoke CI job do).
-        names = [
-            name
-            for name, case in sorted(PERF_REGISTRY.items())
-            if case.category != "soak"
-            and (
-                case.category == "micro"
-                or backends is None
-                or case.backend in backends
-            )
-        ]
-    scales = [int(s) for s in args.scales.split(",")] if args.scales else []
-    if args.smoke:
-        # The CI preset: tiny sizes, minimal repeats.  Explicit sizing
-        # flags are intentionally superseded (the preset IS the contract).
-        warmup, repeats = 1, 2
-        scales = scales or [24]
-        settings = PerfSettings(
-            seed=args.seed, m=2, lam=2, referee_size=6, users_per_shard=12,
-            tx_per_committee=4, committee=24, batch=200, messages=1000,
-        )
-    else:
-        warmup, repeats = args.warmup, args.repeats
-        settings = PerfSettings(seed=args.seed, m=args.m, lam=args.lam)
-
-    def progress(result) -> None:
-        speedup = result.speedup
-        tail = f"  speedup {speedup:.2f}x" if speedup is not None else ""
-        print(
-            f"{result.case.name:<22} n={result.settings.n:<4} "
-            f"median {result.wall.median * 1e3:8.2f} ms  "
-            f"p95 {result.wall.p95 * 1e3:8.2f} ms  "
-            f"{result.ops_per_sec:10.0f} ops/s{tail}",
-            flush=True,
-        )
-
-    try:
-        payload = run_cases(
-            names,
-            settings,
-            scales=scales,
-            warmup=warmup,
-            repeats=repeats,
-            profile=args.profile,
-            top=args.top,
-            progress=progress,
-        )
-    except ValueError as error:
-        raise SystemExit(f"error: {error}")
-    calibration = payload["calibration"]
-    print(
-        f"calibration: sha256(1KiB) {calibration['hash_1kib_ops_per_sec']:,.0f}/s, "
-        f"python loop {calibration['pyloop_ops_per_sec']:,.0f}/s"
-    )
-    if args.out:
-        write_bench(args.out, payload)
-        print(f"perf -> {args.out}")
-    return 0
-
-
 def _cmd_failure(args: argparse.Namespace) -> int:
     from repro.analysis.plotting import ascii_plot
     from repro.analysis.security import (
@@ -699,38 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
     backends.add_argument("--cross", type=float, default=0.3)
     backends.add_argument("--invalid", type=float, default=0.1)
     backends.set_defaults(func=_cmd_backends)
-
-    bench = sub.add_parser(
-        "bench", help="run perf cases, write BENCH_perf.json"
-    )
-    bench.add_argument("--list", action="store_true",
-                       help="list registered perf cases")
-    bench.add_argument("--cases", default=None,
-                       help="comma-separated case names (default: every "
-                            "registered case except soak:*, with round/"
-                            "scale cases filtered by --backends)")
-    bench.add_argument("--backends", default=None,
-                       help="comma-separated backends for round cases "
-                            "(default: all registered)")
-    bench.add_argument("--scales", default=None,
-                       help="comma-separated node counts for round cases "
-                            "(e.g. 24,48,96)")
-    bench.add_argument("--repeats", type=int, default=5,
-                       help="measured repetitions per case (median/p95)")
-    bench.add_argument("--warmup", type=int, default=1,
-                       help="unmeasured warmup runs per case")
-    bench.add_argument("--profile", action="store_true",
-                       help="attach cProfile and record top hotspots")
-    bench.add_argument("--top", type=int, default=10,
-                       help="hotspot rows to keep with --profile")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--m", type=int, default=4)
-    bench.add_argument("--lam", type=int, default=2)
-    bench.add_argument("--out", default=None,
-                       help="write the BENCH_perf.json artifact here")
-    bench.add_argument("--smoke", action="store_true",
-                       help="CI preset: tiny sizes, 2 repeats, scale 24")
-    bench.set_defaults(func=_cmd_bench)
 
     failure = sub.add_parser("failure", help="Fig. 5 failure probabilities")
     failure.add_argument("--n", type=int, default=2000)

@@ -256,8 +256,8 @@ def collect_result(
         "valid": ledger.chain.verify(),
         "total_transactions": ledger.total_packed(),
         # Head hash pins the whole chain content: two sweep arms with equal
-        # heads finished in byte-identical ledger states (the overlap-smoke
-        # CI gate compares this across overlap modes).
+        # heads finished in byte-identical ledger states (the overlap tests
+        # compare this across overlap modes).
         "head": ledger.chain.head.hash.hex() if len(ledger.chain) else None,
     }
     return SweepResult(

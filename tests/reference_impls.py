@@ -1,17 +1,11 @@
-"""Frozen pre-optimization implementations, kept as measurement baselines.
+"""Frozen pre-optimization implementations the equivalence tests compare against.
 
-Every hot-path optimization in this repository is gated by an A/B perf
-case: the optimized code ships in its real module, the code it replaced is
-preserved here — verbatim, not simplified — so ``repro bench`` can keep
-measuring the speedup on every host, every PR.  Nothing in the protocol
-imports this module; it exists only for :mod:`repro.perf.cases` and the
-equivalence tests that pin optimized and baseline behaviour together.
+Each hot-path optimization ships in its real module; the code it replaced
+is preserved here — verbatim, not simplified — so a test can run both on
+the same seed and require equal results.  Nothing under ``src/`` imports
+this module; the two classes subclass the real ones and override exactly
+the methods an optimization replaced.
 
-Baselines frozen here:
-
-* :func:`naive_verify_loop` / :func:`naive_sign_loop` — scalar
-  sign/verify with one canonical statement encoding *per call* (replaced
-  by the batched helpers in :mod:`repro.crypto.signatures`);
 * :func:`naive_payload_size` — wire-size estimation with per-call
   ``dataclasses.fields`` introspection and isinstance chains (replaced by
   the exact-type dispatch in :mod:`repro.net.message`);
@@ -28,12 +22,10 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 import numpy as np
 
-from repro.crypto.pki import PKI, KeyPair
-from repro.crypto.signatures import Signature, sign, verify
 from repro.ledger.transaction import Transaction, TxInput, TxOutput, shard_of_address
 from repro.ledger.workload import TaggedTx, WorkloadGenerator
 from repro.net.message import Message
@@ -43,30 +35,6 @@ from repro.net.simulator import Network, SimulationError
 _SIG_SIZE = 64
 _HASH_SIZE = 32
 _INT_SIZE = 8
-
-
-# -- crypto ------------------------------------------------------------------
-def naive_sign_loop(keypairs: Iterable[KeyPair], message: Any) -> list[Signature]:
-    """Pre-batching signing: one full statement encoding per signer."""
-    return [sign(kp, message) for kp in keypairs]
-
-
-def naive_verify_loop(
-    pki: PKI,
-    signatures: Sequence[Signature],
-    message: Any,
-    members: "set[str] | None" = None,
-) -> set[str]:
-    """Pre-batching certificate check: scalar :func:`verify` per signature
-    (re-encoding the statement each time), exactly as
-    ``verify_certificate`` did before ``signers_of``."""
-    valid: set[str] = set()
-    for sig in signatures:
-        if members is not None and sig.pk not in members:
-            continue
-        if verify(pki, sig, message):
-            valid.add(sig.pk)
-    return valid
 
 
 # -- wire sizing -------------------------------------------------------------
@@ -120,8 +88,8 @@ class NaiveNetwork(Network):
     ``Generator.random()`` call per message, and sizes payloads with
     :func:`naive_payload_size`.  Given the same RNG seed it produces the
     identical delivery schedule as the optimized :class:`Network` (the
-    jitter block is stream-exact), so A/B pump runs can be checked for
-    equality, not just timed.
+    jitter block is stream-exact), so same-seed runs can be checked for
+    equality.
     """
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
@@ -166,7 +134,7 @@ class NaiveNetwork(Network):
         payload: Any,
         size: "int | None" = None,
     ) -> None:
-        """The pre-pooling send path, preserved verbatim for A/B timing."""
+        """The pre-pooling send path, preserved verbatim."""
         if recipient not in self.nodes:
             raise SimulationError(f"unknown recipient {recipient}")
         channel = self.channel_classifier(sender, recipient)
@@ -210,8 +178,7 @@ class NaiveWorkloadGenerator(WorkloadGenerator):
     address bucket fill (any()-scan per candidate address) and the defect
     draw (``Generator.choice`` over a Python string list).  Both are
     RNG-stream-identical to the optimized versions, so same-seed instances
-    generate byte-identical transaction batches — asserted by the perf
-    case's equivalence check.
+    generate byte-identical transaction batches.
     """
 
     def __init__(
@@ -224,7 +191,7 @@ class NaiveWorkloadGenerator(WorkloadGenerator):
     ) -> None:
         super().__init__(m, users_per_shard, rng, endowment=endowment, fee=fee)
         # Rebuild the address buckets the old way (no RNG involved, so
-        # redoing the work changes nothing but measures the old cost).
+        # redoing the work changes nothing).
         self.addresses_by_shard = [[] for _ in range(m)]
         serial = 0
         while any(

@@ -64,12 +64,19 @@ def test_ascii_bars_zero_values():
 # -- CLI -------------------------------------------------------------------------
 
 
-def test_parser_subcommands():
+def test_parser_subcommands(capsys):
+    import pytest
+
     parser = build_parser()
     args = parser.parse_args(["run", "--n", "48", "--m", "3"])
     assert args.n == 48 and args.command == "run"
     args = parser.parse_args(["failure", "--cmax", "100"])
     assert args.cmax == 100
+    # The removed `bench` subcommand fails by argparse's own choice check.
+    with pytest.raises(SystemExit) as exit_info:
+        parser.parse_args(["bench"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_cli_gx(capsys):

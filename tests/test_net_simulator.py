@@ -397,7 +397,7 @@ def _rng_state(net):
 
 
 def _assert_multicast_is_send_loop(conditions, recipients, size):
-    from repro.perf.baselines import NaiveNetwork
+    from reference_impls import NaiveNetwork
 
     payload = ("ECHO", b"\x01" * 32, 7, [1, 2, 3])
     fan = _fanout_fabric(Network, conditions)

@@ -1,15 +1,17 @@
 """Bounded-memory soak machinery: streaming reports, pruning, RSS columns.
 
-These are the fast structural tests behind the ``soak:cycledger`` perf
-case: every unbounded structure the soak loop bounds (report list, chain
-bodies, spent-history) is asserted bounded here, and every compaction is
-asserted *content-neutral* — the streamed/pruned run emits byte-identical
-rows to the legacy unbounded run.
+These are the fast structural tests behind the soak row of
+``benchmarks/bench_scale.py``: every unbounded structure the soak loop
+bounds (report list, chain bodies, spent-history) is asserted bounded here,
+and every compaction is asserted *content-neutral* — the streamed/pruned
+run emits byte-identical rows to the legacy unbounded run.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import os
 
 from repro.analysis.invariants import InvariantChecker
 from repro.backends import create_backend
@@ -22,8 +24,15 @@ from repro.exp.results import (
     round_row,
 )
 from repro.exp.spec import canonical_json
-from repro.perf.cases import run_soak, soak_extras, soak_state
-from repro.perf.harness import PerfSettings
+
+_SCRIPT = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "benchmarks",
+    "bench_scale.py",
+)
+_spec = importlib.util.spec_from_file_location("bench_scale", _SCRIPT)
+bench_scale = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_scale)
 
 
 def _params(**overrides) -> ProtocolParams:
@@ -146,24 +155,47 @@ def test_invariants_hold_on_pruned_chain():
     assert checker.check_final(ledger) == []
 
 
-# -- the soak loop itself -----------------------------------------------------
+# -- the scale-and-soak script itself ------------------------------------------
 def test_soak_loop_bounds_every_structure():
-    """A short soak through the real soak state: reports dropped after
-    emission, chain bodies pruned, extras block coherent.  (The RSS
-    plateau gate itself needs a long horizon; the soak-smoke CI job and
-    the ``soak:cycledger`` bench case assert it.)"""
-    state = soak_state(PerfSettings().scaled(24), rounds=12)
-    state.warmup_round = 10**9  # horizon too short for a meaningful gate
-    sim_time = run_soak(state)
-    assert sim_time > 0
-    ledger = state.ledger
-    assert state.rounds_done == 12
-    assert ledger.reports_streamed == 12
+    """A short soak through the script's real soak loop: reports dropped
+    after emission, chain bodies pruned, row coherent.  (The RSS plateau
+    gate itself needs a long horizon; the soak-smoke CI job and the full
+    ``bench_scale.py`` run assert it.)"""
+    ledger = bench_scale.soak_ledger()
+    row = bench_scale.run_soak(
+        ledger, rounds=12, reference_round=10**9, compact_every=5
+    )
+    assert row["plateau_ratio"] is None  # horizon too short for the gate
+    assert row["rounds"] == 12
+    assert row["round_ms_p50_first"] > 0 and row["round_ms_p50_last"] > 0
+    assert row["reports_streamed"] == ledger.reports_streamed == 12
     assert len(ledger.reports) == 1
     assert len(ledger.chain) == 12
     assert len(ledger.chain.blocks) == ledger.params.chain_retention
-    extras = soak_extras(state)
-    assert extras["rounds"] == 12
-    assert extras["reports_streamed"] == 12
-    assert extras["chain_retention"] == ledger.params.chain_retention
-    assert extras["total_transactions"] == ledger.chain.total_transactions()
+    assert row["total_transactions"] == ledger.chain.total_transactions() > 0
+
+
+def test_scale_point_row_and_gates():
+    """The script's child entry in-process on one small point, so it cannot
+    rot unnoticed; its sizing rule on the whole curve; and both gates
+    tripping on rows that violate them."""
+    row = bench_scale.measure_point("cycledger", 64)
+    assert set(row) == {
+        "backend", "n", "m", "wall_s", "wall_s_raw", "messages", "us_per_msg",
+        "rss_mib",
+    }
+    assert (row["backend"], row["n"], row["m"]) == ("cycledger", 64, 4)
+    assert row["messages"] > 0 and row["wall_s"] > 0 and row["us_per_msg"] > 0
+    for n in bench_scale.CURVE:  # ProtocolParams validates divisibility
+        params = bench_scale.sized(n)
+        assert params.m == n // 32
+        assert 24 <= (n - params.referee_size) // params.m <= 32
+
+    soak = {"plateau_ratio": 1.2}
+    assert bench_scale.failures({"scale": [row], "soak": soak}) == []
+    falling = dict(row, n=128, wall_s=row["wall_s"] / 2)
+    assert len(bench_scale.failures({"scale": [row, falling], "soak": soak})) == 1
+    other = dict(falling, backend="rapidchain")  # curves never join across backends
+    assert bench_scale.failures({"scale": [row, other], "soak": soak}) == []
+    leaking = {"plateau_ratio": bench_scale.PLATEAU_LIMIT + 0.1}
+    assert len(bench_scale.failures({"scale": [row], "soak": leaking})) == 1
