@@ -2,7 +2,7 @@
 
 Usage: ``python benchmarks/bench_scale.py [--out BENCH_scale.json] [--smoke]``.
 The wall-clock-vs-n curve (n = 256 … 4096, every backend, paper-mode sizing)
-and a 2 000-round bounded-memory soak at n = 64 gated on an RSS plateau.
+and a 2 000-round bounded-memory soak at n = 64 gated on RSS and round-wall plateaus.
 The method is perfbench's: each measurement is a fresh child process; a curve
 point runs one warm round, then times one round between bursts of
 ``perfbench.calibrate``'s kernel and divides the wall by the slowdown they
@@ -29,7 +29,7 @@ from repro.ledger.checkpoint import compact_ledger
 
 CURVE = (256, 512, 1024, 2048, 4096)
 REPEATS, BURSTS = 3, 5  # per point; calibration bursts each side of the timed round
-PLATEAU_LIMIT = 1.5  # peak RSS after the reference round / RSS at it
+PLATEAU_LIMIT = 1.5  # soak: RSS peak / at the reference round; round wall last / first
 WINDOW = 100  # soak rounds in the first-vs-last round-wall comparison
 SOAK = {"rounds": 2000, "reference_round": 500, "compact_every": 500}
 SMOKE_SOAK = {"rounds": 300, "reference_round": 100, "compact_every": 100}
@@ -114,14 +114,15 @@ def in_child(call: str) -> dict:
 
 
 def failures(payload: dict) -> list[str]:
-    """The gates: a curve falling in n is noise (re-run); RSS must plateau."""
-    out = [f"{a['backend']}: wall_s falls from n={a['n']} to n={b['n']}"
-           for a, b in zip(payload["scale"], payload["scale"][1:])
-           if a["backend"] == b["backend"] and b["wall_s"] < a["wall_s"]]
-    ratio = payload["soak"]["plateau_ratio"]
-    if ratio is not None and ratio > PLATEAU_LIMIT:
-        out.append(f"soak RSS plateau violated: {ratio:.2f}x > {PLATEAU_LIMIT}x")
-    return out
+    """The gates: a falling curve is noise (re-run); soak RSS and round wall plateau."""
+    soak = payload["soak"]
+    growth = soak["round_ms_p50_last"] / soak["round_ms_p50_first"]
+    ratios = {"RSS plateau violated": soak["plateau_ratio"], "round wall grows": growth}
+    return [f"{a['backend']}: wall_s falls from n={a['n']} to n={b['n']}"
+            for a, b in zip(payload["scale"], payload["scale"][1:])
+            if a["backend"] == b["backend"] and b["wall_s"] < a["wall_s"]] + [
+        f"soak {what}: {ratio:.2f}x > {PLATEAU_LIMIT}x"
+        for what, ratio in ratios.items() if ratio and ratio > PLATEAU_LIMIT]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -18,7 +18,7 @@ from repro.core.backend import CommitteeSimBackend, PackReport
 from repro.core.node import CycNode
 from repro.core.structures import CommitteeSpec, RoundContext
 from repro.ledger.chain import GENESIS_PREV_HASH, Block
-from repro.ledger.transaction import shard_of_address
+from repro.ledger.state import apply_block
 from repro.ledger.utxo import ValidationResult, validate_batch, validate_transaction
 from repro.ledger.workload import TaggedTx
 
@@ -173,10 +173,7 @@ class RivalBackend(CommitteeSimBackend):
 
     def _output_shards(self, tagged: TaggedTx) -> list[int]:
         """Shards holding this transaction's non-home outputs."""
-        shards = {
-            shard_of_address(output.address, self.params.m)
-            for output in tagged.tx.outputs
-        }
+        shards = tagged.tx.output_shards(self.params.m)
         shards.discard(tagged.home_shard)
         return sorted(shards)
 
@@ -255,8 +252,7 @@ class RivalBackend(CommitteeSimBackend):
             partial_sets=(),
         )
         self.chain.append(block)
-        for state in self.shard_states:
-            state.apply_block(block.transactions)
+        apply_block(self.shard_states, block.transactions)
         for tx in block.transactions:
             if validate_transaction(tx, self.global_utxos) is ValidationResult.VALID:
                 self.global_utxos.apply_transaction(tx)

@@ -39,7 +39,7 @@ from repro.core.structures import CommitteeSpec, RoundContext
 from repro.crypto.hashing import H
 from repro.crypto.pki import PKI
 from repro.ledger.chain import Block, Chain
-from repro.ledger.state import ShardState
+from repro.ledger.state import ShardState, apply_block
 from repro.ledger.workload import TxMempool, WorkloadGenerator
 from repro.metrics.counters import MetricsCollector
 from repro.net.simulator import Network
@@ -247,8 +247,7 @@ class CommitteeSimBackend:
         self._channels: Channels | None = None
         self.global_utxos = self.workload.genesis_utxos()
         self.shard_states = [ShardState(k, params.m) for k in range(params.m)]
-        for state in self.shard_states:
-            state.add_genesis(self.workload.genesis_tx)
+        apply_block(self.shard_states, [self.workload.genesis_tx])
         self.chain = Chain(retention=params.chain_retention)
         self.reputation = ReputationStore(node.pk for node in self.nodes.values())
         self.rewards: dict[str, float] = {}

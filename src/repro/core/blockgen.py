@@ -30,6 +30,7 @@ from repro.core.selection import SelectionReport
 from repro.core.structures import RoundContext
 from repro.core.tags import Tags
 from repro.ledger.chain import GENESIS_PREV_HASH, Block
+from repro.ledger.state import apply_block
 from repro.ledger.transaction import Transaction
 from repro.ledger.utxo import ValidationResult, transaction_fee, validate_transaction
 
@@ -195,10 +196,10 @@ def run_block_generation(
     ctx.net.run()
 
     # -- shard state updates + final UTXO / Remaining-TX consensus -------------
+    apply_block(ctx.shard_states, packed)
     packed_ids = {tx.txid for tx in packed}
     final_sessions: list[tuple[int, InsideConsensus]] = []
     for k, state in enumerate(ctx.shard_states):
-        state.apply_block(packed)
         remaining = [
             t.tx
             for t in ctx.mempools[k]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from functools import lru_cache
 from operator import attrgetter
-from typing import Any
+from typing import Any, Iterable
 
 _SEP = b"\x1f"
 
@@ -85,14 +85,19 @@ _ENCODERS = {
 }
 
 
+def seq_bytes(parts: "Iterable[bytes]") -> bytes:
+    """Canonical bytes of a tuple or list whose elements encode to ``parts``
+    (for leaves that keep their elements' bytes)."""
+    return _frame(b"t", _SEP.join(parts))
+
+
 def int8_matrix_bytes(array: Any) -> bytes:
     """Canonical bytes of a 2-D int8 array: byte-identical to
     ``canonical_bytes(tuple(map(tuple, array.tolist())))`` (a tuple of rows
     of ints), built from one table lookup per element and one ``join`` per
     row instead of a Python-level encode per vote."""
     table = _INT8_ENC.__getitem__
-    rows = [_frame(b"t", _SEP.join(map(table, row.tobytes()))) for row in array]
-    return _frame(b"t", _SEP.join(rows))
+    return seq_bytes([seq_bytes(map(table, row.tobytes())) for row in array])
 
 
 #: ``_enc_int`` of every int8 value, indexed by the value's unsigned byte.

@@ -59,11 +59,11 @@ class PKI:
         self._secrets: dict[str, bytes] = {}
         # Consensus is verification-heavy: every committee member re-checks
         # the same (pk, message) signatures during the all-to-all echo
-        # phases.  A bounded FIFO memo of recomputed MACs turns those
-        # repeats into a dict hit.  Entries can never go stale: generate()
-        # and register() both reject re-registration of a pk with a
-        # different sk, so a pk's MAC function is immutable for the
-        # registry's lifetime.
+        # phases.  A bounded memo of recomputed MACs turns those repeats
+        # into a dict hit.  Entries can never go stale: generate() and
+        # register() both reject re-registration of a pk with a different
+        # sk, so a pk's MAC function is immutable for the registry's
+        # lifetime.
         self._mac_cache: dict[tuple[str, bytes], bytes] = {}
 
     def generate(self, seed: bytes | str | int) -> KeyPair:
@@ -96,15 +96,20 @@ class PKI:
         can never verify, matching the paper's requirement that the referee
         committee checks "all members in any list are registered".
         """
-        key = (pk, message)
-        cached = self._mac_cache.get(key)
+        cached = self._mac_cache.get((pk, message))
         if cached is not None:
             return cached
-        sk = self._secrets[pk]
-        tag = hmac.digest(sk, message, "sha256")
+        return self._mac_miss(pk, message)
+
+    def _mac_miss(self, pk: str, message: bytes) -> bytes:
+        """Compute and remember one MAC.  A full memo is emptied rather than
+        trimmed: the messages carry their round number, so old entries never
+        hit again, and popping a dict's oldest key scans every slot earlier
+        pops left empty (microseconds per miss once the cap is reached)."""
+        tag = hmac.digest(self._secrets[pk], message, "sha256")
         if len(self._mac_cache) >= self._MAC_CACHE_MAX:
-            self._mac_cache.pop(next(iter(self._mac_cache)))
-        self._mac_cache[key] = tag
+            self._mac_cache.clear()
+        self._mac_cache[pk, message] = tag
         return tag
 
     def mac_many(self, pks: "Iterable[str]", message: bytes) -> list[bytes]:
@@ -112,24 +117,14 @@ class PKI:
 
         The batched form of :meth:`mac` for the consensus fan-out pattern
         (one statement checked against a whole recipient set, e.g. a
-        certificate's signer list): the per-call dispatch, cache probe and
-        eviction bookkeeping run once per key with all loop-invariant state
-        hoisted, instead of once per ``(pk, message)`` method call.  Raises
-        ``KeyError`` on the first unregistered ``pk``, like :meth:`mac`.
+        certificate's signer list): the per-call dispatch and cache probe
+        run once per key with the loop-invariant state hoisted, instead of
+        once per ``(pk, message)`` method call.  Raises ``KeyError`` on the
+        first unregistered ``pk``, like :meth:`mac`.
         """
-        cache = self._mac_cache
-        secrets = self._secrets
-        tags: list[bytes] = []
-        for pk in pks:
-            key = (pk, message)
-            tag = cache.get(key)
-            if tag is None:
-                tag = hmac.digest(secrets[pk], message, "sha256")
-                if len(cache) >= self._MAC_CACHE_MAX:
-                    cache.pop(next(iter(cache)))
-                cache[key] = tag
-            tags.append(tag)
-        return tags
+        cached = self._mac_cache.get
+        miss = self._mac_miss
+        return [cached((pk, message)) or miss(pk, message) for pk in pks]
 
     def __len__(self) -> int:
         return len(self._secrets)

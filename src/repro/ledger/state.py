@@ -7,15 +7,33 @@ Transaction Outputs (UTXOs), is maintained by the corresponding committee."
 A shard's state holds only the UTXOs whose owner address maps to that shard.
 After each block every committee member "deletes the used ones from their
 local UTXO Lists and appends the newly generated outputs that they are
-responsible for" (§IV-G) — that is :meth:`apply_block`.
+responsible for" (§IV-G) — that is :func:`apply_block`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
+from repro.crypto.hashing import canonical_bytes, seq_bytes
 from repro.ledger.transaction import Transaction, shard_of_address
 from repro.ledger.utxo import UTXOSet, ValidationResult, validate_transaction
+from repro.net.message import payload_size, seq_size
+
+
+@dataclass(frozen=True, slots=True)
+class UtxoListing:
+    """A shard's final UTXO list as Algorithm 3 carries it.
+
+    It hashes and sizes exactly like the sorted tuple of
+    ``(txid.hex(), index, address, amount)`` entries it stands for
+    (``canonical_bytes`` / ``payload_size`` treat it as a leaf), and two
+    listings are equal when those bytes are.
+    """
+
+    canonical: bytes
+    wire_size: int = field(compare=False)
 
 
 class ShardState:
@@ -31,15 +49,11 @@ class ShardState:
         # identity; entries hold the transaction (see :meth:`validate`).
         self._verdicts: dict[int, tuple[Transaction, ValidationResult]] = {}
         self._verdicts_version = 0
-
-    def owns_address(self, address: str) -> bool:
-        return shard_of_address(address, self.m) == self.shard
-
-    def add_genesis(self, tx: Transaction) -> None:
-        """Load the shard's slice of a genesis/coinbase transaction."""
-        for index, output in enumerate(tx.outputs):
-            if self.owns_address(output.address):
-                self.utxos.add((tx.txid, index), output)
+        # What :meth:`digest_items` last listed: outpoint -> the output it
+        # encoded, and the listing as parallel lists in outpoint order
+        # (outpoints, entry bytes, entry sizes).  Derived state: never
+        # checkpointed, rebuilt on demand.
+        self._listing: tuple[dict, list, list, list] = ({}, [], [], [])
 
     def validate(self, tx: Transaction) -> ValidationResult:
         """Run V against this shard's UTXO view.
@@ -63,46 +77,61 @@ class ShardState:
         self._verdicts[id(tx)] = (tx, result)
         return result
 
-    def inputs_are_local(self, tx: Transaction) -> bool:
-        """True if every input this shard can see belongs to it.
-
-        Committees only receive transactions routed to them by input
-        ownership, so this is a sanity check rather than a filter.
-        """
-        return all(
-            self.owns_address(out.address)
-            for op in tx.outpoints()
-            if (out := self.utxos.get(op)) is not None
-        )
-
-    def apply_block(self, txs: Iterable[Transaction]) -> tuple[int, int]:
-        """Apply a block's transactions to the shard view.
-
-        Spends every referenced outpoint present locally and adds every
-        output owned by this shard.  Returns ``(spent, created)`` counts.
-        """
-        spent = created = 0
-        for tx in txs:
-            for outpoint in tx.outpoints():
-                if outpoint in self.utxos:
-                    self.utxos.spend(outpoint)
-                    spent += 1
-            for index, output in enumerate(tx.outputs):
-                if self.owns_address(output.address):
-                    self.utxos.add((tx.txid, index), output)
-                    created += 1
-        return spent, created
-
     def size(self) -> int:
         return len(self.utxos)
 
-    def digest_items(self) -> tuple:
-        """Canonical content tuple for consensus on the final UTXO list."""
-        return tuple(
-            sorted(
-                (txid.hex(), index, out.address, out.amount)
-                for (txid, index), out in (
-                    ((op, self.utxos.get(op)) for op in self.utxos)
-                )
-            )
-        )
+    def digest_items(self) -> UtxoListing:
+        """Canonical content for consensus on the final UTXO list.
+
+        Entries are encoded and sized once: one is reused for as long as the
+        set maps its outpoint to the same output object, so a round encodes
+        only what the last block created.
+        """
+        current = self.utxos.snapshot()  # a plain dict: C-level probes below
+        held = current.get
+        listed, keys, parts, sizes = self._listing
+        for op in [op for op, output in listed.items() if held(op) is not output]:
+            at = bisect_left(keys, op)
+            del listed[op], keys[at], parts[at], sizes[at]
+        # Outpoints order like their entries (hex keeps byte order); taken in
+        # order, a listing built from nothing only ever appends.
+        for op in sorted(op for op in current if op not in listed):
+            output = current[op]
+            item = (op[0].hex(), op[1], output.address, output.amount)
+            part, size = canonical_bytes(item), payload_size(item)
+            at = bisect_left(keys, op)
+            listed[op] = output
+            keys.insert(at, op)
+            parts.insert(at, part)
+            sizes.insert(at, size)
+        return UtxoListing(seq_bytes(parts), seq_size(sizes))
+
+
+def apply_block(
+    states: Sequence[ShardState], txs: Iterable[Transaction]
+) -> tuple[int, int]:
+    """Apply a block's transactions to all m shard views (``states[k]`` is
+    shard k) in one walk.
+
+    Every referenced outpoint is spent in whichever shard holds it and every
+    output is added to the one shard its address maps to, so each shard sees
+    exactly the operations, in the order, that filtering the block by itself
+    would give it.  A genesis/coinbase transaction is a block of one.
+    Returns ``(spent, created)`` counts.
+    """
+    m = len(states)
+    if any(state.m != m or state.shard != k for k, state in enumerate(states)):
+        raise ValueError("states must be all m shard views, in shard order")
+    sets = [state.utxos for state in states]
+    spent = created = 0
+    for tx in txs:
+        for outpoint in tx.outpoints():
+            for utxos in sets:
+                if outpoint in utxos:
+                    utxos.spend(outpoint)
+                    spent += 1
+        txid = tx.txid
+        for index, output in enumerate(tx.outputs):
+            sets[shard_of_address(output.address, m)].add((txid, index), output)
+            created += 1
+    return spent, created

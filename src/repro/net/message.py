@@ -6,7 +6,7 @@ import dataclasses
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 _SIG_SIZE = 64  # public key reference + MAC tag, like an Ed25519 signature
 _HASH_SIZE = 32
@@ -65,6 +65,12 @@ def fields_size(obj: Any) -> int:
 def int_matrix_size(rows: int, cols: int) -> int:
     """Closed-form size of a ``rows`` x ``cols`` tuple-of-tuples of ints."""
     return 2 + rows * (2 + _INT_SIZE * cols)
+
+
+def seq_size(sizes: "Iterable[int]") -> int:
+    """Size of a tuple or list whose elements have the given ``sizes`` (for
+    leaves that keep their elements' sizes)."""
+    return 2 + sum(sizes)
 
 
 def sig_list_size(n: int) -> int:

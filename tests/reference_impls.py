@@ -15,7 +15,13 @@ the methods an optimization replaced.
 * :class:`NaiveWorkloadGenerator` — transaction generation with
   ``Generator.choice`` defect draws and an any()-scan address bucket fill
   (replaced by tuple-indexed bounded-integer draws and a slot countdown in
-  :mod:`repro.ledger.workload`).
+  :mod:`repro.ledger.workload`);
+* :func:`per_shard_apply_block`, :func:`per_shard_add_genesis`,
+  :func:`tuple_digest_items` — the ``ShardState`` methods that filtered a
+  whole block through one shard's ownership test and rebuilt the whole
+  UTXO listing per call (replaced by the route-once
+  :func:`repro.ledger.state.apply_block` and the entry-caching
+  ``ShardState.digest_items``).
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.ledger.state import ShardState
 from repro.ledger.transaction import Transaction, TxInput, TxOutput, shard_of_address
 from repro.ledger.workload import TaggedTx, WorkloadGenerator
 from repro.net.message import Message
@@ -249,3 +256,41 @@ class NaiveWorkloadGenerator(WorkloadGenerator):
             intended_valid=False,
             defect=defect,
         )
+
+
+# -- per-shard ledger application ----------------------------------------------
+def per_shard_apply_block(state: ShardState, txs) -> tuple[int, int]:
+    """The pre-optimization ``ShardState.apply_block``: spends every
+    referenced outpoint present locally and adds every output this shard
+    owns; every shard ran it over the whole block."""
+    spent = created = 0
+    for tx in txs:
+        for outpoint in tx.outpoints():
+            if outpoint in state.utxos:
+                state.utxos.spend(outpoint)
+                spent += 1
+        for index, output in enumerate(tx.outputs):
+            if shard_of_address(output.address, state.m) == state.shard:
+                state.utxos.add((tx.txid, index), output)
+                created += 1
+    return spent, created
+
+
+def per_shard_add_genesis(state: ShardState, tx: Transaction) -> None:
+    """The pre-optimization ``ShardState.add_genesis``."""
+    for index, output in enumerate(tx.outputs):
+        if shard_of_address(output.address, state.m) == state.shard:
+            state.utxos.add((tx.txid, index), output)
+
+
+def tuple_digest_items(state: ShardState) -> tuple:
+    """The pre-optimization ``ShardState.digest_items``: the whole listing
+    as a freshly sorted tuple of plain tuples."""
+    return tuple(
+        sorted(
+            (txid.hex(), index, out.address, out.amount)
+            for (txid, index), out in (
+                ((op, state.utxos.get(op)) for op in state.utxos)
+            )
+        )
+    )

@@ -9,6 +9,7 @@ from repro.core.intra import run_intra_consensus
 from repro.core.sandbox import build_multi_sandbox
 from repro.core.semicommit import run_semi_commitment_exchange
 from repro.core.tags import Tags
+from repro.ledger.state import apply_block
 from repro.ledger.workload import WorkloadGenerator
 from repro.nodes.behaviors import InterSilentLeader
 
@@ -18,8 +19,7 @@ def setup(m=3, c=8, behaviors=None, seed=0, cross=0.5, invalid=0.1, prefilter=Fa
     if prefilter:
         object.__setattr__(ctx.params, "prefilter_cross_shard", True)
     wg = WorkloadGenerator(m=m, users_per_shard=24, rng=np.random.default_rng(seed))
-    for state in ctx.shard_states:
-        state.add_genesis(wg.genesis_tx)
+    apply_block(ctx.shard_states, [wg.genesis_tx])
     batch = wg.generate_batch(80, cross_shard_ratio=cross, invalid_ratio=invalid)
     for k, pool in enumerate(wg.by_home_shard(batch)):
         ctx.mempools[k] = pool

@@ -6,6 +6,7 @@ from repro.core.committee import run_committee_configuration
 from repro.core.intra import run_intra_consensus
 from repro.core.sandbox import build_multi_sandbox
 from repro.core.semicommit import run_semi_commitment_exchange
+from repro.ledger.state import apply_block
 from repro.ledger.workload import WorkloadGenerator
 from repro.nodes.behaviors import (
     CensoringLeader,
@@ -22,8 +23,7 @@ def setup(m=3, c=8, behaviors=None, seed=0, invalid=0.15, cross=0.0, capacities=
         for nid, cap in capacities.items():
             ctx.nodes[nid].capacity = cap
     wg = WorkloadGenerator(m=m, users_per_shard=24, rng=np.random.default_rng(seed))
-    for state in ctx.shard_states:
-        state.add_genesis(wg.genesis_tx)
+    apply_block(ctx.shard_states, [wg.genesis_tx])
     batch = wg.generate_batch(70, cross_shard_ratio=cross, invalid_ratio=invalid)
     for k, pool in enumerate(wg.by_home_shard(batch)):
         ctx.mempools[k] = pool

@@ -15,6 +15,7 @@ from repro.core.reputation import (
 )
 from repro.core.sandbox import build_multi_sandbox
 from repro.core.semicommit import run_semi_commitment_exchange
+from repro.ledger.state import apply_block
 from repro.ledger.workload import WorkloadGenerator
 from repro.nodes.behaviors import ContraryVoter, LazyVoter
 
@@ -121,8 +122,7 @@ def test_empty_reputations():
 def setup(behaviors=None, seed=0):
     ctx = build_multi_sandbox(m=2, committee_size=8, lam=2, behaviors=behaviors, seed=seed)
     wg = WorkloadGenerator(m=2, users_per_shard=24, rng=np.random.default_rng(seed))
-    for state in ctx.shard_states:
-        state.add_genesis(wg.genesis_tx)
+    apply_block(ctx.shard_states, [wg.genesis_tx])
     batch = wg.generate_batch(40, invalid_ratio=0.2)
     for k, pool in enumerate(wg.by_home_shard(batch)):
         ctx.mempools[k] = pool

@@ -10,6 +10,7 @@ from repro.core.intra import run_intra_consensus
 from repro.core.sandbox import build_multi_sandbox
 from repro.core.selection import run_selection
 from repro.core.semicommit import run_semi_commitment_exchange
+from repro.ledger.state import apply_block
 from repro.ledger.transaction import Transaction, TxInput, TxOutput, make_coinbase
 from repro.ledger.workload import WorkloadGenerator
 
@@ -17,8 +18,7 @@ from repro.ledger.workload import WorkloadGenerator
 def setup(seed=0, cross=0.3):
     ctx = build_multi_sandbox(m=2, committee_size=8, lam=2, seed=seed)
     wg = WorkloadGenerator(m=2, users_per_shard=24, rng=np.random.default_rng(seed))
-    for state in ctx.shard_states:
-        state.add_genesis(wg.genesis_tx)
+    apply_block(ctx.shard_states, [wg.genesis_tx])
     ctx.global_utxos.restore(wg.genesis_utxos().snapshot())
     batch = wg.generate_batch(40, cross_shard_ratio=cross, invalid_ratio=0.1)
     for k, pool in enumerate(wg.by_home_shard(batch)):

@@ -12,6 +12,7 @@ from repro.core.voting import (
     output_side_votes,
     run_vote_rounds,
 )
+from repro.ledger.state import apply_block
 from repro.ledger.transaction import TxOutput, make_coinbase, make_transfer
 
 
@@ -20,7 +21,7 @@ def ctx_with_coins():
     ctx = build_sandbox(committee_size=8, lam=2)
     state = ctx.shard_states[0]
     genesis = make_coinbase([TxOutput(f"user-{i}", 100) for i in range(12)])
-    state.add_genesis(genesis)
+    apply_block(ctx.shard_states, [genesis])
     txs = []
     for nonce, op in enumerate(sorted(state.utxos, key=lambda o: (o[0], o[1]))[:5]):
         owner = state.utxos.get(op).address

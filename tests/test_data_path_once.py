@@ -4,16 +4,19 @@ same fact the one-at-a-time code derived.
 Each section pins one cache to its uncached reference: the vote-matrix
 value to the tuple-of-rows encoding, batch settlement to the sequential
 ``list.remove`` undo, the V-verdict memo to plain ``validate_transaction``,
-the VOTE identity memo to a fresh encoding, and ``Transaction.wire_size``
-to the recursive dataclass sizer.
+the VOTE identity memo to a fresh encoding, ``Transaction.wire_size`` to the
+recursive dataclass sizer, and the UTXO listing to the freshly sorted tuple
+of plain tuples.
 """
 
 import pickle
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_impls import tuple_digest_items
 
 from repro import CycLedger, ProtocolParams, load_checkpoint, save_checkpoint
 from repro.core.committee import run_committee_configuration
@@ -23,7 +26,7 @@ from repro.core.structures import VoteMatrix
 from repro.core.voting import VoteRoundSession, input_side_votes
 from repro.crypto.hashing import H, canonical_bytes
 from repro.crypto.signatures import encode_statement, sign
-from repro.ledger.state import ShardState
+from repro.ledger.state import ShardState, apply_block
 from repro.ledger.transaction import (
     Transaction,
     TxInput,
@@ -263,7 +266,7 @@ def test_settlement_cost_does_not_grow_with_history():
 def shard():
     state = ShardState(0, 1)
     genesis = make_coinbase([TxOutput(f"user-{i}", 100) for i in range(4)])
-    state.add_genesis(genesis)
+    apply_block([state], [genesis])
     spend = make_transfer((genesis.txid, 0), 100, "user-1", 10, "user-0", nonce=1)
     return state, genesis, spend
 
@@ -298,7 +301,7 @@ def test_verdict_never_survives_a_mutation(shard, v_calls):
     state, genesis, spend = shard
     snapshot = state.utxos.snapshot()
     assert state.validate(spend) is ValidationResult.VALID
-    state.apply_block([spend])
+    apply_block([state], [spend])
     assert state.validate(spend) is ValidationResult.MISSING_INPUT
     state.utxos.restore(snapshot)  # what a checkpoint restore does
     assert state.validate(spend) is ValidationResult.VALID
@@ -352,7 +355,7 @@ def vote_ctx():
     ctx = build_sandbox(committee_size=8, lam=2)
     state = ctx.shard_states[0]
     genesis = make_coinbase([TxOutput(f"user-{i}", 100) for i in range(8)])
-    state.add_genesis(genesis)
+    apply_block(ctx.shard_states, [genesis])
     txs = [
         make_transfer((genesis.txid, i), 100, "payee", 10, f"user-{i}", nonce=i)
         for i in range(3)
@@ -465,3 +468,102 @@ def test_cached_sizes_are_derived_state_across_a_checkpoint(tmp_path):
     restored.run(2)
     ledger.run(2)
     assert restored.chain.head.hash == ledger.chain.head.hash
+
+
+# -- (vi) the UTXO_FINAL listing ---------------------------------------------------
+def assert_listing_is_its_tuple(state):
+    listing, plain = state.digest_items(), tuple_digest_items(state)
+    txids = (b"\x01" * 32, b"\x02" * 32)
+    assert canonical_bytes(listing) == listing.canonical == canonical_bytes(plain)
+    assert payload_size(listing) == listing.wire_size == payload_size(plain)
+    for build in (lambda v: ("ALG3", (v, txids)), lambda v: [v, (v, None)]):
+        assert canonical_bytes(build(listing)) == canonical_bytes(build(plain))
+        assert payload_size(build(listing)) == payload_size(build(plain))
+    assert H("ALG3", (listing, txids)) == H("ALG3", (plain, txids))
+    assert listing == state.digest_items()
+
+
+listing_steps = st.lists(
+    st.one_of(
+        st.tuples(  # add: txid of any length (sorts by hex), index, owner, amount
+            st.just("add"),
+            st.binary(max_size=4),
+            st.integers(0, 3),
+            st.text(max_size=6),
+            st.integers(0, 10**12),
+        ),
+        st.tuples(st.just("spend"), st.integers(0, 99)),
+        st.tuples(st.sampled_from(["restore", "compact", "snapshot", "list"])),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(listing_steps, st.booleans())
+def test_utxo_listing_is_the_sorted_tuple_through_every_mutation(steps, every_step):
+    state = ShardState(0, 1)
+    saved = state.utxos.snapshot()
+    assert_listing_is_its_tuple(state)  # the empty listing
+    for step in steps:
+        if step[0] == "add":
+            _, txid, index, owner, amount = step
+            if (txid, index) in state.utxos:
+                # same outpoint, another output object: not the cached entry
+                state.utxos.spend((txid, index))
+            state.utxos.add((txid, index), TxOutput(owner, amount))
+        elif step[0] == "spend" and len(state.utxos):
+            state.utxos.spend(list(state.utxos)[step[1] % len(state.utxos)])
+        elif step[0] == "restore":
+            state.utxos.restore(saved)
+        elif step[0] == "compact":
+            state.utxos.compact()
+        elif step[0] == "snapshot":
+            saved = state.utxos.snapshot()
+        else:
+            assert_listing_is_its_tuple(state)  # after several mutations
+        if every_step:
+            assert_listing_is_its_tuple(state)
+    assert_listing_is_its_tuple(state)
+
+
+def test_utxo_listing_encodes_only_what_the_block_created(shard, monkeypatch):
+    import repro.ledger.state as state_module
+
+    state, genesis, spend = shard
+    encoded = []
+    real = state_module.canonical_bytes
+    monkeypatch.setattr(
+        state_module, "canonical_bytes", lambda item: encoded.append(item) or real(item)
+    )
+    first = state.digest_items()
+    assert len(encoded) == len(genesis.outputs)
+    assert state.digest_items() == first and len(encoded) == len(genesis.outputs)
+    del encoded[:]
+    apply_block([state], [spend])
+    assert_listing_is_its_tuple(state)
+    assert sorted(item[:2] for item in encoded) == [
+        (spend.txid.hex(), 0),
+        (spend.txid.hex(), 1),
+    ]
+    # An equal output under the same outpoint is another object: re-encoded.
+    del encoded[:]
+    state.utxos.spend((spend.txid, 1))
+    state.utxos.add((spend.txid, 1), TxOutput(*astuple(spend.outputs[1])))
+    assert_listing_is_its_tuple(state)
+    assert [item[:2] for item in encoded] == [(spend.txid.hex(), 1)]
+
+
+def test_utxo_listing_cache_is_derived_state_across_a_checkpoint(tmp_path):
+    params = ProtocolParams(n=24, m=2, lam=2, referee_size=6, seed=4)
+    ledger = CycLedger(params)
+    ledger.run(2)
+    assert all(state._listing[0] for state in ledger.shard_states)
+    path = str(tmp_path / "ledger.ckpt")
+    save_checkpoint(ledger, path)
+    restored = load_checkpoint(path)
+    for state, twin in zip(ledger.shard_states, restored.shard_states):
+        assert twin._listing[0] == {}  # not in the checkpoint: rebuilt on demand
+        assert_listing_is_its_tuple(twin)
+        assert twin.digest_items() == state.digest_items()
+        assert_listing_is_its_tuple(state)

@@ -9,6 +9,7 @@ from repro.core.sandbox import build_multi_sandbox, build_sandbox
 from repro.core.semicommit import run_semi_commitment_exchange
 from repro.core.voting import VoteRound
 from repro.crypto.commitment import semi_commitment
+from repro.ledger.state import apply_block
 from repro.ledger.workload import WorkloadGenerator
 from repro.nodes.behaviors import ContraryVoter, EquivocatingLeader, OfflineNode
 
@@ -34,7 +35,7 @@ def test_recovery_impossible_with_all_malicious_partials():
     ctx = build_sandbox(committee_size=9, lam=2, behaviors=behaviors)
     assert first_honest_partial(ctx, ctx.committees[0]) is None
     wg = WorkloadGenerator(m=1, users_per_shard=16, rng=np.random.default_rng(0))
-    ctx.shard_states[0].add_genesis(wg.genesis_tx)
+    apply_block(ctx.shard_states, [wg.genesis_tx])
     ctx.mempools[0] = wg.generate_batch(10)
     run_committee_configuration(ctx)
     run_semi_commitment_exchange(ctx)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.sandbox import build_sandbox
+from repro.ledger.state import apply_block
 from repro.ledger.transaction import TxOutput, make_coinbase, make_transfer
 from repro.nodes.adversary import (
     AdversaryConfig,
@@ -28,7 +29,7 @@ def voting_setup():
     ctx = build_sandbox(committee_size=6, lam=2)
     state = ctx.shard_states[0]
     genesis = make_coinbase([TxOutput(f"user-{i}", 100) for i in range(8)])
-    state.add_genesis(genesis)
+    apply_block(ctx.shard_states, [genesis])
     # one valid spend + one overspend
     op = next(iter(state.utxos))
     owner = state.utxos.get(op).address

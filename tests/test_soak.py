@@ -177,7 +177,7 @@ def test_soak_loop_bounds_every_structure():
 
 def test_scale_point_row_and_gates():
     """The script's child entry in-process on one small point, so it cannot
-    rot unnoticed; its sizing rule on the whole curve; and both gates
+    rot unnoticed; its sizing rule on the whole curve; and all three gates
     tripping on rows that violate them."""
     row = bench_scale.measure_point("cycledger", 64)
     assert set(row) == {
@@ -191,11 +191,16 @@ def test_scale_point_row_and_gates():
         assert params.m == n // 32
         assert 24 <= (n - params.referee_size) // params.m <= 32
 
-    soak = {"plateau_ratio": 1.2}
+    soak = {"plateau_ratio": 1.2, "round_ms_p50_first": 80.0, "round_ms_p50_last": 112.0}
     assert bench_scale.failures({"scale": [row], "soak": soak}) == []
     falling = dict(row, n=128, wall_s=row["wall_s"] / 2)
     assert len(bench_scale.failures({"scale": [row, falling], "soak": soak})) == 1
     other = dict(falling, backend="rapidchain")  # curves never join across backends
     assert bench_scale.failures({"scale": [row, other], "soak": soak}) == []
-    leaking = {"plateau_ratio": bench_scale.PLATEAU_LIMIT + 0.1}
+    leaking = dict(soak, plateau_ratio=bench_scale.PLATEAU_LIMIT + 0.1)
     assert len(bench_scale.failures({"scale": [row], "soak": leaking})) == 1
+    # the committed parent of this gate: 79.7 ms -> 237.9 ms over 2 000 rounds
+    slowing = dict(soak, round_ms_p50_first=79.7, round_ms_p50_last=237.9)
+    assert len(bench_scale.failures({"scale": [row], "soak": slowing})) == 1
+    unsampled = dict(soak, plateau_ratio=None)  # horizon too short for the RSS gate
+    assert bench_scale.failures({"scale": [row], "soak": unsampled}) == []
