@@ -4,12 +4,13 @@ Usage: ``python benchmarks/bench_scale.py [--out BENCH_scale.json] [--smoke]``.
 The wall-clock-vs-n curve (n = 256 … 4096, every backend, paper-mode sizing)
 and a 2 000-round bounded-memory soak at n = 64 gated on RSS and round-wall plateaus.
 The method is perfbench's: each measurement is a fresh child process; a curve
-point runs one warm round, then times one round between bursts of
-``perfbench.calibrate``'s kernel and divides the wall by the slowdown they
-saw; points run REPEATS times round-robin, fastest kept.  See docs/perf.md.
+point runs one warm round, then times one round (and, through ``gc.callbacks``,
+the cyclic collector inside it) between bursts of ``perfbench.calibrate``'s kernel
+and divides by their slowdown; REPEATS times round-robin, fastest kept (docs/perf.md).
 """
 
 import argparse
+import gc
 import json
 import os
 import statistics
@@ -47,19 +48,22 @@ def sized(n: int, **extra) -> ProtocolParams:
 
 def measure_point(backend: str, n: int) -> dict:
     """Child entry: one curve point, measured in this process."""
-    calibrator = Calibrator()
-    params = sized(n)
+    calibrator, params = Calibrator(), sized(n)
     ledger = create_backend(backend, params)
     ledger.run_round()  # warm: caches filled, lazy set-up done
     bursts = [calibrator.burst() for _ in range(BURSTS)]
+    stamps = []  # (clock, generation) at the start and at the end of each collector pass
+    gc.callbacks.append(lambda _, info: stamps.append((time.perf_counter(), info["generation"])))
     began = time.perf_counter()
     report = ledger.run_round()
     raw = time.perf_counter() - began
+    gc.callbacks.pop()
     bursts += [calibrator.burst() for _ in range(BURSTS)]
-    wall, msgs = raw / slowdown(bursts), report.messages
-    return {"backend": backend, "n": n, "m": params.m, "wall_s": wall,
-            "wall_s_raw": raw, "messages": msgs, "rss_mib": rss_kb() / 1024,
-            "us_per_msg": 1e6 * wall / msgs if msgs else None}
+    slow, msgs = slowdown(bursts), report.messages
+    return {"backend": backend, "n": n, "m": params.m, "messages": msgs, "wall_s_raw": raw,
+            "wall_s": raw / slow, "us_per_msg": 1e6 * raw / slow / msgs if msgs else None,
+            "rss_mib": rss_kb() / 1024, "gen2_passes": sum(g == 2 for _, g in stamps[::2]),
+            "gc_s": sum(b[0] - a[0] for a, b in zip(stamps[::2], stamps[1::2])) / slow}
 
 
 def soak_ledger():
@@ -74,8 +78,7 @@ def soak_ledger():
 def run_soak(ledger, rounds: int, reference_round: int, compact_every: int) -> dict:
     """Child entry: RSS at ``reference_round`` and the peak after it (ratio None
     if never reached or unreadable); calibrated round-wall p50, first/last WINDOW."""
-    calibrator = Calibrator()
-    walls, bursts = [], []  # per-round seconds; (round, burst seconds)
+    calibrator, walls, bursts = Calibrator(), [], []  # per-round s; (round, burst s)
     reference_kb = peak_kb = 0
     for done in range(1, rounds + 1):
         if done % 10 == 1:
@@ -94,7 +97,6 @@ def run_soak(ledger, rounds: int, reference_round: int, compact_every: int) -> d
     def p50_ms(lo: int, hi: int) -> float:
         seen = [burst for done, burst in bursts if lo < done <= hi]
         return 1e3 * statistics.median(walls[lo:hi]) / slowdown(seen)
-
     return {"n": ledger.params.n, "rounds": rounds, "reference_round": reference_round,
             "rss_reference_mib": reference_kb / 1024, "rss_peak_mib": peak_kb / 1024,
             "plateau_ratio": peak_kb / reference_kb if reference_kb else None,
@@ -108,9 +110,8 @@ def in_child(call: str) -> dict:
     """Evaluate ``bench_scale.<call>`` in a fresh interpreter."""
     print("measuring", call, flush=True)
     code = f"import json, bench_scale; print(json.dumps(bench_scale.{call}))"
-    done = subprocess.run([sys.executable, "-c", code], cwd=HERE,
-                          stdout=subprocess.PIPE, check=True)
-    return json.loads(done.stdout.splitlines()[-1])
+    out = subprocess.check_output([sys.executable, "-c", code], cwd=HERE)
+    return json.loads(out.splitlines()[-1])
 
 
 def failures(payload: dict) -> list[str]:
@@ -141,8 +142,7 @@ def main(argv: list[str] | None = None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     problems = failures(payload)
-    for problem in problems:
-        print("bench_scale: FAILED " + problem, file=sys.stderr)
+    sys.stderr.writelines(f"bench_scale: FAILED {problem}\n" for problem in problems)
     return 1 if problems else 0
 
 

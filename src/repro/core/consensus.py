@@ -262,11 +262,16 @@ class InsideConsensus:
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:
         self.outcome.started_at = self.ctx.net.now
+        # One handler per message kind for the whole session, registered on
+        # every member: the member a delivery is for is its recipient.
+        on_propose, on_echo, on_stop = (
+            self._on_propose, self._echo_handler(), self._on_stop,
+        )
         for mid in self.members:
             node = self.ctx.node(mid)
-            node.on(self._tag_propose, self._make_on_propose(mid))
-            node.on(self._tag_echo, self._make_on_echo(mid))
-            node.on(self._tag_stop, self._make_on_stop(mid))
+            node.on(self._tag_propose, on_propose)
+            node.on(self._tag_echo, on_echo)
+            node.on(self._tag_stop, on_stop)
         self.ctx.node(self.leader).on(self._tag_confirm, self._on_confirm)
         self._leader_propose()
 
@@ -328,42 +333,40 @@ class InsideConsensus:
         self._record_echo(self.leader, own_digest, self.leader, echo_sig)
 
     # -- member handlers ---------------------------------------------------
-    def _make_on_propose(self, mid: int):
-        def handler(message: "Message") -> None:
-            if mid in self._stopped:
-                return
-            node = self.ctx.node(mid)
-            sig, digest, payload = message.payload
-            leader_pk = self.ctx.pk_of(self.leader)
-            if not signed_by_encoded(
-                self.ctx.pki, sig, self._header_enc(digest), leader_pk
-            ):
-                return  # forged or mis-signed: ignore
-            if self._payload_digest(payload) != digest:
-                return  # digest does not match the message body
-            self._note_header(mid, digest, sig)
-            if mid in self._proposed:
-                return  # duplicate PROPOSE; equivocation was handled above
-            self._proposed[mid] = (digest, sig)
-            if not node.behavior.echoes(node):
-                return  # Byzantine member withholding participation
-            echo_sig = sign_encoded(node.keypair, self._echo_enc(digest, mid))
-            # Broadcast ECHO + relay the leader-signed header (not the body:
-            # "the digest helps to mitigate the burden on the channel").
-            echo_packet = (echo_sig, digest, mid, sig)
-            echo_size = payload_size(echo_packet)
-            node.multicast(
-                self.members, self._tag_echo, echo_packet, size=echo_size
-            )
-            self._record_echo(mid, digest, mid, echo_sig)
-            self._maybe_confirm(mid)
+    def _on_propose(self, message: "Message") -> None:
+        mid = message.recipient
+        if mid in self._stopped:
+            return
+        node = self.ctx.node(mid)
+        sig, digest, payload = message.payload
+        leader_pk = self.ctx.pk_of(self.leader)
+        if not signed_by_encoded(
+            self.ctx.pki, sig, self._header_enc(digest), leader_pk
+        ):
+            return  # forged or mis-signed: ignore
+        if self._payload_digest(payload) != digest:
+            return  # digest does not match the message body
+        self._note_header(mid, digest, sig)
+        if mid in self._proposed:
+            return  # duplicate PROPOSE; equivocation was handled above
+        self._proposed[mid] = (digest, sig)
+        if not node.behavior.echoes(node):
+            return  # Byzantine member withholding participation
+        echo_sig = sign_encoded(node.keypair, self._echo_enc(digest, mid))
+        # Broadcast ECHO + relay the leader-signed header (not the body:
+        # "the digest helps to mitigate the burden on the channel").
+        echo_packet = (echo_sig, digest, mid, sig)
+        echo_size = payload_size(echo_packet)
+        node.multicast(
+            self.members, self._tag_echo, echo_packet, size=echo_size
+        )
+        self._record_echo(mid, digest, mid, echo_sig)
+        self._maybe_confirm(mid)
 
-        return handler
-
-    def _make_on_echo(self, mid: int):
-        """The ECHO handler of member ``mid``: Algorithm 3's O(C²) step, so
-        one closure over the member's own state, with the steps that cannot
-        change anything skipped rather than called and returned from.
+    def _echo_handler(self):
+        """The session's ECHO handler: Algorithm 3's O(C²) step, so one
+        closure over the session's state, with the steps that cannot change
+        anything skipped rather than called and returned from.
 
         Every delivery is judged by the identity memo or, on a miss, the
         full :meth:`_echo_verdict`.  The relayed leader header is audited on
@@ -376,16 +379,17 @@ class InsideConsensus:
         :meth:`_maybe_confirm` runs for those alone; ECHOes that reach
         quorum before the PROPOSE are confirmed by the PROPOSE handler.
         """
-        node = self.ctx.node(mid)
+        nodes = self.ctx.nodes
         stopped = self._stopped
         confirmed = self._confirmed
         memo = self._echo_memo
-        seen = self._seen_headers[mid]
-        echoes = self._echoes[mid]
+        seen_headers = self._seen_headers
+        echoes = self._echoes
         proposed = self._proposed
         half = self.C / 2
 
         def handler(message: "Message") -> None:
+            mid = message.recipient
             if mid in stopped:
                 return
             packet = message.payload
@@ -398,13 +402,19 @@ class InsideConsensus:
                 return
             echo_sig, digest, _sender_id, relayed_propose_sig = packet
             # The relayed PROPOSE header lets every member audit the leader.
-            if header_ok and (digest not in seen or len(seen) > 1):
-                self._note_header(mid, digest, relayed_propose_sig)
+            if header_ok:
+                seen = seen_headers[mid]
+                if digest not in seen or len(seen) > 1:
+                    self._note_header(mid, digest, relayed_propose_sig)
             if mid in confirmed:
                 return
+            node = nodes[mid]
             if not node.behavior.echoes(node):
                 return
-            by_digest = echoes.setdefault(digest, {})
+            held = echoes[mid]
+            by_digest = held.get(digest)
+            if by_digest is None:
+                held[digest] = by_digest = {}
             by_digest[echo_sig.pk] = echo_sig
             if len(by_digest) > half:
                 own = proposed.get(mid)
@@ -437,23 +447,23 @@ class InsideConsensus:
                 node.multicast(self.members, self._tag_stop, witness)
                 self._stopped.add(mid)
 
-    def _make_on_stop(self, mid: int):
-        def handler(message: "Message") -> None:
-            witness: EquivocationWitness = message.payload
-            if not isinstance(witness, EquivocationWitness):
-                return
-            if not witness.is_valid(self.ctx.pki):
-                return  # invalid alarm: ignore (Claim 4 — no framing)
-            if self.outcome.equivocation is None:
-                self.outcome.equivocation = witness
-            self._stopped.add(mid)
-
-        return handler
+    def _on_stop(self, message: "Message") -> None:
+        witness: EquivocationWitness = message.payload
+        if not isinstance(witness, EquivocationWitness):
+            return
+        if not witness.is_valid(self.ctx.pki):
+            return  # invalid alarm: ignore (Claim 4 — no framing)
+        if self.outcome.equivocation is None:
+            self.outcome.equivocation = witness
+        self._stopped.add(message.recipient)
 
     def _record_echo(
         self, holder: int, digest: bytes, sender_id: int, echo_sig: Signature
     ) -> None:
-        by_digest = self._echoes[holder].setdefault(digest, {})
+        held = self._echoes[holder]
+        by_digest = held.get(digest)
+        if by_digest is None:
+            held[digest] = by_digest = {}
         by_digest[echo_sig.pk] = echo_sig
 
     def _maybe_confirm(self, mid: int) -> None:

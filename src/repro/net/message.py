@@ -177,9 +177,10 @@ class Message:
     to the (sender, recipient) pair.
 
     Envelopes are pooled by :class:`~repro.net.simulator.Network`: after a
-    delivery callback returns, the envelope may be reused for a later send.
-    Handlers must therefore never retain the envelope itself beyond the
-    callback — retaining the *payload* is fine (payloads are never pooled).
+    delivery callback returns, the envelope is reused — by the next
+    recipient of the same fan-out, then by a later send.  Handlers must
+    therefore never keep the envelope itself past the callback — keeping
+    the *payload* is fine (payloads are never pooled).
     """
 
     sender: int

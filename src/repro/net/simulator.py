@@ -1,10 +1,12 @@
 """Event-driven network simulator.
 
-A single ``heapq`` of ``(deliver_time, seq, message)`` drives the run.  The
-simulator is deliberately allocation-light (slotted messages, one heap, no
-per-message objects beyond the envelope) so complexity benchmarks with tens
-of thousands of messages stay fast, per the HPC guide's advice to keep the
-inner loop simple and measured.
+A single ``heapq`` ordered by ``(deliver_time, seq)`` drives the run.  The
+simulator allocates per *fan-out*, not per message: a multicast is one
+time-sorted run with only its head in the heap and, on a pooled network, one
+envelope (see :meth:`Network._fan_out`), so the heap and the cyclic
+collector's working set grow with the fan-outs in flight, not with the
+messages — the term that made a round's cost super-linear in n
+(docs/perf.md, "The collector is the super-linear term").
 
 Adversarial power (§III-C): "The adversary can change the order of messages
 sent by non-faulty nodes for the restriction given in our network model."
@@ -17,8 +19,7 @@ the synchrony assumption itself.
 from __future__ import annotations
 
 import heapq
-import itertools
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -33,6 +34,11 @@ if TYPE_CHECKING:  # pragma: no cover
 class SimulationError(RuntimeError):
     """Raised for protocol-level misuse of the network (e.g. sending on a
     channel the topology does not provide)."""
+
+
+def _default_classifier(src: int, dst: int) -> str:
+    """The permissive topology of a fresh or reset network."""
+    return ChannelClass.PARTIAL
 
 
 class Network:
@@ -65,26 +71,30 @@ class Network:
         # ``now``.  The round-overlap engine composes its end-to-end
         # timeline on this clock.
         self.epoch: float = 0.0
-        self._queue: list[tuple[float, int, Message | None, Callable | None]] = []
-        self._seq = itertools.count()
+        # The event heap, ordered by ``(time, seq)`` (``seq`` is unique, so
+        # nothing past it is ever compared).  Three kinds of entry:
+        #   timer            (time, seq, None, callback)
+        #   single envelope  (time, seq, message, None)
+        #   run head         (time, seq, envelope, run)   -- see ``_fan_out``
+        self._queue: list[tuple[float, int, Message | None, Any]] = []
+        self._next_seq = 0
         # Pre-drawn jitter block and its cursor (see :meth:`_fan_out`).
         self._jitter_block: np.ndarray | None = None
         self._jitter_idx = 0
-        # Recycled Message envelopes (opt-in): the protocol allocates one
-        # envelope per send and drops it right after the delivery callback;
-        # pooling removes that allocate/GC churn.  Pooling is only enabled
+        # Recycled Message envelopes (opt-in): a send or a whole fan-out
+        # takes one envelope and is done with it after its last delivery
+        # callback; pooling removes that allocate/GC churn, and lets the
+        # deliveries of a fan-out share the one.  Pooling is only enabled
         # on the orchestrated protocol path (CommitteeSimBackend), whose
         # handlers are audited to retain payloads, never envelopes; ad-hoc
         # Network users (tests, notebooks) keep allocation semantics and
         # may hold on to delivered messages freely.
         self.pool_envelopes = pool_envelopes
         self._pool: list[Message] = []
-        self.channel_classifier: Callable[[int, int], str | None] = (
-            lambda src, dst: ChannelClass.PARTIAL
-        )
         # sender -> {recipient -> channel class}: the classifier's verdicts
         # for the pairs used since it was installed (see :meth:`_fan_out`).
         self._channel_rows: dict[int, dict[int, str]] = {}
+        self.channel_classifier = _default_classifier
         self.adversarial_scheduler: Callable[[Message], float] | None = None
         self.delivered_messages = 0
         self.dropped_messages = 0
@@ -138,9 +148,8 @@ class Network:
         self.epoch += self.now
         self.now = 0.0
         self._queue.clear()
-        self._seq = itertools.count()
-        self.channel_classifier = lambda src, dst: ChannelClass.PARTIAL
-        self._channel_rows.clear()
+        self._next_seq = 0
+        self.channel_classifier = _default_classifier
         self.adversarial_scheduler = None
         self.delivered_messages = 0
         self.dropped_messages = 0
@@ -169,15 +178,28 @@ class Network:
         self.nodes[node.node_id] = node
         node.attach(self)
 
+    @property
+    def channel_classifier(self) -> Callable[[int, int], str | None]:
+        """The topology: ``(src, dst) -> channel class``, or ``None`` for no
+        link.  It is read as a pure function of the pair while installed
+        (verdicts are remembered per pair); assigning a classifier — here,
+        through :meth:`set_channel_classifier` or by :meth:`reset` — drops
+        every remembered verdict."""
+        return self._channel_classifier
+
+    @channel_classifier.setter
+    def channel_classifier(
+        self, classifier: Callable[[int, int], str | None]
+    ) -> None:
+        self._channel_classifier = classifier
+        self._channel_rows.clear()
+
     def set_channel_classifier(
         self, classifier: Callable[[int, int], str | None]
     ) -> None:
-        """Install the topology.  The classifier is read as a pure function
-        of the pair until the next call (or :meth:`reset`): verdicts are
-        remembered per pair, so a topology that changes must be installed
-        again."""
+        """Install the topology (the same as assigning
+        :attr:`channel_classifier`)."""
         self.channel_classifier = classifier
-        self._channel_rows.clear()
 
     # -- fault injection ---------------------------------------------------
     def set_partitions(self, groups: "Iterable[Iterable[int]]") -> None:
@@ -326,26 +348,35 @@ class Network:
         Everything that cannot change between two recipients is read once,
         and the jitter cursor is written back when the loop ends, so
         ``drop_filter`` / ``adversarial_scheduler`` hooks must not send.
+        Each hook call is handed an envelope of its own, made for the call.
+
+        All of that is decided here, at send time; what the loop keeps of
+        a surviving recipient is its delivery time and channel.  The k-th
+        survivor's ``seq`` is ``seq0 + k``, so the survivors sorted by time
+        with a stable sort are in ``(time, seq)`` order — the heap's — and
+        only the earliest needs to be in the heap: a fan-out is one *run*
+        ``(order, times, recipients, channels, seq0)``, the last four
+        indexed by k and ``order`` holding the k still outside the heap,
+        latest first.  :meth:`run` delivers the head and puts the run's next
+        entry in its place.  One survivor is its own envelope on the heap.
 
         Jitter is served from a pre-drawn block: a batched
         ``Generator.random(n)`` consumes the bit stream exactly like n
         scalar draws, so the served sequence equals ``float(rng.random())``
-        per message (asserted by tests/test_perf_harness.py).
+        per message (asserted by tests/test_reference_equivalence.py).
         """
-        row = self._channel_rows.setdefault(sender, {})
+        row = self._channel_rows.get(sender)
+        if row is None:
+            self._channel_rows[sender] = row = {}
         partition = self._partition
         sender_group = partition.get(sender, -1) if partition is not None else -1
         drop_filter = self.drop_filter
         scheduler = self.adversarial_scheduler
+        hooked = drop_filter is not None or scheduler is not None
         degradations = self._degradations
         base_delays = self._base_delays
         jitter = self.params.jitter
         now = self.now
-        queue = self._queue
-        pool = self._pool
-        seq = self._seq
-        push = heapq.heappush
-        new_envelope = object.__new__
         block = self._jitter_block
         block_len = 0 if block is None else len(block)
         idx = self._jitter_idx
@@ -375,22 +406,13 @@ class Network:
                     continue
                 if nbytes is None:
                     nbytes = payload_size(payload)
-                # A retired envelope if there is one, else a bare one: all
-                # eight fields are written here either way, so a fresh
-                # envelope does not pay the ``__init__`` frame on top.
-                message = pool.pop() if pool else new_envelope(Message)
-                message.sender = sender
-                message.recipient = recipient
-                message.tag = tag
-                message.payload = payload
-                message.size = nbytes
-                message.channel = channel
-                message.send_time = now
-                message.deliver_time = 0.0
-                if drop_filter is not None and drop_filter(message):
-                    self.dropped_messages += 1
-                    self._release(message)
-                    continue
+                if hooked:
+                    probe = Message(
+                        sender, recipient, tag, payload, nbytes, channel, now, 0.0
+                    )
+                    if drop_filter is not None and drop_filter(probe):
+                        self.dropped_messages += 1
+                        continue
                 base = base_delays.get(channel)
                 if base is None:
                     base = self.params.base_delay(channel)  # raises: unknown
@@ -407,38 +429,71 @@ class Network:
                     if degradations:
                         delay *= self._degradation_factor(channel)
                     if scheduler is not None and channel == ChannelClass.PARTIAL:
-                        stretch = scheduler(message)
+                        stretch = scheduler(probe)
                         delay *= min(
                             max(stretch, 1.0), self.params.partial_max_stretch
                         )
                     deliver_time = now + delay
-                message.deliver_time = deliver_time
+                # Most sends have one recipient: the first survivor stays in
+                # locals, the second makes the lists.
+                if sent:
+                    if sent == 1:
+                        times = [head_time]
+                        survivors = [head_to]
+                        channels = [head_channel]
+                    times.append(deliver_time)
+                    survivors.append(recipient)
+                    channels.append(channel)
+                else:
+                    head_time = deliver_time
+                    head_to = recipient
+                    head_channel = channel
                 sent += 1
-                push(queue, (deliver_time, next(seq), message, None))
         finally:
+            # Also on the way out of a raise: the recipients before the one
+            # that raised are sent.
             self._jitter_idx = idx
             if sent:
                 self.metrics.record_sends(sender, sent, nbytes)
-
-    def _release(self, message: Message) -> None:
-        """Retire an envelope back to the pool.
-
-        The payload reference is cleared (pooling must never extend a
-        payload's lifetime) and the tag is poisoned, so a handler that
-        violated the no-retention contract reads an obviously-invalid
-        envelope instead of another send's fields masquerading as its own.
-        """
-        if self.pool_envelopes and len(self._pool) < self._POOL_MAX:
-            message.payload = None
-            message.tag = "<pooled>"
-            self._pool.append(message)
+                seq0 = self._next_seq
+                self._next_seq = seq0 + sent
+                run = None
+                head = 0
+                if sent > 1:
+                    order = sorted(range(sent), key=times.__getitem__)
+                    order.reverse()
+                    head = order.pop()
+                    run = (order, times, survivors, channels, seq0)
+                    head_time = times[head]
+                    head_to = survivors[head]
+                    head_channel = channels[head]
+                # A retired envelope if there is one, else a bare one: all
+                # eight fields are written here either way, so a fresh
+                # envelope does not pay the ``__init__`` frame on top.  A
+                # run's envelope carries what its deliveries share;
+                # :meth:`run` writes the other three fields per delivery.
+                pool = self._pool
+                message = pool.pop() if pool else object.__new__(Message)
+                message.sender = sender
+                message.recipient = head_to
+                message.tag = tag
+                message.payload = payload
+                message.size = nbytes
+                message.channel = head_channel
+                message.send_time = now
+                message.deliver_time = head_time
+                heapq.heappush(
+                    self._queue, (head_time, seq0 + head, message, run)
+                )
 
     def call_at(self, time: float, callback: Callable[[], None]) -> None:
         """Schedule a timer (used for the paper's timeout rules, e.g. the 2Γ
         wait in Lemma 7 and the 6Δ vote-collection window)."""
         if time < self.now:
             raise SimulationError("cannot schedule in the past")
-        heapq.heappush(self._queue, (time, next(self._seq), None, callback))
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        heapq.heappush(self._queue, (time, seq, None, callback))
 
     def call_after(self, delay: float, callback: Callable[[], None]) -> None:
         self.call_at(self.now + delay, callback)
@@ -447,19 +502,32 @@ class Network:
     def run(self, until: float | None = None) -> float:
         """Process events until the queue drains (or ``until`` is reached).
 
-        Returns the simulation time after the last processed event.
+        Returns the simulation time after the last processed event.  The
+        clock never rewinds: an ``until`` before :attr:`now` raises.
 
         A delivery is dispatched here, not through
-        :meth:`ProtocolNode.receive` and :meth:`_release`: the loop does
-        what those two do (offline recipients hear nothing, the tag selects
-        the handler at delivery time, unknown tags go to ``on_default``, the
-        envelope is recycled after the callback) without two calls per
-        message.  ``delivered_messages`` is brought up to date when the
+        :meth:`ProtocolNode.receive`: the loop does what it does (offline
+        recipients hear nothing, the tag selects the handler at delivery
+        time, unknown tags go to ``on_default``) without a call per message.
+        A run head is replaced by the run's next entry *before* the handler
+        is called, so whatever the handler sends is ordered against the rest
+        of the run.  On a pooled network the deliveries of a run share its
+        one envelope — ``recipient``, ``channel`` and ``deliver_time`` are
+        rewritten for each — and an envelope is retired (payload dropped,
+        tag poisoned, so a handler that kept it reads an obviously invalid
+        envelope and not another send's fields) after its last callback;
+        otherwise every delivery gets an envelope of its own, which the
+        recipient may keep.  (A handler that re-entered ``run`` would have
+        the rest of its run delivered, and its envelope rewritten, under it;
+        none does.)  ``delivered_messages`` is brought up to date when the
         loop exits, however it exits.
         """
+        if until is not None and until < self.now:
+            raise SimulationError("cannot run to a time in the past")
         queue = self._queue
         nodes = self.nodes
         pop = heapq.heappop
+        replace = heapq.heapreplace
         pool = self._pool if self.pool_envelopes else None
         pool_max = self._POOL_MAX
         max_events = self.params.max_events
@@ -467,14 +535,45 @@ class Network:
         delivered = 0
         try:
             while queue:
-                deliver_time, _, message, callback = queue[0]
+                deliver_time, seq, message, run = queue[0]
                 if until is not None and deliver_time > until:
                     self.now = until
                     return until
-                pop(queue)
                 self.now = deliver_time
-                if message is not None:
-                    node = nodes.get(message.recipient)
+                if message is None:
+                    pop(queue)
+                    if run is not None:
+                        run()  # a timer: the callback is in the run's place
+                else:
+                    if run is None:
+                        pop(queue)
+                        retire = pool is not None
+                        recipient = message.recipient
+                    else:
+                        order, times, recipients, channels, seq0 = run
+                        if order:
+                            after = order.pop()
+                            replace(
+                                queue,
+                                (times[after], seq0 + after, message, run),
+                            )
+                            retire = False
+                        else:
+                            pop(queue)
+                            retire = pool is not None
+                        if pool is None:
+                            shared = message
+                            message = object.__new__(Message)
+                            message.sender = shared.sender
+                            message.tag = shared.tag
+                            message.payload = shared.payload
+                            message.size = shared.size
+                            message.send_time = shared.send_time
+                        k = seq - seq0
+                        message.recipient = recipient = recipients[k]
+                        message.channel = channels[k]
+                        message.deliver_time = deliver_time
+                    node = nodes.get(recipient)
                     if node is not None:
                         # ``ProtocolNode.receive``, inlined.
                         if node.online:
@@ -489,13 +588,10 @@ class Network:
                             else:
                                 node.on_default(message)
                         delivered += 1
-                    # ``_release``, inlined.
-                    if pool is not None and len(pool) < pool_max:
+                    if retire and len(pool) < pool_max:
                         message.payload = None
                         message.tag = "<pooled>"
                         pool.append(message)
-                elif callback is not None:
-                    callback()
                 processed += 1
                 if processed > max_events:
                     raise SimulationError(
@@ -508,7 +604,35 @@ class Network:
 
     @property
     def pending(self) -> int:
-        return len(self._queue)
+        """Events not yet processed: timers plus undelivered messages."""
+        return sum(
+            1 if message is None or run is None else 1 + len(run[0])
+            for _, _, message, run in self._queue
+        )
+
+    def in_flight(self) -> Iterator[tuple]:
+        """Every undelivered message, in delivery order, as ``(deliver_time,
+        seq, sender, recipient, tag, size, channel, send_time)``: a
+        read-only view for tests and tools, so that nothing outside this
+        class depends on how the queue is laid out."""
+        rows = []
+        for deliver_time, seq, message, run in self._queue:
+            if message is None:
+                continue
+            if run is None:
+                waiting = [(deliver_time, seq, message.recipient, message.channel)]
+            else:
+                order, times, recipients, channels, seq0 = run
+                waiting = [
+                    (times[k], seq0 + k, recipients[k], channels[k])
+                    for k in (seq - seq0, *order)
+                ]
+            rows += [
+                (when, number, message.sender, recipient, message.tag,
+                 message.size, channel, message.send_time)
+                for when, number, recipient, channel in waiting
+            ]
+        return iter(sorted(rows))
 
     @property
     def global_now(self) -> float:

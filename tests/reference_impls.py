@@ -9,9 +9,11 @@ the methods an optimization replaced.
 * :func:`naive_payload_size` — wire-size estimation with per-call
   ``dataclasses.fields`` introspection and isinstance chains (replaced by
   the exact-type dispatch in :mod:`repro.net.message`);
-* :class:`NaiveNetwork` — the simulator's send path with per-message
-  envelope allocation and scalar jitter draws (replaced by envelope
-  pooling and block-buffered jitter in :mod:`repro.net.simulator`);
+* :class:`NaiveNetwork` — the simulator one message at a time: an envelope
+  and a heap push per recipient, scalar jitter draws, every delivery
+  through ``ProtocolNode.receive`` (replaced by block-buffered jitter, one
+  time-sorted run and one envelope per fan-out, and the inlined dispatch
+  of :mod:`repro.net.simulator`);
 * :class:`NaiveWorkloadGenerator` — transaction generation with
   ``Generator.choice`` defect draws and an any()-scan address bucket fill
   (replaced by tuple-indexed bounded-integer draws and a slot countdown in
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import itertools
 from typing import Any
 
 import numpy as np
@@ -89,19 +92,27 @@ def _np_scalar_types() -> tuple[type, ...]:
 
 # -- network -----------------------------------------------------------------
 class NaiveNetwork(Network):
-    """The simulator with its pre-optimization send path.
+    """The simulator, one message at a time: the oracle for the fabric.
 
-    Allocates a fresh :class:`Message` per send, draws jitter with a scalar
-    ``Generator.random()`` call per message, and sizes payloads with
-    :func:`naive_payload_size`.  Given the same RNG seed it produces the
-    identical delivery schedule as the optimized :class:`Network` (the
-    jitter block is stream-exact), so same-seed runs can be checked for
-    equality.
+    The send path is the pre-optimization one — a :class:`Message` per
+    send, a scalar ``Generator.random()`` per jitter draw, payloads sized
+    with :func:`naive_payload_size` — and a multicast is the loop of sends.
+    Every message is its own entry of this class's own heap, and the event
+    loop hands each to :meth:`ProtocolNode.receive` and retires its
+    envelope afterwards.  It shares no queue, run or dispatch code with
+    :class:`Network`; given the same RNG seed it must produce the identical
+    schedule, deliveries and counters (the jitter block is stream-exact).
     """
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
-        kwargs["pool_envelopes"] = False
         super().__init__(*args, **kwargs)
+        self._events: list[tuple] = []  # (time, seq, message | None, callback | None)
+        self._event_seq = itertools.count()
+
+    def reset(self, metrics=None) -> None:
+        super().reset(metrics)
+        self._events.clear()
+        self._event_seq = itertools.count()
 
     def _next_jitter(self) -> float:
         return float(self.rng.random())
@@ -141,7 +152,8 @@ class NaiveNetwork(Network):
         payload: Any,
         size: "int | None" = None,
     ) -> None:
-        """The pre-pooling send path, preserved verbatim."""
+        """The pre-pooling send path (a retired envelope is reused when the
+        network pools, so the pool's size can be compared too)."""
         if recipient not in self.nodes:
             raise SimulationError(f"unknown recipient {recipient}")
         channel = self.channel_classifier(sender, recipient)
@@ -157,7 +169,8 @@ class NaiveNetwork(Network):
             self.partition_dropped += 1
             return
         nbytes = size if size is not None else naive_payload_size(payload)
-        message = Message(
+        message = self._pool.pop() if self._pool else Message.__new__(Message)
+        message.__init__(
             sender=sender,
             recipient=recipient,
             tag=tag,
@@ -169,12 +182,69 @@ class NaiveNetwork(Network):
         )
         if self.drop_filter is not None and self.drop_filter(message):
             self.dropped_messages += 1
+            self._retire(message)
             return
         message.deliver_time = self.now + self._sample_delay(channel, message)
         self.metrics.record_send(sender, nbytes)
         heapq.heappush(
-            self._queue, (message.deliver_time, next(self._seq), message, None)
+            self._events,
+            (message.deliver_time, next(self._event_seq), message, None),
         )
+
+    def _retire(self, message: Message) -> None:
+        """A pooling network keeps a finished envelope for a later send,
+        with its payload let go and its tag poisoned."""
+        if self.pool_envelopes and len(self._pool) < self._POOL_MAX:
+            message.payload = None
+            message.tag = "<pooled>"
+            self._pool.append(message)
+
+    def multicast(self, sender, recipients, tag, payload, size=None) -> None:
+        for recipient in recipients:
+            if recipient != sender:
+                self.send(sender, recipient, tag, payload, size)
+
+    def call_at(self, time: float, callback) -> None:
+        if time < self.now:
+            raise SimulationError("cannot schedule in the past")
+        heapq.heappush(
+            self._events, (time, next(self._event_seq), None, callback)
+        )
+
+    def run(self, until: "float | None" = None) -> float:
+        if until is not None and until < self.now:
+            raise SimulationError("cannot run to a time in the past")
+        processed = 0
+        while self._events:
+            deliver_time, _, message, callback = self._events[0]
+            if until is not None and deliver_time > until:
+                self.now = until
+                return until
+            heapq.heappop(self._events)
+            self.now = deliver_time
+            if message is not None:
+                node = self.nodes.get(message.recipient)
+                if node is not None:
+                    node.receive(message)
+                    self.delivered_messages += 1
+                self._retire(message)
+            elif callback is not None:
+                callback()
+            processed += 1
+            if processed > self.params.max_events:
+                raise SimulationError("event budget exceeded")
+        return self.now
+
+    @property
+    def pending(self) -> int:
+        return len(self._events)
+
+    def in_flight(self):
+        return iter(sorted(
+            (time, seq, m.sender, m.recipient, m.tag, m.size, m.channel, m.send_time)
+            for time, seq, m, _ in self._events
+            if m is not None
+        ))
 
 
 # -- workload ----------------------------------------------------------------

@@ -441,3 +441,34 @@ def test_sig_list_size_is_the_size_of_a_signature_list(pki, n):
 
     sig = sign(pki.generate("signer"), "statement")
     assert sig_list_size(n) == payload_size([sig] * n)
+
+
+def test_start_allocates_per_session_not_per_member():
+    """One PROPOSE / ECHO / STOP handler for the whole session: what
+    ``start`` adds to the collector's books per extra member is the
+    member's mailbox, not a set of closures (about 25 objects before)."""
+    import gc
+
+    def added_by_start(size):
+        ctx = build_sandbox(committee_size=size, lam=2)
+        committee = ctx.committees[0]
+        session = InsideConsensus(
+            ctx, committee.members, committee.leader, sn=1, payload="M", session="t"
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            session.start()
+            return len(gc.get_objects()) - before, session, ctx
+        finally:
+            gc.enable()
+
+    small, _, _ = added_by_start(8)
+    large, session, ctx = added_by_start(32)
+    assert (large - small) / (32 - 8) <= 3
+    handlers = [ctx.node(mid).handlers for mid in session.members]
+    for tag in ("PROPOSE:t", "ECHO:t", "STOP:t"):
+        assert len({id(mailbox[tag]) for mailbox in handlers}) == 1
+    ctx.net.run()
+    assert session.outcome.success and session.outcome.confirms == 32

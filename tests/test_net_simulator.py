@@ -1,9 +1,8 @@
 """Network simulator: delivery, latency classes, timers, strict channels."""
 
-import heapq
-
 import numpy as np
 import pytest
+from reference_impls import NaiveNetwork
 
 from repro.crypto.pki import PKI
 from repro.net import (
@@ -358,25 +357,10 @@ def _fanout_fabric(factory, conditions):
     return net
 
 
-def _fanout_state(net, payload):
-    heap = sorted(
-        (
-            deliver_time,
-            seq,
-            msg.sender,
-            msg.recipient,
-            msg.tag,
-            msg.size,
-            msg.channel,
-            msg.send_time,
-            msg.deliver_time,
-            msg.payload is payload or msg.tag == "WARM",
-        )
-        for deliver_time, seq, msg, _callback in net._queue
-    )
+def _fanout_state(net):
     metrics = net.metrics
     return {
-        "heap": heap,
+        "heap": list(net.in_flight()),
         "dropped": (net.dropped_messages, net.partition_dropped),
         "rows": metrics.summary_rows(),
         "per_node": (
@@ -397,8 +381,6 @@ def _rng_state(net):
 
 
 def _assert_multicast_is_send_loop(conditions, recipients, size):
-    from reference_impls import NaiveNetwork
-
     payload = ("ECHO", b"\x01" * 32, 7, [1, 2, 3])
     fan = _fanout_fabric(Network, conditions)
     loop = _fanout_fabric(Network, conditions)
@@ -417,23 +399,31 @@ def _assert_multicast_is_send_loop(conditions, recipients, size):
         except SimulationError as exc:
             errors.append(str(exc))
     assert errors[0] == errors[1] == errors[2]
-    fan_state = _fanout_state(fan, payload)
-    assert fan_state == _fanout_state(loop, payload)
+    fan_state = _fanout_state(fan)
+    assert fan_state == _fanout_state(loop)
     assert _rng_state(fan) == _rng_state(loop)
     # The frozen pre-multicast send path draws jitter scalar by scalar, so
     # its generator state differs by the unserved rest of the block; every
     # queued message, counter and metric row must still agree.
-    assert fan_state == _fanout_state(naive, payload)
+    assert fan_state == _fanout_state(naive)
     order = []
     for net in (fan, loop, naive):
         seen = []
-        for node in net.nodes.values():
-            node.on("FAN", lambda msg, seen=seen: seen.append(
-                (msg.recipient, msg.deliver_time)
-            ))
+        for tag in ("FAN", "WARM"):
+            for node in net.nodes.values():
+                node.on(tag, lambda msg, seen=seen: seen.append((
+                    msg.deliver_time, msg.sender, msg.recipient, msg.tag,
+                    msg.size, msg.channel, msg.send_time,
+                    msg.payload is payload or msg.tag == "WARM", net.now,
+                )))
         net.run()
         order.append((seen, net.now, net.delivered_messages))
     assert order[0] == order[1] == order[2]
+    # What was delivered is what was in flight, in that order.
+    assert [row[:7] for row in order[0][0]] == [
+        (when, *rest) for when, _seq, *rest in fan_state["heap"]
+    ]
+    assert all(right_payload for *_, right_payload, _now in order[0][0])
     return fan_state
 
 
@@ -565,33 +555,10 @@ def test_multicast_equals_loop_of_sends_property():
     check()
 
 
-# -- the dispatch fast path: Network.run does what receive/_release do -------
-class _ReceiveLoopNetwork(Network):
-    """``Network.run`` with every delivery going through the public
-    :meth:`ProtocolNode.receive` and :meth:`Network._release` — the
-    reference that the loop's inlined dispatch is pinned to."""
-
-    def run(self, until=None):
-        processed = 0
-        while self._queue:
-            deliver_time, _, message, callback = self._queue[0]
-            if until is not None and deliver_time > until:
-                self.now = until
-                return until
-            heapq.heappop(self._queue)
-            self.now = deliver_time
-            if message is not None:
-                node = self.nodes.get(message.recipient)
-                if node is not None:
-                    node.receive(message)
-                    self.delivered_messages += 1
-                self._release(message)
-            elif callback is not None:
-                callback()
-            processed += 1
-            if processed > self.params.max_events:
-                raise SimulationError("event budget exceeded")
-        return self.now
+# -- the dispatch fast path: Network.run does what receive and retiring do ---
+# The reference is ``reference_impls.NaiveNetwork``: one envelope and one
+# heap entry per message, every delivery through the public
+# ``ProtocolNode.receive``, the envelope retired after it.
 
 
 class _Tap(ProtocolNode):
@@ -666,7 +633,7 @@ def _dispatch_story(factory, pooled, max_events=200_000, until=None):
 @pytest.mark.parametrize("pooled", [False, True], ids=["allocating", "pooled"])
 def test_run_dispatches_like_receive_and_release(pooled):
     story = _dispatch_story(Network, pooled)
-    assert story == _dispatch_story(_ReceiveLoopNetwork, pooled)
+    assert story == _dispatch_story(NaiveNetwork, pooled)
     heard = [(nid, kind, payload) for nid, kind, _tag, payload, _now in story["log"]]
     assert sorted(heard) == [
         (0, "handler", "pong"),
@@ -698,7 +665,7 @@ def test_run_dispatches_like_receive_and_release(pooled):
 )
 def test_delivered_messages_right_however_run_exits(limits, delivered, error):
     story = _dispatch_story(Network, True, **limits)
-    assert story == _dispatch_story(_ReceiveLoopNetwork, True, **limits)
+    assert story == _dispatch_story(NaiveNetwork, True, **limits)
     assert (story["delivered"], story["error"]) == (delivered, error)
 
 
@@ -787,3 +754,201 @@ def test_missing_channel_and_unknown_recipient_raise_on_every_attempt(
     assert asked.count((0, 2)) == 3
     assert net.pending == (0 if via == "send" else 6)
 
+
+
+def test_assigning_the_classifier_directly_drops_the_rows_too(net_and_nodes):
+    net, nodes = net_and_nodes
+    nodes[1].on("AFTER", lambda msg: nodes[1].received.append(msg))
+
+    def rewire(msg):
+        net.channel_classifier = lambda s, d: ChannelClass.KEY
+        nodes[0].send(1, "AFTER", "z")
+
+    nodes[3].on("REWIRE", rewire)
+    nodes[0].send(1, "MSG", "the pair is used before the topology changes")
+    nodes[0].send(3, "REWIRE", None)
+    net.run()
+    assert [m.channel for m in nodes[1].received] == [
+        ChannelClass.INTRA,
+        ChannelClass.KEY,
+    ]
+
+
+def test_run_until_a_time_in_the_past_raises(net_and_nodes):
+    net, nodes = net_and_nodes
+    net.call_after(8.0, lambda: None)
+    net.run()
+    with pytest.raises(SimulationError, match="past"):
+        net.run(until=1.0)
+    assert net.now == 8.0
+    assert net.run(until=8.0) == 8.0  # the present is not the past
+
+
+# -- a fan-out is one run: one heap entry, one envelope ----------------------
+_RUN_NODES = 34
+
+
+def _run_fabric(factory=Network, pooled=False, classify=None, **params):
+    """A network of taps (they log every delivery and keep the envelope)."""
+    net = factory(
+        NetworkParams(**params), np.random.default_rng(5), pool_envelopes=pooled
+    )
+    pki = PKI()
+    log, kept = [], []
+    for i in range(_RUN_NODES):
+        net.add_node(_Tap(i, pki.generate(("run", i)), log, kept))
+    net.set_channel_classifier(classify or (lambda s, d: ChannelClass.INTRA))
+    return net, log, kept
+
+
+def _heard(log):
+    return [(nid, payload) for nid, _kind, _tag, payload, _now in log]
+
+
+def test_multicast_allocates_per_fan_out_not_per_recipient():
+    import gc
+
+    net, _log, _kept = _run_fabric(pooled=True)
+    everyone = list(range(_RUN_NODES))
+    for _ in range(2):  # rows and jitter block filled, two envelopes pooled
+        net.multicast(0, everyone, "WARM", b"w")
+    net.run()
+    grew = []
+    gc.collect()
+    gc.disable()
+    try:
+        for fan in (8, 32):
+            before = len(gc.get_objects())
+            net.multicast(0, everyone[: fan + 1], "FAN", b"x", size=1)
+            grew.append(len(gc.get_objects()) - before)
+    finally:
+        gc.enable()
+    assert net.pending == 8 + 32
+    assert grew[0] == grew[1]
+
+
+def test_equal_delivery_times_come_out_in_seq_order():
+    # No jitter: every INTRA delivery of the instant lands on now + delta and
+    # every KEY one on now + gamma, so only seq orders them.
+    def classify(s, d):
+        if s == d:
+            return ChannelClass.LOCAL
+        return ChannelClass.KEY if (s + d) % 2 else ChannelClass.INTRA
+
+    stories = []
+    for factory in (Network, NaiveNetwork):
+        net, log, _kept = _run_fabric(factory, classify=classify, jitter=0.0)
+        delta = net.params.delta
+        timer = lambda name: log.append((name, "timer", None, None, net.now))
+        net.multicast(0, [1, 2, 3, 4], "A", "a")         # seq 0-3
+        net.call_at(delta, lambda: timer("at-delta"))   # seq 4
+        net.multicast(1, [0, 2, 3, 4], "B", "b")         # seq 5-8
+        net.send(2, 2, "SELF", "zero-delay")             # seq 9, at now
+        net.call_at(net.now, lambda: timer("at-now"))    # seq 10, at now
+        assert [row[1] for row in net.in_flight()] == [9, 1, 3, 7, 0, 2, 5, 6, 8]
+        net.run()
+        stories.append(log)
+    assert stories[0] == stories[1]
+    assert _heard(stories[0]) == [
+        (2, "zero-delay"), ("at-now", None),
+        (2, "a"), (4, "a"), ("at-delta", None), (3, "b"),
+        (1, "a"), (3, "a"), (0, "b"), (2, "b"), (4, "b"),
+    ]
+
+
+def test_what_happens_to_a_run_is_decided_at_send_time_and_at_each_delivery():
+    stories = []
+    for factory in (Network, NaiveNetwork):
+        net, log, _kept = _run_fabric(factory)
+        nodes = net.nodes
+        everyone = list(range(8))
+        first = []
+
+        def relay(msg):
+            nodes[msg.recipient].hear("relay", msg)
+            if not first:
+                first.append(msg.recipient)
+                # From inside a delivery of the run: a fan-out of its own, a
+                # recipient going offline, another leaving, and a partition —
+                # which cuts nothing already sent.
+                nodes[msg.recipient].multicast(everyone, "ECHO", "echo")
+                later = [n for n in everyone[1:] if n != msg.recipient]
+                nodes[later[0]].online = False
+                del nodes[later[1]]
+                net.set_partitions([[0], everyone[1:]])
+                first.extend(later[:2])
+
+        for nid in everyone:
+            nodes[nid].on("FAN", relay)
+        net.multicast(0, everyone, "FAN", "fan")
+        net.run()
+        stories.append((log, first, net.delivered_messages, net.dropped_messages))
+    assert stories[0] == stories[1]
+    log, (relayer, offline, gone), delivered, dropped = stories[0]
+    fan = [nid for nid, payload in _heard(log) if payload == "fan"]
+    echo = [nid for nid, payload in _heard(log) if payload == "echo"]
+    assert sorted(fan) == sorted(set(range(1, 8)) - {offline, gone})
+    assert sorted(echo) == sorted(set(range(8)) - {relayer, offline, gone})
+    # Offline recipients count as delivered, departed ones do not; the
+    # partition dropped nothing because nothing was sent after it.
+    assert (delivered, dropped) == (7 + 7 - 2, 0)
+
+
+@pytest.mark.parametrize("budget", [None, 5], ids=["until", "event-budget"])
+def test_a_run_interrupted_in_the_middle_is_finished_by_the_next_run(budget):
+    logs = []
+    for factory in (Network, NaiveNetwork):
+        params = {} if budget is None else {"max_events": budget}
+        net, log, _kept = _run_fabric(factory, pooled=True, **params)
+        net.multicast(0, range(10), "FAN", "fan")
+        net.send(0, 11, "ONE", "single")
+        times = [row[0] for row in net.in_flight()]
+        if budget is None:
+            assert net.run(until=times[4]) == times[4]
+            done = 5
+        else:
+            with pytest.raises(SimulationError, match="event budget"):
+                net.run()
+            done = budget + 1  # the budget is checked after the event
+        assert (net.pending, net.delivered_messages, len(log)) == (10 - done, done, done)
+        assert [row[0] for row in net.in_flight()] == times[done:]
+        net.params = NetworkParams()
+        assert net.run() == times[-1]
+        assert (net.pending, net.delivered_messages, len(log)) == (0, 10, 10)
+        logs.append(log)
+    assert logs[0] == logs[1]
+
+
+def test_pooled_run_envelope_is_shared_and_poisoned_after_its_last_delivery():
+    net, log, kept = _run_fabric(pooled=True)
+    seen = []
+
+    def look(msg):
+        # Every delivery before this one was handed the same envelope, which
+        # still reads as this delivery's.
+        seen.append((msg.recipient, msg.tag, msg.payload, {id(m) for m in kept}))
+        kept.append(msg)
+
+    for node in net.nodes.values():
+        node.on("FAN", look)
+    net.multicast(0, range(_RUN_NODES), "FAN", "fan")
+    flights = list(net.in_flight())
+    net.run()
+    assert [recipient for recipient, *_ in seen] == [row[3] for row in flights]
+    assert all(tag == "FAN" and payload == "fan" for _, tag, payload, _ in seen)
+    assert all(ids <= {id(kept[0])} for *_, ids in seen)
+    assert (kept[0].tag, kept[0].payload) == ("<pooled>", None)
+    assert net._pool == [kept[0]]
+
+
+def test_unpooled_run_deliveries_are_envelopes_of_their_own():
+    net, log, kept = _run_fabric(pooled=False)
+    net.multicast(0, range(33), "FAN", "fan")
+    flights = list(net.in_flight())
+    net.run()
+    assert len({id(m) for m in kept}) == len(kept) == 32
+    assert [
+        (m.deliver_time, m.sender, m.recipient, m.tag, m.size, m.channel, m.send_time)
+        for m in kept
+    ] == [(when, *rest) for when, _seq, *rest in flights]
+    assert all(m.payload == "fan" for m in kept)

@@ -46,7 +46,7 @@ def test_network_jitter_block_matches_naive_scalar_network():
             net.add_node(ProtocolNode(i, pki.generate(i)))
         for _ in range(100):
             net.send(0, 1, "T", b"x")
-        schedules.append(sorted(entry[:2] for entry in net._queue))
+        schedules.append([row[:2] for row in net.in_flight()])
     assert schedules[0] == schedules[1]
 
 

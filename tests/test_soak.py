@@ -182,8 +182,9 @@ def test_scale_point_row_and_gates():
     row = bench_scale.measure_point("cycledger", 64)
     assert set(row) == {
         "backend", "n", "m", "wall_s", "wall_s_raw", "messages", "us_per_msg",
-        "rss_mib",
+        "rss_mib", "gc_s", "gen2_passes",
     }
+    assert 0 <= row["gc_s"] < row["wall_s"] and row["gen2_passes"] >= 0
     assert (row["backend"], row["n"], row["m"]) == ("cycledger", 64, 4)
     assert row["messages"] > 0 and row["wall_s"] > 0 and row["us_per_msg"] > 0
     for n in bench_scale.CURVE:  # ProtocolParams validates divisibility
