@@ -225,10 +225,9 @@ class CommitteeSimBackend:
             rng=np.random.default_rng(workload_ss),
             spent_retention=params.spent_retention,
         )
-        # The persistent transaction queue between the generator and the round
-        # loop.  In the default legacy mode it is a byte-exact pass-through of
-        # the historical draw-a-batch-per-round model; with a poisson arrival
-        # process transactions survive unpacked rounds and age on the
+        # The transaction queue between the generator and the round loop:
+        # a fixed batch a round with nothing carried over (legacy), or
+        # poisson arrivals that survive unpacked rounds and age on the
         # continuous clock.
         self.mempool = TxMempool(
             self.workload,
@@ -236,6 +235,7 @@ class CommitteeSimBackend:
             rate=params.arrival_rate,
             capacity=params.mempool_capacity,
             max_age_rounds=params.mempool_max_age,
+            batch=2 * params.m * params.tx_per_committee,
         )
         # The network fabric and channel maps are built once and rewound per
         # round (reset / in-place topology refill) instead of reallocated.
@@ -463,7 +463,6 @@ class CommitteeSimBackend:
         arrivals = self.mempool.admit(
             self.round_number,
             net.global_now,
-            legacy_count=2 * params.m * params.tx_per_committee,
             cross_shard_ratio=params.cross_shard_ratio,
             invalid_ratio=params.invalid_ratio,
         )

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import networkx as nx
 
 from repro.core.consensus import InsideConsensus
-from repro.core.reputation import ReputationStore, distribute_rewards
+from repro.core.reputation import distribute_rewards
 from repro.core.selection import SelectionReport
 from repro.core.structures import RoundContext
 from repro.core.tags import Tags
@@ -253,14 +253,7 @@ def run_block_generation(
     ctx.net.run()
 
     # -- fee distribution ----------------------------------------------------
-    all_reps = ctx.reputation
-    if not isinstance(all_reps, ReputationStore):
-        # Plain-dict contexts (sandbox harnesses) may not cover every node.
-        all_reps = {
-            node.pk: ctx.reputation.get(node.pk, 0.0)
-            for node in ctx.nodes.values()
-        }
-    round_rewards = distribute_rewards(float(report.total_fees), all_reps)
+    round_rewards = distribute_rewards(float(report.total_fees), ctx.reputation)
     for pk, reward in round_rewards.items():
         ctx.rewards[pk] = ctx.rewards.get(pk, 0.0) + reward
     report.rewards = round_rewards

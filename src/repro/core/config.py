@@ -31,10 +31,10 @@ class ProtocolParams:
     cross_shard_ratio: float = 0.2
     invalid_ratio: float = 0.05
 
-    # Timing rules from the paper, in units of the network's Δ:
-    semi_commit_delay_deltas: float = 8.0  # "recommended delay is 8Δ" (§IV-B)
+    # The one timing rule that is a timer, in units of the network's Δ
+    # (the 8Δ semi-commitment delay and Lemma 7's 2Γ rule are drain
+    # barriers: see core/semicommit.py and core/inter.py):
     vote_window_deltas: float = 6.0  # "within a certain time, e.g. 6Δ" (§IV-C)
-    inter_forward_gammas: float = 2.0  # the 2Γ rule of Lemma 7
 
     # PoW admission (tiny by default so tests stay fast)
     pow_difficulty_bits: int = 4
@@ -51,10 +51,12 @@ class ProtocolParams:
     # block-generation suffix.  Execution and final state are identical
     # in both modes; only the reported timeline differs.
     overlap: str = "none"
-    # ``arrival_process`` selects the mempool feed: "legacy" draws one
-    # fixed batch per round (byte-exact historical RNG consumption);
-    # "poisson" admits Generator.poisson(arrival_rate) transactions per
-    # round into a persistent FIFO mempool with TTL/capacity eviction.
+    # ``arrival_process`` is the arrival rule of the one mempool feed:
+    # "legacy" admits a fixed 2·m·tx_per_committee a round (no RNG draw)
+    # and carries nothing over — what the block left out is withdrawn;
+    # "poisson" admits Generator.poisson(arrival_rate) a round and carries
+    # every unpacked transaction over, FIFO, until packed or evicted by
+    # TTL/capacity.
     arrival_process: str = "legacy"
     arrival_rate: float = 0.0  # mean arrivals per round (poisson mode)
     mempool_capacity: int = 0  # max queued txs, 0 = unbounded
@@ -132,11 +134,3 @@ class ProtocolParams:
     @property
     def vote_window(self) -> float:
         return self.vote_window_deltas * self.net.delta
-
-    @property
-    def semi_commit_delay(self) -> float:
-        return self.semi_commit_delay_deltas * self.net.delta
-
-    @property
-    def inter_forward_timeout(self) -> float:
-        return self.inter_forward_gammas * self.net.gamma

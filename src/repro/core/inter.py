@@ -17,7 +17,9 @@ For transactions whose inputs live in shard *i* and (some) outputs in shard
 4. **Lemma 7 timeout** — a partial member of *j* that received the package
    from *i* but saw no proposal from its own leader within 2Γ forwards the
    package to the leader and keeps running; a still-silent leader is then
-   impeached through the silence path.
+   impeached through the silence path.  The 2Γ wait is not a timer: the
+   hand-off is drained to quiescence (``ctx.net.run()``), after which a
+   package the leader has not acted on has outwaited any channel delay.
 
 §VIII-A's pre-filter extension (``params.prefilter_cross_shard``): leader
 *i* first asks leader *j* which transactions look valid and only packages

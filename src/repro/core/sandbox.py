@@ -1,5 +1,7 @@
 """Single-committee sandboxes for tests, examples and micro-benchmarks.
 
+This is the supported single-session harness ``bench_fig3_consensus``,
+``bench_fig6_recovery`` and docs/experiments.md ("Not ported") run on.
 Building a full :class:`~repro.core.protocol.CycLedger` deployment to test
 one phase is overkill; these factories wire up a minimal
 :class:`~repro.core.structures.RoundContext` with one committee (plus an

@@ -11,6 +11,10 @@
    against the member list its leader claimed and its own locally
    maintained list; any mismatch is a witness and triggers the recovery
    procedure of :mod:`repro.core.recovery`.
+
+The recommended 8Δ delay before that cross-check is not a timer: every step
+drains the network (``ctx.net.run()``), so step 3 starts once all claims and
+all C_R announcements have been delivered, however long that took.
 """
 
 from __future__ import annotations

@@ -23,8 +23,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from repro.crypto.hashing import H_int, canonical_bytes
 from repro.crypto.pki import PKI, KeyPair
 from repro.crypto.vrf import VRFOutput, vrf_eval, vrf_verify
@@ -78,9 +76,9 @@ def verify_sortition(
 def role_hash(round_number: int, randomness: bytes, pk: str, role: str) -> int:
     """H(r+1 || R_r || PK_i || role) as a 256-bit integer.
 
-    Scalar form, kept as the reference ("legacy") lottery; the batched
-    :func:`role_digests` produces the same digests for a whole roster at
-    once and is what the selection paths use at scale.  Equality of the
+    Scalar form: the paper's rule as written, and the reference lottery.
+    The batched :func:`role_digests` produces the same digests for a whole
+    roster at once and is what the selection paths use at scale.  Equality of the
     two is asserted in the test suite, byte for byte.
     """
     return H_int("ROLE", round_number, randomness, pk, role)
@@ -127,42 +125,6 @@ def passes_threshold(
     return role_hash(round_number, randomness, pk, role) < int(
         difficulty * _HASH_SPACE
     )
-
-
-def passes_threshold_many(
-    round_number: int,
-    randomness: bytes,
-    pks: Sequence[str],
-    role: str,
-    difficulty: float,
-) -> np.ndarray:
-    """Batched threshold draw over a whole roster (one bool per pk).
-
-    Equivalent to ``[passes_threshold(r, R, pk, role, d) for pk in pks]``
-    but hashes via :func:`role_digests` and compares all digests against
-    the threshold in one vectorized lexicographic pass: selected iff the
-    digest's first byte differing from the threshold's 32-byte big-endian
-    form is smaller (byte order == 256-bit integer order).
-    """
-    if not (0.0 <= difficulty <= 1.0):
-        raise ValueError("difficulty is a probability")
-    count = len(pks)
-    if count == 0:
-        return np.zeros(0, dtype=bool)
-    threshold = int(difficulty * _HASH_SPACE)
-    if threshold >= _HASH_SPACE:
-        return np.ones(count, dtype=bool)
-    if threshold <= 0:
-        return np.zeros(count, dtype=bool)
-    digests = role_digests(round_number, randomness, pks, role)
-    matrix = np.frombuffer(b"".join(digests), dtype=np.uint8).reshape(count, 32)
-    bound = np.frombuffer(threshold.to_bytes(32, "big"), dtype=np.uint8)
-    differs = matrix != bound
-    first = np.where(differs.any(axis=1), differs.argmax(axis=1), 31)
-    rows = np.arange(count)
-    # A digest exactly equal to the threshold is *not* below it; the
-    # fallback column 31 then compares equal and correctly yields False.
-    return matrix[rows, first] < bound[first]
 
 
 def partial_committee_of(

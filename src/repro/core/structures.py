@@ -160,10 +160,3 @@ class RoundContext:
 
     def committee(self, index: int) -> CommitteeSpec:
         return self.committees[index]
-
-    def rep_of(self, node_id: int) -> float:
-        return self.reputation.get(self.pk_of(node_id), 0.0)
-
-    def referee_threshold(self) -> int:
-        """Votes needed for a referee-side majority: > |C_R| / 2."""
-        return len(self.referee) // 2 + 1

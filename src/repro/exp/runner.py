@@ -61,10 +61,6 @@ class SweepOutcome:
     workers: int
 
     # -- lookup helpers ----------------------------------------------------
-    def by_point(self) -> dict[str, SweepResult]:
-        """Results indexed by their stable point key."""
-        return {r.key: r for r in self.results}
-
     def find(self, **filters: Any) -> list[SweepResult]:
         """Results whose point matches every filter.
 

@@ -163,7 +163,6 @@ def capture_checkpoint(ledger: Any) -> dict[str, Any]:
         },
         "workload": {
             "nonce": workload._nonce,
-            "defer_created": workload.defer_created,
             "spendable": [list(bucket) for bucket in workload._spendable],
             "spent": list(workload._spent),
             "effects": dict(workload._effects),
@@ -294,7 +293,6 @@ def restore_checkpoint(
 
     workload = ledger.workload
     workload._nonce = state["workload"]["nonce"]
-    workload.defer_created = state["workload"]["defer_created"]
     workload._spendable = [
         list(bucket) for bucket in state["workload"]["spendable"]
     ]

@@ -85,10 +85,6 @@ class Transaction:
         transaction): the value is immutable, so it is sized once."""
         return fields_size(self)
 
-    @property
-    def is_coinbase(self) -> bool:
-        return len(self.inputs) == 0
-
     def output_total(self) -> int:
         return sum(o.amount for o in self.outputs)
 

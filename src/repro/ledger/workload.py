@@ -1,4 +1,4 @@
-"""Synthetic transaction workload generator and the persistent mempool.
+"""Synthetic transaction workload generator and the mempool that feeds rounds.
 
 The paper assumes "a large set of transactions are continuously sent to our
 network by external users" (§III-D).  This generator plays those users:
@@ -9,25 +9,32 @@ network by external users" (§III-D).  This generator plays those users:
   the input's home shard) and an invalid ratio (double spends, overspends,
   phantom inputs) to exercise V and the No votes;
 * its own spend tracking so *intended-valid* transactions never collide,
-  while injected double spends are deliberate.
+  while injected double spends are deliberate.  A generated transaction
+  takes its input out of the spendable pool at once and publishes nothing
+  until it is settled: packed (``forget_txids`` — its outputs become
+  spendable, its input a double-spend target) or not (``rollback_txids`` —
+  its input is spendable again).
 
 Every generated transaction is wrapped in :class:`TaggedTx`, carrying ground
 truth (home shard, output shards, intended validity and the injected defect)
 so tests and benchmarks can score committee decisions exactly.
 
-:class:`TxMempool` sits between the generator and the round loop.  In
-``legacy`` mode it reproduces the historical draw-a-batch-per-round model
-byte-exactly (same RNG consumption, unpacked transactions rolled back each
-round).  In ``poisson`` mode transactions arrive via a rate process on the
-continuous simulation clock, survive unpacked rounds in FIFO order, age
-while queued, and are evicted only by TTL or capacity backpressure — the
-sustained-load model the round-overlap engine measures latency against.
+:class:`TxMempool` is the one feed between the generator and the round
+loop: admit, offer FIFO per shard, settle.  ``arrival_process`` names its
+arrival rule.  ``legacy`` admits a fixed batch a round (no RNG draw of its
+own) and carries nothing over, so the remainder a block leaves is withdrawn
+at settlement.  ``poisson`` admits a rate-process draw a round on the
+continuous simulation clock and carries every unpacked transaction over in
+FIFO order, ageing, until it packs or TTL / capacity backpressure evicts it
+— the sustained-load model the round-overlap engine measures latency
+against.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -78,14 +85,6 @@ class WorkloadGenerator:
         # unbounded ones — the bound is opt-in for long soaks only.
         self.spent_retention = spent_retention
         self._nonce = 0
-        # Legacy batches flush created outputs into the spendable pool at
-        # batch end (every unpacked tx is rolled back the same round, so
-        # nothing off-chain ever gets re-spent).  The persistent mempool
-        # sets this True: created outputs are withheld until the creating
-        # transaction actually packs (forget_txids), so intended-valid
-        # draws never chain-spend an off-chain output and eviction can
-        # never double-count value.
-        self.defer_created = False
         # Bucket addresses by their hash-derived shard until each bucket is
         # full; the address space is dense enough that this terminates fast.
         # A single countdown of remaining open slots replaces the previous
@@ -117,13 +116,16 @@ class WorkloadGenerator:
             self._spendable[shard].append(
                 ((self.genesis_tx.txid, index), output.address, output.amount)
             )
+        # Confirmed spends only: what the double-spend injector draws from.
         self._spent: list[tuple[tuple[bytes, int], str, int]] = []
-        self._spent_this_batch: list[tuple[tuple[bytes, int], str, int]] = []
-        self._pending: list[tuple[int, tuple[tuple[bytes, int], str, int]]] = []
         # txid -> (home, consumed entry, [(shard, created entry), ...]) for
-        # every generated-but-unconfirmed transaction, so unpacked (or
-        # mempool-evicted) txs can be undone.  In the legacy per-round flow
-        # at most one batch is ever outstanding.
+        # every generated-but-unsettled transaction.  Nothing here is
+        # published: the created outputs enter the spendable pool and the
+        # consumed input enters ``_spent`` only when the transaction packs
+        # (forget_txids), so an intended-valid draw never chain-spends an
+        # off-chain output, a double spend never names an input that is
+        # still live on chain, and undoing a transaction (rollback_txids)
+        # only has to hand its input back.
         self._effects: dict[
             bytes,
             tuple[int, tuple, list[tuple[int, tuple]]],
@@ -156,10 +158,6 @@ class WorkloadGenerator:
             return None
         idx = int(self.rng.integers(0, len(self._spendable[home])))
         outpoint, owner, amount = self._spendable[home].pop(idx)
-        # Visible to the double-spend injector only from the next batch:
-        # within a batch every tx is validated against round-start UTXOs,
-        # where a same-batch "double spend" would in fact be valid.
-        self._spent_this_batch.append((outpoint, owner, amount))
         payee = self._pick_payee(home, cross)
         spend = max(1, int(self.rng.integers(1, max(2, amount - self.fee))))
         change = amount - spend - self.fee
@@ -171,15 +169,11 @@ class WorkloadGenerator:
             outputs=tuple(outputs),
             nonce=self._next_nonce(),
         )
-        # Outputs created in this batch become spendable only from the NEXT
-        # batch: committees validate against round-start UTXOs, so a chained
-        # spend inside one round would (correctly) be voted No (§VIII-B).
         created: list[tuple[int, tuple]] = []
         if change > 0:
             created.append((home, ((tx.txid, 1), owner, change)))
         out_shard = shard_of_address(payee, self.m)
         created.append((out_shard, ((tx.txid, 0), payee, spend)))
-        self._pending.extend(created)
         self._effects[tx.txid] = (
             home,
             (outpoint, owner, amount),
@@ -260,14 +254,6 @@ class WorkloadGenerator:
         if not (0.0 <= invalid_ratio <= 1.0):
             raise ValueError("invalid_ratio must be in [0, 1]")
         batch: list[TaggedTx] = []
-        if not self.defer_created:
-            # Legacy contract: confirm_round reconciles only the most
-            # recent batch, so a direct caller that skips confirm_round
-            # neither accumulates effects nor gets earlier batches
-            # retroactively rolled back.  Deferred (persistent-mempool)
-            # mode is exactly the opposite: effects live until the
-            # mempool packs or evicts the transaction.
-            self._effects = {}
         for _ in range(count):
             home = int(self.rng.integers(0, self.m))
             cross = bool(self.rng.random() < cross_shard_ratio)
@@ -279,65 +265,38 @@ class WorkloadGenerator:
             )
             if tagged is not None:
                 batch.append(tagged)
-        if not self.defer_created:
-            for shard, entry in self._pending:
-                self._spendable[shard].append(entry)
-            self._spent.extend(self._spent_this_batch)
-            self._trim_spent()
-        # Deferred mode publishes created outputs AND spent records only at
-        # pack time (forget_txids): a double-spend injected against a
-        # merely-queued transaction's input would in truth be valid on
-        # chain, corrupting the defect ground truth in the other direction.
-        self._pending.clear()
-        self._spent_this_batch.clear()
         return batch
 
     def rollback_txids(self, txids: Iterable[bytes]) -> int:
-        """Undo the listed transactions' generator-side effects (unpacked
-        batch, mempool eviction, TTL expiry) in one pass: created outputs
-        are withdrawn from the spendable pool, consumed inputs returned to
-        it (in ``txids`` order) and struck from the confirmed-spent history.
-        Returns how many had pending effects (injected-invalid transactions
-        never do).  O(batch), not O(batch x history), and both pools keep
-        the order a one-at-a-time ``list.remove`` undo leaves, so later
-        index draws are unmoved.
+        """Undo the listed transactions (withdrawn by their submitters,
+        evicted from the mempool, expired): they never happened on-chain,
+        so each consumed input returns to the spendable pool, in ``txids``
+        order.  Returns how many had pending effects (injected-invalid
+        transactions never do; an unknown or repeated txid is ignored).
         """
-        undone = [
-            effects
-            for txid in txids
-            if (effects := self._effects.pop(txid, None)) is not None
-        ]
-        withdrawn: dict[int, set] = {}
-        if not self.defer_created:
-            # Deferred mode never published created outputs or spent
-            # records, so there is nothing to withdraw or strike there.
-            for _home, _consumed, created in undone:
-                for shard, entry in created:
-                    withdrawn.setdefault(shard, set()).add(entry)
-            _strike(self._spent, {consumed for _home, consumed, _ in undone})
-        for shard, gone in withdrawn.items():
-            _strike(self._spendable[shard], gone)
-        for home, consumed, _created in undone:
-            self._spendable[home].append(consumed)
-        return len(undone)
+        undone = 0
+        for txid in txids:
+            effects = self._effects.pop(txid, None)
+            if effects is not None:
+                home, consumed, _created = effects
+                self._spendable[home].append(consumed)
+                undone += 1
+        return undone
 
     def forget_txids(self, txids: Iterable[bytes]) -> None:
-        """Drop pending effects without undoing them — the transactions
-        made it on-chain, so their spends and outputs are now real.
-
-        In deferred mode this is also the moment the packed transactions'
-        created outputs finally enter the spendable pool: outputs become
-        drawable only once they exist on-chain, which keeps every
-        intended-valid draw honest under sustained load.
+        """Settle the listed transactions as packed: their spends and
+        outputs are now real.  Each one's created outputs enter the
+        spendable pool and its input the confirmed-spent history, in
+        ``txids`` order — that order feeds later index draws, so callers
+        pass a sequence, never a set.
         """
         for txid in txids:
             effects = self._effects.pop(txid, None)
-            if effects is not None and self.defer_created:
-                for shard, entry in effects[2]:
+            if effects is not None:
+                _home, consumed, created = effects
+                for shard, entry in created:
                     self._spendable[shard].append(entry)
-                # The input is now confirmed-spent: only from here may the
-                # double-spend injector reference it.
-                self._spent.append(effects[1])
+                self._spent.append(consumed)
         self._trim_spent()
 
     def _trim_spent(self) -> None:
@@ -345,41 +304,12 @@ class WorkloadGenerator:
         if bound and len(self._spent) > bound:
             del self._spent[: len(self._spent) - bound]
 
-    def confirm_round(self, packed_txids: set[bytes]) -> int:
-        """Reconcile the generator's view with what the chain packed
-        (the legacy per-round settlement).
-
-        Intended-valid outstanding transactions that did NOT make it into
-        the block (committee budget, leader failure, void round) never
-        happened on-chain: every pending effect outside ``packed_txids``
-        is rolled back.  Returns the number of transactions rolled back.
-        """
-        rolled_back = self.rollback_txids(
-            [txid for txid in self._effects if txid not in packed_txids]
-        )
-        self._effects = {}
-        return rolled_back
-
     def by_home_shard(self, batch: Sequence[TaggedTx]) -> list[list[TaggedTx]]:
         """Route a batch to committees by input ownership (Fig. 2 step 2)."""
         routed: list[list[TaggedTx]] = [[] for _ in range(self.m)]
         for tagged in batch:
             routed[tagged.home_shard].append(tagged)
         return routed
-
-
-def _strike(entries: list, gone: set) -> None:
-    """Remove every member of ``gone`` from ``entries`` in place.
-
-    What a batch publishes sits at the tail of its pool until the next
-    batch, so only the tail that holds ``gone`` is rebuilt (the whole list
-    only when some member is absent, e.g. dropped by the retention trim).
-    """
-    cut, missing = len(entries), len(gone)
-    while cut and missing:
-        cut -= 1
-        missing -= entries[cut] in gone
-    entries[cut:] = [entry for entry in entries[cut:] if entry not in gone]
 
 
 # -- the persistent mempool ---------------------------------------------------
@@ -419,21 +349,26 @@ class MempoolStats:
 
 
 class TxMempool:
-    """Persistent transaction queue between the generator and the rounds.
+    """The transaction queue between the generator and the rounds: one
+    feed, two arrival rules.
 
-    ``legacy`` process: every round admits one fixed-size batch (the
-    historical model, RNG-stream byte-exact — no extra draws) and settles
-    by rolling back everything the block did not pack; the queue is always
-    empty between rounds.
+    Every round admits its arrivals, offers the queue FIFO per shard and, at
+    settlement, confirms in the generator what the block packed
+    (``forget_txids``) and undoes whatever leaves the queue unpacked
+    (``rollback_txids``).  The arrival rule only sets how many arrive and
+    how many unpacked transactions are carried into the next round:
 
-    ``poisson`` process: each round admits ``Generator.poisson(rate)``
-    transactions stamped with their arrival time on the continuous clock.
-    Unpacked transactions survive in FIFO order and are offered again next
-    round; a transaction leaves the queue only by being packed, by
-    exceeding ``max_age_rounds``, or by capacity backpressure (the oldest
-    entries beyond ``capacity`` are evicted first — they have had the most
-    chances).  Evicted valid transactions are rolled back in the
-    generator, returning their inputs to the spendable pool.
+    ``legacy`` — a fixed ``batch`` arrives every round (no RNG draw of its
+    own; the poisson rule ignores ``batch``) and nothing is carried over:
+    the submitters withdraw whatever the block left out.  A withdrawal is
+    not an eviction, and the queue is empty between rounds.
+
+    ``poisson`` — ``Generator.poisson(rate)`` transactions arrive, stamped
+    with their arrival time on the continuous clock, and every unpacked one
+    is carried over in FIFO order to be offered again; a transaction leaves
+    the queue only by being packed, by exceeding ``max_age_rounds``, or by
+    capacity backpressure (the oldest entries beyond ``capacity`` are
+    evicted first — they have had the most chances).
     """
 
     def __init__(
@@ -443,6 +378,7 @@ class TxMempool:
         rate: float = 0.0,
         capacity: int = 0,
         max_age_rounds: int = 0,
+        batch: int = 0,
     ) -> None:
         if process not in ARRIVAL_PROCESSES:
             raise ValueError(
@@ -451,11 +387,11 @@ class TxMempool:
             )
         if process == ARRIVAL_POISSON and rate <= 0.0:
             raise ValueError("poisson arrivals need a positive rate")
-        if capacity < 0 or max_age_rounds < 0:
-            raise ValueError("capacity and max_age_rounds must be >= 0")
+        if capacity < 0 or max_age_rounds < 0 or batch < 0:
+            raise ValueError("capacity, max_age_rounds and batch must be >= 0")
         if process == ARRIVAL_LEGACY and (rate or capacity or max_age_rounds):
-            # Legacy settlement clears the queue every round, so these
-            # knobs would be silent no-ops (mirrors ProtocolParams).
+            # Nothing is carried over, so these knobs would be silent
+            # no-ops (mirrors ProtocolParams).
             raise ValueError(
                 "rate/capacity/max_age_rounds require the poisson arrival "
                 "process (legacy mode clears the queue every round)"
@@ -465,12 +401,12 @@ class TxMempool:
         self.rate = rate
         self.capacity = capacity
         self.max_age_rounds = max_age_rounds
-        # Persistent queues defer created outputs until the creating tx
-        # packs (see WorkloadGenerator.defer_created): a queued-but-
-        # unconfirmed transaction's outputs must never seed later draws,
-        # or ground-truth tags would call off-chain chains "valid" and
-        # evictions would double-count value.
-        generator.defer_created = self.persistent
+        if process == ARRIVAL_LEGACY:
+            self._arrivals: Callable[[], int] = lambda: batch
+            self.carry_over = 0
+        else:
+            self._arrivals = lambda: int(generator.rng.poisson(self.rate))
+            self.carry_over = sys.maxsize
         self.queue: list[QueuedTx] = []
         self.total_admitted = 0
         self.total_evicted = 0
@@ -484,28 +420,19 @@ class TxMempool:
     @property
     def persistent(self) -> bool:
         """Whether unpacked transactions survive between rounds."""
-        return self.process != ARRIVAL_LEGACY
+        return self.carry_over > 0
 
     # -- round interface ---------------------------------------------------
     def admit(
         self,
         round_number: int,
         now: float,
-        legacy_count: int,
         cross_shard_ratio: float,
         invalid_ratio: float,
     ) -> int:
-        """Admit this round's arrivals; returns how many arrived.
-
-        ``legacy_count`` sizes the legacy per-round batch; the poisson
-        process draws its own count from the workload RNG stream instead.
-        """
-        if self.process == ARRIVAL_LEGACY:
-            count = legacy_count
-        else:
-            count = int(self.generator.rng.poisson(self.rate))
+        """Admit this round's arrivals; returns how many arrived."""
         batch = self.generator.generate_batch(
-            count,
+            self._arrivals(),
             cross_shard_ratio=cross_shard_ratio,
             invalid_ratio=invalid_ratio,
         )
@@ -532,28 +459,21 @@ class TxMempool:
         self, packed_txids: set[bytes], round_number: int, now: float
     ) -> MempoolStats:
         """Reconcile the queue with what the round's block packed."""
-        if self.process == ARRIVAL_LEGACY:
-            self.generator.confirm_round(packed_txids)
-            self.queue.clear()
-            return MempoolStats(
-                arrivals=self._last_arrivals,
-                evicted=0,
-                depth=0,
-                age_mean=0.0,
-                age_max=0.0,
-            )
-        # Forget in queue (FIFO) order, never in set-iteration order: in
-        # deferred mode forgetting publishes created outputs into the
-        # spendable pool, and that order feeds later index draws — a
-        # hash-ordered set here would make blocks PYTHONHASHSEED-dependent.
-        self.generator.forget_txids(
-            e.tagged.tx.txid
-            for e in self.queue
-            if e.tagged.tx.txid in packed_txids
-        )
-        survivors = [
-            e for e in self.queue if e.tagged.tx.txid not in packed_txids
-        ]
+        # Forget in queue (FIFO) order, never in set-iteration order:
+        # forgetting publishes created outputs into the spendable pool, and
+        # that order feeds later index draws — a hash-ordered set here
+        # would make blocks PYTHONHASHSEED-dependent.
+        packed: list[bytes] = []
+        unpacked: list[QueuedTx] = []
+        for entry in self.queue:
+            txid = entry.tagged.tx.txid
+            if txid in packed_txids:
+                packed.append(txid)
+            else:
+                unpacked.append(entry)
+        self.generator.forget_txids(packed)
+        survivors = unpacked[: self.carry_over]
+        withdrawn = unpacked[self.carry_over :]  # by their submitters
         evicted: list[QueuedTx] = []
         if self.max_age_rounds > 0:
             expired = [
@@ -572,11 +492,10 @@ class TxMempool:
             overflow = len(survivors) - self.capacity
             evicted.extend(survivors[:overflow])
             survivors = survivors[overflow:]
-        if evicted:
-            self.generator.rollback_txids(
-                e.tagged.tx.txid for e in evicted
-            )
-            self.total_evicted += len(evicted)
+        self.generator.rollback_txids(
+            e.tagged.tx.txid for e in withdrawn + evicted
+        )
+        self.total_evicted += len(evicted)
         self.queue = survivors
         ages = [e.age(now) for e in survivors]
         return MempoolStats(

@@ -96,20 +96,11 @@ class MetricsCollector:
     def storage_in(self, phase: str, role: str) -> int:
         return self.cells[(phase, role)].storage
 
-    def per_role_average_messages(self, phase: str, role: str, role_count: int) -> float:
-        """Average messages sent per node of ``role`` during ``phase``."""
-        if role_count <= 0:
-            return 0.0
-        return self.cells[(phase, role)].messages / role_count
-
     def total_messages(self) -> int:
         return sum(cell.messages for cell in self.cells.values())
 
     def total_bytes(self) -> int:
         return sum(cell.bytes for cell in self.cells.values())
-
-    def total_channels(self) -> int:
-        return sum(self.channel_counts.values())
 
     def phases(self) -> list[str]:
         seen: list[str] = []

@@ -160,13 +160,6 @@ def payload_size(obj: Any) -> int:
     return _size_slow(obj)
 
 
-def np_integer_types() -> tuple[type, ...]:
-    """Numpy scalar types sized like fixed-width ints (kept for backward
-    compatibility; resolved lazily so importing this module never pulls in
-    numpy)."""
-    return _np_scalar_types()
-
-
 @dataclass(slots=True)
 class Message:
     """One in-flight message.

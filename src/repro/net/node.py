@@ -66,23 +66,6 @@ class ProtocolNode:
             return  # offline nodes transmit nothing
         self.network.multicast(self.node_id, recipients, tag, payload, size=size)
 
-    def receive(self, message: "Message") -> None:
-        """Hand one message to this node: the public single-message entry.
-
-        ``Network.run`` does exactly this inline for every delivery instead
-        of calling it (one frame less per message), so override
-        :meth:`on_default` or register handlers to see traffic — an
-        override of ``receive`` is not on the event loop's path.
-        """
-        if not self.online:
-            return  # offline nodes hear nothing
-        handlers = self.handlers
-        handler = handlers.get(message.tag) if handlers is not None else None
-        if handler is not None:
-            handler(message)
-        else:
-            self.on_default(message)
-
     def on_default(self, message: "Message") -> None:
         """Unknown tags are ignored (Byzantine noise tolerance)."""
 

@@ -505,10 +505,10 @@ class Network:
         Returns the simulation time after the last processed event.  The
         clock never rewinds: an ``until`` before :attr:`now` raises.
 
-        A delivery is dispatched here, not through
-        :meth:`ProtocolNode.receive`: the loop does what it does (offline
+        A delivery is dispatched here, the only dispatch there is: offline
         recipients hear nothing, the tag selects the handler at delivery
-        time, unknown tags go to ``on_default``) without a call per message.
+        time, unknown tags go to ``on_default`` — no call per message
+        besides the handler's.
         A run head is replaced by the run's next entry *before* the handler
         is called, so whatever the handler sends is ordered against the rest
         of the run.  On a pooled network the deliveries of a run share its
@@ -575,7 +575,6 @@ class Network:
                         message.deliver_time = deliver_time
                     node = nodes.get(recipient)
                     if node is not None:
-                        # ``ProtocolNode.receive``, inlined.
                         if node.online:
                             handlers = node.handlers
                             handler = (

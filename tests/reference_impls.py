@@ -3,7 +3,7 @@
 Each hot-path optimization ships in its real module; the code it replaced
 is preserved here — verbatim, not simplified — so a test can run both on
 the same seed and require equal results.  Nothing under ``src/`` imports
-this module; the two classes subclass the real ones and override exactly
+this module; the classes subclass the real ones and override exactly
 the methods an optimization replaced.
 
 * :func:`naive_payload_size` — wire-size estimation with per-call
@@ -11,12 +11,16 @@ the methods an optimization replaced.
   the exact-type dispatch in :mod:`repro.net.message`);
 * :class:`NaiveNetwork` — the simulator one message at a time: an envelope
   and a heap push per recipient, scalar jitter draws, every delivery
-  through ``ProtocolNode.receive`` (replaced by block-buffered jitter, one
+  through its own ``_receive`` (replaced by block-buffered jitter, one
   time-sorted run and one envelope per fan-out, and the inlined dispatch
   of :mod:`repro.net.simulator`);
 * :class:`NaiveWorkloadGenerator` — transaction generation with
   ``Generator.choice`` defect draws and an any()-scan address bucket fill
   (replaced by tuple-indexed bounded-integer draws and a slot countdown in
+  :mod:`repro.ledger.workload`);
+* :class:`EagerPublishWorkloadGenerator` — created outputs and spent
+  records published at batch end and struck back out of the pools for
+  every unpacked transaction (replaced by the one publish-at-pack rule of
   :mod:`repro.ledger.workload`);
 * :func:`per_shard_apply_block`, :func:`per_shard_add_genesis`,
   :func:`tuple_digest_items` — the ``ShardState`` methods that filtered a
@@ -98,7 +102,7 @@ class NaiveNetwork(Network):
     send, a scalar ``Generator.random()`` per jitter draw, payloads sized
     with :func:`naive_payload_size` — and a multicast is the loop of sends.
     Every message is its own entry of this class's own heap, and the event
-    loop hands each to :meth:`ProtocolNode.receive` and retires its
+    loop hands each to :meth:`_receive` and retires its
     envelope afterwards.  It shares no queue, run or dispatch code with
     :class:`Network`; given the same RNG seed it must produce the identical
     schedule, deliveries and counters (the jitter block is stream-exact).
@@ -191,6 +195,18 @@ class NaiveNetwork(Network):
             (message.deliver_time, next(self._event_seq), message, None),
         )
 
+    @staticmethod
+    def _receive(node: Any, message: Message) -> None:
+        """The former ``ProtocolNode.receive``: one message to one node."""
+        if not node.online:
+            return  # offline nodes hear nothing
+        handlers = node.handlers
+        handler = handlers.get(message.tag) if handlers is not None else None
+        if handler is not None:
+            handler(message)
+        else:
+            node.on_default(message)
+
     def _retire(self, message: Message) -> None:
         """A pooling network keeps a finished envelope for a later send,
         with its payload let go and its tag poisoned."""
@@ -225,7 +241,7 @@ class NaiveNetwork(Network):
             if message is not None:
                 node = self.nodes.get(message.recipient)
                 if node is not None:
-                    node.receive(message)
+                    self._receive(node, message)
                     self.delivered_messages += 1
                 self._retire(message)
             elif callback is not None:
@@ -326,6 +342,56 @@ class NaiveWorkloadGenerator(WorkloadGenerator):
             intended_valid=False,
             defect=defect,
         )
+
+
+class EagerPublishWorkloadGenerator(WorkloadGenerator):
+    """The generator's former fixed-batch publish rule: the oracle for
+    settlement.
+
+    A batch publishes its created outputs and spent records when it ends
+    and ``confirm_round`` strikes the unpacked transactions' share back
+    out, one ``list.remove`` at a time; only the latest batch is ever
+    outstanding.  The single rule in :mod:`repro.ledger.workload`
+    (publish when the transaction packs) must leave the same pools, in the
+    same order, at every round boundary.
+    """
+
+    def generate_batch(self, count, cross_shard_ratio=0.0, invalid_ratio=0.0):
+        self._effects = {}
+        batch = super().generate_batch(count, cross_shard_ratio, invalid_ratio)
+        for _home, consumed, created in self._effects.values():
+            for shard, entry in created:
+                self._spendable[shard].append(entry)
+            self._spent.append(consumed)
+        self._trim_spent()
+        return batch
+
+    def rollback_txids(self, txids) -> int:
+        rolled = 0
+        for txid in txids:
+            effects = self._effects.pop(txid, None)
+            if effects is None:
+                continue
+            home, consumed, created = effects
+            for shard, entry in created:
+                try:
+                    self._spendable[shard].remove(entry)
+                except ValueError:
+                    pass
+            self._spendable[home].append(consumed)
+            try:
+                self._spent.remove(consumed)
+            except ValueError:
+                pass
+            rolled += 1
+        return rolled
+
+    def confirm_round(self, packed_txids: set[bytes]) -> int:
+        rolled = self.rollback_txids(
+            [t for t in list(self._effects) if t not in packed_txids]
+        )
+        self._effects = {}
+        return rolled
 
 
 # -- per-shard ledger application ----------------------------------------------

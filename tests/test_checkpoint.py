@@ -184,6 +184,20 @@ def test_version_mismatch_rejected():
             restore_checkpoint(state)
 
 
+def test_stale_defer_created_key_is_ignored():
+    """A version-2 file written while the generator had two publish rules
+    carries the flag that chose one; the state beside it is the same under
+    the one rule left, so the run continues to the same head."""
+    full = create_backend("cycledger", _params())
+    full.run(2)
+    state = capture_checkpoint(full)
+    state["workload"]["defer_created"] = False
+    resumed = restore_checkpoint(state)
+    full.run(2)
+    resumed.run(2)
+    assert resumed.chain.head.hash == full.chain.head.hash
+
+
 def test_roster_mismatch_rejected():
     """A checkpoint restored against a different deterministic roster
     (different seed ⇒ different keys) must fail loudly, not corrupt."""

@@ -2,8 +2,8 @@
 same fact the one-at-a-time code derived.
 
 Each section pins one cache to its uncached reference: the vote-matrix
-value to the tuple-of-rows encoding, batch settlement to the sequential
-``list.remove`` undo, the V-verdict memo to plain ``validate_transaction``,
+value to the tuple-of-rows encoding, publish-at-pack settlement to the
+eager publish and its sequential ``list.remove`` undo, the V-verdict memo to plain ``validate_transaction``,
 the VOTE identity memo to a fresh encoding, ``Transaction.wire_size`` to the
 recursive dataclass sizer, and the UTXO listing to the freshly sorted tuple
 of plain tuples.
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_impls import tuple_digest_items
+from reference_impls import EagerPublishWorkloadGenerator, tuple_digest_items
 
 from repro import CycLedger, ProtocolParams, load_checkpoint, save_checkpoint
 from repro.core.committee import run_committee_configuration
@@ -117,38 +117,7 @@ def test_vote_matrix_rejects_what_is_not_a_vote_matrix(rows):
         VoteMatrix(rows)
 
 
-# -- (ii) batch settlement == the sequential undo --------------------------------
-def rollback_one_at_a_time(generator, txids):
-    """The pre-batch ``_rollback_one`` loop, verbatim: the reference."""
-    rolled = 0
-    for txid in txids:
-        effects = generator._effects.pop(txid, None)
-        if effects is None:
-            continue
-        home, consumed, created = effects
-        if not generator.defer_created:
-            for shard, entry in created:
-                try:
-                    generator._spendable[shard].remove(entry)
-                except ValueError:
-                    pass
-        generator._spendable[home].append(consumed)
-        try:
-            generator._spent.remove(consumed)
-        except ValueError:
-            pass
-        rolled += 1
-    return rolled
-
-
-def confirm_round_one_at_a_time(generator, packed):
-    rolled = rollback_one_at_a_time(
-        generator, [t for t in list(generator._effects) if t not in packed]
-    )
-    generator._effects = {}
-    return rolled
-
-
+# -- (ii) publish-at-pack settlement == eager publish + the sequential undo ----
 def generator_state(generator):
     return (
         [list(bucket) for bucket in generator._spendable],
@@ -158,26 +127,11 @@ def generator_state(generator):
     )
 
 
-def twin_generators(seed, retention, deferred):
-    twins = [
-        WorkloadGenerator(
-            m=3,
-            users_per_shard=6,
-            rng=np.random.default_rng(seed),
-            spent_retention=retention,
-        )
-        for _ in range(2)
-    ]
-    for twin in twins:
-        twin.defer_created = deferred
-    return twins
-
-
 histories = st.lists(
     st.tuples(
         st.integers(0, 24),  # batch size
         st.floats(0.0, 1.0),  # share packed
-        st.floats(0.0, 1.0),  # share of the rest undone early / evicted
+        st.floats(0.0, 1.0),  # share of the rest undone early
     ),
     min_size=1,
     max_size=6,
@@ -185,80 +139,51 @@ histories = st.lists(
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**16), histories, st.sampled_from([0, 7, 40]))
-def test_batch_confirm_round_matches_sequential_undo(seed, history, retention):
-    batch_gen, ref_gen = twin_generators(seed, retention, deferred=False)
+@given(st.integers(0, 2**16), histories)
+def test_batch_confirm_round_matches_sequential_undo(seed, history):
+    """A fixed count, the packed forgotten in order, the rest rolled back:
+    at every round boundary the generator is, state for state, the frozen
+    eager-publish generator after its ``confirm_round``."""
+    one, eager = (
+        cls(m=3, users_per_shard=6, rng=np.random.default_rng(seed))
+        for cls in (WorkloadGenerator, EagerPublishWorkloadGenerator)
+    )
     picker = np.random.default_rng(seed + 1)
     for count, packed_share, early_share in history:
-        batch = batch_gen.generate_batch(count, 0.4, 0.25)
-        assert [t.tx.txid for t in ref_gen.generate_batch(count, 0.4, 0.25)] == [
-            t.tx.txid for t in batch
+        batch = one.generate_batch(count, 0.4, 0.25)
+        assert [t.tx for t in eager.generate_batch(count, 0.4, 0.25)] == [
+            t.tx for t in batch
         ]
         txids = [t.tx.txid for t in batch]
-        packed = {t for t in txids if picker.random() < packed_share}
-        # A direct caller may undo some transactions before settlement, in
-        # any order (and name unknown or repeated txids).
-        early = [t for t in txids if t not in packed and picker.random() < early_share]
+        packed = [t for t in txids if picker.random() < packed_share]
+        rest = [t for t in txids if t not in set(packed)]
+        # Some are undone before settlement, in any order (and the call may
+        # name unknown or repeated txids).
+        early = [t for t in rest if picker.random() < early_share]
         picker.shuffle(early)
         early += early[:2] + [b"\x00" * 32]
-        assert batch_gen.rollback_txids(early) == rollback_one_at_a_time(ref_gen, early)
-        assert generator_state(batch_gen) == generator_state(ref_gen)
-        assert batch_gen.confirm_round(packed) == confirm_round_one_at_a_time(
-            ref_gen, packed
-        )
-        assert generator_state(batch_gen) == generator_state(ref_gen)
-    assert [t.tx for t in batch_gen.generate_batch(12, 0.4, 0.25)] == [
-        t.tx for t in ref_gen.generate_batch(12, 0.4, 0.25)
+        one.forget_txids(packed)
+        assert one.rollback_txids(early) == eager.rollback_txids(early)
+        assert one.rollback_txids(rest) == eager.confirm_round(set(packed))
+        assert generator_state(one) == generator_state(eager)
+    assert [t.tx for t in one.generate_batch(12, 0.4, 0.25)] == [
+        t.tx for t in eager.generate_batch(12, 0.4, 0.25)
     ]
-    assert generator_state(batch_gen) == generator_state(ref_gen)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**16), histories, st.sampled_from([0, 7, 40]))
-def test_batch_eviction_matches_sequential_undo_in_deferred_mode(
-    seed, history, retention
-):
-    batch_gen, ref_gen = twin_generators(seed, retention, deferred=True)
-    picker = np.random.default_rng(seed + 1)
-    queued: list[bytes] = []
-    for count, packed_share, evicted_share in history:
-        queued += [t.tx.txid for t in batch_gen.generate_batch(count, 0.4, 0.25)]
-        ref_gen.generate_batch(count, 0.4, 0.25)
-        packed = [t for t in queued if picker.random() < packed_share]
-        queued = [t for t in queued if t not in set(packed)]
-        evicted = [t for t in queued if picker.random() < evicted_share]
-        queued = [t for t in queued if t not in set(evicted)]
-        for generator in (batch_gen, ref_gen):
-            generator.forget_txids(packed)
-        assert batch_gen.rollback_txids(evicted) == rollback_one_at_a_time(
-            ref_gen, evicted
-        )
-        assert generator_state(batch_gen) == generator_state(ref_gen)
-    assert [t.tx for t in batch_gen.generate_batch(12, 0.4, 0.25)] == [
-        t.tx for t in ref_gen.generate_batch(12, 0.4, 0.25)
-    ]
-    assert generator_state(batch_gen) == generator_state(ref_gen)
-
-
-def test_settlement_cost_does_not_grow_with_history():
-    """The undo reads the tail the batch published, not the whole pool."""
-    generator = WorkloadGenerator(m=2, users_per_shard=64, rng=np.random.default_rng(1))
-
-    class Counting(list):
-        reads = 0
-
-        def __getitem__(self, index):
-            Counting.reads += 1
-            return super().__getitem__(index)
-
-    for _ in range(12):
-        packed = {t.tx.txid for t in generator.generate_batch(8, 0.3, 0.0)}
-        generator.confirm_round(packed)  # history grows by 8 a round
-    batch = generator.generate_batch(8, 0.3, 0.0)
-    assert len(generator._spent) > 90
-    generator._spent = Counting(generator._spent)
-    assert generator.confirm_round(set()) == len(batch)
-    assert Counting.reads <= 3 * len(batch)
+def test_spent_history_holds_exactly_the_last_confirmed_spends():
+    generator = WorkloadGenerator(
+        m=2, users_per_shard=16, rng=np.random.default_rng(5), spent_retention=7
+    )
+    confirmed = []
+    for _ in range(4):
+        txids = [t.tx.txid for t in generator.generate_batch(10, 0.3, 0.2)]
+        packed = [t for t in txids[::2] if t in generator._effects]
+        confirmed += [generator._effects[t][1] for t in packed]
+        generator.forget_txids(packed)
+        generator.rollback_txids(txids)
+        assert generator._spent == confirmed[-7:]
+    assert len(confirmed) > 7
 
 
 # -- (iii) the V-verdict memo ---------------------------------------------------

@@ -93,6 +93,15 @@ def test_removed_shard_workers_input_is_rejected_by_name(capsys):
     assert "--shard-workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["semi_commit_delay_deltas", "inter_forward_gammas"])
+def test_removed_timing_knob_is_rejected_by_name(name):
+    """Nothing read them: the rules are drain barriers, not timers."""
+    with pytest.raises(TypeError, match=name):
+        ProtocolParams(**{name: 2.0})
+    with pytest.raises(ValueError, match=name):
+        ExperimentSpec(name="stale", grid={name: [1.0, 2.0]})
+
+
 # -- seed derivation --------------------------------------------------------
 def test_derived_seed_is_content_addressed():
     a = derive_point_seed({"n": 24, "m": 2}, None, 0, 2)

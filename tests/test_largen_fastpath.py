@@ -13,8 +13,8 @@ Three contracts, checked *before* any timing claims:
    digests, so the *encodings* leaders of downstream tooling consume are
    pinned too, not only the in-memory rows.
 3. **Vectorized == scalar** — the batched sortition primitives
-   (:func:`role_digests`, :func:`passes_threshold_many`,
-   :func:`rank_select`, :func:`assign_partial_sets`) and the array-backed
+   (:func:`role_digests`, :func:`rank_select`,
+   :func:`assign_partial_sets`) and the array-backed
    :class:`ReputationStore` reproduce the scalar/dict reference paths
    value-for-value, including tie handling and IEEE accumulation order.
 """
@@ -35,8 +35,6 @@ from repro.core.sortition import (
     PARTIAL_ROLE,
     assign_partial_sets,
     partial_committee_of,
-    passes_threshold,
-    passes_threshold_many,
     rank_select,
     role_digests,
     role_hash,
@@ -136,22 +134,6 @@ def test_role_digests_match_scalar_role_hash():
     digests = role_digests(9, RAND, pks, "LEADER")
     for pk, digest in zip(pks, digests):
         assert int.from_bytes(digest, "big") == role_hash(9, RAND, pk, "LEADER")
-
-
-@pytest.mark.parametrize(
-    "difficulty", [0.0, 1e-12, 0.01, 0.25, 0.5, 0.75, 1.0 - 1e-12, 1.0]
-)
-def test_passes_threshold_many_matches_scalar(difficulty):
-    pks = _roster(48)
-    batched = passes_threshold_many(3, RAND, pks, "REFEREE", difficulty)
-    scalar = [passes_threshold(3, RAND, pk, "REFEREE", difficulty) for pk in pks]
-    assert batched.dtype == bool
-    assert batched.tolist() == scalar
-
-
-def test_passes_threshold_many_empty_roster():
-    result = passes_threshold_many(3, RAND, [], "REFEREE", 0.5)
-    assert result.shape == (0,) and result.dtype == bool
 
 
 def test_rank_select_matches_scalar_ranking():

@@ -37,7 +37,7 @@ def test_ground_truth_matches_v(generator):
         for tagged, result in zip(batch, results):
             if result:
                 utxos.apply_transaction(tagged.tx)
-        generator.confirm_round({t.tx.txid for t in batch})
+        generator.forget_txids([t.tx.txid for t in batch])
 
 
 def test_cross_shard_flag_accurate(generator):
@@ -93,7 +93,7 @@ def test_confirm_round_rolls_back_unpacked(generator):
     utxos = generator.genesis_utxos()
     batch = generator.generate_batch(30, invalid_ratio=0.0)
     # pretend NOTHING was packed
-    rolled = generator.confirm_round(set())
+    rolled = generator.rollback_txids([t.tx.txid for t in batch])
     assert rolled == len([t for t in batch if t.intended_valid])
     batch2 = generator.generate_batch(30, invalid_ratio=0.0)
     for tagged in batch2:
@@ -103,10 +103,11 @@ def test_confirm_round_rolls_back_unpacked(generator):
 def test_confirm_round_keeps_packed(generator):
     utxos = generator.genesis_utxos()
     batch = generator.generate_batch(30, invalid_ratio=0.0)
-    packed = {t.tx.txid for t in batch}
+    packed = [t.tx.txid for t in batch]
     for tagged in batch:
         utxos.apply_transaction(tagged.tx)
-    assert generator.confirm_round(packed) == 0
+    generator.forget_txids(packed)
+    assert generator.rollback_txids(packed) == 0
     batch2 = generator.generate_batch(30, invalid_ratio=0.0)
     for tagged in batch2:
         assert bool(validate_transaction(tagged.tx, utxos)) == tagged.intended_valid

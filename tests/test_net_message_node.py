@@ -9,6 +9,8 @@ from repro.crypto.signatures import sign
 from repro.crypto.vrf import vrf_eval
 from repro.net.message import Message, payload_size
 from repro.net.node import ProtocolNode
+from repro.net.params import ChannelClass, NetworkParams
+from repro.net.simulator import Network
 
 
 # -- payload sizing ---------------------------------------------------------------
@@ -74,22 +76,31 @@ def test_unattached_node_cannot_send():
         node.send(1, "X", None)
 
 
-def test_handler_registration_overwrites():
+def _deliver_one(node, tag, rng):
+    """One ``tag`` message to ``node`` through the event loop."""
+    net = Network(NetworkParams(), rng)
+    net.add_node(node)
+    net.set_channel_classifier(lambda s, d: ChannelClass.INTRA)
+    net.send(1, node.node_id, tag, None)
+    net.run()
+    return net
+
+
+def test_handler_registration_overwrites(rng):
     node = ProtocolNode(0, PKI().generate(0))
     calls = []
     node.on("T", lambda m: calls.append("a"))
     node.on("T", lambda m: calls.append("b"))
-    msg = Message(1, 0, "T", None, 1, "intra", 0.0, 0.0)
-    node.receive(msg)
+    _deliver_one(node, "T", rng)
     assert calls == ["b"]
 
 
-def test_offline_node_receive_noop():
+def test_offline_node_receive_noop(rng):
     node = ProtocolNode(0, PKI().generate(0))
     calls = []
     node.on("T", lambda m: calls.append(1))
     node.online = False
-    node.receive(Message(1, 0, "T", None, 1, "intra", 0.0, 0.0))
+    assert _deliver_one(node, "T", rng).delivered_messages == 1
     assert calls == []
 
 

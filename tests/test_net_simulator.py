@@ -557,8 +557,8 @@ def test_multicast_equals_loop_of_sends_property():
 
 # -- the dispatch fast path: Network.run does what receive and retiring do ---
 # The reference is ``reference_impls.NaiveNetwork``: one envelope and one
-# heap entry per message, every delivery through the public
-# ``ProtocolNode.receive``, the envelope retired after it.
+# heap entry per message, every delivery through the oracle's own
+# ``_receive``, the envelope retired after it.
 
 
 class _Tap(ProtocolNode):

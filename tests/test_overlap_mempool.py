@@ -22,6 +22,7 @@ import os
 
 import numpy as np
 import pytest
+from reference_impls import EagerPublishWorkloadGenerator
 
 from repro.backends import create_backend
 from repro.core.config import ProtocolParams
@@ -122,18 +123,6 @@ def test_scheduler_rejects_unknown_dependency_names():
     )
     with pytest.raises(ValueError, match="not an earlier phase"):
         OverlapScheduler(OVERLAP_NONE).observe_round(1, forward, {}, 0.0)
-
-
-def test_legacy_generate_batch_contract_unchanged():
-    """Direct callers may skip confirm_round: each legacy batch supersedes
-    the previous one's effects, so a late confirm_round never rolls back
-    older batches (the pre-refactor contract)."""
-    generator = _generator()
-    generator.generate_batch(15, invalid_ratio=0.0)
-    second = generator.generate_batch(15, invalid_ratio=0.0)
-    assert set(generator._effects) == {t.tx.txid for t in second}
-    rolled = generator.confirm_round(set())
-    assert rolled == len(second)  # only the outstanding batch
 
 
 def test_default_pipeline_carries_dependency_annotations():
@@ -255,15 +244,18 @@ def _generator(seed=7, m=2):
 
 
 def test_mempool_legacy_matches_raw_generator():
-    direct = _generator()
-    pooled = TxMempool(_generator())
+    """The fixed-batch feed is the historical draw-a-batch, publish, roll
+    back the unpacked model (the frozen eager-publish oracle)."""
+    direct = EagerPublishWorkloadGenerator(
+        m=2, users_per_shard=16, rng=np.random.default_rng(7)
+    )
+    pooled = TxMempool(_generator(), batch=20)
     for round_number in (1, 2, 3):
         want = direct.generate_batch(
             20, cross_shard_ratio=0.3, invalid_ratio=0.2
         )
         arrivals = pooled.admit(
-            round_number, 0.0, legacy_count=20,
-            cross_shard_ratio=0.3, invalid_ratio=0.2,
+            round_number, 0.0, cross_shard_ratio=0.3, invalid_ratio=0.2
         )
         assert arrivals == len(want)
         # offered() routes exactly like the historical by_home_shard path.
@@ -276,7 +268,7 @@ def test_mempool_legacy_matches_raw_generator():
         direct.confirm_round(packed)
         stats = pooled.settle(packed, round_number, 1.0)
         assert (stats.depth, stats.evicted) == (0, 0)
-        assert pooled.depth == 0
+        assert (pooled.depth, pooled.total_evicted) == (0, 0)
     # Identical RNG consumption and spend-tracking state afterwards.
     assert [
         t.tx.txid for t in direct.generate_batch(10)
@@ -311,17 +303,16 @@ def test_mempool_poisson_fifo_age_and_ttl_eviction():
     pool = TxMempool(
         _generator(), process="poisson", rate=12.0, max_age_rounds=2
     )
-    arrived = pool.admit(1, 0.0, legacy_count=0,
-                         cross_shard_ratio=0.0, invalid_ratio=0.0)
+    arrived = pool.admit(1, 0.0, cross_shard_ratio=0.0, invalid_ratio=0.0)
     assert arrived > 0 and pool.depth == arrived
     # Nothing packs: entries age, then expire after two full rounds.
     stats1 = pool.settle(set(), 1, 10.0)
     assert stats1.depth == arrived and stats1.evicted == 0
     assert stats1.age_max == 10.0 and stats1.age_mean == 10.0
-    pool.admit(2, 10.0, 0, 0.0, 0.0)
+    pool.admit(2, 10.0, 0.0, 0.0)
     stats2 = pool.settle(set(), 2, 25.0)
     assert stats2.evicted == 0  # round-1 arrivals are one round old
-    pool.admit(3, 25.0, 0, 0.0, 0.0)
+    pool.admit(3, 25.0, 0.0, 0.0)
     stats3 = pool.settle(set(), 3, 40.0)
     assert stats3.evicted == arrived  # the round-1 cohort hit the TTL
     assert pool.total_evicted == arrived
@@ -336,8 +327,8 @@ def test_mempool_capacity_backpressure_evicts_oldest():
     pool = TxMempool(
         _generator(seed=11), process="poisson", rate=15.0, capacity=10
     )
-    pool.admit(1, 0.0, 0, 0.0, 0.0)
-    pool.admit(2, 5.0, 0, 0.0, 0.0)
+    pool.admit(1, 0.0, 0.0, 0.0)
+    pool.admit(2, 5.0, 0.0, 0.0)
     stats = pool.settle(set(), 2, 9.0)
     assert stats.depth == 10
     assert pool.depth == 10
@@ -385,8 +376,8 @@ def test_mempool_identical_seeds_identical_order():
 def test_poisson_draws_never_spend_offchain_outputs():
     """Ground truth stays honest under sustained load.
 
-    Created outputs are deferred until the creating tx packs
-    (``WorkloadGenerator.defer_created``), so an intended-valid queued
+    Created outputs are published only when the creating tx packs
+    (``WorkloadGenerator.forget_txids``), so an intended-valid queued
     transaction always spends outputs that exist on-chain right now —
     committees reject it only for budget/cross-shard reasons, never
     because the generator chained off an unconfirmed parent.
@@ -411,15 +402,14 @@ def test_poisson_draws_never_spend_offchain_outputs():
 def test_deferred_spent_records_follow_packing():
     """Double-spend injection material is confirmed-spent inputs only.
 
-    In persistent mode an input counts as "spent" (and so becomes a
-    double-spend target) only once its transaction packs; merely-queued
+    An input counts as "spent" (and so becomes a double-spend target)
+    only once its transaction packs; merely-queued
     spends stay invisible, otherwise the injected defect would actually
     be valid against the chain's UTXO view.
     """
     pool = TxMempool(_generator(seed=21), process="poisson", rate=16.0)
     generator = pool.generator
-    assert generator.defer_created is True
-    pool.admit(1, 0.0, 0, cross_shard_ratio=0.0, invalid_ratio=0.0)
+    pool.admit(1, 0.0, cross_shard_ratio=0.0, invalid_ratio=0.0)
     assert generator._spent == []  # nothing confirmed yet
     queued = [e.tagged for e in pool.queue if e.tagged.intended_valid]
     packed = {t.tx.txid for t in queued[: len(queued) // 2]}

@@ -245,7 +245,7 @@ def test_mempool_conservation_identity(seed, rounds):
         mempool.capacity = capacity
         now = float(round_number) * 10.0
         mempool.admit(
-            round_number, now, 0, cross_shard_ratio=0.25, invalid_ratio=0.1
+            round_number, now, cross_shard_ratio=0.25, invalid_ratio=0.1
         )
         queued = [e.tagged.tx.txid for e in mempool.queue]
         packed = set(queued[: int(fraction * len(queued))])
