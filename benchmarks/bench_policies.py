@@ -4,13 +4,13 @@ Runs the canned ``policy-compare`` sweep (policy-free vs
 leaderboard-targeting corruption, seed-paired, on all three executable
 backends), asserts CycLedger retains strictly more of its throughput
 under the same adaptive adversary than either recovery-free rival, and
-commits the headline ratios to ``BENCH_policies.json`` so future PRs can
-diff adaptive-robustness behaviour the way they diff fault tolerance.
+checks the headline ratios against the committed ``BENCH_policies.json``
+(the fresh copy goes under pytest's ``tmp_path``), so a PR that moves
+adaptive-robustness behaviour fails naming the field that moved.
 """
 
-from conftest import print_table
+from conftest import assert_matches_committed, print_table
 from repro.exp import policy_compare_spec, run_sweep
-from repro.exp.results import atomic_write_json
 
 POLICY = "adaptive-corruption"
 
@@ -19,7 +19,7 @@ def run_all():
     return run_sweep(policy_compare_spec(), workers=1)
 
 
-def test_policy_compare(benchmark):
+def test_policy_compare(benchmark, tmp_path):
     outcome = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     spec = policy_compare_spec()
@@ -59,13 +59,13 @@ def test_policy_compare(benchmark):
     # actually exercised leader re-selection.
     assert arms["cycledger"]["recoveries_under_policy"] > 0
 
-    atomic_write_json(
+    assert_matches_committed(
         "BENCH_policies.json",
         {
             "spec": spec.name,
-            "spec_hash": spec.spec_hash(),
             "policy": POLICY,
             "rounds": spec.rounds,
             "backends": arms,
         },
+        tmp_path,
     )

@@ -3,14 +3,13 @@
 Runs the fault-free baseline against the ``partition-halves`` and
 ``leader-crash`` presets at small scale, asserts the partition demonstrably
 degrades cross-shard packing inside the fault window and recovers after
-it, and records the headline numbers into ``BENCH_scenarios.json`` so
-future PRs can diff fault-tolerance behaviour the same way they diff
-sweep-engine performance.
+it, and checks the headline numbers against the committed
+``BENCH_scenarios.json`` (the fresh copy goes under pytest's ``tmp_path``),
+so a PR that moves fault-tolerance behaviour fails naming the field.
 """
 
-from conftest import print_table
+from conftest import assert_matches_committed, print_table
 from repro import CycLedger, ProtocolParams
-from repro.exp.results import atomic_write_json
 from repro.scenarios import SCENARIO_PRESETS
 
 PARAMS = dict(
@@ -50,7 +49,7 @@ def run_all():
     return _run(None), _run("partition-halves"), _run("leader-crash")
 
 
-def test_scenarios(benchmark):
+def test_scenarios(benchmark, tmp_path):
     baseline, partition, crash = benchmark.pedantic(
         run_all, rounds=1, iterations=1
     )
@@ -92,7 +91,7 @@ def test_scenarios(benchmark):
     # The crashed leader is impeached and replaced inside the round.
     assert recovery_times, "leader crash must trigger at least one recovery"
 
-    atomic_write_json(
+    assert_matches_committed(
         "BENCH_scenarios.json",
         {
             "params": PARAMS,
@@ -114,4 +113,5 @@ def test_scenarios(benchmark):
                 "first_recovery_sim_time": min(recovery_times, default=None),
             },
         },
+        tmp_path,
     )

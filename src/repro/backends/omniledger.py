@@ -77,29 +77,22 @@ class OmniLedgerBackend(RivalBackend):
         accepted = ctx.phase_reports[PHASE_SHARD]
         unlocked: dict[tuple[int, bytes], int] = {}
 
-        def make_on_lock(leader_id: int):
-            """Handler factory: output-shard leader answers lock with proof."""
-
-            def on_lock(msg) -> None:
-                """Honest online leaders return a proof-of-acceptance."""
-                node = ctx.nodes[leader_id]
-                if node.online and not node.behavior.is_malicious:
-                    node.send(
-                        msg.sender, "ol/proof", msg.payload,
-                        size=CONTROL_WIRE_BYTES,
-                    )
-            return on_lock
-
-        def make_on_proof(leader_id: int):
-            """Handler factory: the client's proof-to-unlock leg."""
-
-            def on_proof(msg) -> None:
-                """The client, holding the proof-of-acceptance, submits the
-                unlock-to-commit to the output shard's leader."""
-                ctx.nodes[leader_id].send(
-                    msg.sender, "ol/unlock", msg.payload, size=TX_WIRE_BYTES
+        def on_lock(msg) -> None:
+            """The output-shard leader answers lock with proof: honest
+            online leaders return a proof-of-acceptance."""
+            node = ctx.nodes[msg.recipient]
+            if node.online and not node.behavior.is_malicious:
+                node.send(
+                    msg.sender, "ol/proof", msg.payload,
+                    size=CONTROL_WIRE_BYTES,
                 )
-            return on_proof
+
+        def on_proof(msg) -> None:
+            """The client, holding the proof-of-acceptance, submits the
+            unlock-to-commit to the output shard's leader."""
+            ctx.nodes[msg.recipient].send(
+                msg.sender, "ol/unlock", msg.payload, size=TX_WIRE_BYTES
+            )
 
         def on_unlock(msg) -> None:
             """Count one unlock-to-commit for a cross-shard transaction."""
@@ -107,8 +100,8 @@ class OmniLedgerBackend(RivalBackend):
 
         for spec in ctx.committees:
             node = ctx.nodes[spec.leader]
-            node.on("ol/lock", make_on_lock(spec.leader))
-            node.on("ol/proof", make_on_proof(spec.leader))
+            node.on("ol/lock", on_lock)
+            node.on("ol/proof", on_proof)
             node.on("ol/unlock", on_unlock)
 
         final, self._atomix_started = self._route_cross_shard(

@@ -87,22 +87,19 @@ class RapidChainBackend(RivalBackend):
             """Count one output-shard acknowledgement for a routed tx."""
             acks[msg.payload] = acks.get(msg.payload, 0) + 1
 
-        def make_on_request(leader_id: int):
-            """Handler factory: the output-shard leader's ack-or-ignore."""
-
-            def on_request(msg) -> None:
-                """Honest online leaders acknowledge the routed txid."""
-                node = ctx.nodes[leader_id]
-                if node.online and not node.behavior.is_malicious:
-                    node.send(
-                        msg.sender, "rc/xsack", msg.payload,
-                        size=CONTROL_WIRE_BYTES,
-                    )
-            return on_request
+        def on_request(msg) -> None:
+            """The output-shard leader's ack-or-ignore: honest online
+            leaders acknowledge the routed txid."""
+            node = ctx.nodes[msg.recipient]
+            if node.online and not node.behavior.is_malicious:
+                node.send(
+                    msg.sender, "rc/xsack", msg.payload,
+                    size=CONTROL_WIRE_BYTES,
+                )
 
         for spec in ctx.committees:
             node = ctx.nodes[spec.leader]
-            node.on("rc/xs", make_on_request(spec.leader))
+            node.on("rc/xs", on_request)
             node.on("rc/xsack", on_ack)
 
         final, self._routed = self._route_cross_shard(ctx, accepted, "rc/xs", acks)

@@ -237,14 +237,13 @@ class CommitteeSimBackend:
             max_age_rounds=params.mempool_max_age,
             batch=2 * params.m * params.tx_per_committee,
         )
-        # The network fabric and channel maps are built once and rewound per
-        # round (reset / in-place topology refill) instead of reallocated.
+        # The network fabric is built once and rewound per round (reset)
+        # instead of reallocated.
         # Envelope pooling is safe here: every handler on the orchestrated
         # path retains message *payloads* only, never the envelope itself.
         self.net = Network(params.net, self.net_rng, pool_envelopes=True)
         for node in self.nodes.values():
             self.net.add_node(node)
-        self._channels: Channels | None = None
         self.global_utxos = self.workload.genesis_utxos()
         self.shard_states = [ShardState(k, params.m) for k in range(params.m)]
         apply_block(self.shard_states, [self.workload.genesis_tx])
@@ -437,12 +436,13 @@ class CommitteeSimBackend:
             node.is_referee = True
             node.behavior = self.adversary.voter_behavior(rid)
 
-        self._channels = build_cycledger_topology(
+        # A fresh ``Channels`` every round: no installed topology is ever
+        # mutated in place, so the fabric's channel rows cannot go stale.
+        channels = build_cycledger_topology(
             [(spec.members, spec.key_members) for spec in committees],
             referee_ids,
-            into=self._channels,
         )
-        return committees, referee_ids, self._channels
+        return committees, referee_ids, channels
 
     # -- the main loop -------------------------------------------------------
     def run_round(self) -> SimRoundReport:

@@ -166,27 +166,24 @@ def run_block_generation(
     block_size = max(1, len(packed)) * 64 + len(block.participants) * 8
     delivered: set[int] = set()
 
-    def make_on_block_member(mid: int):
-        def handler(message) -> None:
-            delivered.add(mid)
+    def on_block_member(message) -> None:
+        delivered.add(message.recipient)
 
-        return handler
-
-    def make_on_block_leader(k: int):
-        def handler(message) -> None:
-            committee = ctx.committees[k]
-            delivered.add(committee.leader)
-            ctx.node(committee.leader).multicast(
-                committee.members, Tags.BLOCK, message.payload, size=block_size
-            )
-
-        return handler
+    def on_block_leader(message) -> None:
+        delivered.add(message.recipient)
+        leader_node = ctx.node(message.recipient)
+        leader_node.multicast(
+            ctx.committees[leader_node.committee_id].members,
+            Tags.BLOCK,
+            message.payload,
+            size=block_size,
+        )
 
     for committee in ctx.committees:
-        ctx.node(committee.leader).on(Tags.BLOCK, make_on_block_leader(committee.index))
+        ctx.node(committee.leader).on(Tags.BLOCK, on_block_leader)
         for mid in committee.members:
             if mid != committee.leader:
-                ctx.node(mid).on(Tags.BLOCK, make_on_block_member(mid))
+                ctx.node(mid).on(Tags.BLOCK, on_block_member)
     ctx.node(ctx.referee[0]).multicast(
         [committee.leader for committee in ctx.committees],
         Tags.BLOCK,

@@ -63,15 +63,20 @@ class _ConfigSession:
         key_members = set(committee.key_members)
         # Key members seed S with all key-member identities (Alg. 2 line 3).
         seed_identities = {ctx.node(kid).identity() for kid in key_members}
+        # One handler per tag for the whole session: the member a delivery
+        # is for is its recipient.
+        on_config, on_mem_list, on_member = (
+            self._on_config, self._on_mem_list, self._on_member,
+        )
         for mid in committee.members:
             node = ctx.node(mid)
             node.member_list = set(seed_identities) if mid in key_members else {
                 node.identity()
             }
             if mid in key_members:
-                node.on(self._tag(Tags.CONFIG), self._make_on_config(mid))
-            node.on(self._tag(Tags.MEM_LIST), self._make_on_mem_list(mid))
-            node.on(self._tag(Tags.MEMBER), self._make_on_member(mid))
+                node.on(self._tag(Tags.CONFIG), on_config)
+            node.on(self._tag(Tags.MEM_LIST), on_mem_list)
+            node.on(self._tag(Tags.MEMBER), on_member)
         # Non-key members announce themselves to the key members, whose
         # addresses are "already shown in block B^{r-1}".
         for mid in committee.members:
@@ -105,57 +110,48 @@ class _ConfigSession:
         self._verify_cache[key] = result
         return result
 
-    def _make_on_config(self, kid: int):
-        def handler(message: "Message") -> None:
-            identity, ticket = message.payload
-            node = self.ctx.node(kid)
-            if not self._verify(identity, ticket):
-                self.rejected += 1
-                return
+    def _on_config(self, message: "Message") -> None:
+        identity, ticket = message.payload
+        node = self.ctx.node(message.recipient)
+        if not self._verify(identity, ticket):
+            self.rejected += 1
+            return
+        node.member_list.add(identity)
+        # Respond with the current list (Alg. 2 line 10).
+        node.send(
+            message.sender, self._tag(Tags.MEM_LIST), tuple(node.member_list)
+        )
+
+    def _on_mem_list(self, message: "Message") -> None:
+        node = self.ctx.node(message.recipient)
+        known_before = set(node.member_list)
+        node.member_list |= set(message.payload)
+        ticket = getattr(node, "ticket", None)
+        # Introduce ourselves to newly discovered members (line 19:
+        # "all unconnected committee members on the list").  Key members
+        # were already contacted via CONFIG, so they are not new.
+        key_pks = self._key_pks
+        new_ids = {
+            identity for identity in node.member_list
+            if identity not in known_before
+            and identity != node.identity()
+            and identity[0] not in key_pks
+        }
+        targets = [self._node_id_by_pk(pk) for pk, _address in new_ids]
+        node.multicast(
+            [target for target in targets if target is not None],
+            self._tag(Tags.MEMBER),
+            (node.identity(), ticket),
+        )
+
+    def _on_member(self, message: "Message") -> None:
+        identity, ticket = message.payload
+        node = self.ctx.node(message.recipient)
+        sender_node = self.ctx.node(message.sender)
+        if sender_node.is_key_member or self._verify(identity, ticket):
             node.member_list.add(identity)
-            # Respond with the current list (Alg. 2 line 10).
-            node.send(
-                message.sender, self._tag(Tags.MEM_LIST), tuple(node.member_list)
-            )
-
-        return handler
-
-    def _make_on_mem_list(self, mid: int):
-        def handler(message: "Message") -> None:
-            node = self.ctx.node(mid)
-            known_before = set(node.member_list)
-            node.member_list |= set(message.payload)
-            ticket = getattr(node, "ticket", None)
-            # Introduce ourselves to newly discovered members (line 19:
-            # "all unconnected committee members on the list").  Key members
-            # were already contacted via CONFIG, so they are not new.
-            key_pks = self._key_pks
-            new_ids = {
-                identity for identity in node.member_list
-                if identity not in known_before
-                and identity != node.identity()
-                and identity[0] not in key_pks
-            }
-            targets = [self._node_id_by_pk(pk) for pk, _address in new_ids]
-            node.multicast(
-                [target for target in targets if target is not None],
-                self._tag(Tags.MEMBER),
-                (node.identity(), ticket),
-            )
-
-        return handler
-
-    def _make_on_member(self, mid: int):
-        def handler(message: "Message") -> None:
-            identity, ticket = message.payload
-            node = self.ctx.node(mid)
-            sender_node = self.ctx.node(message.sender)
-            if sender_node.is_key_member or self._verify(identity, ticket):
-                node.member_list.add(identity)
-            else:
-                self.rejected += 1
-
-        return handler
+        else:
+            self.rejected += 1
 
     def _node_id_by_pk(self, pk: str) -> int | None:
         return self._id_by_pk.get(pk)

@@ -156,25 +156,24 @@ def run_inter_consensus(ctx: RoundContext) -> InterReport:
         cache_refs.append(payload)
         return result
 
-    def make_on_inter_send(node_id: int, is_leader: bool):
-        def handler(message) -> None:
-            i, j, txs, alg3_payload, cert, session = message.payload
-            key = (i, j)
-            if not _package_valid(message.payload):
-                report.forged_rejected += 1
-                return
-            if is_leader:
-                packages[key] = (txs, alg3_payload, cert, session)
-            else:
-                partial_received.setdefault(key, set()).add(node_id)
+    # One handler for every key member; who is a leader is fixed here (a
+    # recovery below replaces leaders but re-registers nothing).
+    leaders = frozenset(committee.leader for committee in ctx.committees)
 
-        return handler
+    def on_inter_send(message) -> None:
+        i, j, txs, alg3_payload, cert, session = message.payload
+        key = (i, j)
+        if not _package_valid(message.payload):
+            report.forged_rejected += 1
+            return
+        if message.recipient in leaders:
+            packages[key] = (txs, alg3_payload, cert, session)
+        else:
+            partial_received.setdefault(key, set()).add(message.recipient)
 
     for committee in ctx.committees:
-        leader_node = ctx.node(committee.leader)
-        leader_node.on(Tags.INTER_SEND, make_on_inter_send(committee.leader, True))
-        for pid in committee.partial:
-            ctx.node(pid).on(Tags.INTER_SEND, make_on_inter_send(pid, False))
+        for kid in committee.key_members:
+            ctx.node(kid).on(Tags.INTER_SEND, on_inter_send)
 
     for (i, j), round_result in report.send_rounds.items():
         if not round_result.consensus_success or not round_result.reported_txs:
@@ -291,25 +290,22 @@ def run_inter_consensus(ctx: RoundContext) -> InterReport:
     # -- stage 4: results back to the sending leader ------------------------------
     results_received: dict[tuple[int, int], tuple] = {}
 
-    def make_on_result(lid: int):
-        def handler(message) -> None:
-            i, j, txids, alg3_payload, cert, session = message.payload
-            member_pks = [pk for pk, _ in ctx.member_lists.get(j, ())]
-            digest = consensus_digest(alg3_payload)
-            if member_pks and verify_certificate(
-                ctx.pki,
-                member_pks,
-                ctx.round_number,
-                ("VOTEROUND", session),
-                digest,
-                cert,
-            ):
-                results_received[(i, j)] = (txids, cert)
-
-        return handler
+    def on_result(message) -> None:
+        i, j, txids, alg3_payload, cert, session = message.payload
+        member_pks = [pk for pk, _ in ctx.member_lists.get(j, ())]
+        digest = consensus_digest(alg3_payload)
+        if member_pks and verify_certificate(
+            ctx.pki,
+            member_pks,
+            ctx.round_number,
+            ("VOTEROUND", session),
+            digest,
+            cert,
+        ):
+            results_received[(i, j)] = (txids, cert)
 
     for committee in ctx.committees:
-        ctx.node(committee.leader).on(Tags.INTER_RESULT, make_on_result(committee.leader))
+        ctx.node(committee.leader).on(Tags.INTER_RESULT, on_result)
 
     for key, round_result in zip(recv_keys, recv_rounds):
         i, j = key

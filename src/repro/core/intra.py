@@ -206,15 +206,12 @@ def _send_to_referee(ctx: RoundContext, report: IntraReport) -> None:
     against the semi-committed member lists (Lemma 6)."""
     received: dict[int, dict[int, tuple]] = {}
 
-    def make_on_intra(rid: int):
-        def handler(message) -> None:
-            k, txs, payload, cert = message.payload
-            received.setdefault(rid, {})[k] = (txs, payload, cert)
-
-        return handler
+    def on_intra(message) -> None:
+        k, txs, payload, cert = message.payload
+        received.setdefault(message.recipient, {})[k] = (txs, payload, cert)
 
     for rid in ctx.referee:
-        ctx.node(rid).on(Tags.INTRA, make_on_intra(rid))
+        ctx.node(rid).on(Tags.INTRA, on_intra)
     for committee in ctx.committees:
         round_result = report.rounds.get(committee.index)
         if round_result is None or not round_result.consensus_success:

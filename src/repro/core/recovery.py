@@ -156,12 +156,17 @@ class _ImpeachmentSession:
     def start(self) -> None:
         ctx = self.ctx
         committee = self.committee
+        # One handler per tag for the whole session: the member a delivery
+        # is for is its recipient.
+        on_impeach, on_new, on_accuse = (
+            self._on_impeach, self._on_new, self._on_accuse,
+        )
         for mid in committee.members:
-            ctx.node(mid).on(self._tag(Tags.IMPEACH), self._make_on_impeach(mid))
-            ctx.node(mid).on(self._tag(Tags.NEW), self._make_on_new(mid))
+            ctx.node(mid).on(self._tag(Tags.IMPEACH), on_impeach)
+            ctx.node(mid).on(self._tag(Tags.NEW), on_new)
         ctx.node(self.accuser).on(self._tag(Tags.IMPEACH_VOTE), self._on_vote)
         for rid in ctx.referee:
-            ctx.node(rid).on(self._tag(Tags.ACCUSE), self._make_on_accuse(rid))
+            ctx.node(rid).on(self._tag(Tags.ACCUSE), on_accuse)
         accuser_node = ctx.node(self.accuser)
         accuser_node.multicast(
             committee.members, self._tag(Tags.IMPEACH), self.witness
@@ -180,27 +185,24 @@ class _ImpeachmentSession:
             approve,
         )
 
-    def _make_on_impeach(self, mid: int):
-        def handler(message: "Message") -> None:
-            witness = message.payload
-            if not isinstance(witness, Witness):
-                return
-            node = self.ctx.node(mid)
-            honest_verdict = validate_witness(
-                self.ctx.pki, witness, self.committee.size
-            )
-            if node.behavior.is_malicious:
-                # Colluding members protect a malicious leader and support
-                # fabricated accusations against honest ones.
-                leader_node = self.ctx.node_by_pk(witness.leader_pk)
-                approve = not leader_node.behavior.is_malicious
-            else:
-                approve = honest_verdict
-            if approve:
-                vote_sig = sign(node.keypair, self._vote_statement(True))
-                node.send(self.accuser, self._tag(Tags.IMPEACH_VOTE), vote_sig)
-
-        return handler
+    def _on_impeach(self, message: "Message") -> None:
+        witness = message.payload
+        if not isinstance(witness, Witness):
+            return
+        node = self.ctx.node(message.recipient)
+        honest_verdict = validate_witness(
+            self.ctx.pki, witness, self.committee.size
+        )
+        if node.behavior.is_malicious:
+            # Colluding members protect a malicious leader and support
+            # fabricated accusations against honest ones.
+            leader_node = self.ctx.node_by_pk(witness.leader_pk)
+            approve = not leader_node.behavior.is_malicious
+        else:
+            approve = honest_verdict
+        if approve:
+            vote_sig = sign(node.keypair, self._vote_statement(True))
+            node.send(self.accuser, self._tag(Tags.IMPEACH_VOTE), vote_sig)
 
     def _on_vote(self, message: "Message") -> None:
         sig = message.payload
@@ -230,39 +232,37 @@ class _ImpeachmentSession:
                 self.ctx.referee, self._tag(Tags.ACCUSE), (self.witness, cert)
             )
 
-    def _make_on_accuse(self, rid: int):
-        def handler(message: "Message") -> None:
-            witness, cert = message.payload
-            if self.referee_outcome is not None:
-                return
-            if not validate_witness(self.ctx.pki, witness, self.committee.size):
-                return
-            member_pks = {self.ctx.pk_of(mid) for mid in self.committee.members}
-            signers = signers_of(
-                self.ctx.pki, cert, self._vote_statement(True), members=member_pks
-            )
-            if len(signers) <= self.committee.size / 2:
-                return
-            # Algorithm 6: the receiving referee member leads an
-            # inside-consensus within C_R on the accusation.
-            consensus = InsideConsensus(
-                self.ctx,
-                self.ctx.referee,
-                leader=rid,
-                sn=("RESELECT", self.witness.committee, self.accuser),
-                payload=(
-                    "NEW_LEADER",
-                    self.witness.committee,
-                    self.ctx.pk_of(self.accuser),
-                    self.witness.kind,
-                ),
-                session=f"{self.session}:cr",
-            )
-            self.referee_outcome = consensus
-            consensus.start()
-            self.ctx.net.call_after(0.0, lambda: self._announce_if_agreed(rid))
-
-        return handler
+    def _on_accuse(self, message: "Message") -> None:
+        rid = message.recipient
+        witness, cert = message.payload
+        if self.referee_outcome is not None:
+            return
+        if not validate_witness(self.ctx.pki, witness, self.committee.size):
+            return
+        member_pks = {self.ctx.pk_of(mid) for mid in self.committee.members}
+        signers = signers_of(
+            self.ctx.pki, cert, self._vote_statement(True), members=member_pks
+        )
+        if len(signers) <= self.committee.size / 2:
+            return
+        # Algorithm 6: the receiving referee member leads an
+        # inside-consensus within C_R on the accusation.
+        consensus = InsideConsensus(
+            self.ctx,
+            self.ctx.referee,
+            leader=rid,
+            sn=("RESELECT", self.witness.committee, self.accuser),
+            payload=(
+                "NEW_LEADER",
+                self.witness.committee,
+                self.ctx.pk_of(self.accuser),
+                self.witness.kind,
+            ),
+            session=f"{self.session}:cr",
+        )
+        self.referee_outcome = consensus
+        consensus.start()
+        self.ctx.net.call_after(0.0, lambda: self._announce_if_agreed(rid))
 
     def _announce_if_agreed(self, rid: int) -> None:
         consensus = self.referee_outcome
@@ -281,17 +281,14 @@ class _ImpeachmentSession:
             self.committee.members, self._tag(Tags.NEW), payload
         )
 
-    def _make_on_new(self, mid: int):
-        def handler(message: "Message") -> None:
-            new_leader, _cert = message.payload
-            acks = self.new_leader_announcements.setdefault(new_leader, set())
-            sender_pk = self.ctx.pk_of(message.sender)
-            if message.sender in self.ctx.referee:
-                acks.add(sender_pk)
-            if len(acks) >= 1 and self.final_new_leader is None:
-                self.final_new_leader = new_leader
-
-        return handler
+    def _on_new(self, message: "Message") -> None:
+        new_leader, _cert = message.payload
+        acks = self.new_leader_announcements.setdefault(new_leader, set())
+        sender_pk = self.ctx.pk_of(message.sender)
+        if message.sender in self.ctx.referee:
+            acks.add(sender_pk)
+        if len(acks) >= 1 and self.final_new_leader is None:
+            self.final_new_leader = new_leader
 
 
 def attempt_recovery(

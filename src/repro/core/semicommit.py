@@ -65,17 +65,19 @@ class _SemiCommitSession:
 
     def start(self) -> None:
         ctx = self.ctx
+        # One handler per tag and role for the whole session: the member a
+        # delivery is for is its recipient.
+        on_claim_referee, on_claim_partial, on_announce, on_announce_leader = (
+            self._on_claim_referee, self._on_claim_partial, self._on_announce,
+            self._on_announce_leader,
+        )
         for rid in ctx.referee:
-            ctx.node(rid).on(Tags.SEMI_COM, self._make_on_claim_referee(rid))
+            ctx.node(rid).on(Tags.SEMI_COM, on_claim_referee)
         for committee in ctx.committees:
             for pid in committee.partial:
-                ctx.node(pid).on(Tags.SEMI_COM, self._make_on_claim_partial(pid))
-                ctx.node(pid).on(
-                    Tags.SEMI_COM_SET, self._make_on_announce(pid, committee.index)
-                )
-            ctx.node(committee.leader).on(
-                Tags.SEMI_COM_SET, lambda message: None
-            )
+                ctx.node(pid).on(Tags.SEMI_COM, on_claim_partial)
+                ctx.node(pid).on(Tags.SEMI_COM_SET, on_announce)
+            ctx.node(committee.leader).on(Tags.SEMI_COM_SET, on_announce_leader)
         for committee in ctx.committees:
             self._leader_send(committee.index)
 
@@ -98,37 +100,33 @@ class _SemiCommitSession:
         # Leaders also note down all other committees' commitments once C_R
         # redistributes them — O(m) storage (Table II).
 
-    def _make_on_claim_referee(self, rid: int):
-        def handler(message: "Message") -> None:
-            k, commitment, claimed_list, sig = message.payload
-            committee = self.ctx.committees[k]
-            leader_pk = self.ctx.pk_of(committee.leader)
-            statement = ("SEMI_COM", self.ctx.round_number, commitment, claimed_list)
-            try:
-                enc = self._enc_claims.get(statement)
-                if enc is None:
-                    enc = encode_statement(statement)
-                    self._enc_claims[statement] = enc
-            except TypeError:  # unhashable crafted list: encode directly
+    def _on_claim_referee(self, message: "Message") -> None:
+        k, commitment, claimed_list, sig = message.payload
+        committee = self.ctx.committees[k]
+        leader_pk = self.ctx.pk_of(committee.leader)
+        statement = ("SEMI_COM", self.ctx.round_number, commitment, claimed_list)
+        try:
+            enc = self._enc_claims.get(statement)
+            if enc is None:
                 enc = encode_statement(statement)
-            if not signed_by_encoded(self.ctx.pki, sig, enc, leader_pk):
-                return
-            self.claims.setdefault(rid, {})[k] = (commitment, claimed_list, sig)
+                self._enc_claims[statement] = enc
+        except TypeError:  # unhashable crafted list: encode directly
+            enc = encode_statement(statement)
+        if not signed_by_encoded(self.ctx.pki, sig, enc, leader_pk):
+            return
+        self.claims.setdefault(message.recipient, {})[k] = (
+            commitment, claimed_list, sig,
+        )
 
-        return handler
+    def _on_claim_partial(self, message: "Message") -> None:
+        self.partial_view[message.recipient] = message.payload
 
-    def _make_on_claim_partial(self, pid: int):
-        def handler(message: "Message") -> None:
-            self.partial_view[pid] = message.payload
+    def _on_announce(self, message: "Message") -> None:
+        announced: dict[int, bytes] = message.payload
+        self.cr_announced.setdefault(message.recipient, {}).update(announced)
 
-        return handler
-
-    def _make_on_announce(self, pid: int, k: int):
-        def handler(message: "Message") -> None:
-            announced: dict[int, bytes] = message.payload
-            self.cr_announced.setdefault(pid, {}).update(announced)
-
-        return handler
+    def _on_announce_leader(self, message: "Message") -> None:
+        """Leaders only store the announced set (O(m), booked at phase end)."""
 
     # -- referee-side validation after claims arrive ------------------------
     def referee_validate_and_announce(self, report: SemiCommitReport) -> None:

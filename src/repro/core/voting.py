@@ -140,11 +140,14 @@ class VoteRoundSession:
         ctx = self.ctx
         committee = self.committee
         leader_node = ctx.node(committee.leader)
+        # One handler per tag for the whole session: the member a delivery
+        # is for is its recipient.
+        on_txlist, on_no_proposal = self._on_txlist, self._on_no_proposal
         for mid in committee.members:
             node = ctx.node(mid)
-            node.on(self._tag("TX_LIST"), self._make_on_txlist(mid))
+            node.on(self._tag("TX_LIST"), on_txlist)
             if mid in committee.partial:
-                node.on(self._tag("NO_PROPOSAL"), self._make_on_no_proposal(mid))
+                node.on(self._tag("NO_PROPOSAL"), on_no_proposal)
         leader_node.on(self._tag("VOTE"), self._on_vote)
         deadline = ctx.params.vote_window
         proposes = (
@@ -177,30 +180,28 @@ class VoteRoundSession:
             ctx.net.call_after(deadline, self._silence_deadline)
 
     # -- member side --------------------------------------------------------
-    def _make_on_txlist(self, mid: int):
-        def handler(message: "Message") -> None:
-            txs, sig = message.payload
-            leader_pk = self.ctx.pk_of(self.committee.leader)
-            txids = tuple(tx.txid for tx in txs)
-            enc = self._enc_txlist.get(txids)
-            if enc is None:
-                enc = encode_statement(
-                    ("TX_LIST", self.ctx.round_number, self.committee.index, txids)
-                )
-                self._enc_txlist[txids] = enc
-            if not signed_by_encoded(self.ctx.pki, sig, enc, leader_pk):
-                return
-            if mid in self._proposal_seen:
-                return
-            self._proposal_seen.add(mid)
-            node = self.ctx.node(mid)
-            votes = tuple(self.vote_fn(self.ctx, mid, txs).tolist())
-            vote_sig = sign_encoded(node.keypair, self._vote_enc(votes))
-            node.send(
-                self.committee.leader, self._tag("VOTE"), (mid, votes, vote_sig)
+    def _on_txlist(self, message: "Message") -> None:
+        mid = message.recipient
+        txs, sig = message.payload
+        leader_pk = self.ctx.pk_of(self.committee.leader)
+        txids = tuple(tx.txid for tx in txs)
+        enc = self._enc_txlist.get(txids)
+        if enc is None:
+            enc = encode_statement(
+                ("TX_LIST", self.ctx.round_number, self.committee.index, txids)
             )
-
-        return handler
+            self._enc_txlist[txids] = enc
+        if not signed_by_encoded(self.ctx.pki, sig, enc, leader_pk):
+            return
+        if mid in self._proposal_seen:
+            return
+        self._proposal_seen.add(mid)
+        node = self.ctx.node(mid)
+        votes = tuple(self.vote_fn(self.ctx, mid, txs).tolist())
+        vote_sig = sign_encoded(node.keypair, self._vote_enc(votes))
+        node.send(
+            self.committee.leader, self._tag("VOTE"), (mid, votes, vote_sig)
+        )
 
     def _vote_enc(self, votes: Sequence[int]) -> bytes:
         """Signing bytes of the VOTE statement over ``votes``, memoised by
@@ -317,17 +318,14 @@ class VoteRoundSession:
                     statement_sig
                 )
 
-    def _make_on_no_proposal(self, pid: int):
-        def handler(message: "Message") -> None:
-            sig = message.payload
-            stmt = no_proposal_statement(
-                self.ctx.round_number, self.committee.index, self.phase_name
-            )
-            if not verify(self.ctx.pki, sig, stmt):
-                return
-            self.result.no_proposal_sigs.setdefault(pid, []).append(sig)
-
-        return handler
+    def _on_no_proposal(self, message: "Message") -> None:
+        sig = message.payload
+        stmt = no_proposal_statement(
+            self.ctx.round_number, self.committee.index, self.phase_name
+        )
+        if not verify(self.ctx.pki, sig, stmt):
+            return
+        self.result.no_proposal_sigs.setdefault(message.recipient, []).append(sig)
 
     # -- completion ----------------------------------------------------------
     def finish(self) -> VoteRound:

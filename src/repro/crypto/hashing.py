@@ -9,7 +9,6 @@ produce accidental collisions.
 from __future__ import annotations
 
 import hashlib
-from functools import lru_cache
 from operator import attrgetter
 from typing import Any, Iterable
 
@@ -158,38 +157,6 @@ def canonical_bytes(obj: Any) -> bytes:
     return _canonical_slow(obj)
 
 
-# The hot protocol paths (sortition rank hashes, beacon mixing, txids)
-# call H with small flat tuples of primitives, and many nodes hash the
-# same inputs within one round.  Those calls are memoised.  The cache key
-# carries an explicit per-element type tag so values that compare equal
-# across types (True == 1) — which canonical_bytes encodes differently —
-# can never alias a cache slot.  Floats stay on the uncached path: 0.0
-# and -0.0 compare (and hash) equal yet encode differently via repr, so
-# they would alias a slot within one type tag.
-_FLAT_TYPES = {bytes: "b", str: "s", bool: "o", int: "i"}
-
-
-def _flat_key(parts: tuple) -> tuple | None:
-    key = []
-    for part in parts:
-        tag = _FLAT_TYPES.get(type(part))
-        if tag is None:
-            if part is None:
-                tag = "n"
-            else:
-                return None  # nested / numpy / unhashable: uncached path
-        key.append((tag, part))
-    return tuple(key)
-
-
-@lru_cache(maxsize=1 << 16)
-def _H_flat(key: tuple) -> bytes:
-    h = hashlib.sha256()
-    for _, part in key:
-        h.update(canonical_bytes(part))
-    return h.digest()
-
-
 def H(*parts: Any) -> bytes:
     """The protocol's collision-resistant hash function.
 
@@ -197,9 +164,6 @@ def H(*parts: Any) -> bytes:
     digest.  ``H(a, b)`` is the paper's ``H(a || b)`` with an injective
     pairing.
     """
-    key = _flat_key(parts)
-    if key is not None:
-        return _H_flat(key)
     h = hashlib.sha256()
     for part in parts:
         h.update(canonical_bytes(part))

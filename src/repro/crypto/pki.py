@@ -53,18 +53,8 @@ class PKI:
       a claimed signature/proof against a public key.
     """
 
-    _MAC_CACHE_MAX = 1 << 16
-
     def __init__(self) -> None:
         self._secrets: dict[str, bytes] = {}
-        # Consensus is verification-heavy: every committee member re-checks
-        # the same (pk, message) signatures during the all-to-all echo
-        # phases.  A bounded memo of recomputed MACs turns those repeats
-        # into a dict hit.  Entries can never go stale: generate() and
-        # register() both reject re-registration of a pk with a different
-        # sk, so a pk's MAC function is immutable for the registry's
-        # lifetime.
-        self._mac_cache: dict[tuple[str, bytes], bytes] = {}
 
     def generate(self, seed: bytes | str | int) -> KeyPair:
         """Deterministically derive and register a key pair from ``seed``.
@@ -96,35 +86,18 @@ class PKI:
         can never verify, matching the paper's requirement that the referee
         committee checks "all members in any list are registered".
         """
-        cached = self._mac_cache.get((pk, message))
-        if cached is not None:
-            return cached
-        return self._mac_miss(pk, message)
-
-    def _mac_miss(self, pk: str, message: bytes) -> bytes:
-        """Compute and remember one MAC.  A full memo is emptied rather than
-        trimmed: the messages carry their round number, so old entries never
-        hit again, and popping a dict's oldest key scans every slot earlier
-        pops left empty (microseconds per miss once the cap is reached)."""
-        tag = hmac.digest(self._secrets[pk], message, "sha256")
-        if len(self._mac_cache) >= self._MAC_CACHE_MAX:
-            self._mac_cache.clear()
-        self._mac_cache[pk, message] = tag
-        return tag
+        return hmac.digest(self._secrets[pk], message, "sha256")
 
     def mac_many(self, pks: "Iterable[str]", message: bytes) -> list[bytes]:
         """MACs of one ``message`` under many registered public keys.
 
         The batched form of :meth:`mac` for the consensus fan-out pattern
         (one statement checked against a whole recipient set, e.g. a
-        certificate's signer list): the per-call dispatch and cache probe
-        run once per key with the loop-invariant state hoisted, instead of
-        once per ``(pk, message)`` method call.  Raises ``KeyError`` on the
-        first unregistered ``pk``, like :meth:`mac`.
+        certificate's signer list): one call, not one per ``(pk, message)``.
+        Raises ``KeyError`` on the first unregistered ``pk``, like
+        :meth:`mac`.
         """
-        cached = self._mac_cache.get
-        miss = self._mac_miss
-        return [cached((pk, message)) or miss(pk, message) for pk in pks]
+        return [hmac.digest(self._secrets[pk], message, "sha256") for pk in pks]
 
     def __len__(self) -> int:
         return len(self._secrets)

@@ -49,8 +49,7 @@ def solve_pow(puzzle: PowPuzzle, pk: str, max_iters: int = 10_000_000) -> PowSol
     ``H`` hashes its parts back to back, so the four parts that are the same
     for every attempt are absorbed once and each attempt extends a copy of
     that state with the nonce: the digest :func:`verify_pow` recomputes with
-    ``H_int``, without re-encoding the prefix per attempt and without
-    pushing thousands of never-reused keys through ``H``'s LRU cache.
+    ``H_int``, without re-encoding the prefix per attempt.
     """
     target = puzzle.target
     prefix = hashlib.sha256()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hmac
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from repro.crypto.hashing import canonical_bytes
 from repro.crypto.pki import PKI, KeyPair
@@ -66,16 +66,16 @@ def signed_by(pki: PKI, signature: Signature, message: Any, pk: str) -> bool:
     return signature.pk == pk and verify(pki, signature, message)
 
 
-# -- batched forms -----------------------------------------------------------
+# -- encode-once forms -------------------------------------------------------
 # Consensus is dominated by one pattern: a single statement checked against
 # (or produced for) an entire recipient set — a certificate's signer list, a
 # committee's worth of CONFIRMs, every member auditing the same relayed
 # PROPOSE header.  The scalar helpers above re-run the canonical encoding of
-# the statement on every call, which the profile shows costs more than the
-# HMAC itself for realistic statements.  The helpers below encode ONCE per
-# statement and reuse the bytes across the whole batch; they are
-# semantically identical to looping the scalar forms (a property the test
-# suite asserts), just cheaper.
+# the statement on every call, which costs more than the HMAC itself for
+# realistic statements.  ``encode_statement`` + ``sign_encoded`` /
+# ``verify_encoded`` / ``signed_by_encoded`` encode ONCE per statement and
+# reuse the bytes; ``signers_of`` does the same for a whole certificate.
+# They equal looping the scalar forms (the test suite asserts it).
 
 
 def encode_statement(message: Any) -> bytes:
@@ -108,27 +108,6 @@ def signed_by_encoded(
 ) -> bool:
     """:func:`signed_by` over a pre-encoded statement."""
     return signature.pk == pk and verify_encoded(pki, signature, encoded)
-
-
-def sign_many(keypairs: Iterable[KeyPair], message: Any) -> list[Signature]:
-    """Sign one ``message`` with many keys — one encoding for the whole
-    recipient set instead of one per signer."""
-    encoded = _encode(message)
-    return [
-        Signature(pk=kp.pk, tag=hmac.digest(kp.sk, encoded, "sha256"))
-        for kp in keypairs
-    ]
-
-
-def verify_many(
-    pki: PKI, signatures: Sequence[Signature], message: Any
-) -> list[bool]:
-    """Verify many signatures over one ``message``, encoding it once.
-
-    Element ``i`` equals ``verify(pki, signatures[i], message)`` exactly.
-    """
-    encoded = _encode(message)
-    return [verify_encoded(pki, sig, encoded) for sig in signatures]
 
 
 def signers_of(

@@ -71,28 +71,16 @@ class Channels:
 def build_cycledger_topology(
     committees: Sequence[tuple[Iterable[int], Iterable[int]]],
     referee: Iterable[int],
-    into: Channels | None = None,
 ) -> Channels:
     """Build the CycLedger channel graph.
 
     ``committees`` is a sequence of ``(members, key_members)`` id
     collections (key members included in members); ``referee`` is the
-    referee-committee id set.  Passing ``into`` refills an existing
-    :class:`Channels` in place (the orchestrator reuses one instance
-    across rounds instead of reallocating the maps every round).
+    referee-committee id set.
     """
-    if into is not None:
-        committee_of = into.committee_of
-        committee_of.clear()
-        is_key = into.is_key
-        is_key.clear()
-        referee_set = into.referee
-        referee_set.clear()
-        referee_set |= set(referee)
-    else:
-        committee_of = {}
-        is_key = set()
-        referee_set = set(referee)
+    committee_of: dict[int, int] = {}
+    is_key: set[int] = set()
+    referee_set = set(referee)
     sizes: list[int] = []
     for index, (members, keys) in enumerate(committees):
         members = list(members)
@@ -119,20 +107,15 @@ def build_cycledger_topology(
     key_cross = key_total * (key_total - 1) // 2 - sum(
         k * (k - 1) // 2 for k in keys_per_committee
     )
-    counts = {
-        ChannelClass.INTRA: intra,
-        ChannelClass.KEY: key_cross,
-        ChannelClass.REFEREE: key_total * cr,
-    }
-    if into is not None:
-        into.counts.clear()
-        into.counts.update(counts)
-        return into
     return Channels(
         committee_of=committee_of,
         is_key=is_key,
         referee=referee_set,
-        counts=counts,
+        counts={
+            ChannelClass.INTRA: intra,
+            ChannelClass.KEY: key_cross,
+            ChannelClass.REFEREE: key_total * cr,
+        },
     )
 
 

@@ -472,3 +472,106 @@ def test_start_allocates_per_session_not_per_member():
         assert len({id(mailbox[tag]) for mailbox in handlers}) == 1
     ctx.net.run()
     assert session.outcome.success and session.outcome.confirms == 32
+
+
+def _config_session(ctx):
+    from repro.core.committee import _ConfigSession
+
+    committee = ctx.committees[0]
+    roles = {
+        "CONFIG:cfg:0": [committee.key_members],
+        "MEM_LIST:cfg:0": [committee.members],
+        "MEMBER:cfg:0": [committee.members],
+    }
+    return _ConfigSession(ctx, 0), roles
+
+
+def _vote_session(proposes):
+    def build(ctx):
+        from repro.core.voting import VoteRoundSession, input_side_votes
+
+        committee = ctx.committees[0]
+        session = VoteRoundSession(
+            ctx, committee, [], "v", input_side_votes, "intra",
+            leader_proposes_override=proposes,
+        )
+        return session, {
+            "TX_LIST:v": [committee.members],
+            "NO_PROPOSAL:v": [committee.partial],
+        }
+
+    return build
+
+
+def _semicommit_session(ctx):
+    from repro.core.semicommit import _SemiCommitSession
+
+    partial = ctx.committees[0].partial
+    # SEMI_COM's handler differs by role: referees validate, partial
+    # members only note what their leader claimed.
+    return _SemiCommitSession(ctx), {
+        "SEMI_COM": [ctx.referee, partial],
+        "SEMI_COM_SET": [partial],
+    }
+
+
+def _impeachment_session(ctx):
+    from repro.core.recovery import Witness, _ImpeachmentSession
+
+    committee = ctx.committees[0]
+    witness = Witness(
+        kind="silence", committee=0, leader_pk=ctx.pk_of(committee.leader),
+        round_number=1, evidence=("intra", ()),
+    )
+    session = _ImpeachmentSession(ctx, committee, committee.partial[0], witness, "i")
+    return session, {
+        "IMPEACH:i": [committee.members],
+        "NEW:i": [committee.members],
+        "ACCUSE:i": [ctx.referee],
+    }
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _config_session,
+        _vote_session(True),
+        _vote_session(False),
+        _semicommit_session,
+        _impeachment_session,
+    ],
+    ids=["config", "vote-proposing", "vote-silent", "semicommit", "impeachment"],
+)
+def test_every_session_registers_one_handler_per_tag_and_role(build):
+    """The envelope names the member: for each tag, all members of one role
+    hold the *same* handler object, and ``start`` creates as many functions,
+    cells and bound methods for 32 members as for 8 (a closure factory per
+    member creates a function and its cells per member per tag)."""
+    import gc
+    from collections import Counter
+
+    def started(size):
+        ctx = build_sandbox(committee_size=size, lam=2)
+        session, roles = build(ctx)
+        gc.collect()
+        gc.disable()
+        try:
+            before = Counter(type(o).__name__ for o in gc.get_objects())
+            session.start()
+            after = Counter(type(o).__name__ for o in gc.get_objects())
+        finally:
+            gc.enable()
+        created = {
+            kind: after[kind] - before[kind] for kind in ("function", "cell", "method")
+        }
+        return created, ctx, roles
+
+    started(8)  # first use of a type fills process-wide tables; not counted
+    small, _, _ = started(8)
+    large, ctx, roles = started(32)
+    assert large == small
+    for tag, groups in roles.items():
+        for group in groups:
+            assert len(group) > 1
+            assert len({id(ctx.node(mid).handlers[tag]) for mid in group}) == 1, tag
+    ctx.net.run()  # the session still runs to quiescence on shared handlers

@@ -73,30 +73,6 @@ def test_mac_unknown_pk_raises(pki):
         pki.mac("not-registered", b"x")
 
 
-def test_mac_memo_stays_bounded_and_exact(pki, monkeypatch):
-    """Past its cap the memo forgets, and forgetting changes no tag: three
-    caps' worth of distinct misses through both entry points."""
-    import hmac
-
-    cap = 16
-    monkeypatch.setattr(PKI, "_MAC_CACHE_MAX", cap)
-    kps = [pki.generate(i) for i in range(4)]
-    pks = [kp.pk for kp in kps]
-    messages = [b"round-%d" % i for i in range(3 * cap)]
-    for i, message in enumerate(messages):
-        expected = [hmac.digest(kp.sk, message, "sha256") for kp in kps]
-        if i % 2:
-            assert pki.mac_many(pks, message) == expected
-        else:
-            assert [pki.mac(pk, message) for pk in pks] == expected
-        assert len(pki._mac_cache) <= cap
-    evicted = (pks[0], messages[0])
-    assert evicted not in pki._mac_cache
-    again = hmac.digest(kps[0].sk, messages[0], "sha256")
-    assert pki.mac(*evicted) == again == pki.mac_many(pks[:1], messages[0])[0]
-    assert pki.mac_many(pks, messages[-1]) == [pki.mac(pk, messages[-1]) for pk in pks]
-
-
 def test_fingerprint_changes_with_registry(pki):
     f0 = pki.fingerprint()
     pki.generate("new")
@@ -106,14 +82,14 @@ def test_fingerprint_changes_with_registry(pki):
 @pytest.mark.parametrize("seed", [1, ("node", 7)])
 @pytest.mark.parametrize("message", [b"", b"sig", b"\x00" * 200])
 def test_every_tag_is_plain_hmac_sha256(pki, seed, message):
-    """``sign``/``sign_encoded``/``sign_many``/``PKI.mac``/``mac_many`` and
+    """``sign``/``sign_encoded``/``PKI.mac``/``mac_many`` and
     the VRF proof are HMAC-SHA256 of the encoded message, byte for byte
     (including the empty message), whichever hmac entry point makes them."""
     import hashlib
     import hmac
 
     from repro.crypto.hashing import canonical_bytes
-    from repro.crypto.signatures import encode_statement, sign_encoded, sign_many
+    from repro.crypto.signatures import encode_statement, sign_encoded
     from repro.crypto.vrf import vrf_eval
 
     kp = pki.generate(seed)
@@ -128,5 +104,4 @@ def test_every_tag_is_plain_hmac_sha256(pki, seed, message):
     assert fresh.mac_many([kp.pk], message) == [reference(message)]
     assert encode_statement(message) == b"sig" + canonical_bytes(message)
     assert sign(kp, message).tag == reference(encode_statement(message))
-    assert sign_many([kp], message)[0].tag == reference(encode_statement(message))
     assert vrf_eval(kp, message).proof == reference(b"vrf" + canonical_bytes(message))

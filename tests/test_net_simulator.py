@@ -952,3 +952,33 @@ def test_unpooled_run_deliveries_are_envelopes_of_their_own():
         for m in kept
     ] == [(when, *rest) for when, _seq, *rest in flights]
     assert all(m.payload == "fan" for m in kept)
+
+
+@pytest.mark.parametrize("pooled", [True, False], ids=["pooled", "unpooled"])
+def test_the_envelope_names_the_node_each_delivery_is_for(pooled):
+    """The contract one-handler-per-session leans on: whichever node's
+    mailbox a delivery is dispatched from, ``message.recipient`` is that
+    node — for every delivery of interleaved multicasts, and still after the
+    handler has sent messages of its own."""
+    net, _log, _kept = _run_fabric(pooled=pooled)
+    everyone = list(range(_RUN_NODES))
+    seen = []
+
+    def mailbox_of(nid):
+        def handler(msg):
+            before = msg.recipient
+            net.send(nid, 0 if nid else 1, "REPLY", b"r")
+            net.multicast(nid, everyone[:4], "REPLY", b"rr")
+            seen.append((nid, before, msg.recipient, msg.sender))
+
+        return handler
+
+    for nid in everyone:
+        net.nodes[nid].on("FAN", mailbox_of(nid))
+    net.multicast(0, everyone, "FAN", b"a")
+    net.multicast(1, everyone, "FAN", b"b")  # two runs interleaved in time
+    net.send(2, 3, "FAN", b"c")
+    net.run()
+    assert len(seen) == 2 * (_RUN_NODES - 1) + 1
+    assert all(nid == before == after for nid, before, after, _ in seen)
+    assert {sender for *_, sender in seen} == {0, 1, 2}
