@@ -9,10 +9,8 @@ checks the headline ratios against the committed ``BENCH_policies.json``
 adaptive-robustness behaviour fails naming the field that moved.
 """
 
-from conftest import assert_matches_committed, print_table
+from conftest import assert_matches_committed, policies_artifact, print_table
 from repro.exp import policy_compare_spec, run_sweep
-
-POLICY = "adaptive-corruption"
 
 
 def run_all():
@@ -21,27 +19,11 @@ def run_all():
 
 def test_policy_compare(benchmark, tmp_path):
     outcome = benchmark.pedantic(run_all, rounds=1, iterations=1)
-
-    spec = policy_compare_spec()
-    backends = list(spec.backend_grid)
-    arms = {}
-    for backend in backends:
-        plain = outcome.find(backend=backend, policy=None)
-        attacked = outcome.find(backend=backend, policy=POLICY)
-        assert len(plain) == len(attacked) == 1, backend
-        # Seed-paired: both arms of one backend run the same protocol seed.
-        assert plain[0].point["derived_seed"] == attacked[0].point["derived_seed"]
-        base = plain[0].totals["packed"]
-        hit = attacked[0].totals["packed"]
-        arms[backend] = {
-            "packed_baseline": base,
-            "packed_under_policy": hit,
-            "packed_ratio": hit / base if base else 0.0,
-            "recoveries_under_policy": attacked[0].totals["recoveries"],
-        }
+    artifact = policies_artifact(outcome)
+    arms = artifact["backends"]
 
     print_table(
-        f"Packed transactions, policy-free vs {POLICY} (seed-paired)",
+        f"Packed transactions, policy-free vs {artifact['policy']} (seed-paired)",
         ["backend", "baseline", "attacked", "ratio"],
         [
             (b, a["packed_baseline"], a["packed_under_policy"],
@@ -59,13 +41,4 @@ def test_policy_compare(benchmark, tmp_path):
     # actually exercised leader re-selection.
     assert arms["cycledger"]["recoveries_under_policy"] > 0
 
-    assert_matches_committed(
-        "BENCH_policies.json",
-        {
-            "spec": spec.name,
-            "policy": POLICY,
-            "rounds": spec.rounds,
-            "backends": arms,
-        },
-        tmp_path,
-    )
+    assert_matches_committed("BENCH_policies.json", artifact, tmp_path)

@@ -41,6 +41,34 @@ def assert_matches_committed(name: str, fresh: dict, tmp_path: Path) -> None:
     )
 
 
+def policies_artifact(outcome) -> dict:
+    """The dict ``BENCH_policies.json`` holds, from a finished
+    ``policy-compare`` sweep: per backend, packed transactions in the
+    policy-free arm and under the adaptive-corruption preset (seed-paired).
+    The bench and the tier-1 value gate (``tests/test_policies.py``) both
+    build it here."""
+    spec, policy = outcome.spec, "adaptive-corruption"
+    arms = {}
+    for backend in spec.backend_grid:
+        plain = outcome.one(backend=backend, scenario=None)
+        attacked = outcome.one(backend=backend, scenario=policy)
+        # Seed-paired: both arms of one backend run the same protocol seed.
+        assert plain.point["derived_seed"] == attacked.point["derived_seed"]
+        base, hit = plain.totals["packed"], attacked.totals["packed"]
+        arms[backend] = {
+            "packed_baseline": base,
+            "packed_under_policy": hit,
+            "packed_ratio": hit / base if base else 0.0,
+            "recoveries_under_policy": attacked.totals["recoveries"],
+        }
+    return {
+        "spec": spec.name,
+        "policy": policy,
+        "rounds": spec.rounds,
+        "backends": arms,
+    }
+
+
 def print_table(title: str, headers: list[str], rows: list[tuple]) -> None:
     """Render a small fixed-width table to stdout (visible with -s; also
     captured into the bench logs)."""

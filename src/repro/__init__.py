@@ -30,9 +30,10 @@ IPDPS 2020, arXiv:2001.06778), including every substrate the paper assumes:
   parameter sweeps fanned out over worker processes with deterministic
   per-point seeding and resume-from-cache;
 * :mod:`repro.scenarios` — declarative, seed-deterministic fault
-  injection (partitions, latency spikes, leader crashes, adversary
-  ramps, churn) attached to the round's phase pipeline, plus adaptive
-  adversary policies that retarget corruption from observed round state.
+  timelines attached to the round's phase pipeline: scheduled events
+  (partitions, latency spikes, leader crashes, adversary ramps, churn)
+  and adaptive adversary policies that retarget corruption from observed
+  round state, all events of one ``Scenario``.
 
 ``docs/architecture.md`` maps the packages and the data flow of one
 round through the phase pipeline.
@@ -56,7 +57,7 @@ from repro.ledger.checkpoint import (
 )
 from repro.ledger.workload import TxMempool
 from repro.nodes.adversary import AdversaryConfig, AdversaryController
-from repro.scenarios import POLICY_PRESETS, SCENARIO_PRESETS, Scenario
+from repro.scenarios import SCENARIO_PRESETS, Scenario
 
 __version__ = "2.0.0"
 
@@ -72,7 +73,6 @@ __all__ = [
     "Phase",
     "PhasePipeline",
     "ProtocolParams",
-    "POLICY_PRESETS",
     "RoundReport",
     "SCENARIO_PRESETS",
     "Scenario",

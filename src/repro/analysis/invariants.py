@@ -216,8 +216,9 @@ class InvariantChecker:
         """Whether this round ran with no adversarial or injected
         disturbance — the precondition of the honest-behaviour invariants.
 
-        Conservative by design: any round inside a scenario or policy
-        window counts as disturbed even if the event did not fire, because
+        Conservative by design: any round inside a scenario event's
+        window (policies included) counts as disturbed even if the event
+        did not fire, because
         a partition's message loss (for example) can depress commits and
         reputations without any corrupted node existing.
         """
@@ -225,12 +226,7 @@ class InvariantChecker:
         if adversary.count or adversary.offline or adversary.forced_offline:
             return False
         scenario = ledger.scenario
-        if scenario is not None and round_number <= scenario.last_event_round:
-            return False
-        policy = ledger.policy
-        if policy is not None and round_number <= policy.last_active_round:
-            return False
-        return True
+        return scenario is None or round_number > scenario.last_event_round
 
     def _record(self, name: str, round_number: int, detail: str) -> None:
         self.violations.append(InvariantViolation(name, round_number, detail))

@@ -54,9 +54,8 @@ def register_backend(
 ) -> None:
     """Register an executable backend under ``name``.
 
-    ``factory(params, adversary=..., capacity_fn=..., scenario=...,
-    policy=...)`` must return a
-    :class:`~repro.core.backend.LedgerBackend`.
+    ``factory(params, adversary=..., capacity_fn=..., scenario=...)`` must
+    return a :class:`~repro.core.backend.LedgerBackend`.
     """
     if name in BACKEND_REGISTRY:
         raise ValueError(f"backend {name!r} is already registered")
@@ -76,7 +75,6 @@ def create_backend(
     adversary: Any = None,
     capacity_fn: Any = None,
     scenario: Any = None,
-    policy: Any = None,
 ) -> Any:
     """Instantiate the named backend; unknown names fail with the roster."""
     info = BACKEND_REGISTRY.get(name)
@@ -88,7 +86,6 @@ def create_backend(
         adversary=adversary,
         capacity_fn=capacity_fn,
         scenario=scenario,
-        policy=policy,
     )
 
 

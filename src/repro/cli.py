@@ -96,36 +96,34 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
     from repro import AdversaryConfig, CycLedger, ProtocolParams
-    from repro.scenarios import POLICY_PRESETS, SCENARIO_PRESETS
+    from repro.scenarios import SCENARIO_PRESETS, Scenario
 
     if args.list:
         for name, scenario in sorted(SCENARIO_PRESETS.items()):
             kinds = ", ".join(type(e).kind for e in scenario.events)
             print(f"{name:<18} last event round {scenario.last_event_round}: "
                   f"{kinds}")
-        print("adversary policies:")
-        for name, policy in sorted(POLICY_PRESETS.items()):
-            print(f"{name:<18} last active round {policy.last_active_round}: "
-                  f"{policy.kind}")
         return 0
-    if args.preset is None and args.policy is None:
-        raise SystemExit("error: give --preset NAME, --policy NAME or --list")
-    scenario = None
-    if args.preset is not None:
-        scenario = SCENARIO_PRESETS.get(args.preset)
-        if scenario is None:
-            known = ", ".join(sorted(SCENARIO_PRESETS))
-            raise SystemExit(
-                f"error: unknown preset {args.preset!r} (known: {known})"
-            )
-    policy = None
-    if args.policy is not None:
-        policy = POLICY_PRESETS.get(args.policy)
-        if policy is None:
-            known = ", ".join(sorted(POLICY_PRESETS))
-            raise SystemExit(
-                f"error: unknown policy {args.policy!r} (known: {known})"
-            )
+    if not args.preset:
+        raise SystemExit("error: give --preset NAME or --list")
+    try:
+        # Repeated --preset: one timeline holding every preset's events, in
+        # the order given (a single preset comes out equal to itself).
+        scenario = Scenario(
+            "+".join(args.preset),
+            tuple(
+                event
+                for name in args.preset
+                for event in SCENARIO_PRESETS[name].events
+            ),
+        )
+    except KeyError as error:
+        known = ", ".join(sorted(SCENARIO_PRESETS))
+        raise SystemExit(
+            f"error: unknown preset {error.args[0]!r} (known: {known})"
+        )
+    except ValueError as error:  # e.g. two policy presets
+        raise SystemExit(f"error: {error}")
 
     params = ProtocolParams(
         n=args.n, m=args.m, lam=args.lam, referee_size=args.referee,
@@ -138,22 +136,9 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     if rounds is None:
         # Default: run one clean round past the last fault so the output
         # shows both degradation and recovery.
-        rounds = max(
-            scenario.last_event_round if scenario is not None else 0,
-            policy.last_active_round if policy is not None else 0,
-        ) + 1
-    ledger = CycLedger(
-        params, adversary=adversary, scenario=scenario, policy=policy
-    )
-    label = " + ".join(
-        part
-        for part in (
-            f"scenario '{scenario.name}'" if scenario is not None else None,
-            f"policy '{args.policy}'" if policy is not None else None,
-        )
-        if part
-    )
-    print(f"{label}, {rounds} rounds, seed {args.seed}")
+        rounds = scenario.last_event_round + 1
+    ledger = CycLedger(params, adversary=adversary, scenario=scenario)
+    print(f"scenario '{scenario.name}', {rounds} rounds, seed {args.seed}")
     print(f"{'round':>5} {'packed':>6} {'cross':>5} {'dropped':>7} "
           f"{'recov':>5} {'msgs':>8} {'time':>7}")
     reports = ledger.run(rounds)
@@ -163,22 +148,18 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
               f"{report.recoveries:>5} {report.messages:>8} "
               f"{report.sim_time:>7.1f}")
     if args.verbose:
-        for driver in (ledger.scenario_driver, ledger.policy_driver):
-            if driver is not None:
-                for line in driver.log:
-                    print(f"  · {line}")
+        for line in ledger.scenario_driver.log:
+            print(f"  · {line}")
     print(f"chain {len(ledger.chain)} blocks, valid={ledger.chain.verify()}, "
           f"{ledger.total_packed()} transactions")
     if args.json:
-        _write_scenario_json(
-            args.json, scenario, params, rounds, reports, policy=policy
-        )
+        _write_scenario_json(args.json, scenario, params, rounds, reports)
         print(f"rows -> {args.json}")
     return 0
 
 
 def _write_scenario_json(
-    path: str, scenario, params, rounds: int, reports, policy=None
+    path: str, scenario, params, rounds: int, reports
 ) -> None:
     """Canonical, deterministic run record (the CI byte-identity gate
     compares two of these from identical seeds)."""
@@ -186,12 +167,10 @@ def _write_scenario_json(
 
     from repro.exp.results import atomic_write_bytes, round_row
     from repro.exp.spec import canonical_json
-    from repro.scenarios import policy_to_dict
 
     params_dict = dataclasses.asdict(params)  # recurses into nested net
     payload = {
-        "scenario": scenario.to_dict() if scenario is not None else None,
-        "policy": policy_to_dict(policy) if policy is not None else None,
+        "scenario": scenario.to_dict(),
         "params": params_dict,
         "rounds": rounds,
         "rows": [round_row(r) for r in reports],
@@ -321,12 +300,6 @@ def _build_sweep_spec(args: argparse.Namespace):
                 None if s in ("none", "") else s
                 for s in args.scenarios.split(",")
             )
-        policy_grid: tuple = ()
-        if args.policies:
-            policy_grid = tuple(
-                None if p in ("none", "") else p
-                for p in args.policies.split(",")
-            )
         backend_grid: tuple = ()
         if args.backends:
             backend_grid = tuple(args.backends.split(","))
@@ -340,8 +313,6 @@ def _build_sweep_spec(args: argparse.Namespace):
             capacity_preset=args.capacity_preset,
             scenario=args.scenario,
             scenario_grid=scenario_grid,
-            policy=args.policy,
-            policy_grid=policy_grid,
             backend=args.backend,
             backend_grid=backend_grid,
         )
@@ -490,11 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenario.add_argument("--list", action="store_true",
                           help="list available scenario presets")
-    scenario.add_argument("--preset", default=None,
-                          help="scenario preset name (see --list)")
-    scenario.add_argument("--policy", default=None,
-                          help="adaptive adversary policy name (see --list); "
-                               "composes with --preset")
+    scenario.add_argument("--preset", action="append",
+                          help="scenario preset name (see --list); repeat "
+                               "to run several presets' events as one "
+                               "timeline")
     scenario.add_argument("--rounds", type=int, default=None,
                           help="rounds to run (default: one past the last "
                                "fault, so recovery is visible)")
@@ -557,12 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--scenarios", default=None,
                        help="comma-separated scenario axis; 'none' for the "
                             "fault-free arm (e.g. none,partition-halves,churn)")
-    sweep.add_argument("--policy", default=None,
-                       help="adaptive adversary policy applied to every "
-                            "point (see 'repro scenario --list')")
-    sweep.add_argument("--policies", default=None,
-                       help="comma-separated policy axis; 'none' for the "
-                            "policy-free arm (e.g. none,adaptive-corruption)")
     sweep.add_argument("--backend", default="cycledger",
                        help="executable protocol backend for every point "
                             "(see 'repro backends')")

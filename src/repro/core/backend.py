@@ -47,7 +47,6 @@ from repro.net.topology import Channels, build_cycledger_topology
 from repro.nodes.adversary import AdversaryConfig, AdversaryController
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.scenarios.policies import AdversaryPolicy
     from repro.scenarios.scenario import Scenario
 
 
@@ -158,10 +157,11 @@ class CommitteeSimBackend:
     partial sets — what the rivals use; CycLedger overrides them with its
     reputation-weighted selection outcome.
 
-    The scenario and policy drivers rely on what this class declares:
-    ``_next_leaders``/``_node_id`` for leader-crash targeting, ``adversary``
-    for ramps and forced-offline windows, and a round context carrying
-    ``net``/``committees``/``referee`` for partition resolution.
+    The scenario driver relies on what this class declares:
+    ``_next_leaders``/``_node_id`` for leader-crash and policy targeting,
+    ``adversary`` for ramps, forced-offline windows and corruption re-aiming,
+    and a round context carrying ``net``/``committees``/``referee`` for
+    partition resolution.
     """
 
     backend_name = "abstract"
@@ -175,28 +175,22 @@ class CommitteeSimBackend:
         capacity_fn: Callable[[int, np.random.Generator], int] | None = None,
         scenario: "Scenario | None" = None,
         pipeline: PhasePipeline | None = None,
-        policy: "AdversaryPolicy | None" = None,
     ) -> None:
         self.params = params
         # One root seed fans out into independent, order-insensitive
         # sub-streams: protocol-phase draws, the workload generator, the
-        # adversary's corruption lottery, network jitter, scenario event
-        # draws and policy draws each own a spawned child.  Identical seeds
-        # therefore give identical round reports even when one component
-        # changes how many draws it makes — and because every backend
-        # builds through this one constructor, backend arms of one sweep
-        # point share workload/adversary/jitter streams (the seed-pairing
-        # contract) by construction.  SeedSequence children depend only on
+        # adversary's corruption lottery, network jitter and scenario event
+        # draws each own a spawned child.  Identical seeds therefore give
+        # identical round reports even when one component changes how many
+        # draws it makes — and because every backend builds through this one
+        # constructor, backend arms of one sweep point share
+        # workload/adversary/jitter streams (the seed-pairing contract) by
+        # construction.  SeedSequence children depend only on
         # their spawn index, so growing the fan-out leaves every earlier
         # stream byte-identical.
-        (
-            proto_ss,
-            workload_ss,
-            adversary_ss,
-            net_ss,
-            scenario_ss,
-            policy_ss,
-        ) = np.random.SeedSequence(params.seed).spawn(6)
+        proto_ss, workload_ss, adversary_ss, net_ss, scenario_ss = (
+            np.random.SeedSequence(params.seed).spawn(5)
+        )
         self.rng = np.random.default_rng(proto_ss)
         self.net_rng = np.random.default_rng(net_ss)
         self.pki = PKI()
@@ -261,29 +255,18 @@ class CommitteeSimBackend:
         self._stage_genesis()
 
         if pipeline is not None:
-            # Scenario/policy hooks fire on *every* ledger that runs the
-            # pipeline, so a pipeline may never be shared between a
-            # scenario- or policy-bearing ledger and any other — in either
-            # construction order.
+            # Scenario hooks fire on *every* ledger that runs the pipeline,
+            # so a pipeline may never be shared between a scenario-bearing
+            # ledger and any other — in either construction order.
             if pipeline.scenario_driver is not None:
                 raise ValueError(
                     "pipeline is already bound to a scenario-bearing "
-                    "ledger; build a fresh pipeline per ledger"
-                )
-            if pipeline.policy_driver is not None:
-                raise ValueError(
-                    "pipeline is already bound to a policy-bearing "
                     "ledger; build a fresh pipeline per ledger"
                 )
             if scenario is not None and pipeline.owner is not None:
                 raise ValueError(
                     "pipeline is already in use by another ledger; a "
                     "scenario needs a dedicated pipeline"
-                )
-            if policy is not None and pipeline.owner is not None:
-                raise ValueError(
-                    "pipeline is already in use by another ledger; an "
-                    "adversary policy needs a dedicated pipeline"
                 )
         self.pipeline = pipeline if pipeline is not None else self.build_pipeline()
         if self.pipeline.owner is None:
@@ -306,16 +289,6 @@ class CommitteeSimBackend:
                 scenario, np.random.default_rng(scenario_ss)
             )
             self.scenario_driver.install(self)
-        self.policy = policy
-        self.policy_driver = None
-        if policy is not None:
-            # Local import, same layering rule as the scenario driver above.
-            from repro.scenarios.policies import PolicyDriver
-
-            self.policy_driver = PolicyDriver(
-                policy, np.random.default_rng(policy_ss)
-            )
-            self.policy_driver.install(self)
 
     # -- subclass hooks ------------------------------------------------------
     def build_pipeline(self) -> PhasePipeline:

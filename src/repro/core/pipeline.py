@@ -105,12 +105,8 @@ class PhasePipeline:
         #: append-only, so a pipeline can serve at most one driver (and
         #: therefore one ledger with a scenario).
         self.scenario_driver: Any = None
-        #: the adversary-policy driver bound to this pipeline, if any —
-        #: same append-only-hooks constraint as ``scenario_driver``.
-        self.policy_driver: Any = None
-        #: first ledger that ran on this pipeline; scenario/policy
-        #: attachment requires a pipeline nobody else has claimed, in
-        #: either order.
+        #: first ledger that ran on this pipeline; scenario attachment
+        #: requires a pipeline nobody else has claimed, in either order.
         self.owner: Any = None
         for phase in phases:
             self.register(phase)

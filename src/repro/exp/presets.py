@@ -108,7 +108,7 @@ def policy_compare_spec() -> ExperimentSpec:
             "tx_per_committee": 6,
             "cross_shard_ratio": 0.3,
         },
-        policy_grid=(None, "adaptive-corruption"),
+        scenario_grid=(None, "adaptive-corruption"),
         backend_grid=("cycledger", "rapidchain", "omniledger_sim"),
     )
 

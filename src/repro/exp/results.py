@@ -316,7 +316,7 @@ _CSV_TOTAL_COLUMNS = (
 
 def write_csv(path: str, results: Iterable[SweepResult]) -> None:
     """Flat one-row-per-point CSV (params as ``p_*``, adversary as ``a_*``;
-    the backend/scenario/policy/capacity axes ride along so arms stay
+    the backend/scenario/capacity axes ride along so arms stay
     distinguishable)."""
     results = sorted(results, key=lambda r: r.key)
     param_keys = sorted({k for r in results for k in r.point["params"]})
@@ -330,7 +330,6 @@ def write_csv(path: str, results: Iterable[SweepResult]) -> None:
             "derived_seed",
             "backend",
             "scenario",
-            "policy",
             "capacity_preset",
         ]
         + [f"p_{k}" for k in param_keys]
@@ -349,7 +348,6 @@ def write_csv(path: str, results: Iterable[SweepResult]) -> None:
                 r.point["derived_seed"],
                 r.point.get("backend", "cycledger"),
                 r.point.get("scenario") or "",
-                r.point.get("policy") or "",
                 r.point.get("capacity_preset") or "",
             ]
             + [r.point["params"].get(k, "") for k in param_keys]

@@ -76,7 +76,6 @@ class SweepOutcome:
             merged["seed"] = point["seed"]
             merged["rounds"] = point["rounds"]
             merged["scenario"] = point.get("scenario")
-            merged["policy"] = point.get("policy")
             merged["backend"] = point.get("backend", "cycledger")
             if all(merged.get(k) == v for k, v in filters.items()):
                 out.append(result)
@@ -150,7 +149,6 @@ def run_point(point: SweepPoint) -> SweepResult:
     from repro.exp.presets import CAPACITY_PRESETS
     from repro.nodes.adversary import AdversaryConfig
     from repro.scenarios import SCENARIO_PRESETS
-    from repro.scenarios.policies import POLICY_PRESETS
 
     params = ProtocolParams(**dict(point.params), seed=point.derived_seed)
     adversary = (
@@ -166,16 +164,12 @@ def run_point(point: SweepPoint) -> SweepResult:
     scenario = (
         SCENARIO_PRESETS[point.scenario] if point.scenario is not None else None
     )
-    policy = (
-        POLICY_PRESETS[point.policy] if point.policy is not None else None
-    )
     ledger = create_backend(
         point.backend,
         params,
         adversary=adversary,
         capacity_fn=capacity_fn,
         scenario=scenario,
-        policy=policy,
     )
     reports = ledger.run(point.rounds)
     return collect_result(ledger, reports, point.descriptor(), point.key)
@@ -184,18 +178,8 @@ def run_point(point: SweepPoint) -> SweepResult:
 def _pool_worker(payload: str) -> str:
     """Top-level (picklable) pool entry: descriptor JSON in, record +
     timing JSON out."""
-    desc = json.loads(payload)
-    point = SweepPoint(
-        params=desc["params"],
-        adversary=desc["adversary"],
-        seed=desc["seed"],
-        rounds=desc["rounds"],
-        capacity_preset=desc["capacity_preset"],
-        scenario=desc["scenario"],
-        backend=desc["backend"],
-        derived_seed=desc["derived_seed"],
-        policy=desc.get("policy"),
-    )
+    # A descriptor's keys are exactly SweepPoint's fields.
+    point = SweepPoint(**json.loads(payload))
     start = time.perf_counter()
     result = run_point(point)
     wall = time.perf_counter() - start

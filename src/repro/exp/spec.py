@@ -87,7 +87,6 @@ class SweepPoint:
     scenario: str | None  # named fault-injection scenario, or fault-free
     backend: str  # executable backend registry name
     derived_seed: int
-    policy: str | None = None  # named adversary policy, or policy-free
 
     def descriptor(self) -> dict[str, Any]:
         """The point's canonical identity (excludes nothing that affects
@@ -101,7 +100,6 @@ class SweepPoint:
             "rounds": self.rounds,
             "capacity_preset": self.capacity_preset,
             "scenario": self.scenario,
-            "policy": self.policy,
             "backend": self.backend,
             "derived_seed": self.derived_seed,
         }
@@ -126,12 +124,10 @@ def derive_point_seed(
     deliberately *excluded*: fault-injected and fault-free arms of one
     point run on the same protocol seed, so a scenario sweep is a paired
     comparison (the delta is the fault, not seed noise); the scenario
-    still distinguishes the arms' cache keys via the descriptor.  The
-    adversary-policy name is excluded with the same pairing intent: the
-    policy-free and policy-bearing arms of one point share a protocol
-    seed, so a behavioural sweep measures the policy's damage, not seed
-    noise (and shipped policies draw from their own reserved sub-stream —
-    currently nothing at all — so the shared streams stay aligned).  The
+    still distinguishes the arms' cache keys via the descriptor.  That
+    covers adversary policies, which are scenario events: the policy-free
+    and policy-bearing arms of one point share a protocol seed, so a
+    behavioural sweep measures the policy's damage, not seed noise.  The
     backend name is excluded for the same reason: all protocols at one
     point share a root seed (workload, adversary lottery and network
     jitter sub-streams line up), so a backend sweep compares protocols,
@@ -165,15 +161,11 @@ class ExperimentSpec:
     ``ProtocolParams.seed`` (the historical benchmark behaviour); with the
     default ``True`` each point gets a content-derived seed.
 
-    ``scenario`` names one fault-injection preset applied to every point;
+    ``scenario`` names one fault-timeline preset
+    (:data:`repro.scenarios.SCENARIO_PRESETS` — scheduled faults and
+    adaptive adversary policies alike) applied to every point;
     ``scenario_grid`` is a product axis of preset names (``None`` entries
     mean fault-free) for comparing behaviour across fault timelines.
-
-    ``policy`` names one adaptive adversary policy
-    (:data:`repro.scenarios.policies.POLICY_PRESETS`) applied to every
-    point; ``policy_grid`` is a product axis of policy names (``None``
-    entries mean policy-free).  Policy arms share the point's protocol
-    seed, so behavioural sweeps are seed-paired like scenario sweeps.
 
     ``backend`` names the executable protocol every point runs on
     (:data:`repro.backends.BACKEND_REGISTRY`); ``backend_grid`` is a
@@ -202,8 +194,6 @@ class ExperimentSpec:
     capacity_preset: str | None = None
     scenario: str | None = None
     scenario_grid: Sequence[str | None] = ()
-    policy: str | None = None
-    policy_grid: Sequence[str | None] = ()
     backend: str = "cycledger"
     backend_grid: Sequence[str] = ()
     derive_seeds: bool = True
@@ -247,17 +237,6 @@ class ExperimentSpec:
             for name in named_scenarios:
                 if name not in SCENARIO_PRESETS:
                     raise ValueError(f"unknown scenario preset {name!r}")
-        if self.policy is not None and self.policy_grid:
-            raise ValueError("give policy or policy_grid, not both")
-        named_policies = [
-            p for p in (*self.policy_grid, self.policy) if p is not None
-        ]
-        if named_policies:
-            from repro.scenarios.policies import POLICY_PRESETS
-
-            for name in named_policies:
-                if name not in POLICY_PRESETS:
-                    raise ValueError(f"unknown policy preset {name!r}")
         if self.backend != "cycledger" and self.backend_grid:
             raise ValueError("give backend or backend_grid, not both")
         from repro.backends import BACKEND_REGISTRY
@@ -286,8 +265,6 @@ class ExperimentSpec:
             "capacity_preset": self.capacity_preset,
             "scenario": self.scenario,
             "scenario_grid": _jsonable(list(self.scenario_grid)),
-            "policy": self.policy,
-            "policy_grid": _jsonable(list(self.policy_grid)),
             "backend": self.backend,
             "backend_grid": _jsonable(list(self.backend_grid)),
             "derive_seeds": self.derive_seeds,
@@ -321,7 +298,6 @@ class ExperimentSpec:
             for values in product(*(vs for _, vs in adv_axes))
         ]
         scenarios = list(self.scenario_grid) or [self.scenario]
-        policies = list(self.policy_grid) or [self.policy]
         backends = list(self.backend_grid) or [self.backend]
         out: list[SweepPoint] = []
         for point_overrides in explicit:
@@ -335,34 +311,30 @@ class ExperimentSpec:
                     if not adversary:
                         adversary = None
                     for scenario in scenarios:
-                        for policy in policies:
-                            for backend in backends:
-                                for seed in self.seeds:
-                                    derived = (
-                                        derive_point_seed(
-                                            _jsonable(params),
-                                            None
-                                            if adversary is None
-                                            else _jsonable(adversary),
-                                            int(seed),
-                                            self.rounds,
-                                        )
-                                        if self.derive_seeds
-                                        else int(seed)
+                        for backend in backends:
+                            for seed in self.seeds:
+                                derived = (
+                                    derive_point_seed(
+                                        _jsonable(params),
+                                        None
+                                        if adversary is None
+                                        else _jsonable(adversary),
+                                        int(seed),
+                                        self.rounds,
                                     )
-                                    out.append(
-                                        SweepPoint(
-                                            params=params,
-                                            adversary=adversary,
-                                            seed=int(seed),
-                                            rounds=self.rounds,
-                                            capacity_preset=(
-                                                self.capacity_preset
-                                            ),
-                                            scenario=scenario,
-                                            policy=policy,
-                                            backend=backend,
-                                            derived_seed=derived,
-                                        )
+                                    if self.derive_seeds
+                                    else int(seed)
+                                )
+                                out.append(
+                                    SweepPoint(
+                                        params=params,
+                                        adversary=adversary,
+                                        seed=int(seed),
+                                        rounds=self.rounds,
+                                        capacity_preset=self.capacity_preset,
+                                        scenario=scenario,
+                                        backend=backend,
+                                        derived_seed=derived,
                                     )
+                                )
         return out

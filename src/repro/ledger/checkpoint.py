@@ -5,10 +5,10 @@ chain's retained suffix plus pruning frontier, the global and per-shard
 UTXO sets, the array-backed :class:`~repro.core.reputation.ReputationStore`,
 the persistent :class:`~repro.ledger.workload.TxMempool` queue, the
 workload generator's spendable/spent bookkeeping, the adversary's
-corruption state, scenario/policy driver state, the overlap scheduler's
+corruption state, scenario driver state, the overlap scheduler's
 timeline frontier, cumulative metrics, the staged next-round roles, and
 every RNG child generator's exact position via ``bit_generator.state``
-(protocol, workload, adversary, network, scenario, policy — the six-way
+(protocol, workload, adversary, network, scenario — the five-way
 fan-out of the :class:`repro.core.backend.CommitteeSimBackend` constructor).
 
 Round-local state is deliberately *not* captured: node role flags, the
@@ -20,29 +20,41 @@ restore only at round boundaries**.
 
 A restored run is byte-identical to the uninterrupted run — same chain
 head hash, same reputation table, same round-report stream — which the
-checkpoint tests assert across all three backends, mid-scenario and
+checkpoint tests assert across all three backends, mid-partition and
 mid-policy.
 
 ``capacity_fn`` is not picklable (arbitrary callables) and must be
 re-supplied at load time; capacity draws happen during construction from
 the protocol RNG whose state is overwritten afterwards, so supplying the
-same function reproduces the same capacities.  ``scenario``/``policy``
-are frozen dataclasses and travel inside the checkpoint; both can be
-*overridden* at load time for warm-start sweeps (seed-paired arms that
-resume from a shared policy-free prefix and diverge only in the arm's
-policy).
+same function reproduces the same capacities.  The ``scenario`` is a
+frozen dataclass and travels inside the checkpoint; it can be *overridden*
+at load time for warm-start sweeps (seed-paired arms that resume from a
+shared fault-free prefix and diverge only in the arm's scenario).
+
+On disk a checkpoint is a fixed header — magic, layout version, payload
+length, SHA-256 of the payload — followed by the pickled capture.
+:func:`load_checkpoint` checks all four before it unpickles anything, so
+a truncated, corrupted, outdated or foreign file fails by name instead of
+running whatever its pickle stream says.
 """
 
 from __future__ import annotations
 
+import hashlib
 import pickle
+import struct
 from typing import Any, Callable
 
 import numpy as np
 
 #: Bump when the capture layout changes incompatibly (2: the pickled
-#: ``ProtocolParams`` lost a field).
-CHECKPOINT_VERSION = 2
+#: ``ProtocolParams`` lost a field; 3: one scenario-driver block, no
+#: ``policy`` entries, and files carry the checked header).
+CHECKPOINT_VERSION = 3
+
+#: File header: magic, layout version, payload length, payload SHA-256.
+MAGIC = b"CYCLCKPT"
+_HEADER = struct.Struct(">8sIQ32s")
 
 #: Pinned pickle protocol so checkpoint files are stable across the
 #: Python versions the CI matrix spans (3.10–3.13).
@@ -107,8 +119,7 @@ def capture_checkpoint(ledger: Any) -> dict[str, Any]:
         "adversary": adversary.rng.bit_generator.state,
         "net": net.rng.bit_generator.state,
     }
-    scenario_driver = ledger.scenario_driver
-    policy_driver = ledger.policy_driver
+    driver = ledger.scenario_driver
 
     return {
         "version": CHECKPOINT_VERSION,
@@ -116,7 +127,6 @@ def capture_checkpoint(ledger: Any) -> dict[str, Any]:
         "params": ledger.params,
         "adversary_config": adversary.config,
         "scenario": ledger.scenario,
-        "policy": ledger.policy,
         "round_number": ledger.round_number,
         "randomness": ledger.randomness,
         # Staged roles are reassigned wholesale each round (never mutated
@@ -176,25 +186,17 @@ def capture_checkpoint(ledger: Any) -> dict[str, Any]:
         },
         "scenario_driver": (
             None
-            if scenario_driver is None
+            if driver is None
             else {
-                "crashed_until": dict(scenario_driver._crashed_until),
-                "log": list(scenario_driver.log),
-                "rng": scenario_driver.rng.bit_generator.state,
-            }
-        ),
-        "policy_driver": (
-            None
-            if policy_driver is None
-            else {
+                "crashed_until": dict(driver._crashed_until),
                 "baseline": (
                     None
-                    if policy_driver._baseline is None
-                    else list(policy_driver._baseline)
+                    if driver._baseline is None
+                    else list(driver._baseline)
                 ),
-                "healed": policy_driver._healed,
-                "log": list(policy_driver.log),
-                "rng": policy_driver.rng.bit_generator.state,
+                "healed": driver._healed,
+                "log": list(driver.log),
+                "rng": driver.rng.bit_generator.state,
             }
         ),
         "overlap": {
@@ -210,17 +212,16 @@ def restore_checkpoint(
     state: dict[str, Any],
     capacity_fn: Callable[[int, np.random.Generator], int] | None = None,
     scenario: Any = _UNSET,
-    policy: Any = _UNSET,
 ) -> Any:
     """Rebuild a ledger from a :func:`capture_checkpoint` dict.
 
     The backend is constructed normally (same deterministic genesis,
     keys, and capacities), then every mutable field is overwritten with
-    the captured state.  ``scenario``/``policy`` override the captured
-    objects when given — the warm-start hook: captured driver state is
-    reapplied only when the effective object equals the captured one, so
-    an arm resumed with a *different* policy starts that policy's driver
-    fresh, exactly as the uninterrupted arm would.
+    the captured state.  ``scenario`` overrides the captured one when
+    given — the warm-start hook: captured driver state is reapplied only
+    when the effective scenario equals the captured one, so an arm resumed
+    with a *different* scenario starts its driver fresh, exactly as the
+    uninterrupted arm would.
     """
     from repro.backends import create_backend
 
@@ -232,14 +233,12 @@ def restore_checkpoint(
     effective_scenario = (
         state["scenario"] if scenario is _UNSET else scenario
     )
-    effective_policy = state["policy"] if policy is _UNSET else policy
     ledger = create_backend(
         state["backend"],
         state["params"],
         adversary=state["adversary_config"],
         capacity_fn=capacity_fn,
         scenario=effective_scenario,
-        policy=effective_policy,
     )
 
     ledger.round_number = state["round_number"]
@@ -314,20 +313,13 @@ def restore_checkpoint(
         and effective_scenario == state["scenario"]
     ):
         driver = ledger.scenario_driver
-        driver._crashed_until = dict(state["scenario_driver"]["crashed_until"])
-        driver.log = list(state["scenario_driver"]["log"])
-        driver.rng.bit_generator.state = state["scenario_driver"]["rng"]
-    if (
-        state["policy_driver"] is not None
-        and ledger.policy_driver is not None
-        and effective_policy == state["policy"]
-    ):
-        driver = ledger.policy_driver
-        baseline = state["policy_driver"]["baseline"]
+        captured = state["scenario_driver"]
+        driver._crashed_until = dict(captured["crashed_until"])
+        baseline = captured["baseline"]
         driver._baseline = None if baseline is None else list(baseline)
-        driver._healed = state["policy_driver"]["healed"]
-        driver.log = list(state["policy_driver"]["log"])
-        driver.rng.bit_generator.state = state["policy_driver"]["rng"]
+        driver._healed = captured["healed"]
+        driver.log = list(captured["log"])
+        driver.rng.bit_generator.state = captured["rng"]
 
     scheduler = ledger.overlap_scheduler
     scheduler._prev_ends = dict(state["overlap"]["prev_ends"])
@@ -339,18 +331,22 @@ def restore_checkpoint(
 
 
 def save_checkpoint(ledger: Any, path: str) -> dict[str, Any]:
-    """Capture ``ledger`` and pickle the snapshot to ``path`` atomically
-    (write-then-rename, so a crashed save never leaves a torn file).
-    Returns the captured state dict."""
+    """Capture ``ledger`` and write header + pickled snapshot to ``path``
+    atomically (write-then-rename, so a crashed save never leaves a torn
+    file).  Returns the captured state dict."""
     import os
     import tempfile
 
     state = capture_checkpoint(ledger)
+    payload = pickle.dumps(state, protocol=PICKLE_PROTOCOL)
+    digest = hashlib.sha256(payload).digest()
+    header = _HEADER.pack(MAGIC, CHECKPOINT_VERSION, len(payload), digest)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".ckpt.tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            pickle.dump(state, fh, protocol=PICKLE_PROTOCOL)
+            fh.write(header)
+            fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -365,15 +361,31 @@ def load_checkpoint(
     path: str,
     capacity_fn: Callable[[int, np.random.Generator], int] | None = None,
     scenario: Any = _UNSET,
-    policy: Any = _UNSET,
 ) -> Any:
-    """Unpickle ``path`` and rebuild the ledger it captured.  See
+    """Check ``path``'s header, then unpickle it and rebuild the ledger it
+    captured.  Nothing is unpickled unless magic, version, length and
+    digest all match; the ``ValueError`` names the one that did not.  See
     :func:`restore_checkpoint` for the ``capacity_fn`` and warm-start
     override semantics."""
     with open(path, "rb") as fh:
-        state = pickle.load(fh)
+        data = fh.read()
+    if len(data) < _HEADER.size or not data.startswith(MAGIC):
+        raise ValueError(f"{path}: not a checkpoint file (magic mismatch)")
+    _magic, version, length, digest = _HEADER.unpack_from(data)
+    payload = memoryview(data)[_HEADER.size :]
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(
+            f"{path}: checkpoint version {version} != {CHECKPOINT_VERSION}"
+        )
+    if len(payload) != length:
+        raise ValueError(
+            f"{path}: payload length {len(payload)} != {length} in the "
+            "header (truncated file?)"
+        )
+    if hashlib.sha256(payload).digest() != digest:
+        raise ValueError(f"{path}: payload digest mismatch (corrupted file?)")
     return restore_checkpoint(
-        state, capacity_fn=capacity_fn, scenario=scenario, policy=policy
+        pickle.loads(payload), capacity_fn=capacity_fn, scenario=scenario
     )
 
 

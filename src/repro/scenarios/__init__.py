@@ -1,8 +1,8 @@
 """Scenario / fault-injection subsystem.
 
 Declarative, seed-deterministic fault timelines (network partitions,
-latency spikes, leader crashes, adversary-fraction ramps, node churn)
-applied to a running :class:`~repro.core.protocol.CycLedger` through its
+latency spikes, leader crashes, adversary-fraction ramps, node churn,
+and at most one state-observing adversary policy) applied to a running :class:`~repro.core.protocol.CycLedger` through its
 phase pipeline's hooks.
 
     from repro import CycLedger, ProtocolParams
@@ -16,36 +16,32 @@ phase pipeline's hooks.
 """
 
 from repro.scenarios.events import (
-    EVENT_TYPES,
     HALVES,
     AdversaryRamp,
     Churn,
     LatencySpike,
     LeaderCrash,
     Partition,
-    event_from_dict,
-    event_to_dict,
 )
 from repro.scenarios.policies import (
-    POLICY_PRESETS,
-    POLICY_TYPES,
     AdversaryPolicy,
     LeaderboardCorruption,
-    PolicyDriver,
     QuorumWithholding,
     RefereeEclipse,
     TargetedCensorship,
-    policy_from_dict,
-    policy_to_dict,
 )
 from repro.scenarios.presets import SCENARIO_PRESETS
-from repro.scenarios.scenario import Scenario, ScenarioDriver
+from repro.scenarios.scenario import (
+    EVENT_TYPES,
+    Scenario,
+    ScenarioDriver,
+    event_from_dict,
+    event_to_dict,
+)
 
 __all__ = [
     "EVENT_TYPES",
     "HALVES",
-    "POLICY_PRESETS",
-    "POLICY_TYPES",
     "AdversaryPolicy",
     "AdversaryRamp",
     "Churn",
@@ -53,7 +49,6 @@ __all__ = [
     "LeaderCrash",
     "LeaderboardCorruption",
     "Partition",
-    "PolicyDriver",
     "QuorumWithholding",
     "RefereeEclipse",
     "SCENARIO_PRESETS",
@@ -62,6 +57,4 @@ __all__ = [
     "TargetedCensorship",
     "event_from_dict",
     "event_to_dict",
-    "policy_from_dict",
-    "policy_to_dict",
 ]

@@ -16,12 +16,23 @@ timeline.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, ClassVar, Mapping
+from dataclasses import dataclass
+from typing import Any, ClassVar
 
 #: Sentinel for :attr:`Partition.committees`: split the committee indices
 #: into two halves at runtime (presets cannot know ``m`` up front).
 HALVES = "halves"
+
+
+def _require_int(event: Any, *fields: str) -> None:
+    """Rounds and durations are compared with ``==`` against the round
+    counter, so a float would be accepted and then never fire."""
+    for name in fields:
+        value = getattr(event, name)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(
+                f"{event.kind}.{name} must be an integer, got {value!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -32,6 +43,7 @@ class WindowedEvent:
     end_round: int
 
     def __post_init__(self) -> None:
+        _require_int(self, "start_round", "end_round")
         if self.start_round < 1:
             raise ValueError("rounds are 1-based")
         if self.end_round < self.start_round:
@@ -115,6 +127,7 @@ class LeaderCrash:
     duration: int = 1
 
     def __post_init__(self) -> None:
+        _require_int(self, "round", "duration")
         if self.round < 1:
             raise ValueError("rounds are 1-based")
         if self.duration < 1:
@@ -177,33 +190,3 @@ class Churn(WindowedEvent):
         super().__post_init__()
         if not (0.0 <= self.offline_fraction < 1.0):
             raise ValueError("offline_fraction must be in [0, 1)")
-
-
-EVENT_TYPES: dict[str, type] = {
-    cls.kind: cls
-    for cls in (Partition, LatencySpike, LeaderCrash, AdversaryRamp, Churn)
-}
-
-
-def _tuplify(value: Any) -> Any:
-    """Recursively turn lists back into tuples (JSON round-trip)."""
-    if isinstance(value, list):
-        return tuple(_tuplify(v) for v in value)
-    return value
-
-
-def event_to_dict(event: Any) -> dict[str, Any]:
-    """JSON-ready rendering of one event (kind tag plus its fields)."""
-    if type(event) not in EVENT_TYPES.values():
-        raise TypeError(f"not a scenario event: {event!r}")
-    return {"kind": event.kind, **asdict(event)}
-
-
-def event_from_dict(data: Mapping[str, Any]) -> Any:
-    """Rebuild an event from :func:`event_to_dict` output (JSON round-trip)."""
-    payload = dict(data)
-    kind = payload.pop("kind", None)
-    cls = EVENT_TYPES.get(kind)
-    if cls is None:
-        raise ValueError(f"unknown event kind {kind!r}")
-    return cls(**{key: _tuplify(value) for key, value in payload.items()})

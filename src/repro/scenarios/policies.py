@@ -1,8 +1,9 @@
 """Strategic, state-observing adversary policies.
 
-Scenario events (:mod:`repro.scenarios.events`) are *schedules*: they name
-rounds and targets up front.  Policies are *strategies*: each round the
-:class:`PolicyDriver` lets the active policy read the ledger's published
+The other scenario events (:mod:`repro.scenarios.events`) are *schedules*:
+they name rounds and targets up front.  Policy events are *strategies*:
+each round the :class:`~repro.scenarios.scenario.ScenarioDriver` lets the
+scenario's policy (at most one per scenario) read the ledger's published
 state — the reputation leaderboard, the staged leaders, this round's
 committee rosters — and decide where to strike.  This is still the paper's
 mildly-adaptive adversary (§III-C): decisions use only state published by
@@ -20,43 +21,39 @@ Four policies ship:
 * :class:`TargetedCensorship` — corrupts the staged leaders and has them
   censor transactions (:class:`~repro.nodes.behaviors.CensoringLeader`).
 
-Policies are frozen dataclasses over an inclusive round window, serialise
-to canonical JSON like events (:func:`policy_to_dict` /
-:func:`policy_from_dict`), and attach to any registered backend through
-the same pipeline hooks the :class:`~repro.scenarios.scenario.ScenarioDriver`
-uses, so seed-paired sweeps gain a ``policy`` axis next to
-scenario/backend/overlap.
+Policies are frozen dataclasses over an inclusive round window and are
+events like any other: they sit in a scenario's ``events``, serialise
+through the one event codec, and ship as single-event presets, so a
+seed-paired ``scenario_grid`` sweep compares a policy-bearing arm with the
+policy-free one.
 
-Determinism: current policies compute targets from published round state
-with explicit tie-breaks and draw **nothing** from any RNG stream (the
-driver still owns a spawned sub-stream for future randomized policies), so
-a (seed, policy) pair replays exactly and the no-policy arm of a
-seed-paired sweep is byte-identical to a run without the axis.
+Determinism: policies compute targets from published round state with
+explicit tie-breaks and draw **nothing** from any RNG stream, so a (seed,
+scenario) pair replays exactly and the rounds before the first strike are
+byte-identical to the policy-free run.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Any, ClassVar, Mapping
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, ClassVar
 
-import numpy as np
-
-from repro.core.pipeline import PRE
 from repro.nodes.behaviors import (
     CensoringLeader,
     HonestBehavior,
     QuorumWithholder,
 )
-from repro.scenarios.events import WindowedEvent, _tuplify
+from repro.scenarios.events import WindowedEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.structures import CommitteeSpec, RoundContext
+    from repro.scenarios.scenario import ScenarioDriver
 
 
 @dataclass(frozen=True)
 class AdversaryPolicy(WindowedEvent):
     """Common shape of adversary policies: an inclusive round window plus
-    two optional decision hooks the :class:`PolicyDriver` calls.
+    two optional decision hooks the scenario driver calls.
 
     ``corruption_targets`` runs at the round pre-hook (before role
     assignment) and may return the node ids the corruption budget should
@@ -70,7 +67,7 @@ class AdversaryPolicy(WindowedEvent):
         untouched.  Called only in active rounds."""
         return None
 
-    def apply(self, ctx: "RoundContext", driver: "PolicyDriver") -> None:
+    def apply(self, ctx: "RoundContext", driver: "ScenarioDriver") -> None:
         """Committee-aware action for this round (behaviour overrides,
         partitions).  Called only in active rounds."""
 
@@ -90,6 +87,15 @@ def _staged_leader_ids(ledger: Any) -> list[int]:
     the previous round's block, so fair game for a mildly-adaptive
     adversary)."""
     return [ledger._node_id(pk) for pk in ledger._next_leaders]
+
+
+def _within_budget(
+    ledger: Any, budget_fraction: float, *pools: list[int]
+) -> list[int]:
+    """Walk ``pools`` in order, keep each node id the first time it shows
+    up, and stop at ``budget_fraction`` of all nodes."""
+    budget = int(budget_fraction * len(ledger.nodes))
+    return list(dict.fromkeys(nid for pool in pools for nid in pool))[:budget]
 
 
 @dataclass(frozen=True)
@@ -117,18 +123,10 @@ class LeaderboardCorruption(AdversaryPolicy):
     def corruption_targets(self, ledger: Any) -> list[int]:
         """Staged leaders first (optional), then the leaderboard, truncated
         to the corruption budget."""
-        budget = int(self.budget_fraction * len(ledger.nodes))
-        targets: list[int] = []
-        seen: set[int] = set()
-        pools = [_leaderboard(ledger)]
-        if self.include_leaders:
-            pools.insert(0, _staged_leader_ids(ledger))
-        for pool in pools:
-            for node_id in pool:
-                if node_id not in seen:
-                    seen.add(node_id)
-                    targets.append(node_id)
-        return targets[:budget]
+        leaders = _staged_leader_ids(ledger) if self.include_leaders else []
+        return _within_budget(
+            ledger, self.budget_fraction, leaders, _leaderboard(ledger)
+        )
 
 
 @dataclass(frozen=True)
@@ -170,10 +168,9 @@ class QuorumWithholding(AdversaryPolicy):
         when the policy rides an externally configured adversary)."""
         if self.budget_fraction == 0.0:
             return None
-        budget = int(self.budget_fraction * len(ledger.nodes))
         leaders = set(_staged_leader_ids(ledger))
         ranked = [nid for nid in _leaderboard(ledger) if nid not in leaders]
-        return ranked[:budget]
+        return _within_budget(ledger, self.budget_fraction, ranked)
 
     @staticmethod
     def _pivotal(
@@ -197,7 +194,7 @@ class QuorumWithholding(AdversaryPolicy):
         need = len(spec.members) // 2 + 1
         return reliable < need <= reliable + len(withholders), withholders
 
-    def apply(self, ctx: "RoundContext", driver: "PolicyDriver") -> None:
+    def apply(self, ctx: "RoundContext", driver: "ScenarioDriver") -> None:
         """Sleepers everywhere, withholders only where pivotal."""
         corrupted = driver.adversary.corrupted
         for node_id in corrupted:
@@ -227,7 +224,7 @@ class RefereeEclipse(AdversaryPolicy):
 
     kind: ClassVar[str] = "referee_eclipse"
 
-    def apply(self, ctx: "RoundContext", driver: "PolicyDriver") -> None:
+    def apply(self, ctx: "RoundContext", driver: "ScenarioDriver") -> None:
         """Isolate this round's referee members in their own partition."""
         referee = set(ctx.referee)
         ctx.net.set_partitions([referee])
@@ -264,17 +261,14 @@ class TargetedCensorship(AdversaryPolicy):
 
     def corruption_targets(self, ledger: Any) -> list[int]:
         """Staged leaders, then leaderboard fill-up, within budget."""
-        budget = int(self.budget_fraction * len(ledger.nodes))
-        targets: list[int] = []
-        seen: set[int] = set()
-        for pool in (_staged_leader_ids(ledger), _leaderboard(ledger)):
-            for node_id in pool:
-                if node_id not in seen:
-                    seen.add(node_id)
-                    targets.append(node_id)
-        return targets[:budget]
+        return _within_budget(
+            ledger,
+            self.budget_fraction,
+            _staged_leader_ids(ledger),
+            _leaderboard(ledger),
+        )
 
-    def apply(self, ctx: "RoundContext", driver: "PolicyDriver") -> None:
+    def apply(self, ctx: "RoundContext", driver: "ScenarioDriver") -> None:
         """Corrupted committee leaders censor; other corrupted nodes keep
         their configured strategies."""
         censoring = []
@@ -290,142 +284,3 @@ class TargetedCensorship(AdversaryPolicy):
                 f"censoring leaders in committees {censoring} "
                 f"(keep {self.keep_fraction:g})",
             )
-
-
-POLICY_TYPES: dict[str, type] = {
-    cls.kind: cls
-    for cls in (
-        LeaderboardCorruption,
-        QuorumWithholding,
-        RefereeEclipse,
-        TargetedCensorship,
-    )
-}
-
-#: Named, ready-to-attach policy instances — the ``--policy`` /
-#: ``policy_grid`` vocabulary.  Windows start at round 2 so round 1 is
-#: byte-identical to the policy-free arm, and end before typical sweep
-#: horizons' last round only where the healed tail is the point
-#: (referee-eclipse).
-POLICY_PRESETS: dict[str, AdversaryPolicy] = {
-    "adaptive-corruption": LeaderboardCorruption(
-        start_round=2, end_round=6, budget_fraction=0.25
-    ),
-    "quorum-withholding": QuorumWithholding(
-        start_round=2, end_round=6, budget_fraction=0.3
-    ),
-    "referee-eclipse": RefereeEclipse(start_round=2, end_round=3),
-    "censorship": TargetedCensorship(
-        start_round=2, end_round=6, keep_fraction=0.25, budget_fraction=0.25
-    ),
-}
-
-
-def policy_to_dict(policy: Any) -> dict[str, Any]:
-    """JSON-ready rendering of one policy (kind tag plus its fields)."""
-    if type(policy) not in POLICY_TYPES.values():
-        raise TypeError(f"not an adversary policy: {policy!r}")
-    return {"kind": policy.kind, **asdict(policy)}
-
-
-def policy_from_dict(data: Mapping[str, Any]) -> AdversaryPolicy:
-    """Rebuild a policy from :func:`policy_to_dict` output (JSON
-    round-trip)."""
-    payload = dict(data)
-    kind = payload.pop("kind", None)
-    cls = POLICY_TYPES.get(kind)
-    if cls is None:
-        raise ValueError(f"unknown policy kind {kind!r}")
-    return cls(**{key: _tuplify(value) for key, value in payload.items()})
-
-
-class PolicyDriver:
-    """Applies one :class:`AdversaryPolicy` to one running ledger via its
-    phase pipeline's hooks (mirror of
-    :class:`~repro.scenarios.scenario.ScenarioDriver`, which owns scheduled
-    faults; the two compose on one ledger)."""
-
-    def __init__(
-        self, policy: AdversaryPolicy, rng: np.random.Generator
-    ) -> None:
-        self.policy = policy
-        #: Own spawned RNG sub-stream.  Shipped policies are fully
-        #: deterministic and never draw from it, but the stream is reserved
-        #: so a future randomized policy cannot perturb protocol streams.
-        self.rng = rng
-        #: Human-readable record of every applied action, each line stamped
-        #: with the continuous cross-round sim clock (``Network.global_now``)
-        #: like the scenario driver's fault events.
-        self.log: list[str] = []
-        self._net = None
-        self._ledger = None
-        self._baseline: list[int] | None = None
-        self._healed = False
-
-    def _stamp(self, line: str) -> str:
-        """Prefix a log line with the continuous sim-clock timestamp."""
-        if self._net is None:
-            return line
-        return f"t={self._net.global_now:.1f} {line}"
-
-    def note(self, round_number: int, line: str) -> None:
-        """Record one applied policy action (timestamped)."""
-        self.log.append(self._stamp(f"r{round_number}: {line}"))
-
-    @property
-    def adversary(self) -> Any:
-        """The bound ledger's adversary controller."""
-        return self._ledger.adversary
-
-    # -- wiring ------------------------------------------------------------
-    def install(self, ledger: Any) -> None:
-        """Attach this driver's policy hooks to ``ledger``'s pipeline (a
-        pipeline accepts at most one policy driver)."""
-        pipeline = ledger.pipeline
-        if pipeline.policy_driver is not None:
-            # Hooks are append-only: a second driver would re-aim the same
-            # corruption budget twice per round with order-dependent
-            # results.
-            raise ValueError(
-                "pipeline already has a policy driver installed; give "
-                "each policy-bearing ledger its own pipeline"
-            )
-        self._ledger = ledger
-        self._net = ledger.net
-        pipeline.policy_driver = self
-        pipeline.add_round_hook(PRE, self._on_round_start)
-        pipeline.add_phase_hook(pipeline.names[0], PRE, self._on_config_pre)
-
-    # -- round boundary: corruption re-aiming --------------------------------
-    def _on_round_start(self, ledger: Any) -> None:
-        round_number = ledger.round_number
-        policy = self.policy
-        if policy.active(round_number):
-            targets = policy.corruption_targets(ledger)
-            if targets is not None:
-                if self._baseline is None:
-                    # First strike: remember the configured corruption so
-                    # the window's close restores it (the heal round).
-                    self._baseline = list(ledger.adversary._corruption_order)
-                ledger.adversary.retarget_nodes(targets)
-                self.note(
-                    round_number,
-                    f"{policy.kind} corrupts {sorted(targets)}",
-                )
-        elif (
-            round_number > policy.last_active_round
-            and self._baseline is not None
-            and not self._healed
-        ):
-            ledger.adversary.retarget_nodes(self._baseline)
-            self._healed = True
-            self.note(
-                round_number,
-                f"{policy.kind} window closed; corruption restored to "
-                f"{sorted(self._baseline)}",
-            )
-
-    # -- first phase: committee-aware actions --------------------------------
-    def _on_config_pre(self, ctx: "RoundContext", phase_name: str) -> None:
-        if self.policy.active(ctx.round_number):
-            self.policy.apply(ctx, self)

@@ -18,6 +18,12 @@ from repro.scenarios.events import (
     LeaderCrash,
     Partition,
 )
+from repro.scenarios.policies import (
+    LeaderboardCorruption,
+    QuorumWithholding,
+    RefereeEclipse,
+    TargetedCensorship,
+)
 from repro.scenarios.scenario import Scenario
 
 #: Split the committees into two halves and cut the fabric between them
@@ -85,5 +91,21 @@ SCENARIO_PRESETS: dict[str, Scenario] = {
         leader_crash,
         latency_spike,
         perfect_storm,
+        # The four adversary policies, each alone on its timeline.  Windows
+        # start at round 2 so round 1 is byte-identical to the policy-free
+        # arm, and end early only where the healed tail is the point
+        # (referee-eclipse).
+        Scenario(
+            "adaptive-corruption",
+            (LeaderboardCorruption(2, 6, budget_fraction=0.25),),
+        ),
+        Scenario(
+            "quorum-withholding", (QuorumWithholding(2, 6, budget_fraction=0.3),)
+        ),
+        Scenario("referee-eclipse", (RefereeEclipse(2, 3),)),
+        Scenario(
+            "censorship",
+            (TargetedCensorship(2, 6, keep_fraction=0.25, budget_fraction=0.25),),
+        ),
     )
 }

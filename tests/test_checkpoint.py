@@ -9,6 +9,9 @@ corruption baselines, spawned RNG positions) is live.
 
 from __future__ import annotations
 
+import hashlib
+import pickle
+
 import pytest
 
 from repro.backends import BACKEND_REGISTRY, create_backend
@@ -16,14 +19,16 @@ from repro.core.config import ProtocolParams
 from repro.exp.results import round_row
 from repro.exp.spec import canonical_json
 from repro.ledger.checkpoint import (
+    _HEADER,
     CHECKPOINT_VERSION,
+    MAGIC,
     capture_checkpoint,
     load_checkpoint,
     restore_checkpoint,
     save_checkpoint,
 )
 from repro.nodes.adversary import AdversaryConfig
-from repro.scenarios import POLICY_PRESETS, SCENARIO_PRESETS
+from repro.scenarios import SCENARIO_PRESETS
 
 
 def _params(**overrides) -> ProtocolParams:
@@ -92,11 +97,11 @@ def test_capture_is_isolated_from_further_running():
     assert half.chain.head.hash == full.chain.head.hash
 
 
-def test_mid_scenario_checkpoint(tmp_path):
-    """Capture inside a partition-halves fault window: the scenario
-    driver's crash bookkeeping and spawned RNG resume exactly."""
-    scenario = SCENARIO_PRESETS["partition-halves"]
-    kwargs = dict(adversary=AdversaryConfig(fraction=0.1), scenario=scenario)
+def _mid_scenario_roundtrip(name: str, fraction: float, tmp_path):
+    """Save inside ``name``'s fault window, resume from the file, and
+    compare with the uninterrupted run (driver log included)."""
+    scenario = SCENARIO_PRESETS[name]
+    kwargs = dict(adversary=AdversaryConfig(fraction=fraction), scenario=scenario)
     split = max(2, scenario.last_event_round // 2)
     rounds = scenario.last_event_round + 2
     full = create_backend("cycledger", _params(), **kwargs)
@@ -109,25 +114,20 @@ def test_mid_scenario_checkpoint(tmp_path):
     resumed.run(rounds - split)
     _assert_same_tail(full, resumed, split=split)
     assert resumed.scenario_driver.log == full.scenario_driver.log
+    return full, resumed
+
+
+def test_mid_scenario_checkpoint(tmp_path):
+    """Capture inside a partition-halves fault window: the scenario
+    driver's crash bookkeeping and spawned RNG resume exactly."""
+    _mid_scenario_roundtrip("partition-halves", 0.1, tmp_path)
 
 
 def test_mid_policy_checkpoint(tmp_path):
     """Capture while an adaptive-corruption policy is mid-campaign: the
-    policy driver's baseline/healed state and RNG resume exactly."""
-    policy = POLICY_PRESETS["adaptive-corruption"]
-    kwargs = dict(adversary=AdversaryConfig(fraction=0.2), policy=policy)
-    split = max(2, policy.last_active_round // 2)
-    rounds = policy.last_active_round + 2
-    full = create_backend("cycledger", _params(), **kwargs)
-    half = create_backend("cycledger", _params(), **kwargs)
-    full.run(rounds)
-    half.run(split)
-    path = str(tmp_path / "policy.pkl")
-    save_checkpoint(half, path)
-    resumed = load_checkpoint(path)
-    resumed.run(rounds - split)
-    _assert_same_tail(full, resumed, split=split)
-    assert resumed.policy_driver.log == full.policy_driver.log
+    driver's baseline/healed state resumes exactly."""
+    full, resumed = _mid_scenario_roundtrip("adaptive-corruption", 0.2, tmp_path)
+    assert resumed.scenario_driver._baseline is not None
     assert list(resumed.adversary.corrupted) == list(full.adversary.corrupted)
 
 
@@ -161,11 +161,10 @@ def test_warm_start_policy_override():
     half = create_backend("cycledger", _params(), adversary=AdversaryConfig(fraction=0.2))
     half.run(3)
     state = capture_checkpoint(half)
-    arm = restore_checkpoint(state, policy=POLICY_PRESETS["adaptive-corruption"])
-    assert arm.policy_driver is not None
-    assert arm.policy_driver.log == []
+    arm = restore_checkpoint(state, scenario=SCENARIO_PRESETS["adaptive-corruption"])
+    assert arm.scenario_driver.log == []
     baseline = restore_checkpoint(state)
-    assert baseline.policy_driver is None
+    assert baseline.scenario_driver is None
     arm.run(3)
     baseline.run(3)
     # The two arms share the prefix but diverge once the policy acts.
@@ -176,9 +175,8 @@ def test_version_mismatch_rejected():
     half = create_backend("cycledger", _params())
     half.run(1)
     state = capture_checkpoint(half)
-    # A newer layout, and version 1 (its pickled ProtocolParams still
-    # carried shard_workers).
-    for stale in (CHECKPOINT_VERSION + 1, 1):
+    # A newer layout, and version 2 (it had a second driver block).
+    for stale in (CHECKPOINT_VERSION + 1, 2):
         state["version"] = stale
         with pytest.raises(ValueError, match="version"):
             restore_checkpoint(state)
@@ -207,3 +205,54 @@ def test_roster_mismatch_rejected():
     state["params"] = _params(seed=8)
     with pytest.raises(ValueError, match="roster"):
         restore_checkpoint(state)
+
+
+_FIRED: list[str] = []
+
+
+def _trip() -> None:
+    _FIRED.append("unpickled")
+
+
+class _Tripwire:
+    """Unpickling this records the call: a file that fails the header
+    check must never get that far."""
+
+    def __reduce__(self):
+        return (_trip, ())
+
+
+def _checkpoint_file(payload: bytes, version: int = CHECKPOINT_VERSION) -> bytes:
+    digest = hashlib.sha256(payload).digest()
+    return _HEADER.pack(MAGIC, version, len(payload), digest) + payload
+
+
+_TRIPWIRE = pickle.dumps(_Tripwire(), protocol=4)
+
+
+@pytest.mark.parametrize(
+    "data, named",
+    [
+        (_checkpoint_file(_TRIPWIRE)[:-1], "length"),
+        (_checkpoint_file(_TRIPWIRE)[:-1] + b"\x00", "digest"),
+        (_checkpoint_file(_TRIPWIRE, version=2), "version 2 != 3"),
+        # what the parent commit's save_checkpoint wrote: a bare pickle
+        (_TRIPWIRE, "magic"),
+        (b"not a checkpoint at all", "magic"),
+        (b"", "magic"),
+    ],
+    ids=["truncated", "flipped-byte", "old-version", "bare-pickle", "foreign", "empty"],
+)
+def test_bad_file_fails_by_name_before_unpickling(tmp_path, data, named):
+    path = tmp_path / "bad.pkl"
+    path.write_bytes(data)
+    _FIRED.clear()
+    with pytest.raises(ValueError, match=named):
+        load_checkpoint(str(path))
+    assert _FIRED == []
+    # The tripwire works: the same payload behind a good header is unpickled
+    # (and then rejected as a capture, since it is not one).
+    path.write_bytes(_checkpoint_file(_TRIPWIRE))
+    with pytest.raises(TypeError):
+        load_checkpoint(str(path))
+    assert _FIRED == ["unpickled"]

@@ -77,6 +77,16 @@ def test_parser_subcommands(capsys):
         parser.parse_args(["bench"])
     assert exit_info.value.code == 2
     assert "invalid choice: 'bench'" in capsys.readouterr().err
+    # So do the removed policy flags: a policy is a scenario preset now.
+    for argv in (
+        ["scenario", "--policy", "censorship"],
+        ["sweep", "--policy", "censorship"],
+        ["sweep", "--policies", "none,censorship"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
 
 def test_cli_gx(capsys):
@@ -111,6 +121,8 @@ def test_cli_scenario_list(capsys):
     assert main(["scenario", "--list"]) == 0
     out = capsys.readouterr().out
     assert "partition-halves" in out and "churn" in out
+    # One roster: the four adversary-policy presets are listed with the rest.
+    assert len(out.splitlines()) == 10 and "adaptive-corruption" in out
 
 
 def test_cli_scenario_unknown_preset():
@@ -118,6 +130,18 @@ def test_cli_scenario_unknown_preset():
 
     with pytest.raises(SystemExit):
         main(["scenario", "--preset", "no-such-scenario"])
+
+
+def test_cli_scenario_repeated_preset_is_one_timeline(capsys):
+    args = ["scenario", "--n", "24", "--m", "2", "--lam", "2", "--referee", "6",
+            "--users", "12", "--txs", "4", "--rounds", "2", "--verbose"]
+    assert main([*args, "--preset", "latency-spike",
+                 "--preset", "adaptive-corruption"]) == 0
+    out = capsys.readouterr().out
+    assert "scenario 'latency-spike+adaptive-corruption'" in out
+    assert "latency x4" in out and "leaderboard_corruption corrupts" in out
+    with pytest.raises(SystemExit, match="at most one adversary policy"):
+        main([*args, "--preset", "censorship", "--preset", "referee-eclipse"])
 
 
 def test_cli_scenario_run_deterministic_json(tmp_path, capsys):

@@ -36,7 +36,14 @@ from repro.backends import backend_names, create_backend
 from repro.core.config import ProtocolParams
 from repro.ledger.transaction import TxOutput
 from repro.nodes.adversary import AdversaryConfig
-from repro.scenarios import POLICY_PRESETS, SCENARIO_PRESETS
+from repro.scenarios import SCENARIO_PRESETS, AdversaryPolicy
+
+#: the presets whose one event is an adversary policy
+POLICY_PRESETS = sorted(
+    name
+    for name, scenario in SCENARIO_PRESETS.items()
+    if isinstance(scenario.events[0], AdversaryPolicy)
+)
 
 SMALL = dict(
     n=24,
@@ -128,7 +135,7 @@ def test_byzantine_run_keeps_safety(backend):
     assert checker.violations == []
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIO_PRESETS))
+@pytest.mark.parametrize("name", sorted(set(SCENARIO_PRESETS) - set(POLICY_PRESETS)))
 def test_scenario_presets_keep_invariants(name):
     scenario = SCENARIO_PRESETS[name]
     checker = _checked_run(
@@ -139,17 +146,17 @@ def test_scenario_presets_keep_invariants(name):
     assert checker.violations == []
 
 
-@pytest.mark.parametrize("name", sorted(POLICY_PRESETS))
+@pytest.mark.parametrize("name", POLICY_PRESETS)
 @pytest.mark.parametrize("backend", backend_names())
 def test_policy_presets_keep_invariants(backend, name):
     """Adaptive adversary policies can depress commits on any backend but
     must never violate safety."""
-    policy = POLICY_PRESETS[name]
+    scenario = SCENARIO_PRESETS[name]
     checker = _checked_run(
-        policy.last_active_round + 1,
+        scenario.last_event_round + 1,
         backend=backend,
         params=dict(seed=9),
-        policy=policy,
+        scenario=scenario,
     )
     assert checker.violations == []
 
@@ -257,7 +264,7 @@ class ConsensusConformance(RuleBasedStateMachine):
 
     @initialize(
         backend=st.sampled_from(sorted(backend_names())),
-        policy=st.sampled_from([None, *sorted(POLICY_PRESETS)]),
+        policy=st.sampled_from([None, *POLICY_PRESETS]),
         seed=st.integers(min_value=0, max_value=2**16),
     )
     def setup(self, backend, policy, seed):
@@ -271,7 +278,7 @@ class ConsensusConformance(RuleBasedStateMachine):
         self.ledger = create_backend(
             backend,
             params,
-            policy=POLICY_PRESETS[policy] if policy else None,
+            scenario=SCENARIO_PRESETS[policy] if policy else None,
         )
         self.checker = InvariantChecker()
         self.checker.install(self.ledger)
@@ -280,7 +287,7 @@ class ConsensusConformance(RuleBasedStateMachine):
     def advance_round(self):
         self.ledger.run(rounds=1)
 
-    @precondition(lambda self: self.ledger.policy is None)
+    @precondition(lambda self: self.ledger.scenario is None)
     @rule(fraction=st.sampled_from([0.0, 0.1, 0.25]))
     def ramp_adversary(self, fraction):
         # Policies own the corruption set when installed (they would
@@ -300,7 +307,7 @@ class ConsensusConformance(RuleBasedStateMachine):
     @rule()
     def heal(self):
         self.ledger.adversary.force_offline(())
-        if self.ledger.policy is None:
+        if self.ledger.scenario is None:
             self.ledger.adversary.retarget_fraction(0.0)
 
     @rule(max_age=st.integers(min_value=1, max_value=4))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -17,6 +18,7 @@ from repro.exp import (
     run_sweep,
     smoke_spec,
 )
+from repro.exp.spec import SweepPoint
 
 TINY = ExperimentSpec(
     name="tiny",
@@ -252,6 +254,13 @@ def test_scenario_axis_expands_and_runs():
     )
     assert points[0].derived_seed == points[1].derived_seed
     assert points[0].key != points[1].key
+    # The pool worker rebuilds a point as SweepPoint(**descriptor).
+    assert set(points[0].descriptor()) == {
+        f.name for f in dataclasses.fields(SweepPoint)
+    }
+    # One fault axis: scenario / scenario_grid carry policies too.
+    assert len(dataclasses.fields(SweepPoint)) == 8
+    assert len(dataclasses.fields(ExperimentSpec)) == 14
 
     outcome = run_sweep(spec, workers=1)
     clean = outcome.one(scenario=None)

@@ -1,22 +1,35 @@
-"""Adversary policies: serialization, determinism, pairing, and strategy."""
+"""Adversary-policy events: determinism, pairing, and strategy.
+
+A policy is one event of a :class:`~repro.scenarios.Scenario`; everything
+here attaches it through ``scenario=`` like any other fault timeline.
+"""
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import os
 
 import pytest
 
 from repro.backends import backend_names, create_backend
 from repro.core.config import ProtocolParams
-from repro.exp import ExperimentSpec
+from repro.exp import ExperimentSpec, policy_compare_spec, run_sweep
 from repro.exp.results import round_row
 from repro.scenarios import (
-    POLICY_PRESETS,
     SCENARIO_PRESETS,
+    AdversaryPolicy,
     LeaderboardCorruption,
-    policy_from_dict,
-    policy_to_dict,
+    Scenario,
+    ScenarioDriver,
 )
+
+#: the presets whose one event is an adversary policy
+POLICY_PRESETS = {
+    name: scenario
+    for name, scenario in SCENARIO_PRESETS.items()
+    if isinstance(scenario.events[0], AdversaryPolicy)
+}
 
 SMALL = dict(
     n=24,
@@ -29,9 +42,9 @@ SMALL = dict(
 )
 
 
-def _run(policy=None, seed=7, rounds=4, backend="cycledger", **kwargs):
+def _run(scenario=None, seed=7, rounds=4, backend="cycledger"):
     params = ProtocolParams(seed=seed, **SMALL)
-    ledger = create_backend(backend, params, policy=policy, **kwargs)
+    ledger = create_backend(backend, params, scenario=scenario)
     reports = ledger.run(rounds=rounds)
     return ledger, reports
 
@@ -41,14 +54,10 @@ def _run(policy=None, seed=7, rounds=4, backend="cycledger", **kwargs):
 
 @pytest.mark.parametrize("name", sorted(POLICY_PRESETS))
 def test_policy_json_round_trip(name):
-    policy = POLICY_PRESETS[name]
-    payload = json.loads(json.dumps(policy_to_dict(policy)))
-    assert policy_from_dict(payload) == policy
-
-
-def test_policy_from_dict_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="unknown policy kind"):
-        policy_from_dict({"kind": "bribe-everyone"})
+    """Through JSON *text*, so tuples come back as lists."""
+    scenario = POLICY_PRESETS[name]
+    payload = json.loads(json.dumps(scenario.to_dict()))
+    assert Scenario.from_dict(payload) == scenario
 
 
 # -- determinism and pairing -------------------------------------------------
@@ -57,21 +66,20 @@ def test_policy_from_dict_rejects_unknown_kind():
 @pytest.mark.parametrize("name", sorted(POLICY_PRESETS))
 def test_policy_timeline_deterministic(name):
     """Identical seeds replay the exact policy event timeline and rounds."""
-    policy = POLICY_PRESETS[name]
-    rounds = policy.last_active_round + 1
-    ledger_a, reports_a = _run(policy, rounds=rounds)
-    ledger_b, reports_b = _run(policy, rounds=rounds)
-    assert ledger_a.policy_driver.log == ledger_b.policy_driver.log
+    scenario = POLICY_PRESETS[name]
+    rounds = scenario.last_event_round + 1
+    ledger_a, reports_a = _run(scenario, rounds=rounds)
+    ledger_b, reports_b = _run(scenario, rounds=rounds)
+    assert ledger_a.scenario_driver.log == ledger_b.scenario_driver.log
     assert [round_row(r) for r in reports_a] == [round_row(r) for r in reports_b]
     # Log lines ride the continuous timeline clock, not the round index.
-    for line in ledger_a.policy_driver.log:
+    for line in ledger_a.scenario_driver.log:
         assert line.startswith("t=")
 
 
 def test_policy_free_prefix_is_byte_identical():
     """Before the first strike round, a policy arm matches the policy-free
-    arm byte-for-byte (seed-pairing: the policy stream is drawn but never
-    consumed by shipped policies)."""
+    arm byte-for-byte (seed-pairing: policies draw from no RNG stream)."""
     _, plain = _run(None, rounds=1)
     _, attacked = _run(POLICY_PRESETS["adaptive-corruption"], rounds=1)
     assert round_row(plain[0]) == round_row(attacked[0])
@@ -83,25 +91,12 @@ def test_policy_axis_pairs_seeds_but_splits_keys():
         rounds=2,
         seeds=(0,),
         base=dict(SMALL),
-        policy_grid=(None, "adaptive-corruption"),
+        scenario_grid=(None, "adaptive-corruption"),
     )
     points = spec.expand()
-    assert [p.policy for p in points] == [None, "adaptive-corruption"]
+    assert [p.scenario for p in points] == [None, "adaptive-corruption"]
     assert points[0].derived_seed == points[1].derived_seed
     assert points[0].key != points[1].key
-    assert points[1].descriptor()["policy"] == "adaptive-corruption"
-
-
-def test_spec_rejects_unknown_policy_and_both_axes():
-    with pytest.raises(ValueError, match="unknown policy"):
-        ExperimentSpec(name="bad", base=dict(SMALL), policy="nope")
-    with pytest.raises(ValueError, match="not both"):
-        ExperimentSpec(
-            name="bad",
-            base=dict(SMALL),
-            policy="adaptive-corruption",
-            policy_grid=("censorship",),
-        )
 
 
 # -- strategic behaviour -----------------------------------------------------
@@ -110,9 +105,9 @@ def test_spec_rejects_unknown_policy_and_both_axes():
 def test_leaderboard_corruption_tracks_the_leaderboard():
     """The adaptive policy re-aims at current top-reputation nodes, so its
     strike log changes across rounds as the leaderboard shifts."""
-    policy = POLICY_PRESETS["adaptive-corruption"]
-    ledger, _ = _run(policy, rounds=policy.last_active_round + 1)
-    strikes = [ln for ln in ledger.policy_driver.log if "corrupts" in ln]
+    scenario = POLICY_PRESETS["adaptive-corruption"]
+    ledger, _ = _run(scenario, rounds=scenario.last_event_round + 1)
+    strikes = [ln for ln in ledger.scenario_driver.log if "corrupts" in ln]
     assert len(strikes) >= 2
     targets = {ln.split("corrupts")[1] for ln in strikes}
     assert len(targets) > 1, "targets never moved despite leaderboard churn"
@@ -122,7 +117,7 @@ def test_corruption_heals_after_the_window():
     policy = LeaderboardCorruption(
         start_round=2, end_round=3, budget_fraction=0.25
     )
-    ledger, _ = _run(policy, rounds=5)
+    ledger, _ = _run(Scenario("short-strike", (policy,)), rounds=5)
     assert ledger.adversary.count == 0
 
 
@@ -143,67 +138,64 @@ def test_adaptive_corruption_hurts_rivals_more_than_cycledger():
         assert cyc > packed_ratio(rival)
 
 
-# -- wiring errors -----------------------------------------------------------
-
-
-def test_policy_needs_dedicated_pipeline():
-    from repro.core.protocol import CycLedger
-
-    params = ProtocolParams(seed=1, **SMALL)
-    ledger = CycLedger(params)
-    with pytest.raises(ValueError, match="dedicated pipeline"):
-        CycLedger(
-            params,
-            policy=POLICY_PRESETS["censorship"],
-            pipeline=ledger.pipeline,
-        )
+# -- wiring and composition --------------------------------------------------
 
 
 def test_policy_driver_rejects_shared_pipeline():
-    from repro.scenarios.policies import PolicyDriver
-
-    params = ProtocolParams(seed=1, **SMALL)
-    ledger = create_backend(
-        "cycledger", params, policy=POLICY_PRESETS["censorship"]
-    )
+    """The driver's own guard (the ledger constructor has one in front of
+    it): a pipeline's hooks are append-only, so it takes one driver."""
     import numpy as np
 
-    driver = PolicyDriver(POLICY_PRESETS["censorship"], np.random.default_rng(0))
+    params = ProtocolParams(seed=1, **SMALL)
+    scenario = POLICY_PRESETS["censorship"]
+    ledger = create_backend("cycledger", params, scenario=scenario)
+    driver = ScenarioDriver(scenario, np.random.default_rng(0))
     with pytest.raises(ValueError, match="already"):
         driver.install(ledger)
 
 
-def test_create_backend_rejects_unknown_policy_name_indirectly():
-    # Policies resolve by preset name only in the exp layer; backends take
-    # instances, so a bad name fails at spec validation (covered above) —
-    # here we just pin that passing a non-policy object fails loudly.
-    params = ProtocolParams(seed=1, **SMALL)
-    with pytest.raises(AttributeError):
-        ledger = create_backend("cycledger", params, policy="not-a-policy")
-        ledger.run(rounds=1)
-
-
-# -- composition -------------------------------------------------------------
-
-
 def test_policy_composes_with_scenario():
-    """A scripted scenario and an adaptive policy can share one run: both
-    drivers install and both logs populate."""
-    scenario = SCENARIO_PRESETS["latency-spike"]
-    policy = POLICY_PRESETS["adaptive-corruption"]
-    params = ProtocolParams(seed=11, **SMALL)
-    ledger = create_backend(
-        "cycledger", params, scenario=scenario, policy=policy
+    """Scheduled events and a policy share one timeline, one driver and
+    one log, in the order things happened."""
+    scenario = Scenario(
+        "latency-spike+adaptive-corruption",
+        SCENARIO_PRESETS["latency-spike"].events
+        + POLICY_PRESETS["adaptive-corruption"].events,
     )
-    rounds = max(scenario.last_event_round, policy.last_active_round) + 1
-    ledger.run(rounds=rounds)
-    assert ledger.scenario_driver.log
-    assert ledger.policy_driver.log
+    ledger, _ = _run(scenario, seed=11, rounds=scenario.last_event_round + 1)
+    log = ledger.scenario_driver.log
+    assert any("latency x4" in line for line in log)
+    assert any("leaderboard_corruption corrupts" in line for line in log)
+    stamps = [float(line.split()[0][2:]) for line in log]
+    assert stamps == sorted(stamps)
 
 
 @pytest.mark.parametrize("backend", backend_names())
 def test_policies_run_on_every_backend(backend):
-    policy = POLICY_PRESETS["quorum-withholding"]
-    ledger, reports = _run(policy, backend=backend, rounds=3)
+    scenario = POLICY_PRESETS["quorum-withholding"]
+    ledger, reports = _run(scenario, backend=backend, rounds=3)
     assert len(reports) == 3
-    assert ledger.policy is policy
+    assert ledger.scenario is scenario
+
+
+# -- the committed artefact --------------------------------------------------
+
+
+def test_bench_policies_artifact_is_current(tmp_path):
+    """Tier-1 value gate for ``BENCH_policies.json``: rebuild its dict with
+    the function the bench uses and fail naming the first leaf that moved."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_conftest",
+        os.path.join(os.path.dirname(__file__), "..", "benchmarks", "conftest.py"),
+    )
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    outcome = run_sweep(policy_compare_spec(), workers=1)
+    fresh = bench.policies_artifact(outcome)
+    bench.assert_matches_committed("BENCH_policies.json", fresh, tmp_path)
+    fresh["backends"]["rapidchain"]["packed_under_policy"] += 1
+    with pytest.raises(
+        AssertionError,
+        match=r"backends\.rapidchain\.packed_under_policy is 47 in a fresh run, 46 in",
+    ):
+        bench.assert_matches_committed("BENCH_policies.json", fresh, tmp_path)

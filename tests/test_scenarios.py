@@ -1,17 +1,29 @@
 """Scenario / fault-injection subsystem: events, driver, determinism."""
 
+import hashlib
+import json
+import os
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import CycLedger, ProtocolParams
 from repro.exp.results import round_row
+from repro.exp.spec import canonical_json
 from repro.scenarios import (
+    EVENT_TYPES,
     SCENARIO_PRESETS,
     AdversaryRamp,
     Churn,
     LatencySpike,
     LeaderCrash,
+    LeaderboardCorruption,
     Partition,
+    QuorumWithholding,
+    RefereeEclipse,
     Scenario,
+    TargetedCensorship,
 )
 
 
@@ -54,6 +66,132 @@ def test_ramp_interpolates_and_clamps():
 def test_scenario_json_round_trip(name):
     scenario = SCENARIO_PRESETS[name]
     assert Scenario.from_dict(scenario.to_dict()) == scenario
+
+
+def test_scenario_rejects_two_policies():
+    """At most one policy per timeline: two would re-aim one corruption
+    budget twice a round."""
+    two = (
+        SCENARIO_PRESETS["censorship"].events
+        + SCENARIO_PRESETS["referee-eclipse"].events
+    )
+    with pytest.raises(ValueError, match="'both': at most one adversary policy"):
+        Scenario("both", two)
+
+
+_CRASH = {"kind": "leader_crash", "round": 1, "committees": [0]}
+_CHURN = {"kind": "churn", "start_round": 1, "end_round": 2, "offline_fraction": 0.1}
+
+
+@pytest.mark.parametrize(
+    "data, named",
+    [
+        # bare KeyErrors on the parent commit
+        ({"events": []}, "scenario is missing 'name'"),
+        ({"name": "s"}, "scenario is missing 'events'"),
+        ({"name": "s", "events": [{"round": 1}]}, "'s': event 0: event is missing 'kind'"),
+        ({"name": "s", "events": [{"kind": "bribe"}]}, "'s': event 0: unknown event kind 'bribe'"),
+        # TypeErrors from the dataclass constructor on the parent commit
+        ({"name": "s", "events": [_CRASH, {**_CRASH, "rounds": 2}]},
+         "'s': event 1: leader_crash: unknown field 'rounds'"),
+        ({"name": "s", "events": [{"kind": "leader_crash", "round": 1}]},
+         "'s': event 0: leader_crash: missing field 'committees'"),
+        # accepted by the parent commit, and then never fired
+        ({"name": "s", "events": [{**_CRASH, "round": 1.5}]},
+         "'s': event 0: leader_crash.round must be an integer, got 1.5"),
+        ({"name": "s", "events": [{**_CRASH, "duration": 2.0}]},
+         "leader_crash.duration must be an integer, got 2.0"),
+        ({"name": "s", "events": [{**_CHURN, "end_round": 2.5}]},
+         "churn.end_round must be an integer, got 2.5"),
+        ({"name": "s", "events": [{"kind": "censorship", "start_round": True, "end_round": 2}]},
+         "censorship.start_round must be an integer, got True"),
+    ],
+)
+def test_from_dict_fails_early_and_by_name(data, named):
+    with pytest.raises(ValueError, match=named):
+        Scenario.from_dict(data)
+
+
+_round = st.integers(1, 50)
+_fraction = st.floats(0.0, 1.0)
+_groups = st.lists(
+    st.lists(st.integers(0, 7), min_size=1, max_size=3).map(tuple), min_size=1, max_size=3
+).map(tuple)
+
+
+def _windowed(cls, **fields):
+    """Instances of a windowed event class over any valid window."""
+    window = st.tuples(_round, _round).map(sorted)
+    return st.builds(lambda w, **kw: cls(*w, **kw), window, **fields)
+
+
+_SCHEDULED = {
+    Partition: _windowed(
+        Partition, committees=st.just("halves") | _groups, isolate_referee=st.booleans()
+    ) | _windowed(Partition, nodes=_groups),
+    LatencySpike: _windowed(
+        LatencySpike,
+        factor=st.floats(1.0, 16.0),
+        channels=st.none() | st.lists(st.sampled_from(["partial", "sync"])).map(tuple),
+    ),
+    LeaderCrash: st.builds(
+        LeaderCrash, round=_round, committees=_groups.map(lambda g: g[0]), duration=_round
+    ),
+    AdversaryRamp: _windowed(AdversaryRamp, start_fraction=_fraction, end_fraction=_fraction),
+    Churn: _windowed(Churn, offline_fraction=st.floats(0.0, 1.0, exclude_max=True)),
+}
+_POLICIES = {
+    LeaderboardCorruption: _windowed(
+        LeaderboardCorruption, budget_fraction=_fraction, include_leaders=st.booleans()
+    ),
+    QuorumWithholding: _windowed(QuorumWithholding, budget_fraction=_fraction),
+    RefereeEclipse: _windowed(RefereeEclipse),
+    TargetedCensorship: _windowed(
+        TargetedCensorship, keep_fraction=_fraction, budget_fraction=_fraction
+    ),
+}
+
+
+@given(
+    scheduled=st.lists(st.one_of(*_SCHEDULED.values()), max_size=4),
+    policy=st.none() | st.one_of(*_POLICIES.values()),
+)
+def test_from_dict_inverts_to_dict_for_every_event_kind(scheduled, policy):
+    """Through JSON *text* (tuples come back as lists), over every kind the
+    codec knows — a new event class without a strategy here fails."""
+    assert {*_SCHEDULED, *_POLICIES} == set(EVENT_TYPES.values())
+    events = tuple(scheduled) + (() if policy is None else (policy,))
+    scenario = Scenario("generated", events)
+    payload = json.loads(json.dumps(scenario.to_dict()))
+    assert Scenario.from_dict(payload) == scenario
+
+
+def _policy_timelines():
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "policy_timelines.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("name", sorted(_policy_timelines()))
+def test_policy_timelines_match_the_two_driver_implementation(name):
+    """Rows digest and driver log of each policy preset, and of one run that
+    composes a policy with a scheduled event, as recorded from `repro
+    scenario --policy P [--preset latency-spike] --n 24 --m 2 --lam 2
+    --referee 6 --users 12 --txs 4 --seed 0` at the last commit that had a
+    separate PolicyDriver.  (The composed run's lines are the two old logs
+    merged into the order things happened.)"""
+    want = _policy_timelines()[name]
+    scenario = Scenario(
+        name,
+        tuple(e for part in name.split("+") for e in SCENARIO_PRESETS[part].events),
+    )
+    params = ProtocolParams(n=24, m=2, lam=2, referee_size=6, seed=0,
+                            users_per_shard=12, tx_per_committee=4,
+                            cross_shard_ratio=0.3, invalid_ratio=0.1)  # CLI defaults
+    ledger = CycLedger(params, scenario=scenario)
+    rows = [round_row(r) for r in ledger.run(scenario.last_event_round + 1)]
+    assert ledger.scenario_driver.log == want["log"]
+    assert hashlib.sha256(canonical_json(rows).encode()).hexdigest() == want["rows_sha256"]
 
 
 def test_last_event_round():
@@ -225,21 +363,23 @@ def test_node_partition_keeps_unlisted_referee_with_group_zero():
 def test_scenario_bound_pipeline_cannot_be_shared():
     from repro import build_default_pipeline
 
-    pipeline = build_default_pipeline()
     params = small_params(seed=9)
-    CycLedger(params, scenario=SCENARIO_PRESETS["churn"], pipeline=pipeline)
-    with pytest.raises(ValueError):
-        CycLedger(params, scenario=SCENARIO_PRESETS["churn"], pipeline=pipeline)
-    with pytest.raises(ValueError):
-        # ...even for a scenario-free ledger: the bound driver's hooks
-        # would inject the first ledger's faults into it.
-        CycLedger(params, pipeline=pipeline)
-    # Reverse order: a scenario may not claim a pipeline another ledger
-    # already runs on (its faults would fire on that ledger's rounds).
-    shared = build_default_pipeline()
-    CycLedger(params, pipeline=shared)
-    with pytest.raises(ValueError):
-        CycLedger(params, scenario=SCENARIO_PRESETS["churn"], pipeline=shared)
+    # A scheduled fault and an adversary policy bind a pipeline alike.
+    for scenario in (SCENARIO_PRESETS["churn"], SCENARIO_PRESETS["censorship"]):
+        pipeline = build_default_pipeline()
+        CycLedger(params, scenario=scenario, pipeline=pipeline)
+        with pytest.raises(ValueError, match="scenario-bearing"):
+            CycLedger(params, scenario=scenario, pipeline=pipeline)
+        with pytest.raises(ValueError, match="scenario-bearing"):
+            # ...even for a scenario-free ledger: the bound driver's hooks
+            # would inject the first ledger's faults into it.
+            CycLedger(params, pipeline=pipeline)
+        # Reverse order: a scenario may not claim a pipeline another ledger
+        # already runs on (its faults would fire on that ledger's rounds).
+        shared = build_default_pipeline()
+        CycLedger(params, pipeline=shared)
+        with pytest.raises(ValueError, match="dedicated pipeline"):
+            CycLedger(params, scenario=scenario, pipeline=shared)
 
 
 def test_out_of_range_committee_index_fails_at_attach():
@@ -261,6 +401,17 @@ def test_out_of_range_committee_index_fails_at_attach():
     )
     with pytest.raises(ValueError, match="node ids"):
         CycLedger(params, scenario=bad_nodes)
+    # A committee or node in two groups was accepted by the parent commit and
+    # raised mid-round from Network.set_partitions.
+    for groups in (dict(committees=((0,), (1, 0))), dict(nodes=((3, 4), (4,)))):
+        overlapping = Scenario(
+            "twice", (Partition(start_round=1, end_round=1, **groups),)
+        )
+        field = next(iter(groups))
+        with pytest.raises(
+            ValueError, match=rf"'twice': partition\.{field}: .* in two groups"
+        ):
+            CycLedger(params, scenario=overlapping)
 
 
 def test_scenario_rng_isolated_from_protocol_streams():
