@@ -1,8 +1,9 @@
 """Analytical models behind the paper's evaluation (Tables I & II, Figs 4 & 5).
 
-Everything here is closed-form / vectorized NumPy+SciPy so benchmark sweeps
-over thousands of parameter points are instant, per the HPC guide's
-vectorize-the-hot-path advice.
+Everything here is closed-form / vectorized NumPy so benchmark sweeps over
+thousands of parameter points are instant, per the HPC guide's
+vectorize-the-hot-path advice.  SciPy (the ``analysis`` extra) is needed
+only by :func:`committee_failure_exact` and is imported when it is called.
 """
 
 from repro.analysis.security import (

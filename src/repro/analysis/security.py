@@ -16,14 +16,17 @@ fails: ``m·(e^{-c/12} + (1/3)^λ)`` (Table I).
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 
 def committee_failure_exact(n: int, t: int, c) -> np.ndarray | float:
     """Exact hypergeometric tail ``Pr[X >= c/2]`` (vectorized over ``c``).
 
-    This is the quantity Fig. 5 plots for n=2000, t=666.
+    This is the quantity Fig. 5 plots for n=2000, t=666.  It is the one
+    SciPy call in the package (the ``analysis`` extra), imported here so
+    that importing :mod:`repro.analysis` costs no SciPy.
     """
+    from scipy import stats
+
     c_arr = np.atleast_1d(np.asarray(c, dtype=np.int64))
     if np.any(c_arr < 1) or np.any(c_arr > n):
         raise ValueError("committee size out of range")

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.core.consensus import InsideConsensus
 from repro.core.reputation import distribute_rewards
 from repro.core.selection import SelectionReport
@@ -65,11 +63,12 @@ def parallel_subblocks(txs: list[Transaction]) -> list[list[Transaction]]:
 
     Builds the relevance graph and greedily colours it; each colour class is
     a sub-block whose members "can be processed in parallel" (§VIII-B).
+    The colouring is largest-first greedy — highest degree first, ties in
+    list order, each transaction takes the smallest colour no neighbour
+    holds — and each group lists its members in colouring order, the groups
+    ``networkx.greedy_color(strategy="largest_first")`` yields.
     """
-    if not txs:
-        return []
-    graph = nx.Graph()
-    graph.add_nodes_from(range(len(txs)))
+    neighbours: list[set[int]] = [set() for _ in txs]
     # Index by outpoint so graph construction is O(total inputs), not O(n²).
     spenders: dict[tuple[bytes, int], list[int]] = {}
     producers: dict[tuple[bytes, int], int] = {}
@@ -79,17 +78,24 @@ def parallel_subblocks(txs: list[Transaction]) -> list[list[Transaction]]:
         for out_index in range(len(tx.outputs)):
             producers[(tx.txid, out_index)] = idx
     for outpoint, ids in spenders.items():
+        producer = producers.get(outpoint)
         for a in ids:
-            for b in ids:
-                if a < b:
-                    graph.add_edge(a, b)  # same UTXO as input
-        if outpoint in producers:
-            for a in ids:
-                if a != producers[outpoint]:
-                    graph.add_edge(a, producers[outpoint])  # spends output
-    colors = nx.coloring.greedy_color(graph, strategy="largest_first")
-    n_colors = max(colors.values()) + 1 if colors else 0
-    groups: list[list[Transaction]] = [[] for _ in range(n_colors)]
+            neighbours[a].update(b for b in ids if b != a)  # same UTXO as input
+            if producer is not None and a != producer:
+                neighbours[a].add(producer)  # spends output
+                neighbours[producer].add(a)
+    colors: dict[int, int] = {}
+    for idx in sorted(
+        range(len(txs)), key=lambda i: len(neighbours[i]), reverse=True
+    ):
+        taken = {colors[j] for j in neighbours[idx] if j in colors}
+        color = 0
+        while color in taken:
+            color += 1
+        colors[idx] = color
+    groups: list[list[Transaction]] = [
+        [] for _ in range(max(colors.values(), default=-1) + 1)
+    ]
     for idx, color in colors.items():
         groups[color].append(txs[idx])
     return groups

@@ -153,6 +153,9 @@ class InsideConsensus:
         self._tag_echo = f"ECHO:{session}"
         self._tag_stop = f"STOP:{session}"
         self._tag_confirm = f"CONFIRM:{session}"
+        self._tags = (
+            self._tag_propose, self._tag_echo, self._tag_stop, self._tag_confirm,
+        )
         self.r = ctx.round_number
         self.C = len(self.members)
         self.outcome = ConsensusOutcome()
@@ -274,6 +277,15 @@ class InsideConsensus:
             node.on(self._tag_stop, on_stop)
         self.ctx.node(self.leader).on(self._tag_confirm, self._on_confirm)
         self._leader_propose()
+
+    def release(self) -> None:
+        """Unregister the session's handlers from its members' mailboxes.
+        Call once the network has drained: no delivery can reach them
+        again, and without them nothing keeps the session's per-member
+        tables alive."""
+        nodes = self.ctx.nodes
+        for mid in self.members:
+            nodes[mid].off(self._tags)
 
     def _leader_propose(self) -> None:
         leader_node = self.ctx.node(self.leader)

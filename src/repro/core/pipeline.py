@@ -180,15 +180,23 @@ class PhasePipeline:
 
         Each phase's report lands in ``ctx.phase_reports[name]`` (so later
         phases can read earlier results) and the full mapping is returned.
+
+        Every phase ends with the network drained, so no delivery can reach
+        a handler it registered: the mailbox of each node activated this
+        round is emptied as the phase returns, and the phase's sessions
+        are freed then rather than at the next round's reset.
         """
         self.last_timings = {}
+        net = ctx.net
         for phase in self._phases:
             for hook in self._phase_hooks.get((phase.name, PRE), ()):
                 hook(ctx, phase.name)
-            started = ctx.net.now
+            started = net.now
             report = phase.run(ctx)
+            for node_id in net.activated:
+                net.nodes[node_id].handlers.clear()
             ctx.phase_reports[phase.name] = report
-            self.last_timings[phase.name] = ctx.net.now - started
+            self.last_timings[phase.name] = net.now - started
             for hook in self._phase_hooks.get((phase.name, POST), ()):
                 hook(ctx, phase.name)
         return dict(ctx.phase_reports)

@@ -112,6 +112,12 @@ class VoteRoundSession:
         self.txs = list(txs)
         self.txids = tuple(tx.txid for tx in self.txs)
         self.session = session
+        # One string per message kind, shared by every registration and
+        # send of the session.
+        self._tag_txlist = f"TX_LIST:{session}"
+        self._tag_no_proposal = f"NO_PROPOSAL:{session}"
+        self._tag_vote = f"VOTE:{session}"
+        self._tag_artifact = f"ARTIFACT:{session}"
         self.vote_fn = vote_fn
         self.phase_name = phase_name
         self.result = VoteRound(
@@ -132,9 +138,6 @@ class VoteRoundSession:
         self._proposal_seen: set[int] = set()
         self._alg3: InsideConsensus | None = None
 
-    def _tag(self, base: str) -> str:
-        return f"{base}:{self.session}"
-
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
         ctx = self.ctx
@@ -145,10 +148,10 @@ class VoteRoundSession:
         on_txlist, on_no_proposal = self._on_txlist, self._on_no_proposal
         for mid in committee.members:
             node = ctx.node(mid)
-            node.on(self._tag("TX_LIST"), on_txlist)
+            node.on(self._tag_txlist, on_txlist)
             if mid in committee.partial:
-                node.on(self._tag("NO_PROPOSAL"), on_no_proposal)
-        leader_node.on(self._tag("VOTE"), self._on_vote)
+                node.on(self._tag_no_proposal, on_no_proposal)
+        leader_node.on(self._tag_vote, self._on_vote)
         deadline = ctx.params.vote_window
         proposes = (
             self.leader_proposes_override
@@ -165,7 +168,7 @@ class VoteRoundSession:
             txlist_size = payload_size(txlist_payload)
             leader_node.multicast(
                 committee.members,
-                self._tag("TX_LIST"),
+                self._tag_txlist,
                 txlist_payload,
                 size=txlist_size,
             )
@@ -199,9 +202,7 @@ class VoteRoundSession:
         node = self.ctx.node(mid)
         votes = tuple(self.vote_fn(self.ctx, mid, txs).tolist())
         vote_sig = sign_encoded(node.keypair, self._vote_enc(votes))
-        node.send(
-            self.committee.leader, self._tag("VOTE"), (mid, votes, vote_sig)
-        )
+        node.send(self.committee.leader, self._tag_vote, (mid, votes, vote_sig))
 
     def _vote_enc(self, votes: Sequence[int]) -> bytes:
         """Signing bytes of the VOTE statement over ``votes``, memoised by
@@ -292,7 +293,7 @@ class VoteRoundSession:
             vlist,
             self.result.sig_votes,
         )
-        leader_node.multicast(committee.partial, self._tag("ARTIFACT"), artifact)
+        leader_node.multicast(committee.partial, self._tag_artifact, artifact)
 
     # -- silence handling ---------------------------------------------------
     def _silence_deadline(self) -> None:
@@ -310,9 +311,7 @@ class VoteRoundSession:
             if node.behavior.is_malicious:
                 continue  # colluders will not help impeach their leader
             statement_sig = sign(node.keypair, stmt)
-            node.multicast(
-                committee.partial, self._tag("NO_PROPOSAL"), statement_sig
-            )
+            node.multicast(committee.partial, self._tag_no_proposal, statement_sig)
             if mid in committee.partial:
                 self.result.no_proposal_sigs.setdefault(mid, []).append(
                     statement_sig
@@ -338,13 +337,28 @@ class VoteRoundSession:
                 self.result.equivocation = self._alg3.outcome.equivocation
         return self.result
 
+    def release(self) -> None:
+        """Unregister this session's and its Algorithm 3 session's handlers
+        (call after :meth:`finish`; the :class:`VoteRound` stands alone)."""
+        tags = (self._tag_txlist, self._tag_no_proposal, self._tag_vote)
+        nodes = self.ctx.nodes
+        for mid in self.committee.members:
+            nodes[mid].off(tags)
+        if self._alg3 is not None:
+            self._alg3.release()
+
 
 def run_vote_rounds(
     ctx: RoundContext,
     work: Sequence[tuple[CommitteeSpec, Sequence[Transaction], str, VoteFn, str]],
 ) -> list[VoteRound]:
     """Run several vote rounds concurrently on the shared network: all
-    committees' sessions share one simulated clock and interleave."""
+    committees' sessions share one simulated clock and interleave.
+
+    The network drains before this returns, so every session is released
+    here: a phase that runs several batches (intra and its retries, the
+    inter sending and receiving sides) holds one batch's state at a time.
+    """
     sessions = [
         VoteRoundSession(ctx, committee, txs, session, vote_fn, phase)
         for committee, txs, session, vote_fn, phase in work
@@ -352,4 +366,7 @@ def run_vote_rounds(
     for session in sessions:
         session.start()
     ctx.net.run()
-    return [session.finish() for session in sessions]
+    results = [session.finish() for session in sessions]
+    for session in sessions:
+        session.release()
+    return results

@@ -22,8 +22,10 @@ class ProtocolNode:
     the first :meth:`on` call: at large n most nodes are idle in any given
     phase, and an idle node must cost a few pointers, not a dict.  The
     first registration in a round also reports the node to its network's
-    activation ledger (see ``Network.activated``), which is what the
-    round orchestrators use to reset only the nodes that did anything.
+    activation ledger (see ``Network.activated``), which the phase pipeline
+    reads to empty the mailboxes of the nodes that did anything once each
+    phase has drained.  (The round orchestrators reset every node at the
+    start of a round, mailbox included.)
     """
 
     __slots__ = ("node_id", "keypair", "network", "handlers", "online")
@@ -46,6 +48,14 @@ class ProtocolNode:
             if self.network is not None:
                 self.network.note_activation(self.node_id)
         handlers[tag] = handler
+
+    def off(self, tags: tuple[str, ...]) -> None:
+        """Unregister the handlers of ``tags`` (tags without one are
+        skipped): a finished session drops its entries this way."""
+        handlers = self.handlers
+        if handlers is not None:
+            for tag in tags:
+                handlers.pop(tag, None)
 
     # -- I/O ------------------------------------------------------------------
     def send(self, recipient: int, tag: str, payload: Any, size: int | None = None) -> None:

@@ -27,7 +27,11 @@ the methods an optimization replaced.
   whole block through one shard's ownership test and rebuilt the whole
   UTXO listing per call (replaced by the route-once
   :func:`repro.ledger.state.apply_block` and the entry-caching
-  ``ShardState.digest_items``).
+  ``ShardState.digest_items``);
+* :func:`networkx_parallel_subblocks` — §VIII-B sub-blocks coloured by
+  networkx (replaced by the plain-Python largest-first colouring of
+  :func:`repro.core.blockgen.parallel_subblocks`, so that the simulation
+  path imports no networkx).
 """
 
 from __future__ import annotations
@@ -430,3 +434,38 @@ def tuple_digest_items(state: ShardState) -> tuple:
             )
         )
     )
+
+
+def networkx_parallel_subblocks(txs: list[Transaction]) -> list[list[Transaction]]:
+    """The networkx ``parallel_subblocks``: the relevance graph as an
+    ``nx.Graph`` coloured by ``greedy_color(strategy="largest_first")``.
+    networkx is a test-only dependency, imported on call."""
+    import networkx as nx
+
+    if not txs:
+        return []
+    graph = nx.Graph()
+    graph.add_nodes_from(range(len(txs)))
+    # Index by outpoint so graph construction is O(total inputs), not O(n²).
+    spenders: dict[tuple[bytes, int], list[int]] = {}
+    producers: dict[tuple[bytes, int], int] = {}
+    for idx, tx in enumerate(txs):
+        for outpoint in tx.outpoints():
+            spenders.setdefault(outpoint, []).append(idx)
+        for out_index in range(len(tx.outputs)):
+            producers[(tx.txid, out_index)] = idx
+    for outpoint, ids in spenders.items():
+        for a in ids:
+            for b in ids:
+                if a < b:
+                    graph.add_edge(a, b)  # same UTXO as input
+        if outpoint in producers:
+            for a in ids:
+                if a != producers[outpoint]:
+                    graph.add_edge(a, producers[outpoint])  # spends output
+    colors = nx.coloring.greedy_color(graph, strategy="largest_first")
+    n_colors = max(colors.values()) + 1 if colors else 0
+    groups: list[list[Transaction]] = [[] for _ in range(n_colors)]
+    for idx, color in colors.items():
+        groups[color].append(txs[idx])
+    return groups

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import CycLedger, ProtocolParams
+from repro import AdversaryConfig, CycLedger, ProtocolParams, create_backend
 from repro.core.pipeline import POST, PRE, Phase, PhasePipeline
 from repro.core.protocol import build_default_pipeline
 
@@ -125,6 +125,29 @@ def test_custom_phase_observes_round():
     assert observed == [4]  # config, semicommit, intra, inter came before
     assert report.phase_sim_times["audit"] == 0.0
     assert report.block is not None
+
+
+@pytest.mark.parametrize("backend", ["cycledger", "rapidchain", "omniledger_sim"])
+def test_every_phase_ends_drained_with_empty_mailboxes(backend):
+    """A phase returns with no event pending, and by then the mailbox of
+    every node activated this round is empty: a session's handlers live
+    until the drain that completes it, not until the next round."""
+    ledger = create_backend(
+        backend, small_params(seed=6), adversary=AdversaryConfig(fraction=0.25)
+    )
+    seen = []
+
+    def drained(ctx, name):
+        assert ctx.net.pending == 0, name
+        assert ctx.net.activated, name
+        for node_id in ctx.net.activated:
+            assert not ctx.net.nodes[node_id].handlers, (name, node_id)
+        seen.append(name)
+
+    for name in ledger.pipeline.names:
+        ledger.pipeline.add_phase_hook(name, POST, drained)
+    ledger.run(2)
+    assert seen == list(ledger.pipeline.names) * 2
 
 
 def test_pipeline_refactor_preserves_determinism():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.blockgen import parallel_subblocks, relevant, run_block_generation
 from repro.core.committee import run_committee_configuration
@@ -183,6 +185,49 @@ def test_parallel_subblocks_separate_relevant():
 
 def test_parallel_subblocks_empty():
     assert parallel_subblocks([]) == []
+
+
+@st.composite
+def _related_tx_lists(draw):
+    """Transactions over a small coin pool, so inputs are often shared;
+    later ones may spend earlier ones' outputs (spend chains), some entries
+    repeat an earlier transaction, and the list is shuffled."""
+    genesis = make_coinbase([TxOutput(f"g{i}", 100) for i in range(4)])
+    spendable = [(genesis.txid, i) for i in range(4)]
+    txs: list[Transaction] = []
+    for nonce in range(draw(st.integers(0, 10))):
+        if txs and draw(st.integers(0, 3)) == 0:
+            txs.append(draw(st.sampled_from(txs)))
+            continue
+        inputs = draw(st.lists(st.sampled_from(spendable), min_size=1, max_size=2))
+        outputs = draw(st.integers(1, 2))
+        tx = Transaction(
+            inputs=tuple(TxInput(txid, index) for txid, index in inputs),
+            outputs=tuple(TxOutput(f"o{nonce}.{k}", 1) for k in range(outputs)),
+            nonce=nonce,
+        )
+        spendable += [(tx.txid, k) for k in range(outputs)]
+        txs.append(tx)
+    return draw(st.permutations(txs))
+
+
+def test_parallel_subblocks_matches_networkx_largest_first():
+    """The plain-Python colouring yields exactly networkx's largest-first
+    groups, member order included (the sub-block counts and widths that
+    ``pre_largen_rounds.json`` pins depend on both)."""
+    pytest.importorskip("networkx")
+    from reference_impls import networkx_parallel_subblocks
+
+    @settings(max_examples=200, deadline=None)
+    @given(_related_tx_lists())
+    def check(txs):
+        groups = parallel_subblocks(txs)
+        expected = networkx_parallel_subblocks(txs)
+        assert [[tx.txid for tx in g] for g in groups] == [
+            [tx.txid for tx in g] for g in expected
+        ]
+
+    check()
 
 
 def test_parallel_block_generation_reports_width():

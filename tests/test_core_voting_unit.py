@@ -161,6 +161,48 @@ def test_concurrent_vote_rounds(ctx_with_coins):
     assert len(results[0].txs) == 3 and len(results[1].txs) == 2
 
 
+def test_run_vote_rounds_releases_its_sessions(ctx_with_coins, monkeypatch):
+    """Once ``run_vote_rounds`` returns, nothing keeps its sessions alive:
+    no member's mailbox holds one of their tags, so each
+    ``VoteRoundSession`` and its Algorithm 3 session are garbage."""
+    import gc
+    import weakref
+
+    from repro.core import voting
+
+    ctx, txs = ctx_with_coins
+    committee = ctx.committees[0]
+    refs = []
+
+    class Watched(VoteRoundSession):
+        def finish(self):
+            refs.extend([weakref.ref(self), weakref.ref(self._alg3)])
+            return super().finish()
+
+    monkeypatch.setattr(voting, "VoteRoundSession", Watched)
+    results = voting.run_vote_rounds(
+        ctx,
+        [
+            (committee, txs[:3], "c1", input_side_votes, "intra"),
+            (committee, txs[3:], "c2", input_side_votes, "intra"),
+        ],
+    )
+    assert all(r.consensus_success for r in results)
+    gc.collect()
+    assert len(refs) == 4 and all(ref() is None for ref in refs)
+    tags = {
+        f"{kind}:{session}"
+        for session in ("c1", "c2")
+        for kind in ("TX_LIST", "NO_PROPOSAL", "VOTE")
+    } | {
+        f"{kind}:{session}:alg3"
+        for session in ("c1", "c2")
+        for kind in ("PROPOSE", "ECHO", "STOP", "CONFIRM")
+    }
+    for mid in committee.members:
+        assert not tags & set(ctx.node(mid).handlers), mid
+
+
 def test_output_side_votes_check_wellformedness(ctx_with_coins):
     ctx, txs = ctx_with_coins
     result_session = VoteRoundSession(

@@ -172,3 +172,37 @@ def test_params_validation():
         ProtocolParams(n=48, m=3, lam=20, referee_size=6)  # partial > committee
     with pytest.raises(ValueError):
         ProtocolParams(n=48, m=3, lam=2, referee_size=1)
+
+
+def test_simulation_path_imports_neither_networkx_nor_scipy():
+    """numpy is the one required dependency: a round with every optional
+    piece on the simulation path switched on — §VIII-B sub-blocks, the
+    invariant checker — runs in an interpreter where importing networkx or
+    SciPy fails."""
+    import os
+    import subprocess
+    import sys
+
+    program = (
+        "import sys\n"
+        "sys.modules['networkx'] = sys.modules['scipy'] = None\n"
+        "from repro import CycLedger, ProtocolParams\n"
+        "from repro.analysis import InvariantChecker\n"
+        "ledger = CycLedger(ProtocolParams(n=24, m=2, lam=2, referee_size=6,\n"
+        "    seed=0, users_per_shard=12, tx_per_committee=4,\n"
+        "    parallel_block_generation=True))\n"
+        "checker = InvariantChecker()\n"
+        "checker.install(ledger)\n"
+        "report = ledger.run_round()\n"
+        "checker.assert_clean()\n"
+        "assert report.block is not None and report.packed > 0\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + env.get("PYTHONPATH", "").split(os.pathsep)
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", program], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
