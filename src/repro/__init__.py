@@ -49,7 +49,7 @@ Quickstart::
 from repro.core.config import ProtocolParams
 from repro.core.pipeline import OverlapScheduler, Phase, PhasePipeline
 from repro.backends import BACKEND_REGISTRY, LedgerBackend, create_backend
-from repro.core.protocol import CycLedger, RoundReport, build_default_pipeline
+from repro.core.protocol import CycLedger, RoundReport
 from repro.ledger.checkpoint import (
     load_checkpoint,
     restore_checkpoint,
@@ -79,6 +79,5 @@ __all__ = [
     "TxMempool",
     "AdversaryConfig",
     "AdversaryController",
-    "build_default_pipeline",
     "__version__",
 ]

@@ -173,7 +173,8 @@ class RivalBackend(CommitteeSimBackend):
 
     def _output_shards(self, tagged: TaggedTx) -> list[int]:
         """Shards holding this transaction's non-home outputs."""
-        shards = tagged.tx.output_shards(self.params.m)
+        shard_of = self.workload.shard_of
+        shards = {shard_of[output.address] for output in tagged.tx.outputs}
         shards.discard(tagged.home_shard)
         return sorted(shards)
 
@@ -252,7 +253,7 @@ class RivalBackend(CommitteeSimBackend):
             partial_sets=(),
         )
         self.chain.append(block)
-        apply_block(self.shard_states, block.transactions)
+        apply_block(self.shard_states, block.transactions, self.workload.shard_of)
         for tx in block.transactions:
             if validate_transaction(tx, self.global_utxos) is ValidationResult.VALID:
                 self.global_utxos.apply_transaction(tx)

@@ -275,16 +275,7 @@ def _build_sweep_spec(args: argparse.Namespace):
             "cross_shard_ratio": args.cross,
             "invalid_ratio": args.invalid,
         }
-        if args.overlaps and args.overlap is not None:
-            raise ValueError("give --overlap or --overlaps, not both")
-        if "overlap" in grid and (args.overlaps or args.overlap is not None):
-            raise ValueError(
-                "overlap is already a --grid axis; drop "
-                "--overlap/--overlaps"
-            )
-        if args.overlaps:
-            grid["overlap"] = tuple(args.overlaps.split(","))
-        elif args.overlap is not None:
+        if args.overlap is not None:
             base["overlap"] = args.overlap
         if args.arrival_rate is not None:
             base["arrival_process"] = "poisson"
@@ -507,10 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("none", "semicommit"),
                        help="timeline composition for every point "
                             "(default: the ProtocolParams default, none)")
-    sweep.add_argument("--overlaps", default=None,
-                       help="comma-separated overlap axis for the paired "
-                            "sequential-vs-pipelined latency comparison "
-                            "(e.g. none,semicommit)")
     sweep.add_argument("--arrival-rate", type=float, default=None,
                        help="mean tx arrivals per round; switches every "
                             "point to the persistent poisson mempool")

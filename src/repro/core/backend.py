@@ -174,7 +174,6 @@ class CommitteeSimBackend:
         adversary: AdversaryConfig | None = None,
         capacity_fn: Callable[[int, np.random.Generator], int] | None = None,
         scenario: "Scenario | None" = None,
-        pipeline: PhasePipeline | None = None,
     ) -> None:
         self.params = params
         # One root seed fans out into independent, order-insensitive
@@ -233,14 +232,14 @@ class CommitteeSimBackend:
         )
         # The network fabric is built once and rewound per round (reset)
         # instead of reallocated.
-        # Envelope pooling is safe here: every handler on the orchestrated
-        # path retains message *payloads* only, never the envelope itself.
-        self.net = Network(params.net, self.net_rng, pool_envelopes=True)
+        self.net = Network(params.net, self.net_rng)
         for node in self.nodes.values():
             self.net.add_node(node)
         self.global_utxos = self.workload.genesis_utxos()
         self.shard_states = [ShardState(k, params.m) for k in range(params.m)]
-        apply_block(self.shard_states, [self.workload.genesis_tx])
+        apply_block(
+            self.shard_states, [self.workload.genesis_tx], self.workload.shard_of
+        )
         self.chain = Chain(retention=params.chain_retention)
         self.reputation = ReputationStore(node.pk for node in self.nodes.values())
         self.rewards: dict[str, float] = {}
@@ -253,24 +252,8 @@ class CommitteeSimBackend:
         self.reports_streamed = 0
         self.reports: list[SimRoundReport] = []
         self._stage_genesis()
-
-        if pipeline is not None:
-            # Scenario hooks fire on *every* ledger that runs the pipeline,
-            # so a pipeline may never be shared between a scenario-bearing
-            # ledger and any other — in either construction order.
-            if pipeline.scenario_driver is not None:
-                raise ValueError(
-                    "pipeline is already bound to a scenario-bearing "
-                    "ledger; build a fresh pipeline per ledger"
-                )
-            if scenario is not None and pipeline.owner is not None:
-                raise ValueError(
-                    "pipeline is already in use by another ledger; a "
-                    "scenario needs a dedicated pipeline"
-                )
-        self.pipeline = pipeline if pipeline is not None else self.build_pipeline()
-        if self.pipeline.owner is None:
-            self.pipeline.owner = self
+        # One pipeline per ledger: the scenario driver's hooks go on it.
+        self.pipeline = self.build_pipeline()
         # Every backend owns an overlap scheduler: it composes the measured
         # per-round phase spans into the continuous end-to-end timeline.  In
         # "semicommit" mode phases annotated with needs_prev (only CycLedger's
@@ -456,6 +439,7 @@ class CommitteeSimBackend:
             mempools=mempools,
             shard_states=self.shard_states,
             chain=self.chain,
+            shard_of=self.workload.shard_of,
             global_utxos=self.global_utxos,
             rewards=self.rewards,
         )

@@ -199,7 +199,7 @@ def run_block_generation(
     ctx.net.run()
 
     # -- shard state updates + final UTXO / Remaining-TX consensus -------------
-    apply_block(ctx.shard_states, packed)
+    apply_block(ctx.shard_states, packed, ctx.shard_of)
     packed_ids = {tx.txid for tx in packed}
     final_sessions: list[tuple[int, InsideConsensus]] = []
     for k, state in enumerate(ctx.shard_states):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.core.pipeline import OVERLAP_MODES
@@ -82,6 +83,21 @@ class ProtocolParams:
     def __post_init__(self) -> None:
         if self.m <= 0 or self.n <= 0:
             raise ValueError("n and m must be positive")
+        # Each rule below names its field: the values it rejects would
+        # otherwise crash mid-round or run a round that means nothing.
+        for name in ("cross_shard_ratio", "invalid_ratio"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
+        for name, least in (
+            ("seed", 0),
+            ("tx_per_committee", 0),
+            ("pow_difficulty_bits", 0),
+            ("users_per_shard", 1),
+        ):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
+        if not 0.0 < self.vote_window_deltas < math.inf:
+            raise ValueError("vote_window_deltas must be positive and finite")
         if self.overlap not in OVERLAP_MODES:
             raise ValueError(
                 f"unknown overlap mode {self.overlap!r} "
@@ -92,8 +108,10 @@ class ProtocolParams:
                 f"unknown arrival process {self.arrival_process!r} "
                 f"(known: {', '.join(ARRIVAL_PROCESSES)})"
             )
-        if self.arrival_process == "poisson" and self.arrival_rate <= 0.0:
-            raise ValueError("poisson arrivals need a positive arrival_rate")
+        if self.arrival_process == "poisson" and not (
+            0.0 < self.arrival_rate < math.inf
+        ):
+            raise ValueError("poisson arrivals need a positive, finite arrival_rate")
         if self.mempool_capacity < 0 or self.mempool_max_age < 0:
             raise ValueError(
                 "mempool_capacity and mempool_max_age must be >= 0"

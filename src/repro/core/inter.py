@@ -43,7 +43,7 @@ from repro.core.voting import (
     output_side_votes,
     run_vote_rounds,
 )
-from repro.ledger.transaction import Transaction, shard_of_address
+from repro.ledger.transaction import ShardMap, Transaction
 from repro.ledger.utxo import ValidationResult
 from repro.net.message import payload_size
 
@@ -60,10 +60,10 @@ class InterReport:
     elapsed: float = 0.0
 
 
-def dest_shard(tx: Transaction, home: int, m: int) -> int | None:
+def dest_shard(tx: Transaction, home: int, shard_of: ShardMap) -> int | None:
     """The receiving shard of a cross-shard tx (first non-home output)."""
     for output in tx.outputs:
-        shard = shard_of_address(output.address, m)
+        shard = shard_of[output.address]
         if shard != home:
             return shard
     return None
@@ -73,7 +73,6 @@ def run_inter_consensus(ctx: RoundContext) -> InterReport:
     ctx.metrics.set_phase("inter")
     started = ctx.net.now
     report = InterReport()
-    m = ctx.params.m
     committees_by_index = {c.index: c for c in ctx.committees}
 
     # -- group cross-shard transactions by (home, dest) pair ----------------
@@ -88,7 +87,7 @@ def run_inter_consensus(ctx: RoundContext) -> InterReport:
         for tagged in mempool:
             if not tagged.cross_shard or picked >= budget:
                 continue
-            dest = dest_shard(tagged.tx, tagged.home_shard, m)
+            dest = dest_shard(tagged.tx, tagged.home_shard, ctx.shard_of)
             if dest is None or dest == k:
                 continue
             pair_txs.setdefault((k, dest), []).append(tagged.tx)

@@ -101,36 +101,15 @@ class PhasePipeline:
         self._round_hooks: dict[str, list[Callable]] = {PRE: [], POST: []}
         #: sim-time span of each phase in the most recent :meth:`execute`.
         self.last_timings: dict[str, float] = {}
-        #: the scenario driver bound to this pipeline, if any — hooks are
-        #: append-only, so a pipeline can serve at most one driver (and
-        #: therefore one ledger with a scenario).
-        self.scenario_driver: Any = None
-        #: first ledger that ran on this pipeline; scenario attachment
-        #: requires a pipeline nobody else has claimed, in either order.
-        self.owner: Any = None
         for phase in phases:
             self.register(phase)
 
     # -- registry ----------------------------------------------------------
-    def register(
-        self,
-        phase: Phase,
-        *,
-        before: str | None = None,
-        after: str | None = None,
-    ) -> None:
-        """Add a phase, by default at the end; ``before``/``after`` insert
-        relative to an existing phase (at most one may be given)."""
-        if before is not None and after is not None:
-            raise ValueError("give at most one of before/after")
+    def register(self, phase: Phase) -> None:
+        """Append a phase."""
         if any(p.name == phase.name for p in self._phases):
             raise ValueError(f"duplicate phase {phase.name!r}")
-        if before is None and after is None:
-            self._phases.append(phase)
-            return
-        anchor = before if before is not None else after
-        index = self.index_of(anchor)  # raises on unknown anchor
-        self._phases.insert(index if before is not None else index + 1, phase)
+        self._phases.append(phase)
 
     def index_of(self, name: str) -> int:
         for index, phase in enumerate(self._phases):

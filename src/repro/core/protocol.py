@@ -56,39 +56,6 @@ def _run_block_phase(ctx) -> BlockReport:
     return run_block_generation(ctx, ctx.phase_reports[PHASE_SELECTION])
 
 
-def build_default_pipeline() -> PhasePipeline:
-    """The paper's seven-phase round, as a fresh (mutable) pipeline.
-
-    The cross-round ``needs_prev`` annotations encode §III-E's data flow:
-    committee configuration of round r+1 reads only round r's selection
-    outcome (roles and beacon randomness), while intra-committee consensus
-    must wait for round r's block (committees validate against the
-    post-block UTXO view).  Under ``overlap=semicommit`` the scheduler
-    therefore runs the config + semi-commit prefix of r+1 concurrently (in
-    sim time) with the block-generation suffix of r.
-    """
-    return PhasePipeline(
-        (
-            Phase(
-                PHASE_CONFIG,
-                run_committee_configuration,
-                needs_prev=(PHASE_SELECTION,),
-            ),
-            Phase(PHASE_SEMICOMMIT, run_semi_commitment_exchange),
-            Phase(
-                PHASE_INTRA,
-                run_intra_consensus,
-                needs=(PHASE_SEMICOMMIT,),
-                needs_prev=(PHASE_BLOCK,),
-            ),
-            Phase(PHASE_INTER, run_inter_consensus),
-            Phase(PHASE_REPUTATION, run_reputation_updating),
-            Phase(PHASE_SELECTION, run_selection),
-            Phase(PHASE_BLOCK, _run_block_phase),
-        )
-    )
-
-
 @dataclass(kw_only=True)
 class RoundReport(SimRoundReport):
     """The flat round report plus everything the seven phases produced."""
@@ -116,7 +83,37 @@ class CycLedger(CommitteeSimBackend):
     pack_phase = PHASE_BLOCK
 
     def build_pipeline(self) -> PhasePipeline:
-        return build_default_pipeline()
+        """The paper's seven-phase round.
+
+        The cross-round ``needs_prev`` annotations encode §III-E's data
+        flow: committee configuration of round r+1 reads only round r's
+        selection outcome (roles and beacon randomness), while
+        intra-committee consensus must wait for round r's block (committees
+        validate against the post-block UTXO view).  Under
+        ``overlap=semicommit`` the scheduler therefore runs the config +
+        semi-commit prefix of r+1 concurrently (in sim time) with the
+        block-generation suffix of r.
+        """
+        return PhasePipeline(
+            (
+                Phase(
+                    PHASE_CONFIG,
+                    run_committee_configuration,
+                    needs_prev=(PHASE_SELECTION,),
+                ),
+                Phase(PHASE_SEMICOMMIT, run_semi_commitment_exchange),
+                Phase(
+                    PHASE_INTRA,
+                    run_intra_consensus,
+                    needs=(PHASE_SEMICOMMIT,),
+                    needs_prev=(PHASE_BLOCK,),
+                ),
+                Phase(PHASE_INTER, run_inter_consensus),
+                Phase(PHASE_REPUTATION, run_reputation_updating),
+                Phase(PHASE_SELECTION, run_selection),
+                Phase(PHASE_BLOCK, _run_block_phase),
+            )
+        )
 
     # -- role staging ---------------------------------------------------------
     def _stage_genesis(self) -> None:

@@ -43,11 +43,10 @@ from repro.core.tags import Tags
 from repro.crypto.commitment import semi_commitment
 from repro.crypto.signatures import (
     Signature,
-    encode_statement,
     sign,
     signed_by,
     signers_of,
-    verify_encoded,
+    verify,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -144,7 +143,6 @@ class _ImpeachmentSession:
         self.witness = witness
         self.session = session
         self.approvals: dict[str, Signature] = {}
-        self._enc_vote: dict[bool, bytes] = {}  # encoded IMPEACH_VOTE stmts
         self.escalated = False
         self.referee_outcome = None
         self.new_leader_announcements: dict[int, set[str]] = {}
@@ -210,18 +208,11 @@ class _ImpeachmentSession:
             return
         self._register_vote(sig, True)
 
-    def _vote_enc(self, approve: bool) -> bytes:
-        enc = self._enc_vote.get(approve)
-        if enc is None:
-            enc = encode_statement(self._vote_statement(approve))
-            self._enc_vote[approve] = enc
-        return enc
-
     def _register_vote(self, sig: Signature, approve: bool) -> None:
         member_pks = {self.ctx.pk_of(mid) for mid in self.committee.members}
         if sig.pk not in member_pks:
             return
-        if not verify_encoded(self.ctx.pki, sig, self._vote_enc(approve)):
+        if not verify(self.ctx.pki, sig, self._vote_statement(approve)):
             return
         self.approvals[sig.pk] = sig
         if len(self.approvals) > self.committee.size / 2 and not self.escalated:

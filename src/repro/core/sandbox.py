@@ -21,6 +21,7 @@ from repro.core.structures import CommitteeSpec, RoundContext
 from repro.crypto.pki import PKI
 from repro.ledger.chain import Chain
 from repro.ledger.state import ShardState
+from repro.ledger.transaction import ShardMap
 from repro.metrics.counters import MetricsCollector, Roles
 from repro.net.params import NetworkParams
 from repro.net.simulator import Network
@@ -107,6 +108,7 @@ def build_sandbox(
         mempools=[[]],
         shard_states=[shard_state],
         chain=Chain(),
+        shard_of=ShardMap(1),
     )
     return ctx
 
@@ -219,4 +221,5 @@ def build_multi_sandbox(
         mempools=[[] for _ in range(m)],
         shard_states=shard_states,
         chain=Chain(),
+        shard_of=ShardMap(m),
     )

@@ -12,6 +12,7 @@ from repro.crypto.hashing import int8_matrix_bytes
 from repro.crypto.pki import PKI
 from repro.ledger.chain import Chain
 from repro.ledger.state import ShardState
+from repro.ledger.transaction import ShardMap
 from repro.ledger.utxo import UTXOSet
 from repro.ledger.workload import TaggedTx
 from repro.metrics.counters import MetricsCollector
@@ -47,7 +48,7 @@ class VoteMatrix:
     def canonical(self) -> bytes:
         return int8_matrix_bytes(self.array)
 
-    @cached_property
+    @property
     def wire_size(self) -> int:
         return int_matrix_size(*self.array.shape)
 
@@ -122,6 +123,7 @@ class RoundContext:
     mempools: list[list[TaggedTx]]
     shard_states: list[ShardState]
     chain: Chain
+    shard_of: ShardMap  # the ledger's address -> shard map
     global_utxos: UTXOSet = field(default_factory=UTXOSet)
     rewards: dict[str, float] = field(default_factory=dict)
     recoveries: list[RecoveryEvent] = field(default_factory=list)

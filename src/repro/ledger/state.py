@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.crypto.hashing import canonical_bytes, seq_bytes
-from repro.ledger.transaction import Transaction, shard_of_address
+from repro.ledger.transaction import ShardMap, Transaction
 from repro.ledger.utxo import UTXOSet, ValidationResult, validate_transaction
 from repro.net.message import payload_size, seq_size
 
@@ -108,10 +108,12 @@ class ShardState:
 
 
 def apply_block(
-    states: Sequence[ShardState], txs: Iterable[Transaction]
+    states: Sequence[ShardState],
+    txs: Iterable[Transaction],
+    shard_of: ShardMap,
 ) -> tuple[int, int]:
     """Apply a block's transactions to all m shard views (``states[k]`` is
-    shard k) in one walk.
+    shard k) in one walk; ``shard_of`` is the ledger's address -> shard map.
 
     Every referenced outpoint is spent in whichever shard holds it and every
     output is added to the one shard its address maps to, so each shard sees
@@ -122,6 +124,8 @@ def apply_block(
     m = len(states)
     if any(state.m != m or state.shard != k for k, state in enumerate(states)):
         raise ValueError("states must be all m shard views, in shard order")
+    if shard_of.m != m:
+        raise ValueError(f"shard_of maps into {shard_of.m} shards, not {m}")
     sets = [state.utxos for state in states]
     spent = created = 0
     for tx in txs:
@@ -132,6 +136,6 @@ def apply_block(
                     spent += 1
         txid = tx.txid
         for index, output in enumerate(tx.outputs):
-            sets[shard_of_address(output.address, m)].add((txid, index), output)
+            sets[shard_of[output.address]].add((txid, index), output)
             created += 1
     return spent, created

@@ -9,19 +9,29 @@ from repro.crypto.hashing import H, H_int
 from repro.net.message import fields_size
 
 
-#: ``(address, m) -> shard``: a pure function of both, derived once.
-_SHARD_OF: dict[tuple[str, int], int] = {}
-
-
 def shard_of_address(address: str, m: int) -> int:
     """Deterministic address → shard assignment (users "almost equally
     divided into m shards", §III-D)."""
     if m <= 0:
         raise ValueError("m must be positive")
-    shard = _SHARD_OF.get((address, m))
-    if shard is None:
-        shard = _SHARD_OF[address, m] = H_int("SHARD", address) % m
-    return shard
+    return H_int("SHARD", address) % m
+
+
+class ShardMap(dict):
+    """``address -> shard`` for one ``m``: :func:`shard_of_address`, derived
+    once per address.  Each ledger owns one (its workload generator's), so
+    the map lives and dies with the ledger that fills it."""
+
+    __slots__ = ("m",)
+
+    def __init__(self, m: int) -> None:
+        if m <= 0:
+            raise ValueError("m must be positive")
+        self.m = m
+
+    def __missing__(self, address: str) -> int:
+        shard = self[address] = shard_of_address(address, self.m)
+        return shard
 
 
 # The three records below spell out the ``__init__`` that ``@dataclass`` would
@@ -87,9 +97,6 @@ class Transaction:
 
     def output_total(self) -> int:
         return sum(o.amount for o in self.outputs)
-
-    def output_shards(self, m: int) -> set[int]:
-        return {shard_of_address(o.address, m) for o in self.outputs}
 
     def outpoints(self) -> tuple[tuple[bytes, int], ...]:
         """The (txid, index) pairs this transaction consumes."""

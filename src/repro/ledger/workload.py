@@ -39,6 +39,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.ledger.transaction import (
+    ShardMap,
     Transaction,
     TxInput,
     TxOutput,
@@ -91,14 +92,18 @@ class WorkloadGenerator:
         # any()-scan over all buckets per candidate address, which made
         # generator construction O(addresses x m).
         self.addresses_by_shard: list[list[str]] = [[] for _ in range(m)]
+        # The ledger's address -> shard map, seeded with the roster.
+        self.shard_of = ShardMap(m)
         open_slots = m * users_per_shard
         serial = 0
         while open_slots:
             address = f"user-{serial:08d}"
             serial += 1
-            bucket = self.addresses_by_shard[shard_of_address(address, m)]
+            shard = shard_of_address(address, m)
+            bucket = self.addresses_by_shard[shard]
             if len(bucket) < users_per_shard:
                 bucket.append(address)
+                self.shard_of[address] = shard
                 open_slots -= 1
         self.genesis_tx = make_coinbase(
             [
@@ -112,7 +117,7 @@ class WorkloadGenerator:
             [] for _ in range(m)
         ]
         for index, output in enumerate(self.genesis_tx.outputs):
-            shard = shard_of_address(output.address, m)
+            shard = self.shard_of[output.address]
             self._spendable[shard].append(
                 ((self.genesis_tx.txid, index), output.address, output.amount)
             )
@@ -172,7 +177,7 @@ class WorkloadGenerator:
         created: list[tuple[int, tuple]] = []
         if change > 0:
             created.append((home, ((tx.txid, 1), owner, change)))
-        out_shard = shard_of_address(payee, self.m)
+        out_shard = self.shard_of[payee]
         created.append((out_shard, ((tx.txid, 0), payee, spend)))
         self._effects[tx.txid] = (
             home,
@@ -232,7 +237,7 @@ class WorkloadGenerator:
                 outputs=(TxOutput(payee, 10),),
                 nonce=self._next_nonce(),
             )
-        out_shard = shard_of_address(payee, self.m)
+        out_shard = self.shard_of[payee]
         return TaggedTx(
             tx=tx,
             home_shard=home,

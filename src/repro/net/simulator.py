@@ -2,8 +2,8 @@
 
 A single ``heapq`` ordered by ``(deliver_time, seq)`` drives the run.  The
 simulator allocates per *fan-out*, not per message: a multicast is one
-time-sorted run with only its head in the heap and, on a pooled network, one
-envelope (see :meth:`Network._fan_out`), so the heap and the cyclic
+time-sorted run with only its head in the heap and one recycled envelope
+(see :meth:`Network._fan_out`), so the heap and the cyclic
 collector's working set grow with the fan-outs in flight, not with the
 messages — the term that made a round's cost super-linear in n
 (docs/perf.md, "The collector is the super-linear term").
@@ -45,9 +45,12 @@ class Network:
     """The message fabric plus the event loop.
 
     ``channel_classifier(src, dst) -> str`` assigns each ordered pair a
-    latency class; in strict mode a classifier returning ``None`` (no
-    channel) makes :meth:`send` raise, enforcing the paper's light
-    connection graph.
+    latency class; a classifier returning ``None`` (no channel) makes
+    :meth:`send` raise, enforcing the paper's light connection graph.
+
+    Envelopes are recycled: a delivered :class:`Message` is valid only
+    inside the handler call that receives it.  A handler keeps the payload
+    or copies the fields it needs, never the envelope.
     """
 
     def __init__(
@@ -55,13 +58,10 @@ class Network:
         params: NetworkParams,
         rng: np.random.Generator,
         metrics: MetricsCollector | None = None,
-        strict_channels: bool = True,
-        pool_envelopes: bool = False,
     ) -> None:
         self.params = params
         self.rng = rng
         self.metrics = metrics if metrics is not None else MetricsCollector()
-        self.strict_channels = strict_channels
         self.nodes: dict[int, "ProtocolNode"] = {}
         self.now: float = 0.0
         # Sim-time consumed by completed rounds: :meth:`reset` folds the
@@ -81,15 +81,10 @@ class Network:
         # Pre-drawn jitter block and its cursor (see :meth:`_fan_out`).
         self._jitter_block: np.ndarray | None = None
         self._jitter_idx = 0
-        # Recycled Message envelopes (opt-in): a send or a whole fan-out
-        # takes one envelope and is done with it after its last delivery
-        # callback; pooling removes that allocate/GC churn, and lets the
-        # deliveries of a fan-out share the one.  Pooling is only enabled
-        # on the orchestrated protocol path (CommitteeSimBackend), whose
-        # handlers are audited to retain payloads, never envelopes; ad-hoc
-        # Network users (tests, notebooks) keep allocation semantics and
-        # may hold on to delivered messages freely.
-        self.pool_envelopes = pool_envelopes
+        # Recycled Message envelopes: a send or a whole fan-out takes one
+        # envelope and is done with it after its last delivery callback;
+        # pooling removes that allocate/GC churn, and lets the deliveries
+        # of a fan-out share the one.
         self._pool: list[Message] = []
         # sender -> {recipient -> channel class}: the classifier's verdicts
         # for the pairs used since it was installed (see :meth:`_fan_out`).
@@ -390,12 +385,10 @@ class Network:
                         raise SimulationError(f"unknown recipient {recipient}")
                     channel = self.channel_classifier(sender, recipient)
                     if channel is None:
-                        if self.strict_channels:
-                            raise SimulationError(
-                                f"no channel from {sender} to {recipient}: the "
-                                "topology does not provide this link (see §III-B)"
-                            )
-                        channel = ChannelClass.PARTIAL
+                        raise SimulationError(
+                            f"no channel from {sender} to {recipient}: the "
+                            "topology does not provide this link (see §III-B)"
+                        )
                     row[recipient] = channel
                 if (
                     partition is not None
@@ -511,16 +504,15 @@ class Network:
         besides the handler's.
         A run head is replaced by the run's next entry *before* the handler
         is called, so whatever the handler sends is ordered against the rest
-        of the run.  On a pooled network the deliveries of a run share its
-        one envelope — ``recipient``, ``channel`` and ``deliver_time`` are
-        rewritten for each — and an envelope is retired (payload dropped,
-        tag poisoned, so a handler that kept it reads an obviously invalid
-        envelope and not another send's fields) after its last callback;
-        otherwise every delivery gets an envelope of its own, which the
-        recipient may keep.  (A handler that re-entered ``run`` would have
-        the rest of its run delivered, and its envelope rewritten, under it;
-        none does.)  ``delivered_messages`` is brought up to date when the
-        loop exits, however it exits.
+        of the run.  The deliveries of a run share its one envelope —
+        ``recipient``, ``channel`` and ``deliver_time`` are rewritten for
+        each — and an envelope is retired (payload dropped, tag poisoned, so
+        a handler that kept it reads an obviously invalid envelope and not
+        another send's fields) after its last callback: an envelope is valid
+        only inside the handler call.  (A handler that re-entered ``run``
+        would have the rest of its run delivered, and its envelope
+        rewritten, under it; none does.)  ``delivered_messages`` is brought
+        up to date when the loop exits, however it exits.
         """
         if until is not None and until < self.now:
             raise SimulationError("cannot run to a time in the past")
@@ -528,7 +520,7 @@ class Network:
         nodes = self.nodes
         pop = heapq.heappop
         replace = heapq.heapreplace
-        pool = self._pool if self.pool_envelopes else None
+        pool = self._pool
         pool_max = self._POOL_MAX
         max_events = self.params.max_events
         processed = 0
@@ -547,7 +539,7 @@ class Network:
                 else:
                     if run is None:
                         pop(queue)
-                        retire = pool is not None
+                        retire = True
                         recipient = message.recipient
                     else:
                         order, times, recipients, channels, seq0 = run
@@ -560,15 +552,7 @@ class Network:
                             retire = False
                         else:
                             pop(queue)
-                            retire = pool is not None
-                        if pool is None:
-                            shared = message
-                            message = object.__new__(Message)
-                            message.sender = shared.sender
-                            message.tag = shared.tag
-                            message.payload = shared.payload
-                            message.size = shared.size
-                            message.send_time = shared.send_time
+                            retire = True
                         k = seq - seq0
                         message.recipient = recipient = recipients[k]
                         message.channel = channels[k]

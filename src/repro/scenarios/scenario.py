@@ -190,20 +190,10 @@ class ScenarioDriver:
 
     # -- wiring ------------------------------------------------------------
     def install(self, ledger: "CommitteeSimBackend") -> None:
-        """Attach this driver's fault hooks to ``ledger``'s pipeline (a
-        pipeline accepts exactly one driver)."""
+        """Attach this driver's fault hooks to ``ledger``'s own pipeline."""
         pipeline = ledger.pipeline
-        if pipeline.scenario_driver is not None:
-            # Hooks are append-only: a second driver on the same pipeline
-            # would double-apply offline draws and ramps and silently break
-            # seed determinism.
-            raise ValueError(
-                "pipeline already has a scenario driver installed; give "
-                "each scenario-bearing ledger its own pipeline"
-            )
         self._validate_targets(ledger.params.m, ledger.params.n)
         self._ledger = ledger
-        pipeline.scenario_driver = self
         first_phase = pipeline.names[0]
         pipeline.add_round_hook(PRE, self._on_round_start)
         pipeline.add_phase_hook(first_phase, PRE, self._on_config_pre)

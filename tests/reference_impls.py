@@ -160,18 +160,16 @@ class NaiveNetwork(Network):
         payload: Any,
         size: "int | None" = None,
     ) -> None:
-        """The pre-pooling send path (a retired envelope is reused when the
-        network pools, so the pool's size can be compared too)."""
+        """The pre-multicast send path (a retired envelope is reused, so the
+        pool's size can be compared too)."""
         if recipient not in self.nodes:
             raise SimulationError(f"unknown recipient {recipient}")
         channel = self.channel_classifier(sender, recipient)
         if channel is None:
-            if self.strict_channels:
-                raise SimulationError(
-                    f"no channel from {sender} to {recipient}: the topology "
-                    "does not provide this link (see §III-B)"
-                )
-            channel = ChannelClass.PARTIAL
+            raise SimulationError(
+                f"no channel from {sender} to {recipient}: the topology "
+                "does not provide this link (see §III-B)"
+            )
         if self._crosses_partition(sender, recipient):
             self.dropped_messages += 1
             self.partition_dropped += 1
@@ -212,9 +210,9 @@ class NaiveNetwork(Network):
             node.on_default(message)
 
     def _retire(self, message: Message) -> None:
-        """A pooling network keeps a finished envelope for a later send,
-        with its payload let go and its tag poisoned."""
-        if self.pool_envelopes and len(self._pool) < self._POOL_MAX:
+        """A finished envelope is kept for a later send, with its payload
+        let go and its tag poisoned."""
+        if len(self._pool) < self._POOL_MAX:
             message.payload = None
             message.tag = "<pooled>"
             self._pool.append(message)

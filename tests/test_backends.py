@@ -279,3 +279,53 @@ def test_cli_sweep_backend_axis(tmp_path, capsys):
 def test_cli_sweep_unknown_backend_fails_before_running(capsys):
     with pytest.raises(SystemExit, match="unknown backend"):
         cli_main(["sweep", "--backend", "no-such-protocol"])
+
+
+def _module_level_containers():
+    """Every container bound at module level in ``repro``, by qualified
+    name (each ``repro`` module imported first, so none is created by the
+    run being measured)."""
+    import importlib
+    import pkgutil
+    import sys
+    from collections import deque
+
+    import repro
+
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not info.name.endswith("__main__"):
+            importlib.import_module(info.name)
+    containers = {}
+    for name, module in sorted(sys.modules.items()):
+        if name != "repro" and not name.startswith("repro."):
+            continue
+        for attr, value in vars(module).items():
+            if not attr.startswith("__") and isinstance(
+                value, (dict, list, set, deque)
+            ):
+                containers[f"{name}.{attr}"] = value
+    return containers
+
+
+#: type-keyed dispatch tables: they grow with the payload *types* seen,
+#: never with addresses, transactions or rounds
+_TYPE_KEYED = ("repro.crypto.hashing._ENCODERS", "repro.net.message._SIZERS")
+
+
+def test_running_every_backend_grows_no_module_level_container():
+    """Derived state lives and dies with the ledger that derives it: no
+    module-level table of ``repro`` holds anything a run put there."""
+    containers = _module_level_containers()
+    before = {name: len(value) for name, value in containers.items()}
+    for m in (2, 3):
+        params = ProtocolParams(**{**SMALL, "m": m, "n": 6 + 9 * m})
+        for name in ALL_BACKENDS:
+            create_backend(name, params).run(2)
+    grew = {
+        name: (before[name], len(value))
+        for name, value in containers.items()
+        if len(value) != before[name] and name not in _TYPE_KEYED
+    }
+    assert grew == {}
+    for name in _TYPE_KEYED:
+        assert all(isinstance(key, type) for key in containers[name]), name

@@ -82,6 +82,8 @@ def test_parser_subcommands(capsys):
         ["scenario", "--policy", "censorship"],
         ["sweep", "--policy", "censorship"],
         ["sweep", "--policies", "none,censorship"],
+        # ... and the overlap axis flag: it is `--grid overlap=...`.
+        ["sweep", "--overlaps", "none"],
     ):
         with pytest.raises(SystemExit) as exit_info:
             parser.parse_args(argv)

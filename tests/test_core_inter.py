@@ -19,7 +19,7 @@ def setup(m=3, c=8, behaviors=None, seed=0, cross=0.5, invalid=0.1, prefilter=Fa
     if prefilter:
         object.__setattr__(ctx.params, "prefilter_cross_shard", True)
     wg = WorkloadGenerator(m=m, users_per_shard=24, rng=np.random.default_rng(seed))
-    apply_block(ctx.shard_states, [wg.genesis_tx])
+    apply_block(ctx.shard_states, [wg.genesis_tx], ctx.shard_of)
     batch = wg.generate_batch(80, cross_shard_ratio=cross, invalid_ratio=invalid)
     for k, pool in enumerate(wg.by_home_shard(batch)):
         ctx.mempools[k] = pool
@@ -59,7 +59,7 @@ def test_dest_shard_helper():
     ctx = setup()
     tags = tags_of(ctx)
     for tagged in tags.values():
-        dest = dest_shard(tagged.tx, tagged.home_shard, 3)
+        dest = dest_shard(tagged.tx, tagged.home_shard, ctx.shard_of)
         if tagged.cross_shard:
             assert dest is not None and dest != tagged.home_shard
 

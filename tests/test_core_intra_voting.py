@@ -23,7 +23,7 @@ def setup(m=3, c=8, behaviors=None, seed=0, invalid=0.15, cross=0.0, capacities=
         for nid, cap in capacities.items():
             ctx.nodes[nid].capacity = cap
     wg = WorkloadGenerator(m=m, users_per_shard=24, rng=np.random.default_rng(seed))
-    apply_block(ctx.shard_states, [wg.genesis_tx])
+    apply_block(ctx.shard_states, [wg.genesis_tx], ctx.shard_of)
     batch = wg.generate_batch(70, cross_shard_ratio=cross, invalid_ratio=invalid)
     for k, pool in enumerate(wg.by_home_shard(batch)):
         ctx.mempools[k] = pool

@@ -4,7 +4,6 @@ import pytest
 
 from repro import AdversaryConfig, CycLedger, ProtocolParams, create_backend
 from repro.core.pipeline import POST, PRE, Phase, PhasePipeline
-from repro.core.protocol import build_default_pipeline
 
 PHASE_ORDER = (
     "config",
@@ -26,25 +25,25 @@ def small_params(seed=0, **overrides) -> ProtocolParams:
 
 # -- registry ----------------------------------------------------------------
 def test_default_pipeline_has_paper_phase_order():
-    assert build_default_pipeline().names == PHASE_ORDER
+    assert CycLedger(small_params()).pipeline.names == PHASE_ORDER
 
 
 def test_register_appends_and_inserts():
+    """Registration order is execution order: a phase is only appended."""
     pipeline = PhasePipeline((Phase("a", lambda ctx: None),))
     pipeline.register(Phase("c", lambda ctx: None))
-    pipeline.register(Phase("b", lambda ctx: None), before="c")
-    pipeline.register(Phase("d", lambda ctx: None), after="c")
-    assert pipeline.names == ("a", "b", "c", "d")
+    pipeline.register(Phase("b", lambda ctx: None))
+    assert pipeline.names == ("a", "c", "b")
 
 
 def test_register_rejects_duplicates_and_bad_anchors():
     pipeline = PhasePipeline((Phase("a", lambda ctx: None),))
     with pytest.raises(ValueError):
         pipeline.register(Phase("a", lambda ctx: None))
-    with pytest.raises(KeyError):
-        pipeline.register(Phase("b", lambda ctx: None), before="nope")
-    with pytest.raises(ValueError):
-        pipeline.register(Phase("b", lambda ctx: None), before="a", after="a")
+    # there is no anchor to insert at: before=/after= are not parameters
+    with pytest.raises(TypeError):
+        pipeline.register(Phase("b", lambda ctx: None), before="a")
+    assert pipeline.names == ("a",)
 
 
 def test_hook_validation():
@@ -120,9 +119,9 @@ def test_custom_phase_observes_round():
         observed.append(len(ctx.phase_reports))
         return "audited"
 
-    ledger.pipeline.register(Phase("audit", audit), after="inter")
+    ledger.pipeline.register(Phase("audit", audit))
     report = ledger.run_round()
-    assert observed == [4]  # config, semicommit, intra, inter came before
+    assert observed == [len(PHASE_ORDER)]  # every built-in phase came before
     assert report.phase_sim_times["audit"] == 0.0
     assert report.block is not None
 

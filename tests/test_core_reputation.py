@@ -122,7 +122,7 @@ def test_empty_reputations():
 def setup(behaviors=None, seed=0):
     ctx = build_multi_sandbox(m=2, committee_size=8, lam=2, behaviors=behaviors, seed=seed)
     wg = WorkloadGenerator(m=2, users_per_shard=24, rng=np.random.default_rng(seed))
-    apply_block(ctx.shard_states, [wg.genesis_tx])
+    apply_block(ctx.shard_states, [wg.genesis_tx], ctx.shard_of)
     batch = wg.generate_batch(40, invalid_ratio=0.2)
     for k, pool in enumerate(wg.by_home_shard(batch)):
         ctx.mempools[k] = pool

@@ -20,7 +20,7 @@ from repro.ledger.workload import WorkloadGenerator
 def setup(seed=0, cross=0.3):
     ctx = build_multi_sandbox(m=2, committee_size=8, lam=2, seed=seed)
     wg = WorkloadGenerator(m=2, users_per_shard=24, rng=np.random.default_rng(seed))
-    apply_block(ctx.shard_states, [wg.genesis_tx])
+    apply_block(ctx.shard_states, [wg.genesis_tx], ctx.shard_of)
     ctx.global_utxos.restore(wg.genesis_utxos().snapshot())
     batch = wg.generate_batch(40, cross_shard_ratio=cross, invalid_ratio=0.1)
     for k, pool in enumerate(wg.by_home_shard(batch)):

@@ -21,7 +21,7 @@ def ctx_with_coins():
     ctx = build_sandbox(committee_size=8, lam=2)
     state = ctx.shard_states[0]
     genesis = make_coinbase([TxOutput(f"user-{i}", 100) for i in range(12)])
-    apply_block(ctx.shard_states, [genesis])
+    apply_block(ctx.shard_states, [genesis], ctx.shard_of)
     txs = []
     for nonce, op in enumerate(sorted(state.utxos, key=lambda o: (o[0], o[1]))[:5]):
         owner = state.utxos.get(op).address

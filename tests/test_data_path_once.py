@@ -28,6 +28,7 @@ from repro.crypto.hashing import H, canonical_bytes
 from repro.crypto.signatures import encode_statement, sign
 from repro.ledger.state import ShardState, apply_block
 from repro.ledger.transaction import (
+    ShardMap,
     Transaction,
     TxInput,
     TxOutput,
@@ -191,7 +192,7 @@ def test_spent_history_holds_exactly_the_last_confirmed_spends():
 def shard():
     state = ShardState(0, 1)
     genesis = make_coinbase([TxOutput(f"user-{i}", 100) for i in range(4)])
-    apply_block([state], [genesis])
+    apply_block([state], [genesis], ShardMap(1))
     spend = make_transfer((genesis.txid, 0), 100, "user-1", 10, "user-0", nonce=1)
     return state, genesis, spend
 
@@ -226,7 +227,7 @@ def test_verdict_never_survives_a_mutation(shard, v_calls):
     state, genesis, spend = shard
     snapshot = state.utxos.snapshot()
     assert state.validate(spend) is ValidationResult.VALID
-    apply_block([state], [spend])
+    apply_block([state], [spend], ShardMap(1))
     assert state.validate(spend) is ValidationResult.MISSING_INPUT
     state.utxos.restore(snapshot)  # what a checkpoint restore does
     assert state.validate(spend) is ValidationResult.VALID
@@ -280,7 +281,7 @@ def vote_ctx():
     ctx = build_sandbox(committee_size=8, lam=2)
     state = ctx.shard_states[0]
     genesis = make_coinbase([TxOutput(f"user-{i}", 100) for i in range(8)])
-    apply_block(ctx.shard_states, [genesis])
+    apply_block(ctx.shard_states, [genesis], ctx.shard_of)
     txs = [
         make_transfer((genesis.txid, i), 100, "payee", 10, f"user-{i}", nonce=i)
         for i in range(3)
@@ -465,7 +466,7 @@ def test_utxo_listing_encodes_only_what_the_block_created(shard, monkeypatch):
     assert len(encoded) == len(genesis.outputs)
     assert state.digest_items() == first and len(encoded) == len(genesis.outputs)
     del encoded[:]
-    apply_block([state], [spend])
+    apply_block([state], [spend], ShardMap(1))
     assert_listing_is_its_tuple(state)
     assert sorted(item[:2] for item in encoded) == [
         (spend.txid.hex(), 0),

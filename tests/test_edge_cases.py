@@ -35,7 +35,7 @@ def test_recovery_impossible_with_all_malicious_partials():
     ctx = build_sandbox(committee_size=9, lam=2, behaviors=behaviors)
     assert first_honest_partial(ctx, ctx.committees[0]) is None
     wg = WorkloadGenerator(m=1, users_per_shard=16, rng=np.random.default_rng(0))
-    apply_block(ctx.shard_states, [wg.genesis_tx])
+    apply_block(ctx.shard_states, [wg.genesis_tx], ctx.shard_of)
     ctx.mempools[0] = wg.generate_batch(10)
     run_committee_configuration(ctx)
     run_semi_commitment_exchange(ctx)

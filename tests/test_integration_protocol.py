@@ -174,6 +174,30 @@ def test_params_validation():
         ProtocolParams(n=48, m=3, lam=2, referee_size=1)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("cross_shard_ratio", 1.5),
+        ("invalid_ratio", -0.2),
+        ("tx_per_committee", -3),
+        ("vote_window_deltas", -1),
+        ("vote_window_deltas", 0),
+        ("pow_difficulty_bits", -1),
+        ("users_per_shard", 0),
+        ("seed", -1),
+        ("arrival_rate", float("nan")),
+    ],
+)
+def test_params_reject_inputs_that_break_a_round_by_field_name(field, value):
+    """Each of these was accepted and then crashed mid-round (or, for a
+    zero vote window, packed nothing): it is refused up front, by name."""
+    overrides = {field: value}
+    if field == "arrival_rate":
+        overrides["arrival_process"] = "poisson"
+    with pytest.raises(ValueError, match=field):
+        small_params(**overrides)
+
+
 def test_simulation_path_imports_neither_networkx_nor_scipy():
     """numpy is the one required dependency: a round with every optional
     piece on the simulation path switched on — §VIII-B sub-blocks, the

@@ -8,6 +8,7 @@ from reference_impls import per_shard_add_genesis, per_shard_apply_block
 from repro.ledger.chain import GENESIS_PREV_HASH, Block, Chain
 from repro.ledger.state import ShardState, apply_block
 from repro.ledger.transaction import (
+    ShardMap,
     Transaction,
     TxInput,
     TxOutput,
@@ -37,7 +38,7 @@ def make_block(round_number: int, prev_hash: bytes, txs=()) -> Block:
 def shard_views(m: int, genesis=None) -> list[ShardState]:
     states = [ShardState(k, m) for k in range(m)]
     if genesis is not None:
-        apply_block(states, [genesis])
+        apply_block(states, [genesis], ShardMap(m))
     return states
 
 
@@ -66,7 +67,7 @@ def test_apply_block_spends_and_creates():
     index = [i for i, o in enumerate(genesis.outputs) if o.address == "user-0"][0]
     tx = make_transfer((genesis.txid, index), 100, "user-1", 25, "user-0")
     sizes = [state.size() for state in states]
-    assert apply_block(states, [tx]) == (1, 2)
+    assert apply_block(states, [tx], ShardMap(m)) == (1, 2)
     # home loses the input and gains the change; the payee's shard gains one
     sizes[shard_of_address("user-1", m)] += 1
     assert [state.size() for state in states] == sizes
@@ -74,15 +75,17 @@ def test_apply_block_spends_and_creates():
     # the block is applied once: a second application finds nothing to spend
     # and refuses to create the same outputs again
     with pytest.raises(ValueError):
-        apply_block(states, [tx])
+        apply_block(states, [tx], ShardMap(m))
 
 
 def test_apply_block_wants_every_shard_view_in_order():
     states = shard_views(3)
     for wrong in (states[:2], states[::-1], [ShardState(0, 2), ShardState(1, 2), states[2]]):
         with pytest.raises(ValueError):
-            apply_block(wrong, [])
-    assert apply_block(states, []) == (0, 0)
+            apply_block(wrong, [], ShardMap(3))
+    with pytest.raises(ValueError, match="shard_of maps into 2 shards, not 3"):
+        apply_block(states, [], ShardMap(2))
+    assert apply_block(states, [], ShardMap(3)) == (0, 0)
 
 
 ADDRESSES = [f"user-{i}" for i in range(24)]
@@ -107,6 +110,7 @@ def test_route_once_application_is_the_per_shard_loop(m, owners, blocks):
     same version count, same size, same (spent, created) totals."""
     genesis = make_coinbase([TxOutput(owner, 100) for owner in owners])
     routed = shard_views(m, genesis)
+    shard_of = ShardMap(m)
     looped = shard_views(m)
     for state in looped:
         per_shard_add_genesis(state, genesis)
@@ -139,7 +143,7 @@ def test_route_once_application_is_the_per_shard_loop(m, owners, blocks):
             known += [(tx.txid, i) for i in range(len(outputs))]
             block.append(tx)
         counts = [per_shard_apply_block(state, block) for state in looped]
-        assert apply_block(routed, block) == tuple(map(sum, zip(*counts)))
+        assert apply_block(routed, block, shard_of) == tuple(map(sum, zip(*counts)))
         same()
 
 
@@ -163,9 +167,9 @@ def test_digest_items_deterministic():
     assert hash(a.digest_items()) == hash(b.digest_items())
     # ... and it is the content that is compared, not the object
     spend = make_transfer((genesis.txid, 0), 10, "user-1", 3, "user-0")
-    apply_block([a], [spend])
+    apply_block([a], [spend], ShardMap(1))
     assert a.digest_items() != b.digest_items()
-    apply_block([b], [spend])
+    apply_block([b], [spend], ShardMap(1))
     assert a.digest_items() == b.digest_items()
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.hashing import H_int
 from repro.ledger.transaction import (
+    ShardMap,
     Transaction,
     TxInput,
     TxOutput,
@@ -73,19 +74,20 @@ def test_shard_of_address_stable_and_in_range():
 
 @given(st.text(max_size=12), st.integers(1, 64), st.integers(1, 64))
 def test_shard_of_address_is_the_hash_rule_however_often_asked(address, m, other_m):
-    """The derive-once map answers what ``H_int("SHARD", a) % m`` answers,
-    per (address, m) — one address under two m's never shares an entry —
-    and a remembered address does not get past the ``m`` check."""
+    """A ledger's derive-once ``ShardMap`` answers what ``H_int("SHARD", a)
+    % m`` answers, from its first ask on — one map per m, so one address
+    under two m's never shares an entry — and no m below 1 is accepted."""
+    maps = {modulus: ShardMap(modulus) for modulus in (m, other_m)}
     for _ in range(2):  # the second pass is answered from the map
-        for modulus in (m, other_m):
+        for modulus, shard_of in maps.items():
             expected = H_int("SHARD", address) % modulus
             assert shard_of_address(address, modulus) == expected
-            assert Transaction((), (TxOutput(address, 1),)).output_shards(modulus) == {
-                expected
-            }
+            assert shard_of[address] == expected
     for bad in (0, -m):
         with pytest.raises(ValueError):
             shard_of_address(address, bad)
+        with pytest.raises(ValueError):
+            ShardMap(bad)
 
 
 def test_make_transfer_with_change(funded):

@@ -1,5 +1,7 @@
 """Network simulator: delivery, latency classes, timers, strict channels."""
 
+import copy
+
 import numpy as np
 import pytest
 from reference_impls import NaiveNetwork
@@ -15,10 +17,12 @@ from repro.net.params import ChannelClass
 
 
 class Recorder(ProtocolNode):
+    """Keeps a copy of every MSG delivery (envelopes are recycled)."""
+
     def __init__(self, nid, kp):
         super().__init__(nid, kp)
         self.received = []
-        self.on("MSG", lambda msg: self.received.append(msg))
+        self.on("MSG", lambda msg: self.received.append(copy.copy(msg)))
 
 
 @pytest.fixture
@@ -72,19 +76,6 @@ def test_strict_channel_raises(rng):
     net.set_channel_classifier(lambda s, d: None)
     with pytest.raises(SimulationError):
         nodes[0].send(1, "MSG", "x")
-
-
-def test_non_strict_falls_back_to_partial(rng):
-    pki = PKI()
-    net = Network(NetworkParams(), rng, strict_channels=False)
-    nodes = [Recorder(i, pki.generate(200 + i)) for i in range(2)]
-    for node in nodes:
-        net.add_node(node)
-    net.set_channel_classifier(lambda s, d: None)
-    nodes[0].send(1, "MSG", "x")
-    nodes[0].send(1, "MSG", "the pair's second send reads the remembered class")
-    net.run()
-    assert [m.channel for m in nodes[1].received] == [ChannelClass.PARTIAL] * 2
 
 
 def test_unknown_recipient_raises(net_and_nodes):
@@ -323,11 +314,7 @@ def _fanout_fabric(factory, conditions):
     give two identically-seeded, identically-configured fabrics)."""
     import numpy as np
 
-    net = factory(
-        NetworkParams(),
-        np.random.default_rng(conditions.get("seed", 7)),
-        strict_channels=conditions.get("strict", True),
-    )
+    net = factory(NetworkParams(), np.random.default_rng(conditions.get("seed", 7)))
     pki = PKI()
     for i in range(_FANOUT_NODES):
         net.add_node(ProtocolNode(i, pki.generate(("fanout", i))))
@@ -479,12 +466,6 @@ _EVERYONE = list(range(_FANOUT_NODES))
         pytest.param(
             {"no_channel_to": 4}, _EVERYONE, None, id="no-channel-mid-list-strict"
         ),
-        pytest.param(
-            {"no_channel_to": 4, "strict": False, "stretch": 2.0},
-            _EVERYONE,
-            96,
-            id="no-channel-falls-back-to-partial",
-        ),
     ],
 )
 def test_multicast_equals_loop_of_sends(conditions, recipients, size):
@@ -540,7 +521,6 @@ def test_multicast_equals_loop_of_sends_property():
             "stretch": st.floats(0.0, 30.0),
             "offline_sender": st.booleans(),
             "no_channel_to": node_ids,
-            "strict": st.booleans(),
         },
     )
 
@@ -580,15 +560,11 @@ class _Tap(ProtocolNode):
         self.hear("default", message)
 
 
-def _dispatch_story(factory, pooled, max_events=200_000, until=None):
+def _dispatch_story(factory, max_events=200_000, until=None):
     """One run through every branch of the delivery path; returns all a
     caller could observe of it."""
     pki = PKI()
-    net = factory(
-        NetworkParams(max_events=max_events),
-        np.random.default_rng(11),
-        pool_envelopes=pooled,
-    )
+    net = factory(NetworkParams(max_events=max_events), np.random.default_rng(11))
     log, kept = [], []
     nodes = [_Tap(i, pki.generate(("tap", i)), log, kept) for i in range(5)]
     for node in nodes:
@@ -630,10 +606,9 @@ def _dispatch_story(factory, pooled, max_events=200_000, until=None):
     }
 
 
-@pytest.mark.parametrize("pooled", [False, True], ids=["allocating", "pooled"])
-def test_run_dispatches_like_receive_and_release(pooled):
-    story = _dispatch_story(Network, pooled)
-    assert story == _dispatch_story(NaiveNetwork, pooled)
+def test_run_dispatches_like_receive_and_release():
+    story = _dispatch_story(Network)
+    assert story == _dispatch_story(NaiveNetwork)
     heard = [(nid, kind, payload) for nid, kind, _tag, payload, _now in story["log"]]
     assert sorted(heard) == [
         (0, "handler", "pong"),
@@ -644,14 +619,8 @@ def test_run_dispatches_like_receive_and_release(pooled):
     # The offline recipient ran nothing and is still a delivery; the
     # orphan is neither.
     assert story["delivered"] == 6 and story["sent"] == 7
-    if pooled:
-        assert set(story["envelopes"]) == {("<pooled>", None)}
-        assert story["pool"] >= 1
-    else:
-        assert [payload for _tag, payload in story["envelopes"]] == [
-            payload for *_ignored, payload, _now in story["log"]
-        ]
-        assert story["pool"] == 0
+    assert set(story["envelopes"]) == {("<pooled>", None)}
+    assert story["pool"] >= 1
 
 
 @pytest.mark.parametrize(
@@ -664,8 +633,8 @@ def test_run_dispatches_like_receive_and_release(pooled):
     ],
 )
 def test_delivered_messages_right_however_run_exits(limits, delivered, error):
-    story = _dispatch_story(Network, True, **limits)
-    assert story == _dispatch_story(NaiveNetwork, True, **limits)
+    story = _dispatch_story(Network, **limits)
+    assert story == _dispatch_story(NaiveNetwork, **limits)
     assert (story["delivered"], story["error"]) == (delivered, error)
 
 
@@ -707,7 +676,7 @@ def test_channel_class_asked_once_per_pair_until_the_topology_changes(
         nodes[0].send(1, "AFTER", "z")
 
     nodes[3].on("REWIRE", rewire)
-    nodes[1].on("AFTER", lambda msg: nodes[1].received.append(msg))
+    nodes[1].on("AFTER", lambda msg: nodes[1].received.append(copy.copy(msg)))
     nodes[0].send(3, "REWIRE", None)
     net.run()
     assert [m.channel for m in nodes[1].received] == [ChannelClass.INTRA] * 6 + [
@@ -758,7 +727,7 @@ def test_missing_channel_and_unknown_recipient_raise_on_every_attempt(
 
 def test_assigning_the_classifier_directly_drops_the_rows_too(net_and_nodes):
     net, nodes = net_and_nodes
-    nodes[1].on("AFTER", lambda msg: nodes[1].received.append(msg))
+    nodes[1].on("AFTER", lambda msg: nodes[1].received.append(copy.copy(msg)))
 
     def rewire(msg):
         net.channel_classifier = lambda s, d: ChannelClass.KEY
@@ -788,11 +757,9 @@ def test_run_until_a_time_in_the_past_raises(net_and_nodes):
 _RUN_NODES = 34
 
 
-def _run_fabric(factory=Network, pooled=False, classify=None, **params):
+def _run_fabric(factory=Network, classify=None, **params):
     """A network of taps (they log every delivery and keep the envelope)."""
-    net = factory(
-        NetworkParams(**params), np.random.default_rng(5), pool_envelopes=pooled
-    )
+    net = factory(NetworkParams(**params), np.random.default_rng(5))
     pki = PKI()
     log, kept = [], []
     for i in range(_RUN_NODES):
@@ -808,7 +775,7 @@ def _heard(log):
 def test_multicast_allocates_per_fan_out_not_per_recipient():
     import gc
 
-    net, _log, _kept = _run_fabric(pooled=True)
+    net, _log, _kept = _run_fabric()
     everyone = list(range(_RUN_NODES))
     for _ in range(2):  # rows and jitter block filled, two envelopes pooled
         net.multicast(0, everyone, "WARM", b"w")
@@ -899,7 +866,7 @@ def test_a_run_interrupted_in_the_middle_is_finished_by_the_next_run(budget):
     logs = []
     for factory in (Network, NaiveNetwork):
         params = {} if budget is None else {"max_events": budget}
-        net, log, _kept = _run_fabric(factory, pooled=True, **params)
+        net, log, _kept = _run_fabric(factory, **params)
         net.multicast(0, range(10), "FAN", "fan")
         net.send(0, 11, "ONE", "single")
         times = [row[0] for row in net.in_flight()]
@@ -920,13 +887,18 @@ def test_a_run_interrupted_in_the_middle_is_finished_by_the_next_run(budget):
 
 
 def test_pooled_run_envelope_is_shared_and_poisoned_after_its_last_delivery():
-    net, log, kept = _run_fabric(pooled=True)
+    net, log, kept = _run_fabric()
     seen = []
 
     def look(msg):
         # Every delivery before this one was handed the same envelope, which
         # still reads as this delivery's.
-        seen.append((msg.recipient, msg.tag, msg.payload, {id(m) for m in kept}))
+        seen.append((
+            (msg.deliver_time, msg.sender, msg.recipient, msg.tag, msg.size,
+             msg.channel, msg.send_time),
+            msg.payload,
+            {id(m) for m in kept},
+        ))
         kept.append(msg)
 
     for node in net.nodes.values():
@@ -934,33 +906,21 @@ def test_pooled_run_envelope_is_shared_and_poisoned_after_its_last_delivery():
     net.multicast(0, range(_RUN_NODES), "FAN", "fan")
     flights = list(net.in_flight())
     net.run()
-    assert [recipient for recipient, *_ in seen] == [row[3] for row in flights]
-    assert all(tag == "FAN" and payload == "fan" for _, tag, payload, _ in seen)
+    assert [fields for fields, *_ in seen] == [
+        (when, *rest) for when, _seq, *rest in flights
+    ]
+    assert all(payload == "fan" for _, payload, _ in seen)
     assert all(ids <= {id(kept[0])} for *_, ids in seen)
     assert (kept[0].tag, kept[0].payload) == ("<pooled>", None)
     assert net._pool == [kept[0]]
 
 
-def test_unpooled_run_deliveries_are_envelopes_of_their_own():
-    net, log, kept = _run_fabric(pooled=False)
-    net.multicast(0, range(33), "FAN", "fan")
-    flights = list(net.in_flight())
-    net.run()
-    assert len({id(m) for m in kept}) == len(kept) == 32
-    assert [
-        (m.deliver_time, m.sender, m.recipient, m.tag, m.size, m.channel, m.send_time)
-        for m in kept
-    ] == [(when, *rest) for when, _seq, *rest in flights]
-    assert all(m.payload == "fan" for m in kept)
-
-
-@pytest.mark.parametrize("pooled", [True, False], ids=["pooled", "unpooled"])
-def test_the_envelope_names_the_node_each_delivery_is_for(pooled):
+def test_the_envelope_names_the_node_each_delivery_is_for():
     """The contract one-handler-per-session leans on: whichever node's
     mailbox a delivery is dispatched from, ``message.recipient`` is that
     node — for every delivery of interleaved multicasts, and still after the
     handler has sent messages of its own."""
-    net, _log, _kept = _run_fabric(pooled=pooled)
+    net, _log, _kept = _run_fabric()
     everyone = list(range(_RUN_NODES))
     seen = []
 

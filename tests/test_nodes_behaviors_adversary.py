@@ -29,7 +29,7 @@ def voting_setup():
     ctx = build_sandbox(committee_size=6, lam=2)
     state = ctx.shard_states[0]
     genesis = make_coinbase([TxOutput(f"user-{i}", 100) for i in range(8)])
-    apply_block(ctx.shard_states, [genesis])
+    apply_block(ctx.shard_states, [genesis], ctx.shard_of)
     # one valid spend + one overspend
     op = next(iter(state.utxos))
     owner = state.utxos.get(op).address

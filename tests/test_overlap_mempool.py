@@ -32,7 +32,7 @@ from repro.core.pipeline import (
     OverlapScheduler,
     Phase,
 )
-from repro.core.protocol import CycLedger, build_default_pipeline
+from repro.core.protocol import CycLedger
 from repro.exp import ExperimentSpec, Runner, overlap_compare_spec
 from repro.exp.results import round_row, write_csv
 from repro.exp.spec import canonical_json
@@ -126,7 +126,8 @@ def test_scheduler_rejects_unknown_dependency_names():
 
 
 def test_default_pipeline_carries_dependency_annotations():
-    phases = {p.name: p for p in build_default_pipeline()}
+    params = ProtocolParams(n=24, m=2, lam=2, referee_size=6)
+    phases = {p.name: p for p in CycLedger(params).pipeline}
     assert phases["config"].needs_prev == ("selection",)
     assert phases["intra"].needs_prev == ("block",)
     assert phases["intra"].needs == ("semicommit",)

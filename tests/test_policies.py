@@ -21,7 +21,6 @@ from repro.scenarios import (
     AdversaryPolicy,
     LeaderboardCorruption,
     Scenario,
-    ScenarioDriver,
 )
 
 #: the presets whose one event is an adversary policy
@@ -142,16 +141,20 @@ def test_adaptive_corruption_hurts_rivals_more_than_cycledger():
 
 
 def test_policy_driver_rejects_shared_pipeline():
-    """The driver's own guard (the ledger constructor has one in front of
-    it): a pipeline's hooks are append-only, so it takes one driver."""
-    import numpy as np
-
+    """A policy's driver hooks the pipeline its own ledger built: no
+    pipeline can be handed to a second ledger, so none carries two
+    drivers."""
     params = ProtocolParams(seed=1, **SMALL)
     scenario = POLICY_PRESETS["censorship"]
-    ledger = create_backend("cycledger", params, scenario=scenario)
-    driver = ScenarioDriver(scenario, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="already"):
-        driver.install(ledger)
+    first = create_backend("cycledger", params, scenario=scenario)
+    with pytest.raises(TypeError, match="pipeline"):
+        create_backend("cycledger", params, scenario=scenario, pipeline=first.pipeline)
+    second = create_backend("cycledger", params, scenario=scenario)
+    assert second.pipeline is not first.pipeline
+    assert second.scenario_driver is not first.scenario_driver
+    for ledger in (first, second):
+        hooks = ledger.pipeline._round_hooks["pre"]
+        assert [hook.__self__ for hook in hooks] == [ledger.scenario_driver]
 
 
 def test_policy_composes_with_scenario():

@@ -36,7 +36,7 @@ def test_network_jitter_block_matches_naive_scalar_network():
     from repro.crypto.pki import PKI
     from repro.net.node import ProtocolNode
 
-    fast = Network(NetworkParams(), np.random.default_rng(3), pool_envelopes=True)
+    fast = Network(NetworkParams(), np.random.default_rng(3))
     naive = reference_impls.NaiveNetwork(NetworkParams(), np.random.default_rng(3))
     pki = PKI()
     schedules = []
@@ -138,7 +138,7 @@ def test_envelope_pool_reuses_but_never_corrupts_delivery():
     from repro.net.params import NetworkParams
     from repro.net.simulator import Network
 
-    net = Network(NetworkParams(), np.random.default_rng(0), pool_envelopes=True)
+    net = Network(NetworkParams(), np.random.default_rng(0))
     pki = PKI()
     seen: list[tuple[str, int]] = []
     nodes = [ProtocolNode(i, pki.generate(i)) for i in range(3)]
@@ -155,6 +155,6 @@ def test_envelope_pool_reuses_but_never_corrupts_delivery():
     assert {p for p, _ in seen} == {f"p{i}" for i in range(50)}
     assert len(seen) == 50
     assert net._pool  # envelopes actually got recycled
-    # Pool stays bounded and disabled networks never pool.
-    plain = Network(NetworkParams(), np.random.default_rng(0))
-    assert plain.pool_envelopes is False
+    # Every network pools: there is no option to turn it off.
+    with pytest.raises(TypeError, match="pool_envelopes"):
+        Network(NetworkParams(), np.random.default_rng(0), pool_envelopes=False)

@@ -361,25 +361,22 @@ def test_node_partition_keeps_unlisted_referee_with_group_zero():
 
 
 def test_scenario_bound_pipeline_cannot_be_shared():
-    from repro import build_default_pipeline
-
+    """Every ledger builds its own pipeline and no pipeline can be handed
+    in, so a scenario's hooks fire on its own ledger's rounds only."""
     params = small_params(seed=9)
     # A scheduled fault and an adversary policy bind a pipeline alike.
     for scenario in (SCENARIO_PRESETS["churn"], SCENARIO_PRESETS["censorship"]):
-        pipeline = build_default_pipeline()
-        CycLedger(params, scenario=scenario, pipeline=pipeline)
-        with pytest.raises(ValueError, match="scenario-bearing"):
-            CycLedger(params, scenario=scenario, pipeline=pipeline)
-        with pytest.raises(ValueError, match="scenario-bearing"):
-            # ...even for a scenario-free ledger: the bound driver's hooks
-            # would inject the first ledger's faults into it.
-            CycLedger(params, pipeline=pipeline)
-        # Reverse order: a scenario may not claim a pipeline another ledger
-        # already runs on (its faults would fire on that ledger's rounds).
-        shared = build_default_pipeline()
-        CycLedger(params, pipeline=shared)
-        with pytest.raises(ValueError, match="dedicated pipeline"):
-            CycLedger(params, scenario=scenario, pipeline=shared)
+        faulty = CycLedger(params, scenario=scenario)
+        with pytest.raises(TypeError, match="pipeline"):
+            CycLedger(params, scenario=scenario, pipeline=faulty.pipeline)
+        plain = CycLedger(params)
+        assert plain.pipeline is not faulty.pipeline
+        assert plain.pipeline._round_hooks == {"pre": [], "post": []}
+        assert not plain.pipeline._phase_hooks
+        faulty.run(2)
+        assert [r.block.hash for r in plain.run(2)] == [
+            r.block.hash for r in CycLedger(params).run(2)
+        ]
 
 
 def test_out_of_range_committee_index_fails_at_attach():
