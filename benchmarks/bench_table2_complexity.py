@@ -64,11 +64,11 @@ def c_sweep():
                {"n": 64, "m": 2, "referee_size": 8},
                {"n": 120, "m": 2, "referee_size": 8})
     outcome = run_sweep(_spec("table2-c-sweep", configs), workers=3)
-    ns, results = [], []
+    cs, results = [], []
     for config in configs:
-        ns.append(config["n"])
+        cs.append((config["n"] - config["referee_size"]) // config["m"])
         results.append(_normalized_counts(outcome.one(n=config["n"])))
-    return ns, results
+    return cs, results
 
 
 def m_sweep():
@@ -89,40 +89,49 @@ def m_sweep():
 
 
 def fitted(xs, results, phase, role, kind="messages"):
+    """The cell's fitted exponent in ``xs``; a cell with no traffic at some
+    point has no power law to fit, which fails rather than skips."""
     ys = [r.get((phase, role), {}).get(kind, 0.0) for r in results]
-    if any(y <= 0 for y in ys):
-        return None
+    assert all(y > 0 for y in ys), (
+        f"Table II cell {(phase, role, kind)}: nothing to fit ({ys})"
+    )
     return scaling_exponent(xs, ys)
 
 
+#: How far a c-sweep cell's exponent may sit from its claim: half-way to the
+#: neighbouring class (c versus c²) would be 0.5, so a cell that moves a
+#: whole class fails.
+C_SWEEP_BAND = 0.35
+
+
 def test_table2_c_sweep(benchmark):
-    ns, results = benchmark.pedantic(c_sweep, rounds=1, iterations=1)
-    rows = []
+    cs, results = benchmark.pedantic(c_sweep, rounds=1, iterations=1)
+    rows, failures = [], []
     # (phase, role, metric, claimed exponent in c).  Byte counters carry the
     # O(c²) claims (c responses × c-sized member lists / vote matrices).
     claims = [
         ("config", Roles.COMMON, "messages", 1.0),
         ("config", Roles.KEY, "bytes", 2.0),
         ("intra", Roles.COMMON, "bytes", 1.0),  # one vote vector of length D
+        # The leader's Alg. 3 PROPOSE carries the c×D vote matrix to all c
+        # members: a c² term in the key-member mean, the widest cell here.
         ("intra", Roles.KEY, "bytes", 1.0),
         ("reputation", Roles.COMMON, "messages", 1.0),
         ("block", Roles.KEY, "messages", 1.0),
     ]
     for phase, role, kind, claimed in claims:
-        measured = fitted(ns, results, phase, role, kind)
-        if measured is None:
-            continue
+        measured = fitted(cs, results, phase, role, kind)
         rows.append((phase, role, kind, f"{claimed:+.1f}", f"{measured:+.2f}"))
+        if abs(measured - claimed) > C_SWEEP_BAND:
+            failures.append(
+                f"Table II {(phase, role, kind, claimed)}: exponent "
+                f"{measured:+.2f} in c, outside ±{C_SWEEP_BAND}"
+            )
     print_table(
         "Table II c-sweep (m=2, c = 14→56): per-node exponents vs c",
         ["phase", "role", "metric", "claimed", "measured"], rows,
     )
-    lookup = {(r[0], r[1]): float(r[4]) for r in rows}
-    # Key members in configuration: O(c²) per the paper; allow generous slack
-    # because constants and the λ-sized partial sets perturb small sweeps.
-    assert lookup[("config", Roles.KEY)] > 1.5
-    # Common members in configuration: O(c).
-    assert 0.5 < lookup[("config", Roles.COMMON)] < 1.7
+    assert not failures, "; ".join(failures)
 
 
 def test_table2_m_sweep(benchmark):
@@ -134,8 +143,7 @@ def test_table2_m_sweep(benchmark):
         ("block", Roles.REFEREE, "messages", 1.0),
     ]:
         measured = fitted(ms, results, phase, role, kind)
-        if measured is not None:
-            rows.append((phase, role, kind, f"{claimed:+.1f}", f"{measured:+.2f}"))
+        rows.append((phase, role, kind, f"{claimed:+.1f}", f"{measured:+.2f}"))
     print_table(
         "Table II m-sweep (c=14, m = 2→12): per-node exponents vs m",
         ["phase", "role", "metric", "claimed", "measured"], rows,

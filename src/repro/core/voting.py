@@ -28,9 +28,11 @@ import numpy as np
 from repro.core.consensus import InsideConsensus
 from repro.core.recovery import no_proposal_statement
 from repro.core.structures import CommitteeSpec, RoundContext, VoteMatrix
+from repro.crypto.hashing import fields_bytes, int8_seq_bytes
 from repro.crypto.signatures import (
     Signature,
     encode_statement,
+    encode_statement_parts,
     sign,
     sign_encoded,
     signed_by_encoded,
@@ -38,7 +40,7 @@ from repro.crypto.signatures import (
     verify_encoded,
 )
 from repro.ledger.transaction import Transaction
-from repro.net.message import payload_size
+from repro.net.message import payload_size, vote_message_size
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.message import Message
@@ -132,8 +134,10 @@ class VoteRoundSession:
         # TX_LIST statement; encode each distinct statement once per
         # session instead of once per member.
         self._enc_txlist: dict[tuple, bytes] = {}
-        # VOTE statements by vote-tuple identity (see :meth:`_vote_enc`).
-        self._enc_vote: dict[int, tuple[tuple, bytes]] = {}
+        # Every VOTE statement of the session shares its head.
+        self._vote_head = fields_bytes(
+            "VOTE", ctx.round_number, committee.index, session
+        )
         self._tallied = False
         self._proposal_seen: set[int] = set()
         self._alg3: InsideConsensus | None = None
@@ -187,7 +191,7 @@ class VoteRoundSession:
         mid = message.recipient
         txs, sig = message.payload
         leader_pk = self.ctx.pk_of(self.committee.leader)
-        txids = tuple(tx.txid for tx in txs)
+        txids = self.txids if txs is self.txs else tuple(tx.txid for tx in txs)
         enc = self._enc_txlist.get(txids)
         if enc is None:
             enc = encode_statement(
@@ -201,26 +205,25 @@ class VoteRoundSession:
         self._proposal_seen.add(mid)
         node = self.ctx.node(mid)
         votes = tuple(self.vote_fn(self.ctx, mid, txs).tolist())
-        vote_sig = sign_encoded(node.keypair, self._vote_enc(votes))
-        node.send(self.committee.leader, self._tag_vote, (mid, votes, vote_sig))
+        vector = int8_seq_bytes(votes)
+        vote_sig = sign_encoded(node.keypair, self._vote_enc(votes, vector))
+        node.send(
+            self.committee.leader,
+            self._tag_vote,
+            (mid, votes, vote_sig),
+            # exact ints, as the vector's encoding checked: a closed form
+            size=None if vector is None else vote_message_size(len(votes)),
+        )
 
-    def _vote_enc(self, votes: Sequence[int]) -> bytes:
-        """Signing bytes of the VOTE statement over ``votes``, memoised by
-        the *identity* of the vote tuple: the member that signs and the
-        leader that verifies hold the same object, so the O(D) encoding runs
-        once per vote, not twice.  The memo holds the tuple, so its ``id``
-        cannot be recycled; an equal-but-distinct tuple (or a ``True``-for-
-        ``1`` alias, which encodes differently) is encoded on its own, as is
-        anything but an exact tuple, and past the cap every call encodes.
-        """
-        entry = self._enc_vote.get(id(votes))
-        if entry is not None and entry[0] is votes:
-            return entry[1]
-        r, k = self.ctx.round_number, self.committee.index
-        enc = encode_statement(("VOTE", r, k, self.session, tuple(votes)))
-        if type(votes) is tuple and len(self._enc_vote) < 2 * self.committee.size:
-            self._enc_vote[id(votes)] = (votes, enc)
-        return enc
+    def _vote_enc(self, votes: Sequence[int], vector: bytes | None) -> bytes:
+        """Signing bytes of ``("VOTE", r, k, session, tuple(votes))``, given
+        ``vector = int8_seq_bytes(votes)``: the session's head and the
+        vector, or the generic encoding when a vote is not an int in int8
+        range (a ``True``-for-``1`` alias among them)."""
+        if vector is None:
+            r, k = self.ctx.round_number, self.committee.index
+            return encode_statement(("VOTE", r, k, self.session, tuple(votes)))
+        return encode_statement_parts((self._vote_head, vector))
 
     # -- leader side --------------------------------------------------------
     def _on_vote(self, message: "Message") -> None:
@@ -229,7 +232,8 @@ class VoteRoundSession:
         mid, votes, vote_sig = message.payload
         if mid not in self._member_set or mid in self._votes:
             return  # a member's first valid vote stands (replies = members)
-        if not verify_encoded(self.ctx.pki, vote_sig, self._vote_enc(votes)):
+        enc = self._vote_enc(votes, int8_seq_bytes(votes))
+        if not verify_encoded(self.ctx.pki, vote_sig, enc):
             return
         if vote_sig.pk != self.ctx.pk_of(mid):
             return

@@ -22,11 +22,12 @@ def _frame(tag: bytes, payload: bytes) -> bytes:
 
 
 def _enc_bytes(obj: bytes) -> bytes:
-    return _frame(b"b", obj)
+    return b"b%d:%b" % (len(obj), obj)
 
 
 def _enc_str(obj: str) -> bytes:
-    return _frame(b"s", obj.encode("utf-8"))
+    data = obj.encode("utf-8")
+    return b"s%d:%b" % (len(data), data)
 
 
 def _enc_bool(obj: bool) -> bytes:
@@ -43,14 +44,15 @@ def _enc_float(obj: float) -> bytes:
 
 
 def _enc_seq(obj: "tuple | list") -> bytes:
-    # Dispatch inline (no ``canonical_bytes`` frame per element): vote
-    # vectors and txid lists are encoded element by element.
+    # Dispatch inline (no ``canonical_bytes`` frame per element): txid lists
+    # are encoded element by element.
     encoders = _ENCODERS
     parts = []
     for x in obj:
         enc = encoders.get(type(x))
         parts.append(enc(x) if enc is not None else _canonical_slow(x))
-    return _frame(b"t", _SEP.join(parts))
+    body = _SEP.join(parts)
+    return b"t%d:%b" % (len(body), body)
 
 
 def _enc_set(obj: "set | frozenset") -> bytes:
@@ -87,7 +89,32 @@ _ENCODERS = {
 def seq_bytes(parts: "Iterable[bytes]") -> bytes:
     """Canonical bytes of a tuple or list whose elements encode to ``parts``
     (for leaves that keep their elements' bytes)."""
-    return _frame(b"t", _SEP.join(parts))
+    body = _SEP.join(parts)
+    return b"t%d:%b" % (len(body), body)
+
+
+def fields_bytes(*fields: Any) -> bytes:
+    """The leading ``fields`` (one or more) of a tuple as they sit inside
+    its frame: ``seq_bytes([fields_bytes(a, b), canonical_bytes(c)])`` is
+    ``canonical_bytes((a, b, c))``, so a statement whose head is fixed for
+    a session encodes that head once."""
+    return _SEP.join(map(canonical_bytes, fields))
+
+
+def int8_seq_bytes(values: "tuple | list") -> bytes | None:
+    """Canonical bytes of a vote vector, byte-identical to
+    ``canonical_bytes(tuple(values))``: one table lookup per element and one
+    ``join``, as :func:`int8_matrix_bytes` does per row.
+
+    ``None`` unless every element is an exact ``int`` in [-128, 127]: a
+    ``bool`` encodes as a bool, not as 0 / 1, and a numpy scalar, a float or
+    a wider int is the generic encoder's to encode."""
+    if not set(map(type, values)) <= _EXACT_INT:
+        return None
+    try:
+        return seq_bytes(map(_INT8_BY_VALUE.__getitem__, values))
+    except KeyError:  # an int outside int8
+        return None
 
 
 def int8_matrix_bytes(array: Any) -> bytes:
@@ -101,6 +128,9 @@ def int8_matrix_bytes(array: Any) -> bytes:
 
 #: ``_enc_int`` of every int8 value, indexed by the value's unsigned byte.
 _INT8_ENC = [_enc_int(v) for v in (*range(128), *range(-128, 0))]
+#: The same encodings keyed by the value itself.
+_INT8_BY_VALUE = {v: _enc_int(v) for v in range(-128, 128)}
+_EXACT_INT = frozenset((int,))
 
 
 def _canonical_slow(obj: Any) -> bytes:

@@ -16,7 +16,7 @@ import hmac
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from repro.crypto.hashing import canonical_bytes
+from repro.crypto.hashing import canonical_bytes, seq_bytes
 from repro.crypto.pki import PKI, KeyPair
 
 
@@ -86,6 +86,13 @@ def encode_statement(message: Any) -> bytes:
     verifier that touches the same statement.
     """
     return _encode(message)
+
+
+def encode_statement_parts(parts: Iterable[bytes]) -> bytes:
+    """:func:`encode_statement` of a tuple whose elements encode to
+    ``parts`` (see :func:`repro.crypto.hashing.fields_bytes` for a head
+    shared by many statements)."""
+    return b"sig" + seq_bytes(parts)
 
 
 def sign_encoded(keypair: KeyPair, encoded: bytes) -> Signature:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from hashlib import sha256
 
 from repro.crypto.hashing import H, H_int
 from repro.net.message import fields_size
@@ -82,6 +83,37 @@ class Transaction:
 
     @cached_property
     def txid(self) -> bytes:
+        """``H("TX", ((txid, index), ...), ((address, amount), ...), nonce)``
+        as one ``sha256`` over the frames ``canonical_bytes`` would build,
+        formatted in place.  A field of another type than ``bytes`` /
+        ``str`` / ``int`` (a bool, a float, a numpy int, a subclass) takes
+        ``H`` itself."""
+        ins = []
+        for i in self.inputs:
+            txid, index = i.txid, i.index
+            if type(txid) is not bytes or type(index) is not int:
+                return self._generic_txid()
+            digits = b"%d" % index
+            pair = b"b%d:%b\x1fi%d:%b" % (len(txid), txid, len(digits), digits)
+            ins.append(b"t%d:%b" % (len(pair), pair))
+        outs = []
+        for o in self.outputs:
+            address, amount = o.address, o.amount
+            if type(address) is not str or type(amount) is not int:
+                return self._generic_txid()
+            name, digits = address.encode("utf-8"), b"%d" % amount
+            pair = b"s%d:%b\x1fi%d:%b" % (len(name), name, len(digits), digits)
+            outs.append(b"t%d:%b" % (len(pair), pair))
+        if type(self.nonce) is not int:
+            return self._generic_txid()
+        ins_b, outs_b = b"\x1f".join(ins), b"\x1f".join(outs)
+        nonce = b"%d" % self.nonce
+        return sha256(
+            b"s2:TXt%d:%bt%d:%bi%d:%b"
+            % (len(ins_b), ins_b, len(outs_b), outs_b, len(nonce), nonce)
+        ).digest()
+
+    def _generic_txid(self) -> bytes:
         return H(
             "TX",
             tuple((i.txid, i.index) for i in self.inputs),

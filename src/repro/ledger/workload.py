@@ -59,6 +59,22 @@ class TaggedTx:
     intended_valid: bool
     defect: str | None = None  # 'double_spend' | 'overspend' | 'phantom_input'
 
+    # Spelled out like ``TxInput``'s (see ``repro.ledger.transaction``): one
+    # is built per generated transaction.
+    def __init__(
+        self,
+        tx: Transaction,
+        home_shard: int,
+        cross_shard: bool,
+        intended_valid: bool,
+        defect: str | None = None,
+    ) -> None:
+        object.__setattr__(self, "tx", tx)
+        object.__setattr__(self, "home_shard", home_shard)
+        object.__setattr__(self, "cross_shard", cross_shard)
+        object.__setattr__(self, "intended_valid", intended_valid)
+        object.__setattr__(self, "defect", defect)
+
 
 class WorkloadGenerator:
     """Deterministic transaction stream for ``m`` shards."""

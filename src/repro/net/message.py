@@ -67,6 +67,12 @@ def int_matrix_size(rows: int, cols: int) -> int:
     return 2 + rows * (2 + _INT_SIZE * cols)
 
 
+def vote_message_size(votes: int) -> int:
+    """Closed-form size of a VOTE payload ``(member id, vote tuple,
+    signature)`` whose tuple holds ``votes`` ints (not bools): 76 + 8·votes."""
+    return 2 + _INT_SIZE + (2 + _INT_SIZE * votes) + _SIG_SIZE
+
+
 def seq_size(sizes: "Iterable[int]") -> int:
     """Size of a tuple or list whose elements have the given ``sizes`` (for
     leaves that keep their elements' sizes)."""

@@ -12,6 +12,7 @@ so every attack is localized and testable.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
@@ -69,11 +70,11 @@ class Behavior:
         """
         votes = np.zeros(len(txs), dtype=np.int8)
         budget = node.take_budget(len(txs))
-        for index, tx in enumerate(txs):
-            if index >= budget:
-                break  # "fails to judge within the given time" -> Unknown
-            result = state.validate(tx)
-            votes[index] = YES if result is ValidationResult.VALID else NO
+        # Past the budget it "fails to judge within the given time": Unknown.
+        validate, valid = state.validate, ValidationResult.VALID
+        votes[:budget] = [
+            YES if validate(tx) is valid else NO for tx in islice(txs, budget)
+        ]
         return votes
 
     def vote_on_outputs(
@@ -89,13 +90,10 @@ class Behavior:
         """
         votes = np.zeros(len(txs), dtype=np.int8)
         budget = node.take_budget(len(txs))
-        for index, tx in enumerate(txs):
-            if index >= budget:
-                break
-            well_formed = bool(tx.outputs) and all(
-                o.amount > 0 for o in tx.outputs
-            )
-            votes[index] = YES if well_formed else NO
+        votes[:budget] = [
+            YES if tx.outputs and all(o.amount > 0 for o in tx.outputs) else NO
+            for tx in islice(txs, budget)
+        ]
         return votes
 
     # -- intra-committee leader hooks ---------------------------------------

@@ -31,7 +31,16 @@ the methods an optimization replaced.
 * :func:`networkx_parallel_subblocks` — §VIII-B sub-blocks coloured by
   networkx (replaced by the plain-Python largest-first colouring of
   :func:`repro.core.blockgen.parallel_subblocks`, so that the simulation
-  path imports no networkx).
+  path imports no networkx);
+* :func:`element_walk_txid`, :func:`element_walk_vote_statement`,
+  :func:`element_walk_vote_message_size`, :class:`PerItemBehavior` — the
+  per-transaction path one Python call per element: the txid and the VOTE
+  statement through the recursive ``canonical_bytes``, the VOTE payload
+  through ``payload_size``, the honest votes one item write at a time
+  (replaced by the formatted txid of :mod:`repro.ledger.transaction`, the
+  table-encoded vote vector of :mod:`repro.crypto.hashing`, the closed form
+  ``repro.net.message.vote_message_size`` and the prefix assignment of
+  :mod:`repro.nodes.behaviors`).
 """
 
 from __future__ import annotations
@@ -43,12 +52,16 @@ from typing import Any
 
 import numpy as np
 
+from repro.crypto.hashing import H
+from repro.crypto.signatures import Signature, encode_statement
 from repro.ledger.state import ShardState
 from repro.ledger.transaction import Transaction, TxInput, TxOutput, shard_of_address
+from repro.ledger.utxo import ValidationResult
 from repro.ledger.workload import TaggedTx, WorkloadGenerator
-from repro.net.message import Message
+from repro.net.message import Message, payload_size
 from repro.net.params import ChannelClass
 from repro.net.simulator import Network, SimulationError
+from repro.nodes.behaviors import NO, YES, Behavior
 
 _SIG_SIZE = 64
 _HASH_SIZE = 32
@@ -467,3 +480,55 @@ def networkx_parallel_subblocks(txs: list[Transaction]) -> list[list[Transaction
     for idx, color in colors.items():
         groups[color].append(txs[idx])
     return groups
+
+
+# -- the per-transaction path, element by element -------------------------------
+def element_walk_txid(tx: Transaction) -> bytes:
+    """The pre-optimization ``Transaction.txid``: ``H`` over the input and
+    output pairs rebuilt as tuples, encoded by the recursive walk."""
+    return H(
+        "TX",
+        tuple((i.txid, i.index) for i in tx.inputs),
+        tuple((o.address, o.amount) for o in tx.outputs),
+        tx.nonce,
+    )
+
+
+def element_walk_vote_statement(r: int, k: int, session: str, votes) -> bytes:
+    """The pre-optimization VOTE signing bytes: the whole statement through
+    ``encode_statement``, one generic encode per vote."""
+    return encode_statement(("VOTE", r, k, session, tuple(votes)))
+
+
+def element_walk_vote_message_size(mid: int, votes, sig: Signature) -> int:
+    """The pre-optimization VOTE size: ``payload_size`` of the payload, one
+    sizer call per vote."""
+    return payload_size((mid, votes, sig))
+
+
+class PerItemBehavior(Behavior):
+    """The honest votes as first written: one numpy item write per judged
+    transaction (replaced by one list assigned to the array's judged
+    prefix in :mod:`repro.nodes.behaviors`)."""
+
+    def vote(self, node, txs, state, rng):
+        votes = np.zeros(len(txs), dtype=np.int8)
+        budget = node.take_budget(len(txs))
+        for index, tx in enumerate(txs):
+            if index >= budget:
+                break  # "fails to judge within the given time" -> Unknown
+            result = state.validate(tx)
+            votes[index] = YES if result is ValidationResult.VALID else NO
+        return votes
+
+    def vote_on_outputs(self, node, txs, rng):
+        votes = np.zeros(len(txs), dtype=np.int8)
+        budget = node.take_budget(len(txs))
+        for index, tx in enumerate(txs):
+            if index >= budget:
+                break
+            well_formed = bool(tx.outputs) and all(
+                o.amount > 0 for o in tx.outputs
+            )
+            votes[index] = YES if well_formed else NO
+        return votes

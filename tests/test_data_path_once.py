@@ -1,12 +1,14 @@
 """The per-transaction data path derives each fact once — and only ever the
 same fact the one-at-a-time code derived.
 
-Each section pins one cache to its uncached reference: the vote-matrix
-value to the tuple-of-rows encoding, publish-at-pack settlement to the
-eager publish and its sequential ``list.remove`` undo, the V-verdict memo to plain ``validate_transaction``,
-the VOTE identity memo to a fresh encoding, ``Transaction.wire_size`` to the
-recursive dataclass sizer, and the UTXO listing to the freshly sorted tuple
-of plain tuples.
+Each section pins one cache or direct form to its reference: the
+vote-matrix value to the tuple-of-rows encoding, publish-at-pack settlement
+to the eager publish and its sequential ``list.remove`` undo, the V-verdict
+memo to plain ``validate_transaction``, the VOTE statement to the generic
+encoder, ``Transaction.wire_size`` to the recursive dataclass sizer, the
+UTXO listing to the freshly sorted tuple of plain tuples, and the txid, the
+VOTE statement and size and the honest vote fill to the element walks of
+``tests/reference_impls.py``.
 """
 
 import pickle
@@ -14,9 +16,16 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from reference_impls import EagerPublishWorkloadGenerator, tuple_digest_items
+from reference_impls import (
+    EagerPublishWorkloadGenerator,
+    PerItemBehavior,
+    element_walk_txid,
+    element_walk_vote_message_size,
+    element_walk_vote_statement,
+    tuple_digest_items,
+)
 
 from repro import CycLedger, ProtocolParams, load_checkpoint, save_checkpoint
 from repro.core.committee import run_committee_configuration
@@ -24,8 +33,8 @@ from repro.core.sandbox import build_sandbox
 from repro.core.semicommit import run_semi_commitment_exchange
 from repro.core.structures import VoteMatrix
 from repro.core.voting import VoteRoundSession, input_side_votes
-from repro.crypto.hashing import H, canonical_bytes
-from repro.crypto.signatures import encode_statement, sign
+from repro.crypto.hashing import H, canonical_bytes, int8_seq_bytes
+from repro.crypto.signatures import Signature, encode_statement, sign
 from repro.ledger.state import ShardState, apply_block
 from repro.ledger.transaction import (
     ShardMap,
@@ -37,7 +46,8 @@ from repro.ledger.transaction import (
 )
 from repro.ledger.utxo import ValidationResult
 from repro.ledger.workload import WorkloadGenerator
-from repro.net.message import fields_size, payload_size
+from repro.net.message import fields_size, payload_size, vote_message_size
+from repro.nodes.behaviors import Behavior
 
 
 def as_rows(array):
@@ -275,7 +285,7 @@ def test_verdict_flips_across_a_checkpoint_restore(tmp_path):
     )
 
 
-# -- (iv) the VOTE identity memo -------------------------------------------------
+# -- (iv) the VOTE statement -------------------------------------------------------
 @pytest.fixture
 def vote_ctx():
     ctx = build_sandbox(committee_size=8, lam=2)
@@ -292,6 +302,11 @@ def vote_ctx():
 
 
 def test_vote_statement_is_encoded_once_per_tuple_object(vote_ctx, monkeypatch):
+    """Each VOTE encode goes one way: a vector of int8-range ints never
+    reaches the generic ``encode_statement`` (its head is the session's, its
+    votes one table lookup each), anything else reaches it once.  (The
+    identity memo this test was written for is gone: with the direct
+    encoding it did not pay for itself, see docs/architecture.md.)"""
     import repro.core.voting as voting
 
     ctx, txs = vote_ctx
@@ -302,33 +317,23 @@ def test_vote_statement_is_encoded_once_per_tuple_object(vote_ctx, monkeypatch):
         voting, "encode_statement", lambda s: encoded.append(s) or real(s)
     )
 
-    def fresh(votes):
-        return real(("VOTE", 1, 0, "memo", tuple(votes)))
+    def enc(votes):
+        return session._vote_enc(votes, int8_seq_bytes(votes))
 
     votes = (1, -1, 0)
-    assert session._vote_enc(votes) == session._vote_enc(votes) == fresh(votes)
-    assert len(encoded) == 1
-    twin = tuple([1, -1, 0])  # equal, distinct
-    assert twin is not votes
-    assert session._vote_enc(twin) == fresh(votes)
-    assert len(encoded) == 2
+    walked = element_walk_vote_statement(1, 0, "memo", votes)
+    assert enc(votes) == enc(tuple([1, -1, 0])) == enc([1, -1, 0]) == walked
+    assert encoded == []
     # True == 1 and hashes alike, but encodes differently: no aliasing.
     alias = (True, -1, 0)
-    assert alias == votes
-    assert session._vote_enc(alias) == fresh(alias) != fresh(votes)
-    # Mutable carriers are never memoised.
-    as_list = [1, -1, 0]
-    assert session._vote_enc(as_list) == fresh(votes)
-    as_list[0] = -1
-    assert session._vote_enc(as_list) == fresh((-1, -1, 0))
-    # The memo is bounded: past the cap every call encodes.
-    keep = [tuple([k, 0, 0]) for k in range(40)]
-    for vote in keep:
-        session._vote_enc(vote)
-    assert len(session._enc_vote) <= 2 * 8
-    count = len(encoded)
-    assert session._vote_enc(keep[-1]) == fresh(keep[-1])
-    assert len(encoded) == count + 1
+    assert enc(alias) == element_walk_vote_statement(1, 0, "memo", alias) != walked
+    assert len(encoded) == 1
+    # A whole session: the TX_LIST statement is encoded once, no VOTE is.
+    del encoded[:]
+    session.start()
+    ctx.net.run()
+    assert session.finish().replies == ctx.committees[0].size
+    assert [statement[0] for statement in encoded] == ["TX_LIST"]
 
 
 def test_memoised_vote_check_still_rejects_forgeries(vote_ctx):
@@ -346,9 +351,8 @@ def test_memoised_vote_check_still_rejects_forgeries(vote_ctx):
 
     # wrong key: member 4 signs in member 3's name
     courier.send(0, "VOTE:forge", (3, no, sign(courier.keypair, statement(no))))
-    # right key, signature over a different vector (both already memoised)
+    # right key, signature over a different vector
     sig_yes = sign(victim.keypair, statement(yes))
-    session._vote_enc(yes), session._vote_enc(no)
     courier.send(0, "VOTE:forge", (3, no, sig_yes))
     ctx.net.run(until=ctx.net.now + 3 * ctx.params.net.delta)
     assert 3 not in session._votes and session.result.replies == 7
@@ -493,3 +497,171 @@ def test_utxo_listing_cache_is_derived_state_across_a_checkpoint(tmp_path):
         assert_listing_is_its_tuple(twin)
         assert twin.digest_items() == state.digest_items()
         assert_listing_is_its_tuple(state)
+
+
+# -- (vii) the direct forms against their element walks ---------------------------
+class Name(str):
+    """A ``str`` subclass: the generic encoder encodes it as its base."""
+
+
+class Blob(bytes):
+    """A ``bytes`` subclass, likewise."""
+
+
+ints_like = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.integers(-(2**31), 2**31).map(np.int64),
+)
+tx_inputs = st.lists(
+    st.builds(TxInput, st.one_of(st.binary(max_size=40), st.binary(max_size=8).map(Blob)), ints_like),
+    max_size=4,
+)
+tx_outputs = st.lists(
+    st.builds(
+        TxOutput,
+        st.one_of(st.text(max_size=12), st.text(max_size=6).map(Name)),
+        st.one_of(ints_like, st.floats(allow_nan=False)),
+    ),
+    max_size=4,
+)
+
+
+@given(tx_inputs, tx_outputs, ints_like)
+@example([], [TxOutput("user-0", 1_000)], 0)  # a coinbase
+@example([TxInput(b"\x01" * 32, 0), TxInput(b"\x02" * 32, 7)], [TxOutput("é", 5)], 3)
+@example([TxInput(b"\x01" * 32, True)], [TxOutput("a", 1)], 1)  # index True != 1
+@example([TxInput(b"\x01" * 32, 1)], [TxOutput("a", 1.0)], 1)  # amount 1.0 != 1
+def test_txid_is_the_element_walk(inputs, outputs, nonce):
+    tx = Transaction(inputs=tuple(inputs), outputs=tuple(outputs), nonce=nonce)
+    assert tx.txid == element_walk_txid(tx)
+
+
+def test_generated_txids_are_the_element_walk():
+    generator = WorkloadGenerator(m=3, users_per_shard=8, rng=np.random.default_rng(2))
+    batch = [t.tx for t in generator.generate_batch(60, 0.4, 0.3)]
+    assert {len(tx.inputs) for tx in [generator.genesis_tx, *batch]} == {0, 1}
+    for tx in [generator.genesis_tx, *batch]:
+        assert tx.txid == element_walk_txid(tx)
+
+
+vote_elements = st.one_of(
+    st.integers(-1, 1),
+    st.integers(-130, 130),  # int8's edges and just past them
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.integers(-128, 127).map(np.int8),
+    st.floats(-2, 2),
+)
+vote_vectors = st.tuples(
+    st.one_of(st.lists(st.integers(-1, 1), max_size=300), st.lists(vote_elements, max_size=12)),
+    st.booleans(),
+).map(lambda drawn: tuple(drawn[0]) if drawn[1] else drawn[0])
+
+
+def is_int8_vector(votes):
+    return all(type(v) is int and -128 <= v <= 127 for v in votes)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(vote_vectors)
+@example(())
+@example((True, -1, 0))  # == (1, -1, 0), encodes otherwise
+@example([1, -1, 0])
+@example((127, -128, 128))
+@example((-129,))
+@example((np.int8(1), 0))
+def test_vote_statement_is_the_element_walk(vote_ctx, votes):
+    ctx, txs = vote_ctx
+    session = VoteRoundSession(ctx, ctx.committees[0], txs, "walk", input_side_votes, "intra")
+    vector = int8_seq_bytes(votes)
+    assert (vector is not None) == is_int8_vector(votes)
+    if vector is not None:
+        assert vector == canonical_bytes(tuple(votes)) == canonical_bytes(list(votes))
+    assert session._vote_enc(votes, vector) == element_walk_vote_statement(
+        1, 0, "walk", votes
+    )
+
+
+@given(st.integers(0, 10**6), st.lists(st.integers(-(2**70), 2**70), max_size=300))
+@example(0, [])
+def test_vote_message_size_is_the_element_walk(mid, votes):
+    sig = Signature(pk="pk-0", tag=b"\x00" * 32)
+    for carrier in (tuple(votes), list(votes)):
+        assert vote_message_size(len(votes)) == element_walk_vote_message_size(
+            mid, carrier, sig
+        )
+    # A bool is one byte: the closed form is only for exact ints.
+    assert element_walk_vote_message_size(mid, (True, *votes), sig) == (
+        vote_message_size(len(votes) + 1) - 7
+    )
+
+
+def test_every_vote_message_is_sized_as_its_payload(vote_ctx):
+    ctx, txs = vote_ctx
+    seen = []
+
+    def observe(probe):
+        if probe.tag.startswith("VOTE:"):
+            seen.append((probe.size, element_walk_vote_message_size(*probe.payload)))
+        return False
+
+    ctx.net.drop_filter = observe
+    session = VoteRoundSession(ctx, ctx.committees[0], txs, "sized", input_side_votes, "intra")
+    session.start()
+    ctx.net.run()
+    result = session.finish()
+    assert result.replies == ctx.committees[0].size
+    assert len(seen) == ctx.committees[0].size - 1  # the leader votes in place
+    assert all(size == walked == vote_message_size(len(txs)) for size, walked in seen)
+
+
+class Capacity:
+    """The one part of a node the vote hooks use: its budget."""
+
+    def __init__(self, capacity):
+        self.left = capacity
+
+    def take_budget(self, want):
+        granted = max(0, min(want, self.left))
+        self.left -= granted
+        return granted
+
+
+class Verdicts:
+    """A shard state whose V returns a drawn verdict and logs every call."""
+
+    def __init__(self, verdicts):
+        self.verdicts, self.calls = verdicts, []
+
+    def validate(self, tx):
+        self.calls.append(tx)
+        return self.verdicts[tx.nonce]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(list(ValidationResult)),
+            st.lists(st.integers(-2, 3), max_size=3),  # empty outputs too
+        ),
+        max_size=24,
+    ),
+    st.integers(-1, 30),
+    st.booleans(),
+)
+def test_honest_votes_are_the_per_item_fill(drawn, capacity, as_tuple):
+    txs = [
+        Transaction(inputs=(), outputs=tuple(TxOutput("a", v) for v in amounts), nonce=i)
+        for i, (_verdict, amounts) in enumerate(drawn)
+    ]
+    txs = tuple(txs) if as_tuple else txs
+    verdicts = [verdict for verdict, _amounts in drawn]
+    direct, walked = Verdicts(verdicts), Verdicts(verdicts)
+    fill = Behavior().vote(Capacity(capacity), txs, direct, None)
+    reference = PerItemBehavior().vote(Capacity(capacity), txs, walked, None)
+    assert fill.dtype == np.int8 and fill.tolist() == reference.tolist()
+    assert direct.calls == walked.calls  # the same txs judged, in order
+    fill = Behavior().vote_on_outputs(Capacity(capacity), txs, None)
+    reference = PerItemBehavior().vote_on_outputs(Capacity(capacity), txs, None)
+    assert fill.dtype == np.int8 and fill.tolist() == reference.tolist()

@@ -17,6 +17,7 @@ from repro.ledger.transaction import (
     shard_of_address,
 )
 from repro.ledger.transaction import make_coinbase
+from repro.ledger.workload import TaggedTx
 from repro.ledger.utxo import (
     UTXOSet,
     ValidationResult,
@@ -35,9 +36,12 @@ def funded():
     return utxos, (genesis.txid, 0)
 
 
-@pytest.mark.parametrize("cls", [TxInput, TxOutput, Transaction])
+WRITTEN_OUT = (TxInput, TxOutput, Transaction, TaggedTx)
+
+
+@pytest.mark.parametrize("cls", WRITTEN_OUT)
 def test_written_out_constructors_are_the_dataclass_ones(cls):
-    """The three hand-written ``__init__``s take the fields in order with the
+    """The hand-written ``__init__``s take the fields in order with the
     field defaults, leave the record frozen, and (why they exist) have code
     of their own rather than the ``('<string>', 2, '__init__')`` every
     generated constructor shares in a ``pstats``-keyed profile."""
@@ -49,7 +53,7 @@ def test_written_out_constructors_are_the_dataclass_ones(cls):
         assert params[f.name].default == default
     code = cls.__init__.__code__
     assert code.co_filename == inspect.getsourcefile(cls)
-    assert len({c.__init__.__code__.co_firstlineno for c in (TxInput, TxOutput, Transaction)}) == 3
+    assert len({c.__init__.__code__ for c in WRITTEN_OUT}) == len(WRITTEN_OUT)
     record = cls(*range(len(fields)))
     assert [getattr(record, f.name) for f in fields] == list(range(len(fields)))
     with pytest.raises(dataclasses.FrozenInstanceError):
