@@ -174,7 +174,7 @@ class RivalBackend(CommitteeSimBackend):
     def _output_shards(self, tagged: TaggedTx) -> list[int]:
         """Shards holding this transaction's non-home outputs."""
         shard_of = self.workload.shard_of
-        shards = {shard_of[output.address] for output in tagged.tx.outputs}
+        shards = {shard_of[address] for address, _amount in tagged.tx.outputs}
         shards.discard(tagged.home_shard)
         return sorted(shards)
 

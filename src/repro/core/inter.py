@@ -62,8 +62,8 @@ class InterReport:
 
 def dest_shard(tx: Transaction, home: int, shard_of: ShardMap) -> int | None:
     """The receiving shard of a cross-shard tx (first non-home output)."""
-    for output in tx.outputs:
-        shard = shard_of[output.address]
+    for address, _amount in tx.outputs:
+        shard = shard_of[address]
         if shard != home:
             return shard
     return None
@@ -370,7 +370,7 @@ def _prefilter(
                 state is not None
                 and state.validate(tx) is ValidationResult.VALID
             )
-            output_ok = bool(tx.outputs) and all(o.amount > 0 for o in tx.outputs)
+            output_ok = bool(tx.outputs) and all(amount > 0 for _address, amount in tx.outputs)
             if input_ok and output_ok:
                 kept.append(tx)
             else:

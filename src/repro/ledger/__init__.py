@@ -9,8 +9,6 @@ no double spending).
 
 from repro.ledger.transaction import (
     Transaction,
-    TxInput,
-    TxOutput,
     shard_of_address,
     make_transfer,
 )
@@ -21,8 +19,6 @@ from repro.ledger.workload import WorkloadGenerator, TaggedTx
 
 __all__ = [
     "Transaction",
-    "TxInput",
-    "TxOutput",
     "shard_of_address",
     "make_transfer",
     "UTXOSet",

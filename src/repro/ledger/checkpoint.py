@@ -49,8 +49,10 @@ import numpy as np
 
 #: Bump when the capture layout changes incompatibly (2: the pickled
 #: ``ProtocolParams`` lost a field; 3: one scenario-driver block, no
-#: ``policy`` entries, and files carry the checked header).
-CHECKPOINT_VERSION = 3
+#: ``policy`` entries, and files carry the checked header; 4: transaction
+#: inputs and outputs are plain tuples, so the stream names no record class
+#: but ``Transaction``, rebuilt from its fields).
+CHECKPOINT_VERSION = 4
 
 #: File header: magic, layout version, payload length, payload SHA-256.
 MAGIC = b"CYCLCKPT"

@@ -97,7 +97,7 @@ class ShardState:
         # order, a listing built from nothing only ever appends.
         for op in sorted(op for op in current if op not in listed):
             output = current[op]
-            item = (op[0].hex(), op[1], output.address, output.amount)
+            item = (op[0].hex(), op[1], *output)
             part, size = canonical_bytes(item), payload_size(item)
             at = bisect_left(keys, op)
             listed[op] = output
@@ -136,6 +136,6 @@ def apply_block(
                     spent += 1
         txid = tx.txid
         for index, output in enumerate(tx.outputs):
-            sets[shard_of[output.address]].add((txid, index), output)
+            sets[shard_of[output[0]]].add((txid, index), output)
             created += 1
     return spent, created

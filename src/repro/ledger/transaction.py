@@ -1,9 +1,16 @@
-"""Transactions in the UTXO model."""
+"""Transactions in the UTXO model.
+
+An input is the outpoint it spends, the exact tuple ``(txid, index)``; an
+output is the exact tuple ``(address, amount)``.  A tuple of atoms is one
+the cyclic collector stops tracking at its first pass, so the records the
+chain and the UTXO sets hold for the rest of a run cost it nothing.  A
+tuple subclass, a named tuple or a slotted record would stay tracked for
+its whole life (CI ``lint`` rejects them under ``src/repro``).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from hashlib import sha256
 
 from repro.crypto.hashing import H, H_int
@@ -35,110 +42,98 @@ class ShardMap(dict):
         return shard
 
 
-# The three records below spell out the ``__init__`` that ``@dataclass`` would
-# generate: every generated one has the code identity ``('<string>', 2,
-# '__init__')``, so a profile keyed on that (``pstats``) keeps one constructor's
-# time and drops the rest, and these are built once per generated transaction.
-@dataclass(frozen=True, slots=True)
-class TxInput:
-    """Reference to an unspent output: ``(txid, index)``."""
+class _Derived:
+    """What a :class:`Transaction` derives from its fields when it is built:
+    slots of their own rather than dataclass fields, so ``fields_size``,
+    ``==``, ``hash`` and the pickle stream never see them."""
 
-    txid: bytes
-    index: int
-
-    def __init__(self, txid: bytes, index: int) -> None:
-        object.__setattr__(self, "txid", txid)
-        object.__setattr__(self, "index", index)
+    __slots__ = ("txid", "wire_size")
 
 
 @dataclass(frozen=True, slots=True)
-class TxOutput:
-    """A spendable coin: owner address and amount."""
-
-    address: str
-    amount: int
-
-    def __init__(self, address: str, amount: int) -> None:
-        object.__setattr__(self, "address", address)
-        object.__setattr__(self, "amount", amount)
-
-
-@dataclass(frozen=True)
-class Transaction:
+class Transaction(_Derived):
     """An immutable transaction.
 
     ``nonce`` disambiguates otherwise-identical transfers (same payer, payee
     and amount) so txids are unique.  The fee is implicit:
     ``sum(inputs) - sum(outputs)``, computable only against a UTXO set.
+
+    ``txid`` is ``H("TX", inputs, outputs, nonce)`` and ``wire_size`` what
+    ``payload_size`` reports for the transaction (the sum of its three
+    fields plus framing); both are derived once, here.
     """
 
-    inputs: tuple[TxInput, ...]
-    outputs: tuple[TxOutput, ...]
+    inputs: tuple[tuple[bytes, int], ...]
+    outputs: tuple[tuple[str, int], ...]
     nonce: int = 0
 
+    # Spelled out rather than generated: every ``@dataclass`` ``__init__`` has
+    # the code identity ``('<string>', 2, '__init__')``, so a profile keyed on
+    # that (``pstats``) keeps one constructor's time and drops the rest, and
+    # one of these is built per generated transaction.
     def __init__(self, inputs: tuple, outputs: tuple, nonce: int = 0) -> None:
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "outputs", outputs)
-        object.__setattr__(self, "nonce", nonce)
+        setattr_ = object.__setattr__
+        setattr_(self, "inputs", inputs)
+        setattr_(self, "outputs", outputs)
+        setattr_(self, "nonce", nonce)
+        derived = _formatted_txid_and_size(inputs, outputs, nonce)
+        if derived is None:
+            derived = H("TX", inputs, outputs, nonce), fields_size(self)
+        setattr_(self, "txid", derived[0])
+        setattr_(self, "wire_size", derived[1])
 
-    @cached_property
-    def txid(self) -> bytes:
-        """``H("TX", ((txid, index), ...), ((address, amount), ...), nonce)``
-        as one ``sha256`` over the frames ``canonical_bytes`` would build,
-        formatted in place.  A field of another type than ``bytes`` /
-        ``str`` / ``int`` (a bool, a float, a numpy int, a subclass) takes
-        ``H`` itself."""
-        ins = []
-        for i in self.inputs:
-            txid, index = i.txid, i.index
-            if type(txid) is not bytes or type(index) is not int:
-                return self._generic_txid()
-            digits = b"%d" % index
-            pair = b"b%d:%b\x1fi%d:%b" % (len(txid), txid, len(digits), digits)
-            ins.append(b"t%d:%b" % (len(pair), pair))
-        outs = []
-        for o in self.outputs:
-            address, amount = o.address, o.amount
-            if type(address) is not str or type(amount) is not int:
-                return self._generic_txid()
-            name, digits = address.encode("utf-8"), b"%d" % amount
-            pair = b"s%d:%b\x1fi%d:%b" % (len(name), name, len(digits), digits)
-            outs.append(b"t%d:%b" % (len(pair), pair))
-        if type(self.nonce) is not int:
-            return self._generic_txid()
-        ins_b, outs_b = b"\x1f".join(ins), b"\x1f".join(outs)
-        nonce = b"%d" % self.nonce
-        return sha256(
-            b"s2:TXt%d:%bt%d:%bi%d:%b"
-            % (len(ins_b), ins_b, len(outs_b), outs_b, len(nonce), nonce)
-        ).digest()
-
-    def _generic_txid(self) -> bytes:
-        return H(
-            "TX",
-            tuple((i.txid, i.index) for i in self.inputs),
-            tuple((o.address, o.amount) for o in self.outputs),
-            self.nonce,
-        )
-
-    @cached_property
-    def wire_size(self) -> int:
-        """Modelled wire size (what ``payload_size`` reports for this
-        transaction): the value is immutable, so it is sized once."""
-        return fields_size(self)
+    def __reduce__(self) -> tuple:
+        # Rebuilt from its fields: the derived slots are never pickled.
+        return (Transaction, (self.inputs, self.outputs, self.nonce))
 
     def output_total(self) -> int:
-        return sum(o.amount for o in self.outputs)
+        return sum([amount for _address, amount in self.outputs])
 
     def outpoints(self) -> tuple[tuple[bytes, int], ...]:
         """The (txid, index) pairs this transaction consumes."""
-        return tuple((i.txid, i.index) for i in self.inputs)
+        return self.inputs
 
     def __repr__(self) -> str:
         return (
             f"Transaction({self.txid.hex()[:10]}…, {len(self.inputs)} in, "
             f"{len(self.outputs)} out)"
         )
+
+
+def _formatted_txid_and_size(
+    inputs: tuple, outputs: tuple, nonce: int
+) -> tuple[bytes, int] | None:
+    """``(txid, wire_size)`` as one ``sha256`` over the frames
+    ``canonical_bytes`` would build, formatted in place, and the sizes
+    ``payload_size`` would add up.  ``None`` when a field is of another type
+    than ``bytes`` / ``str`` / ``int`` (a bool, a float, a numpy int, a
+    subclass): ``H`` and ``fields_size`` take those."""
+    size = 14  # the three fields' frame, the two sequences' frames, the nonce
+    ins = []
+    for txid, index in inputs:
+        if type(txid) is not bytes or type(index) is not int:
+            return None
+        digits = b"%d" % index
+        pair = b"b%d:%b\x1fi%d:%b" % (len(txid), txid, len(digits), digits)
+        ins.append(b"t%d:%b" % (len(pair), pair))
+        size += 10 + len(txid)
+    outs = []
+    for address, amount in outputs:
+        if type(address) is not str or type(amount) is not int:
+            return None
+        name, digits = address.encode("utf-8"), b"%d" % amount
+        pair = b"s%d:%b\x1fi%d:%b" % (len(name), name, len(digits), digits)
+        outs.append(b"t%d:%b" % (len(pair), pair))
+        size += 10 + len(address)
+    if type(nonce) is not int:
+        return None
+    ins_b, outs_b = b"\x1f".join(ins), b"\x1f".join(outs)
+    nonce_b = b"%d" % nonce
+    txid = sha256(
+        b"s2:TXt%d:%bt%d:%bi%d:%b"
+        % (len(ins_b), ins_b, len(outs_b), outs_b, len(nonce_b), nonce_b)
+    ).digest()
+    return txid, size
 
 
 def make_transfer(
@@ -166,14 +161,12 @@ def make_transfer(
         raise ValueError(
             f"source {source_amount} cannot cover amount {amount} + fee {fee}"
         )
-    outputs = [TxOutput(payee, amount)]
+    outputs = [(payee, amount)]
     if change > 0:
-        outputs.append(TxOutput(change_address, change))
-    return Transaction(
-        inputs=(TxInput(*source),), outputs=tuple(outputs), nonce=nonce
-    )
+        outputs.append((change_address, change))
+    return Transaction(inputs=(source,), outputs=tuple(outputs), nonce=nonce)
 
 
-def make_coinbase(outputs: list[TxOutput], nonce: int = 0) -> Transaction:
+def make_coinbase(outputs: list[tuple[str, int]], nonce: int = 0) -> Transaction:
     """Genesis / reward transaction creating coins from nothing."""
     return Transaction(inputs=(), outputs=tuple(outputs), nonce=nonce)

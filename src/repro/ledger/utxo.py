@@ -11,7 +11,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, Iterator
 
-from repro.ledger.transaction import Transaction, TxOutput
+from repro.ledger.transaction import Transaction
 
 
 class ValidationResult(Enum):
@@ -39,7 +39,7 @@ class UTXOSet:
     """
 
     def __init__(self) -> None:
-        self._utxos: dict[tuple[bytes, int], TxOutput] = {}
+        self._utxos: dict[tuple[bytes, int], tuple[str, int]] = {}
         #: Bumped by every content change (``add``/``spend``/``restore``):
         #: anything derived from the contents is stale once it moves.
         self.version = 0
@@ -54,27 +54,27 @@ class UTXOSet:
     def __iter__(self) -> Iterator[tuple[bytes, int]]:
         return iter(self._utxos)
 
-    def get(self, outpoint: tuple[bytes, int]) -> TxOutput | None:
+    def get(self, outpoint: tuple[bytes, int]) -> tuple[str, int] | None:
         return self._utxos.get(outpoint)
 
     def amount(self, outpoint: tuple[bytes, int]) -> int:
         output = self._utxos.get(outpoint)
-        return 0 if output is None else output.amount
+        return 0 if output is None else output[1]
 
     def total_value(self) -> int:
-        return sum(o.amount for o in self._utxos.values())
+        return sum([amount for _address, amount in self._utxos.values()])
 
     def outpoints_of(self, address: str) -> list[tuple[bytes, int]]:
-        return [op for op, out in self._utxos.items() if out.address == address]
+        return [op for op, (owner, _) in self._utxos.items() if owner == address]
 
     # -- mutation --------------------------------------------------------------
-    def add(self, outpoint: tuple[bytes, int], output: TxOutput) -> None:
+    def add(self, outpoint: tuple[bytes, int], output: tuple[str, int]) -> None:
         if outpoint in self._utxos:
             raise ValueError(f"outpoint {outpoint[0].hex()[:8]}:{outpoint[1]} exists")
         self._utxos[outpoint] = output
         self.version += 1
 
-    def spend(self, outpoint: tuple[bytes, int]) -> TxOutput:
+    def spend(self, outpoint: tuple[bytes, int]) -> tuple[str, int]:
         self.version += 1
         try:
             return self._utxos.pop(outpoint)
@@ -90,10 +90,10 @@ class UTXOSet:
         for index, output in enumerate(tx.outputs):
             self.add((tx.txid, index), output)
 
-    def snapshot(self) -> dict[tuple[bytes, int], TxOutput]:
+    def snapshot(self) -> dict[tuple[bytes, int], tuple[str, int]]:
         return dict(self._utxos)
 
-    def restore(self, snapshot: dict[tuple[bytes, int], TxOutput]) -> None:
+    def restore(self, snapshot: dict[tuple[bytes, int], tuple[str, int]]) -> None:
         self._utxos = dict(snapshot)
         self.version += 1
 
@@ -117,7 +117,7 @@ def validate_transaction(tx: Transaction, utxos: UTXOSet) -> ValidationResult:
     """
     if not tx.outputs:
         return ValidationResult.EMPTY
-    if any(o.amount <= 0 for o in tx.outputs):
+    if any(amount <= 0 for _address, amount in tx.outputs):
         return ValidationResult.NONPOSITIVE_OUTPUT
     outpoints = tx.outpoints()
     if len(set(outpoints)) != len(outpoints):
@@ -127,7 +127,7 @@ def validate_transaction(tx: Transaction, utxos: UTXOSet) -> ValidationResult:
         output = utxos.get(outpoint)
         if output is None:
             return ValidationResult.MISSING_INPUT
-        total_in += output.amount
+        total_in += output[1]
     if total_in < tx.output_total():
         return ValidationResult.OVERSPEND
     return ValidationResult.VALID

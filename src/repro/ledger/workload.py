@@ -41,8 +41,6 @@ import numpy as np
 from repro.ledger.transaction import (
     ShardMap,
     Transaction,
-    TxInput,
-    TxOutput,
     make_coinbase,
     shard_of_address,
 )
@@ -59,8 +57,8 @@ class TaggedTx:
     intended_valid: bool
     defect: str | None = None  # 'double_spend' | 'overspend' | 'phantom_input'
 
-    # Spelled out like ``TxInput``'s (see ``repro.ledger.transaction``): one
-    # is built per generated transaction.
+    # Spelled out like ``Transaction``'s (see ``repro.ledger.transaction``):
+    # one is built per generated transaction.
     def __init__(
         self,
         tx: Transaction,
@@ -123,7 +121,7 @@ class WorkloadGenerator:
                 open_slots -= 1
         self.genesis_tx = make_coinbase(
             [
-                TxOutput(address, endowment)
+                (address, endowment)
                 for bucket in self.addresses_by_shard
                 for address in bucket
             ]
@@ -132,10 +130,9 @@ class WorkloadGenerator:
         self._spendable: list[list[tuple[tuple[bytes, int], str, int]]] = [
             [] for _ in range(m)
         ]
-        for index, output in enumerate(self.genesis_tx.outputs):
-            shard = self.shard_of[output.address]
-            self._spendable[shard].append(
-                ((self.genesis_tx.txid, index), output.address, output.amount)
+        for index, (address, amount) in enumerate(self.genesis_tx.outputs):
+            self._spendable[self.shard_of[address]].append(
+                ((self.genesis_tx.txid, index), address, amount)
             )
         # Confirmed spends only: what the double-spend injector draws from.
         self._spent: list[tuple[tuple[bytes, int], str, int]] = []
@@ -182,11 +179,11 @@ class WorkloadGenerator:
         payee = self._pick_payee(home, cross)
         spend = max(1, int(self.rng.integers(1, max(2, amount - self.fee))))
         change = amount - spend - self.fee
-        outputs = [TxOutput(payee, spend)]
+        outputs = [(payee, spend)]
         if change > 0:
-            outputs.append(TxOutput(owner, change))
+            outputs.append((owner, change))
         tx = Transaction(
-            inputs=(TxInput(*outpoint),),
+            inputs=(outpoint,),
             outputs=tuple(outputs),
             nonce=self._next_nonce(),
         )
@@ -222,8 +219,8 @@ class WorkloadGenerator:
                 int(self.rng.integers(0, len(self._spent)))
             ]
             tx = Transaction(
-                inputs=(TxInput(*outpoint),),
-                outputs=(TxOutput(payee, max(1, amount - self.fee)),),
+                inputs=(outpoint,),
+                outputs=((payee, max(1, amount - self.fee)),),
                 nonce=self._next_nonce(),
             )
         elif defect == "overspend" and self._spendable[home]:
@@ -234,8 +231,8 @@ class WorkloadGenerator:
                 int(self.rng.integers(0, len(self._spendable[home])))
             ]
             tx = Transaction(
-                inputs=(TxInput(*outpoint),),
-                outputs=(TxOutput(payee, amount * 2 + 1),),
+                inputs=(outpoint,),
+                outputs=((payee, amount * 2 + 1),),
                 nonce=self._next_nonce(),
             )
         else:
@@ -243,14 +240,14 @@ class WorkloadGenerator:
             phantom = (
                 Transaction(
                     inputs=(),
-                    outputs=(TxOutput("nobody", 1),),
+                    outputs=(("nobody", 1),),
                     nonce=self._next_nonce(),
                 ).txid,
                 0,
             )
             tx = Transaction(
-                inputs=(TxInput(*phantom),),
-                outputs=(TxOutput(payee, 10),),
+                inputs=(phantom,),
+                outputs=((payee, 10),),
                 nonce=self._next_nonce(),
             )
         out_shard = self.shard_of[payee]

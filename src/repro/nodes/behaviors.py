@@ -91,7 +91,9 @@ class Behavior:
         votes = np.zeros(len(txs), dtype=np.int8)
         budget = node.take_budget(len(txs))
         votes[:budget] = [
-            YES if tx.outputs and all(o.amount > 0 for o in tx.outputs) else NO
+            YES
+            if tx.outputs and all(amount > 0 for _address, amount in tx.outputs)
+            else NO
             for tx in islice(txs, budget)
         ]
         return votes

@@ -329,3 +329,28 @@ def test_running_every_backend_grows_no_module_level_container():
     assert grew == {}
     for name in _TYPE_KEYED:
         assert all(isinstance(key, type) for key in containers[name]), name
+
+
+@pytest.mark.parametrize("name", ("rapidchain", "cycledger"))
+def test_a_packed_transaction_leaves_one_tracked_object(name):
+    """The chain and the UTXO sets hold a packed transaction's records for
+    the rest of the run, and every full collection walks whatever of them
+    the collector tracks.  An input and an output are exact tuples of atoms,
+    which it stops tracking, so a packed transaction leaves its
+    ``Transaction`` and little else (dataclass records left about 7)."""
+    import gc
+
+    params = ProtocolParams(seed=1, **{**SMALL, "users_per_shard": 64, "tx_per_committee": 24})
+    ledger = create_backend(name, params)
+    ledger.report_retention = 1  # the round reports are not the ledger's records
+    ledger.run(2)
+    gc.collect()
+    tracked, packed = len(gc.get_objects()), ledger.total_packed()
+    ledger.run(3)
+    gc.collect()
+    grew, packed = len(gc.get_objects()) - tracked, ledger.total_packed() - packed
+    assert packed >= 100 and grew <= 1.5 * packed, (grew, packed)
+    tx = next(tx for tx in ledger.chain.head.transactions if tx.inputs)
+    utxos = ledger.shard_states[0].utxos
+    for record in (tx.inputs, tx.outputs, *tx.inputs, *tx.outputs, utxos.get(next(iter(utxos)))):
+        assert type(record) is tuple and gc.is_tracked(record) is False, record

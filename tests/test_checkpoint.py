@@ -175,8 +175,9 @@ def test_version_mismatch_rejected():
     half = create_backend("cycledger", _params())
     half.run(1)
     state = capture_checkpoint(half)
-    # A newer layout, and version 2 (it had a second driver block).
-    for stale in (CHECKPOINT_VERSION + 1, 2):
+    # A newer layout, version 3 (its transactions held record objects) and
+    # version 2 (it had a second driver block).
+    for stale in (CHECKPOINT_VERSION + 1, 3, 2):
         state["version"] = stale
         with pytest.raises(ValueError, match="version"):
             restore_checkpoint(state)
@@ -235,7 +236,7 @@ _TRIPWIRE = pickle.dumps(_Tripwire(), protocol=4)
     [
         (_checkpoint_file(_TRIPWIRE)[:-1], "length"),
         (_checkpoint_file(_TRIPWIRE)[:-1] + b"\x00", "digest"),
-        (_checkpoint_file(_TRIPWIRE, version=2), "version 2 != 3"),
+        (_checkpoint_file(_TRIPWIRE, version=3), "version 3 != 4"),
         # what the parent commit's save_checkpoint wrote: a bare pickle
         (_TRIPWIRE, "magic"),
         (b"not a checkpoint at all", "magic"),

@@ -34,7 +34,6 @@ from repro.analysis.invariants import (
 )
 from repro.backends import backend_names, create_backend
 from repro.core.config import ProtocolParams
-from repro.ledger.transaction import TxOutput
 from repro.nodes.adversary import AdversaryConfig
 from repro.scenarios import SCENARIO_PRESETS, AdversaryPolicy
 
@@ -178,7 +177,7 @@ def test_utxo_inflation_detected():
     checker = InvariantChecker()
     checker.install(ledger)
     ledger.run(rounds=1)
-    ledger.global_utxos.add((b"\xab" * 32, 0), TxOutput("forger", 10_000))
+    ledger.global_utxos.add((b"\xab" * 32, 0), ("forger", 10_000))
     with pytest.raises(InvariantViolationError, match="utxo-conservation"):
         ledger.run(rounds=1)
 
@@ -230,7 +229,7 @@ def test_census_mode_collects_instead_of_raising():
     ledger.run(rounds=1)
     # Mint more than one round's fees can destroy, or legitimate fee burn
     # would mask the inflation at the next round boundary.
-    ledger.global_utxos.add((b"\xcd" * 32, 0), TxOutput("forger", 10_000))
+    ledger.global_utxos.add((b"\xcd" * 32, 0), ("forger", 10_000))
     ledger.run(rounds=1)
     assert [v.invariant for v in checker.violations] == ["utxo-conservation"]
     with pytest.raises(InvariantViolationError):
@@ -242,7 +241,7 @@ def test_violation_string_names_round_and_invariant():
     checker = InvariantChecker(raise_on_violation=False)
     checker.install(ledger)
     ledger.run(rounds=1)
-    ledger.global_utxos.add((b"\xef" * 32, 0), TxOutput("forger", 10_000))
+    ledger.global_utxos.add((b"\xef" * 32, 0), ("forger", 10_000))
     ledger.run(rounds=1)
     text = str(checker.violations[0])
     assert "utxo-conservation" in text and "r2" in text

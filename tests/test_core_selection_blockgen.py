@@ -13,7 +13,7 @@ from repro.core.sandbox import build_multi_sandbox
 from repro.core.selection import run_selection
 from repro.core.semicommit import run_semi_commitment_exchange
 from repro.ledger.state import apply_block
-from repro.ledger.transaction import Transaction, TxInput, TxOutput, make_coinbase
+from repro.ledger.transaction import Transaction, make_coinbase
 from repro.ledger.workload import WorkloadGenerator
 
 
@@ -142,18 +142,18 @@ def test_global_state_conservation():
 
 
 def _chain_txs():
-    genesis = make_coinbase([TxOutput("a", 100), TxOutput("b", 100)])
+    genesis = make_coinbase([("a", 100), ("b", 100)])
     tx1 = Transaction(
-        inputs=(TxInput(genesis.txid, 0),), outputs=(TxOutput("c", 99),), nonce=1
+        inputs=((genesis.txid, 0),), outputs=(("c", 99),), nonce=1
     )
     tx2 = Transaction(  # spends tx1's output: relevant to tx1
-        inputs=(TxInput(tx1.txid, 0),), outputs=(TxOutput("d", 98),), nonce=2
+        inputs=((tx1.txid, 0),), outputs=(("d", 98),), nonce=2
     )
     tx3 = Transaction(  # same input as tx1: relevant (conflict)
-        inputs=(TxInput(genesis.txid, 0),), outputs=(TxOutput("e", 99),), nonce=3
+        inputs=((genesis.txid, 0),), outputs=(("e", 99),), nonce=3
     )
     tx4 = Transaction(  # independent
-        inputs=(TxInput(genesis.txid, 1),), outputs=(TxOutput("f", 99),), nonce=4
+        inputs=((genesis.txid, 1),), outputs=(("f", 99),), nonce=4
     )
     return tx1, tx2, tx3, tx4
 
@@ -192,7 +192,7 @@ def _related_tx_lists(draw):
     """Transactions over a small coin pool, so inputs are often shared;
     later ones may spend earlier ones' outputs (spend chains), some entries
     repeat an earlier transaction, and the list is shuffled."""
-    genesis = make_coinbase([TxOutput(f"g{i}", 100) for i in range(4)])
+    genesis = make_coinbase([(f"g{i}", 100) for i in range(4)])
     spendable = [(genesis.txid, i) for i in range(4)]
     txs: list[Transaction] = []
     for nonce in range(draw(st.integers(0, 10))):
@@ -202,8 +202,8 @@ def _related_tx_lists(draw):
         inputs = draw(st.lists(st.sampled_from(spendable), min_size=1, max_size=2))
         outputs = draw(st.integers(1, 2))
         tx = Transaction(
-            inputs=tuple(TxInput(txid, index) for txid, index in inputs),
-            outputs=tuple(TxOutput(f"o{nonce}.{k}", 1) for k in range(outputs)),
+            inputs=tuple(inputs),
+            outputs=tuple((f"o{nonce}.{k}", 1) for k in range(outputs)),
             nonce=nonce,
         )
         spendable += [(tx.txid, k) for k in range(outputs)]

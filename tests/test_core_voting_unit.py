@@ -13,18 +13,18 @@ from repro.core.voting import (
     run_vote_rounds,
 )
 from repro.ledger.state import apply_block
-from repro.ledger.transaction import TxOutput, make_coinbase, make_transfer
+from repro.ledger.transaction import make_coinbase, make_transfer
 
 
 @pytest.fixture
 def ctx_with_coins():
     ctx = build_sandbox(committee_size=8, lam=2)
     state = ctx.shard_states[0]
-    genesis = make_coinbase([TxOutput(f"user-{i}", 100) for i in range(12)])
+    genesis = make_coinbase([(f"user-{i}", 100) for i in range(12)])
     apply_block(ctx.shard_states, [genesis], ctx.shard_of)
     txs = []
     for nonce, op in enumerate(sorted(state.utxos, key=lambda o: (o[0], o[1]))[:5]):
-        owner = state.utxos.get(op).address
+        owner, _amount = state.utxos.get(op)
         txs.append(make_transfer(op, 100, "payee", 10, owner, nonce=nonce))
     run_committee_configuration(ctx)
     run_semi_commitment_exchange(ctx)

@@ -12,7 +12,6 @@ VOTE statement and size and the honest vote fill to the element walks of
 """
 
 import pickle
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -39,8 +38,6 @@ from repro.ledger.state import ShardState, apply_block
 from repro.ledger.transaction import (
     ShardMap,
     Transaction,
-    TxInput,
-    TxOutput,
     make_coinbase,
     make_transfer,
 )
@@ -201,7 +198,7 @@ def test_spent_history_holds_exactly_the_last_confirmed_spends():
 @pytest.fixture
 def shard():
     state = ShardState(0, 1)
-    genesis = make_coinbase([TxOutput(f"user-{i}", 100) for i in range(4)])
+    genesis = make_coinbase([(f"user-{i}", 100) for i in range(4)])
     apply_block([state], [genesis], ShardMap(1))
     spend = make_transfer((genesis.txid, 0), 100, "user-1", 10, "user-0", nonce=1)
     return state, genesis, spend
@@ -244,7 +241,7 @@ def test_verdict_never_survives_a_mutation(shard, v_calls):
     assert len(v_calls) == 3
     # Every mutator invalidates, whatever it touched.
     for mutate in (
-        lambda: state.utxos.add((b"\x07" * 32, 0), TxOutput("user-2", 5)),
+        lambda: state.utxos.add((b"\x07" * 32, 0), ("user-2", 5)),
         lambda: state.utxos.spend((b"\x07" * 32, 0)),
         lambda: state.utxos.restore(state.utxos.snapshot()),
         lambda: state.utxos.apply_transaction(
@@ -256,7 +253,7 @@ def test_verdict_never_survives_a_mutation(shard, v_calls):
         assert state.validate(spend) is ValidationResult.VALID
         assert len(v_calls) == before + 1
     overspend = Transaction(
-        inputs=(TxInput(genesis.txid, 1),), outputs=(TxOutput("user-0", 500),)
+        inputs=((genesis.txid, 1),), outputs=(("user-0", 500),)
     )
     assert state.validate(overspend) is ValidationResult.OVERSPEND
     assert state.validate(overspend) is ValidationResult.OVERSPEND
@@ -290,7 +287,7 @@ def test_verdict_flips_across_a_checkpoint_restore(tmp_path):
 def vote_ctx():
     ctx = build_sandbox(committee_size=8, lam=2)
     state = ctx.shard_states[0]
-    genesis = make_coinbase([TxOutput(f"user-{i}", 100) for i in range(8)])
+    genesis = make_coinbase([(f"user-{i}", 100) for i in range(8)])
     apply_block(ctx.shard_states, [genesis], ctx.shard_of)
     txs = [
         make_transfer((genesis.txid, i), 100, "payee", 10, f"user-{i}", nonce=i)
@@ -371,17 +368,11 @@ def test_memoised_vote_check_still_rejects_forgeries(vote_ctx):
     st.integers(0, 2**40),
 )
 def test_transaction_wire_size_is_the_recursive_dataclass_size(inputs, outputs, nonce):
-    tx = Transaction(
-        inputs=tuple(TxInput(*i) for i in inputs),
-        outputs=tuple(TxOutput(*o) for o in outputs),
-        nonce=nonce,
-    )
+    tx = Transaction(inputs=tuple(inputs), outputs=tuple(outputs), nonce=nonce)
     expected = payload_size([tx.inputs, tx.outputs, tx.nonce])
-    assert fields_size(tx) == expected
+    assert fields_size(tx) == expected  # the txid and size slots are not fields
     assert payload_size(tx) == tx.wire_size == expected
     assert payload_size([tx, (tx, 1)]) == 2 + expected + (2 + expected + 8)
-    tx.txid  # the txid cache is not a field: the size does not move
-    assert payload_size(tx) == expected
 
 
 def test_cached_sizes_are_derived_state_across_a_checkpoint(tmp_path):
@@ -441,7 +432,7 @@ def test_utxo_listing_is_the_sorted_tuple_through_every_mutation(steps, every_st
             if (txid, index) in state.utxos:
                 # same outpoint, another output object: not the cached entry
                 state.utxos.spend((txid, index))
-            state.utxos.add((txid, index), TxOutput(owner, amount))
+            state.utxos.add((txid, index), (owner, amount))
         elif step[0] == "spend" and len(state.utxos):
             state.utxos.spend(list(state.utxos)[step[1] % len(state.utxos)])
         elif step[0] == "restore":
@@ -479,7 +470,7 @@ def test_utxo_listing_encodes_only_what_the_block_created(shard, monkeypatch):
     # An equal output under the same outpoint is another object: re-encoded.
     del encoded[:]
     state.utxos.spend((spend.txid, 1))
-    state.utxos.add((spend.txid, 1), TxOutput(*astuple(spend.outputs[1])))
+    state.utxos.add((spend.txid, 1), (*spend.outputs[1],))
     assert_listing_is_its_tuple(state)
     assert [item[:2] for item in encoded] == [(spend.txid.hex(), 1)]
 
@@ -514,12 +505,11 @@ ints_like = st.one_of(
     st.integers(-(2**31), 2**31).map(np.int64),
 )
 tx_inputs = st.lists(
-    st.builds(TxInput, st.one_of(st.binary(max_size=40), st.binary(max_size=8).map(Blob)), ints_like),
+    st.tuples(st.one_of(st.binary(max_size=40), st.binary(max_size=8).map(Blob)), ints_like),
     max_size=4,
 )
 tx_outputs = st.lists(
-    st.builds(
-        TxOutput,
+    st.tuples(
         st.one_of(st.text(max_size=12), st.text(max_size=6).map(Name)),
         st.one_of(ints_like, st.floats(allow_nan=False)),
     ),
@@ -528,10 +518,10 @@ tx_outputs = st.lists(
 
 
 @given(tx_inputs, tx_outputs, ints_like)
-@example([], [TxOutput("user-0", 1_000)], 0)  # a coinbase
-@example([TxInput(b"\x01" * 32, 0), TxInput(b"\x02" * 32, 7)], [TxOutput("é", 5)], 3)
-@example([TxInput(b"\x01" * 32, True)], [TxOutput("a", 1)], 1)  # index True != 1
-@example([TxInput(b"\x01" * 32, 1)], [TxOutput("a", 1.0)], 1)  # amount 1.0 != 1
+@example([], [("user-0", 1_000)], 0)  # a coinbase
+@example([(b"\x01" * 32, 0), (b"\x02" * 32, 7)], [("é", 5)], 3)
+@example([(b"\x01" * 32, True)], [("a", 1)], 1)  # index True != 1
+@example([(b"\x01" * 32, 1)], [("a", 1.0)], 1)  # amount 1.0 != 1
 def test_txid_is_the_element_walk(inputs, outputs, nonce):
     tx = Transaction(inputs=tuple(inputs), outputs=tuple(outputs), nonce=nonce)
     assert tx.txid == element_walk_txid(tx)
@@ -652,7 +642,7 @@ class Verdicts:
 )
 def test_honest_votes_are_the_per_item_fill(drawn, capacity, as_tuple):
     txs = [
-        Transaction(inputs=(), outputs=tuple(TxOutput("a", v) for v in amounts), nonce=i)
+        Transaction(inputs=(), outputs=tuple(("a", v) for v in amounts), nonce=i)
         for i, (_verdict, amounts) in enumerate(drawn)
     ]
     txs = tuple(txs) if as_tuple else txs

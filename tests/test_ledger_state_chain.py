@@ -10,8 +10,6 @@ from repro.ledger.state import ShardState, apply_block
 from repro.ledger.transaction import (
     ShardMap,
     Transaction,
-    TxInput,
-    TxOutput,
     make_coinbase,
     make_transfer,
     shard_of_address,
@@ -44,12 +42,12 @@ def shard_views(m: int, genesis=None) -> list[ShardState]:
 
 def test_state_filters_genesis_by_shard():
     m = 4
-    genesis = make_coinbase([TxOutput(f"user-{i}", 10) for i in range(40)])
+    genesis = make_coinbase([(f"user-{i}", 10) for i in range(40)])
     states = shard_views(m, genesis)
     assert sum(state.size() for state in states) == 40
     for state in states:
         for op in state.utxos:
-            owner = state.utxos.get(op).address
+            owner, _amount = state.utxos.get(op)
             assert shard_of_address(owner, m) == state.shard
 
 
@@ -60,11 +58,11 @@ def test_state_shard_range():
 
 def test_apply_block_spends_and_creates():
     m = 2
-    genesis = make_coinbase([TxOutput(f"user-{i}", 100) for i in range(10)])
+    genesis = make_coinbase([(f"user-{i}", 100) for i in range(10)])
     states = shard_views(m, genesis)
     # pick a genesis output and build a transfer from it
     home = shard_of_address("user-0", m)
-    index = [i for i, o in enumerate(genesis.outputs) if o.address == "user-0"][0]
+    index = [i for i, (owner, _) in enumerate(genesis.outputs) if owner == "user-0"][0]
     tx = make_transfer((genesis.txid, index), 100, "user-1", 25, "user-0")
     sizes = [state.size() for state in states]
     assert apply_block(states, [tx], ShardMap(m)) == (1, 2)
@@ -108,7 +106,7 @@ def test_route_once_application_is_the_per_shard_loop(m, owners, blocks):
     """One walk over the block leaves every shard exactly as filtering the
     whole block through that shard did: same items in the same dict order,
     same version count, same size, same (spent, created) totals."""
-    genesis = make_coinbase([TxOutput(owner, 100) for owner in owners])
+    genesis = make_coinbase([(owner, 100) for owner in owners])
     routed = shard_views(m, genesis)
     shard_of = ShardMap(m)
     looped = shard_views(m)
@@ -132,12 +130,12 @@ def test_route_once_application_is_the_per_shard_loop(m, owners, blocks):
             nonce += 1
             tx = Transaction(
                 inputs=tuple(
-                    TxInput(*known[r % len(known)])
+                    known[r % len(known)]
                     if r >= 0
-                    else TxInput(bytes([-r]) * 32, 0)
+                    else (bytes([-r]) * 32, 0)
                     for r in refs
                 ),
-                outputs=tuple(TxOutput(*o) for o in outputs),
+                outputs=tuple(outputs),
                 nonce=nonce,
             )
             known += [(tx.txid, i) for i in range(len(outputs))]
@@ -149,19 +147,19 @@ def test_route_once_application_is_the_per_shard_loop(m, owners, blocks):
 
 def test_validate_against_shard_view():
     m = 2
-    genesis = make_coinbase([TxOutput(f"user-{i}", 100) for i in range(10)])
+    genesis = make_coinbase([(f"user-{i}", 100) for i in range(10)])
     state0 = shard_views(m, genesis)[0]
     # a tx whose input lives in shard 1 looks like MISSING_INPUT to shard 0
     owner1 = next(
-        o.address for o in genesis.outputs if shard_of_address(o.address, m) == 1
+        owner for owner, _ in genesis.outputs if shard_of_address(owner, m) == 1
     )
-    index = [i for i, o in enumerate(genesis.outputs) if o.address == owner1][0]
+    index = [i for i, (owner, _) in enumerate(genesis.outputs) if owner == owner1][0]
     tx = make_transfer((genesis.txid, index), 100, "user-0", 5, owner1)
     assert not state0.validate(tx)
 
 
 def test_digest_items_deterministic():
-    genesis = make_coinbase([TxOutput(f"user-{i}", 10) for i in range(6)])
+    genesis = make_coinbase([(f"user-{i}", 10) for i in range(6)])
     (a,), (b,) = shard_views(1, genesis), shard_views(1, genesis)
     assert a.digest_items() == b.digest_items()
     assert hash(a.digest_items()) == hash(b.digest_items())

@@ -1,18 +1,29 @@
 """Transactions, UTXO set and the authentication function V."""
 
+import copy
 import dataclasses
 import inspect
+import pickle
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_impls import (
+    DataclassTransaction,
+    TxInput,
+    TxOutput,
+    record_apply_block,
+    record_digest_items,
+    record_validate_transaction,
+)
 
-from repro.crypto.hashing import H_int
+from repro.crypto.hashing import H_int, canonical_bytes
+from repro.crypto.signatures import Signature
+from repro.ledger.state import ShardState, apply_block
 from repro.ledger.transaction import (
     ShardMap,
     Transaction,
-    TxInput,
-    TxOutput,
     make_transfer,
     shard_of_address,
 )
@@ -25,18 +36,24 @@ from repro.ledger.utxo import (
     validate_batch,
     validate_transaction,
 )
+from repro.net.message import fields_size, payload_size
 
 
 @pytest.fixture
 def funded():
     """A UTXO set holding one 100-coin output for alice."""
     utxos = UTXOSet()
-    genesis = make_coinbase([TxOutput("alice", 100)])
+    genesis = make_coinbase([("alice", 100)])
     utxos.add((genesis.txid, 0), genesis.outputs[0])
     return utxos, (genesis.txid, 0)
 
 
+#: ``Transaction`` and ``TaggedTx`` are built per generated transaction; the
+#: dataclass ``TxInput`` / ``TxOutput`` are the reference model's, which the
+#: record oracle below needs to be the dataclass records they were.
 WRITTEN_OUT = (TxInput, TxOutput, Transaction, TaggedTx)
+#: Arguments for a record that derives state from its fields when built.
+ARGS = {Transaction: ((), (("a", 1),), 2)}
 
 
 @pytest.mark.parametrize("cls", WRITTEN_OUT)
@@ -54,16 +71,39 @@ def test_written_out_constructors_are_the_dataclass_ones(cls):
     code = cls.__init__.__code__
     assert code.co_filename == inspect.getsourcefile(cls)
     assert len({c.__init__.__code__ for c in WRITTEN_OUT}) == len(WRITTEN_OUT)
-    record = cls(*range(len(fields)))
-    assert [getattr(record, f.name) for f in fields] == list(range(len(fields)))
+    args = ARGS.get(cls, tuple(range(len(fields))))
+    record = cls(*args)
+    assert [getattr(record, f.name) for f in fields] == list(args)
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(record, fields[0].name, None)
 
 
+def test_a_transaction_is_slotted_and_derives_once():
+    """No instance ``__dict__``: the txid and the size are slots filled at
+    construction, outside the fields, so equality, hashing, sizing and the
+    pickle stream see only ``(inputs, outputs, nonce)``."""
+    tx = make_transfer((b"\x01" * 32, 0), 100, "bob", 30, "alice", nonce=4)
+    assert not hasattr(tx, "__dict__")
+    assert [f.name for f in dataclasses.fields(tx)] == ["inputs", "outputs", "nonce"]
+    assert tx.outpoints() is tx.inputs
+    assert tx.wire_size == fields_size(tx) == payload_size(tx)
+    # A derived slot is not a field, and no more assignable than one.
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        tx.txid = b""
+    assert tx.txid not in pickle.dumps(tx)
+    for twin in (pickle.loads(pickle.dumps(tx)), copy.copy(tx), copy.deepcopy(tx)):
+        assert twin == tx and hash(twin) == hash(tx)
+        assert (twin.txid, twin.wire_size) == (tx.txid, tx.wire_size)
+    assert tx != dataclasses.replace(tx, nonce=5)
+    assert dataclasses.replace(tx, nonce=5).txid == make_transfer(
+        (b"\x01" * 32, 0), 100, "bob", 30, "alice", nonce=5
+    ).txid
+
+
 def test_txid_deterministic_and_unique():
-    tx1 = Transaction(inputs=(), outputs=(TxOutput("a", 1),), nonce=1)
-    tx2 = Transaction(inputs=(), outputs=(TxOutput("a", 1),), nonce=2)
-    assert tx1.txid == Transaction(inputs=(), outputs=(TxOutput("a", 1),), nonce=1).txid
+    tx1 = Transaction(inputs=(), outputs=(("a", 1),), nonce=1)
+    tx2 = Transaction(inputs=(), outputs=(("a", 1),), nonce=2)
+    assert tx1.txid == Transaction(inputs=(), outputs=(("a", 1),), nonce=1).txid
     assert tx1.txid != tx2.txid
 
 
@@ -98,8 +138,8 @@ def test_make_transfer_with_change(funded):
     _, source = funded
     tx = make_transfer(source, 100, "bob", 30, "alice", fee=2)
     assert tx.output_total() == 98
-    assert tx.outputs[0] == TxOutput("bob", 30)
-    assert tx.outputs[1] == TxOutput("alice", 68)
+    assert tx.outputs[0] == ("bob", 30)
+    assert tx.outputs[1] == ("alice", 68)
 
 
 def test_make_transfer_exact_no_change(funded):
@@ -123,41 +163,41 @@ def test_valid_transaction(funded):
 
 def test_missing_input(funded):
     utxos, _ = funded
-    phantom = TxInput(b"\x42" * 32, 0)
-    tx = Transaction(inputs=(phantom,), outputs=(TxOutput("bob", 1),))
+    phantom = (b"\x42" * 32, 0)
+    tx = Transaction(inputs=(phantom,), outputs=(("bob", 1),))
     assert validate_transaction(tx, utxos) is ValidationResult.MISSING_INPUT
 
 
 def test_duplicate_input(funded):
     utxos, source = funded
     tx = Transaction(
-        inputs=(TxInput(*source), TxInput(*source)),
-        outputs=(TxOutput("bob", 150),),
+        inputs=(source, source),
+        outputs=(("bob", 150),),
     )
     assert validate_transaction(tx, utxos) is ValidationResult.DUPLICATE_INPUT
 
 
 def test_overspend(funded):
     utxos, source = funded
-    tx = Transaction(inputs=(TxInput(*source),), outputs=(TxOutput("bob", 101),))
+    tx = Transaction(inputs=(source,), outputs=(("bob", 101),))
     assert validate_transaction(tx, utxos) is ValidationResult.OVERSPEND
 
 
 def test_empty_outputs(funded):
     utxos, source = funded
-    tx = Transaction(inputs=(TxInput(*source),), outputs=())
+    tx = Transaction(inputs=(source,), outputs=())
     assert validate_transaction(tx, utxos) is ValidationResult.EMPTY
 
 
 def test_nonpositive_output(funded):
     utxos, source = funded
-    tx = Transaction(inputs=(TxInput(*source),), outputs=(TxOutput("bob", 0),))
+    tx = Transaction(inputs=(source,), outputs=(("bob", 0),))
     assert validate_transaction(tx, utxos) is ValidationResult.NONPOSITIVE_OUTPUT
 
 
 def test_user_coinbase_rejected(funded):
     utxos, _ = funded
-    tx = make_coinbase([TxOutput("thief", 10)])
+    tx = make_coinbase([("thief", 10)])
     assert validate_transaction(tx, utxos) is ValidationResult.OVERSPEND
 
 
@@ -218,4 +258,106 @@ def test_spend_missing_raises(funded):
 def test_add_duplicate_raises(funded):
     utxos, source = funded
     with pytest.raises(ValueError):
-        utxos.add(source, TxOutput("x", 1))
+        utxos.add(source, ("x", 1))
+
+
+# -- the tuple records against the dataclass model ------------------------------
+class Address(str):
+    """A ``str`` subclass: encoded and sized as its base, on the generic path."""
+
+
+ints_like = st.one_of(
+    st.integers(-3, 10**12), st.booleans(), st.integers(0, 1_000).map(np.int64)
+)
+outputs_drawn = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from(["alice", "bob", "é", ""]), st.text(max_size=4).map(Address)),
+        ints_like,
+    ),
+    max_size=3,
+)
+# One transaction: its inputs (>= 0 picks, modulo, an outpoint made so far,
+# spent or not, its index as an int or a numpy int; < 0 an outpoint nobody
+# made), its outputs and its nonce.
+spends_drawn = st.tuples(
+    st.lists(st.tuples(st.integers(-2, 30), st.sampled_from([int, np.int64])), max_size=3),
+    outputs_drawn,
+    ints_like,
+)
+SIG = Signature(pk="pk-0", tag=b"\x00" * 32)
+
+
+def both_models(inputs, outputs, nonce):
+    """The transaction as exact tuples and as dataclass records, held equal
+    on everything derived from one record alone."""
+    tx = Transaction(tuple(inputs), tuple(outputs), nonce)
+    record = DataclassTransaction(
+        tuple(TxInput(*i) for i in inputs), tuple(TxOutput(*o) for o in outputs), nonce
+    )
+    assert tx.txid == record.txid
+    assert tx.wire_size == record.wire_size == payload_size(tx) == payload_size(record)
+    assert payload_size(TaggedTx(tx, 1, True, False, "overspend")) == payload_size(
+        TaggedTx(record, 1, True, False, "overspend")
+    )
+    return tx, record
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.lists(st.tuples(st.sampled_from(["alice", "bob", "carol"]), ints_like), min_size=1, max_size=5),
+    st.lists(st.lists(spends_drawn, max_size=4), max_size=4),
+)
+@example(1, [("alice", 100)], [])  # a coinbase alone
+@example(  # two inputs, two outputs
+    2, [("alice", 100), ("bob", 50)], [[([(0, int), (1, int)], [("carol", 120), ("alice", 29)], 1)]]
+)
+@example(  # numpy-int, bool and str-subclass fields: the generic txid and size
+    2,
+    [("alice", np.int64(70)), ("bob", True)],
+    [[([(0, np.int64)], [(Address("al"), 5), ("bob", np.int64(60))], np.int64(3))]],
+)
+def test_tuple_records_are_the_dataclass_records(m, endowment, blocks):
+    """Block by block, the exact-tuple model and the dataclass model agree
+    on the txid and the size of every transaction, the size of each block's
+    TX_LIST payload and of a ``TaggedTx``, V's verdict on every transaction,
+    ``apply_block``'s (spent, created) counts and every shard's UTXO listing
+    bytes and size."""
+    shard_of = ShardMap(m)
+    states, record_states = ([ShardState(k, m) for k in range(m)] for _ in range(2))
+    utxos, record_utxos = UTXOSet(), UTXOSet()
+
+    def settle(txs, records):
+        assert payload_size((txs, SIG)) == payload_size((records, SIG))
+        assert apply_block(states, txs, shard_of) == record_apply_block(
+            record_states, records, shard_of
+        )
+        for state, record_state in zip(states, record_states):
+            listing, plain = state.digest_items(), record_digest_items(record_state)
+            assert listing.canonical == canonical_bytes(plain)
+            assert listing.wire_size == payload_size(plain)
+
+    genesis, record_genesis = both_models([], endowment, 0)
+    utxos.apply_transaction(genesis)
+    record_utxos.apply_transaction(record_genesis)
+    settle([genesis], [record_genesis])
+    known = [(genesis.txid, k) for k in range(len(endowment))]
+    for block in blocks:
+        txs, records = [], []
+        for picks, outputs, nonce in block:
+            inputs = [
+                (known[p % len(known)][0], kind(known[p % len(known)][1]))
+                if p >= 0
+                else (bytes([-p]) * 32, 0)
+                for p, kind in picks
+            ]
+            tx, record = both_models(inputs, outputs, nonce)
+            verdict = validate_transaction(tx, utxos)
+            assert verdict is record_validate_transaction(record, record_utxos)
+            if verdict:
+                utxos.apply_transaction(tx)
+                record_utxos.apply_transaction(record)
+                txs.append(tx)
+                records.append(record)
+                known += [(tx.txid, k) for k in range(len(outputs))]
+        settle(txs, records)

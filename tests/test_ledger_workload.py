@@ -43,7 +43,7 @@ def test_ground_truth_matches_v(generator):
 def test_cross_shard_flag_accurate(generator):
     batch = generator.generate_batch(80, cross_shard_ratio=0.5)
     for tagged in batch:
-        out_shards = {shard_of_address(o.address, 4) for o in tagged.tx.outputs}
+        out_shards = {shard_of_address(address, 4) for address, _ in tagged.tx.outputs}
         if tagged.cross_shard:
             assert out_shards - {tagged.home_shard}
         elif tagged.intended_valid:

@@ -39,11 +39,11 @@ def test_signature_and_vrf_conventional_sizes():
 
 
 def test_dataclass_payloads_sized():
-    from repro.ledger.transaction import Transaction, TxInput, TxOutput
+    from repro.ledger.transaction import Transaction
 
     tx = Transaction(
-        inputs=(TxInput(b"\x00" * 32, 0),),
-        outputs=(TxOutput("addr", 5),),
+        inputs=((b"\x00" * 32, 0),),
+        outputs=(("addr", 5),),
         nonce=1,
     )
     size = payload_size(tx)

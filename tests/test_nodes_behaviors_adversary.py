@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.sandbox import build_sandbox
 from repro.ledger.state import apply_block
-from repro.ledger.transaction import TxOutput, make_coinbase, make_transfer
+from repro.ledger.transaction import make_coinbase, make_transfer
 from repro.nodes.adversary import (
     AdversaryConfig,
     AdversaryController,
@@ -28,15 +28,15 @@ from repro.nodes.behaviors import (
 def voting_setup():
     ctx = build_sandbox(committee_size=6, lam=2)
     state = ctx.shard_states[0]
-    genesis = make_coinbase([TxOutput(f"user-{i}", 100) for i in range(8)])
+    genesis = make_coinbase([(f"user-{i}", 100) for i in range(8)])
     apply_block(ctx.shard_states, [genesis], ctx.shard_of)
     # one valid spend + one overspend
     op = next(iter(state.utxos))
-    owner = state.utxos.get(op).address
+    owner, _amount = state.utxos.get(op)
     valid = make_transfer(op, 100, "user-1", 10, owner)
-    from repro.ledger.transaction import Transaction, TxInput
+    from repro.ledger.transaction import Transaction
 
-    invalid = Transaction(inputs=(TxInput(*op),), outputs=(TxOutput("x", 500),))
+    invalid = Transaction(inputs=(op,), outputs=(("x", 500),))
     return ctx, state, [valid, invalid]
 
 

@@ -393,8 +393,7 @@ def test_poisson_draws_never_spend_offchain_outputs():
         for entry in ledger.mempool.queue:
             if not entry.tagged.intended_valid:
                 continue
-            for tx_input in entry.tagged.tx.inputs:
-                outpoint = (tx_input.txid, tx_input.index)
+            for outpoint in entry.tagged.tx.inputs:
                 assert outpoint in ledger.global_utxos, (
                     "queued intended-valid tx spends an off-chain output"
                 )
@@ -417,10 +416,7 @@ def test_deferred_spent_records_follow_packing():
     pool.settle(packed, 1, 1.0)
     spent_outpoints = {outpoint for outpoint, _, _ in generator._spent}
     want = {
-        (tx_input.txid, tx_input.index)
-        for t in queued
-        if t.tx.txid in packed
-        for tx_input in t.tx.inputs
+        outpoint for t in queued if t.tx.txid in packed for outpoint in t.tx.inputs
     }
     assert spent_outpoints == want
 
@@ -436,7 +432,7 @@ def test_eviction_does_not_duplicate_value():
     )
     ledger = CycLedger(params)
     genesis_total = sum(
-        output.amount for output in ledger.workload.genesis_tx.outputs
+        amount for _address, amount in ledger.workload.genesis_tx.outputs
     )
     for _ in range(5):
         ledger.run_round()

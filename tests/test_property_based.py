@@ -19,7 +19,7 @@ from repro.crypto.field import FIELD
 from repro.ledger.workload import TxMempool, WorkloadGenerator
 from repro.crypto.hashing import H, canonical_bytes
 from repro.crypto.pvss import deal, feldman_check, reconstruct
-from repro.ledger.transaction import Transaction, TxInput, TxOutput
+from repro.ledger.transaction import Transaction
 from repro.ledger.utxo import UTXOSet, ValidationResult, validate_transaction
 from repro.net.message import payload_size
 
@@ -157,7 +157,7 @@ def test_g_monotone_property(x, y):
 def test_utxo_value_never_increases(spends):
     utxos = UTXOSet()
     base = Transaction(
-        inputs=(), outputs=tuple(TxOutput(f"u{i}", 100) for i in range(10))
+        inputs=(), outputs=tuple((f"u{i}", 100) for i in range(10))
     )
     for i in range(10):
         utxos.add((base.txid, i), base.outputs[i])
@@ -171,8 +171,8 @@ def test_utxo_value_never_increases(spends):
         available = utxos.amount(op)
         nonce += 1
         tx = Transaction(
-            inputs=(TxInput(*op),),
-            outputs=(TxOutput("payee", amount),),
+            inputs=(op,),
+            outputs=(("payee", amount),),
             nonce=nonce,
         )
         result = validate_transaction(tx, utxos)

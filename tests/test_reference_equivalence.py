@@ -53,14 +53,14 @@ def test_network_jitter_block_matches_naive_scalar_network():
 def test_payload_size_matches_naive_on_protocol_shapes():
     from repro.crypto.pki import PKI
     from repro.crypto.signatures import sign
-    from repro.ledger.transaction import Transaction, TxInput, TxOutput
+    from repro.ledger.transaction import Transaction
     from repro.net.message import payload_size
 
     pki = PKI()
     kp = pki.generate("x")
     tx = Transaction(
-        inputs=(TxInput(b"\x07" * 32, 1),),
-        outputs=(TxOutput("addr", 5),),
+        inputs=((b"\x07" * 32, 1),),
+        outputs=(("addr", 5),),
         nonce=3,
     )
     shapes = [
