@@ -2,10 +2,10 @@
 
 Commands
 --------
-run        simulate CycLedger rounds and print per-round results
-scenario   run a fault-injection scenario preset (or list presets)
+run        simulate rounds of any backend under any scenario, print them
+scenario   list the fault-injection scenario presets
 sweep      run a parameter sweep on the parallel experiment engine
-backends   list the executable protocol backends (or run one directly)
+backends   list the executable protocol backends
 failure    print the Fig. 5 failure-probability table/plot
 table1     print the Table I protocol comparison
 gx         print the Fig. 4 g(x) curve
@@ -14,168 +14,154 @@ gx         print the Fig. 4 g(x) curve
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import os
 import sys
 
 import numpy as np
 
+from repro import AdversaryConfig, ProtocolParams
+from repro.backends import BACKEND_REGISTRY, create_backend
+from repro.exp.results import atomic_write_bytes, round_row
+from repro.exp.spec import canonical_json
+from repro.ledger.checkpoint import load_checkpoint, save_checkpoint
+from repro.scenarios import SCENARIO_PRESETS, Scenario
+
+#: The sizing flags ``run`` and ``sweep`` share: flag, type, and the
+#: ProtocolParams field it sets (which is also its dest).
+_SIZING_FLAGS = (
+    ("--n", int, "n"),
+    ("--m", int, "m"),
+    ("--lam", int, "lam"),
+    ("--referee", int, "referee_size"),
+    ("--users", int, "users_per_shard"),
+    ("--txs", int, "tx_per_committee"),
+    ("--cross", float, "cross_shard_ratio"),
+    ("--invalid", float, "invalid_ratio"),
+)
+
+
+def _param_fields(args: argparse.Namespace) -> dict:
+    """The ProtocolParams fields the flags set.  An unset flag (``None``)
+    keeps the field's default, so a flagless ``repro run`` runs
+    ``ProtocolParams()``; ``--seed`` and ``--chain-retention`` are run's."""
+    names = [field for _, _, field in _SIZING_FLAGS]
+    fields = {
+        name: getattr(args, name)
+        for name in (*names, "overlap", "seed", "chain_retention")
+        if getattr(args, name, None) is not None
+    }
+    if args.arrival_rate is not None:
+        fields.update(arrival_process="poisson", arrival_rate=args.arrival_rate)
+    # 0 is the bounds' own "off" default: leaving it out keeps a sweep's
+    # spec, and the seeds hashed from it, the same with or without it.
+    if args.mempool_age:
+        fields["mempool_max_age"] = args.mempool_age
+    if args.mempool_cap:
+        fields["mempool_capacity"] = args.mempool_cap
+    return fields
+
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro import AdversaryConfig, CycLedger, ProtocolParams
-
-    if args.resume_from:
-        # The checkpoint pins ProtocolParams/AdversaryConfig; sizing and
-        # adversary flags are ignored so the resumed run is byte-identical
-        # to the uninterrupted one.
-        from repro.ledger.checkpoint import load_checkpoint
-
-        try:
+    """The one run driver: any backend, any scenario, checkpoint/resume."""
+    try:
+        if args.resume_from:
+            # The checkpoint pins backend, scenario, params and adversary;
+            # their flags are ignored so the resumed run is byte-identical
+            # to the uninterrupted one.
             ledger = load_checkpoint(args.resume_from)
-        except (OSError, ValueError) as error:
-            raise SystemExit(f"error: {error}")
-        params = ledger.params
-        print(f"resumed '{args.resume_from}' at round "
-              f"{ledger.round_number} (sizing flags ignored; the "
-              f"checkpoint pins the parameters)")
-    else:
-        try:
-            params = ProtocolParams(
-                n=args.n, m=args.m, lam=args.lam, referee_size=args.referee,
-                seed=args.seed, users_per_shard=args.users,
-                tx_per_committee=args.txs, cross_shard_ratio=args.cross,
-                invalid_ratio=args.invalid, overlap=args.overlap,
-                arrival_process=(
-                    "poisson" if args.arrival_rate is not None else "legacy"
+            print(f"resumed '{args.resume_from}' at round "
+                  f"{ledger.round_number} (the checkpoint pins backend, "
+                  f"scenario, parameters and adversary)")
+        else:
+            # Repeated --scenario: one timeline holding every preset's
+            # events, in the order given (a single preset equals itself).
+            scenario = Scenario(
+                "+".join(args.scenario),
+                tuple(e for name in args.scenario
+                      for e in SCENARIO_PRESETS[name].events),
+            ) if args.scenario else None
+            ledger = create_backend(
+                args.backend,
+                ProtocolParams(**_param_fields(args)),
+                adversary=AdversaryConfig(
+                    fraction=args.adversary,
+                    leader_strategy=args.leader_strategy,
+                    voter_strategy=args.voter_strategy,
                 ),
-                arrival_rate=args.arrival_rate or 0.0,
-                mempool_capacity=args.mempool_cap,
-                mempool_max_age=args.mempool_age,
-                chain_retention=args.chain_retention,
+                scenario=scenario,
             )
-        except ValueError as error:
-            raise SystemExit(f"error: {error}")
-        adversary = AdversaryConfig(
-            fraction=args.adversary, leader_strategy=args.leader_strategy,
-            voter_strategy=args.voter_strategy,
-        )
-        ledger = CycLedger(params, adversary=adversary)
-    checkpoint_every = args.checkpoint_every
-    if checkpoint_every:
-        import os
-
-        from repro.ledger.checkpoint import save_checkpoint
-
+    except (OSError, ValueError) as error:
+        raise SystemExit(f"error: {error}")
+    scenario = ledger.scenario
+    rounds = args.rounds
+    if rounds is None:
+        # Under a scenario: one clean round past the last fault, so the
+        # output shows both degradation and recovery.
+        rounds = 3 if scenario is None else scenario.last_event_round + 1
+    if args.checkpoint_every:
         os.makedirs(args.checkpoint_dir, exist_ok=True)
-    print(f"{'round':>5} {'packed':>6} {'cross':>5} {'recov':>5} "
-          f"{'msgs':>8} {'time':>7} {'queue':>5} {'evict':>5}")
+    print(f"backend '{ledger.backend_name}', scenario "
+          f"'{scenario.name if scenario else 'none'}', {rounds} rounds, "
+          f"seed {ledger.params.seed}")
+    print(f"{'round':>5} {'packed':>6} {'cross':>5} {'dropped':>7} "
+          f"{'recov':>5} {'msgs':>8} {'time':>7} {'queue':>5} {'evict':>5}")
     reports = []
-    for _ in range(args.rounds):
+    for _ in range(rounds):
         report = ledger.run_round()
         reports.append(report)
-        if checkpoint_every and report.round_number % checkpoint_every == 0:
+        print(f"{report.round_number:>5} {report.packed:>6} "
+              f"{report.cross_packed:>5} {report.dropped:>7} "
+              f"{report.recoveries:>5} {report.messages:>8} "
+              f"{report.sim_time:>7.1f} {report.queue_depth:>5} "
+              f"{report.tx_evicted:>5}")
+        if args.checkpoint_every and (
+            report.round_number % args.checkpoint_every == 0
+        ):
             path = os.path.join(
                 args.checkpoint_dir,
                 f"checkpoint-r{report.round_number:06d}.pkl",
             )
             save_checkpoint(ledger, path)
             print(f"checkpoint -> {path}")
-    for report in reports:
-        print(f"{report.round_number:>5} {report.packed:>6} "
-              f"{report.cross_packed:>5} {report.recoveries:>5} "
-              f"{report.messages:>8} {report.sim_time:>7.1f} "
-              f"{report.queue_depth:>5} {report.tx_evicted:>5}")
-    print(f"chain {len(ledger.chain)} blocks, valid={ledger.chain.verify()}, "
-          f"{ledger.total_packed()} transactions")
-    sequential = sum(r.sim_time for r in reports)
-    e2e = max((r.timeline_end for r in reports), default=0.0)
-    gain = (1.0 - e2e / sequential) if sequential else 0.0
-    print(f"end-to-end sim latency {e2e:.1f} "
-          f"(overlap={params.overlap}, sequential {sequential:.1f}, "
-          f"pipelining gain {gain:.1%})")
-    return 0
-
-
-def _cmd_scenario(args: argparse.Namespace) -> int:
-    from repro import AdversaryConfig, CycLedger, ProtocolParams
-    from repro.scenarios import SCENARIO_PRESETS, Scenario
-
-    if args.list:
-        for name, scenario in sorted(SCENARIO_PRESETS.items()):
-            kinds = ", ".join(type(e).kind for e in scenario.events)
-            print(f"{name:<18} last event round {scenario.last_event_round}: "
-                  f"{kinds}")
-        return 0
-    if not args.preset:
-        raise SystemExit("error: give --preset NAME or --list")
-    try:
-        # Repeated --preset: one timeline holding every preset's events, in
-        # the order given (a single preset comes out equal to itself).
-        scenario = Scenario(
-            "+".join(args.preset),
-            tuple(
-                event
-                for name in args.preset
-                for event in SCENARIO_PRESETS[name].events
-            ),
-        )
-    except KeyError as error:
-        known = ", ".join(sorted(SCENARIO_PRESETS))
-        raise SystemExit(
-            f"error: unknown preset {error.args[0]!r} (known: {known})"
-        )
-    except ValueError as error:  # e.g. two policy presets
-        raise SystemExit(f"error: {error}")
-
-    params = ProtocolParams(
-        n=args.n, m=args.m, lam=args.lam, referee_size=args.referee,
-        seed=args.seed, users_per_shard=args.users,
-        tx_per_committee=args.txs, cross_shard_ratio=args.cross,
-        invalid_ratio=args.invalid,
-    )
-    adversary = AdversaryConfig(fraction=args.adversary)
-    rounds = args.rounds
-    if rounds is None:
-        # Default: run one clean round past the last fault so the output
-        # shows both degradation and recovery.
-        rounds = scenario.last_event_round + 1
-    ledger = CycLedger(params, adversary=adversary, scenario=scenario)
-    print(f"scenario '{scenario.name}', {rounds} rounds, seed {args.seed}")
-    print(f"{'round':>5} {'packed':>6} {'cross':>5} {'dropped':>7} "
-          f"{'recov':>5} {'msgs':>8} {'time':>7}")
-    reports = ledger.run(rounds)
-    for report in reports:
-        print(f"{report.round_number:>5} {report.packed:>6} "
-              f"{report.cross_packed:>5} {report.dropped:>7} "
-              f"{report.recoveries:>5} {report.messages:>8} "
-              f"{report.sim_time:>7.1f}")
-    if args.verbose:
+    if args.verbose and ledger.scenario_driver is not None:
         for line in ledger.scenario_driver.log:
             print(f"  · {line}")
     print(f"chain {len(ledger.chain)} blocks, valid={ledger.chain.verify()}, "
           f"{ledger.total_packed()} transactions")
+    sequential = sum(r.sim_time for r in reports)
+    # Measured from this run's first round, which need not be round 1.
+    e2e = max(r.timeline_end for r in reports) - reports[0].timeline_start
+    gain = (1.0 - e2e / sequential) if sequential else 0.0
+    print(f"end-to-end sim latency {e2e:.1f} "
+          f"(overlap={ledger.params.overlap}, sequential {sequential:.1f}, "
+          f"pipelining gain {gain:.1%})")
     if args.json:
-        _write_scenario_json(args.json, scenario, params, rounds, reports)
+        _write_run_json(args.json, ledger, rounds, reports)
         print(f"rows -> {args.json}")
     return 0
 
 
-def _write_scenario_json(
-    path: str, scenario, params, rounds: int, reports
-) -> None:
+def _write_run_json(path: str, ledger, rounds: int, reports) -> None:
     """Canonical, deterministic run record (the CI byte-identity gate
     compares two of these from identical seeds)."""
-    import dataclasses
-
-    from repro.exp.results import atomic_write_bytes, round_row
-    from repro.exp.spec import canonical_json
-
-    params_dict = dataclasses.asdict(params)  # recurses into nested net
+    scenario = ledger.scenario
     payload = {
-        "scenario": scenario.to_dict(),
-        "params": params_dict,
+        "backend": ledger.backend_name,
+        "scenario": None if scenario is None else scenario.to_dict(),
+        "params": dataclasses.asdict(ledger.params),  # recurses into net
         "rounds": rounds,
         "rows": [round_row(r) for r in reports],
     }
     atomic_write_bytes(path, (canonical_json(payload) + "\n").encode())
+
+
+def _cmd_scenario(args: argparse.Namespace) -> int:
+    for name, scenario in sorted(SCENARIO_PRESETS.items()):
+        kinds = ", ".join(type(e).kind for e in scenario.events)
+        print(f"{name:<18} last event round {scenario.last_event_round}: "
+              f"{kinds}")
+    return 0
 
 
 def _parse_grid_value(raw: str):
@@ -266,25 +252,8 @@ def _build_sweep_spec(args: argparse.Namespace):
     else:
         grid, adversary_grid = _parse_grid_args(args.grid or [])
         base = {
-            "n": args.n,
-            "m": args.m,
-            "lam": args.lam,
-            "referee_size": args.referee,
-            "users_per_shard": args.users,
-            "tx_per_committee": args.txs,
-            "cross_shard_ratio": args.cross,
-            "invalid_ratio": args.invalid,
+            k: v for k, v in _param_fields(args).items() if k not in grid
         }
-        if args.overlap is not None:
-            base["overlap"] = args.overlap
-        if args.arrival_rate is not None:
-            base["arrival_process"] = "poisson"
-            base["arrival_rate"] = args.arrival_rate
-        if args.mempool_age:
-            base["mempool_max_age"] = args.mempool_age
-        if args.mempool_cap:
-            base["mempool_capacity"] = args.mempool_cap
-        base = {k: v for k, v in base.items() if k not in grid}
         scenario_grid: tuple = ()
         if args.scenarios:
             scenario_grid = tuple(
@@ -310,9 +279,6 @@ def _build_sweep_spec(args: argparse.Namespace):
     # Construct every point's ProtocolParams/AdversaryConfig up front so bad
     # combinations (e.g. n - referee_size not divisible by m, or an
     # out-of-range adversary fraction) fail before any work runs.
-    from repro.core.config import ProtocolParams
-    from repro.nodes.adversary import AdversaryConfig
-
     for point in spec.expand():
         ProtocolParams(**dict(point.params), seed=point.derived_seed)
         if point.adversary is not None:
@@ -321,32 +287,8 @@ def _build_sweep_spec(args: argparse.Namespace):
 
 
 def _cmd_backends(args: argparse.Namespace) -> int:
-    from repro.backends import BACKEND_REGISTRY, create_backend
-
-    if args.run is None:
-        for name, info in sorted(BACKEND_REGISTRY.items()):
-            print(f"{name:<16} {info.description}")
-        return 0
-    from repro.core.config import ProtocolParams
-
-    try:
-        params = ProtocolParams(
-            n=args.n, m=args.m, lam=args.lam, referee_size=args.referee,
-            seed=args.seed, users_per_shard=args.users,
-            tx_per_committee=args.txs, cross_shard_ratio=args.cross,
-            invalid_ratio=args.invalid,
-        )
-        ledger = create_backend(args.run, params)
-    except ValueError as error:
-        raise SystemExit(f"error: {error}")
-    print(f"backend '{args.run}', {args.rounds} rounds, seed {args.seed}")
-    print(f"{'round':>5} {'packed':>6} {'cross':>5} {'msgs':>8} {'time':>7}")
-    for report in ledger.run(args.rounds):
-        print(f"{report.round_number:>5} {report.packed:>6} "
-              f"{report.cross_packed:>5} {report.messages:>8} "
-              f"{report.sim_time:>7.1f}")
-    print(f"chain {len(ledger.chain)} blocks, valid={ledger.chain.verify()}, "
-          f"{ledger.total_packed()} transactions")
+    for name, info in sorted(BACKEND_REGISTRY.items()):
+        print(f"{name:<16} {info.description}")
     return 0
 
 
@@ -396,83 +338,88 @@ def _cmd_gx(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1 (got {value})")
+    return value
+
+
+def _add_param_flags(parser: argparse.ArgumentParser) -> None:
+    """Declare the sizing and mempool flags ``run`` and ``sweep`` share.
+    Each defaults to ``None`` (keep the ProtocolParams default); sweep sets
+    its own defaults over the sizing ones."""
+    for flag, kind, field in _SIZING_FLAGS:
+        parser.add_argument(flag, type=kind, dest=field,
+                            metavar=flag[2:].upper(),
+                            help=f"ProtocolParams.{field}")
+    parser.add_argument("--overlap", choices=("none", "semicommit"),
+                        help="timeline composition: serialize rounds, or "
+                             "overlap round r+1's config+semicommit prefix "
+                             "with round r's block suffix")
+    parser.add_argument("--arrival-rate", type=float,
+                        help="mean tx arrivals per round; enables the "
+                             "persistent poisson mempool (default: legacy "
+                             "one-batch-per-round workload)")
+    parser.add_argument("--mempool-age", type=int,
+                        help="rounds a queued tx may wait before TTL "
+                             "eviction (0 = never)")
+    parser.add_argument("--mempool-cap", type=int,
+                        help="max queued txs before capacity backpressure "
+                             "evicts the oldest (0 = unbounded)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="CycLedger reproduction CLI"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="simulate CycLedger rounds")
-    run.add_argument("--n", type=int, default=64)
-    run.add_argument("--m", type=int, default=4)
-    run.add_argument("--lam", type=int, default=3)
-    run.add_argument("--referee", type=int, default=8)
-    run.add_argument("--rounds", type=int, default=3)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--users", type=int, default=32)
-    run.add_argument("--txs", type=int, default=10)
-    run.add_argument("--cross", type=float, default=0.25)
-    run.add_argument("--invalid", type=float, default=0.1)
+    run = sub.add_parser(
+        "run", help="simulate rounds of any backend under any scenario"
+    )
+    run.add_argument("--backend", default="cycledger",
+                     choices=sorted(BACKEND_REGISTRY), metavar="NAME",
+                     help="executable protocol backend (see 'repro "
+                          "backends'; default: cycledger)")
+    run.add_argument("--scenario", action="append",
+                     choices=sorted(SCENARIO_PRESETS), metavar="PRESET",
+                     help="fault-injection preset (see 'repro scenario'); "
+                          "repeat to run several presets' events as one "
+                          "timeline")
+    run.add_argument("--rounds", type=_positive_int, default=None,
+                     help="rounds to run (default: 3, or one past the "
+                          "scenario's last fault, so recovery is visible)")
+    run.add_argument("--seed", type=int, default=None,
+                     help="ProtocolParams.seed")
+    _add_param_flags(run)
     run.add_argument("--adversary", type=float, default=0.0)
     run.add_argument("--leader-strategy", default="equivocating_leader")
     run.add_argument("--voter-strategy", default="contrary_voter")
-    run.add_argument("--overlap", default="none",
-                     choices=("none", "semicommit"),
-                     help="timeline composition: serialize rounds, or "
-                          "overlap round r+1's config+semicommit prefix "
-                          "with round r's block suffix")
-    run.add_argument("--arrival-rate", type=float, default=None,
-                     help="mean tx arrivals per round; enables the "
-                          "persistent poisson mempool (default: legacy "
-                          "one-batch-per-round workload)")
-    run.add_argument("--mempool-age", type=int, default=0,
-                     help="rounds a queued tx may wait before TTL "
-                          "eviction (0 = never)")
-    run.add_argument("--mempool-cap", type=int, default=0,
-                     help="max queued txs before capacity backpressure "
-                          "evicts the oldest (0 = unbounded)")
-    run.add_argument("--chain-retention", type=int, default=0,
+    run.add_argument("--chain-retention", type=int, default=None,
                      help="retain only the last N block bodies, pruning "
                           "older ones behind the hash-linked frontier "
                           "(0 = keep everything)")
-    run.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
-                     help="save a resumable checkpoint every N rounds "
-                          "(0 = off)")
+    run.add_argument("--checkpoint-every", type=_positive_int, default=None,
+                     metavar="N",
+                     help="save a resumable checkpoint every N rounds")
     run.add_argument("--checkpoint-dir", default="checkpoints",
                      help="directory for --checkpoint-every snapshots")
     run.add_argument("--resume-from", default=None, metavar="PATH",
                      help="resume from a saved checkpoint; runs --rounds "
                           "further rounds, byte-identical to the "
-                          "uninterrupted run (sizing/adversary flags are "
-                          "ignored — the checkpoint pins them)")
+                          "uninterrupted run (backend, scenario, sizing "
+                          "and adversary flags are ignored — the "
+                          "checkpoint pins them)")
+    run.add_argument("--verbose", action="store_true",
+                     help="print the scenario driver's log")
+    run.add_argument("--json", default=None,
+                     help="write the canonical per-round record here")
     run.set_defaults(func=_cmd_run)
 
     scenario = sub.add_parser(
-        "scenario", help="run a fault-injection scenario preset"
+        "scenario", help="list the fault-injection scenario presets"
     )
-    scenario.add_argument("--list", action="store_true",
-                          help="list available scenario presets")
-    scenario.add_argument("--preset", action="append",
-                          help="scenario preset name (see --list); repeat "
-                               "to run several presets' events as one "
-                               "timeline")
-    scenario.add_argument("--rounds", type=int, default=None,
-                          help="rounds to run (default: one past the last "
-                               "fault, so recovery is visible)")
-    scenario.add_argument("--n", type=int, default=48)
-    scenario.add_argument("--m", type=int, default=4)
-    scenario.add_argument("--lam", type=int, default=2)
-    scenario.add_argument("--referee", type=int, default=8)
-    scenario.add_argument("--seed", type=int, default=0)
-    scenario.add_argument("--users", type=int, default=24)
-    scenario.add_argument("--txs", type=int, default=6)
-    scenario.add_argument("--cross", type=float, default=0.3)
-    scenario.add_argument("--invalid", type=float, default=0.1)
-    scenario.add_argument("--adversary", type=float, default=0.0)
-    scenario.add_argument("--verbose", action="store_true",
-                          help="print the applied fault timeline")
-    scenario.add_argument("--json", default=None,
-                          help="write the canonical per-round record here")
     scenario.set_defaults(func=_cmd_scenario)
 
     sweep = sub.add_parser(
@@ -486,31 +433,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--rounds", type=int, default=2)
     sweep.add_argument("--seeds", default="0", help="comma-separated seed axis")
-    sweep.add_argument("--n", type=int, default=48)
-    sweep.add_argument("--m", type=int, default=2)
-    sweep.add_argument("--lam", type=int, default=2)
-    sweep.add_argument("--referee", type=int, default=6)
-    sweep.add_argument("--users", type=int, default=16)
-    sweep.add_argument("--txs", type=int, default=6)
-    sweep.add_argument("--cross", type=float, default=0.25)
-    sweep.add_argument("--invalid", type=float, default=0.1)
-    sweep.add_argument("--overlap", default=None,
-                       choices=("none", "semicommit"),
-                       help="timeline composition for every point "
-                            "(default: the ProtocolParams default, none)")
-    sweep.add_argument("--arrival-rate", type=float, default=None,
-                       help="mean tx arrivals per round; switches every "
-                            "point to the persistent poisson mempool")
-    sweep.add_argument("--mempool-age", type=int, default=0,
-                       help="mempool TTL in rounds (0 = never evict)")
-    sweep.add_argument("--mempool-cap", type=int, default=0,
-                       help="mempool capacity before backpressure "
-                            "eviction (0 = unbounded)")
+    _add_param_flags(sweep)
+    sweep.set_defaults(
+        n=48, m=2, lam=2, referee_size=6, users_per_shard=16,
+        tx_per_committee=6, cross_shard_ratio=0.25, invalid_ratio=0.1,
+    )
     sweep.add_argument("--capacity-preset", default=None,
                        help="named capacity function (uniform/tiered/weak_heavy)")
     sweep.add_argument("--scenario", default=None,
                        help="fault-injection preset applied to every point "
-                            "(see 'repro scenario --list')")
+                            "(see 'repro scenario')")
     sweep.add_argument("--scenarios", default=None,
                        help="comma-separated scenario axis; 'none' for the "
                             "fault-free arm (e.g. none,partition-halves,churn)")
@@ -536,20 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=_cmd_sweep)
 
     backends = sub.add_parser(
-        "backends", help="list executable protocol backends (or run one)"
+        "backends", help="list the executable protocol backends"
     )
-    backends.add_argument("--run", default=None, metavar="NAME",
-                          help="run this backend instead of listing")
-    backends.add_argument("--rounds", type=int, default=3)
-    backends.add_argument("--n", type=int, default=48)
-    backends.add_argument("--m", type=int, default=4)
-    backends.add_argument("--lam", type=int, default=2)
-    backends.add_argument("--referee", type=int, default=8)
-    backends.add_argument("--seed", type=int, default=0)
-    backends.add_argument("--users", type=int, default=24)
-    backends.add_argument("--txs", type=int, default=6)
-    backends.add_argument("--cross", type=float, default=0.3)
-    backends.add_argument("--invalid", type=float, default=0.1)
     backends.set_defaults(func=_cmd_backends)
 
     failure = sub.add_parser("failure", help="Fig. 5 failure probabilities")

@@ -24,6 +24,7 @@ from repro.exp import (
     run_sweep,
 )
 from repro.exp.results import round_row
+from repro.exp.spec import canonical_json
 from repro.nodes.adversary import AdversaryConfig
 from repro.scenarios import SCENARIO_PRESETS
 
@@ -247,7 +248,7 @@ def test_cli_backends_lists_registry(capsys):
 
 def test_cli_backends_run(capsys):
     code = cli_main([
-        "backends", "--run", "rapidchain", "--n", "24", "--m", "2",
+        "run", "--backend", "rapidchain", "--n", "24", "--m", "2",
         "--referee", "6", "--users", "12", "--txs", "4", "--rounds", "2",
     ])
     assert code == 0
@@ -257,7 +258,54 @@ def test_cli_backends_run(capsys):
 
 def test_cli_backends_run_unknown_fails(capsys):
     with pytest.raises(SystemExit):
-        cli_main(["backends", "--run", "nope"])
+        cli_main(["run", "--backend", "nope"])
+
+
+SMALL_FLAGS = [
+    "--n", "24", "--m", "2", "--lam", "2", "--referee", "6", "--users", "12",
+    "--txs", "4", "--cross", "0.3", "--invalid", "0.1",
+]
+
+
+def _cli_rows(path) -> list:
+    return json.loads(path.read_text())["rows"]
+
+
+@pytest.mark.parametrize(
+    "name, scenario",
+    [("cycledger", "leader-crash"), ("rapidchain", "partition-halves"),
+     ("omniledger_sim", "churn")],
+)
+def test_cli_run_is_the_library(name, scenario, tmp_path, capsys):
+    """`repro run --backend B --scenario S` is `create_backend(B, ...,
+    scenario=S).run(R)`: same params, same rows, nothing CLI-only."""
+    record = tmp_path / "run.json"
+    assert cli_main([
+        "run", "--backend", name, "--scenario", scenario, *SMALL_FLAGS,
+        "--rounds", "3", "--json", str(record),
+    ]) == 0
+    ledger = create_backend(
+        name, ProtocolParams(**SMALL), scenario=SCENARIO_PRESETS[scenario]
+    )
+    expected = [round_row(r) for r in ledger.run(3)]
+    assert _cli_rows(record) == json.loads(canonical_json(expected))
+
+
+def test_cli_run_checkpoint_split_of_rival_scenario_run(tmp_path, capsys):
+    """A rival + scenario run checkpointed mid-fault and resumed prints the
+    tail rows of the unbroken run."""
+    args = ["run", "--backend", "omniledger_sim", "--scenario", "churn",
+            *SMALL_FLAGS]
+    full, tail = tmp_path / "full.json", tmp_path / "tail.json"
+    ckpt_dir = tmp_path / "ck"
+    assert cli_main([*args, "--rounds", "5", "--json", str(full)]) == 0
+    assert cli_main([*args, "--rounds", "2", "--checkpoint-every", "2",
+                     "--checkpoint-dir", str(ckpt_dir)]) == 0
+    assert cli_main([
+        "run", "--resume-from", str(ckpt_dir / "checkpoint-r000002.pkl"),
+        "--rounds", "3", "--json", str(tail),
+    ]) == 0
+    assert _cli_rows(tail) == _cli_rows(full)[2:]
 
 
 def test_cli_sweep_backend_axis(tmp_path, capsys):

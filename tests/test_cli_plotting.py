@@ -84,6 +84,10 @@ def test_parser_subcommands(capsys):
         ["sweep", "--policies", "none,censorship"],
         # ... and the overlap axis flag: it is `--grid overlap=...`.
         ["sweep", "--overlaps", "none"],
+        # `run` is the one run driver: `scenario` and `backends` only list.
+        ["scenario", "--preset", "churn"],
+        ["scenario", "--list"],
+        ["backends", "--run", "rapidchain"],
     ):
         with pytest.raises(SystemExit) as exit_info:
             parser.parse_args(argv)
@@ -119,8 +123,49 @@ def test_cli_run_small(capsys):
     assert "chain 1 blocks" in out and "valid=True" in out
 
 
+def test_cli_run_flagless_is_library_default(tmp_path, capsys):
+    import dataclasses
+    import json
+
+    from repro import ProtocolParams
+
+    record = tmp_path / "run.json"
+    assert main(["run", "--rounds", "1", "--json", str(record)]) == 0
+    assert "backend 'cycledger', scenario 'none', 1 rounds" in (
+        capsys.readouterr().out
+    )
+    payload = json.loads(record.read_text())
+    assert payload["params"] == dataclasses.asdict(ProtocolParams())
+    assert payload["backend"] == "cycledger" and payload["scenario"] is None
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["--adversary", "1.5"], "error: fraction must be in [0, 1]"),
+        (["--leader-strategy", "nope"], "error: unknown leader strategy"),
+        (["--scenario", "churn", "--n", "25"], "error: n - referee_size"),
+        (["--scenario", "churn", "--adversary", "2"], "error: fraction"),
+        (["--scenario", "nope"], "argument --scenario: invalid choice"),
+        (["--backend", "nope"], "argument --backend: invalid choice"),
+        (["--rounds", "0"], "argument --rounds: must be >= 1"),
+        (["--rounds", "-1"], "argument --rounds: must be >= 1"),
+        (["--checkpoint-every", "-1"], "argument --checkpoint-every: must"),
+    ],
+)
+def test_cli_run_bad_input_exits_naming_it(argv, needle, tmp_path, capsys):
+    """A bad value is a one-line `error: ...` naming the field or flag,
+    never a traceback, and runs nothing (no checkpoint is written)."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", *argv, "--checkpoint-dir", str(tmp_path / "ck")])
+    code = exit_info.value.code
+    assert code == 2 or str(code).startswith("error: ")
+    assert needle in f"{code}{capsys.readouterr().err}"
+    assert not (tmp_path / "ck").exists()
+
+
 def test_cli_scenario_list(capsys):
-    assert main(["scenario", "--list"]) == 0
+    assert main(["scenario"]) == 0
     out = capsys.readouterr().out
     assert "partition-halves" in out and "churn" in out
     # One roster: the four adversary-policy presets are listed with the rest.
@@ -131,24 +176,25 @@ def test_cli_scenario_unknown_preset():
     import pytest
 
     with pytest.raises(SystemExit):
-        main(["scenario", "--preset", "no-such-scenario"])
+        main(["run", "--scenario", "no-such-scenario"])
 
 
 def test_cli_scenario_repeated_preset_is_one_timeline(capsys):
-    args = ["scenario", "--n", "24", "--m", "2", "--lam", "2", "--referee", "6",
+    args = ["run", "--n", "24", "--m", "2", "--lam", "2", "--referee", "6",
             "--users", "12", "--txs", "4", "--rounds", "2", "--verbose"]
-    assert main([*args, "--preset", "latency-spike",
-                 "--preset", "adaptive-corruption"]) == 0
+    assert main([*args, "--scenario", "latency-spike",
+                 "--scenario", "adaptive-corruption"]) == 0
     out = capsys.readouterr().out
     assert "scenario 'latency-spike+adaptive-corruption'" in out
     assert "latency x4" in out and "leaderboard_corruption corrupts" in out
     with pytest.raises(SystemExit, match="at most one adversary policy"):
-        main([*args, "--preset", "censorship", "--preset", "referee-eclipse"])
+        main([*args, "--scenario", "censorship",
+              "--scenario", "referee-eclipse"])
 
 
 def test_cli_scenario_run_deterministic_json(tmp_path, capsys):
     args = [
-        "scenario", "--preset", "leader-crash", "--n", "24", "--m", "2",
+        "run", "--scenario", "leader-crash", "--n", "24", "--m", "2",
         "--lam", "2", "--referee", "6", "--users", "12", "--txs", "4",
         "--rounds", "3", "--verbose",
     ]

@@ -187,7 +187,7 @@ def test_policy_timelines_match_the_two_driver_implementation(name):
     )
     params = ProtocolParams(n=24, m=2, lam=2, referee_size=6, seed=0,
                             users_per_shard=12, tx_per_committee=4,
-                            cross_shard_ratio=0.3, invalid_ratio=0.1)  # CLI defaults
+                            cross_shard_ratio=0.3, invalid_ratio=0.1)  # that command's defaults
     ledger = CycLedger(params, scenario=scenario)
     rows = [round_row(r) for r in ledger.run(scenario.last_event_round + 1)]
     assert ledger.scenario_driver.log == want["log"]
