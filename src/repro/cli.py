@@ -22,8 +22,8 @@ import numpy as np
 
 from repro import AdversaryConfig, ProtocolParams
 from repro.backends import BACKEND_REGISTRY, create_backend
-from repro.exp.results import atomic_write_bytes, round_row
-from repro.exp.spec import canonical_json
+from repro.exp.results import atomic_write_bytes, collect_result
+from repro.exp.spec import canonical_json, point_key
 from repro.ledger.checkpoint import load_checkpoint, save_checkpoint
 from repro.scenarios import SCENARIO_PRESETS, Scenario
 
@@ -137,23 +137,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
           f"(overlap={ledger.params.overlap}, sequential {sequential:.1f}, "
           f"pipelining gain {gain:.1%})")
     if args.json:
-        _write_run_json(args.json, ledger, rounds, reports)
-        print(f"rows -> {args.json}")
+        # The record a sweep point writes, keyed by this run's identity
+        # (the CI byte-identity gate compares two from identical seeds).
+        point = {
+            "backend": ledger.backend_name,
+            "scenario": None if scenario is None else scenario.to_dict(),
+            "params": dataclasses.asdict(ledger.params),  # recurses into net
+            "adversary": dataclasses.asdict(ledger.adversary.config),
+            "rounds": rounds,
+        }
+        record = collect_result(ledger, reports, point, point_key(point))
+        atomic_write_bytes(
+            args.json, (canonical_json(record.to_dict()) + "\n").encode()
+        )
+        print(f"record -> {args.json}")
     return 0
-
-
-def _write_run_json(path: str, ledger, rounds: int, reports) -> None:
-    """Canonical, deterministic run record (the CI byte-identity gate
-    compares two of these from identical seeds)."""
-    scenario = ledger.scenario
-    payload = {
-        "backend": ledger.backend_name,
-        "scenario": None if scenario is None else scenario.to_dict(),
-        "params": dataclasses.asdict(ledger.params),  # recurses into net
-        "rounds": rounds,
-        "rows": [round_row(r) for r in reports],
-    }
-    atomic_write_bytes(path, (canonical_json(payload) + "\n").encode())
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
@@ -414,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--verbose", action="store_true",
                      help="print the scenario driver's log")
     run.add_argument("--json", default=None,
-                     help="write the canonical per-round record here")
+                     help="write the run's canonical SweepResult record "
+                          "here")
     run.set_defaults(func=_cmd_run)
 
     scenario = sub.add_parser(

@@ -22,7 +22,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.exp.spec import canonical_json
 
@@ -131,61 +131,31 @@ def round_row(report: "SimRoundReport") -> dict[str, Any]:
     }
 
 
-class RoundAggregator:
-    """Single-pass totals accumulation over round rows.
-
-    The legacy aggregation path materialized every row and re-scanned the
-    list once per totals field; this accumulator folds each row as it
-    arrives, so a streaming soak computes totals in O(1) memory
-    (``keep_rows=False``) and :func:`collect_result` computes identical
-    totals in one pass.
-    """
-
-    def __init__(self, keep_rows: bool = True) -> None:
-        self._sums = {name: 0 for name in _SUMMED_ROUND_FIELDS}
-        self._sim_time = 0.0
-        self.rounds = 0
-        self.blocks = 0
-        self._last_row: Mapping[str, Any] | None = None
-        self._tx_age_max = 0.0
-        self._rss_peak = 0
-        self.rows: list[dict[str, Any]] | None = [] if keep_rows else None
-
-    def add(self, report: "SimRoundReport") -> dict[str, Any]:
-        """Fold one report; returns its flattened row."""
-        row = round_row(report)
-        self.add_row(row)
-        return row
-
-    def add_row(self, row: dict[str, Any]) -> None:
-        for name in _SUMMED_ROUND_FIELDS:
-            self._sums[name] += row[name]
-        self._sim_time += row["sim_time"]
-        self.rounds += 1
-        if row["block"] is not None:
-            self.blocks += 1
-        self._tx_age_max = max(self._tx_age_max, row["tx_age_max"])
-        self._rss_peak = max(self._rss_peak, row["rss_peak_kb"])
-        self._last_row = row
-        if self.rows is not None:
-            self.rows.append(row)
-
-    def totals(self) -> dict[str, Any]:
-        last = self._last_row
-        totals: dict[str, Any] = dict(self._sums)
-        totals["sim_time"] = self._sim_time
-        totals["rounds"] = self.rounds
-        totals["blocks"] = self.blocks
-        totals["reliable_channels"] = last["reliable_channels"] if last else 0
+def round_totals(rows: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
+    """A run's totals from its round rows (as :func:`round_row` makes them)."""
+    totals: dict[str, Any] = {
+        name: sum(row[name] for row in rows) for name in _SUMMED_ROUND_FIELDS
+    }
+    sim_time = 0.0
+    for row in rows:  # left to right: ``sum`` rounds floats its own way on 3.12+
+        sim_time += row["sim_time"]
+    last = rows[-1] if rows else {}
+    totals.update(
+        sim_time=sim_time,
+        rounds=len(rows),
+        blocks=sum(row["block"] is not None for row in rows),
+        reliable_channels=last.get("reliable_channels", 0),
         # End-to-end latency on the overlap-scheduled continuous timeline:
         # at overlap=none this equals the summed sim_time exactly; at
         # overlap=semicommit it is strictly lower (the pipelining gain).
-        totals["e2e_sim_time"] = last["timeline_end"] if last else 0.0
-        totals["queue_depth_final"] = last["queue_depth"] if last else 0
-        totals["tx_age_max"] = self._tx_age_max
-        totals["rss_peak_kb"] = self._rss_peak
-        totals["reports_streamed"] = last["reports_streamed"] if last else 0
-        return totals
+        e2e_sim_time=last.get("timeline_end", 0.0),
+        queue_depth_final=last.get("queue_depth", 0),
+        # The float seed comes first, so an all-zero run totals ``0.0``.
+        tx_age_max=max([0.0, *(row["tx_age_max"] for row in rows)]),
+        rss_peak_kb=max([0, *(row["rss_peak_kb"] for row in rows)]),
+        reports_streamed=last.get("reports_streamed", 0),
+    )
+    return totals
 
 
 class JsonlReportWriter:
@@ -225,11 +195,7 @@ def collect_result(
     key: str,
 ) -> SweepResult:
     """Distil a finished run into a :class:`SweepResult`."""
-    aggregator = RoundAggregator(keep_rows=True)
-    for report in reports:
-        aggregator.add(report)
-    rows = tuple(aggregator.rows or ())
-    totals = aggregator.totals()
+    rows = tuple(round_row(report) for report in reports)
     cells = {
         f"{phase}/{role}": {
             "messages": cell.messages,
@@ -263,7 +229,7 @@ def collect_result(
     return SweepResult(
         point=dict(point_descriptor),
         key=key,
-        totals=totals,
+        totals=round_totals(rows),
         per_round=rows,
         cells=cells,
         nodes=nodes,

@@ -219,12 +219,10 @@ class Runner:
             return None
         try:
             with open(path, "rb") as fh:
-                data = json.loads(fh.read())
-        except (OSError, ValueError):
-            return None  # unreadable/corrupt cache entry: just re-run it
-        if data.get("key") != key:
-            return None
-        return SweepResult.from_dict(data)
+                result = SweepResult.from_dict(json.loads(fh.read()))
+        except (OSError, ValueError, TypeError, KeyError):
+            return None  # unreadable, or JSON but not a record: re-run it
+        return result if result.key == key else None
 
     def _store(self, spec_hash: str, result: SweepResult) -> None:
         path = self._cache_path(spec_hash, result.key)

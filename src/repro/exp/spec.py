@@ -74,6 +74,11 @@ def _sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def point_key(point: Mapping[str, Any]) -> str:
+    """A run record's key: the hash of its canonical ``point``."""
+    return _sha256_hex(canonical_json(point))[:24]
+
+
 @dataclass(frozen=True)
 class SweepPoint:
     """One concrete cell of a sweep: a full override description plus the
@@ -107,7 +112,7 @@ class SweepPoint:
     @property
     def key(self) -> str:
         """Stable cache key: hash of the descriptor."""
-        return _sha256_hex(canonical_json(self.descriptor()))[:24]
+        return point_key(self.descriptor())
 
 
 def derive_point_seed(

@@ -23,8 +23,8 @@ from repro.exp import (
     run_point,
     run_sweep,
 )
-from repro.exp.results import round_row
-from repro.exp.spec import canonical_json
+from repro.exp.results import SweepResult, round_row
+from repro.exp.spec import canonical_json, point_key
 from repro.nodes.adversary import AdversaryConfig
 from repro.scenarios import SCENARIO_PRESETS
 
@@ -268,7 +268,7 @@ SMALL_FLAGS = [
 
 
 def _cli_rows(path) -> list:
-    return json.loads(path.read_text())["rows"]
+    return json.loads(path.read_text())["per_round"]
 
 
 @pytest.mark.parametrize(
@@ -293,7 +293,8 @@ def test_cli_run_is_the_library(name, scenario, tmp_path, capsys):
 
 def test_cli_run_checkpoint_split_of_rival_scenario_run(tmp_path, capsys):
     """A rival + scenario run checkpointed mid-fault and resumed prints the
-    tail rows of the unbroken run."""
+    tail rows of the unbroken run and ends in the same chain, nodes and
+    message census."""
     args = ["run", "--backend", "omniledger_sim", "--scenario", "churn",
             *SMALL_FLAGS]
     full, tail = tmp_path / "full.json", tmp_path / "tail.json"
@@ -306,6 +307,33 @@ def test_cli_run_checkpoint_split_of_rival_scenario_run(tmp_path, capsys):
         "--rounds", "3", "--json", str(tail),
     ]) == 0
     assert _cli_rows(tail) == _cli_rows(full)[2:]
+    full_record, tail_record = (json.loads(p.read_text()) for p in (full, tail))
+    for part in ("chain", "nodes", "cells"):
+        assert tail_record[part] == full_record[part], part
+
+
+def test_cli_run_record_is_the_sweep_record(tmp_path, capsys):
+    """`repro run --json` writes the record a sweep point writes: for the
+    same backend, scenario, params and seed, everything but the run's
+    identity (`point`, `key`) equals `run_point`'s."""
+    spec = ExperimentSpec(
+        name="one-record", rounds=3, seeds=(0,), base=SMALL,
+        backend="rapidchain", scenario="partition-halves",
+    )
+    (point,) = spec.expand()
+    record = tmp_path / "run.json"
+    assert cli_main([
+        "run", "--backend", point.backend, "--scenario", point.scenario,
+        *SMALL_FLAGS, "--rounds", str(point.rounds),
+        "--seed", str(point.derived_seed), "--json", str(record),
+    ]) == 0
+    cli = json.loads(record.read_text())
+    sweep = json.loads(canonical_json(run_point(point).to_dict()))
+    assert set(cli) == set(sweep)
+    for part in set(sweep) - {"point", "key"}:
+        assert cli[part] == sweep[part], part
+    assert cli["key"] == point_key(cli["point"])
+    assert SweepResult.from_dict(cli).point["backend"] == "rapidchain"
 
 
 def test_cli_sweep_backend_axis(tmp_path, capsys):

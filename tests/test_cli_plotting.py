@@ -134,9 +134,9 @@ def test_cli_run_flagless_is_library_default(tmp_path, capsys):
     assert "backend 'cycledger', scenario 'none', 1 rounds" in (
         capsys.readouterr().out
     )
-    payload = json.loads(record.read_text())
-    assert payload["params"] == dataclasses.asdict(ProtocolParams())
-    assert payload["backend"] == "cycledger" and payload["scenario"] is None
+    point = json.loads(record.read_text())["point"]
+    assert point["params"] == dataclasses.asdict(ProtocolParams())
+    assert point["backend"] == "cycledger" and point["scenario"] is None
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 """Algorithm 2 (committee configuration) and Algorithm 4 (semi-commitment)."""
 
 from repro.core.committee import run_committee_configuration
-from repro.core.sandbox import build_multi_sandbox, build_sandbox
+from repro.core.sandbox import build_sandbox
 from repro.core.semicommit import run_semi_commitment_exchange
 from repro.crypto.commitment import semi_commitment
 from repro.nodes.behaviors import BadSemiCommitLeader, OfflineNode
@@ -18,7 +18,7 @@ def test_single_committee_full_agreement():
 
 
 def test_multi_committee_agreement_and_isolation():
-    ctx = build_multi_sandbox(m=3, committee_size=8, lam=2)
+    ctx = build_sandbox(m=3, committee_size=8, lam=2)
     report = run_committee_configuration(ctx)
     assert all(report.full_agreement.values())
     # member lists never leak across committees
@@ -30,7 +30,7 @@ def test_multi_committee_agreement_and_isolation():
 
 def test_forged_ticket_rejected():
     """A node whose ticket belongs to another committee cannot join."""
-    ctx = build_multi_sandbox(m=2, committee_size=8, lam=2)
+    ctx = build_sandbox(m=2, committee_size=8, lam=2)
     # Give a common member of committee 0 the wrong ticket (committee 1's).
     intruder = ctx.committees[0].members[-1]
     donor = ctx.committees[1].members[-1]
@@ -60,7 +60,7 @@ def test_config_storage_recorded():
 
 
 def configured(m=3, c=8, behaviors=None, seed=0):
-    ctx = build_multi_sandbox(m=m, committee_size=c, lam=2, behaviors=behaviors, seed=seed)
+    ctx = build_sandbox(m=m, committee_size=c, lam=2, behaviors=behaviors, seed=seed)
     run_committee_configuration(ctx)
     return ctx
 

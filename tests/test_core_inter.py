@@ -6,7 +6,7 @@ from repro.core.committee import run_committee_configuration
 from repro.core.consensus import consensus_digest
 from repro.core.inter import dest_shard, run_inter_consensus
 from repro.core.intra import run_intra_consensus
-from repro.core.sandbox import build_multi_sandbox
+from repro.core.sandbox import build_sandbox
 from repro.core.semicommit import run_semi_commitment_exchange
 from repro.core.tags import Tags
 from repro.ledger.state import apply_block
@@ -15,7 +15,7 @@ from repro.nodes.behaviors import InterSilentLeader
 
 
 def setup(m=3, c=8, behaviors=None, seed=0, cross=0.5, invalid=0.1, prefilter=False):
-    ctx = build_multi_sandbox(m=m, committee_size=c, lam=2, behaviors=behaviors, seed=seed)
+    ctx = build_sandbox(m=m, committee_size=c, lam=2, behaviors=behaviors, seed=seed)
     if prefilter:
         object.__setattr__(ctx.params, "prefilter_cross_shard", True)
     wg = WorkloadGenerator(m=m, users_per_shard=24, rng=np.random.default_rng(seed))

@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.core.committee import run_committee_configuration
 from repro.core.intra import run_intra_consensus
-from repro.core.sandbox import build_multi_sandbox
+from repro.core.sandbox import build_sandbox
 from repro.core.semicommit import run_semi_commitment_exchange
 from repro.ledger.state import apply_block
 from repro.ledger.workload import WorkloadGenerator
@@ -18,7 +18,7 @@ from repro.nodes.behaviors import (
 
 
 def setup(m=3, c=8, behaviors=None, seed=0, invalid=0.15, cross=0.0, capacities=None):
-    ctx = build_multi_sandbox(m=m, committee_size=c, lam=2, behaviors=behaviors, seed=seed)
+    ctx = build_sandbox(m=m, committee_size=c, lam=2, behaviors=behaviors, seed=seed)
     if capacities:
         for nid, cap in capacities.items():
             ctx.nodes[nid].capacity = cap

@@ -13,7 +13,7 @@ from repro.core.reputation import (
     run_reputation_updating,
     score_summary,
 )
-from repro.core.sandbox import build_multi_sandbox
+from repro.core.sandbox import build_sandbox
 from repro.core.semicommit import run_semi_commitment_exchange
 from repro.ledger.state import apply_block
 from repro.ledger.workload import WorkloadGenerator
@@ -120,7 +120,7 @@ def test_empty_reputations():
 
 
 def setup(behaviors=None, seed=0):
-    ctx = build_multi_sandbox(m=2, committee_size=8, lam=2, behaviors=behaviors, seed=seed)
+    ctx = build_sandbox(m=2, committee_size=8, lam=2, behaviors=behaviors, seed=seed)
     wg = WorkloadGenerator(m=2, users_per_shard=24, rng=np.random.default_rng(seed))
     apply_block(ctx.shard_states, [wg.genesis_tx], ctx.shard_of)
     batch = wg.generate_batch(40, invalid_ratio=0.2)
@@ -178,7 +178,7 @@ def test_lazy_voters_score_zero():
 
 
 def test_no_vote_records_scores_zero():
-    ctx = build_multi_sandbox(m=2, committee_size=8, lam=2)
+    ctx = build_sandbox(m=2, committee_size=8, lam=2)
     run_committee_configuration(ctx)
     report = run_reputation_updating(ctx)
     for score_list in report.scores.values():

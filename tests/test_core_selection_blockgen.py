@@ -9,7 +9,7 @@ from repro.core.blockgen import parallel_subblocks, relevant, run_block_generati
 from repro.core.committee import run_committee_configuration
 from repro.core.inter import run_inter_consensus
 from repro.core.intra import run_intra_consensus
-from repro.core.sandbox import build_multi_sandbox
+from repro.core.sandbox import build_sandbox
 from repro.core.selection import run_selection
 from repro.core.semicommit import run_semi_commitment_exchange
 from repro.ledger.state import apply_block
@@ -18,7 +18,7 @@ from repro.ledger.workload import WorkloadGenerator
 
 
 def setup(seed=0, cross=0.3):
-    ctx = build_multi_sandbox(m=2, committee_size=8, lam=2, seed=seed)
+    ctx = build_sandbox(m=2, committee_size=8, lam=2, seed=seed)
     wg = WorkloadGenerator(m=2, users_per_shard=24, rng=np.random.default_rng(seed))
     apply_block(ctx.shard_states, [wg.genesis_tx], ctx.shard_of)
     ctx.global_utxos.restore(wg.genesis_utxos().snapshot())

@@ -5,7 +5,7 @@ import numpy as np
 from repro.core.committee import run_committee_configuration
 from repro.core.intra import audit_vote_round, first_honest_partial, run_intra_consensus
 from repro.core.recovery import Witness, attempt_recovery
-from repro.core.sandbox import build_multi_sandbox, build_sandbox
+from repro.core.sandbox import build_sandbox
 from repro.core.semicommit import run_semi_commitment_exchange
 from repro.core.voting import VoteRound
 from repro.crypto.commitment import semi_commitment
@@ -16,7 +16,7 @@ from repro.nodes.behaviors import ContraryVoter, EquivocatingLeader, OfflineNode
 
 def test_unregistered_member_in_claimed_list_detected():
     """Alg. 4 step 2: C_R checks 'all members in any list are registered'."""
-    ctx = build_multi_sandbox(m=2, committee_size=8, lam=2)
+    ctx = build_sandbox(m=2, committee_size=8, lam=2)
     run_committee_configuration(ctx)
     # Poison the leader's member list with a ghost identity.
     leader = ctx.node(ctx.committees[0].leader)
@@ -86,7 +86,7 @@ def test_workload_multi_input_never_generated():
 
 
 def test_semicommit_binding_after_recovery_matches_new_list():
-    ctx = build_multi_sandbox(m=2, committee_size=8, lam=2)
+    ctx = build_sandbox(m=2, committee_size=8, lam=2)
     run_committee_configuration(ctx)
     report = run_semi_commitment_exchange(ctx)
     for committee in ctx.committees:

@@ -171,6 +171,26 @@ def test_cache_ignores_corrupt_entries(tmp_path):
     assert again.json_bytes() == first.json_bytes()
 
 
+def test_cache_reruns_entries_that_parse_but_are_not_records(tmp_path):
+    """A cache file holding JSON that is not a record (a list, or a dict
+    with only the key) is a miss: exactly those points re-run, and the
+    artifact equals a cold run's."""
+    cache = str(tmp_path / "cache")
+    cold = Runner(TINY, workers=1, cache_dir=cache).run()
+    first, last = cold.results[0].key, cold.results[3].key
+    for key, entry in ((first, []), (last, {"key": last})):
+        path = os.path.join(cache, TINY.spec_hash(), f"{key}.json")
+        with open(path, "w") as fh:
+            json.dump(entry, fh)
+    executed = []
+    again = Runner(TINY, workers=1, cache_dir=cache).run(
+        progress=lambda done, total, result: executed.append(result.key)
+    )
+    assert sorted(executed) == sorted([first, last])
+    assert again.executed == 2 and again.from_cache == 2
+    assert again.json_bytes() == cold.json_bytes()
+
+
 def test_outcome_lookup_and_artifacts(tmp_path):
     outcome = run_sweep(TINY, workers=1)
     result = outcome.one(m=2, fraction=0.2)

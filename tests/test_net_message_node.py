@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.sandbox import build_multi_sandbox, build_sandbox
+from repro.core.sandbox import build_sandbox
 from repro.crypto.pki import PKI
 from repro.crypto.signatures import sign
 from repro.crypto.vrf import vrf_eval
@@ -132,7 +132,7 @@ def test_sandbox_capacities_applied():
 
 
 def test_multi_sandbox_tickets_match_layout():
-    ctx = build_multi_sandbox(m=3, committee_size=6, lam=2, seed=4)
+    ctx = build_sandbox(m=3, committee_size=6, lam=2, seed=4)
     for committee in ctx.committees:
         for mid in committee.members:
             ticket = ctx.node(mid).ticket
@@ -140,7 +140,7 @@ def test_multi_sandbox_tickets_match_layout():
 
 
 def test_multi_sandbox_shard_states_distinct():
-    ctx = build_multi_sandbox(m=3, committee_size=6, lam=2)
+    ctx = build_sandbox(m=3, committee_size=6, lam=2)
     assert len({id(s) for s in ctx.shard_states}) == 3
     for k, committee in enumerate(ctx.committees):
         for mid in committee.members:
