@@ -30,10 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.crypto.hashing import H
+from repro.crypto.hashing import H, canonical_bytes, fields_bytes
 from repro.crypto.signatures import (
     Signature,
     encode_statement,
+    encode_statement_parts,
     sign_encoded,
     signed_by,
     signed_by_encoded,
@@ -190,6 +191,8 @@ class InsideConsensus:
         self._enc_header: dict[bytes, bytes] = {}
         self._enc_echo: dict[tuple[bytes, int], bytes] = {}
         self._enc_confirm: dict[bytes, bytes] = {}
+        # Every ECHO statement of the session shares its head.
+        self._echo_head = fields_bytes("ECHO", self.r, sn)
 
     _DIGEST_MEMO_MAX = 8
 
@@ -251,7 +254,10 @@ class InsideConsensus:
         key = (digest, sender_id)
         enc = self._enc_echo.get(key)
         if enc is None:
-            enc = encode_statement(("ECHO", self.r, self.sn, digest, sender_id))
+            # the bytes of encode_statement(("ECHO", r, sn, digest, sender_id))
+            enc = encode_statement_parts(
+                (self._echo_head, canonical_bytes(digest), canonical_bytes(sender_id))
+            )
             self._enc_echo[key] = enc
         return enc
 

@@ -31,7 +31,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.crypto.field import FIELD, PrimeField
+from repro.crypto.field import FIELD, GROUP
 from repro.crypto.hashing import H
 from repro.crypto.pvss import (
     PVSSDealing,
@@ -70,7 +70,6 @@ class ScrapeBeacon:
         n: int,
         rng: np.random.Generator,
         threshold: int | None = None,
-        field: PrimeField = FIELD,
     ) -> None:
         if n < 1:
             raise ValueError("beacon needs at least one member")
@@ -79,7 +78,6 @@ class ScrapeBeacon:
         if not (1 <= self.threshold <= n):
             raise ValueError("threshold out of range")
         self.rng = rng
-        self.field = field
         self._dealings: dict[int, PVSSDealing] = {}
         self._secrets: dict[int, PVSSSecrets] = {}
 
@@ -91,13 +89,13 @@ class ScrapeBeacon:
         dealings (share vector off the degree-(t-1) polynomial)."""
         corrupt = set(corrupt_dealers)
         for member in range(self.n):
-            secret = int(self.rng.integers(1, self.field.p))
+            secret = int(self.rng.integers(1, FIELD.p))
             dealing, secrets = deal(secret, self.n, self.threshold, self.rng)
             if member in corrupt and self.n > 1:
                 # Perturb one share commitment so the vector is no longer a
                 # codeword — the classic "inconsistent dealing" attack.
                 bad = list(dealing.share_commitments)
-                bad[0] = bad[0] * dealing.coeff_commitments[0] % _group_q()
+                bad[0] = bad[0] * dealing.coeff_commitments[0] % GROUP.q
                 dealing = PVSSDealing(
                     n=dealing.n,
                     threshold=dealing.threshold,
@@ -112,7 +110,7 @@ class ScrapeBeacon:
     def qualify(self, report: BeaconReport) -> list[int]:
         """Run SCRAPE verification on every dealing; fix the qualified set."""
         for member, dealing in sorted(self._dealings.items()):
-            if verify_dealing(dealing, self.rng, field=self.field):
+            if verify_dealing(dealing, self.rng):
                 report.qualified.append(member)
             else:
                 report.disqualified.append(member)
@@ -148,7 +146,7 @@ class ScrapeBeacon:
                     report.invalid_revealed_shares += 1
                     continue
                 points.append((idx, share))
-            secret = reconstruct(points, self.threshold, self.field)
+            secret = reconstruct(points, self.threshold)
             report.reconstructed_secrets[dealer] = secret
         return report.reconstructed_secrets
 
@@ -158,12 +156,6 @@ class ScrapeBeacon:
         """Beacon value: hash of the round number and all qualified secrets."""
         items = tuple(sorted(secrets.items()))
         return H("BEACON", round_number, items)
-
-
-def _group_q() -> int:
-    from repro.crypto.field import GROUP
-
-    return GROUP.q
 
 
 def run_beacon(

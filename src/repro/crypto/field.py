@@ -72,7 +72,8 @@ class PrimeField:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("no inverse of 0 in a field")
-        return pow(a, self.p - 2, self.p)
+        # extended Euclid; the same value as Fermat's a^(p-2), at less cost
+        return pow(a, -1, self.p)
 
     def poly_eval(self, coeffs: Sequence[int], x: int) -> int:
         """Evaluate ``coeffs[0] + coeffs[1]·x + …`` by Horner's rule."""
@@ -121,18 +122,40 @@ class PrimeField:
 
 @dataclass(frozen=True)
 class SchnorrGroup:
-    """Order-``p`` subgroup of Z_q^* with generator ``g`` (q = k·p + 1)."""
+    """Order-``p`` subgroup of Z_q^* with generator ``g`` (q = k·p + 1).
+
+    The base of every commitment is ``g``, so the group keeps a fixed-base
+    table built once on construction (not a field): row ``i`` holds
+    ``g^(j·256^i)`` for ``j`` in 0..255, one row per byte of an exponent
+    below ``p`` — 8 × 256 entries for the 61-bit share field.
+    """
 
     q: int
     p: int
     g: int
 
+    def __post_init__(self) -> None:
+        rows = []
+        base = self.g
+        for _ in range((self.p.bit_length() + 7) // 8):
+            row = [1]
+            for _ in range(255):
+                row.append(row[-1] * base % self.q)
+            rows.append(tuple(row))
+            base = row[-1] * base % self.q  # g^(256^(i+1))
+        object.__setattr__(self, "_rows", tuple(rows))
+
     def exp(self, base: int, e: int) -> int:
         return pow(base, e % self.p, self.q)
 
     def commit(self, e: int) -> int:
-        """Pedersen-free Feldman commitment g^e mod q."""
-        return pow(self.g, e % self.p, self.q)
+        """Pedersen-free Feldman commitment g^e mod q: one table entry per
+        byte of ``e mod p``, equal to ``pow(g, e % p, q)``."""
+        q, rows = self.q, self._rows
+        acc = 1
+        for row, byte in zip(rows, (e % self.p).to_bytes(len(rows), "little")):
+            acc = acc * row[byte] % q
+        return acc
 
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.q

@@ -41,8 +41,7 @@ def _encode(message: Any) -> bytes:
 
 def sign(keypair: KeyPair, message: Any) -> Signature:
     """Sign ``message`` (any canonically-encodable structure)."""
-    tag = hmac.digest(keypair.sk, _encode(message), "sha256")
-    return Signature(pk=keypair.pk, tag=tag)
+    return Signature(pk=keypair.pk, tag=keypair.mac_key.tag(_encode(message)))
 
 
 def verify(pki: PKI, signature: Signature, message: Any) -> bool:
@@ -98,8 +97,7 @@ def encode_statement_parts(parts: Iterable[bytes]) -> bytes:
 def sign_encoded(keypair: KeyPair, encoded: bytes) -> Signature:
     """:func:`sign` over a pre-encoded statement (see
     :func:`encode_statement`)."""
-    tag = hmac.digest(keypair.sk, encoded, "sha256")
-    return Signature(pk=keypair.pk, tag=tag)
+    return Signature(pk=keypair.pk, tag=keypair.mac_key.tag(encoded))
 
 
 def verify_encoded(pki: PKI, signature: Signature, encoded: bytes) -> bool:

@@ -56,7 +56,7 @@ def vrf_eval(keypair: KeyPair, alpha: Any) -> VRFOutput:
     value is a deterministic public function of the proof (verifiers check
     both links).
     """
-    proof = hmac.digest(keypair.sk, _encode(alpha), "sha256")
+    proof = keypair.mac_key.tag(_encode(alpha))
     value = int.from_bytes(hashlib.sha256(b"vrfout" + proof).digest(), "big")
     return VRFOutput(pk=keypair.pk, value=value, proof=proof)
 

@@ -493,6 +493,20 @@ def networkx_parallel_subblocks(txs: list[Transaction]) -> list[list[Transaction
     return groups
 
 
+# -- field inverses and Feldman commitments, one exponentiation each -----------
+def fermat_inv(a: int, p: int) -> int:
+    """``PrimeField.inv`` by Fermat's little theorem: ``a^(p-2) mod p``."""
+    a %= p
+    if a == 0:
+        raise ZeroDivisionError("no inverse of 0 in a field")
+    return pow(a, p - 2, p)
+
+
+def pow_commit(group, e: int) -> int:
+    """``SchnorrGroup.commit`` as one modular exponentiation of ``g``."""
+    return pow(group.g, e % group.p, group.q)
+
+
 # -- the per-transaction path, element by element -------------------------------
 def element_walk_txid(tx: Transaction) -> bytes:
     """The pre-optimization ``Transaction.txid``: ``H`` over the input and

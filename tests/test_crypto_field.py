@@ -1,8 +1,17 @@
 """Prime field, Miller-Rabin and the Schnorr group."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from reference_impls import fermat_inv, pow_commit
 
-from repro.crypto.field import FIELD, GROUP, PrimeField, is_prime
+from repro.crypto.field import FIELD, GROUP, PrimeField, _find_group, is_prime
+
+#: the share field and two small fields whose byte widths (1 and 3) differ
+#: from its 8
+FIELDS = (FIELD, PrimeField(101), PrimeField(65537))
+GROUPS = (GROUP, _find_group(101), _find_group(65537))
+P = FIELD.p
 
 
 def test_known_primes():
@@ -38,8 +47,42 @@ def test_add_sub_mul_inverse():
 
 
 def test_inv_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        FIELD.inv(0)
+    for zero in (0, FIELD.p, -FIELD.p):
+        with pytest.raises(ZeroDivisionError):
+            FIELD.inv(zero)
+
+
+@given(st.integers(-(2**70), 2**70))
+@example(1)
+@example(-1)
+@example(P - 1)
+@example(P + 1)
+@example(-P - 1)
+@example(2**64)
+def test_inverse_is_fermats(a):
+    """``inv`` is Fermat's ``a^(p-2)``, for negative inputs and inputs at or
+    past ``p`` too, and raises where it does."""
+    for field in FIELDS:
+        if a % field.p == 0:
+            with pytest.raises(ZeroDivisionError):
+                field.inv(a)
+        else:
+            assert field.inv(a) == fermat_inv(a, field.p)
+
+
+@given(st.integers(-(2**70), 2**70))
+@example(0)
+@example(1)
+@example(P - 1)
+@example(P)
+@example(P + 1)
+@example(-1)
+@example(2**64)
+def test_commitment_is_one_pow(e):
+    """The fixed-base table's product is ``pow(g, e % p, q)`` for every
+    exponent, in every group."""
+    for group in GROUPS:
+        assert group.commit(e) == pow_commit(group, e)
 
 
 def test_poly_eval_horner():

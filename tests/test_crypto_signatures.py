@@ -79,20 +79,37 @@ def test_fingerprint_changes_with_registry(pki):
     assert pki.fingerprint() != f0
 
 
-@pytest.mark.parametrize("seed", [1, ("node", 7)])
+#: lengths of a secret key made outside the registry: RFC 2104 zero-pads a
+#: key up to SHA-256's 64-byte block and hashes a longer one first
+OUTSIDE_SK_LENGTHS = (0, 1, 32, 64, 65, 200)
+
+
+@pytest.mark.parametrize(
+    "seed, sk",
+    [(1, None), (("node", 7), None), *((None, bytes(range(n))) for n in OUTSIDE_SK_LENGTHS)],
+    ids=["1", "seed1", *(f"sk{n}" for n in OUTSIDE_SK_LENGTHS)],
+)
 @pytest.mark.parametrize("message", [b"", b"sig", b"\x00" * 200])
-def test_every_tag_is_plain_hmac_sha256(pki, seed, message):
+def test_every_tag_is_plain_hmac_sha256(pki, seed, sk, message):
     """``sign``/``sign_encoded``/``PKI.mac``/``mac_many`` and
     the VRF proof are HMAC-SHA256 of the encoded message, byte for byte
-    (including the empty message), whichever hmac entry point makes them."""
+    (including the empty message), for generated key pairs and for key pairs
+    registered from outside with keys of every length, and still are after
+    the key pair is pickled or deep-copied.  No ``repr`` shows the key."""
+    import copy
     import hashlib
     import hmac
+    import pickle
 
     from repro.crypto.hashing import canonical_bytes
     from repro.crypto.signatures import encode_statement, sign_encoded
     from repro.crypto.vrf import vrf_eval
 
-    kp = pki.generate(seed)
+    if sk is None:
+        kp = pki.generate(seed)
+    else:
+        kp = KeyPair(pk=f"outside-{len(sk)}", sk=sk)
+        pki.register(kp)
 
     def reference(data):
         return hmac.new(kp.sk, data, hashlib.sha256).digest()
@@ -105,3 +122,10 @@ def test_every_tag_is_plain_hmac_sha256(pki, seed, message):
     assert encode_statement(message) == b"sig" + canonical_bytes(message)
     assert sign(kp, message).tag == reference(encode_statement(message))
     assert vrf_eval(kp, message).proof == reference(b"vrf" + canonical_bytes(message))
+    for twin in (pickle.loads(pickle.dumps(kp)), copy.deepcopy(kp)):
+        assert twin == kp and twin.mac_key is not kp.mac_key
+        assert sign_encoded(twin, message).tag == reference(message)
+        assert sign(twin, message).tag == reference(encode_statement(message))
+        assert vrf_eval(twin, message).proof == vrf_eval(kp, message).proof
+    for text in (repr(kp), repr(kp.mac_key)):
+        assert not kp.sk or (repr(kp.sk) not in text and kp.sk.hex() not in text)

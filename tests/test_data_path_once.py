@@ -28,6 +28,7 @@ from reference_impls import (
 
 from repro import CycLedger, ProtocolParams, load_checkpoint, save_checkpoint
 from repro.core.committee import run_committee_configuration
+from repro.core.consensus import InsideConsensus
 from repro.core.sandbox import build_sandbox
 from repro.core.semicommit import run_semi_commitment_exchange
 from repro.core.structures import VoteMatrix
@@ -571,6 +572,21 @@ def test_vote_statement_is_the_element_walk(vote_ctx, votes):
     assert session._vote_enc(votes, vector) == element_walk_vote_statement(
         1, 0, "walk", votes
     )
+
+
+@pytest.mark.parametrize("sn", ["intra:0", 7, (("INTER", 0, 1), ("x", (2, b"y")))])
+def test_echo_statement_is_the_generic_encoding(sn):
+    """An ECHO statement is the session's head ``("ECHO", r, sn)`` plus the
+    digest and sender: the bytes ``encode_statement`` gives the whole tuple,
+    for any ``sn`` and for a numpy-int sender id."""
+    ctx = build_sandbox(committee_size=4, lam=2)
+    members = ctx.committees[0].members
+    session = InsideConsensus(ctx, members, members[0], sn, ("payload",), "echo")
+    digest = H("payload")
+    for sender in (members[1], np.int64(members[2]), np.int32(members[3])):
+        assert session._echo_enc(digest, sender) == encode_statement(
+            ("ECHO", ctx.round_number, sn, digest, sender)
+        )
 
 
 @given(st.integers(0, 10**6), st.lists(st.integers(-(2**70), 2**70), max_size=300))
