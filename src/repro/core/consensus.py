@@ -100,6 +100,12 @@ def confirm_statement(round_number: int, sn: Any, digest: bytes) -> tuple:
     return ("CONFIRM", round_number, sn, digest)
 
 
+def quorum(size: int) -> int:
+    """The paper's one rule, "more than half" of ``size``: the fewest votes,
+    ECHOes, CONFIRMs, countersignatures or approvals that carry a judgement."""
+    return size // 2 + 1
+
+
 def verify_certificate(
     pki,
     member_pks: Sequence[str],
@@ -107,9 +113,8 @@ def verify_certificate(
     sn: Any,
     digest: bytes,
     cert: Sequence[Signature],
-    threshold: int | None = None,
 ) -> bool:
-    """Check a SigList: > half of ``member_pks`` signed CONFIRM over digest.
+    """Check a SigList: a quorum of ``member_pks`` signed CONFIRM over digest.
 
     Duplicate or foreign signatures are discarded, so a malicious leader
     cannot pad a certificate (Lemma 6's "cannot fabricate a consensus
@@ -117,8 +122,7 @@ def verify_certificate(
     """
     statement = confirm_statement(round_number, sn, digest)
     signers = signers_of(pki, cert, statement, members=set(member_pks))
-    needed = threshold if threshold is not None else len(member_pks) // 2 + 1
-    return len(signers) >= needed
+    return len(signers) >= quorum(len(member_pks))
 
 
 class InsideConsensus:
@@ -159,6 +163,7 @@ class InsideConsensus:
         )
         self.r = ctx.round_number
         self.C = len(self.members)
+        self.need = quorum(self.C)
         self.outcome = ConsensusOutcome()
         # Per-member state
         self._proposed: dict[int, tuple[bytes, Signature]] = {}
@@ -393,7 +398,7 @@ class InsideConsensus:
         changes nothing in :meth:`_note_header`.  A member that has
         confirmed has nothing left to count, so it stops after the audit (a
         late second header still makes it raise STOP).  And the member's
-        count can only cross C/2 on an ECHO for its own proposed digest, so
+        count can only reach the quorum on an ECHO for its own proposed digest, so
         :meth:`_maybe_confirm` runs for those alone; ECHOes that reach
         quorum before the PROPOSE are confirmed by the PROPOSE handler.
         """
@@ -404,7 +409,7 @@ class InsideConsensus:
         seen_headers = self._seen_headers
         echoes = self._echoes
         proposed = self._proposed
-        half = self.C / 2
+        need = self.need
 
         def handler(message: "Message") -> None:
             mid = message.recipient
@@ -434,7 +439,7 @@ class InsideConsensus:
             if by_digest is None:
                 held[digest] = by_digest = {}
             by_digest[echo_sig.pk] = echo_sig
-            if len(by_digest) > half:
+            if len(by_digest) >= need:
                 own = proposed.get(mid)
                 if own is not None and own[0] == digest:
                     self._maybe_confirm(mid)
@@ -492,7 +497,7 @@ class InsideConsensus:
             return
         digest, _ = proposed
         echoes = self._echoes[mid].get(digest, {})
-        if len(echoes) <= self.C / 2:
+        if len(echoes) < self.need:
             return
         node = self.ctx.node(mid)
         self._confirmed.add(mid)
@@ -528,7 +533,7 @@ class InsideConsensus:
             return
         self._confirm_sigs[confirm_sig.pk] = confirm_sig
         self.outcome.confirms = len(self._confirm_sigs)
-        if len(self._confirm_sigs) > self.C / 2 and not self.outcome.success:
+        if len(self._confirm_sigs) >= self.need and not self.outcome.success:
             self.outcome.success = True
             self.outcome.payload = self.payload
             self.outcome.digest = expected_digest

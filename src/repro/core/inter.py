@@ -31,16 +31,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.consensus import consensus_digest, verify_certificate
-from repro.core.intra import _audit_and_maybe_retry, first_honest_partial
-from repro.core.recovery import Witness, attempt_recovery
+from repro.core.intra import _audit_and_maybe_retry, accuse, silence_witness
 from repro.core.structures import RecoveryEvent, RoundContext
 from repro.core.tags import Tags
 from repro.core.voting import (
     VoteRound,
     VoteRoundSession,
+    certified,
     input_side_votes,
     output_side_votes,
+    record_votes,
     run_vote_rounds,
 )
 from repro.ledger.transaction import ShardMap, Transaction
@@ -56,6 +56,10 @@ class InterReport:
     forged_rejected: int = 0
     lemma7_forwards: list[tuple[int, int]] = field(default_factory=list)
     recoveries: list[RecoveryEvent] = field(default_factory=list)
+    censorship_detected: list[int] = field(default_factory=list)
+    silence_detected: list[int] = field(default_factory=list)
+    equivocation_detected: list[int] = field(default_factory=list)
+    retried: list[int] = field(default_factory=list)
     prefilter_savings: int = 0  # txs dropped before committee-wide voting
     elapsed: float = 0.0
 
@@ -112,13 +116,10 @@ def run_inter_consensus(ctx: RoundContext) -> InterReport:
     for ((i, j), _), round_result in zip(sorted(pair_txs.items()), rounds):
         committee = committees_by_index[i]
         final = _audit_and_maybe_retry(
-            ctx, committee, round_result, _proxy(report), phase_name="inter"
+            ctx, committee, round_result, report, phase_name="inter"
         )
         report.send_rounds[(i, j)] = final
-        if final.matrix is not None:
-            ctx.vote_records.setdefault(i, []).append(
-                (final.txids, final.matrix, final.decision)
-            )
+        record_votes(ctx, i, final)
 
     # -- stage 2: hand-off to receiving committees -----------------------------
     packages: dict[tuple[int, int], tuple] = {}
@@ -137,20 +138,8 @@ def run_inter_consensus(ctx: RoundContext) -> InterReport:
         if cached is not None:
             return cached
         i, _j, txs, alg3_payload, cert, session = payload
-        member_pks = [pk for pk, _ in ctx.member_lists.get(i, ())]
-        digest = consensus_digest(alg3_payload)
-        result = bool(
-            member_pks
-            and verify_certificate(
-                ctx.pki,
-                member_pks,
-                ctx.round_number,
-                ("VOTEROUND", session),
-                digest,
-                cert,
-            )
-            and tuple(tx.txid for tx in txs) == alg3_payload[0]
-        )
+        txids = tuple(tx.txid for tx in txs)
+        result = certified(ctx, i, session, alg3_payload, cert, txids)
         valid_cache[id(payload)] = result
         cache_refs.append(payload)
         return result
@@ -237,37 +226,21 @@ def run_inter_consensus(ctx: RoundContext) -> InterReport:
             )
             probe.start()
             ctx.net.run()
-            witness_round = probe.finish()
-            witness = None
-            if witness_round.timed_out:
-                for pid in receiver_committee.partial:
-                    sigs = witness_round.no_proposal_sigs.get(pid, [])
-                    if len(sigs) > receiver_committee.size / 2:
-                        witness = Witness(
-                            kind="silence",
-                            committee=j,
-                            leader_pk=ctx.pk_of(receiver_committee.leader),
-                            round_number=ctx.round_number,
-                            evidence=("inter-recv", tuple(sigs)),
-                        )
-                        break
+            witness = silence_witness(
+                ctx, receiver_committee, probe.finish(), "inter-recv"
+            )
             if witness is not None:
-                accuser = first_honest_partial(ctx, receiver_committee)
-                if accuser is not None:
-                    event = attempt_recovery(
-                        ctx, receiver_committee, accuser, witness,
-                        session=f"interrec:{i}:{j}",
-                    )
-                    report.recoveries.append(event)
+                accuse(ctx, receiver_committee, witness, f"interrec:{i}:{j}", report)
 
     # -- stage 3: receiving-side vote rounds ------------------------------------
-    recv_work = []
+    recv_work, recv_keys = [], []
     for key, (txs, alg3_payload, cert, session) in sorted(packages.items()):
         i, j = key
         receiver_committee = committees_by_index[j]
         leader_node = ctx.node(receiver_committee.leader)
         if not leader_node.behavior.forwards_inter(leader_node):
             continue  # only reachable if recovery failed
+        recv_keys.append(key)
         recv_work.append(
             (
                 receiver_committee,
@@ -278,29 +251,13 @@ def run_inter_consensus(ctx: RoundContext) -> InterReport:
             )
         )
     recv_rounds = run_vote_rounds(ctx, recv_work)
-    recv_keys = [
-        key
-        for key in sorted(packages)
-        if ctx.node(committees_by_index[key[1]].leader).behavior.forwards_inter(
-            ctx.node(committees_by_index[key[1]].leader)
-        )
-    ]
 
     # -- stage 4: results back to the sending leader ------------------------------
     results_received: dict[tuple[int, int], tuple] = {}
 
     def on_result(message) -> None:
         i, j, txids, alg3_payload, cert, session = message.payload
-        member_pks = [pk for pk, _ in ctx.member_lists.get(j, ())]
-        digest = consensus_digest(alg3_payload)
-        if member_pks and verify_certificate(
-            ctx.pki,
-            member_pks,
-            ctx.round_number,
-            ("VOTEROUND", session),
-            digest,
-            cert,
-        ):
+        if certified(ctx, j, session, alg3_payload, cert, txids):
             results_received[(i, j)] = (txids, cert)
 
     for committee in ctx.committees:
@@ -309,10 +266,7 @@ def run_inter_consensus(ctx: RoundContext) -> InterReport:
     for key, round_result in zip(recv_keys, recv_rounds):
         i, j = key
         report.recv_rounds[key] = round_result
-        if round_result.matrix is not None:
-            ctx.vote_records.setdefault(j, []).append(
-                (round_result.txids, round_result.matrix, round_result.decision)
-            )
+        record_votes(ctx, j, round_result)
         if not round_result.consensus_success:
             continue
         receiver_leader = ctx.node(committees_by_index[j].leader)
@@ -386,17 +340,3 @@ def _prefilter(
     ctx.net.run()
     return filtered
 
-
-class _proxy:
-    """Adapter letting the intra-phase audit helper write into InterReport."""
-
-    def __init__(self, report: InterReport) -> None:
-        self._report = report
-        self.censorship_detected: list[int] = []
-        self.silence_detected: list[int] = []
-        self.equivocation_detected: list[int] = []
-        self.retried: list[int] = []
-
-    @property
-    def recoveries(self) -> list[RecoveryEvent]:
-        return self._report.recoveries

@@ -21,13 +21,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.core.consensus import consensus_digest, verify_certificate
-from repro.core.recovery import Witness, attempt_recovery
+from repro.core.consensus import quorum
+from repro.core.recovery import Witness, attempt_recovery, censored
 from repro.core.structures import CommitteeSpec, RecoveryEvent, RoundContext
 from repro.core.tags import Tags
-from repro.core.voting import VoteRound, input_side_votes, run_vote_rounds
+from repro.core.voting import (
+    VoteRound,
+    certified,
+    input_side_votes,
+    record_votes,
+    run_vote_rounds,
+)
 from repro.ledger.transaction import Transaction
 
 
@@ -43,6 +47,27 @@ class IntraReport:
     elapsed: float = 0.0
 
 
+def silence_witness(
+    ctx: RoundContext, committee: CommitteeSpec, round_result: VoteRound, phase: str
+) -> Witness | None:
+    """The silence witness of the first honest, online partial member whose
+    mailbox holds a quorum of NO_PROPOSAL statements, if any."""
+    for pid in committee.partial:
+        node = ctx.node(pid)
+        if node.behavior.is_malicious or not node.online:
+            continue
+        sigs = round_result.no_proposal_sigs.get(pid, [])
+        if len(sigs) >= quorum(committee.size):
+            return Witness(
+                kind="silence",
+                committee=committee.index,
+                leader_pk=ctx.pk_of(committee.leader),
+                round_number=ctx.round_number,
+                evidence=(phase, tuple(sigs)),
+            )
+    return None
+
+
 def audit_vote_round(
     ctx: RoundContext,
     committee: CommitteeSpec,
@@ -50,25 +75,10 @@ def audit_vote_round(
     phase_name: str,
 ) -> Witness | None:
     """What an honest partial-set member concludes from the artifacts."""
-    honest_partials = [
-        pid
-        for pid in committee.partial
-        if not ctx.node(pid).behavior.is_malicious and ctx.node(pid).online
-    ]
-    if not honest_partials:
+    if first_honest_partial(ctx, committee) is None:
         return None  # insecure partial set (prob. (1/3)^λ, §V-C)
     if round_result.timed_out:
-        for pid in honest_partials:
-            sigs = round_result.no_proposal_sigs.get(pid, [])
-            if len(sigs) > committee.size / 2:
-                return Witness(
-                    kind="silence",
-                    committee=committee.index,
-                    leader_pk=ctx.pk_of(committee.leader),
-                    round_number=ctx.round_number,
-                    evidence=(phase_name, tuple(sigs)),
-                )
-        return None
+        return silence_witness(ctx, committee, round_result, phase_name)
     if round_result.equivocation is not None:
         return Witness(
             kind="equivocation",
@@ -79,14 +89,9 @@ def audit_vote_round(
         )
     if round_result.matrix is None or round_result.sig_dec is None:
         return None
-    yes_counts = (round_result.matrix == 1).sum(axis=0)
-    quorum = committee.size / 2
-    reported = set(round_result.reported_txids)
-    censored = any(
-        yes_counts[i] > quorum and round_result.txids[i] not in reported
-        for i in range(len(round_result.txids))
-    )
-    if censored:
+    if censored(
+        round_result.matrix, round_result.txids, round_result.reported_txids
+    ):
         return Witness(
             kind="censor",
             committee=committee.index,
@@ -109,6 +114,24 @@ def first_honest_partial(ctx: RoundContext, committee: CommitteeSpec) -> int | N
         if not node.behavior.is_malicious and node.online:
             return pid
     return None
+
+
+def accuse(
+    ctx: RoundContext, committee: CommitteeSpec, witness: Witness, session: str, report
+) -> RecoveryEvent | None:
+    """Record the detection in ``report`` (an :class:`IntraReport` or an
+    ``InterReport``) and have the first honest partial member prosecute."""
+    detected = {
+        "censor": report.censorship_detected,
+        "equivocation": report.equivocation_detected,
+    }.get(witness.kind, report.silence_detected)
+    detected.append(committee.index)
+    accuser = first_honest_partial(ctx, committee)
+    if accuser is None:
+        return None
+    event = attempt_recovery(ctx, committee, accuser, witness, session=session)
+    report.recoveries.append(event)
+    return event
 
 
 def run_intra_consensus(ctx: RoundContext) -> IntraReport:
@@ -142,7 +165,7 @@ def run_intra_consensus(ctx: RoundContext) -> IntraReport:
     for committee, round_result in zip(list(ctx.committees), rounds):
         final = _audit_and_maybe_retry(ctx, committee, round_result, report)
         report.rounds[committee.index] = final
-        _record_votes(ctx, committee.index, final)
+        record_votes(ctx, committee.index, final)
     _send_to_referee(ctx, report)
     report.elapsed = ctx.net.now - started
     return report
@@ -152,30 +175,16 @@ def _audit_and_maybe_retry(
     ctx: RoundContext,
     committee: CommitteeSpec,
     round_result: VoteRound,
-    report: IntraReport,
+    report,
     phase_name: str = "intra",
 ) -> VoteRound:
     witness = audit_vote_round(ctx, committee, round_result, phase_name)
     if witness is None:
         return round_result
-    if witness.kind == "censor":
-        report.censorship_detected.append(committee.index)
-    elif witness.kind == "equivocation":
-        report.equivocation_detected.append(committee.index)
-    else:
-        report.silence_detected.append(committee.index)
-    accuser = first_honest_partial(ctx, committee)
-    if accuser is None:
-        return round_result
-    event = attempt_recovery(
-        ctx,
-        committee,
-        accuser,
-        witness,
-        session=f"{phase_name}rec:{committee.index}",
+    event = accuse(
+        ctx, committee, witness, f"{phase_name}rec:{committee.index}", report
     )
-    report.recoveries.append(event)
-    if not event.succeeded:
+    if event is None or not event.succeeded:
         return round_result
     report.retried.append(committee.index)
     retry = run_vote_rounds(
@@ -191,14 +200,6 @@ def _audit_and_maybe_retry(
         ],
     )[0]
     return retry
-
-
-def _record_votes(ctx: RoundContext, k: int, round_result: VoteRound) -> None:
-    """Stash (txids, matrix, decision) for the reputation phase."""
-    if round_result.matrix is not None:
-        ctx.vote_records.setdefault(k, []).append(
-            (round_result.txids, round_result.matrix, round_result.decision)
-        )
 
 
 def _send_to_referee(ctx: RoundContext, report: IntraReport) -> None:
@@ -229,20 +230,9 @@ def _send_to_referee(ctx: RoundContext, report: IntraReport) -> None:
     ctx.net.run()
     lead = ctx.referee[0]
     for k, (txs, payload, cert) in received.get(lead, {}).items():
-        member_pks = [pk for pk, _addr in ctx.member_lists.get(k, ())]
-        if not member_pks:
-            continue
-        digest = consensus_digest(payload)
         session = report.rounds[k].session
-        ok = verify_certificate(
-            ctx.pki,
-            member_pks,
-            ctx.round_number,
-            ("VOTEROUND", session),
-            digest,
-            cert,
-        )
-        if ok and tuple(tx.txid for tx in txs) == payload[0]:
+        txids = tuple(tx.txid for tx in txs)
+        if certified(ctx, k, session, payload, cert, txids):
             report.accepted_by_cr[k] = list(txs)
             ctx.intra_results[k] = list(txs)
     for rid in ctx.referee:

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.core.consensus import EquivocationWitness, InsideConsensus
+from repro.core.consensus import EquivocationWitness, InsideConsensus, quorum
 from repro.core.structures import (
     CommitteeSpec,
     RecoveryEvent,
@@ -108,21 +108,27 @@ def _witness_holds(pki, witness: Witness, committee_size: int) -> bool:
         matrix = votes.array
         if matrix.shape[1] != len(txids_all):
             return False
-        yes_counts = (matrix == 1).sum(axis=0)
-        decided = set(txids_dec)
-        quorum = matrix.shape[0] / 2
-        return any(
-            yes_counts[i] > quorum and txids_all[i] not in decided
-            for i in range(len(txids_all))
-        )
+        return censored(matrix, txids_all, txids_dec)
     if witness.kind == "silence":
         phase, statements = witness.evidence
         stmt = no_proposal_statement(witness.round_number, witness.committee, phase)
         signers = signers_of(
             pki, (s for s in statements if isinstance(s, Signature)), stmt
         )
-        return len(signers) > committee_size / 2
+        return len(signers) >= quorum(committee_size)
     return False
+
+
+def censored(matrix: np.ndarray, txids, decided) -> bool:
+    """Lemma 6's "conceal": some transaction (column of ``matrix``, one row
+    per member) has a quorum of Yes votes but is missing from ``decided``."""
+    yes_counts = (matrix == 1).sum(axis=0)
+    need = quorum(matrix.shape[0])
+    decided = set(decided)
+    return any(
+        yes_counts[i] >= need and txids[i] not in decided
+        for i in range(len(txids))
+    )
 
 
 class _ImpeachmentSession:
@@ -215,7 +221,7 @@ class _ImpeachmentSession:
         if not verify(self.ctx.pki, sig, self._vote_statement(approve)):
             return
         self.approvals[sig.pk] = sig
-        if len(self.approvals) > self.committee.size / 2 and not self.escalated:
+        if len(self.approvals) >= quorum(self.committee.size) and not self.escalated:
             self.escalated = True
             accuser_node = self.ctx.node(self.accuser)
             cert = tuple(self.approvals.values())
@@ -234,7 +240,7 @@ class _ImpeachmentSession:
         signers = signers_of(
             self.ctx.pki, cert, self._vote_statement(True), members=member_pks
         )
-        if len(signers) <= self.committee.size / 2:
+        if len(signers) < quorum(self.committee.size):
             return
         # Algorithm 6: the receiving referee member leads an
         # inside-consensus within C_R on the accusation.

@@ -25,7 +25,12 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from repro.core.consensus import InsideConsensus
+from repro.core.consensus import (
+    InsideConsensus,
+    consensus_digest,
+    quorum,
+    verify_certificate,
+)
 from repro.core.recovery import no_proposal_statement
 from repro.core.structures import CommitteeSpec, RoundContext, VoteMatrix
 from repro.crypto.hashing import fields_bytes, int8_seq_bytes
@@ -256,7 +261,7 @@ class VoteRoundSession:
             if votes is not None:
                 matrix[row, : len(votes)] = votes
         yes_counts = (matrix == 1).sum(axis=0)
-        decision = np.where(yes_counts > C / 2, 1, -1).astype(np.int8)
+        decision = np.where(yes_counts >= quorum(C), 1, -1).astype(np.int8)
         majority = [tx for tx, d in zip(self.txs, decision) if d == 1]
         leader_node = ctx.node(committee.leader)
         vlist = VoteMatrix(matrix)
@@ -350,6 +355,32 @@ class VoteRoundSession:
             nodes[mid].off(tags)
         if self._alg3 is not None:
             self._alg3.release()
+
+
+def record_votes(ctx: RoundContext, k: int, round_result: VoteRound) -> None:
+    """Stash committee k's (txids, matrix, decision) for the reputation
+    phase."""
+    if round_result.matrix is not None:
+        ctx.vote_records.setdefault(k, []).append(
+            (round_result.txids, round_result.matrix, round_result.decision)
+        )
+
+
+def certified(
+    ctx: RoundContext, k: int, session: str, alg3_payload: tuple, cert, txids
+) -> bool:
+    """Lemma 6's acceptance of a forwarded vote-round result: ``cert``
+    certifies ``alg3_payload`` in committee k's round ``session`` against the
+    member list C_R accepted for k, and ``txids`` are the txids it decided."""
+    member_pks = [pk for pk, _addr in ctx.member_lists.get(k, ())]
+    return bool(member_pks) and txids == alg3_payload[0] and verify_certificate(
+        ctx.pki,
+        member_pks,
+        ctx.round_number,
+        ("VOTEROUND", session),
+        consensus_digest(alg3_payload),
+        cert,
+    )
 
 
 def run_vote_rounds(

@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, ClassVar
 
+from repro.core.consensus import quorum
 from repro.nodes.behaviors import (
     CensoringLeader,
     HonestBehavior,
@@ -134,12 +135,11 @@ class QuorumWithholding(AdversaryPolicy):
     """Sleeper agents that withhold votes exactly at quorum boundaries.
 
     Corrupted nodes behave honestly ("sleepers") except in committees where
-    the withheld participation is *pivotal*: with ``c`` members and a
-    majority quorum of ``need = c // 2 + 1``, a committee is pivotal when
-    its honestly-acting online members alone miss the quorum but would
-    reach it with the corrupted members' help.  Only then do the corrupted
-    non-leader members switch to
-    :class:`~repro.nodes.behaviors.QuorumWithholder`, killing the round's
+    the withheld participation is *pivotal*: a committee is pivotal when its
+    honestly-acting online members alone miss the majority
+    :func:`~repro.core.consensus.quorum` but would reach it with the
+    corrupted members' help.  Only then do the corrupted non-leader members
+    switch to :class:`~repro.nodes.behaviors.QuorumWithholder`, killing the round's
     consensus while revealing nothing in committees with slack.
 
     The majority rule is exact for CycLedger (Alg. 3) and RapidChain;
@@ -191,7 +191,7 @@ class QuorumWithholding(AdversaryPolicy):
             if ctx.nodes[member].online
             and (member not in corrupted or member == spec.leader)
         )
-        need = len(spec.members) // 2 + 1
+        need = quorum(len(spec.members))
         return reliable < need <= reliable + len(withholders), withholders
 
     def apply(self, ctx: "RoundContext", driver: "ScenarioDriver") -> None:

@@ -42,8 +42,9 @@ def test_certificate_verifies_and_binds():
     assert not verify_certificate(
         ctx.pki, pks, 1, ("a", 1), consensus_digest("Y"), out.cert
     )
+    outsiders = [ctx.pki.generate(("outsider", i)).pk for i in range(9)]
     assert not verify_certificate(
-        ctx.pki, pks[:3], 1, ("a", 1), out.digest, out.cert, threshold=4
+        ctx.pki, pks + outsiders, 1, ("a", 1), out.digest, out.cert
     )
 
 

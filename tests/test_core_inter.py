@@ -11,11 +11,17 @@ from repro.core.semicommit import run_semi_commitment_exchange
 from repro.core.tags import Tags
 from repro.ledger.state import apply_block
 from repro.ledger.workload import WorkloadGenerator
-from repro.nodes.behaviors import InterSilentLeader
+from repro.nodes.behaviors import CensoringLeader, InterSilentLeader
 
 
-def setup(m=3, c=8, behaviors=None, seed=0, cross=0.5, invalid=0.1, prefilter=False):
-    ctx = build_sandbox(m=m, committee_size=c, lam=2, behaviors=behaviors, seed=seed)
+def setup(
+    m=3, c=8, behaviors=None, seed=0, cross=0.5, invalid=0.1, prefilter=False,
+    capacities=None,
+):
+    ctx = build_sandbox(
+        m=m, committee_size=c, lam=2, behaviors=behaviors, seed=seed,
+        capacities=capacities,
+    )
     if prefilter:
         object.__setattr__(ctx.params, "prefilter_cross_shard", True)
     wg = WorkloadGenerator(m=m, users_per_shard=24, rng=np.random.default_rng(seed))
@@ -139,3 +145,41 @@ def test_no_cross_txs_no_pairs():
     report = run_inter_consensus(ctx)
     assert report.send_rounds == {}
     assert report.accepted == {}
+
+
+def test_result_txids_must_be_the_certified_ones():
+    """Lemma 6 on the result leg: a receiving leader that lists txids its
+    committee's certificate does not cover gets none of them committed."""
+    # Committee 1 (ids 8..15) spends its one validation on its intra round,
+    # so its output-side rounds decide nothing.
+    ctx = setup(capacities=[10_000] * 8 + [1] * 8, invalid=0)
+    run_intra_consensus(ctx)
+    every_txid = tuple(tags_of(ctx))
+    send = ctx.net.send
+
+    def lying_send(sender, recipient, tag, payload, size=None):
+        if tag == Tags.INTER_RESULT and payload[1] == 1:
+            payload = (payload[0], 1, every_txid, *payload[3:])
+        send(sender, recipient, tag, payload, size=size)
+
+    ctx.net.send = lying_send
+    report = run_inter_consensus(ctx)
+    assert any(j == 1 for (_, j) in report.recv_rounds), "committee 1 never voted"
+    for (i, j), txs in report.accepted.items():
+        if j == 1:
+            certified = set(report.recv_rounds[(i, 1)].reported_txids)
+            assert {tx.txid for tx in txs} <= certified
+
+
+def test_inter_detections_are_reported():
+    """A leader caught censoring its cross-shard list shows up in the inter
+    report, not only in the recoveries."""
+    # All traffic is cross-shard, so the intra round has nothing to censor
+    # and committee 0's censoring leader survives into the inter phase.
+    ctx = setup(behaviors={0: CensoringLeader()}, cross=1.0, invalid=0)
+    intra = run_intra_consensus(ctx)
+    assert not intra.censorship_detected
+    report = run_inter_consensus(ctx)
+    assert 0 in report.censorship_detected
+    assert 0 in report.retried
+    assert any(e.committee == 0 and e.succeeded for e in report.recoveries)
