@@ -117,7 +117,7 @@ def capture_checkpoint(ledger: Any) -> dict[str, Any]:
 
     rng_states: dict[str, Any] = {
         "proto": ledger.rng.bit_generator.state,
-        "workload": workload.rng.bit_generator.state,
+        "workload": workload.draws.state,
         "adversary": adversary.rng.bit_generator.state,
         "net": net.rng.bit_generator.state,
     }
@@ -250,7 +250,7 @@ def restore_checkpoint(
     ledger._next_partials = state["next_partials"]
 
     ledger.rng.bit_generator.state = state["rng"]["proto"]
-    ledger.workload.rng.bit_generator.state = state["rng"]["workload"]
+    ledger.workload.draws.state = state["rng"]["workload"]
     ledger.adversary.rng.bit_generator.state = state["rng"]["adversary"]
     net = ledger.net
     net.rng.bit_generator.state = state["rng"]["net"]

@@ -38,6 +38,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from repro.ledger.draws import DrawStream
 from repro.ledger.transaction import (
     ShardMap,
     Transaction,
@@ -91,7 +92,9 @@ class WorkloadGenerator:
         if spent_retention < 0:
             raise ValueError("spent_retention must be >= 0")
         self.m = m
-        self.rng = rng
+        # Every draw goes through the stream (its ``state`` is the
+        # logical position; there is no ``rng`` to read ahead of it).
+        self.draws = DrawStream(rng)
         self.fee = fee
         self.endowment = endowment
         # Bound on the confirmed-spent history the double-spend injector
@@ -162,22 +165,23 @@ class WorkloadGenerator:
 
     def _pick_payee(self, home: int, cross: bool) -> str:
         if cross and self.m > 1:
-            other = int(self.rng.integers(0, self.m - 1))
+            other = self.draws.integers(0, self.m - 1)
             if other >= home:
                 other += 1
             shard = other
         else:
             shard = home
         bucket = self.addresses_by_shard[shard]
-        return bucket[int(self.rng.integers(0, len(bucket)))]
+        return bucket[self.draws.integers(0, len(bucket))]
 
     def _build_valid(self, home: int, cross: bool) -> TaggedTx | None:
-        if not self._spendable[home]:
+        spendable = self._spendable[home]
+        if not spendable:
             return None
-        idx = int(self.rng.integers(0, len(self._spendable[home])))
-        outpoint, owner, amount = self._spendable[home].pop(idx)
+        draws = self.draws
+        outpoint, owner, amount = spendable.pop(draws.integers(0, len(spendable)))
         payee = self._pick_payee(home, cross)
-        spend = max(1, int(self.rng.integers(1, max(2, amount - self.fee))))
+        spend = max(1, draws.integers(1, max(2, amount - self.fee)))
         change = amount - spend - self.fee
         outputs = [(payee, spend)]
         if change > 0:
@@ -212,11 +216,12 @@ class WorkloadGenerator:
         # itself ``integers(0, len)`` under the hood, but wrapped in an
         # ndarray conversion of the whole option list that dominated this
         # function's profile (asserted identical in tests).
-        defect = self._DEFECTS[int(self.rng.integers(0, 3))]
+        draws = self.draws
+        defect = self._DEFECTS[draws.integers(0, 3)]
         payee = self._pick_payee(home, cross)
         if defect == "double_spend" and self._spent:
             outpoint, owner, amount = self._spent[
-                int(self.rng.integers(0, len(self._spent)))
+                draws.integers(0, len(self._spent))
             ]
             tx = Transaction(
                 inputs=(outpoint,),
@@ -228,7 +233,7 @@ class WorkloadGenerator:
             # outpoint is NOT consumed from the spendable pool: V rejects the
             # transaction, so the coin remains live.
             outpoint, owner, amount = self._spendable[home][
-                int(self.rng.integers(0, len(self._spendable[home])))
+                draws.integers(0, len(self._spendable[home]))
             ]
             tx = Transaction(
                 inputs=(outpoint,),
@@ -272,10 +277,11 @@ class WorkloadGenerator:
         if not (0.0 <= invalid_ratio <= 1.0):
             raise ValueError("invalid_ratio must be in [0, 1]")
         batch: list[TaggedTx] = []
+        draws = self.draws
         for _ in range(count):
-            home = int(self.rng.integers(0, self.m))
-            cross = bool(self.rng.random() < cross_shard_ratio)
-            invalid = bool(self.rng.random() < invalid_ratio)
+            home = draws.integers(0, self.m)
+            cross = draws.random() < cross_shard_ratio
+            invalid = draws.random() < invalid_ratio
             tagged = (
                 self._build_invalid(home, cross)
                 if invalid
@@ -423,7 +429,7 @@ class TxMempool:
             self._arrivals: Callable[[], int] = lambda: batch
             self.carry_over = 0
         else:
-            self._arrivals = lambda: int(generator.rng.poisson(self.rate))
+            self._arrivals = lambda: generator.draws.poisson(self.rate)
             self.carry_over = sys.maxsize
         self.queue: list[QueuedTx] = []
         self.total_admitted = 0

@@ -290,14 +290,40 @@ class NaiveNetwork(Network):
 
 
 # -- workload ----------------------------------------------------------------
+class NumpyDraws:
+    """The draws :class:`repro.ledger.draws.DrawStream` transcribes, made by
+    numpy itself, one ``Generator`` call per value."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+
+    def integers(self, low: int, high: int) -> int:
+        return int(self.rng.integers(low, high))
+
+    def random(self) -> float:
+        return float(self.rng.random())
+
+    def poisson(self, lam: float) -> int:
+        return int(self.rng.poisson(lam))
+
+    @property
+    def state(self) -> dict:
+        return self.rng.bit_generator.state
+
+    @state.setter
+    def state(self, value: dict) -> None:
+        self.rng.bit_generator.state = value
+
+
 class NaiveWorkloadGenerator(WorkloadGenerator):
     """The workload generator with its pre-optimization draw paths.
 
-    Overrides exactly the two methods the optimization touched: the
-    address bucket fill (any()-scan per candidate address) and the defect
-    draw (``Generator.choice`` over a Python string list).  Both are
-    RNG-stream-identical to the optimized versions, so same-seed instances
-    generate byte-identical transaction batches.
+    Every value is drawn by numpy directly (:class:`NumpyDraws`, no
+    pre-drawn block), the address buckets are filled by an any()-scan per
+    candidate address, and the defect is drawn by ``Generator.choice`` over
+    a Python string list.  All of it is RNG-stream-identical to the
+    optimized generator, so same-seed instances generate byte-identical
+    transaction batches.
     """
 
     def __init__(
@@ -309,6 +335,8 @@ class NaiveWorkloadGenerator(WorkloadGenerator):
         fee: int = 1,
     ) -> None:
         super().__init__(m, users_per_shard, rng, endowment=endowment, fee=fee)
+        self.rng = rng
+        self.draws = NumpyDraws(rng)
         # Rebuild the address buckets the old way (no RNG involved, so
         # redoing the work changes nothing).
         self.addresses_by_shard = [[] for _ in range(m)]

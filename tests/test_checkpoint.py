@@ -97,6 +97,48 @@ def test_capture_is_isolated_from_further_running():
     assert half.chain.head.hash == full.chain.head.hash
 
 
+def test_checkpoint_mid_draw_block_resumes_exactly():
+    """Capture while the workload's draw stream is part way through its
+    pre-drawn block with a 32-bit half-word buffered: the checkpoint holds
+    the logical position, so a fresh ledger restored from it, and the
+    original ledger set back to it after drawing further, both continue
+    exactly as the uninterrupted run does."""
+    from repro.ledger.draws import BLOCK
+
+    def mixed_draws(stream) -> list:
+        # Enough to cross into the next block, every width class the
+        # generator uses, and 32-bit words that start on either half.
+        return [
+            stream.integers(0, k) if k % 5 else stream.random()
+            for k in range(1, 2 * BLOCK)
+        ]
+
+    split, rounds = 6, 9
+    full = create_backend("cycledger", _params())
+    full.run(rounds)
+    half = create_backend("cycledger", _params())
+    half.run(split)
+    draws = half.workload.draws
+    assert draws._raw and 0 < draws._next < BLOCK and draws._has_half
+    state = capture_checkpoint(half)
+    assert state["rng"]["workload"]["has_uint32"] == 1
+
+    resumed = restore_checkpoint(state)
+    resumed.run(rounds - split)
+    _assert_same_tail(full, resumed, split=split)
+
+    # Reading the state for the capture does not move the original either.
+    half.run(rounds - split)
+    assert half.chain.head.hash == full.chain.head.hash
+
+    uninterrupted = create_backend("cycledger", _params())
+    uninterrupted.run(split)
+    want = mixed_draws(uninterrupted.workload.draws)
+    assert mixed_draws(restore_checkpoint(state).workload.draws) == want
+    half.workload.draws.state = state["rng"]["workload"]
+    assert mixed_draws(half.workload.draws) == want
+
+
 def _mid_scenario_roundtrip(name: str, fraction: float, tmp_path):
     """Save inside ``name``'s fault window, resume from the file, and
     compare with the uninterrupted run (driver log included)."""

@@ -132,7 +132,7 @@ def generator_state(generator):
         [list(bucket) for bucket in generator._spendable],
         list(generator._spent),
         dict(generator._effects),
-        generator.rng.bit_generator.state,
+        generator.draws.state,
     )
 
 

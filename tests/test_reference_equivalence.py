@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reference_impls
 
@@ -26,6 +28,116 @@ def test_indexed_integers_match_generator_choice():
     via_choice = [str(a.choice(options)) for _ in range(200)]
     via_index = [options[int(b.integers(0, 3))] for _ in range(200)]
     assert via_choice == via_index
+
+
+# -- the workload draw stream against numpy itself ---------------------------
+_I64_MIN, _I64_END = -(2**63), 2**63
+
+
+def _bounds_with_width(width: int):
+    """``(low, high)`` with ``high - low == width`` inside int64."""
+    lows = st.integers(_I64_MIN, _I64_END - width)
+    return lows.map(lambda low: (low, low + width))
+
+
+#: One strategy per bound class of numpy's ``random_bounded_uint64``, by
+#: its range ``high - low - 1``.
+_BOUNDS = st.one_of(
+    st.integers(_I64_MIN, _I64_END - 1).map(lambda low: (low, low + 1)),  # 0
+    st.integers(2, 2**32 - 1).flatmap(_bounds_with_width),  # 1 .. 2**32-2
+    st.sampled_from([3 * 2**30, 2**31 + 1, 2**32 - 1]).flatmap(
+        _bounds_with_width  # Lemire-32 widths that reject often
+    ),
+    _bounds_with_width(2**32),  # 2**32-1: a whole 32-bit word
+    st.integers(2**32 + 1, 2**64 - 1).flatmap(_bounds_with_width),  # 64-bit
+    st.just((_I64_MIN, _I64_END)),  # 2**64-1: a whole 64-bit word
+    st.tuples(st.integers(-1000, -1), st.integers(1, 50)).map(
+        lambda t: (t[0], t[0] + t[1])  # negative low
+    ),
+    st.tuples(st.integers(-50, 50), st.integers(-50, 0)).map(
+        lambda t: (t[0], t[0] + t[1])  # empty: both raise
+    ),
+)
+
+_DRAW_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("integers"), _BOUNDS),
+        st.tuples(st.just("burst"), _BOUNDS, st.integers(1, 1500)),
+        st.just(("random",)),
+        st.tuples(st.just("poisson"), st.sampled_from([0.5, 4.0, 30.0, 200.0])),
+        st.just(("get",)),
+        st.just(("set",)),
+    ),
+    max_size=40,
+)
+
+_REJECTING = (0, 3 * 2**30)  # rejects about one 32-bit word in four
+
+
+@settings(max_examples=120, deadline=None)
+@example(seed=1, ops=[("burst", _REJECTING, 1200), ("get",)])
+@example(seed=2, ops=[("integers", (0, 5)), ("get",), ("integers", (7, 8))])
+@given(st.integers(0, 2**32 - 1), _DRAW_OPS)
+def test_draw_stream_matches_numpy_generator(seed, ops):
+    """Every value ``DrawStream`` serves, every state it reports and the
+    final position equal a plain numpy ``Generator`` making the same
+    calls, across bound classes, block boundaries and mid-block state
+    reads and writes."""
+    from repro.ledger.draws import DrawStream
+
+    stream = DrawStream(np.random.default_rng(seed))
+    oracle = np.random.default_rng(seed)
+
+    def draw_both(low, high):
+        try:
+            want = int(oracle.integers(low, high))
+        except ValueError:
+            with pytest.raises(ValueError):
+                stream.integers(low, high)
+            return
+        assert stream.integers(low, high) == want
+
+    saved = [oracle.bit_generator.state]
+    for op in ops:
+        if op[0] == "integers":
+            draw_both(*op[1])
+        elif op[0] == "burst":
+            for _ in range(op[2]):
+                draw_both(*op[1])
+        elif op[0] == "random":
+            assert stream.random() == float(oracle.random())
+        elif op[0] == "poisson":
+            assert stream.poisson(op[1]) == int(oracle.poisson(op[1]))
+        elif op[0] == "get":
+            saved.append(stream.state)
+            assert saved[-1] == oracle.bit_generator.state
+        else:  # rewind both to the last state read
+            stream.state = saved[-1]
+            oracle.bit_generator.state = saved[-1]
+    assert [stream.random() for _ in range(3)] == list(oracle.random(3))
+    assert stream.state == oracle.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "rng, name",
+    [
+        (np.random.Generator(np.random.MT19937(1)), "MT19937"),
+        (np.random.Generator(np.random.PCG64DXSM(1)), "PCG64DXSM"),
+        (np.random.Generator(np.random.Philox(1)), "Philox"),
+        (np.random.RandomState(1), "RandomState"),
+    ],
+)
+def test_draw_stream_rejects_other_generators_by_name(rng, name):
+    """Only PCG64's algorithms are transcribed: MT19937 builds its double
+    from two 32-bit words, so a silent transcription would draw other
+    numbers.  Anything else fails at construction, naming itself."""
+    from repro.ledger.draws import DrawStream
+    from repro.ledger.workload import WorkloadGenerator
+
+    with pytest.raises(TypeError, match=rf"\b{name}\b"):
+        DrawStream(rng)
+    with pytest.raises(TypeError, match=rf"\b{name}\b"):
+        WorkloadGenerator(m=2, users_per_shard=4, rng=rng)
 
 
 # -- optimized vs frozen-baseline equivalence --------------------------------
@@ -100,6 +212,7 @@ def test_workload_generator_matches_naive_generator():
         for generator in (fast, naive):  # pack half, roll back half
             generator.forget_txids([t.tx.txid for t in a[::2]])
             generator.rollback_txids([t.tx.txid for t in a[1::2]])
+    assert fast.draws.state == naive.draws.state
 
 
 def test_batched_signatures_match_scalar_loops():
