@@ -185,15 +185,16 @@ class InsideConsensus:
         # reference keeps ids stable.  Honest sessions have exactly one
         # entry; an equivocating leader adds one per variant, capped below.
         self._digest_memo: list[tuple[Any, bytes]] = []
-        # ECHO verdicts by packet identity (see :meth:`_echo_verdict`).
+        # ECHO verdicts by packet identity (see :meth:`_echo_verdict`), and
+        # leader-header verdicts by signature identity and digest (see
+        # :meth:`_header_verdict`).
         self._echo_memo: dict[int, tuple[tuple, tuple[bool, bool]]] = {}
+        self._header_memo: dict[tuple[int, bytes], tuple[Signature, bool]] = {}
         # Encoded-statement memos: within one session every member signs or
-        # verifies the same PROPOSE header, ECHO statement and CONFIRM
-        # statement per digest — O(C²) scalar sign/verify calls would
-        # re-run the canonical encoding each time.  Encoding once per
-        # distinct statement and batching the MACs is this module's hot-path
-        # optimization (perf case ``micro:mac_verify``).
-        self._enc_header: dict[bytes, bytes] = {}
+        # verifies the same ECHO statement and CONFIRM statement per digest
+        # — O(C²) scalar sign/verify calls would re-run the canonical
+        # encoding each time.  (The PROPOSE header is encoded where it is
+        # signed and where a header verdict misses: once or twice a session.)
         self._enc_echo: dict[tuple[bytes, int], bytes] = {}
         self._enc_confirm: dict[bytes, bytes] = {}
         # Every ECHO statement of the session shares its head.
@@ -233,27 +234,36 @@ class InsideConsensus:
         echo_ok = echo_sig.pk == self.ctx.pk_of(sender_id) and verify_encoded(
             pki, echo_sig, self._echo_enc(digest, sender_id)
         )
-        verdict = (
-            echo_ok,
-            echo_ok
-            and signed_by_encoded(
-                pki,
-                relayed_propose_sig,
-                self._header_enc(digest),
-                self.ctx.pk_of(self.leader),
-            ),
-        )
+        verdict = (echo_ok, echo_ok and self._header_verdict(relayed_propose_sig, digest))
         if len(self._echo_memo) < 2 * self.C:
             self._echo_memo[id(packet)] = (packet, verdict)
         return verdict
 
-    # -- encoded-statement memos ------------------------------------------
+    def _header_verdict(self, sig: Signature, digest: bytes) -> bool:
+        """Whether ``sig`` is the leader's signature over the PROPOSE header
+        of ``digest``.
+
+        Every member checks the same leader ``Signature`` object over the
+        same header, once on its PROPOSE and again in every ECHO that relays
+        it, so the verdict is kept per session by the signature's identity
+        and the digest; the entry holds the signature, so its ``id`` cannot
+        be recycled.  An equal-but-distinct signature is checked on its own;
+        past the cap every header is checked on every ask.
+        """
+        key = (id(sig), digest)
+        entry = self._header_memo.get(key)
+        if entry is not None and entry[0] is sig:
+            return entry[1]
+        ok = signed_by_encoded(
+            self.ctx.pki, sig, self._header_enc(digest), self.ctx.pk_of(self.leader)
+        )
+        if len(self._header_memo) < 2 * self.C:
+            self._header_memo[key] = (sig, ok)
+        return ok
+
+    # -- encoded statements -----------------------------------------------
     def _header_enc(self, digest: bytes) -> bytes:
-        enc = self._enc_header.get(digest)
-        if enc is None:
-            enc = encode_statement(("PROPOSE", self.r, self.sn, digest))
-            self._enc_header[digest] = enc
-        return enc
+        return encode_statement(("PROPOSE", self.r, self.sn, digest))
 
     def _echo_enc(self, digest: bytes, sender_id: int) -> bytes:
         key = (digest, sender_id)
@@ -362,10 +372,7 @@ class InsideConsensus:
             return
         node = self.ctx.node(mid)
         sig, digest, payload = message.payload
-        leader_pk = self.ctx.pk_of(self.leader)
-        if not signed_by_encoded(
-            self.ctx.pki, sig, self._header_enc(digest), leader_pk
-        ):
+        if not self._header_verdict(sig, digest):
             return  # forged or mis-signed: ignore
         if self._payload_digest(payload) != digest:
             return  # digest does not match the message body

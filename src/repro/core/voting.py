@@ -143,6 +143,12 @@ class VoteRoundSession:
         self._vote_head = fields_bytes(
             "VOTE", ctx.round_number, committee.index, session
         )
+        # Members whose int8 rows are equal send one vote vector: its tuple,
+        # its VOTE statement bytes and its message size, by the row's bytes.
+        # The leader keeps, by identity of each tuple it is handed (holding
+        # it), the statement bytes and the int8 array it files.
+        self._vectors: dict[bytes, tuple[tuple, bytes, int | None]] = {}
+        self._received: dict[int, list] = {}
         self._tallied = False
         self._proposal_seen: set[int] = set()
         self._alg3: InsideConsensus | None = None
@@ -209,15 +215,21 @@ class VoteRoundSession:
             return
         self._proposal_seen.add(mid)
         node = self.ctx.node(mid)
-        votes = tuple(self.vote_fn(self.ctx, mid, txs).tolist())
-        vector = int8_seq_bytes(votes)
-        vote_sig = sign_encoded(node.keypair, self._vote_enc(votes, vector))
-        node.send(
-            self.committee.leader,
-            self._tag_vote,
-            (mid, votes, vote_sig),
+        row = self.vote_fn(self.ctx, mid, txs)
+        key = row.tobytes() if row.dtype == np.int8 else None
+        entry = self._vectors.get(key)
+        if entry is None:
+            votes = tuple(row.tolist())
+            vector = int8_seq_bytes(votes)
             # exact ints, as the vector's encoding checked: a closed form
-            size=None if vector is None else vote_message_size(len(votes)),
+            size = None if vector is None else vote_message_size(len(votes))
+            entry = (votes, self._vote_enc(votes, vector), size)
+            if key is not None:
+                self._vectors[key] = entry
+        votes, enc, size = entry
+        vote_sig = sign_encoded(node.keypair, enc)
+        node.send(
+            self.committee.leader, self._tag_vote, (mid, votes, vote_sig), size=size
         )
 
     def _vote_enc(self, votes: Sequence[int], vector: bytes | None) -> bytes:
@@ -237,14 +249,22 @@ class VoteRoundSession:
         mid, votes, vote_sig = message.payload
         if mid not in self._member_set or mid in self._votes:
             return  # a member's first valid vote stands (replies = members)
-        enc = self._vote_enc(votes, int8_seq_bytes(votes))
-        if not verify_encoded(self.ctx.pki, vote_sig, enc):
+        entry = self._received.get(id(votes))
+        if entry is None or entry[0] is not votes:
+            entry = [votes, self._vote_enc(votes, int8_seq_bytes(votes)), None]
+            # Only a tuple is immutable; past the cap, encode every time.
+            if type(votes) is tuple and len(self._received) < 2 * self.committee.size:
+                self._received[id(votes)] = entry
+        if not verify_encoded(self.ctx.pki, vote_sig, entry[1]):
             return
         if vote_sig.pk != self.ctx.pk_of(mid):
             return
         if len(votes) != len(self.txs):
             return
-        self._votes[mid] = np.asarray(votes, dtype=np.int8)
+        if entry[2] is None:
+            entry[2] = np.asarray(votes, dtype=np.int8)
+            entry[2].flags.writeable = False
+        self._votes[mid] = entry[2]
         self.result.replies += 1
 
     def _tally(self) -> None:

@@ -12,9 +12,12 @@ responsible for" (§IV-G) — that is :func:`apply_block`.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from binascii import hexlify
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import compress, islice
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from repro.crypto.hashing import canonical_bytes, seq_bytes
 from repro.ledger.transaction import ShardMap, Transaction
@@ -45,15 +48,17 @@ class ShardState:
         self.shard = shard
         self.m = m
         self.utxos = UTXOSet()
-        # V verdicts at ``_verdicts_version`` of the UTXO set, by transaction
-        # identity; entries hold the transaction (see :meth:`validate`).
-        self._verdicts: dict[int, tuple[Transaction, ValidationResult]] = {}
-        self._verdicts_version = 0
+        # The verdict and output rows at ``_rows_version`` of the UTXO set, by
+        # TXList identity; entries hold the sequence, its int8 row and how far
+        # the row is filled (see :meth:`verdict_row`).
+        self._rows: dict[int, list] = {}
+        self._output_rows: dict[int, list] = {}
+        self._rows_version = 0
         # What :meth:`digest_items` last listed: outpoint -> the output it
-        # encoded, and the listing as parallel lists in outpoint order
-        # (outpoints, entry bytes, entry sizes).  Derived state: never
-        # checkpointed, rebuilt on demand.
-        self._listing: tuple[dict, list, list, list] = ({}, [], [], [])
+        # encoded, the outpoints in order with their entries' bytes, and the
+        # listing's size.  Derived state: never checkpointed, rebuilt on
+        # demand.
+        self._listing: tuple[dict, list, list, int] = ({}, [], [], seq_size(()))
 
     def validate(self, tx: Transaction) -> ValidationResult:
         """Run V against this shard's UTXO view.
@@ -61,21 +66,54 @@ class ShardState:
         Only meaningful for transactions whose *inputs* live in this shard;
         inputs from other shards look like MISSING_INPUT here, which is
         exactly why cross-shard transactions need the inter-committee phase.
-
-        V is pure in ``(tx, UTXO contents)`` and a committee's members all
-        judge one TXList against this one view, so the verdict is kept per
-        transaction *object* until the set next changes (an
-        equal-but-distinct transaction is validated on its own).
         """
-        if self._verdicts_version != self.utxos.version:
-            self._verdicts.clear()
-            self._verdicts_version = self.utxos.version
-        entry = self._verdicts.get(id(tx))
-        if entry is not None and entry[0] is tx:
-            return entry[1]
-        result = validate_transaction(tx, self.utxos)
-        self._verdicts[id(tx)] = (tx, result)
-        return result
+        return validate_transaction(tx, self.utxos)
+
+    def verdict_row(self, txs: Sequence[Transaction], budget: int) -> np.ndarray:
+        """The honest votes on ``txs[:budget]``: +1 where V finds the
+        transaction valid against this view, −1 where not (read-only int8).
+
+        V is pure in ``(tx, UTXO contents)`` and every member of the
+        committee judges the same TXList object against this one view, so
+        the row is kept per sequence *object* until the set next changes
+        (an equal-but-distinct list is a row of its own) and filled lazily,
+        in order, up to the largest budget asked: :meth:`validate` sees the
+        transactions the longest walk asked so far would, in its order.
+        """
+        return self._row(self._rows, txs, budget, self._is_valid)
+
+    def output_row(self, txs: Sequence[Transaction], budget: int) -> np.ndarray:
+        """The receiving side's votes on ``txs[:budget]``: +1 where the
+        outputs are well formed (at least one, every amount positive), −1
+        where not; kept like :meth:`verdict_row`."""
+        return self._row(self._output_rows, txs, budget, _outputs_well_formed)
+
+    def _is_valid(self, tx: Transaction) -> bool:
+        return self.validate(tx) is ValidationResult.VALID
+
+    def _row(
+        self,
+        rows: dict[int, list],
+        txs: Sequence[Transaction],
+        budget: int,
+        judge: Callable[[Transaction], bool],
+    ) -> np.ndarray:
+        if self._rows_version != self.utxos.version:
+            self._rows.clear()
+            self._output_rows.clear()
+            self._rows_version = self.utxos.version
+        entry = rows.get(id(txs))
+        if entry is None or entry[0] is not txs:
+            entry = rows[id(txs)] = [txs, np.zeros(len(txs), dtype=np.int8), 0]
+        _txs, row, filled = entry
+        if budget > filled:
+            row[filled:budget] = [
+                1 if judge(tx) else -1 for tx in islice(txs, filled, budget)
+            ]
+            entry[2] = budget
+        prefix = row[:budget]
+        prefix.flags.writeable = False
+        return prefix
 
     def size(self) -> int:
         return len(self.utxos)
@@ -83,28 +121,70 @@ class ShardState:
     def digest_items(self) -> UtxoListing:
         """Canonical content for consensus on the final UTXO list.
 
-        Entries are encoded and sized once: one is reused for as long as the
+        Entries are encoded and sized once: one is kept for as long as the
         set maps its outpoint to the same output object, so a round encodes
-        only what the last block created.
+        only what the last block created, and merges those entries into the
+        kept ones in one pass.
         """
         current = self.utxos.snapshot()  # a plain dict: C-level probes below
         held = current.get
-        listed, keys, parts, sizes = self._listing
-        for op in [op for op, output in listed.items() if held(op) is not output]:
-            at = bisect_left(keys, op)
-            del listed[op], keys[at], parts[at], sizes[at]
-        # Outpoints order like their entries (hex keeps byte order); taken in
-        # order, a listing built from nothing only ever appends.
-        for op in sorted(op for op in current if op not in listed):
-            output = current[op]
-            item = (op[0].hex(), op[1], *output)
-            part, size = canonical_bytes(item), payload_size(item)
-            at = bisect_left(keys, op)
-            listed[op] = output
-            keys.insert(at, op)
-            parts.insert(at, part)
-            sizes.insert(at, size)
-        return UtxoListing(seq_bytes(parts), seq_size(sizes))
+        listed, keys, parts, size = self._listing
+        stale = {op for op, output in listed.items() if held(op) is not output}
+        if stale:
+            for op in stale:
+                size -= _listing_size(op, listed.pop(op))
+            kept = [op not in stale for op in keys]
+            keys, parts = list(compress(keys, kept)), list(compress(parts, kept))
+        new: dict[tuple, bytes] = {}
+        for op in [op for op in current if op not in listed]:
+            listed[op] = output = current[op]
+            new[op], entry_size = _listing_entry(op, output)
+            size += entry_size
+        if new:
+            # Outpoints order like their entries (hex keeps byte order).  The
+            # kept outpoints are one sorted run to timsort: it sorts only the
+            # new ones and merges the two.
+            keys += new
+            keys.sort()
+            new_part, kept_part = new.get, iter(parts).__next__
+            parts = [new_part(op) or kept_part() for op in keys]
+        self._listing = (listed, keys, parts, size)
+        return UtxoListing(seq_bytes(parts), size)
+
+
+def _outputs_well_formed(tx: Transaction) -> bool:
+    return bool(tx.outputs) and all(amount > 0 for _address, amount in tx.outputs)
+
+
+def _listing_entry(outpoint: tuple, output: tuple) -> tuple[bytes, int]:
+    """Canonical bytes and size of the listing entry ``(txid.hex(), index,
+    address, amount)``: the frames ``canonical_bytes`` would build,
+    formatted in place, and :func:`_listing_size`; the generic encoder's
+    when a field is not exact (a bool, a subclass, a numpy int)."""
+    txid, index = outpoint
+    if type(index) is int and type(output) is tuple and len(output) == 2:
+        address, amount = output
+        if type(address) is str and type(amount) is int:
+            hexid, name = hexlify(txid), address.encode("utf-8")
+            index_b, amount_b = b"%d" % index, b"%d" % amount
+            body = b"s%d:%b\x1fi%d:%b\x1fs%d:%b\x1fi%d:%b" % (
+                len(hexid), hexid, len(index_b), index_b,
+                len(name), name, len(amount_b), amount_b,
+            )
+            return b"t%d:%b" % (len(body), body), 18 + len(hexid) + len(address)
+    item = (txid.hex(), index, *output)
+    return canonical_bytes(item), payload_size(item)
+
+
+def _listing_size(outpoint: tuple, output: tuple) -> int:
+    """``payload_size`` of the same entry: for exact fields, two ints and
+    the frame (18 bytes) plus the two strings' lengths."""
+    txid, index = outpoint
+    if type(index) is int and type(output) is tuple and len(output) == 2:
+        address, amount = output
+        if type(address) is str and type(amount) is int:
+            return 18 + 2 * len(txid) + len(address)
+    return payload_size((txid.hex(), index, *output))
 
 
 def apply_block(

@@ -75,13 +75,14 @@ class UTXOSet:
         self.version += 1
 
     def spend(self, outpoint: tuple[bytes, int]) -> tuple[str, int]:
-        self.version += 1
         try:
-            return self._utxos.pop(outpoint)
+            output = self._utxos.pop(outpoint)
         except KeyError:
             raise KeyError(
                 f"outpoint {outpoint[0].hex()[:8]}:{outpoint[1]} not unspent"
             ) from None
+        self.version += 1  # a failed spend changed nothing
+        return output
 
     def apply_transaction(self, tx: Transaction) -> None:
         """Spend the inputs and create the outputs of a *validated* tx."""

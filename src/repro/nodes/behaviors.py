@@ -12,12 +12,9 @@ so every attack is localized and testable.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
-
-from repro.ledger.utxo import ValidationResult
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.node import CycNode
@@ -71,10 +68,8 @@ class Behavior:
         votes = np.zeros(len(txs), dtype=np.int8)
         budget = node.take_budget(len(txs))
         # Past the budget it "fails to judge within the given time": Unknown.
-        validate, valid = state.validate, ValidationResult.VALID
-        votes[:budget] = [
-            YES if validate(tx) is valid else NO for tx in islice(txs, budget)
-        ]
+        # Within it, V's verdicts: the committee's one row for this TXList.
+        votes[:budget] = state.verdict_row(txs, budget)
         return votes
 
     def vote_on_outputs(
@@ -90,12 +85,7 @@ class Behavior:
         """
         votes = np.zeros(len(txs), dtype=np.int8)
         budget = node.take_budget(len(txs))
-        votes[:budget] = [
-            YES
-            if tx.outputs and all(amount > 0 for _address, amount in tx.outputs)
-            else NO
-            for tx in islice(txs, budget)
-        ]
+        votes[:budget] = node.shard_state.output_row(txs, budget)
         return votes
 
     # -- intra-committee leader hooks ---------------------------------------

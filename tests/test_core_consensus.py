@@ -1,6 +1,10 @@
 """Algorithm 3: inside-committee consensus, equivocation, certificates."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.core.consensus as consensus_module
 
 from repro.core.consensus import (
     EquivocationWitness,
@@ -239,6 +243,9 @@ def test_relayed_header_not_signed_by_leader_is_noted_nowhere():
 def test_shared_echo_packet_verified_once_distinct_equal_packet_again(monkeypatch):
     ctx, session, digest, header_sig, calls = _started_session(monkeypatch)
     ctx.net.run()
+    # C-1 PROPOSEs and every ECHO relay the leader's one header signature:
+    # it was checked once for the whole session.
+    assert calls.count(header_sig) == 1
     calls.clear()
     echo = _echo_sig(ctx, signer=3, digest=digest, claimed_sender=3)
     first = (echo, digest, 3, header_sig)
@@ -246,12 +253,63 @@ def test_shared_echo_packet_verified_once_distinct_equal_packet_again(monkeypatc
     assert first == twin and first is not twin
     ctx.node(3).multicast(session.members, "ECHO:t", first)
     ctx.net.run()
-    # C-1 deliveries of one object: the ECHO signature and the relayed
-    # header were each verified exactly once.
-    assert calls == [echo, header_sig]
+    # C-1 deliveries of one object: the ECHO signature was verified exactly
+    # once, and the relayed header's verdict is the session's.
+    assert calls == [echo]
     ctx.node(3).multicast(session.members, "ECHO:t", twin)
     ctx.net.run()
-    assert calls == [echo, header_sig, echo, header_sig]
+    assert calls == [echo, echo]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["genuine", "twin", "forged", "member", "other"]),
+            st.booleans(),  # over the proposed digest, or another one
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_header_verdict_is_signed_by_encoded(asks):
+    """The session's header verdict equals ``signed_by_encoded`` over the
+    PROPOSE header for the leader's signature, an equal-but-distinct copy
+    of it, a forged tag, a member's signature and the leader's signature
+    over another digest — each asked over either digest, in any order —
+    and a signature object is checked once per digest."""
+    from repro.crypto.signatures import Signature, encode_statement, signed_by_encoded
+
+    ctx, session, digest, header_sig, _ = _started_session()
+    session._header_memo.clear()
+    other = consensus_digest("another payload")
+    leader = ctx.node(session.leader)
+    sigs = {
+        "genuine": header_sig,
+        "twin": Signature(pk=header_sig.pk, tag=header_sig.tag),
+        "forged": Signature(pk=header_sig.pk, tag=b"\x00" * 32),
+        "member": sign(ctx.node(3).keypair, ("PROPOSE", ctx.round_number, 1, digest)),
+        "other": sign(leader.keypair, ("PROPOSE", ctx.round_number, 1, other)),
+    }
+    checked = []
+    real = consensus_module.signed_by_encoded
+    consensus_module.signed_by_encoded = lambda *a: checked.append(a[1]) or real(*a)
+    try:
+        for name, proposed in asks:
+            sig, over = sigs[name], digest if proposed else other
+            want = signed_by_encoded(
+                ctx.pki,
+                sig,
+                encode_statement(("PROPOSE", ctx.round_number, 1, over)),
+                ctx.pk_of(session.leader),
+            )
+            assert session._header_verdict(sig, over) is want
+    finally:
+        consensus_module.signed_by_encoded = real
+    asked = {(name, proposed) for name, proposed in asks}
+    assert len(checked) == len(asked)
+    for key, (sig, _ok) in session._header_memo.items():
+        assert key[0] == id(sig)
 
 
 def test_echo_verdict_memo_holds_the_packet_so_ids_cannot_be_recycled():

@@ -4,7 +4,7 @@ same fact the one-at-a-time code derived.
 Each section pins one cache or direct form to its reference: the
 vote-matrix value to the tuple-of-rows encoding, publish-at-pack settlement
 to the eager publish and its sequential ``list.remove`` undo, the V-verdict
-memo to plain ``validate_transaction``, the VOTE statement to the generic
+row to plain ``validate_transaction``, the VOTE statement to the generic
 encoder, ``Transaction.wire_size`` to the recursive dataclass sizer, the
 UTXO listing to the freshly sorted tuple of plain tuples, and the txid, the
 VOTE statement and size and the honest vote fill to the element walks of
@@ -42,10 +42,10 @@ from repro.ledger.transaction import (
     make_coinbase,
     make_transfer,
 )
-from repro.ledger.utxo import ValidationResult
+from repro.ledger.utxo import ValidationResult, validate_transaction
 from repro.ledger.workload import WorkloadGenerator
 from repro.net.message import fields_size, payload_size, vote_message_size
-from repro.nodes.behaviors import Behavior
+from repro.nodes.behaviors import Behavior, ContraryVoter, LazyVoter
 
 
 def as_rows(array):
@@ -195,7 +195,7 @@ def test_spent_history_holds_exactly_the_last_confirmed_spends():
     assert len(confirmed) > 7
 
 
-# -- (iii) the V-verdict memo ---------------------------------------------------
+# -- (iii) the V-verdict row ----------------------------------------------------
 @pytest.fixture
 def shard():
     state = ShardState(0, 1)
@@ -221,25 +221,34 @@ def v_calls(monkeypatch):
 
 
 def test_verdict_is_computed_once_per_transaction_object(shard, v_calls):
+    """Members asking the view's verdict row for one TXList object run V
+    once per transaction; an equal-but-distinct transaction, in a list of
+    its own, is validated on its own."""
     state, _genesis, spend = shard
-    assert [state.validate(spend) for _ in range(24)] == [ValidationResult.VALID] * 24
+    txs = [spend]
+    assert [state.verdict_row(txs, 1).tolist() for _ in range(24)] == [[1]] * 24
     assert len(v_calls) == 1
-    # An equal-but-distinct object is validated on its own.
     twin = Transaction(inputs=spend.inputs, outputs=spend.outputs, nonce=spend.nonce)
     assert twin == spend and twin is not spend
-    assert state.validate(twin) is ValidationResult.VALID
+    assert state.verdict_row([twin], 1).tolist() == [1]
     assert len(v_calls) == 2 and v_calls[1] is twin
 
 
 def test_verdict_never_survives_a_mutation(shard, v_calls):
     state, genesis, spend = shard
+    txs = [spend]
+
+    def verdict():
+        return state.verdict_row(txs, 1).tolist()
+
     snapshot = state.utxos.snapshot()
-    assert state.validate(spend) is ValidationResult.VALID
+    assert verdict() == [1]
     apply_block([state], [spend], ShardMap(1))
+    assert verdict() == [-1]
     assert state.validate(spend) is ValidationResult.MISSING_INPUT
     state.utxos.restore(snapshot)  # what a checkpoint restore does
-    assert state.validate(spend) is ValidationResult.VALID
-    assert len(v_calls) == 3
+    assert verdict() == [1]
+    assert len(v_calls) == 4
     # Every mutator invalidates, whatever it touched.
     for mutate in (
         lambda: state.utxos.add((b"\x07" * 32, 0), ("user-2", 5)),
@@ -251,13 +260,26 @@ def test_verdict_never_survives_a_mutation(shard, v_calls):
     ):
         before = len(v_calls)
         mutate()
-        assert state.validate(spend) is ValidationResult.VALID
+        assert verdict() == [1]
         assert len(v_calls) == before + 1
     overspend = Transaction(
         inputs=((genesis.txid, 1),), outputs=(("user-0", 500),)
     )
     assert state.validate(overspend) is ValidationResult.OVERSPEND
-    assert state.validate(overspend) is ValidationResult.OVERSPEND
+    assert state.verdict_row([overspend], 1).tolist() == [-1]
+
+
+def test_a_failed_spend_leaves_the_version_and_the_verdicts(shard, v_calls):
+    state, genesis, spend = shard
+    txs = [spend]
+    assert state.verdict_row(txs, 1).tolist() == [1]
+    version = state.utxos.version
+    with pytest.raises(KeyError, match="not unspent"):
+        state.utxos.spend((b"\x07" * 32, 0))
+    assert state.utxos.version == version
+    assert state.verdict_row(txs, 1).tolist() == [1] and len(v_calls) == 1
+    state.utxos.spend((genesis.txid, 3))
+    assert state.utxos.version == version + 1
 
 
 def test_verdict_flips_across_a_checkpoint_restore(tmp_path):
@@ -284,19 +306,24 @@ def test_verdict_flips_across_a_checkpoint_restore(tmp_path):
 
 
 # -- (iv) the VOTE statement -------------------------------------------------------
-@pytest.fixture
-def vote_ctx():
-    ctx = build_sandbox(committee_size=8, lam=2)
-    state = ctx.shard_states[0]
+def vote_world(behaviors=None, capacities=None, spends=3):
+    """A configured committee of 8 and ``spends`` transfers of genesis coins
+    (coin 7 is spent twice when asked for more than 7)."""
+    ctx = build_sandbox(committee_size=8, lam=2, behaviors=behaviors, capacities=capacities)
     genesis = make_coinbase([(f"user-{i}", 100) for i in range(8)])
     apply_block(ctx.shard_states, [genesis], ctx.shard_of)
     txs = [
-        make_transfer((genesis.txid, i), 100, "payee", 10, f"user-{i}", nonce=i)
-        for i in range(3)
+        make_transfer((genesis.txid, min(i, 7)), 100, "payee", 10, f"user-{i}", nonce=i)
+        for i in range(spends)
     ]
     run_committee_configuration(ctx)
     run_semi_commitment_exchange(ctx)
     return ctx, txs
+
+
+@pytest.fixture
+def vote_ctx():
+    return vote_world()
 
 
 def test_vote_statement_is_encoded_once_per_tuple_object(vote_ctx, monkeypatch):
@@ -362,6 +389,78 @@ def test_memoised_vote_check_still_rejects_forgeries(vote_ctx):
     assert np.all(result.matrix[row] == 1)
 
 
+voters = st.sampled_from([Behavior(), LazyVoter(), ContraryVoter()])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.tuples(voters, st.integers(0, 4)), min_size=8, max_size=8),
+    st.integers(0, 9),
+)
+def test_vote_vectors_are_encoded_once_per_distinct_vector(members, spends):
+    """Members with equal rows send one tuple, signed over one encoding;
+    the leader files one read-only array per tuple it is handed.  Every
+    entry of both memos is the element walk of its votes, and every row of
+    the tallied matrix is the member's own vote."""
+    behaviors = {mid: behavior for mid, (behavior, _c) in enumerate(members)}
+    capacities = [capacity for _behavior, capacity in members]
+    ctx, txs = vote_world(behaviors, capacities, spends)
+    committee = ctx.committees[0]
+    sent = []
+
+    def observe(probe):
+        if probe.tag.startswith("VOTE:"):
+            sent.append(probe.payload[1])
+        return False
+
+    ctx.net.drop_filter = observe
+    session = VoteRoundSession(ctx, committee, txs, "vec", input_side_votes, "intra")
+    session.start()
+    ctx.net.run()
+    result = session.finish()
+    assert result.replies == committee.size
+    plain = PlainV(ctx.shard_states[0].utxos)
+    for row, (mid, (behavior, capacity)) in enumerate(zip(committee.members, members)):
+        honest = PerItemBehavior().vote(Capacity(capacity), txs, plain, None)
+        want = {"honest": honest, "contrary_voter": -honest}.get(behavior.name, 0 * honest)
+        assert result.matrix[row].tolist() == want.tolist()
+    # one tuple object per distinct vector, its key its int8 bytes
+    assert len({id(votes) for votes in sent}) == len(set(sent)) == len(session._vectors)
+    for key, (votes, enc, size) in session._vectors.items():
+        assert np.asarray(votes, dtype=np.int8).tobytes() == key
+        assert enc == element_walk_vote_statement(1, 0, "vec", votes)
+        assert int8_seq_bytes(votes) is not None and size == vote_message_size(len(votes))
+    assert len(session._received) == len(session._vectors)
+    for key, (votes, enc, array) in session._received.items():
+        assert id(votes) == key and enc == element_walk_vote_statement(1, 0, "vec", votes)
+        assert array.tolist() == list(votes) and not array.flags.writeable
+
+
+def test_leader_re_encodes_an_equal_but_distinct_vote_tuple(vote_ctx):
+    ctx, txs = vote_ctx
+    committee = ctx.committees[0]
+    ctx.nodes[3].online = ctx.nodes[4].online = False  # they stay silent
+    session = VoteRoundSession(ctx, committee, txs, "twin", input_side_votes, "intra")
+    session.start()
+    ctx.net.run(until=ctx.net.now + 3 * ctx.params.net.delta)
+    votes = next(votes for votes, _enc, _array in session._received.values())
+    twin = tuple(list(votes))
+    assert twin == votes and twin is not votes
+    courier = ctx.nodes[5]
+    for mid, carrier in ((3, votes), (4, twin)):
+        statement = ("VOTE", 1, 0, "twin", carrier)
+        sig = sign(ctx.nodes[mid].keypair, statement)
+        # a forgery over the very tuple a valid vote carried is still checked
+        courier.send(0, "VOTE:twin", (mid, carrier, sign(courier.keypair, statement)))
+        courier.send(0, "VOTE:twin", (mid, carrier, sig))
+    ctx.net.run()
+    result = session.finish()
+    assert result.replies == committee.size
+    assert session._votes[3] is session._votes[5]  # one tuple, one array
+    assert session._votes[4] is not session._votes[3]
+    assert session._received[id(twin)][0] is twin
+
+
 # -- (v) Transaction.wire_size ----------------------------------------------------
 @given(
     st.lists(st.tuples(st.binary(min_size=0, max_size=40), st.integers(0, 9)), max_size=4),
@@ -393,6 +492,14 @@ def test_cached_sizes_are_derived_state_across_a_checkpoint(tmp_path):
 
 
 # -- (vi) the UTXO_FINAL listing ---------------------------------------------------
+class Name(str):
+    """A ``str`` subclass: the generic encoder encodes it as its base."""
+
+
+class Blob(bytes):
+    """A ``bytes`` subclass, likewise."""
+
+
 def assert_listing_is_its_tuple(state):
     listing, plain = state.digest_items(), tuple_digest_items(state)
     txids = (b"\x01" * 32, b"\x02" * 32)
@@ -454,9 +561,11 @@ def test_utxo_listing_encodes_only_what_the_block_created(shard, monkeypatch):
 
     state, genesis, spend = shard
     encoded = []
-    real = state_module.canonical_bytes
+    real = state_module._listing_entry
     monkeypatch.setattr(
-        state_module, "canonical_bytes", lambda item: encoded.append(item) or real(item)
+        state_module,
+        "_listing_entry",
+        lambda op, output: encoded.append(op) or real(op, output),
     )
     first = state.digest_items()
     assert len(encoded) == len(genesis.outputs)
@@ -464,16 +573,65 @@ def test_utxo_listing_encodes_only_what_the_block_created(shard, monkeypatch):
     del encoded[:]
     apply_block([state], [spend], ShardMap(1))
     assert_listing_is_its_tuple(state)
-    assert sorted(item[:2] for item in encoded) == [
-        (spend.txid.hex(), 0),
-        (spend.txid.hex(), 1),
-    ]
+    assert sorted(encoded) == [(spend.txid, 0), (spend.txid, 1)]
     # An equal output under the same outpoint is another object: re-encoded.
     del encoded[:]
     state.utxos.spend((spend.txid, 1))
     state.utxos.add((spend.txid, 1), (*spend.outputs[1],))
     assert_listing_is_its_tuple(state)
-    assert [item[:2] for item in encoded] == [(spend.txid.hex(), 1)]
+    assert encoded == [(spend.txid, 1)]
+
+
+listing_edits = st.lists(
+    st.one_of(
+        st.tuples(  # a new outpoint; a bool amount and a str subclass among them
+            st.just("add"),
+            st.binary(min_size=1, max_size=3),
+            st.one_of(st.integers(0, 2), st.booleans()),
+            st.one_of(st.text(max_size=4), st.text(max_size=4).map(Name)),
+            st.one_of(st.integers(-2, 10**20), st.booleans()),
+        ),
+        st.tuples(st.just("spend"), st.integers(0, 99)),
+        # the same outpoint again: an equal output tuple, or another one
+        st.tuples(st.just("readd"), st.integers(0, 99), st.booleans()),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(listing_edits)
+def test_merged_listing_is_the_sorted_tuple(edits):
+    """Every listing — after adds, spends and re-adds of an equal-but-distinct
+    output object — is the freshly sorted tuple, and the entries kept from
+    the last listing are exactly those whose output object stayed."""
+    import repro.ledger.state as state_module
+
+    state = ShardState(0, 1)
+    for edit in edits:
+        ops = list(state.utxos)
+        if edit[0] == "add" and (edit[1], edit[2]) not in state.utxos:
+            _, txid, index, owner, amount = edit
+            state.utxos.add((txid, index), (owner, amount))
+        elif edit[0] == "spend" and ops:
+            state.utxos.spend(ops[edit[1] % len(ops)])
+        elif edit[0] == "readd" and ops:
+            op = ops[edit[1] % len(ops)]
+            owner, amount = state.utxos.spend(op)
+            state.utxos.add(op, (owner, amount if edit[2] else amount + 1))
+        before = dict(state._listing[0])
+        encoded = []
+        real = state_module._listing_entry
+        state_module._listing_entry = lambda op, out: encoded.append(op) or real(op, out)
+        try:
+            assert_listing_is_its_tuple(state)
+        finally:
+            state_module._listing_entry = real
+        current = state.utxos.snapshot()
+        assert sorted(encoded) == sorted(
+            op for op, output in current.items() if before.get(op) is not output
+        )
+        assert state._listing[1] == sorted(current)
 
 
 def test_utxo_listing_cache_is_derived_state_across_a_checkpoint(tmp_path):
@@ -492,14 +650,6 @@ def test_utxo_listing_cache_is_derived_state_across_a_checkpoint(tmp_path):
 
 
 # -- (vii) the direct forms against their element walks ---------------------------
-class Name(str):
-    """A ``str`` subclass: the generic encoder encodes it as its base."""
-
-
-class Blob(bytes):
-    """A ``bytes`` subclass, likewise."""
-
-
 ints_like = st.one_of(
     st.integers(-(2**70), 2**70),
     st.booleans(),
@@ -623,10 +773,12 @@ def test_every_vote_message_is_sized_as_its_payload(vote_ctx):
 
 
 class Capacity:
-    """The one part of a node the vote hooks use: its budget."""
+    """The parts of a node the vote hooks use: its budget, and the shard
+    view whose output rows ``vote_on_outputs`` reads."""
 
-    def __init__(self, capacity):
+    def __init__(self, capacity, shard_state=None):
         self.left = capacity
+        self.shard_state = ShardState(0, 1) if shard_state is None else shard_state
 
     def take_budget(self, want):
         granted = max(0, min(want, self.left))
@@ -634,10 +786,12 @@ class Capacity:
         return granted
 
 
-class Verdicts:
-    """A shard state whose V returns a drawn verdict and logs every call."""
+class Verdicts(ShardState):
+    """A shard view whose V returns a drawn verdict and logs every call (its
+    verdict row is the real one, filled through this ``validate``)."""
 
     def __init__(self, verdicts):
+        super().__init__(0, 1)
         self.verdicts, self.calls = verdicts, []
 
     def validate(self, tx):
@@ -671,3 +825,81 @@ def test_honest_votes_are_the_per_item_fill(drawn, capacity, as_tuple):
     fill = Behavior().vote_on_outputs(Capacity(capacity), txs, None)
     reference = PerItemBehavior().vote_on_outputs(Capacity(capacity), txs, None)
     assert fill.dtype == np.int8 and fill.tolist() == reference.tolist()
+
+
+class LoggedView(ShardState):
+    """A real shard view that logs every transaction its rows judge."""
+
+    def __init__(self):
+        super().__init__(0, 1)
+        self.calls = []
+
+    def validate(self, tx):
+        self.calls.append(tx)
+        return super().validate(tx)
+
+
+class PlainV:
+    """V straight off the UTXO set: no memo, no row."""
+
+    def __init__(self, utxos):
+        self.utxos = utxos
+
+    def validate(self, tx):
+        return validate_transaction(tx, self.utxos)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(  # (first coin, second coin or none, output amount); coins 4, 5 do not exist
+        st.tuples(st.integers(0, 5), st.integers(-1, 5), st.integers(-1, 220)),
+        max_size=14,
+    ),
+    st.lists(  # one per member: (capacity, change the view before it votes)
+        st.tuples(st.integers(-1, 16), st.booleans()), min_size=1, max_size=6
+    ),
+    st.booleans(),
+)
+def test_members_share_one_verdict_row(specs, members, as_tuple):
+    """Several members vote on one TXList object against one view: each vote
+    is the per-item fill of plain V, even when the view changes between two
+    members, and the view judges each transaction once per version, in the
+    order of the longest walk asked so far."""
+    state = LoggedView()
+    genesis = make_coinbase([(f"user-{i}", 100) for i in range(4)])
+    apply_block([state], [genesis], ShardMap(1))
+    txs = [
+        Transaction(
+            inputs=((genesis.txid, a),) + (() if b < 0 else ((genesis.txid, b),)),
+            outputs=(("payee", amount),),
+            nonce=i,
+        )
+        for i, (a, b, amount) in enumerate(specs)
+    ]
+    txs = tuple(txs) if as_tuple else txs
+    expected_calls, walked = [], 0
+    for k, (capacity, change) in enumerate(members):
+        if change:  # spend one genesis coin, or put it back
+            coin = (genesis.txid, k % 4)
+            if coin in state.utxos:
+                state.utxos.spend(coin)
+            else:
+                state.utxos.add(coin, (f"user-{k % 4}", 100))
+            walked = 0
+        fill = Behavior().vote(Capacity(capacity), txs, state, None)
+        reference = PerItemBehavior().vote(
+            Capacity(capacity), txs, PlainV(state.utxos), None
+        )
+        assert fill.dtype == np.int8 and fill.tolist() == reference.tolist()
+        budget = max(0, min(capacity, len(txs)))
+        expected_calls += txs[walked:budget]
+        walked = max(walked, budget)
+        assert state.calls == expected_calls
+        fill = Behavior().vote_on_outputs(Capacity(capacity, state), txs, None)
+        reference = PerItemBehavior().vote_on_outputs(Capacity(capacity), txs, None)
+        assert fill.dtype == np.int8 and fill.tolist() == reference.tolist()
+    # An equal-but-distinct TXList is a row of its own.
+    twin = list(txs)
+    state.calls.clear()
+    Behavior().vote(Capacity(len(txs)), twin, state, None)
+    assert len(state.calls) == len(txs)
