@@ -83,14 +83,21 @@ class RivalBackend(CommitteeSimBackend):
     ) -> None:
         """Approximate erasure-coded dissemination: the payload travels as
         ``chunks`` equal fragments per recipient (IDA-gossip's traffic
-        shape without modelling the coding itself)."""
+        shape without modelling the coding itself).
+
+        One fan-out, recipient-major: exactly the loop of per-chunk sends
+        it stands for (the same ``seq``s, jitter draws, hook calls and
+        delivery order, and the same traffic totals).  A chunk carries the
+        payload alone; the handler counts chunks by recipient.
+        """
         chunks = chunks if chunks is not None else self.dissemination_chunks
         chunk_bytes = max(1, total_bytes // max(1, chunks))
-        for recipient in recipients:
-            if recipient == sender.node_id:
-                continue
-            for index in range(chunks):
-                sender.send(recipient, tag, (index, payload), size=chunk_bytes)
+        sender.multicast(
+            [r for r in recipients for _ in range(chunks)],
+            tag,
+            payload,
+            size=chunk_bytes,
+        )
 
     def _collect_committee_votes(
         self, ctx: RoundContext, proposals: dict[int, list[TaggedTx]], tag: str

@@ -14,6 +14,7 @@ gx         print the Fig. 4 g(x) curve
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -22,6 +23,7 @@ import numpy as np
 
 from repro import AdversaryConfig, ProtocolParams
 from repro.backends import BACKEND_REGISTRY, create_backend
+from repro.core.trace import TraceSink
 from repro.exp.results import atomic_write_bytes, collect_result
 from repro.exp.spec import canonical_json, point_key
 from repro.ledger.checkpoint import load_checkpoint, save_checkpoint
@@ -91,6 +93,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 ),
                 scenario=scenario,
             )
+        trace = open(args.trace, "w", encoding="utf-8") if args.trace else None
     except (OSError, ValueError) as error:
         raise SystemExit(f"error: {error}")
     scenario = ledger.scenario
@@ -106,24 +109,30 @@ def _cmd_run(args: argparse.Namespace) -> int:
           f"seed {ledger.params.seed}")
     print(f"{'round':>5} {'packed':>6} {'cross':>5} {'dropped':>7} "
           f"{'recov':>5} {'msgs':>8} {'time':>7} {'queue':>5} {'evict':>5}")
-    reports = []
-    for _ in range(rounds):
-        report = ledger.run_round()
-        reports.append(report)
-        print(f"{report.round_number:>5} {report.packed:>6} "
-              f"{report.cross_packed:>5} {report.dropped:>7} "
-              f"{report.recoveries:>5} {report.messages:>8} "
-              f"{report.sim_time:>7.1f} {report.queue_depth:>5} "
-              f"{report.tx_evicted:>5}")
-        if args.checkpoint_every and (
-            report.round_number % args.checkpoint_every == 0
-        ):
-            path = os.path.join(
-                args.checkpoint_dir,
-                f"checkpoint-r{report.round_number:06d}.pkl",
-            )
-            save_checkpoint(ledger, path)
-            print(f"checkpoint -> {path}")
+    # The trace file, when asked for, is open for the rounds only.
+    with trace or contextlib.nullcontext():
+        if trace is not None:
+            TraceSink(trace).install(ledger)
+        reports = []
+        for _ in range(rounds):
+            report = ledger.run_round()
+            reports.append(report)
+            print(f"{report.round_number:>5} {report.packed:>6} "
+                  f"{report.cross_packed:>5} {report.dropped:>7} "
+                  f"{report.recoveries:>5} {report.messages:>8} "
+                  f"{report.sim_time:>7.1f} {report.queue_depth:>5} "
+                  f"{report.tx_evicted:>5}")
+            if args.checkpoint_every and (
+                report.round_number % args.checkpoint_every == 0
+            ):
+                path = os.path.join(
+                    args.checkpoint_dir,
+                    f"checkpoint-r{report.round_number:06d}.pkl",
+                )
+                save_checkpoint(ledger, path)
+                print(f"checkpoint -> {path}")
+    if trace is not None:
+        print(f"trace -> {args.trace}")
     if args.verbose and ledger.scenario_driver is not None:
         for line in ledger.scenario_driver.log:
             print(f"  · {line}")
@@ -414,6 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--json", default=None,
                      help="write the run's canonical SweepResult record "
                           "here")
+    run.add_argument("--trace", default=None, metavar="FILE",
+                     help="write one JSONL wall-clock record per round, "
+                          "phase, mempool admit and settle here (the run "
+                          "and its --json record are unchanged)")
     run.set_defaults(func=_cmd_run)
 
     scenario = sub.add_parser(

@@ -167,6 +167,9 @@ class CommitteeSimBackend:
     backend_name = "abstract"
     #: name of the pipeline phase whose report carries the round's block
     pack_phase = "block"
+    #: the wall-clock trace this ledger writes to: none unless
+    #: :meth:`repro.core.trace.TraceSink.install` put one here
+    trace_sink = None
 
     def __init__(
         self,
@@ -410,8 +413,6 @@ class CommitteeSimBackend:
         round_metrics = MetricsCollector()
         for node in self.nodes.values():
             round_metrics.set_role(node.node_id, node.role)
-        for cls, count in channels.counts.items():
-            round_metrics.record_channels(cls, count)
         net = self.net
         net.reset(metrics=round_metrics)
         net.set_channel_classifier(channels.classify)

@@ -51,8 +51,15 @@ import numpy as np
 #: ``ProtocolParams`` lost a field; 3: one scenario-driver block, no
 #: ``policy`` entries, and files carry the checked header; 4: transaction
 #: inputs and outputs are plain tuples, so the stream names no record class
-#: but ``Transaction``, rebuilt from its fields).
-CHECKPOINT_VERSION = 4
+#: but ``Transaction``, rebuilt from its fields; 5: ``workload.effects``
+#: holds ``(home, consumed, transaction)`` and ``metrics`` lost its per-node,
+#: per-channel and event counters).
+CHECKPOINT_VERSION = 5
+
+#: What the current layout changed, named in a version mismatch.
+_LAYOUT_CHANGE = (
+    "layout 5 changed the 'workload.effects' and 'metrics' sections"
+)
 
 #: File header: magic, layout version, payload length, payload SHA-256.
 MAGIC = b"CYCLCKPT"
@@ -72,12 +79,7 @@ def _capture_metrics(metrics: Any) -> dict[str, Any]:
             key: (cell.messages, cell.bytes, cell.storage)
             for key, cell in metrics.cells.items()
         },
-        "per_node_messages": dict(metrics.per_node_messages),
-        "per_node_bytes": dict(metrics.per_node_bytes),
-        "per_node_storage": dict(metrics.per_node_storage),
         "node_roles": dict(metrics.node_roles),
-        "channel_counts": dict(metrics.channel_counts),
-        "events": metrics.events,
     }
 
 
@@ -89,17 +91,8 @@ def _restore_metrics(metrics: Any, state: dict[str, Any]) -> None:
         cell.messages = messages
         cell.bytes = nbytes
         cell.storage = storage
-    for attr in (
-        "per_node_messages",
-        "per_node_bytes",
-        "per_node_storage",
-        "node_roles",
-        "channel_counts",
-    ):
-        target = getattr(metrics, attr)
-        target.clear()
-        target.update(state[attr])
-    metrics.events = state["events"]
+    metrics.node_roles.clear()
+    metrics.node_roles.update(state["node_roles"])
 
 
 def capture_checkpoint(ledger: Any) -> dict[str, Any]:
@@ -229,8 +222,8 @@ def restore_checkpoint(
 
     if state["version"] != CHECKPOINT_VERSION:
         raise ValueError(
-            f"checkpoint version {state['version']} != supported "
-            f"{CHECKPOINT_VERSION}"
+            f"checkpoint field 'version': {state['version']} != supported "
+            f"{CHECKPOINT_VERSION} ({_LAYOUT_CHANGE})"
         )
     effective_scenario = (
         state["scenario"] if scenario is _UNSET else scenario
@@ -377,7 +370,8 @@ def load_checkpoint(
     payload = memoryview(data)[_HEADER.size :]
     if version != CHECKPOINT_VERSION:
         raise ValueError(
-            f"{path}: checkpoint version {version} != {CHECKPOINT_VERSION}"
+            f"{path}: header field 'version': checkpoint version {version} "
+            f"!= {CHECKPOINT_VERSION} ({_LAYOUT_CHANGE})"
         )
     if len(payload) != length:
         raise ValueError(

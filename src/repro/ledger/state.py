@@ -21,7 +21,12 @@ import numpy as np
 
 from repro.crypto.hashing import canonical_bytes, seq_bytes
 from repro.ledger.transaction import ShardMap, Transaction
-from repro.ledger.utxo import UTXOSet, ValidationResult, validate_transaction
+from repro.ledger.utxo import (
+    UTXOSet,
+    ValidationResult,
+    _exists,
+    validate_transaction,
+)
 from repro.net.message import payload_size, seq_size
 
 
@@ -207,15 +212,32 @@ def apply_block(
     if shard_of.m != m:
         raise ValueError(f"shard_of maps into {shard_of.m} shards, not {m}")
     sets = [state.utxos for state in states]
+    # The backing dicts, probed directly; each set's ``version`` moves by
+    # its own count of spends and adds, as ``spend``/``add`` would move it
+    # (also when an add raises: what came before it stands).
+    dicts = [utxos._utxos for utxos in sets]
+    held = list(enumerate(dicts))
+    moved = [0] * m
     spent = created = 0
-    for tx in txs:
-        for outpoint in tx.outpoints():
-            for utxos in sets:
+    try:
+        for tx in txs:
+            for outpoint in tx.inputs:
+                for k, utxos in held:
+                    if outpoint in utxos:
+                        del utxos[outpoint]
+                        moved[k] += 1
+                        spent += 1
+            txid = tx.txid
+            for index, output in enumerate(tx.outputs):
+                k = shard_of[output[0]]
+                utxos = dicts[k]
+                outpoint = (txid, index)
                 if outpoint in utxos:
-                    utxos.spend(outpoint)
-                    spent += 1
-        txid = tx.txid
-        for index, output in enumerate(tx.outputs):
-            sets[shard_of[output[0]]].add((txid, index), output)
-            created += 1
+                    raise ValueError(_exists(outpoint))
+                utxos[outpoint] = output
+                moved[k] += 1
+                created += 1
+    finally:
+        for utxos, count in zip(sets, moved):
+            utxos.version += count
     return spent, created

@@ -29,6 +29,17 @@ class ValidationResult(Enum):
         return self is ValidationResult.VALID
 
 
+_MISSING = object()
+
+
+def _not_unspent(outpoint: tuple[bytes, int]) -> str:
+    return f"outpoint {outpoint[0].hex()[:8]}:{outpoint[1]} not unspent"
+
+
+def _exists(outpoint: tuple[bytes, int]) -> str:
+    return f"outpoint {outpoint[0].hex()[:8]}:{outpoint[1]} exists"
+
+
 class UTXOSet:
     """Mapping of outpoints ``(txid, index)`` to unspent outputs.
 
@@ -70,7 +81,7 @@ class UTXOSet:
     # -- mutation --------------------------------------------------------------
     def add(self, outpoint: tuple[bytes, int], output: tuple[str, int]) -> None:
         if outpoint in self._utxos:
-            raise ValueError(f"outpoint {outpoint[0].hex()[:8]}:{outpoint[1]} exists")
+            raise ValueError(_exists(outpoint))
         self._utxos[outpoint] = output
         self.version += 1
 
@@ -78,18 +89,34 @@ class UTXOSet:
         try:
             output = self._utxos.pop(outpoint)
         except KeyError:
-            raise KeyError(
-                f"outpoint {outpoint[0].hex()[:8]}:{outpoint[1]} not unspent"
-            ) from None
+            raise KeyError(_not_unspent(outpoint)) from None
         self.version += 1  # a failed spend changed nothing
         return output
 
     def apply_transaction(self, tx: Transaction) -> None:
-        """Spend the inputs and create the outputs of a *validated* tx."""
-        for outpoint in tx.outpoints():
-            self.spend(outpoint)
-        for index, output in enumerate(tx.outputs):
-            self.add((tx.txid, index), output)
+        """Spend the inputs and create the outputs of a *validated* tx.
+
+        :meth:`spend` then :meth:`add` per outpoint, probing the dict
+        directly: the same contents, ``version`` moves and exceptions
+        (an operation that raises has moved nothing; the ones before it
+        stand).
+        """
+        utxos = self._utxos
+        moved = 0
+        try:
+            for outpoint in tx.outpoints():
+                if utxos.pop(outpoint, _MISSING) is _MISSING:
+                    raise KeyError(_not_unspent(outpoint))
+                moved += 1
+            txid = tx.txid
+            for index, output in enumerate(tx.outputs):
+                outpoint = (txid, index)
+                if outpoint in utxos:
+                    raise ValueError(_exists(outpoint))
+                utxos[outpoint] = output
+                moved += 1
+        finally:
+            self.version += moved
 
     def snapshot(self) -> dict[tuple[bytes, int], tuple[str, int]]:
         return dict(self._utxos)
@@ -115,21 +142,35 @@ def validate_transaction(tx: Transaction, utxos: UTXOSet) -> ValidationResult:
     Coinbase transactions are only created by the protocol itself (genesis
     and fee distribution) and never enter V — user-submitted coinbases are
     rejected as OVERSPEND (they create value from nothing).
+
+    The checks run in this order, the first failing one naming the result:
+    EMPTY, NONPOSITIVE_OUTPUT, DUPLICATE_INPUT, MISSING_INPUT, OVERSPEND.
+    One pass over the outputs both checks and sums them; the duplicate set
+    is built only for more than one input.
     """
-    if not tx.outputs:
+    outputs = tx.outputs
+    if not outputs:
         return ValidationResult.EMPTY
-    if any(amount <= 0 for _address, amount in tx.outputs):
-        return ValidationResult.NONPOSITIVE_OUTPUT
-    outpoints = tx.outpoints()
-    if len(set(outpoints)) != len(outpoints):
+    total_out = 0
+    for _address, amount in outputs:
+        if amount <= 0:
+            return ValidationResult.NONPOSITIVE_OUTPUT
+        total_out += amount
+    if type(total_out) is not int:
+        # A float amount: ``sum`` rounds its own way (compensated from
+        # Python 3.12), so the total is the one ``output_total`` gives.
+        total_out = tx.output_total()
+    inputs = tx.inputs
+    if len(inputs) > 1 and len(set(inputs)) != len(inputs):
         return ValidationResult.DUPLICATE_INPUT
+    held = utxos._utxos.get
     total_in = 0
-    for outpoint in outpoints:
-        output = utxos.get(outpoint)
+    for outpoint in inputs:
+        output = held(outpoint)
         if output is None:
             return ValidationResult.MISSING_INPUT
         total_in += output[1]
-    if total_in < tx.output_total():
+    if total_in < total_out:
         return ValidationResult.OVERSPEND
     return ValidationResult.VALID
 
@@ -150,7 +191,7 @@ def validate_batch(
     if not sequential:
         return [validate_transaction(tx, utxos) for tx in txs]
     scratch = UTXOSet()
-    scratch.restore(utxos.snapshot())
+    scratch._utxos = utxos.snapshot()  # the one copy
     results = []
     for tx in txs:
         result = validate_transaction(tx, scratch)

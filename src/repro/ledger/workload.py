@@ -59,7 +59,9 @@ class TaggedTx:
     defect: str | None = None  # 'double_spend' | 'overspend' | 'phantom_input'
 
     # Spelled out like ``Transaction``'s (see ``repro.ledger.transaction``):
-    # one is built per generated transaction.
+    # one is built per generated transaction.  Attribute writes, not one
+    # ``__dict__`` update: touching ``__dict__`` materialises a dict per
+    # instance, a second object for the collector to track.
     def __init__(
         self,
         tx: Transaction,
@@ -139,18 +141,16 @@ class WorkloadGenerator:
             )
         # Confirmed spends only: what the double-spend injector draws from.
         self._spent: list[tuple[tuple[bytes, int], str, int]] = []
-        # txid -> (home, consumed entry, [(shard, created entry), ...]) for
-        # every generated-but-unsettled transaction.  Nothing here is
-        # published: the created outputs enter the spendable pool and the
-        # consumed input enters ``_spent`` only when the transaction packs
-        # (forget_txids), so an intended-valid draw never chain-spends an
-        # off-chain output, a double spend never names an input that is
+        # txid -> (home, consumed entry, transaction) for every
+        # generated-but-unsettled transaction, ``consumed`` being the very
+        # tuple popped from the spendable pool.  Nothing here is published:
+        # the outputs' entries are built and enter the spendable pool, and
+        # the consumed input enters ``_spent``, only when the transaction
+        # packs (forget_txids), so an intended-valid draw never chain-spends
+        # an off-chain output, a double spend never names an input that is
         # still live on chain, and undoing a transaction (rollback_txids)
         # only has to hand its input back.
-        self._effects: dict[
-            bytes,
-            tuple[int, tuple, list[tuple[int, tuple]]],
-        ] = {}
+        self._effects: dict[bytes, tuple[int, tuple, Transaction]] = {}
 
     # -- helpers ----------------------------------------------------------
     def genesis_utxos(self) -> UTXOSet:
@@ -179,34 +179,18 @@ class WorkloadGenerator:
         if not spendable:
             return None
         draws = self.draws
-        outpoint, owner, amount = spendable.pop(draws.integers(0, len(spendable)))
+        # The popped entry itself is what settlement hands back or records
+        # as spent: nothing else of the input is built here.
+        consumed = spendable.pop(draws.integers(0, len(spendable)))
+        outpoint, owner, amount = consumed
         payee = self._pick_payee(home, cross)
         spend = max(1, draws.integers(1, max(2, amount - self.fee)))
         change = amount - spend - self.fee
-        outputs = [(payee, spend)]
-        if change > 0:
-            outputs.append((owner, change))
-        tx = Transaction(
-            inputs=(outpoint,),
-            outputs=tuple(outputs),
-            nonce=self._next_nonce(),
-        )
-        created: list[tuple[int, tuple]] = []
-        if change > 0:
-            created.append((home, ((tx.txid, 1), owner, change)))
-        out_shard = self.shard_of[payee]
-        created.append((out_shard, ((tx.txid, 0), payee, spend)))
-        self._effects[tx.txid] = (
-            home,
-            (outpoint, owner, amount),
-            created,
-        )
-        return TaggedTx(
-            tx=tx,
-            home_shard=home,
-            cross_shard=out_shard != home,
-            intended_valid=True,
-        )
+        pay = (payee, spend)
+        outputs = (pay, (owner, change)) if change > 0 else (pay,)
+        tx = Transaction(inputs=(outpoint,), outputs=outputs, nonce=self._next_nonce())
+        self._effects[tx.txid] = (home, consumed, tx)
+        return TaggedTx(tx, home, self.shard_of[payee] != home, True)
 
     _DEFECTS = ("double_spend", "overspend", "phantom_input")
 
@@ -302,7 +286,7 @@ class WorkloadGenerator:
         for txid in txids:
             effects = self._effects.pop(txid, None)
             if effects is not None:
-                home, consumed, _created = effects
+                home, consumed, _tx = effects
                 self._spendable[home].append(consumed)
                 undone += 1
         return undone
@@ -314,13 +298,22 @@ class WorkloadGenerator:
         ``txids`` order — that order feeds later index draws, so callers
         pass a sequence, never a set.
         """
+        effects_of = self._effects.pop
+        spendable = self._spendable
+        shard_of = self.shard_of
+        spent = self._spent
         for txid in txids:
-            effects = self._effects.pop(txid, None)
+            effects = effects_of(txid, None)
             if effects is not None:
-                _home, consumed, created = effects
-                for shard, entry in created:
-                    self._spendable[shard].append(entry)
-                self._spent.append(consumed)
+                home, consumed, tx = effects
+                # Output 0 pays the payee, output 1 (if any) is the change
+                # back to the owner: the change entry is published first.
+                outputs = tx.outputs
+                if len(outputs) > 1:
+                    spendable[home].append(((tx.txid, 1), *outputs[1]))
+                payee, spend = outputs[0]
+                spendable[shard_of[payee]].append(((tx.txid, 0), payee, spend))
+                spent.append(consumed)
         self._trim_spent()
 
     def _trim_spent(self) -> None:

@@ -37,12 +37,7 @@ class MetricsCollector:
     def __init__(self) -> None:
         self.phase: str = "setup"
         self.cells: dict[tuple[str, str], PhaseStats] = defaultdict(PhaseStats)
-        self.per_node_messages: dict[int, int] = defaultdict(int)
-        self.per_node_bytes: dict[int, int] = defaultdict(int)
-        self.per_node_storage: dict[int, int] = defaultdict(int)
         self.node_roles: dict[int, str] = {}
-        self.channel_counts: dict[str, int] = defaultdict(int)
-        self.events: int = 0
 
     # -- context -----------------------------------------------------------
     def set_phase(self, phase: str) -> None:
@@ -64,14 +59,10 @@ class MetricsCollector:
         """Record ``count`` messages of ``nbytes`` each from ``sender``: one
         fan-out's traffic in one call (``Network.multicast``).  ``count``
         must be positive — a zero-message fan-out records nothing, so it
-        never materialises an empty cell or per-node row."""
-        total = count * nbytes
+        never materialises an empty cell."""
         cell = self.cells[(self.phase, self.node_roles.get(sender, Roles.COMMON))]
         cell.messages += count
-        cell.bytes += total
-        self.per_node_messages[sender] += count
-        self.per_node_bytes[sender] += total
-        self.events += count
+        cell.bytes += count * nbytes
 
     def record_storage(self, node_id: int, items: int) -> None:
         """Report a storage high-water mark (items retained) for a node in
@@ -79,12 +70,6 @@ class MetricsCollector:
         role = self.role_of(node_id)
         cell = self.cells[(self.phase, role)]
         cell.storage = max(cell.storage, items)
-        self.per_node_storage[node_id] = max(
-            self.per_node_storage[node_id], items
-        )
-
-    def record_channels(self, channel_class: str, count: int = 1) -> None:
-        self.channel_counts[channel_class] += count
 
     # -- queries ---------------------------------------------------------------
     def messages_in(self, phase: str, role: str) -> int:
@@ -116,15 +101,6 @@ class MetricsCollector:
             mine.messages += cell.messages
             mine.bytes += cell.bytes
             mine.storage = max(mine.storage, cell.storage)
-        for node, count in other.per_node_messages.items():
-            self.per_node_messages[node] += count
-        for node, count in other.per_node_bytes.items():
-            self.per_node_bytes[node] += count
-        for node, hw in other.per_node_storage.items():
-            self.per_node_storage[node] = max(self.per_node_storage[node], hw)
-        for cls, count in other.channel_counts.items():
-            self.channel_counts[cls] += count
-        self.events += other.events
 
     def summary_rows(self) -> list[tuple[str, str, int, int, int]]:
         """(phase, role, messages, bytes, storage) rows for reports."""

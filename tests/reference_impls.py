@@ -48,7 +48,16 @@ the methods an optimization replaced.
   ``apply_block`` and the UTXO listing over them (replaced by the exact
   ``(txid, index)`` / ``(address, amount)`` tuples and the slotted
   ``Transaction`` of :mod:`repro.ledger.transaction`, which the collector
-  stops tracking).
+  stops tracking);
+* :func:`method_validate_transaction`, :func:`method_apply_transaction`,
+  :func:`method_apply_block` — V, ``UTXOSet.apply_transaction`` and
+  ``apply_block`` through the set's methods (``outpoints()``,
+  ``output_total()``, ``get``, ``spend``, ``add``, ``__contains__``), one
+  Python call per outpoint (replaced by the dict probes and the one pass
+  over the outputs of :mod:`repro.ledger.utxo` / :mod:`repro.ledger.state`);
+* :func:`per_chunk_unicast` — IDA-style dissemination as one unicast per
+  recipient per chunk, each chunk carrying its index (replaced by the one
+  recipient-major fan-out of ``RivalBackend._chunked_multicast``).
 """
 
 from __future__ import annotations
@@ -413,12 +422,26 @@ class EagerPublishWorkloadGenerator(WorkloadGenerator):
     def generate_batch(self, count, cross_shard_ratio=0.0, invalid_ratio=0.0):
         self._effects = {}
         batch = super().generate_batch(count, cross_shard_ratio, invalid_ratio)
-        for _home, consumed, created in self._effects.values():
-            for shard, entry in created:
+        for home, consumed, tx in self._effects.values():
+            for shard, entry in self._created(home, tx):
                 self._spendable[shard].append(entry)
             self._spent.append(consumed)
         self._trim_spent()
         return batch
+
+    def _created(self, home, tx):
+        """A transaction's output entries as the generator once built them
+        up front: the change (output 1, back to the owner's home shard)
+        first, then the payee's (output 0)."""
+        created = []
+        if len(tx.outputs) > 1:
+            owner, change = tx.outputs[1]
+            created.append((home, ((tx.txid, 1), owner, change)))
+        payee, spend = tx.outputs[0]
+        created.append(
+            (shard_of_address(payee, self.m), ((tx.txid, 0), payee, spend))
+        )
+        return created
 
     def rollback_txids(self, txids) -> int:
         rolled = 0
@@ -426,8 +449,8 @@ class EagerPublishWorkloadGenerator(WorkloadGenerator):
             effects = self._effects.pop(txid, None)
             if effects is None:
                 continue
-            home, consumed, created = effects
-            for shard, entry in created:
+            home, consumed, tx = effects
+            for shard, entry in self._created(home, tx):
                 try:
                     self._spendable[shard].remove(entry)
                 except ValueError:
@@ -446,6 +469,63 @@ class EagerPublishWorkloadGenerator(WorkloadGenerator):
         )
         self._effects = {}
         return rolled
+
+
+# -- V and UTXO application through the set's methods ---------------------------
+def method_validate_transaction(tx: Transaction, utxos: UTXOSet) -> ValidationResult:
+    """The authentication function V as it read through ``UTXOSet.get``."""
+    if not tx.outputs:
+        return ValidationResult.EMPTY
+    if any(amount <= 0 for _address, amount in tx.outputs):
+        return ValidationResult.NONPOSITIVE_OUTPUT
+    outpoints = tx.outpoints()
+    if len(set(outpoints)) != len(outpoints):
+        return ValidationResult.DUPLICATE_INPUT
+    total_in = 0
+    for outpoint in outpoints:
+        output = utxos.get(outpoint)
+        if output is None:
+            return ValidationResult.MISSING_INPUT
+        total_in += output[1]
+    if total_in < tx.output_total():
+        return ValidationResult.OVERSPEND
+    return ValidationResult.VALID
+
+
+def method_apply_transaction(utxos: UTXOSet, tx: Transaction) -> None:
+    """``UTXOSet.apply_transaction`` as ``spend`` then ``add`` calls."""
+    for outpoint in tx.outpoints():
+        utxos.spend(outpoint)
+    for index, output in enumerate(tx.outputs):
+        utxos.add((tx.txid, index), output)
+
+
+def method_apply_block(states, txs, shard_of: ShardMap) -> tuple[int, int]:
+    """``apply_block``'s walk through ``__contains__`` / ``spend`` / ``add``."""
+    sets = [state.utxos for state in states]
+    spent = created = 0
+    for tx in txs:
+        for outpoint in tx.outpoints():
+            for utxos in sets:
+                if outpoint in utxos:
+                    utxos.spend(outpoint)
+                    spent += 1
+        txid = tx.txid
+        for index, output in enumerate(tx.outputs):
+            sets[shard_of[output[0]]].add((txid, index), output)
+            created += 1
+    return spent, created
+
+
+# -- IDA-style dissemination ---------------------------------------------------
+def per_chunk_unicast(sender, recipients, tag, payload, total_bytes, chunks) -> None:
+    """``chunks`` indexed fragments per recipient, one unicast each."""
+    chunk_bytes = max(1, total_bytes // max(1, chunks))
+    for recipient in recipients:
+        if recipient == sender.node_id:
+            continue
+        for index in range(chunks):
+            sender.send(recipient, tag, (index, payload), size=chunk_bytes)
 
 
 # -- per-shard ledger application ----------------------------------------------

@@ -430,3 +430,36 @@ def test_a_packed_transaction_leaves_one_tracked_object(name):
     utxos = ledger.shard_states[0].utxos
     for record in (tx.inputs, tx.outputs, *tx.inputs, *tx.outputs, utxos.get(next(iter(utxos)))):
         assert type(record) is tuple and gc.is_tracked(record) is False, record
+
+
+@pytest.mark.parametrize("name", ("rapidchain", "cycledger"))
+def test_admission_leaves_few_tracked_objects(name):
+    """Admission keeps a generated transaction and little else: the
+    ``Transaction``, its input, output and output-pair tuples, the pending
+    effects entry, the ``TaggedTx`` and the ``QueuedTx`` (the parent built
+    the output entries and a copy of the consumed entry up front too: 15
+    per transaction).  The output entries are built only when a transaction
+    packs, and the consumed entry handed back is the one popped, so a
+    withdrawn transaction leaves nothing at settlement; the one object left
+    is the generator's pending-effects dict, tracked again once it holds an
+    entry."""
+    import gc
+
+    params = ProtocolParams(seed=1, **{**SMALL, "users_per_shard": 64, "tx_per_committee": 24})
+    ledger = create_backend(name, params)
+    ledger.run(1)
+    mempool = ledger.mempool
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        admitted = mempool.admit(
+            ledger.round_number, 0.0, params.cross_shard_ratio, params.invalid_ratio
+        )
+        generated = len(gc.get_objects()) - before
+        mempool.settle(set(), ledger.round_number, 0.0)  # all withdrawn
+        left = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert admitted >= 90 and generated <= 9 * admitted, (generated, admitted)
+    assert left <= 1, left

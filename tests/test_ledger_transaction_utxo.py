@@ -13,6 +13,9 @@ from reference_impls import (
     DataclassTransaction,
     TxInput,
     TxOutput,
+    method_apply_block,
+    method_apply_transaction,
+    method_validate_transaction,
     record_apply_block,
     record_digest_items,
     record_validate_transaction,
@@ -361,3 +364,126 @@ def test_tuple_records_are_the_dataclass_records(m, endowment, blocks):
                 records.append(record)
                 known += [(tx.txid, k) for k in range(len(outputs))]
         settle(txs, records)
+
+
+# -- V and the UTXO updates, held to their method-call forms -------------------
+#: Six outpoints: the first four are live in the drawn set, the last two never.
+_POOL = [(bytes([k + 1]) * 32, k % 2) for k in range(6)]
+_AMOUNTS = st.one_of(
+    st.integers(-3, 6),
+    st.booleans(),
+    st.floats(-2.0, 6.0, allow_nan=False),
+    st.sampled_from([0, 0.0, -0.0, 0.1, 0.2, 0.3, 0.7]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(1, 9), st.floats(0.1, 9.0)), min_size=4, max_size=4),
+    st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=3),
+    st.lists(st.tuples(st.sampled_from(["a", "b"]), _AMOUNTS), max_size=4),
+)
+@example([1, 1, 1, 1], [0, 0], [("a", 1)])  # two inputs, one outpoint twice
+@example([1, 1, 1, 1], [0], [("a", 0.7), ("a", 0.2), ("b", 0.1)])  # float sums
+def test_v_is_the_method_call_v(values, picks, outputs):
+    """V over drawn transactions (no outputs; zero, negative, bool and float
+    amounts; 1-3 inputs, repeated or missing) gives the verdict of V as it
+    read through the set's methods, with the same precedence of results."""
+    utxos = UTXOSet()
+    for outpoint, value in zip(_POOL, values):
+        utxos.add(outpoint, ("owner", value))
+    tx = Transaction(
+        inputs=tuple(_POOL[p] for p in picks), outputs=tuple(outputs), nonce=1
+    )
+    assert validate_transaction(tx, utxos) is method_validate_transaction(tx, utxos)
+
+
+def _outcome(apply, *args):
+    try:
+        return apply(*args)
+    except (KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_STEPS = st.lists(
+    st.tuples(
+        st.lists(st.integers(0, 40), max_size=3),  # inputs, by index; repeats too
+        st.lists(
+            st.tuples(st.sampled_from(["alice", "bob", "carol", "dave"]), st.integers(1, 5)),
+            max_size=3,
+        ),
+        st.integers(0, 2),  # a small nonce space: equal transactions recur
+    ),
+    max_size=8,
+)
+
+
+def _drawn_txs(steps, outpoints):
+    """Transactions from drawn steps; each may spend what an earlier one
+    created (``outpoints`` grows as they are built)."""
+    txs = []
+    for picks, outputs, nonce in steps:
+        tx = Transaction(
+            inputs=tuple(outpoints[p % len(outpoints)] for p in picks),
+            outputs=tuple(outputs),
+            nonce=nonce,
+        )
+        txs.append(tx)
+        outpoints += [(tx.txid, k) for k in range(len(outputs))]
+    return txs
+
+
+def _assert_same_set(fast, slow):
+    assert list(fast.snapshot().items()) == list(slow.snapshot().items())
+    assert fast.version == slow.version
+
+
+@settings(max_examples=200, deadline=None)
+@given(_STEPS)
+def test_apply_transaction_is_spend_then_add(steps):
+    """``apply_transaction`` leaves the contents, the ``version`` and the
+    exception (a spent or missing input, an existing output) of ``spend``
+    then ``add`` per outpoint, and stores the very output tuples."""
+    genesis = make_coinbase([(f"user-{k}", k + 1) for k in range(6)])
+    fast, slow = UTXOSet(), UTXOSet()
+    fast.apply_transaction(genesis)
+    method_apply_transaction(slow, genesis)
+    outpoints = [(genesis.txid, k) for k in range(6)] + [(b"\x09" * 32, 0)]
+    for tx in _drawn_txs(steps, outpoints):
+        outcome = _outcome(UTXOSet.apply_transaction, fast, tx)
+        assert outcome == _outcome(method_apply_transaction, slow, tx)
+        _assert_same_set(fast, slow)
+        if outcome is None:
+            for index, output in enumerate(tx.outputs):
+                assert fast.get((tx.txid, index)) is output
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), _STEPS, st.booleans())
+def test_apply_block_is_the_method_walk(m, steps, shared):
+    """``apply_block`` leaves every shard's contents and ``version``, the
+    (spent, created) counts or the exception, of the walk through the sets'
+    methods, also for an outpoint two shards both hold."""
+    shard_of = ShardMap(m)
+    fast, slow = ([ShardState(k, m) for k in range(m)] for _ in range(2))
+    genesis = make_coinbase([(f"user-{k}", k + 1) for k in range(6)])
+    assert apply_block(fast, [genesis], shard_of) == method_apply_block(
+        slow, [genesis], shard_of
+    )
+    outpoints = [(genesis.txid, k) for k in range(6)] + [(b"\x09" * 32, 0)]
+    if shared:
+        for states in (fast, slow):
+            for state in states:
+                state.utxos.add(outpoints[-1], ("shared", 3))
+    txs = _drawn_txs(steps, outpoints)
+    outcome = _outcome(apply_block, fast, txs, shard_of)
+    assert outcome == _outcome(method_apply_block, slow, txs, shard_of)
+    for mine, theirs in zip(fast, slow):
+        _assert_same_set(mine.utxos, theirs.utxos)
+    if type(outcome[0]) is int:
+        # What a live outpoint holds is the output object of the last
+        # transaction that created it (equal transactions recur).
+        last = {(tx.txid, k): out for tx in txs for k, out in enumerate(tx.outputs)}
+        for outpoint, output in last.items():
+            held = fast[shard_of[output[0]]].utxos.get(outpoint)
+            assert held is None or held is output

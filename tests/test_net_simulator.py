@@ -1,11 +1,13 @@
 """Network simulator: delivery, latency classes, timers, strict channels."""
 
 import copy
+from functools import partial
 
 import numpy as np
 import pytest
-from reference_impls import NaiveNetwork
+from reference_impls import NaiveNetwork, per_chunk_unicast
 
+from repro.backends.base import RivalBackend
 from repro.crypto.pki import PKI
 from repro.net import (
     Network,
@@ -350,11 +352,7 @@ def _fanout_state(net):
         "heap": list(net.in_flight()),
         "dropped": (net.dropped_messages, net.partition_dropped),
         "rows": metrics.summary_rows(),
-        "per_node": (
-            dict(metrics.per_node_messages),
-            dict(metrics.per_node_bytes),
-            metrics.events,
-        ),
+        "totals": (metrics.total_messages(), metrics.total_bytes()),
     }
 
 
@@ -482,7 +480,7 @@ def test_multicast_equivalence_cases_do_what_they_say():
     assert sorted(row[3] for row in state["heap"]) == [1, 2]
     assert state["rows"] == [("setup", "common", 2, 192, 0)]
     state = _assert_multicast_is_send_loop({"drop_to": _EVERYONE}, _EVERYONE, 96)
-    assert state["rows"] == [] and state["per_node"] == ({}, {}, 0)
+    assert state["rows"] == [] and state["totals"] == (0, 0)
     refill = Network._JITTER_BLOCK - 3
     fabric = _fanout_fabric(Network, {"warmup_sends": refill})
     assert fabric._jitter_idx == refill
@@ -490,12 +488,12 @@ def test_multicast_equivalence_cases_do_what_they_say():
     assert fabric._jitter_idx == _FANOUT_NODES - 1 - 3
 
 
-def test_multicast_equals_loop_of_sends_property():
-    from hypothesis import given
+def _fanout_conditions():
+    """Drawn fabric conditions for :func:`_fanout_fabric`."""
     from hypothesis import strategies as st
 
     node_ids = st.integers(0, _FANOUT_NODES - 1)
-    conditions = st.fixed_dictionaries(
+    return st.fixed_dictionaries(
         {"seed": st.integers(0, 3)},
         optional={
             "now": st.floats(0.0, 6.0),
@@ -524,13 +522,67 @@ def test_multicast_equals_loop_of_sends_property():
         },
     )
 
+
+def test_multicast_equals_loop_of_sends_property():
+    from hypothesis import given
+    from hypothesis import strategies as st
+
     @given(
-        conditions,
+        _fanout_conditions(),
         st.lists(st.integers(0, _FANOUT_NODES + 1), max_size=12),
         st.none() | st.integers(1, 500),
     )
     def check(conds, recipients, size):
         _assert_multicast_is_send_loop(conds, recipients, size)
+
+    check()
+
+
+def test_chunk_fan_out_is_the_per_chunk_unicast_loop():
+    """IDA-style dissemination as one recipient-major fan-out leaves what
+    one indexed unicast per recipient per chunk left: the same messages in
+    flight (``seq``, time, recipient, size, channel), metric rows, drops,
+    jitter state, raised error and deliveries."""
+    from hypothesis import given
+    from hypothesis import strategies as st
+
+    @given(
+        _fanout_conditions(),
+        st.lists(st.integers(0, _FANOUT_NODES + 1), max_size=8),
+        st.integers(0, 4),
+        st.integers(1, 900),
+    )
+    def check(conds, recipients, chunks, total_bytes):
+        fan = _fanout_fabric(Network, conds)
+        loop = _fanout_fabric(Network, conds)
+        errors = []
+        for net in (fan, loop):
+            sender = net.nodes[0]
+            # Given ``chunks``, the method reads nothing of its backend.
+            send = (
+                partial(RivalBackend._chunked_multicast, None)
+                if net is fan
+                else per_chunk_unicast
+            )
+            try:
+                send(sender, recipients, "CHUNK", "txlist", total_bytes, chunks)
+                errors.append(None)
+            except SimulationError as exc:
+                errors.append(str(exc))
+        assert errors[0] == errors[1]
+        assert _fanout_state(fan) == _fanout_state(loop)
+        assert _rng_state(fan) == _rng_state(loop)
+        delivered = []
+        for net in (fan, loop):
+            seen = []
+            for node in net.nodes.values():
+                node.on("CHUNK", lambda msg, seen=seen: seen.append((
+                    msg.deliver_time, msg.sender, msg.recipient, msg.size,
+                    msg.channel, net.now,
+                )))
+            net.run()
+            delivered.append((seen, net.now, net.delivered_messages))
+        assert delivered[0] == delivered[1]
 
     check()
 
