@@ -40,7 +40,7 @@ from repro.core.structures import (
     VoteMatrix,
 )
 from repro.core.tags import Tags
-from repro.crypto.commitment import semi_commitment
+from repro.crypto.commitment import verify_semi_commitment
 from repro.crypto.signatures import (
     Signature,
     sign,
@@ -94,7 +94,7 @@ def _witness_holds(pki, witness: Witness, committee_size: int) -> bool:
         statement = ("SEMI_COM", witness.round_number, commitment, member_list)
         if not signed_by(pki, sig, statement, witness.leader_pk):
             return False
-        return semi_commitment(member_list) != commitment
+        return not verify_semi_commitment(commitment, member_list)
     if witness.kind == "censor":
         sig_dec, txids_dec, sig_votes, txids_all, votes = witness.evidence
         dec_statement = ("INTRA_DEC", witness.round_number, witness.committee, txids_dec)

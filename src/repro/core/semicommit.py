@@ -30,6 +30,7 @@ from repro.crypto.commitment import (
     canonical_member_list,
     semi_commitment,
     superset_consistent,
+    verify_semi_commitment,
 )
 from repro.crypto.signatures import encode_statement, sign, signed_by_encoded
 from repro.net.message import payload_size
@@ -139,7 +140,7 @@ class _SemiCommitSession:
             registered = all(
                 ctx.pki.is_registered(pk) for pk, _addr in claimed_list
             )
-            binding = semi_commitment(claimed_list) == commitment
+            binding = verify_semi_commitment(commitment, claimed_list)
             if registered and binding:
                 valid[k] = commitment
             else:
@@ -195,7 +196,7 @@ class _SemiCommitSession:
                 k, commitment, claimed_list, sig = view
                 local = ctx.node(pid).member_list
                 consistent = (
-                    semi_commitment(claimed_list) == commitment
+                    verify_semi_commitment(commitment, claimed_list)
                     and superset_consistent(claimed_list, local)
                     and self.cr_announced.get(pid, {}).get(k) == commitment
                 )

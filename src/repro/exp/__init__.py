@@ -26,7 +26,6 @@ from repro.exp.presets import (
     backend_compare_spec,
     overlap_compare_spec,
     policy_compare_spec,
-    scenario_compare_spec,
     smoke_spec,
 )
 from repro.exp.results import SweepResult
@@ -47,6 +46,5 @@ __all__ = [
     "policy_compare_spec",
     "run_point",
     "run_sweep",
-    "scenario_compare_spec",
     "smoke_spec",
 ]

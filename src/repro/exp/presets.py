@@ -40,28 +40,6 @@ CAPACITY_PRESETS: dict[str, CapacityFn] = {
 }
 
 
-def scenario_compare_spec() -> ExperimentSpec:
-    """Fault-free vs partition vs churn vs adversary ramp at small scale:
-    the canned sweep for "how does the protocol degrade under faults" —
-    five rounds so every preset's fault window closes with at least one
-    clean recovery round."""
-    return ExperimentSpec(
-        name="scenario-compare",
-        rounds=5,
-        seeds=(0,),
-        base={
-            "n": 48,
-            "m": 4,
-            "lam": 2,
-            "referee_size": 8,
-            "users_per_shard": 24,
-            "tx_per_committee": 6,
-            "cross_shard_ratio": 0.3,
-        },
-        scenario_grid=(None, "partition-halves", "churn", "adversary-ramp"),
-    )
-
-
 def backend_compare_spec() -> ExperimentSpec:
     """CycLedger vs the executable rivals, head-to-head and seed-paired:
     every backend runs the same workload, adversary lottery and network

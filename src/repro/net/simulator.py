@@ -222,6 +222,11 @@ class Network:
     def partitioned(self) -> bool:
         return self._partition is not None
 
+    def partition_group(self, node_id: int) -> int:
+        """The partition group ``node_id`` is in (-1: the remainder group,
+        and every node's group while the fabric is whole)."""
+        return -1 if self._partition is None else self._partition.get(node_id, -1)
+
     def add_link_degradation(
         self,
         factor: float,

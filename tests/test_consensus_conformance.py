@@ -10,7 +10,8 @@ Three layers:
   never trips proves nothing);
 * a hypothesis ``RuleBasedStateMachine`` driving one pipeline through
   randomized sequences of policy activations, fault injections and
-  mempool perturbations, re-checking every invariant after every round.
+  mempool perturbations, re-checking every invariant after every round
+  and, on CycLedger, the round's decisions against the reference model.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from hypothesis.stateful import (
     precondition,
     rule,
 )
+from test_decision_reference import compare_every_round
 
 from repro.analysis.invariants import (
     INVARIANTS,
@@ -281,6 +283,8 @@ class ConsensusConformance(RuleBasedStateMachine):
         )
         self.checker = InvariantChecker()
         self.checker.install(self.ledger)
+        if backend == "cycledger":
+            compare_every_round(self.ledger)
 
     @rule()
     def advance_round(self):

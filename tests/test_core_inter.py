@@ -1,16 +1,11 @@
 """Inter-committee consensus: cross-shard flow, Lemma 6/7 attacks, prefilter."""
 
-import numpy as np
+from test_decision_reference import staged
 
-from repro.core.committee import run_committee_configuration
 from repro.core.consensus import consensus_digest
 from repro.core.inter import dest_shard, run_inter_consensus
 from repro.core.intra import run_intra_consensus
-from repro.core.sandbox import build_sandbox
-from repro.core.semicommit import run_semi_commitment_exchange
 from repro.core.tags import Tags
-from repro.ledger.state import apply_block
-from repro.ledger.workload import WorkloadGenerator
 from repro.nodes.behaviors import CensoringLeader, InterSilentLeader
 
 
@@ -18,19 +13,9 @@ def setup(
     m=3, c=8, behaviors=None, seed=0, cross=0.5, invalid=0.1, prefilter=False,
     capacities=None,
 ):
-    ctx = build_sandbox(
-        m=m, committee_size=c, lam=2, behaviors=behaviors, seed=seed,
-        capacities=capacities,
-    )
+    ctx = staged(m, c, behaviors, seed, 80, invalid, cross, capacities)
     if prefilter:
         object.__setattr__(ctx.params, "prefilter_cross_shard", True)
-    wg = WorkloadGenerator(m=m, users_per_shard=24, rng=np.random.default_rng(seed))
-    apply_block(ctx.shard_states, [wg.genesis_tx], ctx.shard_of)
-    batch = wg.generate_batch(80, cross_shard_ratio=cross, invalid_ratio=invalid)
-    for k, pool in enumerate(wg.by_home_shard(batch)):
-        ctx.mempools[k] = pool
-    run_committee_configuration(ctx)
-    run_semi_commitment_exchange(ctx)
     return ctx
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from test_decision_reference import staged
 
 from repro.core.committee import run_committee_configuration
 from repro.core.intra import run_intra_consensus
@@ -14,9 +15,6 @@ from repro.core.reputation import (
     score_summary,
 )
 from repro.core.sandbox import build_sandbox
-from repro.core.semicommit import run_semi_commitment_exchange
-from repro.ledger.state import apply_block
-from repro.ledger.workload import WorkloadGenerator
 from repro.nodes.behaviors import ContraryVoter, LazyVoter
 
 
@@ -120,14 +118,7 @@ def test_empty_reputations():
 
 
 def setup(behaviors=None, seed=0):
-    ctx = build_sandbox(m=2, committee_size=8, lam=2, behaviors=behaviors, seed=seed)
-    wg = WorkloadGenerator(m=2, users_per_shard=24, rng=np.random.default_rng(seed))
-    apply_block(ctx.shard_states, [wg.genesis_tx], ctx.shard_of)
-    batch = wg.generate_batch(40, invalid_ratio=0.2)
-    for k, pool in enumerate(wg.by_home_shard(batch)):
-        ctx.mempools[k] = pool
-    run_committee_configuration(ctx)
-    run_semi_commitment_exchange(ctx)
+    ctx = staged(m=2, behaviors=behaviors, seed=seed, txs=40, invalid=0.2)
     run_intra_consensus(ctx)
     return ctx
 

@@ -1,42 +1,29 @@
 """Selection phase (beacon + PoW + role lotteries) and block generation."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_decision_reference import staged
 
 from repro.core.blockgen import parallel_subblocks, relevant, run_block_generation
-from repro.core.committee import run_committee_configuration
 from repro.core.inter import run_inter_consensus
 from repro.core.intra import run_intra_consensus
-from repro.core.sandbox import build_sandbox
 from repro.core.selection import run_selection
-from repro.core.semicommit import run_semi_commitment_exchange
-from repro.ledger.state import apply_block
 from repro.ledger.transaction import Transaction, make_coinbase
-from repro.ledger.workload import WorkloadGenerator
 
 
 def setup(seed=0, cross=0.3):
-    ctx = build_sandbox(m=2, committee_size=8, lam=2, seed=seed)
-    wg = WorkloadGenerator(m=2, users_per_shard=24, rng=np.random.default_rng(seed))
-    apply_block(ctx.shard_states, [wg.genesis_tx], ctx.shard_of)
-    ctx.global_utxos.restore(wg.genesis_utxos().snapshot())
-    batch = wg.generate_batch(40, cross_shard_ratio=cross, invalid_ratio=0.1)
-    for k, pool in enumerate(wg.by_home_shard(batch)):
-        ctx.mempools[k] = pool
-    run_committee_configuration(ctx)
-    run_semi_commitment_exchange(ctx)
+    ctx = staged(m=2, seed=seed, txs=40, invalid=0.1, cross=cross)
     run_intra_consensus(ctx)
     run_inter_consensus(ctx)
-    return ctx, wg
+    return ctx
 
 
 # -- selection ----------------------------------------------------------------
 
 
 def test_selection_produces_all_roles():
-    ctx, _ = setup()
+    ctx = setup()
     report = run_selection(ctx)
     assert len(report.randomness) == 32
     assert len(report.next_referee) == ctx.params.referee_size
@@ -45,7 +32,7 @@ def test_selection_produces_all_roles():
 
 
 def test_selection_roles_disjoint():
-    ctx, _ = setup()
+    ctx = setup()
     report = run_selection(ctx)
     referee = set(report.next_referee)
     leaders = set(report.next_leaders)
@@ -56,14 +43,14 @@ def test_selection_roles_disjoint():
 
 
 def test_selection_participants_all_online():
-    ctx, _ = setup()
+    ctx = setup()
     report = run_selection(ctx)
     assert len(report.participants) == len(ctx.nodes)
     assert report.rejected_pow == 0
 
 
 def test_leaders_are_top_reputation():
-    ctx, _ = setup()
+    ctx = setup()
     # plant distinctive reputations
     pks = sorted(ctx.reputation)
     for rank, pk in enumerate(pks):
@@ -77,7 +64,7 @@ def test_leaders_are_top_reputation():
 
 
 def test_beacon_unbiased_by_malicious_referee():
-    ctx, _ = setup()
+    ctx = setup()
     from repro.nodes.behaviors import ContraryVoter
 
     ctx.nodes[ctx.referee[0]].behavior = ContraryVoter()
@@ -91,7 +78,7 @@ def test_beacon_unbiased_by_malicious_referee():
 
 
 def test_block_packs_certified_txs():
-    ctx, wg = setup()
+    ctx = setup()
     selection = run_selection(ctx)
     report = run_block_generation(ctx, selection)
     assert report.block is not None
@@ -102,7 +89,7 @@ def test_block_packs_certified_txs():
 
 
 def test_block_fees_distributed():
-    ctx, _ = setup()
+    ctx = setup()
     selection = run_selection(ctx)
     report = run_block_generation(ctx, selection)
     assert report.total_fees > 0
@@ -111,7 +98,7 @@ def test_block_fees_distributed():
 
 
 def test_block_carries_next_round_roles():
-    ctx, _ = setup()
+    ctx = setup()
     selection = run_selection(ctx)
     report = run_block_generation(ctx, selection)
     block = report.block
@@ -121,7 +108,7 @@ def test_block_carries_next_round_roles():
 
 
 def test_shard_states_updated():
-    ctx, _ = setup()
+    ctx = setup()
     sizes_before = [state.size() for state in ctx.shard_states]
     selection = run_selection(ctx)
     run_block_generation(ctx, selection)
@@ -131,7 +118,7 @@ def test_shard_states_updated():
 
 def test_global_state_conservation():
     """Total UTXO value decreases exactly by the collected fees."""
-    ctx, _ = setup()
+    ctx = setup()
     value_before = ctx.global_utxos.total_value()
     selection = run_selection(ctx)
     report = run_block_generation(ctx, selection)
@@ -231,7 +218,7 @@ def test_parallel_subblocks_matches_networkx_largest_first():
 
 
 def test_parallel_block_generation_reports_width():
-    ctx, _ = setup(seed=3)
+    ctx = setup(seed=3)
     object.__setattr__(ctx.params, "parallel_block_generation", True)
     selection = run_selection(ctx)
     report = run_block_generation(ctx, selection)

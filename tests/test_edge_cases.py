@@ -1,15 +1,15 @@
 """Edge cases and failure-injection scenarios across modules."""
 
 import numpy as np
+from test_decision_reference import intra_decides_like_the_reference, staged
 
 from repro.core.committee import run_committee_configuration
-from repro.core.intra import audit_vote_round, first_honest_partial, run_intra_consensus
+from repro.core.intra import audit_vote_round, first_honest_partial
 from repro.core.recovery import Witness, attempt_recovery
 from repro.core.sandbox import build_sandbox
 from repro.core.semicommit import run_semi_commitment_exchange
 from repro.core.voting import VoteRound
 from repro.crypto.commitment import semi_commitment
-from repro.ledger.state import apply_block
 from repro.ledger.workload import WorkloadGenerator
 from repro.nodes.behaviors import ContraryVoter, EquivocatingLeader, OfflineNode
 
@@ -32,15 +32,10 @@ def test_recovery_impossible_with_all_malicious_partials():
     failure event), the phase cannot find an accuser and proceeds without
     recovery rather than crashing."""
     behaviors = {0: EquivocatingLeader(), 1: ContraryVoter(), 2: ContraryVoter()}
-    ctx = build_sandbox(committee_size=9, lam=2, behaviors=behaviors)
+    ctx = staged(m=1, c=9, behaviors=behaviors, txs=10, invalid=0.0)
     assert first_honest_partial(ctx, ctx.committees[0]) is None
-    wg = WorkloadGenerator(m=1, users_per_shard=16, rng=np.random.default_rng(0))
-    apply_block(ctx.shard_states, [wg.genesis_tx], ctx.shard_of)
-    ctx.mempools[0] = wg.generate_batch(10)
-    run_committee_configuration(ctx)
-    run_semi_commitment_exchange(ctx)
-    report = run_intra_consensus(ctx)
-    assert report.recoveries == []  # detected but unprosecutable
+    _report, (_accepted, impeachments) = intra_decides_like_the_reference(ctx)
+    assert impeachments == []  # detected but unprosecutable
     assert ctx.committees[0].leader == 0  # leader survives (this round)
 
 
