@@ -1,22 +1,21 @@
 """Table I's headline row — high efficiency w.r.t. dishonest leaders.
 
-Two complementary measurements:
+**Full simulation**: CycLedger rounds with a sweep of corrupted-node
+fractions whose leaders equivocate, driven by the parallel experiment
+engine (fraction × seed grid); throughput stays up because every faulty
+leader is impeached within its round (the paper's recovery procedure).
 
-1. **Full simulation**: CycLedger rounds with a sweep of corrupted-node
-   fractions whose leaders equivocate, driven by the parallel experiment
-   engine (fraction × seed grid); throughput stays up because every
-   faulty leader is impeached within its round (the paper's recovery
-   procedure).
-2. **Analytical model comparison** against RapidChain-style protocols that
-   stall whenever a leader misbehaves (§II-A: "cross-shard transactions may
-   hardly be included in a block").
+The cross-protocol contrast for this row is measured as well, not modelled:
+``repro.exp.policies_artifact`` reads each executable backend's packed
+ratio from the seed-paired ``policy-compare`` sweep under the
+leader-targeting ``adaptive-corruption`` preset (``bench_policies.py``
+pins it in ``BENCH_policies.json``; ``bench_table1_comparison.py`` prints
+it as Table I's column and checks it at unseen seeds).
 """
 
 import numpy as np
-import pytest
 
 from conftest import print_table
-from repro.baselines import CycLedgerModel, RapidChainModel, simulate_leader_stalls
 from repro.exp import ExperimentSpec, run_sweep
 
 FRACTIONS = (0.0, 0.15, 0.3)
@@ -74,33 +73,9 @@ def test_dishonest_leaders_fullsim(benchmark):
     )
     # Recovery keeps throughput within ~25% of the honest baseline even at
     # 30% corruption, and recoveries actually fired.
-    assert results[0.3][0] > 0.7 * baseline
-    assert results[0.3][1] > 0
-
-
-def test_dishonest_leaders_model_comparison(benchmark):
-    def sweep():
-        rng = np.random.default_rng(0)
-        fractions = np.linspace(0.0, 1 / 3, 6)
-        rows = []
-        for f in fractions:
-            rapid = simulate_leader_stalls(
-                RapidChainModel(), float(f), rounds=300, pairs_per_round=20, rng=rng
-            )
-            cyc = simulate_leader_stalls(
-                CycLedgerModel(), float(f), rounds=300, pairs_per_round=20, rng=rng
-            )
-            rows.append((float(f), rapid.committed_fraction, cyc.committed_fraction))
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    print_table(
-        "cross-shard commit rate vs malicious-leader fraction",
-        ["fraction", "RapidChain-style", "CycLedger"],
-        [(f"{f:.3f}", f"{r:.3f}", f"{c:.3f}") for f, r, c in rows],
+    assert results[0.3][0] > 0.7 * baseline, (
+        f"Table I high efficiency w.r.t. dishonest leaders: at 30% "
+        f"equivocating corruption CycLedger packs {results[0.3][0]:.1f} a "
+        f"round, not above 0.7x the honest {baseline:.1f}"
     )
-    # Shape: baselines decay like (1-f)², CycLedger stays ~1.
-    for f, rapid, cyc in rows:
-        assert cyc >= rapid - 1e-9
-        assert rapid == pytest.approx((1 - f) ** 2, abs=0.06)
-        assert cyc > 0.999
+    assert results[0.3][1] > 0, "no leader recovery fired at 30% corruption"

@@ -9,8 +9,8 @@ checks the headline ratios against the committed ``BENCH_policies.json``
 adaptive-robustness behaviour fails naming the field that moved.
 """
 
-from conftest import assert_matches_committed, policies_artifact, print_table
-from repro.exp import policy_compare_spec, run_sweep
+from conftest import assert_matches_committed, print_table
+from repro.exp import policies_artifact, policy_compare_spec, run_sweep
 
 
 def run_all():

@@ -4,17 +4,17 @@ Elastico, OmniLedger and RapidChain are closed-source testbed systems; what
 Table I compares is their *analytical* profiles (resiliency, complexity,
 storage, per-round failure probability, decentralization assumptions,
 dishonest-leader behaviour, incentives, connection burden).  Each baseline
-is therefore an executable model exposing those quantities, plus a common
-cross-shard *leader-stall* simulator that reproduces the row CycLedger
-highlights: what happens to cross-shard throughput when a fraction of
-committee leaders is malicious.
+is therefore a model exposing those quantities.
+
+The row CycLedger highlights — high efficiency w.r.t. dishonest leaders —
+is measured, not modelled: ``repro.exp.policies_artifact`` reads it from
+the seed-paired ``policy-compare`` sweep (every executable backend, with
+and without a leader-targeting adaptive adversary), the sweep
+``BENCH_policies.json`` pins.  A model names its executable backend in
+``backend``; Elastico has none and stays analytic only.
 """
 
-from repro.baselines.common import (
-    ProtocolModel,
-    LeaderStallResult,
-    simulate_leader_stalls,
-)
+from repro.baselines.common import ProtocolModel
 from repro.baselines.elastico import ElasticoModel
 from repro.baselines.omniledger import OmniLedgerModel
 from repro.baselines.rapidchain import RapidChainModel
@@ -29,8 +29,6 @@ ALL_MODELS = [
 
 __all__ = [
     "ProtocolModel",
-    "LeaderStallResult",
-    "simulate_leader_stalls",
     "ElasticoModel",
     "OmniLedgerModel",
     "RapidChainModel",

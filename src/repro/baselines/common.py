@@ -1,8 +1,6 @@
-"""Shared interface and the leader-stall simulator."""
+"""Shared interface of the Table I protocol models."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +27,11 @@ class ProtocolModel:
     resiliency: float = 0.0
     #: "Decentralization" row.
     decentralization: str = ""
-    #: "High Efficiency w.r.t Dishonest Leaders" row.
+    #: "High Efficiency w.r.t Dishonest Leaders" row (qualitative; the
+    #: measured ratio is ``repro.exp.policies_artifact``'s).
     leader_robust: bool = False
+    #: Executable backend registry name, ``None`` when analytic only.
+    backend: str | None = None
     #: "Incentives" row.
     has_incentives: bool = False
     #: "Burden on Connection" row.
@@ -61,65 +62,5 @@ class ProtocolModel:
         honest = int(n * (1 - self.resiliency))
         return honest * (honest - 1) // 2
 
-    # -- leader-stall behaviour ------------------------------------------------
-    def cross_shard_commit_probability(
-        self, leader_honest_i: bool, leader_honest_j: bool, lam: int
-    ) -> float:
-        """Probability a cross-shard tx between committees with the given
-        leader honesty commits this round.  Baselines without a recovery
-        procedure stall whenever either leader misbehaves."""
-        return 1.0 if (leader_honest_i and leader_honest_j) else 0.0
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
-
-
-@dataclass
-class LeaderStallResult:
-    protocol: str
-    malicious_leader_fraction: float
-    committed_fraction: float
-    stalled_rounds: int
-    total_rounds: int
-
-
-def simulate_leader_stalls(
-    model: ProtocolModel,
-    malicious_leader_fraction: float,
-    rounds: int,
-    pairs_per_round: int,
-    rng: np.random.Generator,
-    lam: int = 40,
-) -> LeaderStallResult:
-    """Monte-Carlo of cross-shard commits under dishonest leaders.
-
-    Each round draws leader honesty per committee pair i.i.d. with the given
-    malicious fraction (the paper: "in expectation, there is a proportion of
-    1/3 leaders that are malicious in a round"), then asks the model whether
-    each cross-shard package commits.
-    """
-    if not (0.0 <= malicious_leader_fraction <= 1.0):
-        raise ValueError("fraction must be in [0, 1]")
-    committed = 0
-    stalled_rounds = 0
-    total = rounds * pairs_per_round
-    for _ in range(rounds):
-        honest_i = rng.random(pairs_per_round) >= malicious_leader_fraction
-        honest_j = rng.random(pairs_per_round) >= malicious_leader_fraction
-        probs = np.array(
-            [
-                model.cross_shard_commit_probability(bool(a), bool(b), lam)
-                for a, b in zip(honest_i, honest_j)
-            ]
-        )
-        commits = rng.random(pairs_per_round) < probs
-        committed += int(np.sum(commits))
-        if not np.all(commits):
-            stalled_rounds += 1
-    return LeaderStallResult(
-        protocol=model.name,
-        malicious_leader_fraction=malicious_leader_fraction,
-        committed_fraction=committed / total if total else 0.0,
-        stalled_rounds=stalled_rounds,
-        total_rounds=rounds,
-    )

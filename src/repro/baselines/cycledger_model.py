@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.security import partial_set_failure, round_failure_cycledger
+from repro.analysis.security import round_failure_cycledger
 from repro.baselines.common import ProtocolModel, as_float
 from repro.net.topology import cycledger_channel_count
 
 
 class CycLedgerModel(ProtocolModel):
     name = "CycLedger"
+    backend = "cycledger"
     resiliency = 1.0 / 3.0
     decentralization = "no always-honest party"
     leader_robust = True
@@ -40,14 +41,3 @@ class CycLedgerModel(ProtocolModel):
         self, n: int, m: int, c: int, lam: int, cr: int
     ) -> int:
         return cycledger_channel_count(n, m, lam, cr)
-
-    def cross_shard_commit_probability(
-        self, leader_honest_i: bool, leader_honest_j: bool, lam: int
-    ) -> float:
-        """A dishonest leader is detected and replaced within the round as
-        long as its partial set has one honest member — the package commits
-        unless *both* recovery chances fail."""
-        p_recover = 1.0 - partial_set_failure(lam)
-        p_i = 1.0 if leader_honest_i else p_recover
-        p_j = 1.0 if leader_honest_j else p_recover
-        return p_i * p_j

@@ -17,6 +17,7 @@ from repro.baselines.common import ProtocolModel, as_float
 
 class OmniLedgerModel(ProtocolModel):
     name = "OmniLedger"
+    backend = "omniledger_sim"
     resiliency = 1.0 / 4.0
     decentralization = "an honest client"
     leader_robust = False

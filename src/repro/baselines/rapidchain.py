@@ -16,6 +16,7 @@ from repro.baselines.common import ProtocolModel, as_float
 
 class RapidChainModel(ProtocolModel):
     name = "RapidChain"
+    backend = "rapidchain"
     resiliency = 1.0 / 3.0
     decentralization = "an honest reference committee"
     leader_robust = False

@@ -321,17 +321,28 @@ def _cmd_failure(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    from repro.baselines import ALL_MODELS, simulate_leader_stalls
+    from repro.baselines import ALL_MODELS
+    from repro.exp import policies_artifact, policy_compare_spec, run_sweep
 
-    rng = np.random.default_rng(0)
+    # The dishonest-leader column is measured: each executable backend's
+    # packed ratio in the seed-paired policy sweep BENCH_policies.json pins.
+    spec = policy_compare_spec()
+    measured = policies_artifact(run_sweep(spec, workers=1))
+    policy = measured["policy"]
+    budget = SCENARIO_PRESETS[policy].events[0].budget_fraction
+    print(f"analytic rows: n={args.n}, m={args.m}, c={args.c}, lam={args.lam}")
+    print(f"leader-attack: packed ratio under {policy} (f = {budget} budget), "
+          f"n={spec.base['n']}, m={spec.base['m']}, lam={spec.base['lam']}, "
+          f"{spec.rounds} rounds, seed {spec.seeds[0]}")
     print(f"{'protocol':<12} {'resil':>6} {'storage':>9} {'fail/round':>11} "
-          f"{'x-shard@1/3':>12} {'incentives':>10}")
+          f"{'leader-attack':>19} {'incentives':>10}")
     for model in ALL_MODELS:
-        stall = simulate_leader_stalls(model, 1 / 3, 200, 20, rng)
+        arm = measured["backends"].get(model.backend)
+        ratio = "n/a (analytic only)" if arm is None else f"{arm['packed_ratio']:.2f}"
         print(f"{model.name:<12} {model.resiliency:>6.2f} "
               f"{model.storage(args.n, args.m, args.c):>9.1f} "
               f"{model.fail_probability(args.m, args.c, args.lam):>11.2e} "
-              f"{stall.committed_fraction:>12.2f} "
+              f"{ratio:>19} "
               f"{'yes' if model.has_incentives else 'no':>10}")
     return 0
 

@@ -37,9 +37,6 @@ class ProtocolParams:
     # barriers: see core/semicommit.py and core/inter.py):
     vote_window_deltas: float = 6.0  # "within a certain time, e.g. 6Δ" (§IV-C)
 
-    # PoW admission (tiny by default so tests stay fast)
-    pow_difficulty_bits: int = 4
-
     # Future-work extensions (§VIII), off by default
     prefilter_cross_shard: bool = False
     parallel_block_generation: bool = False
@@ -91,7 +88,6 @@ class ProtocolParams:
         for name, least in (
             ("seed", 0),
             ("tx_per_committee", 0),
-            ("pow_difficulty_bits", 0),
             ("users_per_shard", 1),
         ):
             if getattr(self, name) < least:

@@ -32,6 +32,9 @@ from repro.core.tags import Tags
 from repro.crypto.beacon import BeaconReport, run_beacon
 from repro.crypto.pow import PowPuzzle, solve_pow, verify_pow
 
+#: PoW admission difficulty (§IV-F): a few bits, so admission stays cheap.
+POW_DIFFICULTY_BITS = 4
+
 
 @dataclass
 class SelectionReport:
@@ -85,7 +88,7 @@ def run_selection(ctx: RoundContext) -> SelectionReport:
     puzzle = PowPuzzle(
         round_number=ctx.round_number + 1,
         randomness=ctx.randomness,
-        difficulty_bits=params.pow_difficulty_bits,
+        difficulty_bits=POW_DIFFICULTY_BITS,
     )
     solutions: dict[str, object] = {}
 

@@ -5,8 +5,9 @@ puzzle in advance.  The difficulty of the puzzle is appropriate and equal to
 everyone."
 
 The puzzle is a SHA-256 partial-preimage search: find ``nonce`` such that
-``H(pk, round, randomness, nonce) < 2^{256-difficulty_bits}``.  Difficulty is
-a parameter so tests run at a few bits while benchmarks can sweep it.
+``H(pk, round, randomness, nonce) < 2^{256-difficulty_bits}``.  The
+selection phase poses it at a few bits
+(:data:`repro.core.selection.POW_DIFFICULTY_BITS`).
 """
 
 from __future__ import annotations
@@ -72,8 +73,3 @@ def verify_pow(puzzle: PowPuzzle, solution: PowSolution) -> bool:
         H_int("POW", solution.pk, puzzle.round_number, puzzle.randomness, solution.nonce)
         < puzzle.target
     )
-
-
-def expected_attempts(difficulty_bits: int) -> float:
-    """Mean number of hash evaluations to solve at this difficulty."""
-    return float(2**difficulty_bits)

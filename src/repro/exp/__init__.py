@@ -25,6 +25,7 @@ from repro.exp.presets import (
     CAPACITY_PRESETS,
     backend_compare_spec,
     overlap_compare_spec,
+    policies_artifact,
     policy_compare_spec,
     smoke_spec,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "SweepResult",
     "derive_point_seed",
     "overlap_compare_spec",
+    "policies_artifact",
     "policy_compare_spec",
     "run_point",
     "run_sweep",

@@ -91,6 +91,37 @@ def policy_compare_spec() -> ExperimentSpec:
     )
 
 
+def policies_artifact(outcome, seed: int | None = None) -> dict:
+    """The dict ``BENCH_policies.json`` holds, from a finished
+    ``policy-compare`` sweep: per backend, packed transactions in the
+    policy-free arm and under the adaptive-corruption preset (seed-paired).
+    ``seed`` picks one seed of a multi-seed sweep (default: the spec's
+    first).  The one source of the measured dishonest-leader ratio: the
+    bench, its tier-1 value gate, ``repro table1`` and the Table I bench
+    all read it here."""
+    spec, policy = outcome.spec, "adaptive-corruption"
+    seed = spec.seeds[0] if seed is None else seed
+    arms = {}
+    for backend in spec.backend_grid:
+        plain = outcome.one(backend=backend, scenario=None, seed=seed)
+        attacked = outcome.one(backend=backend, scenario=policy, seed=seed)
+        # Seed-paired: both arms of one backend run the same protocol seed.
+        assert plain.point["derived_seed"] == attacked.point["derived_seed"]
+        base, hit = plain.totals["packed"], attacked.totals["packed"]
+        arms[backend] = {
+            "packed_baseline": base,
+            "packed_under_policy": hit,
+            "packed_ratio": hit / base if base else 0.0,
+            "recoveries_under_policy": attacked.totals["recoveries"],
+        }
+    return {
+        "spec": spec.name,
+        "policy": policy,
+        "rounds": spec.rounds,
+        "backends": arms,
+    }
+
+
 def overlap_compare_spec() -> ExperimentSpec:
     """Sequential vs pipelined execution, seed-paired: both arms run the
     identical protocol (byte-identical final chain/UTXO/reputation state)

@@ -108,9 +108,16 @@ def test_cli_failure(capsys):
 
 
 def test_cli_table1(capsys):
+    """The leader-attack column is the policy-compare sweep's packed ratio
+    at seed 0 (BENCH_policies.json's values); Elastico has no backend."""
     assert main(["table1", "--m", "8", "--c", "100"]) == 0
     out = capsys.readouterr().out
-    assert "CycLedger" in out and "RapidChain" in out
+    rows = {line.split()[0]: line for line in out.splitlines()}
+    assert "n/a (analytic only)" in rows["Elastico"]
+    measured = {name: rows[name].split()[-2] for name in
+                ("CycLedger", "RapidChain", "OmniLedger")}
+    assert measured == {"CycLedger": "1.00", "RapidChain": "0.20",
+                        "OmniLedger": "0.20"}
 
 
 def test_cli_run_small(capsys):

@@ -8,7 +8,7 @@ from repro.crypto.commitment import (
     superset_consistent,
     verify_semi_commitment,
 )
-from repro.crypto.pow import PowPuzzle, PowSolution, expected_attempts, solve_pow, verify_pow
+from repro.crypto.pow import PowPuzzle, PowSolution, solve_pow, verify_pow
 
 
 # -- PoW ---------------------------------------------------------------------
@@ -48,10 +48,6 @@ def test_unsolvable_budget_raises():
     puzzle = PowPuzzle(1, b"R", 40)
     with pytest.raises(RuntimeError):
         solve_pow(puzzle, "x", max_iters=10)
-
-
-def test_expected_attempts():
-    assert expected_attempts(10) == 1024.0
 
 
 def test_puzzle_binds_round_and_randomness():

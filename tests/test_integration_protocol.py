@@ -179,11 +179,15 @@ def test_params_validation():
 )
 def test_params_reject_inputs_that_break_a_round_by_field_name(field, value):
     """Each of these was accepted and then crashed mid-round (or, for a
-    zero vote window, packed nothing): it is refused up front, by name."""
+    zero vote window, packed nothing): it is refused up front, by name.
+    ``pow_difficulty_bits`` is no longer a field (the difficulty is
+    ``core.selection.POW_DIFFICULTY_BITS``): a config that still carries
+    the key is refused, naming it."""
     overrides = {field: value}
     if field == "arrival_rate":
         overrides["arrival_process"] = "poisson"
-    with pytest.raises(ValueError, match=field):
+    error = TypeError if field == "pow_difficulty_bits" else ValueError
+    with pytest.raises(error, match=field):
         small_params(**overrides)
 
 

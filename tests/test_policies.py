@@ -14,7 +14,12 @@ import pytest
 
 from repro.backends import backend_names, create_backend
 from repro.core.config import ProtocolParams
-from repro.exp import ExperimentSpec, policy_compare_spec, run_sweep
+from repro.exp import (
+    ExperimentSpec,
+    policies_artifact,
+    policy_compare_spec,
+    run_sweep,
+)
 from repro.exp.results import round_row
 from repro.scenarios import (
     SCENARIO_PRESETS,
@@ -120,21 +125,20 @@ def test_corruption_heals_after_the_window():
     assert ledger.adversary.count == 0
 
 
-def test_adaptive_corruption_hurts_rivals_more_than_cycledger():
+@pytest.fixture(scope="module")
+def policy_sweep():
+    """The seed-paired ``policy-compare`` sweep, run once for every test
+    that reads it."""
+    return run_sweep(policy_compare_spec(), workers=1)
+
+
+def test_adaptive_corruption_hurts_rivals_more_than_cycledger(policy_sweep):
     """The acceptance contrast: the same adaptive adversary on the same
     seed degrades the recovery-free rivals harder than CycLedger."""
-    policy = POLICY_PRESETS["adaptive-corruption"]
-
-    def packed_ratio(backend):
-        _, plain = _run(None, backend=backend, rounds=5)
-        _, attacked = _run(policy, backend=backend, rounds=5)
-        base = sum(r.packed for r in plain)
-        hit = sum(r.packed for r in attacked)
-        return hit / base if base else 0.0
-
-    cyc = packed_ratio("cycledger")
+    arms = policies_artifact(policy_sweep)["backends"]
+    cyc = arms["cycledger"]["packed_ratio"]
     for rival in ("rapidchain", "omniledger_sim"):
-        assert cyc > packed_ratio(rival)
+        assert cyc > arms[rival]["packed_ratio"]
 
 
 # -- wiring and composition --------------------------------------------------
@@ -184,7 +188,7 @@ def test_policies_run_on_every_backend(backend):
 # -- the committed artefact --------------------------------------------------
 
 
-def test_bench_policies_artifact_is_current(tmp_path):
+def test_bench_policies_artifact_is_current(tmp_path, policy_sweep):
     """Tier-1 value gate for ``BENCH_policies.json``: rebuild its dict with
     the function the bench uses and fail naming the first leaf that moved."""
     spec = importlib.util.spec_from_file_location(
@@ -193,8 +197,7 @@ def test_bench_policies_artifact_is_current(tmp_path):
     )
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    outcome = run_sweep(policy_compare_spec(), workers=1)
-    fresh = bench.policies_artifact(outcome)
+    fresh = policies_artifact(policy_sweep)
     bench.assert_matches_committed("BENCH_policies.json", fresh, tmp_path)
     fresh["backends"]["rapidchain"]["packed_under_policy"] += 1
     with pytest.raises(
