@@ -175,6 +175,10 @@ class InsideConsensus:
         }
         self._confirmed: set[int] = set()
         self._stopped: set[int] = set()
+        # digest -> the members an ECHO of it can no longer change anything
+        # for: the stopped ones, and the confirmed ones already holding its
+        # header (see :meth:`_moot`).  Grown in place, never shrunk.
+        self._moot_by_digest: dict[bytes, set[int]] = {}
         # Leader state
         self._confirm_sigs: dict[str, Signature] = {}
         self._member_pks = frozenset(ctx.pk_of(mid) for mid in self.members)
@@ -260,6 +264,30 @@ class InsideConsensus:
         if len(self._header_memo) < 2 * self.C:
             self._header_memo[key] = (sig, ok)
         return ok
+
+    def _moot(self, digest: bytes) -> set[int]:
+        """The ``moot`` set of every ECHO multicast of ``digest``.
+
+        The ECHO handler returns before doing anything for a stopped member,
+        and for a confirmed member after a header audit that, with the
+        digest already among its headers, changes nothing (a second header
+        has already made the equivocation witness).  So such a member would
+        do nothing with the ECHO; an ECHO relaying a digest it has not seen
+        is never moot for it.  The set is kept up to date where
+        ``_confirmed``, ``_seen_headers`` and ``_stopped`` grow.
+        """
+        moot = self._moot_by_digest.get(digest)
+        if moot is None:
+            seen = self._seen_headers
+            moot = self._moot_by_digest[digest] = self._stopped | {
+                mid for mid in self._confirmed if digest in seen[mid]
+            }
+        return moot
+
+    def _stop(self, mid: int) -> None:
+        self._stopped.add(mid)
+        for moot in self._moot_by_digest.values():
+            moot.add(mid)
 
     # -- encoded statements -----------------------------------------------
     def _header_enc(self, digest: bytes) -> bytes:
@@ -361,7 +389,8 @@ class InsideConsensus:
         echo_packet = (echo_sig, own_digest, self.leader, own_sig)
         echo_size = payload_size(echo_packet)
         leader_node.multicast(
-            recipients, self._tag_echo, echo_packet, size=echo_size
+            recipients, self._tag_echo, echo_packet, size=echo_size,
+            moot=self._moot(own_digest),
         )
         self._record_echo(self.leader, own_digest, self.leader, echo_sig)
 
@@ -388,7 +417,8 @@ class InsideConsensus:
         echo_packet = (echo_sig, digest, mid, sig)
         echo_size = payload_size(echo_packet)
         node.multicast(
-            self.members, self._tag_echo, echo_packet, size=echo_size
+            self.members, self._tag_echo, echo_packet, size=echo_size,
+            moot=self._moot(digest),
         )
         self._record_echo(mid, digest, mid, echo_sig)
         self._maybe_confirm(mid)
@@ -404,10 +434,12 @@ class InsideConsensus:
         it can matter: a digest this member already holds as its only header
         changes nothing in :meth:`_note_header`.  A member that has
         confirmed has nothing left to count, so it stops after the audit (a
-        late second header still makes it raise STOP).  And the member's
-        count can only reach the quorum on an ECHO for its own proposed digest, so
-        :meth:`_maybe_confirm` runs for those alone; ECHOes that reach
-        quorum before the PROPOSE are confirmed by the PROPOSE handler.
+        late second header still makes it raise STOP); an ECHO that can
+        change nothing for its member is not handed to it at all (see
+        :meth:`_moot`).  And the member's count can only reach the quorum
+        on an ECHO for its own proposed digest, so :meth:`_maybe_confirm`
+        runs for those alone; ECHOes that reach quorum before the PROPOSE
+        are confirmed by the PROPOSE handler.
         """
         nodes = self.ctx.nodes
         stopped = self._stopped
@@ -458,6 +490,10 @@ class InsideConsensus:
         seen = self._seen_headers[mid]
         if digest not in seen:
             seen[digest] = sig
+            if mid in self._confirmed:
+                moot = self._moot_by_digest.get(digest)
+                if moot is not None:
+                    moot.add(mid)
         if len(seen) >= 2 and self.outcome.equivocation is None:
             (d_a, s_a), (d_b, s_b) = list(seen.items())[:2]
             witness = EquivocationWitness(
@@ -475,17 +511,23 @@ class InsideConsensus:
                 # "he/she informs all members of the committee immediately
                 # to stop the consensus process."
                 node.multicast(self.members, self._tag_stop, witness)
-                self._stopped.add(mid)
+                self._stop(mid)
 
     def _on_stop(self, message: "Message") -> None:
         witness: EquivocationWitness = message.payload
         if not isinstance(witness, EquivocationWitness):
             return
+        if (
+            witness.leader_pk != self.ctx.pk_of(self.leader)
+            or witness.round_number != self.r
+            or witness.sn != self.sn
+        ):
+            return  # another session's witness: it proves nothing here
         if not witness.is_valid(self.ctx.pki):
             return  # invalid alarm: ignore (Claim 4 — no framing)
         if self.outcome.equivocation is None:
             self.outcome.equivocation = witness
-        self._stopped.add(message.recipient)
+        self._stop(message.recipient)
 
     def _record_echo(
         self, holder: int, digest: bytes, sender_id: int, echo_sig: Signature
@@ -508,6 +550,10 @@ class InsideConsensus:
             return
         node = self.ctx.node(mid)
         self._confirmed.add(mid)
+        for seen in self._seen_headers[mid]:
+            moot = self._moot_by_digest.get(seen)
+            if moot is not None:
+                moot.add(mid)
         confirm_sig = sign_encoded(node.keypair, self._confirm_enc(digest))
         echo_list = list(echoes.values())
         if mid == self.leader:

@@ -66,15 +66,23 @@ class ProtocolNode:
         self.network.send(self.node_id, recipient, tag, payload, size=size)
 
     def multicast(
-        self, recipients: Any, tag: str, payload: Any, size: int | None = None
+        self,
+        recipients: Any,
+        tag: str,
+        payload: Any,
+        size: int | None = None,
+        moot: "set[int] | None" = None,
     ) -> None:
         """Paper's BROADCAST: one payload to all known members of a group
-        (the sender itself is skipped); see ``Network.multicast``."""
+        (the sender itself is skipped); see ``Network.multicast``, which
+        also says what a ``moot`` set is."""
         if self.network is None:
             raise RuntimeError(f"node {self.node_id} is not attached to a network")
         if not self.online:
             return  # offline nodes transmit nothing
-        self.network.multicast(self.node_id, recipients, tag, payload, size=size)
+        self.network.multicast(
+            self.node_id, recipients, tag, payload, size=size, moot=moot
+        )
 
     def on_default(self, message: "Message") -> None:
         """Unknown tags are ignored (Byzantine noise tolerance)."""

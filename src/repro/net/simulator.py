@@ -31,6 +31,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import ProtocolNode
 
 
+# A loop position after every event of its time: where :meth:`Network.run`
+# stands once it has stopped at ``until``.
+_AFTER_ALL = float("inf")
+
+
 class SimulationError(RuntimeError):
     """Raised for protocol-level misuse of the network (e.g. sending on a
     channel the topology does not provide)."""
@@ -78,6 +83,11 @@ class Network:
         #   run head         (time, seq, envelope, run)   -- see ``_fan_out``
         self._queue: list[tuple[float, int, Message | None, Any]] = []
         self._next_seq = 0
+        # The ``seq`` of the event :meth:`run` processed last (infinite after
+        # a cut at ``until``): with :attr:`now`, the key up to which every
+        # event is processed, which tells a moot entry that is already
+        # counted from one still in flight (see :meth:`run`).
+        self._now_seq: float = -1
         # Pre-drawn jitter block and its cursor (see :meth:`_fan_out`).
         self._jitter_block: np.ndarray | None = None
         self._jitter_idx = 0
@@ -144,6 +154,7 @@ class Network:
         self.now = 0.0
         self._queue.clear()
         self._next_seq = 0
+        self._now_seq = -1
         self.channel_classifier = _default_classifier
         self.adversarial_scheduler = None
         self.delivered_messages = 0
@@ -309,6 +320,7 @@ class Network:
         tag: str,
         payload: Any,
         size: int | None = None,
+        moot: "set[int] | None" = None,
     ) -> None:
         """The paper's BROADCAST: one payload from ``sender`` to every id in
         ``recipients`` except the sender itself, in iteration order.
@@ -321,9 +333,18 @@ class Network:
         sized once, and the traffic is recorded once for the whole fan-out.
         If a recipient raises (unknown id, no channel) the recipients before
         it stay enqueued and counted, as with the loop of sends.
+
+        ``moot``, if given, is the sender session's set of recipients for
+        whom the payload can no longer change anything: delivered to one of
+        them, it would change no state, send nothing and draw nothing.  The
+        session owns the set and only adds to it until the network drains;
+        :meth:`run` reads it as each delivery comes due and calls no handler
+        for a recipient in it (see there).  A handler must stay correct if
+        the set is ignored, as the per-message oracle does.
         """
         self._fan_out(
-            sender, [r for r in recipients if r != sender], tag, payload, size
+            sender, [r for r in recipients if r != sender], tag, payload, size,
+            moot,
         )
 
     def _fan_out(
@@ -333,6 +354,7 @@ class Network:
         tag: str,
         payload: Any,
         size: int | None,
+        moot: "set[int] | None" = None,
     ) -> None:
         """The one latency/drop model: every message enters the queue here.
 
@@ -355,10 +377,13 @@ class Network:
         survivor's ``seq`` is ``seq0 + k``, so the survivors sorted by time
         with a stable sort are in ``(time, seq)`` order — the heap's — and
         only the earliest needs to be in the heap: a fan-out is one *run*
-        ``(order, times, recipients, channels, seq0)``, the last four
-        indexed by k and ``order`` holding the k still outside the heap,
-        latest first.  :meth:`run` delivers the head and puts the run's next
-        entry in its place.  One survivor is its own envelope on the heap.
+        ``(order, times, recipients, channels, seq0, moot, skipped)``,
+        ``times`` to ``channels`` indexed by k and ``order`` holding the k
+        still outside the heap, latest first.  :meth:`run` delivers the head
+        and puts the run's next entry in its place; ``skipped`` (a list when
+        the fan-out has a ``moot`` set, else ``None``) holds the entries it
+        passed over on the way.  One survivor is its own envelope on the
+        heap (it ignores ``moot``).
 
         Jitter is served from a pre-drawn block: a batched
         ``Generator.random(n)`` consumes the bit stream exactly like n
@@ -461,7 +486,10 @@ class Network:
                     order = sorted(range(sent), key=times.__getitem__)
                     order.reverse()
                     head = order.pop()
-                    run = (order, times, survivors, channels, seq0)
+                    run = (
+                        order, times, survivors, channels, seq0, moot,
+                        None if moot is None else [],
+                    )
                     head_time = times[head]
                     head_to = survivors[head]
                     head_channel = channels[head]
@@ -518,6 +546,22 @@ class Network:
         would have the rest of its run delivered, and its envelope
         rewritten, under it; none does.)  ``delivered_messages`` is brought
         up to date when the loop exits, however it exits.
+
+        A fan-out's ``moot`` set (see :meth:`multicast`) is read twice.  A
+        run delivery whose recipient is in it calls no handler (it counts
+        as delivered, as it would have).  And when a run advances, the
+        entries after the head whose recipients are already in it are
+        passed over, bar the run's last entry: they take no heap step, no
+        envelope write and no dispatch.  The set only grows, so such an
+        entry is still moot when it comes due; each counts as delivered at
+        its own ``(time, seq)``, which is always before its run's next
+        head, and the last entry staying in the heap keeps the drained
+        :attr:`now` that of the message-by-message loop.  Passed-over
+        entries are counted when the run's next head is delivered, or, for
+        those already due, when the loop stops at ``until`` (or raises);
+        until then :attr:`pending` and :meth:`in_flight` list those that
+        are still in flight.  The event budget counts them then too, so it
+        may trip a few events later than the message-by-message loop's.
         """
         if until is not None and until < self.now:
             raise SimulationError("cannot run to a time in the past")
@@ -535,8 +579,10 @@ class Network:
                 deliver_time, seq, message, run = queue[0]
                 if until is not None and deliver_time > until:
                     self.now = until
+                    self._now_seq = _AFTER_ALL
                     return until
                 self.now = deliver_time
+                self._now_seq = seq
                 if message is None:
                     pop(queue)
                     if run is not None:
@@ -545,11 +591,20 @@ class Network:
                     if run is None:
                         pop(queue)
                         retire = True
-                        recipient = message.recipient
+                        node = nodes.get(message.recipient)
                     else:
-                        order, times, recipients, channels, seq0 = run
+                        order, times, recipients, channels, seq0, moot, skipped = run
+                        if skipped:
+                            # Passed over at the last advance: all due by now.
+                            delivered += len(skipped)
+                            processed += len(skipped)
+                            skipped.clear()
                         if order:
                             after = order.pop()
+                            if moot is not None:
+                                while order and recipients[after] in moot:
+                                    skipped.append(after)
+                                    after = order.pop()
                             replace(
                                 queue,
                                 (times[after], seq0 + after, message, run),
@@ -559,10 +614,15 @@ class Network:
                             pop(queue)
                             retire = True
                         k = seq - seq0
-                        message.recipient = recipient = recipients[k]
-                        message.channel = channels[k]
-                        message.deliver_time = deliver_time
-                    node = nodes.get(recipient)
+                        recipient = recipients[k]
+                        if moot is not None and recipient in moot:
+                            node = None
+                            delivered += 1
+                        else:
+                            message.recipient = recipient
+                            message.channel = channels[k]
+                            message.deliver_time = deliver_time
+                            node = nodes.get(recipient)
                     if node is not None:
                         if node.online:
                             handlers = node.handlers
@@ -587,14 +647,42 @@ class Network:
                         "likely a message loop"
                     )
         finally:
+            if queue:
+                delivered += self._count_due_skipped()
             self.delivered_messages += delivered
         return self.now
 
+    def _count_due_skipped(self) -> int:
+        """Count, and forget, the passed-over run entries the loop is past."""
+        due = 0
+        for _, _, message, run in self._queue:
+            if message is not None and run is not None and run[6]:
+                n = self._passed(run)
+                del run[6][:n]
+                due += n
+        return due
+
+    def _waiting_skipped(self, run: tuple) -> list[int]:
+        """A run's passed-over entries that are still in flight."""
+        return run[6][self._passed(run):] if run[6] else []
+
+    def _passed(self, run: tuple) -> int:
+        """How many of a run's passed-over entries (in delivery order) are
+        before the loop's position: ``now`` and ``_now_seq``."""
+        skipped, times, seq0 = run[6], run[1], run[4]
+        position = (self.now, self._now_seq)
+        n = 0
+        while n < len(skipped) and (times[skipped[n]], seq0 + skipped[n]) < position:
+            n += 1
+        return n
+
     @property
     def pending(self) -> int:
-        """Events not yet processed: timers plus undelivered messages."""
+        """Events not yet processed: timers plus undelivered messages (a
+        passed-over moot entry counts until its time has come)."""
         return sum(
-            1 if message is None or run is None else 1 + len(run[0])
+            1 if message is None or run is None
+            else 1 + len(run[0]) + len(self._waiting_skipped(run))
             for _, _, message, run in self._queue
         )
 
@@ -610,10 +698,10 @@ class Network:
             if run is None:
                 waiting = [(deliver_time, seq, message.recipient, message.channel)]
             else:
-                order, times, recipients, channels, seq0 = run
+                order, times, recipients, channels, seq0 = run[:5]
                 waiting = [
                     (times[k], seq0 + k, recipients[k], channels[k])
-                    for k in (seq - seq0, *order)
+                    for k in (seq - seq0, *order, *self._waiting_skipped(run))
                 ]
             rows += [
                 (when, number, message.sender, recipient, message.tag,

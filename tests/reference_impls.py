@@ -250,7 +250,11 @@ class NaiveNetwork(Network):
             message.tag = "<pooled>"
             self._pool.append(message)
 
-    def multicast(self, sender, recipients, tag, payload, size=None) -> None:
+    def multicast(
+        self, sender, recipients, tag, payload, size=None, moot=None
+    ) -> None:
+        """The loop of sends; a ``moot`` set changes nothing here (every
+        moot recipient's handler is called and does nothing)."""
         for recipient in recipients:
             if recipient != sender:
                 self.send(sender, recipient, tag, payload, size)

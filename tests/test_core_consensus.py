@@ -634,3 +634,99 @@ def test_every_session_registers_one_handler_per_tag_and_role(build):
             assert len(group) > 1
             assert len({id(ctx.node(mid).handlers[tag]) for mid in group}) == 1, tag
     ctx.net.run()  # the session still runs to quiescence on shared handlers
+
+
+# -- moot ECHOes: a member that can no longer use one is not handed it -------
+def _echo_calls_of_an_honest_session(size, ignore_moot=False):
+    ctx = build_sandbox(committee_size=size, lam=2)
+    if ignore_moot:
+        multicast = ctx.net.multicast
+        ctx.net.multicast = lambda *args, moot=None, **kwargs: multicast(
+            *args, **kwargs
+        )
+    committee = ctx.committees[0]
+    session = InsideConsensus(
+        ctx, committee.members, leader=committee.leader, sn=1, payload="M",
+        session="t",
+    )
+    session.start()
+    calls = []
+    for mid in session.members:
+        node = ctx.node(mid)
+        node.on("ECHO:t", lambda msg, inner=node.handlers["ECHO:t"]: (
+            calls.append(msg.recipient), inner(msg)
+        ))
+    ctx.net.run()
+    out = session.outcome
+    seen = (
+        out.success, out.digest, out.cert, out.confirms, out.equivocation,
+        out.finished_at, ctx.net.now, ctx.net.delivered_messages,
+        ctx.metrics.total_messages(),
+    )
+    return len(calls), seen
+
+
+@pytest.mark.parametrize("size", [4, 5, 8, 9, 32])
+def test_an_honest_member_is_handed_only_the_echoes_it_counts(size):
+    """Each member confirms on its ``quorum(C) - 1``-th ECHO from the others
+    (its own is counted where it is sent); every ECHO after that is moot for
+    it, so the fabric calls no handler for it.  Nothing else moves."""
+    calls, seen = _echo_calls_of_an_honest_session(size)
+    all_calls, all_seen = _echo_calls_of_an_honest_session(size, ignore_moot=True)
+    assert calls == size * (consensus_module.quorum(size) - 1)
+    assert all_calls == size * (size - 1)
+    assert seen == all_seen and seen[0]
+
+
+def test_moot_sets_name_stopped_and_confirmed_holders_only():
+    ctx, session, digest, _header_sig, _ = _started_session()
+    ctx.net.run()
+    assert session._moot(digest) == session._confirmed == set(session.members)
+    other, packet = _second_header_echo(ctx, session, relayer=3)
+    # A digest nobody holds is moot for nobody: the late ECHO is audited.
+    assert session._moot(other) == set()
+    ctx.node(3).send(5, "ECHO:t", packet)
+    ctx.net.run()
+    assert session._stopped == set(session.members)
+    assert session._moot(other) == session._moot(digest) == set(session.members)
+
+
+# -- STOP binds to its session (Claim 4) -------------------------------------
+def _witness(ctx, signer, round_number, sn):
+    keypair = ctx.node(signer).keypair
+    digests = [consensus_digest(("one", sn)), consensus_digest(("two", sn))]
+    sigs = [sign(keypair, ("PROPOSE", round_number, sn, d)) for d in digests]
+    return EquivocationWitness(
+        leader_pk=keypair.pk, round_number=round_number, sn=sn,
+        digest_a=digests[0], sig_a=sigs[0], digest_b=digests[1], sig_b=sigs[1],
+    )
+
+
+@pytest.mark.parametrize(
+    "replayed",
+    [
+        pytest.param(dict(signer=3, round_number=99, sn=("other", 7)), id="all"),
+        pytest.param(dict(signer=3, round_number=1, sn=1), id="another-key"),
+        pytest.param(dict(signer=0, round_number=99, sn=1), id="another-round"),
+        pytest.param(dict(signer=0, round_number=1, sn=2), id="another-sn"),
+    ],
+)
+def test_a_valid_witness_from_another_session_stops_nobody(replayed):
+    ctx, session, _digest, _header_sig, _ = _started_session()
+    assert session.leader == 0 and ctx.round_number == 1
+    foreign = _witness(ctx, **replayed)
+    assert foreign.is_valid(ctx.pki)
+    ctx.node(3).multicast(session.members, "STOP:t", foreign)
+    ctx.net.run()
+    assert session._stopped == set()
+    assert session.outcome.success and session.outcome.equivocation is None
+
+
+def test_a_genuine_witness_still_stops_the_session():
+    ctx, session, _digest, _header_sig, _ = _started_session()
+    genuine = _witness(ctx, signer=0, round_number=1, sn=1)
+    ctx.node(3).multicast(session.members, "STOP:t", genuine)
+    ctx.net.run()
+    assert session._stopped == set(session.members) - {3}
+    assert not session.outcome.success
+    assert session.outcome.equivocation == genuine

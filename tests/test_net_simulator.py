@@ -5,6 +5,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_impls import NaiveNetwork, per_chunk_unicast
 
 from repro.backends.base import RivalBackend
@@ -994,3 +996,143 @@ def test_the_envelope_names_the_node_each_delivery_is_for():
     assert len(seen) == 2 * (_RUN_NODES - 1) + 1
     assert all(nid == before == after for nid, before, after, _ in seen)
     assert {sender for *_, sender in seen} == {0, 1, 2}
+
+
+# -- moot sets: a fan-out's deliveries that can change nothing cost nothing --
+# ``NaiveNetwork`` ignores ``moot`` and calls every handler; a handler here
+# does nothing for a recipient in the payload's moot set, as the contract
+# asks.  ``Network`` must call the same handlers for the others in the same
+# order, none for a moot recipient, and agree on every count at every
+# observation point: inside timers, after each cut at ``until``, drained
+# (``delivered_messages`` at the last two).
+_MOOT_NODES = 6
+_MOOT_GROUPS = 3
+
+
+@st.composite
+def _fan_out_specs(draw):
+    sender = draw(st.integers(0, _MOOT_NODES - 1))
+    recipients = draw(st.lists(
+        st.integers(0, _MOOT_NODES - 1), min_size=2, max_size=8
+    ))
+    group = draw(st.none() | st.integers(0, _MOOT_GROUPS - 1))
+    return sender, recipients, group
+
+
+_grow = st.tuples(st.integers(0, _MOOT_GROUPS - 1), st.integers(0, _MOOT_NODES - 1))
+
+
+@st.composite
+def _moot_scripts(draw):
+    delta = NetworkParams().delta
+    on_the_grid = st.integers(0, 12).map(lambda k: k * delta / 4)
+    instants = on_the_grid | st.floats(0.0, 3.0 * delta, allow_nan=False)
+    return {
+        "jitter": draw(st.sampled_from([0.0, 0.25])),
+        "moot": [
+            draw(st.sets(st.integers(0, _MOOT_NODES - 1), max_size=3))
+            for _ in range(_MOOT_GROUPS)
+        ],
+        "fans": draw(st.lists(_fan_out_specs(), min_size=1, max_size=4)),
+        # One entry per non-moot handler call, in call order.
+        "actions": draw(st.lists(
+            st.tuples(st.none() | _grow, st.none() | _fan_out_specs()),
+            max_size=24,
+        )),
+        "timers": draw(st.lists(
+            st.tuples(instants, st.none() | _grow), max_size=4,
+        )),
+        "cuts": sorted(draw(st.lists(instants, max_size=4))),
+    }
+
+
+def _moot_story(factory, script):
+    pki = PKI()
+    net = factory(NetworkParams(jitter=script["jitter"]), np.random.default_rng(3))
+    for i in range(_MOOT_NODES):
+        net.add_node(ProtocolNode(i, pki.generate(("moot", i))))
+    net.set_channel_classifier(
+        lambda s, d: ChannelClass.KEY if (s + d) % 3 == 0 else ChannelClass.INTRA
+    )
+    moot = [set(members) for members in script["moot"]]
+    actions = iter(script["actions"])
+    calls, moot_calls, seen = [], [], []
+
+    def observe(where):
+        # ``delivered_messages`` is brought up to date as ``run`` returns.
+        delivered = None if where == "timer" else net.delivered_messages
+        seen.append((where, net.now, delivered, net.pending, list(net.in_flight())))
+
+    def fan_out(spec, number):
+        sender, recipients, group = spec
+        # Two or more recipients besides the sender: a run, never the one
+        # envelope of a single survivor (which ignores ``moot``).
+        recipients = [r for r in recipients if r != sender]
+        if len(set(recipients)) < 2:
+            recipients += [r for r in range(_MOOT_NODES) if r != sender][:2]
+        net.multicast(
+            sender, recipients, "M", (group, number), size=1,
+            moot=None if group is None else moot[group],
+        )
+
+    def handler(message):
+        group, number = message.payload
+        if group is not None and message.recipient in moot[group]:
+            moot_calls.append((message.recipient, number))
+            return  # a moot recipient does nothing
+        calls.append((message.recipient, message.sender, number, net.now))
+        grow, spec = next(actions, (None, None))
+        if grow is not None:
+            moot[grow[0]].add(grow[1])
+        if spec is not None:
+            fan_out((message.recipient, *spec[1:]), len(calls))
+
+    def timer(grow):
+        observe("timer")
+        if grow is not None:
+            moot[grow[0]].add(grow[1])
+
+    for node in net.nodes.values():
+        node.on("M", handler)
+    for number, spec in enumerate(script["fans"]):
+        fan_out(spec, -1 - number)
+    for when, grow in script["timers"]:
+        net.call_at(when, partial(timer, grow))
+    for until in script["cuts"]:
+        if until >= net.now:
+            net.run(until)
+            observe(("cut", until))
+    net.run()
+    observe("drained")
+    return calls, moot_calls, seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(_moot_scripts())
+def test_moot_deliveries_are_skipped_with_message_by_message_accounting(script):
+    calls, moot_calls, seen = _moot_story(Network, script)
+    naive_calls, _naive_moot_calls, naive_seen = _moot_story(NaiveNetwork, script)
+    assert moot_calls == []
+    assert calls == naive_calls
+    assert seen == naive_seen
+    assert seen[-1][3] == 0
+
+
+def test_moot_recipients_of_a_fan_out_get_no_handler_call():
+    """The count the contract buys: a recipient moot before the run reaches
+    it is never handed the payload, however the set grew."""
+    script = {
+        # No jitter: 1, 2, 4 and 5 hear at delta in that order, 3 at gamma.
+        "jitter": 0.0, "moot": [{2}, set(), set()],
+        "fans": [(0, [1, 2, 3, 4, 5], 0)],
+        # 2 is passed over as 1's delivery advances the run; 4, the new
+        # head, is made moot by 1's handler and is not called either.
+        "actions": [((0, 4), None)], "timers": [], "cuts": [],
+    }
+    calls, moot_calls, seen = _moot_story(Network, script)
+    assert sorted(r for r, *_ in calls) == [1, 3, 5]
+    assert moot_calls == []
+    assert seen[-1][2] == 5  # every recipient still counts as delivered
+    naive_calls, naive_moot_calls, _ = _moot_story(NaiveNetwork, script)
+    assert naive_calls == calls
+    assert sorted(r for r, _ in naive_moot_calls) == [2, 4]
