@@ -69,16 +69,17 @@ def test_fig1_hierarchy(benchmark):
 def test_fig2_transaction_flow(benchmark):
     result = benchmark.pedantic(build_round, rounds=1, iterations=1)
     first = result.per_round[0]
+    spans = first["phase_sim_times"]
     rows = [
         ("1. submitted by users", first["submitted"], "-"),
         ("2. sharded to committees", first["submitted"],
          f"{result.point['params']['m']} shards"),
         ("3a. intra-committee consensus", first["intra_accepted"],
-         f"{first['intra_elapsed']:.1f} sim-t"),
+         f"{spans['intra']:.1f} sim-t"),
         ("3b. inter-committee consensus", first["inter_accepted"],
-         f"{first['inter_elapsed']:.1f} sim-t"),
+         f"{spans['inter']:.1f} sim-t"),
         ("4. packed into block B^r", first["packed"],
-         f"{first['blockgen_elapsed']:.1f} sim-t"),
+         f"{spans['block']:.1f} sim-t"),
     ]
     print_table(
         "Fig. 2: transaction flow through one round",

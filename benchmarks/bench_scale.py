@@ -26,7 +26,6 @@ from perfbench.calibrate import Calibrator, slowdown
 from repro.backends import BACKEND_REGISTRY, create_backend
 from repro.core.config import ProtocolParams
 from repro.core.reporting import rss_kb
-from repro.ledger.checkpoint import compact_ledger
 
 CURVE = (256, 512, 1024, 2048, 4096)
 REPEATS, BURSTS = 3, 5  # per point; calibration bursts each side of the timed round
@@ -73,6 +72,14 @@ def soak_ledger():
         chain_retention=8, spent_retention=4096, sample_rss=True))
     ledger.report_retention = 1  # reports dropped after emission
     return ledger
+
+
+def compact_ledger(ledger) -> None:
+    """Shed retained-capacity overhead mid-soak: rebuild the global and per-shard
+    UTXO dicts at their live size (content-neutral: ``UTXOSet.compact``)."""
+    ledger.global_utxos.compact()
+    for state in ledger.shard_states:
+        state.utxos.compact()
 
 
 def run_soak(ledger, rounds: int, reference_round: int, compact_every: int) -> dict:

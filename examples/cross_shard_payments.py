@@ -39,7 +39,7 @@ def main(rounds: int = 3, **param_overrides) -> None:
         print(f"round {report.round_number}: "
               f"{report.submitted} submitted, {report.packed} packed "
               f"({report.cross_packed} cross-shard), "
-              f"inter-phase {inter.elapsed:.1f} sim-t")
+              f"inter-phase {report.phase_sim_times['inter']:.1f} sim-t")
         for (i, j), round_result in sorted(inter.send_rounds.items()):
             accepted = len(inter.accepted.get((i, j), []))
             certified = len(round_result.reported_txs)

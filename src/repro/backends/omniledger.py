@@ -143,7 +143,6 @@ class OmniLedgerBackend(RivalBackend):
 
     # -- report decoration ---------------------------------------------------
     def _decorate_report(self, report: SimRoundReport, ctx, phase_reports) -> None:
-        timings = report.phase_sim_times
         report.intra_accepted = sum(
             len(txs) for txs in phase_reports[PHASE_SHARD].values()
         )
@@ -152,9 +151,6 @@ class OmniLedgerBackend(RivalBackend):
             sum(1 for t in txs if t.cross_shard)
             for txs in phase_reports[PHASE_ATOMIX].values()
         )
-        report.intra_elapsed = timings.get(PHASE_SHARD, 0.0)
-        report.inter_elapsed = timings.get(PHASE_ATOMIX, 0.0)
-        report.blockgen_elapsed = timings.get(PHASE_BLOCK, 0.0)
         report.blockgen_subblocks = len(
             [txs for txs in phase_reports[PHASE_ATOMIX].values() if txs]
         )

@@ -150,7 +150,6 @@ class RapidChainBackend(RivalBackend):
 
     # -- report decoration ---------------------------------------------------
     def _decorate_report(self, report: SimRoundReport, ctx, phase_reports) -> None:
-        timings = report.phase_sim_times
         report.intra_accepted = sum(
             len(txs) for txs in phase_reports[PHASE_CONSENSUS].values()
         )
@@ -159,7 +158,4 @@ class RapidChainBackend(RivalBackend):
             sum(1 for t in txs if t.cross_shard)
             for txs in phase_reports[PHASE_ROUTING].values()
         )
-        report.intra_elapsed = timings.get(PHASE_CONSENSUS, 0.0)
-        report.inter_elapsed = timings.get(PHASE_ROUTING, 0.0)
-        report.blockgen_elapsed = timings.get(PHASE_BLOCK, 0.0)
         report.blockgen_subblocks = len(phase_reports[self.pack_phase].per_committee)

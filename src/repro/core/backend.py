@@ -111,9 +111,6 @@ class SimRoundReport:
     inter_accepted: int = 0
     inter_voted: int = 0
     prefilter_savings: int = 0
-    intra_elapsed: float = 0.0
-    inter_elapsed: float = 0.0
-    blockgen_elapsed: float = 0.0
     blockgen_subblocks: int = 0
     blockgen_width: int = 0
     # Continuous-timeline window of this round under the active overlap
@@ -415,7 +412,7 @@ class CommitteeSimBackend:
             round_metrics.set_role(node.node_id, node.role)
         net = self.net
         net.reset(metrics=round_metrics)
-        net.set_channel_classifier(channels.classify)
+        net.channel_classifier = channels.classify
 
         arrivals = self.mempool.admit(
             self.round_number,

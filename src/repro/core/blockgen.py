@@ -43,19 +43,6 @@ class BlockReport:
     parallel_subblocks: int = 0
     parallel_width: int = 0
     rewards: dict[str, float] = field(default_factory=dict)
-    elapsed: float = 0.0
-
-
-def relevant(tx_a: Transaction, tx_b: Transaction) -> bool:
-    """§VIII-B: two transactions are *relevant* if they share an input
-    outpoint or one spends the other's output."""
-    a_in = set(tx_a.outpoints())
-    b_in = set(tx_b.outpoints())
-    if a_in & b_in:
-        return True
-    a_out = {(tx_a.txid, i) for i in range(len(tx_a.outputs))}
-    b_out = {(tx_b.txid, i) for i in range(len(tx_b.outputs))}
-    return bool(a_in & b_out) or bool(b_in & a_out)
 
 
 def parallel_subblocks(txs: list[Transaction]) -> list[list[Transaction]]:
@@ -105,7 +92,6 @@ def run_block_generation(
     ctx: RoundContext, selection: SelectionReport
 ) -> BlockReport:
     ctx.metrics.set_phase("block")
-    started = ctx.net.now
     report = BlockReport()
 
     # -- gather certified transaction sets -----------------------------------
@@ -163,7 +149,6 @@ def run_block_generation(
     consensus.start()
     ctx.net.run()
     if not consensus.outcome.success:
-        report.elapsed = ctx.net.now - started
         return report  # void block this round (prob. bounded by §V-B)
     ctx.chain.append(block)
     report.block = block
@@ -262,5 +247,4 @@ def run_block_generation(
     report.rewards = round_rewards
     for rid in ctx.referee:
         ctx.metrics.record_storage(rid, len(ctx.global_utxos))
-    report.elapsed = ctx.net.now - started
     return report

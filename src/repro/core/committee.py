@@ -29,7 +29,6 @@ class ConfigReport:
 
     full_agreement: dict[int, bool] = field(default_factory=dict)
     rejected_joins: int = 0
-    elapsed: float = 0.0
 
 
 class _ConfigSession:
@@ -160,12 +159,11 @@ class _ConfigSession:
 def run_committee_configuration(ctx: RoundContext) -> ConfigReport:
     """Run Algorithm 2 for every committee in parallel."""
     ctx.metrics.set_phase("config")
-    started = ctx.net.now
     sessions = [_ConfigSession(ctx, k) for k in range(len(ctx.committees))]
     for session in sessions:
         session.start()
     ctx.net.run()
-    report = ConfigReport(elapsed=ctx.net.now - started)
+    report = ConfigReport()
     for session in sessions:
         report.rejected_joins += session.rejected
         committee = session.committee

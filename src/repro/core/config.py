@@ -9,6 +9,12 @@ from repro.core.pipeline import OVERLAP_MODES
 from repro.ledger.workload import ARRIVAL_PROCESSES
 from repro.net.params import NetworkParams
 
+#: The one timing rule that is a timer, in units of the network's Δ: "within
+#: a certain time, e.g. 6Δ" (§IV-C).  The 8Δ semi-commitment delay and
+#: Lemma 7's 2Γ rule are drain barriers (see core/semicommit.py and
+#: core/inter.py).
+VOTE_WINDOW_DELTAS = 6.0
+
 
 @dataclass(frozen=True)
 class ProtocolParams:
@@ -31,11 +37,6 @@ class ProtocolParams:
     tx_per_committee: int = 12
     cross_shard_ratio: float = 0.2
     invalid_ratio: float = 0.05
-
-    # The one timing rule that is a timer, in units of the network's Δ
-    # (the 8Δ semi-commitment delay and Lemma 7's 2Γ rule are drain
-    # barriers: see core/semicommit.py and core/inter.py):
-    vote_window_deltas: float = 6.0  # "within a certain time, e.g. 6Δ" (§IV-C)
 
     # Future-work extensions (§VIII), off by default
     prefilter_cross_shard: bool = False
@@ -85,15 +86,15 @@ class ProtocolParams:
         for name in ("cross_shard_ratio", "invalid_ratio"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
+        # λ < 1 leaves no partial set, so no one can prosecute a leader.
         for name, least in (
+            ("lam", 1),
             ("seed", 0),
             ("tx_per_committee", 0),
             ("users_per_shard", 1),
         ):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
-        if not 0.0 < self.vote_window_deltas < math.inf:
-            raise ValueError("vote_window_deltas must be positive and finite")
         if self.overlap not in OVERLAP_MODES:
             raise ValueError(
                 f"unknown overlap mode {self.overlap!r} "
@@ -147,4 +148,5 @@ class ProtocolParams:
 
     @property
     def vote_window(self) -> float:
-        return self.vote_window_deltas * self.net.delta
+        """The §IV-C vote window in sim time: :data:`VOTE_WINDOW_DELTAS` Δ."""
+        return VOTE_WINDOW_DELTAS * self.net.delta

@@ -61,7 +61,6 @@ class InterReport:
     equivocation_detected: list[int] = field(default_factory=list)
     retried: list[int] = field(default_factory=list)
     prefilter_savings: int = 0  # txs dropped before committee-wide voting
-    elapsed: float = 0.0
 
 
 def dest_shard(tx: Transaction, home: int, shard_of: ShardMap) -> int | None:
@@ -75,7 +74,6 @@ def dest_shard(tx: Transaction, home: int, shard_of: ShardMap) -> int | None:
 
 def run_inter_consensus(ctx: RoundContext) -> InterReport:
     ctx.metrics.set_phase("inter")
-    started = ctx.net.now
     report = InterReport()
     committees_by_index = {c.index: c for c in ctx.committees}
 
@@ -296,7 +294,6 @@ def run_inter_consensus(ctx: RoundContext) -> InterReport:
         report.accepted[key] = final_txs
         ctx.inter_results[key] = final_txs
 
-    report.elapsed = ctx.net.now - started
     return report
 
 

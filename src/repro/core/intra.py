@@ -44,7 +44,6 @@ class IntraReport:
     silence_detected: list[int] = field(default_factory=list)
     equivocation_detected: list[int] = field(default_factory=list)
     retried: list[int] = field(default_factory=list)
-    elapsed: float = 0.0
 
 
 def silence_witness(
@@ -137,7 +136,6 @@ def accuse(
 def run_intra_consensus(ctx: RoundContext) -> IntraReport:
     """Execute Algorithm 5 for all committees, audit, recover, report to C_R."""
     ctx.metrics.set_phase("intra")
-    started = ctx.net.now
     report = IntraReport()
 
     def committee_txs(k: int) -> list[Transaction]:
@@ -167,7 +165,6 @@ def run_intra_consensus(ctx: RoundContext) -> IntraReport:
         report.rounds[committee.index] = final
         record_votes(ctx, committee.index, final)
     _send_to_referee(ctx, report)
-    report.elapsed = ctx.net.now - started
     return report
 
 

@@ -163,8 +163,5 @@ class CycLedger(CommitteeSimBackend):
         report.inter_accepted = sum(len(txs) for txs in inter.accepted.values())
         report.inter_voted = sum(len(r.txs) for r in inter.send_rounds.values())
         report.prefilter_savings = inter.prefilter_savings
-        report.intra_elapsed = intra.elapsed
-        report.inter_elapsed = inter.elapsed
-        report.blockgen_elapsed = blockgen.elapsed
         report.blockgen_subblocks = blockgen.parallel_subblocks
         report.blockgen_width = blockgen.parallel_width

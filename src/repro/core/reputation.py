@@ -185,14 +185,12 @@ class ReputationReport:
     scores: dict[int, dict[str, float]] = field(default_factory=dict)
     consensus_ok: dict[int, bool] = field(default_factory=dict)
     updated: int = 0
-    elapsed: float = 0.0
 
 
 def run_reputation_updating(ctx: RoundContext) -> ReputationReport:
     """Score every committee's members from the round's vote records, reach
     committee consensus on the ScoreList, and apply updates at C_R."""
     ctx.metrics.set_phase("reputation")
-    started = ctx.net.now
     report = ReputationReport()
 
     # Score locally per committee (leader-side computation, O(c·D)).
@@ -265,19 +263,4 @@ def run_reputation_updating(ctx: RoundContext) -> ReputationReport:
             ctx.reputation[leader_pk] = (
                 ctx.reputation.get(leader_pk, 0.0) + LEADER_BONUS
             )
-    report.elapsed = ctx.net.now - started
     return report
-
-
-def score_summary(
-    ctx: RoundContext, report: ReputationReport
-) -> dict[str, list[float]]:
-    """Group this round's scores by behaviour name (bench/test helper)."""
-    by_behavior: dict[str, list[float]] = {}
-    for k, score_list in report.scores.items():
-        for mid in ctx.committees[k].members:
-            pk = ctx.pk_of(mid)
-            name = ctx.node(mid).behavior.name
-            if pk in score_list:
-                by_behavior.setdefault(name, []).append(score_list[pk])
-    return by_behavior

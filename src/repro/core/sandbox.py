@@ -116,7 +116,7 @@ def build_sandbox(
     topology = build_cycledger_topology(
         [(spec.members, spec.key_members) for spec in committees], referee
     )
-    net.set_channel_classifier(topology.classify)
+    net.channel_classifier = topology.classify
 
     return RoundContext(
         params=params,

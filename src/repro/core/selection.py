@@ -50,12 +50,10 @@ class SelectionReport:
     #: cut PoW submissions off from the referee) and the incumbents were
     #: held over for one round instead of aborting the run.
     held_over: bool = False
-    elapsed: float = 0.0
 
 
 def run_selection(ctx: RoundContext) -> SelectionReport:
     ctx.metrics.set_phase("selection")
-    started = ctx.net.now
     report = SelectionReport()
     params = ctx.params
 
@@ -133,7 +131,6 @@ def run_selection(ctx: RoundContext) -> SelectionReport:
         report.next_partials = [
             [ctx.pk_of(pid) for pid in spec.partial] for spec in ctx.committees
         ]
-        report.elapsed = ctx.net.now - started
         return report
     next_referee = rank_select(
         participants,
@@ -146,8 +143,8 @@ def run_selection(ctx: RoundContext) -> SelectionReport:
     remaining = [pk for pk in participants if pk not in referee_set]
     # Leaders: the m highest-reputation remaining participants; ties broken
     # by the role hash so the choice stays deterministic and unbiased.
-    # One batched digest pass replaces the per-pk role_hash in the sort
-    # key (digest byte order == role-hash integer order).
+    # One batched digest pass gives the sort key (digest byte order ==
+    # the role hash's integer order).
     leader_digests = role_digests(
         ctx.round_number + 1, randomness, remaining, "LEADER"
     )
@@ -173,5 +170,4 @@ def run_selection(ctx: RoundContext) -> SelectionReport:
     report.next_partials = partials
     for rid in ctx.referee:
         ctx.metrics.record_storage(rid, len(participants))
-    report.elapsed = ctx.net.now - started
     return report

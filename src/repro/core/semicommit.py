@@ -46,7 +46,6 @@ class SemiCommitReport:
     accepted: dict[int, bytes] = field(default_factory=dict)
     cheaters_detected: list[int] = field(default_factory=list)
     recoveries: list[RecoveryEvent] = field(default_factory=list)
-    elapsed: float = 0.0
 
 
 class _SemiCommitSession:
@@ -226,7 +225,6 @@ class _SemiCommitSession:
 def run_semi_commitment_exchange(ctx: RoundContext) -> SemiCommitReport:
     """Execute Algorithm 4 across all committees."""
     ctx.metrics.set_phase("semicommit")
-    started = ctx.net.now
     report = SemiCommitReport()
     session = _SemiCommitSession(ctx)
     session.start()
@@ -242,5 +240,4 @@ def run_semi_commitment_exchange(ctx: RoundContext) -> SemiCommitReport:
         ctx.metrics.record_storage(
             rid, sum(len(entry[1]) for entry in claimed.values())
         )
-    report.elapsed = ctx.net.now - started
     return report

@@ -9,11 +9,12 @@ Role selection for round r+1 uses hash thresholds::
 
     H(r+1 || R_r || PK_i || role) <= d_r(role)
 
-The paper sizes committees *in expectation*; for reproducible simulation we
-also provide :func:`rank_select`, the exact-size variant: sort candidates by
-the same hash and take the required count.  This is the standard
-derandomization (identical distribution, fixed size) and is what the round
-orchestrator uses; the threshold form is kept and tested for fidelity.
+The paper sizes committees *in expectation*; for reproducible simulation the
+round orchestrator uses :func:`rank_select`, the exact-size variant: sort
+candidates by the same hash and take the required count.  This is the
+standard derandomization (identical distribution, fixed size).  The hashes
+are drawn for a whole roster at once (:func:`role_digests`); the scalar
+``H(...)`` per node, as the paper writes it, is the tests' reference.
 """
 
 from __future__ import annotations
@@ -23,15 +24,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.crypto.hashing import H_int, canonical_bytes
+from repro.crypto.hashing import canonical_bytes
 from repro.crypto.pki import PKI, KeyPair
 from repro.crypto.vrf import VRFOutput, vrf_eval, vrf_verify
 
 COMMON_MEMBER = "COMMON_MEMBER"
 REFEREE_ROLE = "REFEREE_COMMITTEE_MEMBER"
 PARTIAL_ROLE = "PARTIAL_SET_MEMBER"
-
-_HASH_SPACE = 1 << 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,17 +72,6 @@ def verify_sortition(
 # -- role lotteries (§IV-F) --------------------------------------------------
 
 
-def role_hash(round_number: int, randomness: bytes, pk: str, role: str) -> int:
-    """H(r+1 || R_r || PK_i || role) as a 256-bit integer.
-
-    Scalar form: the paper's rule as written, and the reference lottery.
-    The batched :func:`role_digests` produces the same digests for a whole
-    roster at once and is what the selection paths use at scale.  Equality of the
-    two is asserted in the test suite, byte for byte.
-    """
-    return H_int("ROLE", round_number, randomness, pk, role)
-
-
 def role_digests(
     round_number: int, randomness: bytes, pks: Sequence[str], role: str
 ) -> list[bytes]:
@@ -93,9 +81,10 @@ def role_digests(
     ``enc("ROLE") || enc(r) || enc(R)``, so the prefix is absorbed once and
     only ``enc(PK) || enc(role)`` is hashed per node — the per-node cost
     drops from four encodings plus a full hash to one encoding plus a
-    32-byte-state copy.  Digest bytes compare lexicographically exactly as
-    the 256-bit big-endian integers :func:`role_hash` returns, so rankings
-    computed on either representation are identical.
+    32-byte-state copy.  Each digest is ``H(r+1 || R_r || PK_i || role)``
+    byte for byte, and digest bytes compare lexicographically exactly as the
+    256-bit big-endian integers they encode, so a ranking on them is the
+    paper's ranking on the hash.
     """
     base = hashlib.sha256()
     base.update(canonical_bytes("ROLE"))
@@ -111,30 +100,6 @@ def role_digests(
     return digests
 
 
-def passes_threshold(
-    round_number: int, randomness: bytes, pk: str, role: str, difficulty: float
-) -> bool:
-    """Threshold form: selected iff the role hash is below d_r(role).
-
-    ``difficulty`` is the selection *probability* (d_r(role) normalized by
-    the hash space), the natural parametrization when the network size
-    changes between rounds.
-    """
-    if not (0.0 <= difficulty <= 1.0):
-        raise ValueError("difficulty is a probability")
-    return role_hash(round_number, randomness, pk, role) < int(
-        difficulty * _HASH_SPACE
-    )
-
-
-def partial_committee_of(
-    round_number: int, randomness: bytes, pk: str, m: int
-) -> int:
-    """Which committee a selected partial member joins (§IV-F):
-    ``H(r+1 || R_r || PK_i || PARTIAL_SET_MEMBER) mod m``."""
-    return role_hash(round_number, randomness, pk, PARTIAL_ROLE) % m
-
-
 def assign_partial_sets(
     pool: Sequence[str],
     round_number: int,
@@ -148,8 +113,8 @@ def assign_partial_sets(
 
     Shared by the bootstrap assignment (round 1) and the selection phase
     (every subsequent round) so the two can never drift.  One batched
-    digest pass serves both the ranking and the mod-m committee draw —
-    the per-pk :func:`partial_committee_of` recomputation is gone.
+    digest pass serves both the ranking and the committee draw
+    ``H(r+1 || R_r || PK_i || PARTIAL_SET_MEMBER) mod m``.
     """
     digests = role_digests(round_number, randomness, pool, PARTIAL_ROLE)
     order = sorted(range(len(pool)), key=digests.__getitem__)

@@ -79,24 +79,6 @@ def deal(
     return dealing, PVSSSecrets(secret=secret % field.p, shares=shares)
 
 
-def feldman_check(
-    dealing: PVSSDealing,
-    index: int,
-    share: int,
-    group: SchnorrGroup = GROUP,
-) -> bool:
-    """Participant ``index`` (1-based) verifies its private share:
-    ``g^{σ_i} == Π_j C_j^{i^j}``."""
-    if not (1 <= index <= dealing.n):
-        return False
-    expected = 1
-    power = 1  # i^j mod p
-    for c_j in dealing.coeff_commitments:
-        expected = group.mul(expected, group.exp(c_j, power))
-        power = (power * index) % group.p
-    return group.commit(share) == expected
-
-
 def _dual_code_word(
     n: int, threshold: int, rng: np.random.Generator, field: PrimeField
 ) -> list[int]:

@@ -23,7 +23,6 @@ with canonical JSON/CSV serialization.
 
 from repro.exp.presets import (
     CAPACITY_PRESETS,
-    backend_compare_spec,
     overlap_compare_spec,
     policies_artifact,
     policy_compare_spec,
@@ -35,7 +34,6 @@ from repro.exp.spec import ExperimentSpec, SweepPoint, derive_point_seed
 
 __all__ = [
     "CAPACITY_PRESETS",
-    "backend_compare_spec",
     "ExperimentSpec",
     "PointTiming",
     "Runner",

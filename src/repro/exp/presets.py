@@ -40,29 +40,6 @@ CAPACITY_PRESETS: dict[str, CapacityFn] = {
 }
 
 
-def backend_compare_spec() -> ExperimentSpec:
-    """CycLedger vs the executable rivals, head-to-head and seed-paired:
-    every backend runs the same workload, adversary lottery and network
-    jitter streams, with a 1/3 adversary arm so the dishonest-leader
-    contrast (Table I) shows up in executable numbers."""
-    return ExperimentSpec(
-        name="backend-compare",
-        rounds=4,
-        seeds=(0,),
-        base={
-            "n": 48,
-            "m": 4,
-            "lam": 2,
-            "referee_size": 8,
-            "users_per_shard": 24,
-            "tx_per_committee": 6,
-            "cross_shard_ratio": 0.3,
-        },
-        adversary_grid={"fraction": (0.0, 0.33)},
-        backend_grid=("cycledger", "rapidchain", "omniledger_sim"),
-    )
-
-
 def policy_compare_spec() -> ExperimentSpec:
     """Adaptive-adversary behaviour, seed-paired across backends: every
     backend runs its policy-free arm and a leaderboard-targeting

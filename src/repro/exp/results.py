@@ -110,9 +110,8 @@ def round_row(report: "SimRoundReport") -> dict[str, Any]:
         "inter_accepted": report.inter_accepted,
         "inter_voted": report.inter_voted,
         "prefilter_savings": report.prefilter_savings,
-        "intra_elapsed": report.intra_elapsed,
-        "inter_elapsed": report.inter_elapsed,
-        "blockgen_elapsed": report.blockgen_elapsed,
+        # Sim-time span of each pipeline phase, under the pipeline's names.
+        "phase_sim_times": dict(report.phase_sim_times),
         "blockgen_subblocks": report.blockgen_subblocks,
         "blockgen_width": report.blockgen_width,
         # Continuous-timeline window + mempool queue health (round-overlap

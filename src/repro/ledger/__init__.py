@@ -10,7 +10,6 @@ no double spending).
 from repro.ledger.transaction import (
     Transaction,
     shard_of_address,
-    make_transfer,
 )
 from repro.ledger.utxo import UTXOSet, ValidationResult, validate_transaction
 from repro.ledger.state import ShardState
@@ -20,7 +19,6 @@ from repro.ledger.workload import WorkloadGenerator, TaggedTx
 __all__ = [
     "Transaction",
     "shard_of_address",
-    "make_transfer",
     "UTXOSet",
     "ValidationResult",
     "validate_transaction",

@@ -53,12 +53,14 @@ import numpy as np
 #: inputs and outputs are plain tuples, so the stream names no record class
 #: but ``Transaction``, rebuilt from its fields; 5: ``workload.effects``
 #: holds ``(home, consumed, transaction)`` and ``metrics`` lost its per-node,
-#: per-channel and event counters).
-CHECKPOINT_VERSION = 5
+#: per-channel and event counters; 6: the pickled ``ProtocolParams`` lost
+#: its vote-window field, now ``core.config.VOTE_WINDOW_DELTAS``, and its
+#: ``NetworkParams`` lost the partial-channel stretch bound).
+CHECKPOINT_VERSION = 6
 
 #: What the current layout changed, named in a version mismatch.
 _LAYOUT_CHANGE = (
-    "layout 5 changed the 'workload.effects' and 'metrics' sections"
+    "layout 6 dropped a field from each of 'params' and 'params.net'"
 )
 
 #: File header: magic, layout version, payload length, payload SHA-256.
@@ -383,12 +385,3 @@ def load_checkpoint(
     return restore_checkpoint(
         pickle.loads(payload), capacity_fn=capacity_fn, scenario=scenario
     )
-
-
-def compact_ledger(ledger: Any) -> None:
-    """Shed retained-capacity overhead mid-soak: rebuild the global and
-    per-shard UTXO dicts at their live size (content-neutral — see
-    :meth:`repro.ledger.utxo.UTXOSet.compact`)."""
-    ledger.global_utxos.compact()
-    for state in ledger.shard_states:
-        state.utxos.compact()

@@ -136,37 +136,6 @@ def _formatted_txid_and_size(
     return txid, size
 
 
-def make_transfer(
-    source: tuple[bytes, int],
-    source_amount: int,
-    payee: str,
-    amount: int,
-    change_address: str,
-    fee: int = 1,
-    nonce: int = 0,
-) -> Transaction:
-    """Build a single-input transfer paying ``amount`` to ``payee`` with the
-    remainder (minus ``fee``) returned to ``change_address``.
-
-    Raises if the source cannot cover amount + fee — workload code should
-    only build coverable transfers (invalid transactions are injected
-    deliberately, not by accident).
-    """
-    if amount <= 0:
-        raise ValueError("amount must be positive")
-    if fee < 0:
-        raise ValueError("fee cannot be negative")
-    change = source_amount - amount - fee
-    if change < 0:
-        raise ValueError(
-            f"source {source_amount} cannot cover amount {amount} + fee {fee}"
-        )
-    outputs = [(payee, amount)]
-    if change > 0:
-        outputs.append((change_address, change))
-    return Transaction(inputs=(source,), outputs=tuple(outputs), nonce=nonce)
-
-
 def make_coinbase(outputs: list[tuple[str, int]], nonce: int = 0) -> Transaction:
     """Genesis / reward transaction creating coins from nothing."""
     return Transaction(inputs=(), outputs=tuple(outputs), nonce=nonce)

@@ -75,9 +75,6 @@ class UTXOSet:
     def total_value(self) -> int:
         return sum([amount for _address, amount in self._utxos.values()])
 
-    def outpoints_of(self, address: str) -> list[tuple[bytes, int]]:
-        return [op for op, (owner, _) in self._utxos.items() if owner == address]
-
     # -- mutation --------------------------------------------------------------
     def add(self, outpoint: tuple[bytes, int], output: tuple[str, int]) -> None:
         if outpoint in self._utxos:

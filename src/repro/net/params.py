@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -19,29 +20,34 @@ class ChannelClass:
 
 @dataclass(frozen=True)
 class NetworkParams:
-    """Delay bounds and adversarial-scheduling knobs.
+    """Delay bounds and the event budget.
 
-    ``delta`` and ``gamma`` are the paper's Δ and Γ.  ``partial_base`` is the
-    base delay of partially-synchronous channels; the adversary may stretch
-    those (and only those) up to ``partial_max_stretch``×.  ``jitter`` is the
-    honest random variation applied to every channel (delays are sampled in
-    ``[base·(1-jitter), base]`` so the synchrony bounds are never exceeded).
+    ``delta`` and ``gamma`` are the paper's Δ and Γ, the bounds of the
+    synchronous channels; ``partial_base`` is the delay of partially-
+    synchronous channels.  ``jitter`` is the random variation applied to
+    every channel: delays are sampled in ``[base·(1-jitter), base]``, so
+    deliveries are reordered but the synchrony bounds are never exceeded
+    (the §III-C adversary's reordering).  ``max_events`` bounds the events
+    one :meth:`repro.net.simulator.Network.run` call may process.
     """
 
     delta: float = 1.0
     gamma: float = 4.0
     partial_base: float = 10.0
-    partial_max_stretch: float = 4.0
     jitter: float = 0.25
     max_events: int = 5_000_000
 
     def __post_init__(self) -> None:
-        if self.delta <= 0 or self.gamma <= 0 or self.partial_base <= 0:
-            raise ValueError("delays must be positive")
+        # Each rule names its field: a NaN or infinite delay runs a round to
+        # a NaN or infinite clock, and a budget below one fails at the first
+        # event instead of here.
+        for name in ("delta", "gamma", "partial_base"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not (0.0 <= self.jitter < 1.0):
             raise ValueError("jitter must be in [0, 1)")
-        if self.partial_max_stretch < 1.0:
-            raise ValueError("partial_max_stretch must be >= 1")
+        if self.max_events < 1:
+            raise ValueError("max_events must be >= 1")
 
     def base_delay(self, channel_class: str) -> float:
         if channel_class == ChannelClass.INTRA:

@@ -10,10 +10,11 @@ messages — the term that made a round's cost super-linear in n
 
 Adversarial power (§III-C): "The adversary can change the order of messages
 sent by non-faulty nodes for the restriction given in our network model."
-We model this with an optional reorder hook that may stretch *partially
-synchronous* channels up to ``partial_max_stretch``× and permute delivery
-within the synchrony bound on Δ/Γ channels — the adversary can never violate
-the synchrony assumption itself.
+The reordering this allows is the jitter: every delay is drawn in
+``[base·(1-jitter), base]``, which permutes deliveries on every channel and
+never exceeds the Δ/Γ bounds.  Lost messages are ``drop_filter`` and
+partitions, a faulty sender is its node's behaviour, and faults outside the
+model (links slower than Δ/Γ) are :meth:`Network.add_link_degradation`.
 """
 
 from __future__ import annotations
@@ -100,13 +101,12 @@ class Network:
         # for the pairs used since it was installed (see :meth:`_fan_out`).
         self._channel_rows: dict[int, dict[int, str]] = {}
         self.channel_classifier = _default_classifier
-        self.adversarial_scheduler: Callable[[Message], float] | None = None
         self.delivered_messages = 0
         self.dropped_messages = 0
         self.drop_filter: Callable[[Message], bool] | None = None
         # Fault-injection state (scenario layer): a node -> group map where
         # crossing groups means the link is cut, plus time-windowed delay
-        # multipliers.  Both compose with drop_filter/adversarial_scheduler.
+        # multipliers.  Both compose with drop_filter.
         self._partition: dict[int, int] | None = None
         self.partition_dropped = 0
         # Degradation windows, kept sorted by start time.  Delivery time is
@@ -156,7 +156,6 @@ class Network:
         self._next_seq = 0
         self._now_seq = -1
         self.channel_classifier = _default_classifier
-        self.adversarial_scheduler = None
         self.delivered_messages = 0
         self.dropped_messages = 0
         self.drop_filter = None
@@ -188,9 +187,8 @@ class Network:
     def channel_classifier(self) -> Callable[[int, int], str | None]:
         """The topology: ``(src, dst) -> channel class``, or ``None`` for no
         link.  It is read as a pure function of the pair while installed
-        (verdicts are remembered per pair); assigning a classifier — here,
-        through :meth:`set_channel_classifier` or by :meth:`reset` — drops
-        every remembered verdict."""
+        (verdicts are remembered per pair); assigning a classifier — here
+        or by :meth:`reset` — drops every remembered verdict."""
         return self._channel_classifier
 
     @channel_classifier.setter
@@ -200,13 +198,6 @@ class Network:
         self._channel_classifier = classifier
         self._channel_rows.clear()
 
-    def set_channel_classifier(
-        self, classifier: Callable[[int, int], str | None]
-    ) -> None:
-        """Install the topology (the same as assigning
-        :attr:`channel_classifier`)."""
-        self.channel_classifier = classifier
-
     # -- fault injection ---------------------------------------------------
     def set_partitions(self, groups: "Iterable[Iterable[int]]") -> None:
         """Cut the fabric into disjoint node groups.
@@ -214,9 +205,10 @@ class Network:
         Messages whose endpoints fall in different groups are silently
         dropped (counted in ``dropped_messages``/``partition_dropped``);
         nodes listed in no group form one implicit remainder group that can
-        still talk among itself.  Partitions sit *below* the topology: the
-        channel still exists, the packets just never arrive — which is
-        exactly how a WAN cut looks to the protocol.
+        still talk among itself, and no groups at all heal the fabric.
+        Partitions sit *below* the topology: the channel still exists, the
+        packets just never arrive — which is exactly how a WAN cut looks to
+        the protocol.
         """
         mapping: dict[int, int] = {}
         for group_id, group in enumerate(groups):
@@ -225,9 +217,6 @@ class Network:
                     raise ValueError(f"node {node_id} in two partition groups")
                 mapping[int(node_id)] = group_id
         self._partition = mapping or None
-
-    def clear_partitions(self) -> None:
-        self._partition = None
 
     @property
     def partitioned(self) -> bool:
@@ -248,9 +237,9 @@ class Network:
         """Multiply sampled delays by ``factor`` for sends in the sim-time
         window ``[start, end)``, optionally restricted to channel classes.
 
-        Unlike the adversarial scheduler this deliberately may violate the
-        paper's synchrony bounds (it models infrastructure faults, not the
-        in-model adversary), and it applies to every channel class given.
+        This deliberately may violate the paper's synchrony bounds (it
+        models infrastructure faults, not the in-model adversary), and it
+        applies to every channel class given.
         Degradations stack multiplicatively and are cleared by
         :meth:`reset`.
         """
@@ -327,8 +316,8 @@ class Network:
 
         Exactly the sequence of :meth:`send` calls it replaces — one
         ``seq`` and, on a delayed channel, one jitter draw per recipient
-        that is not dropped, in recipient order; partition, ``drop_filter``,
-        degradation and the adversarial scheduler are applied per recipient
+        that is not dropped, in recipient order; partition, ``drop_filter``
+        and degradation are applied per recipient
         — but every recipient carries the *same* payload object, which is
         sized once, and the traffic is recorded once for the whole fan-out.
         If a recipient raises (unknown id, no channel) the recipients before
@@ -366,11 +355,10 @@ class Network:
         fan-out); ``drop_filter`` may drop; otherwise the delay is
         ``base * (1 - jitter * u)`` with ``u`` the next draw of the jitter
         block (none on a zero-delay channel), times the active degradation
-        factor, times the adversary's clamped stretch on PARTIAL links.
-        Everything that cannot change between two recipients is read once,
-        and the jitter cursor is written back when the loop ends, so
-        ``drop_filter`` / ``adversarial_scheduler`` hooks must not send.
-        Each hook call is handed an envelope of its own, made for the call.
+        factor.  Everything that cannot change between two recipients is
+        read once, and the jitter cursor is written back when the loop ends,
+        so a ``drop_filter`` must not send.  Each call of it is handed an
+        envelope of its own, made for the call.
 
         All of that is decided here, at send time; what the loop keeps of
         a surviving recipient is its delivery time and channel.  The k-th
@@ -396,8 +384,6 @@ class Network:
         partition = self._partition
         sender_group = partition.get(sender, -1) if partition is not None else -1
         drop_filter = self.drop_filter
-        scheduler = self.adversarial_scheduler
-        hooked = drop_filter is not None or scheduler is not None
         degradations = self._degradations
         base_delays = self._base_delays
         jitter = self.params.jitter
@@ -429,13 +415,11 @@ class Network:
                     continue
                 if nbytes is None:
                     nbytes = payload_size(payload)
-                if hooked:
-                    probe = Message(
-                        sender, recipient, tag, payload, nbytes, channel, now, 0.0
-                    )
-                    if drop_filter is not None and drop_filter(probe):
-                        self.dropped_messages += 1
-                        continue
+                if drop_filter is not None and drop_filter(
+                    Message(sender, recipient, tag, payload, nbytes, channel, now, 0.0)
+                ):
+                    self.dropped_messages += 1
+                    continue
                 base = base_delays.get(channel)
                 if base is None:
                     base = self.params.base_delay(channel)  # raises: unknown
@@ -451,11 +435,6 @@ class Network:
                     idx += 1
                     if degradations:
                         delay *= self._degradation_factor(channel)
-                    if scheduler is not None and channel == ChannelClass.PARTIAL:
-                        stretch = scheduler(probe)
-                        delay *= min(
-                            max(stretch, 1.0), self.params.partial_max_stretch
-                        )
                     deliver_time = now + delay
                 # Most sends have one recipient: the first survivor stays in
                 # locals, the second makes the lists.

@@ -177,14 +177,3 @@ class AdversaryController:
             self._corruption_order.append(node_id)
         self.corrupted |= self._pending_corruptions
         self._pending_corruptions = set()
-
-
-def honest_majority_everywhere(
-    committees: list[list[int]], adversary: AdversaryController
-) -> bool:
-    """Check the security predicate: every committee > 1/2 honest."""
-    for members in committees:
-        bad = sum(1 for node in members if adversary.is_corrupted(node))
-        if bad * 2 >= len(members):
-            return False
-    return True

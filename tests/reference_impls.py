@@ -28,6 +28,11 @@ the methods an optimization replaced.
   UTXO listing per call (replaced by the route-once
   :func:`repro.ledger.state.apply_block` and the entry-caching
   ``ShardState.digest_items``);
+* :func:`role_hash`, :func:`partial_committee_of`, :func:`relevant` — the
+  §IV-F role lottery and partial-set committee draw one node at a time, and
+  §VIII-B relevance one pair at a time, as the paper writes them (replaced
+  by the batched digests of :mod:`repro.core.sortition` and the outpoint
+  index of :func:`repro.core.blockgen.parallel_subblocks`);
 * :func:`networkx_parallel_subblocks` — §VIII-B sub-blocks coloured by
   networkx (replaced by the plain-Python largest-first colouring of
   :func:`repro.core.blockgen.parallel_subblocks`, so that the simulation
@@ -58,6 +63,10 @@ the methods an optimization replaced.
 * :func:`per_chunk_unicast` — IDA-style dissemination as one unicast per
   recipient per chunk, each chunk carrying its index (replaced by the one
   recipient-major fan-out of ``RivalBackend._chunked_multicast``).
+
+One oracle here replaced nothing: :func:`feldman_check`, the per-share
+Feldman verification, which the beacon does not need (it verifies a dealing
+through SCRAPE's ``scrape_check``).
 """
 
 from __future__ import annotations
@@ -72,14 +81,16 @@ from typing import Any
 
 import numpy as np
 
-from repro.crypto.hashing import H
+from repro.core.sortition import PARTIAL_ROLE
+from repro.crypto.field import GROUP
+from repro.crypto.hashing import H, H_int
+from repro.crypto.pvss import PVSSDealing
 from repro.crypto.signatures import Signature, encode_statement
 from repro.ledger.state import ShardState
 from repro.ledger.transaction import ShardMap, Transaction, shard_of_address
 from repro.ledger.utxo import UTXOSet, ValidationResult
 from repro.ledger.workload import TaggedTx, WorkloadGenerator
 from repro.net.message import Message, fields_size, payload_size
-from repro.net.params import ChannelClass
 from repro.net.simulator import Network, SimulationError
 from repro.nodes.behaviors import NO, YES, Behavior
 
@@ -163,9 +174,7 @@ class NaiveNetwork(Network):
             return False
         return self._partition.get(src, -1) != self._partition.get(dst, -1)
 
-    def _sample_delay(
-        self, channel_class: str, message: "Message | None" = None
-    ) -> float:
+    def _sample_delay(self, channel_class: str) -> float:
         base = self._base_delays.get(channel_class)
         if base is None:
             base = self.params.base_delay(channel_class)  # raises for unknown
@@ -175,14 +184,6 @@ class NaiveNetwork(Network):
         delay = base * (1.0 - jitter * self._next_jitter())
         if self._degradations:
             delay *= self._degradation_factor(channel_class)
-        if (
-            channel_class == ChannelClass.PARTIAL
-            and self.adversarial_scheduler is not None
-            and message is not None
-        ):
-            stretch = self.adversarial_scheduler(message)
-            stretch = min(max(stretch, 1.0), self.params.partial_max_stretch)
-            delay *= stretch
         return delay
 
     def send(
@@ -223,7 +224,7 @@ class NaiveNetwork(Network):
             self.dropped_messages += 1
             self._retire(message)
             return
-        message.deliver_time = self.now + self._sample_delay(channel, message)
+        message.deliver_time = self.now + self._sample_delay(channel)
         self.metrics.record_send(sender, nbytes)
         heapq.heappush(
             self._events,
@@ -605,7 +606,7 @@ def networkx_parallel_subblocks(txs: list[Transaction]) -> list[list[Transaction
     return groups
 
 
-# -- field inverses and Feldman commitments, one exponentiation each -----------
+# -- field inverses, Feldman commitments and share checks -----------------------
 def fermat_inv(a: int, p: int) -> int:
     """``PrimeField.inv`` by Fermat's little theorem: ``a^(p-2) mod p``."""
     a %= p
@@ -617,6 +618,49 @@ def fermat_inv(a: int, p: int) -> int:
 def pow_commit(group, e: int) -> int:
     """``SchnorrGroup.commit`` as one modular exponentiation of ``g``."""
     return pow(group.g, e % group.p, group.q)
+
+
+def feldman_check(dealing: PVSSDealing, index: int, share: int, group=GROUP) -> bool:
+    """Participant ``index`` (1-based) verifies its private share against the
+    coefficient commitments: ``g^{σ_i} == Π_j C_j^{i^j}`` (Feldman).  The
+    beacon verifies dealings through SCRAPE's ``scrape_check``; this is the
+    independent check the PVSS tests hold real shares to."""
+    if not (1 <= index <= dealing.n):
+        return False
+    expected = 1
+    power = 1  # i^j mod p
+    for c_j in dealing.coeff_commitments:
+        expected = group.mul(expected, group.exp(c_j, power))
+        power = (power * index) % group.p
+    return group.commit(share) == expected
+
+
+# -- the paper's rules one item at a time ---------------------------------------
+def role_hash(round_number: int, randomness: bytes, pk: str, role: str) -> int:
+    """``H(r+1 || R_r || PK_i || role)`` as a 256-bit integer, one node at a
+    time (§IV-F as written; replaced by the batched
+    :func:`repro.core.sortition.role_digests`)."""
+    return H_int("ROLE", round_number, randomness, pk, role)
+
+
+def partial_committee_of(round_number: int, randomness: bytes, pk: str, m: int) -> int:
+    """The committee a selected partial member joins (§IV-F):
+    ``H(r+1 || R_r || PK_i || PARTIAL_SET_MEMBER) mod m`` (replaced by the
+    one digest pass of :func:`repro.core.sortition.assign_partial_sets`)."""
+    return role_hash(round_number, randomness, pk, PARTIAL_ROLE) % m
+
+
+def relevant(tx_a: Transaction, tx_b: Transaction) -> bool:
+    """§VIII-B: two transactions are *relevant* if they share an input
+    outpoint or one spends the other's output (replaced by the outpoint
+    index of :func:`repro.core.blockgen.parallel_subblocks`)."""
+    a_in = set(tx_a.outpoints())
+    b_in = set(tx_b.outpoints())
+    if a_in & b_in:
+        return True
+    a_out = {(tx_a.txid, i) for i in range(len(tx_a.outputs))}
+    b_out = {(tx_b.txid, i) for i in range(len(tx_b.outputs))}
+    return bool(a_in & b_out) or bool(b_in & a_out)
 
 
 # -- the per-transaction path, element by element -------------------------------

@@ -18,7 +18,6 @@ from repro.core.config import ProtocolParams
 from repro.exp import (
     ExperimentSpec,
     Runner,
-    backend_compare_spec,
     derive_point_seed,
     run_point,
     run_sweep,
@@ -75,19 +74,21 @@ def test_backend_satisfies_contract(name):
             "round_number", "packed", "cross_packed", "recoveries",
             "messages", "bytes_sent", "sim_time", "dropped",
             "intra_accepted", "inter_accepted", "inter_voted",
-            "prefilter_savings", "intra_elapsed", "inter_elapsed",
-            "blockgen_elapsed", "blockgen_subblocks", "blockgen_width",
+            "prefilter_savings", "phase_sim_times", "blockgen_subblocks",
+            "blockgen_width",
         ):
             assert hasattr(report, attr), attr
 
 
 def test_cycledger_report_keeps_its_phase_reports():
     """The examples and the adversarial integration tests read these."""
-    report = create_backend("cycledger", ProtocolParams(seed=1, **SMALL)).run(1)[0]
+    ledger = create_backend("cycledger", ProtocolParams(seed=1, **SMALL))
+    report = ledger.run(1)[0]
     assert report.intra_accepted == sum(
         len(txs) for txs in report.intra.accepted_by_cr.values()
     )
-    assert report.inter_elapsed == report.inter.elapsed
+    # One clock per phase: the pipeline's, under the pipeline's names.
+    assert tuple(report.phase_sim_times) == ledger.pipeline.names
     assert report.semicommit.accepted and report.selection.next_leaders
     assert report.blockgen.block is report.block
 
@@ -166,13 +167,6 @@ def test_outcome_find_by_backend():
     outcome = run_sweep(BACKEND_SPEC, workers=1)
     result = outcome.one(backend="rapidchain")
     assert result.point["backend"] == "rapidchain"
-
-
-def test_backend_compare_preset_expands():
-    points = backend_compare_spec().expand()
-    assert {p.backend for p in points} == set(ALL_BACKENDS)
-    # adversary arms ride along: 2 fractions x 3 backends x 1 seed
-    assert len(points) == 6
 
 
 # -- scenarios against rival backends ---------------------------------------

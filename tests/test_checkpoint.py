@@ -217,10 +217,12 @@ def test_version_mismatch_rejected():
     half = create_backend("cycledger", _params())
     half.run(1)
     state = capture_checkpoint(half)
-    # A newer layout, version 4 (its effects held pre-built output entries
-    # and its metrics per-node counters), version 3 (its transactions held
-    # record objects) and version 2 (it had a second driver block).
-    for stale in (CHECKPOINT_VERSION + 1, 4, 3, 2):
+    # A newer layout, version 5 (its params carried the vote window and
+    # the partial-channel stretch), version 4 (its effects held pre-built
+    # output entries and its metrics per-node counters), version 3 (its
+    # transactions held record objects) and version 2 (it had a second
+    # driver block).
+    for stale in (CHECKPOINT_VERSION + 1, 5, 4, 3, 2):
         state["version"] = stale
         with pytest.raises(ValueError, match="version"):
             restore_checkpoint(state)
@@ -279,7 +281,7 @@ _TRIPWIRE = pickle.dumps(_Tripwire(), protocol=4)
     [
         (_checkpoint_file(_TRIPWIRE)[:-1], "length"),
         (_checkpoint_file(_TRIPWIRE)[:-1] + b"\x00", "digest"),
-        (_checkpoint_file(_TRIPWIRE, version=4), "'version': checkpoint version 4 != 5"),
+        (_checkpoint_file(_TRIPWIRE, version=5), "'version': checkpoint version 5 != 6"),
         # what the parent commit's save_checkpoint wrote: a bare pickle
         (_TRIPWIRE, "magic"),
         (b"not a checkpoint at all", "magic"),

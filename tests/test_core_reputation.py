@@ -12,7 +12,6 @@ from repro.core.reputation import (
     distribute_rewards,
     g,
     run_reputation_updating,
-    score_summary,
 )
 from repro.core.sandbox import build_sandbox
 from repro.nodes.behaviors import ContraryVoter, LazyVoter
@@ -149,6 +148,18 @@ def test_leader_bonus_applied():
         ]
         assert leader_rep >= max(member_reps) - 1e-9
         assert leader_rep == pytest.approx(max(member_reps) + LEADER_BONUS, abs=0.3)
+
+
+def score_summary(ctx, report) -> dict[str, list[float]]:
+    """This round's scores grouped by the scored member's behaviour name."""
+    by_behavior: dict[str, list[float]] = {}
+    for k, score_list in report.scores.items():
+        for mid in ctx.committees[k].members:
+            pk = ctx.pk_of(mid)
+            if pk in score_list:
+                name = ctx.node(mid).behavior.name
+                by_behavior.setdefault(name, []).append(score_list[pk])
+    return by_behavior
 
 
 def test_contrary_voters_lose_reputation():

@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_impls import relevant
 from test_decision_reference import staged
 
-from repro.core.blockgen import parallel_subblocks, relevant, run_block_generation
+from repro.core.blockgen import parallel_subblocks, run_block_generation
 from repro.core.inter import run_inter_consensus
 from repro.core.intra import run_intra_consensus
 from repro.core.selection import run_selection

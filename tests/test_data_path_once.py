@@ -25,6 +25,7 @@ from reference_impls import (
     element_walk_vote_statement,
     tuple_digest_items,
 )
+from tx_builders import make_transfer
 
 from repro import CycLedger, ProtocolParams, load_checkpoint, save_checkpoint
 from repro.core.committee import run_committee_configuration
@@ -40,7 +41,6 @@ from repro.ledger.transaction import (
     ShardMap,
     Transaction,
     make_coinbase,
-    make_transfer,
 )
 from repro.ledger.utxo import ValidationResult, validate_transaction
 from repro.ledger.workload import WorkloadGenerator

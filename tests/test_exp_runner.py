@@ -73,6 +73,12 @@ def test_spec_hash_sensitive_to_every_knob():
 def test_spec_rejects_unknown_fields():
     with pytest.raises(ValueError, match="ProtocolParams"):
         ExperimentSpec(name="bad", grid={"not_a_param": (1, 2)})
+    # A config written while the vote window was a field (it is the
+    # constant core.config.VOTE_WINDOW_DELTAS now).
+    with pytest.raises(
+        ValueError, match="unknown ProtocolParams field 'vote_window_deltas'"
+    ):
+        ExperimentSpec(name="old", base={"vote_window_deltas": 6.0})
     with pytest.raises(ValueError, match="AdversaryConfig"):
         ExperimentSpec(name="bad", adversary_grid={"nope": (0.1,)})
     with pytest.raises(ValueError, match="seeds"):

@@ -175,18 +175,23 @@ def test_params_validation():
         ("users_per_shard", 0),
         ("seed", -1),
         ("arrival_rate", float("nan")),
+        ("lam", 0),
+        ("lam", -1),
     ],
 )
 def test_params_reject_inputs_that_break_a_round_by_field_name(field, value):
-    """Each of these was accepted and then crashed mid-round (or, for a
-    zero vote window, packed nothing): it is refused up front, by name.
-    ``pow_difficulty_bits`` is no longer a field (the difficulty is
-    ``core.selection.POW_DIFFICULTY_BITS``): a config that still carries
-    the key is refused, naming it."""
+    """Each of these was accepted and then crashed mid-round (or, for λ < 1,
+    ran with no partial set, so no one could prosecute a leader): it is
+    refused up front, by name.  ``pow_difficulty_bits`` and
+    ``vote_window_deltas`` are no longer fields (they are
+    ``core.selection.POW_DIFFICULTY_BITS`` and
+    ``core.config.VOTE_WINDOW_DELTAS``): a config that still carries the
+    key is refused, naming it."""
     overrides = {field: value}
     if field == "arrival_rate":
         overrides["arrival_process"] = "poisson"
-    error = TypeError if field == "pow_difficulty_bits" else ValueError
+    removed = field in ("pow_difficulty_bits", "vote_window_deltas")
+    error = TypeError if removed else ValueError
     with pytest.raises(error, match=field):
         small_params(**overrides)
 

@@ -27,6 +27,7 @@ import os
 
 import numpy as np
 import pytest
+from reference_impls import partial_committee_of, role_hash
 
 from repro.backends import create_backend
 from repro.core.config import ProtocolParams
@@ -34,10 +35,8 @@ from repro.core.reputation import ReputationStore, distribute_rewards
 from repro.core.sortition import (
     PARTIAL_ROLE,
     assign_partial_sets,
-    partial_committee_of,
     rank_select,
     role_digests,
-    role_hash,
 )
 from repro.exp import ExperimentSpec, Runner
 from repro.exp.results import round_row, write_csv

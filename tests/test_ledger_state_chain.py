@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_impls import per_shard_add_genesis, per_shard_apply_block
+from tx_builders import make_transfer
 
 from repro.ledger.chain import GENESIS_PREV_HASH, Block, Chain
 from repro.ledger.state import ShardState, apply_block
@@ -11,7 +12,6 @@ from repro.ledger.transaction import (
     ShardMap,
     Transaction,
     make_coinbase,
-    make_transfer,
     shard_of_address,
 )
 

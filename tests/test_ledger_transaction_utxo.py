@@ -20,6 +20,7 @@ from reference_impls import (
     record_digest_items,
     record_validate_transaction,
 )
+from tx_builders import make_transfer
 
 from repro.crypto.hashing import H_int, canonical_bytes
 from repro.crypto.signatures import Signature
@@ -27,7 +28,6 @@ from repro.ledger.state import ShardState, apply_block
 from repro.ledger.transaction import (
     ShardMap,
     Transaction,
-    make_transfer,
     shard_of_address,
 )
 from repro.ledger.transaction import make_coinbase
@@ -244,12 +244,6 @@ def test_validate_batch_sequential_catches_intra_batch_double_spend(funded):
     assert all(r is ValidationResult.VALID for r in results_ns)
     # and the original set is untouched either way
     assert source in utxos
-
-
-def test_outpoints_of_address(funded):
-    utxos, source = funded
-    assert utxos.outpoints_of("alice") == [source]
-    assert utxos.outpoints_of("nobody") == []
 
 
 def test_spend_missing_raises(funded):

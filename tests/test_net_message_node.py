@@ -80,7 +80,7 @@ def _deliver_one(node, tag, rng):
     """One ``tag`` message to ``node`` through the event loop."""
     net = Network(NetworkParams(), rng)
     net.add_node(node)
-    net.set_channel_classifier(lambda s, d: ChannelClass.INTRA)
+    net.channel_classifier = lambda s, d: ChannelClass.INTRA
     net.send(1, node.node_id, tag, None)
     net.run()
     return net

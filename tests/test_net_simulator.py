@@ -36,7 +36,7 @@ def net_and_nodes(rng):
     nodes = [Recorder(i, pki.generate(i)) for i in range(4)]
     for node in nodes:
         net.add_node(node)
-    net.set_channel_classifier(lambda s, d: ChannelClass.INTRA)
+    net.channel_classifier = lambda s, d: ChannelClass.INTRA
     return net, nodes
 
 
@@ -77,7 +77,7 @@ def test_strict_channel_raises(rng):
     nodes = [Recorder(i, pki.generate(100 + i)) for i in range(2)]
     for node in nodes:
         net.add_node(node)
-    net.set_channel_classifier(lambda s, d: None)
+    net.channel_classifier = lambda s, d: None
     with pytest.raises(SimulationError):
         nodes[0].send(1, "MSG", "x")
 
@@ -154,7 +154,7 @@ def test_event_budget_guard(rng):
     a, b = Looper(0, pki.generate("a")), Looper(1, pki.generate("b"))
     net.add_node(a)
     net.add_node(b)
-    net.set_channel_classifier(lambda s, d: ChannelClass.INTRA)
+    net.channel_classifier = lambda s, d: ChannelClass.INTRA
     a.send(1, "PING", None)
     with pytest.raises(SimulationError):
         net.run()
@@ -165,7 +165,6 @@ def test_reset_rewinds_fabric_but_keeps_nodes(net_and_nodes):
 
     net, nodes = net_and_nodes
     net.drop_filter = lambda msg: True
-    net.adversarial_scheduler = lambda msg: 2.0
     net.set_partitions([(0, 1), (2, 3)])
     net.add_link_degradation(3.0)
     nodes[0].send(1, "MSG", "dropped")
@@ -181,42 +180,12 @@ def test_reset_rewinds_fabric_but_keeps_nodes(net_and_nodes):
     assert net.dropped_messages == 0
     assert net.partition_dropped == 0
     assert net.drop_filter is None
-    assert net.adversarial_scheduler is None
     assert not net.partitioned
     # Registry intact and the classifier back to the permissive default:
     # a previously partitioned pair delivers again.
     nodes[0].send(2, "MSG", "after-reset")
     net.run()
     assert [m.payload for m in nodes[2].received] == ["after-reset"]
-
-
-def test_adversarial_scheduler_stretch_clamped_below_one(rng):
-    """A scheduler cannot *accelerate* partial channels: stretches under
-    1.0 clamp to the honest base delay."""
-    pki = PKI()
-    params = NetworkParams(jitter=0.0)
-    net = Network(params, rng)
-    nodes = [Recorder(i, pki.generate(400 + i)) for i in range(2)]
-    for node in nodes:
-        net.add_node(node)
-    net.set_channel_classifier(lambda s, d: ChannelClass.PARTIAL)
-    net.adversarial_scheduler = lambda msg: 0.01
-    nodes[0].send(1, "MSG", "x")
-    assert net.run() == pytest.approx(params.partial_base)
-
-
-def test_adversarial_scheduler_stretches_partial_only(rng):
-    pki = PKI()
-    params = NetworkParams(jitter=0.0)
-    net = Network(params, rng)
-    nodes = [Recorder(i, pki.generate(300 + i)) for i in range(2)]
-    for node in nodes:
-        net.add_node(node)
-    net.set_channel_classifier(lambda s, d: ChannelClass.PARTIAL)
-    net.adversarial_scheduler = lambda msg: 100.0  # clamped to max stretch
-    nodes[0].send(1, "MSG", "x")
-    t = net.run()
-    assert t == pytest.approx(params.partial_base * params.partial_max_stretch)
 
 
 def test_drop_filter(net_and_nodes):
@@ -242,7 +211,7 @@ def test_partition_cuts_cross_group_links_only(net_and_nodes):
     assert nodes[0].received == []
     assert net.partition_dropped == 2
     assert net.dropped_messages == 2
-    net.clear_partitions()
+    net.set_partitions([])  # no groups: the fabric is whole again
     nodes[0].send(2, "MSG", "healed")
     net.run()
     assert [m.payload for m in nodes[2].received] == ["healed"]
@@ -270,7 +239,7 @@ def test_link_degradation_window_and_channel_filter(rng):
     nodes = [Recorder(i, pki.generate(500 + i)) for i in range(2)]
     for node in nodes:
         net.add_node(node)
-    net.set_channel_classifier(lambda s, d: ChannelClass.INTRA)
+    net.channel_classifier = lambda s, d: ChannelClass.INTRA
     net.add_link_degradation(5.0, start=0.0, end=10.0,
                              channels=(ChannelClass.INTRA,))
     nodes[0].send(1, "MSG", "slow")  # sent at t=0: degraded 5x
@@ -290,7 +259,7 @@ def test_degradations_stack_multiplicatively(rng):
     nodes = [Recorder(i, pki.generate(600 + i)) for i in range(2)]
     for node in nodes:
         net.add_node(node)
-    net.set_channel_classifier(lambda s, d: ChannelClass.INTRA)
+    net.channel_classifier = lambda s, d: ChannelClass.INTRA
     net.add_link_degradation(2.0)
     net.add_link_degradation(3.0)
     nodes[0].send(1, "MSG", "x")
@@ -326,12 +295,12 @@ def _fanout_fabric(factory, conditions):
     # the jitter cursor (so a fan-out can straddle a block refill).
     net.call_at(conditions.get("now", 0.0), lambda: None)
     net.run()
-    net.set_channel_classifier(lambda s, d: ChannelClass.INTRA)
+    net.channel_classifier = lambda s, d: ChannelClass.INTRA
     for _ in range(conditions.get("warmup_sends", 0)):
         net.send(1, 2, "WARM", b"w", size=1)
     classes = conditions.get("classes", (ChannelClass.INTRA,))
     no_channel_to = conditions.get("no_channel_to")
-    net.set_channel_classifier(
+    net.channel_classifier = (
         lambda s, d: None if d == no_channel_to else classes[(s + d) % len(classes)]
     )
     if conditions.get("partition"):
@@ -341,9 +310,6 @@ def _fanout_fabric(factory, conditions):
         net.drop_filter = lambda msg: msg.recipient in dropped
     for window in conditions.get("degradations", ()):
         net.add_link_degradation(*window)
-    if conditions.get("stretch") is not None:
-        stretch = conditions["stretch"]
-        net.adversarial_scheduler = lambda msg: stretch + msg.recipient
     net.nodes[0].online = not conditions.get("offline_sender", False)
     return net
 
@@ -447,12 +413,6 @@ _EVERYONE = list(range(_FANOUT_NODES))
             id="overlapping-degradation-windows",
         ),
         pytest.param(
-            {"classes": _FANOUT_CLASSES, "stretch": 0.5},
-            _EVERYONE,
-            96,
-            id="adversarial-scheduler-on-partial-links",
-        ),
-        pytest.param(
             {"classes": (ChannelClass.LOCAL,)}, _EVERYONE, 96, id="local-no-draws"
         ),
         pytest.param({"offline_sender": True}, _EVERYONE, 96, id="offline-sender"),
@@ -518,7 +478,6 @@ def _fanout_conditions():
                 ),
                 max_size=3,
             ),
-            "stretch": st.floats(0.0, 30.0),
             "offline_sender": st.booleans(),
             "no_channel_to": node_ids,
         },
@@ -624,7 +583,7 @@ def _dispatch_story(factory, max_events=200_000, until=None):
     for node in nodes:
         net.add_node(node)
         node.on("MSG", lambda msg, node=node: node.hear("handler", msg))
-    net.set_channel_classifier(lambda s, d: ChannelClass.INTRA)
+    net.channel_classifier = lambda s, d: ChannelClass.INTRA
     nodes[1].online = False
     nodes[0].send(1, "MSG", "to-offline")
     nodes[0].send(2, "NOPE", "unknown-tag")
@@ -716,7 +675,7 @@ def test_channel_class_asked_once_per_pair_until_the_topology_changes(
 ):
     net, nodes = net_and_nodes
     asked = []
-    net.set_channel_classifier(_counting_classifier(ChannelClass.INTRA, asked))
+    net.channel_classifier = _counting_classifier(ChannelClass.INTRA, asked)
     for _ in range(3):
         nodes[0].send(1, "MSG", "x")
         nodes[0].multicast([1, 2], "MSG", "y")
@@ -726,7 +685,7 @@ def test_channel_class_asked_once_per_pair_until_the_topology_changes(
     # Replaced mid-run, from a handler: the next send on a used pair is
     # classified by the new topology.
     def rewire(msg):
-        net.set_channel_classifier(_counting_classifier(ChannelClass.KEY, asked))
+        net.channel_classifier = _counting_classifier(ChannelClass.KEY, asked)
         nodes[0].send(1, "AFTER", "z")
 
     nodes[3].on("REWIRE", rewire)
@@ -758,7 +717,7 @@ def test_missing_channel_and_unknown_recipient_raise_on_every_attempt(
 ):
     net, nodes = net_and_nodes
     asked = []
-    net.set_channel_classifier(
+    net.channel_classifier = (
         lambda s, d: asked.append((s, d)) or (None if d == 2 else ChannelClass.INTRA)
     )
 
@@ -818,7 +777,7 @@ def _run_fabric(factory=Network, classify=None, **params):
     log, kept = [], []
     for i in range(_RUN_NODES):
         net.add_node(_Tap(i, pki.generate(("run", i)), log, kept))
-    net.set_channel_classifier(classify or (lambda s, d: ChannelClass.INTRA))
+    net.channel_classifier = classify or (lambda s, d: ChannelClass.INTRA)
     return net, log, kept
 
 
@@ -1051,7 +1010,7 @@ def _moot_story(factory, script):
     net = factory(NetworkParams(jitter=script["jitter"]), np.random.default_rng(3))
     for i in range(_MOOT_NODES):
         net.add_node(ProtocolNode(i, pki.generate(("moot", i))))
-    net.set_channel_classifier(
+    net.channel_classifier = (
         lambda s, d: ChannelClass.KEY if (s + d) % 3 == 0 else ChannelClass.INTRA
     )
     moot = [set(members) for members in script["moot"]]

@@ -105,12 +105,25 @@ def test_light_vs_heavy_burden():
 
 
 def test_network_params_validation():
-    with pytest.raises(ValueError):
-        NetworkParams(delta=0)
-    with pytest.raises(ValueError):
-        NetworkParams(jitter=1.5)
-    with pytest.raises(ValueError):
-        NetworkParams(partial_max_stretch=0.5)
+    """Each bad value is refused at construction, naming its field.  Before
+    the finite and budget rules, a NaN delay ran a round to a NaN clock, an
+    infinite one packed nothing at an infinite clock, and a zero budget
+    failed at the first event."""
+    nan, inf = float("nan"), float("inf")
+    for field, value in (
+        ("delta", 0),
+        ("delta", nan),
+        ("delta", inf),
+        ("gamma", nan),
+        ("gamma", inf),
+        ("partial_base", -1.0),
+        ("partial_base", inf),
+        ("jitter", 1.5),
+        ("max_events", 0),
+        ("max_events", -5),
+    ):
+        with pytest.raises(ValueError, match=field):
+            NetworkParams(**{field: value})
     params = NetworkParams()
     with pytest.raises(ValueError):
         params.base_delay("bogus")

@@ -2,15 +2,12 @@
 
 import numpy as np
 import pytest
+from tx_builders import make_transfer
 
 from repro.core.sandbox import build_sandbox
 from repro.ledger.state import apply_block
-from repro.ledger.transaction import make_coinbase, make_transfer
-from repro.nodes.adversary import (
-    AdversaryConfig,
-    AdversaryController,
-    honest_majority_everywhere,
-)
+from repro.ledger.transaction import make_coinbase
+from repro.nodes.adversary import AdversaryConfig, AdversaryController
 from repro.nodes.behaviors import (
     BEHAVIOR_REGISTRY,
     Behavior,
@@ -162,10 +159,3 @@ def test_config_validation():
         AdversaryConfig(fraction=1.5)
     with pytest.raises(ValueError):
         AdversaryConfig(leader_strategy="nonexistent")
-
-
-def test_honest_majority_predicate(rng):
-    controller = AdversaryController(AdversaryConfig(fraction=0.0), list(range(9)), rng)
-    assert honest_majority_everywhere([[0, 1, 2], [3, 4, 5]], controller)
-    controller.corrupted = {0, 1}
-    assert not honest_majority_everywhere([[0, 1, 2]], controller)

@@ -3,6 +3,7 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_impls import feldman_check
 
 from repro.analysis.security import (
     committee_failure_exact,
@@ -18,7 +19,7 @@ from repro.core.reputation import (
 from repro.crypto.field import FIELD
 from repro.ledger.workload import TxMempool, WorkloadGenerator
 from repro.crypto.hashing import H, canonical_bytes
-from repro.crypto.pvss import deal, feldman_check, reconstruct
+from repro.crypto.pvss import deal, reconstruct
 from repro.ledger.transaction import Transaction
 from repro.ledger.utxo import UTXOSet, ValidationResult, validate_transaction
 from repro.net.message import payload_size

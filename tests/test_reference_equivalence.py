@@ -153,7 +153,7 @@ def test_network_jitter_block_matches_naive_scalar_network():
     pki = PKI()
     schedules = []
     for net in (fast, naive):
-        net.set_channel_classifier(lambda src, dst: "intra")
+        net.channel_classifier = lambda src, dst: "intra"
         for i in range(2):
             net.add_node(ProtocolNode(i, pki.generate(i)))
         for _ in range(100):
@@ -258,7 +258,7 @@ def test_envelope_pool_reuses_but_never_corrupts_delivery():
     for node in nodes:
         node.on("T", lambda m: seen.append((m.payload, m.sender)))
         net.add_node(node)
-    net.set_channel_classifier(lambda s, d: "intra")
+    net.channel_classifier = lambda s, d: "intra"
     for i in range(50):
         nodes[0].send(1, "T", f"p{i}")
     net.run()
