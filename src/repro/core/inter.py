@@ -14,6 +14,8 @@ For transactions whose inputs live in shard *i* and (some) outputs in shard
    member list whose hash C_R accepted for committee *i* (a forged
    consensus "concerning the semi-commitment" fails here, Lemma 6), then
    reaches agreement on the output side and leader *j* returns the result.
+   Both sides' vote rounds are audited like Algorithm 5's
+   (:func:`repro.core.intra.run_audited_rounds`).
 4. **Lemma 7 timeout** — a partial member of *j* that received the package
    from *i* but saw no proposal from its own leader within 2Γ forwards the
    package to the leader and keeps running; a still-silent leader is then
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.intra import _audit_and_maybe_retry, accuse, silence_witness
+from repro.core.intra import accuse, run_audited_rounds, silence_witness
 from repro.core.structures import RecoveryEvent, RoundContext
 from repro.core.tags import Tags
 from repro.core.voting import (
@@ -41,7 +43,6 @@ from repro.core.voting import (
     input_side_votes,
     output_side_votes,
     record_votes,
-    run_vote_rounds,
 )
 from repro.ledger.transaction import ShardMap, Transaction
 from repro.ledger.utxo import ValidationResult
@@ -110,12 +111,8 @@ def run_inter_consensus(ctx: RoundContext) -> InterReport:
         )
         for (i, j), txs in sorted(pair_txs.items())
     ]
-    rounds = run_vote_rounds(ctx, work)
-    for ((i, j), _), round_result in zip(sorted(pair_txs.items()), rounds):
-        committee = committees_by_index[i]
-        final = _audit_and_maybe_retry(
-            ctx, committee, round_result, report, phase_name="inter"
-        )
+    rounds = run_audited_rounds(ctx, work, report)
+    for (i, j), final in zip(sorted(pair_txs), rounds):
         report.send_rounds[(i, j)] = final
         record_votes(ctx, i, final)
 
@@ -204,31 +201,27 @@ def run_inter_consensus(ctx: RoundContext) -> InterReport:
         report.lemma7_forwards.append(key)
         # "he/she can send the transactions set to his/her leader and
         # continues running consensus protocol" — forward, then if the
-        # leader still will not run it, impeach for silence and let the new
-        # leader (the forwarder) run the receiving-side round itself.
-        if key not in packages:
-            continue  # the package never reached the leader's mailbox
-        txs, alg3_payload, cert, session = packages[key]
-        if not leader_node.behavior.forwards_inter(leader_node):
-            # The forwarded package is ignored by the leader: the probe vote
-            # round runs with no proposal, producing exactly the
-            # NO_PROPOSAL quorum the silence impeachment needs.
-            probe = VoteRoundSession(
-                ctx,
-                receiver_committee,
-                txs,
-                f"interrecv:{i}:{j}:probe",
-                output_side_votes,
-                "inter-recv",
-                leader_proposes_override=False,
-            )
-            probe.start()
-            ctx.net.run()
-            witness = silence_witness(
-                ctx, receiver_committee, probe.finish(), "inter-recv"
-            )
-            if witness is not None:
-                accuse(ctx, receiver_committee, witness, f"interrec:{i}:{j}", report)
+        # leader still will not run it, impeach for silence (once a phase)
+        # and let the new leader (the forwarder) run the receiving side.
+        if key not in packages or any(e.committee == j for e in report.recoveries):
+            continue  # never reached the leader's mailbox, or already tried
+        # The forwarded package is ignored by the leader: the probe vote
+        # round runs with no proposal, producing exactly the NO_PROPOSAL
+        # quorum the silence impeachment needs.
+        probe = VoteRoundSession(
+            ctx,
+            receiver_committee,
+            packages[key][0],
+            f"interrecv:{i}:{j}:probe",
+            output_side_votes,
+            "inter-recv",
+            leader_proposes_override=False,
+        )
+        probe.start()
+        ctx.net.run()
+        witness = silence_witness(ctx, receiver_committee, probe.finish(), "inter-recv")
+        if witness is not None:
+            accuse(ctx, receiver_committee, witness, f"interrec:{i}:{j}", report)
 
     # -- stage 3: receiving-side vote rounds ------------------------------------
     recv_work, recv_keys = [], []
@@ -237,7 +230,7 @@ def run_inter_consensus(ctx: RoundContext) -> InterReport:
         receiver_committee = committees_by_index[j]
         leader_node = ctx.node(receiver_committee.leader)
         if not leader_node.behavior.forwards_inter(leader_node):
-            continue  # only reachable if recovery failed
+            continue  # a recovery failed or was not tried
         recv_keys.append(key)
         recv_work.append(
             (
@@ -248,7 +241,7 @@ def run_inter_consensus(ctx: RoundContext) -> InterReport:
                 "inter-recv",
             )
         )
-    recv_rounds = run_vote_rounds(ctx, recv_work)
+    recv_rounds = run_audited_rounds(ctx, recv_work, report)
 
     # -- stage 4: results back to the sending leader ------------------------------
     results_received: dict[tuple[int, int], tuple] = {}

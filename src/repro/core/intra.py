@@ -13,8 +13,11 @@ meanwhile, malicious members can never calumniate a non-faulty leader"):
 * **Silence** — no TXList by the 6Δ deadline → quorum of NO_PROPOSAL
   countersignatures → silence witness → impeachment → re-run.
 
-One retry per committee per round suffices: the replacement leader is the
-(honest, by the partial-set security argument §V-C) accusing partial member.
+:func:`run_audited_rounds` runs every batch of vote rounds under the one
+audit rule (here, and on both sides of :mod:`repro.core.inter`).  One
+impeachment per committee per phase suffices: the replacement leader is the
+(honest, by the partial-set security argument §V-C) accusing partial member,
+and it re-runs every round the old leader was convicted on.
 """
 
 from __future__ import annotations
@@ -159,44 +162,44 @@ def run_intra_consensus(ctx: RoundContext) -> IntraReport:
         )
         for committee in ctx.committees
     ]
-    rounds = run_vote_rounds(ctx, work)
-    for committee, round_result in zip(list(ctx.committees), rounds):
-        final = _audit_and_maybe_retry(ctx, committee, round_result, report)
+    rounds = run_audited_rounds(ctx, work, report)
+    for committee, final in zip(list(ctx.committees), rounds):
         report.rounds[committee.index] = final
         record_votes(ctx, committee.index, final)
     _send_to_referee(ctx, report)
     return report
 
 
-def _audit_and_maybe_retry(
-    ctx: RoundContext,
-    committee: CommitteeSpec,
-    round_result: VoteRound,
-    report,
-    phase_name: str = "intra",
-) -> VoteRound:
-    witness = audit_vote_round(ctx, committee, round_result, phase_name)
-    if witness is None:
-        return round_result
-    event = accuse(
-        ctx, committee, witness, f"{phase_name}rec:{committee.index}", report
-    )
-    if event is None or not event.succeeded:
-        return round_result
-    report.retried.append(committee.index)
-    retry = run_vote_rounds(
-        ctx,
-        [
-            (
-                committee,
-                round_result.txs,
-                f"{phase_name}:{committee.index}:retry",
-                input_side_votes,
-                phase_name,
-            )
-        ],
-    )[0]
-    return retry
+def run_audited_rounds(ctx: RoundContext, work: list, report) -> list[VoteRound]:
+    """:func:`run_vote_rounds` on ``work`` under §V-E's one audit rule: per
+    committee, in batch order, every round is audited; the first witness is
+    prosecuted, at most once per committee per phase (``report.recoveries``
+    holds the phase's); on success every convicted round re-runs under the
+    new leader, in one batch, as ``{session}:retry``.  Returns the final
+    round per work item."""
+    rounds = run_vote_rounds(ctx, work)
+    batch: dict[int, list[int]] = {}
+    for n, (committee, *_rest) in enumerate(work):
+        batch.setdefault(committee.index, []).append(n)
+    for k, items in batch.items():
+        committee, phase = work[items[0]][0], work[items[0]][4]
+        if any(e.committee == k for e in report.recoveries):
+            continue
+        witnesses = [audit_vote_round(ctx, committee, rounds[n], phase) for n in items]
+        convicted = [(n, w) for n, w in zip(items, witnesses) if w is not None]
+        if not convicted:
+            continue
+        event = accuse(ctx, committee, convicted[0][1], f"{phase}rec:{k}", report)
+        if event is None or not event.succeeded:
+            continue
+        report.retried.append(k)
+        retry = [
+            (committee, rounds[n].txs, f"{rounds[n].session}:retry", *work[n][3:])
+            for n, _w in convicted
+        ]
+        for (n, _w), retried in zip(convicted, run_vote_rounds(ctx, retry)):
+            rounds[n] = retried
+    return rounds
 
 
 def _send_to_referee(ctx: RoundContext, report: IntraReport) -> None:

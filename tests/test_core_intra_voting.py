@@ -4,7 +4,7 @@ The decisions (C_R's accepted sets, the impeachments) are compared with the
 reference model of ``decision_reference.py``."""
 
 import numpy as np
-from test_decision_reference import intra_decides_like_the_reference
+from test_decision_reference import decides_like_the_reference
 from test_decision_reference import staged as setup
 
 from repro.core.intra import run_intra_consensus
@@ -18,7 +18,7 @@ from repro.nodes.behaviors import (
 
 
 def test_honest_intra_accepts_only_valid():
-    _report, (accepted, impeachments) = intra_decides_like_the_reference(setup())
+    _report, (accepted, impeachments) = decides_like_the_reference(setup(), "intra")
     assert sorted(accepted) == [0, 1, 2] and all(accepted.values())
     assert not impeachments
 
@@ -44,20 +44,20 @@ def test_vote_records_stored_for_reputation():
 def test_contrary_minority_outvoted():
     # 3 of 8 contrary voters in committee 0 (0 is leader)
     ctx = setup(behaviors={i: ContraryVoter() for i in (3, 4, 5)}, seed=4)
-    _report, (accepted, _) = intra_decides_like_the_reference(ctx)
+    _report, (accepted, _) = decides_like_the_reference(ctx, "intra")
     assert accepted[0]
 
 
 def test_lazy_voters_do_not_block():
     ctx = setup(behaviors={i: LazyVoter() for i in (5, 6)}, seed=5)
-    _report, (accepted, _) = intra_decides_like_the_reference(ctx)
+    _report, (accepted, _) = decides_like_the_reference(ctx, "intra")
     assert 0 in accepted
 
 
 def test_capacity_limits_cause_unknowns():
     # every member of committee 0 but its leader can only judge 2 txs
     ctx = setup(capacities=[10_000] + [2] * 7, seed=6)
-    report, (accepted, _) = intra_decides_like_the_reference(ctx)
+    report, (accepted, _) = decides_like_the_reference(ctx, "intra")
     round0 = report.rounds[0]
     assert len(round0.txids) > 2 and np.all(round0.matrix[1:, 2:] == 0)
     assert len(accepted[0]) <= 2  # only the leader judged the rest
@@ -65,21 +65,21 @@ def test_capacity_limits_cause_unknowns():
 
 def test_censoring_leader_detected_and_phase_recovers():
     ctx = setup(behaviors={8: CensoringLeader()}, seed=7)
-    _report, (accepted, impeachments) = intra_decides_like_the_reference(ctx)
+    _report, (accepted, impeachments) = decides_like_the_reference(ctx, "intra")
     assert impeachments == [(1, "censor", 8, 9, True)]
     assert 1 in accepted and ctx.committees[1].leader == 9
 
 
 def test_silent_leader_detected_and_phase_recovers():
     ctx = setup(behaviors={0: SilentLeader()}, seed=8)
-    _report, (accepted, impeachments) = intra_decides_like_the_reference(ctx)
+    _report, (accepted, impeachments) = decides_like_the_reference(ctx, "intra")
     assert impeachments == [(0, "silence", 0, 1, True)]
     assert 0 in accepted and ctx.committees[0].leader == 1
 
 
 def test_equivocating_leader_detected_in_vote_round():
     ctx = setup(behaviors={16: EquivocatingLeader()}, seed=9)
-    _report, (accepted, impeachments) = intra_decides_like_the_reference(ctx)
+    _report, (accepted, impeachments) = decides_like_the_reference(ctx, "intra")
     assert impeachments == [(2, "equivocation", 16, 17, True)]
     assert 2 in accepted and ctx.committees[2].leader == 17
 
@@ -87,7 +87,7 @@ def test_equivocating_leader_detected_in_vote_round():
 def test_empty_mempool_is_fine():
     ctx = setup()
     ctx.mempools[:] = [[], [], []]
-    report, (accepted, _) = intra_decides_like_the_reference(ctx)
+    report, (accepted, _) = decides_like_the_reference(ctx, "intra")
     assert accepted == {0: (), 1: (), 2: ()}
     assert all(r.txs == [] for r in report.rounds.values())
 

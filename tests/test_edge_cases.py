@@ -1,7 +1,7 @@
 """Edge cases and failure-injection scenarios across modules."""
 
 import numpy as np
-from test_decision_reference import intra_decides_like_the_reference, staged
+from test_decision_reference import decides_like_the_reference, staged
 
 from repro.core.committee import run_committee_configuration
 from repro.core.intra import audit_vote_round, first_honest_partial
@@ -34,7 +34,7 @@ def test_recovery_impossible_with_all_malicious_partials():
     behaviors = {0: EquivocatingLeader(), 1: ContraryVoter(), 2: ContraryVoter()}
     ctx = staged(m=1, c=9, behaviors=behaviors, txs=10, invalid=0.0)
     assert first_honest_partial(ctx, ctx.committees[0]) is None
-    _report, (_accepted, impeachments) = intra_decides_like_the_reference(ctx)
+    _report, (_accepted, impeachments) = decides_like_the_reference(ctx, "intra")
     assert impeachments == []  # detected but unprosecutable
     assert ctx.committees[0].leader == 0  # leader survives (this round)
 

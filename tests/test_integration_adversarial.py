@@ -1,7 +1,7 @@
 """Adversarial integration scenarios beyond the basic runs."""
 
 import pytest
-from test_decision_reference import impeached_at_seeds
+from test_decision_reference import compare_every_round, impeached_at_seeds
 
 from repro import AdversaryConfig, CycLedger, ProtocolParams
 
@@ -47,6 +47,7 @@ def test_offline_adversary_liveness():
     """A fifth of the network silently offline: blocks still flow."""
     adv = AdversaryConfig(fraction=0.2, offline_fraction=1.0)
     ledger = CycLedger(params(seed=3), adversary=adv)
+    compare_every_round(ledger)
     reports = ledger.run(2)
     assert all(r.block is not None for r in reports)
     assert all(r.packed > 0 for r in reports)
@@ -59,6 +60,7 @@ def test_expelled_leader_not_reselected_immediately():
         adv = AdversaryConfig(fraction=0.3, leader_strategy="equivocating_leader",
                               voter_strategy="honest")
         ledger = CycLedger(params(seed=seed), adversary=adv)
+        compare_every_round(ledger)
         report = ledger.run_round()
         if not report.recoveries:
             continue
@@ -86,6 +88,7 @@ def test_prefilter_enabled_full_protocol():
         params(seed=5, prefilter_cross_shard=True,
                cross_shard_ratio=0.5, invalid_ratio=0.4)
     )
+    compare_every_round(ledger)
     reports = ledger.run(2)
     assert all(r.block is not None for r in reports)
     assert sum(r.inter.prefilter_savings for r in reports) > 0
