@@ -42,7 +42,6 @@ without a checker) fails a test.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -175,28 +174,15 @@ class InvariantChecker:
     With ``raise_on_violation=False`` violations accumulate in
     :attr:`violations` instead (useful to census a deliberately faulty
     run).
-
-    ``spent_retention`` bounds the incremental spent-outpoint set to the
-    last N rounds' spends (a *compacted frontier*), keeping double-spend
-    detection O(window) in memory for epoch-scale soaks.  Double-spends of
-    outpoints older than the window escape detection — acceptable because
-    the workload's double-spend injector draws from a similarly bounded
-    history (``ProtocolParams.spent_retention``); 0 keeps the full history.
     """
 
-    def __init__(
-        self, raise_on_violation: bool = True, spent_retention: int = 0
-    ) -> None:
+    def __init__(self, raise_on_violation: bool = True) -> None:
         self.raise_on_violation = raise_on_violation
-        self.spent_retention = spent_retention
         self.violations: list[InvariantViolation] = []
         self.rounds_checked = 0
         self._ledger: Any = None
         self._snap = _RoundSnapshot()
         self._spent: set[tuple[bytes, int]] = set()
-        # (round_number, outpoints spent that round) — the compaction
-        # frontier when spent_retention > 0.
-        self._spent_window: deque[tuple[int, set[tuple[bytes, int]]]] = deque()
 
     # -- wiring ------------------------------------------------------------
     def install(self, ledger: Any) -> None:
@@ -258,7 +244,6 @@ class InvariantChecker:
         chain = ledger.chain
         blocks = chain.blocks
         start = max(0, self._snap.blocks_seen - getattr(chain, "pruned_blocks", 0))
-        round_spent: set[tuple[bytes, int]] = set()
         for block in blocks[start:]:
             if block.prev_hash != self._snap.last_hash:
                 self._record(
@@ -290,13 +275,6 @@ class InvariantChecker:
                         )
                     in_block.add(outpoint)
             self._spent |= in_block
-            round_spent |= in_block
-        if self.spent_retention:
-            self._spent_window.append((round_number, round_spent))
-            cutoff = round_number - self.spent_retention
-            while self._spent_window and self._spent_window[0][0] <= cutoff:
-                _, expired = self._spent_window.popleft()
-                self._spent -= expired
 
     def _check_utxo_conservation(self, ledger: Any, round_number: int) -> None:
         total = ledger.global_utxos.total_value()

@@ -79,18 +79,17 @@ class RivalBackend(CommitteeSimBackend):
         tag: str,
         payload: Any,
         total_bytes: int,
-        chunks: int | None = None,
     ) -> None:
         """Approximate erasure-coded dissemination: the payload travels as
-        ``chunks`` equal fragments per recipient (IDA-gossip's traffic
-        shape without modelling the coding itself).
+        :attr:`dissemination_chunks` equal fragments per recipient
+        (IDA-gossip's traffic shape without modelling the coding itself).
 
         One fan-out, recipient-major: exactly the loop of per-chunk sends
         it stands for (the same ``seq``s, jitter draws, hook calls and
         delivery order, and the same traffic totals).  A chunk carries the
         payload alone; the handler counts chunks by recipient.
         """
-        chunks = chunks if chunks is not None else self.dissemination_chunks
+        chunks = self.dissemination_chunks
         chunk_bytes = max(1, total_bytes // max(1, chunks))
         sender.multicast(
             [r for r in recipients for _ in range(chunks)],

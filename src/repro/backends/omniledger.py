@@ -64,7 +64,6 @@ class OmniLedgerBackend(RivalBackend):
                 continue
             if 3 * yes.get(spec.index, 0) > 2 * spec.size:
                 accepted[spec.index] = txlist
-        ctx.intra_results = accepted
         return accepted
 
     def _phase_atomix(self, ctx: RoundContext) -> dict[int, list[TaggedTx]]:
@@ -107,7 +106,6 @@ class OmniLedgerBackend(RivalBackend):
         final, self._atomix_started = self._route_cross_shard(
             ctx, accepted, "ol/lock", unlocked
         )
-        ctx.inter_results = final
         return final
 
     def _phase_block(self, ctx: RoundContext) -> PackReport:

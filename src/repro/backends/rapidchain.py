@@ -70,7 +70,6 @@ class RapidChainBackend(RivalBackend):
                 continue
             if 2 * yes.get(spec.index, 0) > spec.size:
                 accepted[spec.index] = txlist
-        ctx.intra_results = accepted
         return accepted
 
     def _phase_routing(self, ctx: RoundContext) -> dict[int, list[TaggedTx]]:
@@ -103,7 +102,6 @@ class RapidChainBackend(RivalBackend):
             node.on("rc/xsack", on_ack)
 
         final, self._routed = self._route_cross_shard(ctx, accepted, "rc/xs", acks)
-        ctx.inter_results = final
         return final
 
     def _phase_block(self, ctx: RoundContext) -> PackReport:

@@ -31,8 +31,3 @@ class ElasticoModel(ProtocolModel):
 
     def fail_probability(self, m, c, lam):
         return as_float(round_failure_elastico(m, c))
-
-    def epoch_failure(self, m: int, c: int, epochs: int) -> float:
-        """Failure probability over several epochs (the 97%/6-epochs claim)."""
-        per_epoch = self.fail_probability(m, c, 0)
-        return 1.0 - (1.0 - per_epoch) ** epochs

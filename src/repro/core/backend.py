@@ -489,7 +489,6 @@ class CommitteeSimBackend:
 
         self._stage_next_round(phase_reports)
         self.round_number += 1
-        self.adversary.advance_round()
         self.pipeline.end_round(self, report)
         return report
 

@@ -84,12 +84,6 @@ class ConsensusOutcome:
     cert: list[Signature] = field(default_factory=list)
     equivocation: EquivocationWitness | None = None
     confirms: int = 0
-    started_at: float = 0.0
-    finished_at: float = 0.0
-
-    @property
-    def elapsed(self) -> float:
-        return self.finished_at - self.started_at
 
 
 def consensus_digest(payload: Any) -> bytes:
@@ -313,7 +307,6 @@ class InsideConsensus:
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:
-        self.outcome.started_at = self.ctx.net.now
         # One handler per message kind for the whole session, registered on
         # every member: the member a delivery is for is its recipient.
         on_propose, on_echo, on_stop = (
@@ -591,13 +584,10 @@ class InsideConsensus:
             self.outcome.payload = self.payload
             self.outcome.digest = expected_digest
             self.outcome.cert = list(self._confirm_sigs.values())
-            self.outcome.finished_at = self.ctx.net.now
 
     # -- convenience -------------------------------------------------------------
     def run(self) -> ConsensusOutcome:
         """Start and drive the network to quiescence (single-session use)."""
         self.start()
         self.ctx.net.run()
-        if self.outcome.finished_at == 0.0:
-            self.outcome.finished_at = self.ctx.net.now
         return self.outcome

@@ -200,11 +200,6 @@ class RoundWindow:
     end: float
     phases: tuple[PhaseWindow, ...]
 
-    @property
-    def span(self) -> float:
-        """Wall-to-wall sim time this round occupied on the timeline."""
-        return self.end - self.start
-
 
 class OverlapScheduler:
     """Composes measured per-round phase spans into an end-to-end timeline.

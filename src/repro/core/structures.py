@@ -134,7 +134,6 @@ class RoundContext:
     intra_results: dict[int, Any] = field(default_factory=dict)
     inter_results: dict[int, Any] = field(default_factory=dict)
     vote_records: dict[int, Any] = field(default_factory=dict)
-    score_lists: dict[int, Any] = field(default_factory=dict)
     expelled_leaders: set[int] = field(default_factory=set)
     # Lazy pk -> node index backing :meth:`node_by_pk` (populations are
     # fixed for a context's lifetime, so one build serves every lookup).

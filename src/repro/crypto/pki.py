@@ -22,7 +22,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.crypto.hashing import H, canonical_bytes
+from repro.crypto.hashing import canonical_bytes
 
 _BLOCK = 64  # SHA-256's block size in bytes
 _IPAD = bytes(x ^ 0x36 for x in range(256))
@@ -153,7 +153,3 @@ class PKI:
 
     def __len__(self) -> int:
         return len(self._secrets)
-
-    def fingerprint(self) -> bytes:
-        """Commitment to the full registry contents (for genesis blocks)."""
-        return H(sorted(self._secrets))

@@ -27,9 +27,8 @@ mid-policy.
 re-supplied at load time; capacity draws happen during construction from
 the protocol RNG whose state is overwritten afterwards, so supplying the
 same function reproduces the same capacities.  The ``scenario`` is a
-frozen dataclass and travels inside the checkpoint; it can be *overridden*
-at load time for warm-start sweeps (seed-paired arms that resume from a
-shared fault-free prefix and diverge only in the arm's scenario).
+frozen dataclass and travels inside the checkpoint, so a restored run
+resumes the timeline it was captured on.
 
 On disk a checkpoint is a fixed header — magic, layout version, payload
 length, SHA-256 of the payload — followed by the pickled capture.
@@ -55,13 +54,13 @@ import numpy as np
 #: holds ``(home, consumed, transaction)`` and ``metrics`` lost its per-node,
 #: per-channel and event counters; 6: the pickled ``ProtocolParams`` lost
 #: its vote-window field, now ``core.config.VOTE_WINDOW_DELTAS``, and its
-#: ``NetworkParams`` lost the partial-channel stretch bound).
-CHECKPOINT_VERSION = 6
+#: ``NetworkParams`` lost the partial-channel stretch bound; 7: the
+#: adversary block lost ``pending_corruptions``, the delayed-corruption
+#: queue nothing filled).
+CHECKPOINT_VERSION = 7
 
 #: What the current layout changed, named in a version mismatch.
-_LAYOUT_CHANGE = (
-    "layout 6 dropped a field from each of 'params' and 'params.net'"
-)
+_LAYOUT_CHANGE = "layout 7 dropped 'adversary.pending_corruptions'"
 
 #: File header: magic, layout version, payload length, payload SHA-256.
 MAGIC = b"CYCLCKPT"
@@ -70,8 +69,6 @@ _HEADER = struct.Struct(">8sIQ32s")
 #: Pinned pickle protocol so checkpoint files are stable across the
 #: Python versions the CI matrix spans (3.10–3.13).
 PICKLE_PROTOCOL = 4
-
-_UNSET = object()
 
 
 def _capture_metrics(metrics: Any) -> dict[str, Any]:
@@ -178,7 +175,6 @@ def capture_checkpoint(ledger: Any) -> dict[str, Any]:
             "corruption_order": list(adversary._corruption_order),
             "corrupted": set(adversary.corrupted),
             "offline": set(adversary.offline),
-            "pending_corruptions": set(adversary._pending_corruptions),
             "forced_offline": set(adversary.forced_offline),
         },
         "scenario_driver": (
@@ -208,17 +204,12 @@ def capture_checkpoint(ledger: Any) -> dict[str, Any]:
 def restore_checkpoint(
     state: dict[str, Any],
     capacity_fn: Callable[[int, np.random.Generator], int] | None = None,
-    scenario: Any = _UNSET,
 ) -> Any:
     """Rebuild a ledger from a :func:`capture_checkpoint` dict.
 
     The backend is constructed normally (same deterministic genesis,
-    keys, and capacities), then every mutable field is overwritten with
-    the captured state.  ``scenario`` overrides the captured one when
-    given — the warm-start hook: captured driver state is reapplied only
-    when the effective scenario equals the captured one, so an arm resumed
-    with a *different* scenario starts its driver fresh, exactly as the
-    uninterrupted arm would.
+    keys, capacities and scenario), then every mutable field is
+    overwritten with the captured state.
     """
     from repro.backends import create_backend
 
@@ -227,15 +218,12 @@ def restore_checkpoint(
             f"checkpoint field 'version': {state['version']} != supported "
             f"{CHECKPOINT_VERSION} ({_LAYOUT_CHANGE})"
         )
-    effective_scenario = (
-        state["scenario"] if scenario is _UNSET else scenario
-    )
     ledger = create_backend(
         state["backend"],
         state["params"],
         adversary=state["adversary_config"],
         capacity_fn=capacity_fn,
-        scenario=effective_scenario,
+        scenario=state["scenario"],
     )
 
     ledger.round_number = state["round_number"]
@@ -299,18 +287,11 @@ def restore_checkpoint(
     adversary._corruption_order = list(state["adversary"]["corruption_order"])
     adversary.corrupted = set(state["adversary"]["corrupted"])
     adversary.offline = set(state["adversary"]["offline"])
-    adversary._pending_corruptions = set(
-        state["adversary"]["pending_corruptions"]
-    )
     adversary.forced_offline = set(state["adversary"]["forced_offline"])
 
-    if (
-        state["scenario_driver"] is not None
-        and ledger.scenario_driver is not None
-        and effective_scenario == state["scenario"]
-    ):
+    captured = state["scenario_driver"]
+    if captured is not None:
         driver = ledger.scenario_driver
-        captured = state["scenario_driver"]
         driver._crashed_until = dict(captured["crashed_until"])
         baseline = captured["baseline"]
         driver._baseline = None if baseline is None else list(baseline)
@@ -357,13 +338,11 @@ def save_checkpoint(ledger: Any, path: str) -> dict[str, Any]:
 def load_checkpoint(
     path: str,
     capacity_fn: Callable[[int, np.random.Generator], int] | None = None,
-    scenario: Any = _UNSET,
 ) -> Any:
     """Check ``path``'s header, then unpickle it and rebuild the ledger it
     captured.  Nothing is unpickled unless magic, version, length and
     digest all match; the ``ValueError`` names the one that did not.  See
-    :func:`restore_checkpoint` for the ``capacity_fn`` and warm-start
-    override semantics."""
+    :func:`restore_checkpoint` for ``capacity_fn``."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _HEADER.size or not data.startswith(MAGIC):
@@ -382,6 +361,4 @@ def load_checkpoint(
         )
     if hashlib.sha256(payload).digest() != digest:
         raise ValueError(f"{path}: payload digest mismatch (corrupted file?)")
-    return restore_checkpoint(
-        pickle.loads(payload), capacity_fn=capacity_fn, scenario=scenario
-    )
+    return restore_checkpoint(pickle.loads(payload), capacity_fn=capacity_fn)

@@ -180,13 +180,11 @@ def transaction_fee(tx: Transaction, utxos: UTXOSet) -> int:
 
 
 def validate_batch(
-    txs: Iterable[Transaction], utxos: UTXOSet, sequential: bool = True
+    txs: Iterable[Transaction], utxos: UTXOSet
 ) -> list[ValidationResult]:
-    """Validate a list in order.  With ``sequential=True`` each valid tx is
-    applied to a scratch copy before the next is checked, so intra-batch
-    double spends are caught (the committee-level semantics)."""
-    if not sequential:
-        return [validate_transaction(tx, utxos) for tx in txs]
+    """Validate a list in order.  Each valid tx is applied to a scratch copy
+    before the next is checked, so intra-batch double spends are caught
+    (the committee-level semantics)."""
     scratch = UTXOSet()
     scratch._utxos = utxos.snapshot()  # the one copy
     results = []

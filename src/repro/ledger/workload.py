@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -320,13 +320,6 @@ class WorkloadGenerator:
         bound = self.spent_retention
         if bound and len(self._spent) > bound:
             del self._spent[: len(self._spent) - bound]
-
-    def by_home_shard(self, batch: Sequence[TaggedTx]) -> list[list[TaggedTx]]:
-        """Route a batch to committees by input ownership (Fig. 2 step 2)."""
-        routed: list[list[TaggedTx]] = [[] for _ in range(self.m)]
-        for tagged in batch:
-            routed[tagged.home_shard].append(tagged)
-        return routed
 
 
 # -- the persistent mempool ---------------------------------------------------

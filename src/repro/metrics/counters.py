@@ -52,9 +52,6 @@ class MetricsCollector:
         return self.node_roles.get(node_id, Roles.COMMON)
 
     # -- recording -----------------------------------------------------------
-    def record_send(self, sender: int, nbytes: int) -> None:
-        self.record_sends(sender, 1, nbytes)
-
     def record_sends(self, sender: int, count: int, nbytes: int) -> None:
         """Record ``count`` messages of ``nbytes`` each from ``sender``: one
         fan-out's traffic in one call (``Network.multicast``).  ``count``
@@ -72,15 +69,6 @@ class MetricsCollector:
         cell.storage = max(cell.storage, items)
 
     # -- queries ---------------------------------------------------------------
-    def messages_in(self, phase: str, role: str) -> int:
-        return self.cells[(phase, role)].messages
-
-    def bytes_in(self, phase: str, role: str) -> int:
-        return self.cells[(phase, role)].bytes
-
-    def storage_in(self, phase: str, role: str) -> int:
-        return self.cells[(phase, role)].storage
-
     def total_messages(self) -> int:
         return sum(cell.messages for cell in self.cells.values())
 

@@ -14,7 +14,8 @@ The reordering this allows is the jitter: every delay is drawn in
 ``[base·(1-jitter), base]``, which permutes deliveries on every channel and
 never exceeds the Δ/Γ bounds.  Lost messages are ``drop_filter`` and
 partitions, a faulty sender is its node's behaviour, and faults outside the
-model (links slower than Δ/Γ) are :meth:`Network.add_link_degradation`.
+model (links slower than Δ/Γ) are :meth:`Network.add_link_degradation`, which
+lasts the rest of the round.
 """
 
 from __future__ import annotations
@@ -105,17 +106,13 @@ class Network:
         self.dropped_messages = 0
         self.drop_filter: Callable[[Message], bool] | None = None
         # Fault-injection state (scenario layer): a node -> group map where
-        # crossing groups means the link is cut, plus time-windowed delay
-        # multipliers.  Both compose with drop_filter.
+        # crossing groups means the link is cut, plus per-class delay
+        # multipliers for the round.  Both compose with drop_filter.
         self._partition: dict[int, int] | None = None
         self.partition_dropped = 0
-        # Degradation windows, kept sorted by start time.  Delivery time is
-        # monotone within a round, so lookups keep a cursor into the sorted
-        # list and an active set instead of scanning every window per send
-        # (see :meth:`_degradation_factor`).
-        self._degradations: list[tuple[float, float, float, frozenset[str] | None]] = []
-        self._deg_cursor = 0
-        self._deg_active: list[tuple[float, float, float, frozenset[str] | None]] = []
+        # channel class -> the product of this round's degradations that
+        # hold it (see :meth:`add_link_degradation`); empty: none.
+        self._degradation: dict[str, float] = {}
         # Round-local activation ledger: node ids that allocated a mailbox
         # (registered their first handler) this round, in activation order.
         # Idle nodes never appear here — at large n that is most of them —
@@ -161,9 +158,7 @@ class Network:
         self.drop_filter = None
         self._partition = None
         self.partition_dropped = 0
-        self._degradations.clear()
-        self._deg_cursor = 0
-        self._deg_active.clear()
+        self._degradation.clear()
         self._activated.clear()
 
     def note_activation(self, node_id: int) -> None:
@@ -218,73 +213,30 @@ class Network:
                 mapping[int(node_id)] = group_id
         self._partition = mapping or None
 
-    @property
-    def partitioned(self) -> bool:
-        return self._partition is not None
-
     def partition_group(self, node_id: int) -> int:
         """The partition group ``node_id`` is in (-1: the remainder group,
         and every node's group while the fabric is whole)."""
         return -1 if self._partition is None else self._partition.get(node_id, -1)
 
     def add_link_degradation(
-        self,
-        factor: float,
-        start: float = 0.0,
-        end: float = float("inf"),
-        channels: "Iterable[str] | None" = None,
+        self, factor: float, channels: "Iterable[str] | None" = None
     ) -> None:
-        """Multiply sampled delays by ``factor`` for sends in the sim-time
-        window ``[start, end)``, optionally restricted to channel classes.
+        """Multiply the sampled delay of every later send this round by
+        ``factor``, on the channel classes given (default: all).
 
         This deliberately may violate the paper's synchrony bounds (it
-        models infrastructure faults, not the in-model adversary), and it
-        applies to every channel class given.
-        Degradations stack multiplicatively and are cleared by
-        :meth:`reset`.
+        models infrastructure faults, not the in-model adversary).
+        Degradations stack: a class's multiplier is the product, in
+        registration order, of the factors whose classes hold it.  They
+        last the round: :meth:`reset` clears them.
         """
         if factor < 1.0:
             raise ValueError("degradation factor must be >= 1")
-        self._degradations.append(
-            (start, end, float(factor), frozenset(channels) if channels else None)
-        )
-        # Re-sort and rebuild the cursor state; registration is rare (a
-        # handful of scenario events per run) while lookups run per send.
-        self._degradations.sort(key=lambda window: window[0])
-        self._deg_cursor = 0
-        self._deg_active.clear()
-
-    def _degradation_factor(self, channel_class: str) -> float:
-        """Composite delay multiplier for sends at the current sim time.
-
-        Windowed lookup over the start-sorted registry: the cursor admits
-        windows whose start has passed, expired windows are dropped from
-        the active set as they are seen, and the common case — no window
-        currently active — costs one length check.  Callers already
-        short-circuit entirely when no degradations are registered.
-        """
-        degradations = self._degradations
-        cursor = self._deg_cursor
-        now = self.now
-        if cursor < len(degradations):
-            while cursor < len(degradations) and degradations[cursor][0] <= now:
-                self._deg_active.append(degradations[cursor])
-                cursor += 1
-            self._deg_cursor = cursor
-        active = self._deg_active
-        if not active:
-            return 1.0
-        factor = 1.0
-        expired = False
-        for start, end, multiplier, channels in active:
-            if now >= end:
-                expired = True
-                continue
-            if channels is None or channel_class in channels:
-                factor *= multiplier
-        if expired:
-            self._deg_active = [w for w in active if now < w[1]]
-        return factor
+        classes = set(channels) if channels else self._base_delays
+        for channel in classes:
+            self._degradation[channel] = (
+                self._degradation.get(channel, 1.0) * float(factor)
+            )
 
     # -- sending ---------------------------------------------------------------
     _JITTER_BLOCK = 1024
@@ -354,11 +306,11 @@ class Network:
         partition cut drops silently; the payload is sized (once per
         fan-out); ``drop_filter`` may drop; otherwise the delay is
         ``base * (1 - jitter * u)`` with ``u`` the next draw of the jitter
-        block (none on a zero-delay channel), times the active degradation
-        factor.  Everything that cannot change between two recipients is
-        read once, and the jitter cursor is written back when the loop ends,
-        so a ``drop_filter`` must not send.  Each call of it is handed an
-        envelope of its own, made for the call.
+        block (none on a zero-delay channel), times the round's degradation
+        of the channel.  Everything that cannot change between two
+        recipients is read once, and the jitter cursor is written back when
+        the loop ends, so a ``drop_filter`` must not send.  Each call of it
+        is handed an envelope of its own, made for the call.
 
         All of that is decided here, at send time; what the loop keeps of
         a surviving recipient is its delivery time and channel.  The k-th
@@ -384,7 +336,7 @@ class Network:
         partition = self._partition
         sender_group = partition.get(sender, -1) if partition is not None else -1
         drop_filter = self.drop_filter
-        degradations = self._degradations
+        degradation = self._degradation
         base_delays = self._base_delays
         jitter = self.params.jitter
         now = self.now
@@ -433,8 +385,8 @@ class Network:
                         idx = 0
                     delay = base * (1.0 - jitter * block.item(idx))
                     idx += 1
-                    if degradations:
-                        delay *= self._degradation_factor(channel)
+                    if degradation:
+                        delay *= degradation.get(channel, 1.0)
                     deliver_time = now + delay
                 # Most sends have one recipient: the first survivor stays in
                 # locals, the second makes the lists.

@@ -13,7 +13,6 @@ from repro.nodes.behaviors import (
     RandomVoter,
     LazyVoter,
     OfflineNode,
-    FramingPartialMember,
     BEHAVIOR_REGISTRY,
 )
 from repro.nodes.adversary import AdversaryController, AdversaryConfig
@@ -30,7 +29,6 @@ __all__ = [
     "RandomVoter",
     "LazyVoter",
     "OfflineNode",
-    "FramingPartialMember",
     "BEHAVIOR_REGISTRY",
     "AdversaryController",
     "AdversaryConfig",

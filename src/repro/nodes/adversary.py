@@ -9,8 +9,9 @@ The controller owns the corrupted set and assigns behaviours:
 
 * corrupted nodes that end up as leaders get a leader attack strategy;
 * corrupted ordinary members get a voter attack strategy;
-* corruption requests lodged in round ``r`` activate in round ``r+1``
-  (mild adaptivity) — :meth:`request_corruption` / :meth:`advance_round`.
+* corruption moves only between rounds (mild adaptivity): the retargets
+  are called before the round's roles are assigned, so a corruption aimed
+  during round ``r`` acts from round ``r+1``.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ class AdversaryController:
                 replace=False,
             )
         ) if self.corrupted and config.offline_fraction > 0 else set()
-        self._pending_corruptions: set[int] = set()
         # Scenario-driven offline windows (crash/churn injection), replaced
         # wholesale each round by the scenario driver.
         self.forced_offline: set[int] = set()
@@ -165,15 +165,3 @@ class AdversaryController:
         self._corruption_order = order
         self.corrupted = set(order)
         self.offline &= self.corrupted
-
-    # -- mild adaptivity ----------------------------------------------------
-    def request_corruption(self, node_ids: set[int]) -> None:
-        """Lodge corruption attempts; they take effect only after
-        :meth:`advance_round` (at least a round's delay, §III-C)."""
-        self._pending_corruptions |= set(node_ids)
-
-    def advance_round(self) -> None:
-        for node_id in sorted(self._pending_corruptions - self.corrupted):
-            self._corruption_order.append(node_id)
-        self.corrupted |= self._pending_corruptions
-        self._pending_corruptions = set()

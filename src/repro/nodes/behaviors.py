@@ -107,12 +107,6 @@ class Behavior:
         """Whether leader forwards cross-shard packages (Lemma 7 attack)."""
         return True
 
-    # -- recovery hooks -----------------------------------------------------
-    def fabricate_accusation(self, node: "CycNode") -> bool:
-        """Whether a partial member files a witness against an honest leader
-        (Claim 4 attack)."""
-        return False
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
@@ -292,17 +286,6 @@ class QuorumWithholder(Behavior):
         return np.zeros(len(txs), dtype=np.int8)
 
 
-class FramingPartialMember(Behavior):
-    """Partial-set member that accuses an honest leader with a fabricated
-    witness (the attack Claim 4 rules out)."""
-
-    name = "framing_partial"
-    is_malicious = True
-
-    def fabricate_accusation(self, node: "CycNode") -> bool:
-        return True
-
-
 BEHAVIOR_REGISTRY: dict[str, type[Behavior]] = {
     cls.name: cls
     for cls in (
@@ -317,6 +300,5 @@ BEHAVIOR_REGISTRY: dict[str, type[Behavior]] = {
         LazyVoter,
         QuorumWithholder,
         OfflineNode,
-        FramingPartialMember,
     )
 }

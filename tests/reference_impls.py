@@ -64,9 +64,11 @@ the methods an optimization replaced.
   recipient per chunk, each chunk carrying its index (replaced by the one
   recipient-major fan-out of ``RivalBackend._chunked_multicast``).
 
-One oracle here replaced nothing: :func:`feldman_check`, the per-share
+Two oracles here replaced nothing: :func:`feldman_check`, the per-share
 Feldman verification, which the beacon does not need (it verifies a dealing
-through SCRAPE's ``scrape_check``).
+through SCRAPE's ``scrape_check``); and :func:`by_home_shard`, a batch routed
+straight to its home committees, which the persistent mempool's
+``offered()`` is checked against.
 """
 
 from __future__ import annotations
@@ -160,11 +162,20 @@ class NaiveNetwork(Network):
         super().__init__(*args, **kwargs)
         self._events: list[tuple] = []  # (time, seq, message | None, callback | None)
         self._event_seq = itertools.count()
+        self._spikes: list[tuple[float, set[str] | None]] = []
 
     def reset(self, metrics=None) -> None:
         super().reset(metrics)
         self._events.clear()
         self._event_seq = itertools.count()
+        self._spikes.clear()
+
+    def add_link_degradation(self, factor: float, channels=None) -> None:
+        """Kept as given; :meth:`_sample_delay` multiplies the ones that
+        hold a send's channel class."""
+        if factor < 1.0:
+            raise ValueError("degradation factor must be >= 1")
+        self._spikes.append((float(factor), set(channels) if channels else None))
 
     def _next_jitter(self) -> float:
         return float(self.rng.random())
@@ -182,9 +193,11 @@ class NaiveNetwork(Network):
             return 0.0
         jitter = self.params.jitter
         delay = base * (1.0 - jitter * self._next_jitter())
-        if self._degradations:
-            delay *= self._degradation_factor(channel_class)
-        return delay
+        factor = 1.0
+        for multiplier, channels in self._spikes:
+            if channels is None or channel_class in channels:
+                factor *= multiplier
+        return delay * factor
 
     def send(
         self,
@@ -225,7 +238,7 @@ class NaiveNetwork(Network):
             self._retire(message)
             return
         message.deliver_time = self.now + self._sample_delay(channel)
-        self.metrics.record_send(sender, nbytes)
+        self.metrics.record_sends(sender, 1, nbytes)
         heapq.heappush(
             self._events,
             (message.deliver_time, next(self._event_seq), message, None),
@@ -520,6 +533,15 @@ def method_apply_block(states, txs, shard_of: ShardMap) -> tuple[int, int]:
             sets[shard_of[output[0]]].add((txid, index), output)
             created += 1
     return spent, created
+
+
+# -- routing a batch to its committees ----------------------------------------
+def by_home_shard(batch: "list[TaggedTx]", m: int) -> list[list[TaggedTx]]:
+    """Route a batch to committees by input ownership (Fig. 2 step 2)."""
+    routed: list[list[TaggedTx]] = [[] for _ in range(m)]
+    for tagged in batch:
+        routed[tagged.home_shard].append(tagged)
+    return routed
 
 
 # -- IDA-style dissemination ---------------------------------------------------

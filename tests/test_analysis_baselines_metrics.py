@@ -111,13 +111,13 @@ def test_counters_by_phase_and_role():
     metrics.set_role(1, Roles.KEY)
     metrics.set_role(2, Roles.COMMON)
     metrics.set_phase("intra")
-    metrics.record_send(1, 100)
-    metrics.record_send(2, 50)
+    metrics.record_sends(1, 1, 100)
+    metrics.record_sends(2, 1, 50)
     metrics.set_phase("block")
-    metrics.record_send(1, 10)
-    assert metrics.messages_in("intra", Roles.KEY) == 1
-    assert metrics.bytes_in("intra", Roles.COMMON) == 50
-    assert metrics.messages_in("block", Roles.KEY) == 1
+    metrics.record_sends(1, 1, 10)
+    assert metrics.cells[("intra", Roles.KEY)].messages == 1
+    assert metrics.cells[("intra", Roles.COMMON)].bytes == 50
+    assert metrics.cells[("block", Roles.KEY)].messages == 1
     assert metrics.total_messages() == 3
     assert metrics.phases() == ["intra", "block"]
 
@@ -127,19 +127,18 @@ def test_storage_high_water():
     metrics.set_role(1, Roles.REFEREE)
     metrics.record_storage(1, 10)
     metrics.record_storage(1, 5)
-    assert metrics.storage_in("setup", Roles.REFEREE) == 10
+    assert metrics.cells[("setup", Roles.REFEREE)].storage == 10
 
 
 def test_merge():
     a, b = MetricsCollector(), MetricsCollector()
     a.set_role(1, Roles.KEY)
     b.set_role(1, Roles.KEY)
-    a.set_phase("intra"); a.record_send(1, 10)
-    b.set_phase("intra"); b.record_send(1, 20); b.record_storage(1, 7)
+    a.set_phase("intra"); a.record_sends(1, 1, 10)
+    b.set_phase("intra"); b.record_sends(1, 1, 20); b.record_storage(1, 7)
     a.merge(b)
-    assert a.messages_in("intra", Roles.KEY) == 2
-    assert a.bytes_in("intra", Roles.KEY) == 30
-    assert a.storage_in("intra", Roles.KEY) == 7
+    merged = a.cells[("intra", Roles.KEY)]
+    assert (merged.messages, merged.bytes, merged.storage) == (2, 30, 7)
 
 
 def test_unknown_role_rejected():

@@ -113,8 +113,8 @@ def test_elastico_97_percent_over_6_epochs():
     """§II-A: '16 shards -> 97% failure over only 6 epochs' with c ≈ 100."""
     from repro.baselines.elastico import ElasticoModel
 
-    model = ElasticoModel()
-    p6 = model.epoch_failure(m=16, c=100, epochs=6)
+    per_epoch = ElasticoModel().fail_probability(m=16, c=100, lam=0)
+    p6 = 1.0 - (1.0 - per_epoch) ** 6
     assert p6 > 0.75  # catastrophic, same shape as the quoted 97%
 
 

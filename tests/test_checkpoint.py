@@ -196,33 +196,17 @@ def test_roundtrip_with_bounded_memory_knobs():
     assert resumed.chain.verify()
 
 
-def test_warm_start_policy_override():
-    """The warm-start hook: a policy-free prefix checkpoint resumed with
-    a policy starts that policy's driver fresh (empty log), while
-    resuming with the captured (absent) policy stays policy-free."""
-    half = create_backend("cycledger", _params(), adversary=AdversaryConfig(fraction=0.2))
-    half.run(3)
-    state = capture_checkpoint(half)
-    arm = restore_checkpoint(state, scenario=SCENARIO_PRESETS["adaptive-corruption"])
-    assert arm.scenario_driver.log == []
-    baseline = restore_checkpoint(state)
-    assert baseline.scenario_driver is None
-    arm.run(3)
-    baseline.run(3)
-    # The two arms share the prefix but diverge once the policy acts.
-    assert arm.round_number == baseline.round_number
-
-
 def test_version_mismatch_rejected():
     half = create_backend("cycledger", _params())
     half.run(1)
     state = capture_checkpoint(half)
-    # A newer layout, version 5 (its params carried the vote window and
+    # A newer layout, version 6 (its adversary block carried a delayed-
+    # corruption queue), version 5 (its params carried the vote window and
     # the partial-channel stretch), version 4 (its effects held pre-built
     # output entries and its metrics per-node counters), version 3 (its
     # transactions held record objects) and version 2 (it had a second
     # driver block).
-    for stale in (CHECKPOINT_VERSION + 1, 5, 4, 3, 2):
+    for stale in (CHECKPOINT_VERSION + 1, 6, 5, 4, 3, 2):
         state["version"] = stale
         with pytest.raises(ValueError, match="version"):
             restore_checkpoint(state)
@@ -281,7 +265,7 @@ _TRIPWIRE = pickle.dumps(_Tripwire(), protocol=4)
     [
         (_checkpoint_file(_TRIPWIRE)[:-1], "length"),
         (_checkpoint_file(_TRIPWIRE)[:-1] + b"\x00", "digest"),
-        (_checkpoint_file(_TRIPWIRE, version=5), "'version': checkpoint version 5 != 6"),
+        (_checkpoint_file(_TRIPWIRE, version=6), "'version': checkpoint version 6 != 7"),
         # what the parent commit's save_checkpoint wrote: a bare pickle
         (_TRIPWIRE, "magic"),
         (b"not a checkpoint at all", "magic"),

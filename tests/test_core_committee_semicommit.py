@@ -52,8 +52,8 @@ def test_offline_member_missing_from_lists():
 def test_config_storage_recorded():
     ctx = build_sandbox(committee_size=8, lam=2)
     run_committee_configuration(ctx)
-    assert ctx.metrics.storage_in("config", "key") >= 8
-    assert ctx.metrics.storage_in("config", "common") >= 8
+    assert ctx.metrics.cells[("config", "key")].storage >= 8
+    assert ctx.metrics.cells[("config", "common")].storage >= 8
 
 
 # -- Algorithm 4 ----------------------------------------------------------------
@@ -107,4 +107,4 @@ def test_referee_storage_is_order_mc():
     ctx = configured()
     run_semi_commitment_exchange(ctx)
     # referees store all m member lists: ~ m*c entries
-    assert ctx.metrics.storage_in("semicommit", "referee") >= 3 * 8
+    assert ctx.metrics.cells[("semicommit", "referee")].storage >= 3 * 8

@@ -13,7 +13,7 @@ from repro.core.recovery import (
 )
 from repro.core.sandbox import build_sandbox
 from repro.crypto.signatures import sign
-from repro.nodes.behaviors import ContraryVoter, EquivocatingLeader, FramingPartialMember
+from repro.nodes.behaviors import ContraryVoter, EquivocatingLeader
 
 
 def make_equivocation_ctx():
@@ -55,7 +55,7 @@ def test_recovery_records_event():
 
 
 def test_framing_fails_claim4():
-    ctx = build_sandbox(committee_size=9, lam=2, behaviors={1: FramingPartialMember()})
+    ctx = build_sandbox(committee_size=9, lam=2, behaviors={1: ContraryVoter()})
     InsideConsensus(
         ctx, ctx.committees[0].members, leader=0, sn=1, payload="M", session="x"
     ).run()
@@ -81,8 +81,7 @@ def test_framing_fails_claim4():
 def test_framing_fails_even_with_colluding_minority():
     """Malicious members approve the fabricated witness, but honest members
     are the majority so the impeachment never reaches > c/2."""
-    behaviors = {1: FramingPartialMember()}
-    behaviors.update({i: ContraryVoter() for i in (3, 4, 5)})
+    behaviors = {i: ContraryVoter() for i in (1, 3, 4, 5)}
     ctx = build_sandbox(committee_size=9, lam=2, behaviors=behaviors)
     fake = EquivocationWitness(
         leader_pk=ctx.pk_of(0), round_number=1, sn=1,

@@ -73,12 +73,6 @@ def test_mac_unknown_pk_raises(pki):
         pki.mac("not-registered", b"x")
 
 
-def test_fingerprint_changes_with_registry(pki):
-    f0 = pki.fingerprint()
-    pki.generate("new")
-    assert pki.fingerprint() != f0
-
-
 #: lengths of a secret key made outside the registry: RFC 2104 zero-pads a
 #: key up to SHA-256's 64-byte block and hashes a longer one first
 OUTSIDE_SK_LENGTHS = (0, 1, 32, 64, 65, 200)

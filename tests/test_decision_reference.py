@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from perfbench.adapter import build
 from perfbench.workloads import BY_NAME
+from reference_impls import by_home_shard
 from repro import create_backend
 from repro.core.committee import run_committee_configuration
 from repro.core.inter import run_inter_consensus
@@ -97,7 +98,7 @@ def staged(
     apply_block(ctx.shard_states, [wg.genesis_tx], ctx.shard_of)
     ctx.global_utxos.restore(wg.genesis_utxos().snapshot())
     batch = wg.generate_batch(txs, cross_shard_ratio=cross, invalid_ratio=invalid)
-    ctx.mempools[:] = wg.by_home_shard(batch)
+    ctx.mempools[:] = by_home_shard(batch, m)
     run_committee_configuration(ctx)
     run_semi_commitment_exchange(ctx)
     return ctx

@@ -144,14 +144,17 @@ def test_throughput_scales_with_committees():
 
 
 def test_mildly_adaptive_corruption_delayed():
+    """A corruption aimed at a round boundary (as the adaptive policies aim
+    theirs) acts from the next round: behaviours are handed out as a round
+    assigns its roles."""
     adv = AdversaryConfig(fraction=0.1)
     ledger = CycLedger(small_params(seed=15), adversary=adv)
-    before = set(ledger.adversary.corrupted)
-    target = next(i for i in ledger.nodes if i not in before)
-    ledger.adversary.request_corruption({target})
-    assert not ledger.adversary.is_corrupted(target)  # not yet
-    ledger.run_round()  # advance_round happens inside
-    assert ledger.adversary.is_corrupted(target)  # took effect after a round
+    ledger.run_round()
+    target = next(i for i in ledger.nodes if not ledger.adversary.is_corrupted(i))
+    ledger.adversary.retarget_nodes([target])
+    assert not ledger.nodes[target].behavior.is_malicious  # not yet
+    ledger.run_round()
+    assert ledger.nodes[target].behavior.is_malicious  # took effect a round on
 
 
 def test_params_validation():

@@ -239,10 +239,8 @@ def test_validate_batch_sequential_catches_intra_batch_double_spend(funded):
     results = validate_batch([tx1, tx2], utxos)
     assert results[0] is ValidationResult.VALID
     assert results[1] is ValidationResult.MISSING_INPUT
-    # non-sequential mode sees both as individually valid
-    results_ns = validate_batch([tx1, tx2], utxos, sequential=False)
-    assert all(r is ValidationResult.VALID for r in results_ns)
-    # and the original set is untouched either way
+    # each is valid alone, and the original set is untouched
+    assert validate_batch([tx2], utxos) == [ValidationResult.VALID]
     assert source in utxos
 
 

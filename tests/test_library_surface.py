@@ -4,17 +4,25 @@ A public top-level ``def`` or ``class`` in ``src/repro`` is *reached* when a
 non-test Python file names it — another module of ``src/repro``, a
 benchmark, ``perfbench`` (bar its tests), an example or a tool — or when
 its own module names it outside its own body.  Imports and ``__all__`` do
-not count: re-exporting a name is not using it.  A definition nothing
-reaches is either dead or a test helper, and a test helper belongs under
-``tests/`` (oracles in ``tests/reference_impls.py``).  Public API that is
-reached only through documentation is listed in :data:`ALLOWED`, each entry
-with its reason.
+not count: re-exporting a name is not using it.
+
+A *member* of a public class — a public method, property or dataclass
+field — is reached the same way, named as an attribute (``.name``), as a
+keyword (``name=``), or as a string handed to ``getattr``, ``hasattr`` or
+``attrgetter``.  Members are matched by name alone, so a member shares its
+reach with every other attribute of that name.
+
+A definition or member nothing reaches is either dead or a test helper, and
+a test helper belongs under ``tests/`` (oracles in
+``tests/reference_impls.py``).  What stays although only documentation or
+tests reach it is listed in :data:`ALLOWED`, each entry with its reason.
 """
 
 from __future__ import annotations
 
 import ast
 import os
+from collections import Counter
 
 import pytest
 
@@ -24,13 +32,17 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: skipped wherever they sit).
 CALLER_TREES = ("src", "benchmarks", "perfbench", "examples", "tools")
 
-#: ``module path -> name -> reason`` for definitions kept although no
-#: non-test file names them.
+#: ``module path -> name -> reason`` for definitions (``name``) and members
+#: (``Class.member``) kept although no non-test file names them.
 ALLOWED = {
     "src/repro/analysis/complexity.py": {
         "claimed_exponent": "Table II's claims as exponents, for the Table II "
         "bench to read instead of re-typing them (it re-types them today)",
         "table2_rows": "Table II as rows of TABLE2_CLAIMS, for the same bench",
+    },
+    "src/repro/analysis/invariants.py": {
+        "InvariantChecker.assert_clean": "the checker's documented use "
+        "(its docstring and docs/architecture.md): install, run, assert",
     },
     "src/repro/core/backend.py": {
         "LedgerBackend": "the backend contract as a typing.Protocol "
@@ -44,6 +56,16 @@ ALLOWED = {
     "src/repro/exp/results.py": {
         "JsonlReportWriter": "the streaming report sink users attach as "
         "ledger.report_sink (README.md, docs/architecture.md)",
+    },
+    "src/repro/ledger/utxo.py": {
+        "UTXOSet.spend": "the primitive the tests/reference_impls.py oracles "
+        "spell apply_transaction and apply_block with",
+    },
+    "src/repro/net/simulator.py": {
+        "Network.in_flight": "the harness rule's view of the queue: tests "
+        "read undelivered messages here, never from the heap's layout",
+        "Network.partition_group": "the partition a node is in, the input "
+        "the decision reference (tests/decision_reference.py) reads",
     },
 }
 
@@ -79,13 +101,17 @@ def _named(nodes) -> set[str]:
     return visitor.names
 
 
-def _python_files(root: str):
+def _modules(root: str):
+    """``(path, parsed module)`` of every caller file (see
+    :data:`CALLER_TREES`)."""
     for tree in CALLER_TREES:
         for directory, subdirs, files in os.walk(os.path.join(root, tree)):
             subdirs[:] = sorted(d for d in subdirs if d not in ("tests", "__pycache__"))
             for name in sorted(files):
                 if name.endswith(".py"):
-                    yield os.path.relpath(os.path.join(directory, name), root)
+                    path = os.path.relpath(os.path.join(directory, name), root)
+                    with open(os.path.join(root, path), encoding="utf-8") as fh:
+                        yield path, ast.parse(fh.read(), path)
 
 
 def unreached_definitions(root: str = REPO) -> list[tuple[str, str]]:
@@ -93,9 +119,7 @@ def unreached_definitions(root: str = REPO) -> list[tuple[str, str]]:
     ``src/repro`` that no non-test file names (see the module docstring)."""
     named_in: dict[str, set[str]] = {}
     definitions: list[tuple[str, str]] = []
-    for path in _python_files(root):
-        with open(os.path.join(root, path), encoding="utf-8") as fh:
-            module = ast.parse(fh.read(), path)
+    for path, module in _modules(root):
         named_in[path] = _named(module.body)
         if not path.startswith("src/repro/"):
             continue
@@ -116,14 +140,105 @@ def unreached_definitions(root: str = REPO) -> list[tuple[str, str]]:
     ]
 
 
-def test_every_library_definition_is_reached_outside_the_tests():
-    unreached = [
-        f"{path}: {name}"
-        for path, name in unreached_definitions()
+#: Calls whose string arguments name an attribute.
+_BY_STRING = ("getattr", "hasattr", "attrgetter")
+
+
+def _member_uses(nodes) -> Counter:
+    """How often ``nodes`` reach each attribute name: as ``.name``, as a
+    ``name=`` keyword, or as a string handed to one of :data:`_BY_STRING`
+    (a dotted ``attrgetter`` path names each of its parts)."""
+    uses: Counter = Counter()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute):
+                uses[node.attr] += 1
+            elif isinstance(node, ast.keyword) and node.arg:
+                uses[node.arg] += 1
+            elif isinstance(node, ast.Call):
+                func = node.func
+                called = getattr(func, "id", None) or getattr(func, "attr", None)
+                if called in _BY_STRING:
+                    for arg in node.args:
+                        if isinstance(arg, ast.Constant) and isinstance(
+                            arg.value, str
+                        ):
+                            uses.update(arg.value.split("."))
+    return uses
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for decorator in cls.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if "dataclass" in (getattr(target, "id", None), getattr(target, "attr", None)):
+            return True
+    return False
+
+
+def _members(cls: ast.ClassDef) -> dict[str, list[ast.AST]]:
+    """A class's public methods and properties (a property's setter is
+    part of its body) and, for a dataclass, its instance fields."""
+    members: dict[str, list[ast.AST]] = {}
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = node.name
+        elif (
+            isinstance(node, ast.AnnAssign)
+            and isinstance(node.target, ast.Name)
+            and _is_dataclass(cls)
+            and "ClassVar" not in ast.unparse(node.annotation)
+        ):
+            name = node.target.id
+        else:
+            continue
+        if not name.startswith("_"):
+            members.setdefault(name, []).append(node)
+    return members
+
+
+def unreached_members(root: str = REPO) -> list[tuple[str, str]]:
+    """``(module path, "Class.member")`` of every public member of a public
+    top-level class under ``src/repro`` that no non-test file reaches
+    outside the member's own body (see the module docstring)."""
+    uses_in: dict[str, Counter] = {}
+    members: list[tuple[str, str, str, Counter]] = []
+    for path, module in _modules(root):
+        uses_in[path] = _member_uses(module.body)
+        if not path.startswith("src/repro/"):
+            continue
+        for cls in module.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                for name, body in _members(cls).items():
+                    members.append((path, cls.name, name, _member_uses(body)))
+    return [
+        (path, f"{cls}.{name}")
+        for path, cls, name, own in members
+        if uses_in[path][name] == own[name]
+        and not any(
+            uses[name] for other, uses in uses_in.items() if other != path
+        )
+    ]
+
+
+def _unallowed(found: list[tuple[str, str]]) -> list[str]:
+    return [
+        f"{path}: {name}" for path, name in found
         if name not in ALLOWED.get(path, {})
     ]
+
+
+def test_every_library_definition_is_reached_outside_the_tests():
+    unreached = _unallowed(unreached_definitions())
     assert not unreached, (
         "named by no non-test file: delete each, move it under tests/, or "
+        "list it in ALLOWED with a reason:\n  " + "\n  ".join(unreached)
+    )
+
+
+def test_every_library_member_is_reached_outside_the_tests():
+    unreached = _unallowed(unreached_members())
+    assert not unreached, (
+        "reached by no non-test file: delete each, move it under tests/, or "
         "list it in ALLOWED with a reason:\n  " + "\n  ".join(unreached)
     )
 
@@ -131,7 +246,7 @@ def test_every_library_definition_is_reached_outside_the_tests():
 def test_every_allowed_entry_is_still_an_unreached_definition():
     """An entry that has gained a caller, or whose definition is gone,
     leaves the list."""
-    unreached = set(unreached_definitions())
+    unreached = set(unreached_definitions()) | set(unreached_members())
     stale = [
         f"{path}: {name}"
         for path, names in ALLOWED.items()
@@ -151,22 +266,56 @@ def toy_repo(tmp_path):
     write(
         "src/repro/lib.py",
         "__all__ = ['exported_only']\n"
+        "from dataclasses import dataclass\n"
+        "from typing import ClassVar\n"
         "def only_tests(): pass\n"
         "def exported_only(): pass\n"
         "def used_at_home(): pass\n"
         "def caller(): return used_at_home()\n"
         "def recursive(n): return recursive(n - 1)\n"
-        "class Called: pass\n"
+        "class Called:\n"
+        "    def only_tests(self): pass\n"
+        "    def self_call(self): return self.self_call()\n"
+        "    def by_attribute(self): pass\n"
+        "    def by_getattr(self): pass\n"
+        "    def by_attrgetter(self): pass\n"
+        "    def by_keyword(self): pass\n"
+        "    def home(self): pass\n"
+        "    def caller(self): return self.home()\n"
+        "    def _private(self): pass\n"
+        "@dataclass\n"
+        "class Record:\n"
+        "    read: int = 0\n"
+        "    written_only_by_tests: int = 0\n"
+        "    kind: ClassVar[str] = 'r'\n"
+        "class _Hidden:\n"
+        "    def anything(self): pass\n"
         "def _private(): pass\n",
     )
     write(
         "src/repro/__init__.py",
         "from repro.lib import exported_only\n__all__ = ['exported_only']\n",
     )
-    write("benchmarks/bench_x.py", "from repro.lib import Called\nCalled()\n")
+    write(
+        "benchmarks/bench_x.py",
+        "from operator import attrgetter\n"
+        "from repro.lib import Called, Record\n"
+        "c = Called()\n"
+        "c.by_attribute()\n"
+        "getattr(c, 'by_getattr')()\n"
+        "attrgetter('x.by_attrgetter')\n"
+        "Record(read=1).read\n"
+        "dict(by_keyword=1)\n",
+    )
     write("examples/demo.py", "import repro.lib\nrepro.lib.caller()\n")
     write("perfbench/tests/test_p.py", "from repro.lib import recursive\nrecursive(1)\n")
-    write("tests/test_lib.py", "from repro.lib import only_tests\nonly_tests()\n")
+    write(
+        "tests/test_lib.py",
+        "from repro.lib import Called, Record, only_tests\n"
+        "only_tests()\n"
+        "Called().only_tests()\n"
+        "Record().written_only_by_tests = 1\n",
+    )
     return str(tmp_path)
 
 
@@ -175,4 +324,12 @@ def test_the_scan_flags_what_only_tests_imports_or_itself_name(toy_repo):
         "exported_only",
         "only_tests",
         "recursive",
+    ]
+
+
+def test_the_member_scan_flags_what_only_tests_or_its_own_body_reach(toy_repo):
+    assert sorted(name for _, name in unreached_members(toy_repo)) == [
+        "Called.only_tests",
+        "Called.self_call",
+        "Record.written_only_by_tests",
     ]

@@ -2,6 +2,7 @@
 
 import copy
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -180,7 +181,7 @@ def test_reset_rewinds_fabric_but_keeps_nodes(net_and_nodes):
     assert net.dropped_messages == 0
     assert net.partition_dropped == 0
     assert net.drop_filter is None
-    assert not net.partitioned
+    assert net.partition_group(2) == -1
     # Registry intact and the classifier back to the permissive default:
     # a previously partitioned pair delivers again.
     nodes[0].send(2, "MSG", "after-reset")
@@ -233,24 +234,20 @@ def test_partition_rejects_overlapping_groups(net_and_nodes):
         net.set_partitions([(0, 1), (1, 2)])
 
 
-def test_link_degradation_window_and_channel_filter(rng):
+def test_link_degradation_channel_filter(rng):
     pki = PKI()
     net = Network(NetworkParams(jitter=0.0), rng)
     nodes = [Recorder(i, pki.generate(500 + i)) for i in range(2)]
     for node in nodes:
         net.add_node(node)
     net.channel_classifier = lambda s, d: ChannelClass.INTRA
-    net.add_link_degradation(5.0, start=0.0, end=10.0,
-                             channels=(ChannelClass.INTRA,))
-    nodes[0].send(1, "MSG", "slow")  # sent at t=0: degraded 5x
-    t = net.run()
-    assert t == pytest.approx(5 * net.params.delta)
-    net.call_at(20.0, lambda: nodes[0].send(1, "MSG", "fast"))
-    t = net.run()  # sent at t=20, outside the window: normal delay
-    assert t == pytest.approx(20.0 + net.params.delta)
     net.add_link_degradation(2.0, channels=(ChannelClass.KEY,))
     nodes[0].send(1, "MSG", "other-class")  # INTRA unaffected by KEY spike
-    assert net.run() == pytest.approx(t + net.params.delta)
+    t = net.run()
+    assert t == pytest.approx(net.params.delta)
+    net.add_link_degradation(5.0, channels=(ChannelClass.INTRA,))
+    nodes[0].send(1, "MSG", "slow")  # INTRA degraded 5x from now on
+    assert net.run() == pytest.approx(t + 5 * net.params.delta)
 
 
 def test_degradations_stack_multiplicatively(rng):
@@ -291,8 +288,8 @@ def _fanout_fabric(factory, conditions):
     pki = PKI()
     for i in range(_FANOUT_NODES):
         net.add_node(ProtocolNode(i, pki.generate(("fanout", i))))
-    # Advance the clock (degradation windows are relative to ``now``) and
-    # the jitter cursor (so a fan-out can straddle a block refill).
+    # Advance the clock and the jitter cursor (so a fan-out can straddle a
+    # block refill).
     net.call_at(conditions.get("now", 0.0), lambda: None)
     net.run()
     net.channel_classifier = lambda s, d: ChannelClass.INTRA
@@ -308,8 +305,8 @@ def _fanout_fabric(factory, conditions):
     if conditions.get("drop_to") is not None:
         dropped = set(conditions["drop_to"])
         net.drop_filter = lambda msg: msg.recipient in dropped
-    for window in conditions.get("degradations", ()):
-        net.add_link_degradation(*window)
+    for factor, channels in conditions.get("degradations", ()):
+        net.add_link_degradation(factor, channels)
     net.nodes[0].online = not conditions.get("offline_sender", False)
     return net
 
@@ -403,14 +400,14 @@ _EVERYONE = list(range(_FANOUT_NODES))
                 "now": 2.0,
                 "classes": _FANOUT_CLASSES,
                 "degradations": [
-                    (3.0, 1.0, 2.5, None),
-                    (1.5, 0.0, 2.0, [ChannelClass.KEY]),
-                    (4.0, 2.5, 9.0, None),
+                    (3.0, None),
+                    (1.5, [ChannelClass.KEY]),
+                    (1.1, [ChannelClass.KEY, ChannelClass.INTRA]),
                 ],
             },
             _EVERYONE,
             96,
-            id="overlapping-degradation-windows",
+            id="stacked-degradations",
         ),
         pytest.param(
             {"classes": (ChannelClass.LOCAL,)}, _EVERYONE, 96, id="local-no-draws"
@@ -470,8 +467,6 @@ def _fanout_conditions():
             "degradations": st.lists(
                 st.tuples(
                     st.floats(1.0, 4.0),
-                    st.floats(0.0, 4.0),
-                    st.floats(0.5, 8.0),
                     st.none() | st.lists(
                         st.sampled_from(_FANOUT_CLASSES), min_size=1, max_size=2
                     ),
@@ -519,14 +514,17 @@ def test_chunk_fan_out_is_the_per_chunk_unicast_loop():
         errors = []
         for net in (fan, loop):
             sender = net.nodes[0]
-            # Given ``chunks``, the method reads nothing of its backend.
-            send = (
-                partial(RivalBackend._chunked_multicast, None)
-                if net is fan
-                else per_chunk_unicast
-            )
+            # The method reads only the backend's chunk count.
             try:
-                send(sender, recipients, "CHUNK", "txlist", total_bytes, chunks)
+                if net is fan:
+                    RivalBackend._chunked_multicast(
+                        SimpleNamespace(dissemination_chunks=chunks),
+                        sender, recipients, "CHUNK", "txlist", total_bytes,
+                    )
+                else:
+                    per_chunk_unicast(
+                        sender, recipients, "CHUNK", "txlist", total_bytes, chunks
+                    )
                 errors.append(None)
             except SimulationError as exc:
                 errors.append(str(exc))

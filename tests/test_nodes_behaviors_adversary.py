@@ -146,12 +146,16 @@ def test_offline_subset(rng):
 
 
 def test_mild_adaptivity(rng):
+    """Corruption moves only by a retarget, and what a node does is read
+    from the controller when roles are handed out: a behaviour handed out
+    before the retarget stays honest."""
     controller = AdversaryController(AdversaryConfig(fraction=0.1), list(range(20)), rng)
     fresh = next(i for i in range(20) if not controller.is_corrupted(i))
-    controller.request_corruption({fresh})
-    assert not controller.is_corrupted(fresh)
-    controller.advance_round()
-    assert controller.is_corrupted(fresh)
+    handed_out = controller.voter_behavior(fresh)
+    controller.retarget_nodes([fresh])
+    assert controller.corrupted == {fresh}
+    assert not handed_out.is_malicious
+    assert controller.voter_behavior(fresh).is_malicious
 
 
 def test_config_validation():

@@ -22,7 +22,7 @@ import os
 
 import numpy as np
 import pytest
-from reference_impls import EagerPublishWorkloadGenerator
+from reference_impls import EagerPublishWorkloadGenerator, by_home_shard
 
 from repro.backends import create_backend
 from repro.core.config import ProtocolParams
@@ -259,11 +259,11 @@ def test_mempool_legacy_matches_raw_generator():
             round_number, 0.0, cross_shard_ratio=0.3, invalid_ratio=0.2
         )
         assert arrivals == len(want)
-        # offered() routes exactly like the historical by_home_shard path.
+        # offered() routes exactly like the direct by_home_shard oracle.
         assert [
             [t.tx.txid for t in shard] for shard in pooled.offered()
         ] == [
-            [t.tx.txid for t in shard] for shard in direct.by_home_shard(want)
+            [t.tx.txid for t in shard] for shard in by_home_shard(want, direct.m)
         ]
         packed = {t.tx.txid for t in want[::2]}
         direct.confirm_round(packed)

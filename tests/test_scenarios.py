@@ -9,8 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import CycLedger, ProtocolParams
+from repro.backends import create_backend
 from repro.exp.results import round_row
 from repro.exp.spec import canonical_json
+from repro.net.params import ChannelClass
 from repro.scenarios import (
     EVENT_TYPES,
     SCENARIO_PRESETS,
@@ -420,3 +422,59 @@ def test_scenario_rng_isolated_from_protocol_streams():
         params, scenario=SCENARIO_PRESETS["partition-halves"]
     ).run_round()
     assert round_row(clean) == round_row(with_scenario)
+
+
+# -- degraded runs, pinned ---------------------------------------------------
+#: Two spikes that overlap on KEY / REFEREE channels in rounds 3-4, where
+#: their multipliers compose.
+TWO_SPIKES = Scenario(
+    "two-spikes",
+    (
+        LatencySpike(start_round=2, end_round=4, factor=3.0),
+        LatencySpike(
+            start_round=3, end_round=5, factor=2.5,
+            channels=(ChannelClass.KEY, ChannelClass.REFEREE),
+        ),
+    ),
+)
+
+_HEAD = {
+    "cycledger": "3ba0202958f04ab7cf8caae7fcc213dc228fc940a1dfd590e1fa3d62a8434583",
+    "rapidchain": "00f86d72f852d95608756dfa5f9bd5ce555b71e53b2d5b7449a7a48c9c04fdfa",
+}
+
+
+@pytest.mark.parametrize(
+    "backend, scenario, sim_times",
+    [
+        ("cycledger", SCENARIO_PRESETS["latency-spike"], [
+            "91.59186119406243", "152.5649980652378", "151.44574081644146",
+            "91.51602142937801", "92.15176917313394",
+        ]),
+        ("cycledger", TWO_SPIKES, [
+            "91.59186119406243", "242.23890751105623", "381.1021578965187",
+            "378.4204326666502", "139.06220593828994",
+        ]),
+        ("rapidchain", SCENARIO_PRESETS["latency-spike"], [
+            "23.608828452621477", "53.72087696486205", "53.68635584089745",
+            "23.661068361114367", "23.90332864387733",
+        ]),
+        ("rapidchain", TWO_SPIKES, [
+            "23.608828452621477", "71.19293515780909", "123.75081859774028",
+            "123.51100878807829", "41.773506100107994",
+        ]),
+    ],
+    ids=["cycledger-latency-spike", "cycledger-two-spikes",
+         "rapidchain-latency-spike", "rapidchain-two-spikes"],
+)
+def test_degraded_runs_are_pinned(backend, scenario, sim_times):
+    """Each round's ``sim_time`` under latency spikes, to the last bit.
+
+    The head hash alone cannot see a delay: both timelines end at the same
+    block on either backend, while their round 3 differs by ~230 s on
+    CycLedger."""
+    ledger = create_backend(
+        backend, ProtocolParams(n=48, m=4, lam=2, seed=0), scenario=scenario
+    )
+    assert [repr(r.sim_time) for r in ledger.run(5)] == sim_times
+    assert ledger.chain.head.hash.hex() == _HEAD[backend]
