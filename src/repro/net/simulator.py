@@ -233,6 +233,11 @@ class Network:
         if factor < 1.0:
             raise ValueError("degradation factor must be >= 1")
         classes = set(channels) if channels else self._base_delays
+        unknown = sorted(set(classes).difference(ChannelClass.ALL))
+        if unknown:
+            raise ValueError(
+                f"unknown channel class {unknown[0]!r}; one of {ChannelClass.ALL}"
+            )
         for channel in classes:
             self._degradation[channel] = (
                 self._degradation.get(channel, 1.0) * float(factor)

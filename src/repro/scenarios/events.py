@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, ClassVar
 
+from repro.net.params import ChannelClass
+
 #: Sentinel for :attr:`Partition.committees`: split the committee indices
 #: into two halves at runtime (presets cannot know ``m`` up front).
 HALVES = "halves"
@@ -108,6 +110,11 @@ class LatencySpike(WindowedEvent):
         super().__post_init__()
         if self.factor < 1.0:
             raise ValueError("factor must be >= 1")
+        for channel in self.channels or ():
+            if channel not in ChannelClass.ALL:
+                raise ValueError(
+                    f"unknown channel class {channel!r}; one of {ChannelClass.ALL}"
+                )
 
 
 @dataclass(frozen=True)

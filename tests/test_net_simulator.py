@@ -269,6 +269,16 @@ def test_degradation_factor_below_one_rejected(net_and_nodes):
         net.add_link_degradation(0.5)
 
 
+def test_degradation_on_an_unknown_channel_class_rejected(net_and_nodes):
+    """A misspelled class used to be stored and then matched no send, so
+    the degradation was a silent no-op."""
+    net, _ = net_and_nodes
+    with pytest.raises(ValueError, match=r"unknown channel class 'parital'; one of \("
+                       r"'intra', 'key', 'referee', 'partial', 'local'\)"):
+        net.add_link_degradation(3.0, channels=(ChannelClass.KEY, "parital"))
+    net.add_link_degradation(3.0, channels=(ChannelClass.PARTIAL,))  # spelled right
+
+
 # -- multicast == the loop of sends it replaces ------------------------------
 _FANOUT_NODES = 8
 _FANOUT_CLASSES = (

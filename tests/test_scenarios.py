@@ -56,6 +56,20 @@ def test_event_validation():
         Churn(start_round=1, end_round=2, offline_fraction=1.0)
 
 
+def test_latency_spike_rejects_an_unknown_channel_class():
+    """A misspelled class used to be accepted and logged, and then slowed no
+    link: the spike was a silent no-op.  A JSON scenario fails the same way."""
+    named = (r"unknown channel class 'parital'; "
+             r"one of \('intra', 'key', 'referee', 'partial', 'local'\)")
+    with pytest.raises(ValueError, match=named):
+        LatencySpike(start_round=1, end_round=1, factor=9.0, channels=("parital",))
+    spike = {"kind": "latency_spike", "start_round": 1, "end_round": 1, "factor": 9.0,
+             "channels": ["key", "parital"]}
+    with pytest.raises(ValueError, match="scenario 's': event 0: " + named):
+        Scenario.from_dict({"name": "s", "events": [spike]})
+    assert LatencySpike(1, 1, 9.0, (ChannelClass.PARTIAL,)).channels == ("partial",)
+
+
 def test_ramp_interpolates_and_clamps():
     ramp = AdversaryRamp(start_round=2, end_round=4,
                          start_fraction=0.0, end_fraction=0.3)
@@ -134,7 +148,7 @@ _SCHEDULED = {
     LatencySpike: _windowed(
         LatencySpike,
         factor=st.floats(1.0, 16.0),
-        channels=st.none() | st.lists(st.sampled_from(["partial", "sync"])).map(tuple),
+        channels=st.none() | st.lists(st.sampled_from(ChannelClass.ALL)).map(tuple),
     ),
     LeaderCrash: st.builds(
         LeaderCrash, round=_round, committees=_groups.map(lambda g: g[0]), duration=_round

@@ -13,6 +13,8 @@ import importlib.util
 import json
 import os
 
+import pytest
+
 from repro.analysis.invariants import InvariantChecker
 from repro.backends import create_backend
 from repro.core.config import ProtocolParams
@@ -171,21 +173,23 @@ def test_soak_loop_bounds_every_structure():
 
 
 def test_scale_point_row_and_gates():
-    """The script's child entry in-process on one small point, so it cannot
-    rot unnoticed; its sizing rule on the whole curve; and all three gates
-    tripping on rows that violate them."""
-    row = bench_scale.measure_point("cycledger", 64)
+    """The script's child entry in-process on the smallest shape its sizing
+    rule allows, so it cannot rot unnoticed; that rule on the whole curve; and
+    every gate tripping on rows that violate it."""
+    row = bench_scale.measure_point("cycledger", 2)
     assert set(row) == {
         "backend", "n", "m", "wall_s", "wall_s_raw", "messages", "us_per_msg",
-        "rss_mib", "gc_s", "gen2_passes",
+        "rss_mib", "gc_s", "gen2_passes", "packed", "msgs_per_node",
+        "bytes_per_node", "sim_round_latency_s",
     }
     assert 0 <= row["gc_s"] < row["wall_s"] and row["gen2_passes"] >= 0
-    assert (row["backend"], row["n"], row["m"]) == ("cycledger", 64, 4)
+    assert (row["backend"], row["n"], row["m"]) == ("cycledger", 72, 2)
     assert row["messages"] > 0 and row["wall_s"] > 0 and row["us_per_msg"] > 0
-    for n in bench_scale.CURVE:  # ProtocolParams validates divisibility
-        params = bench_scale.sized(n)
-        assert params.m == n // 32
-        assert 24 <= (n - params.referee_size) // params.m <= 32
+    assert row["packed"] > 0 and row["msgs_per_node"] == row["messages"] / 72
+    assert row["bytes_per_node"] > 0 and row["sim_round_latency_s"] > 0
+    for m in bench_scale.CURVE:  # ProtocolParams validates divisibility
+        params = bench_scale.sized(m)
+        assert (params.m, params.referee_size, params.n) == (m, 8, 32 * m + 8)
 
     soak = {"plateau_ratio": 1.2, "round_ms_p50_first": 80.0, "round_ms_p50_last": 112.0}
     assert bench_scale.failures({"scale": [row], "soak": soak}) == []
@@ -200,3 +204,23 @@ def test_scale_point_row_and_gates():
     assert len(bench_scale.failures({"scale": [row], "soak": slowing})) == 1
     unsampled = dict(soak, plateau_ratio=None)  # horizon too short for the RSS gate
     assert bench_scale.failures({"scale": [row], "soak": unsampled}) == []
+
+    # The curve committed before the referee committee was fixed (|C_R| = m,
+    # n = 32·m): messages per node climb 2.5 %, then 9.4 % per doubling of m.
+    committed = [
+        dict(row, m=m, n=32 * m, messages=msgs, msgs_per_node=msgs / (32 * m),
+             wall_s=wall, packed=m * 8.4, sim_round_latency_s=92.5)
+        for m, msgs, wall in ((8, 79676, 0.40), (16, 170468, 0.98), (32, 363969, 2.48),
+                              (64, 746113, 6.15), (128, 1632430, 17.49))
+    ]
+    assert bench_scale.failures({"scale": committed, "soak": soak}) == [
+        "cycledger: msgs_per_node is not flat from m=64 to m=128: 1.094x > 1.05x"]
+    flat = [dict(r, msgs_per_node=380.0) for r in committed]
+    assert bench_scale.failures({"scale": flat, "soak": soak}) == []
+    assert bench_scale.throughput_exponent(flat) == pytest.approx((1.0, 1.0))
+    late = flat[:4] + [dict(flat[4], sim_round_latency_s=92.5 * 1.06)]
+    assert bench_scale.failures({"scale": late, "soak": soak}) == [
+        "cycledger: round latency is not flat in n (max / min): 1.060x > 1.05x"]
+    sublinear = [dict(r, packed=r["n"] ** 0.5) for r in flat]
+    (problem,) = bench_scale.failures({"scale": sublinear, "soak": soak})
+    assert problem.startswith("§III-D throughput is not quasi-linear in n: packed ~ n^0.50")
