@@ -1,38 +1,44 @@
 """Table I — comparison of CycLedger with previous sharding protocols.
 
-Regenerates every row of Table I with measured / evaluated quantities:
-resiliency, complexity, storage, per-round failure probability,
-decentralization, incentives and connection burden (reliable-channel
-census), plus the λ ablation for the partial-set term, the vectorized
-analytic scaling curves over an n-grid, and — for every protocol with an
-executable backend — *simulated* throughput/latency columns next to the
-analytic rows, produced by actually running the protocol on the shared
-network simulator.
+Regenerates every row of Table I.  Each quantitative cell an executable
+backend can produce comes from a run; the rest print the protocol's stated
+class, and the failure probability is its paper's formula:
 
-The dishonest-leader row is measured too: each executable backend's packed
-ratio under the leader-targeting ``adaptive-corruption`` preset, read by
-``repro.exp.policies_artifact`` from the seed-paired ``policy-compare``
-sweep (seed 0 is the sweep ``BENCH_policies.json`` pins; seeds 1-3 are
-checked here against the Table I claim).  Elastico has no backend and
-prints "n/a (analytic only)".
+* Complexity, Storage and Burden on connection: ``repro.exp.table1_cells``
+  runs every executable backend and reads messages per node, CycLedger's
+  per-role storage high-water marks, and CycLedger's channel census (each
+  node's distinct partners on the intra, key and referee classes §III-B
+  asks reliable channels for).  A rival assumes a clique, n − 1 per node.
+  The census is gated on the scale curve's shape (committees of 32,
+  |C_R| = 8, m = 2 … 16): common members flat in n, key members and C_R
+  within §III-B's per-role bounds.
+* High efficiency w.r.t. dishonest leaders: each executable backend's
+  packed ratio under the leader-targeting ``adaptive-corruption`` preset,
+  read by ``repro.exp.policies_artifact`` from the seed-paired
+  ``policy-compare`` sweep (seed 0 is the sweep ``BENCH_policies.json``
+  pins; seeds 1-3 are checked here against the Table I claim).
+
+Elastico has no backend and prints "n/a (analytic only)".  Simulated
+throughput/latency columns sit next to the failure formula, and the λ
+ablation evaluates the partial-set term.
 """
 
 import dataclasses
 
 import numpy as np
 
+from bench_scale import sized
 from conftest import print_table
 from repro.analysis.security import partial_set_failure, union_bound
 from repro.backends import BACKEND_REGISTRY, create_backend
 from repro.baselines import ALL_MODELS
 from repro.core.config import ProtocolParams
-from repro.exp import policies_artifact, policy_compare_spec, run_sweep
-from repro.net.topology import full_clique_channels
+from repro.exp import policies_artifact, policy_compare_spec, run_sweep, table1_cells
 from repro.scenarios import SCENARIO_PRESETS
 
-# The configuration Fig. 5 and §V use: n = 2000 nodes, m = 10 committees of
-# c = 200, λ = 40, |C_R| = 200.
-N, M, C, LAM, CR = 2000, 10, 200, 40, 200
+# The configuration Fig. 5 and §V use for the failure formula: m = 10
+# committees of c = 200, λ = 40.
+M, C, LAM = 10, 200, 40
 
 #: Table I protocol name -> executable backend registry name.
 EXECUTABLE = {model.name: model.backend for model in ALL_MODELS if model.backend}
@@ -52,6 +58,10 @@ UNSEEN_SEEDS = (1, 2, 3)
 #: at most when a cross-shard pair needs both its leaders honest: (1 − f)².
 BUDGET = SCENARIO_PRESETS["adaptive-corruption"].events[0].budget_fraction
 RIVAL_CAP = (1 - BUDGET) ** 2
+
+#: The burden census's m ladder (n = 32·m + 8), and how far a common
+#: member's mean partner count may spread over it (max / min).
+BURDEN_LADDER, COMMON_SPREAD = (2, 4, 8, 16), 1.1
 
 
 def measured_scale() -> str:
@@ -81,22 +91,25 @@ def assert_leader_row(arms: dict, seed: int) -> None:
 
 
 def build_table1() -> tuple[dict, list[tuple]]:
-    """The measured policy-compare arms (seed 0) and the Table I rows."""
-    arms = policies_artifact(run_sweep(policy_compare_spec(), workers=1))["backends"]
+    """The measured policy-compare arms (seed 0) and the Table I rows, the
+    Complexity, Storage and Burden cells measured at the sweep's shape."""
+    spec = policy_compare_spec()
+    arms = policies_artifact(run_sweep(spec, workers=1))["backends"]
+    cells = table1_cells(ProtocolParams(**spec.base))
     rows = []
     for model in ALL_MODELS:
-        arm = arms.get(model.backend)
+        arm, cell = arms.get(model.backend), cells[model.name]
         rows.append(
             (
                 model.name,
                 f"t < n/{round(1 / model.resiliency)}",
-                f"{model.complexity_messages(N, M, C):.0f}",
-                f"{model.storage(N, M, C):.1f}",
+                cell["complexity"],
+                cell["storage"],
                 f"{model.fail_probability(M, C, LAM):.2e}",
                 model.decentralization,
                 "n/a (analytic only)" if arm is None else f"{arm['packed_ratio']:.2f}",
                 "yes" if model.has_incentives else "no",
-                f"{model.connection_channels(N, M, C, LAM, CR):,}",
+                cell["burden"],
             )
         )
     return arms, rows
@@ -105,11 +118,12 @@ def build_table1() -> tuple[dict, list[tuple]]:
 def test_table1(benchmark):
     arms, rows = benchmark.pedantic(build_table1, rounds=1, iterations=1)
     print_table(
-        f"Table I (n=2000, m=10, c=200, λ=40; leader-attack packed ratio: "
+        f"Table I (fail prob: m={M}, c={C}, λ={LAM}; msgs/node, storage, "
+        f"partners: round 2 of the sweep's shape; leader-attack: "
         f"{measured_scale()}, seed 0)",
-        ["protocol", "resiliency", "complexity", "storage/node",
+        ["protocol", "resiliency", "msgs/node", "storage (items)",
          "fail prob/round", "decentralization", "leader-attack",
-         "incentives", "reliable channels"],
+         "incentives", "reliable partners/node (mean/max)"],
         rows,
     )
     by_name = {row[0]: row for row in rows}
@@ -117,9 +131,6 @@ def test_table1(benchmark):
         "Elastico has no executable backend, so no measured leader-attack cell"
     )
     assert_leader_row(arms, seed=0)
-    # Connection burden: CycLedger uses a fraction of the honest clique.
-    cyc_channels = int(by_name["CycLedger"][8].replace(",", ""))
-    assert cyc_channels < full_clique_channels(N) / 4
     # Failure probability: CycLedger ~ RapidChain ≪ Elastico at c=200.
     assert float(by_name["CycLedger"][4]) < float(by_name["Elastico"][4])
 
@@ -148,53 +159,41 @@ def test_table1_leader_row_unseen_seeds(benchmark):
         assert_leader_row(arms, seed)
 
 
-def analytic_curves(ns: np.ndarray) -> dict[str, dict[str, np.ndarray]]:
-    """The Table I quantitative rows as *curves* over an n-grid.
-
-    One numpy expression per model/row — no per-point Python loops; the
-    committee size tracks the paper's structure (c = (n - |C_R|) / m).
-    """
-    ns = np.asarray(ns, dtype=float)
-    cs = (ns - CR) / M
-    return {
-        model.name: {
-            "complexity": model.complexity_messages(ns, M, cs),
-            "storage": model.storage(ns, M, cs),
-            "fail": model.fail_probability(M, cs, LAM),
-        }
-        for model in ALL_MODELS
-    }
-
-
-def test_table1_scaling_curves(benchmark):
-    """Vectorized analytic curves agree with the scalar table entries."""
-    ns = np.arange(500, 5001, 100)
-    curves = benchmark(analytic_curves, ns)
-    index = int(np.flatnonzero(ns == N)[0])
-    c_at_n = (N - CR) / M  # the grid's derived committee size at n = N
-    for model in ALL_MODELS:
-        rows = curves[model.name]
-        for row in ("complexity", "storage", "fail"):
-            assert rows[row].shape == ns.shape
-        assert rows["complexity"][index] == model.complexity_messages(N, M, c_at_n)
-        assert rows["storage"][index] == model.storage(N, M, c_at_n)
-        assert rows["fail"][index] == model.fail_probability(M, c_at_n, LAM)
-    # Failure probability falls with n (committees grow with n at fixed m).
-    for name in ("CycLedger", "RapidChain"):
-        fail = curves[name]["fail"]
-        assert fail[-1] < fail[0]
-    sample = ns[:: len(ns) // 5]
+def test_table1_burden(benchmark):
+    """The Burden row over n: CycLedger's reliable-channel partners per node
+    at the scale curve's shape, against the clique a rival assumes."""
+    ladder = benchmark.pedantic(
+        lambda: {m: table1_cells(sized(m)) for m in BURDEN_LADDER},
+        rounds=1, iterations=1,
+    )
+    rows, common = [], []
+    for m, cells in ladder.items():
+        params, partners = sized(m), cells["CycLedger"]["partners"]
+        c, lam, cr = params.committee_size, params.lam, params.referee_size
+        rows.append((params.n, m, cells["CycLedger"]["burden"], params.n - 1,
+                     *(cells[name]["complexity"] for name in EXECUTABLE)))
+        common.append(partners["common"][0])
+        key_bound = c - 1 + (m - 1) * (lam + 1) + cr
+        assert partners["key"][0] <= key_bound, (
+            f"Table I burden: key members average {partners['key'][0]:.1f} "
+            f"reliable partners at m = {m}, above §III-B's c - 1 + "
+            f"(m - 1)(λ + 1) + |C_R| = {key_bound}"
+        )
+        referee_bound = m * (lam + 1) + cr - 1
+        assert partners["referee"][1] <= referee_bound, (
+            f"Table I burden: a referee member has {partners['referee'][1]} "
+            f"reliable partners at m = {m}, above §III-B's m(λ + 1) + |C_R| - 1 "
+            f"= {referee_bound}"
+        )
     print_table(
-        f"Table I scaling curves (m={M}, |C_R|={CR}, λ={LAM}; sampled)",
-        ["n"] + [m.name for m in ALL_MODELS],
-        [
-            (int(n),)
-            + tuple(
-                f"{curves[m.name]['fail'][int(np.flatnonzero(ns == n)[0])]:.1e}"
-                for m in ALL_MODELS
-            )
-            for n in sample
-        ],
+        "Table I burden over n (c = 32, |C_R| = 8, λ = 2; round 2, seed 0)",
+        ["n", "m", "CycLedger partners/node (mean/max)", "rival clique n - 1",
+         *(f"{name} msgs/node" for name in EXECUTABLE)],
+        rows,
+    )
+    assert max(common) <= COMMON_SPREAD * min(common), (
+        f"Table I burden: common members' mean reliable partners are not flat "
+        f"in n: {', '.join(f'{x:.1f}' for x in common)} over m = {BURDEN_LADDER}"
     )
 
 

@@ -13,6 +13,7 @@ Two sweeps isolate the two variables:
 """
 
 from conftest import print_table
+from repro.analysis.complexity import TABLE2_CLAIMS, claimed_exponent, table2_rows
 from repro.core.config import ProtocolParams
 from repro.exp import ExperimentSpec, run_sweep
 from repro.metrics.counters import Roles
@@ -24,6 +25,11 @@ BASE = {
     "cross_shard_ratio": 0.25,
     "lam": 2,
 }
+
+
+#: Table II's communication claim and its rendered class, per (phase, role).
+CLAIMS = {(claim.phase, claim.role): claim.comm for claim in TABLE2_CLAIMS}
+CLASSES = {(phase, role): comm for phase, role, comm, _storage in table2_rows()}
 
 
 def _spec(name: str, points: tuple[dict, ...]) -> ExperimentSpec:
@@ -58,17 +64,21 @@ def _normalized_counts(result) -> dict:
     return counts
 
 
+def _sweep(name: str, configs: tuple[dict, ...]):
+    """One round at each config; per config its (n, m, c) and per-node
+    counts."""
+    outcome = run_sweep(_spec(name, configs), workers=3)
+    shape = [(cfg["n"], cfg["m"], (cfg["n"] - cfg["referee_size"]) // cfg["m"])
+             for cfg in configs]
+    results = [_normalized_counts(outcome.one(n=cfg["n"])) for cfg in configs]
+    return shape, results
+
+
 def c_sweep():
     """m=2 fixed; c grows 14 -> 56."""
-    configs = ({"n": 36, "m": 2, "referee_size": 8},
-               {"n": 64, "m": 2, "referee_size": 8},
-               {"n": 120, "m": 2, "referee_size": 8})
-    outcome = run_sweep(_spec("table2-c-sweep", configs), workers=3)
-    cs, results = [], []
-    for config in configs:
-        cs.append((config["n"] - config["referee_size"]) // config["m"])
-        results.append(_normalized_counts(outcome.one(n=config["n"])))
-    return cs, results
+    return _sweep("table2-c-sweep", tuple(
+        {"n": n, "m": 2, "referee_size": 8} for n in (36, 64, 120)
+    ))
 
 
 def m_sweep():
@@ -77,15 +87,22 @@ def m_sweep():
     A small referee committee (4) keeps the constant C_R-internal consensus
     traffic from diluting the O(m²) redistribution term at bench scale.
     """
-    configs = tuple(
+    return _sweep("table2-m-sweep", tuple(
         {"n": 4 + 14 * m, "m": m, "referee_size": 4} for m in (2, 6, 12)
-    )
-    outcome = run_sweep(_spec("table2-m-sweep", configs), workers=3)
-    ms, results = [], []
-    for config in configs:
-        ms.append(config["m"])
-        results.append(_normalized_counts(outcome.one(m=config["m"])))
-    return ms, results
+    ))
+
+
+def compared(shape, results, cells, along):
+    """(phase, role, metric, class, claimed, measured) per cell: the claim's
+    exponent in the swept variable ``along`` against the fitted one."""
+    ns, ms, cs = zip(*shape)
+    xs = {"n": ns, "m": ms, "c": cs}[along]
+    return [
+        (phase, role, kind, CLASSES[(phase, role)],
+         claimed_exponent(CLAIMS[(phase, role)], ns, ms, cs, along=along),
+         fitted(xs, results, phase, role, kind))
+        for phase, role, kind in cells
+    ]
 
 
 def fitted(xs, results, phase, role, kind="messages"):
@@ -105,50 +122,46 @@ C_SWEEP_BAND = 0.35
 
 
 def test_table2_c_sweep(benchmark):
-    cs, results = benchmark.pedantic(c_sweep, rounds=1, iterations=1)
-    rows, failures = [], []
-    # (phase, role, metric, claimed exponent in c).  Byte counters carry the
-    # O(c²) claims (c responses × c-sized member lists / vote matrices).
-    claims = [
-        ("config", Roles.COMMON, "messages", 1.0),
-        ("config", Roles.KEY, "bytes", 2.0),
-        ("intra", Roles.COMMON, "bytes", 1.0),  # one vote vector of length D
-        # The leader's Alg. 3 PROPOSE carries the c×D vote matrix to all c
-        # members: a c² term in the key-member mean, the widest cell here.
-        ("intra", Roles.KEY, "bytes", 1.0),
-        ("reputation", Roles.COMMON, "messages", 1.0),
-        ("block", Roles.KEY, "messages", 1.0),
+    shape, results = benchmark.pedantic(c_sweep, rounds=1, iterations=1)
+    # Byte counters carry the O(c²) claims (c responses × c-sized member
+    # lists / vote matrices).  The leader's Alg. 3 PROPOSE carries the c×D
+    # vote matrix to all c members: a c² term in intra/key's mean, the
+    # widest cell here.
+    rows = compared(shape, results, [
+        ("config", Roles.COMMON, "messages"),
+        ("config", Roles.KEY, "bytes"),
+        ("intra", Roles.COMMON, "bytes"),  # one vote vector of length D
+        ("intra", Roles.KEY, "bytes"),
+        ("reputation", Roles.COMMON, "messages"),
+        ("block", Roles.KEY, "messages"),
+    ], along="c")
+    failures = [
+        f"Table II {(phase, role, kind, cls)}: exponent {measured:+.2f} in c, "
+        f"claim {claimed:+.2f}, outside ±{C_SWEEP_BAND}"
+        for phase, role, kind, cls, claimed, measured in rows
+        if abs(measured - claimed) > C_SWEEP_BAND
     ]
-    for phase, role, kind, claimed in claims:
-        measured = fitted(cs, results, phase, role, kind)
-        rows.append((phase, role, kind, f"{claimed:+.1f}", f"{measured:+.2f}"))
-        if abs(measured - claimed) > C_SWEEP_BAND:
-            failures.append(
-                f"Table II {(phase, role, kind, claimed)}: exponent "
-                f"{measured:+.2f} in c, outside ±{C_SWEEP_BAND}"
-            )
     print_table(
         "Table II c-sweep (m=2, c = 14→56): per-node exponents vs c",
-        ["phase", "role", "metric", "claimed", "measured"], rows,
+        ["phase", "role", "metric", "class", "claimed", "measured"],
+        [(*row[:4], f"{row[4]:+.2f}", f"{row[5]:+.2f}") for row in rows],
     )
     assert not failures, "; ".join(failures)
 
 
 def test_table2_m_sweep(benchmark):
-    ms, results = benchmark.pedantic(m_sweep, rounds=1, iterations=1)
-    rows = []
-    for phase, role, kind, claimed in [
-        ("semicommit", Roles.REFEREE, "bytes", 2.0),
-        ("inter", Roles.COMMON, "messages", 1.0),
-        ("block", Roles.REFEREE, "messages", 1.0),
-    ]:
-        measured = fitted(ms, results, phase, role, kind)
-        rows.append((phase, role, kind, f"{claimed:+.1f}", f"{measured:+.2f}"))
+    shape, results = benchmark.pedantic(m_sweep, rounds=1, iterations=1)
+    rows = compared(shape, results, [
+        ("semicommit", Roles.REFEREE, "bytes"),
+        ("inter", Roles.COMMON, "messages"),
+        ("block", Roles.REFEREE, "messages"),
+    ], along="m")
     print_table(
         "Table II m-sweep (c=14, m = 2→12): per-node exponents vs m",
-        ["phase", "role", "metric", "claimed", "measured"], rows,
+        ["phase", "role", "metric", "class", "claimed", "measured"],
+        [(*row[:4], f"{row[4]:+.2f}", f"{row[5]:+.2f}") for row in rows],
     )
-    lookup = {(r[0], r[1]): float(r[4]) for r in rows}
+    lookup = {(row[0], row[1]): row[5] for row in rows}
     # Referee semi-commitment traffic grows superlinearly in m (O(m²) claim:
     # every rm re-broadcasts all m commitments to all m committees).  The
     # exponent approaches 2 from below as the constant C_R-internal

@@ -55,22 +55,22 @@ def claimed_exponent(
     n_values: np.ndarray,
     m_values: np.ndarray,
     c_values: np.ndarray,
+    along: str = "n",
 ) -> float:
     """Effective exponent of the claimed class along a sweep.
 
     Given the claim O(n^a m^b c^d) and the actual (n, m, c) points of a
     sweep, the predicted counter is ``y = n^a m^b c^d``; fitting log y
-    against log n gives the exponent an experiment should observe when
-    sweeping that configuration family.
+    against the log of the swept variable (``along``: "n", "m" or "c")
+    gives the exponent an experiment should observe when sweeping that
+    configuration family.
     """
     a, b, d = claim
-    n_values = np.asarray(n_values, dtype=float)
-    y = (
-        n_values**a
-        * np.asarray(m_values, dtype=float) ** b
-        * np.asarray(c_values, dtype=float) ** d
-    )
-    slope, _ = np.polyfit(np.log(n_values), np.log(y), 1)
+    values = dict(zip("nmc", (
+        np.asarray(v, dtype=float) for v in (n_values, m_values, c_values)
+    )))
+    y = values["n"] ** a * values["m"] ** b * values["c"] ** d
+    slope, _ = np.polyfit(np.log(values[along]), np.log(y), 1)
     return float(slope)
 
 

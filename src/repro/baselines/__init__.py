@@ -1,17 +1,18 @@
 """Baseline sharding-protocol models for the Table I comparison.
 
-Elastico, OmniLedger and RapidChain are closed-source testbed systems; what
-Table I compares is their *analytical* profiles (resiliency, complexity,
-storage, per-round failure probability, decentralization assumptions,
-dishonest-leader behaviour, incentives, connection burden).  Each baseline
-is therefore a model exposing those quantities.
+Elastico, OmniLedger and RapidChain are closed-source testbed systems; a
+model states what its paper claims for one Table I column (resiliency,
+complexity, storage, per-round failure probability, decentralization
+assumptions, dishonest-leader behaviour, incentives, connection burden)
+and evaluates the failure formula.
 
-The row CycLedger highlights — high efficiency w.r.t. dishonest leaders —
-is measured, not modelled: ``repro.exp.policies_artifact`` reads it from
-the seed-paired ``policy-compare`` sweep (every executable backend, with
-and without a leader-targeting adaptive adversary), the sweep
-``BENCH_policies.json`` pins.  A model names its executable backend in
-``backend``; Elastico has none and stays analytic only.
+Every quantitative cell an executable backend can produce is measured
+instead of modelled.  ``repro.exp.policies_artifact`` reads the
+dishonest-leader row from the seed-paired ``policy-compare`` sweep
+``BENCH_policies.json`` pins; ``repro.exp.table1_cells`` reads the
+Complexity, Storage and Burden rows from a run of every backend.  A model
+names its executable backend in ``backend``; Elastico has none and prints
+its stated classes.
 """
 
 from repro.baselines.common import ProtocolModel

@@ -9,35 +9,24 @@ not an all-honest-pairs clique).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.security import round_failure_cycledger
-from repro.baselines.common import ProtocolModel, as_float
-from repro.net.topology import cycledger_channel_count
+from repro.baselines.common import ProtocolModel
+from repro.net.params import ChannelClass
 
 
 class CycLedgerModel(ProtocolModel):
     name = "CycLedger"
     backend = "cycledger"
     resiliency = 1.0 / 3.0
+    complexity = "O(n)"
+    storage = "O(m²/n + c)"
     decentralization = "no always-honest party"
     leader_robust = True
     has_incentives = True
     connection_burden = "light"
-
-    def complexity_messages(self, n, m, c):
-        return as_float(n)
-
-    def storage(self, n, m, c):
-        return as_float(
-            m * m / np.maximum(np.asarray(n, dtype=float), 1.0)
-            + np.asarray(c, dtype=float)
-        )
+    # §III-B: reliable channels inside committees (and C_R), among key
+    # members, and between key members and C_R; the rest is partial.
+    synchronous = (ChannelClass.INTRA, ChannelClass.KEY, ChannelClass.REFEREE)
 
     def fail_probability(self, m, c, lam):
-        return as_float(round_failure_cycledger(m, c, lam))
-
-    def connection_channels(
-        self, n: int, m: int, c: int, lam: int, cr: int
-    ) -> int:
-        return cycledger_channel_count(n, m, lam, cr)
+        return round_failure_cycledger(m, c, lam)

@@ -9,25 +9,18 @@ probability is 97% over only 6 epochs" (§II-A).
 from __future__ import annotations
 
 from repro.analysis.security import round_failure_elastico
-from repro.baselines.common import ProtocolModel, as_float
+from repro.baselines.common import ProtocolModel
 
 
 class ElasticoModel(ProtocolModel):
     name = "Elastico"
     resiliency = 1.0 / 4.0
+    complexity = "Ω(n)"
+    storage = "O(n)"  # full replication
     decentralization = "no always-honest party"
     leader_robust = False
     has_incentives = False
     connection_burden = "heavy"
 
-    #: The committee size Elastico actually ran with.
-    TYPICAL_COMMITTEE = 100
-
-    def complexity_messages(self, n, m, c):
-        return as_float(n)  # Ω(n)
-
-    def storage(self, n, m, c):
-        return as_float(n)  # full replication
-
     def fail_probability(self, m, c, lam):
-        return as_float(round_failure_elastico(m, c))
+        return round_failure_elastico(m, c)

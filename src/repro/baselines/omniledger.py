@@ -9,26 +9,20 @@ faulty coordinating client/leader stalls.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.security import round_failure_omniledger
-from repro.baselines.common import ProtocolModel, as_float
+from repro.baselines.common import ProtocolModel
 
 
 class OmniLedgerModel(ProtocolModel):
     name = "OmniLedger"
     backend = "omniledger_sim"
     resiliency = 1.0 / 4.0
+    complexity = "O(n)"
+    storage = "O(c + log m)"
     decentralization = "an honest client"
     leader_robust = False
     has_incentives = False
     connection_burden = "heavy"
 
-    def complexity_messages(self, n, m, c):
-        return as_float(n)
-
-    def storage(self, n, m, c):
-        return as_float(np.asarray(c, dtype=float) + np.log(max(m, 2)))
-
     def fail_probability(self, m, c, lam):
-        return as_float(round_failure_omniledger(m, c))
+        return round_failure_omniledger(m, c)

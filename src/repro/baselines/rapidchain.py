@@ -11,23 +11,19 @@ transactions may hardly be included in a block." (§II-A)
 from __future__ import annotations
 
 from repro.analysis.security import round_failure_rapidchain
-from repro.baselines.common import ProtocolModel, as_float
+from repro.baselines.common import ProtocolModel
 
 
 class RapidChainModel(ProtocolModel):
     name = "RapidChain"
     backend = "rapidchain"
     resiliency = 1.0 / 3.0
+    complexity = "O(n)"
+    storage = "O(c)"
     decentralization = "an honest reference committee"
     leader_robust = False
     has_incentives = False
     connection_burden = "heavy"
 
-    def complexity_messages(self, n, m, c):
-        return as_float(n)
-
-    def storage(self, n, m, c):
-        return as_float(c)
-
     def fail_probability(self, m, c, lam):
-        return as_float(round_failure_rapidchain(m, c))
+        return round_failure_rapidchain(m, c)

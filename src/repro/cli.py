@@ -323,26 +323,33 @@ def _cmd_failure(args: argparse.Namespace) -> int:
 def _cmd_table1(args: argparse.Namespace) -> int:
     from repro.baselines import ALL_MODELS
     from repro.exp import policies_artifact, policy_compare_spec, run_sweep
+    from repro.exp import table1_cells
 
-    # The dishonest-leader column is measured: each executable backend's
-    # packed ratio in the seed-paired policy sweep BENCH_policies.json pins.
+    # Every quantitative cell a backend can produce is measured: the
+    # dishonest-leader column is each executable backend's packed ratio in
+    # the seed-paired policy sweep BENCH_policies.json pins, and the
+    # complexity, storage and burden cells come from a run at its shape.
     spec = policy_compare_spec()
     measured = policies_artifact(run_sweep(spec, workers=1))
+    cells = table1_cells(ProtocolParams(**spec.base))
     policy = measured["policy"]
     budget = SCENARIO_PRESETS[policy].events[0].budget_fraction
-    print(f"analytic rows: n={args.n}, m={args.m}, c={args.c}, lam={args.lam}")
+    base = spec.base
+    print(f"fail/round: m={args.m}, c={args.c}, lam={args.lam}")
+    print(f"msgs/node, storage (items), burden (reliable partners per node, "
+          f"mean/max per role): round 2 at n={base['n']}, m={base['m']}, "
+          f"lam={base['lam']}, referee={base['referee_size']}, seed 0; a cell "
+          f"no run measures prints the stated class")
     print(f"leader-attack: packed ratio under {policy} (f = {budget} budget), "
-          f"n={spec.base['n']}, m={spec.base['m']}, lam={spec.base['lam']}, "
           f"{spec.rounds} rounds, seed {spec.seeds[0]}")
-    print(f"{'protocol':<12} {'resil':>6} {'storage':>9} {'fail/round':>11} "
-          f"{'leader-attack':>19} {'incentives':>10}")
+    print(f"{'protocol':<12} {'resil':>6} {'msgs/node':>9} {'fail/round':>11}  "
+          f"{'storage':<34}{'burden':<44} {'leader-attack':>19} {'incentives':>10}")
     for model in ALL_MODELS:
-        arm = measured["backends"].get(model.backend)
+        arm, cell = measured["backends"].get(model.backend), cells[model.name]
         ratio = "n/a (analytic only)" if arm is None else f"{arm['packed_ratio']:.2f}"
-        print(f"{model.name:<12} {model.resiliency:>6.2f} "
-              f"{model.storage(args.n, args.m, args.c):>9.1f} "
-              f"{model.fail_probability(args.m, args.c, args.lam):>11.2e} "
-              f"{ratio:>19} "
+        print(f"{model.name:<12} {model.resiliency:>6.2f} {cell['complexity']:>9} "
+              f"{model.fail_probability(args.m, args.c, args.lam):>11.2e}  "
+              f"{cell['storage']:<34}{cell['burden']:<44} {ratio:>19} "
               f"{'yes' if model.has_incentives else 'no':>10}")
     return 0
 
@@ -504,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     failure.set_defaults(func=_cmd_failure)
 
     table1 = sub.add_parser("table1", help="Table I comparison")
-    table1.add_argument("--n", type=int, default=2000)
     table1.add_argument("--m", type=int, default=10)
     table1.add_argument("--c", type=int, default=200)
     table1.add_argument("--lam", type=int, default=40)

@@ -27,6 +27,7 @@ from repro.exp.presets import (
     policies_artifact,
     policy_compare_spec,
     smoke_spec,
+    table1_cells,
 )
 from repro.exp.results import SweepResult
 from repro.exp.runner import PointTiming, Runner, SweepOutcome, run_point, run_sweep
@@ -47,4 +48,5 @@ __all__ = [
     "run_point",
     "run_sweep",
     "smoke_spec",
+    "table1_cells",
 ]

@@ -11,7 +11,9 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.config import ProtocolParams
 from repro.exp.spec import ExperimentSpec
+from repro.metrics.counters import Roles
 
 CapacityFn = Callable[[int, np.random.Generator], int]
 
@@ -97,6 +99,62 @@ def policies_artifact(outcome, seed: int | None = None) -> dict:
         "rounds": spec.rounds,
         "backends": arms,
     }
+
+
+def table1_cells(params: ProtocolParams) -> dict[str, dict]:
+    """Table I's Complexity, Storage and Burden cells per protocol name,
+    measured on round 2 of each executable backend at ``params`` (round 1
+    has no partial sets); a cell no run measures prints the stated class.
+
+    ``complexity`` is the round's messages per node; ``storage`` each
+    role's high-water mark of retained items (only CycLedger's phases
+    record any); ``burden``, where the protocol assumes synchrony on some
+    channel classes only (``ProtocolModel.synchronous``), each node's
+    distinct partners on them, mean/max per role (``partners``, role ->
+    ``(mean, max)``), read from the fabric's channel rows after the round.
+    Roles are those the round assigned at its start: recovery demotes an
+    impeached leader to common, and that node keeps its key channels.
+    """
+    from repro.backends import create_backend
+    from repro.baselines import ALL_MODELS
+
+    cells = {}
+    for model in ALL_MODELS:
+        cells[model.name] = cell = {
+            "complexity": model.complexity,
+            "storage": model.storage,
+            "burden": f"n − 1 = {params.n - 1} (every pair)",
+        }
+        if model.backend is None:
+            continue
+        ledger = create_backend(model.backend, params)
+        messages = ledger.run(2)[-1].messages
+        metrics = ledger.net.metrics  # the last round's collector
+        cell["complexity"] = f"{messages / params.n:.1f}"
+        storage = dict.fromkeys(Roles.ALL, 0)
+        for (_phase, role), counts in metrics.cells.items():
+            storage[role] = max(storage[role], counts.storage)
+        if any(storage.values()):
+            cell["storage"] = " / ".join(f"{r} {s:,}" for r, s in storage.items())
+        if model.synchronous is None:
+            continue
+        partners: dict[int, set[int]] = {node: set() for node in metrics.node_roles}
+        # sender -> {recipient -> channel class}: every pair the round used.
+        for sender, row in ledger.net._channel_rows.items():
+            for recipient, channel in row.items():
+                if channel in model.synchronous:
+                    partners[sender].add(recipient)
+                    partners[recipient].add(sender)
+        by_role: dict[str, list[int]] = {role: [] for role in Roles.ALL}
+        for node, peers in partners.items():
+            by_role[metrics.role_of(node)].append(len(peers))
+        cell["partners"] = {
+            role: (sum(c) / len(c), max(c)) for role, c in by_role.items() if c
+        }
+        cell["burden"] = ", ".join(
+            f"{role} {mean:.1f}/{top}" for role, (mean, top) in cell["partners"].items()
+        )
+    return cells
 
 
 def overlap_compare_spec() -> ExperimentSpec:

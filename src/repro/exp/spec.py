@@ -5,7 +5,7 @@ adversary fraction × failure rate × seed.  An :class:`ExperimentSpec`
 describes such a sweep declaratively — a base :class:`ProtocolParams`
 override dict, a product grid of parameter axes, a product grid of
 :class:`AdversaryConfig` axes, optional explicit (paired) points for
-non-product sweeps like the scalability ``(n, m)`` ladder, and a seed
+non-product sweeps like the Table II ``(n, m)`` ladders, and a seed
 list — and expands it into concrete :class:`SweepPoint`\\ s.
 
 Two derived identifiers make sweeps resumable and reproducible:

@@ -11,20 +11,15 @@ The paper's network model (§III-B):
 The simulator delivers messages along *declared channels only* — sending on
 a channel the topology does not provide raises, so the implementation cannot
 quietly assume the full honest-clique connectivity the paper criticises in
-prior work.  Channel counts per class are recorded for the "burden on
-connection" row of Table I.
+prior work.  The pairs a round used, with their class, are what Table I's
+"burden on connection" row counts (``repro.exp.table1_cells``).
 """
 
 from repro.net.params import NetworkParams
 from repro.net.message import Message, payload_size
 from repro.net.simulator import Network, SimulationError
 from repro.net.node import ProtocolNode
-from repro.net.topology import (
-    Channels,
-    build_cycledger_topology,
-    full_clique_channels,
-    cycledger_channel_count,
-)
+from repro.net.topology import Channels, build_cycledger_topology
 
 __all__ = [
     "NetworkParams",
@@ -35,6 +30,4 @@ __all__ = [
     "ProtocolNode",
     "Channels",
     "build_cycledger_topology",
-    "full_clique_channels",
-    "cycledger_channel_count",
 ]

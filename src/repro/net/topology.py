@@ -10,8 +10,10 @@ need reliable channels between *all* pairs of honest nodes, CycLedger only
 
 plus best-effort partially-synchronous links for PoW submission and block
 propagation.  :func:`build_cycledger_topology` realises exactly this graph;
-the simulator (strict mode) refuses to carry protocol messages on any other
-pair, so the implementation cannot silently depend on a richer network.
+the simulator refuses to carry protocol messages on any other pair, so the
+implementation cannot silently depend on a richer network.  How many of
+these channels a round uses per node is measured from the fabric
+(``repro.exp.table1_cells``), not computed here.
 """
 
 from __future__ import annotations
@@ -118,20 +120,3 @@ def build_cycledger_topology(
         },
     )
 
-
-def cycledger_channel_count(n: int, m: int, lam: int, cr_size: int) -> int:
-    """Closed-form reliable-channel count for an idealized configuration.
-
-    ``n`` ordinary nodes split into ``m`` committees of ``c = n/m`` (leader +
-    λ partial members among them), referee committee of ``cr_size``.
-    """
-    c = n // m
-    key_total = m * (lam + 1)
-    intra = m * (c * (c - 1) // 2) + cr_size * (cr_size - 1) // 2
-    key_cross = key_total * (key_total - 1) // 2 - m * ((lam + 1) * lam // 2)
-    return intra + key_cross + key_total * cr_size
-
-
-def full_clique_channels(n: int) -> int:
-    """Prior work's requirement: a reliable channel between every node pair."""
-    return n * (n - 1) // 2

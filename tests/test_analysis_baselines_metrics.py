@@ -6,13 +6,9 @@ import pytest
 from repro.analysis.complexity import TABLE2_CLAIMS, claimed_exponent, table2_rows
 from repro.analysis.incentive import expected_score, leader_punishment, reward_shares
 from repro.backends import backend_names
-from repro.baselines import (
-    ALL_MODELS,
-    CycLedgerModel,
-    ElasticoModel,
-    OmniLedgerModel,
-    RapidChainModel,
-)
+from repro.baselines import ALL_MODELS
+from repro.core.config import ProtocolParams
+from repro.exp import policy_compare_spec, table1_cells
 from repro.metrics.counters import MetricsCollector, Roles
 from repro.metrics.fitting import fit_power_law, r_squared_loglog, scaling_exponent
 
@@ -88,19 +84,28 @@ def test_table1_qualitative_rows():
     assert {model.backend for model in ALL_MODELS} - {None} <= set(backend_names())
 
 
-def test_storage_rows():
-    n, m, c = 2000, 10, 200
-    assert ElasticoModel().storage(n, m, c) == n
-    assert OmniLedgerModel().storage(n, m, c) == pytest.approx(c + np.log(m))
-    assert RapidChainModel().storage(n, m, c) == c
-    assert CycLedgerModel().storage(n, m, c) == pytest.approx(m * m / n + c)
-
-
-def test_connection_burden_quantified():
-    n, m, c, lam, cr = 2000, 10, 200, 40, 200
-    cyc = CycLedgerModel().connection_channels(n, m, c, lam, cr)
-    heavy = RapidChainModel().connection_channels(n, m, c, lam, cr)
-    assert cyc < heavy / 2
+def test_table1_cells_are_measured():
+    """The Complexity, Storage and Burden cells of a protocol with a backend
+    come from its run; Elastico's print the stated classes.  A referee
+    member talks to every key member and the rest of C_R: §III-B's
+    m(λ + 1) + |C_R| - 1, far below the n - 1 a rival assumes."""
+    params = ProtocolParams(**policy_compare_spec().base)
+    cells = table1_cells(params)
+    assert cells["Elastico"] == {
+        "complexity": "Ω(n)", "storage": "O(n)",
+        "burden": f"n − 1 = {params.n - 1} (every pair)",
+    }
+    for name in ("RapidChain", "OmniLedger"):
+        assert float(cells[name]["complexity"]) > 0
+        assert cells[name]["burden"] == cells["Elastico"]["burden"]
+    cyc = cells["CycLedger"]
+    assert float(cyc["complexity"]) > float(cells["RapidChain"]["complexity"])
+    assert cyc["storage"].startswith("common ")
+    partners = cyc["partners"]
+    assert set(partners) == set(Roles.ALL)
+    bound = params.m * (params.lam + 1) + params.referee_size - 1
+    assert partners["referee"][1] == bound
+    assert max(top for _mean, top in partners.values()) < params.n - 1
 
 
 # -- metrics ---------------------------------------------------------------------

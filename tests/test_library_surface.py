@@ -35,11 +35,6 @@ CALLER_TREES = ("src", "benchmarks", "perfbench", "examples", "tools")
 #: ``module path -> name -> reason`` for definitions (``name``) and members
 #: (``Class.member``) kept although no non-test file names them.
 ALLOWED = {
-    "src/repro/analysis/complexity.py": {
-        "claimed_exponent": "Table II's claims as exponents, for the Table II "
-        "bench to read instead of re-typing them (it re-types them today)",
-        "table2_rows": "Table II as rows of TABLE2_CLAIMS, for the same bench",
-    },
     "src/repro/analysis/invariants.py": {
         "InvariantChecker.assert_clean": "the checker's documented use "
         "(its docstring and docs/architecture.md): install, run, assert",

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.net.params import ChannelClass, NetworkParams
-from repro.net.topology import (
-    build_cycledger_topology,
-    cycledger_channel_count,
-    full_clique_channels,
-)
+from repro.net.topology import build_cycledger_topology
 
 
 @pytest.fixture
@@ -83,25 +79,42 @@ def test_key_must_be_member():
         build_cycledger_topology([({0, 1}, {5})], [])
 
 
+def _enumerated_counts(built, nodes):
+    """Undirected pairs per reliable class, found by asking ``classify``
+    about every ordered pair."""
+    reliable = (ChannelClass.INTRA, ChannelClass.KEY, ChannelClass.REFEREE)
+    pairs = {cls: set() for cls in reliable}
+    for src in nodes:
+        for dst in nodes:
+            cls = built.classify(src, dst)
+            if cls in pairs:
+                pairs[cls].add(frozenset((src, dst)))
+    return {cls: len(found) for cls, found in pairs.items()}
+
+
 def test_closed_form_matches_constructed():
-    n, m, lam, cr = 60, 3, 2, 6
-    c = n // m
-    committees = []
-    nid = 0
-    for k in range(m):
-        members = set(range(nid, nid + c))
-        keys = set(range(nid, nid + lam + 1))
-        committees.append((members, keys))
-        nid += c
-    referee = list(range(nid, nid + cr))
-    built = build_cycledger_topology(committees, referee)
-    assert built.total_reliable() == cycledger_channel_count(n, m, lam, cr)
-
-
-def test_light_vs_heavy_burden():
-    """Table I's punchline: CycLedger needs far fewer reliable channels."""
-    n, m, lam, cr = 2000, 10, 40, 200
-    assert cycledger_channel_count(n, m, lam, cr) < full_clique_channels(n + cr) / 5
+    """The census ``build_cycledger_topology`` computes equals the pairs its
+    own classifier links, counted by enumeration."""
+    rosters = [
+        # Three committees of 20 with key sets of λ + 1 = 3, |C_R| = 6.
+        (
+            [(set(range(k * 20, k * 20 + 20)), set(range(k * 20, k * 20 + 3)))
+             for k in range(3)],
+            list(range(60, 66)),
+        ),
+        # Unequal committees (7, 4, 9) and key sets (1, 3, 2), |C_R| = 3.
+        (
+            [(set(range(0, 7)), {0}), (set(range(7, 11)), {7, 8, 9}),
+             (set(range(11, 20)), {11, 12})],
+            [20, 21, 22],
+        ),
+    ]
+    for committees, referee in rosters:
+        built = build_cycledger_topology(committees, referee)
+        nodes = sorted(set().union(*(members for members, _ in committees), referee))
+        counted = _enumerated_counts(built, nodes)
+        assert counted == built.counts
+        assert sum(counted.values()) == built.total_reliable()
 
 
 def test_network_params_validation():
