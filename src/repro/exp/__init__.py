@@ -26,6 +26,7 @@ from repro.exp.presets import (
     overlap_compare_spec,
     policies_artifact,
     policy_compare_spec,
+    role_cells,
     smoke_spec,
     table1_cells,
 )
@@ -45,6 +46,7 @@ __all__ = [
     "overlap_compare_spec",
     "policies_artifact",
     "policy_compare_spec",
+    "role_cells",
     "run_point",
     "run_sweep",
     "smoke_spec",

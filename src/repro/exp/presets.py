@@ -7,13 +7,17 @@ here and reference it via ``ExperimentSpec.capacity_preset``.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections import Counter, defaultdict
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.core.config import ProtocolParams
 from repro.exp.spec import ExperimentSpec
-from repro.metrics.counters import Roles
+from repro.metrics.counters import PhaseStats, Roles
+
+if TYPE_CHECKING:
+    from repro.core.protocol import RoundReport
 
 CapacityFn = Callable[[int, np.random.Generator], int]
 
@@ -101,21 +105,79 @@ def policies_artifact(outcome, seed: int | None = None) -> dict:
     }
 
 
+def role_cells(params: ProtocolParams) -> tuple[dict, RoundReport]:
+    """Table II's cells measured on round 2 of CycLedger at ``params``
+    (round 1 has no partial sets), with that round's report, which says
+    what the round carried.
+
+    Per ``(phase, role)``: ``messages`` and ``bytes``, what the role's nodes
+    sent and received in the phase (a node's communication: a referee
+    member mostly receives); ``storage``, the busiest node's high-water mark
+    of retained items; and ``nodes``, how many nodes the round gave the role
+    at its start, which both counts are divided by.  Roles are
+    start-of-round: recovery demotes an impeached leader to common, and its
+    traffic stays key.
+    """
+    _ledger, report, cells = _round_two("cycledger", params)
+    return cells, report
+
+
+def _round_two(backend: str, params: ProtocolParams):
+    """A fresh ``backend`` ledger at ``params`` after two rounds, the second
+    round's report and its per-role cells (:func:`role_cells`);
+    ``ledger.net.metrics`` is that round's collector, which counts what was
+    sent, and a ``drop_filter`` that drops nothing counts what was received."""
+    from repro.backends import create_backend
+
+    ledger = create_backend(backend, params)
+    received: defaultdict[tuple[str, str], list[int]] = defaultdict(lambda: [0, 0])
+
+    def count_received(ctx, _phase) -> None:
+        # The fabric asks ``drop_filter`` once per recipient it is about to
+        # queue a message for; ``reset`` clears it every round.
+        received.clear()
+        metrics = ctx.metrics
+
+        def note(message) -> bool:
+            cell = received[(metrics.phase, metrics.role_of(message.recipient))]
+            cell[0] += 1
+            cell[1] += message.size
+            return False
+
+        ctx.net.drop_filter = note
+
+    ledger.pipeline.add_phase_hook(ledger.pipeline.names[0], "pre", count_received)
+    report = ledger.run(2)[-1]
+    metrics = ledger.net.metrics
+    nodes = Counter(metrics.node_roles.values())
+    cells = {}
+    for key in metrics.cells.keys() | received.keys():
+        role, stats = key[1], metrics.cells.get(key, PhaseStats())
+        got, got_bytes = received.get(key, (0, 0))
+        cells[key] = {
+            "nodes": nodes[role],
+            "messages": (stats.messages + got) / nodes[role],
+            "bytes": (stats.bytes + got_bytes) / nodes[role],
+            "storage": stats.storage,
+        }
+    return ledger, report, cells
+
+
 def table1_cells(params: ProtocolParams) -> dict[str, dict]:
     """Table I's Complexity, Storage and Burden cells per protocol name,
     measured on round 2 of each executable backend at ``params`` (round 1
     has no partial sets); a cell no run measures prints the stated class.
 
-    ``complexity`` is the round's messages per node; ``storage`` each
-    role's high-water mark of retained items (only CycLedger's phases
-    record any); ``burden``, where the protocol assumes synchrony on some
-    channel classes only (``ProtocolModel.synchronous``), each node's
-    distinct partners on them, mean/max per role (``partners``, role ->
+    ``complexity`` is the round's messages per node and ``storage`` each
+    role's high-water mark of retained items over the round's per-role
+    cells (:func:`role_cells`); only CycLedger's phases record storage, so
+    a rival's Storage cell is its stated class, marked so.
+    ``burden``, where the protocol assumes synchrony on some channel
+    classes only (``ProtocolModel.synchronous``), is each node's distinct
+    partners on them, mean/max per role (``partners``, role ->
     ``(mean, max)``), read from the fabric's channel rows after the round.
-    Roles are those the round assigned at its start: recovery demotes an
-    impeached leader to common, and that node keeps its key channels.
+    Roles are those the round assigned at its start, as in the cells.
     """
-    from repro.backends import create_backend
     from repro.baselines import ALL_MODELS
 
     cells = {}
@@ -127,15 +189,16 @@ def table1_cells(params: ProtocolParams) -> dict[str, dict]:
         }
         if model.backend is None:
             continue
-        ledger = create_backend(model.backend, params)
-        messages = ledger.run(2)[-1].messages
-        metrics = ledger.net.metrics  # the last round's collector
-        cell["complexity"] = f"{messages / params.n:.1f}"
+        ledger, report, per_role = _round_two(model.backend, params)
+        metrics = ledger.net.metrics
+        cell["complexity"] = f"{report.messages / params.n:.1f}"
         storage = dict.fromkeys(Roles.ALL, 0)
-        for (_phase, role), counts in metrics.cells.items():
-            storage[role] = max(storage[role], counts.storage)
+        for (_phase, role), counts in per_role.items():
+            storage[role] = max(storage[role], counts["storage"])
         if any(storage.values()):
             cell["storage"] = " / ".join(f"{r} {s:,}" for r, s in storage.items())
+        else:
+            cell["storage"] = f"{model.storage} stated, not measured"
         if model.synchronous is None:
             continue
         partners: dict[int, set[int]] = {node: set() for node in metrics.node_roles}

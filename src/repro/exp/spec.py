@@ -5,8 +5,10 @@ adversary fraction × failure rate × seed.  An :class:`ExperimentSpec`
 describes such a sweep declaratively — a base :class:`ProtocolParams`
 override dict, a product grid of parameter axes, a product grid of
 :class:`AdversaryConfig` axes, optional explicit (paired) points for
-non-product sweeps like the Table II ``(n, m)`` ladders, and a seed
-list — and expands it into concrete :class:`SweepPoint`\\ s.
+non-product sweeps, and a seed list — and expands it into concrete
+:class:`SweepPoint`\\ s.  (Table II is not a sweep: it reads
+:func:`repro.exp.role_cells` on the scale curve's shape, see
+``benchmarks/bench_table2_complexity.py``.)
 
 Two derived identifiers make sweeps resumable and reproducible:
 

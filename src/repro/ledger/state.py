@@ -64,6 +64,12 @@ class ShardState:
         # listing's size.  Derived state: never checkpointed, rebuilt on
         # demand.
         self._listing: tuple[dict, list, list, int] = ({}, [], [], seq_size(()))
+        # The outpoints :func:`apply_block` spent or created here since that
+        # listing, while they are all that moved the set to ``_touched_at``
+        # (its ``version``); ``None`` until the first listing, and after
+        # anything else moved the set: the next listing rescans it.
+        self._touched: list | None = None
+        self._touched_at = 0
 
     def validate(self, tx: Transaction) -> ValidationResult:
         """Run V against this shard's UTXO view.
@@ -129,19 +135,37 @@ class ShardState:
         Entries are encoded and sized once: one is kept for as long as the
         set maps its outpoint to the same output object, so a round encodes
         only what the last block created, and merges those entries into the
-        kept ones in one pass.
+        kept ones in one pass.  When only :func:`apply_block` moved the set
+        since the last listing, only the outpoints it touched are looked at;
+        otherwise the whole set is.
         """
-        current = self.utxos.snapshot()  # a plain dict: C-level probes below
+        utxos = self.utxos
+        touched = self._touched
+        if touched is not None and self._touched_at == utxos.version:
+            current = utxos._utxos  # read only, below
+            touched = dict.fromkeys(touched)  # each once, in touch order
+        else:
+            current = utxos.snapshot()  # a plain dict: C-level probes below
+            touched = None
         held = current.get
         listed, keys, parts, size = self._listing
-        stale = {op for op, output in listed.items() if held(op) is not output}
+        if touched is None:
+            stale = {op for op, output in listed.items() if held(op) is not output}
+        else:
+            stale = {
+                op for op in touched if op in listed and held(op) is not listed[op]
+            }
         if stale:
             for op in stale:
                 size -= _listing_size(op, listed.pop(op))
             kept = [op not in stale for op in keys]
             keys, parts = list(compress(keys, kept)), list(compress(parts, kept))
+        if touched is None:
+            fresh = [op for op in current if op not in listed]
+        else:
+            fresh = [op for op in touched if op in current and op not in listed]
         new: dict[tuple, bytes] = {}
-        for op in [op for op in current if op not in listed]:
+        for op in fresh:
             listed[op] = output = current[op]
             new[op], entry_size = _listing_entry(op, output)
             size += entry_size
@@ -154,6 +178,7 @@ class ShardState:
             new_part, kept_part = new.get, iter(parts).__next__
             parts = [new_part(op) or kept_part() for op in keys]
         self._listing = (listed, keys, parts, size)
+        self._touched, self._touched_at = [], utxos.version
         return UtxoListing(seq_bytes(parts), size)
 
 
@@ -217,6 +242,14 @@ def apply_block(
     # (also when an add raises: what came before it stands).
     dicts = [utxos._utxos for utxos in sets]
     held = list(enumerate(dicts))
+    # Each listed shard notes what it spent and created, for its next
+    # listing (``ShardState.digest_items``); a touch list that something
+    # else outdated, or that outgrew the set, is dropped: the listing
+    # rescans instead.
+    for state in states:
+        if state._touched is not None and state._touched_at != state.utxos.version:
+            state._touched = None
+    notes = [state._touched for state in states]
     moved = [0] * m
     spent = created = 0
     try:
@@ -227,6 +260,8 @@ def apply_block(
                         del utxos[outpoint]
                         moved[k] += 1
                         spent += 1
+                        if notes[k] is not None:
+                            notes[k].append(outpoint)
             txid = tx.txid
             for index, output in enumerate(tx.outputs):
                 k = shard_of[output[0]]
@@ -237,7 +272,14 @@ def apply_block(
                 utxos[outpoint] = output
                 moved[k] += 1
                 created += 1
+                if notes[k] is not None:
+                    notes[k].append(outpoint)
     finally:
-        for utxos, count in zip(sets, moved):
+        for state, utxos, count in zip(states, sets, moved):
             utxos.version += count
+            if state._touched is not None:
+                if len(state._touched) > len(utxos):
+                    state._touched = None
+                else:
+                    state._touched_at = utxos.version
     return spent, created

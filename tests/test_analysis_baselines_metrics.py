@@ -8,7 +8,7 @@ from repro.analysis.incentive import expected_score, leader_punishment, reward_s
 from repro.backends import backend_names
 from repro.baselines import ALL_MODELS
 from repro.core.config import ProtocolParams
-from repro.exp import policy_compare_spec, table1_cells
+from repro.exp import policy_compare_spec, role_cells, table1_cells
 from repro.metrics.counters import MetricsCollector, Roles
 from repro.metrics.fitting import fit_power_law, r_squared_loglog, scaling_exponent
 
@@ -166,3 +166,21 @@ def test_fit_validation():
         fit_power_law([1.0], [2.0])
     with pytest.raises(ValueError):
         fit_power_law([1.0, 2.0], [0.0, 1.0])
+
+
+def test_role_cells_count_each_message_at_both_ends():
+    """Table II's cells: a delivered message counts once for its sender's
+    role and once for its recipient's, per node of the roles the round
+    assigned at its start."""
+    params = ProtocolParams(**policy_compare_spec().base)
+    cells, report = role_cells(params)
+    assert report.round_number == 2
+    nodes = {role: cell["nodes"] for (_phase, role), cell in cells.items()}
+    assert nodes == {Roles.COMMON: 28, Roles.KEY: 12, Roles.REFEREE: 8}
+    handled = sum(cell["messages"] * cell["nodes"] for cell in cells.values())
+    assert round(handled) == 2 * report.messages
+    assert round(sum(cell["bytes"] * cell["nodes"] for cell in cells.values())) == (
+        2 * report.bytes_sent
+    )
+    # C_R sends nothing in the intra phase and receives each committee's result.
+    assert cells[("intra", Roles.REFEREE)]["messages"] == params.m

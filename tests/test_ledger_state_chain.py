@@ -1,11 +1,16 @@
 """Shard state and chain."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_impls import per_shard_add_genesis, per_shard_apply_block
+from reference_impls import per_shard_add_genesis, per_shard_apply_block, tuple_digest_items
 from tx_builders import make_transfer
 
+from repro.backends import create_backend
+from repro.core.config import ProtocolParams
+from repro.crypto.hashing import canonical_bytes
 from repro.ledger.chain import GENESIS_PREV_HASH, Block, Chain
 from repro.ledger.state import ShardState, apply_block
 from repro.ledger.transaction import (
@@ -14,6 +19,8 @@ from repro.ledger.transaction import (
     make_coinbase,
     shard_of_address,
 )
+from repro.ledger.utxo import UTXOSet
+from repro.net.message import payload_size
 
 
 def make_block(round_number: int, prev_hash: bytes, txs=()) -> Block:
@@ -169,6 +176,117 @@ def test_digest_items_deterministic():
     assert a.digest_items() != b.digest_items()
     apply_block([b], [spend], ShardMap(1))
     assert a.digest_items() == b.digest_items()
+
+
+def assert_listed_as_the_tuple(states) -> None:
+    for state in states:
+        listing, plain = state.digest_items(), tuple_digest_items(state)
+        assert listing.canonical == canonical_bytes(plain)
+        assert listing.wire_size == payload_size(plain)
+
+
+# One step on m listed shard views: a block of scripted transactions, or a
+# direct edit of one shard's set (``add`` / ``spend`` / ``restore`` to the
+# last saved snapshot / ``compact``), a checkpoint round-trip of every set
+# (pickled snapshots restored, as ``load_checkpoint`` does), or a listing.
+listing_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("block"), st.lists(tx_scripts, max_size=4)),
+        st.tuples(st.just("add"), st.integers(0, 2), st.sampled_from(ADDRESSES)),
+        st.tuples(st.just("spend"), st.integers(0, 2), st.integers(0, 99)),
+        st.tuples(st.sampled_from(["restore", "compact", "save", "checkpoint", "list"])),
+    ),
+    max_size=16,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 2, 3]), listing_steps, st.booleans())
+def test_listing_follows_blocks_and_every_other_edit(m, steps, every_step):
+    """``digest_items`` merges what ``apply_block`` touched and rescans after
+    anything else moved a set; either way it is the sorted tuple."""
+    genesis = make_coinbase([(owner, 100) for owner in ADDRESSES[:8]])
+    states, shard_of = shard_views(m, genesis), ShardMap(m)
+    assert_listed_as_the_tuple(states)
+    known = [(genesis.txid, i) for i in range(8)]
+    saved = [state.utxos.snapshot() for state in states]
+    nonce = 0
+    for step in steps:
+        kind, state = step[0], states[step[1] % m] if len(step) > 2 else None
+        if kind == "block":
+            block = []
+            for refs, outputs in step[1]:
+                nonce += 1
+                tx = Transaction(
+                    inputs=tuple(known[r % len(known)] if r >= 0 else (bytes([-r]) * 32, 0)
+                                 for r in refs),
+                    outputs=tuple(outputs),
+                    nonce=nonce,
+                )
+                known += [(tx.txid, i) for i in range(len(outputs))]
+                block.append(tx)
+            try:
+                apply_block(states, block, shard_of)
+            except ValueError:  # an output created twice: what came before stands
+                pass
+        elif kind == "add":
+            nonce += 1
+            state.utxos.add((bytes([nonce % 256]) * 32, nonce), (step[2], nonce))
+        elif kind == "spend" and len(state.utxos):
+            state.utxos.spend(list(state.utxos)[step[2] % len(state.utxos)])
+        elif kind == "restore":
+            for state, snapshot in zip(states, saved):
+                state.utxos.restore(snapshot)
+        elif kind == "compact":
+            for state in states:
+                state.utxos.compact()
+        elif kind == "save":
+            saved = [state.utxos.snapshot() for state in states]
+        elif kind == "checkpoint":
+            for state in states:
+                state.utxos.restore(pickle.loads(pickle.dumps(state.utxos.snapshot())))
+        if every_step or kind == "list":
+            assert_listed_as_the_tuple(states)
+    assert_listed_as_the_tuple(states)
+
+
+def test_listing_after_a_block_encodes_only_what_it_created(monkeypatch):
+    """A listed 5 000-entry shard: after a block, the next listing takes no
+    snapshot of the set and encodes the block's new outputs alone."""
+    import repro.ledger.state as state_module
+
+    genesis = make_coinbase([(f"user-{i}", 100) for i in range(5_000)])
+    (state,) = shard_views(1, genesis)
+    state.digest_items()
+    spend = make_transfer((genesis.txid, 7), 100, "user-1", 10, "user-7", nonce=1)
+    apply_block([state], [spend], ShardMap(1))
+    encoded = []
+    real = state_module._listing_entry
+    monkeypatch.setattr(
+        state_module, "_listing_entry",
+        lambda op, output: encoded.append(op) or real(op, output),
+    )
+
+    def no_snapshot(self):
+        raise AssertionError("the listing copied the whole set")
+
+    monkeypatch.setattr(UTXOSet, "snapshot", no_snapshot)
+    listing = state.digest_items()
+    assert encoded == [(spend.txid, 0), (spend.txid, 1)]
+    monkeypatch.undo()
+    assert listing.canonical == canonical_bytes(tuple_digest_items(state))
+
+
+@pytest.mark.parametrize("backend", ["rapidchain", "omniledger_sim"])
+def test_a_rival_run_notes_no_touches(backend):
+    """The rivals apply blocks but never list a shard, so no shard keeps a
+    note of what the blocks touched; CycLedger's listed shards do."""
+    params = ProtocolParams(n=48, m=4, lam=2, referee_size=8, tx_per_committee=6)
+    rival, cycledger = create_backend(backend, params), create_backend("cycledger", params)
+    rival.run(3)
+    cycledger.run(3)
+    assert all(state._touched is None for state in rival.shard_states)
+    assert all(isinstance(state._touched, list) for state in cycledger.shard_states)
 
 
 # -- Chain -------------------------------------------------------------------
