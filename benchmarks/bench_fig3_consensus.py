@@ -43,10 +43,20 @@ def test_fig3_message_pattern(benchmark):
     ]]
     print_table("Fig. 3: Algorithm 3 message census, c=12",
                 ["step", "measured", "expected"], rows)
-    assert outcome.success
-    assert census["PROPOSE"] == c - 1
-    assert census["ECHO"] == c * (c - 1)
-    assert census["CONFIRM"] == c - 1
+    assert outcome.success, f"Fig. 3: Algorithm 3 reached no consensus at c={c}"
+    assert census["PROPOSE"] == c - 1, (
+        f"Fig. 3: {census['PROPOSE']} PROPOSEs at c={c}, want the leader's "
+        f"fan-out c-1 = {c - 1}"
+    )
+    # A tallied ECHO is drawn, sent and counted like any other message.
+    assert census["ECHO"] == c * (c - 1), (
+        f"Fig. 3: {census['ECHO']} ECHOes at c={c}, want all-to-all "
+        f"c(c-1) = {c * (c - 1)}"
+    )
+    assert census["CONFIRM"] == c - 1, (
+        f"Fig. 3: {census['CONFIRM']} CONFIRMs at c={c}, want the fan-in "
+        f"c-1 = {c - 1}"
+    )
 
 
 def test_fig3_scaling(benchmark):
@@ -54,7 +64,7 @@ def test_fig3_scaling(benchmark):
         cs, totals = [], []
         for c in (8, 16, 32):
             census, outcome = run_with_tag_census(c)
-            assert outcome.success
+            assert outcome.success, f"Fig. 3: Algorithm 3 reached no consensus at c={c}"
             cs.append(c)
             totals.append(sum(census.values()))
         return cs, totals
@@ -62,4 +72,7 @@ def test_fig3_scaling(benchmark):
     cs, totals = benchmark.pedantic(sweep, rounds=1, iterations=1)
     exponent = scaling_exponent(cs, totals)
     print(f"\nFig. 3 scaling: total Alg.3 messages ~ c^{exponent:.2f}")
-    assert 1.7 < exponent < 2.2
+    assert 1.7 < exponent < 2.2, (
+        f"Fig. 3: total Algorithm 3 messages grow as c^{exponent:.2f} over "
+        f"c = {cs}, want c^2 (an exponent in (1.7, 2.2))"
+    )

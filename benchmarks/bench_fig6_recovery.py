@@ -41,11 +41,17 @@ def test_fig6_recovery_trace(benchmark):
     rows.append(("new leader (the prosecutor cp)", event.new_leader))
     rows.append(("witness kind", event.kind))
     print_table("Fig. 6: leader re-selection trace", ["event", "value"], rows)
-    assert event.succeeded
-    assert event.new_leader == 1
-    assert 0 in ctx.expelled_leaders
+    assert event.succeeded, "Fig. 6: the impeachment re-selected no leader"
+    assert event.new_leader == 1, (
+        f"Fig. 6: the new leader is {event.new_leader}, want the prosecutor cp = 1"
+    )
+    assert 0 in ctx.expelled_leaders, "Fig. 6: the equivocating leader 0 was not expelled"
     # the whole recovery fits within a bounded number of Γ exchanges
-    assert event.sim_time < 40 * ctx.params.net.gamma
+    gamma = ctx.params.net.gamma
+    assert event.sim_time < 40 * gamma, (
+        f"Fig. 6: the recovery took {event.sim_time:.2f} s of sim time, want "
+        f"under 40 Γ = {40 * gamma:.2f} s"
+    )
 
 
 def test_recovery_latency_scales_with_committee(benchmark):
@@ -70,4 +76,7 @@ def test_recovery_latency_scales_with_committee(benchmark):
         lambda: [measure(c) for c in (8, 16)], rounds=1, iterations=1
     )
     print(f"\nrecovery messages: c=8 -> {counts[0]}, c=16 -> {counts[1]}")
-    assert counts[1] > counts[0]
+    assert counts[1] > counts[0], (
+        f"Fig. 6: a recovery sent {counts[0]} messages at c=8 and {counts[1]} "
+        "at c=16, want more at the larger committee"
+    )

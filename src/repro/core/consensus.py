@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
+import numpy as np
+
 from repro.crypto.hashing import H, canonical_bytes, fields_bytes
 from repro.crypto.signatures import (
     Signature,
@@ -46,6 +48,9 @@ from repro.net.message import payload_size, sig_list_size
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.structures import RoundContext
     from repro.net.message import Message
+    from repro.net.simulator import TalliedRun
+
+_NEVER = float("inf")
 
 
 @dataclass(frozen=True)
@@ -169,10 +174,9 @@ class InsideConsensus:
         }
         self._confirmed: set[int] = set()
         self._stopped: set[int] = set()
-        # digest -> the members an ECHO of it can no longer change anything
-        # for: the stopped ones, and the confirmed ones already holding its
-        # header (see :meth:`_moot`).  Grown in place, never shrunk.
-        self._moot_by_digest: dict[bytes, set[int]] = {}
+        # The count of the session's ECHOes when its leader signed one
+        # digest (see :class:`_EchoTally`); None: every ECHO is delivered.
+        self._tally: _EchoTally | None = None
         # Leader state
         self._confirm_sigs: dict[str, Signature] = {}
         self._member_pks = frozenset(ctx.pk_of(mid) for mid in self.members)
@@ -259,30 +263,6 @@ class InsideConsensus:
             self._header_memo[key] = (sig, ok)
         return ok
 
-    def _moot(self, digest: bytes) -> set[int]:
-        """The ``moot`` set of every ECHO multicast of ``digest``.
-
-        The ECHO handler returns before doing anything for a stopped member,
-        and for a confirmed member after a header audit that, with the
-        digest already among its headers, changes nothing (a second header
-        has already made the equivocation witness).  So such a member would
-        do nothing with the ECHO; an ECHO relaying a digest it has not seen
-        is never moot for it.  The set is kept up to date where
-        ``_confirmed``, ``_seen_headers`` and ``_stopped`` grow.
-        """
-        moot = self._moot_by_digest.get(digest)
-        if moot is None:
-            seen = self._seen_headers
-            moot = self._moot_by_digest[digest] = self._stopped | {
-                mid for mid in self._confirmed if digest in seen[mid]
-            }
-        return moot
-
-    def _stop(self, mid: int) -> None:
-        self._stopped.add(mid)
-        for moot in self._moot_by_digest.values():
-            moot.add(mid)
-
     # -- encoded statements -----------------------------------------------
     def _header_enc(self, digest: bytes) -> bytes:
         return encode_statement(("PROPOSE", self.r, self.sn, digest))
@@ -321,13 +301,14 @@ class InsideConsensus:
         self._leader_propose()
 
     def release(self) -> None:
-        """Unregister the session's handlers from its members' mailboxes.
-        Call once the network has drained: no delivery can reach them
-        again, and without them nothing keeps the session's per-member
-        tables alive."""
+        """Unregister the session's handlers from its members' mailboxes
+        and drop its tally.  Call once the network has drained: no delivery
+        can reach them again, and without them nothing keeps the session's
+        per-member tables or its ECHO fan-outs alive."""
         nodes = self.ctx.nodes
         for mid in self.members:
             nodes[mid].off(self._tags)
+        self._tally = None
 
     def _leader_propose(self) -> None:
         leader_node = self.ctx.node(self.leader)
@@ -376,6 +357,8 @@ class InsideConsensus:
             )
         self._proposed[self.leader] = (own_digest, own_sig)
         self._seen_headers[self.leader][own_digest] = own_sig
+        if set(sig_by_digest) <= {own_digest} and self.need > 1:
+            self._tally = _EchoTally(self.ctx, self.members, self.need)
         echo_sig = sign_encoded(
             leader_node.keypair, self._echo_enc(own_digest, self.leader)
         )
@@ -383,7 +366,7 @@ class InsideConsensus:
         echo_size = payload_size(echo_packet)
         leader_node.multicast(
             recipients, self._tag_echo, echo_packet, size=echo_size,
-            moot=self._moot(own_digest),
+            tally=self._tally_for(echo_packet),
         )
         self._record_echo(self.leader, own_digest, self.leader, echo_sig)
 
@@ -392,6 +375,8 @@ class InsideConsensus:
         mid = message.recipient
         if mid in self._stopped:
             return
+        if self._tally is not None:
+            self._catch_up(mid)
         node = self.ctx.node(mid)
         sig, digest, payload = message.payload
         if not self._header_verdict(sig, digest):
@@ -411,7 +396,7 @@ class InsideConsensus:
         echo_size = payload_size(echo_packet)
         node.multicast(
             self.members, self._tag_echo, echo_packet, size=echo_size,
-            moot=self._moot(digest),
+            tally=self._tally_for(echo_packet),
         )
         self._record_echo(mid, digest, mid, echo_sig)
         self._maybe_confirm(mid)
@@ -421,18 +406,20 @@ class InsideConsensus:
         closure over the session's state, with the steps that cannot change
         anything skipped rather than called and returned from.
 
-        Every delivery is judged by the identity memo or, on a miss, the
-        full :meth:`_echo_verdict`.  The relayed leader header is audited on
-        every valid ECHO — before anything that may return — but only when
-        it can matter: a digest this member already holds as its only header
-        changes nothing in :meth:`_note_header`.  A member that has
-        confirmed has nothing left to count, so it stops after the audit (a
-        late second header still makes it raise STOP); an ECHO that can
-        change nothing for its member is not handed to it at all (see
-        :meth:`_moot`).  And the member's count can only reach the quorum
-        on an ECHO for its own proposed digest, so :meth:`_maybe_confirm`
-        runs for those alone; ECHOes that reach quorum before the PROPOSE
-        are confirmed by the PROPOSE handler.
+        In a tallied session (see :class:`_EchoTally`) it is called only
+        for a member's quorum crossing and for ECHOes from outside the
+        tally, and first files the tallied ECHOes that reached the member
+        before this one.  Every delivery is judged by the identity memo or,
+        on a miss, the full :meth:`_echo_verdict`.  The relayed leader
+        header is audited on every valid ECHO — before anything that may
+        return — but only when it can matter: a digest this member already
+        holds as its only header changes nothing in :meth:`_note_header`.
+        A member that has confirmed has nothing left to count, so it stops
+        after the audit (a late second header still makes it raise STOP).
+        And the member's count can only reach the quorum on an ECHO for its
+        own proposed digest, so :meth:`_maybe_confirm` runs for those alone;
+        ECHOes that reach quorum before the PROPOSE are confirmed by the
+        PROPOSE handler.
         """
         nodes = self.ctx.nodes
         stopped = self._stopped
@@ -447,6 +434,8 @@ class InsideConsensus:
             mid = message.recipient
             if mid in stopped:
                 return
+            if self._tally is not None:
+                self._catch_up(mid)
             packet = message.payload
             entry = memo.get(id(packet))
             if entry is not None and entry[0] is packet:
@@ -478,15 +467,47 @@ class InsideConsensus:
 
         return handler
 
+    def _tally_for(self, packet: tuple) -> "_EchoTally | None":
+        """The tally an ECHO multicast is sent with: the session's, for a
+        packet that passes its checks (they are pure in the packet, so they
+        are judged here, once); None sends it message by message."""
+        if self._tally is not None and self._echo_verdict(packet)[1]:
+            return self._tally
+        return None
+
+    def _catch_up(self, mid: int) -> None:
+        """Do what the ECHO handler would have done with each tallied ECHO
+        that reached ``mid`` before the event being processed: note its
+        leader header if new and, at a member that echoes, file its
+        signature.  (At a confirmed member neither changes anything.)"""
+        if mid in self._confirmed:
+            return
+        tally = self._tally
+        rows = tally.arrived(mid)
+        if not rows:
+            return
+        # Every tallied ECHO relays the one leader header.
+        _echo_sig, digest, _sender_id, relayed_propose_sig = (
+            tally.fan_outs[rows[0]].message.payload
+        )
+        if digest not in self._seen_headers[mid]:
+            self._note_header(mid, digest, relayed_propose_sig)
+        node = self.ctx.nodes[mid]
+        if node.behavior.echoes(node):
+            held = self._echoes[mid]
+            by_digest = held.get(digest)
+            if by_digest is None:
+                held[digest] = by_digest = {}
+            sigs = tally.sigs
+            for row in rows:
+                echo_sig = sigs[row]
+                by_digest[echo_sig.pk] = echo_sig
+
     def _note_header(self, mid: int, digest: bytes, sig: Signature) -> None:
         """Track leader-signed headers; two different digests = witness."""
         seen = self._seen_headers[mid]
         if digest not in seen:
             seen[digest] = sig
-            if mid in self._confirmed:
-                moot = self._moot_by_digest.get(digest)
-                if moot is not None:
-                    moot.add(mid)
         if len(seen) >= 2 and self.outcome.equivocation is None:
             (d_a, s_a), (d_b, s_b) = list(seen.items())[:2]
             witness = EquivocationWitness(
@@ -504,7 +525,7 @@ class InsideConsensus:
                 # "he/she informs all members of the committee immediately
                 # to stop the consensus process."
                 node.multicast(self.members, self._tag_stop, witness)
-                self._stop(mid)
+                self._stopped.add(mid)
 
     def _on_stop(self, message: "Message") -> None:
         witness: EquivocationWitness = message.payload
@@ -520,7 +541,7 @@ class InsideConsensus:
             return  # invalid alarm: ignore (Claim 4 — no framing)
         if self.outcome.equivocation is None:
             self.outcome.equivocation = witness
-        self._stop(message.recipient)
+        self._stopped.add(message.recipient)
 
     def _record_echo(
         self, holder: int, digest: bytes, sender_id: int, echo_sig: Signature
@@ -543,10 +564,6 @@ class InsideConsensus:
             return
         node = self.ctx.node(mid)
         self._confirmed.add(mid)
-        for seen in self._seen_headers[mid]:
-            moot = self._moot_by_digest.get(seen)
-            if moot is not None:
-                moot.add(mid)
         confirm_sig = sign_encoded(node.keypair, self._confirm_enc(digest))
         echo_list = list(echoes.values())
         if mid == self.leader:
@@ -591,3 +608,158 @@ class InsideConsensus:
         self.start()
         self.ctx.net.run()
         return self.outcome
+
+
+class _EchoTally:
+    """Algorithm 3's ECHO step as a count, for a session whose leader
+    signed one digest.
+
+    Then every ECHO the session sends is a member's valid signature over
+    that digest relaying the leader's one header (each packet is still
+    judged once, when it is sent), and what it does at a recipient depends
+    only on when it arrives: before the member crosses its quorum it is
+    filed in the member's echo table (and its header noted), after that it
+    does nothing.  So both ECHO multicasts are *tallied* (see
+    ``Network.multicast``): the fabric draws and counts every delivery as
+    before but queues none, and the one ECHO a member acts on — the
+    ``q``-th to reach it from the others, which with its own makes a quorum
+    — is armed and delivered at its own ``(time, seq)``, so its CONFIRM is
+    sent, and draws its jitter, exactly where the message-by-message loop
+    sends it.  The ECHOes before it are handed to the session by
+    :meth:`arrived`, in arrival order, when the member is next handed a
+    message of the session (that crossing, a PROPOSE, an ECHO from outside
+    the tally).
+
+    The fan-outs are sorted in when an armed entry comes up (see
+    :meth:`_count`): ``order[:, c]`` is then the fan-outs sorted by their
+    arrival at member ``c`` (time, then seq), and each recording member's
+    crossing — its ``q``-th arrival — is armed.  A fan-out adds arrivals
+    only after the loop's position, so until it is sorted in, the earliest
+    arrival of the fan-outs not sorted in yet stays armed: no crossing
+    they move can come before it.  A crossing that moved earlier after it
+    was armed is not due when it comes up.  In an honest session that is
+    one count, at the first arrival of the ``q``-th fan-out or a later
+    one.  A member records ECHOes if it echoes and is online when the
+    session starts; both are read once, here (the library sets them only
+    as a round starts).
+    """
+
+    def __init__(self, ctx: "RoundContext", members: list[int], need: int) -> None:
+        self.net = ctx.net
+        self.members = members
+        self.q = need - 1
+        nodes = ctx.nodes
+        self.column = {mid: c for c, mid in enumerate(members)}
+        # per member: the seq of its armed crossing, -1 while it has fewer
+        # than q arrivals, None once it has crossed or if it records nothing
+        self.crossing: list[int | None] = [
+            -1 if nodes[mid].online and nodes[mid].behavior.echoes(nodes[mid])
+            else None
+            for mid in members
+        ]
+        self.fan_outs: list[TalliedRun] = []
+        self.sigs: list[Signature] = []  # each fan-out's ECHO signature
+        self.armed: set[int] = set()
+        self.wake: tuple[float, int] | None = None
+        self.order: np.ndarray | None = None
+        # per member: its arrivals, the ones handed to the session, and the
+        # ones known to be before the loop's position
+        self.arrivals = [0] * len(members)
+        self.handed = [0] * len(members)
+        self.known = [0] * len(members)
+
+    def add(self, run: "TalliedRun") -> None:
+        """A tallied ECHO fan-out was sent: it is sorted in at the next
+        armed entry, and its earliest arrival is armed unless an earlier
+        one of a fan-out not sorted in yet is.  The first ``q - 1``
+        fan-outs arm nothing: of a member's ``q`` earliest arrivals, one
+        at least comes from a later fan-out, so no crossing comes before
+        the earliest arrival of the ``q``-th fan-out or of one after it."""
+        self.fan_outs.append(run)
+        self.sigs.append(run.message.payload[0])
+        if len(self.fan_outs) < self.q:
+            return
+        times = run.times
+        earliest = min(times)
+        k = times.index(earliest)  # on a tie in time, the lowest seq
+        key = (earliest, run.seq0 + k)
+        if self.wake is None or key < self.wake:
+            self.wake = key
+            self._arm(run, k)
+
+    def _arm(self, run: "TalliedRun", k: int) -> None:
+        seq = run.seq0 + k
+        if seq not in self.armed:
+            self.armed.add(seq)
+            self.net.arm(run, k)
+
+    def _count(self) -> None:
+        """Sort every member's arrivals and arm each recording member's
+        crossing."""
+        runs, members, column = self.fan_outs, self.members, self.column
+        size = len(members)
+        rows = []
+        for run in runs:
+            times = run.times
+            if len(times) == size - 1:  # all the others, in member order
+                at = column[run.message.sender]
+                rows.append(times[:at] + [_NEVER] + times[at:])
+            else:
+                row = [_NEVER] * size
+                for mid, time in zip(run.recipients, times):
+                    row[column[mid]] = time
+                rows.append(row)
+        arrivals = np.array(rows)
+        # A stable sort along the fan-outs, which are in seq order: ties in
+        # time go by seq, as in the heap.
+        self.order = order = np.argsort(arrivals, axis=0, kind="stable").astype(
+            np.int16 if len(runs) < 2**15 else np.int64
+        )
+        self.arrivals = np.isfinite(arrivals).sum(axis=0).tolist()
+        q = self.q
+        if len(runs) < q:
+            return
+        crossing = self.crossing
+        for c, row in enumerate(order[q - 1].tolist()):
+            if crossing[c] is None or self.arrivals[c] < q:
+                continue
+            run = runs[row]
+            k = run.recipients.index(members[c])
+            crossing[c] = run.seq0 + k
+            self._arm(run, k)
+
+    def due(self, run: "TalliedRun", k: int) -> bool:
+        """An armed entry came up: it is due if it is its member's
+        crossing, and then the member has crossed."""
+        if self.wake is not None:
+            self._count()
+            self.wake = None
+        seq = run.seq0 + k
+        self.armed.discard(seq)
+        c = self.column[run.recipients[k]]
+        if self.crossing[c] != seq:
+            return False
+        self.crossing[c] = None
+        self.known[c] = self.q - 1
+        return True
+
+    def arrived(self, mid: int) -> list[int]:
+        """The fan-outs (indices into :attr:`fan_outs`) of the tallied
+        ECHOes that reached ``mid`` before the event being processed and
+        were not handed out yet, in arrival order."""
+        c = self.column.get(mid)
+        if c is None or self.order is None:
+            return []
+        ranked = self.order[:, c]
+        n, known = self.handed[c], self.known[c]
+        rows = ranked[n:known].tolist() if known > n else []
+        n += len(rows)
+        runs, net = self.fan_outs, self.net
+        while n < self.arrivals[c]:
+            row = int(ranked[n])
+            if not net.passed(runs[row], runs[row].recipients.index(mid)):
+                break
+            rows.append(row)
+            n += 1
+        self.handed[c] = n
+        return rows

@@ -71,17 +71,17 @@ class ProtocolNode:
         tag: str,
         payload: Any,
         size: int | None = None,
-        moot: "set[int] | None" = None,
+        tally: Any = None,
     ) -> None:
         """Paper's BROADCAST: one payload to all known members of a group
         (the sender itself is skipped); see ``Network.multicast``, which
-        also says what a ``moot`` set is."""
+        also says what a ``tally`` is."""
         if self.network is None:
             raise RuntimeError(f"node {self.node_id} is not attached to a network")
         if not self.online:
             return  # offline nodes transmit nothing
         self.network.multicast(
-            self.node_id, recipients, tag, payload, size=size, moot=moot
+            self.node_id, recipients, tag, payload, size=size, tally=tally
         )
 
     def on_default(self, message: "Message") -> None:

@@ -33,11 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import ProtocolNode
 
 
-# A loop position after every event of its time: where :meth:`Network.run`
-# stands once it has stopped at ``until``.
-_AFTER_ALL = float("inf")
-
-
 class SimulationError(RuntimeError):
     """Raised for protocol-level misuse of the network (e.g. sending on a
     channel the topology does not provide)."""
@@ -46,6 +41,30 @@ class SimulationError(RuntimeError):
 def _default_classifier(src: int, dst: int) -> str:
     """The permissive topology of a fresh or reset network."""
     return ChannelClass.PARTIAL
+
+
+class TalliedRun:
+    """The deliveries of one fan-out sent with a ``tally`` (see
+    :meth:`Network.multicast`), none of them queued: entry ``k`` goes to
+    ``recipients[k]`` over ``channels[k]`` at ``(times[k], seq0 + k)``.
+
+    ``message`` holds what the entries share (sender, tag, payload, size,
+    send time).  It is the run's own envelope and is never pooled, so the
+    tally may read its payload after the run has passed; the fabric writes
+    the per-entry fields into it when it delivers an entry the tally armed.
+    ``passed`` is how many entries the loop has counted as delivered.
+    """
+
+    __slots__ = ("times", "recipients", "channels", "seq0", "message", "tally", "passed")
+
+    def __init__(self, times, recipients, channels, seq0, message, tally) -> None:
+        self.times = times
+        self.recipients = recipients
+        self.channels = channels
+        self.seq0 = seq0
+        self.message = message
+        self.tally = tally
+        self.passed = 0
 
 
 class Network:
@@ -79,17 +98,21 @@ class Network:
         # timeline on this clock.
         self.epoch: float = 0.0
         # The event heap, ordered by ``(time, seq)`` (``seq`` is unique, so
-        # nothing past it is ever compared).  Three kinds of entry:
+        # nothing past it is ever compared).  Four kinds of entry:
         #   timer            (time, seq, None, callback)
         #   single envelope  (time, seq, message, None)
         #   run head         (time, seq, envelope, run)   -- see ``_fan_out``
+        #   armed entry      (time, seq, envelope, tallied run) -- see ``arm``
         self._queue: list[tuple[float, int, Message | None, Any]] = []
         self._next_seq = 0
-        # The ``seq`` of the event :meth:`run` processed last (infinite after
-        # a cut at ``until``): with :attr:`now`, the key up to which every
-        # event is processed, which tells a moot entry that is already
-        # counted from one still in flight (see :meth:`run`).
-        self._now_seq: float = -1
+        # The ``seq`` of the event :meth:`run` processed last (once it has
+        # stopped: just past the last seq allocated, so that every event
+        # queued later is ahead of it): with :attr:`now`, the key up to
+        # which every event is processed, which tells a tallied entry that
+        # is already delivered from one still in flight (see :meth:`run`).
+        self._now_seq = -1
+        # The tallied runs with entries the loop has not counted yet.
+        self._tallied: list[TalliedRun] = []
         # Pre-drawn jitter block and its cursor (see :meth:`_fan_out`).
         self._jitter_block: np.ndarray | None = None
         self._jitter_idx = 0
@@ -152,6 +175,9 @@ class Network:
         self._queue.clear()
         self._next_seq = 0
         self._now_seq = -1
+        for run in self._tallied:
+            run.tally = None  # as when a run has passed: no cycle outlives it
+        self._tallied.clear()
         self.channel_classifier = _default_classifier
         self.delivered_messages = 0
         self.dropped_messages = 0
@@ -266,7 +292,7 @@ class Network:
         tag: str,
         payload: Any,
         size: int | None = None,
-        moot: "set[int] | None" = None,
+        tally: Any = None,
     ) -> None:
         """The paper's BROADCAST: one payload from ``sender`` to every id in
         ``recipients`` except the sender itself, in iteration order.
@@ -280,17 +306,21 @@ class Network:
         If a recipient raises (unknown id, no channel) the recipients before
         it stay enqueued and counted, as with the loop of sends.
 
-        ``moot``, if given, is the sender session's set of recipients for
-        whom the payload can no longer change anything: delivered to one of
-        them, it would change no state, send nothing and draw nothing.  The
-        session owns the set and only adds to it until the network drains;
-        :meth:`run` reads it as each delivery comes due and calls no handler
-        for a recipient in it (see there).  A handler must stay correct if
-        the set is ignored, as the per-message oracle does.
+        ``tally``, if given, is the sender session's count of what the
+        payload does at each recipient, and the fan-out is *tallied*: it is
+        decided and drawn as above, but no delivery is queued.  The fabric
+        hands the session the :class:`TalliedRun` (``tally.add(run)``) and
+        counts each entry as delivered at its own ``(time, seq)`` without
+        calling a handler, unless the session has :meth:`arm`-ed it: then,
+        at that key, ``tally.due(run, k)`` says whether the entry is still
+        worth a delivery, and if so it is dispatched like any message.  The
+        session must therefore judge at send time every delivery it leaves
+        silent, and arm the entries where its state changes; the
+        per-message oracle, which ignores ``tally``, calls every handler.
         """
         self._fan_out(
             sender, [r for r in recipients if r != sender], tag, payload, size,
-            moot,
+            tally,
         )
 
     def _fan_out(
@@ -300,7 +330,7 @@ class Network:
         tag: str,
         payload: Any,
         size: int | None,
-        moot: "set[int] | None" = None,
+        tally: Any = None,
     ) -> None:
         """The one latency/drop model: every message enters the queue here.
 
@@ -322,13 +352,12 @@ class Network:
         survivor's ``seq`` is ``seq0 + k``, so the survivors sorted by time
         with a stable sort are in ``(time, seq)`` order — the heap's — and
         only the earliest needs to be in the heap: a fan-out is one *run*
-        ``(order, times, recipients, channels, seq0, moot, skipped)``,
-        ``times`` to ``channels`` indexed by k and ``order`` holding the k
-        still outside the heap, latest first.  :meth:`run` delivers the head
-        and puts the run's next entry in its place; ``skipped`` (a list when
-        the fan-out has a ``moot`` set, else ``None``) holds the entries it
-        passed over on the way.  One survivor is its own envelope on the
-        heap (it ignores ``moot``).
+        ``(order, times, recipients, channels, seq0)``, ``times`` to
+        ``channels`` indexed by k and ``order`` holding the k still outside
+        the heap, latest first.  :meth:`run` delivers the head and puts the
+        run's next entry in its place.  One survivor is its own envelope on
+        the heap.  A tallied fan-out (see :meth:`multicast`) is a
+        :class:`TalliedRun` instead, with no entry in the heap.
 
         Jitter is served from a pre-drawn block: a batched
         ``Generator.random(n)`` consumes the bit stream exactly like n
@@ -416,37 +445,65 @@ class Network:
                 self.metrics.record_sends(sender, sent, nbytes)
                 seq0 = self._next_seq
                 self._next_seq = seq0 + sent
-                run = None
-                head = 0
-                if sent > 1:
-                    order = sorted(range(sent), key=times.__getitem__)
-                    order.reverse()
-                    head = order.pop()
-                    run = (
-                        order, times, survivors, channels, seq0, moot,
-                        None if moot is None else [],
+                if tally is not None:
+                    if sent == 1:
+                        times, survivors, channels = [head_time], [head_to], [head_channel]
+                    # The run's own envelope, never pooled (see TalliedRun).
+                    message = object.__new__(Message)
+                    message.sender = sender
+                    message.tag = tag
+                    message.payload = payload
+                    message.size = nbytes
+                    message.send_time = now
+                    tallied = TalliedRun(times, survivors, channels, seq0, message, tally)
+                    self._tallied.append(tallied)
+                    tally.add(tallied)
+                else:
+                    run = None
+                    head = 0
+                    if sent > 1:
+                        order = sorted(range(sent), key=times.__getitem__)
+                        order.reverse()
+                        head = order.pop()
+                        run = (order, times, survivors, channels, seq0)
+                        head_time = times[head]
+                        head_to = survivors[head]
+                        head_channel = channels[head]
+                    # A retired envelope if there is one, else a bare one:
+                    # all eight fields are written here either way, so a
+                    # fresh envelope does not pay the ``__init__`` frame on
+                    # top.  A run's envelope carries what its deliveries
+                    # share; :meth:`run` writes the other three fields per
+                    # delivery.
+                    pool = self._pool
+                    message = pool.pop() if pool else object.__new__(Message)
+                    message.sender = sender
+                    message.recipient = head_to
+                    message.tag = tag
+                    message.payload = payload
+                    message.size = nbytes
+                    message.channel = head_channel
+                    message.send_time = now
+                    message.deliver_time = head_time
+                    heapq.heappush(
+                        self._queue, (head_time, seq0 + head, message, run)
                     )
-                    head_time = times[head]
-                    head_to = survivors[head]
-                    head_channel = channels[head]
-                # A retired envelope if there is one, else a bare one: all
-                # eight fields are written here either way, so a fresh
-                # envelope does not pay the ``__init__`` frame on top.  A
-                # run's envelope carries what its deliveries share;
-                # :meth:`run` writes the other three fields per delivery.
-                pool = self._pool
-                message = pool.pop() if pool else object.__new__(Message)
-                message.sender = sender
-                message.recipient = head_to
-                message.tag = tag
-                message.payload = payload
-                message.size = nbytes
-                message.channel = head_channel
-                message.send_time = now
-                message.deliver_time = head_time
-                heapq.heappush(
-                    self._queue, (head_time, seq0 + head, message, run)
-                )
+
+    def arm(self, run: TalliedRun, k: int) -> None:
+        """Queue entry ``k`` of a tallied run at its own ``(time, seq)``:
+        when the loop reaches it, ``run.tally.due(run, k)`` decides whether
+        it is delivered with a handler call.  It takes no new ``seq``, and
+        is counted as delivered with the run's other entries either way.
+        Arm an entry at most once, and only one the loop has not passed."""
+        heapq.heappush(
+            self._queue, (run.times[k], run.seq0 + k, run.message, run)
+        )
+
+    def passed(self, run: TalliedRun, k: int) -> bool:
+        """Whether the loop is past entry ``k`` of a tallied run: it comes
+        before the event being processed (or, between calls of
+        :meth:`run`, before every event not yet processed)."""
+        return (run.times[k], run.seq0 + k) < (self.now, self._now_seq)
 
     def call_at(self, time: float, callback: Callable[[], None]) -> None:
         """Schedule a timer (used for the paper's timeout rules, e.g. the 2Γ
@@ -483,21 +540,16 @@ class Network:
         rewritten, under it; none does.)  ``delivered_messages`` is brought
         up to date when the loop exits, however it exits.
 
-        A fan-out's ``moot`` set (see :meth:`multicast`) is read twice.  A
-        run delivery whose recipient is in it calls no handler (it counts
-        as delivered, as it would have).  And when a run advances, the
-        entries after the head whose recipients are already in it are
-        passed over, bar the run's last entry: they take no heap step, no
-        envelope write and no dispatch.  The set only grows, so such an
-        entry is still moot when it comes due; each counts as delivered at
-        its own ``(time, seq)``, which is always before its run's next
-        head, and the last entry staying in the heap keeps the drained
-        :attr:`now` that of the message-by-message loop.  Passed-over
-        entries are counted when the run's next head is delivered, or, for
-        those already due, when the loop stops at ``until`` (or raises);
-        until then :attr:`pending` and :meth:`in_flight` list those that
-        are still in flight.  The event budget counts them then too, so it
-        may trip a few events later than the message-by-message loop's.
+        A tallied run's entries (see :meth:`multicast`) are events of the
+        message-by-message loop that call no handler, so they are processed
+        by position alone: each is delivered once the loop is past its
+        ``(time, seq)``, and counted in ``delivered_messages`` when the loop
+        exits.  If the heap drains first, the loop goes on through them as
+        that loop would: :attr:`now` becomes the latest one's time, or
+        ``until`` if one lies beyond it.  Until then :attr:`pending` and
+        :meth:`in_flight` list them.  An armed entry is delivered at its key
+        with a handler call if its tally says it is due, and counted with
+        the run either way.  The event budget counts only heap events.
         """
         if until is not None and until < self.now:
             raise SimulationError("cannot run to a time in the past")
@@ -515,7 +567,7 @@ class Network:
                 deliver_time, seq, message, run = queue[0]
                 if until is not None and deliver_time > until:
                     self.now = until
-                    self._now_seq = _AFTER_ALL
+                    self._now_seq = self._next_seq - 0.5
                     return until
                 self.now = deliver_time
                 self._now_seq = seq
@@ -528,19 +580,10 @@ class Network:
                         pop(queue)
                         retire = True
                         node = nodes.get(message.recipient)
-                    else:
-                        order, times, recipients, channels, seq0, moot, skipped = run
-                        if skipped:
-                            # Passed over at the last advance: all due by now.
-                            delivered += len(skipped)
-                            processed += len(skipped)
-                            skipped.clear()
+                    elif run.__class__ is tuple:
+                        order, times, recipients, channels, seq0 = run
                         if order:
                             after = order.pop()
-                            if moot is not None:
-                                while order and recipients[after] in moot:
-                                    skipped.append(after)
-                                    after = order.pop()
                             replace(
                                 queue,
                                 (times[after], seq0 + after, message, run),
@@ -550,15 +593,23 @@ class Network:
                             pop(queue)
                             retire = True
                         k = seq - seq0
-                        recipient = recipients[k]
-                        if moot is not None and recipient in moot:
-                            node = None
-                            delivered += 1
-                        else:
-                            message.recipient = recipient
-                            message.channel = channels[k]
+                        message.recipient = recipient = recipients[k]
+                        message.channel = channels[k]
+                        message.deliver_time = deliver_time
+                        node = nodes.get(recipient)
+                    else:
+                        # An armed entry of a tallied run.
+                        pop(queue)
+                        retire = False
+                        node = None
+                        k = seq - run.seq0
+                        if run.tally.due(run, k):
+                            message.recipient = recipient = run.recipients[k]
+                            message.channel = run.channels[k]
                             message.deliver_time = deliver_time
                             node = nodes.get(recipient)
+                            if node is not None:
+                                delivered -= 1  # counted with its run
                     if node is not None:
                         if node.online:
                             handlers = node.handlers
@@ -582,45 +633,63 @@ class Network:
                         f"event budget exceeded ({max_events}); "
                         "likely a message loop"
                     )
+            if self._tallied:
+                # The heap is empty: go on through the tallied entries.
+                latest = max(max(run.times) for run in self._tallied)
+                if until is not None and latest > until:
+                    self.now = until
+                elif latest > self.now:
+                    self.now = latest
+                self._now_seq = self._next_seq - 0.5
         finally:
-            if queue:
-                delivered += self._count_due_skipped()
+            if self._tallied:
+                delivered += self._pass_tallied()
             self.delivered_messages += delivered
         return self.now
 
-    def _count_due_skipped(self) -> int:
-        """Count, and forget, the passed-over run entries the loop is past."""
-        due = 0
-        for _, _, message, run in self._queue:
-            if message is not None and run is not None and run[6]:
-                n = self._passed(run)
-                del run[6][:n]
-                due += n
-        return due
+    def _pass_tallied(self) -> int:
+        """Count the tallied entries the loop is past that are not counted
+        yet, and forget the runs it is past entirely."""
+        now = self.now
+        counted = 0
+        live = []
+        for run in self._tallied:
+            total = len(run.times)
+            latest = max(run.times)
+            if latest < now or (
+                latest == now and self._now_seq >= run.seq0 + total - 1
+            ):
+                done = total  # the common case: a drain
+            else:
+                done = total - len(self._waiting(run))
+            counted += done - run.passed
+            run.passed = done
+            if done < total:
+                live.append(run)
+            else:
+                run.tally = None  # nothing of it can come up again
+        self._tallied = live
+        return counted
 
-    def _waiting_skipped(self, run: tuple) -> list[int]:
-        """A run's passed-over entries that are still in flight."""
-        return run[6][self._passed(run):] if run[6] else []
-
-    def _passed(self, run: tuple) -> int:
-        """How many of a run's passed-over entries (in delivery order) are
-        before the loop's position: ``now`` and ``_now_seq``."""
-        skipped, times, seq0 = run[6], run[1], run[4]
+    def _waiting(self, run: TalliedRun) -> list[int]:
+        """The entries of a tallied run after the loop's position (``now``
+        and the ``seq`` of the event processed last): not delivered yet."""
         position = (self.now, self._now_seq)
-        n = 0
-        while n < len(skipped) and (times[skipped[n]], seq0 + skipped[n]) < position:
-            n += 1
-        return n
+        seq0 = run.seq0
+        return [
+            k for k, time in enumerate(run.times) if (time, seq0 + k) > position
+        ]
 
     @property
     def pending(self) -> int:
         """Events not yet processed: timers plus undelivered messages (a
-        passed-over moot entry counts until its time has come)."""
+        tallied entry counts until the loop is past its key)."""
         return sum(
             1 if message is None or run is None
-            else 1 + len(run[0]) + len(self._waiting_skipped(run))
+            else 1 + len(run[0]) if run.__class__ is tuple
+            else 0  # an armed entry: listed with its run
             for _, _, message, run in self._queue
-        )
+        ) + sum(len(self._waiting(run)) for run in self._tallied)
 
     def in_flight(self) -> Iterator[tuple]:
         """Every undelivered message, in delivery order, as ``(deliver_time,
@@ -628,23 +697,31 @@ class Network:
         read-only view for tests and tools, so that nothing outside this
         class depends on how the queue is laid out."""
         rows = []
+        waiting = [
+            (run.message, run.times, run.recipients, run.channels, run.seq0,
+             self._waiting(run))
+            for run in self._tallied
+        ]
         for deliver_time, seq, message, run in self._queue:
-            if message is None:
-                continue
+            if message is None or (run is not None and run.__class__ is not tuple):
+                continue  # a timer, or an armed entry: listed with its run
             if run is None:
-                waiting = [(deliver_time, seq, message.recipient, message.channel)]
+                rows.append((deliver_time, seq, message, message.recipient, message.channel))
             else:
-                order, times, recipients, channels, seq0 = run[:5]
-                waiting = [
-                    (times[k], seq0 + k, recipients[k], channels[k])
-                    for k in (seq - seq0, *order, *self._waiting_skipped(run))
-                ]
+                order, times, recipients, channels, seq0 = run
+                waiting.append(
+                    (message, times, recipients, channels, seq0, (seq - seq0, *order))
+                )
+        for message, times, recipients, channels, seq0, ks in waiting:
             rows += [
-                (when, number, message.sender, recipient, message.tag,
-                 message.size, channel, message.send_time)
-                for when, number, recipient, channel in waiting
+                (times[k], seq0 + k, message, recipients[k], channels[k])
+                for k in ks
             ]
-        return iter(sorted(rows))
+        return iter(sorted(
+            (when, number, message.sender, recipient, message.tag,
+             message.size, channel, message.send_time)
+            for when, number, message, recipient, channel in rows
+        ))
 
     @property
     def global_now(self) -> float:

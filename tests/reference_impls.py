@@ -265,10 +265,10 @@ class NaiveNetwork(Network):
             self._pool.append(message)
 
     def multicast(
-        self, sender, recipients, tag, payload, size=None, moot=None
+        self, sender, recipients, tag, payload, size=None, tally=None
     ) -> None:
-        """The loop of sends; a ``moot`` set changes nothing here (every
-        moot recipient's handler is called and does nothing)."""
+        """The loop of sends; a ``tally`` changes nothing here (every
+        recipient's handler is called, the silent ones too)."""
         for recipient in recipients:
             if recipient != sender:
                 self.send(sender, recipient, tag, payload, size)

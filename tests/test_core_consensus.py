@@ -1,5 +1,7 @@
 """Algorithm 3: inside-committee consensus, equivocation, certificates."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +14,20 @@ from repro.core.consensus import (
     consensus_digest,
     verify_certificate,
 )
+from functools import partial
+
+from reference_impls import NaiveNetwork
+
 from repro.core.sandbox import build_sandbox
 from repro.crypto.signatures import sign
-from repro.nodes.behaviors import EquivocatingLeader, OfflineNode, SilentLeader
+from repro.net.params import ChannelClass
+from repro.net.simulator import Network
+from repro.nodes.behaviors import (
+    Behavior,
+    EquivocatingLeader,
+    OfflineNode,
+    SilentLeader,
+)
 
 
 def run_consensus(ctx, payload="M", sn=1, session="t"):
@@ -440,18 +453,23 @@ def test_quorum_before_propose_confirms_at_the_propose_delivery():
     ctx.net.drop_filter = hold_the_propose_to_5
     session.start()
     ctx.net.run()
-    digest, _ = session._proposed[committee.leader]
     # Every other member echoed: node 5 holds a quorum of ECHOes for a
     # digest nobody proposed to it, and must not have confirmed on them.
-    assert len(session._echoes[5][digest]) == session.C - 1 > session.C / 2
     assert 5 not in session._proposed and 5 not in session._confirmed
     assert session.outcome.confirms == session.C - 1
-    ctx.net.drop_filter = None
+    echo_lists = []
+    ctx.net.drop_filter = lambda msg: echo_lists.append(len(msg.payload[2])) if (
+        msg.tag == "CONFIRM:t"
+    ) else None
     ctx.node(committee.leader).send(5, "PROPOSE:t", held[0])
     ctx.net.run(until=ctx.net.now + ctx.net.params.delta)
     # The PROPOSE delivery itself confirms (the CONFIRM is already in
-    # flight to the leader one intra-committee hop later).
+    # flight to the leader one intra-committee hop later), on all C - 1
+    # ECHOes that reached it before, and its own.
     assert 5 in session._confirmed
+    assert echo_lists == [session.C]
+    digest, _ = session._proposed[committee.leader]
+    assert len(session._echoes[5][digest]) == session.C > session.C / 2
     ctx.net.run()
     assert session.outcome.confirms == session.C
 
@@ -635,18 +653,99 @@ def test_every_session_registers_one_handler_per_tag_and_role(build):
     ctx.net.run()  # the session still runs to quiescence on shared handlers
 
 
-# -- moot ECHOes: a member that can no longer use one is not handed it -------
-def _echo_calls_of_an_honest_session(size, ignore_moot=False):
-    ctx = build_sandbox(committee_size=size, lam=2)
-    if ignore_moot:
-        multicast = ctx.net.multicast
-        ctx.net.multicast = lambda *args, moot=None, **kwargs: multicast(
-            *args, **kwargs
-        )
+# -- the ECHO tally: a session on Network is the session on the oracle ------
+# ``reference_impls.NaiveNetwork`` ignores ``tally`` and calls the ECHO
+# handler for every delivery.  ``Network`` calls it for a member's quorum
+# crossing alone, at the completing ECHO's own (time, seq), and files the
+# ECHOes before it lazily; everything a run shows must be the same.
+class _PartlySilentLeader(Behavior):
+    """Proposes to the first half of the others, nothing to the rest."""
+
+    def propose_payloads(self, node, recipients, payload):
+        half = len(recipients) // 2
+        return {rid: payload if i < half else ... for i, rid in enumerate(recipients)}
+
+
+def _late_propose(ctx, committee):
+    # The leader's PROPOSE to its last member takes a key-member hop (4
+    # delta): that member's quorum of ECHOes is in before it.
+    slow = (committee.leader, committee.members[-1])
+    ctx.net.channel_classifier = lambda s, d: (
+        ChannelClass.KEY if (s, d) == slow else ChannelClass.INTRA
+    )
+
+
+def _offline_member(ctx, committee):
+    ctx.node(committee.members[-1]).online = False
+
+
+def _partition(ctx, committee):
+    cut = len(committee.members) // 3
+    ctx.net.set_partitions([committee.members[:cut]])
+
+
+def _no_jitter(ctx, _committee):
+    # Every hop of a class takes the same time: ties in time go by seq.
+    ctx.net.params = dataclasses.replace(ctx.net.params, jitter=0.0)
+
+
+def _counting_filter(ctx, _committee):
+    received = []
+    ctx.net.drop_filter = lambda msg: received.append(msg.size) and False
+
+
+_CASES = {
+    "honest": (None, None),
+    "propose-after-quorum": (None, _late_propose),
+    "withholding-member": ({-1: OfflineNode()}, None),
+    "leader-silent-to-some": ({0: _PartlySilentLeader()}, None),
+    "offline-member": (None, _offline_member),
+    "partition": (None, _partition),
+    "counting-drop-filter": (None, _counting_filter),
+    "no-jitter": (None, _no_jitter),
+    "equivocating-leader": ({0: EquivocatingLeader()}, None),
+}
+
+
+def _session_story(factory, size, case, probe_at=()):
+    """One session on ``factory``: what it produced, what a same-instant
+    timer at each of ``probe_at`` saw, and how many ECHO handler calls it
+    made.  The probes are scheduled at 1.2 delta, after every ECHO was sent
+    and before the first one arrives: at its instant, a probe comes after
+    an ECHO delivered at its own (time, seq)."""
+    from unittest import mock
+
+    import repro.core.sandbox as sandbox_module
+
+    behaviors, setup = _CASES[case]
+    if behaviors is not None:
+        behaviors = {i % size: b for i, b in behaviors.items()}
+    with mock.patch.object(sandbox_module, "Network", factory):
+        ctx = build_sandbox(committee_size=size, lam=2, behaviors=behaviors)
     committee = ctx.committees[0]
+    if setup is not None:
+        setup(ctx, committee)
+    confirms = []
+    inner = ctx.net.drop_filter
+
+    def watch(msg):
+        if msg.tag == "CONFIRM:t":
+            confirms.append((msg.sender, msg.send_time, len(msg.payload[2]), msg.size))
+        return inner(msg) if inner is not None else False
+
+    ctx.net.drop_filter = watch
     session = InsideConsensus(
         ctx, committee.members, leader=committee.leader, sn=1, payload="M",
         session="t",
+    )
+    seen = []
+
+    def probe(when):
+        seen.append((when, ctx.net.now, len(confirms), ctx.net.pending))
+
+    ctx.net.call_at(
+        1.2 * ctx.net.params.delta,
+        lambda: [ctx.net.call_at(when, partial(probe, when)) for when in probe_at],
     )
     session.start()
     calls = []
@@ -657,37 +756,45 @@ def _echo_calls_of_an_honest_session(size, ignore_moot=False):
         ))
     ctx.net.run()
     out = session.outcome
-    seen = (
+    story = (
         out.success, out.digest, out.cert, out.confirms, out.equivocation,
-        ctx.net.now, ctx.net.delivered_messages,
-        ctx.metrics.total_messages(),
+        ctx.net.now, ctx.net.delivered_messages, ctx.net.pending,
+        ctx.metrics.summary_rows(), confirms, seen,
     )
-    return len(calls), seen
+    return story, len(calls)
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+@pytest.mark.parametrize("size", [4, 5, 8, 9, 32])
+def test_a_tallied_session_is_the_session_on_the_per_message_oracle(size, case):
+    """Equal outcome, clock, deliveries, per-phase traffic and every
+    CONFIRM (sender, send time, echo-list length, size); and a timer at
+    each CONFIRM's instant sees the same CONFIRMs sent before it."""
+    oracle, oracle_calls = _session_story(NaiveNetwork, size, case)
+    instants = sorted({sent for _, sent, _, _ in oracle[9]})
+    want, _ = _session_story(NaiveNetwork, size, case, probe_at=instants)
+    got, calls = _session_story(Network, size, case, probe_at=instants)
+    assert got == want
+    assert oracle[:10] == want[:10]
+    if case == "equivocating-leader":
+        assert calls == oracle_calls  # two digests: every ECHO is delivered
+    else:
+        assert calls <= size
 
 
 @pytest.mark.parametrize("size", [4, 5, 8, 9, 32])
 def test_an_honest_member_is_handed_only_the_echoes_it_counts(size):
-    """Each member confirms on its ``quorum(C) - 1``-th ECHO from the others
-    (its own is counted where it is sent); every ECHO after that is moot for
-    it, so the fabric calls no handler for it.  Nothing else moves."""
-    calls, seen = _echo_calls_of_an_honest_session(size)
-    all_calls, all_seen = _echo_calls_of_an_honest_session(size, ignore_moot=True)
-    assert calls == size * (consensus_module.quorum(size) - 1)
-    assert all_calls == size * (size - 1)
-    assert seen == all_seen and seen[0]
-
-
-def test_moot_sets_name_stopped_and_confirmed_holders_only():
-    ctx, session, digest, _header_sig, _ = _started_session()
-    ctx.net.run()
-    assert session._moot(digest) == session._confirmed == set(session.members)
-    other, packet = _second_header_echo(ctx, session, relayer=3)
-    # A digest nobody holds is moot for nobody: the late ECHO is audited.
-    assert session._moot(other) == set()
-    ctx.node(3).send(5, "ECHO:t", packet)
-    ctx.net.run()
-    assert session._stopped == set(session.members)
-    assert session._moot(other) == session._moot(digest) == set(session.members)
+    """Each member acts on one ECHO from the others, the ``quorum(C) - 1``-th
+    (its own is counted where it is sent): the fabric calls the handler
+    for that one alone, C calls a session instead of C(C-1).  Nothing else
+    moves."""
+    got, calls = _session_story(Network, size, "honest")
+    want, oracle_calls = _session_story(NaiveNetwork, size, "honest")
+    assert got == want and got[0]
+    assert oracle_calls == size * (size - 1)
+    assert calls == size
+    echo_lists = [listed for _, _, listed, _ in got[9]]
+    assert echo_lists == [consensus_module.quorum(size)] * (size - 1)
 
 
 # -- STOP binds to its session (Claim 4) -------------------------------------

@@ -965,141 +965,162 @@ def test_the_envelope_names_the_node_each_delivery_is_for():
     assert {sender for *_, sender in seen} == {0, 1, 2}
 
 
-# -- moot sets: a fan-out's deliveries that can change nothing cost nothing --
-# ``NaiveNetwork`` ignores ``moot`` and calls every handler; a handler here
-# does nothing for a recipient in the payload's moot set, as the contract
-# asks.  ``Network`` must call the same handlers for the others in the same
-# order, none for a moot recipient, and agree on every count at every
-# observation point: inside timers, after each cut at ``until``, drained
-# (``delivered_messages`` at the last two).
-_MOOT_NODES = 6
-_MOOT_GROUPS = 3
+# -- tallied fan-outs: a delivery that calls no handler costs no event ------
+# ``NaiveNetwork`` ignores ``tally`` and calls every handler; a handler here
+# does nothing for a tallied delivery its tally would not arm as due, as the
+# contract asks.  ``Network`` must call the same handlers in the same order
+# (an armed entry at its own ``(time, seq)``), none for a silent entry, and
+# agree on every count at every observation point: inside timers, after
+# each cut at ``until``, drained (``delivered_messages`` at the last two).
+_TALLY_NODES = 6
 
 
 @st.composite
 def _fan_out_specs(draw):
-    sender = draw(st.integers(0, _MOOT_NODES - 1))
+    sender = draw(st.integers(0, _TALLY_NODES - 1))
     recipients = draw(st.lists(
-        st.integers(0, _MOOT_NODES - 1), min_size=2, max_size=8
+        st.integers(0, _TALLY_NODES - 1), min_size=1, max_size=8
     ))
-    group = draw(st.none() | st.integers(0, _MOOT_GROUPS - 1))
-    return sender, recipients, group
-
-
-_grow = st.tuples(st.integers(0, _MOOT_GROUPS - 1), st.integers(0, _MOOT_NODES - 1))
+    return sender, recipients, draw(st.booleans())
 
 
 @st.composite
-def _moot_scripts(draw):
+def _tally_scripts(draw):
     delta = NetworkParams().delta
     on_the_grid = st.integers(0, 12).map(lambda k: k * delta / 4)
     instants = on_the_grid | st.floats(0.0, 3.0 * delta, allow_nan=False)
     return {
         "jitter": draw(st.sampled_from([0.0, 0.25])),
-        "moot": [
-            draw(st.sets(st.integers(0, _MOOT_NODES - 1), max_size=3))
-            for _ in range(_MOOT_GROUPS)
-        ],
+        # entry (fan-out number, recipient) is armed when this divides
+        # 7 * number + recipient, and due when the next one divides it
+        "arm": draw(st.integers(1, 4)),
+        "due": draw(st.integers(1, 3)),
         "fans": draw(st.lists(_fan_out_specs(), min_size=1, max_size=4)),
-        # One entry per non-moot handler call, in call order.
-        "actions": draw(st.lists(
-            st.tuples(st.none() | _grow, st.none() | _fan_out_specs()),
-            max_size=24,
-        )),
-        "timers": draw(st.lists(
-            st.tuples(instants, st.none() | _grow), max_size=4,
-        )),
+        # One entry per handler call, in call order: a fan-out to send.
+        "actions": draw(st.lists(st.none() | _fan_out_specs(), max_size=16)),
+        "timers": draw(st.lists(instants, max_size=4)),
         "cuts": sorted(draw(st.lists(instants, max_size=4))),
     }
 
 
-def _moot_story(factory, script):
+class _ScriptTally:
+    """Arms the entries the script names when the fan-out is sent."""
+
+    def __init__(self, net, script):
+        self.net = net
+        self.script = script
+
+    def add(self, run):
+        number = run.message.payload[1]
+        for k, recipient in enumerate(run.recipients):
+            if (7 * number + recipient) % self.script["arm"] == 0:
+                self.net.arm(run, k)
+
+    def due(self, run, k):
+        return (7 * run.message.payload[1] + run.recipients[k]) % self.script["due"] == 0
+
+
+def _tally_story(factory, script):
     pki = PKI()
     net = factory(NetworkParams(jitter=script["jitter"]), np.random.default_rng(3))
-    for i in range(_MOOT_NODES):
-        net.add_node(ProtocolNode(i, pki.generate(("moot", i))))
+    for i in range(_TALLY_NODES):
+        net.add_node(ProtocolNode(i, pki.generate(("tally", i))))
     net.channel_classifier = (
         lambda s, d: ChannelClass.KEY if (s + d) % 3 == 0 else ChannelClass.INTRA
     )
-    moot = [set(members) for members in script["moot"]]
+    tally = _ScriptTally(net, script)
     actions = iter(script["actions"])
-    calls, moot_calls, seen = [], [], []
+    numbers = iter(range(10**6))
+    calls, seen = [], []
 
     def observe(where):
         # ``delivered_messages`` is brought up to date as ``run`` returns.
         delivered = None if where == "timer" else net.delivered_messages
         seen.append((where, net.now, delivered, net.pending, list(net.in_flight())))
 
-    def fan_out(spec, number):
-        sender, recipients, group = spec
-        # Two or more recipients besides the sender: a run, never the one
-        # envelope of a single survivor (which ignores ``moot``).
-        recipients = [r for r in recipients if r != sender]
-        if len(set(recipients)) < 2:
-            recipients += [r for r in range(_MOOT_NODES) if r != sender][:2]
+    def fan_out(spec):
+        sender, recipients, tallied = spec
         net.multicast(
-            sender, recipients, "M", (group, number), size=1,
-            moot=None if group is None else moot[group],
+            sender, recipients, "M", (tallied, next(numbers)), size=1,
+            tally=tally if tallied else None,
         )
 
     def handler(message):
-        group, number = message.payload
-        if group is not None and message.recipient in moot[group]:
-            moot_calls.append((message.recipient, number))
-            return  # a moot recipient does nothing
-        calls.append((message.recipient, message.sender, number, net.now))
-        grow, spec = next(actions, (None, None))
-        if grow is not None:
-            moot[grow[0]].add(grow[1])
+        tallied, number = message.payload
+        recipient = message.recipient
+        if tallied and not (
+            (7 * number + recipient) % script["arm"] == 0
+            and (7 * number + recipient) % script["due"] == 0
+        ):
+            return  # a silent entry does nothing
+        calls.append((recipient, message.sender, number, net.now, net.pending))
+        spec = next(actions, None)
         if spec is not None:
-            fan_out((message.recipient, *spec[1:]), len(calls))
-
-    def timer(grow):
-        observe("timer")
-        if grow is not None:
-            moot[grow[0]].add(grow[1])
+            fan_out((recipient, *spec[1:]))
 
     for node in net.nodes.values():
         node.on("M", handler)
-    for number, spec in enumerate(script["fans"]):
-        fan_out(spec, -1 - number)
-    for when, grow in script["timers"]:
-        net.call_at(when, partial(timer, grow))
+    for spec in script["fans"]:
+        fan_out(spec)
+    for when in script["timers"]:
+        net.call_at(when, partial(observe, "timer"))
     for until in script["cuts"]:
         if until >= net.now:
             net.run(until)
             observe(("cut", until))
     net.run()
     observe("drained")
-    return calls, moot_calls, seen
+    return calls, seen
 
 
-@settings(max_examples=300, deadline=None)
-@given(_moot_scripts())
-def test_moot_deliveries_are_skipped_with_message_by_message_accounting(script):
-    calls, moot_calls, seen = _moot_story(Network, script)
-    naive_calls, _naive_moot_calls, naive_seen = _moot_story(NaiveNetwork, script)
-    assert moot_calls == []
-    assert calls == naive_calls
-    assert seen == naive_seen
+@settings(max_examples=150, deadline=None)
+@given(_tally_scripts())
+def test_tallied_entries_are_delivered_by_position_with_message_by_message_accounting(script):
+    calls, seen = _tally_story(Network, script)
+    assert (calls, seen) == _tally_story(NaiveNetwork, script)
     assert seen[-1][3] == 0
 
 
-def test_moot_recipients_of_a_fan_out_get_no_handler_call():
-    """The count the contract buys: a recipient moot before the run reaches
-    it is never handed the payload, however the set grew."""
+def test_a_tallied_fan_out_calls_only_the_handlers_it_arms():
+    """The count the contract buys: of a tallied fan-out, only the armed
+    entries that are due get a handler call, at their own key; the silent
+    ones still count as delivered, and the clock drains to the last."""
     script = {
         # No jitter: 1, 2, 4 and 5 hear at delta in that order, 3 at gamma.
-        "jitter": 0.0, "moot": [{2}, set(), set()],
-        "fans": [(0, [1, 2, 3, 4, 5], 0)],
-        # 2 is passed over as 1's delivery advances the run; 4, the new
-        # head, is made moot by 1's handler and is not called either.
-        "actions": [((0, 4), None)], "timers": [], "cuts": [],
+        "jitter": 0.0, "arm": 2, "due": 3,
+        "fans": [(0, [1, 2, 3, 4, 5], True)],
+        "actions": [], "timers": [], "cuts": [],
     }
-    calls, moot_calls, seen = _moot_story(Network, script)
-    assert sorted(r for r, *_ in calls) == [1, 3, 5]
-    assert moot_calls == []
-    assert seen[-1][2] == 5  # every recipient still counts as delivered
-    naive_calls, naive_moot_calls, _ = _moot_story(NaiveNetwork, script)
-    assert naive_calls == calls
-    assert sorted(r for r, _ in naive_moot_calls) == [2, 4]
+    calls, seen = _tally_story(Network, script)
+    # Fan-out 0 arms the even recipients, 2 and 4, and neither is due.
+    assert calls == []
+    delta, gamma = NetworkParams().delta, NetworkParams().gamma
+    assert seen[-1][:4] == ("drained", gamma, 5, 0)
+    script["due"] = 2
+    calls, seen = _tally_story(Network, script)
+    assert calls == [(2, 0, 0, delta, 3), (4, 0, 0, delta, 2)]
+    assert seen[-1][:4] == ("drained", gamma, 5, 0)
+    assert _tally_story(NaiveNetwork, script) == (calls, seen)
+
+
+def test_a_tallied_fan_out_that_raises_keeps_the_recipients_before():
+    """A recipient with no node raises out of a tallied multicast as out
+    of the loop of sends, and the entries before it are tallied."""
+    story = []
+    for factory in (Network, NaiveNetwork):
+        pki = PKI()
+        net = factory(NetworkParams(), np.random.default_rng(3))
+        for i in range(4):
+            net.add_node(ProtocolNode(i, pki.generate(("raise", i))))
+        added = []
+        tally = SimpleNamespace(add=added.append, due=lambda run, k: False)
+        with pytest.raises(SimulationError):
+            net.multicast(0, [1, 2, 99, 3], "M", b"x", size=1, tally=tally)
+        before = (net.pending, [row[3] for row in net.in_flight()])
+        net.run()
+        story.append((before, net.now, net.delivered_messages, net.pending))
+        if factory is Network:
+            assert [run.recipients for run in added] == [[1, 2]]
+    assert story[0] == story[1]
+    pending, listed = story[0][0]
+    assert pending == 2 and sorted(listed) == [1, 2]
