@@ -4,8 +4,7 @@ Sharded-consensus evaluation is a parameter-sweep workload: shard count ×
 adversary fraction × failure rate × seed.  An :class:`ExperimentSpec`
 describes such a sweep declaratively — a base :class:`ProtocolParams`
 override dict, a product grid of parameter axes, a product grid of
-:class:`AdversaryConfig` axes, optional explicit (paired) points for
-non-product sweeps, and a seed list — and expands it into concrete
+:class:`AdversaryConfig` axes and a seed list — and expands it into concrete
 :class:`SweepPoint`\\ s.  (Table II is not a sweep: it reads
 :func:`repro.exp.role_cells` on the scale curve's shape, see
 ``benchmarks/bench_table2_complexity.py``.)
@@ -161,9 +160,7 @@ def derive_point_seed(
 class ExperimentSpec:
     """A declarative sweep over CycLedger deployments.
 
-    ``grid`` and ``adversary_grid`` are product axes; ``points`` lists
-    explicit ProtocolParams override dicts for paired axes (each is merged
-    over ``base`` and crossed with both grids and ``seeds``).  With
+    ``grid`` and ``adversary_grid`` are product axes.  With
     ``derive_seeds=False`` the spec-level seed is used verbatim as
     ``ProtocolParams.seed`` (the historical benchmark behaviour); with the
     default ``True`` each point gets a content-derived seed.
@@ -197,7 +194,6 @@ class ExperimentSpec:
     grid: Mapping[str, Sequence[Any]] = field(default_factory=dict)
     adversary: Mapping[str, Any] = field(default_factory=dict)
     adversary_grid: Mapping[str, Sequence[Any]] = field(default_factory=dict)
-    points: Sequence[Mapping[str, Any]] = ()
     capacity_preset: str | None = None
     scenario: str | None = None
     scenario_grid: Sequence[str | None] = ()
@@ -218,14 +214,6 @@ class ExperimentSpec:
         for key in (*self.adversary, *self.adversary_grid):
             if key not in ADVERSARY_FIELDS:
                 raise ValueError(f"unknown AdversaryConfig field {key!r}")
-        for explicit in self.points:
-            for key in explicit:
-                if key == "seed":
-                    raise ValueError(
-                        "sweep seeds via the 'seeds' axis, not the grid"
-                    )
-                if key not in PARAM_FIELDS:
-                    raise ValueError(f"unknown ProtocolParams field {key!r}")
         if self.capacity_preset is not None:
             from repro.exp.presets import CAPACITY_PRESETS
 
@@ -268,7 +256,6 @@ class ExperimentSpec:
             "adversary_grid": _jsonable(
                 {k: list(v) for k, v in self.adversary_grid.items()}
             ),
-            "points": _jsonable([dict(p) for p in self.points]),
             "capacity_preset": self.capacity_preset,
             "scenario": self.scenario,
             "scenario_grid": _jsonable(list(self.scenario_grid)),
@@ -295,7 +282,6 @@ class ExperimentSpec:
         """Enumerate every concrete sweep point, in deterministic order."""
         param_axes = sorted(self.grid.items())
         adv_axes = sorted(self.adversary_grid.items())
-        explicit = [dict(p) for p in self.points] or [{}]
         param_combos = [
             dict(zip([k for k, _ in param_axes], values))
             for values in product(*(vs for _, vs in param_axes))
@@ -307,41 +293,40 @@ class ExperimentSpec:
         scenarios = list(self.scenario_grid) or [self.scenario]
         backends = list(self.backend_grid) or [self.backend]
         out: list[SweepPoint] = []
-        for point_overrides in explicit:
-            for combo in param_combos:
-                params = {**self.base, **point_overrides, **combo}
-                for adv_combo in adv_combos:
-                    adversary: dict[str, Any] | None = {
-                        **self.adversary,
-                        **adv_combo,
-                    }
-                    if not adversary:
-                        adversary = None
-                    for scenario in scenarios:
-                        for backend in backends:
-                            for seed in self.seeds:
-                                derived = (
-                                    derive_point_seed(
-                                        _jsonable(params),
-                                        None
-                                        if adversary is None
-                                        else _jsonable(adversary),
-                                        int(seed),
-                                        self.rounds,
-                                    )
-                                    if self.derive_seeds
-                                    else int(seed)
+        for combo in param_combos:
+            params = {**self.base, **combo}
+            for adv_combo in adv_combos:
+                adversary: dict[str, Any] | None = {
+                    **self.adversary,
+                    **adv_combo,
+                }
+                if not adversary:
+                    adversary = None
+                for scenario in scenarios:
+                    for backend in backends:
+                        for seed in self.seeds:
+                            derived = (
+                                derive_point_seed(
+                                    _jsonable(params),
+                                    None
+                                    if adversary is None
+                                    else _jsonable(adversary),
+                                    int(seed),
+                                    self.rounds,
                                 )
-                                out.append(
-                                    SweepPoint(
-                                        params=params,
-                                        adversary=adversary,
-                                        seed=int(seed),
-                                        rounds=self.rounds,
-                                        capacity_preset=self.capacity_preset,
-                                        scenario=scenario,
-                                        backend=backend,
-                                        derived_seed=derived,
-                                    )
+                                if self.derive_seeds
+                                else int(seed)
+                            )
+                            out.append(
+                                SweepPoint(
+                                    params=params,
+                                    adversary=adversary,
+                                    seed=int(seed),
+                                    rounds=self.rounds,
+                                    capacity_preset=self.capacity_preset,
+                                    scenario=scenario,
+                                    backend=backend,
+                                    derived_seed=derived,
                                 )
+                            )
         return out

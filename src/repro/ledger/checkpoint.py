@@ -135,9 +135,9 @@ def capture_checkpoint(ledger: Any) -> dict[str, Any]:
             "now": net.now,
             # A partially-consumed pre-drawn jitter block is live RNG
             # state: restoring generator position alone would replay the
-            # wrong jitter values.
+            # wrong jitter values.  Stored as the array the generator drew.
             "jitter_block": (
-                None if net._jitter_block is None else net._jitter_block.copy()
+                None if net._jitter_block is None else np.array(net._jitter_block)
             ),
             "jitter_idx": net._jitter_idx,
         },
@@ -240,7 +240,7 @@ def restore_checkpoint(
     net.epoch = state["net"]["epoch"]
     net.now = state["net"]["now"]
     jitter = state["net"]["jitter_block"]
-    net._jitter_block = None if jitter is None else np.array(jitter)
+    net._jitter_block = None if jitter is None else jitter.tolist()
     net._jitter_idx = state["net"]["jitter_idx"]
 
     chain = ledger.chain

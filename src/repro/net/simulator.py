@@ -113,8 +113,8 @@ class Network:
         self._now_seq = -1
         # The tallied runs with entries the loop has not counted yet.
         self._tallied: list[TalliedRun] = []
-        # Pre-drawn jitter block and its cursor (see :meth:`_fan_out`).
-        self._jitter_block: np.ndarray | None = None
+        # Pre-drawn jitter block and its cursor (see :meth:`_draws`).
+        self._jitter_block: list[float] | None = None
         self._jitter_idx = 0
         # Recycled Message envelopes: a send or a whole fan-out takes one
         # envelope and is done with it after its last delivery callback;
@@ -122,8 +122,12 @@ class Network:
         # of a fan-out share the one.
         self._pool: list[Message] = []
         # sender -> {recipient -> channel class}: the classifier's verdicts
-        # for the pairs used since it was installed (see :meth:`_fan_out`).
+        # for the pairs used since it was installed; the multicast routes
+        # resolved from them, and their shapes by channel sequence (see
+        # :meth:`_resolve`).
         self._channel_rows: dict[int, dict[int, str]] = {}
+        self._routes: dict[tuple, tuple] = {}
+        self._shapes: dict[tuple, tuple] = {}
         self.channel_classifier = _default_classifier
         self.delivered_messages = 0
         self.dropped_messages = 0
@@ -142,14 +146,16 @@ class Network:
         # so per-round bookkeeping can touch |active| nodes, not n.
         self._activated: list[int] = []
         # Per-class base delays resolved once (params is frozen): a dict
-        # probe per message instead of the string-compare chain in
+        # probe per route instead of the string-compare chain in
         # NetworkParams.base_delay.
         self._base_delays: dict[str, float] = {
-            ChannelClass.INTRA: params.delta,
-            ChannelClass.KEY: params.gamma,
-            ChannelClass.REFEREE: params.gamma,
-            ChannelClass.PARTIAL: params.partial_base,
-            ChannelClass.LOCAL: 0.0,
+            channel: params.base_delay(channel) for channel in ChannelClass.ALL
+        }
+        # channel class -> the shape of a one-recipient route on it (see
+        # :meth:`_resolve`; a shape depends on ``params`` alone).
+        self._singles: dict[str, tuple] = {
+            channel: ((channel,), (base,), (1.0,), base != 0.0)
+            for channel, base in self._base_delays.items()
         }
 
     # -- wiring ------------------------------------------------------------
@@ -218,6 +224,8 @@ class Network:
     ) -> None:
         self._channel_classifier = classifier
         self._channel_rows.clear()
+        self._routes.clear()
+        self._shapes.clear()
 
     # -- fault injection ---------------------------------------------------
     def set_partitions(self, groups: "Iterable[Iterable[int]]") -> None:
@@ -282,8 +290,20 @@ class Network:
         size: int | None = None,
     ) -> None:
         """Unicast: a one-recipient fan-out.  A node may address itself (the
-        topology classifies that pair as the zero-delay LOCAL channel)."""
-        self._fan_out(sender, (recipient,), tag, payload, size)
+        topology classifies that pair as the zero-delay LOCAL channel).
+
+        A used pair's channel is read from the sender's row, and its route
+        is the recipient with the channel class's own shape: a unicast keeps
+        no route of its own."""
+        row = self._channel_rows.get(sender)
+        if row is None:
+            self._channel_rows[sender] = row = {}
+        channel = row.get(recipient)
+        if channel is None:
+            channel = self._classify(sender, recipient, row)
+        self._fan_out(
+            sender, (recipient,), self._singles[channel], None, tag, payload, size
+        )
 
     def multicast(
         self,
@@ -318,176 +338,241 @@ class Network:
         silent, and arm the entries where its state changes; the
         per-message oracle, which ignores ``tally``, calls every handler.
         """
-        self._fan_out(
-            sender, [r for r in recipients if r != sender], tag, payload, size,
-            tally,
-        )
+        key = (sender, tuple(recipients))
+        route = self._routes.get(key)
+        if route is None:
+            listed = key[1]
+            if sender in listed:
+                listed = tuple([r for r in listed if r != sender])
+            route = self._resolve(sender, listed)
+            if route[2] is None:
+                self._routes[key] = route
+        recipients, shape, error = route
+        self._fan_out(sender, recipients, shape, error, tag, payload, size, tally)
+
+    def _resolve(self, sender: int, recipients: tuple) -> tuple:
+        """The *route* of a fan-out: ``(recipients, shape, error)``, what
+        :meth:`_fan_out` needs of the topology.  :meth:`multicast` keeps it
+        per ``(sender, recipients as given)`` while the classifier is
+        installed.
+
+        Per recipient, in order: the recipient must exist and the topology
+        must provide a channel the fabric knows (asked of
+        ``channel_classifier`` the first time a pair is used and read from
+        the sender's row after that, so Table I's burden census reads the
+        rows).  The *shape* is ``(channels, bases, scales, plain)``: the
+        channel classes, their base delays, a 1.0 per recipient (the
+        degradation of an undegraded round) and whether no base delay is
+        zero; every route of one channel sequence shares it.  A refusal is
+        remembered nowhere: the route stops before it and carries it in
+        ``error``, so the recipients before it are sent, the fan-out raises
+        after them, and the next attempt asks the classifier again.
+        """
+        row = self._channel_rows.get(sender)
+        if row is None:
+            self._channel_rows[sender] = row = {}
+        channels = []
+        error = None
+        try:
+            for recipient in recipients:
+                channel = row.get(recipient)
+                if channel is None:
+                    channel = self._classify(sender, recipient, row)
+                channels.append(channel)
+        except Exception as refusal:  # the recipients before it are sent
+            error = refusal
+        channels = tuple(channels)
+        shape = self._shapes.get(channels)
+        if shape is None:
+            bases = tuple([self._base_delays[channel] for channel in channels])
+            shape = (channels, bases, (1.0,) * len(bases), 0.0 not in bases)
+            self._shapes[channels] = shape
+        if error is not None:
+            recipients = recipients[: len(channels)]
+        return recipients, shape, error
+
+    def _classify(self, sender: int, recipient: int, row: dict[int, str]) -> str:
+        """The channel class of a pair not in the sender's ``row`` yet, asked
+        of ``channel_classifier`` and remembered there.  A refusal (an
+        unknown recipient, no channel, a class the fabric does not know)
+        raises and is remembered nowhere."""
+        if recipient not in self.nodes:
+            raise SimulationError(f"unknown recipient {recipient}")
+        channel = self.channel_classifier(sender, recipient)
+        if channel is None:
+            raise SimulationError(
+                f"no channel from {sender} to {recipient}: the "
+                "topology does not provide this link (see §III-B)"
+            )
+        if channel not in self._base_delays:
+            self.params.base_delay(channel)  # raises: an unknown class
+        row[recipient] = channel
+        return channel
+
+    def _draws(self, count: int) -> list[float]:
+        """The next ``count`` jitter draws, served from the pre-drawn block.
+
+        A batched ``Generator.random(n)`` consumes the bit stream exactly
+        like n scalar draws, so the served sequence equals
+        ``float(rng.random())`` per message (asserted by
+        tests/test_reference_equivalence.py).  The block is kept as a list
+        (one ``tolist`` per block) and refilled only when a draw finds it
+        spent, where a draw-by-draw loop would refill it.
+        """
+        block = self._jitter_block
+        idx = self._jitter_idx
+        end = idx + count
+        if block is not None and end <= len(block):
+            self._jitter_idx = end
+            return block[idx:end]
+        draws = [] if block is None else block[idx:]
+        while len(draws) < count:
+            block = self.rng.random(self._JITTER_BLOCK).tolist()
+            idx = min(count - len(draws), len(block))
+            draws += block[:idx]
+            self._jitter_block = block
+            self._jitter_idx = idx
+        return draws
 
     def _fan_out(
         self,
         sender: int,
-        recipients: Iterable[int],
+        recipients: tuple,
+        shape: tuple,
+        error: Exception | None,
         tag: str,
         payload: Any,
         size: int | None,
         tally: Any = None,
     ) -> None:
-        """The one latency/drop model: every message enters the queue here.
+        """The one latency/drop model: every message enters the queue here,
+        along a route: ``recipients`` with their ``shape`` (see
+        :meth:`_resolve`) and the refusal, if any, that cut it short.
 
-        Per recipient, in order: the recipient must exist and the topology
-        must provide a channel (asked of ``channel_classifier`` the first
-        time a pair is used and read from the sender's row after that; a
-        refusal is never remembered, so it raises on every attempt); a
-        partition cut drops silently; the payload is sized (once per
-        fan-out); ``drop_filter`` may drop; otherwise the delay is
-        ``base * (1 - jitter * u)`` with ``u`` the next draw of the jitter
-        block (none on a zero-delay channel), times the round's degradation
-        of the channel.  Everything that cannot change between two
-        recipients is read once, and the jitter cursor is written back when
-        the loop ends, so a ``drop_filter`` must not send.  Each call of it
-        is handed an envelope of its own, made for the call.
+        Per recipient, in order: a partition cut drops silently; the
+        payload is sized (once per fan-out); ``drop_filter`` may drop;
+        otherwise the delay is ``base * (1 - jitter * u)`` with ``u`` the
+        next jitter draw (none on a zero-delay channel), times the round's
+        degradation of the channel.  Each call of ``drop_filter`` is handed
+        an envelope of its own, made for the call, and it must not send.
+        Without a partition or a filter every recipient survives, and on a
+        route with no zero-delay channel the fan-out takes its draws as one
+        slice; every delivery time is computed in one pass.  A route's
+        refusal (see :meth:`_resolve`), or an error out of the per-recipient
+        pass, is raised once the recipients before it are sent.
 
-        All of that is decided here, at send time; what the loop keeps of
-        a surviving recipient is its delivery time and channel.  The k-th
-        survivor's ``seq`` is ``seq0 + k``, so the survivors sorted by time
-        with a stable sort are in ``(time, seq)`` order — the heap's — and
-        only the earliest needs to be in the heap: a fan-out is one *run*
-        ``(order, times, recipients, channels, seq0)``, ``times`` to
+        All of that is decided here, at send time; what is kept of a
+        surviving recipient is its delivery time, and the route's own
+        recipient and channel sequences when every recipient survives.  The
+        k-th survivor's ``seq`` is ``seq0 + k``, so the survivors sorted by
+        time with a stable sort are in ``(time, seq)`` order — the heap's —
+        and only the earliest needs to be in the heap: a fan-out is one
+        *run* ``(order, times, recipients, channels, seq0)``, ``times`` to
         ``channels`` indexed by k and ``order`` holding the k still outside
         the heap, latest first.  :meth:`run` delivers the head and puts the
         run's next entry in its place.  One survivor is its own envelope on
         the heap.  A tallied fan-out (see :meth:`multicast`) is a
         :class:`TalliedRun` instead, with no entry in the heap.
-
-        Jitter is served from a pre-drawn block: a batched
-        ``Generator.random(n)`` consumes the bit stream exactly like n
-        scalar draws, so the served sequence equals ``float(rng.random())``
-        per message (asserted by tests/test_reference_equivalence.py).
         """
-        row = self._channel_rows.get(sender)
-        if row is None:
-            self._channel_rows[sender] = row = {}
+        channels, bases, scales, plain = shape
         partition = self._partition
-        sender_group = partition.get(sender, -1) if partition is not None else -1
         drop_filter = self.drop_filter
-        degradation = self._degradation
-        base_delays = self._base_delays
-        jitter = self.params.jitter
         now = self.now
-        block = self._jitter_block
-        block_len = 0 if block is None else len(block)
-        idx = self._jitter_idx
         nbytes = size
-        sent = 0
-        try:
-            for recipient in recipients:
-                channel = row.get(recipient)
-                if channel is None:
-                    if recipient not in self.nodes:
-                        raise SimulationError(f"unknown recipient {recipient}")
-                    channel = self.channel_classifier(sender, recipient)
-                    if channel is None:
-                        raise SimulationError(
-                            f"no channel from {sender} to {recipient}: the "
-                            "topology does not provide this link (see §III-B)"
+        if partition is None and drop_filter is None:
+            if nbytes is None and recipients:
+                nbytes = payload_size(payload)
+        else:
+            sender_group = partition.get(sender, -1) if partition is not None else -1
+            keep = []
+            try:
+                for k, recipient in enumerate(recipients):
+                    if (
+                        partition is not None
+                        and partition.get(recipient, -1) != sender_group
+                    ):
+                        self.dropped_messages += 1
+                        self.partition_dropped += 1
+                        continue
+                    if nbytes is None:
+                        nbytes = payload_size(payload)
+                    if drop_filter is not None and drop_filter(
+                        Message(
+                            sender, recipient, tag, payload, nbytes, channels[k],
+                            now, 0.0,
                         )
-                    row[recipient] = channel
-                if (
-                    partition is not None
-                    and partition.get(recipient, -1) != sender_group
-                ):
-                    self.dropped_messages += 1
-                    self.partition_dropped += 1
-                    continue
-                if nbytes is None:
-                    nbytes = payload_size(payload)
-                if drop_filter is not None and drop_filter(
-                    Message(sender, recipient, tag, payload, nbytes, channel, now, 0.0)
-                ):
-                    self.dropped_messages += 1
-                    continue
-                base = base_delays.get(channel)
-                if base is None:
-                    base = self.params.base_delay(channel)  # raises: unknown
-                deliver_time = now
-                if base != 0.0:
-                    if idx >= block_len:
-                        self._jitter_block = block = self.rng.random(
-                            self._JITTER_BLOCK
-                        )
-                        block_len = len(block)
-                        idx = 0
-                    delay = base * (1.0 - jitter * block.item(idx))
-                    idx += 1
-                    if degradation:
-                        delay *= degradation.get(channel, 1.0)
-                    deliver_time = now + delay
-                # Most sends have one recipient: the first survivor stays in
-                # locals, the second makes the lists.
-                if sent:
-                    if sent == 1:
-                        times = [head_time]
-                        survivors = [head_to]
-                        channels = [head_channel]
-                    times.append(deliver_time)
-                    survivors.append(recipient)
-                    channels.append(channel)
+                    ):
+                        self.dropped_messages += 1
+                        continue
+                    keep.append(k)
+            except Exception as refusal:  # the recipients before it are sent
+                error = refusal
+            if len(keep) < len(recipients):
+                recipients = [recipients[k] for k in keep]
+                channels = [channels[k] for k in keep]
+                bases = [bases[k] for k in keep]
+                scales = scales[: len(keep)]
+        sent = len(recipients)
+        if sent:
+            if plain:  # the common case, inline: one slice of the block
+                block = self._jitter_block
+                idx = self._jitter_idx
+                end = idx + sent
+                if block is not None and end <= len(block):
+                    self._jitter_idx = end
+                    draws = block[idx:end]
                 else:
-                    head_time = deliver_time
-                    head_to = recipient
-                    head_channel = channel
-                sent += 1
-        finally:
-            # Also on the way out of a raise: the recipients before the one
-            # that raised are sent.
-            self._jitter_idx = idx
-            if sent:
-                self.metrics.record_sends(sender, sent, nbytes)
-                seq0 = self._next_seq
-                self._next_seq = seq0 + sent
-                if tally is not None:
-                    if sent == 1:
-                        times, survivors, channels = [head_time], [head_to], [head_channel]
-                    # The run's own envelope, never pooled (see TalliedRun).
-                    message = object.__new__(Message)
-                    message.sender = sender
-                    message.tag = tag
-                    message.payload = payload
-                    message.size = nbytes
-                    message.send_time = now
-                    tallied = TalliedRun(times, survivors, channels, seq0, message, tally)
-                    self._tallied.append(tallied)
-                    tally.add(tallied)
-                else:
-                    run = None
-                    head = 0
-                    if sent > 1:
-                        order = sorted(range(sent), key=times.__getitem__)
-                        order.reverse()
-                        head = order.pop()
-                        run = (order, times, survivors, channels, seq0)
-                        head_time = times[head]
-                        head_to = survivors[head]
-                        head_channel = channels[head]
-                    # A retired envelope if there is one, else a bare one:
-                    # all eight fields are written here either way, so a
-                    # fresh envelope does not pay the ``__init__`` frame on
-                    # top.  A run's envelope carries what its deliveries
-                    # share; :meth:`run` writes the other three fields per
-                    # delivery.
-                    pool = self._pool
-                    message = pool.pop() if pool else object.__new__(Message)
-                    message.sender = sender
-                    message.recipient = head_to
-                    message.tag = tag
-                    message.payload = payload
-                    message.size = nbytes
-                    message.channel = head_channel
-                    message.send_time = now
-                    message.deliver_time = head_time
-                    heapq.heappush(
-                        self._queue, (head_time, seq0 + head, message, run)
-                    )
+                    draws = self._draws(sent)
+            else:  # a zero-delay channel takes no draw
+                served = iter(self._draws(sent - bases.count(0.0)))
+                draws = [next(served) if base else 0.0 for base in bases]
+            degradation = self._degradation
+            jitter = self.params.jitter
+            if degradation:
+                scales = [degradation.get(channel, 1.0) for channel in channels]
+            times = []
+            for base, u, scale in zip(bases, draws, scales):
+                times.append(now + base * (1.0 - jitter * u) * scale)
+            self.metrics.record_sends(sender, sent, nbytes)
+            seq0 = self._next_seq
+            self._next_seq = seq0 + sent
+            if tally is not None:
+                # The run's own envelope, never pooled (see TalliedRun).
+                message = object.__new__(Message)
+                message.sender = sender
+                message.tag = tag
+                message.payload = payload
+                message.size = nbytes
+                message.send_time = now
+                tallied = TalliedRun(times, recipients, channels, seq0, message, tally)
+                self._tallied.append(tallied)
+                tally.add(tallied)
+            else:
+                run = None
+                head = 0
+                if sent > 1:
+                    order = sorted(range(sent), key=times.__getitem__)
+                    order.reverse()
+                    head = order.pop()
+                    run = (order, times, recipients, channels, seq0)
+                # A retired envelope if there is one, else a bare one: all
+                # eight fields are written here either way, so a fresh
+                # envelope does not pay the ``__init__`` frame on top.  A
+                # run's envelope carries what its deliveries share;
+                # :meth:`run` writes the other three fields per delivery.
+                pool = self._pool
+                message = pool.pop() if pool else object.__new__(Message)
+                message.sender = sender
+                message.recipient = recipients[head]
+                message.tag = tag
+                message.payload = payload
+                message.size = nbytes
+                message.channel = channels[head]
+                message.send_time = now
+                message.deliver_time = head_time = times[head]
+                heapq.heappush(self._queue, (head_time, seq0 + head, message, run))
+        if error is not None:
+            raise error
 
     def arm(self, run: TalliedRun, k: int) -> None:
         """Queue entry ``k`` of a tallied run at its own ``(time, seq)``:

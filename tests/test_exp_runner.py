@@ -83,8 +83,6 @@ def test_spec_rejects_unknown_fields():
         ExperimentSpec(name="bad", adversary_grid={"nope": (0.1,)})
     with pytest.raises(ValueError, match="seeds"):
         ExperimentSpec(name="bad", base={"seed": 3})
-    with pytest.raises(ValueError, match="seeds"):
-        ExperimentSpec(name="bad", points=({"seed": 5},))
     with pytest.raises(ValueError, match="capacity preset"):
         ExperimentSpec(name="bad", capacity_preset="no-such-preset")
 
@@ -99,6 +97,14 @@ def test_removed_shard_workers_input_is_rejected_by_name(capsys):
     with pytest.raises(SystemExit):
         cli_main(["run", "--shard-workers", "2"])
     assert "--shard-workers" in capsys.readouterr().err
+
+
+def test_removed_points_input_is_rejected_by_name():
+    """Explicit paired points had no user left; a spec that still lists
+    them fails naming the field."""
+    with pytest.raises(TypeError, match="'points'"):
+        ExperimentSpec(name="stale", points=({"m": 2},))
+    assert "points" not in ExperimentSpec(name="now").to_dict()
 
 
 @pytest.mark.parametrize("name", ["semi_commit_delay_deltas", "inter_forward_gammas"])
@@ -286,7 +292,7 @@ def test_scenario_axis_expands_and_runs():
     }
     # One fault axis: scenario / scenario_grid carry policies too.
     assert len(dataclasses.fields(SweepPoint)) == 8
-    assert len(dataclasses.fields(ExperimentSpec)) == 14
+    assert len(dataclasses.fields(ExperimentSpec)) == 13
 
     outcome = run_sweep(spec, workers=1)
     clean = outcome.one(scenario=None)

@@ -336,7 +336,7 @@ def _rng_state(net):
     return (
         net.rng.bit_generator.state,
         net._jitter_idx,
-        None if block is None else block.tolist(),
+        None if block is None else list(block),
     )
 
 
@@ -554,6 +554,158 @@ def test_chunk_fan_out_is_the_per_chunk_unicast_loop():
         assert delivered[0] == delivered[1]
 
     check()
+
+
+# -- routes: one resolution per (sender, recipients), fabric state per send --
+# A fan-out resolves its recipients into a route once while the classifier
+# is installed; partition, drop_filter and degradation are read per send.
+# A story of sends, multicasts and fabric switches is compared with
+# ``NaiveNetwork``, which asks the classifier and the fabric every time.
+_ROUTE_LISTS = (
+    (1, 2, 3, 4, 5, 6, 7),
+    (0, 5, 5, 2, 0),  # the sender and duplicates among the recipients
+    (6, 7),  # refused under classifier 2
+    (3, 99, 4),  # an unknown recipient mid-list
+    (),
+)
+
+
+def _route_classifier(variant):
+    classes = (_FANOUT_CLASSES, _FANOUT_CLASSES[::-1], (ChannelClass.KEY,))[variant]
+
+    def classify(s, d):
+        if variant == 2 and d == 7:
+            return None
+        return classes[(s + d) % len(classes)]
+
+    return classify
+
+
+def _route_steps():
+    node_ids = st.integers(0, _FANOUT_NODES - 1)
+    return st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("fan"), st.integers(0, 2),
+                st.integers(0, len(_ROUTE_LISTS) - 1), st.booleans(),
+            ),
+            st.tuples(st.just("send"), node_ids, node_ids),
+            st.tuples(
+                st.just("partition"),
+                st.none() | st.lists(node_ids, unique=True, min_size=1, max_size=6),
+            ),
+            st.tuples(st.just("filter"), st.none() | st.frozensets(node_ids)),
+            st.tuples(
+                st.just("degrade"), st.floats(1.0, 3.0),
+                st.none() | st.lists(st.sampled_from(_FANOUT_CLASSES), min_size=1),
+            ),
+            st.tuples(st.just("classify"), st.integers(0, 2)),
+            st.tuples(st.just("run"), st.floats(0.0, 3.0)),
+            st.tuples(st.just("reset")),
+        ),
+        max_size=24,
+    )
+
+
+def _route_story(factory, steps):
+    """What a caller sees of ``steps`` on a fresh ``factory`` fabric: after
+    each step the raised error and :func:`_fanout_state`, then the
+    deliveries of a final drain."""
+    net = _fanout_fabric(factory, {"seed": 2})
+    net.channel_classifier = _route_classifier(0)
+    seen = []
+    for node in net.nodes.values():
+        for tag in ("FAN", "ONE"):
+            node.on(tag, lambda msg: seen.append((
+                msg.deliver_time, msg.sender, msg.recipient, msg.tag,
+                msg.channel, msg.send_time, net.now,
+            )))
+    story = []
+    for step in steps:
+        kind, *args = step
+        error = None
+        try:
+            if kind == "fan":
+                sender, which, as_generator = args
+                listed = _ROUTE_LISTS[which]
+                net.multicast(
+                    sender, (r for r in listed) if as_generator else listed,
+                    "FAN", b"fan",
+                )
+            elif kind == "send":
+                net.send(*args, "ONE", b"one")
+            elif kind == "partition":
+                (ids,) = args
+                net.set_partitions(
+                    [] if ids is None else [ids[: len(ids) // 2], ids[len(ids) // 2 :]]
+                )
+            elif kind == "filter":
+                (dropped,) = args
+                net.drop_filter = (
+                    None if dropped is None else lambda msg: msg.recipient in dropped
+                )
+            elif kind == "degrade":
+                net.add_link_degradation(*args)
+            elif kind == "classify":
+                net.channel_classifier = _route_classifier(*args)
+            elif kind == "run":
+                net.run(until=net.now + args[0])
+            else:
+                net.reset()
+                net.channel_classifier = _route_classifier(0)
+        except SimulationError as exc:
+            error = str(exc)
+        story.append((step, error, _fanout_state(net)))
+    net.run()
+    return story, seen, net.now, net.delivered_messages
+
+
+@settings(deadline=None)
+@given(_route_steps())
+def test_a_route_is_reused_only_while_it_is_right(steps):
+    story = _route_story(Network, steps)
+    assert story == _route_story(NaiveNetwork, steps)
+
+
+def test_route_story_cases_do_what_they_say():
+    """Guard the story above against vacuous steps: a route is kept and
+    reused across switches of the fabric, and a new classifier drops it."""
+    fan = ("fan", 0, 0, False)
+    steps = [
+        fan, ("partition", [1, 2, 3, 0]), fan, ("filter", frozenset({4})), fan,
+        ("partition", None), ("degrade", 2.0, None), ("fan", 0, 0, True),
+        ("filter", None), ("classify", 1), fan,
+        ("classify", 2), ("fan", 1, 2, False), ("fan", 0, 1, True),
+        ("send", 3, 3),
+    ]
+    story = _route_story(Network, steps)
+    assert story == _route_story(NaiveNetwork, steps)
+    errors = [error for _step, error, _state in story[0]]
+    assert errors[12] == (
+        "no channel from 1 to 7: the topology does not provide this link (see §III-B)"
+    )
+    assert errors.count(None) == len(steps) - 1
+    flights = [state["heap"] for _step, _error, state in story[0]]
+    # 7; only 3 shares 0's side of the cut (with or without the filter);
+    # healed, 4 filtered: 6; all 7; the one before the refusal; 0 -> (5, 5,
+    # 2); a self-send
+    assert [len(heap) for heap in flights] == [
+        7, 7, 8, 8, 9, 9, 9, 15, 15, 15, 22, 22, 23, 26, 27,
+    ]
+    # The fan-out after the classifier changed uses the new channels.
+    new = [row for row in flights[10] if row not in flights[9]]
+    assert [(row[3], row[6]) for row in sorted(new, key=lambda row: row[3])] == [
+        (d, _route_classifier(1)(0, d)) for d in _ROUTE_LISTS[0]
+    ]
+    assert [row[2:5] + row[6:7] for row in flights[14] if row[4] == "ONE"] == [
+        (3, 3, "ONE", ChannelClass.KEY)
+    ]
+    net = _fanout_fabric(Network, {"seed": 2})
+    net.multicast(0, _ROUTE_LISTS[0], "FAN", b"x")
+    net.multicast(0, iter(_ROUTE_LISTS[0]), "FAN", b"x")
+    assert len(net._routes) == 1
+    net.channel_classifier = _route_classifier(1)
+    assert not net._routes and not net._channel_rows
 
 
 # -- the dispatch fast path: Network.run does what receive and retiring do ---
@@ -813,6 +965,35 @@ def test_multicast_allocates_per_fan_out_not_per_recipient():
         gc.enable()
     assert net.pending == 8 + 32
     assert grew[0] == grew[1]
+
+
+def test_a_tallied_run_owns_only_its_times():
+    """A tallied fan-out is kept until its session lets it go: what it owns
+    is its run, its envelope and its times; the recipients and channels
+    are its route's, shared by every fan-out along it."""
+    import gc
+
+    net, _log, _kept = _run_fabric()
+    added = []
+    tally = SimpleNamespace(add=added.append, due=lambda run, k: False)
+    fans = [list(range(fan + 1)) for fan in (8, 32)]
+    for recipients in fans:  # routes resolved, jitter block filled
+        net.multicast(0, recipients, "WARM", b"w", size=1, tally=tally)
+    grew = []
+    gc.collect()
+    gc.disable()
+    try:
+        for recipients in fans:
+            before = len(gc.get_objects())
+            net.multicast(0, recipients, "FAN", b"x", size=1, tally=tally)
+            grew.append(len(gc.get_objects()) - before)
+    finally:
+        gc.enable()
+    assert [len(run.times) for run in added] == [8, 32, 8, 32]
+    assert grew == [3, 3]
+    for first, again in zip(added[:2], added[2:]):
+        assert again.recipients is first.recipients
+        assert again.channels is first.channels
 
 
 def test_equal_delivery_times_come_out_in_seq_order():
@@ -1120,7 +1301,7 @@ def test_a_tallied_fan_out_that_raises_keeps_the_recipients_before():
         net.run()
         story.append((before, net.now, net.delivered_messages, net.pending))
         if factory is Network:
-            assert [run.recipients for run in added] == [[1, 2]]
+            assert [run.recipients for run in added] == [(1, 2)]
     assert story[0] == story[1]
     pending, listed = story[0][0]
     assert pending == 2 and sorted(listed) == [1, 2]
