@@ -60,9 +60,15 @@ def test_prefilter_ablation(benchmark):
     )
     off_voted, off_accepted, _ = results["off"]
     on_voted, on_accepted, on_savings = results["on"]
-    assert on_savings > 0
-    assert on_voted < off_voted  # wasted consensus work eliminated
-    assert on_accepted >= 0.5 * off_accepted  # valid throughput preserved
+    assert on_savings > 0, "§VIII-A: the pre-filter dropped no transaction early"
+    assert on_voted < off_voted, (  # wasted consensus work eliminated
+        f"§VIII-A: the send side voted on {on_voted} transactions with the "
+        f"pre-filter and {off_voted} without, want fewer with it"
+    )
+    assert on_accepted >= 0.5 * off_accepted, (  # valid throughput preserved
+        f"§VIII-A: {on_accepted} committed with the pre-filter, {off_accepted} "
+        "without, want at least half as many"
+    )
 
 
 def test_parallel_block_width(benchmark):
@@ -90,10 +96,16 @@ def test_parallel_block_width(benchmark):
             ("parallelism = txs / steps", f"{total / len(groups):.1f}"),
         ],
     )
-    assert sum(widths) == total
+    assert sum(widths) == total, (
+        f"§VIII-B: the sub-blocks hold {sum(widths)} transactions of {total}"
+    )
     # Independent UTXO spends are almost all pairwise irrelevant.
-    assert len(groups) <= 4
-    assert widths[0] > total / 2
+    assert len(groups) <= 4, (
+        f"§VIII-B: {len(groups)} sub-blocks for {total} transactions, want at most 4"
+    )
+    assert widths[0] > total / 2, (
+        f"§VIII-B: the widest sub-block holds {widths[0]} of {total}, want over half"
+    )
 
 
 def test_parallel_block_in_protocol(benchmark):
@@ -118,5 +130,8 @@ def test_parallel_block_in_protocol(benchmark):
     row = benchmark.pedantic(run, rounds=1, iterations=1)
     print(f"\nparallel blockgen: {row['blockgen_subblocks']} sub-blocks, "
           f"width {row['blockgen_width']} of {row['packed']} packed")
-    assert row["blockgen_subblocks"] >= 1
-    assert row["blockgen_width"] <= row["packed"]
+    assert row["blockgen_subblocks"] >= 1, "§VIII-B: a round built no sub-block"
+    assert row["blockgen_width"] <= row["packed"], (
+        f"§VIII-B: a sub-block {row['blockgen_width']} wide in a block of "
+        f"{row['packed']} packed transactions"
+    )

@@ -89,6 +89,14 @@ def well_formed(tx):
     return bool(amounts) and min(amounts) > 0
 
 
+def budgeted_row(txs, judged, judge, sign=YES):
+    """A VList row: ``sign`` times ``judge``'s verdict on each of the first
+    ``judged`` transactions, then Unknown ("fails to judge within the given
+    time", §VII-A)."""
+    row = [sign * (YES if judge(tx) else NO) for tx in txs[:judged]]
+    return tuple(row) + (UNKNOWN,) * (len(txs) - judged)
+
+
 def valid(tx, view):
     """V (§III-D): well formed, no input twice, every input unspent in
     ``view`` (outpoint -> amount), and the inputs cover the outputs."""
@@ -138,8 +146,7 @@ class Round:
             return (UNKNOWN,) * len(txs)
         judged = min(len(txs), self.budget[member])
         self.budget[member] -= judged
-        row = [sign * (YES if judge(tx) else NO) for tx in txs[:judged]]
-        return tuple(row) + (UNKNOWN,) * (len(txs) - judged)
+        return budgeted_row(txs, judged, judge, sign)
 
     def vote_round(self, c, txs, judge):
         """Alg. 5's vote round under ``c``'s leader, with Alg. 3 on its

@@ -1,74 +1,28 @@
-"""Frozen pre-optimization implementations the equivalence tests compare against.
+"""One oracle per claim: the forms the equivalence tests hold ``src/repro`` to.
 
-Each hot-path optimization ships in its real module; the code it replaced
-is preserved here — verbatim, not simplified — so a test can run both on
-the same seed and require equal results.  Nothing under ``src/`` imports
-this module; the classes subclass the real ones and override exactly
-the methods an optimization replaced.
+A *spec* states the rule one item at a time, as the paper or the encoder
+writes it; a *snapshot* is the code a rewrite replaced, kept where no plainer
+statement of the claim exists.  Nothing under ``src/`` imports this module.
 
-* :func:`naive_payload_size` — wire-size estimation with per-call
-  ``dataclasses.fields`` introspection and isinstance chains (replaced by
-  the exact-type dispatch in :mod:`repro.net.message`);
-* :class:`NaiveNetwork` — the simulator one message at a time: an envelope
-  and a heap push per recipient, scalar jitter draws, every delivery
-  through its own ``_receive`` (replaced by block-buffered jitter, one
-  time-sorted run and one envelope per fan-out, and the inlined dispatch
-  of :mod:`repro.net.simulator`);
-* :class:`NaiveWorkloadGenerator` — transaction generation with
-  ``Generator.choice`` defect draws and an any()-scan address bucket fill
-  (replaced by tuple-indexed bounded-integer draws and a slot countdown in
-  :mod:`repro.ledger.workload`);
-* :class:`EagerPublishWorkloadGenerator` — created outputs and spent
-  records published at batch end and struck back out of the pools for
-  every unpacked transaction (replaced by the one publish-at-pack rule of
-  :mod:`repro.ledger.workload`);
-* :func:`per_shard_apply_block`, :func:`per_shard_add_genesis`,
-  :func:`tuple_digest_items` — the ``ShardState`` methods that filtered a
-  whole block through one shard's ownership test and rebuilt the whole
-  UTXO listing per call (replaced by the route-once
-  :func:`repro.ledger.state.apply_block` and the entry-caching
-  ``ShardState.digest_items``);
-* :func:`role_hash`, :func:`partial_committee_of`, :func:`relevant` — the
-  §IV-F role lottery and partial-set committee draw one node at a time, and
-  §VIII-B relevance one pair at a time, as the paper writes them (replaced
-  by the batched digests of :mod:`repro.core.sortition` and the outpoint
-  index of :func:`repro.core.blockgen.parallel_subblocks`);
-* :func:`networkx_parallel_subblocks` — §VIII-B sub-blocks coloured by
-  networkx (replaced by the plain-Python largest-first colouring of
-  :func:`repro.core.blockgen.parallel_subblocks`, so that the simulation
-  path imports no networkx);
-* :func:`element_walk_txid`, :func:`element_walk_vote_statement`,
-  :func:`element_walk_vote_message_size`, :class:`PerItemBehavior` — the
-  per-transaction path one Python call per element: the txid and the VOTE
-  statement through the recursive ``canonical_bytes``, the VOTE payload
-  through ``payload_size``, the honest votes one item write at a time
-  (replaced by the formatted txid of :mod:`repro.ledger.transaction`, the
-  table-encoded vote vector of :mod:`repro.crypto.hashing`, the closed form
-  ``repro.net.message.vote_message_size`` and the prefix assignment of
-  :mod:`repro.nodes.behaviors`);
-* :class:`TxInput`, :class:`TxOutput`, :class:`DataclassTransaction`,
-  :func:`record_validate_transaction`, :func:`record_apply_block`,
-  :func:`record_digest_items` — the ledger records as frozen dataclasses
-  read by attribute, with a ``cached_property`` txid and size, and V,
-  ``apply_block`` and the UTXO listing over them (replaced by the exact
-  ``(txid, index)`` / ``(address, amount)`` tuples and the slotted
-  ``Transaction`` of :mod:`repro.ledger.transaction`, which the collector
-  stops tracking);
-* :func:`method_validate_transaction`, :func:`method_apply_transaction`,
-  :func:`method_apply_block` — V, ``UTXOSet.apply_transaction`` and
-  ``apply_block`` through the set's methods (``outpoints()``,
-  ``output_total()``, ``get``, ``spend``, ``add``, ``__contains__``), one
-  Python call per outpoint (replaced by the dict probes and the one pass
-  over the outputs of :mod:`repro.ledger.utxo` / :mod:`repro.ledger.state`);
-* :func:`per_chunk_unicast` — IDA-style dissemination as one unicast per
-  recipient per chunk, each chunk carrying its index (replaced by the one
-  recipient-major fan-out of ``RivalBackend._chunked_multicast``).
-
-Two oracles here replaced nothing: :func:`feldman_check`, the per-share
-Feldman verification, which the beacon does not need (it verifies a dealing
-through SCRAPE's ``scrape_check``); and :func:`by_home_shard`, a batch routed
-straight to its home committees, which the persistent mempool's
-``offered()`` is checked against.
+* :func:`naive_payload_size` — spec of ``net.message.payload_size``.
+* :class:`NaiveNetwork` — spec of ``net.simulator.Network``: one message per event.
+* :class:`EagerPublishWorkloadGenerator` — snapshot of ``WorkloadGenerator`` settling.
+* :func:`method_validate_transaction` — spec of V, ``utxo.validate_transaction``.
+* :func:`method_apply_transaction` — spec of ``UTXOSet.apply_transaction``.
+* :func:`method_apply_block` — spec of ``ledger.state.apply_block``.
+* :func:`tuple_digest_items` — spec of ``ShardState.digest_items``, the sorted tuple.
+* :func:`by_home_shard` — spec of the persistent mempool's ``offered()`` routing.
+* :func:`per_chunk_unicast` — snapshot of ``RivalBackend._chunked_multicast``.
+* :func:`networkx_parallel_subblocks` — snapshot of ``blockgen.parallel_subblocks``.
+* :func:`fermat_inv` — spec of ``PrimeField.inv``.
+* :func:`pow_commit` — spec of ``SchnorrGroup.commit``.
+* :func:`feldman_check` — spec of the Feldman check on ``crypto.pvss`` shares.
+* :func:`role_hash` — spec of ``core.sortition.role_digests`` (§IV-F).
+* :func:`partial_committee_of` — spec of ``core.sortition.assign_partial_sets``.
+* :func:`relevant` — spec of §VIII-B relevance in ``parallel_subblocks``.
+* :func:`element_walk_txid` — spec of ``Transaction.txid``.
+* :func:`element_walk_vote_statement` — spec of a VOTE's signing bytes.
+* :func:`element_walk_vote_message_size` — spec of ``message.vote_message_size``.
 """
 
 from __future__ import annotations
@@ -76,12 +30,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
-from hashlib import sha256
 from typing import Any
-
-import numpy as np
 
 from repro.core.sortition import PARTIAL_ROLE
 from repro.crypto.field import GROUP
@@ -92,9 +41,8 @@ from repro.ledger.state import ShardState
 from repro.ledger.transaction import ShardMap, Transaction, shard_of_address
 from repro.ledger.utxo import UTXOSet, ValidationResult
 from repro.ledger.workload import TaggedTx, WorkloadGenerator
-from repro.net.message import Message, fields_size, payload_size
+from repro.net.message import Message, payload_size
 from repro.net.simulator import Network, SimulationError
-from repro.nodes.behaviors import NO, YES, Behavior
 
 _SIG_SIZE = 64
 _HASH_SIZE = 32
@@ -317,114 +265,6 @@ class NaiveNetwork(Network):
 
 
 # -- workload ----------------------------------------------------------------
-class NumpyDraws:
-    """The draws :class:`repro.ledger.draws.DrawStream` transcribes, made by
-    numpy itself, one ``Generator`` call per value."""
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        self.rng = rng
-
-    def integers(self, low: int, high: int) -> int:
-        return int(self.rng.integers(low, high))
-
-    def random(self) -> float:
-        return float(self.rng.random())
-
-    def poisson(self, lam: float) -> int:
-        return int(self.rng.poisson(lam))
-
-    @property
-    def state(self) -> dict:
-        return self.rng.bit_generator.state
-
-    @state.setter
-    def state(self, value: dict) -> None:
-        self.rng.bit_generator.state = value
-
-
-class NaiveWorkloadGenerator(WorkloadGenerator):
-    """The workload generator with its pre-optimization draw paths.
-
-    Every value is drawn by numpy directly (:class:`NumpyDraws`, no
-    pre-drawn block), the address buckets are filled by an any()-scan per
-    candidate address, and the defect is drawn by ``Generator.choice`` over
-    a Python string list.  All of it is RNG-stream-identical to the
-    optimized generator, so same-seed instances generate byte-identical
-    transaction batches.
-    """
-
-    def __init__(
-        self,
-        m: int,
-        users_per_shard: int,
-        rng: np.random.Generator,
-        endowment: int = 1_000,
-        fee: int = 1,
-    ) -> None:
-        super().__init__(m, users_per_shard, rng, endowment=endowment, fee=fee)
-        self.rng = rng
-        self.draws = NumpyDraws(rng)
-        # Rebuild the address buckets the old way (no RNG involved, so
-        # redoing the work changes nothing).
-        self.addresses_by_shard = [[] for _ in range(m)]
-        serial = 0
-        while any(
-            len(bucket) < users_per_shard for bucket in self.addresses_by_shard
-        ):
-            address = f"user-{serial:08d}"
-            serial += 1
-            shard = shard_of_address(address, m)
-            if len(self.addresses_by_shard[shard]) < users_per_shard:
-                self.addresses_by_shard[shard].append(address)
-
-    def _build_invalid(self, home: int, cross: bool) -> TaggedTx:
-        defect = str(
-            self.rng.choice(["double_spend", "overspend", "phantom_input"])
-        )
-        payee = self._pick_payee(home, cross)
-        if defect == "double_spend" and self._spent:
-            outpoint, owner, amount = self._spent[
-                int(self.rng.integers(0, len(self._spent)))
-            ]
-            tx = Transaction(
-                inputs=(outpoint,),
-                outputs=((payee, max(1, amount - self.fee)),),
-                nonce=self._next_nonce(),
-            )
-        elif defect == "overspend" and self._spendable[home]:
-            outpoint, owner, amount = self._spendable[home][
-                int(self.rng.integers(0, len(self._spendable[home])))
-            ]
-            tx = Transaction(
-                inputs=(outpoint,),
-                outputs=((payee, amount * 2 + 1),),
-                nonce=self._next_nonce(),
-            )
-        else:
-            defect = "phantom_input"
-            phantom = (
-                Transaction(
-                    inputs=(),
-                    outputs=(("nobody", 1),),
-                    nonce=self._next_nonce(),
-                ).txid,
-                0,
-            )
-            tx = Transaction(
-                inputs=(phantom,),
-                outputs=((payee, 10),),
-                nonce=self._next_nonce(),
-            )
-        out_shard = shard_of_address(payee, self.m)
-        return TaggedTx(
-            tx=tx,
-            home_shard=home,
-            cross_shard=out_shard != home,
-            intended_valid=False,
-            defect=defect,
-        )
-
-
 class EagerPublishWorkloadGenerator(WorkloadGenerator):
     """The generator's former fixed-batch publish rule: the oracle for
     settlement.
@@ -489,7 +329,7 @@ class EagerPublishWorkloadGenerator(WorkloadGenerator):
         return rolled
 
 
-# -- V and UTXO application through the set's methods ---------------------------
+# -- V, UTXO application and the listing through the set's methods -------------
 def method_validate_transaction(tx: Transaction, utxos: UTXOSet) -> ValidationResult:
     """The authentication function V as it read through ``UTXOSet.get``."""
     if not tx.outputs:
@@ -535,6 +375,19 @@ def method_apply_block(states, txs, shard_of: ShardMap) -> tuple[int, int]:
     return spent, created
 
 
+def tuple_digest_items(state: ShardState) -> tuple:
+    """The pre-optimization ``ShardState.digest_items``: the whole listing
+    as a freshly sorted tuple of plain tuples."""
+    return tuple(
+        sorted(
+            (txid.hex(), index, address, amount)
+            for (txid, index), (address, amount) in (
+                ((op, state.utxos.get(op)) for op in state.utxos)
+            )
+        )
+    )
+
+
 # -- routing a batch to its committees ----------------------------------------
 def by_home_shard(batch: "list[TaggedTx]", m: int) -> list[list[TaggedTx]]:
     """Route a batch to committees by input ownership (Fig. 2 step 2)."""
@@ -555,44 +408,7 @@ def per_chunk_unicast(sender, recipients, tag, payload, total_bytes, chunks) -> 
             sender.send(recipient, tag, (index, payload), size=chunk_bytes)
 
 
-# -- per-shard ledger application ----------------------------------------------
-def per_shard_apply_block(state: ShardState, txs) -> tuple[int, int]:
-    """The pre-optimization ``ShardState.apply_block``: spends every
-    referenced outpoint present locally and adds every output this shard
-    owns; every shard ran it over the whole block."""
-    spent = created = 0
-    for tx in txs:
-        for outpoint in tx.outpoints():
-            if outpoint in state.utxos:
-                state.utxos.spend(outpoint)
-                spent += 1
-        for index, output in enumerate(tx.outputs):
-            if shard_of_address(output[0], state.m) == state.shard:
-                state.utxos.add((tx.txid, index), output)
-                created += 1
-    return spent, created
-
-
-def per_shard_add_genesis(state: ShardState, tx: Transaction) -> None:
-    """The pre-optimization ``ShardState.add_genesis``."""
-    for index, output in enumerate(tx.outputs):
-        if shard_of_address(output[0], state.m) == state.shard:
-            state.utxos.add((tx.txid, index), output)
-
-
-def tuple_digest_items(state: ShardState) -> tuple:
-    """The pre-optimization ``ShardState.digest_items``: the whole listing
-    as a freshly sorted tuple of plain tuples."""
-    return tuple(
-        sorted(
-            (txid.hex(), index, address, amount)
-            for (txid, index), (address, amount) in (
-                ((op, state.utxos.get(op)) for op in state.utxos)
-            )
-        )
-    )
-
-
+# -- §VIII-B sub-blocks ---------------------------------------------------------
 def networkx_parallel_subblocks(txs: list[Transaction]) -> list[list[Transaction]]:
     """The networkx ``parallel_subblocks``: the relevance graph as an
     ``nx.Graph`` coloured by ``greedy_color(strategy="largest_first")``.
@@ -707,172 +523,3 @@ def element_walk_vote_message_size(mid: int, votes, sig: Signature) -> int:
     """The pre-optimization VOTE size: ``payload_size`` of the payload, one
     sizer call per vote."""
     return payload_size((mid, votes, sig))
-
-
-class PerItemBehavior(Behavior):
-    """The honest votes as first written: one numpy item write per judged
-    transaction (replaced by one list assigned to the array's judged
-    prefix in :mod:`repro.nodes.behaviors`)."""
-
-    def vote(self, node, txs, state, rng):
-        votes = np.zeros(len(txs), dtype=np.int8)
-        budget = node.take_budget(len(txs))
-        for index, tx in enumerate(txs):
-            if index >= budget:
-                break  # "fails to judge within the given time" -> Unknown
-            result = state.validate(tx)
-            votes[index] = YES if result is ValidationResult.VALID else NO
-        return votes
-
-    def vote_on_outputs(self, node, txs, rng):
-        votes = np.zeros(len(txs), dtype=np.int8)
-        budget = node.take_budget(len(txs))
-        for index, tx in enumerate(txs):
-            if index >= budget:
-                break
-            well_formed = bool(tx.outputs) and all(
-                amount > 0 for _address, amount in tx.outputs
-            )
-            votes[index] = YES if well_formed else NO
-        return votes
-
-
-# -- the ledger records as dataclasses -------------------------------------------
-# ``TxInput`` / ``TxOutput`` / ``Transaction`` as they were (the last one
-# renamed), with the written-out ``__init__``s a ``pstats``-keyed profile
-# needed: every generated one has the code identity ``('<string>', 2,
-# '__init__')``.
-@dataclass(frozen=True, slots=True)
-class TxInput:
-    """Reference to an unspent output: ``(txid, index)``."""
-
-    txid: bytes
-    index: int
-
-    def __init__(self, txid: bytes, index: int) -> None:
-        object.__setattr__(self, "txid", txid)
-        object.__setattr__(self, "index", index)
-
-
-@dataclass(frozen=True, slots=True)
-class TxOutput:
-    """A spendable coin: owner address and amount."""
-
-    address: str
-    amount: int
-
-    def __init__(self, address: str, amount: int) -> None:
-        object.__setattr__(self, "address", address)
-        object.__setattr__(self, "amount", amount)
-
-
-@dataclass(frozen=True)
-class DataclassTransaction:
-    """An immutable transaction over :class:`TxInput` / :class:`TxOutput`."""
-
-    inputs: tuple[TxInput, ...]
-    outputs: tuple[TxOutput, ...]
-    nonce: int = 0
-
-    def __init__(self, inputs: tuple, outputs: tuple, nonce: int = 0) -> None:
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "outputs", outputs)
-        object.__setattr__(self, "nonce", nonce)
-
-    @cached_property
-    def txid(self) -> bytes:
-        ins = []
-        for i in self.inputs:
-            txid, index = i.txid, i.index
-            if type(txid) is not bytes or type(index) is not int:
-                return self._generic_txid()
-            digits = b"%d" % index
-            pair = b"b%d:%b\x1fi%d:%b" % (len(txid), txid, len(digits), digits)
-            ins.append(b"t%d:%b" % (len(pair), pair))
-        outs = []
-        for o in self.outputs:
-            address, amount = o.address, o.amount
-            if type(address) is not str or type(amount) is not int:
-                return self._generic_txid()
-            name, digits = address.encode("utf-8"), b"%d" % amount
-            pair = b"s%d:%b\x1fi%d:%b" % (len(name), name, len(digits), digits)
-            outs.append(b"t%d:%b" % (len(pair), pair))
-        if type(self.nonce) is not int:
-            return self._generic_txid()
-        ins_b, outs_b = b"\x1f".join(ins), b"\x1f".join(outs)
-        nonce = b"%d" % self.nonce
-        return sha256(
-            b"s2:TXt%d:%bt%d:%bi%d:%b"
-            % (len(ins_b), ins_b, len(outs_b), outs_b, len(nonce), nonce)
-        ).digest()
-
-    def _generic_txid(self) -> bytes:
-        return H(
-            "TX",
-            tuple((i.txid, i.index) for i in self.inputs),
-            tuple((o.address, o.amount) for o in self.outputs),
-            self.nonce,
-        )
-
-    @cached_property
-    def wire_size(self) -> int:
-        return fields_size(self)
-
-    def output_total(self) -> int:
-        return sum(o.amount for o in self.outputs)
-
-    def outpoints(self) -> tuple[tuple[bytes, int], ...]:
-        return tuple((i.txid, i.index) for i in self.inputs)
-
-
-def record_validate_transaction(
-    tx: DataclassTransaction, utxos: UTXOSet
-) -> ValidationResult:
-    """V over the dataclass records, read by attribute."""
-    if not tx.outputs:
-        return ValidationResult.EMPTY
-    if any(o.amount <= 0 for o in tx.outputs):
-        return ValidationResult.NONPOSITIVE_OUTPUT
-    outpoints = tx.outpoints()
-    if len(set(outpoints)) != len(outpoints):
-        return ValidationResult.DUPLICATE_INPUT
-    total_in = 0
-    for outpoint in outpoints:
-        output = utxos.get(outpoint)
-        if output is None:
-            return ValidationResult.MISSING_INPUT
-        total_in += output.amount
-    if total_in < tx.output_total():
-        return ValidationResult.OVERSPEND
-    return ValidationResult.VALID
-
-
-def record_apply_block(
-    states: list[ShardState], txs, shard_of: ShardMap
-) -> tuple[int, int]:
-    """``apply_block`` over the dataclass records."""
-    sets = [state.utxos for state in states]
-    spent = created = 0
-    for tx in txs:
-        for outpoint in tx.outpoints():
-            for utxos in sets:
-                if outpoint in utxos:
-                    utxos.spend(outpoint)
-                    spent += 1
-        txid = tx.txid
-        for index, output in enumerate(tx.outputs):
-            sets[shard_of[output.address]].add((txid, index), output)
-            created += 1
-    return spent, created
-
-
-def record_digest_items(state: ShardState) -> tuple:
-    """The UTXO listing over dataclass outputs, as the sorted tuple."""
-    return tuple(
-        sorted(
-            (txid.hex(), index, out.address, out.amount)
-            for (txid, index), out in (
-                (op, state.utxos.get(op)) for op in state.utxos
-            )
-        )
-    )

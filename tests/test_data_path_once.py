@@ -6,23 +6,25 @@ vote-matrix value to the tuple-of-rows encoding, publish-at-pack settlement
 to the eager publish and its sequential ``list.remove`` undo, the V-verdict
 row to plain ``validate_transaction``, the VOTE statement to the generic
 encoder, ``Transaction.wire_size`` to the recursive dataclass sizer, the
-UTXO listing to the freshly sorted tuple of plain tuples, and the txid, the
-VOTE statement and size and the honest vote fill to the element walks of
-``tests/reference_impls.py``.
+UTXO listing to the freshly sorted tuple of plain tuples, the txid and the
+VOTE statement and size to the element walks of ``tests/reference_impls.py``,
+and the honest vote fill to the budgeted row of ``tests/decision_reference.py``.
 """
 
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from decision_reference import KINDS, budgeted_row, well_formed
 from reference_impls import (
     EagerPublishWorkloadGenerator,
-    PerItemBehavior,
     element_walk_txid,
     element_walk_vote_message_size,
     element_walk_vote_statement,
+    naive_payload_size,
     tuple_digest_items,
 )
 from tx_builders import make_transfer
@@ -43,7 +45,7 @@ from repro.ledger.transaction import (
     make_coinbase,
 )
 from repro.ledger.utxo import ValidationResult, validate_transaction
-from repro.ledger.workload import WorkloadGenerator
+from repro.ledger.workload import TaggedTx, WorkloadGenerator
 from repro.net.message import fields_size, payload_size, vote_message_size
 from repro.nodes.behaviors import Behavior, ContraryVoter, LazyVoter
 
@@ -419,11 +421,10 @@ def test_vote_vectors_are_encoded_once_per_distinct_vector(members, spends):
     ctx.net.run()
     result = session.finish()
     assert result.replies == committee.size
-    plain = PlainV(ctx.shard_states[0].utxos)
-    for row, (mid, (behavior, capacity)) in enumerate(zip(committee.members, members)):
-        honest = PerItemBehavior().vote(Capacity(capacity), txs, plain, None)
-        want = {"honest": honest, "contrary_voter": -honest}.get(behavior.name, 0 * honest)
-        assert result.matrix[row].tolist() == want.tolist()
+    plain = passes(partial(validate_transaction, utxos=ctx.shard_states[0].utxos))
+    for row, (behavior, capacity) in enumerate(members):
+        want = budgeted(txs, capacity, plain, KINDS[behavior.name].sign)
+        assert result.matrix[row].tolist() == want
     # one tuple object per distinct vector, its key its int8 bytes
     assert len({id(votes) for votes in sent}) == len(set(sent)) == len(session._vectors)
     for key, (votes, enc, size) in session._vectors.items():
@@ -462,17 +463,45 @@ def test_leader_re_encodes_an_equal_but_distinct_vote_tuple(vote_ctx):
 
 
 # -- (v) Transaction.wire_size ----------------------------------------------------
-@given(
-    st.lists(st.tuples(st.binary(min_size=0, max_size=40), st.integers(0, 9)), max_size=4),
-    st.lists(st.tuples(st.text(max_size=12), st.integers(-5, 10**9)), max_size=4),
-    st.integers(0, 2**40),
+class Name(str):
+    """A ``str`` subclass: the generic encoder encodes it as its base."""
+
+
+class Blob(bytes):
+    """A ``bytes`` subclass, likewise."""
+
+
+ints_like = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.integers(-(2**31), 2**31).map(np.int64),
 )
+tx_inputs = st.lists(
+    st.tuples(st.one_of(st.binary(max_size=40), st.binary(max_size=8).map(Blob)), ints_like),
+    max_size=4,
+)
+tx_outputs = st.lists(
+    st.tuples(
+        st.one_of(st.text(max_size=12), st.text(max_size=6).map(Name)),
+        st.one_of(ints_like, st.floats(allow_nan=False)),
+    ),
+    max_size=4,
+)
+SIG = Signature(pk="pk-0", tag=b"\x00" * 32)
+
+
+@given(tx_inputs, tx_outputs, ints_like)
 def test_transaction_wire_size_is_the_recursive_dataclass_size(inputs, outputs, nonce):
+    """``wire_size`` is the recursive dataclass size, formatted or (numpy
+    ints, bools, floats, subclasses) generic, and so is the size of every
+    payload that carries the transaction: a TX_LIST ``(txs, SIG)`` and a
+    ``TaggedTx``."""
     tx = Transaction(inputs=tuple(inputs), outputs=tuple(outputs), nonce=nonce)
-    expected = payload_size([tx.inputs, tx.outputs, tx.nonce])
+    expected = naive_payload_size(tx)
     assert fields_size(tx) == expected  # the txid and size slots are not fields
     assert payload_size(tx) == tx.wire_size == expected
-    assert payload_size([tx, (tx, 1)]) == 2 + expected + (2 + expected + 8)
+    for payload in ([tx, (tx, 1)], ([tx, tx], SIG), TaggedTx(tx, 1, True, False, "overspend")):
+        assert payload_size(payload) == naive_payload_size(payload)
 
 
 def test_cached_sizes_are_derived_state_across_a_checkpoint(tmp_path):
@@ -492,14 +521,6 @@ def test_cached_sizes_are_derived_state_across_a_checkpoint(tmp_path):
 
 
 # -- (vi) the UTXO_FINAL listing ---------------------------------------------------
-class Name(str):
-    """A ``str`` subclass: the generic encoder encodes it as its base."""
-
-
-class Blob(bytes):
-    """A ``bytes`` subclass, likewise."""
-
-
 def assert_listing_is_its_tuple(state):
     listing, plain = state.digest_items(), tuple_digest_items(state)
     txids = (b"\x01" * 32, b"\x02" * 32)
@@ -512,126 +533,118 @@ def assert_listing_is_its_tuple(state):
     assert listing == state.digest_items()
 
 
+def assert_listed_keeping_what_stayed(state):
+    """The listing is the sorted tuple, and of the last listing's entries it
+    re-encodes exactly those whose output object did not stay."""
+    import repro.ledger.state as state_module
+
+    before, encoded = dict(state._listing[0]), []
+    real = state_module._listing_entry
+    state_module._listing_entry = lambda op, out: encoded.append(op) or real(op, out)
+    try:
+        assert_listing_is_its_tuple(state)
+    finally:
+        state_module._listing_entry = real
+    current = state.utxos.snapshot()
+    assert sorted(encoded) == sorted(
+        op for op, output in current.items() if before.get(op) is not output
+    )
+    assert state._listing[1] == sorted(current)
+
+
+OWNERS = [f"user-{i}" for i in range(24)]
+# One step on m listed shard views (``k`` picks one of them): a block of
+# scripted transactions (input references >= 0 pick, modulo, an outpoint a
+# block made, spent or not; < 0 one nobody made), a direct edit of one set
+# (``add`` an outpoint of any txid length, spending it first if it is held;
+# ``spend``; ``readd`` a held outpoint with an equal output tuple or
+# another), ``restore`` every set to the last ``save``, ``compact``, a
+# ``checkpoint`` round-trip of every set (pickled snapshots restored, as
+# ``load_checkpoint`` does), or a listing.
+tx_scripts = st.tuples(
+    st.lists(st.integers(-3, 40), max_size=3),  # no inputs: a coinbase
+    st.lists(st.tuples(st.sampled_from(OWNERS), st.integers(1, 50)), max_size=3),
+)
 listing_steps = st.lists(
     st.one_of(
-        st.tuples(  # add: txid of any length (sorts by hex), index, owner, amount
+        st.tuples(st.just("block"), st.lists(tx_scripts, max_size=4)),
+        st.tuples(  # a bool index, a bool or numpy-int amount, a str subclass
             st.just("add"),
+            st.integers(0, 2),
             st.binary(max_size=4),
-            st.integers(0, 3),
-            st.text(max_size=6),
-            st.integers(0, 10**12),
+            st.one_of(st.integers(0, 3), st.booleans()),
+            st.one_of(st.text(max_size=6), st.text(max_size=4).map(Name)),
+            st.one_of(st.integers(-2, 10**20), st.booleans(), st.integers(0, 99).map(np.int64)),
         ),
-        st.tuples(st.just("spend"), st.integers(0, 99)),
-        st.tuples(st.sampled_from(["restore", "compact", "snapshot", "list"])),
+        st.tuples(st.just("spend"), st.integers(0, 2), st.integers(0, 99)),
+        st.tuples(st.just("readd"), st.integers(0, 2), st.integers(0, 99), st.booleans()),
+        st.tuples(st.sampled_from(["restore", "compact", "save", "checkpoint", "list"])),
     ),
-    max_size=30,
+    max_size=20,
 )
 
 
 @settings(max_examples=120, deadline=None)
-@given(listing_steps, st.booleans())
-def test_utxo_listing_is_the_sorted_tuple_through_every_mutation(steps, every_step):
-    state = ShardState(0, 1)
-    saved = state.utxos.snapshot()
-    assert_listing_is_its_tuple(state)  # the empty listing
+@given(st.sampled_from([1, 2, 3]), listing_steps, st.booleans())
+def test_merged_listing_is_the_sorted_tuple(m, steps, every_step):
+    """Through blocks and every other edit of the sets, each listing is the
+    freshly sorted tuple: ``digest_items`` merges what ``apply_block``
+    touched, rescans after anything else moved a set, and keeps the entries
+    whose output object stayed."""
+    states, shard_of = [ShardState(k, m) for k in range(m)], ShardMap(m)
+    for state in states:
+        assert_listed_keeping_what_stayed(state)  # the empty listing
+    genesis = make_coinbase([(owner, 100) for owner in OWNERS[:8]])
+    apply_block(states, [genesis], shard_of)
+    known = [(genesis.txid, i) for i in range(8)]
+    saved = [state.utxos.snapshot() for state in states]
+    nonce = 0
     for step in steps:
-        if step[0] == "add":
-            _, txid, index, owner, amount = step
-            if (txid, index) in state.utxos:
-                # same outpoint, another output object: not the cached entry
-                state.utxos.spend((txid, index))
-            state.utxos.add((txid, index), (owner, amount))
-        elif step[0] == "spend" and len(state.utxos):
-            state.utxos.spend(list(state.utxos)[step[1] % len(state.utxos)])
-        elif step[0] == "restore":
-            state.utxos.restore(saved)
-        elif step[0] == "compact":
-            state.utxos.compact()
-        elif step[0] == "snapshot":
-            saved = state.utxos.snapshot()
-        else:
-            assert_listing_is_its_tuple(state)  # after several mutations
-        if every_step:
-            assert_listing_is_its_tuple(state)
-    assert_listing_is_its_tuple(state)
-
-
-def test_utxo_listing_encodes_only_what_the_block_created(shard, monkeypatch):
-    import repro.ledger.state as state_module
-
-    state, genesis, spend = shard
-    encoded = []
-    real = state_module._listing_entry
-    monkeypatch.setattr(
-        state_module,
-        "_listing_entry",
-        lambda op, output: encoded.append(op) or real(op, output),
-    )
-    first = state.digest_items()
-    assert len(encoded) == len(genesis.outputs)
-    assert state.digest_items() == first and len(encoded) == len(genesis.outputs)
-    del encoded[:]
-    apply_block([state], [spend], ShardMap(1))
-    assert_listing_is_its_tuple(state)
-    assert sorted(encoded) == [(spend.txid, 0), (spend.txid, 1)]
-    # An equal output under the same outpoint is another object: re-encoded.
-    del encoded[:]
-    state.utxos.spend((spend.txid, 1))
-    state.utxos.add((spend.txid, 1), (*spend.outputs[1],))
-    assert_listing_is_its_tuple(state)
-    assert encoded == [(spend.txid, 1)]
-
-
-listing_edits = st.lists(
-    st.one_of(
-        st.tuples(  # a new outpoint; a bool amount and a str subclass among them
-            st.just("add"),
-            st.binary(min_size=1, max_size=3),
-            st.one_of(st.integers(0, 2), st.booleans()),
-            st.one_of(st.text(max_size=4), st.text(max_size=4).map(Name)),
-            st.one_of(st.integers(-2, 10**20), st.booleans()),
-        ),
-        st.tuples(st.just("spend"), st.integers(0, 99)),
-        # the same outpoint again: an equal output tuple, or another one
-        st.tuples(st.just("readd"), st.integers(0, 99), st.booleans()),
-    ),
-    max_size=40,
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(listing_edits)
-def test_merged_listing_is_the_sorted_tuple(edits):
-    """Every listing — after adds, spends and re-adds of an equal-but-distinct
-    output object — is the freshly sorted tuple, and the entries kept from
-    the last listing are exactly those whose output object stayed."""
-    import repro.ledger.state as state_module
-
-    state = ShardState(0, 1)
-    for edit in edits:
-        ops = list(state.utxos)
-        if edit[0] == "add" and (edit[1], edit[2]) not in state.utxos:
-            _, txid, index, owner, amount = edit
-            state.utxos.add((txid, index), (owner, amount))
-        elif edit[0] == "spend" and ops:
-            state.utxos.spend(ops[edit[1] % len(ops)])
-        elif edit[0] == "readd" and ops:
-            op = ops[edit[1] % len(ops)]
-            owner, amount = state.utxos.spend(op)
-            state.utxos.add(op, (owner, amount if edit[2] else amount + 1))
-        before = dict(state._listing[0])
-        encoded = []
-        real = state_module._listing_entry
-        state_module._listing_entry = lambda op, out: encoded.append(op) or real(op, out)
-        try:
-            assert_listing_is_its_tuple(state)
-        finally:
-            state_module._listing_entry = real
-        current = state.utxos.snapshot()
-        assert sorted(encoded) == sorted(
-            op for op, output in current.items() if before.get(op) is not output
-        )
-        assert state._listing[1] == sorted(current)
+        kind = step[0]
+        utxos = states[step[1] % m].utxos if len(step) > 2 else None
+        if kind == "block":
+            block = []
+            for refs, outputs in step[1]:
+                nonce += 1
+                tx = Transaction(
+                    inputs=tuple(known[r % len(known)] if r >= 0 else (bytes([-r]) * 32, 0)
+                                 for r in refs),
+                    outputs=tuple(outputs),
+                    nonce=nonce,
+                )
+                known += [(tx.txid, i) for i in range(len(outputs))]
+                block.append(tx)
+            try:
+                apply_block(states, block, shard_of)
+            except ValueError:  # an output created twice: what came before stands
+                pass
+        elif kind == "add":
+            _, _k, txid, index, owner, amount = step
+            if (txid, index) in utxos:
+                utxos.spend((txid, index))
+            utxos.add((txid, index), (owner, amount))
+        elif kind == "spend" and len(utxos):
+            utxos.spend(list(utxos)[step[2] % len(utxos)])
+        elif kind == "readd" and len(utxos):
+            op = list(utxos)[step[2] % len(utxos)]
+            owner, amount = utxos.spend(op)
+            utxos.add(op, (owner, amount if step[3] else amount + 1))
+        elif kind == "restore":
+            for state, snapshot in zip(states, saved):
+                state.utxos.restore(snapshot)
+        elif kind == "compact":
+            for state in states:
+                state.utxos.compact()
+        elif kind == "save":
+            saved = [state.utxos.snapshot() for state in states]
+        elif kind == "checkpoint":
+            for state in states:
+                state.utxos.restore(pickle.loads(pickle.dumps(state.utxos.snapshot())))
+        if every_step or kind == "list":
+            for state in states:
+                assert_listed_keeping_what_stayed(state)
+    for state in states:
+        assert_listed_keeping_what_stayed(state)
 
 
 def test_utxo_listing_cache_is_derived_state_across_a_checkpoint(tmp_path):
@@ -650,24 +663,6 @@ def test_utxo_listing_cache_is_derived_state_across_a_checkpoint(tmp_path):
 
 
 # -- (vii) the direct forms against their element walks ---------------------------
-ints_like = st.one_of(
-    st.integers(-(2**70), 2**70),
-    st.booleans(),
-    st.integers(-(2**31), 2**31).map(np.int64),
-)
-tx_inputs = st.lists(
-    st.tuples(st.one_of(st.binary(max_size=40), st.binary(max_size=8).map(Blob)), ints_like),
-    max_size=4,
-)
-tx_outputs = st.lists(
-    st.tuples(
-        st.one_of(st.text(max_size=12), st.text(max_size=6).map(Name)),
-        st.one_of(ints_like, st.floats(allow_nan=False)),
-    ),
-    max_size=4,
-)
-
-
 @given(tx_inputs, tx_outputs, ints_like)
 @example([], [("user-0", 1_000)], 0)  # a coinbase
 @example([(b"\x01" * 32, 0), (b"\x02" * 32, 7)], [("é", 5)], 3)
@@ -786,6 +781,18 @@ class Capacity:
         return granted
 
 
+def budgeted(txs, capacity, judge, sign=1):
+    """The decision reference's VList row for a member with ``capacity``
+    left: ``judge`` on what the budget covers, then Unknown."""
+    return list(budgeted_row(txs, max(0, min(capacity, len(txs))), judge, sign))
+
+
+def passes(validate):
+    """A judge from a V: Yes exactly when ``validate`` finds the
+    transaction valid."""
+    return lambda tx: validate(tx) is ValidationResult.VALID
+
+
 class Verdicts(ShardState):
     """A shard view whose V returns a drawn verdict and logs every call (its
     verdict row is the real one, filled through this ``validate``)."""
@@ -819,12 +826,11 @@ def test_honest_votes_are_the_per_item_fill(drawn, capacity, as_tuple):
     verdicts = [verdict for verdict, _amounts in drawn]
     direct, walked = Verdicts(verdicts), Verdicts(verdicts)
     fill = Behavior().vote(Capacity(capacity), txs, direct, None)
-    reference = PerItemBehavior().vote(Capacity(capacity), txs, walked, None)
-    assert fill.dtype == np.int8 and fill.tolist() == reference.tolist()
+    assert fill.dtype == np.int8
+    assert fill.tolist() == budgeted(txs, capacity, passes(walked.validate))
     assert direct.calls == walked.calls  # the same txs judged, in order
     fill = Behavior().vote_on_outputs(Capacity(capacity), txs, None)
-    reference = PerItemBehavior().vote_on_outputs(Capacity(capacity), txs, None)
-    assert fill.dtype == np.int8 and fill.tolist() == reference.tolist()
+    assert fill.dtype == np.int8 and fill.tolist() == budgeted(txs, capacity, well_formed)
 
 
 class LoggedView(ShardState):
@@ -837,16 +843,6 @@ class LoggedView(ShardState):
     def validate(self, tx):
         self.calls.append(tx)
         return super().validate(tx)
-
-
-class PlainV:
-    """V straight off the UTXO set: no memo, no row."""
-
-    def __init__(self, utxos):
-        self.utxos = utxos
-
-    def validate(self, tx):
-        return validate_transaction(tx, self.utxos)
 
 
 @settings(max_examples=150, deadline=None)
@@ -887,17 +883,14 @@ def test_members_share_one_verdict_row(specs, members, as_tuple):
                 state.utxos.add(coin, (f"user-{k % 4}", 100))
             walked = 0
         fill = Behavior().vote(Capacity(capacity), txs, state, None)
-        reference = PerItemBehavior().vote(
-            Capacity(capacity), txs, PlainV(state.utxos), None
-        )
-        assert fill.dtype == np.int8 and fill.tolist() == reference.tolist()
+        plain = passes(partial(validate_transaction, utxos=state.utxos))
+        assert fill.dtype == np.int8 and fill.tolist() == budgeted(txs, capacity, plain)
         budget = max(0, min(capacity, len(txs)))
         expected_calls += txs[walked:budget]
         walked = max(walked, budget)
         assert state.calls == expected_calls
         fill = Behavior().vote_on_outputs(Capacity(capacity, state), txs, None)
-        reference = PerItemBehavior().vote_on_outputs(Capacity(capacity), txs, None)
-        assert fill.dtype == np.int8 and fill.tolist() == reference.tolist()
+        assert fill.dtype == np.int8 and fill.tolist() == budgeted(txs, capacity, well_formed)
     # An equal-but-distinct TXList is a row of its own.
     twin = list(txs)
     state.calls.clear()

@@ -1,11 +1,7 @@
 """Shard state and chain."""
 
-import pickle
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from reference_impls import per_shard_add_genesis, per_shard_apply_block, tuple_digest_items
+from reference_impls import tuple_digest_items
 from tx_builders import make_transfer
 
 from repro.backends import create_backend
@@ -13,14 +9,8 @@ from repro.core.config import ProtocolParams
 from repro.crypto.hashing import canonical_bytes
 from repro.ledger.chain import GENESIS_PREV_HASH, Block, Chain
 from repro.ledger.state import ShardState, apply_block
-from repro.ledger.transaction import (
-    ShardMap,
-    Transaction,
-    make_coinbase,
-    shard_of_address,
-)
+from repro.ledger.transaction import ShardMap, make_coinbase, shard_of_address
 from repro.ledger.utxo import UTXOSet
-from repro.net.message import payload_size
 
 
 def make_block(round_number: int, prev_hash: bytes, txs=()) -> Block:
@@ -93,65 +83,6 @@ def test_apply_block_wants_every_shard_view_in_order():
     assert apply_block(states, [], ShardMap(3)) == (0, 0)
 
 
-ADDRESSES = [f"user-{i}" for i in range(24)]
-# One transaction: input references (>= 0 picks, modulo, an outpoint some
-# earlier transaction created — spent or not, so double spends within and
-# across blocks occur; < 0 is an outpoint nobody ever created) and outputs.
-tx_scripts = st.tuples(
-    st.lists(st.integers(-3, 40), max_size=3),  # no inputs: a coinbase
-    st.lists(st.tuples(st.sampled_from(ADDRESSES), st.integers(1, 50)), max_size=3),
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from([1, 4, 16]),
-    st.lists(st.sampled_from(ADDRESSES), min_size=1, max_size=12),
-    st.lists(st.lists(tx_scripts, max_size=6), max_size=4),
-)
-def test_route_once_application_is_the_per_shard_loop(m, owners, blocks):
-    """One walk over the block leaves every shard exactly as filtering the
-    whole block through that shard did: same items in the same dict order,
-    same version count, same size, same (spent, created) totals."""
-    genesis = make_coinbase([(owner, 100) for owner in owners])
-    routed = shard_views(m, genesis)
-    shard_of = ShardMap(m)
-    looped = shard_views(m)
-    for state in looped:
-        per_shard_add_genesis(state, genesis)
-    known = [(genesis.txid, i) for i in range(len(owners))]
-    nonce = 0
-
-    def same():
-        for new, old in zip(routed, looped):
-            assert list(new.utxos.snapshot().items()) == list(
-                old.utxos.snapshot().items()
-            )
-            assert new.utxos.version == old.utxos.version
-            assert new.size() == old.size()
-
-    same()
-    for scripts in blocks:
-        block = []
-        for refs, outputs in scripts:
-            nonce += 1
-            tx = Transaction(
-                inputs=tuple(
-                    known[r % len(known)]
-                    if r >= 0
-                    else (bytes([-r]) * 32, 0)
-                    for r in refs
-                ),
-                outputs=tuple(outputs),
-                nonce=nonce,
-            )
-            known += [(tx.txid, i) for i in range(len(outputs))]
-            block.append(tx)
-        counts = [per_shard_apply_block(state, block) for state in looped]
-        assert apply_block(routed, block, shard_of) == tuple(map(sum, zip(*counts)))
-        same()
-
-
 def test_validate_against_shard_view():
     m = 2
     genesis = make_coinbase([(f"user-{i}", 100) for i in range(10)])
@@ -176,78 +107,6 @@ def test_digest_items_deterministic():
     assert a.digest_items() != b.digest_items()
     apply_block([b], [spend], ShardMap(1))
     assert a.digest_items() == b.digest_items()
-
-
-def assert_listed_as_the_tuple(states) -> None:
-    for state in states:
-        listing, plain = state.digest_items(), tuple_digest_items(state)
-        assert listing.canonical == canonical_bytes(plain)
-        assert listing.wire_size == payload_size(plain)
-
-
-# One step on m listed shard views: a block of scripted transactions, or a
-# direct edit of one shard's set (``add`` / ``spend`` / ``restore`` to the
-# last saved snapshot / ``compact``), a checkpoint round-trip of every set
-# (pickled snapshots restored, as ``load_checkpoint`` does), or a listing.
-listing_steps = st.lists(
-    st.one_of(
-        st.tuples(st.just("block"), st.lists(tx_scripts, max_size=4)),
-        st.tuples(st.just("add"), st.integers(0, 2), st.sampled_from(ADDRESSES)),
-        st.tuples(st.just("spend"), st.integers(0, 2), st.integers(0, 99)),
-        st.tuples(st.sampled_from(["restore", "compact", "save", "checkpoint", "list"])),
-    ),
-    max_size=16,
-)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from([1, 2, 3]), listing_steps, st.booleans())
-def test_listing_follows_blocks_and_every_other_edit(m, steps, every_step):
-    """``digest_items`` merges what ``apply_block`` touched and rescans after
-    anything else moved a set; either way it is the sorted tuple."""
-    genesis = make_coinbase([(owner, 100) for owner in ADDRESSES[:8]])
-    states, shard_of = shard_views(m, genesis), ShardMap(m)
-    assert_listed_as_the_tuple(states)
-    known = [(genesis.txid, i) for i in range(8)]
-    saved = [state.utxos.snapshot() for state in states]
-    nonce = 0
-    for step in steps:
-        kind, state = step[0], states[step[1] % m] if len(step) > 2 else None
-        if kind == "block":
-            block = []
-            for refs, outputs in step[1]:
-                nonce += 1
-                tx = Transaction(
-                    inputs=tuple(known[r % len(known)] if r >= 0 else (bytes([-r]) * 32, 0)
-                                 for r in refs),
-                    outputs=tuple(outputs),
-                    nonce=nonce,
-                )
-                known += [(tx.txid, i) for i in range(len(outputs))]
-                block.append(tx)
-            try:
-                apply_block(states, block, shard_of)
-            except ValueError:  # an output created twice: what came before stands
-                pass
-        elif kind == "add":
-            nonce += 1
-            state.utxos.add((bytes([nonce % 256]) * 32, nonce), (step[2], nonce))
-        elif kind == "spend" and len(state.utxos):
-            state.utxos.spend(list(state.utxos)[step[2] % len(state.utxos)])
-        elif kind == "restore":
-            for state, snapshot in zip(states, saved):
-                state.utxos.restore(snapshot)
-        elif kind == "compact":
-            for state in states:
-                state.utxos.compact()
-        elif kind == "save":
-            saved = [state.utxos.snapshot() for state in states]
-        elif kind == "checkpoint":
-            for state in states:
-                state.utxos.restore(pickle.loads(pickle.dumps(state.utxos.snapshot())))
-        if every_step or kind == "list":
-            assert_listed_as_the_tuple(states)
-    assert_listed_as_the_tuple(states)
 
 
 def test_listing_after_a_block_encodes_only_what_it_created(monkeypatch):

@@ -10,20 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_impls import (
-    DataclassTransaction,
-    TxInput,
-    TxOutput,
     method_apply_block,
     method_apply_transaction,
     method_validate_transaction,
-    record_apply_block,
-    record_digest_items,
-    record_validate_transaction,
 )
 from tx_builders import make_transfer
 
-from repro.crypto.hashing import H_int, canonical_bytes
-from repro.crypto.signatures import Signature
+from repro.crypto.hashing import H_int
 from repro.ledger.state import ShardState, apply_block
 from repro.ledger.transaction import (
     ShardMap,
@@ -51,10 +44,8 @@ def funded():
     return utxos, (genesis.txid, 0)
 
 
-#: ``Transaction`` and ``TaggedTx`` are built per generated transaction; the
-#: dataclass ``TxInput`` / ``TxOutput`` are the reference model's, which the
-#: record oracle below needs to be the dataclass records they were.
-WRITTEN_OUT = (TxInput, TxOutput, Transaction, TaggedTx)
+#: ``Transaction`` and ``TaggedTx`` are built per generated transaction.
+WRITTEN_OUT = (Transaction, TaggedTx)
 #: Arguments for a record that derives state from its fields when built.
 ARGS = {Transaction: ((), (("a", 1),), 2)}
 
@@ -256,108 +247,6 @@ def test_add_duplicate_raises(funded):
         utxos.add(source, ("x", 1))
 
 
-# -- the tuple records against the dataclass model ------------------------------
-class Address(str):
-    """A ``str`` subclass: encoded and sized as its base, on the generic path."""
-
-
-ints_like = st.one_of(
-    st.integers(-3, 10**12), st.booleans(), st.integers(0, 1_000).map(np.int64)
-)
-outputs_drawn = st.lists(
-    st.tuples(
-        st.one_of(st.sampled_from(["alice", "bob", "é", ""]), st.text(max_size=4).map(Address)),
-        ints_like,
-    ),
-    max_size=3,
-)
-# One transaction: its inputs (>= 0 picks, modulo, an outpoint made so far,
-# spent or not, its index as an int or a numpy int; < 0 an outpoint nobody
-# made), its outputs and its nonce.
-spends_drawn = st.tuples(
-    st.lists(st.tuples(st.integers(-2, 30), st.sampled_from([int, np.int64])), max_size=3),
-    outputs_drawn,
-    ints_like,
-)
-SIG = Signature(pk="pk-0", tag=b"\x00" * 32)
-
-
-def both_models(inputs, outputs, nonce):
-    """The transaction as exact tuples and as dataclass records, held equal
-    on everything derived from one record alone."""
-    tx = Transaction(tuple(inputs), tuple(outputs), nonce)
-    record = DataclassTransaction(
-        tuple(TxInput(*i) for i in inputs), tuple(TxOutput(*o) for o in outputs), nonce
-    )
-    assert tx.txid == record.txid
-    assert tx.wire_size == record.wire_size == payload_size(tx) == payload_size(record)
-    assert payload_size(TaggedTx(tx, 1, True, False, "overspend")) == payload_size(
-        TaggedTx(record, 1, True, False, "overspend")
-    )
-    return tx, record
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    st.integers(1, 3),
-    st.lists(st.tuples(st.sampled_from(["alice", "bob", "carol"]), ints_like), min_size=1, max_size=5),
-    st.lists(st.lists(spends_drawn, max_size=4), max_size=4),
-)
-@example(1, [("alice", 100)], [])  # a coinbase alone
-@example(  # two inputs, two outputs
-    2, [("alice", 100), ("bob", 50)], [[([(0, int), (1, int)], [("carol", 120), ("alice", 29)], 1)]]
-)
-@example(  # numpy-int, bool and str-subclass fields: the generic txid and size
-    2,
-    [("alice", np.int64(70)), ("bob", True)],
-    [[([(0, np.int64)], [(Address("al"), 5), ("bob", np.int64(60))], np.int64(3))]],
-)
-def test_tuple_records_are_the_dataclass_records(m, endowment, blocks):
-    """Block by block, the exact-tuple model and the dataclass model agree
-    on the txid and the size of every transaction, the size of each block's
-    TX_LIST payload and of a ``TaggedTx``, V's verdict on every transaction,
-    ``apply_block``'s (spent, created) counts and every shard's UTXO listing
-    bytes and size."""
-    shard_of = ShardMap(m)
-    states, record_states = ([ShardState(k, m) for k in range(m)] for _ in range(2))
-    utxos, record_utxos = UTXOSet(), UTXOSet()
-
-    def settle(txs, records):
-        assert payload_size((txs, SIG)) == payload_size((records, SIG))
-        assert apply_block(states, txs, shard_of) == record_apply_block(
-            record_states, records, shard_of
-        )
-        for state, record_state in zip(states, record_states):
-            listing, plain = state.digest_items(), record_digest_items(record_state)
-            assert listing.canonical == canonical_bytes(plain)
-            assert listing.wire_size == payload_size(plain)
-
-    genesis, record_genesis = both_models([], endowment, 0)
-    utxos.apply_transaction(genesis)
-    record_utxos.apply_transaction(record_genesis)
-    settle([genesis], [record_genesis])
-    known = [(genesis.txid, k) for k in range(len(endowment))]
-    for block in blocks:
-        txs, records = [], []
-        for picks, outputs, nonce in block:
-            inputs = [
-                (known[p % len(known)][0], kind(known[p % len(known)][1]))
-                if p >= 0
-                else (bytes([-p]) * 32, 0)
-                for p, kind in picks
-            ]
-            tx, record = both_models(inputs, outputs, nonce)
-            verdict = validate_transaction(tx, utxos)
-            assert verdict is record_validate_transaction(record, record_utxos)
-            if verdict:
-                utxos.apply_transaction(tx)
-                record_utxos.apply_transaction(record)
-                txs.append(tx)
-                records.append(record)
-                known += [(tx.txid, k) for k in range(len(outputs))]
-        settle(txs, records)
-
-
 # -- V and the UTXO updates, held to their method-call forms -------------------
 #: Six outpoints: the first four are live in the drawn set, the last two never.
 _POOL = [(bytes([k + 1]) * 32, k % 2) for k in range(6)]
@@ -369,24 +258,34 @@ _AMOUNTS = st.one_of(
 )
 
 
+#: An input's index as an int or a numpy int (the same outpoint either way).
+_INDEX_KINDS = st.sampled_from([int, np.int64])
+
+
 @settings(max_examples=400, deadline=None)
 @given(
-    st.lists(st.one_of(st.integers(1, 9), st.floats(0.1, 9.0)), min_size=4, max_size=4),
-    st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=3),
+    st.lists(
+        st.one_of(
+            st.integers(1, 9), st.integers(1, 9).map(np.int64), st.booleans(), st.floats(0.1, 9.0)
+        ),
+        min_size=4,
+        max_size=4,
+    ),
+    st.lists(st.tuples(st.integers(0, len(_POOL) - 1), _INDEX_KINDS), min_size=1, max_size=3),
     st.lists(st.tuples(st.sampled_from(["a", "b"]), _AMOUNTS), max_size=4),
 )
-@example([1, 1, 1, 1], [0, 0], [("a", 1)])  # two inputs, one outpoint twice
-@example([1, 1, 1, 1], [0], [("a", 0.7), ("a", 0.2), ("b", 0.1)])  # float sums
+@example([1, 1, 1, 1], [(0, int), (0, np.int64)], [("a", 1)])  # one outpoint twice
+@example([1, 1, 1, 1], [(0, int)], [("a", 0.7), ("a", 0.2), ("b", 0.1)])  # float sums
 def test_v_is_the_method_call_v(values, picks, outputs):
     """V over drawn transactions (no outputs; zero, negative, bool and float
-    amounts; 1-3 inputs, repeated or missing) gives the verdict of V as it
-    read through the set's methods, with the same precedence of results."""
+    amounts; numpy-int and bool coins, numpy-int input indices; 1-3 inputs,
+    repeated or missing) gives the verdict of V as it read through the set's
+    methods, with the same precedence of results."""
     utxos = UTXOSet()
     for outpoint, value in zip(_POOL, values):
         utxos.add(outpoint, ("owner", value))
-    tx = Transaction(
-        inputs=tuple(_POOL[p] for p in picks), outputs=tuple(outputs), nonce=1
-    )
+    inputs = tuple((_POOL[p][0], kind(_POOL[p][1])) for p, kind in picks)
+    tx = Transaction(inputs=inputs, outputs=tuple(outputs), nonce=1)
     assert validate_transaction(tx, utxos) is method_validate_transaction(tx, utxos)
 
 
@@ -399,7 +298,8 @@ def _outcome(apply, *args):
 
 _STEPS = st.lists(
     st.tuples(
-        st.lists(st.integers(0, 40), max_size=3),  # inputs, by index; repeats too
+        # inputs, by position in the outpoints made so far; repeats too
+        st.lists(st.tuples(st.integers(0, 40), _INDEX_KINDS), max_size=3),
         st.lists(
             st.tuples(st.sampled_from(["alice", "bob", "carol", "dave"]), st.integers(1, 5)),
             max_size=3,
@@ -415,8 +315,9 @@ def _drawn_txs(steps, outpoints):
     created (``outpoints`` grows as they are built)."""
     txs = []
     for picks, outputs, nonce in steps:
+        drawn = [(outpoints[p % len(outpoints)], kind) for p, kind in picks]
         tx = Transaction(
-            inputs=tuple(outpoints[p % len(outpoints)] for p in picks),
+            inputs=tuple((txid, kind(index)) for (txid, index), kind in drawn),
             outputs=tuple(outputs),
             nonce=nonce,
         )
@@ -451,11 +352,12 @@ def test_apply_transaction_is_spend_then_add(steps):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 3), _STEPS, st.booleans())
-def test_apply_block_is_the_method_walk(m, steps, shared):
-    """``apply_block`` leaves every shard's contents and ``version``, the
-    (spent, created) counts or the exception, of the walk through the sets'
-    methods, also for an outpoint two shards both hold."""
+@given(st.sampled_from([1, 2, 3, 4, 16]), st.lists(_STEPS, min_size=1, max_size=2), st.booleans())
+def test_apply_block_is_the_method_walk(m, blocks, shared):
+    """Block after block, ``apply_block`` leaves every shard's contents in
+    the same dict order, its ``version`` and size, and the (spent, created)
+    counts or the exception, of the walk through the sets' methods, also
+    for an outpoint two shards both hold."""
     shard_of = ShardMap(m)
     fast, slow = ([ShardState(k, m) for k in range(m)] for _ in range(2))
     genesis = make_coinbase([(f"user-{k}", k + 1) for k in range(6)])
@@ -467,15 +369,17 @@ def test_apply_block_is_the_method_walk(m, steps, shared):
         for states in (fast, slow):
             for state in states:
                 state.utxos.add(outpoints[-1], ("shared", 3))
-    txs = _drawn_txs(steps, outpoints)
-    outcome = _outcome(apply_block, fast, txs, shard_of)
-    assert outcome == _outcome(method_apply_block, slow, txs, shard_of)
-    for mine, theirs in zip(fast, slow):
-        _assert_same_set(mine.utxos, theirs.utxos)
-    if type(outcome[0]) is int:
-        # What a live outpoint holds is the output object of the last
-        # transaction that created it (equal transactions recur).
-        last = {(tx.txid, k): out for tx in txs for k, out in enumerate(tx.outputs)}
-        for outpoint, output in last.items():
-            held = fast[shard_of[output[0]]].utxos.get(outpoint)
-            assert held is None or held is output
+    for steps in blocks:
+        txs = _drawn_txs(steps, outpoints)
+        outcome = _outcome(apply_block, fast, txs, shard_of)
+        assert outcome == _outcome(method_apply_block, slow, txs, shard_of)
+        for mine, theirs in zip(fast, slow):
+            _assert_same_set(mine.utxos, theirs.utxos)
+            assert mine.size() == theirs.size()
+        if type(outcome[0]) is int:
+            # What a live outpoint holds is the output object of the last
+            # transaction that created it (equal transactions recur).
+            last = {(tx.txid, k): out for tx in txs for k, out in enumerate(tx.outputs)}
+            for outpoint, output in last.items():
+                held = fast[shard_of[output[0]]].utxos.get(outpoint)
+                assert held is None or held is output

@@ -16,12 +16,17 @@ A definition or member nothing reaches is either dead or a test helper, and
 a test helper belongs under ``tests/`` (oracles in
 ``tests/reference_impls.py``).  What stays although only documentation or
 tests reach it is listed in :data:`ALLOWED`, each entry with its reason.
+
+The oracles get the same rule from the other side: every public entry of
+``tests/reference_impls.py`` is named by a ``tests/test_*.py`` module, or by
+an entry that is, and the module's docstring lists exactly its entries.
 """
 
 from __future__ import annotations
 
 import ast
 import os
+import re
 from collections import Counter
 
 import pytest
@@ -328,3 +333,83 @@ def test_the_member_scan_flags_what_only_tests_or_its_own_body_reach(toy_repo):
         "Called.self_call",
         "Record.written_only_by_tests",
     ]
+
+
+# -- the oracles of tests/reference_impls.py -----------------------------------
+def _entries(module: ast.Module) -> dict[str, ast.AST]:
+    """A module's public top-level ``def``s and ``class``es, by name."""
+    return {
+        node.name: node
+        for node in module.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+
+
+def _parse(path: str) -> ast.Module:
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), path)
+
+
+def unreached_oracles(tests_dir: str = os.path.join(REPO, "tests")) -> list[str]:
+    """Entries of ``reference_impls.py`` that no ``test_*.py`` module names,
+    directly or through an entry it names (imports do not count)."""
+    entries = _entries(_parse(os.path.join(tests_dir, "reference_impls.py")))
+    reached: set[str] = set()
+    for name in sorted(os.listdir(tests_dir)):
+        if name.startswith("test_") and name.endswith(".py"):
+            module = _parse(os.path.join(tests_dir, name))
+            reached |= _named(module.body) & entries.keys()
+    frontier = list(reached)
+    while frontier:
+        for name in _named([entries[frontier.pop()]]) & entries.keys() - reached:
+            reached.add(name)
+            frontier.append(name)
+    return sorted(entries.keys() - reached)
+
+
+def listed_oracles(tests_dir: str = os.path.join(REPO, "tests")) -> tuple[list, list]:
+    """The names ``reference_impls.py``'s docstring lists (one ``* :func:`` or
+    ``* :class:`` line each), and the entries it defines."""
+    module = _parse(os.path.join(tests_dir, "reference_impls.py"))
+    listed = re.findall(r"^\* :(?:func|class):`(\w+)`", ast.get_docstring(module), re.M)
+    return listed, list(_entries(module))
+
+
+def test_every_oracle_is_reached_from_a_test_module():
+    unreached = unreached_oracles()
+    assert not unreached, (
+        "tests/reference_impls.py entries no test module reaches: delete "
+        "each, or hold a claim to it:\n  " + "\n  ".join(unreached)
+    )
+
+
+def test_the_oracle_docstring_lists_exactly_the_entries():
+    listed, defined = listed_oracles()
+    assert sorted(listed) == sorted(set(defined)), (
+        "tests/reference_impls.py's docstring and definitions differ: "
+        f"unlisted {sorted(set(defined) - set(listed))}, "
+        f"undefined {sorted(set(listed) - set(defined))}"
+    )
+    assert len(listed) == len(set(listed)), "an entry is listed twice"
+
+
+def test_the_oracle_scan_flags_what_no_test_reaches(tmp_path):
+    (tmp_path / "reference_impls.py").write_text(
+        '"""Oracles.\n\n* :func:`walk` — used.\n* :class:`Lone` — unused.\n"""\n'
+        "def walk(x): return _step(helper(x))\n"
+        "def helper(x): return x\n"
+        "def _step(x): return x\n"
+        "class Lone: pass\n"
+        "def only_imported(): pass\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "test_a.py").write_text(
+        "from reference_impls import only_imported, walk\nwalk(1)\n", encoding="utf-8"
+    )
+    (tmp_path / "helpers.py").write_text(
+        "import reference_impls\nreference_impls.Lone()\n", encoding="utf-8"
+    )
+    assert unreached_oracles(str(tmp_path)) == ["Lone", "only_imported"]
+    listed, defined = listed_oracles(str(tmp_path))
+    assert (listed, defined) == (["walk", "Lone"], ["walk", "helper", "Lone", "only_imported"])

@@ -196,25 +196,6 @@ def test_payload_size_matches_naive_on_protocol_shapes():
         assert payload_size(obj) == reference_impls.naive_payload_size(obj), obj
 
 
-def test_workload_generator_matches_naive_generator():
-    from repro.ledger.workload import WorkloadGenerator
-
-    fast = WorkloadGenerator(m=3, users_per_shard=8, rng=np.random.default_rng(2))
-    naive = reference_impls.NaiveWorkloadGenerator(
-        m=3, users_per_shard=8, rng=np.random.default_rng(2)
-    )
-    assert fast.addresses_by_shard == naive.addresses_by_shard
-    for _ in range(4):
-        a = fast.generate_batch(32, cross_shard_ratio=0.4, invalid_ratio=0.5)
-        b = naive.generate_batch(32, cross_shard_ratio=0.4, invalid_ratio=0.5)
-        assert [t.tx.txid for t in a] == [t.tx.txid for t in b]
-        assert [t.defect for t in a] == [t.defect for t in b]
-        for generator in (fast, naive):  # pack half, roll back half
-            generator.forget_txids([t.tx.txid for t in a[::2]])
-            generator.rollback_txids([t.tx.txid for t in a[1::2]])
-    assert fast.draws.state == naive.draws.state
-
-
 def test_batched_signatures_match_scalar_loops():
     from repro.crypto.pki import PKI
     from repro.crypto.signatures import sign, signers_of, verify
