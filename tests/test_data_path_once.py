@@ -19,13 +19,22 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from decision_reference import KINDS, budgeted_row, well_formed
+from listing_machine import (
+    ADD,
+    BLOCK,
+    READD,
+    SPEND,
+    WHOLE,
+    Name,
+    assert_listing_is_its_tuple,
+    run_listing_machine,
+)
 from reference_impls import (
     EagerPublishWorkloadGenerator,
     element_walk_txid,
     element_walk_vote_message_size,
     element_walk_vote_statement,
     naive_payload_size,
-    tuple_digest_items,
 )
 from tx_builders import make_transfer
 
@@ -463,10 +472,6 @@ def test_leader_re_encodes_an_equal_but_distinct_vote_tuple(vote_ctx):
 
 
 # -- (v) Transaction.wire_size ----------------------------------------------------
-class Name(str):
-    """A ``str`` subclass: the generic encoder encodes it as its base."""
-
-
 class Blob(bytes):
     """A ``bytes`` subclass, likewise."""
 
@@ -521,130 +526,53 @@ def test_cached_sizes_are_derived_state_across_a_checkpoint(tmp_path):
 
 
 # -- (vi) the UTXO_FINAL listing ---------------------------------------------------
-def assert_listing_is_its_tuple(state):
-    listing, plain = state.digest_items(), tuple_digest_items(state)
-    txids = (b"\x01" * 32, b"\x02" * 32)
-    assert canonical_bytes(listing) == listing.canonical == canonical_bytes(plain)
-    assert payload_size(listing) == listing.wire_size == payload_size(plain)
-    for build in (lambda v: ("ALG3", (v, txids)), lambda v: [v, (v, None)]):
-        assert canonical_bytes(build(listing)) == canonical_bytes(build(plain))
-        assert payload_size(build(listing)) == payload_size(build(plain))
-    assert H("ALG3", (listing, txids)) == H("ALG3", (plain, txids))
-    assert listing == state.digest_items()
-
-
-def assert_listed_keeping_what_stayed(state):
-    """The listing is the sorted tuple, and of the last listing's entries it
-    re-encodes exactly those whose output object did not stay."""
-    import repro.ledger.state as state_module
-
-    before, encoded = dict(state._listing[0]), []
-    real = state_module._listing_entry
-    state_module._listing_entry = lambda op, out: encoded.append(op) or real(op, out)
-    try:
-        assert_listing_is_its_tuple(state)
-    finally:
-        state_module._listing_entry = real
-    current = state.utxos.snapshot()
-    assert sorted(encoded) == sorted(
-        op for op, output in current.items() if before.get(op) is not output
-    )
-    assert state._listing[1] == sorted(current)
-
-
-OWNERS = [f"user-{i}" for i in range(24)]
-# One step on m listed shard views (``k`` picks one of them): a block of
-# scripted transactions (input references >= 0 pick, modulo, an outpoint a
-# block made, spent or not; < 0 one nobody made), a direct edit of one set
-# (``add`` an outpoint of any txid length, spending it first if it is held;
-# ``spend``; ``readd`` a held outpoint with an equal output tuple or
-# another), ``restore`` every set to the last ``save``, ``compact``, a
-# ``checkpoint`` round-trip of every set (pickled snapshots restored, as
-# ``load_checkpoint`` does), or a listing.
-tx_scripts = st.tuples(
-    st.lists(st.integers(-3, 40), max_size=3),  # no inputs: a coinbase
-    st.lists(st.tuples(st.sampled_from(OWNERS), st.integers(1, 50)), max_size=3),
-)
-listing_steps = st.lists(
-    st.one_of(
-        st.tuples(st.just("block"), st.lists(tx_scripts, max_size=4)),
-        st.tuples(  # a bool index, a bool or numpy-int amount, a str subclass
-            st.just("add"),
-            st.integers(0, 2),
-            st.binary(max_size=4),
-            st.one_of(st.integers(0, 3), st.booleans()),
-            st.one_of(st.text(max_size=6), st.text(max_size=4).map(Name)),
-            st.one_of(st.integers(-2, 10**20), st.booleans(), st.integers(0, 99).map(np.int64)),
-        ),
-        st.tuples(st.just("spend"), st.integers(0, 2), st.integers(0, 99)),
-        st.tuples(st.just("readd"), st.integers(0, 2), st.integers(0, 99), st.booleans()),
-        st.tuples(st.sampled_from(["restore", "compact", "save", "checkpoint", "list"])),
-    ),
-    max_size=20,
-)
-
-
 @settings(max_examples=120, deadline=None)
-@given(st.sampled_from([1, 2, 3]), listing_steps, st.booleans())
+@given(
+    st.sampled_from([1, 2, 3]),
+    st.lists(st.one_of(BLOCK, ADD, SPEND, READD, WHOLE), max_size=20),
+    st.booleans(),
+)
 def test_merged_listing_is_the_sorted_tuple(m, steps, every_step):
     """Through blocks and every other edit of the sets, each listing is the
     freshly sorted tuple: ``digest_items`` merges what ``apply_block``
     touched, rescans after anything else moved a set, and keeps the entries
     whose output object stayed."""
-    states, shard_of = [ShardState(k, m) for k in range(m)], ShardMap(m)
-    for state in states:
-        assert_listed_keeping_what_stayed(state)  # the empty listing
-    genesis = make_coinbase([(owner, 100) for owner in OWNERS[:8]])
-    apply_block(states, [genesis], shard_of)
-    known = [(genesis.txid, i) for i in range(8)]
-    saved = [state.utxos.snapshot() for state in states]
-    nonce = 0
-    for step in steps:
-        kind = step[0]
-        utxos = states[step[1] % m].utxos if len(step) > 2 else None
-        if kind == "block":
-            block = []
-            for refs, outputs in step[1]:
-                nonce += 1
-                tx = Transaction(
-                    inputs=tuple(known[r % len(known)] if r >= 0 else (bytes([-r]) * 32, 0)
-                                 for r in refs),
-                    outputs=tuple(outputs),
-                    nonce=nonce,
-                )
-                known += [(tx.txid, i) for i in range(len(outputs))]
-                block.append(tx)
-            try:
-                apply_block(states, block, shard_of)
-            except ValueError:  # an output created twice: what came before stands
-                pass
-        elif kind == "add":
-            _, _k, txid, index, owner, amount = step
-            if (txid, index) in utxos:
-                utxos.spend((txid, index))
-            utxos.add((txid, index), (owner, amount))
-        elif kind == "spend" and len(utxos):
-            utxos.spend(list(utxos)[step[2] % len(utxos)])
-        elif kind == "readd" and len(utxos):
-            op = list(utxos)[step[2] % len(utxos)]
-            owner, amount = utxos.spend(op)
-            utxos.add(op, (owner, amount if step[3] else amount + 1))
-        elif kind == "restore":
-            for state, snapshot in zip(states, saved):
-                state.utxos.restore(snapshot)
-        elif kind == "compact":
-            for state in states:
-                state.utxos.compact()
-        elif kind == "save":
-            saved = [state.utxos.snapshot() for state in states]
-        elif kind == "checkpoint":
-            for state in states:
-                state.utxos.restore(pickle.loads(pickle.dumps(state.utxos.snapshot())))
-        if every_step or kind == "list":
-            for state in states:
-                assert_listed_keeping_what_stayed(state)
-    for state in states:
-        assert_listed_keeping_what_stayed(state)
+    run_listing_machine(m, steps, every_step)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(ADD, SPEND, WHOLE), max_size=30), st.booleans())
+def test_utxo_listing_is_the_sorted_tuple_through_every_mutation(steps, every_step):
+    """One shard's set moved by no block, only by adds (an outpoint held
+    before is spent first: another output object), spends, restores,
+    compactions and checkpoints: every listing is the sorted tuple."""
+    run_listing_machine(1, steps, every_step)
+
+
+def test_utxo_listing_encodes_only_what_the_block_created(shard, monkeypatch):
+    import repro.ledger.state as state_module
+
+    state, genesis, spend = shard
+    encoded = []
+    real = state_module._listing_entry
+    monkeypatch.setattr(
+        state_module,
+        "_listing_entry",
+        lambda op, output: encoded.append(op) or real(op, output),
+    )
+    first = state.digest_items()
+    assert len(encoded) == len(genesis.outputs)
+    assert state.digest_items() == first and len(encoded) == len(genesis.outputs)
+    del encoded[:]
+    apply_block([state], [spend], ShardMap(1))
+    assert_listing_is_its_tuple(state)
+    assert sorted(encoded) == [(spend.txid, 0), (spend.txid, 1)]
+    # An equal output under the same outpoint is another object: re-encoded.
+    del encoded[:]
+    state.utxos.spend((spend.txid, 1))
+    state.utxos.add((spend.txid, 1), (*spend.outputs[1],))
+    assert_listing_is_its_tuple(state)
+    assert encoded == [(spend.txid, 1)]
 
 
 def test_utxo_listing_cache_is_derived_state_across_a_checkpoint(tmp_path):

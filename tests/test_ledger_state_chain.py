@@ -1,7 +1,10 @@
 """Shard state and chain."""
 
 import pytest
-from reference_impls import tuple_digest_items
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from listing_machine import ADD, BLOCK, SPEND, WHOLE, run_listing_machine
+from reference_impls import method_apply_block, tuple_digest_items
 from tx_builders import make_transfer
 
 from repro.backends import create_backend
@@ -9,7 +12,12 @@ from repro.core.config import ProtocolParams
 from repro.crypto.hashing import canonical_bytes
 from repro.ledger.chain import GENESIS_PREV_HASH, Block, Chain
 from repro.ledger.state import ShardState, apply_block
-from repro.ledger.transaction import ShardMap, make_coinbase, shard_of_address
+from repro.ledger.transaction import (
+    ShardMap,
+    Transaction,
+    make_coinbase,
+    shard_of_address,
+)
 from repro.ledger.utxo import UTXOSet
 
 
@@ -83,6 +91,68 @@ def test_apply_block_wants_every_shard_view_in_order():
     assert apply_block(states, [], ShardMap(3)) == (0, 0)
 
 
+ADDRESSES = [f"user-{i}" for i in range(24)]
+# One transaction: input references (>= 0 picks, modulo, an outpoint some
+# earlier transaction created — spent or not, so double spends within and
+# across blocks occur; < 0 is an outpoint nobody ever created) and outputs.
+tx_scripts = st.tuples(
+    st.lists(st.integers(-3, 40), max_size=3),  # no inputs: a coinbase
+    st.lists(st.tuples(st.sampled_from(ADDRESSES), st.integers(1, 50)), max_size=3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 4, 16]),
+    st.lists(st.sampled_from(ADDRESSES), min_size=1, max_size=12),
+    st.lists(st.lists(tx_scripts, max_size=6), max_size=4),
+)
+def test_route_once_application_is_the_per_shard_loop(m, owners, blocks):
+    """One walk over the block leaves every shard exactly as walking the
+    whole block through that shard's own set did — the method walk, whose
+    sets each move by their own ``__contains__`` / ``spend`` / ``add``
+    alone: same items in the same dict order, same version count, same
+    size, same (spent, created) totals."""
+    genesis = make_coinbase([(owner, 100) for owner in owners])
+    routed, looped = shard_views(m), shard_views(m)
+    shard_of = ShardMap(m)
+    assert apply_block(routed, [genesis], shard_of) == method_apply_block(
+        looped, [genesis], shard_of
+    )
+    known = [(genesis.txid, i) for i in range(len(owners))]
+    nonce = 0
+
+    def same():
+        for new, old in zip(routed, looped):
+            assert list(new.utxos.snapshot().items()) == list(
+                old.utxos.snapshot().items()
+            )
+            assert new.utxos.version == old.utxos.version
+            assert new.size() == old.size()
+
+    same()
+    for scripts in blocks:
+        block = []
+        for refs, outputs in scripts:
+            nonce += 1
+            tx = Transaction(
+                inputs=tuple(
+                    known[r % len(known)]
+                    if r >= 0
+                    else (bytes([-r]) * 32, 0)
+                    for r in refs
+                ),
+                outputs=tuple(outputs),
+                nonce=nonce,
+            )
+            known += [(tx.txid, i) for i in range(len(outputs))]
+            block.append(tx)
+        assert apply_block(routed, block, shard_of) == method_apply_block(
+            looped, block, shard_of
+        )
+        same()
+
+
 def test_validate_against_shard_view():
     m = 2
     genesis = make_coinbase([(f"user-{i}", 100) for i in range(10)])
@@ -107,6 +177,18 @@ def test_digest_items_deterministic():
     assert a.digest_items() != b.digest_items()
     apply_block([b], [spend], ShardMap(1))
     assert a.digest_items() == b.digest_items()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3]),
+    st.lists(st.one_of(BLOCK, ADD, SPEND, WHOLE), max_size=16),
+    st.booleans(),
+)
+def test_listing_follows_blocks_and_every_other_edit(m, steps, every_step):
+    """``digest_items`` merges what ``apply_block`` touched and rescans after
+    anything else moved a set; either way it is the sorted tuple."""
+    run_listing_machine(m, steps, every_step)
 
 
 def test_listing_after_a_block_encodes_only_what_it_created(monkeypatch):
