@@ -59,11 +59,20 @@ def test_fig1_hierarchy(benchmark):
         ["stratum", "count", "", "", ""],
         rows,
     )
-    assert key == m * (1 + lam)
-    assert common == n - referee_size - key
-    assert result.totals["reliable_channels"] > 0
+    assert key == m * (1 + lam), (
+        f"Fig. 1: {key} key members, want m(1 + λ) = {m * (1 + lam)}"
+    )
+    assert common == n - referee_size - key, (
+        f"Fig. 1: {common} common members, want n - |C_R| - key = "
+        f"{n - referee_size - key}"
+    )
+    assert result.totals["reliable_channels"] > 0, (
+        "Fig. 1: no reliable channel joins the strata"
+    )
     # the structure regenerates every round with fresh randomness
-    assert result.per_round[1]["block"] is not None
+    assert result.per_round[1]["block"] is not None, (
+        "Fig. 1: round 2 rebuilt the structure but committed no block"
+    )
 
 
 def test_fig2_transaction_flow(benchmark):
@@ -86,8 +95,12 @@ def test_fig2_transaction_flow(benchmark):
         ["stage", "transactions", "phase time"],
         rows,
     )
-    assert first["packed"] > 0
-    assert first["cross_packed"] > 0
-    assert first["packed"] <= first["submitted"]
+    assert first["packed"] > 0, "Fig. 2: round 1 packed no transaction"
+    assert first["cross_packed"] > 0, (
+        "Fig. 2: no cross-shard transaction went through the inter phase"
+    )
+    assert first["packed"] <= first["submitted"], (
+        f"Fig. 2: {first['packed']} packed of {first['submitted']} submitted"
+    )
     # every phase consumed simulated time and the round terminated
-    assert first["sim_time"] > 0
+    assert first["sim_time"] > 0, "Fig. 2: the round took no simulated time"

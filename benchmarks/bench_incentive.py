@@ -49,9 +49,14 @@ def test_reputation_tracks_capacity(benchmark):
     print_table("reputation vs validation capacity (3 rounds)",
                 ["capacity (txs/round)", "mean reputation"], rows)
     # §VII-A: more honest computing power -> higher reputation.
-    assert means[10_000] > means[5] > means[2]
+    assert means[10_000] > means[5] > means[2], (
+        f"§VII-A: mean reputation by capacity 2 / 5 / 10 000 is "
+        f"{means[2]:+.3f} / {means[5]:+.3f} / {means[10_000]:+.3f}, want increasing"
+    )
     # the analytical model agrees on the ordering
-    assert expected_score(10, 10) > expected_score(5, 10) > expected_score(2, 10)
+    assert expected_score(10, 10) > expected_score(5, 10) > expected_score(2, 10), (
+        "§VII-A: expected_score is not increasing in capacity 2 / 5 / 10"
+    )
 
 
 def test_reward_ordering(benchmark):
@@ -75,8 +80,13 @@ def test_reward_ordering(benchmark):
     print(f"\nmean reward: honest {honest_mean:.3f} vs contrary voters "
           f"{malicious_mean:.3f}")
     # "it is better to do nothing rather than do something bad"
-    assert honest_mean > malicious_mean
-    assert malicious_mean >= 0.0
+    assert honest_mean > malicious_mean, (
+        f"§VII: honest mean reward {honest_mean:.3f} is not above the contrary "
+        f"voters' {malicious_mean:.3f}"
+    )
+    assert malicious_mean >= 0.0, (
+        f"§VII: contrary voters' mean reward {malicious_mean:.3f} is negative"
+    )
 
 
 def test_leader_punishment_ablation(benchmark):
@@ -93,8 +103,14 @@ def test_leader_punishment_ablation(benchmark):
     before, after, rep_after = benchmark(run)
     print(f"\nleader share before {before:.3f} -> after punishment {after:.3f} "
           f"(reputation 20 -> {rep_after:.2f})")
-    assert rep_after == pytest.approx(20.0 ** (1 / 3))
-    assert after < before
+    assert rep_after == pytest.approx(20.0 ** (1 / 3)), (
+        f"§VII-B: a punished reputation of 20 is {rep_after:.3f}, want "
+        f"cbrt(20) = {20.0 ** (1 / 3):.3f}"
+    )
+    assert after < before, (
+        f"§VII-B: the punished leader's share went {before:.3f} -> {after:.3f}, "
+        "want lower"
+    )
 
 
 def test_reputation_vs_random_leader_selection(benchmark):
@@ -125,4 +141,7 @@ def test_reputation_vs_random_leader_selection(benchmark):
     print(f"\npacked/round: round-1 (uniform leaders) {early:.1f} vs "
           f"rounds 3-4 (reputation leaders) {late:.1f}")
     # Reputation-selected (strong) leaders must at least match uniform ones.
-    assert late >= early - 2.0
+    assert late >= early - 2.0, (
+        f"§VII: reputation-selected leaders packed {late:.1f} a round, want at "
+        f"least uniform leaders' {early:.1f} - 2"
+    )

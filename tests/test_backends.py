@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+import config_cube
+from config_cube import Cell, check, reference
 
 from repro.backends import (
     BACKEND_REGISTRY,
@@ -28,11 +30,7 @@ from repro.nodes.adversary import AdversaryConfig
 from repro.scenarios import SCENARIO_PRESETS
 
 ALL_BACKENDS = ("cycledger", "rapidchain", "omniledger_sim")
-
-SMALL = dict(
-    n=24, m=2, lam=2, referee_size=6, users_per_shard=12,
-    tx_per_committee=4, cross_shard_ratio=0.3, invalid_ratio=0.1,
-)
+SMALL = {**config_cube.SMALL, "cross_shard_ratio": 0.3, "invalid_ratio": 0.1}
 
 BACKEND_SPEC = ExperimentSpec(
     name="backend-parity",
@@ -95,16 +93,7 @@ def test_cycledger_report_keeps_its_phase_reports():
 
 @pytest.mark.parametrize("name", ("rapidchain", "omniledger_sim"))
 def test_backend_runs_are_reproducible(name):
-    def one_run():
-        ledger = create_backend(name, ProtocolParams(seed=5, **SMALL))
-        reports = ledger.run(3)
-        return [
-            (r.packed, r.cross_packed, r.messages, r.bytes_sent, r.sim_time,
-             r.block.hash.hex() if r.block else None)
-            for r in reports
-        ]
-
-    assert one_run() == one_run()
+    check(Cell(name, seed=5, rounds=3))
 
 
 # -- spec axis ---------------------------------------------------------------
@@ -278,11 +267,8 @@ def test_cli_run_is_the_library(name, scenario, tmp_path, capsys):
         "run", "--backend", name, "--scenario", scenario, *SMALL_FLAGS,
         "--rounds", "3", "--json", str(record),
     ]) == 0
-    ledger = create_backend(
-        name, ProtocolParams(**SMALL), scenario=SCENARIO_PRESETS[scenario]
-    )
-    expected = [round_row(r) for r in ledger.run(3)]
-    assert _cli_rows(record) == json.loads(canonical_json(expected))
+    want = reference(Cell(name, scenario, rounds=3, shape=tuple(SMALL.items()))).rows
+    assert [canonical_json(row) for row in _cli_rows(record)] == list(want)
 
 
 def test_cli_run_checkpoint_split_of_rival_scenario_run(tmp_path, capsys):

@@ -13,11 +13,9 @@ import hashlib
 import pickle
 
 import pytest
+from config_cube import Cell, assert_same_run, check, reference, view_of
 
-from repro.backends import BACKEND_REGISTRY, create_backend
-from repro.core.config import ProtocolParams
-from repro.exp.results import round_row
-from repro.exp.spec import canonical_json
+from repro.backends import BACKEND_REGISTRY
 from repro.ledger.checkpoint import (
     _HEADER,
     CHECKPOINT_VERSION,
@@ -25,76 +23,22 @@ from repro.ledger.checkpoint import (
     capture_checkpoint,
     load_checkpoint,
     restore_checkpoint,
-    save_checkpoint,
 )
-from repro.nodes.adversary import AdversaryConfig
-from repro.scenarios import SCENARIO_PRESETS
-
-
-def _params(**overrides) -> ProtocolParams:
-    base = dict(
-        n=24,
-        m=2,
-        lam=2,
-        referee_size=6,
-        seed=7,
-        users_per_shard=12,
-        tx_per_committee=4,
-    )
-    base.update(overrides)
-    return ProtocolParams(**base)
-
-
-def _rows(reports) -> list[str]:
-    return [canonical_json(round_row(r)) for r in reports]
-
-
-def _assert_same_tail(full, resumed, split: int) -> None:
-    """The resumed ledger's state and report stream must equal the
-    uninterrupted run's from round ``split`` on, byte for byte."""
-    assert resumed.chain.head.hash == full.chain.head.hash
-    assert list(resumed.reputation.items()) == list(full.reputation.items())
-    assert _rows(resumed.reports[-len(resumed.reports):]) == _rows(
-        full.reports[split:]
-    )
 
 
 @pytest.mark.parametrize("backend", sorted(BACKEND_REGISTRY))
 def test_roundtrip_byte_identity_all_backends(backend):
-    full = create_backend(backend, _params())
-    half = create_backend(backend, _params())
-    full.run(8)
-    half.run(4)
-    resumed = restore_checkpoint(capture_checkpoint(half))
-    resumed.run(4)
-    _assert_same_tail(full, resumed, split=4)
+    check(Cell(backend, seed=7, rounds=8), split=4)
 
 
-def test_save_load_roundtrip(tmp_path):
-    path = str(tmp_path / "ck.pkl")
-    full = create_backend("cycledger", _params())
-    half = create_backend("cycledger", _params())
-    full.run(6)
-    half.run(3)
-    save_checkpoint(half, path)
-    resumed = load_checkpoint(path)
-    resumed.run(3)
-    _assert_same_tail(full, resumed, split=3)
+def test_save_load_roundtrip():
+    check(Cell(seed=7, rounds=6), split=3, via="file")
 
 
 def test_capture_is_isolated_from_further_running():
     """The snapshot must be a copy: the donor ledger keeps running after
     capture without disturbing what was captured."""
-    full = create_backend("cycledger", _params())
-    half = create_backend("cycledger", _params())
-    full.run(6)
-    half.run(3)
-    state = capture_checkpoint(half)
-    half.run(3)  # mutate the donor after the capture
-    resumed = restore_checkpoint(state)
-    resumed.run(3)
-    _assert_same_tail(full, resumed, split=3)
-    assert half.chain.head.hash == full.chain.head.hash
+    check(Cell(seed=7, rounds=6), split=3, donor_runs_on=True)
 
 
 def test_checkpoint_mid_draw_block_resumes_exactly():
@@ -113,10 +57,8 @@ def test_checkpoint_mid_draw_block_resumes_exactly():
             for k in range(1, 2 * BLOCK)
         ]
 
-    split, rounds = 6, 9
-    full = create_backend("cycledger", _params())
-    full.run(rounds)
-    half = create_backend("cycledger", _params())
+    cell, split = Cell(seed=7, rounds=9), 6
+    half = cell.build()
     half.run(split)
     draws = half.workload.draws
     assert draws._raw and 0 < draws._next < BLOCK and draws._has_half
@@ -124,14 +66,13 @@ def test_checkpoint_mid_draw_block_resumes_exactly():
     assert state["rng"]["workload"]["has_uint32"] == 1
 
     resumed = restore_checkpoint(state)
-    resumed.run(rounds - split)
-    _assert_same_tail(full, resumed, split=split)
+    resumed_view = view_of(resumed, resumed.run(cell.rounds - split))
+    assert_same_run(reference(cell), resumed_view, split)
 
     # Reading the state for the capture does not move the original either.
-    half.run(rounds - split)
-    assert half.chain.head.hash == full.chain.head.hash
+    assert_same_run(reference(cell), view_of(half, half.run(cell.rounds - split)), split)
 
-    uninterrupted = create_backend("cycledger", _params())
+    uninterrupted = cell.build()
     uninterrupted.run(split)
     want = mixed_draws(uninterrupted.workload.draws)
     assert mixed_draws(restore_checkpoint(state).workload.draws) == want
@@ -139,65 +80,35 @@ def test_checkpoint_mid_draw_block_resumes_exactly():
     assert mixed_draws(half.workload.draws) == want
 
 
-def _mid_scenario_roundtrip(name: str, fraction: float, tmp_path):
-    """Save inside ``name``'s fault window, resume from the file, and
-    compare with the uninterrupted run (driver log included)."""
-    scenario = SCENARIO_PRESETS[name]
-    kwargs = dict(adversary=AdversaryConfig(fraction=fraction), scenario=scenario)
-    split = max(2, scenario.last_event_round // 2)
-    rounds = scenario.last_event_round + 2
-    full = create_backend("cycledger", _params(), **kwargs)
-    half = create_backend("cycledger", _params(), **kwargs)
-    full.run(rounds)
-    half.run(split)
-    path = str(tmp_path / "scenario.pkl")
-    save_checkpoint(half, path)
-    resumed = load_checkpoint(path)
-    resumed.run(rounds - split)
-    _assert_same_tail(full, resumed, split=split)
-    assert resumed.scenario_driver.log == full.scenario_driver.log
-    return full, resumed
-
-
-def test_mid_scenario_checkpoint(tmp_path):
+def test_mid_scenario_checkpoint():
     """Capture inside a partition-halves fault window: the scenario
     driver's crash bookkeeping and spawned RNG resume exactly."""
-    _mid_scenario_roundtrip("partition-halves", 0.1, tmp_path)
+    cell = Cell(seed=7, scenario="partition-halves", fraction=0.1, rounds=5)
+    check(cell, split=2, via="file")
 
 
-def test_mid_policy_checkpoint(tmp_path):
+def test_mid_policy_checkpoint():
     """Capture while an adaptive-corruption policy is mid-campaign: the
-    driver's baseline/healed state resumes exactly."""
-    full, resumed = _mid_scenario_roundtrip("adaptive-corruption", 0.2, tmp_path)
-    assert resumed.scenario_driver._baseline is not None
-    assert list(resumed.adversary.corrupted) == list(full.adversary.corrupted)
+    policy's baseline/healed state (and the corrupted set) resume exactly."""
+    cell = Cell(seed=7, scenario="adaptive-corruption", fraction=0.2, rounds=8)
+    _, run = check(cell, split=3, via="file")
+    assert run.ledger.scenario_driver._baseline is not None
 
 
 def test_roundtrip_with_bounded_memory_knobs():
     """Pruned chain + trimmed spent-history + poisson mempool all travel
     through the checkpoint; the resumed bounded run matches the
-    uninterrupted bounded run."""
-    params = _params(
-        chain_retention=3,
-        spent_retention=64,
-        arrival_process="poisson",
-        arrival_rate=16.0,
-        mempool_max_age=4,
-    )
-    full = create_backend("cycledger", params)
-    half = create_backend("cycledger", params)
-    full.run(8)
-    half.run(4)
-    resumed = restore_checkpoint(capture_checkpoint(half))
-    resumed.run(4)
-    _assert_same_tail(full, resumed, split=4)
-    assert resumed.chain.pruned_blocks == full.chain.pruned_blocks
-    assert len(resumed.chain.blocks) == params.chain_retention
-    assert resumed.chain.verify()
+    uninterrupted unbounded run."""
+    arrival = (("arrival_process", "poisson"), ("arrival_rate", 16.0), ("mempool_max_age", 4))
+    cell = Cell(seed=7, arrival=arrival, spent_retention=64, rounds=8)
+    _, run = check(cell, split=4, chain_retention=3)
+    assert run.ledger.chain.pruned_blocks == 5
+    assert len(run.ledger.chain.blocks) == 3
+    assert run.ledger.chain.verify()
 
 
 def test_version_mismatch_rejected():
-    half = create_backend("cycledger", _params())
+    half = Cell(seed=7).build()
     half.run(1)
     state = capture_checkpoint(half)
     # A newer layout, version 6 (its adversary block carried a delayed-
@@ -216,23 +127,21 @@ def test_stale_defer_created_key_is_ignored():
     """A version-2 file written while the generator had two publish rules
     carries the flag that chose one; the state beside it is the same under
     the one rule left, so the run continues to the same head."""
-    full = create_backend("cycledger", _params())
-    full.run(2)
-    state = capture_checkpoint(full)
+    half = Cell(seed=7).build()
+    half.run(2)
+    state = capture_checkpoint(half)
     state["workload"]["defer_created"] = False
     resumed = restore_checkpoint(state)
-    full.run(2)
-    resumed.run(2)
-    assert resumed.chain.head.hash == full.chain.head.hash
+    assert_same_run(reference(Cell(seed=7)), view_of(resumed, resumed.run(2)), 2)
 
 
 def test_roster_mismatch_rejected():
     """A checkpoint restored against a different deterministic roster
     (different seed ⇒ different keys) must fail loudly, not corrupt."""
-    half = create_backend("cycledger", _params())
+    half = Cell(seed=7).build()
     half.run(2)
     state = capture_checkpoint(half)
-    state["params"] = _params(seed=8)
+    state["params"] = Cell(seed=8).params()
     with pytest.raises(ValueError, match="roster"):
         restore_checkpoint(state)
 

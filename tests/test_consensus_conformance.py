@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import types
 
+import config_cube
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -46,15 +47,7 @@ POLICY_PRESETS = sorted(
     if isinstance(scenario.events[0], AdversaryPolicy)
 )
 
-SMALL = dict(
-    n=24,
-    m=2,
-    lam=2,
-    referee_size=6,
-    users_per_shard=12,
-    tx_per_committee=4,
-    cross_shard_ratio=0.25,
-)
+SMALL = {**config_cube.SMALL, "cross_shard_ratio": 0.25}
 
 
 def _checked_run(rounds: int, **kwargs) -> InvariantChecker:

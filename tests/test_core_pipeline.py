@@ -1,8 +1,9 @@
 """Phase pipeline: registry, hooks, timings, and orchestrator integration."""
 
 import pytest
+from config_cube import Cell, check
 
-from repro import AdversaryConfig, CycLedger, ProtocolParams, create_backend
+from repro import AdversaryConfig, CycLedger, create_backend
 from repro.core.pipeline import POST, PRE, Phase, PhasePipeline
 
 PHASE_ORDER = (
@@ -16,16 +17,9 @@ PHASE_ORDER = (
 )
 
 
-def small_params(seed=0, **overrides) -> ProtocolParams:
-    defaults = dict(n=24, m=2, lam=2, referee_size=6, seed=seed,
-                    users_per_shard=12, tx_per_committee=4)
-    defaults.update(overrides)
-    return ProtocolParams(**defaults)
-
-
 # -- registry ----------------------------------------------------------------
 def test_default_pipeline_has_paper_phase_order():
-    assert CycLedger(small_params()).pipeline.names == PHASE_ORDER
+    assert CycLedger(Cell().params()).pipeline.names == PHASE_ORDER
 
 
 def test_register_appends_and_inserts():
@@ -58,7 +52,7 @@ def test_hook_validation():
 
 # -- orchestrator integration ------------------------------------------------
 def test_run_round_executes_all_phases_via_pipeline():
-    ledger = CycLedger(small_params())
+    ledger = CycLedger(Cell().params())
     seen = []
     for name in ledger.pipeline.names:
         ledger.pipeline.add_phase_hook(
@@ -70,7 +64,7 @@ def test_run_round_executes_all_phases_via_pipeline():
 
 
 def test_phase_reports_accumulate_in_context_order():
-    ledger = CycLedger(small_params(seed=1))
+    ledger = CycLedger(Cell(seed=1).params())
     snapshots = {}
     for name in ledger.pipeline.names:
         ledger.pipeline.add_phase_hook(
@@ -86,7 +80,7 @@ def test_phase_reports_accumulate_in_context_order():
 
 
 def test_phase_sim_times_recorded_per_round():
-    ledger = CycLedger(small_params(seed=2))
+    ledger = CycLedger(Cell(seed=2).params())
     report = ledger.run_round()
     assert set(report.phase_sim_times) == set(PHASE_ORDER)
     assert all(t >= 0.0 for t in report.phase_sim_times.values())
@@ -98,7 +92,7 @@ def test_phase_sim_times_recorded_per_round():
 
 
 def test_round_hooks_fire_with_ledger_and_report():
-    ledger = CycLedger(small_params(seed=3))
+    ledger = CycLedger(Cell(seed=3).params())
     calls = []
     ledger.pipeline.add_round_hook(
         PRE, lambda led: calls.append(("pre", led.round_number))
@@ -112,7 +106,7 @@ def test_round_hooks_fire_with_ledger_and_report():
 
 def test_custom_phase_observes_round():
     """A pipeline extension sees the same context the built-ins do."""
-    ledger = CycLedger(small_params(seed=4))
+    ledger = CycLedger(Cell(seed=4).params())
     observed = []
 
     def audit(ctx):
@@ -132,7 +126,7 @@ def test_every_phase_ends_drained_with_empty_mailboxes(backend):
     every node activated this round is empty: a session's handlers live
     until the drain that completes it, not until the next round."""
     ledger = create_backend(
-        backend, small_params(seed=6), adversary=AdversaryConfig(fraction=0.25)
+        backend, Cell(seed=6).params(), adversary=AdversaryConfig(fraction=0.25)
     )
     seen = []
 
@@ -150,8 +144,4 @@ def test_every_phase_ends_drained_with_empty_mailboxes(backend):
 
 
 def test_pipeline_refactor_preserves_determinism():
-    a = CycLedger(small_params(seed=5)).run(2)
-    b = CycLedger(small_params(seed=5)).run(2)
-    assert [r.packed for r in a] == [r.packed for r in b]
-    assert a[-1].block.hash == b[-1].block.hash
-    assert [r.phase_sim_times for r in a] == [r.phase_sim_times for r in b]
+    check(Cell(seed=5, rounds=2))

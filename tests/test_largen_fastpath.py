@@ -27,6 +27,7 @@ import os
 
 import numpy as np
 import pytest
+from config_cube import assert_pinned
 from reference_impls import partial_committee_of, role_hash
 
 from repro.backends import create_backend
@@ -39,9 +40,8 @@ from repro.core.sortition import (
     role_digests,
 )
 from repro.exp import ExperimentSpec, Runner
-from repro.exp.results import round_row, write_csv
+from repro.exp.results import write_csv
 from repro.exp.spec import canonical_json
-from repro.nodes.adversary import AdversaryConfig
 
 FIXTURE_PATH = os.path.join(
     os.path.dirname(__file__), "fixtures", "pre_largen_rounds.json"
@@ -65,30 +65,7 @@ def fixtures():
     ],
 )
 def test_fast_path_matches_pre_vectorization_fixture(fixtures, name):
-    fx = fixtures["runs"][name]
-    ledger = create_backend(
-        fx["backend"],
-        ProtocolParams(**fx["params"]),
-        adversary=AdversaryConfig(**fx["adversary"]) if fx["adversary"] else None,
-    )
-    reports = ledger.run(fx["rounds"])
-    assert len(reports) == len(fx["rows"])
-    for index, (report, want) in enumerate(zip(reports, fx["rows"])):
-        got = round_row(report)
-        view = {key: got[key] for key in want}
-        assert canonical_json(view) == canonical_json(want), (
-            f"{name} round {index} diverged from the pre-vectorization seed"
-        )
-    for index, (report, want) in enumerate(
-        zip(reports, fx["phase_sim_times"])
-    ):
-        assert report.phase_sim_times == want, (
-            f"{name} round {index}: phase sim times diverged"
-        )
-    assert ledger.chain.head.hash.hex() == fx["final"]["chain_head"]
-    assert len(ledger.chain) == fx["final"]["chain_length"]
-    assert ledger.total_packed() == fx["final"]["total_packed"]
-    assert dict(sorted(ledger.reputation.items())) == fx["final"]["reputation"]
+    assert_pinned(fixtures["runs"][name])
 
 
 # -- 2. sweep artifact byte-identity -----------------------------------------

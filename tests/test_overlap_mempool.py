@@ -22,9 +22,9 @@ import os
 
 import numpy as np
 import pytest
+from config_cube import Cell, assert_pinned, check
 from reference_impls import EagerPublishWorkloadGenerator, by_home_shard
 
-from repro.backends import create_backend
 from repro.core.config import ProtocolParams
 from repro.core.pipeline import (
     OVERLAP_NONE,
@@ -34,10 +34,8 @@ from repro.core.pipeline import (
 )
 from repro.core.protocol import CycLedger
 from repro.exp import ExperimentSpec, Runner, overlap_compare_spec
-from repro.exp.results import round_row, write_csv
-from repro.exp.spec import canonical_json
+from repro.exp.results import write_csv
 from repro.ledger.workload import TxMempool, WorkloadGenerator
-from repro.nodes.adversary import AdversaryConfig
 
 FIXTURE_PATH = os.path.join(
     os.path.dirname(__file__), "fixtures", "pre_overlap_rounds.json"
@@ -46,6 +44,11 @@ FIXTURE_PATH = os.path.join(
 DEFAULTISH = dict(
     n=48, m=4, lam=2, referee_size=8, seed=0, users_per_shard=24,
     tx_per_committee=6, cross_shard_ratio=0.3, invalid_ratio=0.1,
+)
+#: The >= 10 % pipelining gain is claimed on the default compare shape.
+PIPELINED = Cell(
+    fraction=0.2, rounds=8,
+    shape=tuple((k, v) for k, v in DEFAULTISH.items() if k != "seed"),
 )
 
 
@@ -144,80 +147,30 @@ def fixtures():
     "name", ["cycledger_default", "cycledger_small", "rapidchain_small"]
 )
 def test_overlap_none_matches_pre_refactor_fixture(fixtures, name):
-    fx = fixtures[name]
-    ledger = create_backend(
-        fx["backend"],
-        ProtocolParams(**fx["params"]),
-        adversary=AdversaryConfig(**fx["adversary"]) if fx["adversary"] else None,
-    )
-    reports = ledger.run(fx["rounds"])
-    for index, (report, want) in enumerate(zip(reports, fx["rows"])):
-        got = round_row(report)
-        pre_refactor_view = {key: got[key] for key in want}
-        # Byte-for-byte on every pre-refactor column (canonical JSON is the
-        # artifact encoding, so compare through it).
-        assert canonical_json(pre_refactor_view) == canonical_json(want), (
-            name, index,
-        )
-        assert report.phase_sim_times == fx["phase_sim_times"][index]
-        # The new timeline columns are consistent with the old clock: at
-        # overlap=none each round's window spans its sim_time (up to float
+    rows = [json.loads(row) for row in assert_pinned(fixtures[name]).rows]
+    for row in rows:
+        # At overlap=none each round's window spans its sim_time (up to float
         # re-association of base + sim_time; the cumulative end below is
-        # exact).
-        assert got["timeline_end"] - got["timeline_start"] == pytest.approx(
-            got["sim_time"], rel=1e-9
+        # exact), and legacy arrivals leave no standing queue.
+        assert row["timeline_end"] - row["timeline_start"] == pytest.approx(
+            row["sim_time"], rel=1e-9
         )
-        # Legacy arrivals leave no standing queue and never evict.
-        assert got["queue_depth"] == 0 and got["tx_evicted"] == 0
-    final = fx["final"]
-    assert ledger.chain.head.hash.hex() == final["chain_head"]
-    assert len(ledger.chain) == final["chain_length"]
-    assert ledger.total_packed() == final["total_packed"]
-    assert dict(sorted(ledger.reputation.items())) == final["reputation"]
-    # none-mode e2e latency == the cumulative per-round clock, exactly.
-    assert reports[-1].timeline_end == sum(r.sim_time for r in reports)
+        assert row["queue_depth"] == 0 and row["tx_evicted"] == 0
+    assert rows[-1]["timeline_end"] == sum(row["sim_time"] for row in rows)
 
 
 # -- overlap=semicommit: identical state, lower latency ----------------------
-def _ledger_state(ledger):
-    return (
-        [block.hash for block in ledger.chain],
-        sorted(ledger.global_utxos),
-        dict(sorted(ledger.reputation.items())),
-        dict(sorted(ledger.rewards.items())),
-    )
-
-
 def test_semicommit_identical_state_lower_latency():
-    rounds = 8
-    runs = {}
-    for mode in (OVERLAP_NONE, OVERLAP_SEMICOMMIT):
-        ledger = CycLedger(
-            ProtocolParams(**DEFAULTISH, overlap=mode),
-            adversary=AdversaryConfig(fraction=0.2),
-        )
-        runs[mode] = (ledger, ledger.run(rounds))
-    ledger_none, reports_none = runs[OVERLAP_NONE]
-    ledger_semi, reports_semi = runs[OVERLAP_SEMICOMMIT]
-
-    # Execution is identical: same chain, UTXOs, reputation, rewards, and
-    # identical per-round clocks — only the composed timeline differs.
-    assert _ledger_state(ledger_none) == _ledger_state(ledger_semi)
-    assert [r.sim_time for r in reports_none] == [
-        r.sim_time for r in reports_semi
-    ]
-    assert [r.phase_sim_times for r in reports_none] == [
-        r.phase_sim_times for r in reports_semi
-    ]
-
-    e2e_none = reports_none[-1].timeline_end
-    e2e_semi = max(r.timeline_end for r in reports_semi)
-    assert e2e_semi <= 0.90 * e2e_none  # the >= 10% pipelining gain
+    """Same rows, chain, reputation and rewards as overlap=none (``check``)
+    but the timeline columns; the composed timeline is shorter."""
+    none, semi = check(PIPELINED, overlap=OVERLAP_SEMICOMMIT)
+    e2e_none = json.loads(none.rows[-1])["timeline_end"]
+    assert max(r.timeline_end for r in semi.reports) <= 0.90 * e2e_none
     # Overlapped rounds start before their predecessor ends (true overlap,
     # not just a shorter total).
     assert any(
         later.timeline_start < earlier.timeline_end
-        for earlier, later in zip(reports_semi, reports_semi[1:])
+        for earlier, later in zip(semi.reports, semi.reports[1:])
     )
 
 
@@ -364,14 +317,12 @@ def test_poisson_backlog_drains_across_rounds():
 
 def test_mempool_identical_seeds_identical_order():
     """Same seed ⇒ same arrivals, packing and evictions, run twice."""
-    params = ProtocolParams(
-        **{**DEFAULTISH, "seed": 5},
-        arrival_process="poisson", arrival_rate=55.0,
-        mempool_max_age=3, mempool_capacity=120,
+    arrival = (
+        ("arrival_process", "poisson"), ("arrival_rate", 30.0),
+        ("mempool_max_age", 2), ("mempool_capacity", 24),
     )
-    rows_a = [round_row(r) for r in CycLedger(params).run(4)]
-    rows_b = [round_row(r) for r in CycLedger(params).run(4)]
-    assert canonical_json(rows_a) == canonical_json(rows_b)
+    _, again = check(Cell(seed=5, arrival=arrival))
+    assert sum(r.tx_evicted for r in again.reports) > 0
 
 
 def test_poisson_draws_never_spend_offchain_outputs():
@@ -509,6 +460,15 @@ def test_mempool_sweep_serial_parallel_byte_identical(tmp_path):
     serial = Runner(POISSON_SWEEP, workers=1).run()
     parallel = Runner(POISSON_SWEEP, workers=2).run()
     assert serial.json_bytes() == parallel.json_bytes()
+    # The overlap arms of one seed share the ledger state, and semicommit
+    # finishes sooner.
+    for seed in (0, 1):
+        none = serial.one(seed=seed, overlap="none")
+        semi = serial.one(seed=seed, overlap="semicommit")
+        assert none.chain == semi.chain
+        assert none.totals["packed"] == semi.totals["packed"]
+        assert none.totals["tx_evicted"] == semi.totals["tx_evicted"]
+        assert semi.totals["e2e_sim_time"] < none.totals["e2e_sim_time"]
     csv_path = tmp_path / "sweep.csv"
     write_csv(str(csv_path), serial.results)
     header = csv_path.read_text().splitlines()[0].split(",")
@@ -537,14 +497,3 @@ def test_overlap_axis_is_seed_paired():
         keys.add(point.key)
     assert all(len(derived) == 1 for derived in by_seed.values())
     assert len(keys) == 4  # distinct cache identities per arm
-
-
-def test_overlap_sweep_arms_share_ledger_state():
-    outcome = Runner(POISSON_SWEEP, workers=1).run()
-    for seed in (0, 1):
-        none = outcome.one(seed=seed, overlap="none")
-        semi = outcome.one(seed=seed, overlap="semicommit")
-        assert none.chain == semi.chain
-        assert none.totals["packed"] == semi.totals["packed"]
-        assert none.totals["tx_evicted"] == semi.totals["tx_evicted"]
-        assert semi.totals["e2e_sim_time"] < none.totals["e2e_sim_time"]

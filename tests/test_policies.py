@@ -11,6 +11,8 @@ import json
 import os
 
 import pytest
+import config_cube
+from config_cube import Cell, assert_prefix, check
 
 from repro.backends import backend_names, create_backend
 from repro.core.config import ProtocolParams
@@ -20,7 +22,6 @@ from repro.exp import (
     policy_compare_spec,
     run_sweep,
 )
-from repro.exp.results import round_row
 from repro.scenarios import (
     SCENARIO_PRESETS,
     AdversaryPolicy,
@@ -35,15 +36,8 @@ POLICY_PRESETS = {
     if isinstance(scenario.events[0], AdversaryPolicy)
 }
 
-SMALL = dict(
-    n=24,
-    m=2,
-    lam=2,
-    referee_size=6,
-    users_per_shard=12,
-    tx_per_committee=4,
-    cross_shard_ratio=0.25,
-)
+
+SMALL = {**config_cube.SMALL, "cross_shard_ratio": 0.25}
 
 
 def _run(scenario=None, seed=7, rounds=4, backend="cycledger"):
@@ -67,26 +61,23 @@ def test_policy_json_round_trip(name):
 # -- determinism and pairing -------------------------------------------------
 
 
+def _replayed(name: str) -> Cell:
+    rounds = POLICY_PRESETS[name].last_event_round + 1
+    return Cell(scenario=name, seed=7, rounds=rounds, shape=tuple(SMALL.items()))
+
+
 @pytest.mark.parametrize("name", sorted(POLICY_PRESETS))
 def test_policy_timeline_deterministic(name):
     """Identical seeds replay the exact policy event timeline and rounds."""
-    scenario = POLICY_PRESETS[name]
-    rounds = scenario.last_event_round + 1
-    ledger_a, reports_a = _run(scenario, rounds=rounds)
-    ledger_b, reports_b = _run(scenario, rounds=rounds)
-    assert ledger_a.scenario_driver.log == ledger_b.scenario_driver.log
-    assert [round_row(r) for r in reports_a] == [round_row(r) for r in reports_b]
+    _, run = check(_replayed(name))
     # Log lines ride the continuous timeline clock, not the round index.
-    for line in ledger_a.scenario_driver.log:
-        assert line.startswith("t=")
+    assert run.view.log and all(line.startswith("t=") for line in run.view.log)
 
 
 def test_policy_free_prefix_is_byte_identical():
     """Before the first strike round, a policy arm matches the policy-free
     arm byte-for-byte (seed-pairing: policies draw from no RNG stream)."""
-    _, plain = _run(None, rounds=1)
-    _, attacked = _run(POLICY_PRESETS["adaptive-corruption"], rounds=1)
-    assert round_row(plain[0]) == round_row(attacked[0])
+    assert_prefix(_replayed("adaptive-corruption"))
 
 
 def test_policy_axis_pairs_seeds_but_splits_keys():

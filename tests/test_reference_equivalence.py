@@ -118,6 +118,35 @@ def test_draw_stream_matches_numpy_generator(seed, ops):
     assert stream.state == oracle.bit_generator.state
 
 
+@pytest.mark.parametrize("excl", [7, 3 * 2**61 + 1], ids=["lemire-32", "lemire-64"])
+def test_draw_stream_rejects_exactly_below_the_threshold(excl):
+    """Lemire's rejection at its edge, on crafted raw outputs: a product whose
+    low word is one below ``(2**width - excl) % excl`` is drawn again and one
+    on it is kept.  Random draws land on the edge about once in 2**32."""
+    from repro.ledger.draws import DrawStream
+
+    width = 32 if excl < 2**32 else 64
+    threshold = (2**width - excl) % excl
+    inverse = pow(excl, -1, 2**width)
+    below, on = ((t * inverse) % 2**width for t in (threshold - 1, threshold))
+
+    def fed(first, second):
+        """A stream whose next words are ``first``, ``second``, then ``on``s."""
+        stream = DrawStream(np.random.default_rng(0))
+        if width == 32:  # two words a raw output, low half first
+            words = [second << 32 | first, on << 32 | on]
+        else:
+            words = [first, second, on, on]
+        stream._raw, stream._next, stream._has_half = words, 0, False
+        return stream
+
+    for first, second, used in ((below, on, 2), (on, below, 1)):
+        stream = fed(first, second)
+        assert stream.integers(0, excl) == (on * excl) >> width
+        left = len(stream._raw) - stream._next  # raw outputs; two words each at 32
+        assert (2 * left + stream._has_half if width == 32 else left) == 4 - used
+
+
 @pytest.mark.parametrize(
     "rng, name",
     [

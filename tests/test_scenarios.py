@@ -5,6 +5,7 @@ import json
 import os
 
 import pytest
+from config_cube import Cell, assert_prefix, check
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -257,14 +258,12 @@ def test_partition_holds_over_roles_instead_of_crashing():
     assert reports[-1].block is not None
 
 
+#: The partition cell the determinism tests share.
+PARTITIONED = Cell(scenario="partition-halves", fraction=0.1, rounds=5)
+
+
 def test_identical_seeds_give_identical_round_reports():
-    params = small_params(seed=7)
-    scenario = SCENARIO_PRESETS["partition-halves"]
-    a = CycLedger(params, scenario=scenario).run(4)
-    b = CycLedger(params, scenario=scenario).run(4)
-    assert [round_row(r) for r in a] == [round_row(r) for r in b]
-    assert [r.phase_sim_times for r in a] == [r.phase_sim_times for r in b]
-    assert [r.recovery_times for r in a] == [r.recovery_times for r in b]
+    check(PARTITIONED)
 
 
 def test_different_scenarios_differ_same_seed():
@@ -430,12 +429,7 @@ def test_out_of_range_committee_index_fails_at_attach():
 def test_scenario_rng_isolated_from_protocol_streams():
     """Attaching a scenario must not perturb the fault-free trajectory of
     rounds the scenario does not touch (round 1 here)."""
-    params = small_params(seed=8)
-    clean = CycLedger(params).run_round()
-    with_scenario = CycLedger(
-        params, scenario=SCENARIO_PRESETS["partition-halves"]
-    ).run_round()
-    assert round_row(clean) == round_row(with_scenario)
+    assert_prefix(PARTITIONED)
 
 
 # -- degraded runs, pinned ---------------------------------------------------

@@ -14,17 +14,10 @@ import json
 import os
 
 import pytest
+from config_cube import Cell, check
 
-from repro.analysis.invariants import InvariantChecker
-from repro.backends import create_backend
-from repro.core.config import ProtocolParams
 from repro.core.reporting import rss_kb
-from repro.exp.results import (
-    _CSV_TOTAL_COLUMNS,
-    JsonlReportWriter,
-    round_row,
-    round_totals,
-)
+from repro.exp.results import _CSV_TOTAL_COLUMNS, round_row, round_totals
 from repro.exp.spec import canonical_json
 
 _SCRIPT = os.path.join(
@@ -37,23 +30,9 @@ bench_scale = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_scale)
 
 
-def _params(**overrides) -> ProtocolParams:
-    base = dict(
-        n=24,
-        m=2,
-        lam=2,
-        referee_size=6,
-        seed=3,
-        users_per_shard=12,
-        tx_per_committee=4,
-    )
-    base.update(overrides)
-    return ProtocolParams(**base)
-
-
 # -- round_row / CSV schema ---------------------------------------------------
 def test_round_row_carries_epoch_scale_columns():
-    ledger = create_backend("cycledger", _params())
+    ledger = Cell(seed=3).build()
     report = ledger.run_round()
     row = round_row(report)
     assert row["rss_peak_kb"] == 0  # sample_rss off: deterministic zero
@@ -63,7 +42,7 @@ def test_round_row_carries_epoch_scale_columns():
 
 
 def test_aggregator_totals_include_epoch_scale_columns():
-    ledger = create_backend("cycledger", _params())
+    ledger = Cell(seed=3).build()
     totals = round_totals([round_row(ledger.run_round()) for _ in range(3)])
     assert totals["rounds"] == 3
     assert totals["reports_streamed"] == 3
@@ -73,7 +52,7 @@ def test_aggregator_totals_include_epoch_scale_columns():
 
 
 def test_sample_rss_populates_report_field():
-    ledger = create_backend("cycledger", _params(sample_rss=True))
+    ledger = Cell(seed=3).build(sample_rss=True)
     report = ledger.run_round()
     if rss_kb() > 0:  # procfs available (Linux CI)
         assert report.rss_peak_kb > 0
@@ -81,75 +60,40 @@ def test_sample_rss_populates_report_field():
         assert report.rss_peak_kb == 0
 
 
-# -- streaming JSONL emission -------------------------------------------------
-def test_jsonl_stream_matches_in_memory_rows(tmp_path):
+# -- streaming JSONL emission, retention and pruning (tests/config_cube.py) --
+def test_jsonl_stream_matches_in_memory_rows():
     """The streamed file is row-for-row byte-identical to what the legacy
-    in-memory run flattens, and the streamed rows total the same."""
-    legacy = create_backend("cycledger", _params())
-    legacy.run(5)
-
-    path = str(tmp_path / "rounds.jsonl")
-    streamed = create_backend("cycledger", _params())
-    streamed.report_retention = 1  # stream-and-drop
-    with JsonlReportWriter(path) as writer:
-        streamed.report_sink = writer
-        for _ in range(5):
-            streamed.run_round()
-    assert writer.rows_written == 5
-    assert len(streamed.reports) == 1  # bounded in-memory tail
-
-    with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    assert lines == [canonical_json(round_row(r)) for r in legacy.reports]
-    assert [json.loads(line)["round"] for line in lines] == [1, 2, 3, 4, 5]
-
+    in-memory run flattens (``check``), and the streamed rows total the same."""
+    want, run = check(Cell(seed=3, rounds=5), report_retention=1)  # stream-and-drop
+    assert len(run.ledger.reports) == 1  # bounded in-memory tail
+    assert [json.loads(line)["round"] for line in run.streamed] == [1, 2, 3, 4, 5]
     assert canonical_json(
-        round_totals([json.loads(line) for line in lines])
-    ) == canonical_json(round_totals([round_row(r) for r in legacy.reports]))
+        round_totals([json.loads(line) for line in run.streamed])
+    ) == canonical_json(round_totals([json.loads(row) for row in want.rows]))
 
 
 def test_report_retention_bounds_list_without_changing_stream():
-    bounded = create_backend("cycledger", _params())
-    bounded.report_retention = 2
-    reports = bounded.run(6)
-    assert len(bounded.reports) == 2
-    assert bounded.reports_streamed == 6
+    _, run = check(Cell(seed=3, rounds=6), report_retention=2)
+    assert len(run.ledger.reports) == 2
+    assert run.ledger.reports_streamed == 6
     # run() still returns every report; only the retained tail is bounded.
-    assert [r.round_number for r in reports] == [1, 2, 3, 4, 5, 6]
-    assert [r.reports_streamed for r in bounded.reports] == [5, 6]
+    assert [r.round_number for r in run.reports] == [1, 2, 3, 4, 5, 6]
+    assert [r.reports_streamed for r in run.ledger.reports] == [5, 6]
 
 
-# -- chain pruning ------------------------------------------------------------
 def test_chain_pruning_is_content_neutral():
     """A retention-windowed chain emits byte-identical rows, head, length
-    and transaction totals to the unbounded run."""
-    full = create_backend("cycledger", _params())
-    pruned = create_backend("cycledger", _params(chain_retention=3))
-    full.run(8)
-    pruned.run(8)
-    assert [canonical_json(round_row(r)) for r in pruned.reports] == [
-        canonical_json(round_row(r)) for r in full.reports
-    ]
-    assert pruned.chain.head.hash == full.chain.head.hash
-    assert len(pruned.chain) == len(full.chain) == 8
-    assert len(pruned.chain.blocks) == 3  # only the retained suffix
-    assert pruned.chain.pruned_blocks == 5
-    assert (
-        pruned.chain.total_transactions() == full.chain.total_transactions()
-    )
-    assert pruned.chain.verify()
+    and transaction totals to the unbounded run (``check``)."""
+    _, run = check(Cell(seed=3, rounds=8), chain_retention=3)
+    assert len(run.ledger.chain.blocks) == 3  # only the retained suffix
+    assert run.ledger.chain.pruned_blocks == 5
+    assert run.ledger.chain.verify()
 
 
 def test_invariants_hold_on_pruned_chain():
-    """The incremental checker keeps working across the pruning frontier."""
-    ledger = create_backend(
-        "cycledger", _params(chain_retention=2, spent_retention=128)
-    )
-    checker = InvariantChecker()
-    checker.install(ledger)
-    ledger.run(8)
-    checker.assert_clean()
-    assert checker.check_final(ledger) == []
+    """The incremental checker keeps working across the pruning frontier
+    (``check`` runs it)."""
+    check(Cell(seed=3, spent_retention=128, rounds=8), chain_retention=2)
 
 
 # -- the scale-and-soak script itself ------------------------------------------

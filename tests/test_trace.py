@@ -5,17 +5,11 @@ import io
 import json
 
 import pytest
+from config_cube import Cell, check
 
-from repro import ProtocolParams, create_backend
 from repro.cli import main
 from repro.core.trace import TraceSink
-from repro.exp.results import collect_result
-from repro.exp.spec import canonical_json
 
-PARAMS = dict(
-    n=24, m=2, lam=2, referee_size=6, users_per_shard=12,
-    tx_per_committee=4, cross_shard_ratio=0.3, invalid_ratio=0.1,
-)
 BACKENDS = ("cycledger", "rapidchain", "omniledger_sim")
 
 
@@ -25,19 +19,9 @@ def _records(text):
 
 @pytest.mark.parametrize("name", BACKENDS)
 def test_a_traced_run_is_the_untraced_run_plus_one_record_per_span(name):
-    params = ProtocolParams(seed=3, **PARAMS)
-    plain, traced = create_backend(name, params), create_backend(name, params)
-    assert plain.trace_sink is None
-    out = io.StringIO()
-    TraceSink(out).install(traced)
-    rounds = 3
-    records_of = [
-        canonical_json(collect_result(ledger, ledger.run(rounds), {}, "k").to_dict())
-        for ledger in (plain, traced)
-    ]
-    assert records_of[0] == records_of[1]
-    records = _records(out.getvalue())
-    phases = [f"phase:{phase}" for phase in traced.pipeline.names]
+    _, run = check(Cell(name, seed=3, rounds=3), trace=True)
+    records, rounds = _records(run.trace), len(run.reports)
+    phases = [f"phase:{phase}" for phase in run.ledger.pipeline.names]
     spans = ["admit", *phases, "settle", "round"]
     assert [r["span"] for r in records] == spans * rounds
     assert [r["round"] for r in records] == [
@@ -54,7 +38,8 @@ def test_a_traced_run_is_the_untraced_run_plus_one_record_per_span(name):
 
 
 def test_a_ledger_takes_one_sink():
-    ledger = create_backend("rapidchain", ProtocolParams(seed=3, **PARAMS))
+    ledger = Cell("rapidchain").build()
+    assert ledger.trace_sink is None
     TraceSink(io.StringIO()).install(ledger)
     with pytest.raises(ValueError, match="already installed"):
         TraceSink(io.StringIO()).install(ledger)
