@@ -39,6 +39,10 @@ def test_policy_compare(benchmark, tmp_path):
         )
     # CycLedger's resilience is recovery, not luck: the attacked arm
     # actually exercised leader re-selection.
-    assert arms["cycledger"]["recoveries_under_policy"] > 0
+    assert arms["cycledger"]["recoveries_under_policy"] > 0, (
+        f"{artifact['policy']}: cycledger's attacked arm ran "
+        f"{arms['cycledger']['recoveries_under_policy']} leader re-selections, "
+        "want at least one"
+    )
 
     assert_matches_committed("BENCH_policies.json", artifact, tmp_path)

@@ -82,11 +82,21 @@ def test_scenarios(benchmark, tmp_path):
     )
 
     # The cut demonstrably degrades cross-shard packing...
-    assert part_cross_in < 0.5 * base_cross_in
+    assert part_cross_in < 0.5 * base_cross_in, (
+        f"partition-halves, rounds {WINDOW[0]}-{WINDOW[1]}: {part_cross_in} "
+        f"cross-shard txs packed against {base_cross_in} fault-free, want under half"
+    )
     # ...and the fabric recovers once the window closes.
-    assert part_cross_out > 0.5 * base_cross_out
-    assert all(
-        r.dropped == 0 for r in partition if r.round_number > WINDOW[1]
+    assert part_cross_out > 0.5 * base_cross_out, (
+        f"partition-halves outside rounds {WINDOW[0]}-{WINDOW[1]}: {part_cross_out} "
+        f"cross-shard txs packed against {base_cross_out} fault-free, want over half"
+    )
+    late_drops = [
+        (r.round_number, r.dropped) for r in partition if r.round_number > WINDOW[1]
+    ]
+    assert all(dropped == 0 for _, dropped in late_drops), (
+        f"partition-halves after round {WINDOW[1]}: (round, dropped) = "
+        f"{late_drops}, want no message dropped once the window closes"
     )
     # The crashed leader is impeached and replaced inside the round.
     assert recovery_times, "leader crash must trigger at least one recovery"

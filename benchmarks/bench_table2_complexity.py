@@ -136,7 +136,11 @@ def test_table2(benchmark):
     for m, c in POINTS:
         cells = measured(m, c)
         assert cells[("config", COMMON)]["storage"] >= c - 2, "a member holds its member list"
-        assert cells[("block", REFEREE)]["storage"] > 0
+        assert cells[("block", REFEREE)]["storage"] > 0, (
+            f"Table II storage at (m, c) = ({m}, {c}): a referee member holds "
+            f"{cells[('block', REFEREE)]['storage']} items in block generation, "
+            "want the global UTXO set"
+        )
         storage.append((m, c, *(max(cell["storage"] for (_p, r), cell in cells.items()
                                     if r == role) for role in Roles.ALL)))
     print_table("storage high-water marks (items)", ["m", "c", *Roles.ALL], storage)

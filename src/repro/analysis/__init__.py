@@ -14,7 +14,6 @@ from repro.analysis.security import (
     partial_set_failure,
     round_failure_cycledger,
     union_bound,
-    monte_carlo_committee_failure,
 )
 from repro.analysis.complexity import (
     TABLE2_CLAIMS,
@@ -43,7 +42,6 @@ __all__ = [
     "partial_set_failure",
     "round_failure_cycledger",
     "union_bound",
-    "monte_carlo_committee_failure",
     "TABLE2_CLAIMS",
     "claimed_exponent",
     "table2_rows",

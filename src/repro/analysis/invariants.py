@@ -186,15 +186,26 @@ class InvariantChecker:
 
     # -- wiring ------------------------------------------------------------
     def install(self, ledger: Any) -> None:
-        """Subscribe to ``ledger``'s round post-hook and snapshot genesis
-        state (a checker watches exactly one ledger)."""
+        """Subscribe to ``ledger``'s round post-hook and snapshot its state
+        as it stands, genesis or restored (a checker watches exactly one
+        ledger).  Inputs spent in pruned blocks are not known here, so a
+        double spend against one of them goes unseen."""
         if self._ledger is not None:
             raise ValueError(
                 "checker is already installed; build one checker per ledger"
             )
-        self._ledger = ledger
-        self._snap.utxo_total = ledger.global_utxos.total_value()
-        self._snap.reputation = dict(ledger.reputation.items())
+        self._ledger, chain, blocks = ledger, ledger.chain, ledger.chain.blocks
+        head = blocks[-1] if blocks else None
+        self._snap = _RoundSnapshot(
+            utxo_total=ledger.global_utxos.total_value(),
+            reputation=dict(ledger.reputation.items()),
+            packed_cumulative=ledger.total_packed(),
+            blocks_seen=len(chain),
+            last_round=head.round_number if head else chain.pruned_last_round,
+            queue_depth=ledger.mempool.depth,
+            last_hash=head.hash if head else chain.pruned_head_hash,
+        )
+        self._spent = {o for b in blocks for tx in b.transactions for o in tx.inputs}
         ledger.pipeline.add_round_hook(POST, self._on_round_end)
 
     # -- helpers -----------------------------------------------------------
@@ -236,8 +247,9 @@ class InvariantChecker:
     def _check_chain(self, ledger: Any, round_number: int) -> None:
         """chain-linkage + no-double-spend over this round's new blocks.
 
-        ``blocks_seen`` counts every block ever checked; under chain body
-        pruning the retained list is indexed with the pruned-prefix offset,
+        ``blocks_seen`` counts the chain's blocks at install and every one
+        checked since; under chain body pruning the retained list is indexed
+        with the pruned-prefix offset,
         and the expected predecessor hash is carried in the snapshot (so
         the boundary block of the retained suffix still links correctly).
         """

@@ -109,19 +109,6 @@ def round_failure_rapidchain(m: int, c) -> np.ndarray | float:
     )
 
 
-def monte_carlo_committee_failure(
-    n: int,
-    t: int,
-    c: int,
-    trials: int,
-    rng: np.random.Generator,
-) -> float:
-    """Empirical committee-failure rate by direct sampling (cross-check for
-    the exact tail; vectorized — ``trials`` hypergeometric draws at once)."""
-    draws = rng.hypergeometric(ngood=t, nbad=n - t, nsample=c, size=trials)
-    return float(np.mean(draws >= np.ceil(c / 2.0)))
-
-
 def minimum_committee_size(n: int, t: int, target: float) -> int:
     """Smallest c whose exact failure probability is below ``target``
     (used to size committees for a desired security level)."""

@@ -48,10 +48,11 @@ class AdversaryConfig:
     def __post_init__(self) -> None:
         if not (0.0 <= self.fraction <= 1.0):
             raise ValueError("fraction must be in [0, 1]")
-        if self.leader_strategy not in BEHAVIOR_REGISTRY:
-            raise ValueError(f"unknown leader strategy {self.leader_strategy!r}")
-        if self.voter_strategy not in BEHAVIOR_REGISTRY:
-            raise ValueError(f"unknown voter strategy {self.voter_strategy!r}")
+        known = ", ".join(sorted(BEHAVIOR_REGISTRY))
+        for side in ("leader", "voter"):
+            name = getattr(self, f"{side}_strategy")
+            if name not in BEHAVIOR_REGISTRY:
+                raise ValueError(f"unknown {side} strategy {name!r}; known: {known}")
 
 
 class AdversaryController:

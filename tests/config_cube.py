@@ -144,11 +144,6 @@ def check(cell: Cell, *, overlap="none", chain_retention=0, report_retention=Non
         if split is not None:
             first, saved = ledger.run(split), via == "file" and os.path.join(tmp, "ckpt")
             state = save_checkpoint(ledger, saved) if saved else capture_checkpoint(ledger)
-            # The checker's state at the split goes with the resumed ledger: a
-            # fresh one would start from genesis (no packed count, block 1 next).
-            carried = InvariantChecker()
-            carried._snap = dataclasses.replace(checker._snap)
-            carried._spent = set(checker._spent)
             if trace:  # the donor's sink keeps writing to the old stream
                 traced, out = out.getvalue(), io.StringIO()
             if donor_runs_on:
@@ -157,7 +152,7 @@ def check(cell: Cell, *, overlap="none", chain_retention=0, report_retention=Non
                 checker.check_final(ledger)
                 assert_same_run(want, view_of(ledger, first + rest), drop=drop)
             ledger = load_checkpoint(saved) if saved else restore_checkpoint(state)
-            checker = _watch(ledger, carried, report_retention, sink, out)
+            checker = _watch(ledger, InvariantChecker(), report_retention, sink, out)
         reports = ledger.run(cell.rounds - (split or 0))
         checker.check_final(ledger)
         streamed = ()

@@ -9,7 +9,6 @@ from repro.analysis.security import (
     committee_failure_simple_bound,
     kl_divergence_bernoulli,
     minimum_committee_size,
-    monte_carlo_committee_failure,
     partial_set_failure,
     round_failure_cycledger,
     round_failure_elastico,
@@ -75,13 +74,6 @@ def test_eq4_constant_is_optimistic():
     assert np.all(simple <= kl)  # Eq. 4 is tighter than the valid bound
     assert committee_failure_simple_bound(240) == pytest.approx(2.06e-9, rel=0.01)
     assert committee_failure_exact(N, T, 240) > committee_failure_simple_bound(240)
-
-
-def test_monte_carlo_matches_exact(rng):
-    c = 50
-    exact = committee_failure_exact(N, T, c)
-    empirical = monte_carlo_committee_failure(N, T, c, trials=400_000, rng=rng)
-    assert empirical == pytest.approx(exact, rel=0.15)
 
 
 def test_partial_set_failure_lambda40():

@@ -5,6 +5,10 @@ import pytest
 
 from repro.analysis.plotting import ascii_bars, ascii_plot
 from repro.cli import build_parser, main
+from repro.nodes.behaviors import BEHAVIOR_REGISTRY
+
+#: how an unknown-strategy error names the known ones
+KNOWN = "known: " + ", ".join(sorted(BEHAVIOR_REGISTRY))
 
 
 # -- plotting ------------------------------------------------------------------
@@ -158,6 +162,8 @@ def test_cli_run_flagless_is_library_default(tmp_path, capsys):
         (["--rounds", "0"], "argument --rounds: must be >= 1"),
         (["--rounds", "-1"], "argument --rounds: must be >= 1"),
         (["--checkpoint-every", "-1"], "argument --checkpoint-every: must"),
+        (["--leader-strategy", "x"], f"error: unknown leader strategy 'x'; {KNOWN}"),
+        (["--voter-strategy", "x"], f"error: unknown voter strategy 'x'; {KNOWN}"),
     ],
 )
 def test_cli_run_bad_input_exits_naming_it(argv, needle, tmp_path, capsys):

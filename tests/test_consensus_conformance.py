@@ -37,6 +37,7 @@ from repro.analysis.invariants import (
 )
 from repro.backends import backend_names, create_backend
 from repro.core.config import ProtocolParams
+from repro.ledger.checkpoint import capture_checkpoint, restore_checkpoint
 from repro.nodes.adversary import AdversaryConfig
 from repro.scenarios import SCENARIO_PRESETS, AdversaryPolicy
 
@@ -164,6 +165,23 @@ def test_checker_rejects_double_install():
     checker.install(ledger)
     with pytest.raises(ValueError, match="one checker per ledger"):
         checker.install(ledger)
+
+
+def test_a_checker_on_a_restored_ledger_starts_from_its_state():
+    """A fresh checker on a restored, pruned poisson ledger reads its chain
+    head, packed count, queue and spent inputs: the resumed run reports
+    nothing, and a violation seeded after the restore still raises."""
+    ledger = config_cube.Cell(arrival=config_cube.POISSON).build(chain_retention=2)
+    ledger.run(rounds=2)
+    restored = restore_checkpoint(capture_checkpoint(ledger))
+    checker = InvariantChecker()
+    checker.install(restored)
+    restored.run(rounds=2)
+    assert checker.check_final(restored) == [] and restored.chain.pruned_blocks == 2
+    assert restored.mempool.depth > 0, "need a standing queue to corrupt"
+    restored.mempool.queue.pop()
+    with pytest.raises(InvariantViolationError, match="mempool-conservation"):
+        restored.run(rounds=1)
 
 
 def test_utxo_inflation_detected():
