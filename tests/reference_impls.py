@@ -12,7 +12,6 @@ statement of the claim exists.  Nothing under ``src/`` imports this module.
 * :func:`method_apply_block` — spec of ``ledger.state.apply_block``.
 * :func:`tuple_digest_items` — spec of ``ShardState.digest_items``, the sorted tuple.
 * :func:`by_home_shard` — spec of the persistent mempool's ``offered()`` routing.
-* :func:`per_chunk_unicast` — snapshot of ``RivalBackend._chunked_multicast``.
 * :func:`networkx_parallel_subblocks` — snapshot of ``blockgen.parallel_subblocks``.
 * :func:`fermat_inv` — spec of ``PrimeField.inv``.
 * :func:`pow_commit` — spec of ``SchnorrGroup.commit``.
@@ -249,7 +248,10 @@ class NaiveNetwork(Network):
                 callback()
             processed += 1
             if processed > self.params.max_events:
-                raise SimulationError("event budget exceeded")
+                raise SimulationError(
+                    f"event budget exceeded ({self.params.max_events}); "
+                    "likely a message loop"
+                )
         return self.now
 
     @property
@@ -395,17 +397,6 @@ def by_home_shard(batch: "list[TaggedTx]", m: int) -> list[list[TaggedTx]]:
     for tagged in batch:
         routed[tagged.home_shard].append(tagged)
     return routed
-
-
-# -- IDA-style dissemination ---------------------------------------------------
-def per_chunk_unicast(sender, recipients, tag, payload, total_bytes, chunks) -> None:
-    """``chunks`` indexed fragments per recipient, one unicast each."""
-    chunk_bytes = max(1, total_bytes // max(1, chunks))
-    for recipient in recipients:
-        if recipient == sender.node_id:
-            continue
-        for index in range(chunks):
-            sender.send(recipient, tag, (index, payload), size=chunk_bytes)
 
 
 # -- §VIII-B sub-blocks ---------------------------------------------------------

@@ -1,11 +1,17 @@
 """PVSS: Shamir + Feldman + SCRAPE dual-code verification."""
 
+from math import prod
+
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from reference_impls import feldman_check
 
-from repro.crypto.field import FIELD, GROUP
+from repro.crypto.field import FIELD, GROUP, PrimeField
 from repro.crypto.pvss import (
     PVSSDealing,
+    _dual_code_word,
     deal,
     reconstruct,
     scrape_check,
@@ -108,3 +114,40 @@ def test_full_threshold_dealing(rng):
     dealing, secrets = deal(77, n=4, threshold=4, rng=rng)
     assert verify_dealing(dealing, rng)
     assert reconstruct(list(enumerate(secrets.shares, 1)), 4) == 77
+
+
+# -- the closed forms are their product loops ---------------------------------
+FIELDS = (FIELD, PrimeField(101))
+
+
+@given(st.data(), st.integers(2, 64), st.sampled_from(FIELDS), st.integers(0, 2**32))
+def test_dual_code_word_is_the_product_loop(data, n, field, seed):
+    """``(−1)^{n−i}(i−1)!(n−i)!`` is ``∏_{j≠i}(i − j)``, with the same draws."""
+    threshold = data.draw(st.integers(1, n - 1))
+    word = _dual_code_word(n, threshold, np.random.default_rng(seed), field)
+    rng = np.random.default_rng(seed)
+    m = field.random_poly(n - threshold - 1, int(rng.integers(1, 1 << 61)), rng)
+    assert word == [
+        field.poly_eval(m, i) * field.inv(prod(i - j for j in range(1, n + 1) if j != i))
+        % field.p
+        for i in range(1, n + 1)
+    ]
+
+
+_CONSECUTIVE = st.tuples(
+    st.integers(-5, 300) | st.integers(FIELD.p - 70, FIELD.p + 5), st.integers(1, 64)
+).map(lambda start_count: list(range(start_count[0], start_count[0] + start_count[1])))
+
+
+@given(_CONSECUTIVE | st.lists(st.integers(-50, 300), min_size=1, max_size=40, unique=True),
+       st.sampled_from(FIELDS))
+def test_lagrange_coefficients_are_the_product_loop(xs, field):
+    """``L_i(0) = ∏_{j≠i} −x_j / (x_i − x_j)``, for consecutive xs by the
+    closed form."""
+    if len({x % field.p for x in xs}) < len(xs):
+        return  # two points coincide in the field: no interpolation
+    others = [[xj for xj in xs if xj != xi] for xi in xs]
+    assert field.lagrange_coeffs_at_zero(xs) == [
+        prod(-xj for xj in rest) * field.inv(prod(xi - xj for xj in rest)) % field.p
+        for xi, rest in zip(xs, others)
+    ]
