@@ -94,37 +94,39 @@ class PrimeField:
             coeffs.append(((hi << 62) | lo) % self.p)
         return coeffs
 
-    def inverse_factorials(self, n: int) -> list[int]:
-        """``[1/0!, 1/1!, …, 1/(n-1)!]`` with one inversion (needs n <= p)."""
+    def consecutive_weights(self, t: int) -> list[int]:
+        """The weights ``1 / ∏_{j≠i}(x_i − x_j)`` of t consecutive points
+        ``x_i = a + i``: ``(−1)^{t−1−i} / (i!·(t−1−i)!)``, whatever ``a``,
+        from one inversion (needs t <= p)."""
         p = self.p
         fact = 1
-        for k in range(2, n):
+        for k in range(2, t):
             fact = fact * k % p
-        inv = [1] * n
-        if n:
-            inv[-1] = self.inv(fact)
-        for k in range(n - 1, 1, -1):
-            inv[k - 1] = inv[k] * k % p
-        return inv
+        inv_fact = [1] * t  # 1/k!
+        if t:
+            inv_fact[-1] = self.inv(fact)
+        for k in range(t - 1, 1, -1):
+            inv_fact[k - 1] = inv_fact[k] * k % p
+        return [
+            w if (t - 1 - i) % 2 == 0 else -w % p
+            for i, w in enumerate(a * b % p for a, b in zip(inv_fact, reversed(inv_fact)))
+        ]
 
     def lagrange_coeffs_at_zero(self, xs: Sequence[int]) -> list[int]:
         """Lagrange basis coefficients L_i(0) for interpolation at x = 0.
 
         For consecutive xs (a beacon's shares 1..t when none is withheld)
-        ``∏_{j≠i}(x_i − x_j)`` is ``(−1)^{t−1−i}·i!·(t−1−i)!``, and
+        ``1/∏_{j≠i}(x_i − x_j)`` is :meth:`consecutive_weights`, and
         ``∏_{j≠i}(−x_j)`` a prefix times a suffix product: O(t) work and one
         inversion, where the product loop below takes O(t²) and t."""
         p, t = self.p, len(xs)
         if t and list(xs) == list(range(xs[0], xs[0] + t)):
-            inv_fact = self.inverse_factorials(t)
             suffix = [1] * (t + 1)
             for i in range(t - 1, -1, -1):
                 suffix[i] = suffix[i + 1] * -xs[i] % p
             coeffs, prefix = [], 1
-            for i, xi in enumerate(xs):
-                c = prefix * suffix[i + 1] % p * inv_fact[i] % p
-                c = c * inv_fact[t - 1 - i] % p
-                coeffs.append(c if (t - 1 - i) % 2 == 0 else -c % p)
+            for i, (xi, w) in enumerate(zip(xs, self.consecutive_weights(t))):
+                coeffs.append(prefix * suffix[i + 1] % p * w % p)
                 prefix = prefix * -xi % p
             return coeffs
         coeffs = []

@@ -82,20 +82,16 @@ def deal(
 def _dual_code_word(
     n: int, threshold: int, rng: np.random.Generator, field: PrimeField
 ) -> list[int]:
-    """A random word ``c_i = m(i)·λ_i`` of the dual Reed–Solomon code.
-
-    ``λ_i = 1 / ∏_{j≠i}(i − j)`` over the points 1..n, and that product is
-    ``(−1)^{n−i}·(i−1)!·(n−i)!``: one table of inverse factorials gives
-    every ``λ_i``, where the product loop took n² steps."""
+    """A random word ``c_i = m(i)·λ_i`` of the dual Reed–Solomon code,
+    ``λ_i = 1 / ∏_{j≠i}(i − j)`` over the points 1..n
+    (:meth:`PrimeField.consecutive_weights`: O(n), where the product loop
+    took n² steps)."""
     p = field.p
     m_coeffs = field.random_poly(n - threshold - 1, int(rng.integers(1, 1 << 61)), rng)
-    inv_fact = field.inverse_factorials(n)
-    word = []
-    for i in range(1, n + 1):
-        lam = inv_fact[i - 1] * inv_fact[n - i] % p
-        if (n - i) % 2:
-            lam = p - lam
-        word.append(field.poly_eval(m_coeffs, i) * lam % p)
+    word = [
+        field.poly_eval(m_coeffs, i) * lam % p
+        for i, lam in enumerate(field.consecutive_weights(n), 1)
+    ]
     return word
 
 

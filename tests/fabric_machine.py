@@ -20,8 +20,9 @@ next ``script`` action, if any, and fans out again.  A delivery is logged as
 ``(handler | default, recipient, sender, tag, payload, size, channel,
 send_time, deliver_time, now, pending)``, bar ``WARM`` filler.
 
-:class:`FabricMachine` draws the steps as a hypothesis ``RuleBasedStateMachine``
-and drains the fabric at teardown; :func:`play` runs an explicit step list.
+:data:`FabricMachine` draws the steps as a hypothesis ``RuleBasedStateMachine``
+and drains the fabric at teardown (:func:`machine`: one of some kinds only);
+:func:`play` runs an explicit step list.
 """
 
 from __future__ import annotations
@@ -164,7 +165,8 @@ class _Side:
         chunks, total_bytes)``, ``at (time, step | None)`` (a timer that logs
         and applies the step), ``partition (groups)``, ``filter (ids |
         None)``, ``degrade (factor, classes | None)``, ``classify (classes,
-        refused)``, ``online (node, flag)``, ``leave (node)``, ``listen
+        refused)``, ``online (node, flag)``, ``leave (node, reclassify)``
+        (the classifier installed again after, if ``reclassify``), ``listen
         (node)`` (a ``LATE`` handler), ``reset``, ``run (until | None)``,
         ``warm (count)`` (one-byte sends from 1 to 2, then a drain)."""
         kind, *args = step
@@ -208,10 +210,9 @@ class _Side:
         elif kind == "online":
             nodes[args[0]].online = args[1]
         elif kind == "leave":
-            # The registry is part of the topology: the classifier is
-            # installed again, as when a round's topology is.
             net.nodes.pop(args[0], None)
-            net.channel_classifier = net.channel_classifier
+            if args[1]:  # the topology changes with the registry
+                net.channel_classifier = net.channel_classifier
         elif kind == "listen":
             nodes[args[0]].on("LATE", self.handler)
         elif kind == "reset":
@@ -266,7 +267,7 @@ class Fabric:
         self.records = []
 
     def step(self, step):
-        fan, loop, naive = views = [side.step(step) for side in self.sides]
+        fan, loop, naive = [side.step(step) for side in self.sides]
         for other in (loop, naive):
             for key, seen in fan.items():
                 assert seen == other[key], (step, key, seen, other[key])
@@ -326,7 +327,6 @@ STEPS = {
     ),
     "classify": st.tuples(st.just("classify"), _classes, st.none() | _node),
     "online": st.tuples(st.just("online"), _node, st.booleans()),
-    "leave": st.tuples(st.just("leave"), _node),
     "listen": st.tuples(st.just("listen"), _node),
     "reset": st.just(("reset",)),
     "run": st.tuples(st.just("run"), st.none() | _instant),
@@ -338,47 +338,45 @@ _INNER = ("send", "multicast", "online", "listen", "partition", "filter", "degra
 STEPS["at"] = st.tuples(
     st.just("at"), _instant, st.none() | st.one_of([STEPS[kind] for kind in _INNER])
 )
+KINDS = (*STEPS, "leave")  # a drawn leave is StepMachine.leave's
 
 
-class FabricMachine(RuleBasedStateMachine):
-    """One rule per step kind, on a fabric drawn at ``build``; teardown
-    drains it.  ``kinds`` limits the rules (see :func:`run_machine`).
+class StepMachine(RuleBasedStateMachine):
+    """What the rules of :func:`machine` share; teardown drains the fabric.
 
-    Budget: ``TestFabricMachine`` runs 50 examples of up to 25 steps; the
-    kind-limited runs in tests/test_net_simulator.py state their own.
+    Budget: :data:`FabricMachine`, of every kind, runs 50 examples of up to
+    25 steps; the kind-limited runs in tests/test_net_simulator.py state
+    their own.
     """
 
-    kinds = frozenset(STEPS)
+    barred = frozenset()  # kinds a fabric of a small event budget cannot take
+    last = None  # the last multicast step
 
-    @initialize(
-        seed=st.integers(0, 3),
-        jitter=st.sampled_from([0.25, 0.0]),
-        max_events=st.sampled_from([200_000, 200_000, 200_000, 5]),
-        classes=_classes,
-    )
     def build(self, seed, jitter, max_events, classes):
         self.fabric = Fabric(seed, jitter, max_events, classes)
         if max_events < 200_000:
             # The budget counts heap events, and a tallied entry is none.
             # A warm step's thousand sends would stay in flight.
-            self.kinds = self.kinds - {"tally", "script", "warm"}
+            self.barred = frozenset({"tally", "script", "warm"})
 
-    last = None  # the last multicast step
-
-    @precondition(lambda self: self.last is not None)
-    @rule()
     def again(self):
         """The last multicast once more (as a list if it was a generator,
         and the other way round): its route comes up again."""
         self.fabric.step((*self.last[:-1], not self.last[-1]))
 
-    def allowed(self, kind):
-        # The fabric counts a tallied entry to a node that has left the
-        # registry as delivered, and the per-message loop does not: a node
-        # leaves only while no tallied entry is in flight.
-        return kind in self.kinds and (
-            kind != "leave" or all(row[4] != "TALLY" for row in self.fabric.net.in_flight())
+    def leave(self, node):
+        # Two divergences of the fabric from the per-message loop (the
+        # xfail tests in tests/test_net_simulator.py) are kept out of the
+        # drawn runs: a node leaves only while no tallied entry is in
+        # flight, and the classifier is installed again when a sender
+        # remembers a row to it.
+        if any(row[4] == "TALLY" for row in self.fabric.net.in_flight()):
+            return
+        remembered = any(
+            node in row for side in self.fabric.sides[:2]
+            for row in side.net._channel_rows.values()
         )
+        self.fabric.step(("leave", node, remembered))
 
     def teardown(self):
         if hasattr(self, "fabric"):
@@ -392,26 +390,42 @@ def _rule(kind):
             self.last = step
         self.fabric.step(step)
 
+    if kind == "leave":
+        return rule(node=_node)(StepMachine.leave)
     play_step.__name__ = kind
-    return precondition(lambda self: self.allowed(kind))(rule(step=STEPS[kind])(play_step))
+    fired = rule(step=STEPS[kind])(play_step)
+    if kind in ("tally", "script", "warm"):
+        return precondition(lambda self: kind not in self.barred)(fired)
+    return fired
 
 
-for _kind in STEPS:
-    setattr(FabricMachine, _kind, _rule(_kind))
-
-FabricMachine.TestCase.settings = settings(
-    max_examples=50, stateful_step_count=25, deadline=None
-)
+def machine(kinds, budgets=(200_000, 200_000, 200_000, 5)):
+    """A :class:`StepMachine` with the rules of ``kinds`` only, on fabrics
+    of an event budget drawn from ``budgets``."""
+    rules = {kind: _rule(kind) for kind in kinds}
+    rules["build"] = initialize(
+        seed=st.integers(0, 3),
+        jitter=st.sampled_from([0.25, 0.0]),
+        max_events=st.sampled_from(budgets),
+        classes=_classes,
+    )(StepMachine.build)
+    if "multicast" in kinds:
+        rules["again"] = precondition(lambda self: self.last is not None)(
+            rule()(StepMachine.again)
+        )
+    return type("FabricMachine", (StepMachine,), rules)
 
 
 def run_machine(kinds, max_examples, step_count=15):
-    """Run the machine with only the rules of ``kinds``."""
-
-    def machine():
-        limited = FabricMachine()
-        limited.kinds = frozenset(kinds)
-        return limited
-
-    run_state_machine_as_test(machine, settings=settings(
+    """Run the machine of ``kinds``; with tallied fan-outs among them, on
+    fabrics of the full event budget."""
+    budgets = (200_000,) if "tally" in kinds else (200_000, 200_000, 200_000, 5)
+    run_state_machine_as_test(machine(kinds, budgets), settings=settings(
         max_examples=max_examples, stateful_step_count=step_count, deadline=None,
     ))
+
+
+FabricMachine = machine(KINDS)
+FabricMachine.TestCase.settings = settings(
+    max_examples=50, stateful_step_count=25, deadline=None
+)
