@@ -352,11 +352,11 @@ class StepMachine(RuleBasedStateMachine):
     barred = frozenset()  # kinds a fabric of a small event budget cannot take
     last = None  # the last multicast step
 
-    def build(self, seed, jitter, max_events, classes):
+    def build(self, seed, jitter, max_events, classes, final):
         self.fabric = Fabric(seed, jitter, max_events, classes)
+        self.final = final
         if max_events < 200_000:
-            # The budget counts heap events, and a tallied entry is none.
-            # A warm step's thousand sends would stay in flight.
+            # A tallied entry is no heap event; a warm step's sends overrun.
             self.barred = frozenset({"tally", "script", "warm"})
 
     def again(self):
@@ -365,11 +365,8 @@ class StepMachine(RuleBasedStateMachine):
         self.fabric.step((*self.last[:-1], not self.last[-1]))
 
     def leave(self, node):
-        # Two divergences of the fabric from the per-message loop (the
-        # xfail tests in tests/test_net_simulator.py) are kept out of the
-        # drawn runs: a node leaves only while no tallied entry is in
-        # flight, and the classifier is installed again when a sender
-        # remembers a row to it.
+        # Steers round the departure divergences (the xfail cases in
+        # tests/test_net_simulator.py).
         if any(row[4] == "TALLY" for row in self.fabric.net.in_flight()):
             return
         remembered = any(
@@ -380,6 +377,8 @@ class StepMachine(RuleBasedStateMachine):
 
     def teardown(self):
         if hasattr(self, "fabric"):
+            if self.final is not None:
+                self.fabric.step(self.final)
             drained = self.fabric.step(("run", None))
             assert drained["error"] or drained["pending"] == 0
 
@@ -399,15 +398,18 @@ def _rule(kind):
     return fired
 
 
-def machine(kinds, budgets=(200_000, 200_000, 200_000, 5)):
-    """A :class:`StepMachine` with the rules of ``kinds`` only, on fabrics
-    of an event budget drawn from ``budgets``."""
+def machine(kinds, final=None):
+    """A :class:`StepMachine` with the rules of ``kinds`` only; every example
+    ends with one step of kind ``final``, if given, before the drain (a
+    tallied one on a fabric of the full event budget)."""
     rules = {kind: _rule(kind) for kind in kinds}
+    budgets = [200_000] if final == "tally" else [200_000, 200_000, 200_000, 5]
     rules["build"] = initialize(
         seed=st.integers(0, 3),
         jitter=st.sampled_from([0.25, 0.0]),
         max_events=st.sampled_from(budgets),
         classes=_classes,
+        final=st.none() if final is None else STEPS[final],
     )(StepMachine.build)
     if "multicast" in kinds:
         rules["again"] = precondition(lambda self: self.last is not None)(
@@ -416,11 +418,10 @@ def machine(kinds, budgets=(200_000, 200_000, 200_000, 5)):
     return type("FabricMachine", (StepMachine,), rules)
 
 
-def run_machine(kinds, max_examples, step_count=15):
-    """Run the machine of ``kinds``; with tallied fan-outs among them, on
-    fabrics of the full event budget."""
-    budgets = (200_000,) if "tally" in kinds else (200_000, 200_000, 200_000, 5)
-    run_state_machine_as_test(machine(kinds, budgets), settings=settings(
+def run_machine(kinds, final, max_examples, step_count=15):
+    """Run :func:`machine`: at least ``max_examples`` steps of kind ``final``,
+    whichever rules hypothesis switches off in an example."""
+    run_state_machine_as_test(machine(kinds, final), settings=settings(
         max_examples=max_examples, stateful_step_count=step_count, deadline=None,
     ))
 

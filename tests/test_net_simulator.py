@@ -354,24 +354,22 @@ def test_multicast_equivalence_cases_do_what_they_say():
     assert fabric.net._jitter_idx == NODES - 1 - 3
 
 
-# Each kind-limited run makes at least as many fan-outs of its kind as the
-# hand-drawn harness it replaced did.
 def test_multicast_equals_loop_of_sends_property():
-    run_machine({"multicast", "at", *_CONDITIONS}, max_examples=50)
+    run_machine({"multicast", "at", *_CONDITIONS}, "multicast", 90, step_count=6)
 
 
 def test_chunk_fan_out_is_the_per_chunk_unicast_loop():
     """IDA-style dissemination as one recipient-major fan-out leaves what
     one unicast per recipient per chunk, carrying the payload as the fan-out
     does, left."""
-    run_machine({"chunks", *_CONDITIONS}, max_examples=40)
+    run_machine({"chunks", *_CONDITIONS}, "chunks", 70, step_count=6)
 
 
 # A fan-out resolves its recipients into a route once while the classifier
 # is installed; partition, drop_filter and degradation are read per send.
 def test_a_route_is_reused_only_while_it_is_right():
-    run_machine({"multicast", "send", "reset", *_CONDITIONS}, max_examples=40,
-                step_count=25)
+    run_machine({"multicast", "send", "reset", *_CONDITIONS - {"warm"}}, "multicast",
+                100, step_count=24)
 
 
 def test_route_story_cases_do_what_they_say():
@@ -480,7 +478,8 @@ def test_delivered_messages_right_however_run_exits(until, budget, delivered, er
 # and agree on every count inside timers, after each cut at ``until`` and
 # drained.
 def test_tallied_entries_are_delivered_by_position_with_message_by_message_accounting():
-    run_machine({"tally", "script", "multicast", "at", "run"}, max_examples=150)
+    run_machine({"tally", "script", "multicast", "at", "run"}, "tally", 150,
+                step_count=10)
 
 
 def test_a_tallied_fan_out_calls_only_the_handlers_it_arms():
