@@ -33,7 +33,6 @@ from repro.core.config import ProtocolParams
 from repro.core.node import CycNode
 from repro.core.pipeline import OverlapScheduler, PhasePipeline
 from repro.core.reporting import emit_round_report, rss_kb
-from repro.core.reputation import ReputationStore
 from repro.core.sortition import REFEREE_ROLE, crypto_sort, rank_select
 from repro.core.structures import CommitteeSpec, RoundContext
 from repro.crypto.hashing import H
@@ -241,7 +240,9 @@ class CommitteeSimBackend:
             self.shard_states, [self.workload.genesis_tx], self.workload.shard_of
         )
         self.chain = Chain(retention=params.chain_retention)
-        self.reputation = ReputationStore(node.pk for node in self.nodes.values())
+        self.reputation: dict[str, float] = dict.fromkeys(
+            (node.pk for node in self.nodes.values()), 0.0
+        )
         self.rewards: dict[str, float] = {}
         self.round_number = 1
         # Streaming report path (repro.core.reporting.emit_round_report): an

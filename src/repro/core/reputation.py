@@ -27,7 +27,7 @@ work").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -39,99 +39,6 @@ from repro.net.message import payload_size
 #: Extra reputation a leader earns for an honestly completed round (the
 #: paper leaves the magnitude open; this is our reproduction constant).
 LEADER_BONUS = 0.25
-
-
-class ReputationStore:
-    """Array-backed reputation map: one float64 row per node id.
-
-    Implements the read/write surface protocol code uses on the previous
-    plain-dict store (``[]``, ``get``, ``items`` …) so every consumer —
-    selection tie-breaks, block headers, recovery punishment, reward
-    distribution — is unchanged, while the per-round score application
-    and the reward weighting run as single vectorized operations over the
-    value array instead of per-pk dict traffic.  Values are IEEE doubles
-    either way, so every stored float is bit-identical to the dict path's.
-    """
-
-    __slots__ = ("_ids", "_pks", "_values")
-
-    def __init__(self, pks: Iterable[str] = ()) -> None:
-        self._pks: list[str] = list(pks)
-        self._ids: dict[str, int] = {pk: i for i, pk in enumerate(self._pks)}
-        self._values: np.ndarray = np.zeros(len(self._pks))
-
-    # -- mapping surface ---------------------------------------------------
-    def __getitem__(self, pk: str) -> float:
-        return float(self._values[self._ids[pk]])
-
-    def get(self, pk: str, default: float = 0.0) -> float:
-        index = self._ids.get(pk)
-        return default if index is None else float(self._values[index])
-
-    def __setitem__(self, pk: str, value: float) -> None:
-        index = self._ids.get(pk)
-        if index is None:
-            # Growth is rare (populations are fixed per run); amortize it
-            # the simple way rather than over-allocating.
-            self._ids[pk] = len(self._pks)
-            self._pks.append(pk)
-            self._values = np.append(self._values, float(value))
-        else:
-            self._values[index] = value
-
-    def __contains__(self, pk: object) -> bool:
-        return pk in self._ids
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._pks)
-
-    def __len__(self) -> int:
-        return len(self._pks)
-
-    def keys(self) -> list[str]:
-        return list(self._pks)
-
-    def values(self) -> list[float]:
-        return [float(v) for v in self._values]
-
-    def items(self) -> list[tuple[str, float]]:
-        return [(pk, float(v)) for pk, v in zip(self._pks, self._values)]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ReputationStore):
-            return self._pks == other._pks and np.array_equal(
-                self._values, other._values
-            )
-        if isinstance(other, Mapping):
-            return dict(self.items()) == dict(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"ReputationStore({dict(self.items())!r})"
-
-    # -- vectorized operations --------------------------------------------
-    @property
-    def array(self) -> np.ndarray:
-        """The live value row vector, ordered like ``list(self)``."""
-        return self._values
-
-    def add_scores(self, items: Iterable[tuple[str, float]]) -> int:
-        """Apply ``reputation[pk] += score`` for every pair, in one pass.
-
-        Node populations are fixed per run, so every pk is already a row;
-        committees are disjoint, so indices within one round's batch are
-        unique and ``np.add.at`` applies exactly the per-pair additions the
-        dict path performed, in the same order.
-        """
-        ids = self._ids
-        rows = []
-        scores = []
-        for pk, score in items:
-            rows.append(ids[pk])
-            scores.append(score)
-        if rows:
-            np.add.at(self._values, rows, scores)
-        return len(rows)
 
 
 def cosine_scores(matrix: np.ndarray, decision: np.ndarray) -> np.ndarray:
@@ -168,11 +75,7 @@ def distribute_rewards(
     if not reputations:
         return {}
     pks = list(reputations)
-    if isinstance(reputations, ReputationStore):
-        values = reputations.array  # id-indexed rows, ordered like pks
-    else:
-        values = np.array([reputations[pk] for pk in pks])
-    weights = g(values)
+    weights = g(np.fromiter(reputations.values(), float, len(pks)))
     total_weight = float(np.sum(weights))
     if total_weight <= 0.0:
         return {pk: 0.0 for pk in pks}
@@ -246,16 +149,10 @@ def run_reputation_updating(ctx: RoundContext) -> ReputationReport:
     ctx.net.run()
 
     store = ctx.reputation
-    if isinstance(store, ReputationStore):
-        # One vectorized row update per committee (the committees are
-        # disjoint, so batching preserves the per-pair addition order).
-        for k, (score_items, _cert) in received.items():
-            report.updated += store.add_scores(score_items)
-    else:
-        for k, (score_items, _cert) in received.items():
-            for pk, score in score_items:
-                store[pk] = store.get(pk, 0.0) + float(score)
-                report.updated += 1
+    for score_items, _cert in received.values():
+        for pk, score in score_items:
+            store[pk] = store.get(pk, 0.0) + float(score)
+            report.updated += 1
     # Leader bonus for committees that completed their score consensus.
     for k, ok in report.consensus_ok.items():
         if ok:

@@ -2,14 +2,14 @@
 
 A checkpoint captures *everything that survives a round boundary*: the
 chain's retained suffix plus pruning frontier, the global and per-shard
-UTXO sets, the array-backed :class:`~repro.core.reputation.ReputationStore`,
-the persistent :class:`~repro.ledger.workload.TxMempool` queue, the
-workload generator's spendable/spent bookkeeping, the adversary's
-corruption state, scenario driver state, the overlap scheduler's
-timeline frontier, cumulative metrics, the staged next-round roles, and
-every RNG child generator's exact position via ``bit_generator.state``
-(protocol, workload, adversary, network, scenario — the five-way
-fan-out of the :class:`repro.core.backend.CommitteeSimBackend` constructor).
+UTXO sets, the reputation table, the persistent
+:class:`~repro.ledger.workload.TxMempool` queue, the workload generator's
+spendable/spent bookkeeping, the adversary's corruption state, scenario
+driver state, the overlap scheduler's timeline frontier, cumulative
+metrics, the staged next-round roles, and every RNG child generator's
+exact position via ``bit_generator.state`` (protocol, workload, adversary,
+network, scenario — the five-way fan-out of the
+:class:`repro.core.backend.CommitteeSimBackend` constructor).
 
 Round-local state is deliberately *not* captured: node role flags, the
 network's event queue and per-round classifiers/partitions, and per-node
@@ -154,8 +154,8 @@ def capture_checkpoint(ledger: Any) -> dict[str, Any]:
             state.utxos.snapshot() for state in ledger.shard_states
         ],
         "reputation": {
-            "pks": list(ledger.reputation._pks),
-            "values": ledger.reputation._values.copy(),
+            "pks": list(ledger.reputation),
+            "values": list(ledger.reputation.values()),
         },
         "rewards": dict(ledger.rewards),
         "metrics": _capture_metrics(ledger.metrics),
@@ -257,13 +257,14 @@ def restore_checkpoint(
     ):
         shard_state.utxos.restore(snapshot)
 
-    reputation = ledger.reputation
-    if reputation._pks != state["reputation"]["pks"]:
+    pks = state["reputation"]["pks"]
+    if list(ledger.reputation) != pks:
         raise ValueError(
             "checkpoint reputation roster does not match the rebuilt "
             "ledger (seed or backend mismatch?)"
         )
-    reputation._values = np.array(state["reputation"]["values"], dtype=float)
+    # Files written while the table was an array carry a float64 ndarray.
+    ledger.reputation.update(zip(pks, map(float, state["reputation"]["values"])))
 
     ledger.rewards.clear()
     ledger.rewards.update(state["rewards"])

@@ -14,9 +14,8 @@ Three contracts, checked *before* any timing claims:
    pinned too, not only the in-memory rows.
 3. **Vectorized == scalar** — the batched sortition primitives
    (:func:`role_digests`, :func:`rank_select`,
-   :func:`assign_partial_sets`) and the array-backed
-   :class:`ReputationStore` reproduce the scalar/dict reference paths
-   value-for-value, including tie handling and IEEE accumulation order.
+   :func:`assign_partial_sets`) reproduce the scalar reference paths
+   value-for-value, including tie handling.
 """
 
 from __future__ import annotations
@@ -25,14 +24,12 @@ import hashlib
 import json
 import os
 
-import numpy as np
 import pytest
 from config_cube import assert_pinned
 from reference_impls import partial_committee_of, role_hash
 
 from repro.backends import create_backend
 from repro.core.config import ProtocolParams
-from repro.core.reputation import ReputationStore, distribute_rewards
 from repro.core.sortition import (
     PARTIAL_ROLE,
     assign_partial_sets,
@@ -140,45 +137,10 @@ def test_assign_partial_sets_matches_scalar_reimplementation():
     assert assign_partial_sets(pool, 11, RAND, m, lam) == expected
 
 
-def test_reputation_store_mapping_surface():
-    pks = _roster(6)
-    store = ReputationStore(pks)
-    mirror = {pk: 0.0 for pk in pks}
-    assert list(store) == pks and len(store) == 6
-    assert store == mirror  # Mapping-equality bridge
-    store[pks[2]] = 1.5
-    mirror[pks[2]] = 1.5
-    assert store[pks[2]] == 1.5 and store.get("absent", -1.0) == -1.0
-    store["newcomer"] = 0.75  # growth path
-    mirror["newcomer"] = 0.75
-    assert "newcomer" in store and dict(store.items()) == mirror
-    assert store.keys() == list(mirror) and store.values() == list(
-        mirror.values()
-    )
-
-
-def test_reputation_store_add_scores_matches_scalar_accumulation():
-    rng = np.random.default_rng(1234)
-    pks = _roster(128)
-    store = ReputationStore(pks)
-    mirror: dict[str, float] = {pk: 0.0 for pk in pks}
-    for _ in range(5):
-        batch = [
-            (pk, float(score))
-            for pk, score in zip(pks, rng.uniform(-1.0, 1.0, size=len(pks)))
-        ]
-        applied = store.add_scores(batch)
-        assert applied == len(batch)
-        for pk, score in batch:
-            mirror[pk] = mirror[pk] + score
-    # Bit-identical IEEE accumulation, not approximate agreement.
-    assert dict(store.items()) == mirror
-
-
 def test_per_node_memory_bounded_at_n1024():
     """Slimmed per-node state regression bound: building a 1024-node
     deployment must stay within a fixed per-node byte budget (measured
-    ~3.2 KB/node including PKI keys, users and the reputation store;
+    ~3.2 KB/node including PKI keys, users and the reputation table;
     bounded at 8 KB so a reintroduced per-node dict/mailbox — tens of KB
     each — trips this immediately, while interpreter drift does not)."""
     import gc
@@ -205,12 +167,3 @@ def test_per_node_memory_bounded_at_n1024():
     assert not hasattr(node, "__dict__")
     assert node.handlers is None
     assert sys.getsizeof(node) <= 200
-
-
-def test_distribute_rewards_identical_for_store_and_dict():
-    pks = _roster(16)
-    store = ReputationStore(pks)
-    for i, pk in enumerate(pks):
-        store[pk] = (i - 8) / 4.0
-    as_dict = dict(store.items())
-    assert distribute_rewards(13.5, store) == distribute_rewards(13.5, as_dict)

@@ -10,12 +10,7 @@ from repro.analysis.security import (
     committee_failure_kl_bound,
     union_bound,
 )
-from repro.core.reputation import (
-    ReputationStore,
-    cosine_scores,
-    distribute_rewards,
-    g,
-)
+from repro.core.reputation import cosine_scores, distribute_rewards, g
 from repro.crypto.field import FIELD
 from repro.ledger.workload import TxMempool, WorkloadGenerator
 from repro.crypto.hashing import H, canonical_bytes
@@ -256,44 +251,3 @@ def test_mempool_conservation_identity(seed, rounds):
             mempool.total_admitted
             == packed_total + mempool.depth + mempool.total_evicted
         )
-
-
-# -- ReputationStore ≡ plain dict -------------------------------------------------
-
-
-rep_ops = st.lists(
-    st.tuples(
-        st.sampled_from(["set", "add", "get", "add_scores"]),
-        st.integers(min_value=0, max_value=11),  # pk index (8 seeded + growth)
-        st.floats(min_value=-10, max_value=10, allow_nan=False),
-    ),
-    max_size=30,
-)
-
-
-@given(rep_ops)
-@settings(max_examples=100, deadline=None)
-def test_reputation_store_matches_dict_model(ops):
-    """The array-backed store behaves exactly like the plain dict it
-    replaced, under arbitrary set/add/get interleavings including growth
-    past the seeded population."""
-    pks = [f"pk{i}" for i in range(12)]
-    store = ReputationStore(pks[:8])
-    model = {pk: 0.0 for pk in pks[:8]}
-    for op, index, value in ops:
-        pk = pks[index]
-        if op == "set":
-            store[pk] = value
-            model[pk] = value
-        elif op == "add" and pk in model:
-            store[pk] = store[pk] + value
-            model[pk] = model[pk] + value
-        elif op == "get":
-            assert store.get(pk, -1.0) == model.get(pk, -1.0)
-        elif op == "add_scores" and pk in model:
-            store.add_scores([(pk, value)])
-            model[pk] += value
-    assert dict(store.items()) == model
-    assert store.keys() == list(model.keys())
-    assert len(store) == len(model)
-    assert store == model
