@@ -33,12 +33,10 @@ SPEC = ExperimentSpec(
         "users_per_shard": 24,
         "tx_per_committee": 8,
         "cross_shard_ratio": 0.25,
+        "adversary.leader_strategy": "equivocating_leader",
+        "adversary.voter_strategy": "honest",  # isolate the leader effect
     },
-    adversary={
-        "leader_strategy": "equivocating_leader",
-        "voter_strategy": "honest",  # isolate the leader effect
-    },
-    adversary_grid={"fraction": FRACTIONS},
+    grid={"adversary.fraction": FRACTIONS},
 )
 
 

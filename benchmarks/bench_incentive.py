@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from conftest import print_table
-from repro.analysis.incentive import expected_score, leader_punishment, reward_shares
+from repro.analysis.incentive import expected_score
+from repro.core.reputation import distribute_rewards, punished_reputation
 from repro.exp import ExperimentSpec, run_sweep
 
 BASE = {
@@ -35,8 +36,7 @@ def test_reputation_tracks_capacity(benchmark):
             rounds=3,
             seeds=(4,),
             derive_seeds=False,
-            base=BASE,
-            capacity_preset="tiered",
+            base={**BASE, "capacity_preset": "tiered"},
         )
         result = run_sweep(spec).results[0]
         by_tier: dict[int, list[float]] = {2: [], 5: [], 10_000: []}
@@ -66,8 +66,11 @@ def test_reward_ordering(benchmark):
             rounds=3,
             seeds=(5,),
             derive_seeds=False,
-            base=BASE,
-            adversary={"fraction": 0.2, "voter_strategy": "contrary_voter"},
+            base={
+                **BASE,
+                "adversary.fraction": 0.2,
+                "adversary.voter_strategy": "contrary_voter",
+            },
         )
         result = run_sweep(spec).results[0]
         honest, malicious = [], []
@@ -95,9 +98,9 @@ def test_leader_punishment_ablation(benchmark):
 
     def run():
         reputations = {"leader": 20.0, "member": 3.0}
-        before = reward_shares(reputations)
-        reputations["leader"] = leader_punishment(reputations["leader"])
-        after = reward_shares(reputations)
+        before = distribute_rewards(1.0, reputations)
+        reputations["leader"] = punished_reputation(reputations["leader"])
+        after = distribute_rewards(1.0, reputations)
         return before["leader"], after["leader"], reputations["leader"]
 
     before, after, rep_after = benchmark(run)
@@ -127,8 +130,7 @@ def test_reputation_vs_random_leader_selection(benchmark):
             rounds=4,
             seeds=(6, 7, 8),
             derive_seeds=False,
-            base={**BASE, "users_per_shard": 64},
-            capacity_preset="weak_heavy",
+            base={**BASE, "users_per_shard": 64, "capacity_preset": "weak_heavy"},
         )
         outcome = run_sweep(spec, workers=3)
         early_packed, late_packed = [], []

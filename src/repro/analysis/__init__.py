@@ -20,7 +20,7 @@ from repro.analysis.complexity import (
     claimed_exponent,
     table2_rows,
 )
-from repro.analysis.incentive import g, reward_shares, expected_score
+from repro.analysis.incentive import g, expected_score
 from repro.analysis.invariants import (
     INVARIANTS,
     Invariant,
@@ -46,6 +46,5 @@ __all__ = [
     "claimed_exponent",
     "table2_rows",
     "g",
-    "reward_shares",
     "expected_score",
 ]

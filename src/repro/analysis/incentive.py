@@ -2,23 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
 from repro.core.reputation import g  # canonical Eq. 2 implementation
 
-__all__ = ["g", "reward_shares", "expected_score", "leader_punishment"]
-
-
-def reward_shares(reputations: Mapping[str, float]) -> dict[str, float]:
-    """Normalized reward share per node: g(w_i) / Σ g(w_j)."""
-    if not reputations:
-        return {}
-    pks = list(reputations)
-    weights = g(np.array([reputations[pk] for pk in pks]))
-    total = float(np.sum(weights))
-    return {pk: float(w) / total for pk, w in zip(pks, weights)}
+__all__ = ["g", "expected_score"]
 
 
 def expected_score(
@@ -37,8 +25,3 @@ def expected_score(
         return 0.0
     judged = min(max(capacity, 0), total_txs)
     return float(np.sqrt(judged / total_txs) * accuracy)
-
-
-def leader_punishment(reputation: float) -> float:
-    """§VII-B: a faulty leader's reputation drops to its cube root."""
-    return float(np.cbrt(max(reputation, 0.0)))

@@ -188,33 +188,28 @@ def _parse_grid_value(raw: str):
     return raw
 
 
-def _parse_grid_args(grid_args: list[str]) -> tuple[dict, dict]:
-    """Split ``key=v1,v2`` specs into ProtocolParams and AdversaryConfig
-    axes (``adversary.`` prefix selects the latter)."""
+def _parse_grid_args(grid_args: list[str]) -> dict:
+    """``KEY=V1,V2`` specs to sweep axes; ``none`` is the fault-free arm of
+    the ``scenario`` axis (and only there: ``overlap=none`` is a string)."""
     grid: dict[str, tuple] = {}
-    adversary_grid: dict[str, tuple] = {}
     for spec in grid_args:
         key, sep, values = spec.partition("=")
         if not sep or not values:
             raise SystemExit(f"--grid expects key=v1,v2,...  (got {spec!r})")
-        parsed = tuple(_parse_grid_value(v) for v in values.split(","))
-        if key.startswith("adversary."):
-            adversary_grid[key[len("adversary."):]] = parsed
-        else:
-            grid[key] = parsed
-    return grid, adversary_grid
+        grid[key] = tuple(
+            None if key == "scenario" and v == "none" else _parse_grid_value(v)
+            for v in values.split(",")
+        )
+    return grid
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.exp import Runner
+    from repro.exp import run_sweep
 
     try:
         spec = _build_sweep_spec(args)
     except ValueError as error:
         raise SystemExit(f"error: {error}")
-
-    workers = 1 if args.serial else args.workers
-    runner = Runner(spec, workers=workers, cache_dir=args.cache_dir)
 
     def progress(done: int, total: int, result) -> None:
         point = result.point
@@ -228,7 +223,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
 
     try:
-        outcome = runner.run(progress=progress)
+        outcome = run_sweep(
+            spec,
+            workers=1 if args.serial else args.workers,
+            cache_dir=args.cache_dir,
+            progress=progress,
+        )
     except ValueError as error:
         # Per-point construction errors (e.g. an n/m combination with no
         # well-defined committee size) are user input, not crashes.
@@ -245,9 +245,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.csv:
         outcome.write_csv(args.csv)
         print(f"csv     -> {args.csv}")
-    if args.bench_out:
-        outcome.write_bench(args.bench_out)
-        print(f"perf    -> {args.bench_out}")
     return 0
 
 
@@ -257,31 +254,15 @@ def _build_sweep_spec(args: argparse.Namespace):
     if args.smoke:
         spec = smoke_spec()
     else:
-        grid, adversary_grid = _parse_grid_args(args.grid or [])
-        base = {
-            k: v for k, v in _param_fields(args).items() if k not in grid
-        }
-        scenario_grid: tuple = ()
-        if args.scenarios:
-            scenario_grid = tuple(
-                None if s in ("none", "") else s
-                for s in args.scenarios.split(",")
-            )
-        backend_grid: tuple = ()
-        if args.backends:
-            backend_grid = tuple(args.backends.split(","))
+        grid = _parse_grid_args(args.grid or [])
         spec = ExperimentSpec(
             name=args.name,
             rounds=args.rounds,
             seeds=tuple(int(s) for s in args.seeds.split(",")),
-            base=base,
+            base={
+                k: v for k, v in _param_fields(args).items() if k not in grid
+            },
             grid=grid,
-            adversary_grid=adversary_grid,
-            capacity_preset=args.capacity_preset,
-            scenario=args.scenario,
-            scenario_grid=scenario_grid,
-            backend=args.backend,
-            backend_grid=backend_grid,
         )
     # Construct every point's ProtocolParams/AdversaryConfig up front so bad
     # combinations (e.g. n - referee_size not divisible by m, or an
@@ -458,8 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--name", default="cli-sweep")
     sweep.add_argument(
         "--grid", action="append", metavar="KEY=V1,V2",
-        help="sweep axis; repeatable; 'adversary.' prefix for adversary "
-             "fields (e.g. --grid m=2,4 --grid adversary.fraction=0.0,0.2)",
+        help="sweep axis; repeatable; one value fixes the key.  KEY is a "
+             "ProtocolParams field, adversary.FIELD, scenario (a preset, "
+             "'none' = fault-free), backend or capacity_preset (e.g. "
+             "--grid m=2,4 --grid adversary.fraction=0.0,0.2 "
+             "--grid backend=cycledger,rapidchain)",
     )
     sweep.add_argument("--rounds", type=int, default=2)
     sweep.add_argument("--seeds", default="0", help="comma-separated seed axis")
@@ -468,21 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
         n=48, m=2, lam=2, referee_size=6, users_per_shard=16,
         tx_per_committee=6, cross_shard_ratio=0.25, invalid_ratio=0.1,
     )
-    sweep.add_argument("--capacity-preset", default=None,
-                       help="named capacity function (uniform/tiered/weak_heavy)")
-    sweep.add_argument("--scenario", default=None,
-                       help="fault-injection preset applied to every point "
-                            "(see 'repro scenario')")
-    sweep.add_argument("--scenarios", default=None,
-                       help="comma-separated scenario axis; 'none' for the "
-                            "fault-free arm (e.g. none,partition-halves,churn)")
-    sweep.add_argument("--backend", default="cycledger",
-                       help="executable protocol backend for every point "
-                            "(see 'repro backends')")
-    sweep.add_argument("--backends", default=None,
-                       help="comma-separated backend axis for head-to-head "
-                            "protocol comparison (e.g. "
-                            "cycledger,rapidchain,omniledger_sim)")
     sweep.add_argument("--workers", type=int, default=None,
                        help="worker processes (default: cpu count)")
     sweep.add_argument("--serial", action="store_true",
@@ -491,8 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="resume-from-partial-results cache directory")
     sweep.add_argument("--out", default=None, help="aggregated JSON path")
     sweep.add_argument("--csv", default=None, help="flat CSV path")
-    sweep.add_argument("--bench-out", default=None,
-                       help="perf trajectory sidecar (BENCH_sweep.json)")
     sweep.add_argument("--smoke", action="store_true",
                        help="run the canned CI smoke spec (ignores grid args)")
     sweep.set_defaults(func=_cmd_sweep)

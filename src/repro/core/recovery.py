@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.core.consensus import EquivocationWitness, InsideConsensus, quorum
+from repro.core.reputation import punished_reputation
 from repro.core.structures import (
     CommitteeSpec,
     RecoveryEvent,
@@ -338,12 +339,7 @@ def _install_new_leader(
 
 
 def punish_leader(ctx: RoundContext, leader_id: int) -> None:
-    """§VII-B: "his/her reputation will be decreased to the cube root."
-
-    Defined for non-negative reputations (the paper argues leaders have
-    reputation > 0); a negative reputation is clamped at 0 first, which only
-    strengthens the punishment.
-    """
+    """§VII-B: the faulty leader's reputation drops to its cube root
+    (:func:`~repro.core.reputation.punished_reputation`)."""
     pk = ctx.pk_of(leader_id)
-    current = max(ctx.reputation.get(pk, 0.0), 0.0)
-    ctx.reputation[pk] = float(np.cbrt(current))
+    ctx.reputation[pk] = punished_reputation(ctx.reputation.get(pk, 0.0))

@@ -83,6 +83,17 @@ def distribute_rewards(
     return {pk: float(w) * share for pk, w in zip(pks, weights)}
 
 
+def punished_reputation(reputation: float) -> float:
+    """§VII-B: a faulty leader's "reputation will be decreased to the cube
+    root".
+
+    Defined for non-negative reputations (the paper argues leaders have
+    reputation > 0); a negative reputation is clamped at 0 first, which only
+    strengthens the punishment.
+    """
+    return float(np.cbrt(max(reputation, 0.0)))
+
+
 @dataclass
 class ReputationReport:
     scores: dict[int, dict[str, float]] = field(default_factory=dict)

@@ -1,24 +1,23 @@
 """Parallel experiment engine.
 
-Declarative parameter sweeps over CycLedger deployments: an
-:class:`ExperimentSpec` (ProtocolParams grid × AdversaryConfig grid ×
-seeds), a process-pool :class:`Runner` with deterministic per-point seed
-derivation and resume-from-cache, and typed :class:`SweepResult` records
-with canonical JSON/CSV serialization.
+Declarative parameter sweeps over deployments: an :class:`ExperimentSpec`
+(``base`` keys, a product ``grid`` of axes over the same keys —
+ProtocolParams fields, ``adversary.<field>``, ``scenario``, ``backend``,
+``capacity_preset`` — and seeds), :func:`run_sweep` over a process pool
+with deterministic per-point seed derivation and resume-from-cache, and
+typed :class:`SweepResult` records with canonical JSON/CSV serialization.
 
     from repro.exp import ExperimentSpec, run_sweep
 
     spec = ExperimentSpec(
         name="shards-vs-adversary",
         base={"n": 48, "lam": 2, "referee_size": 6},
-        grid={"m": (2, 3)},
-        adversary_grid={"fraction": (0.0, 0.2)},
+        grid={"m": (2, 3), "adversary.fraction": (0.0, 0.2)},
         seeds=(0, 1),
         rounds=3,
     )
     outcome = run_sweep(spec, workers=4, cache_dir=".sweep-cache")
     outcome.write_json("results.json")   # byte-identical serial or parallel
-    outcome.write_bench("BENCH_sweep.json")
 """
 
 from repro.exp.presets import (
@@ -31,14 +30,12 @@ from repro.exp.presets import (
     table1_cells,
 )
 from repro.exp.results import SweepResult
-from repro.exp.runner import PointTiming, Runner, SweepOutcome, run_point, run_sweep
+from repro.exp.runner import SweepOutcome, run_point, run_sweep
 from repro.exp.spec import ExperimentSpec, SweepPoint, derive_point_seed
 
 __all__ = [
     "CAPACITY_PRESETS",
     "ExperimentSpec",
-    "PointTiming",
-    "Runner",
     "SweepOutcome",
     "SweepPoint",
     "SweepResult",

@@ -2,7 +2,7 @@
 
 Capacity functions cannot travel through a JSON spec (workers re-resolve
 them by name), so heterogeneous-capacity experiments register a preset
-here and reference it via ``ExperimentSpec.capacity_preset``.
+here and name it with the sweep key ``capacity_preset``.
 """
 
 from __future__ import annotations
@@ -69,8 +69,10 @@ def policy_compare_spec() -> ExperimentSpec:
             "tx_per_committee": 6,
             "cross_shard_ratio": 0.3,
         },
-        scenario_grid=(None, "adaptive-corruption"),
-        backend_grid=("cycledger", "rapidchain", "omniledger_sim"),
+        grid={
+            "scenario": (None, "adaptive-corruption"),
+            "backend": ("cycledger", "rapidchain", "omniledger_sim"),
+        },
     )
 
 
@@ -85,7 +87,7 @@ def policies_artifact(outcome, seed: int | None = None) -> dict:
     spec, policy = outcome.spec, "adaptive-corruption"
     seed = spec.seeds[0] if seed is None else seed
     arms = {}
-    for backend in spec.backend_grid:
+    for backend in spec.grid["backend"]:
         plain = outcome.one(backend=backend, scenario=None, seed=seed)
         attacked = outcome.one(backend=backend, scenario=policy, seed=seed)
         # Seed-paired: both arms of one backend run the same protocol seed.
@@ -266,6 +268,5 @@ def smoke_spec() -> ExperimentSpec:
             "cross_shard_ratio": 0.25,
             "invalid_ratio": 0.1,
         },
-        grid={"m": (2, 3)},
-        adversary_grid={"fraction": (0.0, 0.2)},
+        grid={"m": (2, 3), "adversary.fraction": (0.0, 0.2)},
     )

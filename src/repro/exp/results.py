@@ -8,10 +8,11 @@ type, so records cross process boundaries as strings, cache cleanly on
 disk, and aggregate into byte-identical files regardless of execution
 order or worker count.
 
-Wall-clock timings deliberately live *outside* the result (see
-``runner.PointTiming``): two runs of the same spec must produce identical
-``results.json`` bytes whether they ran serially, on eight workers, or
-half-from-cache.  Perf numbers go to the ``BENCH_sweep.json`` sidecar.
+Wall-clock time deliberately stays *outside* the result (a sweep reports
+only its total, ``SweepOutcome.wall_time``): two runs of the same spec must
+produce identical ``results.json`` bytes whether they ran serially, on
+eight workers, or half-from-cache.  Wall-clock performance is perfbench's
+to measure (docs/perf.md).
 """
 
 from __future__ import annotations
@@ -341,5 +342,5 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
 
 
 def atomic_write_json(path: str, obj: Any) -> None:
-    """Crash-safe, key-sorted, human-readable JSON write (sidecars)."""
+    """Crash-safe, key-sorted, human-readable JSON write."""
     atomic_write_bytes(path, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode())

@@ -1,11 +1,12 @@
 """Declarative experiment specifications.
 
 Sharded-consensus evaluation is a parameter-sweep workload: shard count ×
-adversary fraction × failure rate × seed.  An :class:`ExperimentSpec`
-describes such a sweep declaratively — a base :class:`ProtocolParams`
-override dict, a product grid of parameter axes, a product grid of
-:class:`AdversaryConfig` axes and a seed list — and expands it into concrete
-:class:`SweepPoint`\\ s.  (Table II is not a sweep: it reads
+adversary fraction × fault timeline × protocol × seed.  An
+:class:`ExperimentSpec` describes such a sweep declaratively — a ``base``
+dict of fixed keys, a ``grid`` of product axes over the same key set
+(:class:`ProtocolParams` fields, ``adversary.<field>``, ``scenario``,
+``backend``, ``capacity_preset``) and a seed list — and expands it into
+concrete :class:`SweepPoint`\\ s.  (Table II is not a sweep: it reads
 :func:`repro.exp.role_cells` on the scale curve's shape, see
 ``benchmarks/bench_table2_complexity.py``.)
 
@@ -33,15 +34,15 @@ from repro.core.config import ProtocolParams
 from repro.nodes.adversary import AdversaryConfig
 
 #: ProtocolParams fields a sweep may override.  ``net`` is a nested
-#: dataclass; sweeps over network parameters go through ``net.<field>``
-#: style keys in ``base``/``grid`` are not supported yet (YAGNI until a
-#: latency sweep needs it).
+#: dataclass; ``net.<field>`` keys in ``base``/``grid`` are not supported
+#: yet (YAGNI until a latency sweep needs it).
 PARAM_FIELDS = frozenset(
     f.name for f in dataclasses.fields(ProtocolParams) if f.name != "net"
 )
 
-#: AdversaryConfig fields a sweep may override.
+#: AdversaryConfig fields a sweep may override, as ``adversary.<field>`` keys.
 ADVERSARY_FIELDS = frozenset(f.name for f in dataclasses.fields(AdversaryConfig))
+_ADVERSARY_PREFIX = "adversary."
 
 
 def _jsonable(value: Any) -> Any:
@@ -156,35 +157,67 @@ def derive_point_seed(
     return int.from_bytes(digest[:8], "big") & 0x7FFFFFFF
 
 
+def _check_value(key: str, value: Any) -> None:
+    """Raise ``ValueError`` unless ``value`` may stand at sweep key ``key``."""
+    if key == "seed":
+        raise ValueError("sweep seeds via the 'seeds' axis, not the grid")
+    if key in PARAM_FIELDS:
+        return  # ProtocolParams itself judges the value, per point
+    if key.startswith(_ADVERSARY_PREFIX):
+        name = key[len(_ADVERSARY_PREFIX):]
+        if name not in ADVERSARY_FIELDS:
+            raise ValueError(f"unknown AdversaryConfig field {name!r}")
+        return
+    if key == "scenario":
+        from repro.scenarios import SCENARIO_PRESETS as known
+
+        what = "scenario preset"
+    elif key == "capacity_preset":
+        from repro.exp.presets import CAPACITY_PRESETS as known
+
+        what = "capacity preset"
+    elif key == "backend":
+        from repro.backends import BACKEND_REGISTRY as known
+
+        what = "backend"
+    else:
+        raise ValueError(f"unknown ProtocolParams field {key!r}")
+    if value is None and key != "backend":
+        return  # fault-free / every node at the backend's capacity
+    if value not in known:
+        raise ValueError(
+            f"unknown {what} {value!r} (known: {', '.join(sorted(known))})"
+        )
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A declarative sweep over CycLedger deployments.
+    """A declarative sweep over deployments: ``base`` fixes keys, ``grid``
+    makes product axes of them, ``seeds`` is the innermost axis.
 
-    ``grid`` and ``adversary_grid`` are product axes.  With
-    ``derive_seeds=False`` the spec-level seed is used verbatim as
-    ``ProtocolParams.seed`` (the historical benchmark behaviour); with the
-    default ``True`` each point gets a content-derived seed.
+    ``base`` and ``grid`` take one key set:
 
-    ``scenario`` names one fault-timeline preset
-    (:data:`repro.scenarios.SCENARIO_PRESETS` — scheduled faults and
-    adaptive adversary policies alike) applied to every point;
-    ``scenario_grid`` is a product axis of preset names (``None`` entries
-    mean fault-free) for comparing behaviour across fault timelines.
+    * a :class:`ProtocolParams` field (``m``, ``overlap``, ...; ``seed``
+      goes through ``seeds``);
+    * ``adversary.<field>``, an :class:`AdversaryConfig` field (a point
+      with none runs honest);
+    * ``scenario``, a :data:`repro.scenarios.SCENARIO_PRESETS` name
+      (scheduled faults and adaptive adversary policies alike; ``None``,
+      the default, is fault-free);
+    * ``backend``, a :data:`repro.backends.BACKEND_REGISTRY` name (default
+      ``cycledger``);
+    * ``capacity_preset``, a :data:`repro.exp.presets.CAPACITY_PRESETS`
+      name (default ``None``: every node at the backend's capacity).
 
-    ``backend`` names the executable protocol every point runs on
-    (:data:`repro.backends.BACKEND_REGISTRY`); ``backend_grid`` is a
-    product axis of backend names for head-to-head protocol comparisons.
-    Unknown names fail here, at spec-validation time — never inside a
-    worker.
-
-    The round-overlap engine's knobs are ordinary ``ProtocolParams``
-    fields, so they sweep through ``base``/``grid`` like any other axis:
-    ``grid={"overlap": ("none", "semicommit")}`` is the paired
-    sequential-vs-pipelined latency comparison (both arms share seeds and
-    streams and finish in byte-identical ledger state — only the reported
-    timeline differs), and ``base={"arrival_process": "poisson",
-    "arrival_rate": 60.0}`` switches every point to the persistent
-    mempool's rate-process feed.
+    ``grid={"scenario": (None, "churn"), "backend": ("cycledger",
+    "rapidchain")}`` is a seed-paired fault and protocol comparison;
+    ``grid={"overlap": ("none", "semicommit")}`` the sequential-vs-pipelined
+    latency one (both arms finish in byte-identical ledger state).  Unknown
+    keys or names, an empty axis, an axis or seed list that repeats a value
+    and a key in both ``base`` and ``grid`` fail here, naming the key, never
+    inside a worker.  With ``derive_seeds=False`` the spec-level seed is
+    ``ProtocolParams.seed`` verbatim; by default each point gets a
+    content-derived seed (:func:`derive_point_seed`).
     """
 
     name: str
@@ -192,13 +225,6 @@ class ExperimentSpec:
     seeds: Sequence[int] = (0,)
     base: Mapping[str, Any] = field(default_factory=dict)
     grid: Mapping[str, Sequence[Any]] = field(default_factory=dict)
-    adversary: Mapping[str, Any] = field(default_factory=dict)
-    adversary_grid: Mapping[str, Sequence[Any]] = field(default_factory=dict)
-    capacity_preset: str | None = None
-    scenario: str | None = None
-    scenario_grid: Sequence[str | None] = ()
-    backend: str = "cycledger"
-    backend_grid: Sequence[str] = ()
     derive_seeds: bool = True
 
     def __post_init__(self) -> None:
@@ -206,42 +232,19 @@ class ExperimentSpec:
             raise ValueError("rounds must be positive")
         if not self.seeds:
             raise ValueError("at least one seed is required")
-        for key in (*self.base, *self.grid):
-            if key not in PARAM_FIELDS:
-                raise ValueError(f"unknown ProtocolParams field {key!r}")
-        if "seed" in self.base or "seed" in self.grid:
-            raise ValueError("sweep seeds via the 'seeds' axis, not the grid")
-        for key in (*self.adversary, *self.adversary_grid):
-            if key not in ADVERSARY_FIELDS:
-                raise ValueError(f"unknown AdversaryConfig field {key!r}")
-        if self.capacity_preset is not None:
-            from repro.exp.presets import CAPACITY_PRESETS
-
-            if self.capacity_preset not in CAPACITY_PRESETS:
-                raise ValueError(
-                    f"unknown capacity preset {self.capacity_preset!r}"
-                )
-        if self.scenario is not None and self.scenario_grid:
-            raise ValueError("give scenario or scenario_grid, not both")
-        named_scenarios = [
-            s for s in (*self.scenario_grid, self.scenario) if s is not None
-        ]
-        if named_scenarios:
-            from repro.scenarios import SCENARIO_PRESETS
-
-            for name in named_scenarios:
-                if name not in SCENARIO_PRESETS:
-                    raise ValueError(f"unknown scenario preset {name!r}")
-        if self.backend != "cycledger" and self.backend_grid:
-            raise ValueError("give backend or backend_grid, not both")
-        from repro.backends import BACKEND_REGISTRY
-
-        for name in (*self.backend_grid, self.backend):
-            if name not in BACKEND_REGISTRY:
-                known = ", ".join(sorted(BACKEND_REGISTRY))
-                raise ValueError(
-                    f"unknown backend {name!r} (known: {known})"
-                )
+        if len({int(s) for s in self.seeds}) != len(self.seeds):
+            raise ValueError("the 'seeds' axis repeats a value")
+        for key, value in self.base.items():
+            _check_value(key, value)
+        for key, values in self.grid.items():
+            if key in self.base:
+                raise ValueError(f"{key!r} is in both base and grid")
+            if isinstance(values, str) or not values:
+                raise ValueError(f"grid axis {key!r} needs a non-empty list")
+            if len({canonical_json(v) for v in values}) != len(values):
+                raise ValueError(f"grid axis {key!r} repeats a value")
+            for value in values:
+                _check_value(key, value)
 
     # -- identity ----------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
@@ -252,15 +255,6 @@ class ExperimentSpec:
             "seeds": _jsonable(list(self.seeds)),
             "base": _jsonable(dict(self.base)),
             "grid": _jsonable({k: list(v) for k, v in self.grid.items()}),
-            "adversary": _jsonable(dict(self.adversary)),
-            "adversary_grid": _jsonable(
-                {k: list(v) for k, v in self.adversary_grid.items()}
-            ),
-            "capacity_preset": self.capacity_preset,
-            "scenario": self.scenario,
-            "scenario_grid": _jsonable(list(self.scenario_grid)),
-            "backend": self.backend,
-            "backend_grid": _jsonable(list(self.backend_grid)),
             "derive_seeds": self.derive_seeds,
         }
 
@@ -279,54 +273,39 @@ class ExperimentSpec:
 
     # -- expansion ---------------------------------------------------------
     def expand(self) -> list[SweepPoint]:
-        """Enumerate every concrete sweep point, in deterministic order."""
-        param_axes = sorted(self.grid.items())
-        adv_axes = sorted(self.adversary_grid.items())
-        param_combos = [
-            dict(zip([k for k, _ in param_axes], values))
-            for values in product(*(vs for _, vs in param_axes))
-        ]
-        adv_combos = [
-            dict(zip([k for k, _ in adv_axes], values))
-            for values in product(*(vs for _, vs in adv_axes))
-        ]
-        scenarios = list(self.scenario_grid) or [self.scenario]
-        backends = list(self.backend_grid) or [self.backend]
+        """Enumerate every concrete sweep point, in deterministic order:
+        the product of the grid axes sorted by key, seeds innermost."""
+        names, axes = zip(*sorted(self.grid.items())) if self.grid else ((), ())
         out: list[SweepPoint] = []
-        for combo in param_combos:
-            params = {**self.base, **combo}
-            for adv_combo in adv_combos:
-                adversary: dict[str, Any] | None = {
-                    **self.adversary,
-                    **adv_combo,
-                }
-                if not adversary:
-                    adversary = None
-                for scenario in scenarios:
-                    for backend in backends:
-                        for seed in self.seeds:
-                            derived = (
-                                derive_point_seed(
-                                    _jsonable(params),
-                                    None
-                                    if adversary is None
-                                    else _jsonable(adversary),
-                                    int(seed),
-                                    self.rounds,
-                                )
-                                if self.derive_seeds
-                                else int(seed)
-                            )
-                            out.append(
-                                SweepPoint(
-                                    params=params,
-                                    adversary=adversary,
-                                    seed=int(seed),
-                                    rounds=self.rounds,
-                                    capacity_preset=self.capacity_preset,
-                                    scenario=scenario,
-                                    backend=backend,
-                                    derived_seed=derived,
-                                )
-                            )
+        for combo in product(*axes):
+            setting = {**self.base, **dict(zip(names, combo))}
+            params = {k: v for k, v in setting.items() if k in PARAM_FIELDS}
+            adversary = {
+                k[len(_ADVERSARY_PREFIX):]: v
+                for k, v in setting.items()
+                if k.startswith(_ADVERSARY_PREFIX)
+            } or None
+            for seed in map(int, self.seeds):
+                derived = (
+                    derive_point_seed(
+                        _jsonable(params),
+                        None if adversary is None else _jsonable(adversary),
+                        seed,
+                        self.rounds,
+                    )
+                    if self.derive_seeds
+                    else seed
+                )
+                out.append(
+                    SweepPoint(
+                        params=params,
+                        adversary=adversary,
+                        seed=seed,
+                        rounds=self.rounds,
+                        capacity_preset=setting.get("capacity_preset"),
+                        scenario=setting.get("scenario"),
+                        backend=setting.get("backend", "cycledger"),
+                        derived_seed=derived,
+                    )
+                )
         return out

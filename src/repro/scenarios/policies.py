@@ -24,7 +24,8 @@ Four policies ship:
 Policies are frozen dataclasses over an inclusive round window and are
 events like any other: they sit in a scenario's ``events``, serialise
 through the one event codec, and ship as single-event presets, so a
-seed-paired ``scenario_grid`` sweep compares a policy-bearing arm with the
+seed-paired sweep over the ``scenario`` key (``grid={"scenario": (None,
+"adaptive-corruption")}``) compares a policy-bearing arm with the
 policy-free one.
 
 Determinism: policies compute targets from published round state with

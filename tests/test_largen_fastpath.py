@@ -36,7 +36,7 @@ from repro.core.sortition import (
     rank_select,
     role_digests,
 )
-from repro.exp import ExperimentSpec, Runner
+from repro.exp import ExperimentSpec, run_sweep
 from repro.exp.results import write_csv
 from repro.exp.spec import canonical_json
 
@@ -75,11 +75,11 @@ def test_sweep_artifacts_byte_identical(fixtures, tmp_path):
             "n": 96, "m": 4, "lam": 2, "referee_size": 8,
             "users_per_shard": 24, "tx_per_committee": 6,
             "cross_shard_ratio": 0.3, "invalid_ratio": 0.1,
+            "adversary.fraction": 0.2,
         },
-        adversary={"fraction": 0.2},
-        backend_grid=("cycledger", "rapidchain", "omniledger_sim"),
+        grid={"backend": ("cycledger", "rapidchain", "omniledger_sim")},
     )
-    outcome = Runner(spec, workers=1).run()
+    outcome = run_sweep(spec, workers=1)
     payload = json.loads(outcome.json_bytes())
     payload.pop("spec_hash", None)  # the only version-bearing field
     stripped = (canonical_json(payload) + "\n").encode("utf-8")

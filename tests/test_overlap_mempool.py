@@ -33,7 +33,7 @@ from repro.core.pipeline import (
     Phase,
 )
 from repro.core.protocol import CycLedger
-from repro.exp import ExperimentSpec, Runner, overlap_compare_spec
+from repro.exp import ExperimentSpec, overlap_compare_spec, run_sweep
 from repro.exp.results import write_csv
 from repro.ledger.workload import TxMempool, WorkloadGenerator
 
@@ -175,7 +175,7 @@ def test_semicommit_identical_state_lower_latency():
 
 
 def test_overlap_compare_preset_meets_gain_target():
-    outcome = Runner(overlap_compare_spec(), workers=1).run()
+    outcome = run_sweep(overlap_compare_spec(), workers=1)
     by_mode = {
         result.point["params"]["overlap"]: result
         for result in outcome.results
@@ -457,8 +457,8 @@ def test_poisson_run_stable_across_hash_seeds():
 
 
 def test_mempool_sweep_serial_parallel_byte_identical(tmp_path):
-    serial = Runner(POISSON_SWEEP, workers=1).run()
-    parallel = Runner(POISSON_SWEEP, workers=2).run()
+    serial = run_sweep(POISSON_SWEEP, workers=1)
+    parallel = run_sweep(POISSON_SWEEP, workers=2)
     assert serial.json_bytes() == parallel.json_bytes()
     # The overlap arms of one seed share the ledger state, and semicommit
     # finishes sooner.

@@ -86,7 +86,7 @@ def test_policy_axis_pairs_seeds_but_splits_keys():
         rounds=2,
         seeds=(0,),
         base=dict(SMALL),
-        scenario_grid=(None, "adaptive-corruption"),
+        grid={"scenario": (None, "adaptive-corruption")},
     )
     points = spec.expand()
     assert [p.scenario for p in points] == [None, "adaptive-corruption"]

@@ -26,7 +26,7 @@ import os
 
 from repro.backends import create_backend
 from repro.core.config import ProtocolParams
-from repro.exp import ExperimentSpec, Runner
+from repro.exp import ExperimentSpec, run_sweep
 from repro.exp.results import round_row, write_csv
 from repro.exp.spec import canonical_json
 from repro.nodes.adversary import AdversaryConfig
@@ -85,14 +85,14 @@ SWEEP = ExperimentSpec(
         "n": 96, "m": 4, "lam": 2, "referee_size": 8,
         "users_per_shard": 24, "tx_per_committee": 6,
         "cross_shard_ratio": 0.3, "invalid_ratio": 0.1,
+        "adversary.fraction": 0.2,
     },
-    adversary={"fraction": 0.2},
-    backend_grid=("cycledger", "rapidchain", "omniledger_sim"),
+    grid={"backend": ("cycledger", "rapidchain", "omniledger_sim")},
 )
 
 
 def sweep_digests(tmp_csv: str) -> dict[str, str]:
-    outcome = Runner(SWEEP, workers=1).run()
+    outcome = run_sweep(SWEEP, workers=1)
     payload = json.loads(outcome.json_bytes())
     payload.pop("spec_hash", None)  # mixes the package version
     stripped = (canonical_json(payload) + "\n").encode("utf-8")
