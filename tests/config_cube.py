@@ -7,6 +7,11 @@ not change what it decides (§III-E's overlap, chain pruning, a bounded
 report list streamed to JSONL, a trace sink, a checkpoint split), under the
 ``InvariantChecker`` catalogue, and holds it to :func:`reference`, the
 cell's uninterrupted run, memoised per process.
+
+The pinned runs live in ``tests/fixtures/pinned_runs.json``, each entry its
+inputs beside its outputs: :func:`pinned` rebuilds an entry from its inputs
+and :func:`assert_pinned` holds it to the file, value by value.
+``tools/pin.py`` writes the file and checks it with the same functions.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import hashlib
 import io
 import json
 import os
@@ -26,16 +32,20 @@ from repro.analysis.invariants import InvariantChecker
 from repro.backends import create_backend
 from repro.core.config import ProtocolParams
 from repro.core.trace import TraceSink
+from repro.exp import ExperimentSpec, run_sweep
 from repro.exp.results import JsonlReportWriter, collect_result, round_row
 from repro.exp.spec import canonical_json
 from repro.ledger.checkpoint import capture_checkpoint, load_checkpoint
 from repro.ledger.checkpoint import restore_checkpoint, save_checkpoint
 from repro.nodes.adversary import AdversaryConfig
-from repro.scenarios import SCENARIO_PRESETS
+from repro.scenarios import SCENARIO_PRESETS, Scenario
 
 SMALL = dict(n=24, m=2, lam=2, referee_size=6, users_per_shard=12, tx_per_committee=4)
 POISSON = (("arrival_process", "poisson"), ("arrival_rate", 14.0), ("mempool_max_age", 2))
 TIMELINE = ("timeline_start", "timeline_end")  # the columns only overlap may move
+#: Every pinned run and the pinned sweep: ``tools/pin.py`` writes and checks it.
+PINNED = os.path.join(os.path.dirname(__file__), "fixtures", "pinned_runs.json")
+PINNED_INPUTS = ("backend", "params", "adversary", "scenario", "rounds")
 
 
 @dataclass(frozen=True)
@@ -179,23 +189,87 @@ def assert_prefix(cell: Cell) -> None:
     assert reference(cell).rows[:before] == (reference(plain).rows if before else ())
 
 
-def assert_pinned(fx: dict) -> View:
-    """A pinned run: each row's pinned columns and phase times, and the final
-    chain and reputation, are the fixture's."""
-    shape, adversary = dict(fx["params"]), fx["adversary"] or {"fraction": 0.0}
-    assert SMALL.keys() <= shape.keys()  # the fixture's params alone decide the run
-    got = reference(Cell(
-        fx["backend"], fraction=adversary["fraction"], seed=shape.pop("seed"),
-        rounds=fx["rounds"], shape=tuple(sorted(shape.items())),
-    ))
-    rows = [json.loads(row) for row in got.rows]
-    pinned = [{key: row[key] for key in want} for row, want in zip(rows, fx["rows"])]
-    assert len(rows) == len(fx["rows"])
-    assert canonical_json(pinned) == canonical_json(fx["rows"])
-    assert [row["phase_sim_times"] for row in rows] == fx["phase_sim_times"]
-    final, chain = fx["final"], json.loads(got.record)["chain"]
-    assert (chain["head"], chain["length"], chain["total_transactions"]) == (
-        final["chain_head"], final["chain_length"], final["total_packed"]
+def load_pinned(path: str = PINNED) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@functools.cache
+def _outputs(inputs: str) -> str:
+    entry = json.loads(inputs)
+    if "spec" in entry:  # the sweep: its JSON (bar the version-mixed hash) and CSV
+        outcome = run_sweep(ExperimentSpec(**entry["spec"]), workers=1)
+        payload = json.loads(outcome.json_bytes())
+        del payload["spec_hash"]
+        with tempfile.TemporaryDirectory() as tmp:
+            outcome.write_csv(os.path.join(tmp, "sweep.csv"))
+            with open(os.path.join(tmp, "sweep.csv"), "rb") as fh:
+                csv = fh.read()
+        artifact = (canonical_json(payload) + "\n").encode()
+        return canonical_json({
+            "json_sha256_no_spec_hash": hashlib.sha256(artifact).hexdigest(),
+            "csv_sha256": hashlib.sha256(csv).hexdigest(),
+        })
+    adversary, scenario = entry["adversary"], entry["scenario"]
+    ledger = create_backend(
+        entry["backend"],
+        ProtocolParams(**entry["params"]),
+        adversary=AdversaryConfig(**adversary) if adversary else None,
+        scenario=Scenario.from_dict(scenario) if scenario else None,
     )
-    assert dict(sorted(got.reputation)) == final["reputation"]
+    reports = ledger.run(entry["rounds"])
+    return canonical_json({
+        "rows": [round_row(r) for r in reports],
+        "log": ledger.scenario_driver.log if ledger.scenario_driver else [],
+        "final": {
+            "chain_head": ledger.chain.head.hash.hex(),
+            "chain_length": len(ledger.chain),
+            "total_packed": ledger.total_packed(),
+            "reputation": ledger.reputation,
+        },
+    })
+
+
+def pinned(entry: dict) -> dict:
+    """``entry``'s inputs beside what they give now, memoised per process
+    on the inputs: a run's rows (``round_row``), driver log and final chain
+    and reputation, or the sweep's two artifact digests."""
+    keys = ("spec",) if "spec" in entry else PINNED_INPUTS
+    inputs = {key: entry[key] for key in keys}
+    return {**inputs, **json.loads(_outputs(canonical_json(inputs)))}
+
+
+def repin(fixture: dict) -> dict:
+    """Every entry of ``fixture`` rebuilt from its inputs."""
+    runs = {name: pinned(entry) for name, entry in fixture["runs"].items()}
+    return {"runs": runs, "sweep": pinned(fixture["sweep"])}
+
+
+def first_difference(want: Any, got: Any, path: str) -> str | None:
+    """The first path at which ``got`` is not the pinned ``want``, as
+    ``path: got != want``, or ``None``."""
+    if isinstance(want, list) and isinstance(got, list):
+        if len(want) != len(got):
+            return f"{path}: {len(got)} items != {len(want)}"
+        pairs = [(f"{path}[{i}]", w, g) for i, (w, g) in enumerate(zip(want, got))]
+    elif isinstance(want, dict) and isinstance(got, dict):
+        odd = sorted(want.keys() ^ got.keys())
+        if odd:
+            where = "pinned, but not produced" if odd[0] in want else "produced, but not pinned"
+            return f"{path}.{odd[0]}".lstrip(".") + f": {where}"
+        pairs = [(f"{path}.{k}".lstrip("."), want[k], got[k]) for k in sorted(want)]
+    else:
+        same = type(want) is type(got) and want == got
+        return None if same else f"{path}: {got!r} != {want!r}"
+    return next(filter(None, (first_difference(w, g, at) for at, w, g in pairs)), None)
+
+
+def assert_pinned(name: str) -> dict:
+    """The pinned entry ``name`` (``sweep``, or a key of ``runs``) is what its
+    inputs give now, in every value; returns the rebuilt entry."""
+    fixture = load_pinned()
+    want = fixture["sweep"] if name == "sweep" else fixture["runs"][name]
+    got = pinned(want)
+    difference = first_difference(want, got, name)
+    assert difference is None, difference
     return got

@@ -202,7 +202,7 @@ def _related_tx_lists(draw):
 def test_parallel_subblocks_matches_networkx_largest_first():
     """The plain-Python colouring yields exactly networkx's largest-first
     groups, member order included (the sub-block counts and widths that
-    ``pre_largen_rounds.json`` pins depend on both)."""
+    ``tests/fixtures/pinned_runs.json`` pins depend on both)."""
     pytest.importorskip("networkx")
     from reference_impls import networkx_parallel_subblocks
 

@@ -3,11 +3,11 @@ machinery against the pre-vectorization seed behaviour.
 
 Three contracts, checked *before* any timing claims:
 
-1. **Run byte-identity** — every RoundReport row, phase sim-time map and
-   final chain/reputation state must match the seed fixtures generated at
-   v1.6.0 (the last pre-vectorization HEAD), for every execution path:
-   default, overlapped, and both rival backends
-   (``tests/fixtures/pre_largen_rounds.json``).
+1. **Run byte-identity** — every round row and the final chain and
+   reputation match the pins, for every execution path: default,
+   overlapped, and both rival backends (``tests/fixtures/pinned_runs.json``,
+   written by ``tools/pin.py``; first pinned at v1.6.0, the last
+   pre-vectorization HEAD, with values unmoved since).
 2. **Artifact byte-identity** — the sweep JSON (minus the version-bearing
    ``spec_hash`` field) and CSV artifacts hash to the pinned SHA-256
    digests, so the *encodings* leaders of downstream tooling consume are
@@ -19,10 +19,6 @@ Three contracts, checked *before* any timing claims:
 """
 
 from __future__ import annotations
-
-import hashlib
-import json
-import os
 
 import pytest
 from config_cube import assert_pinned
@@ -36,22 +32,9 @@ from repro.core.sortition import (
     rank_select,
     role_digests,
 )
-from repro.exp import ExperimentSpec, run_sweep
-from repro.exp.results import write_csv
-from repro.exp.spec import canonical_json
-
-FIXTURE_PATH = os.path.join(
-    os.path.dirname(__file__), "fixtures", "pre_largen_rounds.json"
-)
 
 
-@pytest.fixture(scope="module")
-def fixtures():
-    with open(FIXTURE_PATH) as fh:
-        return json.load(fh)
-
-
-# -- 1. run byte-identity against the v1.6.0 fixtures ------------------------
+# -- 1. run byte-identity against the v1.6.0 pins ----------------------------
 @pytest.mark.parametrize(
     "name",
     [
@@ -61,37 +44,13 @@ def fixtures():
         "omniledger_n96",
     ],
 )
-def test_fast_path_matches_pre_vectorization_fixture(fixtures, name):
-    assert_pinned(fixtures["runs"][name])
+def test_fast_path_matches_pre_vectorization_fixture(name):
+    assert_pinned(name)
 
 
 # -- 2. sweep artifact byte-identity -----------------------------------------
-def test_sweep_artifacts_byte_identical(fixtures, tmp_path):
-    spec = ExperimentSpec(
-        name="pre-largen-sweep",
-        rounds=2,
-        seeds=(0,),
-        base={
-            "n": 96, "m": 4, "lam": 2, "referee_size": 8,
-            "users_per_shard": 24, "tx_per_committee": 6,
-            "cross_shard_ratio": 0.3, "invalid_ratio": 0.1,
-            "adversary.fraction": 0.2,
-        },
-        grid={"backend": ("cycledger", "rapidchain", "omniledger_sim")},
-    )
-    outcome = run_sweep(spec, workers=1)
-    payload = json.loads(outcome.json_bytes())
-    payload.pop("spec_hash", None)  # the only version-bearing field
-    stripped = (canonical_json(payload) + "\n").encode("utf-8")
-    csv_path = tmp_path / "sweep.csv"
-    write_csv(str(csv_path), outcome.results)
-    want = fixtures["sweep"]
-    assert hashlib.sha256(stripped).hexdigest() == want[
-        "json_sha256_no_spec_hash"
-    ], "sweep JSON artifact (minus spec_hash) diverged byte-for-byte"
-    assert (
-        hashlib.sha256(csv_path.read_bytes()).hexdigest() == want["csv_sha256"]
-    ), "sweep CSV artifact diverged byte-for-byte"
+def test_sweep_artifacts_byte_identical():
+    assert_pinned("sweep")
 
 
 # -- 3. vectorized == scalar equivalence -------------------------------------

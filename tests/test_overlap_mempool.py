@@ -4,8 +4,9 @@ Three contracts, in increasing strictness:
 
 1. **Legacy byte-identity** — with default params (``overlap=none``,
    legacy arrivals) every RoundReport field that existed before the
-   refactor must match the pre-refactor seed fixtures byte-for-byte
-   (``tests/fixtures/pre_overlap_rounds.json``, generated at PR 4's HEAD).
+   refactor must match the pins byte-for-byte
+   (``tests/fixtures/pinned_runs.json``, written by ``tools/pin.py``; first
+   pinned at PR 4's HEAD, with values unmoved since).
 2. **Overlap state identity** — ``overlap=semicommit`` re-times the
    timeline but must leave the final chain / UTXO set / reputation map
    byte-identical to ``overlap=none``, while reporting ≥ 10% lower
@@ -36,10 +37,6 @@ from repro.core.protocol import CycLedger
 from repro.exp import ExperimentSpec, overlap_compare_spec, run_sweep
 from repro.exp.results import write_csv
 from repro.ledger.workload import TxMempool, WorkloadGenerator
-
-FIXTURE_PATH = os.path.join(
-    os.path.dirname(__file__), "fixtures", "pre_overlap_rounds.json"
-)
 
 DEFAULTISH = dict(
     n=48, m=4, lam=2, referee_size=8, seed=0, users_per_shard=24,
@@ -136,18 +133,12 @@ def test_default_pipeline_carries_dependency_annotations():
     assert phases["intra"].needs == ("semicommit",)
 
 
-# -- legacy byte-identity against pre-refactor fixtures ----------------------
-@pytest.fixture(scope="module")
-def fixtures():
-    with open(FIXTURE_PATH) as fh:
-        return json.load(fh)
-
-
+# -- legacy byte-identity against the pre-refactor pins ---------------------
 @pytest.mark.parametrize(
     "name", ["cycledger_default", "cycledger_small", "rapidchain_small"]
 )
-def test_overlap_none_matches_pre_refactor_fixture(fixtures, name):
-    rows = [json.loads(row) for row in assert_pinned(fixtures[name]).rows]
+def test_overlap_none_matches_pre_refactor_fixture(name):
+    rows = assert_pinned(name)["rows"]
     for row in rows:
         # At overlap=none each round's window spans its sim_time (up to float
         # re-association of base + sim_time; the cumulative end below is

@@ -1,18 +1,13 @@
 """Scenario / fault-injection subsystem: events, driver, determinism."""
 
-import hashlib
 import json
-import os
 
 import pytest
-from config_cube import Cell, assert_prefix, check
+from config_cube import Cell, assert_pinned, assert_prefix, check
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import CycLedger, ProtocolParams
-from repro.backends import create_backend
-from repro.exp.results import round_row
-from repro.exp.spec import canonical_json
 from repro.net.params import ChannelClass
 from repro.scenarios import (
     EVENT_TYPES,
@@ -183,32 +178,18 @@ def test_from_dict_inverts_to_dict_for_every_event_kind(scheduled, policy):
     assert Scenario.from_dict(payload) == scenario
 
 
-def _policy_timelines():
-    path = os.path.join(os.path.dirname(__file__), "fixtures", "policy_timelines.json")
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-@pytest.mark.parametrize("name", sorted(_policy_timelines()))
+@pytest.mark.parametrize("name", [
+    "adaptive-corruption", "censorship", "latency-spike+adaptive-corruption",
+    "quorum-withholding", "referee-eclipse",
+])
 def test_policy_timelines_match_the_two_driver_implementation(name):
-    """Rows digest and driver log of each policy preset, and of one run that
-    composes a policy with a scheduled event, as recorded from `repro
-    scenario --policy P [--preset latency-spike] --n 24 --m 2 --lam 2
-    --referee 6 --users 12 --txs 4 --seed 0` at the last commit that had a
-    separate PolicyDriver.  (The composed run's lines are the two old logs
-    merged into the order things happened.)"""
-    want = _policy_timelines()[name]
-    scenario = Scenario(
-        name,
-        tuple(e for part in name.split("+") for e in SCENARIO_PRESETS[part].events),
-    )
-    params = ProtocolParams(n=24, m=2, lam=2, referee_size=6, seed=0,
-                            users_per_shard=12, tx_per_committee=4,
-                            cross_shard_ratio=0.3, invalid_ratio=0.1)  # that command's defaults
-    ledger = CycLedger(params, scenario=scenario)
-    rows = [round_row(r) for r in ledger.run(scenario.last_event_round + 1)]
-    assert ledger.scenario_driver.log == want["log"]
-    assert hashlib.sha256(canonical_json(rows).encode()).hexdigest() == want["rows_sha256"]
+    """Rows and driver log of each policy preset, and of one run that
+    composes a policy with a scheduled event, on n = 24, m = 2 (the pins in
+    ``tests/fixtures/pinned_runs.json``, written by ``tools/pin.py``; first
+    recorded at the last commit that had a separate PolicyDriver, where the
+    composed run's two logs were merged into the order things happened, with
+    values unmoved since)."""
+    assert_pinned(name)
 
 
 def test_last_event_round():
@@ -433,56 +414,16 @@ def test_scenario_rng_isolated_from_protocol_streams():
 
 
 # -- degraded runs, pinned ---------------------------------------------------
-#: Two spikes that overlap on KEY / REFEREE channels in rounds 3-4, where
-#: their multipliers compose.
-TWO_SPIKES = Scenario(
-    "two-spikes",
-    (
-        LatencySpike(start_round=2, end_round=4, factor=3.0),
-        LatencySpike(
-            start_round=3, end_round=5, factor=2.5,
-            channels=(ChannelClass.KEY, ChannelClass.REFEREE),
-        ),
-    ),
-)
-
-_HEAD = {
-    "cycledger": "3ba0202958f04ab7cf8caae7fcc213dc228fc940a1dfd590e1fa3d62a8434583",
-    "rapidchain": "00f86d72f852d95608756dfa5f9bd5ce555b71e53b2d5b7449a7a48c9c04fdfa",
-}
-
-
-@pytest.mark.parametrize(
-    "backend, scenario, sim_times",
-    [
-        ("cycledger", SCENARIO_PRESETS["latency-spike"], [
-            "91.59186119406243", "152.5649980652378", "151.44574081644146",
-            "91.51602142937801", "92.15176917313394",
-        ]),
-        ("cycledger", TWO_SPIKES, [
-            "91.59186119406243", "242.23890751105623", "381.1021578965187",
-            "378.4204326666502", "139.06220593828994",
-        ]),
-        ("rapidchain", SCENARIO_PRESETS["latency-spike"], [
-            "23.608828452621477", "53.72087696486205", "53.68635584089745",
-            "23.661068361114367", "23.90332864387733",
-        ]),
-        ("rapidchain", TWO_SPIKES, [
-            "23.608828452621477", "71.19293515780909", "123.75081859774028",
-            "123.51100878807829", "41.773506100107994",
-        ]),
-    ],
-    ids=["cycledger-latency-spike", "cycledger-two-spikes",
-         "rapidchain-latency-spike", "rapidchain-two-spikes"],
-)
-def test_degraded_runs_are_pinned(backend, scenario, sim_times):
-    """Each round's ``sim_time`` under latency spikes, to the last bit.
+@pytest.mark.parametrize("name", [
+    "cycledger-latency-spike", "cycledger-two-spikes",
+    "rapidchain-latency-spike", "rapidchain-two-spikes",
+])
+def test_degraded_runs_are_pinned(name):
+    """Each round's row under latency spikes, ``sim_time`` to the last bit;
+    ``two-spikes`` overlaps a second spike on KEY / REFEREE channels in
+    rounds 3-4, where the multipliers compose.
 
     The head hash alone cannot see a delay: both timelines end at the same
     block on either backend, while their round 3 differs by ~230 s on
     CycLedger."""
-    ledger = create_backend(
-        backend, ProtocolParams(n=48, m=4, lam=2, seed=0), scenario=scenario
-    )
-    assert [repr(r.sim_time) for r in ledger.run(5)] == sim_times
-    assert ledger.chain.head.hash.hex() == _HEAD[backend]
+    assert_pinned(name)
