@@ -5,8 +5,8 @@ backend can produce comes from a run; the rest print the protocol's stated
 class, and the failure probability is its paper's formula:
 
 * Complexity, Storage and Burden on connection: ``repro.exp.table1_cells``
-  runs every executable backend and reads messages per node, CycLedger's
-  per-role storage high-water marks, and CycLedger's channel census (each
+  runs every executable backend and reads messages per node, per-role
+  storage high-water marks, and CycLedger's channel census (each
   node's distinct partners on the intra, key and referee classes §III-B
   asks reliable channels for).  A rival assumes a clique, n − 1 per node.
   The census is gated on the scale curve's shape (committees of 32,
@@ -31,9 +31,14 @@ from bench_scale import sized
 from conftest import print_table
 from repro.analysis.security import partial_set_failure, union_bound
 from repro.backends import BACKEND_REGISTRY, create_backend
-from repro.baselines import ALL_MODELS
 from repro.core.config import ProtocolParams
-from repro.exp import policies_artifact, policy_compare_spec, run_sweep, table1_cells
+from repro.exp import (
+    TABLE1,
+    policies_artifact,
+    policy_compare_spec,
+    run_sweep,
+    table1_cells,
+)
 from repro.scenarios import SCENARIO_PRESETS
 
 # The configuration Fig. 5 and §V use for the failure formula: m = 10
@@ -41,7 +46,7 @@ from repro.scenarios import SCENARIO_PRESETS
 M, C, LAM = 10, 200, 40
 
 #: Table I protocol name -> executable backend registry name.
-EXECUTABLE = {model.name: model.backend for model in ALL_MODELS if model.backend}
+EXECUTABLE = {row.name: row.backend for row in TABLE1 if row.backend}
 RIVALS = [backend for name, backend in EXECUTABLE.items() if name != "CycLedger"]
 
 #: Simulation scale for the executable columns (committee structure of the
@@ -97,18 +102,18 @@ def build_table1() -> tuple[dict, list[tuple]]:
     arms = policies_artifact(run_sweep(spec, workers=1))["backends"]
     cells = table1_cells(ProtocolParams(**spec.base))
     rows = []
-    for model in ALL_MODELS:
-        arm, cell = arms.get(model.backend), cells[model.name]
+    for row in TABLE1:
+        arm, cell = arms.get(row.backend), cells[row.name]
         rows.append(
             (
-                model.name,
-                f"t < n/{round(1 / model.resiliency)}",
+                row.name,
+                f"t < n/{round(1 / row.resiliency)}",
                 cell["complexity"],
                 cell["storage"],
-                f"{model.fail_probability(M, C, LAM):.2e}",
-                model.decentralization,
+                f"{row.fail_probability(M, C, LAM):.2e}",
+                row.decentralization,
                 "n/a (analytic only)" if arm is None else f"{arm['packed_ratio']:.2f}",
-                "yes" if model.has_incentives else "no",
+                "yes" if row.has_incentives else "no",
                 cell["burden"],
             )
         )
@@ -225,15 +230,15 @@ def test_table1_simulated(benchmark):
     with an executable backend (Elastico stays analytic-only)."""
     sim = benchmark(simulated_rows)
     rows = []
-    for model in ALL_MODELS:
-        analytic_fail = f"{model.fail_probability(M, C, LAM):.2e}"
-        s = sim.get(model.name)
+    for row in TABLE1:
+        analytic_fail = f"{row.fail_probability(M, C, LAM):.2e}"
+        s = sim.get(row.name)
         if s is None:
-            rows.append((model.name, analytic_fail, "—", "—", "—", "—"))
+            rows.append((row.name, analytic_fail, "—", "—", "—", "—"))
         else:
             rows.append(
                 (
-                    model.name,
+                    row.name,
                     analytic_fail,
                     s["packed"],
                     f"{s['tput']:.2f}",
@@ -248,13 +253,10 @@ def test_table1_simulated(benchmark):
          "sim tx/time", "sim latency/round", "sim msgs"],
         rows,
     )
-    assert set(EXECUTABLE) <= {m.name for m in ALL_MODELS}, (
-        f"Table I: rows {sorted(set(EXECUTABLE) - {m.name for m in ALL_MODELS})} "
-        "have a backend but no model"
-    )
-    assert set(EXECUTABLE.values()) <= set(BACKEND_REGISTRY), (
-        f"Table I: backends {sorted(set(EXECUTABLE.values()) - set(BACKEND_REGISTRY))} "
-        "are named by a model but not registered"
+    assert sorted(EXECUTABLE.values()) == sorted(BACKEND_REGISTRY), (
+        f"Table I: the rows name backends {sorted(EXECUTABLE.values())}, the "
+        f"registry holds {sorted(BACKEND_REGISTRY)}; every registered backend "
+        "must name exactly one row"
     )
     for name, s in sim.items():
         assert s["packed"] > 0, name

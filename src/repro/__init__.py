@@ -18,8 +18,6 @@ IPDPS 2020, arXiv:2001.06778), including every substrate the paper assumes:
   re-selection (Alg. 6), selection, block generation;
 * :mod:`repro.nodes` — honest and Byzantine behaviour strategies plus the
   mildly-adaptive adversary controller;
-* :mod:`repro.baselines` — Elastico/OmniLedger/RapidChain analytic models
-  for the Table I comparison;
 * :mod:`repro.backends` — the executable multi-protocol layer: CycLedger
   plus simplified RapidChain/OmniLedger backends behind one
   ``LedgerBackend`` registry, so sweeps, scenarios and benchmarks run any
@@ -28,7 +26,8 @@ IPDPS 2020, arXiv:2001.06778), including every substrate the paper assumes:
   math (Eq. 1–4, Fig. 4–5, Tables I–II);
 * :mod:`repro.exp` — the parallel experiment engine: declarative
   parameter sweeps fanned out over worker processes with deterministic
-  per-point seeding and resume-from-cache;
+  per-point seeding and resume-from-cache, and Table I: the four
+  protocols' stated rows and the cells their runs measure;
 * :mod:`repro.scenarios` — declarative, seed-deterministic fault
   timelines attached to the round's phase pipeline: scheduled events
   (partitions, latency spikes, leader crashes, adversary ramps, churn)

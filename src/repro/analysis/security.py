@@ -88,27 +88,6 @@ def round_failure_cycledger(m: int, c, lam) -> np.ndarray | float:
     return result
 
 
-# -- Table I failure formulas for the baselines ------------------------------
-
-
-def round_failure_elastico(m: int, c) -> np.ndarray | float:
-    """Ω(m·e^{-c/40}) — lower-order constant per Table I's comparison row."""
-    return union_bound(np.exp(-np.asarray(c, dtype=float) / 40.0), m)
-
-
-def round_failure_omniledger(m: int, c) -> np.ndarray | float:
-    """O(m·e^{-c/40})."""
-    return union_bound(np.exp(-np.asarray(c, dtype=float) / 40.0), m)
-
-
-def round_failure_rapidchain(m: int, c) -> np.ndarray | float:
-    """m·e^{-c/12} + (1/2)^27 (Table I)."""
-    return np.minimum(
-        union_bound(np.exp(-np.asarray(c, dtype=float) / 12.0), m) + 0.5**27,
-        1.0,
-    )
-
-
 def minimum_committee_size(n: int, t: int, target: float) -> int:
     """Smallest c whose exact failure probability is below ``target``
     (used to size committees for a desired security level)."""

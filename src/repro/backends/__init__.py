@@ -1,7 +1,7 @@
 """Executable multi-protocol backend layer.
 
 Table I compares CycLedger against Elastico, OmniLedger and RapidChain;
-:mod:`repro.baselines` evaluates those rivals analytically.  This package
+``repro.exp.TABLE1`` states each protocol's classes.  This package
 makes the comparison *executable*: every protocol that can run a round is a
 :class:`~repro.core.backend.LedgerBackend` registered here by name, so the
 experiment engine, scenarios, CLI and benchmarks drive any of them through

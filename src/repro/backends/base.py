@@ -124,6 +124,13 @@ class RivalBackend(CommitteeSimBackend):
         for spec in ctx.committees:
             if spec.index not in proposals:
                 continue
+            # A voter holds its shard's UTXO view and the mempool the
+            # proposal leaves behind.
+            held = (
+                ctx.shard_states[spec.index].size()
+                + len(ctx.mempools[spec.index])
+                - len(proposals[spec.index])
+            )
             for mid in spec.members:
                 if mid == spec.leader:
                     continue
@@ -136,6 +143,7 @@ class RivalBackend(CommitteeSimBackend):
                     node.send(
                         spec.leader, tag, spec.index, size=CONTROL_WIRE_BYTES
                     )
+                    ctx.metrics.record_storage(mid, held)
         ctx.net.run()
         for spec in ctx.committees:
             if spec.index not in proposals:
@@ -167,6 +175,7 @@ class RivalBackend(CommitteeSimBackend):
                 continue
             txlist = self._leader_txlist(ctx, spec)
             proposals[spec.index] = txlist
+            ctx.metrics.record_storage(spec.leader, len(txlist))
             self._chunked_multicast(
                 leader,
                 spec.members,

@@ -1,7 +1,7 @@
 """Executable OmniLedger-style backend [Kokoris-Kogias et al., S&P'18].
 
-The simplified executable sibling of the analytic
-:class:`~repro.baselines.omniledger.OmniLedgerModel`: sortition-drawn
+The simplified executable sibling of Table I's OmniLedger row
+(``repro.exp.TABLE1``): sortition-drawn
 per-shard committees, ByzCoin-style intra-shard consensus (accept needs
 more than 2/3 Yes votes, matching the shard BFT bound), and client-driven
 Atomix cross-shard commit — a lock / proof-of-acceptance / unlock round
@@ -137,7 +137,15 @@ class OmniLedgerBackend(RivalBackend):
             size=CONTROL_WIRE_BYTES,
         )
         ctx.net.run()
-        return self._build_block(ctx, final)
+        pack = self._build_block(ctx, final)
+        # No global packing group: a leader that sent its sub-block holds
+        # its shard's state block.
+        for spec in ctx.committees:
+            if final.get(spec.index):
+                ctx.metrics.record_storage(
+                    spec.leader, self.shard_states[spec.index].size()
+                )
+        return pack
 
     # -- report decoration ---------------------------------------------------
     def _decorate_report(self, report: SimRoundReport, ctx, phase_reports) -> None:

@@ -1,7 +1,7 @@
 """Executable RapidChain-style backend [Zamani et al., CCS'18].
 
-A deliberately simplified but genuinely executable sibling of the analytic
-:class:`~repro.baselines.rapidchain.RapidChainModel`: per-shard committees
+A deliberately simplified but genuinely executable sibling of Table I's
+RapidChain row (``repro.exp.TABLE1``): per-shard committees
 drawn by sortition, IDA-gossip-approximated block dissemination (the
 leader's TXList travels as equal chunks to every member), 1/2-resilient
 synchronous intra-committee consensus (accept needs a strict majority of
@@ -135,6 +135,9 @@ class RapidChainBackend(RivalBackend):
 
         pack = self._build_block(ctx, landed)
         if pack.block is not None:
+            # The reference committee holds the global UTXO set it packs on.
+            for rid in ctx.referee:
+                ctx.metrics.record_storage(rid, len(self.global_utxos))
             ref_node = ctx.nodes[ref_leader]
             self._chunked_multicast(
                 ref_node,

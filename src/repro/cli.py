@@ -302,9 +302,13 @@ def _cmd_failure(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    from repro.baselines import ALL_MODELS
-    from repro.exp import policies_artifact, policy_compare_spec, run_sweep
-    from repro.exp import table1_cells
+    from repro.exp import (
+        TABLE1,
+        policies_artifact,
+        policy_compare_spec,
+        run_sweep,
+        table1_cells,
+    )
 
     # Every quantitative cell a backend can produce is measured: the
     # dishonest-leader column is each executable backend's packed ratio in
@@ -325,13 +329,13 @@ def _cmd_table1(args: argparse.Namespace) -> int:
           f"{spec.rounds} rounds, seed {spec.seeds[0]}")
     print(f"{'protocol':<12} {'resil':>6} {'msgs/node':>9} {'fail/round':>11}  "
           f"{'storage':<34}{'burden':<44} {'leader-attack':>19} {'incentives':>10}")
-    for model in ALL_MODELS:
-        arm, cell = measured["backends"].get(model.backend), cells[model.name]
+    for row in TABLE1:
+        arm, cell = measured["backends"].get(row.backend), cells[row.name]
         ratio = "n/a (analytic only)" if arm is None else f"{arm['packed_ratio']:.2f}"
-        print(f"{model.name:<12} {model.resiliency:>6.2f} {cell['complexity']:>9} "
-              f"{model.fail_probability(args.m, args.c, args.lam):>11.2e}  "
+        print(f"{row.name:<12} {row.resiliency:>6.2f} {cell['complexity']:>9} "
+              f"{row.fail_probability(args.m, args.c, args.lam):>11.2e}  "
               f"{cell['storage']:<34}{cell['burden']:<44} {ratio:>19} "
-              f"{'yes' if model.has_incentives else 'no':>10}")
+              f"{'yes' if row.has_incentives else 'no':>10}")
     return 0
 
 

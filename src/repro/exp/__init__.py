@@ -22,6 +22,8 @@ typed :class:`SweepResult` records with canonical JSON/CSV serialization.
 
 from repro.exp.presets import (
     CAPACITY_PRESETS,
+    TABLE1,
+    Table1Row,
     overlap_compare_spec,
     policies_artifact,
     policy_compare_spec,
@@ -39,6 +41,8 @@ __all__ = [
     "SweepOutcome",
     "SweepPoint",
     "SweepResult",
+    "TABLE1",
+    "Table1Row",
     "derive_point_seed",
     "overlap_compare_spec",
     "policies_artifact",

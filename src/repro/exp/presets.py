@@ -8,13 +8,20 @@ here and name it with the sweep key ``capacity_preset``.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from repro.analysis.security import (
+    committee_failure_simple_bound,
+    round_failure_cycledger,
+    union_bound,
+)
 from repro.core.config import ProtocolParams
 from repro.exp.spec import ExperimentSpec
 from repro.metrics.counters import PhaseStats, Roles
+from repro.net.params import ChannelClass
 
 if TYPE_CHECKING:
     from repro.core.protocol import RoundReport
@@ -107,6 +114,66 @@ def policies_artifact(outcome, seed: int | None = None) -> dict:
     }
 
 
+@dataclass(frozen=True)
+class Table1Row:
+    """One protocol's column of Table I as its paper states it.  The
+    Complexity, Storage and Burden cells of a protocol with an executable
+    ``backend`` are measured instead (:func:`table1_cells`); the stated
+    class is what a cell prints where nothing runs."""
+
+    name: str
+    #: Executable backend registry name, ``None`` when analytic only.
+    backend: str | None
+    #: Max tolerated malicious fraction ("Resiliency").
+    resiliency: float
+    #: Per-node communication and storage, the stated classes.
+    complexity: str
+    storage: str
+    decentralization: str
+    has_incentives: bool
+    #: Channel classes the protocol assumes synchronous; ``None``: "a good
+    #: connection between any pair of truthful nodes", n − 1 per node.
+    synchronous: tuple[str, ...] | None
+    #: ``(m, c, lam) ->`` per-round failure probability ("Fail Probability");
+    #: scalars or numpy arrays for ``c`` / ``lam``.
+    fail_probability: Callable
+
+
+def _failure_c40(m, c, lam):
+    """Elastico's Ω(m·e^{-c/40}) and OmniLedger's O(m·e^{-c/40}), at the
+    lower-order constant Table I compares."""
+    return union_bound(np.exp(-np.asarray(c, dtype=float) / 40.0), m)
+
+
+def _failure_rapidchain(m, c, lam):
+    """m·e^{-c/12} + (1/2)^27, the additive term from RapidChain's
+    reference-committee bootstrap."""
+    return np.minimum(union_bound(committee_failure_simple_bound(c), m) + 0.5**27, 1.0)
+
+
+#: Table I's four columns, in the paper's order.
+TABLE1 = (
+    # Elastico [Luu et al., CCS'16]: every node keeps the full ledger, and
+    # committees of c ≈ 100 fail "97% over only 6 epochs" at 16 shards (§II-A).
+    Table1Row("Elastico", None, 1 / 4, "Ω(n)", "O(n)", "no always-honest party",
+              False, None, _failure_c40),
+    # OmniLedger [Kokoris-Kogias et al., S&P'18]: state blocks plus the epoch
+    # chain; Atomix needs "a never-absent trusty client" (§II-A).
+    Table1Row("OmniLedger", "omniledger_sim", 1 / 4, "O(n)", "O(c + log m)",
+              "an honest client", False, None, _failure_c40),
+    # RapidChain [Zamani et al., CCS'18]: efficient "only when leaders of each
+    # committee are honest" (§II-A).
+    Table1Row("RapidChain", "rapidchain", 1 / 3, "O(n)", "O(c)",
+              "an honest reference committee", False, None, _failure_rapidchain),
+    # §III-B: reliable channels inside committees (and C_R), among key
+    # members, and between key members and C_R; the rest is partial.
+    Table1Row("CycLedger", "cycledger", 1 / 3, "O(n)", "O(m²/n + c)",
+              "no always-honest party", True,
+              (ChannelClass.INTRA, ChannelClass.KEY, ChannelClass.REFEREE),
+              round_failure_cycledger),
+)
+
+
 def role_cells(params: ProtocolParams) -> tuple[dict, RoundReport]:
     """Table II's cells measured on round 2 of CycLedger at ``params``
     (round 1 has no partial sets), with that round's report, which says
@@ -168,46 +235,41 @@ def _round_two(backend: str, params: ProtocolParams):
 def table1_cells(params: ProtocolParams) -> dict[str, dict]:
     """Table I's Complexity, Storage and Burden cells per protocol name,
     measured on round 2 of each executable backend at ``params`` (round 1
-    has no partial sets); a cell no run measures prints the stated class.
+    has no partial sets); a protocol with no backend prints its stated
+    classes.
 
     ``complexity`` is the round's messages per node and ``storage`` each
     role's high-water mark of retained items over the round's per-role
-    cells (:func:`role_cells`); only CycLedger's phases record storage, so
-    a rival's Storage cell is its stated class, marked so.
-    ``burden``, where the protocol assumes synchrony on some channel
-    classes only (``ProtocolModel.synchronous``), is each node's distinct
-    partners on them, mean/max per role (``partners``, role ->
-    ``(mean, max)``), read from the fabric's channel rows after the round.
-    Roles are those the round assigned at its start, as in the cells.
+    cells (:func:`role_cells`).  ``burden``, where the protocol assumes
+    synchrony on some channel classes only (``Table1Row.synchronous``), is
+    each node's distinct partners on them, mean/max per role
+    (``partners``, role -> ``(mean, max)``), read from the fabric's channel
+    rows after the round.  Roles are those the round assigned at its
+    start, as in the cells.
     """
-    from repro.baselines import ALL_MODELS
-
     cells = {}
-    for model in ALL_MODELS:
-        cells[model.name] = cell = {
-            "complexity": model.complexity,
-            "storage": model.storage,
+    for row in TABLE1:
+        cells[row.name] = cell = {
+            "complexity": row.complexity,
+            "storage": row.storage,
             "burden": f"n − 1 = {params.n - 1} (every pair)",
         }
-        if model.backend is None:
+        if row.backend is None:
             continue
-        ledger, report, per_role = _round_two(model.backend, params)
+        ledger, report, per_role = _round_two(row.backend, params)
         metrics = ledger.net.metrics
         cell["complexity"] = f"{report.messages / params.n:.1f}"
         storage = dict.fromkeys(Roles.ALL, 0)
         for (_phase, role), counts in per_role.items():
             storage[role] = max(storage[role], counts["storage"])
-        if any(storage.values()):
-            cell["storage"] = " / ".join(f"{r} {s:,}" for r, s in storage.items())
-        else:
-            cell["storage"] = f"{model.storage} stated, not measured"
-        if model.synchronous is None:
+        cell["storage"] = " / ".join(f"{r} {s:,}" for r, s in storage.items())
+        if row.synchronous is None:
             continue
         partners: dict[int, set[int]] = {node: set() for node in metrics.node_roles}
         # sender -> {recipient -> channel class}: every pair the round used.
-        for sender, row in ledger.net._channel_rows.items():
-            for recipient, channel in row.items():
-                if channel in model.synchronous:
+        for sender, channels in ledger.net._channel_rows.items():
+            for recipient, channel in channels.items():
+                if channel in row.synchronous:
                     partners[sender].add(recipient)
                     partners[recipient].add(sender)
         by_role: dict[str, list[int]] = {role: [] for role in Roles.ALL}

@@ -135,7 +135,10 @@ def _pool_worker(payload: str) -> str:
 def _load_cached(folder: str, key: str) -> SweepResult | None:
     try:
         with open(os.path.join(folder, f"{key}.json"), "rb") as fh:
-            result = SweepResult.from_dict(json.loads(fh.read()))
+            data = json.loads(fh.read())
+        result = SweepResult.from_dict(data)
+        if result.to_dict() != data:
+            return None  # parses, but does not round-trip: not a record
     except (OSError, ValueError, TypeError, KeyError):
         return None  # absent, unreadable, or JSON but not a record: re-run it
     return result if result.key == key else None

@@ -1,4 +1,6 @@
-"""Complexity claims, incentive analysis, baselines, metrics machinery."""
+"""Complexity claims, incentive analysis, Table I rows, metrics machinery."""
+
+import re
 
 import numpy as np
 import pytest
@@ -6,10 +8,8 @@ import pytest
 from repro.analysis.complexity import TABLE2_CLAIMS, claimed_exponent, table2_rows
 from repro.analysis.incentive import expected_score
 from repro.core.reputation import distribute_rewards, punished_reputation
-from repro.backends import backend_names
-from repro.baselines import ALL_MODELS
 from repro.core.config import ProtocolParams
-from repro.exp import policy_compare_spec, role_cells, table1_cells
+from repro.exp import TABLE1, policy_compare_spec, role_cells, table1_cells
 from repro.metrics.counters import MetricsCollector, Roles
 from repro.metrics.fitting import fit_power_law, r_squared_loglog, scaling_exponent
 
@@ -65,30 +65,27 @@ def test_leader_punishment_cube_root():
     assert punished_reputation(-2.0) == 0.0
 
 
-# -- baselines ----------------------------------------------------------------
+# -- Table I --------------------------------------------------------------------
 
 
 def test_table1_qualitative_rows():
-    profiles = {model.name: model for model in ALL_MODELS}
+    profiles = {row.name: row for row in TABLE1}
     assert profiles["Elastico"].resiliency == pytest.approx(1 / 4)
     assert profiles["OmniLedger"].resiliency == pytest.approx(1 / 4)
     assert profiles["RapidChain"].resiliency == pytest.approx(1 / 3)
     assert profiles["CycLedger"].resiliency == pytest.approx(1 / 3)
-    assert profiles["CycLedger"].leader_robust
-    assert profiles["CycLedger"].has_incentives
-    assert not any(
-        profiles[name].leader_robust for name in ("Elastico", "OmniLedger", "RapidChain")
-    )
-    assert profiles["CycLedger"].connection_burden == "light"
+    assert [name for name, row in profiles.items() if row.has_incentives] == [
+        "CycLedger"
+    ]
     # The measured leader-attack column reads these backends; Elastico has none.
     assert profiles["Elastico"].backend is None
-    assert {model.backend for model in ALL_MODELS} - {None} <= set(backend_names())
 
 
 def test_table1_cells_are_measured():
     """The Complexity, Storage and Burden cells of a protocol with a backend
-    come from its run; Elastico's print the stated classes.  A referee
-    member talks to every key member and the rest of C_R: §III-B's
+    come from its run; Elastico's print the stated classes.  A rival's
+    Storage cell is its per-role high-water marks, as CycLedger's is.  A
+    referee member talks to every key member and the rest of C_R: §III-B's
     m(λ + 1) + |C_R| - 1, far below the n - 1 a rival assumes."""
     params = ProtocolParams(**policy_compare_spec().base)
     cells = table1_cells(params)
@@ -99,6 +96,13 @@ def test_table1_cells_are_measured():
     for name in ("RapidChain", "OmniLedger"):
         assert float(cells[name]["complexity"]) > 0
         assert cells[name]["burden"] == cells["Elastico"]["burden"]
+        measured = re.fullmatch(
+            r"common ([\d,]+) / key ([\d,]+) / referee ([\d,]+)",
+            cells[name]["storage"],
+        )
+        assert measured, f"{name}'s Storage cell is {cells[name]['storage']!r}"
+        common, key, _referee = (int(g.replace(",", "")) for g in measured.groups())
+        assert common > 0 and key > 0, f"{name}: {cells[name]['storage']}"
     cyc = cells["CycLedger"]
     assert float(cyc["complexity"]) > float(cells["RapidChain"]["complexity"])
     assert cyc["storage"].startswith("common ")

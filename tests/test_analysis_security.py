@@ -11,13 +11,14 @@ from repro.analysis.security import (
     minimum_committee_size,
     partial_set_failure,
     round_failure_cycledger,
-    round_failure_elastico,
-    round_failure_rapidchain,
     union_bound,
 )
+from repro.exp import TABLE1
 
 
 N, T = 2000, 666  # Fig. 5's population
+#: Table I's failure formula per protocol name.
+FAIL = {row.name: row.fail_probability for row in TABLE1}
 
 
 def test_exact_tail_monotone_in_c():
@@ -91,21 +92,21 @@ def test_union_bound_clips():
 def test_round_failure_table1_shapes():
     m, c, lam = 16, 100, 40
     cyc = round_failure_cycledger(m, c, lam)
-    rapid = round_failure_rapidchain(m, c)
-    elastico = round_failure_elastico(m, c)
+    assert FAIL["CycLedger"](m, c, lam) == cyc
+    rapid = FAIL["RapidChain"](m, c, lam)
+    elastico = FAIL["Elastico"](m, c, lam)
     # With small committees Elastico's e^{-c/40} is catastrophically larger.
     assert elastico > 100 * cyc
+    assert FAIL["OmniLedger"](m, c, lam) == elastico
     # RapidChain's (1/2)^27 floor dominates at large c.
-    assert round_failure_rapidchain(16, 1000) == pytest.approx(0.5**27, rel=0.01)
+    assert FAIL["RapidChain"](16, 1000, lam) == pytest.approx(0.5**27, rel=0.01)
     # CycLedger at λ=40 adds a negligible partial-set term.
     assert cyc == pytest.approx(rapid - 0.5**27, rel=0.05)
 
 
 def test_elastico_97_percent_over_6_epochs():
     """§II-A: '16 shards -> 97% failure over only 6 epochs' with c ≈ 100."""
-    from repro.baselines.elastico import ElasticoModel
-
-    per_epoch = ElasticoModel().fail_probability(m=16, c=100, lam=0)
+    per_epoch = FAIL["Elastico"](m=16, c=100, lam=0)
     p6 = 1.0 - (1.0 - per_epoch) ** 6
     assert p6 > 0.75  # catastrophic, same shape as the quoted 97%
 

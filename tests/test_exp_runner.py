@@ -215,13 +215,14 @@ def test_cache_ignores_corrupt_entries(tmp_path):
 
 
 def test_cache_reruns_entries_that_parse_but_are_not_records(tmp_path):
-    """A cache file holding JSON that is not a record (a list, or a dict
-    with only the key) is a miss: exactly those points re-run, and the
-    artifact equals a cold run's."""
+    """A cache file holding JSON that is not a record (a list, a dict with
+    only the key, or a record whose ``totals`` is a number) is a miss:
+    exactly those points re-run, and the artifact equals a cold run's."""
     cache = str(tmp_path / "cache")
     cold = run_sweep(TINY, workers=1, cache_dir=cache)
-    first, last = cold.results[0].key, cold.results[3].key
-    for key, entry in ((first, []), (last, {"key": last})):
+    first, middle, last = (cold.results[i].key for i in (0, 1, 3))
+    not_a_record = {**cold.results[1].to_dict(), "totals": 5}
+    for key, entry in ((first, []), (middle, not_a_record), (last, {"key": last})):
         path = os.path.join(cache, TINY.spec_hash(), f"{key}.json")
         with open(path, "w") as fh:
             json.dump(entry, fh)
@@ -230,8 +231,8 @@ def test_cache_reruns_entries_that_parse_but_are_not_records(tmp_path):
         TINY, workers=1, cache_dir=cache,
         progress=lambda done, total, result: executed.append(result.key),
     )
-    assert sorted(executed) == sorted([first, last])
-    assert again.executed == 2 and again.from_cache == 2
+    assert sorted(executed) == sorted([first, middle, last])
+    assert again.executed == 3 and again.from_cache == 1
     assert again.json_bytes() == cold.json_bytes()
 
 
