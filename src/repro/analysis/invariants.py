@@ -16,6 +16,8 @@ Safety
     * ``utxo-conservation`` — committed transactions never create value:
       the UTXO set's total value is non-increasing (fees are destroyed and
       redistributed off-ledger by the reward mechanism).
+    * ``utxo-views-agree`` — the global UTXO view holds exactly the shard
+      views' outpoints, none of them in two shards.
     * ``reputation-monotone-honest`` — in clean rounds (no corrupted,
       offline or policy/scenario-disturbed nodes) no node's reputation
       decreases: honest participation can only be rewarded (§IV-E).
@@ -86,6 +88,13 @@ INVARIANTS: dict[str, Invariant] = {
             "Committed transactions never create value: the UTXO set's "
             "total value is non-increasing round over round (transaction "
             "fees are destroyed on-ledger and redistributed off-ledger).",
+        ),
+        Invariant(
+            "utxo-views-agree",
+            "safety",
+            "After every round the global UTXO view holds exactly the "
+            "outpoints of the shard views together, and no outpoint sits in "
+            "two shards: C_R's view and the committees' are one ledger.",
         ),
         Invariant(
             "reputation-monotone-honest",
@@ -234,6 +243,7 @@ class InvariantChecker:
         round_number = report.round_number
         self._check_chain(ledger, round_number)
         self._check_utxo_conservation(ledger, round_number)
+        self._check_utxo_views(ledger, round_number)
         self._check_reputation(ledger, round_number)
         self._check_mempool(ledger, report)
         self._check_recovery(report)
@@ -297,6 +307,17 @@ class InvariantChecker:
                 f"UTXO total value grew {self._snap.utxo_total} -> {total}",
             )
         self._snap.utxo_total = total
+
+    def _check_utxo_views(self, ledger: Any, round_number: int) -> None:
+        shards = [state.utxos for state in ledger.shard_states]
+        held, pool = set().union(*shards), set(ledger.global_utxos)
+        twice = sum(map(len, shards)) - len(held)
+        if twice or held != pool:
+            self._record(
+                "utxo-views-agree",
+                round_number,
+                f"{twice} outpoints in two shards, {len(pool ^ held)} in one view",
+            )
 
     def _check_reputation(self, ledger: Any, round_number: int) -> None:
         current = dict(ledger.reputation.items())

@@ -19,7 +19,7 @@ from repro.core.node import CycNode
 from repro.core.structures import CommitteeSpec, RoundContext
 from repro.ledger.chain import GENESIS_PREV_HASH, Block
 from repro.ledger.state import apply_block
-from repro.ledger.utxo import ValidationResult, validate_batch, validate_transaction
+from repro.ledger.utxo import ValidationResult, validate_batch
 from repro.ledger.workload import TaggedTx
 
 #: Wire size charged per transaction in a list payload (bytes).
@@ -246,12 +246,15 @@ class RivalBackend(CommitteeSimBackend):
     def _build_block(
         self, ctx: RoundContext, final_lists: dict[int, list[TaggedTx]]
     ) -> PackReport:
-        """Assemble the round's block from per-committee final lists, append
-        it to the chain, and apply it to every shard's UTXO view."""
+        """Assemble the round's block from per-committee final lists, keeping
+        what V accepts in order against the global UTXO view, append it to
+        the chain, and only then write it to every UTXO view."""
+        proposed = [t.tx for index in sorted(final_lists) for t in final_lists[index]]
+        ok = iter(validate_batch(proposed, self.global_utxos))
         ordered: list[TaggedTx] = []
         per_committee: dict[int, int] = {}
         for index in sorted(final_lists):
-            txs = final_lists[index]
+            txs = [t for t in final_lists[index] if next(ok) is ValidationResult.VALID]
             per_committee[index] = len(txs)
             ordered.extend(txs)
         if not ordered:
@@ -268,10 +271,8 @@ class RivalBackend(CommitteeSimBackend):
             partial_sets=(),
         )
         self.chain.append(block)
-        apply_block(self.shard_states, block.transactions, self.workload.shard_of)
-        for tx in block.transactions:
-            if validate_transaction(tx, self.global_utxos) is ValidationResult.VALID:
-                self.global_utxos.apply_transaction(tx)
+        shard_of = self.workload.shard_of
+        apply_block(self.shard_states, block.transactions, shard_of, self.global_utxos)
         return PackReport(
             block=block, packed=len(ordered), per_committee=per_committee
         )

@@ -33,12 +33,13 @@ from repro.core.config import ProtocolParams
 from repro.core.node import CycNode
 from repro.core.pipeline import OverlapScheduler, PhasePipeline
 from repro.core.reporting import emit_round_report, rss_kb
-from repro.core.sortition import REFEREE_ROLE, crypto_sort, rank_select
+from repro.core.sortition import REFEREE_ROLE, rank_select, roster_tickets
 from repro.core.structures import CommitteeSpec, RoundContext
 from repro.crypto.hashing import H
 from repro.crypto.pki import PKI
 from repro.ledger.chain import Block, Chain
 from repro.ledger.state import ShardState, apply_block
+from repro.ledger.utxo import UTXOSet
 from repro.ledger.workload import TxMempool, WorkloadGenerator
 from repro.metrics.counters import MetricsCollector
 from repro.net.simulator import Network
@@ -234,10 +235,10 @@ class CommitteeSimBackend:
         self.net = Network(params.net, self.net_rng)
         for node in self.nodes.values():
             self.net.add_node(node)
-        self.global_utxos = self.workload.genesis_utxos()
+        self.global_utxos, genesis = UTXOSet(), [self.workload.genesis_tx]
         self.shard_states = [ShardState(k, params.m) for k in range(params.m)]
         apply_block(
-            self.shard_states, [self.workload.genesis_tx], self.workload.shard_of
+            self.shard_states, genesis, self.workload.shard_of, self.global_utxos
         )
         self.chain = Chain(retention=params.chain_retention)
         self.reputation: dict[str, float] = dict.fromkeys(
@@ -356,12 +357,10 @@ class CommitteeSimBackend:
 
         # Common members find their committee via Algorithm 1.
         committee_commons: list[list[int]] = [[] for _ in range(params.m)]
-        for node in self.nodes.values():
-            if node.node_id in key_and_referee:
-                continue
-            ticket = crypto_sort(
-                node.keypair, self.round_number, self.randomness, params.m
-            )
+        commons = [n for n in self.nodes.values() if n.node_id not in key_and_referee]
+        keys = [node.keypair for node in commons]
+        tickets = roster_tickets(keys, self.round_number, self.randomness, params.m)
+        for node, ticket in zip(commons, tickets):
             node.ticket = ticket
             committee_commons[ticket.committee_id].append(node.node_id)
 

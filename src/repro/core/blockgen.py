@@ -9,10 +9,11 @@ B^r."
 
 Propagation reuses the existing channel graph — C_R sends the block to the
 committee leaders (referee channels) who relay it inside their committees
-(intra channels); there is no extra all-to-all broadcast layer.  After the
-block lands, every committee updates its shard UTXO view, reaches consensus
-on the final UTXO list and Remaining TX List, and the leader ships both to
-C_R, which forwards them to the corresponding *new* partial sets.
+(intra channels); there is no extra all-to-all broadcast layer.  Once the
+block is committed, one walk updates C_R's global UTXO view and every shard
+view (:func:`repro.ledger.state.apply_block`); each committee reaches
+consensus on the final UTXO list and Remaining TX List, and the leader ships
+both to C_R, which forwards them to the corresponding *new* partial sets.
 
 Fees: the round's total transaction fees are distributed proportionally to
 ``g(reputation)`` (§IV-G) into a protocol-level reward account per node.
@@ -30,7 +31,7 @@ from repro.core.tags import Tags
 from repro.ledger.chain import GENESIS_PREV_HASH, Block
 from repro.ledger.state import apply_block
 from repro.ledger.transaction import Transaction
-from repro.ledger.utxo import ValidationResult, transaction_fee, validate_transaction
+from repro.ledger.utxo import ValidationResult, validate_batch
 
 
 @dataclass
@@ -110,15 +111,9 @@ def run_block_generation(
 
     # C_R holds the O(n) global view (Table II) and re-checks V before
     # packing; committee certificates should make rejections rare.
-    packed: list[Transaction] = []
-    for tx in candidates:
-        if validate_transaction(tx, ctx.global_utxos) is ValidationResult.VALID:
-            report.total_fees += transaction_fee(tx, ctx.global_utxos)
-            ctx.global_utxos.apply_transaction(tx)
-            packed.append(tx)
-        else:
-            report.rejected_at_cr += 1
-    report.packed = len(packed)
+    verdicts = validate_batch(candidates, ctx.global_utxos)
+    packed = [tx for tx, v in zip(candidates, verdicts) if v is ValidationResult.VALID]
+    report.rejected_at_cr = len(candidates) - len(packed)
 
     if ctx.params.parallel_block_generation:
         groups = parallel_subblocks(packed)
@@ -151,7 +146,11 @@ def run_block_generation(
     if not consensus.outcome.success:
         return report  # void block this round (prob. bounded by §V-B)
     ctx.chain.append(block)
-    report.block = block
+    report.block, report.packed = block, len(packed)
+    # Only a committed block moves the UTXO views (§IV-G), in one walk.
+    _spent, _created, report.total_fees = apply_block(
+        ctx.shard_states, packed, ctx.shard_of, ctx.global_utxos
+    )
 
     # -- propagation: C_R -> leaders -> members --------------------------------
     block_size = max(1, len(packed)) * 64 + len(block.participants) * 8
@@ -183,8 +182,7 @@ def run_block_generation(
     )
     ctx.net.run()
 
-    # -- shard state updates + final UTXO / Remaining-TX consensus -------------
-    apply_block(ctx.shard_states, packed, ctx.shard_of)
+    # -- final UTXO / Remaining-TX consensus ------------------------------------
     packed_ids = {tx.txid for tx in packed}
     final_sessions: list[tuple[int, InsideConsensus]] = []
     for k, state in enumerate(ctx.shard_states):

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from repro.crypto.hashing import canonical_bytes
 from repro.crypto.pki import PKI, KeyPair
-from repro.crypto.vrf import VRFOutput, vrf_eval, vrf_verify
+from repro.crypto.vrf import VRFOutput, vrf_eval, vrf_input, vrf_output, vrf_verify
 
 COMMON_MEMBER = "COMMON_MEMBER"
 REFEREE_ROLE = "REFEREE_COMMITTEE_MEMBER"
@@ -54,6 +54,21 @@ def crypto_sort(
         raise ValueError("m must be positive")
     vrf = vrf_eval(keypair, sortition_input(round_number, randomness))
     return SortitionTicket(committee_id=vrf.value % m, vrf=vrf)
+
+
+def roster_tickets(
+    keypairs: Sequence[KeyPair], round_number: int, randomness: bytes, m: int
+) -> list[SortitionTicket]:
+    """Algorithm 1 for a whole roster: Q is encoded once and each key MACs
+    it once; ticket i is ``crypto_sort(keypairs[i], ...)``'s."""
+    if m <= 0:
+        raise ValueError("m must be positive")
+    message = vrf_input(sortition_input(round_number, randomness))
+    tickets = []
+    for keypair in keypairs:
+        vrf = vrf_output(keypair, message)
+        tickets.append(SortitionTicket(committee_id=vrf.value % m, vrf=vrf))
+    return tickets
 
 
 def verify_sortition(

@@ -45,18 +45,24 @@ class VRFOutput:
         return f"VRFOutput(pk={self.pk!r}, value={self.value:#066x})"
 
 
-def _encode(alpha: Any) -> bytes:
+def vrf_input(alpha: Any) -> bytes:
+    """The bytes the VRF MACs for input ``alpha``."""
     return b"vrf" + canonical_bytes(alpha)
 
 
 def vrf_eval(keypair: KeyPair, alpha: Any) -> VRFOutput:
-    """Evaluate the VRF on input ``alpha`` under ``keypair``.
+    """Evaluate the VRF on input ``alpha`` under ``keypair``."""
+    return vrf_output(keypair, vrf_input(alpha))
+
+
+def vrf_output(keypair: KeyPair, message: bytes) -> VRFOutput:
+    """The VRF on an input :func:`vrf_input` already encoded.
 
     The proof is the MAC itself; the value is a hash of the proof so the
     value is a deterministic public function of the proof (verifiers check
     both links).
     """
-    proof = keypair.mac_key.tag(_encode(alpha))
+    proof = keypair.mac_key.tag(message)
     value = int.from_bytes(hashlib.sha256(b"vrfout" + proof).digest(), "big")
     return VRFOutput(pk=keypair.pk, value=value, proof=proof)
 
@@ -65,7 +71,7 @@ def vrf_verify(pki: PKI, output: VRFOutput, alpha: Any) -> bool:
     """Paper's ``VRF_VERIFY_PK(Q, hash, pi)``: check proof and value."""
     if not pki.is_registered(output.pk):
         return False
-    expected_proof = pki.mac(output.pk, _encode(alpha))
+    expected_proof = pki.mac(output.pk, vrf_input(alpha))
     if not hmac.compare_digest(expected_proof, output.proof):
         return False
     expected_value = int.from_bytes(

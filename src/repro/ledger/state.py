@@ -7,7 +7,8 @@ Transaction Outputs (UTXOs), is maintained by the corresponding committee."
 A shard's state holds only the UTXOs whose owner address maps to that shard.
 After each block every committee member "deletes the used ones from their
 local UTXO Lists and appends the newly generated outputs that they are
-responsible for" (§IV-G) — that is :func:`apply_block`.
+responsible for" (§IV-G), and C_R its global view — that is
+:func:`apply_block`, once the block is committed.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ import numpy as np
 from repro.crypto.hashing import canonical_bytes, seq_bytes
 from repro.ledger.transaction import ShardMap, Transaction
 from repro.ledger.utxo import (
+    _MISSING,
     UTXOSet,
     ValidationResult,
     _exists,
+    _not_unspent,
     validate_transaction,
 )
 from repro.net.message import payload_size, seq_size
@@ -221,16 +224,18 @@ def apply_block(
     states: Sequence[ShardState],
     txs: Iterable[Transaction],
     shard_of: ShardMap,
-) -> tuple[int, int]:
-    """Apply a block's transactions to all m shard views (``states[k]`` is
-    shard k) in one walk; ``shard_of`` is the ledger's address -> shard map.
-
-    Every referenced outpoint is spent in whichever shard holds it and every
-    output is added to the one shard its address maps to, so each shard sees
-    exactly the operations, in the order, that filtering the block by itself
-    would give it.  A genesis/coinbase transaction is a block of one.
-    Returns ``(spent, created)`` counts.
-    """
+    global_utxos: UTXOSet,
+) -> tuple[int, int, int]:
+    """Write a committed block to the global view and all m shard views
+    (``states[k]`` is shard k) in one transaction-major walk, inputs before
+    outputs: each input is spent from the global view and from the shard its
+    output's address maps to (``shard_of``), each output added under one
+    ``(txid, index)`` tuple to both, so every view sees the operations, in
+    order, that filtering the block by itself would give it.  A genesis is a
+    block of one.  Callers pass only what ``validate_batch`` accepted against
+    the global view: an input it lacks raises ``KeyError``, an output it
+    holds ``ValueError``, what came before standing.  Returns ``(spent,
+    created, fees)``, fees being inputs minus outputs."""
     m = len(states)
     if any(state.m != m or state.shard != k for k, state in enumerate(states)):
         raise ValueError("states must be all m shard views, in shard order")
@@ -239,9 +244,9 @@ def apply_block(
     sets = [state.utxos for state in states]
     # The backing dicts, probed directly; each set's ``version`` moves by
     # its own count of spends and adds, as ``spend``/``add`` would move it
-    # (also when an add raises: what came before it stands).
+    # (also when one raises: what came before it stands).
     dicts = [utxos._utxos for utxos in sets]
-    held = list(enumerate(dicts))
+    pool = global_utxos._utxos
     # Each listed shard notes what it spent and created, for its next
     # listing (``ShardState.digest_items``); a touch list that something
     # else outdated, or that outgrew the set, is dropped: the listing
@@ -251,30 +256,35 @@ def apply_block(
             state._touched = None
     notes = [state._touched for state in states]
     moved = [0] * m
-    spent = created = 0
+    spent = created = fees = 0
     try:
         for tx in txs:
             for outpoint in tx.inputs:
-                for k, utxos in held:
-                    if outpoint in utxos:
-                        del utxos[outpoint]
-                        moved[k] += 1
-                        spent += 1
-                        if notes[k] is not None:
-                            notes[k].append(outpoint)
+                output = pool.pop(outpoint, _MISSING)
+                if output is _MISSING:
+                    raise KeyError(_not_unspent(outpoint))
+                spent += 1
+                fees += output[1]
+                k = shard_of[output[0]]
+                del dicts[k][outpoint]
+                moved[k] += 1
+                if notes[k] is not None:
+                    notes[k].append(outpoint)
             txid = tx.txid
             for index, output in enumerate(tx.outputs):
-                k = shard_of[output[0]]
-                utxos = dicts[k]
                 outpoint = (txid, index)
-                if outpoint in utxos:
+                if outpoint in pool:
                     raise ValueError(_exists(outpoint))
-                utxos[outpoint] = output
-                moved[k] += 1
+                pool[outpoint] = output
                 created += 1
+                fees -= output[1]
+                k = shard_of[output[0]]
+                dicts[k][outpoint] = output
+                moved[k] += 1
                 if notes[k] is not None:
                     notes[k].append(outpoint)
     finally:
+        global_utxos.version += spent + created
         for state, utxos, count in zip(states, sets, moved):
             utxos.version += count
             if state._touched is not None:
@@ -282,4 +292,4 @@ def apply_block(
                     state._touched = None
                 else:
                     state._touched_at = utxos.version
-    return spent, created
+    return spent, created, fees

@@ -43,10 +43,8 @@ def _exists(outpoint: tuple[bytes, int]) -> str:
 class UTXOSet:
     """Mapping of outpoints ``(txid, index)`` to unspent outputs.
 
-    Mutation is transactional at block granularity via
-    :meth:`apply_transaction` and :meth:`snapshot`/:meth:`restore` — a
-    committee that sees a proposed block revalidates against a snapshot and
-    only commits once the block is accepted.
+    A block is judged against the set read-only (:func:`validate_batch`)
+    and written once it is committed (:func:`repro.ledger.state.apply_block`).
     """
 
     def __init__(self) -> None:
@@ -68,10 +66,6 @@ class UTXOSet:
     def get(self, outpoint: tuple[bytes, int]) -> tuple[str, int] | None:
         return self._utxos.get(outpoint)
 
-    def amount(self, outpoint: tuple[bytes, int]) -> int:
-        output = self._utxos.get(outpoint)
-        return 0 if output is None else output[1]
-
     def total_value(self) -> int:
         return sum([amount for _address, amount in self._utxos.values()])
 
@@ -89,31 +83,6 @@ class UTXOSet:
             raise KeyError(_not_unspent(outpoint)) from None
         self.version += 1  # a failed spend changed nothing
         return output
-
-    def apply_transaction(self, tx: Transaction) -> None:
-        """Spend the inputs and create the outputs of a *validated* tx.
-
-        :meth:`spend` then :meth:`add` per outpoint, probing the dict
-        directly: the same contents, ``version`` moves and exceptions
-        (an operation that raises has moved nothing; the ones before it
-        stand).
-        """
-        utxos = self._utxos
-        moved = 0
-        try:
-            for outpoint in tx.outpoints():
-                if utxos.pop(outpoint, _MISSING) is _MISSING:
-                    raise KeyError(_not_unspent(outpoint))
-                moved += 1
-            txid = tx.txid
-            for index, output in enumerate(tx.outputs):
-                outpoint = (txid, index)
-                if outpoint in utxos:
-                    raise ValueError(_exists(outpoint))
-                utxos[outpoint] = output
-                moved += 1
-        finally:
-            self.version += moved
 
     def snapshot(self) -> dict[tuple[bytes, int], tuple[str, int]]:
         return dict(self._utxos)
@@ -139,6 +108,14 @@ def validate_transaction(tx: Transaction, utxos: UTXOSet) -> ValidationResult:
     Coinbase transactions are only created by the protocol itself (genesis
     and fee distribution) and never enter V — user-submitted coinbases are
     rejected as OVERSPEND (they create value from nothing).
+    """
+    return _verdict(tx, utxos._utxos, {})
+
+
+def _verdict(tx: Transaction, held: dict, moved: dict) -> ValidationResult:
+    """V's one body: an input's output is ``None`` if ``moved`` maps it so
+    (spent), or else what ``held`` maps it to, or else the output a txid
+    ``moved`` maps to its outputs made there.
 
     The checks run in this order, the first failing one naming the result:
     EMPTY, NONPOSITIVE_OUTPUT, DUPLICATE_INPUT, MISSING_INPUT, OVERSPEND.
@@ -160,10 +137,11 @@ def validate_transaction(tx: Transaction, utxos: UTXOSet) -> ValidationResult:
     inputs = tx.inputs
     if len(inputs) > 1 and len(set(inputs)) != len(inputs):
         return ValidationResult.DUPLICATE_INPUT
-    held = utxos._utxos.get
     total_in = 0
     for outpoint in inputs:
-        output = held(outpoint)
+        output = moved.get(outpoint, _MISSING)
+        if output is _MISSING:
+            output = held.get(outpoint) or _made(moved, outpoint)
         if output is None:
             return ValidationResult.MISSING_INPUT
         total_in += output[1]
@@ -172,25 +150,28 @@ def validate_transaction(tx: Transaction, utxos: UTXOSet) -> ValidationResult:
     return ValidationResult.VALID
 
 
-def transaction_fee(tx: Transaction, utxos: UTXOSet) -> int:
-    """Fee = inputs - outputs; only meaningful for transactions valid
-    against ``utxos``."""
-    total_in = sum(utxos.amount(op) for op in tx.outpoints())
-    return total_in - tx.output_total()
+def _made(moved: dict, outpoint: tuple) -> tuple | None:
+    txid = outpoint[0]
+    for index, output in enumerate(moved.get(txid, ())):
+        if (txid, index) == outpoint:
+            return output
+    return None
 
 
 def validate_batch(
     txs: Iterable[Transaction], utxos: UTXOSet
 ) -> list[ValidationResult]:
-    """Validate a list in order.  Each valid tx is applied to a scratch copy
-    before the next is checked, so intra-batch double spends are caught
-    (the committee-level semantics)."""
-    scratch = UTXOSet()
-    scratch._utxos = utxos.snapshot()  # the one copy
+    """V over a sequence in order, each transaction judged against ``utxos``
+    as the ones accepted before it leave it (chained spends and double spends
+    inside the batch): an overlay maps each outpoint they spent to ``None``
+    and each one's txid to its outputs, and the set is only read."""
+    held, moved = utxos._utxos, {}
     results = []
     for tx in txs:
-        result = validate_transaction(tx, scratch)
+        result = _verdict(tx, held, moved)
         results.append(result)
-        if result:
-            scratch.apply_transaction(tx)
+        if result is ValidationResult.VALID:
+            for outpoint in tx.inputs:
+                moved[outpoint] = None
+            moved[tx.txid] = tx.outputs
     return results

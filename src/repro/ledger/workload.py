@@ -45,7 +45,6 @@ from repro.ledger.transaction import (
     make_coinbase,
     shard_of_address,
 )
-from repro.ledger.utxo import UTXOSet
 
 
 @dataclass(frozen=True)
@@ -153,12 +152,6 @@ class WorkloadGenerator:
         self._effects: dict[bytes, tuple[int, tuple, Transaction]] = {}
 
     # -- helpers ----------------------------------------------------------
-    def genesis_utxos(self) -> UTXOSet:
-        utxos = UTXOSet()
-        for index, output in enumerate(self.genesis_tx.outputs):
-            utxos.add((self.genesis_tx.txid, index), output)
-        return utxos
-
     def _next_nonce(self) -> int:
         self._nonce += 1
         return self._nonce

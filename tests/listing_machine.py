@@ -18,6 +18,7 @@ from reference_impls import tuple_digest_items
 from repro.crypto.hashing import H, canonical_bytes
 from repro.ledger.state import ShardState, apply_block
 from repro.ledger.transaction import ShardMap, Transaction, make_coinbase
+from repro.ledger.utxo import UTXOSet
 from repro.net.message import payload_size
 
 
@@ -59,7 +60,8 @@ def assert_listed_keeping_what_stayed(state):
 OWNERS = [f"user-{i}" for i in range(24)]
 # One step on m listed shard views (``k`` picks one of them): a block of
 # scripted transactions (input references >= 0 pick, modulo, an outpoint a
-# block made, spent or not; < 0 one nobody made), a direct edit of one set
+# block made, spent or not; < 0 one nobody made; the block keeps those whose
+# inputs the global view still holds, as V would), a direct edit of one set
 # (``add`` an outpoint of any txid length, spending it first if it is held;
 # ``spend``; ``readd`` a held outpoint with an equal output tuple or
 # another), ``restore`` every set to the last ``save``, ``compact``, a
@@ -86,20 +88,23 @@ WHOLE = st.tuples(st.sampled_from(["restore", "compact", "save", "checkpoint", "
 def run_listing_machine(m, steps, every_step):
     """Apply ``steps`` to m shard views holding an 8-output genesis, listing
     every view after each step if ``every_step``, at each ``list`` step, and
-    at the start and the end."""
+    at the start and the end.  The global view goes along: blocks write it,
+    a direct spend leaves it too, and the whole-set steps take it."""
     states, shard_of = [ShardState(k, m) for k in range(m)], ShardMap(m)
+    pool = UTXOSet()
+    sets = [pool] + [state.utxos for state in states]
     for state in states:
         assert_listed_keeping_what_stayed(state)  # the empty listing
     genesis = make_coinbase([(owner, 100) for owner in OWNERS[:8]])
-    apply_block(states, [genesis], shard_of)
+    apply_block(states, [genesis], shard_of, pool)
     known = [(genesis.txid, i) for i in range(8)]
-    saved = [state.utxos.snapshot() for state in states]
+    saved = [utxos.snapshot() for utxos in sets]
     nonce = 0
     for step in steps:
         kind = step[0]
         utxos = states[step[1] % m].utxos if len(step) > 2 else None
         if kind == "block":
-            block = []
+            block, live = [], set(pool)
             for refs, outputs in step[1]:
                 nonce += 1
                 tx = Transaction(
@@ -109,10 +114,13 @@ def run_listing_machine(m, steps, every_step):
                     nonce=nonce,
                 )
                 known += [(tx.txid, i) for i in range(len(outputs))]
-                block.append(tx)
+                if live.issuperset(tx.inputs) and len(set(tx.inputs)) == len(refs):
+                    live.difference_update(tx.inputs)
+                    live.update((tx.txid, i) for i in range(len(outputs)))
+                    block.append(tx)
             try:
-                apply_block(states, block, shard_of)
-            except ValueError:  # an output created twice: what came before stands
+                apply_block(states, block, shard_of, pool)
+            except (KeyError, ValueError):  # the views disagree: what came before stands
                 pass
         elif kind == "add":
             _, _k, txid, index, owner, amount = step
@@ -120,22 +128,25 @@ def run_listing_machine(m, steps, every_step):
                 utxos.spend((txid, index))
             utxos.add((txid, index), (owner, amount))
         elif kind == "spend" and len(utxos):
-            utxos.spend(list(utxos)[step[2] % len(utxos)])
+            op = list(utxos)[step[2] % len(utxos)]
+            utxos.spend(op)
+            if op in pool:
+                pool.spend(op)
         elif kind == "readd" and len(utxos):
             op = list(utxos)[step[2] % len(utxos)]
             owner, amount = utxos.spend(op)
             utxos.add(op, (owner, amount if step[3] else amount + 1))
         elif kind == "restore":
-            for state, snapshot in zip(states, saved):
-                state.utxos.restore(snapshot)
+            for each, snapshot in zip(sets, saved):
+                each.restore(snapshot)
         elif kind == "compact":
-            for state in states:
-                state.utxos.compact()
+            for each in sets:
+                each.compact()
         elif kind == "save":
-            saved = [state.utxos.snapshot() for state in states]
+            saved = [each.snapshot() for each in sets]
         elif kind == "checkpoint":
-            for state in states:
-                state.utxos.restore(pickle.loads(pickle.dumps(state.utxos.snapshot())))
+            for each in sets:
+                each.restore(pickle.loads(pickle.dumps(each.snapshot())))
         if every_step or kind == "list":
             for state in states:
                 assert_listed_keeping_what_stayed(state)

@@ -8,8 +8,8 @@ statement of the claim exists.  Nothing under ``src/`` imports this module.
 * :class:`NaiveNetwork` — spec of ``net.simulator.Network``: one message per event.
 * :class:`EagerPublishWorkloadGenerator` — snapshot of ``WorkloadGenerator`` settling.
 * :func:`method_validate_transaction` — spec of V, ``utxo.validate_transaction``.
-* :func:`method_apply_transaction` — spec of ``UTXOSet.apply_transaction``.
 * :func:`method_apply_block` — spec of ``ledger.state.apply_block``.
+* :func:`scratch_copy_validate_batch` — snapshot of ``utxo.validate_batch``.
 * :func:`tuple_digest_items` — spec of ``ShardState.digest_items``, the sorted tuple.
 * :func:`by_home_shard` — spec of the persistent mempool's ``offered()`` routing.
 * :func:`networkx_parallel_subblocks` — snapshot of ``blockgen.parallel_subblocks``.
@@ -352,29 +352,44 @@ def method_validate_transaction(tx: Transaction, utxos: UTXOSet) -> ValidationRe
     return ValidationResult.VALID
 
 
-def method_apply_transaction(utxos: UTXOSet, tx: Transaction) -> None:
-    """``UTXOSet.apply_transaction`` as ``spend`` then ``add`` calls."""
-    for outpoint in tx.outpoints():
-        utxos.spend(outpoint)
-    for index, output in enumerate(tx.outputs):
-        utxos.add((tx.txid, index), output)
-
-
-def method_apply_block(states, txs, shard_of: ShardMap) -> tuple[int, int]:
-    """``apply_block``'s walk through ``__contains__`` / ``spend`` / ``add``."""
+def method_apply_block(
+    states, txs, shard_of: ShardMap, global_utxos: UTXOSet
+) -> tuple[int, int, int]:
+    """``apply_block``'s walk through ``spend`` / ``add``: each input spent
+    from the global view, then from the shard its output's address maps to;
+    each output added to the global view, then to its address's shard."""
     sets = [state.utxos for state in states]
-    spent = created = 0
+    spent = created = fees = 0
     for tx in txs:
         for outpoint in tx.outpoints():
-            for utxos in sets:
-                if outpoint in utxos:
-                    utxos.spend(outpoint)
-                    spent += 1
-        txid = tx.txid
+            address, amount = global_utxos.spend(outpoint)
+            sets[shard_of[address]].spend(outpoint)
+            spent += 1
+            fees += amount
         for index, output in enumerate(tx.outputs):
-            sets[shard_of[output[0]]].add((txid, index), output)
+            global_utxos.add((tx.txid, index), output)
+            sets[shard_of[output[0]]].add((tx.txid, index), output)
             created += 1
-    return spent, created
+            fees -= output[1]
+    return spent, created, fees
+
+
+def scratch_copy_validate_batch(txs, utxos: UTXOSet) -> list[ValidationResult]:
+    """The ``validate_batch`` the overlay replaced: V against a scratch copy
+    of the whole set, each accepted transaction applied to the copy through
+    ``spend`` / ``add`` before the next is judged."""
+    scratch = UTXOSet()
+    scratch._utxos = utxos.snapshot()
+    results = []
+    for tx in txs:
+        result = method_validate_transaction(tx, scratch)
+        results.append(result)
+        if result:
+            for outpoint in tx.outpoints():
+                scratch.spend(outpoint)
+            for index, output in enumerate(tx.outputs):
+                scratch.add((tx.txid, index), output)
+    return results
 
 
 def tuple_digest_items(state: ShardState) -> tuple:

@@ -71,6 +71,7 @@ def test_registry_names_kinds_and_prose():
         "chain-linkage",
         "no-double-spend",
         "utxo-conservation",
+        "utxo-views-agree",
         "reputation-monotone-honest",
         "mempool-conservation",
         "recovery-terminates",
@@ -184,15 +185,82 @@ def test_a_checker_on_a_restored_ledger_starts_from_its_state():
         restored.run(rounds=1)
 
 
+def _mint(ledger, outpoint, output) -> None:
+    """Forge value as a consistent write would: into the global view and the
+    shard the owner's address maps to, so the views still agree."""
+    ledger.global_utxos.add(outpoint, output)
+    shard = ledger.workload.shard_of[output[0]]
+    ledger.shard_states[shard].utxos.add(outpoint, output)
+
+
 def test_utxo_inflation_detected():
     """Minting value out of thin air trips utxo-conservation."""
     ledger = create_backend("cycledger", ProtocolParams(**SMALL))
     checker = InvariantChecker()
     checker.install(ledger)
     ledger.run(rounds=1)
-    ledger.global_utxos.add((b"\xab" * 32, 0), ("forger", 10_000))
+    _mint(ledger, (b"\xab" * 32, 0), ("forger", 10_000))
     with pytest.raises(InvariantViolationError, match="utxo-conservation"):
         ledger.run(rounds=1)
+
+
+@pytest.mark.parametrize("view", ["global", "shard", "two shards"])
+def test_utxo_views_disagreeing_detected(view):
+    """An outpoint only the global view holds, one only a shard holds, or
+    one two shards hold each trip utxo-views-agree."""
+    ledger = create_backend("cycledger", ProtocolParams(**SMALL))
+    checker = InvariantChecker(raise_on_violation=False)
+    checker.install(ledger)
+    ledger.run(rounds=1)
+    stray, output = (b"\x5a" * 32, 0), ("forger", 1)
+    if view == "global":
+        ledger.global_utxos.add(stray, output)
+    else:
+        ledger.shard_states[0].utxos.add(stray, output)
+    if view == "two shards":
+        ledger.global_utxos.add(stray, output)
+        ledger.shard_states[1].utxos.add(stray, output)
+    ledger.run(rounds=1)
+    assert "utxo-views-agree" in [v.invariant for v in checker.violations]
+
+
+@pytest.mark.parametrize("arrival", ["legacy", "poisson"])
+def test_a_void_block_commits_nothing_and_packs_nothing(arrival):
+    """C_R's leader goes offline as round 2's block phase starts, so C_R
+    agrees on no block: no UTXO view moves, the round packs nothing, and no
+    invariant fires (under poisson arrivals the queue keeps the candidates).
+    """
+    extra = {} if arrival == "legacy" else {
+        "arrival_process": "poisson", "arrival_rate": 24.0, "mempool_max_age": 4,
+    }
+    params = ProtocolParams(
+        n=48, m=4, lam=2, referee_size=8, tx_per_committee=6, seed=1, **extra
+    )
+    ledger = create_backend("cycledger", params)
+    checker = InvariantChecker(raise_on_violation=False)
+    checker.install(ledger)
+
+    def crash_referee_leader(ctx, _phase):
+        if ctx.round_number == 2:
+            ledger.adversary.force_offline({ctx.referee[0]})
+            ctx.nodes[ctx.referee[0]].online = False
+
+    ledger.pipeline.add_phase_hook("block", "pre", crash_referee_leader)
+
+    def views():
+        return [list(ledger.global_utxos.snapshot().items())] + [
+            list(state.utxos.snapshot().items()) for state in ledger.shard_states
+        ]
+
+    ledger.run_round()
+    before = views()
+    report = ledger.run_round()
+    assert report.block is None and report.blockgen.rejected_at_cr == 0
+    assert report.packed == 0 and report.blockgen.total_fees == 0
+    assert views() == before and len(ledger.chain) == 1
+    ledger.adversary.force_offline(())
+    assert ledger.run_round().block is not None
+    assert checker.violations == []
 
 
 def test_mempool_leak_detected():
@@ -242,7 +310,7 @@ def test_census_mode_collects_instead_of_raising():
     ledger.run(rounds=1)
     # Mint more than one round's fees can destroy, or legitimate fee burn
     # would mask the inflation at the next round boundary.
-    ledger.global_utxos.add((b"\xcd" * 32, 0), ("forger", 10_000))
+    _mint(ledger, (b"\xcd" * 32, 0), ("forger", 10_000))
     ledger.run(rounds=1)
     assert [v.invariant for v in checker.violations] == ["utxo-conservation"]
     with pytest.raises(InvariantViolationError):
@@ -254,7 +322,7 @@ def test_violation_string_names_round_and_invariant():
     checker = InvariantChecker(raise_on_violation=False)
     checker.install(ledger)
     ledger.run(rounds=1)
-    ledger.global_utxos.add((b"\xef" * 32, 0), ("forger", 10_000))
+    _mint(ledger, (b"\xef" * 32, 0), ("forger", 10_000))
     ledger.run(rounds=1)
     text = str(checker.violations[0])
     assert "utxo-conservation" in text and "r2" in text

@@ -9,6 +9,7 @@ from repro.core.sortition import (
     REFEREE_ROLE,
     crypto_sort,
     rank_select,
+    roster_tickets,
     verify_sortition,
 )
 
@@ -47,6 +48,19 @@ def test_sortition_forged_committee_fails(pki):
 def test_sortition_m_validation(pki):
     with pytest.raises(ValueError):
         crypto_sort(pki.generate(2), 1, b"R", 0)
+    with pytest.raises(ValueError):
+        roster_tickets([pki.generate(2)], 1, b"R", 0)
+
+
+@pytest.mark.parametrize("m", [1, 4, 16])
+def test_roster_tickets_are_the_scalar_tickets(pki, m):
+    """The roster form (Q encoded once, one MAC per key) gives each node the
+    ticket ``crypto_sort`` gives it, and each ticket verifies."""
+    keypairs = [pki.generate(("roster", i)) for i in range(40)]
+    tickets = roster_tickets(keypairs, 9, b"R" * 32, m)
+    assert tickets == [crypto_sort(kp, 9, b"R" * 32, m) for kp in keypairs]
+    assert all(verify_sortition(pki, t, 9, b"R" * 32, m) for t in tickets)
+    assert roster_tickets([], 9, b"R" * 32, m) == []
 
 
 def test_sortition_distribution(pki):

@@ -22,7 +22,7 @@ def ctx_with_coins():
     ctx = build_sandbox(committee_size=8, lam=2)
     state = ctx.shard_states[0]
     genesis = make_coinbase([(f"user-{i}", 100) for i in range(12)])
-    apply_block(ctx.shard_states, [genesis], ctx.shard_of)
+    apply_block(ctx.shard_states, [genesis], ctx.shard_of, ctx.global_utxos)
     txs = []
     for nonce, op in enumerate(sorted(state.utxos, key=lambda o: (o[0], o[1]))[:5]):
         owner, _amount = state.utxos.get(op)

@@ -53,7 +53,7 @@ from repro.ledger.transaction import (
     Transaction,
     make_coinbase,
 )
-from repro.ledger.utxo import ValidationResult, validate_transaction
+from repro.ledger.utxo import UTXOSet, ValidationResult, validate_transaction
 from repro.ledger.workload import TaggedTx, WorkloadGenerator
 from repro.net.message import fields_size, payload_size, vote_message_size
 from repro.nodes.behaviors import Behavior, ContraryVoter, LazyVoter
@@ -209,11 +209,11 @@ def test_spent_history_holds_exactly_the_last_confirmed_spends():
 # -- (iii) the V-verdict row ----------------------------------------------------
 @pytest.fixture
 def shard():
-    state = ShardState(0, 1)
+    state, pool = ShardState(0, 1), UTXOSet()
     genesis = make_coinbase([(f"user-{i}", 100) for i in range(4)])
-    apply_block([state], [genesis], ShardMap(1))
+    apply_block([state], [genesis], ShardMap(1), pool)
     spend = make_transfer((genesis.txid, 0), 100, "user-1", 10, "user-0", nonce=1)
-    return state, genesis, spend
+    return state, pool, genesis, spend
 
 
 @pytest.fixture
@@ -235,7 +235,7 @@ def test_verdict_is_computed_once_per_transaction_object(shard, v_calls):
     """Members asking the view's verdict row for one TXList object run V
     once per transaction; an equal-but-distinct transaction, in a list of
     its own, is validated on its own."""
-    state, _genesis, spend = shard
+    state, _pool, _genesis, spend = shard
     txs = [spend]
     assert [state.verdict_row(txs, 1).tolist() for _ in range(24)] == [[1]] * 24
     assert len(v_calls) == 1
@@ -246,7 +246,7 @@ def test_verdict_is_computed_once_per_transaction_object(shard, v_calls):
 
 
 def test_verdict_never_survives_a_mutation(shard, v_calls):
-    state, genesis, spend = shard
+    state, pool, genesis, spend = shard
     txs = [spend]
 
     def verdict():
@@ -254,7 +254,7 @@ def test_verdict_never_survives_a_mutation(shard, v_calls):
 
     snapshot = state.utxos.snapshot()
     assert verdict() == [1]
-    apply_block([state], [spend], ShardMap(1))
+    apply_block([state], [spend], ShardMap(1), pool)
     assert verdict() == [-1]
     assert state.validate(spend) is ValidationResult.MISSING_INPUT
     state.utxos.restore(snapshot)  # what a checkpoint restore does
@@ -265,8 +265,11 @@ def test_verdict_never_survives_a_mutation(shard, v_calls):
         lambda: state.utxos.add((b"\x07" * 32, 0), ("user-2", 5)),
         lambda: state.utxos.spend((b"\x07" * 32, 0)),
         lambda: state.utxos.restore(state.utxos.snapshot()),
-        lambda: state.utxos.apply_transaction(
-            make_transfer((genesis.txid, 3), 100, "user-1", 1, "user-3", nonce=9)
+        lambda: apply_block(
+            [state],
+            [make_transfer((genesis.txid, 3), 100, "user-1", 1, "user-3", nonce=9)],
+            ShardMap(1),
+            pool,
         ),
     ):
         before = len(v_calls)
@@ -281,7 +284,7 @@ def test_verdict_never_survives_a_mutation(shard, v_calls):
 
 
 def test_a_failed_spend_leaves_the_version_and_the_verdicts(shard, v_calls):
-    state, genesis, spend = shard
+    state, _pool, genesis, spend = shard
     txs = [spend]
     assert state.verdict_row(txs, 1).tolist() == [1]
     version = state.utxos.version
@@ -322,7 +325,7 @@ def vote_world(behaviors=None, capacities=None, spends=3):
     (coin 7 is spent twice when asked for more than 7)."""
     ctx = build_sandbox(committee_size=8, lam=2, behaviors=behaviors, capacities=capacities)
     genesis = make_coinbase([(f"user-{i}", 100) for i in range(8)])
-    apply_block(ctx.shard_states, [genesis], ctx.shard_of)
+    apply_block(ctx.shard_states, [genesis], ctx.shard_of, ctx.global_utxos)
     txs = [
         make_transfer((genesis.txid, min(i, 7)), 100, "payee", 10, f"user-{i}", nonce=i)
         for i in range(spends)
@@ -552,7 +555,7 @@ def test_utxo_listing_is_the_sorted_tuple_through_every_mutation(steps, every_st
 def test_utxo_listing_encodes_only_what_the_block_created(shard, monkeypatch):
     import repro.ledger.state as state_module
 
-    state, genesis, spend = shard
+    state, pool, genesis, spend = shard
     encoded = []
     real = state_module._listing_entry
     monkeypatch.setattr(
@@ -564,7 +567,7 @@ def test_utxo_listing_encodes_only_what_the_block_created(shard, monkeypatch):
     assert len(encoded) == len(genesis.outputs)
     assert state.digest_items() == first and len(encoded) == len(genesis.outputs)
     del encoded[:]
-    apply_block([state], [spend], ShardMap(1))
+    apply_block([state], [spend], ShardMap(1), pool)
     assert_listing_is_its_tuple(state)
     assert sorted(encoded) == [(spend.txid, 0), (spend.txid, 1)]
     # An equal output under the same outpoint is another object: re-encoded.
@@ -791,7 +794,7 @@ def test_members_share_one_verdict_row(specs, members, as_tuple):
     order of the longest walk asked so far."""
     state = LoggedView()
     genesis = make_coinbase([(f"user-{i}", 100) for i in range(4)])
-    apply_block([state], [genesis], ShardMap(1))
+    apply_block([state], [genesis], ShardMap(1), UTXOSet())
     txs = [
         Transaction(
             inputs=((genesis.txid, a),) + (() if b < 0 else ((genesis.txid, b),)),

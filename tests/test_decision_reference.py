@@ -95,8 +95,7 @@ def staged(
     for nid in offline:
         ctx.nodes[nid].online = False
     wg = WorkloadGenerator(m=m, users_per_shard=24, rng=np.random.default_rng(seed))
-    apply_block(ctx.shard_states, [wg.genesis_tx], ctx.shard_of)
-    ctx.global_utxos.restore(wg.genesis_utxos().snapshot())
+    apply_block(ctx.shard_states, [wg.genesis_tx], ctx.shard_of, ctx.global_utxos)
     batch = wg.generate_batch(txs, cross_shard_ratio=cross, invalid_ratio=invalid)
     ctx.mempools[:] = by_home_shard(batch, m)
     run_committee_configuration(ctx)

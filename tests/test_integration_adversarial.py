@@ -2,6 +2,7 @@
 
 import pytest
 from test_decision_reference import compare_every_round, impeached_at_seeds
+from tx_builders import replay_from_genesis
 
 from repro import AdversaryConfig, CycLedger, ProtocolParams
 
@@ -97,8 +98,6 @@ def test_prefilter_enabled_full_protocol():
 def test_mixed_strategy_rounds_remain_consistent():
     """Equivocators + random voters + offline minority over 3 rounds: chain
     stays valid and every packed tx replays against genesis."""
-    from repro.ledger.utxo import UTXOSet, validate_transaction
-
     adv = AdversaryConfig(
         fraction=0.3, leader_strategy="equivocating_leader",
         voter_strategy="random_voter", offline_fraction=0.2,
@@ -106,12 +105,7 @@ def test_mixed_strategy_rounds_remain_consistent():
     ledger = CycLedger(params(seed=6), adversary=adv)
     ledger.run(3)
     assert ledger.chain.verify()
-    utxos = UTXOSet()
-    utxos.restore(ledger.workload.genesis_utxos().snapshot())
-    for block in ledger.chain:
-        for tx in block.transactions:
-            assert validate_transaction(tx, utxos)
-            utxos.apply_transaction(tx)
+    replay_from_genesis(ledger)
 
 
 def test_round_reports_account_for_submitted_txs():

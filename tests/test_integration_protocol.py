@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 from test_decision_reference import impeached_at_seeds
+from tx_builders import replay_from_genesis
 
 from repro import AdversaryConfig, CycLedger, ProtocolParams
-from repro.ledger.utxo import UTXOSet, validate_transaction
 
 
 def small_params(seed=0, **overrides) -> ProtocolParams:
@@ -30,12 +30,7 @@ def test_blocks_replayable_from_genesis():
     """Every packed transaction validates in order against genesis."""
     ledger = CycLedger(small_params(seed=2))
     ledger.run(3)
-    utxos = UTXOSet()
-    utxos.restore(ledger.workload.genesis_utxos().snapshot())
-    for block in ledger.chain:
-        for tx in block.transactions:
-            assert validate_transaction(tx, utxos)
-            utxos.apply_transaction(tx)
+    replay_from_genesis(ledger)
 
 
 def test_cross_shard_included():
@@ -70,12 +65,7 @@ def test_invalid_txs_never_packed():
     ledger = CycLedger(small_params(seed=10, invalid_ratio=0.3))
     ledger.run(2)
     # replay check doubles as the assertion: invalid txs would fail V
-    utxos = UTXOSet()
-    utxos.restore(ledger.workload.genesis_utxos().snapshot())
-    for block in ledger.chain:
-        for tx in block.transactions:
-            assert validate_transaction(tx, utxos)
-            utxos.apply_transaction(tx)
+    replay_from_genesis(ledger)
 
 
 def test_reputation_accumulates_for_honest():

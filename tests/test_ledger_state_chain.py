@@ -38,17 +38,19 @@ def make_block(round_number: int, prev_hash: bytes, txs=()) -> Block:
 # -- ShardState ---------------------------------------------------------------
 
 
-def shard_views(m: int, genesis=None) -> list[ShardState]:
-    states = [ShardState(k, m) for k in range(m)]
+def shard_views(m: int, genesis=None) -> tuple[list[ShardState], UTXOSet]:
+    """m shard views and the global view, holding ``genesis`` if given."""
+    states, pool = [ShardState(k, m) for k in range(m)], UTXOSet()
     if genesis is not None:
-        apply_block(states, [genesis], ShardMap(m))
-    return states
+        apply_block(states, [genesis], ShardMap(m), pool)
+    return states, pool
 
 
 def test_state_filters_genesis_by_shard():
     m = 4
     genesis = make_coinbase([(f"user-{i}", 10) for i in range(40)])
-    states = shard_views(m, genesis)
+    states, pool = shard_views(m, genesis)
+    assert len(pool) == 40
     assert sum(state.size() for state in states) == 40
     for state in states:
         for op in state.utxos:
@@ -64,31 +66,32 @@ def test_state_shard_range():
 def test_apply_block_spends_and_creates():
     m = 2
     genesis = make_coinbase([(f"user-{i}", 100) for i in range(10)])
-    states = shard_views(m, genesis)
+    states, pool = shard_views(m, genesis)
     # pick a genesis output and build a transfer from it
     home = shard_of_address("user-0", m)
     index = [i for i, (owner, _) in enumerate(genesis.outputs) if owner == "user-0"][0]
     tx = make_transfer((genesis.txid, index), 100, "user-1", 25, "user-0")
     sizes = [state.size() for state in states]
-    assert apply_block(states, [tx], ShardMap(m)) == (1, 2)
+    assert apply_block(states, [tx], ShardMap(m), pool) == (1, 2, 1)
     # home loses the input and gains the change; the payee's shard gains one
     sizes[shard_of_address("user-1", m)] += 1
     assert [state.size() for state in states] == sizes
     assert (genesis.txid, index) not in states[home].utxos
-    # the block is applied once: a second application finds nothing to spend
-    # and refuses to create the same outputs again
-    with pytest.raises(ValueError):
-        apply_block(states, [tx], ShardMap(m))
+    assert len(pool) == sum(sizes)
+    # the block is applied once: a second application finds its input spent
+    with pytest.raises(KeyError, match="not unspent"):
+        apply_block(states, [tx], ShardMap(m), pool)
+    assert [state.size() for state in states] == sizes
 
 
 def test_apply_block_wants_every_shard_view_in_order():
-    states = shard_views(3)
+    states, pool = shard_views(3)
     for wrong in (states[:2], states[::-1], [ShardState(0, 2), ShardState(1, 2), states[2]]):
         with pytest.raises(ValueError):
-            apply_block(wrong, [], ShardMap(3))
+            apply_block(wrong, [], ShardMap(3), pool)
     with pytest.raises(ValueError, match="shard_of maps into 2 shards, not 3"):
-        apply_block(states, [], ShardMap(2))
-    assert apply_block(states, [], ShardMap(3)) == (0, 0)
+        apply_block(states, [], ShardMap(2), pool)
+    assert apply_block(states, [], ShardMap(3), pool) == (0, 0, 0)
 
 
 ADDRESSES = [f"user-{i}" for i in range(24)]
@@ -108,27 +111,33 @@ tx_scripts = st.tuples(
     st.lists(st.lists(tx_scripts, max_size=6), max_size=4),
 )
 def test_route_once_application_is_the_per_shard_loop(m, owners, blocks):
-    """One walk over the block leaves every shard exactly as walking the
-    whole block through that shard's own set did — the method walk, whose
-    sets each move by their own ``__contains__`` / ``spend`` / ``add``
-    alone: same items in the same dict order, same version count, same
-    size, same (spent, created) totals."""
+    """One walk over the block leaves the global view and every shard
+    exactly as the method walk did, whose sets each move by their own
+    ``spend`` / ``add`` alone: same items in the same dict order, same
+    version count, same size, same (spent, created, fees) totals, or the
+    same exception (a spent or never-made input) with what came before it
+    standing."""
     genesis = make_coinbase([(owner, 100) for owner in owners])
-    routed, looped = shard_views(m), shard_views(m)
+    (routed, routed_pool), (looped, looped_pool) = shard_views(m), shard_views(m)
     shard_of = ShardMap(m)
-    assert apply_block(routed, [genesis], shard_of) == method_apply_block(
-        looped, [genesis], shard_of
+    assert apply_block(routed, [genesis], shard_of, routed_pool) == method_apply_block(
+        looped, [genesis], shard_of, looped_pool
     )
     known = [(genesis.txid, i) for i in range(len(owners))]
     nonce = 0
 
+    def outcome(apply, *args):
+        try:
+            return apply(*args)
+        except KeyError as exc:
+            return str(exc)
+
     def same():
-        for new, old in zip(routed, looped):
-            assert list(new.utxos.snapshot().items()) == list(
-                old.utxos.snapshot().items()
-            )
-            assert new.utxos.version == old.utxos.version
-            assert new.size() == old.size()
+        pairs = [(new.utxos, old.utxos) for new, old in zip(routed, looped)]
+        for new, old in [(routed_pool, looped_pool), *pairs]:
+            assert list(new.snapshot().items()) == list(old.snapshot().items())
+            assert new.version == old.version
+            assert len(new) == len(old)
 
     same()
     for scripts in blocks:
@@ -147,8 +156,8 @@ def test_route_once_application_is_the_per_shard_loop(m, owners, blocks):
             )
             known += [(tx.txid, i) for i in range(len(outputs))]
             block.append(tx)
-        assert apply_block(routed, block, shard_of) == method_apply_block(
-            looped, block, shard_of
+        assert outcome(apply_block, routed, block, shard_of, routed_pool) == outcome(
+            method_apply_block, looped, block, shard_of, looped_pool
         )
         same()
 
@@ -156,7 +165,7 @@ def test_route_once_application_is_the_per_shard_loop(m, owners, blocks):
 def test_validate_against_shard_view():
     m = 2
     genesis = make_coinbase([(f"user-{i}", 100) for i in range(10)])
-    state0 = shard_views(m, genesis)[0]
+    state0 = shard_views(m, genesis)[0][0]
     # a tx whose input lives in shard 1 looks like MISSING_INPUT to shard 0
     owner1 = next(
         owner for owner, _ in genesis.outputs if shard_of_address(owner, m) == 1
@@ -168,14 +177,14 @@ def test_validate_against_shard_view():
 
 def test_digest_items_deterministic():
     genesis = make_coinbase([(f"user-{i}", 10) for i in range(6)])
-    (a,), (b,) = shard_views(1, genesis), shard_views(1, genesis)
+    ((a,), a_pool), ((b,), b_pool) = shard_views(1, genesis), shard_views(1, genesis)
     assert a.digest_items() == b.digest_items()
     assert hash(a.digest_items()) == hash(b.digest_items())
     # ... and it is the content that is compared, not the object
     spend = make_transfer((genesis.txid, 0), 10, "user-1", 3, "user-0")
-    apply_block([a], [spend], ShardMap(1))
+    apply_block([a], [spend], ShardMap(1), a_pool)
     assert a.digest_items() != b.digest_items()
-    apply_block([b], [spend], ShardMap(1))
+    apply_block([b], [spend], ShardMap(1), b_pool)
     assert a.digest_items() == b.digest_items()
 
 
@@ -197,10 +206,10 @@ def test_listing_after_a_block_encodes_only_what_it_created(monkeypatch):
     import repro.ledger.state as state_module
 
     genesis = make_coinbase([(f"user-{i}", 100) for i in range(5_000)])
-    (state,) = shard_views(1, genesis)
+    (state,), pool = shard_views(1, genesis)
     state.digest_items()
     spend = make_transfer((genesis.txid, 7), 100, "user-1", 10, "user-7", nonce=1)
-    apply_block([state], [spend], ShardMap(1))
+    apply_block([state], [spend], ShardMap(1), pool)
     encoded = []
     real = state_module._listing_entry
     monkeypatch.setattr(

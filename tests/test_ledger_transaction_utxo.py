@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_impls import (
     method_apply_block,
-    method_apply_transaction,
     method_validate_transaction,
+    scratch_copy_validate_batch,
 )
 from tx_builders import make_transfer
 
@@ -28,7 +28,6 @@ from repro.ledger.workload import TaggedTx
 from repro.ledger.utxo import (
     UTXOSet,
     ValidationResult,
-    transaction_fee,
     validate_batch,
     validate_transaction,
 )
@@ -195,12 +194,18 @@ def test_user_coinbase_rejected(funded):
     assert validate_transaction(tx, utxos) is ValidationResult.OVERSPEND
 
 
+def _one_shard(utxos):
+    """A shard view holding what the global view ``utxos`` holds (m = 1)."""
+    state = ShardState(0, 1)
+    state.utxos.restore(utxos.snapshot())
+    return [state]
+
+
 def test_apply_and_fee(funded):
     utxos, source = funded
     tx = make_transfer(source, 100, "bob", 40, "alice", fee=3)
-    assert transaction_fee(tx, utxos) == 3
     total_before = utxos.total_value()
-    utxos.apply_transaction(tx)
+    assert apply_block(_one_shard(utxos), [tx], ShardMap(1), utxos) == (1, 2, 3)
     assert source not in utxos
     assert (tx.txid, 0) in utxos
     assert utxos.total_value() == total_before - 3  # the fee left the set
@@ -209,7 +214,7 @@ def test_apply_and_fee(funded):
 def test_double_spend_after_apply(funded):
     utxos, source = funded
     tx = make_transfer(source, 100, "bob", 40, "alice")
-    utxos.apply_transaction(tx)
+    apply_block(_one_shard(utxos), [tx], ShardMap(1), utxos)
     again = make_transfer(source, 100, "carol", 10, "alice", nonce=5)
     assert validate_transaction(again, utxos) is ValidationResult.MISSING_INPUT
 
@@ -217,7 +222,12 @@ def test_double_spend_after_apply(funded):
 def test_snapshot_restore(funded):
     utxos, source = funded
     snapshot = utxos.snapshot()
-    utxos.apply_transaction(make_transfer(source, 100, "bob", 40, "alice"))
+    apply_block(
+        _one_shard(utxos),
+        [make_transfer(source, 100, "bob", 40, "alice")],
+        ShardMap(1),
+        utxos,
+    )
     utxos.restore(snapshot)
     assert source in utxos
     assert len(utxos) == 1
@@ -332,54 +342,105 @@ def _assert_same_set(fast, slow):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_STEPS)
-def test_apply_transaction_is_spend_then_add(steps):
-    """``apply_transaction`` leaves the contents, the ``version`` and the
-    exception (a spent or missing input, an existing output) of ``spend``
-    then ``add`` per outpoint, and stores the very output tuples."""
-    genesis = make_coinbase([(f"user-{k}", k + 1) for k in range(6)])
-    fast, slow = UTXOSet(), UTXOSet()
-    fast.apply_transaction(genesis)
-    method_apply_transaction(slow, genesis)
-    outpoints = [(genesis.txid, k) for k in range(6)] + [(b"\x09" * 32, 0)]
-    for tx in _drawn_txs(steps, outpoints):
-        outcome = _outcome(UTXOSet.apply_transaction, fast, tx)
-        assert outcome == _outcome(method_apply_transaction, slow, tx)
-        _assert_same_set(fast, slow)
-        if outcome is None:
-            for index, output in enumerate(tx.outputs):
-                assert fast.get((tx.txid, index)) is output
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from([1, 2, 3, 4, 16]), st.lists(_STEPS, min_size=1, max_size=2), st.booleans())
-def test_apply_block_is_the_method_walk(m, blocks, shared):
-    """Block after block, ``apply_block`` leaves every shard's contents in
-    the same dict order, its ``version`` and size, and the (spent, created)
-    counts or the exception, of the walk through the sets' methods, also
-    for an outpoint two shards both hold."""
+@given(st.sampled_from([1, 2, 3, 4, 16]), st.lists(_STEPS, min_size=1, max_size=2))
+def test_apply_block_is_the_method_walk(m, blocks):
+    """Block after block, ``apply_block`` leaves the global view and every
+    shard's contents in the same dict order, their ``version`` and size, and
+    the (spent, created, fees) counts or the exception (a spent, repeated or
+    never-made input; what came before it stands), of the walk through the
+    sets' methods, and stores one outpoint tuple and the very output tuple
+    in the global view and its shard."""
     shard_of = ShardMap(m)
     fast, slow = ([ShardState(k, m) for k in range(m)] for _ in range(2))
+    fast_pool, slow_pool = UTXOSet(), UTXOSet()
     genesis = make_coinbase([(f"user-{k}", k + 1) for k in range(6)])
-    assert apply_block(fast, [genesis], shard_of) == method_apply_block(
-        slow, [genesis], shard_of
+    assert apply_block(fast, [genesis], shard_of, fast_pool) == method_apply_block(
+        slow, [genesis], shard_of, slow_pool
     )
+    # The last outpoint is never made: no view holds it.
     outpoints = [(genesis.txid, k) for k in range(6)] + [(b"\x09" * 32, 0)]
-    if shared:
-        for states in (fast, slow):
-            for state in states:
-                state.utxos.add(outpoints[-1], ("shared", 3))
     for steps in blocks:
         txs = _drawn_txs(steps, outpoints)
-        outcome = _outcome(apply_block, fast, txs, shard_of)
-        assert outcome == _outcome(method_apply_block, slow, txs, shard_of)
+        outcome = _outcome(apply_block, fast, txs, shard_of, fast_pool)
+        assert outcome == _outcome(method_apply_block, slow, txs, shard_of, slow_pool)
+        _assert_same_set(fast_pool, slow_pool)
         for mine, theirs in zip(fast, slow):
             _assert_same_set(mine.utxos, theirs.utxos)
             assert mine.size() == theirs.size()
-        if type(outcome[0]) is int:
-            # What a live outpoint holds is the output object of the last
-            # transaction that created it (equal transactions recur).
-            last = {(tx.txid, k): out for tx in txs for k, out in enumerate(tx.outputs)}
-            for outpoint, output in last.items():
-                held = fast[shard_of[output[0]]].utxos.get(outpoint)
-                assert held is None or held is output
+        for state in fast:
+            for outpoint, output in state.utxos._utxos.items():
+                held = next(op for op in fast_pool._utxos if op == outpoint)
+                assert held is outpoint and fast_pool.get(outpoint) is output
+
+
+def test_an_input_missing_from_the_global_view_raises():
+    """A shard may hold what the global view lacks only when the views
+    disagree; the walk spends from the global view, so that input raises
+    ``KeyError`` naming it, and the transactions before it stand."""
+    shard_of, pool = ShardMap(2), UTXOSet()
+    states = [ShardState(k, 2) for k in range(2)]
+    genesis = make_coinbase([("alice", 100), ("bob", 50)])
+    apply_block(states, [genesis], shard_of, pool)
+    stray = (b"\x09" * 32, 0)
+    states[shard_of["carol"]].utxos.add(stray, ("carol", 7))
+    first = make_transfer((genesis.txid, 0), 100, "bob", 40, "alice", nonce=1)
+    second = make_transfer(stray, 7, "bob", 1, "carol", nonce=2)
+    with pytest.raises(KeyError, match="09090909:0 not unspent"):
+        apply_block(states, [first, second], shard_of, pool)
+    assert (genesis.txid, 0) not in pool and (first.txid, 0) in pool
+    assert stray in states[shard_of["carol"]].utxos and stray not in pool
+
+
+_BATCH_POOL = st.lists(
+    st.tuples(
+        st.lists(st.tuples(st.integers(0, 40), _INDEX_KINDS), max_size=3),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["alice", "bob"]),
+                st.one_of(st.integers(-1, 9), st.floats(0.1, 9.0)),
+            ),
+            max_size=3,
+        ),
+        st.integers(0, 2),
+    ),
+    max_size=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BATCH_POOL)
+@example([([(0, int)], [("a", 1)], 0), ([(7, int)], [("b", 1)], 0)])  # chained
+@example([([(0, int)], [("a", 1)], 0), ([(7, np.int64)], [("b", 1)], 0)])  # numpy index
+@example([([(0, int)], [("a", 1)], 0), ([(0, int)], [("b", 1)], 1)])  # spent twice
+@example([([(0, int), (0, np.int64)], [("a", 1)], 0)])  # one input twice
+@example([([(0, int)], [("a", 9)], 0)])  # overspend
+@example([([(6, int)], [("a", 1)], 0)])  # a phantom input: the pool's last entry
+def test_validate_batch_is_the_scratch_copy_loop(steps):
+    """The overlay gives the verdicts of V over a scratch copy of the set
+    with each accepted transaction applied before the next (chained spends,
+    repeated and double-spent inputs, overspends, phantom inputs, float
+    amounts), and leaves the set's dict and ``version`` untouched."""
+    utxos = UTXOSet()
+    genesis = make_coinbase([(f"user-{k}", k + 1) for k in range(6)])
+    for index, output in enumerate(genesis.outputs):
+        utxos.add((genesis.txid, index), output)
+    before, version = list(utxos._utxos.items()), utxos.version
+    outpoints = [(genesis.txid, k) for k in range(6)] + [(b"\x09" * 32, 0)]
+    txs = _drawn_txs(steps, outpoints)
+    assert validate_batch(txs, utxos) == scratch_copy_validate_batch(txs, utxos)
+    assert list(utxos._utxos.items()) == before and utxos.version == version
+
+
+@pytest.mark.parametrize("index", [0, 1, -1, np.int64(0), True, 0.0])
+def test_a_batch_spends_only_the_outputs_it_made(funded, index):
+    """An output made earlier in the batch is spendable under its index in
+    every form an equal key takes, and no other index of that transaction
+    is, as on the scratch copy."""
+    utxos, source = funded
+    made = Transaction(inputs=(source,), outputs=(("bob", 90),), nonce=1)
+    spend = Transaction(inputs=((made.txid, index),), outputs=(("carol", 5),))
+    verdicts = validate_batch([made, spend], utxos)
+    assert verdicts == scratch_copy_validate_batch([made, spend], utxos)
+    assert verdicts[1] is (
+        ValidationResult.VALID if index == 0 else ValidationResult.MISSING_INPUT
+    )

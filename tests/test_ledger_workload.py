@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 from reference_impls import by_home_shard
+from tx_builders import genesis_views
 
+from repro.ledger.state import apply_block
 from repro.ledger.transaction import shard_of_address
 from repro.ledger.utxo import validate_transaction
 from repro.ledger.workload import WorkloadGenerator
@@ -23,13 +25,13 @@ def test_addresses_bucketed_correctly(generator):
 
 def test_genesis_covers_all_users(generator):
     assert len(generator.genesis_tx.outputs) == 64
-    utxos = generator.genesis_utxos()
+    _states, utxos = genesis_views(generator)
     assert len(utxos) == 64
     assert utxos.total_value() == 64 * generator.endowment
 
 
 def test_ground_truth_matches_v(generator):
-    utxos = generator.genesis_utxos()
+    states, utxos = genesis_views(generator)
     for _ in range(6):
         batch = generator.generate_batch(50, cross_shard_ratio=0.4, invalid_ratio=0.2)
         results = [validate_transaction(t.tx, utxos) for t in batch]
@@ -37,7 +39,7 @@ def test_ground_truth_matches_v(generator):
             assert bool(result) == tagged.intended_valid, (tagged.defect, result)
         for tagged, result in zip(batch, results):
             if result:
-                utxos.apply_transaction(tagged.tx)
+                apply_block(states, [tagged.tx], generator.shard_of, utxos)
         generator.forget_txids([t.tx.txid for t in batch])
 
 
@@ -91,7 +93,7 @@ def test_defect_kinds(generator):
 def test_confirm_round_rolls_back_unpacked(generator):
     """A valid tx that never reached a block must not poison later ground
     truth: its input is spendable again and later spends of it are valid."""
-    utxos = generator.genesis_utxos()
+    _states, utxos = genesis_views(generator)
     batch = generator.generate_batch(30, invalid_ratio=0.0)
     # pretend NOTHING was packed
     rolled = generator.rollback_txids([t.tx.txid for t in batch])
@@ -102,11 +104,10 @@ def test_confirm_round_rolls_back_unpacked(generator):
 
 
 def test_confirm_round_keeps_packed(generator):
-    utxos = generator.genesis_utxos()
+    states, utxos = genesis_views(generator)
     batch = generator.generate_batch(30, invalid_ratio=0.0)
     packed = [t.tx.txid for t in batch]
-    for tagged in batch:
-        utxos.apply_transaction(tagged.tx)
+    apply_block(states, [t.tx for t in batch], generator.shard_of, utxos)
     generator.forget_txids(packed)
     assert generator.rollback_txids(packed) == 0
     batch2 = generator.generate_batch(30, invalid_ratio=0.0)

@@ -59,7 +59,7 @@ ALLOWED = {
     },
     "src/repro/ledger/utxo.py": {
         "UTXOSet.spend": "the primitive the tests/reference_impls.py oracles "
-        "spell apply_transaction and apply_block with",
+        "spell apply_block and the scratch-copy validate_batch with",
     },
     "src/repro/net/simulator.py": {
         "Network.in_flight": "the harness rule's view of the queue: tests "

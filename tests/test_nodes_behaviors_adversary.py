@@ -26,7 +26,7 @@ def voting_setup():
     ctx = build_sandbox(committee_size=6, lam=2)
     state = ctx.shard_states[0]
     genesis = make_coinbase([(f"user-{i}", 100) for i in range(8)])
-    apply_block(ctx.shard_states, [genesis], ctx.shard_of)
+    apply_block(ctx.shard_states, [genesis], ctx.shard_of, ctx.global_utxos)
     # one valid spend + one overspend
     op = next(iter(state.utxos))
     owner, _amount = state.utxos.get(op)

@@ -15,7 +15,8 @@ from repro.crypto.field import FIELD
 from repro.ledger.workload import TxMempool, WorkloadGenerator
 from repro.crypto.hashing import H, canonical_bytes
 from repro.crypto.pvss import deal, reconstruct
-from repro.ledger.transaction import Transaction
+from repro.ledger.state import ShardState, apply_block
+from repro.ledger.transaction import ShardMap, Transaction
 from repro.ledger.utxo import UTXOSet, ValidationResult, validate_transaction
 from repro.net.message import payload_size
 
@@ -151,12 +152,11 @@ def test_g_monotone_property(x, y):
 )
 @settings(max_examples=100, deadline=None)
 def test_utxo_value_never_increases(spends):
-    utxos = UTXOSet()
+    states, utxos, shard_of = [ShardState(0, 1)], UTXOSet(), ShardMap(1)
     base = Transaction(
         inputs=(), outputs=tuple((f"u{i}", 100) for i in range(10))
     )
-    for i in range(10):
-        utxos.add((base.txid, i), base.outputs[i])
+    apply_block(states, [base], shard_of, utxos)
     total = utxos.total_value()
     nonce = 0
     for which, amount in spends:
@@ -164,7 +164,7 @@ def test_utxo_value_never_increases(spends):
         if not ops:
             break
         op = ops[which % len(ops)]
-        available = utxos.amount(op)
+        _owner, available = utxos.get(op)
         nonce += 1
         tx = Transaction(
             inputs=(op,),
@@ -176,9 +176,10 @@ def test_utxo_value_never_increases(spends):
             assert result is ValidationResult.OVERSPEND
         else:
             assert result is ValidationResult.VALID
-            utxos.apply_transaction(tx)
+            fee = available - amount
+            assert apply_block(states, [tx], shard_of, utxos) == (1, 1, fee)
             new_total = utxos.total_value()
-            assert new_total == total - (available - amount)
+            assert new_total == total - fee
             total = new_total
 
 
