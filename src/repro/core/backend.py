@@ -235,10 +235,13 @@ class CommitteeSimBackend:
         self.net = Network(params.net, self.net_rng)
         for node in self.nodes.values():
             self.net.add_node(node)
-        self.global_utxos, genesis = UTXOSet(), [self.workload.genesis_tx]
+        self.global_utxos = UTXOSet()
         self.shard_states = [ShardState(k, params.m) for k in range(params.m)]
         apply_block(
-            self.shard_states, genesis, self.workload.shard_of, self.global_utxos
+            self.shard_states,
+            [self.workload.genesis_tx],
+            self.workload.shard_of,
+            self.global_utxos,
         )
         self.chain = Chain(retention=params.chain_retention)
         self.reputation: dict[str, float] = dict.fromkeys(
