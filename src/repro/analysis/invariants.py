@@ -226,10 +226,14 @@ class InvariantChecker:
         window (policies included) counts as disturbed even if the event
         did not fire, because
         a partition's message loss (for example) can depress commits and
-        reputations without any corrupted node existing.
+        reputations without any corrupted node existing.  So does any node
+        offline at round end, whoever took it offline (the adversary, or a
+        phase hook that set ``online`` itself).
         """
         adversary = ledger.adversary
         if adversary.count or adversary.offline or adversary.forced_offline:
+            return False
+        if not all(node.online for node in ledger.nodes.values()):
             return False
         scenario = ledger.scenario
         return scenario is None or round_number > scenario.last_event_round

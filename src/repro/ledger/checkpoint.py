@@ -56,11 +56,16 @@ import numpy as np
 #: its vote-window field, now ``core.config.VOTE_WINDOW_DELTAS``, and its
 #: ``NetworkParams`` lost the partial-channel stretch bound; 7: the
 #: adversary block lost ``pending_corruptions``, the delayed-corruption
-#: queue nothing filled).
-CHECKPOINT_VERSION = 7
+#: queue nothing filled; 8: ``mempool.queue`` holds the ``TaggedTx``s beside
+#: ``mempool.stamps``, with no ``QueuedTx`` class left to name, and
+#: ``workload.effects`` maps a txid to its consumed entry alone).
+CHECKPOINT_VERSION = 8
 
 #: What the current layout changed, named in a version mismatch.
-_LAYOUT_CHANGE = "layout 7 dropped 'adversary.pending_corruptions'"
+_LAYOUT_CHANGE = (
+    "layout 8 dropped 'QueuedTx' (mempool.queue + mempool.stamps) and "
+    "'workload.effects' holds the consumed entry, not (home, consumed, tx)"
+)
 
 #: File header: magic, layout version, payload length, payload SHA-256.
 MAGIC = b"CYCLCKPT"
@@ -161,6 +166,7 @@ def capture_checkpoint(ledger: Any) -> dict[str, Any]:
         "metrics": _capture_metrics(ledger.metrics),
         "mempool": {
             "queue": list(mempool.queue),
+            "stamps": list(mempool.stamps),
             "total_admitted": mempool.total_admitted,
             "total_evicted": mempool.total_evicted,
             "last_arrivals": mempool._last_arrivals,
@@ -272,6 +278,7 @@ def restore_checkpoint(
 
     mempool = ledger.mempool
     mempool.queue = list(state["mempool"]["queue"])
+    mempool.stamps = list(state["mempool"]["stamps"])
     mempool.total_admitted = state["mempool"]["total_admitted"]
     mempool.total_evicted = state["mempool"]["total_evicted"]
     mempool._last_arrivals = state["mempool"]["last_arrivals"]

@@ -17,7 +17,12 @@ network by external users" (§III-D).  This generator plays those users:
 
 Every generated transaction is wrapped in :class:`TaggedTx`, carrying ground
 truth (home shard, output shards, intended validity and the injected defect)
-so tests and benchmarks can score committee decisions exactly.
+so tests and benchmarks can score committee decisions exactly.  Admission
+keeps two tracked records per transaction, the ``Transaction`` and its
+``TaggedTx``: the mempool queues the ``TaggedTx`` itself beside one arrival
+stamp shared by its whole batch, and the generator's pending effect is the
+spendable entry the transaction consumed (see docs/perf.md, "What the
+generator leaves for the collector").
 
 :class:`TxMempool` is the one feed between the generator and the round
 loop: admit, offer FIFO per shard, settle.  ``arrival_process`` names its
@@ -130,7 +135,10 @@ class WorkloadGenerator:
                 for address in bucket
             ]
         )
-        # Generator-side view of what is spendable, per shard.
+        # Generator-side view of what is spendable, per shard.  Every entry
+        # of ``_spendable[s]`` is owned by an address of shard ``s`` (the
+        # genesis, change and payee entries all follow their owner), so an
+        # entry's shard is ``shard_of[owner]``.
         self._spendable: list[list[tuple[tuple[bytes, int], str, int]]] = [
             [] for _ in range(m)
         ]
@@ -140,16 +148,17 @@ class WorkloadGenerator:
             )
         # Confirmed spends only: what the double-spend injector draws from.
         self._spent: list[tuple[tuple[bytes, int], str, int]] = []
-        # txid -> (home, consumed entry, transaction) for every
-        # generated-but-unsettled transaction, ``consumed`` being the very
-        # tuple popped from the spendable pool.  Nothing here is published:
+        # txid -> consumed entry for every generated-but-unsettled
+        # transaction: the very tuple popped from the spendable pool, whose
+        # owner names the shard it goes back to.  Nothing here is published:
         # the outputs' entries are built and enter the spendable pool, and
         # the consumed input enters ``_spent``, only when the transaction
-        # packs (forget_txids), so an intended-valid draw never chain-spends
-        # an off-chain output, a double spend never names an input that is
-        # still live on chain, and undoing a transaction (rollback_txids)
-        # only has to hand its input back.
-        self._effects: dict[bytes, tuple[int, tuple, Transaction]] = {}
+        # packs (forget_txids, handed the packed transactions), so an
+        # intended-valid draw never chain-spends an off-chain output, a
+        # double spend never names an input that is still live on chain,
+        # and undoing a transaction (rollback_txids) only has to hand its
+        # input back.
+        self._effects: dict[bytes, tuple[tuple[bytes, int], str, int]] = {}
 
     # -- helpers ----------------------------------------------------------
     def _next_nonce(self) -> int:
@@ -182,7 +191,7 @@ class WorkloadGenerator:
         pay = (payee, spend)
         outputs = (pay, (owner, change)) if change > 0 else (pay,)
         tx = Transaction(inputs=(outpoint,), outputs=outputs, nonce=self._next_nonce())
-        self._effects[tx.txid] = (home, consumed, tx)
+        self._effects[tx.txid] = consumed
         return TaggedTx(tx, home, self.shard_of[payee] != home, True)
 
     _DEFECTS = ("double_spend", "overspend", "phantom_input")
@@ -277,35 +286,35 @@ class WorkloadGenerator:
         """
         undone = 0
         for txid in txids:
-            effects = self._effects.pop(txid, None)
-            if effects is not None:
-                home, consumed, _tx = effects
-                self._spendable[home].append(consumed)
+            consumed = self._effects.pop(txid, None)
+            if consumed is not None:
+                self._spendable[self.shard_of[consumed[1]]].append(consumed)
                 undone += 1
         return undone
 
-    def forget_txids(self, txids: Iterable[bytes]) -> None:
+    def forget_txids(self, txs: Iterable[Transaction]) -> None:
         """Settle the listed transactions as packed: their spends and
         outputs are now real.  Each one's created outputs enter the
         spendable pool and its input the confirmed-spent history, in
-        ``txids`` order — that order feeds later index draws, so callers
+        ``txs`` order — that order feeds later index draws, so callers
         pass a sequence, never a set.
         """
         effects_of = self._effects.pop
         spendable = self._spendable
         shard_of = self.shard_of
         spent = self._spent
-        for txid in txids:
-            effects = effects_of(txid, None)
-            if effects is not None:
-                home, consumed, tx = effects
+        for tx in txs:
+            txid = tx.txid
+            consumed = effects_of(txid, None)
+            if consumed is not None:
                 # Output 0 pays the payee, output 1 (if any) is the change
                 # back to the owner: the change entry is published first.
                 outputs = tx.outputs
                 if len(outputs) > 1:
-                    spendable[home].append(((tx.txid, 1), *outputs[1]))
+                    owner, change = outputs[1]
+                    spendable[shard_of[owner]].append(((txid, 1), owner, change))
                 payee, spend = outputs[0]
-                spendable[shard_of[payee]].append(((tx.txid, 0), payee, spend))
+                spendable[shard_of[payee]].append(((txid, 0), payee, spend))
                 spent.append(consumed)
         self._trim_spent()
 
@@ -321,23 +330,6 @@ class WorkloadGenerator:
 ARRIVAL_LEGACY = "legacy"
 ARRIVAL_POISSON = "poisson"
 ARRIVAL_PROCESSES = (ARRIVAL_LEGACY, ARRIVAL_POISSON)
-
-
-@dataclass
-class QueuedTx:
-    """One mempool entry: a generated transaction plus queue metadata."""
-
-    tagged: TaggedTx
-    arrived_at: float  # continuous sim time (Network.global_now)
-    arrived_round: int
-
-    def age(self, now: float) -> float:
-        """Sim-time this transaction has waited in the queue."""
-        return now - self.arrived_at
-
-    def age_rounds(self, round_number: int) -> int:
-        """Full rounds this transaction has waited without being packed."""
-        return round_number - self.arrived_round
 
 
 @dataclass(frozen=True)
@@ -372,6 +364,12 @@ class TxMempool:
     the queue only by being packed, by exceeding ``max_age_rounds``, or by
     capacity backpressure (the oldest entries beyond ``capacity`` are
     evicted first — they have had the most chances).
+
+    ``queue`` holds the ``TaggedTx``s themselves and ``stamps`` runs
+    parallel to it: entry ``i`` arrived at ``stamps[i]`` =
+    ``(arrived_at, arrived_round)``, one tuple shared by a whole admitted
+    batch, so an entry costs a list slot and no object.  Arrival rounds
+    never decrease along the queue, so the expired entries are its front.
     """
 
     def __init__(
@@ -410,7 +408,8 @@ class TxMempool:
         else:
             self._arrivals = lambda: generator.draws.poisson(self.rate)
             self.carry_over = sys.maxsize
-        self.queue: list[QueuedTx] = []
+        self.queue: list[TaggedTx] = []
+        self.stamps: list[tuple[float, int]] = []
         self.total_admitted = 0
         self.total_evicted = 0
         self._last_arrivals = 0
@@ -439,10 +438,8 @@ class TxMempool:
             cross_shard_ratio=cross_shard_ratio,
             invalid_ratio=invalid_ratio,
         )
-        self.queue.extend(
-            QueuedTx(tagged=t, arrived_at=now, arrived_round=round_number)
-            for t in batch
-        )
+        self.queue += batch
+        self.stamps += [(now, round_number)] * len(batch)
         self.total_admitted += len(batch)
         self._last_arrivals = len(batch)
         return len(batch)
@@ -454,8 +451,8 @@ class TxMempool:
         goes to the longest-waiting transactions of its shard.
         """
         routed: list[list[TaggedTx]] = [[] for _ in range(self.generator.m)]
-        for entry in self.queue:
-            routed[entry.tagged.home_shard].append(entry.tagged)
+        for tagged in self.queue:
+            routed[tagged.home_shard].append(tagged)
         return routed
 
     def settle(
@@ -466,44 +463,39 @@ class TxMempool:
         # forgetting publishes created outputs into the spendable pool, and
         # that order feeds later index draws — a hash-ordered set here
         # would make blocks PYTHONHASHSEED-dependent.
-        packed: list[bytes] = []
-        unpacked: list[QueuedTx] = []
-        for entry in self.queue:
-            txid = entry.tagged.tx.txid
-            if txid in packed_txids:
-                packed.append(txid)
+        packed: list[Transaction] = []
+        survivors: list[TaggedTx] = []
+        stamps: list[tuple[float, int]] = []
+        for tagged, stamp in zip(self.queue, self.stamps):
+            tx = tagged.tx
+            if tx.txid in packed_txids:
+                packed.append(tx)
             else:
-                unpacked.append(entry)
+                survivors.append(tagged)
+                stamps.append(stamp)
         self.generator.forget_txids(packed)
-        survivors = unpacked[: self.carry_over]
-        withdrawn = unpacked[self.carry_over :]  # by their submitters
-        evicted: list[QueuedTx] = []
+        leaving = survivors[self.carry_over :]  # withdrawn by their submitters
+        del survivors[self.carry_over :], stamps[self.carry_over :]
+        # Evicted: the front that reached the TTL, then as many more of the
+        # oldest as the capacity bound needs.
+        evicted = 0
         if self.max_age_rounds > 0:
-            expired = [
-                e
-                for e in survivors
-                if e.age_rounds(round_number) >= self.max_age_rounds
-            ]
-            if expired:
-                evicted.extend(expired)
-                survivors = [
-                    e
-                    for e in survivors
-                    if e.age_rounds(round_number) < self.max_age_rounds
-                ]
-        if self.capacity > 0 and len(survivors) > self.capacity:
-            overflow = len(survivors) - self.capacity
-            evicted.extend(survivors[:overflow])
-            survivors = survivors[overflow:]
-        self.generator.rollback_txids(
-            e.tagged.tx.txid for e in withdrawn + evicted
-        )
-        self.total_evicted += len(evicted)
+            expired_by = round_number - self.max_age_rounds
+            while evicted < len(stamps) and stamps[evicted][1] <= expired_by:
+                evicted += 1
+        if self.capacity > 0:
+            evicted = max(evicted, len(survivors) - self.capacity)
+        if evicted:
+            leaving += survivors[:evicted]
+            del survivors[:evicted], stamps[:evicted]
+        self.generator.rollback_txids(t.tx.txid for t in leaving)
+        self.total_evicted += evicted
         self.queue = survivors
-        ages = [e.age(now) for e in survivors]
+        self.stamps = stamps
+        ages = [now - arrived_at for arrived_at, _round in stamps]
         return MempoolStats(
             arrivals=self._last_arrivals,
-            evicted=len(evicted),
+            evicted=evicted,
             depth=len(survivors),
             age_mean=sum(ages) / len(ages) if ages else 0.0,
             age_max=max(ages, default=0.0),

@@ -282,8 +282,11 @@ class EagerPublishWorkloadGenerator(WorkloadGenerator):
     def generate_batch(self, count, cross_shard_ratio=0.0, invalid_ratio=0.0):
         self._effects = {}
         batch = super().generate_batch(count, cross_shard_ratio, invalid_ratio)
-        for home, consumed, tx in self._effects.values():
-            for shard, entry in self._created(home, tx):
+        # Home shard and transaction of each pending one, from the batch's
+        # ground truth: ``_effects`` keeps only the consumed entries.
+        self._pending = {t.tx.txid: (t.home_shard, t.tx) for t in batch}
+        for txid, consumed in self._effects.items():
+            for shard, entry in self._created(*self._pending[txid]):
                 self._spendable[shard].append(entry)
             self._spent.append(consumed)
         self._trim_spent()
@@ -306,10 +309,10 @@ class EagerPublishWorkloadGenerator(WorkloadGenerator):
     def rollback_txids(self, txids) -> int:
         rolled = 0
         for txid in txids:
-            effects = self._effects.pop(txid, None)
-            if effects is None:
+            consumed = self._effects.pop(txid, None)
+            if consumed is None:
                 continue
-            home, consumed, tx = effects
+            home, tx = self._pending[txid]
             for shard, entry in self._created(home, tx):
                 try:
                     self._spendable[shard].remove(entry)

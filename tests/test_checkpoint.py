@@ -112,13 +112,14 @@ def test_version_mismatch_rejected():
     half = Cell(seed=7).build()
     half.run(1)
     state = capture_checkpoint(half)
-    # A newer layout, version 6 (its adversary block carried a delayed-
-    # corruption queue), version 5 (its params carried the vote window and
-    # the partial-channel stretch), version 4 (its effects held pre-built
-    # output entries and its metrics per-node counters), version 3 (its
-    # transactions held record objects) and version 2 (it had a second
-    # driver block).
-    for stale in (CHECKPOINT_VERSION + 1, 6, 5, 4, 3, 2):
+    # A newer layout, version 7 (its mempool queued one entry object per
+    # transaction and its pending effects held the transaction), version 6
+    # (its adversary block carried a delayed-corruption queue), version 5
+    # (its params carried the vote window and the partial-channel stretch),
+    # version 4 (its effects held pre-built output entries and its metrics
+    # per-node counters), version 3 (its transactions held record objects)
+    # and version 2 (it had a second driver block).
+    for stale in (CHECKPOINT_VERSION + 1, 7, 6, 5, 4, 3, 2):
         state["version"] = stale
         with pytest.raises(ValueError, match="version"):
             restore_checkpoint(state)
@@ -183,19 +184,30 @@ def _checkpoint_file(payload: bytes, version: int = CHECKPOINT_VERSION) -> bytes
 
 _TRIPWIRE = pickle.dumps(_Tripwire(), protocol=4)
 
+#: What a version-7 file's queue entries name: a class the library no
+#: longer has, so unpickling it would fail by ``AttributeError``.
+_RETIRED_QUEUE_ENTRY = b"\x80\x02crepro.ledger.workload\nQueuedTx\n)\x81."
+
 
 @pytest.mark.parametrize(
     "data, named",
     [
         (_checkpoint_file(_TRIPWIRE)[:-1], "length"),
         (_checkpoint_file(_TRIPWIRE)[:-1] + b"\x00", "digest"),
-        (_checkpoint_file(_TRIPWIRE, version=6), "'version': checkpoint version 6 != 7"),
+        (_checkpoint_file(_TRIPWIRE, version=7), "'version': checkpoint version 7 != 8"),
+        (
+            _checkpoint_file(_RETIRED_QUEUE_ENTRY, version=7),
+            "'version': checkpoint version 7 != 8",
+        ),
         # what the parent commit's save_checkpoint wrote: a bare pickle
         (_TRIPWIRE, "magic"),
         (b"not a checkpoint at all", "magic"),
         (b"", "magic"),
     ],
-    ids=["truncated", "flipped-byte", "old-version", "bare-pickle", "foreign", "empty"],
+    ids=[
+        "truncated", "flipped-byte", "old-version", "v7-queue-entry",
+        "bare-pickle", "foreign", "empty",
+    ],
 )
 def test_bad_file_fails_by_name_before_unpickling(tmp_path, data, named):
     path = tmp_path / "bad.pkl"

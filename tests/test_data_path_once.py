@@ -174,9 +174,9 @@ def test_batch_confirm_round_matches_sequential_undo(seed, history):
         assert [t.tx for t in eager.generate_batch(count, 0.4, 0.25)] == [
             t.tx for t in batch
         ]
-        txids = [t.tx.txid for t in batch]
-        packed = [t for t in txids if picker.random() < packed_share]
-        rest = [t for t in txids if t not in set(packed)]
+        packed = [t.tx for t in batch if picker.random() < packed_share]
+        packed_txids = {tx.txid for tx in packed}
+        rest = [t.tx.txid for t in batch if t.tx.txid not in packed_txids]
         # Some are undone before settlement, in any order (and the call may
         # name unknown or repeated txids).
         early = [t for t in rest if picker.random() < early_share]
@@ -184,7 +184,7 @@ def test_batch_confirm_round_matches_sequential_undo(seed, history):
         early += early[:2] + [b"\x00" * 32]
         one.forget_txids(packed)
         assert one.rollback_txids(early) == eager.rollback_txids(early)
-        assert one.rollback_txids(rest) == eager.confirm_round(set(packed))
+        assert one.rollback_txids(rest) == eager.confirm_round(packed_txids)
         assert generator_state(one) == generator_state(eager)
     assert [t.tx for t in one.generate_batch(12, 0.4, 0.25)] == [
         t.tx for t in eager.generate_batch(12, 0.4, 0.25)
@@ -197,11 +197,11 @@ def test_spent_history_holds_exactly_the_last_confirmed_spends():
     )
     confirmed = []
     for _ in range(4):
-        txids = [t.tx.txid for t in generator.generate_batch(10, 0.3, 0.2)]
-        packed = [t for t in txids[::2] if t in generator._effects]
-        confirmed += [generator._effects[t][1] for t in packed]
+        txs = [t.tx for t in generator.generate_batch(10, 0.3, 0.2)]
+        packed = [tx for tx in txs[::2] if tx.txid in generator._effects]
+        confirmed += [generator._effects[tx.txid] for tx in packed]
         generator.forget_txids(packed)
-        generator.rollback_txids(txids)
+        generator.rollback_txids([tx.txid for tx in txs])
         assert generator._spent == confirmed[-7:]
     assert len(confirmed) > 7
 

@@ -40,7 +40,7 @@ def test_ground_truth_matches_v(generator):
         for tagged, result in zip(batch, results):
             if result:
                 apply_block(states, [tagged.tx], generator.shard_of, utxos)
-        generator.forget_txids([t.tx.txid for t in batch])
+        generator.forget_txids([t.tx for t in batch])
 
 
 def test_cross_shard_flag_accurate(generator):
@@ -106,10 +106,10 @@ def test_confirm_round_rolls_back_unpacked(generator):
 def test_confirm_round_keeps_packed(generator):
     states, utxos = genesis_views(generator)
     batch = generator.generate_batch(30, invalid_ratio=0.0)
-    packed = [t.tx.txid for t in batch]
-    apply_block(states, [t.tx for t in batch], generator.shard_of, utxos)
+    packed = [t.tx for t in batch]
+    apply_block(states, packed, generator.shard_of, utxos)
     generator.forget_txids(packed)
-    assert generator.rollback_txids(packed) == 0
+    assert generator.rollback_txids([tx.txid for tx in packed]) == 0
     batch2 = generator.generate_batch(30, invalid_ratio=0.0)
     for tagged in batch2:
         assert bool(validate_transaction(tagged.tx, utxos)) == tagged.intended_valid

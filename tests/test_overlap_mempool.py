@@ -263,9 +263,8 @@ def test_mempool_poisson_fifo_age_and_ttl_eviction():
     assert pool.total_evicted == arrived
     # Eviction rolled their inputs back into the spendable pool: the
     # generator can still build valid transactions from them.
-    assert all(
-        e.arrived_round > 1 for e in pool.queue
-    )
+    assert len(pool.stamps) == pool.depth
+    assert all(arrived_round > 1 for _at, arrived_round in pool.stamps)
 
 
 def test_mempool_capacity_backpressure_evicts_oldest():
@@ -278,11 +277,10 @@ def test_mempool_capacity_backpressure_evicts_oldest():
     assert stats.depth == 10
     assert pool.depth == 10
     # Survivors are the newest arrivals (oldest evicted first).
-    assert [e.arrived_round for e in pool.queue] == sorted(
-        e.arrived_round for e in pool.queue
-    )
+    rounds = [arrived_round for _at, arrived_round in pool.stamps]
+    assert len(rounds) == pool.depth and rounds == sorted(rounds)
     if stats.evicted:
-        assert min(e.arrived_at for e in pool.queue) >= 0.0
+        assert min(arrived_at for arrived_at, _round in pool.stamps) >= 0.0
 
 
 def test_poisson_backlog_drains_across_rounds():
@@ -332,10 +330,10 @@ def test_poisson_draws_never_spend_offchain_outputs():
     ledger = CycLedger(params)
     for _ in range(6):
         ledger.run_round()
-        for entry in ledger.mempool.queue:
-            if not entry.tagged.intended_valid:
+        for tagged in ledger.mempool.queue:
+            if not tagged.intended_valid:
                 continue
-            for outpoint in entry.tagged.tx.inputs:
+            for outpoint in tagged.tx.inputs:
                 assert outpoint in ledger.global_utxos, (
                     "queued intended-valid tx spends an off-chain output"
                 )
@@ -353,7 +351,7 @@ def test_deferred_spent_records_follow_packing():
     generator = pool.generator
     pool.admit(1, 0.0, cross_shard_ratio=0.0, invalid_ratio=0.0)
     assert generator._spent == []  # nothing confirmed yet
-    queued = [e.tagged for e in pool.queue if e.tagged.intended_valid]
+    queued = [t for t in pool.queue if t.intended_valid]
     packed = {t.tx.txid for t in queued[: len(queued) // 2]}
     pool.settle(packed, 1, 1.0)
     spent_outpoints = {outpoint for outpoint, _, _ in generator._spent}

@@ -229,7 +229,12 @@ def test_mempool_conservation_identity(seed, rounds):
     """Under arbitrary packing and TTL/capacity perturbations, every
     admitted transaction is accounted for exactly once:
     admitted == packed + queued + evicted (the checker's
-    mempool-conservation invariant, exercised directly)."""
+    mempool-conservation invariant, exercised directly).
+
+    Settlement also keeps what the records it leaves out rely on: every
+    spendable entry sits in the shard its owner maps to and every pending
+    effect's owner is mapped (the consumed entry names its own way home),
+    and the arrival stamps run parallel to the queue in arrival order."""
     generator = WorkloadGenerator(
         m=2, users_per_shard=16, rng=np.random.default_rng(seed)
     )
@@ -244,7 +249,7 @@ def test_mempool_conservation_identity(seed, rounds):
         mempool.admit(
             round_number, now, cross_shard_ratio=0.25, invalid_ratio=0.1
         )
-        queued = [e.tagged.tx.txid for e in mempool.queue]
+        queued = [t.tx.txid for t in mempool.queue]
         packed = set(queued[: int(fraction * len(queued))])
         mempool.settle(packed, round_number, now + 5.0)
         packed_total += len(packed)
@@ -252,3 +257,9 @@ def test_mempool_conservation_identity(seed, rounds):
             mempool.total_admitted
             == packed_total + mempool.depth + mempool.total_evicted
         )
+        shard_of = generator.shard_of
+        for shard, bucket in enumerate(generator._spendable):
+            assert all(shard_of.get(owner) == shard for _o, owner, _a in bucket)
+        assert all(owner in shard_of for _o, owner, _a in generator._effects.values())
+        arrivals = [arrived_round for _at, arrived_round in mempool.stamps]
+        assert len(arrivals) == mempool.depth and arrivals == sorted(arrivals)
