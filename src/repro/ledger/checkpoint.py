@@ -269,8 +269,7 @@ def restore_checkpoint(
             "checkpoint reputation roster does not match the rebuilt "
             "ledger (seed or backend mismatch?)"
         )
-    # Files written while the table was an array carry a float64 ndarray.
-    ledger.reputation.update(zip(pks, map(float, state["reputation"]["values"])))
+    ledger.reputation.update(zip(pks, state["reputation"]["values"]))
 
     ledger.rewards.clear()
     ledger.rewards.update(state["rewards"])

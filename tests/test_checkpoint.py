@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import pickle
 
-import numpy as np
 import pytest
 from config_cube import Cell, assert_same_run, check, reference, view_of
 
@@ -134,20 +133,6 @@ def test_stale_defer_created_key_is_ignored():
     state = capture_checkpoint(half)
     state["workload"]["defer_created"] = False
     resumed = restore_checkpoint(state)
-    assert_same_run(reference(Cell(seed=7)), view_of(resumed, resumed.run(2)), 2)
-
-
-def test_reputation_values_captured_as_an_array_still_restore():
-    """Version-7 files written while the reputation table was an array
-    carry its values as a float64 ndarray; they restore to the same table
-    and the run continues to the same head."""
-    half = Cell(seed=7).build()
-    half.run(2)
-    state = capture_checkpoint(half)
-    state["reputation"]["values"] = np.array(state["reputation"]["values"])
-    resumed = restore_checkpoint(state)
-    assert resumed.reputation == half.reputation
-    assert all(type(value) is float for value in resumed.reputation.values())
     assert_same_run(reference(Cell(seed=7)), view_of(resumed, resumed.run(2)), 2)
 
 

@@ -1,5 +1,8 @@
 """CLI and ASCII plotting."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from repro.nodes.behaviors import BEHAVIOR_REGISTRY
 
 #: how an unknown-strategy error names the known ones
 KNOWN = "known: " + ", ".join(sorted(BEHAVIOR_REGISTRY))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # -- plotting ------------------------------------------------------------------
@@ -219,3 +223,57 @@ def test_cli_scenario_run_deterministic_json(tmp_path, capsys):
     assert "crash leader-elect" in out
     assert main([*args, "--json", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+# -- CLI docs drift --------------------------------------------------------------
+
+
+def _subcommands():
+    return next(
+        action for action in build_parser()._actions
+        if hasattr(action, "choices") and action.choices
+    ).choices
+
+
+def stale_flags(paths):
+    """(file name, subcommand, flag) for every ``--flag`` that a
+    ``repro <subcommand> ...`` line in ``paths`` shows and that
+    subcommand's parser does not accept."""
+    flags = {
+        name: {option for action in parser._actions
+               for option in action.option_strings}
+        for name, parser in _subcommands().items()
+    }
+    stale = []
+    for path in paths:
+        for line in path.read_text().replace("\\\n", " ").splitlines():
+            match = re.search(r"\brepro (\w+)\b(.*)", line)
+            if match and match.group(1) in flags:
+                stale += [
+                    (path.name, match.group(1), flag)
+                    for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*", match.group(2))
+                    if flag not in flags[match.group(1)]
+                ]
+    return stale
+
+
+def test_readme_command_table_documents_every_subcommand():
+    readme = (ROOT / "README.md").read_text()
+    assert [c for c in _subcommands() if f"`repro {c}`" not in readme] == []
+
+
+def test_docs_show_only_flags_the_cli_has():
+    docs = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+    assert stale_flags(docs) == []
+
+
+def test_a_doc_line_naming_a_flag_the_cli_lacks_is_stale(tmp_path):
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "    repro run --n 24 --no-such-flag\n"
+        "    repro sweep --grid m=2,3 \\\n      --workers 2 --bogus\n"
+        "    repro table1 --m 4\n"
+    )
+    assert stale_flags([doc]) == [
+        ("doc.md", "run", "--no-such-flag"), ("doc.md", "sweep", "--bogus"),
+    ]
